@@ -11,20 +11,25 @@
 // (Figure 1):
 //
 //   - a group ("OR node") per (expression, property) pair holds the
-//     BestCost aggregate: an ordered multiset over every computed plan cost.
-//     Following §4.1, the aggregate retains all inputs — including pruned
-//     ones — so the "next best" value is recoverable when the minimum is
-//     deleted or raised.
-//   - an entry ("AND node") per SearchSpace alternative carries LocalCost
-//     and the recursive PlanCost = LocalCost + Σ children BestCost (rules
-//     R6–R8).
+//     BestCost aggregate: the minimum over the plan costs of its entries.
+//     Following §4.1, the aggregate retains all inputs — every entry keeps
+//     its computed cost, pruned or not — so the "next best" value is
+//     recoverable when the minimum is deleted or raised.
+//   - an entry ("AND node") per SearchSpace alternative carries LocalCost,
+//     the recursive PlanCost = LocalCost + Σ children BestCost (rules
+//     R6–R8), and on each child edge the ParentBound value it contributes
+//     to that child's MaxBound aggregate (rules r1–r3). A group's entries
+//     are one slab.
 //   - deltas (cost insertions, deletions, updates; bound updates; reference
 //     count changes) flow through a worklist until fixpoint, mimicking the
 //     pipelined push-based execution of the ASPEN engine. Expansion tasks
 //     are processed depth-first and cost deltas first, so cost information
 //     can outrun enumeration — which is what lets aggregate selection
 //     cancel the expansion of provably useless subtrees, the paper's
-//     "opportunistic" pruning.
+//     "opportunistic" pruning. A queued delta is a {kind, entry, group}
+//     value, and all aggregate state lives in the entries and edges above,
+//     so a repair in steady state allocates nothing but the plan it
+//     returns.
 //
 // The three pruning strategies of §3 are independently switchable (Pruning),
 // enabling the paper's Figure 7/8 breakdowns and the Evita-Raced
@@ -126,7 +131,6 @@ type Metrics struct {
 	AltsCosted     int // alternatives whose full cost was ever computed
 	GroupsReleased int // groups currently dead (reference count zero)
 	AltsSuppressed int // alternatives currently pruned
-	AltsUnexpanded int // alternatives whose expansion was cancelled
 
 	CostRecomputations int64 // PlanCost delta evaluations
 	BestUpdates        int64 // BestCost deltas emitted
@@ -168,8 +172,12 @@ type Optimizer struct {
 	order  []*group // creation order, for deterministic iteration
 	root   *group
 
-	hot  taskQueue // cost/bound/refcount deltas (FIFO)
-	cold taskStack // expansion tasks (LIFO: depth-first)
+	hot  worklist // cost/bound/refcount deltas (FIFO)
+	cold worklist // expansion tasks (LIFO: depth-first)
+
+	// stepLimit bounds one drain; err latches a drain that reached it.
+	stepLimit int
+	err       error
 
 	// breadthFirst switches expansion scheduling from depth-first (LIFO)
 	// to breadth-first (FIFO) — the search-order ablation; §2.3 notes
@@ -210,6 +218,9 @@ func New(m *cost.Model, space relalg.SpaceOptions, mode Pruning) (*Optimizer, er
 		space:  space,
 		mode:   mode,
 		groups: map[groupKey]*group{},
+
+		hot:       worklist{fifo: true},
+		stepLimit: defaultStepLimit,
 	}, nil
 }
 
@@ -233,7 +244,8 @@ func (o *Optimizer) LiveState() (groups, alts int) {
 			continue
 		}
 		groups++
-		for _, e := range g.entries {
+		for i := range g.entries {
+			e := &g.entries[i]
 			if e.costKnown && !e.pruned {
 				alts++
 			}
@@ -253,6 +265,9 @@ func (o *Optimizer) SetBreadthFirst(b bool) { o.breadthFirst = b }
 func (o *Optimizer) Optimize() (*relalg.Plan, error) {
 	o.enter("Optimize")
 	defer o.leave()
+	if o.err != nil {
+		return nil, o.err
+	}
 	if o.optimized {
 		return o.extract()
 	}
@@ -261,7 +276,9 @@ func (o *Optimizer) Optimize() (*relalg.Plan, error) {
 	o.epoch++
 	o.root = o.demandGroup(groupKey{o.model.Q.AllRels(), relalg.AnyProp})
 	o.root.refCount++ // pinned: the root is always demanded
-	o.drain()
+	if err := o.drain(); err != nil {
+		return nil, err
+	}
 	o.optimized = true
 	o.met.Elapsed = time.Since(start)
 	return o.extract()

@@ -78,12 +78,18 @@ func TestAgreesWithBaselines(t *testing.T) {
 // TestIncrementalEqualsScratch drives random update streams through
 // Reoptimize and checks, after every step, that the maintained optimum
 // equals a from-scratch optimization under the same cost parameters, and
-// that all internal invariants hold.
+// that all internal invariants hold. Two seeds run 200 steps instead of 8:
+// overrides pile up and get revoked, groups die and revive repeatedly, which
+// short streams never reach (the repository benchmark replays 4 000).
 func TestIncrementalEqualsScratch(t *testing.T) {
 	space := relalg.DefaultSpace()
 	factors := []float64{0.125, 0.25, 0.5, 2, 4, 8}
 	for seed := uint64(1); seed <= 25; seed++ {
 		nRels := 3 + int(seed%4)
+		steps := 8
+		if seed == 2 || seed == 3 { // 5 and 6 relations
+			steps = 200
+		}
 		r := stats.NewRand(seed * 1337)
 		cat := testkit.SyntheticCatalog(r, 4)
 		q := testkit.RandomQuery(r, cat, nRels)
@@ -106,7 +112,7 @@ func TestIncrementalEqualsScratch(t *testing.T) {
 			// Reset oracle overrides.
 			oracle, _ = cost.NewModel(q, cat, cost.DefaultParams())
 
-			for step := 0; step < 8; step++ {
+			for step := 0; step < steps; step++ {
 				if r.Intn(3) == 0 {
 					rel := r.Intn(nRels)
 					f := factors[r.Intn(len(factors))]

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/relalg"
@@ -8,7 +9,7 @@ import (
 
 // This file is the delta-propagation engine: the counterpart of the ASPEN
 // pipelined executor running the paper's rules. Every state transition is a
-// small task on one of two worklists; drain runs them to fixpoint.
+// small task value on one of two worklists; drain dispatches them to fixpoint.
 //
 // Scheduling policy: cost/bound/reference deltas (the "hot" FIFO queue) are
 // always processed before expansion tasks (the "cold" LIFO stack). Hot-first
@@ -19,20 +20,40 @@ import (
 // tested against. Correctness is order-independent (the tests shuffle
 // policies); only the amount of pruning varies, as §3.1 observes.
 
-// drain runs the worklists to fixpoint.
-func (o *Optimizer) drain() {
-	steps := 0
-	for {
-		if t, ok := o.hot.pop(); ok {
-			t()
-		} else if t, ok := o.cold.pop(); ok {
-			t()
-		} else {
-			return
+// defaultStepLimit bounds one drain. A correct engine converges orders of
+// magnitude earlier; reaching the limit means a delta cycle, which is a bug
+// in this package but must not take down the caller that holds the optimizer
+// (the server repairs under a per-entry mutex on the feedback path).
+const defaultStepLimit = 200_000_000
+
+// drain runs the worklists to fixpoint. If the step limit is reached first
+// the state is mid-propagation and unusable: the error is latched and every
+// later Optimize/Reoptimize returns it.
+func (o *Optimizer) drain() error {
+	for steps := 0; ; steps++ {
+		t, ok := o.hot.pop()
+		if !ok {
+			if t, ok = o.cold.pop(); !ok {
+				return nil
+			}
 		}
-		steps++
-		if steps > 200_000_000 {
-			panic("core: delta worklist failed to converge")
+		if steps >= o.stepLimit {
+			o.err = fmt.Errorf("core: delta worklist of query %s failed to converge within %d steps", o.model.Q.Name, o.stepLimit)
+			return o.err
+		}
+		switch t.kind {
+		case taskExpand:
+			o.expandEntry(t.e)
+		case taskRecost:
+			t.e.recostQueued = false
+			o.tryCost(t.e)
+		case taskContrib:
+			t.e.contribQueued = false
+			o.refreshContribs(t.e)
+		case taskReconcile:
+			o.reconcileGroup(t.g)
+		case taskBound:
+			o.recomputeBound(t.g)
 		}
 	}
 }
@@ -52,9 +73,9 @@ func (o *Optimizer) demandGroup(key groupKey) *group {
 
 	alts := relalg.Split(o.model.Q, o.model, o.space, key.expr, key.prop)
 	o.met.AltsEnumerated += len(alts)
-	g.entries = make([]*entry, len(alts))
+	g.entries = make([]entry, len(alts)) // one slab per group, not one object per alternative
 	for i, alt := range alts {
-		e := &entry{
+		g.entries[i] = entry{
 			id:        o.nextID,
 			g:         g,
 			index:     i,
@@ -62,13 +83,11 @@ func (o *Optimizer) demandGroup(key groupKey) *group {
 			localCost: o.model.LocalCost(alt, key.expr, key.prop),
 		}
 		o.nextID++
-		g.entries[i] = e
 	}
 	g.floor = computeFloor(g)
 	// LIFO stack: push in reverse so alternative 0 expands first.
 	for i := len(g.entries) - 1; i >= 0; i-- {
-		e := g.entries[i]
-		o.cold.push(func() { o.expandEntry(e) })
+		o.queueExpand(&g.entries[i])
 	}
 	return g
 }
@@ -76,13 +95,15 @@ func (o *Optimizer) demandGroup(key groupKey) *group {
 // computeFloor evaluates the group floor from current entry floors.
 func computeFloor(g *group) float64 {
 	f := infinity
-	for _, e := range g.entries {
-		if v := e.floor(); v < f {
+	for i := range g.entries {
+		if v := g.entries[i].floor(); v < f {
 			f = v
 		}
 	}
 	return f
 }
+
+func (o *Optimizer) queueExpand(e *entry) { o.cold.push(task{kind: taskExpand, e: e}) }
 
 // expandEntry performs the SearchSpace tuple's recursive step: demand the
 // child groups (which enumerates them if new). Before doing so it applies
@@ -153,16 +174,12 @@ func (o *Optimizer) setCost(e *entry, c float64) {
 	}
 	o.met.CostRecomputations++
 	o.touchEntry(e)
-	g := e.g
-	if e.costKnown {
-		g.costs.Remove(e, e.cost)
-	} else {
+	if !e.costKnown {
 		o.met.AltsCosted++
 	}
 	e.cost = c
 	e.costKnown = true
-	g.costs.Insert(e, c)
-	o.queueReconcile(g)
+	o.queueReconcile(e.g)
 }
 
 // ---- group reconciliation: BestCost maintenance + pruning alignment ----
@@ -172,45 +189,61 @@ func (o *Optimizer) queueReconcile(g *group) {
 		return
 	}
 	g.reconcileQueued = true
-	o.hot.push(func() { o.reconcileGroup(g) })
+	o.hot.push(task{kind: taskReconcile, g: g})
 }
 
 // reconcileGroup recomputes the group's BestCost from the aggregate state
-// (the four delta cases of §4.1 collapse to "take the multiset minimum",
-// because the multiset retains everything), notifies parents and bound
-// machinery of BestCost deltas, and re-aligns every entry's pruned flag
-// with the current thresholds — performing both directions of §4.3's case
-// analysis (prune on lowered bounds, revive on raised ones).
+// (the four delta cases of §4.1 collapse to "take the minimum over the
+// entries", because every entry retains its cost), notifies parents and
+// bound machinery of BestCost deltas, and re-aligns every entry's pruned
+// flag with the current thresholds — performing both directions of §4.3's
+// case analysis (prune on lowered bounds, revive on raised ones).
 func (o *Optimizer) reconcileGroup(g *group) {
 	g.reconcileQueued = false
-	if it, ok := g.costs.Min(); ok {
-		if !g.hasBest || g.bestCost != it.cost {
-			g.hasBest = true
-			g.bestCost = it.cost
-			o.met.BestUpdates++
-			o.touchGroup(g)
+	best := g.minEntry(false)
+	if best != nil && (!g.hasBest || g.bestCost != best.cost) {
+		g.hasBest = true
+		g.bestCost = best.cost
+		o.met.BestUpdates++
+		o.touchGroup(g)
+		for _, pr := range g.parents {
+			o.queueRecost(pr.e)
+			// The parent entry's lower bound moved with this
+			// BestCost, so the parent group's floor may move.
+			o.queueReconcile(pr.e.g)
+		}
+		if o.mode.Bound {
+			o.queueBound(g)
 			for _, pr := range g.parents {
-				o.queueRecost(pr.e)
-				// The parent entry's lower bound moved with this
-				// BestCost, so the parent group's floor may move.
-				o.queueReconcile(pr.e.g)
-			}
-			if o.mode.Bound {
-				o.queueBound(g)
-				for _, pr := range g.parents {
-					o.queueContrib(pr.e) // sibling contributions shift
-				}
+				o.queueContrib(pr.e) // sibling contributions shift
 			}
 		}
 	}
-	if o.mode.AggSel {
-		o.applyPruning(g)
+	// One walk aligns each entry's pruned state with the thresholds and
+	// folds the group floor, evaluating every entry floor once. Nothing a
+	// suppression or revival does synchronously moves a floor.
+	thr := o.threshold(g)
+	floor := infinity
+	for i := range g.entries {
+		e := &g.entries[i]
+		f := e.floor()
+		if f < floor {
+			floor = f
+		}
+		if !o.mode.AggSel {
+			continue
+		}
+		if desired := o.shouldBePruned(e, f, thr, best); desired && !e.pruned {
+			o.suppressEntry(e)
+		} else if !desired && e.pruned {
+			o.reviveEntry(e)
+		}
 	}
 	// Floor maintenance: a moved floor re-triggers the parents that read
 	// it — their bound contributions (rules r1–r2) and their own pruning
 	// decisions, which are floor-gated under suppression.
-	if f := computeFloor(g); f != g.floor {
-		g.floor = f
+	if floor != g.floor {
+		g.floor = floor
 		for _, pr := range g.parents {
 			o.queueReconcile(pr.e.g)
 			if o.mode.Bound {
@@ -220,30 +253,15 @@ func (o *Optimizer) reconcileGroup(g *group) {
 	}
 }
 
-// applyPruning aligns each entry's pruned state with the thresholds.
-func (o *Optimizer) applyPruning(g *group) {
-	thr := o.threshold(g)
-	var bestE *entry
-	if it, ok := g.costs.Min(); ok {
-		bestE = it.e
-	}
-	for _, e := range g.entries {
-		desired := o.shouldBePruned(g, e, thr, bestE)
-		if desired && !e.pruned {
-			o.suppressEntry(e)
-		} else if !desired && e.pruned {
-			o.reviveEntry(e)
-		}
-	}
-}
-
 // shouldBePruned is the pruning predicate φ of §4.3. Bound comparisons use
 // a small relative slack: bounds are derived by subtraction chains
 // (rules r1–r2) while plan costs are derived by addition chains (R6–R8),
 // so the two sides of the comparison can disagree by a few ulps even when
 // they are mathematically equal — without slack the bound would prune the
-// very best plan it was derived from.
-func (o *Optimizer) shouldBePruned(g *group, e *entry, thr float64, bestE *entry) bool {
+// very best plan it was derived from. floor is e.floor(), thr the group's
+// threshold and best its cheapest costed entry.
+func (o *Optimizer) shouldBePruned(e *entry, floor, thr float64, best *entry) bool {
+	g := e.g
 	if e.costKnown {
 		// Under tuple source suppression, pruning has side effects
 		// (reference release, expansion cancellation) that can sever
@@ -256,17 +274,17 @@ func (o *Optimizer) shouldBePruned(g *group, e *entry, thr float64, bestE *entry
 		// selection (Proposition 5).
 		v := e.cost
 		if o.mode.Suppress {
-			v = e.floor()
+			v = floor
 		}
 		if o.mode.Bound && v > slack(g.bound) {
 			// Proposition 7: exceeds the recursive bound.
 			return true
 		}
-		return e != bestE && v >= g.bestCost
+		return e != best && v >= g.bestCost
 	}
 	// Not yet costed: pre-expansion suppression is only meaningful with
 	// tuple source suppression enabled.
-	return o.mode.Suppress && e.floor() > slack(thr)
+	return o.mode.Suppress && floor > slack(thr)
 }
 
 // slack widens a pruning threshold by a relative epsilon (see
@@ -312,7 +330,7 @@ func (o *Optimizer) reviveEntry(e *entry) {
 	o.touchEntry(e)
 	if o.mode.Suppress {
 		if !e.expanded {
-			o.cold.push(func() { o.expandEntry(e) })
+			o.queueExpand(e)
 		} else {
 			o.acquireRefs(e)
 			o.queueRecost(e)
@@ -326,10 +344,7 @@ func (o *Optimizer) queueRecost(e *entry) {
 		return
 	}
 	e.recostQueued = true
-	o.hot.push(func() {
-		e.recostQueued = false
-		o.tryCost(e)
-	})
+	o.hot.push(task{kind: taskRecost, e: e})
 }
 
 // ---- reference counting (§3.2 / §4.2) ----
@@ -386,7 +401,8 @@ func (o *Optimizer) killGroup(g *group) {
 	o.met.GroupsReleased++
 	o.met.GroupKills++
 	o.touchGroup(g)
-	for _, e := range g.entries {
+	for i := range g.entries {
+		e := &g.entries[i]
 		o.releaseRefs(e)
 		if o.mode.Bound {
 			o.removeContribs(e)
@@ -401,7 +417,8 @@ func (o *Optimizer) reviveGroup(g *group) {
 	o.met.GroupsReleased--
 	o.met.GroupRevives++
 	o.touchGroup(g)
-	for _, e := range g.entries {
+	for i := range g.entries {
+		e := &g.entries[i]
 		if e.pruned {
 			continue
 		}
@@ -410,8 +427,7 @@ func (o *Optimizer) reviveGroup(g *group) {
 			o.queueRecost(e)
 			o.queueContrib(e)
 		} else {
-			ec := e
-			o.cold.push(func() { o.expandEntry(ec) })
+			o.queueExpand(e)
 		}
 	}
 }
@@ -423,7 +439,7 @@ func (o *Optimizer) queueBound(g *group) {
 		return
 	}
 	g.boundQueued = true
-	o.hot.push(func() { o.recomputeBound(g) })
+	o.hot.push(task{kind: taskBound, g: g})
 }
 
 // recomputeBound evaluates rule r4: Bound = min(BestCost, MaxBound). A
@@ -435,7 +451,7 @@ func (o *Optimizer) recomputeBound(g *group) {
 	if g.hasBest && g.bestCost < nb {
 		nb = g.bestCost
 	}
-	if mx := g.contribs.Max(); mx < nb {
+	if mx := g.maxContrib(); mx < nb {
 		nb = mx
 	}
 	if nb == g.bound {
@@ -445,8 +461,8 @@ func (o *Optimizer) recomputeBound(g *group) {
 	o.met.BoundUpdates++
 	o.touchGroup(g)
 	o.queueReconcile(g)
-	for _, e := range g.entries {
-		o.queueContrib(e)
+	for i := range g.entries {
+		o.queueContrib(&g.entries[i])
 	}
 }
 
@@ -455,10 +471,7 @@ func (o *Optimizer) queueContrib(e *entry) {
 		return
 	}
 	e.contribQueued = true
-	o.hot.push(func() {
-		e.contribQueued = false
-		o.refreshContribs(e)
-	})
+	o.hot.push(task{kind: taskContrib, e: e})
 }
 
 // refreshContribs evaluates rules r1–r2 for one LocalCost tuple: the bound
@@ -499,36 +512,31 @@ func (o *Optimizer) refreshContribs(e *entry) {
 				v -= r.floor
 			}
 		}
-		o.setContrib(l, contribKey{e, sideLeft}, v)
+		o.setContrib(e, sideLeft, v)
 	}
 	if r != nil {
 		v := infinity
 		if gb < infinity && l != nil {
 			v = gb - e.localCost - l.floor
 		}
-		o.setContrib(r, contribKey{e, sideRight}, v)
+		o.setContrib(e, sideRight, v)
 	}
 }
 
-func (o *Optimizer) setContrib(g *group, k contribKey, v float64) {
-	if old, ok := g.contribs.vals[k]; ok && old == v {
+// setContrib installs or updates the ParentBound value on e's child edge s.
+func (o *Optimizer) setContrib(e *entry, s side, v float64) {
+	if e.hasContrib[s] && e.contrib[s] == v {
 		return
 	}
-	g.contribs.Set(k, v)
-	o.queueBound(g)
+	e.contrib[s], e.hasContrib[s] = v, true
+	o.queueBound(e.children[s])
 }
 
+// removeContribs retracts the ParentBound values e gives its children.
 func (o *Optimizer) removeContribs(e *entry) {
-	for _, c := range e.children {
-		if c == nil {
-			continue
-		}
-		if _, ok := c.contribs.vals[contribKey{e, sideLeft}]; ok {
-			c.contribs.Delete(contribKey{e, sideLeft})
-			o.queueBound(c)
-		}
-		if _, ok := c.contribs.vals[contribKey{e, sideRight}]; ok {
-			c.contribs.Delete(contribKey{e, sideRight})
+	for s, c := range e.children {
+		if e.hasContrib[s] {
+			e.hasContrib[s] = false
 			o.queueBound(c)
 		}
 	}

@@ -41,7 +41,8 @@ func (o *Optimizer) SearchSpaceTable() []SearchSpaceRow {
 			continue
 		}
 		best, _ := o.bestEntry(g)
-		for _, e := range g.entries {
+		for i := range g.entries {
+			e := &g.entries[i]
 			if e.pruned {
 				continue
 			}
@@ -124,7 +125,8 @@ func (o *Optimizer) AndOrGraph() string {
 		}
 		b.WriteByte('\n')
 		best, _ := o.bestEntry(g)
-		for _, e := range g.entries {
+		for i := range g.entries {
+			e := &g.entries[i]
 			status := ""
 			if e.pruned {
 				status = "  [pruned]"
@@ -176,7 +178,8 @@ func alignTable(rows [][]string) string {
 }
 
 // DumpGroup renders one group's full internal state (entries, costs,
-// floors, pruning flags, bound contributions) for debugging.
+// floors, pruning flags, parent edges with their bound contributions) for
+// debugging.
 func (o *Optimizer) DumpGroup(s relalg.RelSet, p relalg.Prop) string {
 	g := o.groups[groupKey{s, p}]
 	if g == nil {
@@ -185,18 +188,19 @@ func (o *Optimizer) DumpGroup(s relalg.RelSet, p relalg.Prop) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "group %s %s alive=%v refs=%d hasBest=%v best=%g bound=%g floor=%g\n",
 		o.model.Q.SetString(s), p, g.alive, g.refCount, g.hasBest, g.bestCost, g.bound, g.floor)
-	for _, e := range g.entries {
+	for i := range g.entries {
+		e := &g.entries[i]
 		fmt.Fprintf(&b, "  #%d %v %s lexpr=%s rexpr=%s local=%g costKnown=%v cost=%g floor=%g pruned=%v expanded=%v refHeld=%v\n",
 			e.index, e.alt.Log, e.alt.Phy, o.model.Q.SetString(e.alt.LExpr), o.model.Q.SetString(e.alt.RExpr),
 			e.localCost, e.costKnown, e.cost, e.floor(), e.pruned, e.expanded, e.refHeld)
 	}
-	for k, v := range g.contribs.vals {
-		fmt.Fprintf(&b, "  contrib from group %s %s entry#%d side%d = %g\n",
-			o.model.Q.SetString(k.e.g.key.expr), k.e.g.key.prop, k.e.index, k.s, v)
-	}
 	for _, pr := range g.parents {
-		fmt.Fprintf(&b, "  parent %s %s #%d pruned=%v cost=%g bound=%g\n",
-			o.model.Q.SetString(pr.e.g.key.expr), pr.e.g.key.prop, pr.e.index, pr.e.pruned, pr.e.cost, pr.e.g.bound)
+		contrib := "-"
+		if pr.e.hasContrib[pr.s] {
+			contrib = fmt.Sprintf("%g", pr.e.contrib[pr.s])
+		}
+		fmt.Fprintf(&b, "  parent %s %s #%d side%d pruned=%v cost=%g bound=%g contrib=%s\n",
+			o.model.Q.SetString(pr.e.g.key.expr), pr.e.g.key.prop, pr.e.index, pr.s, pr.e.pruned, pr.e.cost, pr.e.g.bound, contrib)
 	}
 	return b.String()
 }
@@ -215,7 +219,8 @@ type SpaceEntry struct {
 func (o *Optimizer) ExportSpace() []SpaceEntry {
 	var out []SpaceEntry
 	for _, g := range o.order {
-		for _, e := range g.entries {
+		for i := range g.entries {
+			e := &g.entries[i]
 			out = append(out, SpaceEntry{
 				Expr: g.key.expr, Prop: g.key.prop, Index: e.index, Alt: e.alt,
 			})

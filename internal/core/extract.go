@@ -8,25 +8,28 @@ import (
 
 // extract materializes the BestPlan view (rule R10): descend from the root
 // group, at each group following the cheapest live alternative.
-func (o *Optimizer) extract() (*relalg.Plan, error) {
+func (o *Optimizer) extract() (*relalg.Plan, error) { return o.extractBy((*Optimizer).bestEntry) }
+
+// pickEntry chooses the alternative a plan follows at one group.
+type pickEntry func(*Optimizer, *group) (*entry, error)
+
+func (o *Optimizer) extractBy(pick pickEntry) (*relalg.Plan, error) {
 	if o.root == nil || !o.root.hasBest {
 		return nil, fmt.Errorf("core: no plan found for query %s", o.model.Q.Name)
 	}
-	plan, err := o.buildPlan(o.root, map[*group]bool{})
-	if err != nil {
-		return nil, err
-	}
-	return plan, nil
+	return o.buildPlan(o.root, pick)
 }
 
-func (o *Optimizer) buildPlan(g *group, onPath map[*group]bool) (*relalg.Plan, error) {
-	if onPath[g] {
+// buildPlan builds the plan tree that follows pick's alternative at every
+// group. The plan nodes are its only allocations.
+func (o *Optimizer) buildPlan(g *group, pick pickEntry) (*relalg.Plan, error) {
+	if g.onPath {
 		return nil, fmt.Errorf("core: cycle through group %v during extraction", g.key)
 	}
-	onPath[g] = true
-	defer delete(onPath, g)
+	g.onPath = true
+	defer func() { g.onPath = false }()
 
-	chosen, err := o.bestEntry(g)
+	chosen, err := pick(o, g)
 	if err != nil {
 		return nil, err
 	}
@@ -42,7 +45,7 @@ func (o *Optimizer) buildPlan(g *group, onPath map[*group]bool) (*relalg.Plan, e
 		if c == nil {
 			continue
 		}
-		child, err := o.buildPlan(c, onPath)
+		child, err := o.buildPlan(c, pick)
 		if err != nil {
 			return nil, err
 		}
@@ -60,12 +63,10 @@ func (o *Optimizer) buildPlan(g *group, onPath map[*group]bool) (*relalg.Plan, e
 // bestEntry returns the cheapest unpruned alternative of a group: the
 // BestPlan tuple (rule R10 joins BestCost with PlanCost; pruned PlanCost
 // tuples were deleted from the view, so they are skipped here even though
-// their values remain in the aggregate's internal state).
+// their values remain inputs of the aggregate).
 func (o *Optimizer) bestEntry(g *group) (*entry, error) {
-	for _, it := range g.costs.items {
-		if !it.e.pruned {
-			return it.e, nil
-		}
+	if e := g.minEntry(true); e != nil {
+		return e, nil
 	}
 	return nil, fmt.Errorf("core: group %s %s has no live plan",
 		o.model.Q.SetString(g.key.expr), g.key.prop)
@@ -75,56 +76,21 @@ func (o *Optimizer) bestEntry(g *group) (*entry, error) {
 // the most expensive costed alternative. It is only meaningful for an
 // optimizer run without pruning (PruneNone), where every alternative is
 // costed; the evaluation uses it as the "bad plan" baseline of Figure 10.
-func (o *Optimizer) WorstPlan() (*relalg.Plan, error) {
-	if o.root == nil || !o.root.hasBest {
-		return nil, fmt.Errorf("core: no plan found for query %s", o.model.Q.Name)
-	}
-	return o.buildWorst(o.root, map[*group]bool{})
-}
+func (o *Optimizer) WorstPlan() (*relalg.Plan, error) { return o.extractBy((*Optimizer).worstEntry) }
 
-func (o *Optimizer) buildWorst(g *group, onPath map[*group]bool) (*relalg.Plan, error) {
-	if onPath[g] {
-		return nil, fmt.Errorf("core: cycle through group %v during extraction", g.key)
+// worstEntry returns the most expensive costed alternative, ties going to
+// the highest id. An enforcer over the group's own expression may win; the
+// sibling group it leads to is a different group, and buildPlan's cycle
+// guard stops a true cycle.
+func (o *Optimizer) worstEntry(g *group) (*entry, error) {
+	var worst *entry
+	for i := range g.entries {
+		if e := &g.entries[i]; e.costKnown && (worst == nil || e.cost >= worst.cost) {
+			worst = e
+		}
 	}
-	onPath[g] = true
-	defer delete(onPath, g)
-	var chosen *entry
-	for i := len(g.costs.items) - 1; i >= 0; i-- {
-		e := g.costs.items[i].e
-		// Avoid the sort-enforcer-over-self edge at the worst end: an
-		// enforcer whose child is this group's own expression would
-		// recurse into a sibling group of the same expression; allow
-		// it (the onPath check breaks true cycles) but prefer real
-		// operators when available.
-		chosen = e
-		break
-	}
-	if chosen == nil {
+	if worst == nil {
 		return nil, fmt.Errorf("core: group %s has no costed plan", o.model.Q.SetString(g.key.expr))
 	}
-	node := &relalg.Plan{
-		Expr: g.key.expr, Prop: g.key.prop,
-		Log: chosen.alt.Log, Phy: chosen.alt.Phy,
-		Rel: chosen.alt.Rel, Pred: chosen.alt.Pred, IdxCol: chosen.alt.IdxCol,
-		Card:      o.model.Card(g.key.expr),
-		LocalCost: chosen.localCost,
-	}
-	total := chosen.localCost
-	for _, c := range chosen.children {
-		if c == nil {
-			continue
-		}
-		child, err := o.buildWorst(c, onPath)
-		if err != nil {
-			return nil, err
-		}
-		total += child.Cost
-		if node.Left == nil {
-			node.Left = child
-		} else {
-			node.Right = child
-		}
-	}
-	node.Cost = total
-	return node, nil
+	return worst, nil
 }

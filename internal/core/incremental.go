@@ -51,6 +51,9 @@ func (o *Optimizer) UpdateScanCostFactor(rel int, factor float64) {
 func (o *Optimizer) Reoptimize() (*relalg.Plan, error) {
 	o.enter("Reoptimize")
 	defer o.leave()
+	if o.err != nil {
+		return nil, o.err
+	}
 	if !o.optimized {
 		return nil, fmt.Errorf("core: Reoptimize before Optimize")
 	}
@@ -69,7 +72,8 @@ func (o *Optimizer) Reoptimize() (*relalg.Plan, error) {
 		if !o.groupAffected(g) {
 			continue
 		}
-		for _, e := range g.entries {
+		for i := range g.entries {
+			e := &g.entries[i]
 			if !o.entryAffected(e) {
 				continue
 			}
@@ -89,7 +93,9 @@ func (o *Optimizer) Reoptimize() (*relalg.Plan, error) {
 		}
 	}
 	o.pending = o.pending[:0]
-	o.drain()
+	if err := o.drain(); err != nil {
+		return nil, err
+	}
 	o.met.Elapsed = time.Since(start)
 	return o.extract()
 }

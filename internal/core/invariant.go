@@ -10,18 +10,19 @@ import (
 // every optimization and re-optimization, and documents the semantics the
 // delta engine must preserve:
 //
-//  1. Aggregate consistency: every costed entry appears in its group's
-//     multiset exactly once with its current cost; BestCost equals the
-//     multiset minimum; PlanCost equals LocalCost + Σ children BestCost.
+//  1. Aggregate consistency: BestCost equals the minimum over the group's
+//     costed entries, re-derived here; PlanCost equals LocalCost + Σ
+//     children BestCost; entry ids ascend within a group (the tiebreak).
 //  2. Pruning soundness: a live (unpruned) costed entry never exceeds the
 //     group's bound; the designated best entry is live in any group that
 //     is alive and reachable; pruned costed entries are ≥ the best.
 //  3. Reference counting: refCount equals the number of live, expanded,
 //     reference-holding parent entries (+1 pin for the root); with
 //     RefCount mode, alive == refCount > 0.
-//  4. Bounds (rule r1–r4 fixpoint): bound == min(bestCost, max over live
-//     parent contributions), and each stored contribution matches its
-//     defining expression.
+//  4. Bounds (rule r1–r4 fixpoint): bound == min(bestCost, max over the
+//     contributions on the parent edges, re-derived here); each edge is
+//     recorded on both ends, and each contribution comes from a live
+//     expanded parent and matches its defining expression.
 func (o *Optimizer) CheckInvariants() error {
 	const eps = 1e-6
 	refs := map[*group]int{}
@@ -29,7 +30,8 @@ func (o *Optimizer) CheckInvariants() error {
 		refs[o.root]++
 	}
 	for _, g := range o.order {
-		for _, e := range g.entries {
+		for i := range g.entries {
+			e := &g.entries[i]
 			if e.refHeld {
 				for _, c := range e.children {
 					if c != nil {
@@ -41,57 +43,43 @@ func (o *Optimizer) CheckInvariants() error {
 	}
 	for _, g := range o.order {
 		// 1. aggregate consistency
-		inSet := map[*entry]float64{}
-		last := math.Inf(-1)
-		for _, it := range g.costs.items {
-			if it.cost < last {
-				return fmt.Errorf("group %v: multiset out of order", g.key)
+		min, costed := infinity, false
+		for i := range g.entries {
+			e := &g.entries[i]
+			if i > 0 && e.id <= g.entries[i-1].id {
+				return fmt.Errorf("group %v entry %d: ids do not ascend", g.key, e.index)
 			}
-			last = it.cost
-			if _, dup := inSet[it.e]; dup {
-				return fmt.Errorf("group %v: duplicate multiset entry", g.key)
+			if !e.costKnown {
+				continue
 			}
-			inSet[it.e] = it.cost
-		}
-		for _, e := range g.entries {
-			if e.costKnown {
-				c, ok := inSet[e]
-				if !ok {
-					return fmt.Errorf("group %v entry %d: costed but absent from aggregate", g.key, e.index)
+			costed = true
+			if e.cost < min {
+				min = e.cost
+			}
+			want := e.localCost
+			incomplete := false
+			for _, ch := range e.children {
+				if ch == nil {
+					continue
 				}
-				if c != e.cost {
-					return fmt.Errorf("group %v entry %d: aggregate holds %v, entry says %v", g.key, e.index, c, e.cost)
+				if !ch.hasBest {
+					incomplete = true
+					break
 				}
-				want := e.localCost
-				incomplete := false
-				for _, ch := range e.children {
-					if ch == nil {
-						continue
-					}
-					if !ch.hasBest {
-						incomplete = true
-						break
-					}
-					want += ch.bestCost
-				}
-				if !incomplete && math.Abs(want-e.cost) > eps*math.Max(1, math.Abs(want)) {
-					return fmt.Errorf("group %v entry %d: PlanCost %v != LocalCost+children %v", g.key, e.index, e.cost, want)
-				}
-			} else if _, ok := inSet[e]; ok {
-				return fmt.Errorf("group %v entry %d: in aggregate without a cost", g.key, e.index)
+				want += ch.bestCost
+			}
+			if !incomplete && math.Abs(want-e.cost) > eps*math.Max(1, math.Abs(want)) {
+				return fmt.Errorf("group %v entry %d: PlanCost %v != LocalCost+children %v", g.key, e.index, e.cost, want)
 			}
 		}
-		if it, ok := g.costs.Min(); ok {
-			if !g.hasBest || g.bestCost != it.cost {
-				return fmt.Errorf("group %v: bestCost %v != aggregate min %v", g.key, g.bestCost, it.cost)
-			}
-		} else if g.hasBest {
-			return fmt.Errorf("group %v: hasBest with empty aggregate", g.key)
+		if g.hasBest != costed || (costed && g.bestCost != min) {
+			return fmt.Errorf("group %v: bestCost %v (has=%v) != minimum over entries %v (costed=%v)", g.key, g.bestCost, g.hasBest, min, costed)
 		}
 
 		// 2. pruning soundness (floor-gated under suppression)
 		if o.mode.Bound {
-			for _, e := range g.entries {
+			for i := range g.entries {
+				e := &g.entries[i]
 				v := e.cost
 				if o.mode.Suppress {
 					v = e.floor()
@@ -102,7 +90,8 @@ func (o *Optimizer) CheckInvariants() error {
 			}
 		}
 		if o.mode.AggSel && g.hasBest {
-			for _, e := range g.entries {
+			for i := range g.entries {
+				e := &g.entries[i]
 				if e.costKnown && e.pruned && e.cost < g.bestCost-eps {
 					return fmt.Errorf("group %v entry %d: pruned cost %v below best %v", g.key, e.index, e.cost, g.bestCost)
 				}
@@ -113,7 +102,8 @@ func (o *Optimizer) CheckInvariants() error {
 		if g.floor != computeFloor(g) {
 			return fmt.Errorf("group %v: cached floor %v != computed %v", g.key, g.floor, computeFloor(g))
 		}
-		for _, e := range g.entries {
+		for i := range g.entries {
+			e := &g.entries[i]
 			if e.costKnown && e.floor() > e.cost+eps*mathMax1(e.cost) {
 				return fmt.Errorf("group %v entry %d: floor %v exceeds exact cost %v", g.key, e.index, e.floor(), e.cost)
 			}
@@ -128,33 +118,65 @@ func (o *Optimizer) CheckInvariants() error {
 		}
 
 		// 4. bounds fixpoint
+		for i := range g.entries {
+			e := &g.entries[i]
+			for sd, c := range e.children {
+				if c == nil {
+					if e.hasContrib[sd] {
+						return fmt.Errorf("group %v entry %d: contribution on an absent child edge", g.key, e.index)
+					}
+					continue
+				}
+				n := 0
+				for _, pr := range c.parents {
+					if pr.e == e && pr.s == side(sd) {
+						n++
+					}
+				}
+				if n != 1 {
+					return fmt.Errorf("group %v entry %d: child edge %d recorded %d times on the child", g.key, e.index, sd, n)
+				}
+			}
+		}
 		if o.mode.Bound {
 			want := infinity
 			if g.hasBest {
 				want = g.bestCost
 			}
-			if mx := g.contribs.Max(); mx < want {
-				want = mx
+			max, any := -infinity, false
+			for _, pr := range g.parents {
+				pe := pr.e
+				if pe.children[pr.s] != g {
+					return fmt.Errorf("group %v: parent edge does not lead back here", g.key)
+				}
+				if !pe.hasContrib[pr.s] {
+					continue
+				}
+				if pe.pruned || !pe.expanded {
+					return fmt.Errorf("group %v: contribution from pruned/unexpanded parent", g.key)
+				}
+				v := pe.contrib[pr.s]
+				any = true
+				if v > max {
+					max = v
+				}
+				wantV := infinity
+				sib := pe.children[1-pr.s]
+				if pe.g.bound < infinity {
+					wantV = slack(pe.g.bound) - pe.localCost
+					if sib != nil {
+						wantV -= sib.floor
+					}
+				}
+				if !eqOrBothInf(wantV, v, eps) {
+					return fmt.Errorf("group %v: contribution %v != r1/r2 value %v", g.key, v, wantV)
+				}
+			}
+			if any && max < want {
+				want = max
 			}
 			if !eqOrBothInf(want, g.bound, eps) {
 				return fmt.Errorf("group %v: bound %v != min(best,maxContrib) %v", g.key, g.bound, want)
-			}
-			for k, v := range g.contribs.vals {
-				if k.e.pruned || !k.e.expanded {
-					return fmt.Errorf("group %v: contribution from pruned/unexpanded parent", g.key)
-				}
-				want := infinity
-				pg := k.e.g
-				sib := k.e.children[1-k.s]
-				if pg.bound < infinity {
-					want = slack(pg.bound) - k.e.localCost
-					if sib != nil {
-						want -= sib.floor
-					}
-				}
-				if !eqOrBothInf(want, v, eps) {
-					return fmt.Errorf("group %v: contribution %v != r1/r2 value %v", g.key, v, want)
-				}
 			}
 		}
 	}

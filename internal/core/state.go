@@ -1,11 +1,6 @@
 package core
 
-import (
-	"math"
-	"sort"
-
-	"repro/internal/relalg"
-)
+import "repro/internal/relalg"
 
 // groupKey identifies an "OR node": the (Expr, Prop) key shared by the
 // paper's SearchSpace, BestCost and Bound relations.
@@ -22,9 +17,11 @@ const (
 	sideRight
 )
 
-// entry is an "AND node": one SearchSpace tuple plus its PlanCost state.
+// entry is an "AND node": one SearchSpace tuple plus its PlanCost state and
+// the ParentBound facts it derives for its children. Entries live by value
+// in their group's slab and never move, so *entry is stable.
 type entry struct {
-	id    int // creation ordinal; deterministic tiebreak in multisets
+	id    int // creation ordinal; ascending within a group, the cost tiebreak
 	g     *group
 	index int // the paper's Index attribute within the group
 	alt   relalg.Alt
@@ -35,8 +32,19 @@ type entry struct {
 	expanded bool
 	children [2]*group // [sideLeft, sideRight]; nil where absent
 
+	// cost is the entry's input to its group's BestCost aggregate. It is
+	// kept for pruned entries too (§4.1: "the aggregate operator preserves
+	// all the computed, even pruned, PlanCost tuples ... so it can find the
+	// next best value"), which is what makes the aggregate a plain minimum
+	// over the group's entries.
 	costKnown bool
 	cost      float64 // LocalCost + Σ children bestCost
+
+	// contrib[s] is the ParentBound value (rules r1–r2) this entry passes
+	// down its child edge s, an input to children[s]'s MaxBound aggregate
+	// while hasContrib[s] is set.
+	contrib    [2]float64
+	hasContrib [2]bool
 
 	// pruned marks the PlanCost tuple as removed by aggregate selection
 	// or bounding. With Pruning.Suppress the SearchSpace source is also
@@ -79,17 +87,15 @@ type parentRef struct {
 }
 
 // group is an "OR node" with the aggregate state of rules R9–R10 (BestCost)
-// and r1–r4 (Bound).
+// and r1–r4 (Bound). Neither aggregate has a structure of its own: BestCost
+// is the minimum over entries[i].cost and MaxBound the maximum over the
+// contributions on the parents edges, both recomputed by a scan when an
+// input moves (group fan-in is tens of alternatives).
 type group struct {
 	key     groupKey
-	entries []*entry
+	entries []entry // the group's slab, in id order
 
-	// costs is the min-aggregate's internal state: an ordered multiset
-	// over every computed PlanCost, including pruned ones (§4.1: "the
-	// aggregate operator preserves all the computed, even pruned,
-	// PlanCost tuples ... so it can find the next best value").
-	costs costMultiset
-
+	// hasBest/bestCost is the BestCost value last emitted downstream.
 	hasBest  bool
 	bestCost float64
 
@@ -100,10 +106,8 @@ type group struct {
 
 	parents []parentRef
 
-	// bound is the recursive Bound relation value (+inf when inactive);
-	// contribs is the MaxBound aggregate over parent-bound contributions.
-	bound    float64
-	contribs boundContribs
+	// bound is the recursive Bound relation value (+inf when inactive).
+	bound float64
 
 	// floor is a certified lower bound on the cost of any plan this group
 	// can ever produce: min over entries of entry.floor(). It gates every
@@ -114,168 +118,92 @@ type group struct {
 
 	reconcileQueued bool
 	boundQueued     bool
+	onPath          bool // plan extraction's cycle guard
 
 	touchEpoch uint64
 }
 
-// ---- ordered cost multiset ----
-
-// costItem is one PlanCost value inside the aggregate.
-type costItem struct {
-	cost float64
-	e    *entry
-}
-
-// costMultiset is an ordered multiset of (cost, entry) pairs, sorted by
-// cost then entry id. It supports the delete-minimum / next-best recovery
-// the paper's extended aggregation operators require. Group fan-in is small
-// (tens of alternatives), so a sorted slice with binary search is both
-// simple and fast.
-type costMultiset struct {
-	items []costItem
-}
-
-func (m *costMultiset) search(c float64, id int) int {
-	return sort.Search(len(m.items), func(i int) bool {
-		it := m.items[i]
-		if it.cost != c {
-			return it.cost > c
+// minEntry returns the BestCost aggregate's minimum: the cheapest costed
+// entry, pruned ones included, ties going to the lowest id. With liveOnly it
+// skips pruned entries, which yields the BestPlan tuple instead.
+func (g *group) minEntry(liveOnly bool) *entry {
+	var min *entry
+	for i := range g.entries {
+		e := &g.entries[i]
+		if e.costKnown && !(liveOnly && e.pruned) && (min == nil || e.cost < min.cost) {
+			min = e
 		}
-		return it.e.id >= id
-	})
-}
-
-// Insert adds a (cost, entry) pair.
-func (m *costMultiset) Insert(e *entry, c float64) {
-	i := m.search(c, e.id)
-	m.items = append(m.items, costItem{})
-	copy(m.items[i+1:], m.items[i:])
-	m.items[i] = costItem{cost: c, e: e}
-}
-
-// Remove deletes the pair previously inserted for e at cost c.
-func (m *costMultiset) Remove(e *entry, c float64) {
-	i := m.search(c, e.id)
-	if i >= len(m.items) || m.items[i].e != e {
-		panic("core: costMultiset.Remove of absent item")
 	}
-	m.items = append(m.items[:i], m.items[i+1:]...)
+	return min
 }
 
-// Min returns the least item, or ok=false when empty.
-func (m *costMultiset) Min() (costItem, bool) {
-	if len(m.items) == 0 {
-		return costItem{}, false
-	}
-	return m.items[0], true
-}
-
-// Len returns the number of stored values.
-func (m *costMultiset) Len() int { return len(m.items) }
-
-// ---- bound contributions (the MaxBound aggregate of rule r3) ----
-
-// contribKey identifies one ParentBound derivation: a parent entry and
-// which of its child slots this group occupies.
-type contribKey struct {
-	e *entry
-	s side
-}
-
-// boundContribs maintains the per-group ParentBound values and their max.
-// As with costMultiset, all inputs are retained so deletions and updates
-// can recompute the aggregate exactly (§4.3).
-type boundContribs struct {
-	vals map[contribKey]float64
-}
-
-// Set installs or updates a contribution and reports the new maximum.
-func (b *boundContribs) Set(k contribKey, v float64) {
-	if b.vals == nil {
-		b.vals = map[contribKey]float64{}
-	}
-	b.vals[k] = v
-}
-
-// Delete removes a contribution if present.
-func (b *boundContribs) Delete(k contribKey) {
-	delete(b.vals, k)
-}
-
-// Max returns the MaxBound value. A group with no registered parent slots
-// (the root, or a group all of whose parents are suppressed) is
-// unconstrained from above: +inf. Likewise any single +inf slot (a parent
-// whose own bound is not yet finite) makes the maximum +inf — a plan is
-// viable if it is viable for ANY parent, so one unconstrained parent means
-// no constraint at all.
-func (b *boundContribs) Max() float64 {
-	if len(b.vals) == 0 {
-		return math.Inf(1)
-	}
-	max := math.Inf(-1)
-	for _, v := range b.vals {
-		if v > max {
-			max = v
+// maxContrib returns the MaxBound aggregate (rule r3). A group with no
+// contributing parent edge (the root, or a group all of whose parents are
+// suppressed) is unconstrained from above: +inf. Likewise any single +inf
+// contribution (a parent whose own bound is not yet finite) makes the
+// maximum +inf — a plan is viable if it is viable for ANY parent, so one
+// unconstrained parent means no constraint at all.
+func (g *group) maxContrib() float64 {
+	max, any := -infinity, false
+	for _, pr := range g.parents {
+		if pr.e.hasContrib[pr.s] {
+			any = true
+			if v := pr.e.contrib[pr.s]; v > max {
+				max = v
+			}
 		}
+	}
+	if !any {
+		return infinity
 	}
 	return max
 }
 
 // ---- worklists ----
 
-// task is one pending delta evaluation.
-type task func()
+// taskKind names the delta evaluation a task performs; drain dispatches on
+// it.
+type taskKind uint8
 
-// taskQueue is a FIFO queue for cost/bound/reference deltas.
-type taskQueue struct {
-	items []task
-	head  int
+const (
+	taskExpand    taskKind = iota // expandEntry(e)
+	taskRecost                    // tryCost(e)
+	taskContrib                   // refreshContribs(e)
+	taskReconcile                 // reconcileGroup(g)
+	taskBound                     // recomputeBound(g)
+)
+
+// task is one pending delta evaluation: a plain value, so queueing a delta
+// allocates nothing once the worklist has grown to its working size.
+type task struct {
+	kind taskKind
+	e    *entry
+	g    *group
 }
 
-func (q *taskQueue) push(t task) { q.items = append(q.items, t) }
-
-func (q *taskQueue) pop() (task, bool) {
-	if q.head >= len(q.items) {
-		q.items = q.items[:0]
-		q.head = 0
-		return nil, false
-	}
-	t := q.items[q.head]
-	q.items[q.head] = nil
-	q.head++
-	return t, true
-}
-
-// taskStack holds expansion tasks. By default it is a LIFO stack —
-// depth-first exploration completes one full plan quickly, seeding the
-// pruning thresholds — but it can run as a FIFO queue for the
+// worklist is a task queue. Cost/bound/reference deltas run FIFO; expansion
+// tasks run LIFO by default — depth-first exploration completes one full
+// plan quickly, seeding the pruning thresholds — and FIFO for the
 // breadth-first search-order ablation.
-type taskStack struct {
+type worklist struct {
 	items []task
 	head  int
 	fifo  bool
 }
 
-func (s *taskStack) push(t task) { s.items = append(s.items, t) }
+func (w *worklist) push(t task) { w.items = append(w.items, t) }
 
-func (s *taskStack) pop() (task, bool) {
-	if s.fifo {
-		if s.head >= len(s.items) {
-			s.items = s.items[:0]
-			s.head = 0
-			return nil, false
-		}
-		t := s.items[s.head]
-		s.items[s.head] = nil
-		s.head++
-		return t, true
+func (w *worklist) pop() (task, bool) {
+	n := len(w.items)
+	if w.head >= n {
+		w.items, w.head = w.items[:0], 0
+		return task{}, false
 	}
-	n := len(s.items)
-	if n <= s.head {
-		return nil, false
+	if w.fifo {
+		w.head++
+		return w.items[w.head-1], true
 	}
-	t := s.items[n-1]
-	s.items[n-1] = nil
-	s.items = s.items[:n-1]
+	t := w.items[n-1]
+	w.items = w.items[:n-1]
 	return t, true
 }

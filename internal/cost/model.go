@@ -14,7 +14,6 @@ package cost
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/catalog"
 	"repro/internal/relalg"
@@ -56,6 +55,10 @@ type cardOverride struct {
 	Factor float64
 }
 
+// cardMemo is one memoized cardinality: the unclamped override-free product
+// and the estimate with the current overrides applied.
+type cardMemo struct{ base, card float64 }
+
 // Model binds a query to a catalog and parameter set and answers every
 // cost-model question the optimizers ask. It is not safe for concurrent
 // mutation; optimizers own their model.
@@ -74,7 +77,10 @@ type Model struct {
 	overrides  []cardOverride // sorted by Over for determinism
 	scanFactor []float64      // per query relation, default 1
 
-	cardCache map[relalg.RelSet]float64
+	// cards memoizes Card per expression for the model's lifetime. The
+	// override-free product never changes; SetCardFactor re-applies the
+	// overrides to exactly the cached supersets of the set it changed.
+	cards map[relalg.RelSet]cardMemo
 
 	// Epoch increments on every override mutation; incremental optimizers
 	// use it to detect staleness of cached costs.
@@ -87,7 +93,7 @@ func NewModel(q *relalg.Query, cat *catalog.Catalog, p Params) (*Model, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	m := &Model{Q: q, Cat: cat, P: p, cardCache: map[relalg.RelSet]float64{}}
+	m := &Model{Q: q, Cat: cat, P: p, cards: map[relalg.RelSet]cardMemo{}}
 	m.tables = make([]*catalog.Table, len(q.Rels))
 	m.baseRows = make([]float64, len(q.Rels))
 	m.baseCard = make([]float64, len(q.Rels))
@@ -188,22 +194,29 @@ func (m *Model) SetCardFactor(s relalg.RelSet, factor float64) {
 		panic("cost: SetCardFactor of empty set")
 	}
 	m.Epoch++
-	m.cardCache = map[relalg.RelSet]float64{}
-	for i := range m.overrides {
-		if m.overrides[i].Over == s {
-			if factor == 1 {
-				m.overrides = append(m.overrides[:i], m.overrides[i+1:]...)
-			} else {
-				m.overrides[i].Factor = factor
-			}
-			return
+	i := 0
+	for i < len(m.overrides) && m.overrides[i].Over < s {
+		i++
+	}
+	found := i < len(m.overrides) && m.overrides[i].Over == s
+	switch {
+	case found && factor == 1:
+		m.overrides = append(m.overrides[:i], m.overrides[i+1:]...)
+	case found:
+		m.overrides[i].Factor = factor
+	case factor == 1:
+		return
+	default:
+		m.overrides = append(m.overrides, cardOverride{})
+		copy(m.overrides[i+1:], m.overrides[i:])
+		m.overrides[i] = cardOverride{Over: s, Factor: factor}
+	}
+	for k, c := range m.cards {
+		if s.IsSubset(k) {
+			c.card = m.applyOverrides(k, c.base)
+			m.cards[k] = c
 		}
 	}
-	if factor == 1 {
-		return
-	}
-	m.overrides = append(m.overrides, cardOverride{Over: s, Factor: factor})
-	sort.Slice(m.overrides, func(i, j int) bool { return m.overrides[i].Over < m.overrides[j].Over })
 }
 
 // CardFactor returns the current override factor for exactly s (1 if none).
@@ -242,41 +255,40 @@ func CardDependsOn(e, s relalg.RelSet) bool { return s.IsSubset(e) }
 // join and filter predicate internal to s, and every matching override
 // factor. The product form makes the estimate independent of join order, so
 // all plans of one group agree on it — the paper's memoized summary.
-func (m *Model) Card(s relalg.RelSet) float64 {
-	if c, ok := m.cardCache[s]; ok {
-		return c
-	}
-	card := 1.0
-	s.EachMember(func(i int) { card *= m.baseCard[i] })
-	for _, pi := range m.Q.InternalPreds(s) {
-		card *= m.joinSel[pi]
-	}
-	for _, fi := range m.Q.InternalFilters(s) {
-		card *= m.filterSel[fi]
-	}
-	for _, o := range m.overrides {
-		if o.Over.IsSubset(s) {
-			card *= o.Factor
-		}
-	}
-	card = math.Max(card, 1e-6)
-	m.cardCache[s] = card
-	return card
-}
+func (m *Model) Card(s relalg.RelSet) float64 { return m.memo(s).card }
 
 // CardBase estimates the output cardinality of s ignoring every override —
 // the denominator the adaptive layer divides observed cardinalities by to
 // derive feedback factors.
-func (m *Model) CardBase(s relalg.RelSet) float64 {
-	card := 1.0
-	s.EachMember(func(i int) { card *= m.baseCard[i] })
+func (m *Model) CardBase(s relalg.RelSet) float64 { return math.Max(m.memo(s).base, 1e-6) }
+
+func (m *Model) memo(s relalg.RelSet) cardMemo {
+	if c, ok := m.cards[s]; ok {
+		return c
+	}
+	base := 1.0
+	s.EachMember(func(i int) { base *= m.baseCard[i] })
 	for _, pi := range m.Q.InternalPreds(s) {
-		card *= m.joinSel[pi]
+		base *= m.joinSel[pi]
 	}
 	for _, fi := range m.Q.InternalFilters(s) {
-		card *= m.filterSel[fi]
+		base *= m.filterSel[fi]
 	}
-	return math.Max(card, 1e-6)
+	c := cardMemo{base: base, card: m.applyOverrides(s, base)}
+	m.cards[s] = c
+	return c
+}
+
+// applyOverrides multiplies the override-free product of s by every matching
+// override factor, in Over order so the floating-point result is independent
+// of the order the overrides were installed in.
+func (m *Model) applyOverrides(s relalg.RelSet, base float64) float64 {
+	for _, o := range m.overrides {
+		if o.Over.IsSubset(s) {
+			base *= o.Factor
+		}
+	}
+	return math.Max(base, 1e-6)
 }
 
 // BaseRows returns the raw row count of relation rel.
@@ -309,16 +321,7 @@ func (m *Model) LocalCost(alt relalg.Alt, s relalg.RelSet, prop relalg.Prop) flo
 		}
 		// Fetch through the index, restricted by local predicates on
 		// the key column; residual predicates filter after the fetch.
-		sel := 1.0
-		for _, pr := range m.Q.ScanPredsOf(rel) {
-			if pr.Col == alt.IdxCol {
-				s, err := m.predSel(m.tables[rel], pr)
-				if err == nil {
-					sel *= s
-				}
-			}
-		}
-		fetched := math.Max(m.baseRows[rel]*sel, 1)
+		fetched := math.Max(m.baseRows[rel]*m.colSel(rel, alt.IdxCol), 1)
 		return m.scanFactor[rel] * (p.IndexLookup + fetched*(p.RandPage+p.CPUTuple))
 
 	case relalg.PhySegScan:
@@ -329,16 +332,7 @@ func (m *Model) LocalCost(alt relalg.Alt, s relalg.RelSet, prop relalg.Prop) flo
 		// never exceeds a full table scan, and at moderate selectivity it
 		// undercuts an index scan's random fetches.
 		rel := alt.Rel
-		sel := 1.0
-		for _, pr := range m.Q.ScanPredsOf(rel) {
-			if pr.Col == alt.IdxCol {
-				s, err := m.predSel(m.tables[rel], pr)
-				if err == nil {
-					sel *= s
-				}
-			}
-		}
-		frac := math.Min(1, sel+segScanSlack)
+		frac := math.Min(1, m.colSel(rel, alt.IdxCol)+segScanSlack)
 		rows := m.baseRows[rel]
 		pages := rows * m.tables[rel].Width / p.PageSize
 		return m.scanFactor[rel] * frac * (p.SeqPage*pages + p.CPUTuple*rows)
@@ -375,6 +369,21 @@ func (m *Model) LocalCost(alt relalg.Alt, s relalg.RelSet, prop relalg.Prop) flo
 		return p.SortFactor * p.CPUCompare * n * math.Log2(n)
 	}
 	panic(fmt.Sprintf("cost: unknown physical operator %v", alt.Phy))
+}
+
+// colSel is the combined selectivity of rel's local predicates on col. It
+// walks Query.Scans in place: LocalCost runs once per affected alternative of
+// every repair and must not allocate.
+func (m *Model) colSel(rel int, col relalg.ColID) float64 {
+	sel := 1.0
+	for _, pr := range m.Q.Scans {
+		if pr.Col.Rel == rel && pr.Col == col {
+			if s, err := m.predSel(m.tables[rel], pr); err == nil {
+				sel *= s
+			}
+		}
+	}
+	return sel
 }
 
 // ScanAffects reports whether a scan-cost factor change on rel affects the

@@ -80,6 +80,53 @@ func TestCardFactorOverrides(t *testing.T) {
 	}
 }
 
+// TestCardMemoTracksOverrides checks the lifetime memo against the
+// definition: after any sequence of installs, updates and removals, a warm
+// model answers every expression bit-identically to a fresh model that was
+// handed the surviving overrides in another order, and CardBase never moves.
+func TestCardMemoTracksOverrides(t *testing.T) {
+	m := testModel(t, 5, 5)
+	r := stats.NewRand(99)
+	all := m.Q.AllRels()
+	var sets []relalg.RelSet
+	for s := relalg.RelSet(1); s <= all; s++ {
+		sets = append(sets, s)
+	}
+	base := map[relalg.RelSet]float64{}
+	for _, s := range sets {
+		m.Card(s) // warm the memo before any override exists
+		base[s] = m.CardBase(s)
+	}
+	live := map[relalg.RelSet]float64{}
+	factors := []float64{0.125, 0.5, 1, 3, 8}
+	for step := 0; step < 200; step++ {
+		s := sets[r.Intn(len(sets))]
+		f := factors[r.Intn(len(factors))]
+		m.SetCardFactor(s, f)
+		delete(live, s)
+		if f != 1 {
+			live[s] = f
+		}
+		fresh, err := NewModel(m.Q, m.Cat, m.P)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := len(sets) - 1; i >= 0; i-- { // descending: the memo installs ascending
+			if f, ok := live[sets[i]]; ok {
+				fresh.SetCardFactor(sets[i], f)
+			}
+		}
+		for _, q := range sets {
+			if got, want := m.Card(q), fresh.Card(q); got != want {
+				t.Fatalf("step %d: Card(%v) = %v on the warm model, %v on a fresh one", step, q, got, want)
+			}
+			if got := m.CardBase(q); got != base[q] {
+				t.Fatalf("step %d: CardBase(%v) moved: %v, was %v", step, q, got, base[q])
+			}
+		}
+	}
+}
+
 func TestEpochBumpsOnOverrides(t *testing.T) {
 	m := testModel(t, 3, 3)
 	e0 := m.Epoch

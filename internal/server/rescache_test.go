@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -232,5 +233,55 @@ func TestSessionStmtCacheResolvesLocally(t *testing.T) {
 	m := srv.Metrics()
 	if m.Hits != 3 {
 		t.Fatalf("hits=%d, want 3 (two session-local, one shared)", m.Hits)
+	}
+}
+
+// TestSessionStmtCacheBounded: the session-local handle map must not defeat
+// MaxEntries. A handle keeps its plan entry — and that entry's live
+// optimizer — reachable, so an ad-hoc session that never repeats a statement
+// would otherwise pin every entry the server ever evicted. After preparing
+// 4×MaxEntries distinct statements the session holds at most 2×MaxEntries
+// handles, and an evicted statement re-prepares as a miss with its one
+// from-scratch optimization, exactly as without a handle cache.
+func TestSessionStmtCacheBounded(t *testing.T) {
+	const maxEntries = 8
+	srv := testServer(t, Options{MaxEntries: maxEntries})
+	sess := srv.Session()
+	sql := func(i int) string {
+		return fmt.Sprintf(`SELECT o.o_orderkey FROM customer c, orders o
+		   WHERE c.c_custkey = o.o_custkey AND o.o_custkey > %d`, i)
+	}
+	for i := 0; i < 4*maxEntries; i++ {
+		st, err := sess.Prepare(sql(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Hit {
+			t.Fatalf("statement %d: first prepare reported a hit", i)
+		}
+	}
+	sess.stmtMu.Lock()
+	held := len(sess.stmts)
+	sess.stmtMu.Unlock()
+	if held > 2*maxEntries {
+		t.Fatalf("session holds %d handles after %d distinct prepares, want <= %d", held, 4*maxEntries, 2*maxEntries)
+	}
+	// The newest statement is still served session-locally ...
+	if st, err := sess.Prepare(sql(4*maxEntries - 1)); err != nil || !st.Hit {
+		t.Fatalf("newest statement: hit=%v err=%v", st != nil && st.Hit, err)
+	}
+	// ... and the oldest, long evicted, is a miss that optimizes from scratch.
+	st, err := sess.Prepare(sql(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Hit {
+		t.Fatal("evicted statement re-prepared as a hit")
+	}
+	if em := st.entry.snapshot(); em.FullOpts != 1 {
+		t.Fatalf("re-admitted entry full-opt=%d, want 1", em.FullOpts)
+	}
+	if m := srv.Metrics(); m.Entries > maxEntries {
+		t.Fatalf("entries=%d exceeds MaxEntries=%d", m.Entries, maxEntries)
 	}
 }

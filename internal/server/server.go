@@ -420,9 +420,14 @@ type Session struct {
 	// parse and the shared-cache lock entirely. Entries are handles, not
 	// copies — the plan, optimizer and statistics stay shared — and a
 	// handle outliving a server-side eviction keeps serving exactly like
-	// any other statement held across an eviction.
-	stmtMu sync.Mutex
-	stmts  map[string]*planEntry
+	// any other statement held across an eviction. A handle keeps its entry —
+	// and that entry's live optimizer — reachable, so storeStmt sweeps
+	// evicted handles out whenever the map has doubled since the last sweep
+	// (sweepAt): the session holds at most twice the handles the server's
+	// own MaxEntries/TTL policy keeps alive, at amortized O(1) per store.
+	stmtMu  sync.Mutex
+	stmts   map[string]*planEntry
+	sweepAt int
 }
 
 // cachedStmt resolves a session-local statement key, counting a prepare hit.
@@ -437,7 +442,7 @@ func (sess *Session) cachedStmt(key string) (*Stmt, bool) {
 		return nil, false
 	}
 	now := time.Now()
-	if e.dropped.Load() || sess.srv.expired(e, now) {
+	if sess.srv.gone(e, now) {
 		sess.stmtMu.Lock()
 		if sess.stmts[key] == e {
 			delete(sess.stmts, key)
@@ -452,15 +457,30 @@ func (sess *Session) cachedStmt(key string) (*Stmt, bool) {
 	return &Stmt{sess: sess, entry: e, Hit: true}, true
 }
 
+// minStmtSweep is the smallest handle-map size worth sweeping.
+const minStmtSweep = 8
+
 // storeStmt remembers a resolved statement handle under the session-local
-// key.
+// key, first sweeping out handles whose entry the server has evicted or
+// expired if the map has doubled since the last sweep. A swept statement's
+// next prepare takes the shared-cache path, exactly as cachedStmt's own
+// check would have sent it.
 func (sess *Session) storeStmt(key string, st *Stmt) {
 	sess.stmtMu.Lock()
+	defer sess.stmtMu.Unlock()
 	if sess.stmts == nil {
 		sess.stmts = map[string]*planEntry{}
 	}
+	if len(sess.stmts) >= max(sess.sweepAt, minStmtSweep) {
+		now := time.Now()
+		for k, e := range sess.stmts {
+			if sess.srv.gone(e, now) {
+				delete(sess.stmts, k)
+			}
+		}
+		sess.sweepAt = 2 * len(sess.stmts)
+	}
 	sess.stmts[key] = st.entry
-	sess.stmtMu.Unlock()
 }
 
 // Execs reports the number of statements this session has executed.
@@ -580,6 +600,12 @@ func (s *Server) entry(q *relalg.Query) (*planEntry, bool, error) {
 // expired reports whether e has been idle beyond the TTL.
 func (s *Server) expired(e *planEntry, now time.Time) bool {
 	return s.opts.TTL > 0 && now.Sub(time.Unix(0, e.lastUsed.Load())) > s.opts.TTL
+}
+
+// gone reports whether a handle on e must re-resolve through the shared
+// cache: the entry was evicted, or has idled past the TTL. Lock-free.
+func (s *Server) gone(e *planEntry, now time.Time) bool {
+	return e.dropped.Load() || s.expired(e, now)
 }
 
 // evictLocked enforces the eviction policy under the cache write lock:
