@@ -284,10 +284,8 @@ func BenchmarkAblationPlanSpace(b *testing.B) {
 	}
 }
 
-// benchExecQuery compares the execution paths on one TPC-H query at the
-// default benchmark scale: the legacy row-at-a-time interpreter, the
-// vectorized executor at 1 (serial) / 2 / 4 pipeline workers, and all
-// cores.
+// benchExecQuery executes one TPC-H query at the default benchmark scale
+// with 1 (serial) / 2 / 4 pipeline workers and all cores.
 func benchExecQuery(b *testing.B, q *relalg.Query) {
 	cat := tpch.Generate(tpch.Config{ScaleFactor: 0.005, Seed: 42})
 	m, err := cost.NewModel(q, cat, cost.DefaultParams())
@@ -310,18 +308,6 @@ func benchExecQuery(b *testing.B, q *relalg.Query) {
 			}
 		}
 	}
-	b.Run("row", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			comp := &exec.Compiler{Q: q, Cat: cat}
-			it, _, err := comp.CompileRow(vr.Plan)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := exec.Count(it); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	for _, par := range []int{1, 2, 4} {
 		par := par
 		b.Run(fmt.Sprintf("vec-p%d", par), func(b *testing.B) { run(b, par) })
@@ -329,16 +315,16 @@ func benchExecQuery(b *testing.B, q *relalg.Query) {
 	b.Run("vec-pmax", func(b *testing.B) { run(b, runtime.GOMAXPROCS(0)) })
 }
 
-// BenchmarkExecQ3S compares row-at-a-time vs vectorized vs pipeline-parallel
-// execution of the paper's driving example (simplified TPC-H Q3).
+// BenchmarkExecQ3S compares serial vs pipeline-parallel execution of the
+// paper's driving example (simplified TPC-H Q3).
 func BenchmarkExecQ3S(b *testing.B) { benchExecQuery(b, tpch.Q3S()) }
 
-// BenchmarkExecQ5 compares the execution paths on TPC-H Q5 (six-way join
-// with aggregation).
+// BenchmarkExecQ5 is the same sweep on TPC-H Q5 (six-way join with
+// aggregation).
 func BenchmarkExecQ5(b *testing.B) { benchExecQuery(b, tpch.Q5()) }
 
-// BenchmarkExecQ1 compares the execution paths on TPC-H Q1 (single-table
-// aggregation over lineitem) — the aggregation-heavy workload; run with
+// BenchmarkExecQ1 is the same sweep on TPC-H Q1 (single-table aggregation
+// over lineitem) — the aggregation-heavy workload; run with
 // -benchmem to see the flat agg table keep the hot path allocation-free.
 func BenchmarkExecQ1(b *testing.B) { benchExecQuery(b, tpch.Q1()) }
 

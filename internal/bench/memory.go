@@ -42,7 +42,7 @@ func (e *Env) MemoryFigure() *Table {
 				// each repetition compiles fresh.
 				mem = exec.NewMemTracker(budget)
 				comp := &exec.Compiler{Q: q, Cat: e.Cat, Parallelism: e.Parallelism,
-					DisableColumnar: e.DisableColumnar, MemBudgetBytes: budget, Mem: mem}
+					MemBudgetBytes: budget, Mem: mem}
 				v, _, err := comp.CompileVec(vr.Plan)
 				if err != nil {
 					panic(fmt.Sprintf("bench: %s: %v", q.Name, err))

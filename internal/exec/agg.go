@@ -13,10 +13,10 @@ type AggSpecExec struct {
 	CountDistinct []int
 }
 
-// aggTable is the grouping core shared by the row-at-a-time, vectorized and
-// parallel hash aggregation operators: an open-addressing table of 1-based
-// group ids hashed directly on the int64 group-key columns, with all group
-// state (keys, sums, counts) in flat arrays. Adding a row allocates nothing
+// aggTable is the grouping core shared by the serial and parallel hash
+// aggregation operators: an open-addressing table of 1-based group ids
+// hashed directly on the int64 group-key columns, with all group state
+// (keys, sums, counts) in flat arrays. Adding a row allocates nothing
 // beyond amortized slice growth — no per-row key string, no per-group
 // state struct — which is what keeps the aggregation hot path off the
 // allocator at any parallelism.
@@ -57,6 +57,8 @@ func newAggTable(spec AggSpecExec) *aggTable {
 	return t
 }
 
+// add folds one row into the table — the scalar reference the addBatch
+// tests compare against; operators call addBatch.
 func (t *aggTable) add(r Row) {
 	g := t.findOrCreate(hashCols(r, t.spec.GroupBy), r)
 	for i, c := range t.spec.Sums {
@@ -384,54 +386,6 @@ func (t *aggTable) rows() []Row {
 	return out
 }
 
-type hashAggOp struct {
-	in   Iterator
-	spec AggSpecExec
-	out  []Row
-	pos  int
-}
-
-// NewHashAgg returns a blocking hash aggregation. Output rows are the
-// group-by columns followed by SUM values, COUNT(*) if requested, then
-// COUNT(DISTINCT) values, in deterministic (sorted group key) order.
-func NewHashAgg(in Iterator, spec AggSpecExec) Iterator {
-	return &hashAggOp{in: in, spec: spec}
-}
-
-func (a *hashAggOp) Open() error {
-	t := newAggTable(a.spec)
-	if err := a.in.Open(); err != nil {
-		return err
-	}
-	for {
-		r, ok, err := a.in.Next()
-		if err != nil {
-			return errors.Join(err, a.in.Close())
-		}
-		if !ok {
-			break
-		}
-		t.add(r)
-	}
-	if err := a.in.Close(); err != nil {
-		return err
-	}
-	a.out = t.rows()
-	a.pos = 0
-	return nil
-}
-
-func (a *hashAggOp) Next() (Row, bool, error) {
-	if a.pos >= len(a.out) {
-		return nil, false, nil
-	}
-	r := a.out[a.pos]
-	a.pos++
-	return r, true, nil
-}
-
-func (a *hashAggOp) Close() error { a.out = nil; return nil }
-
 // ---- vectorized hash aggregation ----
 
 type vecHashAggOp struct {
@@ -443,10 +397,12 @@ type vecHashAggOp struct {
 	batch Batch
 }
 
-// NewVecHashAgg is the vectorized counterpart of NewHashAgg: it consumes
-// its input batch-at-a-time through aggTable.addBatch (columnar group-key
-// hashing and per-column accumulator loops) and emits the aggregated groups
-// as dense column windows in the same deterministic order.
+// NewVecHashAgg returns a blocking hash aggregation: it consumes its input
+// batch-at-a-time through aggTable.addBatch (columnar group-key hashing and
+// per-column accumulator loops) and emits the aggregated groups as dense
+// column windows in deterministic (sorted group key) order — the group-by
+// columns followed by SUM values, COUNT(*) if requested, then
+// COUNT(DISTINCT) values.
 func NewVecHashAgg(in VecIterator, spec AggSpecExec) VecIterator {
 	return &vecHashAggOp{in: in, spec: spec}
 }

@@ -2,8 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"os"
-	"strings"
 
 	"repro/internal/catalog"
 	"repro/internal/obs"
@@ -55,8 +53,8 @@ type Compiler struct {
 	Q   *relalg.Query
 	Cat *catalog.Catalog
 	// Data overrides the row source per query relation; when nil (or when
-	// it returns nil) the catalog table's rows are used. The stream layer
-	// uses this to execute over window buffers.
+	// it returns nil) the catalog table's column snapshot is scanned. The
+	// stream layer uses this to execute over window buffers.
 	Data func(rel int) [][]int64
 	// Parallelism caps the number of workers of morsel-driven parallel
 	// execution; values <= 1 execute serially. Right-spine hash-join
@@ -68,34 +66,27 @@ type Compiler struct {
 	// exchange), so RunStats feedback into the adaptive layer is
 	// unaffected.
 	Parallelism int
-	// DisableColumnar routes CompileVec through the row-at-a-time engine
-	// wrapped in a batch adapter — the escape hatch for A/B-ing the
-	// columnar layout (reprobench -columnar=false). The REPRO_COLUMNAR
-	// environment variable ("0"/"false" disables) flips the same switch
-	// process-wide. RunStats feedback is identical either way.
-	DisableColumnar bool
 	// Cache, when enabled, is the server-wide semantic result cache, and
 	// CacheCands the plan's cacheable subtrees (BuildCacheCandidates on
 	// THIS plan tree — candidates match by node identity). CompileVec
 	// resolves them into probe hits (subtree replaced by a cached scan) or
-	// spools (subtree teed into the cache); see rescache.go. Columnar-only:
-	// the row engine and Data-overridden compilations ignore both.
+	// spools (subtree teed into the cache); see rescache.go. Data-overridden
+	// compilations ignore both.
 	Cache      *rescache.Cache
 	CacheCands []CacheCandidate
 	// Prof, when non-nil, collects a per-operator execution profile for
 	// EXPLAIN ANALYZE: every compiled operator is wrapped in a timing shim
 	// recording batches/rows/wall time per plan node (fused pipelines
 	// register per-stage spans instead; see profile.go). Nil — the default
-	// — compiles exactly the unprofiled operator tree. Columnar-only: the
-	// DisableColumnar row path ignores it.
+	// — compiles exactly the unprofiled operator tree.
 	Prof *PlanProfile
 	// MemBudgetBytes bounds the query's tracked execution memory. When > 0
 	// and Mem is nil, CompileVec creates the tracker; operators that can go
 	// out of core (hash join build, hash aggregation) spill under grace
 	// hashing instead of exceeding the budget, operators that cannot (sorts,
 	// merge joins, index builds, fused pipelines admitted by the planner's
-	// size estimate) charge through and record overage. 0 keeps today's
-	// unbounded execution paths exactly. Columnar-only.
+	// size estimate) charge through and record overage. 0 keeps the
+	// unbounded execution paths exactly.
 	MemBudgetBytes int64
 	// Mem is the query's memory tracker. Callers either pass one in (the
 	// server, to read back peak and spill statistics) or leave it nil and
@@ -113,85 +104,11 @@ type Compiler struct {
 	decisions map[*relalg.Plan]*cacheDecision
 }
 
-// columnarDefault is the process-wide layout switch read from
-// REPRO_COLUMNAR at startup; unset or anything but "0"/"false"/"off"/"no"
-// means columnar.
-var columnarDefault = func() bool {
-	switch strings.ToLower(os.Getenv("REPRO_COLUMNAR")) {
-	case "0", "false", "off", "no":
-		return false
-	}
-	return true
-}()
-
-func (c *Compiler) columnarEnabled() bool { return columnarDefault && !c.DisableColumnar }
-
-// rowVecAdapter presents a row-at-a-time iterator tree as a VecIterator,
-// transposing rows into a reused columnar batch — the DisableColumnar
-// execution path, and deliberately the only place the disabled layout pays
-// a per-row transposition cost.
-type rowVecAdapter struct {
-	in    Iterator
-	batch Batch
-}
-
-func (a *rowVecAdapter) Open() error { return a.in.Open() }
-
-func (a *rowVecAdapter) Next() (*Batch, error) {
-	n := 0
-	for n < BatchSize {
-		r, ok, err := a.in.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		if a.batch.Cols == nil {
-			w := len(r)
-			flat := make([]int64, w*BatchSize)
-			a.batch.Cols = make([][]int64, w)
-			for c := range a.batch.Cols {
-				a.batch.Cols[c] = flat[c*BatchSize : (c+1)*BatchSize : (c+1)*BatchSize]
-			}
-		}
-		for c, v := range r {
-			a.batch.Cols[c][n] = v
-		}
-		n++
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	a.batch.N = n
-	a.batch.Sel = nil
-	return &a.batch, nil
-}
-
-func (a *rowVecAdapter) Close() error { return a.in.Close() }
-
-// Compile builds the vectorized operator tree for plan and adapts it to the
-// row-at-a-time Iterator interface, wiring a cardinality counter onto every
-// scan and join operator and applying the query's aggregation (if any) on
-// top. It returns the root iterator and the stats collector.
-func (c *Compiler) Compile(plan *relalg.Plan) (Iterator, *RunStats, error) {
-	v, stats, err := c.CompileVec(plan)
-	if err != nil {
-		return nil, nil, err
-	}
-	return NewRowIterator(v), stats, nil
-}
-
 // CompileVec builds the vectorized (batch-at-a-time) operator tree for
-// plan. It is the primary execution path; Compile wraps it in the row shim.
+// plan, wiring a cardinality counter onto every scan and join operator and
+// applying the query's aggregation (if any) on top. It returns the root
+// operator and the stats collector.
 func (c *Compiler) CompileVec(plan *relalg.Plan) (VecIterator, *RunStats, error) {
-	if !c.columnarEnabled() {
-		it, stats, err := c.CompileRow(plan)
-		if err != nil {
-			return nil, nil, err
-		}
-		return &rowVecAdapter{in: it}, stats, nil
-	}
 	stats := &RunStats{Cards: map[relalg.RelSet]*int64{}}
 	c.resolveCache()
 	if c.Mem == nil && c.MemBudgetBytes > 0 {
@@ -257,25 +174,6 @@ func (c *Compiler) CompileVec(plan *relalg.Plan) (VecIterator, *RunStats, error)
 	return v, stats, nil
 }
 
-// CompileRow builds the legacy row-at-a-time iterator tree for plan — the
-// differential baseline the vectorized path is tested and benchmarked
-// against.
-func (c *Compiler) CompileRow(plan *relalg.Plan) (Iterator, *RunStats, error) {
-	stats := &RunStats{Cards: map[relalg.RelSet]*int64{}}
-	it, schema, err := c.compile(plan, stats)
-	if err != nil {
-		return nil, nil, err
-	}
-	if c.Q.Agg != nil {
-		spec, err := c.aggSpec(schema)
-		if err != nil {
-			return nil, nil, err
-		}
-		it = NewHashAgg(it, spec)
-	}
-	return it, stats, nil
-}
-
 // aggSpec resolves the query's aggregation columns against the plan root's
 // output schema.
 func (c *Compiler) aggSpec(schema []relalg.ColID) (AggSpecExec, error) {
@@ -302,19 +200,6 @@ func (c *Compiler) aggSpec(schema []relalg.ColID) (AggSpecExec, error) {
 		spec.CountDistinct = append(spec.CountDistinct, off)
 	}
 	return spec, nil
-}
-
-func (c *Compiler) rows(rel int) ([][]int64, error) {
-	if c.Data != nil {
-		if rows := c.Data(rel); rows != nil {
-			return rows, nil
-		}
-	}
-	t, err := c.Cat.Table(c.Q.Rels[rel].Table)
-	if err != nil {
-		return nil, err
-	}
-	return t.Rows, nil
 }
 
 func (c *Compiler) tableArity(rel int) (int, error) {
@@ -347,152 +232,6 @@ func (c *Compiler) cols(rel int) (colData, error) {
 	return colData{cols: cols, n: n}, nil
 }
 
-// compile returns the iterator and its output schema (the ColID of every
-// output column, in order).
-func (c *Compiler) compile(p *relalg.Plan, stats *RunStats) (Iterator, []relalg.ColID, error) {
-	switch p.Log {
-	case relalg.LogScan:
-		rows, err := c.rows(p.Rel)
-		if err != nil {
-			return nil, nil, err
-		}
-		arity, err := c.tableArity(p.Rel)
-		if err != nil {
-			return nil, nil, err
-		}
-		schema := make([]relalg.ColID, arity)
-		for i := range schema {
-			schema[i] = relalg.ColID{Rel: p.Rel, Off: i}
-		}
-		preds, err := c.scanPreds(p.Rel, schema)
-		if err != nil {
-			return nil, nil, err
-		}
-		var it Iterator = NewScan(rows, preds)
-		if p.Prop.Kind == relalg.PropSorted {
-			// Index-order (or clustered-order) retrieval: the
-			// in-memory substitute is an explicit sort of the
-			// filtered rows.
-			off, err := colOffset(schema, p.Prop.Col)
-			if err != nil {
-				return nil, nil, err
-			}
-			it = NewSort(it, off)
-		} else if p.Phy == relalg.PhyIndexScan {
-			off, err := colOffset(schema, p.IdxCol)
-			if err != nil {
-				return nil, nil, err
-			}
-			it = NewSort(it, off)
-		}
-		return c.counted(it, p.Expr, stats), schema, nil
-
-	case relalg.LogEnforce:
-		child, schema, err := c.compile(p.Left, stats)
-		if err != nil {
-			return nil, nil, err
-		}
-		off, err := colOffset(schema, p.Prop.Col)
-		if err != nil {
-			return nil, nil, err
-		}
-		return NewSort(child, off), schema, nil
-
-	case relalg.LogJoin:
-		jp := c.Q.Joins[p.Pred]
-		if p.Phy == relalg.PhyIndexNLJoin {
-			return c.compileIndexNL(p, jp, stats)
-		}
-		left, ls, err := c.compile(p.Left, stats)
-		if err != nil {
-			return nil, nil, err
-		}
-		right, rs, err := c.compile(p.Right, stats)
-		if err != nil {
-			return nil, nil, err
-		}
-		schema := append(append([]relalg.ColID(nil), ls...), rs...)
-		lk, rk, err := c.joinOffsets(p, jp, ls, rs)
-		if err != nil {
-			return nil, nil, err
-		}
-		var it Iterator
-		switch p.Phy {
-		case relalg.PhyHashJoin:
-			// Hash on the compound key of every cross equi-predicate;
-			// only non-equi filters remain as residuals.
-			lKeys, rKeys, err := c.hashJoinKeys(p, ls, rs, lk, rk)
-			if err != nil {
-				return nil, nil, err
-			}
-			residual, err := c.filterPredsOnly(p, schema)
-			if err != nil {
-				return nil, nil, err
-			}
-			it = NewHashJoin(left, right, lKeys, rKeys, len(ls), residual)
-		case relalg.PhyMergeJoin:
-			residual, err := c.residualPreds(p, schema)
-			if err != nil {
-				return nil, nil, err
-			}
-			it = NewMergeJoin(left, right, lk, rk, residual)
-		default:
-			return nil, nil, fmt.Errorf("exec: unexpected join operator %v", p.Phy)
-		}
-		return c.counted(it, p.Expr, stats), schema, nil
-	}
-	return nil, nil, fmt.Errorf("exec: unknown logical operator %v", p.Log)
-}
-
-func (c *Compiler) compileIndexNL(p *relalg.Plan, jp relalg.JoinPred, stats *RunStats) (Iterator, []relalg.ColID, error) {
-	// Plan convention (paper Table 1): left child is the indexed inner
-	// (a single base relation), right child is the outer.
-	inner := p.Left.Expr.SingleMember()
-	innerArity, err := c.tableArity(inner)
-	if err != nil {
-		return nil, nil, err
-	}
-	innerSchema := make([]relalg.ColID, innerArity)
-	for i := range innerSchema {
-		innerSchema[i] = relalg.ColID{Rel: inner, Off: i}
-	}
-	innerRows, err := c.rows(inner)
-	if err != nil {
-		return nil, nil, err
-	}
-	innerPreds, err := c.scanPreds(inner, innerSchema)
-	if err != nil {
-		return nil, nil, err
-	}
-	innerCol, outerCol := jp.L, jp.R
-	if innerCol.Rel != inner {
-		innerCol, outerCol = outerCol, innerCol
-	}
-	index := BuildIndex(innerRows, innerCol.Off, innerPreds)
-
-	outer, os, err := c.compile(p.Right, stats)
-	if err != nil {
-		return nil, nil, err
-	}
-	ok, err := colOffset(os, outerCol)
-	if err != nil {
-		return nil, nil, err
-	}
-	schema := append(append([]relalg.ColID(nil), innerSchema...), os...)
-	residual, err := c.residualPreds(p, schema)
-	if err != nil {
-		return nil, nil, err
-	}
-	it := NewIndexNLJoin(outer, index, ok, innerArity, residual)
-	return c.counted(it, p.Expr, stats), schema, nil
-}
-
-func (c *Compiler) counted(it Iterator, set relalg.RelSet, stats *RunStats) Iterator {
-	return NewCounter(it, stats.counter(set))
-}
-
-// ---- vectorized compilation ----
-
 // compileVec compiles one plan node via compileVecNode and — when
 // profiling — wraps the result in the timing shim for that node. Fused
 // pipelines are exempt: they register their own per-stage spans.
@@ -507,8 +246,8 @@ func (c *Compiler) compileVec(p *relalg.Plan, stats *RunStats) (VecIterator, []r
 	return &profVec{in: v, sp: c.Prof.span(p)}, schema, nil
 }
 
-// compileVecNode mirrors compile over the vectorized operator set and
-// returns the operator and its output schema.
+// compileVecNode returns the operator for one plan node and its output
+// schema (the ColID of every output column, in order).
 func (c *Compiler) compileVecNode(p *relalg.Plan, stats *RunStats) (VecIterator, []relalg.ColID, error) {
 	if d := c.takeDecision(p); d != nil {
 		return c.applyCacheDecision(d, p, stats)
@@ -884,48 +623,10 @@ func (c *Compiler) scanConds(rel int, schema []relalg.ColID) ([]ScanCond, error)
 	return conds, nil
 }
 
-// scanPreds compiles the local selection predicates of a relation against a
-// schema.
-func (c *Compiler) scanPreds(rel int, schema []relalg.ColID) ([]PredFn, error) {
-	var preds []PredFn
-	for _, pr := range c.Q.ScanPredsOf(rel) {
-		off, err := colOffset(schema, pr.Col)
-		if err != nil {
-			return nil, err
-		}
-		op, val := pr.Op, pr.Val
-		preds = append(preds, func(r Row) bool { return op.Eval(r[off], val) })
-	}
-	return preds, nil
-}
-
-// filterPredsOnly compiles just the non-equi residual filters crossing this
-// join (used when all equi predicates are part of the hash key).
-func (c *Compiler) filterPredsOnly(p *relalg.Plan, schema []relalg.ColID) ([]PredFn, error) {
-	var preds []PredFn
-	lset, rset := p.Left.Expr, p.Right.Expr
-	for _, f := range c.Q.Filters {
-		crosses := (lset.Has(f.L.Rel) && rset.Has(f.R.Rel)) || (rset.Has(f.L.Rel) && lset.Has(f.R.Rel))
-		if !crosses {
-			continue
-		}
-		lo, err := colOffset(schema, f.L)
-		if err != nil {
-			return nil, err
-		}
-		ro, err := colOffset(schema, f.R)
-		if err != nil {
-			return nil, err
-		}
-		op, off := f.Op, f.Off
-		preds = append(preds, func(r Row) bool { return op.Eval(r[lo], r[ro]+off) })
-	}
-	return preds, nil
-}
-
-// colFilterPredsOnly is filterPredsOnly compiled to structured ColPreds —
-// the vectorized joins evaluate these directly on (build, probe) index
-// pairs without materializing a row.
+// colFilterPredsOnly compiles just the non-equi residual filters crossing
+// this join (used when all equi predicates are part of the hash key) to
+// structured ColPreds — the joins evaluate these directly on (build, probe)
+// index pairs without materializing a row.
 func (c *Compiler) colFilterPredsOnly(p *relalg.Plan, schema []relalg.ColID) ([]ColPred, error) {
 	var preds []ColPred
 	lset, rset := p.Left.Expr, p.Right.Expr
@@ -947,9 +648,11 @@ func (c *Compiler) colFilterPredsOnly(p *relalg.Plan, schema []relalg.ColID) ([]
 	return preds, nil
 }
 
-// colResidualPreds is residualPreds compiled to structured ColPreds: the
-// secondary equi-join predicates become {CmpEQ, 0} entries, the
-// cross-relation filters keep their operator and constant offset.
+// colResidualPreds compiles the join predicates and residual filters that
+// first become checkable at this join (both sides present, not the primary
+// equi-key) to structured ColPreds: the secondary equi-join predicates
+// become {CmpEQ, 0} entries, the cross-relation filters keep their operator
+// and constant offset.
 func (c *Compiler) colResidualPreds(p *relalg.Plan, schema []relalg.ColID) ([]ColPred, error) {
 	var preds []ColPred
 	lset, rset := p.Left.Expr, p.Right.Expr
@@ -981,45 +684,6 @@ func (c *Compiler) colResidualPreds(p *relalg.Plan, schema []relalg.ColID) ([]Co
 			return nil, err
 		}
 		preds = append(preds, ColPred{L: lo, R: ro, Op: f.Op, Off: f.Off})
-	}
-	return preds, nil
-}
-
-// residualPreds compiles the join predicates and residual filters that
-// first become checkable at this join (both sides present, not the primary
-// equi-key).
-func (c *Compiler) residualPreds(p *relalg.Plan, schema []relalg.ColID) ([]PredFn, error) {
-	var preds []PredFn
-	lset, rset := p.Left.Expr, p.Right.Expr
-	for pi, jp := range c.Q.Joins {
-		if pi == p.Pred || !jp.Crosses(lset, rset) {
-			continue
-		}
-		lo, err := colOffset(schema, jp.L)
-		if err != nil {
-			return nil, err
-		}
-		ro, err := colOffset(schema, jp.R)
-		if err != nil {
-			return nil, err
-		}
-		preds = append(preds, func(r Row) bool { return r[lo] == r[ro] })
-	}
-	for _, f := range c.Q.Filters {
-		crosses := (lset.Has(f.L.Rel) && rset.Has(f.R.Rel)) || (rset.Has(f.L.Rel) && lset.Has(f.R.Rel))
-		if !crosses {
-			continue
-		}
-		lo, err := colOffset(schema, f.L)
-		if err != nil {
-			return nil, err
-		}
-		ro, err := colOffset(schema, f.R)
-		if err != nil {
-			return nil, err
-		}
-		op, off := f.Op, f.Off
-		preds = append(preds, func(r Row) bool { return op.Eval(r[lo], r[ro]+off) })
 	}
 	return preds, nil
 }

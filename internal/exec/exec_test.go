@@ -1,41 +1,29 @@
 package exec
 
 import (
-	"sort"
-	"strings"
+	"fmt"
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/relalg"
 	"repro/internal/stats"
 	"repro/internal/systemr"
+	"repro/internal/testkit"
 	"repro/internal/volcano"
-
-	"repro/internal/catalog"
 )
 
 // ---- operator unit tests ----
 
 func rows(vals ...[]int64) [][]int64 { return vals }
 
-func TestScanWithPredicates(t *testing.T) {
-	data := rows([]int64{1, 10}, []int64{2, 20}, []int64{3, 30})
-	it := NewScan(data, []PredFn{func(r Row) bool { return r[1] >= 20 }})
-	out, err := Drain(it)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 2 || out[0][0] != 2 || out[1][0] != 3 {
-		t.Fatalf("scan output = %v", out)
-	}
-}
+func scanOf(vals ...[]int64) VecIterator { return NewVecScanRows(vals, ScanFilter{}) }
 
 func TestHashJoinCompoundKeys(t *testing.T) {
-	l := NewScan(rows([]int64{1, 5}, []int64{1, 6}, []int64{2, 5}), nil)
-	r := NewScan(rows([]int64{1, 5, 100}, []int64{2, 6, 200}), nil)
-	it := NewHashJoin(l, r, []int{0, 1}, []int{0, 1}, 2, nil)
-	out, err := Drain(it)
+	l := scanOf([]int64{1, 5}, []int64{1, 6}, []int64{2, 5})
+	r := scanOf([]int64{1, 5, 100}, []int64{2, 6, 200})
+	out, err := DrainVec(NewVecHashJoin(l, r, []int{0, 1}, []int{0, 1}, nil, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,19 +33,21 @@ func TestHashJoinCompoundKeys(t *testing.T) {
 }
 
 func TestMergeJoinRequiresSortedInputs(t *testing.T) {
-	l := NewScan(rows([]int64{2}, []int64{1}), nil) // unsorted
-	r := NewScan(rows([]int64{1}), nil)
-	it := NewMergeJoin(l, r, 0, 0, nil)
-	if err := it.Open(); err == nil {
-		t.Fatal("unsorted merge input accepted")
+	for _, in := range [][2]VecIterator{
+		{scanOf([]int64{2}, []int64{1}), scanOf([]int64{1})},
+		{scanOf([]int64{1}), scanOf([]int64{2}, []int64{1})},
+	} {
+		it := NewVecMergeJoin(in[0], in[1], 0, 0, nil)
+		if err := it.Open(); err == nil {
+			t.Fatal("unsorted merge input accepted")
+		}
 	}
 }
 
 func TestMergeJoinDuplicateGroups(t *testing.T) {
-	l := NewScan(rows([]int64{1, 1}, []int64{1, 2}, []int64{3, 3}), nil)
-	r := NewScan(rows([]int64{1, 10}, []int64{1, 20}, []int64{2, 30}), nil)
-	it := NewMergeJoin(l, r, 0, 0, nil)
-	out, err := Drain(it)
+	l := scanOf([]int64{1, 1}, []int64{1, 2}, []int64{3, 3})
+	r := scanOf([]int64{1, 10}, []int64{1, 20}, []int64{2, 30})
+	out, err := DrainVec(NewVecMergeJoin(l, r, 0, 0, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,22 +57,20 @@ func TestMergeJoinDuplicateGroups(t *testing.T) {
 }
 
 func TestIndexNLJoin(t *testing.T) {
-	inner := rows([]int64{1, 100}, []int64{2, 200}, []int64{2, 201})
-	idx := BuildIndex(inner, 0, nil)
-	outer := NewScan(rows([]int64{2, 9}, []int64{5, 9}), nil)
-	it := NewIndexNLJoin(outer, idx, 0, 2, nil)
-	out, err := Drain(it)
+	inner := transposeRows(rows([]int64{1, 100}, []int64{2, 200}, []int64{2, 201}), 2)
+	idx := buildColIndex(inner, 0, ScanFilter{})
+	out, err := DrainVec(NewVecIndexNLJoin(scanOf([]int64{2, 9}, []int64{5, 9}), idx, 0, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != 2 || out[0][1] != 200 || out[1][1] != 201 {
+	// Output is inner ++ outer: the indexed inner is the plan's left child.
+	if len(out) != 2 || out[0][1] != 200 || out[1][1] != 201 || out[0][2] != 2 {
 		t.Fatalf("index NL output = %v", out)
 	}
 }
 
 func TestSortStable(t *testing.T) {
-	it := NewSort(NewScan(rows([]int64{3, 0}, []int64{1, 1}, []int64{3, 2}, []int64{2, 3}), nil), 0)
-	out, err := Drain(it)
+	out, err := DrainVec(NewVecSort(scanOf([]int64{3, 0}, []int64{1, 1}, []int64{3, 2}, []int64{2, 3}), 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,13 +86,10 @@ func TestSortStable(t *testing.T) {
 }
 
 func TestHashAgg(t *testing.T) {
-	data := rows(
-		[]int64{1, 10, 5}, []int64{1, 20, 5}, []int64{2, 30, 7}, []int64{1, 5, 6},
-	)
-	it := NewHashAgg(NewScan(data, nil), AggSpecExec{
+	in := scanOf([]int64{1, 10, 5}, []int64{1, 20, 5}, []int64{2, 30, 7}, []int64{1, 5, 6})
+	out, err := DrainVec(NewVecHashAgg(in, AggSpecExec{
 		GroupBy: []int{0}, Sums: []int{1}, CountAll: true, CountDistinct: []int{2},
-	})
-	out, err := Drain(it)
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,20 +103,11 @@ func TestHashAgg(t *testing.T) {
 
 func TestCounter(t *testing.T) {
 	var n int64
-	it := NewCounter(NewScan(rows([]int64{1}, []int64{2}), nil), &n)
-	if _, err := Count(it); err != nil {
+	if _, err := CountVec(NewVecCounter(scanOf([]int64{1}, []int64{2}), &n)); err != nil {
 		t.Fatal(err)
 	}
 	if n != 2 {
 		t.Fatalf("counter = %d", n)
-	}
-}
-
-func TestProject(t *testing.T) {
-	it := NewProject(NewScan(rows([]int64{1, 2, 3}), nil), []int{2, 0})
-	out, _ := Drain(it)
-	if len(out) != 1 || out[0][0] != 3 || out[0][1] != 1 {
-		t.Fatalf("project = %v", out)
 	}
 }
 
@@ -142,8 +118,6 @@ func tinyCatalog(seed uint64, nTables, rowsPer int) *catalog.Catalog {
 	r := stats.NewRand(seed)
 	cat := catalog.New()
 	for i := 0; i < nTables; i++ {
-		name := string(rune('t' + 0)) // "t"
-		_ = name
 		tb := catalog.NewTable(tableName(i), "c0", "c1", "c2", "c3")
 		n := 1 + r.Intn(rowsPer)
 		for j := 0; j < n; j++ {
@@ -162,7 +136,11 @@ func tinyCatalog(seed uint64, nTables, rowsPer int) *catalog.Catalog {
 
 func tableName(i int) string { return "T" + string(rune('0'+i)) }
 
-// randomExecQuery builds a small random join query over the tiny catalog.
+// randomExecQuery builds a small random query over the tiny catalog: a
+// spanning tree of equi-joins, maybe one more equi-join edge (a secondary
+// key wherever a join brings both its sides together), maybe a local
+// selection, one or two cross-relation filters with constant offsets and,
+// half the time, an aggregation.
 func randomExecQuery(r *stats.Rand, cat *catalog.Catalog, nRels int) *relalg.Query {
 	q := &relalg.Query{Name: "exec"}
 	names := cat.Names()
@@ -171,18 +149,33 @@ func randomExecQuery(r *stats.Rand, cat *catalog.Catalog, nRels int) *relalg.Que
 			Alias: "R" + string(rune('0'+i)), Table: names[r.Intn(len(names))],
 		})
 	}
+	col := func(rel int) relalg.ColID { return relalg.ColID{Rel: rel, Off: r.Intn(4)} }
 	for i := 1; i < nRels; i++ {
-		j := r.Intn(i)
-		q.Joins = append(q.Joins, relalg.JoinPred{
-			L: relalg.ColID{Rel: j, Off: r.Intn(4)},
-			R: relalg.ColID{Rel: i, Off: r.Intn(4)},
+		q.Joins = append(q.Joins, relalg.JoinPred{L: col(r.Intn(i)), R: col(i)})
+	}
+	pair := func() (int, int) {
+		a := r.Intn(nRels)
+		return a, (a + 1 + r.Intn(nRels-1)) % nRels
+	}
+	if r.Intn(2) == 0 {
+		a, b := pair()
+		q.Joins = append(q.Joins, relalg.JoinPred{L: col(a), R: col(b)})
+	}
+	if r.Intn(2) == 0 {
+		q.Scans = append(q.Scans, relalg.ScanPred{Col: col(r.Intn(nRels)), Op: relalg.CmpLE, Val: r.Int64n(8)})
+	}
+	ops := []relalg.CmpOp{relalg.CmpEQ, relalg.CmpNE, relalg.CmpLT, relalg.CmpLE, relalg.CmpGT, relalg.CmpGE}
+	for k := 1 + r.Intn(2); k > 0; k-- {
+		a, b := pair()
+		q.Filters = append(q.Filters, relalg.FilterPred{
+			L: col(a), R: col(b), Op: ops[r.Intn(len(ops))], Off: r.Int64n(5) - 2, Sel: 0.5,
 		})
 	}
 	if r.Intn(2) == 0 {
-		q.Scans = append(q.Scans, relalg.ScanPred{
-			Col: relalg.ColID{Rel: r.Intn(nRels), Off: r.Intn(4)},
-			Op:  relalg.CmpLE, Val: r.Int64n(8),
-		})
+		q.Agg = &relalg.AggSpec{
+			GroupBy: []relalg.ColID{col(r.Intn(nRels))}, Sums: []relalg.ColID{col(r.Intn(nRels))},
+			CountAll: r.Intn(2) == 0, CountDistinct: []relalg.ColID{col(r.Intn(nRels))},
+		}
 	}
 	if err := q.Validate(); err != nil {
 		panic(err)
@@ -190,106 +183,15 @@ func randomExecQuery(r *stats.Rand, cat *catalog.Catalog, nRels int) *relalg.Que
 	return q
 }
 
-// bruteForceJoin computes the query result with nested loops directly from
-// the data — the executor oracle.
-func bruteForceJoin(q *relalg.Query, cat *catalog.Catalog) []Row {
-	var out []Row
-	var rec func(i int, acc []Row)
-	tables := make([][][]int64, len(q.Rels))
-	offsets := make([]int, len(q.Rels))
-	off := 0
-	for i, rr := range q.Rels {
-		tables[i] = cat.MustTable(rr.Table).Rows
-		offsets[i] = off
-		off += len(cat.MustTable(rr.Table).ColNames)
-	}
-	colVal := func(acc []Row, c relalg.ColID) int64 {
-		return acc[c.Rel][c.Off]
-	}
-	rec = func(i int, acc []Row) {
-		if i == len(q.Rels) {
-			full := make(Row, 0, off)
-			for _, part := range acc {
-				full = append(full, part...)
-			}
-			out = append(out, full)
-			return
-		}
-	rows:
-		for _, row := range tables[i] {
-			acc2 := append(acc, Row(row))
-			for _, sp := range q.Scans {
-				if sp.Col.Rel == i && !sp.Op.Eval(row[sp.Col.Off], sp.Val) {
-					continue rows
-				}
-			}
-			for _, jp := range q.Joins {
-				if jp.L.Rel <= i && jp.R.Rel <= i && (jp.L.Rel == i || jp.R.Rel == i) {
-					if colVal(acc2, jp.L) != colVal(acc2, jp.R) {
-						continue rows
-					}
-				}
-			}
-			rec(i+1, acc2)
-		}
-	}
-	rec(0, nil)
-	return out
-}
-
-// canonical renders a multiset of rows order-independently, projecting each
-// row onto the canonical column order (by query relation then offset) so
-// plans with different join orders compare equal.
-func canonical(q *relalg.Query, cat *catalog.Catalog, schemaOf func() []relalg.ColID, rows []Row, schema []relalg.ColID) string {
-	var keys []string
-	for _, r := range rows {
-		vals := make(map[relalg.ColID]int64, len(schema))
-		for i, c := range schema {
-			vals[c] = r[i]
-		}
-		var b strings.Builder
-		for rel := range q.Rels {
-			arity := len(cat.MustTable(q.Rels[rel].Table).ColNames)
-			for off := 0; off < arity; off++ {
-				b.WriteString("|")
-				b.WriteString(int64Str(vals[relalg.ColID{Rel: rel, Off: off}]))
-			}
-		}
-		keys = append(keys, b.String())
-	}
-	sort.Strings(keys)
-	return strings.Join(keys, "\n")
-}
-
-func int64Str(v int64) string {
-	var b [24]byte
-	n := len(b)
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	if v == 0 {
-		return "0"
-	}
-	for v > 0 {
-		n--
-		b[n] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		n--
-		b[n] = '-'
-	}
-	return string(b[n:])
-}
-
-// TestPlansAgreeWithBruteForce executes the optimal plan of each
-// architecture — and the deliberately worst plan — and compares the result
-// multiset against a nested-loop oracle. This exercises hash, merge and
-// index-NL joins, sort enforcers, and residual predicates across arbitrary
-// plan shapes.
-func TestPlansAgreeWithBruteForce(t *testing.T) {
-	for seed := uint64(1); seed <= 25; seed++ {
+// TestPlansAgreeWithReference executes the optimal plan of each architecture
+// — and the deliberately worst plan — and compares the result multiset and
+// every operator's RunStats cardinality against the plan-independent
+// reference evaluator. This exercises hash, merge and index-NL joins, sort
+// enforcers, secondary equi-keys, residual filters and aggregation across
+// arbitrary plan shapes.
+func TestPlansAgreeWithReference(t *testing.T) {
+	seen := map[relalg.PhyOp]bool{}
+	for seed := uint64(1); seed <= 40; seed++ {
 		r := stats.NewRand(seed * 131)
 		cat := tinyCatalog(seed, 3, 30)
 		q := randomExecQuery(r, cat, 2+int(seed%3))
@@ -297,18 +199,8 @@ func TestPlansAgreeWithBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-
-		oracleRows := bruteForceJoin(q, cat)
-		fullSchema := func() []relalg.ColID {
-			var s []relalg.ColID
-			for rel, rr := range q.Rels {
-				for off := range cat.MustTable(rr.Table).ColNames {
-					s = append(s, relalg.ColID{Rel: rel, Off: off})
-				}
-			}
-			return s
-		}
-		want := canonical(q, cat, fullSchema, oracleRows, fullSchema())
+		ref := testkit.NewReference(q, cat)
+		want := testkit.Canonical(ref.Rows(), nil)
 
 		var plans []*relalg.Plan
 		if vr, err := volcano.Optimize(m, relalg.DefaultSpace()); err == nil {
@@ -333,83 +225,63 @@ func TestPlansAgreeWithBruteForce(t *testing.T) {
 		}
 
 		for pi, plan := range plans {
-			// Both execution paths must agree with the oracle: the
-			// vectorized default (Compile, behind the row shim) and
-			// the legacy row-at-a-time interpreter (CompileRow).
-			compile := map[string]func(*Compiler, *relalg.Plan) (Iterator, *RunStats, error){
-				"vec": (*Compiler).Compile,
-				"row": (*Compiler).CompileRow,
-			}
-			for mode, fn := range compile {
-				comp := &Compiler{Q: q, Cat: cat}
-				it, _, err := fn(comp, plan)
-				if err != nil {
-					t.Fatalf("seed %d plan %d (%s): compile: %v\n%s", seed, pi, mode, err, plan.Explain(q))
-				}
-				got, err := Drain(it)
-				if err != nil {
-					t.Fatalf("seed %d plan %d (%s): %v\n%s", seed, pi, mode, err, plan.Explain(q))
-				}
-				// Reconstruct the plan's output schema through a
-				// second compile (schema equals full column set in
-				// plan order); canonicalize via column ids.
-				schema := planSchema(q, cat, plan)
-				if gotStr := canonical(q, cat, fullSchema, got, schema); gotStr != want {
-					t.Fatalf("seed %d plan %d (%s): result mismatch\nplan:\n%s\ngot %d rows, want %d",
-						seed, pi, mode, plan.Explain(q), len(got), len(oracleRows))
-				}
-			}
+			checkAgainstReference(t, fmt.Sprintf("seed %d plan %d", seed, pi), &Compiler{Q: q, Cat: cat}, ref, want, plan)
+			eachPlanNode(plan, func(p *relalg.Plan) { seen[p.Phy] = true })
+		}
+	}
+	for _, phy := range []relalg.PhyOp{relalg.PhyHashJoin, relalg.PhyMergeJoin,
+		relalg.PhyIndexNLJoin, relalg.PhySort, relalg.PhyIndexScan} {
+		if !seen[phy] {
+			t.Errorf("no random plan used %v; the seeds no longer cover it", phy)
 		}
 	}
 }
 
-// planSchema recomputes the output schema of a plan (mirrors the compiler).
-func planSchema(q *relalg.Query, cat *catalog.Catalog, p *relalg.Plan) []relalg.ColID {
-	switch p.Log {
-	case relalg.LogScan:
-		var s []relalg.ColID
-		for off := range cat.MustTable(q.Rels[p.Rel].Table).ColNames {
-			s = append(s, relalg.ColID{Rel: p.Rel, Off: off})
-		}
-		return s
-	case relalg.LogEnforce:
-		return planSchema(q, cat, p.Left)
-	default:
-		return append(planSchema(q, cat, p.Left), planSchema(q, cat, p.Right)...)
+func eachPlanNode(p *relalg.Plan, fn func(*relalg.Plan)) {
+	if p == nil {
+		return
 	}
+	fn(p)
+	eachPlanNode(p.Left, fn)
+	eachPlanNode(p.Right, fn)
 }
 
-// TestRunStatsCollected checks the feedback probes: executing a plan yields
-// an actual cardinality for every scan/join subexpression of the plan.
-func TestRunStatsCollected(t *testing.T) {
-	r := stats.NewRand(5)
-	cat := tinyCatalog(5, 3, 40)
-	q := randomExecQuery(r, cat, 3)
-	m, _ := cost.NewModel(q, cat, cost.DefaultParams())
-	vr, err := volcano.Optimize(m, relalg.DefaultSpace())
+// checkAgainstReference compiles and runs plan and asserts that its result
+// multiset equals want (the canonical rendering of ref.Rows()) and that the
+// feedback probes are exact: every scan and join node compiled as its own
+// operator reports the reference cardinality of its subexpression, and
+// nothing else is reported.
+func checkAgainstReference(t *testing.T, label string, comp *Compiler, ref *testkit.Reference, want string, plan *relalg.Plan) {
+	t.Helper()
+	v, st, err := comp.CompileVec(plan)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: compile: %v\n%s", label, err, plan.Explain(comp.Q))
 	}
-	comp := &Compiler{Q: q, Cat: cat}
-	it, st, err := comp.Compile(vr.Plan)
+	got, err := DrainVec(v)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: %v\n%s", label, err, plan.Explain(comp.Q))
 	}
-	if _, err := Count(it); err != nil {
-		t.Fatal(err)
+	var schema []relalg.ColID // aggregate rows are already plan-independent
+	if comp.Q.Agg == nil {
+		if schema, err = comp.PlanSchema(plan); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
 	}
-	var walk func(p *relalg.Plan)
-	walk = func(p *relalg.Plan) {
-		if p == nil {
+	if testkit.Canonical(got, schema) != want {
+		t.Fatalf("%s: result multiset differs from the reference (%d rows)\n%s", label, len(got), plan.Explain(comp.Q))
+	}
+	counted := map[relalg.RelSet]bool{}
+	eachPlanNode(plan, func(p *relalg.Plan) {
+		if p.Log == relalg.LogEnforce || !hasOwnCounter(plan, p) {
 			return
 		}
-		if p.Log != relalg.LogEnforce {
-			if _, ok := st.Card(p.Expr); !ok {
-				t.Fatalf("no actual cardinality for %v", p.Expr)
-			}
+		counted[p.Expr] = true
+		got, ok := st.Card(p.Expr)
+		if want := ref.Card(p.Expr); !ok || got != want {
+			t.Fatalf("%s: cardinality of %v = %d (reported %v), reference %d", label, p.Expr, got, ok, want)
 		}
-		walk(p.Left)
-		walk(p.Right)
+	})
+	if len(st.Cards) != len(counted) {
+		t.Fatalf("%s: RunStats covers %d subexpressions, plan has %d counted nodes", label, len(st.Cards), len(counted))
 	}
-	walk(vr.Plan)
 }

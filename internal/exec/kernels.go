@@ -14,8 +14,7 @@ import (
 // hash join whose build side is stored column-major.
 
 // ScanCond is a structured pushed-down selection: col[Off] <Op> Val. The
-// vectorized scans evaluate conditions with per-batch single-column
-// kernels; opaque PredFn closures remain supported as a fallback.
+// scans evaluate conditions with per-batch single-column kernels.
 type ScanCond struct {
 	Off int
 	Op  relalg.CmpOp
@@ -25,18 +24,15 @@ type ScanCond struct {
 // ScanFilter bundles the pushed-down selections of one scan.
 type ScanFilter struct {
 	Conds []ScanCond
-	Preds []PredFn // opaque fallback predicates, applied after Conds
 }
 
 // Empty reports whether the filter passes every row.
-func (f ScanFilter) Empty() bool { return len(f.Conds) == 0 && len(f.Preds) == 0 }
+func (f ScanFilter) Empty() bool { return len(f.Conds) == 0 }
 
 // SelCols computes the selection vector of a column-major chunk (cols[c]
 // holding rows 0..n-1) into buf, which is reused across batches by the
 // caller. The first condition scans its column densely; each further
 // condition compacts the selection in place, touching only its own column.
-// Opaque fallback predicates gather a scratch row per surviving candidate
-// (the slow path; compiler-generated filters always use Conds).
 func (f ScanFilter) SelCols(cols [][]int64, n int, buf []int) []int {
 	sel := buf[:0]
 	dense := true
@@ -52,26 +48,6 @@ func (f ScanFilter) SelCols(cols [][]int64, n int, buf []int) []int {
 		for i := 0; i < n; i++ {
 			sel = append(sel, i)
 		}
-	}
-	if len(f.Preds) > 0 {
-		scratch := make(Row, len(cols))
-		out := sel[:0]
-		for _, i := range sel {
-			for c := range cols {
-				scratch[c] = cols[c][i]
-			}
-			keep := true
-			for _, p := range f.Preds {
-				if !p(scratch) {
-					keep = false
-					break
-				}
-			}
-			if keep {
-				out = append(out, i)
-			}
-		}
-		sel = out
 	}
 	return sel
 }
@@ -178,17 +154,6 @@ type ColPred struct {
 	Off  int64
 }
 
-// evalColPredsRow evaluates the predicates against a materialized row —
-// the row-shim and test helper; hot paths use filterPairs.
-func evalColPredsRow(preds []ColPred, r Row) bool {
-	for _, p := range preds {
-		if !p.Op.Eval(r[p.L], r[p.R]+p.Off) {
-			return false
-		}
-	}
-	return true
-}
-
 // ---- vectorized hashing ----
 
 const (
@@ -197,8 +162,8 @@ const (
 )
 
 // hashCols mixes the compound key columns of r with a multiplicative hash —
-// cheaper than the row path's byte-wise FNV, and strong enough for bucket
-// selection since every chain hit is verified by hash and key equality.
+// cheap, and strong enough for bucket selection since every chain hit is
+// verified by hash and key equality.
 // hashLive and hashDenseRange compute bit-identical values column-wise.
 func hashCols(r []int64, cols []int) uint64 {
 	h := hashSeed

@@ -110,13 +110,12 @@ func TestCaseSelect(t *testing.T) {
 	CaseSelect(nil, nil, nil, nil) // empty batch is a no-op
 }
 
-// ---- property test: columnar selection vs row-path closures ----
+// ---- property test: columnar selection vs row-at-a-time evaluation ----
 
 // TestSelColsMatchesRowClosures drives ScanFilter.SelCols over random
 // column-major chunks with random condition sets and checks the selected
-// row set against evaluating the equivalent row-at-a-time closures, the
-// way the legacy interpreter does. Also pins the empty-selection and
-// full-batch edges.
+// row set against evaluating every condition with CmpOp.Eval one row at a
+// time. Also pins the empty-selection and full-batch edges.
 func TestSelColsMatchesRowClosures(t *testing.T) {
 	ops := []relalg.CmpOp{relalg.CmpEQ, relalg.CmpNE, relalg.CmpLT,
 		relalg.CmpLE, relalg.CmpGT, relalg.CmpGE}

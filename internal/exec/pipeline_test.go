@@ -34,9 +34,6 @@ func compileFor(t *testing.T, q *relalg.Query, par int) (VecIterator, *RunStats)
 // workload shapes the pipeline was built for: join chains with and without
 // aggregation, a multi-stage cascade, and the bare scan+agg plan.
 func TestCompilePipelineFuses(t *testing.T) {
-	if !columnarDefault {
-		t.Skip("REPRO_COLUMNAR=0 routes compilation through the row engine; no pipelines fuse")
-	}
 	cases := []struct {
 		q      *relalg.Query
 		stages int

@@ -165,11 +165,10 @@ func (c *Compiler) tableVersion(table string) (uint64, bool) {
 // outermost-first: everything inside a probe hit is skipped (those nodes are
 // never compiled), and at most one spool is placed along any root-to-leaf
 // path (a nested spool would tee rows the outer spool already pays for).
-// The row-at-a-time layout and Data-overridden relations (stream windows)
-// compile cache-free.
+// Data-overridden relations (stream windows) compile cache-free.
 func (c *Compiler) resolveCache() {
 	c.decisions = nil
-	if !c.Cache.Enabled() || len(c.CacheCands) == 0 || c.Data != nil || !c.columnarEnabled() {
+	if !c.Cache.Enabled() || len(c.CacheCands) == 0 || c.Data != nil {
 		return
 	}
 	var hitRoots, spoolRoots []relalg.RelSet

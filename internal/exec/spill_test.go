@@ -20,7 +20,7 @@ const tightBudget = 96 << 10
 // unbounded baseline and then under a tight memory budget at every
 // parallelism level, asserting identical result multisets and identical
 // RunStats feedback cardinalities — the spill-mode extension of
-// TestTPCHRowVecDifferential's parallelism sweep. It additionally asserts
+// TestTPCHReferenceDifferential's parallelism sweep. It additionally asserts
 // that the sweep really spilled (the differential is meaningless otherwise;
 // CI greps for its run) and that, whenever no operator was forced past the
 // budget, tracked peak memory stayed under it.

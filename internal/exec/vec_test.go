@@ -4,13 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/cost"
 	"repro/internal/relalg"
+	"repro/internal/testkit"
 	"repro/internal/tpch"
 	"repro/internal/volcano"
 )
@@ -23,7 +23,7 @@ func TestVecScanBatchesAndSelection(t *testing.T) {
 	for i := range data {
 		data[i] = []int64{int64(i), int64(i % 2)}
 	}
-	v := NewVecScanRows(data, ScanFilter{Preds: []PredFn{func(r Row) bool { return r[1] == 0 }}})
+	v := NewVecScanRows(data, ScanFilter{Conds: []ScanCond{{Off: 1, Op: relalg.CmpEQ, Val: 0}}})
 	if err := v.Open(); err != nil {
 		t.Fatal(err)
 	}
@@ -131,18 +131,6 @@ func TestVecHashJoinSpansBatches(t *testing.T) {
 	}
 }
 
-func TestVecRowShimRoundTrip(t *testing.T) {
-	data := rows([]int64{3, 0}, []int64{1, 1}, []int64{2, 2})
-	it := NewRowIterator(NewVecSort(NewVecScanRows(data, ScanFilter{}), 0))
-	out, err := Drain(it)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 3 || out[0][0] != 1 || out[1][0] != 2 || out[2][0] != 3 {
-		t.Fatalf("shim output = %v", out)
-	}
-}
-
 func TestVecProject(t *testing.T) {
 	out, err := DrainVec(NewVecProject(NewVecScanRows(rows([]int64{1, 2, 3}), ScanFilter{}), []int{2, 0}))
 	if err != nil {
@@ -157,21 +145,21 @@ func TestVecProject(t *testing.T) {
 
 type failingIter struct{ closeErr error }
 
-func (f *failingIter) Open() error              { return nil }
-func (f *failingIter) Next() (Row, bool, error) { return nil, false, errors.New("next failed") }
-func (f *failingIter) Close() error             { return f.closeErr }
+func (f *failingIter) Open() error           { return nil }
+func (f *failingIter) Next() (*Batch, error) { return nil, errors.New("next failed") }
+func (f *failingIter) Close() error          { return f.closeErr }
 
 func TestDrainJoinsCloseError(t *testing.T) {
 	closeErr := errors.New("close failed")
-	_, err := Drain(&failingIter{closeErr: closeErr})
+	_, err := DrainVec(&failingIter{closeErr: closeErr})
 	if err == nil || !strings.Contains(err.Error(), "next failed") {
-		t.Fatalf("Drain error = %v, want next error", err)
+		t.Fatalf("DrainVec error = %v, want next error", err)
 	}
 	if !errors.Is(err, closeErr) {
-		t.Fatalf("Drain error %v does not join the Close error", err)
+		t.Fatalf("DrainVec error %v does not join the Close error", err)
 	}
-	if _, err := Count(&failingIter{closeErr: closeErr}); !errors.Is(err, closeErr) {
-		t.Fatalf("Count error %v does not join the Close error", err)
+	if _, err := CountVec(&failingIter{closeErr: closeErr}); !errors.Is(err, closeErr) {
+		t.Fatalf("CountVec error %v does not join the Close error", err)
 	}
 }
 
@@ -202,30 +190,22 @@ func TestVecHashJoinOpenErrorReleasesProbe(t *testing.T) {
 		runtime.NumGoroutine(), before)
 }
 
-// ---- differential test: row shim vs vectorized path, TPC-H workload ----
+// ---- differential test: executor vs reference evaluator, TPC-H workload ----
 
-func rowMultiset(rows []Row) string {
-	keys := make([]string, len(rows))
-	for i, r := range rows {
-		var b strings.Builder
-		for _, v := range r {
-			fmt.Fprintf(&b, "|%d", v)
-		}
-		keys[i] = b.String()
-	}
-	sort.Strings(keys)
-	return strings.Join(keys, "\n")
-}
+func rowMultiset(rows []Row) string { return testkit.Canonical(rows, nil) }
 
-// TestTPCHRowVecDifferential executes every TPC-H workload query through
-// the legacy row-at-a-time interpreter and the vectorized path at every
+// TestTPCHReferenceDifferential executes every TPC-H workload query at every
 // parallelism level (serial, and with fused parallel pipelines plus
-// morsel-driven scans at 2 and 4 workers), asserting identical result
-// multisets and identical RunStats feedback cardinalities — the proof that
-// the §5.4 adaptive loop sees byte-identical feedback at any parallelism.
-// Run under -race (the CI race shard) this also exercises the pipeline
-// workers, partitioned build, and exchange machinery for data races.
-func TestTPCHRowVecDifferential(t *testing.T) {
+// morsel-driven scans at 2 and 4 workers) and asserts that the result
+// multiset and the RunStats feedback cardinality of every scan and join
+// operator equal what testkit.Reference computes from the logical query
+// alone — the proof that the §5.4 adaptive loop sees correct, byte-identical
+// feedback at any parallelism. The reference shares no code with the
+// compiler, so a wrong key set or a dropped residual fails here instead of
+// agreeing with itself. Run under -race (the CI race shard) this also
+// exercises the pipeline workers, partitioned build, and exchange machinery
+// for data races.
+func TestTPCHReferenceDifferential(t *testing.T) {
 	cat := tpch.Generate(tpch.Config{ScaleFactor: 0.002, Seed: 7})
 	for name, q := range tpch.Queries() {
 		m, err := cost.NewModel(q, cat, cost.DefaultParams())
@@ -236,49 +216,17 @@ func TestTPCHRowVecDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-
-		rowComp := &Compiler{Q: q, Cat: cat}
-		it, rowStats, err := rowComp.CompileRow(vr.Plan)
-		if err != nil {
-			t.Fatalf("%s: compile row: %v", name, err)
-		}
-		rowRows, err := Drain(it)
-		if err != nil {
-			t.Fatalf("%s: row path: %v", name, err)
-		}
-		want := rowMultiset(rowRows)
-
+		ref := testkit.NewReference(q, cat)
+		want := testkit.Canonical(ref.Rows(), nil)
 		for _, par := range []int{1, 2, 4} {
-			vecComp := &Compiler{Q: q, Cat: cat, Parallelism: par}
-			v, vecStats, err := vecComp.CompileVec(vr.Plan)
-			if err != nil {
-				t.Fatalf("%s: compile vec: %v", name, err)
-			}
-			vecRows, err := DrainVec(v)
-			if err != nil {
-				t.Fatalf("%s: vec path (par=%d): %v", name, par, err)
-			}
-			if got := rowMultiset(vecRows); got != want {
-				t.Fatalf("%s (par=%d): result multiset differs: %d vec rows vs %d row rows",
-					name, par, len(vecRows), len(rowRows))
-			}
-			if len(vecStats.Cards) != len(rowStats.Cards) {
-				t.Fatalf("%s (par=%d): stats cover %d exprs, row path %d",
-					name, par, len(vecStats.Cards), len(rowStats.Cards))
-			}
-			for set, n := range rowStats.Cards {
-				got, ok := vecStats.Card(set)
-				if !ok || got != *n {
-					t.Fatalf("%s (par=%d): cardinality of %v = %d, row path %d",
-						name, par, set, got, *n)
-				}
-			}
+			checkAgainstReference(t, fmt.Sprintf("%s (par=%d)", name, par),
+				&Compiler{Q: q, Cat: cat, Parallelism: par}, ref, want, vr.Plan)
 		}
 	}
 }
 
-// TestCompileParallelCountMatches runs an aggregate query end to end via
-// Count under parallel scans — the aqp.RunSlice code path.
+// TestCompileParallelCountMatches runs a query end to end via CountVec under
+// parallel scans — the aqp.RunSlice code path.
 func TestCompileParallelCountMatches(t *testing.T) {
 	cat := tpch.Generate(tpch.Config{ScaleFactor: 0.002, Seed: 11})
 	q := tpch.Q3S()
@@ -287,17 +235,9 @@ func TestCompileParallelCountMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp := &Compiler{Q: q, Cat: cat}
-	it, _, err := comp.CompileRow(vr.Plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Count(it)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parComp := &Compiler{Q: q, Cat: cat, Parallelism: 4}
-	v, _, err := parComp.CompileVec(vr.Plan)
+	want := int64(len(testkit.NewReference(q, cat).Rows()))
+	comp := &Compiler{Q: q, Cat: cat, Parallelism: 4}
+	v, _, err := comp.CompileVec(vr.Plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +245,7 @@ func TestCompileParallelCountMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != want {
-		t.Fatalf("parallel count = %d, row count = %d", got, want)
+	if got != want || want == 0 {
+		t.Fatalf("parallel count = %d, reference count = %d", got, want)
 	}
 }

@@ -102,9 +102,11 @@ type vecHashJoinOp struct {
 	emit           colEmitter
 }
 
-// NewVecHashJoin is the vectorized counterpart of NewHashJoin: the build
-// side (left) is drained column-major into a flat chained hash table at
-// Open, the probe side (right) streams through batch-at-a-time. Probe-batch
+// NewVecHashJoin is the pipelined hash join of the paper's Table 1: the
+// build side (left) is drained column-major into a flat chained hash table
+// at Open, keyed on the compound key of lKeys (every available equi-join
+// column, which keeps match sets minimal); the probe side (right) streams
+// through batch-at-a-time, keyed on rKeys. Probe-batch
 // hashes are computed with one column pass per key; chain hits are
 // prefiltered on the full hash before the key-equality check, collected as
 // index pairs, residual-filtered, and gathered column-wise into the output.
@@ -307,8 +309,9 @@ func (m *vecMergeJoinOp) Open() error {
 		return err
 	}
 	m.mem.Force(colBytes(m.lData.width(), m.lData.n) + colBytes(m.rData.width(), m.rData.n))
-	// Same defensive sortedness check as the row-at-a-time operator — now a
-	// single pass over one contiguous key column per side.
+	// Defensive check: inputs must be sorted (the optimizer guarantees it
+	// via properties; a violation is a planning bug worth surfacing). One
+	// pass over one contiguous key column per side.
 	if m.lData.n > 0 {
 		key := m.lData.cols[m.lKey]
 		for i := 1; i < len(key); i++ {

@@ -7,6 +7,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/exec"
 	"repro/internal/relalg"
+	"repro/internal/testkit"
 )
 
 func TestSegTollSValidates(t *testing.T) {
@@ -113,9 +114,11 @@ func TestWindowsIngestAndMaterialize(t *testing.T) {
 	}
 }
 
-// TestSegTollSExecutesConsistently: the optimal and the worst plan for
-// SegTollS over live windows return identical result multisets.
-func TestSegTollSExecutesConsistently(t *testing.T) {
+// TestSegTollSMatchesReference: the optimal and the worst plan for SegTollS
+// over live windows both return the result the plan-independent reference
+// evaluator computes from the window tables — including the two
+// offset-carrying segment filters and the COUNT(DISTINCT) aggregate.
+func TestSegTollSMatchesReference(t *testing.T) {
 	gen := NewGen(2, 60)
 	win := NewWindows()
 	win.Ingest(gen.Slice(0, 40))
@@ -138,33 +141,29 @@ func TestSegTollSExecutesConsistently(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(p *relalg.Plan) []exec.Row {
-		// Execute through the vectorized path with parallel window
-		// scans enabled — the aggregate output order is deterministic
-		// regardless.
+	ref := testkit.NewReference(q, win.Catalog())
+	wantRows, wantCard := ref.Rows(), ref.Card(q.AllRels())
+	if len(wantRows) == 0 {
+		t.Fatal("SegTollS produced no groups; generator or windows broken")
+	}
+	want := testkit.Canonical(wantRows, nil)
+	for _, p := range []*relalg.Plan{best, worst} {
+		// Execute over the window buffers with parallel window scans
+		// enabled, the way aqp.RunSlice does.
 		comp := &exec.Compiler{Q: q, Cat: win.Catalog(), Data: win.Data, Parallelism: 4}
-		v, _, err := comp.CompileVec(p)
+		v, st, err := comp.CompileVec(p)
 		if err != nil {
 			t.Fatalf("compile: %v\n%s", err, p.Explain(q))
 		}
-		rows, err := exec.DrainVec(v)
+		got, err := exec.DrainVec(v)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rows
-	}
-	a, b := run(best), run(worst)
-	if len(a) != len(b) {
-		t.Fatalf("plan results differ: %d vs %d groups", len(a), len(b))
-	}
-	for i := range a {
-		for c := range a[i] {
-			if a[i][c] != b[i][c] {
-				t.Fatalf("group row %d differs: %v vs %v", i, a[i], b[i])
-			}
+		if testkit.Canonical(got, nil) != want {
+			t.Fatalf("%d groups, reference has %d\n%s", len(got), len(wantRows), p.Explain(q))
 		}
-	}
-	if len(a) == 0 {
-		t.Fatal("SegTollS produced no groups; generator or windows broken")
+		if n, ok := st.Card(q.AllRels()); !ok || n != wantCard {
+			t.Fatalf("join cardinality %d (reported %v), reference %d", n, ok, wantCard)
+		}
 	}
 }

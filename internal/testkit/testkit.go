@@ -3,7 +3,8 @@
 // connected join graphs (a random spanning tree plus optional extra edges),
 // random local predicates, and random physical designs (indexes, sort
 // orders) so that every operator alternative in the plan space gets
-// exercised.
+// exercised. It also holds the executor's oracle: Reference (reference.go), a
+// naive plan-independent evaluator of the logical query.
 package testkit
 
 import (

@@ -13,11 +13,11 @@
 //   - internal/volcano, internal/systemr — the procedural baselines;
 //   - internal/relalg, internal/catalog, internal/stats, internal/cost —
 //     the shared query model, physical design, statistics and cost model;
-//   - internal/exec — a vectorized (batch-at-a-time) executor with
-//     selection vectors, morsel-driven parallel scans behind a Parallelism
-//     option, per-query memory accounting with grace-hash spilling under a
-//     budget, exact per-operator cardinality feedback, and a row-at-a-time
-//     compatibility shim;
+//   - internal/exec — the executor, one vectorized columnar engine
+//     (Compiler.CompileVec → DrainVec/CountVec): selection vectors,
+//     morsel-driven parallel pipelines behind a Parallelism option,
+//     per-query memory accounting with grace-hash spilling under a budget,
+//     and exact per-operator cardinality feedback;
 //   - internal/aqp — the adaptive query processing loop;
 //   - internal/fbstore — the server-wide statistics plane: calibrated
 //     cardinality observations keyed by canonical subexpression
@@ -37,6 +37,10 @@
 //   - internal/tpch, internal/linearroad — the paper's workloads;
 //   - internal/deltalog — a generic counted delta-dataflow engine used as a
 //     differential-testing oracle for the optimizer;
+//   - internal/testkit — synthetic catalogs and random queries for the
+//     property tests, and the executor's oracle: a naive, plan-independent
+//     evaluator of the logical query (testkit.Reference) that results and
+//     feedback cardinalities are checked against;
 //   - internal/bench — runners regenerating every table and figure of §5.
 //
 // # Quickstart
