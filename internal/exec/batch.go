@@ -198,17 +198,34 @@ func (d *colData) appendFrom(o colData) {
 	d.n += o.n
 }
 
-// transposeRows converts row-major data (the Compiler.Data override path
-// and test helpers) into columnar form.
-func transposeRows(rows [][]int64, arity int) colData {
-	d := newColData(arity, len(rows))
-	for _, r := range rows {
-		for c := range d.cols {
-			d.cols[c] = append(d.cols[c], r[c])
+// transposeCols converts row-major data into columnar form, keeping only
+// the row positions listed in src: column i of the result is row position
+// src[i]. The columns share one exact-size backing array. This is the
+// Compiler.Data path, where the stream layer's window buffers are transposed
+// on every compile — only the columns the scan reads are.
+func transposeCols(rows [][]int64, src []int) colData {
+	d := colData{cols: flatCols(len(src), len(rows)), n: len(rows)}
+	for r, row := range rows {
+		for i, off := range src {
+			d.cols[i][r] = row[off]
 		}
 	}
-	d.n = len(rows)
 	return d
+}
+
+// transposeRows is transposeCols over every position of arity-wide rows
+// (operator outputs rendered as rows, and test helpers).
+func transposeRows(rows [][]int64, arity int) colData {
+	return transposeCols(rows, seq(arity))
+}
+
+// seq returns 0..n-1: every position of an n-wide input.
+func seq(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
+	}
+	return out
 }
 
 // colDrainer is implemented by operators that can materialize their entire
@@ -246,12 +263,13 @@ func drainVecCols(in VecIterator) (colData, error) {
 
 // ---- vectorized scan ----
 
+// vecScanOp is the serial scan of one leaf: it emits zero-copy windows of the
+// leaf's data columns, selected by the leaf's filter.
 type vecScanOp struct {
-	data   colData
-	filter ScanFilter
-	pos    int
-	batch  Batch
-	sel    []int
+	leaf  scanLeaf
+	pos   int
+	batch Batch
+	sel   []int
 }
 
 // NewVecScan returns a serial vectorized filtering scan over column-major
@@ -260,40 +278,45 @@ type vecScanOp struct {
 // conditions in the filter are evaluated with typed columnar kernels (one
 // operator dispatch per batch over contiguous slices).
 func NewVecScan(cols [][]int64, n int, filter ScanFilter) VecIterator {
-	return &vecScanOp{data: colData{cols: cols, n: n}, filter: filter}
+	return &vecScanOp{leaf: leafOfCols(cols, n, filter)}
+}
+
+// leafOfCols is the leaf of a scan whose filter reads the emitted columns.
+func leafOfCols(cols [][]int64, n int, filter ScanFilter) scanLeaf {
+	return scanLeaf{data: colData{cols: cols, n: n}, filter: filter, pred: cols}
 }
 
 // NewVecScanRows is NewVecScan over row-major input, transposed once at
-// construction — the Data-override and test-convenience path.
+// construction — the test-convenience path.
 func NewVecScanRows(rows [][]int64, filter ScanFilter) VecIterator {
 	var arity int
 	if len(rows) > 0 {
 		arity = len(rows[0])
 	}
 	d := transposeRows(rows, arity)
-	return &vecScanOp{data: d, filter: filter}
+	return NewVecScan(d.cols, d.n, filter)
 }
 
 func (s *vecScanOp) Open() error { s.pos = 0; return nil }
 
 func (s *vecScanOp) Next() (*Batch, error) {
-	for s.pos < s.data.n {
+	for s.pos < s.leaf.data.n {
 		end := s.pos + BatchSize
-		if end > s.data.n {
-			end = s.data.n
+		if end > s.leaf.data.n {
+			end = s.leaf.data.n
 		}
 		lo := s.pos
 		s.pos = end
-		s.batch.Cols = s.data.window(s.batch.Cols, lo, end)
+		s.batch.Cols = s.leaf.data.window(s.batch.Cols, lo, end)
 		s.batch.N = end - lo
-		if s.filter.Empty() {
+		if s.leaf.filter.Empty() {
 			s.batch.Sel = nil
 			return &s.batch, nil
 		}
 		if s.sel == nil {
 			s.sel = make([]int, 0, BatchSize)
 		}
-		s.sel = s.filter.SelCols(s.batch.Cols, s.batch.N, s.sel)
+		s.sel = s.leaf.sel(lo, end, s.sel)
 		if len(s.sel) == 0 {
 			continue
 		}

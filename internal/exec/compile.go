@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/catalog"
 	"repro/internal/obs"
@@ -202,34 +203,75 @@ func (c *Compiler) aggSpec(schema []relalg.ColID) (AggSpecExec, error) {
 	return spec, nil
 }
 
-func (c *Compiler) tableArity(rel int) (int, error) {
-	t, err := c.Cat.Table(c.Q.Rels[rel].Table)
-	if err != nil {
-		return 0, err
-	}
-	return len(t.ColNames), nil
+// scanLeaf is one resolved base-table scan. data holds exactly the columns of
+// the output schema. The relation's selection predicates read their own
+// column list, pred — full-length table columns, one per condition, whether
+// or not data carries the same column — so nothing that consumes or
+// materializes data ever sees a column only the filter reads.
+type scanLeaf struct {
+	data    colData
+	schema  []relalg.ColID
+	filter  ScanFilter // conditions over positions in pred
+	pred    [][]int64
+	predSrc []int // table offset of each column of pred
 }
 
-// cols returns the column-major data of a query relation: the catalog
-// table's zero-copy column mirror, or — for Data-overridden relations (the
-// stream layer's window buffers) — a one-time transposition of the override
-// rows.
-func (c *Compiler) cols(rel int) (colData, error) {
+// sel computes the selection vector of rows [lo, hi) into buf; the indexes
+// are relative to lo, like the column windows data.window cuts.
+func (l *scanLeaf) sel(lo, hi int, buf []int) []int {
+	return l.filter.selRange(l.pred, lo, hi, buf)
+}
+
+// resolveScan resolves the scan of rel emitting schema. The columns are the
+// catalog table's zero-copy column snapshot or — for Data-overridden
+// relations (the stream layer's window buffers) — a one-time transposition of
+// just the columns read.
+func (c *Compiler) resolveScan(rel int, schema []relalg.ColID) (scanLeaf, error) {
 	t, err := c.Cat.Table(c.Q.Rels[rel].Table)
 	if err != nil {
-		return colData{}, err
+		return scanLeaf{}, err
 	}
-	if c.Data != nil {
-		if rows := c.Data(rel); rows != nil {
-			return transposeRows(rows, len(t.ColNames)), nil
+	leaf := scanLeaf{schema: schema}
+	for _, pr := range c.Q.ScanPredsOf(rel) {
+		if pr.Col.Off >= len(t.ColNames) {
+			return scanLeaf{}, fmt.Errorf("exec: column %+v not in table %s", pr.Col, t.Name)
 		}
+		leaf.filter.Conds = append(leaf.filter.Conds, ScanCond{Off: len(leaf.predSrc), Op: pr.Op, Val: pr.Val})
+		leaf.predSrc = append(leaf.predSrc, pr.Col.Off)
 	}
-	// ColumnSnapshot returns a consistent (columns, row count) pair from
-	// the storage backend's atomically published snapshot, so compiling
-	// concurrently with appends can never pair fresh columns with a stale
-	// count (or vice versa).
-	cols, n := t.ColumnSnapshot()
-	return colData{cols: cols, n: n}, nil
+	// cols is indexed by table offset; n is the row count.
+	var cols, rows [][]int64
+	var n int
+	if c.Data != nil {
+		rows = c.Data(rel)
+	}
+	if rows != nil {
+		read := slices.Clone(leaf.predSrc)
+		for _, col := range schema {
+			read = append(read, col.Off)
+		}
+		slices.Sort(read)
+		read = slices.Compact(read)
+		d := transposeCols(rows, read)
+		cols, n = make([][]int64, len(t.ColNames)), d.n
+		for i, off := range read {
+			cols[off] = d.cols[i]
+		}
+	} else {
+		// ColumnSnapshot returns a consistent (columns, row count) pair from
+		// the storage backend's atomically published snapshot, so compiling
+		// concurrently with appends can never pair fresh columns with a stale
+		// count (or vice versa).
+		cols, n = t.ColumnSnapshot()
+	}
+	leaf.data = colData{cols: make([][]int64, len(schema)), n: n}
+	for i, col := range schema {
+		leaf.data.cols[i] = cols[col.Off]
+	}
+	for _, off := range leaf.predSrc {
+		leaf.pred = append(leaf.pred, cols[off])
+	}
+	return leaf, nil
 }
 
 // compileVec compiles one plan node via compileVecNode and — when
@@ -243,6 +285,7 @@ func (c *Compiler) compileVec(p *relalg.Plan, stats *RunStats) (VecIterator, []r
 	if _, fused := v.(*parallelPipelineOp); fused {
 		return v, schema, nil
 	}
+	c.Prof.cols[p] = len(schema)
 	return &profVec{in: v, sp: c.Prof.span(p)}, schema, nil
 }
 
@@ -254,19 +297,11 @@ func (c *Compiler) compileVecNode(p *relalg.Plan, stats *RunStats) (VecIterator,
 	}
 	switch p.Log {
 	case relalg.LogScan:
-		data, err := c.cols(p.Rel)
+		schema, err := c.scanSchema(p)
 		if err != nil {
 			return nil, nil, err
 		}
-		arity, err := c.tableArity(p.Rel)
-		if err != nil {
-			return nil, nil, err
-		}
-		schema := make([]relalg.ColID, arity)
-		for i := range schema {
-			schema[i] = relalg.ColID{Rel: p.Rel, Off: i}
-		}
-		conds, err := c.scanConds(p.Rel, schema)
+		leaf, err := c.resolveScan(p.Rel, schema)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -280,18 +315,12 @@ func (c *Compiler) compileVecNode(p *relalg.Plan, stats *RunStats) (VecIterator,
 			if err != nil {
 				return nil, nil, err
 			}
-			v = newStorageScan(t.Store(), storagePreds(conds), ScanFilter{Conds: conds})
+			v = newStorageScan(t.Store(), leaf)
 		} else {
-			v = c.scanVec(data, ScanFilter{Conds: conds})
+			v = c.scanVec(leaf)
 		}
-		if p.Prop.Kind == relalg.PropSorted {
-			off, err := colOffset(schema, p.Prop.Col)
-			if err != nil {
-				return nil, nil, err
-			}
-			v = c.trackedSort(v, off)
-		} else if p.Phy == relalg.PhyIndexScan {
-			off, err := colOffset(schema, p.IdxCol)
+		if sortCol, sorts := scanSortCol(p); sorts {
+			off, err := colOffset(schema, sortCol)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -334,7 +363,8 @@ func (c *Compiler) compileVecNode(p *relalg.Plan, stats *RunStats) (VecIterator,
 		if err != nil {
 			return nil, nil, err
 		}
-		schema := append(append([]relalg.ColID(nil), ls...), rs...)
+		schema, lOut, rOut := c.joinSchema(p, ls, rs)
+		in := joinInput(ls, rs)
 		lk, rk, err := c.joinOffsets(p, jp, ls, rs)
 		if err != nil {
 			return nil, nil, err
@@ -346,20 +376,20 @@ func (c *Compiler) compileVecNode(p *relalg.Plan, stats *RunStats) (VecIterator,
 			if err != nil {
 				return nil, nil, err
 			}
-			residual, err := c.colFilterPredsOnly(p, schema)
+			residual, err := c.colFilterPredsOnly(p, in)
 			if err != nil {
 				return nil, nil, err
 			}
-			v = NewVecHashJoin(left, right, lKeys, rKeys, residual, c.Parallelism)
+			v = NewVecHashJoin(left, right, lKeys, rKeys, residual, lOut, rOut, c.Parallelism)
 			if hj, ok := v.(*vecHashJoinOp); ok {
 				hj.mem = c.Mem.Child("hashjoin")
 			}
 		case relalg.PhyMergeJoin:
-			residual, err := c.colResidualPreds(p, schema)
+			residual, err := c.colResidualPreds(p, in)
 			if err != nil {
 				return nil, nil, err
 			}
-			v = NewVecMergeJoin(left, right, lk, rk, residual)
+			v = NewVecMergeJoin(left, right, lk, rk, residual, lOut, rOut)
 			if mj, ok := v.(*vecMergeJoinOp); ok {
 				mj.mem = c.Mem.Child("mergejoin")
 			}
@@ -372,20 +402,15 @@ func (c *Compiler) compileVecNode(p *relalg.Plan, stats *RunStats) (VecIterator,
 }
 
 func (c *Compiler) compileVecIndexNL(p *relalg.Plan, jp relalg.JoinPred, stats *RunStats) (VecIterator, []relalg.ColID, error) {
-	inner := p.Left.Expr.SingleMember()
-	innerArity, err := c.tableArity(inner)
+	if p.Left.Log != relalg.LogScan {
+		return nil, nil, fmt.Errorf("exec: index nested-loops inner %v is not a scan", p.Left.Expr)
+	}
+	inner := p.Left.Rel
+	ls, err := c.scanSchema(p.Left)
 	if err != nil {
 		return nil, nil, err
 	}
-	innerSchema := make([]relalg.ColID, innerArity)
-	for i := range innerSchema {
-		innerSchema[i] = relalg.ColID{Rel: inner, Off: i}
-	}
-	innerData, err := c.cols(inner)
-	if err != nil {
-		return nil, nil, err
-	}
-	innerConds, err := c.scanConds(inner, innerSchema)
+	leaf, err := c.resolveScan(inner, ls)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -393,26 +418,30 @@ func (c *Compiler) compileVecIndexNL(p *relalg.Plan, jp relalg.JoinPred, stats *
 	if innerCol.Rel != inner {
 		innerCol, outerCol = outerCol, innerCol
 	}
-	index := buildColIndex(innerData, innerCol.Off, ScanFilter{Conds: innerConds})
+	ik, err := colOffset(ls, innerCol)
+	if err != nil {
+		return nil, nil, err
+	}
+	index := buildColIndex(leaf, ik)
 	// The index map (per-key row-id slices + bucket overhead) has no
 	// out-of-core fallback; the base column data it points into is the
 	// catalog's untracked mirror.
-	c.Mem.Force(int64(innerData.n) * 40)
+	c.Mem.Force(int64(leaf.data.n) * 40)
 
-	outer, os, err := c.compileVec(p.Right, stats)
+	outer, rs, err := c.compileVec(p.Right, stats)
 	if err != nil {
 		return nil, nil, err
 	}
-	ok, err := colOffset(os, outerCol)
+	ok, err := colOffset(rs, outerCol)
 	if err != nil {
 		return nil, nil, err
 	}
-	schema := append(append([]relalg.ColID(nil), innerSchema...), os...)
-	residual, err := c.colResidualPreds(p, schema)
+	schema, lOut, rOut := c.joinSchema(p, ls, rs)
+	residual, err := c.colResidualPreds(p, joinInput(ls, rs))
 	if err != nil {
 		return nil, nil, err
 	}
-	v := NewVecIndexNLJoin(outer, index, ok, residual)
+	v := NewVecIndexNLJoin(outer, index, ok, residual, lOut, rOut)
 	return c.countedVec(v, p.Expr, stats), schema, nil
 }
 
@@ -450,48 +479,35 @@ func (c *Compiler) compilePipeline(p *relalg.Plan, stats *RunStats, minStages in
 		cur.Phy == relalg.PhyIndexScan || cur.Phy == relalg.PhySegScan {
 		return nil, nil, false, nil
 	}
-	data, err := c.cols(cur.Rel)
+	schema, err := c.scanSchema(cur)
 	if err != nil {
 		return nil, nil, false, err
 	}
-	if data.n < minParallelRows {
+	leaf, err := c.resolveScan(cur.Rel, schema)
+	if err != nil {
+		return nil, nil, false, err
+	}
+	if leaf.data.n < minParallelRows {
 		return nil, nil, false, nil
-	}
-	arity, err := c.tableArity(cur.Rel)
-	if err != nil {
-		return nil, nil, false, err
-	}
-	schema := make([]relalg.ColID, arity)
-	for i := range schema {
-		schema[i] = relalg.ColID{Rel: cur.Rel, Off: i}
-	}
-	conds, err := c.scanConds(cur.Rel, schema)
-	if err != nil {
-		return nil, nil, false, err
 	}
 	scanCard := stats.counter(cur.Expr)
 
 	// Under a memory budget, fusion is admission-gated: the fused pipeline
 	// Force-charges its build tables (it cannot spill them), so it is only
 	// used when the optimizer's cardinality estimates put the combined build
-	// footprint within half the budget. The check runs before any build
-	// subtree is compiled — bailing later would leave counters and cache
-	// decisions half-registered. Misestimates surface as tracked overage.
+	// footprint (at the width the build sides actually carry) within half
+	// the budget. The check runs before any build subtree is compiled —
+	// bailing later would leave counters and cache decisions
+	// half-registered. Misestimates surface as tracked overage.
 	if c.Mem.Bounded() {
 		var est int64
 		for _, pj := range spine {
-			width := 0
-			for rel := range c.Q.Rels {
-				if pj.Left.Expr.Has(rel) {
-					arity, err := c.tableArity(rel)
-					if err != nil {
-						return nil, nil, false, err
-					}
-					width += arity
-				}
+			ls, err := c.PlanSchema(pj.Left)
+			if err != nil {
+				return nil, nil, false, err
 			}
-			rows := int64(pj.Left.Card)
-			est += colBytes(width, int(rows)) + joinTableBytes(int(rows))
+			rows := int(pj.Left.Card)
+			est += colBytes(len(ls), rows) + joinTableBytes(rows)
 		}
 		if est > c.Mem.Limit()/2 {
 			return nil, nil, false, nil
@@ -499,9 +515,8 @@ func (c *Compiler) compilePipeline(p *relalg.Plan, stats *RunStats, minStages in
 	}
 
 	// Stages assemble bottom-up: the innermost join of the spine is probed
-	// first, and each stage's output schema (build ++ probe) is the next
-	// stage's probe schema — exactly the schema the unfused operator tree
-	// would produce.
+	// first, and each stage's output schema is the next stage's probe schema
+	// — exactly the schema the unfused operator tree would produce.
 	stages := make([]*pipeStage, 0, len(spine))
 	for i := len(spine) - 1; i >= 0; i-- {
 		pj := spine[i]
@@ -518,15 +533,20 @@ func (c *Compiler) compilePipeline(p *relalg.Plan, stats *RunStats, minStages in
 		if err != nil {
 			return nil, nil, false, err
 		}
-		schema = append(append([]relalg.ColID(nil), ls...), schema...)
-		residual, err := c.colFilterPredsOnly(pj, schema)
+		residual, err := c.colFilterPredsOnly(pj, joinInput(ls, schema))
 		if err != nil {
 			return nil, nil, false, err
 		}
+		var lOut, rOut []int
+		schema, lOut, rOut = c.joinSchema(pj, ls, schema)
 		stages = append(stages, &pipeStage{build: build, buildKeys: lKeys,
-			probeKeys: rKeys, residual: residual, card: stats.counter(pj.Expr)})
+			probeKeys: rKeys, residual: residual, buildOut: lOut, probeOut: rOut,
+			card: stats.counter(pj.Expr)})
+		if c.Prof != nil {
+			c.Prof.cols[pj] = len(schema)
+		}
 	}
-	op := newParallelPipeline(data, ScanFilter{Conds: conds}, scanCard, stages, c.Parallelism)
+	op := newParallelPipeline(leaf, scanCard, stages, c.Parallelism)
 	op.mem = c.Mem.Child("pipeline")
 	if c.Prof != nil {
 		// Register self-time spans for every fused node: stages[j] probes
@@ -538,6 +558,7 @@ func (c *Compiler) compilePipeline(p *relalg.Plan, stats *RunStats, minStages in
 			pr.stages[j] = c.Prof.selfSpan(spine[len(spine)-1-j])
 		}
 		op.prof = pr
+		c.Prof.cols[cur] = len(leaf.schema)
 	}
 	return op, schema, true, nil
 }
@@ -545,11 +566,11 @@ func (c *Compiler) compilePipeline(p *relalg.Plan, stats *RunStats, minStages in
 // scanVec picks the leaf scan implementation: morsel-driven parallel when
 // the Parallelism option allows it and the table is large enough to pay for
 // worker startup, serial otherwise.
-func (c *Compiler) scanVec(data colData, filter ScanFilter) VecIterator {
-	if c.Parallelism > 1 && data.n >= minParallelRows {
-		return NewParallelScan(data.cols, data.n, filter, c.Parallelism)
+func (c *Compiler) scanVec(leaf scanLeaf) VecIterator {
+	if c.Parallelism > 1 && leaf.data.n >= minParallelRows {
+		return newParallelScan(leaf, c.Parallelism)
 	}
-	return NewVecScan(data.cols, data.n, filter)
+	return &vecScanOp{leaf: leaf}
 }
 
 func (c *Compiler) countedVec(v VecIterator, set relalg.RelSet, stats *RunStats) VecIterator {
@@ -563,6 +584,13 @@ func (c *Compiler) trackedSort(in VecIterator, col int) VecIterator {
 		s.mem = c.Mem.Child("sort")
 	}
 	return v
+}
+
+// joinInput is the row a join's residual predicates are resolved against:
+// the left input's columns, then the right's. What a join reads need not
+// survive into its output schema.
+func joinInput(ls, rs []relalg.ColID) []relalg.ColID {
+	return append(append([]relalg.ColID(nil), ls...), rs...)
 }
 
 // joinOffsets resolves the primary equi-join columns of p against the
@@ -607,20 +635,6 @@ func (c *Compiler) hashJoinKeys(p *relalg.Plan, ls, rs []relalg.ColID, lk, rk in
 		rKeys = append(rKeys, ro)
 	}
 	return lKeys, rKeys, nil
-}
-
-// scanConds resolves the local selection predicates of a relation into the
-// structured conditions evaluated by the vectorized scan kernels.
-func (c *Compiler) scanConds(rel int, schema []relalg.ColID) ([]ScanCond, error) {
-	var conds []ScanCond
-	for _, pr := range c.Q.ScanPredsOf(rel) {
-		off, err := colOffset(schema, pr.Col)
-		if err != nil {
-			return nil, err
-		}
-		conds = append(conds, ScanCond{Off: off, Op: pr.Op, Val: pr.Val})
-	}
-	return conds, nil
 }
 
 // colFilterPredsOnly compiles just the non-equi residual filters crossing

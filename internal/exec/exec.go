@@ -12,11 +12,23 @@
 // contiguous []int64 per column, with a selection vector for pushed-down
 // predicates (batch.go). Leaf scans hand out zero-copy column windows over
 // column-major base-table storage (catalog.Table.ColumnSnapshot), so a
-// filtering scan reads only the columns its conditions touch; the hot
-// kernels — per-operator predicate selection, vectorized multiplicative
-// hashing, join result stitching via Gather, flat-table aggregation — are
-// tight loops over contiguous slices dispatched once per batch (kernels.go,
-// exprkernels.go, vecjoin.go, agg.go). Batch column slices are recycled, so
+// filtering scan reads only the columns its conditions touch.
+//
+// Column liveness (live.go) decides what an operator carries: its schema is
+// exactly the columns read at or above it — the aggregation's inputs, the
+// columns of join and filter predicates not yet applied, a node's own sort
+// key — so a column dies after its last reader instead of riding to the
+// root. Scans window only their live columns (selection predicates read the
+// others in place), joins gather only the live columns of each side (a key
+// nothing above reads is never copied), and build sides, spill partitions,
+// memory charges and result-cache entries follow the same widths. A query
+// without an aggregation returns every column, so there everything is live:
+// that is the degenerate case of the one rule, not a second path.
+//
+// The hot kernels — per-operator predicate selection, vectorized
+// multiplicative hashing, join result stitching via Gather, flat-table
+// aggregation — are tight loops over contiguous slices dispatched once per
+// batch (kernels.go, exprkernels.go, vecjoin.go, agg.go). Batch column slices are recycled, so
 // consumers copy values out before the producer's next call; DrainVec and
 // the operator-internal materializing drains do exactly one such copy per
 // row. Under the compiler's Parallelism option, parallelism is morsel-driven

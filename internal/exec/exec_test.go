@@ -23,7 +23,7 @@ func scanOf(vals ...[]int64) VecIterator { return NewVecScanRows(vals, ScanFilte
 func TestHashJoinCompoundKeys(t *testing.T) {
 	l := scanOf([]int64{1, 5}, []int64{1, 6}, []int64{2, 5})
 	r := scanOf([]int64{1, 5, 100}, []int64{2, 6, 200})
-	out, err := DrainVec(NewVecHashJoin(l, r, []int{0, 1}, []int{0, 1}, nil, 1))
+	out, err := DrainVec(NewVecHashJoin(l, r, []int{0, 1}, []int{0, 1}, nil, seq(2), seq(3), 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestMergeJoinRequiresSortedInputs(t *testing.T) {
 		{scanOf([]int64{2}, []int64{1}), scanOf([]int64{1})},
 		{scanOf([]int64{1}), scanOf([]int64{2}, []int64{1})},
 	} {
-		it := NewVecMergeJoin(in[0], in[1], 0, 0, nil)
+		it := NewVecMergeJoin(in[0], in[1], 0, 0, nil, seq(1), seq(1))
 		if err := it.Open(); err == nil {
 			t.Fatal("unsorted merge input accepted")
 		}
@@ -47,7 +47,7 @@ func TestMergeJoinRequiresSortedInputs(t *testing.T) {
 func TestMergeJoinDuplicateGroups(t *testing.T) {
 	l := scanOf([]int64{1, 1}, []int64{1, 2}, []int64{3, 3})
 	r := scanOf([]int64{1, 10}, []int64{1, 20}, []int64{2, 30})
-	out, err := DrainVec(NewVecMergeJoin(l, r, 0, 0, nil))
+	out, err := DrainVec(NewVecMergeJoin(l, r, 0, 0, nil, seq(2), seq(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,8 +58,8 @@ func TestMergeJoinDuplicateGroups(t *testing.T) {
 
 func TestIndexNLJoin(t *testing.T) {
 	inner := transposeRows(rows([]int64{1, 100}, []int64{2, 200}, []int64{2, 201}), 2)
-	idx := buildColIndex(inner, 0, ScanFilter{})
-	out, err := DrainVec(NewVecIndexNLJoin(scanOf([]int64{2, 9}, []int64{5, 9}), idx, 0, nil))
+	idx := buildColIndex(scanLeaf{data: inner}, 0)
+	out, err := DrainVec(NewVecIndexNLJoin(scanOf([]int64{2, 9}, []int64{5, 9}), idx, 0, nil, seq(2), seq(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,9 +139,11 @@ func tableName(i int) string { return "T" + string(rune('0'+i)) }
 // randomExecQuery builds a small random query over the tiny catalog: a
 // spanning tree of equi-joins, maybe one more equi-join edge (a secondary
 // key wherever a join brings both its sides together), maybe a local
-// selection, one or two cross-relation filters with constant offsets and,
-// half the time, an aggregation.
-func randomExecQuery(r *stats.Rand, cat *catalog.Catalog, nRels int) *relalg.Query {
+// selection, one or two cross-relation filters with constant offsets and —
+// drawn last, so the same seed gives the same joins with and without it — a
+// narrow aggregation reading one or two columns, which leaves most columns
+// dead somewhere below the root.
+func randomExecQuery(r *stats.Rand, cat *catalog.Catalog, nRels int, agg bool) *relalg.Query {
 	q := &relalg.Query{Name: "exec"}
 	names := cat.Names()
 	for i := 0; i < nRels; i++ {
@@ -171,10 +173,17 @@ func randomExecQuery(r *stats.Rand, cat *catalog.Catalog, nRels int) *relalg.Que
 			L: col(a), R: col(b), Op: ops[r.Intn(len(ops))], Off: r.Int64n(5) - 2, Sel: 0.5,
 		})
 	}
-	if r.Intn(2) == 0 {
-		q.Agg = &relalg.AggSpec{
-			GroupBy: []relalg.ColID{col(r.Intn(nRels))}, Sums: []relalg.ColID{col(r.Intn(nRels))},
-			CountAll: r.Intn(2) == 0, CountDistinct: []relalg.ColID{col(r.Intn(nRels))},
+	if agg {
+		q.Agg = &relalg.AggSpec{CountAll: r.Intn(2) == 0}
+		for k := 1 + r.Intn(2); k > 0; k-- {
+			switch c := col(r.Intn(nRels)); r.Intn(3) {
+			case 0:
+				q.Agg.GroupBy = append(q.Agg.GroupBy, c)
+			case 1:
+				q.Agg.Sums = append(q.Agg.Sums, c)
+			default:
+				q.Agg.CountDistinct = append(q.Agg.CountDistinct, c)
+			}
 		}
 	}
 	if err := q.Validate(); err != nil {
@@ -186,21 +195,20 @@ func randomExecQuery(r *stats.Rand, cat *catalog.Catalog, nRels int) *relalg.Que
 // TestPlansAgreeWithReference executes the optimal plan of each architecture
 // — and the deliberately worst plan — and compares the result multiset and
 // every operator's RunStats cardinality against the plan-independent
-// reference evaluator. This exercises hash, merge and index-NL joins, sort
-// enforcers, secondary equi-keys, residual filters and aggregation across
-// arbitrary plan shapes.
+// reference evaluator, once under a narrow aggregation (columns die below
+// the root on every seed) and once without one (every column is live). This
+// exercises hash, merge and index-NL joins, sort enforcers, secondary
+// equi-keys, residual filters and aggregation across arbitrary plan shapes.
 func TestPlansAgreeWithReference(t *testing.T) {
 	seen := map[relalg.PhyOp]bool{}
 	for seed := uint64(1); seed <= 40; seed++ {
-		r := stats.NewRand(seed * 131)
 		cat := tinyCatalog(seed, 3, 30)
-		q := randomExecQuery(r, cat, 2+int(seed%3))
+		q := randomExecQuery(stats.NewRand(seed*131), cat, 2+int(seed%3), true)
+		allLive := randomExecQuery(stats.NewRand(seed*131), cat, 2+int(seed%3), false)
 		m, err := cost.NewModel(q, cat, cost.DefaultParams())
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref := testkit.NewReference(q, cat)
-		want := testkit.Canonical(ref.Rows(), nil)
 
 		var plans []*relalg.Plan
 		if vr, err := volcano.Optimize(m, relalg.DefaultSpace()); err == nil {
@@ -224,9 +232,14 @@ func TestPlansAgreeWithReference(t *testing.T) {
 			plans = append(plans, wp)
 		}
 
-		for pi, plan := range plans {
-			checkAgainstReference(t, fmt.Sprintf("seed %d plan %d", seed, pi), &Compiler{Q: q, Cat: cat}, ref, want, plan)
-			eachPlanNode(plan, func(p *relalg.Plan) { seen[p.Phy] = true })
+		for _, q := range []*relalg.Query{q, allLive} {
+			ref := testkit.NewReference(q, cat)
+			want := testkit.Canonical(ref.Rows(), nil)
+			for pi, plan := range plans {
+				checkAgainstReference(t, fmt.Sprintf("seed %d plan %d agg=%v", seed, pi, q.Agg != nil),
+					&Compiler{Q: q, Cat: cat}, ref, want, plan)
+				eachPlanNode(plan, func(p *relalg.Plan) { seen[p.Phy] = true })
+			}
 		}
 	}
 	for _, phy := range []relalg.PhyOp{relalg.PhyHashJoin, relalg.PhyMergeJoin,

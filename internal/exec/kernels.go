@@ -34,14 +34,23 @@ func (f ScanFilter) Empty() bool { return len(f.Conds) == 0 }
 // caller. The first condition scans its column densely; each further
 // condition compacts the selection in place, touching only its own column.
 func (f ScanFilter) SelCols(cols [][]int64, n int, buf []int) []int {
+	return f.selRange(cols, 0, n, buf)
+}
+
+// selRange is SelCols over rows [lo, hi) of full-length columns; the
+// selection indexes are relative to lo, matching column windows cut at the
+// same bounds.
+func (f ScanFilter) selRange(cols [][]int64, lo, hi int, buf []int) []int {
 	sel := buf[:0]
+	n := hi - lo
 	dense := true
 	for _, c := range f.Conds {
+		col := cols[c.Off][lo:hi]
 		if dense {
-			sel = condSelDense(cols[c.Off], n, c.Op, c.Val, sel)
+			sel = condSelDense(col, n, c.Op, c.Val, sel)
 			dense = false
 		} else {
-			sel = condSelRefine(cols[c.Off], c.Op, c.Val, sel)
+			sel = condSelRefine(col, c.Op, c.Val, sel)
 		}
 	}
 	if dense {

@@ -2,9 +2,14 @@ package exec
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
+	"repro/internal/cost"
+	"repro/internal/linearroad"
 	"repro/internal/relalg"
+	"repro/internal/tpch"
+	"repro/internal/volcano"
 )
 
 // ---- expression kernel unit tests ----
@@ -246,6 +251,60 @@ func TestScanAggSteadyStateAllocs(t *testing.T) {
 	pass() // warm-up: sizes sel buffer, scratch, and creates all groups
 	if allocs := testing.AllocsPerRun(10, pass); allocs != 0 {
 		t.Fatalf("steady-state scan+agg allocates %.1f times per pass, want 0", allocs)
+	}
+}
+
+// TestExecutionAllocatedBytesCeiling pins what one execution allocates on
+// the two join shapes the benchmark runs — a SegTollS slice over the stream
+// windows (the aqp.RunSlice path: Data override, CountVec) and TPC-H Q5 —
+// so an operator that starts carrying columns nobody reads fails here
+// instead of waiting for the benchmark. The ceilings sit about a quarter
+// above the measured values (5.12 MB and 194 kB; with every operator at full
+// table width the same executions allocated 27.6 MB and 651 kB).
+func TestExecutionAllocatedBytesCeiling(t *testing.T) {
+	win := linearroad.NewWindows()
+	win.Ingest(linearroad.NewGen(2, 60).Slice(0, 40))
+	win.Materialize()
+	for _, tc := range []struct {
+		name    string
+		comp    Compiler
+		ceiling uint64
+	}{
+		{"SegTollS slice", Compiler{Q: linearroad.SegTollS(), Cat: win.Catalog(), Data: win.Data}, 6400 << 10},
+		{"TPC-H Q5", Compiler{Q: tpch.Q5(), Cat: tpch.Generate(tpch.Config{ScaleFactor: 0.002, Seed: 7})}, 240 << 10},
+	} {
+		m, err := cost.NewModel(tc.comp.Q, tc.comp.Cat, cost.DefaultParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		vr, err := volcano.Optimize(m, relalg.DefaultSpace())
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func() {
+			comp := tc.comp
+			v, _, err := comp.CompileVec(vr.Plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := CountVec(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warm-up: first-use runtime allocations
+		const runs = 8
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		per := (after.TotalAlloc - before.TotalAlloc) / runs
+		t.Logf("%s: %d bytes allocated per execution", tc.name, per)
+		if per > tc.ceiling {
+			t.Fatalf("%s allocates %d bytes per execution, ceiling %d: did an operator's width grow?",
+				tc.name, per, tc.ceiling)
+		}
 	}
 }
 

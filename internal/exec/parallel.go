@@ -15,8 +15,7 @@ const morselSize = BatchSize
 const minParallelRows = 4 * morselSize
 
 type parallelScanOp struct {
-	data    colData
-	filter  ScanFilter
+	leaf    scanLeaf
 	workers int
 
 	cursor atomic.Int64
@@ -41,13 +40,22 @@ type parallelScanOp struct {
 // vector until the consumer asks for the next batch, at which point both
 // return to free lists for reuse by the workers.
 func NewParallelScan(cols [][]int64, n int, filter ScanFilter, workers int) VecIterator {
+	return newParallelScan(leafOfCols(cols, n, filter), workers)
+}
+
+func newParallelScan(leaf scanLeaf, workers int) *parallelScanOp {
+	return &parallelScanOp{leaf: leaf, workers: scanWorkers(workers, leaf.data.n)}
+}
+
+// scanWorkers caps the worker count at one per morsel of an n-row table.
+func scanWorkers(workers, n int) int {
 	if workers < 1 {
 		workers = 1
 	}
 	if max := (n + morselSize - 1) / morselSize; workers > max {
 		workers = max
 	}
-	return &parallelScanOp{data: colData{cols: cols, n: n}, filter: filter, workers: workers}
+	return workers
 }
 
 func (s *parallelScanOp) Open() error {
@@ -87,7 +95,7 @@ func (s *parallelScanOp) batchShell() *Batch {
 	case b := <-s.batchFree:
 		return b
 	default:
-		return &Batch{Cols: make([][]int64, 0, s.data.width())}
+		return &Batch{Cols: make([][]int64, 0, s.leaf.data.width())}
 	}
 }
 
@@ -96,22 +104,22 @@ func (s *parallelScanOp) worker() {
 	var sel []int
 	for {
 		lo := int(s.cursor.Add(1)-1) * morselSize
-		if lo >= s.data.n {
+		if lo >= s.leaf.data.n {
 			return
 		}
 		hi := lo + morselSize
-		if hi > s.data.n {
-			hi = s.data.n
+		if hi > s.leaf.data.n {
+			hi = s.leaf.data.n
 		}
 		b := s.batchShell()
-		b.Cols = s.data.window(b.Cols, lo, hi)
+		b.Cols = s.leaf.data.window(b.Cols, lo, hi)
 		b.N = hi - lo
 		b.Sel = nil
-		if !s.filter.Empty() {
+		if !s.leaf.filter.Empty() {
 			if sel == nil {
 				sel = s.selBuf()
 			}
-			sel = s.filter.SelCols(b.Cols, b.N, sel)
+			sel = s.leaf.sel(lo, hi, sel)
 			if len(sel) == 0 {
 				// Recycle the shell; keep sel for the next morsel.
 				select {
@@ -176,6 +184,7 @@ func (s *parallelScanOp) Close() error {
 // the build-side path of the parallel pipeline — the whole drain runs at
 // worker parallelism with zero cross-worker coordination beyond the cursor.
 func (s *parallelScanOp) drainCols() (colData, error) {
+	data := s.leaf.data
 	var cursor atomic.Int64
 	bufs := make([]colData, s.workers)
 	var wg sync.WaitGroup
@@ -183,24 +192,24 @@ func (s *parallelScanOp) drainCols() (colData, error) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			out := colData{cols: make([][]int64, s.data.width())}
+			out := colData{cols: make([][]int64, data.width())}
 			sel := make([]int, 0, morselSize)
 			var window [][]int64
 			for {
 				lo := int(cursor.Add(1)-1) * morselSize
-				if lo >= s.data.n {
+				if lo >= data.n {
 					break
 				}
 				hi := lo + morselSize
-				if hi > s.data.n {
-					hi = s.data.n
+				if hi > data.n {
+					hi = data.n
 				}
-				window = s.data.window(window, lo, hi)
-				if s.filter.Empty() {
+				window = data.window(window, lo, hi)
+				if s.leaf.filter.Empty() {
 					out.appendSel(window, hi-lo, nil)
 					continue
 				}
-				sel = s.filter.SelCols(window, hi-lo, sel)
+				sel = s.leaf.sel(lo, hi, sel)
 				out.appendSel(window, hi-lo, sel)
 			}
 			bufs[w] = out

@@ -21,25 +21,27 @@ import (
 
 // pipeStage is one fused hash-join probe: the compiled build-side subtree,
 // the key offsets of the build row and of the incoming probe row, the
-// residual predicates first checkable at this join, and the cardinality
-// counter for the join's output. The joinTable is built at Open (with the
-// partitioned parallel build for large sides) and is read-only afterwards,
-// so all workers probe it without synchronization.
+// residual predicates first checkable at this join, the build and probe
+// columns the join emits (its live output, build columns first), and the
+// cardinality counter for the join's output. The joinTable is built at Open
+// (with the partitioned parallel build for large sides) and is read-only
+// afterwards, so all workers probe it without synchronization.
 type pipeStage struct {
 	build     VecIterator
 	buildKeys []int
 	probeKeys []int
 	residual  []ColPred
+	buildOut  []int
+	probeOut  []int
 	card      *int64
 
 	table *joinTable
 }
 
 type parallelPipelineOp struct {
-	// probe source: a morsel-addressable column-major base table plus its
-	// scan filter and cardinality counter.
-	data     colData
-	filter   ScanFilter
+	// probe source: a morsel-addressable column-major base table with its
+	// scan filter, and the scan's cardinality counter.
+	leaf     scanLeaf
 	scanCard *int64
 
 	stages  []*pipeStage // in probe order: stages[0] is probed first
@@ -77,9 +79,9 @@ type parallelPipelineOp struct {
 // table. With agg == nil the op emits the joined rows; setting agg (via
 // fuseAgg before Open) switches the terminal to worker-local partial
 // aggregation with a final merge.
-func newParallelPipeline(data colData, filter ScanFilter, scanCard *int64,
+func newParallelPipeline(leaf scanLeaf, scanCard *int64,
 	stages []*pipeStage, workers int) *parallelPipelineOp {
-	if max := (data.n + morselSize - 1) / morselSize; workers > max {
+	if max := (leaf.data.n + morselSize - 1) / morselSize; workers > max {
 		workers = max
 	}
 	// At least one worker even for an empty probe table, so the merge
@@ -87,8 +89,7 @@ func newParallelPipeline(data colData, filter ScanFilter, scanCard *int64,
 	if workers < 1 {
 		workers = 1
 	}
-	return &parallelPipelineOp{data: data, filter: filter, scanCard: scanCard,
-		stages: stages, workers: workers}
+	return &parallelPipelineOp{leaf: leaf, scanCard: scanCard, stages: stages, workers: workers}
 }
 
 // fuseAgg replaces the pipeline's collect terminal with worker-local hash
@@ -123,17 +124,15 @@ func (p *parallelPipelineOp) Open() error {
 	// Build every stage's join table up front. Build sides drain through
 	// drainVecCols, which parallelizes across morsels where the subtree
 	// supports it; large tables use the partitioned parallel insert.
-	width := p.data.width()
-	stageWidths := make([]int, len(p.stages)) // output width per stage
-	for i, st := range p.stages {
+	width := p.leaf.data.width() // the pipeline's output width: the last stage's, or the scan's
+	for _, st := range p.stages {
 		data, err := drainVecCols(st.build)
 		if err != nil {
 			return err
 		}
 		p.mem.Force(colBytes(data.width(), data.n) + joinTableBytes(data.n))
 		st.table = newJoinTable(data, st.buildKeys, p.workers)
-		width += data.width()
-		stageWidths[i] = width
+		width = len(st.buildOut) + len(st.probeOut)
 	}
 
 	p.stream = p.agg == nil
@@ -143,12 +142,7 @@ func (p *parallelPipelineOp) Open() error {
 		shells := 2*p.workers + 1 // per-worker in flight + channel buffer + consumer
 		p.free = make(chan *Batch, shells)
 		for i := 0; i < shells; i++ {
-			flat := make([]int64, width*BatchSize)
-			b := &Batch{Cols: make([][]int64, width)}
-			for c := range b.Cols {
-				b.Cols[c] = flat[c*BatchSize : (c+1)*BatchSize : (c+1)*BatchSize]
-			}
-			p.free <- b
+			p.free <- &Batch{Cols: flatCols(width, BatchSize)}
 		}
 		p.mem.Force(int64(shells) * colBytes(width, BatchSize))
 	}
@@ -162,17 +156,11 @@ func (p *parallelPipelineOp) Open() error {
 			counts: make([]int64, len(p.stages)+1),
 			stages: make([]stageScratch, len(p.stages)),
 		}
-		for i := range pw.stages {
-			sw := stageWidths[i]
-			flat := make([]int64, sw*BatchSize)
-			cols := make([][]int64, sw)
-			for c := range cols {
-				cols[c] = flat[c*BatchSize : (c+1)*BatchSize : (c+1)*BatchSize]
-			}
+		for i, st := range p.stages {
 			pw.stages[i] = stageScratch{
 				pairsB: make([]int32, 0, BatchSize),
 				pairsP: make([]int32, 0, BatchSize),
-				out:    cols,
+				out:    flatCols(len(st.buildOut)+len(st.probeOut), BatchSize),
 			}
 		}
 		if p.agg != nil {
@@ -264,8 +252,8 @@ func (p *parallelPipelineOp) mergeProf(workers []*pipeWorker) {
 }
 
 func (w *pipeWorker) run(cursor *atomic.Int64) {
-	data := w.op.data
-	filter := w.op.filter
+	leaf := &w.op.leaf
+	data, filter := leaf.data, leaf.filter
 	var sel []int
 	if !filter.Empty() {
 		sel = make([]int, 0, morselSize)
@@ -292,7 +280,7 @@ func (w *pipeWorker) run(cursor *atomic.Int64) {
 			w.counts[0] += int64(n)
 			w.probeStage(0, window, n, nil)
 		} else {
-			sel = filter.SelCols(window, n, sel)
+			sel = leaf.sel(lo, hi, sel)
 			w.counts[0] += int64(len(sel))
 			if len(sel) > 0 {
 				w.probeStage(0, window, n, sel)
@@ -418,13 +406,7 @@ func (w *pipeWorker) flushStage(depth int, cols [][]int64) {
 	pb, pp := filterPairs(st.residual, &st.table.data, cols, sc.pairsB, sc.pairsP)
 	if m := len(pb); m > 0 {
 		w.counts[depth+1] += int64(m)
-		bw := st.table.data.width()
-		for c := 0; c < bw; c++ {
-			Gather(sc.out[c][:m], st.table.data.cols[c], pb)
-		}
-		for c := range cols {
-			Gather(sc.out[bw+c][:m], cols[c], pp)
-		}
+		gatherPairs(sc.out, &st.table.data, st.buildOut, cols, st.probeOut, pb, pp)
 		w.probeStage(depth+1, sc.out, m, nil)
 	}
 	sc.pairsB, sc.pairsP = sc.pairsB[:0], sc.pairsP[:0]

@@ -63,6 +63,12 @@ func TestCompilePipelineFuses(t *testing.T) {
 	}
 }
 
+// leafOf is a scan leaf over row-major test data that emits every column.
+func leafOf(rows [][]int64, arity int, filter ScanFilter) scanLeaf {
+	d := transposeRows(rows, arity)
+	return leafOfCols(d.cols, d.n, filter)
+}
+
 // TestPipelineCascadeMatchesSerial builds a two-stage probe cascade by hand
 // and checks it against the nested serial hash joins, including residual
 // filters and exact per-stage cardinality counters.
@@ -93,8 +99,8 @@ func TestPipelineCascadeMatchesSerial(t *testing.T) {
 		NewVecHashJoin(
 			NewVecScanRows(buildA, ScanFilter{}),
 			NewVecScanRows(probe, filter),
-			[]int{0}, []int{0}, nil, 1),
-		[]int{0}, []int{3}, residual, 1)
+			[]int{0}, []int{0}, nil, seq(2), seq(3), 1),
+		[]int{0}, []int{3}, residual, seq(2), seq(5), 1)
 	want, err := DrainVec(serial)
 	if err != nil {
 		t.Fatal(err)
@@ -103,11 +109,11 @@ func TestPipelineCascadeMatchesSerial(t *testing.T) {
 	var scanN, aN, bN int64
 	stages := []*pipeStage{
 		{build: NewVecScanRows(buildA, ScanFilter{}), buildKeys: []int{0},
-			probeKeys: []int{0}, card: &aN},
+			probeKeys: []int{0}, buildOut: seq(2), probeOut: seq(3), card: &aN},
 		{build: NewVecScanRows(buildB, ScanFilter{}), buildKeys: []int{0},
-			probeKeys: []int{3}, residual: residual, card: &bN},
+			probeKeys: []int{3}, residual: residual, buildOut: seq(2), probeOut: seq(5), card: &bN},
 	}
-	pipe := newParallelPipeline(transposeRows(probe, 3), filter, &scanN, stages, 4)
+	pipe := newParallelPipeline(leafOf(probe, 3, filter), &scanN, stages, 4)
 	got, err := DrainVec(pipe)
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +132,7 @@ func TestPipelineCascadeMatchesSerial(t *testing.T) {
 		t.Errorf("scan counter = %d, want %d", scanN, wantScan)
 	}
 	wantA, err := CountVec(NewVecHashJoin(NewVecScanRows(buildA, ScanFilter{}),
-		NewVecScanRows(probe, filter), []int{0}, []int{0}, nil, 1))
+		NewVecScanRows(probe, filter), []int{0}, []int{0}, nil, seq(2), seq(3), 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +157,7 @@ func TestPipelineAggMatchesSerial(t *testing.T) {
 		CountDistinct: []int{0}}
 
 	serial := NewVecHashAgg(NewVecHashJoin(NewVecScanRows(build, ScanFilter{}),
-		NewVecScanRows(probe, ScanFilter{}), []int{0}, []int{0}, nil, 1), spec)
+		NewVecScanRows(probe, ScanFilter{}), []int{0}, []int{0}, nil, seq(2), seq(2), 1), spec)
 	want, err := DrainVec(serial)
 	if err != nil {
 		t.Fatal(err)
@@ -159,8 +165,8 @@ func TestPipelineAggMatchesSerial(t *testing.T) {
 
 	var scanN, joinN int64
 	stages := []*pipeStage{{build: NewVecScanRows(build, ScanFilter{}),
-		buildKeys: []int{0}, probeKeys: []int{0}, card: &joinN}}
-	pipe := newParallelPipeline(transposeRows(probe, 2), ScanFilter{}, &scanN, stages, 4)
+		buildKeys: []int{0}, probeKeys: []int{0}, buildOut: seq(2), probeOut: seq(2), card: &joinN}}
+	pipe := newParallelPipeline(leafOf(probe, 2, ScanFilter{}), &scanN, stages, 4)
 	pipe.fuseAgg(spec)
 	got, err := DrainVec(pipe)
 	if err != nil {

@@ -32,6 +32,9 @@ import (
 // compiles.
 type PlanProfile struct {
 	spans map[*relalg.Plan]*obs.Span
+	// cols is each compiled node's output width: the columns still read at
+	// or above it (live.go), recorded at compile time.
+	cols map[*relalg.Plan]int
 	// Agg profiles the terminal aggregation (hash agg above the plan root,
 	// or the fused pipeline's worker-local partial aggregation).
 	Agg *obs.Span
@@ -42,7 +45,7 @@ type PlanProfile struct {
 
 // NewPlanProfile returns an empty profile ready for Compiler.Prof.
 func NewPlanProfile() *PlanProfile {
-	return &PlanProfile{spans: map[*relalg.Plan]*obs.Span{}, Agg: &obs.Span{}}
+	return &PlanProfile{spans: map[*relalg.Plan]*obs.Span{}, cols: map[*relalg.Plan]int{}, Agg: &obs.Span{}}
 }
 
 // span returns the (inclusive-time) span of a plan node, registering it on
@@ -90,7 +93,8 @@ func (pp *PlanProfile) displayNanos(p *relalg.Plan) int64 {
 // Format renders the EXPLAIN ANALYZE tree: the physical plan annotated per
 // node with the optimizer's estimated cardinality against the actual row
 // count (and their q-error — the paper's estimation error, made visible per
-// query), plus batches and cumulative wall time from the execution profile.
+// query), plus the operator's output width (cols: what it carries upward),
+// batches and cumulative wall time from the execution profile.
 // stats is the RunStats of the same execution. Span times of fused parallel
 // pipelines are summed across workers (CPU time, not wall time); the header
 // notes the parallelism.
@@ -154,8 +158,8 @@ func (pp *PlanProfile) format(q *relalg.Query, p *relalg.Plan, stats *RunStats, 
 		fmt.Fprintf(b, " act=-")
 	}
 	if sp := pp.spans[p]; sp != nil {
-		fmt.Fprintf(b, " | rows=%d batches=%d time=%v]",
-			sp.Rows, sp.Batches, time.Duration(pp.displayNanos(p)).Round(time.Microsecond))
+		fmt.Fprintf(b, " | rows=%d cols=%d batches=%d time=%v]",
+			sp.Rows, pp.cols[p], sp.Batches, time.Duration(pp.displayNanos(p)).Round(time.Microsecond))
 	} else {
 		fmt.Fprintf(b, " | not executed (cached)]")
 	}

@@ -54,6 +54,9 @@ func TestExplainAnalyzeMatchesRunStats(t *testing.T) {
 					} else if sp.Rows != act {
 						t.Fatalf("%s (par=%d): span of %v recorded %d rows, RunStats %d",
 							name, par, p.Expr, sp.Rows, act)
+					} else if schema, err := comp.PlanSchema(p); err != nil || prof.cols[p] != len(schema) {
+						t.Fatalf("%s (par=%d): profile says %v carries %d columns, its schema is %v (err %v)",
+							name, par, p.Expr, prof.cols[p], schema, err)
 					} else {
 						checked++
 					}
@@ -156,7 +159,7 @@ func TestFormatAnalyzeRendering(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := prof.Format(q, vr.Plan, stats)
-	for _, want := range []string{"EXPLAIN ANALYZE", "parallelism=4", "est=", "act=", "qerr=", "batches=", "time="} {
+	for _, want := range []string{"EXPLAIN ANALYZE", "parallelism=4", "est=", "act=", "qerr=", "cols=", "batches=", "time="} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("analyze output missing %q:\n%s", want, text)
 		}

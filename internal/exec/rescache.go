@@ -8,14 +8,22 @@ package exec
 // resolved into a DECISION:
 //
 //   - probe hit: the whole subtree is replaced by a cached scan handing out
-//     zero-copy column windows over the materialized result, permuted from
-//     the entry's canonical column order into this plan's schema order, and
+//     zero-copy column windows over the materialized result, picked from the
+//     entry's canonical column order into this plan's schema order, and
 //     the entry's recorded per-node cardinalities are replayed into RunStats
 //     so the adaptive feedback loop observes byte-identical counts;
 //   - miss: the subtree compiles normally and is wrapped in a spool that
-//     tees its batches into a materialization, permutes it into canonical
-//     column order at end-of-stream and stores it, pinned to the data
+//     tees its batches into a materialization, places it at its canonical
+//     column positions at end-of-stream and stores it, pinned to the data
 //     versions of its base tables.
+//
+// Entries are column-sparse: a subtree carries only its live columns (see
+// live.go), and which those are depends on the consuming query — its
+// aggregation inputs and the predicates crossing the subtree's boundary —
+// not on the fingerprint. An entry therefore keeps the canonical width with
+// nil for every column its producer did not carry, and a probe hits only
+// when the entry holds every column of the consumer's schema; a narrower
+// entry is a plain miss and the consumer's spool replaces it.
 //
 // Soundness leans on three invariants. First, equal fingerprints imply
 // isomorphic subexpressions (relalg.Fingerprinter), and candidates refuse
@@ -31,6 +39,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/relalg"
 	"repro/internal/rescache"
@@ -145,9 +154,60 @@ func collectCachePoints(out []CachePoint, p *relalg.Plan, fper *relalg.Fingerpri
 
 // cacheDecision is one resolved candidate: serve (entry != nil) or spool.
 type cacheDecision struct {
-	cand     *CacheCandidate
+	cand *CacheCandidate
+	// schema is the subtree's output schema (PlanSchema of the candidate
+	// node), canon the canonical column position of each of its columns, and
+	// width the canonical width: every member relation's full arity.
+	schema   []relalg.ColID
+	canon    []int
+	width    int
 	entry    *rescache.Entry         // probe hit: serve these columns
 	versions []rescache.TableVersion // spool: versions pinned at decision time
+}
+
+// cacheLayout resolves where the candidate's output columns sit in its
+// entry's canonical column order: member relations in canonical fingerprint
+// order, each contributing its full base-table arity.
+func (c *Compiler) cacheLayout(cand *CacheCandidate) (*cacheDecision, error) {
+	d := &cacheDecision{cand: cand}
+	base := make(map[int]int, len(cand.CanonOrder))
+	for _, rel := range cand.CanonOrder {
+		t, err := c.Cat.Table(c.Q.Rels[rel].Table)
+		if err != nil {
+			return nil, err
+		}
+		base[rel] = d.width
+		d.width += len(t.ColNames)
+	}
+	var err error
+	if d.schema, err = c.PlanSchema(cand.Node); err != nil {
+		return nil, err
+	}
+	d.canon = make([]int, len(d.schema))
+	for i, col := range d.schema {
+		d.canon[i] = base[col.Rel] + col.Off
+	}
+	return d, nil
+}
+
+// servedBy reports whether a stored entry can serve this plan's subtree: it
+// has the canonical width, holds every column of the subtree's schema, and
+// records a cardinality for every node this plan shape counts.
+func (d *cacheDecision) servedBy(e *rescache.Entry) bool {
+	if len(e.Cols) != d.width || int64(e.N) != e.Cards[d.cand.FP] {
+		return false
+	}
+	for _, k := range d.canon {
+		if e.Cols[k] == nil {
+			return false
+		}
+	}
+	for _, cp := range d.cand.Counts {
+		if _, ok := e.Cards[cp.FP]; !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // tableVersion resolves a base table's current data version for probe
@@ -185,14 +245,15 @@ func (c *Compiler) resolveCache() {
 		if under(cand.Expr, hitRoots) {
 			continue
 		}
-		entry, ok := c.Cache.Probe(cand.FP, c.tableVersion, func(e *rescache.Entry) bool {
-			return c.cacheCompatible(cand, e)
-		})
-		if ok {
+		d, err := c.cacheLayout(cand)
+		if err != nil {
+			continue // compiling the node reports it
+		}
+		if d.entry, _ = c.Cache.Probe(cand.FP, c.tableVersion, d.servedBy); d.entry != nil {
 			if c.decisions == nil {
 				c.decisions = map[*relalg.Plan]*cacheDecision{}
 			}
-			c.decisions[cand.Node] = &cacheDecision{cand: cand, entry: entry}
+			c.decisions[cand.Node] = d
 			hitRoots = append(hitRoots, cand.Expr)
 			continue
 		}
@@ -216,32 +277,10 @@ func (c *Compiler) resolveCache() {
 		if c.decisions == nil {
 			c.decisions = map[*relalg.Plan]*cacheDecision{}
 		}
-		c.decisions[cand.Node] = &cacheDecision{cand: cand, versions: versions}
+		d.versions = versions
+		c.decisions[cand.Node] = d
 		spoolRoots = append(spoolRoots, cand.Expr)
 	}
-}
-
-// cacheCompatible reports whether a stored entry can serve this plan's
-// subtree: the column count matches the subtree's full output width and the
-// entry records a cardinality for every node this plan shape counts.
-func (c *Compiler) cacheCompatible(cand *CacheCandidate, e *rescache.Entry) bool {
-	width := 0
-	for _, rel := range cand.CanonOrder {
-		arity, err := c.tableArity(rel)
-		if err != nil {
-			return false
-		}
-		width += arity
-	}
-	if len(e.Cols) != width || int64(e.N) != e.Cards[cand.FP] {
-		return false
-	}
-	for _, cp := range cand.Counts {
-		if _, ok := e.Cards[cp.FP]; !ok {
-			return false
-		}
-	}
-	return true
 }
 
 // takeDecision pops the decision attached to a plan node, if any. Popping
@@ -268,59 +307,21 @@ func (c *Compiler) decisionWithin(p *relalg.Plan) bool {
 	return false
 }
 
-// canonColOffsets maps every output column of the candidate's subtree to its
-// offset in the entry's canonical column order.
-func (c *Compiler) canonColOffsets(cand *CacheCandidate) (map[relalg.ColID]int, error) {
-	off := map[relalg.ColID]int{}
-	base := 0
-	for _, rel := range cand.CanonOrder {
-		arity, err := c.tableArity(rel)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < arity; i++ {
-			off[relalg.ColID{Rel: rel, Off: i}] = base + i
-		}
-		base += arity
-	}
-	return off, nil
-}
-
 // applyCacheDecision compiles a decided node: a probe hit becomes a cached
-// scan over the entry's columns permuted into this plan's schema order, with
+// scan over the entry's columns picked into this plan's schema order, with
 // the entry's cardinalities replayed into RunStats (the subtree's operators
 // never exist, so nothing double-counts); a miss compiles the subtree
 // normally and wraps it in a spool.
 func (c *Compiler) applyCacheDecision(d *cacheDecision, p *relalg.Plan, stats *RunStats) (VecIterator, []relalg.ColID, error) {
-	schema, err := c.PlanSchema(p)
-	if err != nil {
-		return nil, nil, err
-	}
-	canon, err := c.canonColOffsets(d.cand)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(schema) != len(canon) {
-		return nil, nil, fmt.Errorf("exec: cache candidate %v: schema width %d != canonical width %d",
-			d.cand.Expr, len(schema), len(canon))
-	}
-
 	if d.entry != nil {
-		cols := make([][]int64, len(schema))
-		for i, cid := range schema {
-			k, ok := canon[cid]
-			if !ok {
-				return nil, nil, fmt.Errorf("exec: cache candidate %v: column %+v not in canonical order", d.cand.Expr, cid)
-			}
+		cols := make([][]int64, len(d.canon))
+		for i, k := range d.canon {
 			cols[i] = d.entry.Cols[k]
-			if cols[i] == nil {
-				cols[i] = []int64{}
-			}
 		}
 		for _, cp := range d.cand.Counts {
 			*stats.counter(cp.Set) = d.entry.Cards[cp.FP]
 		}
-		return NewVecScan(cols, d.entry.N, ScanFilter{}), schema, nil
+		return NewVecScan(cols, d.entry.N, ScanFilter{}), d.schema, nil
 	}
 
 	// Compile the missed subtree via compileVecNode: the profiling shim for
@@ -330,16 +331,16 @@ func (c *Compiler) applyCacheDecision(d *cacheDecision, p *relalg.Plan, stats *R
 	if err != nil {
 		return nil, nil, err
 	}
-	// canonPos[k] = position in the subtree schema of canonical column k.
-	canonPos := make([]int, len(schema))
-	for i, cid := range schema {
-		canonPos[canon[cid]] = i
+	if !slices.Equal(schema, d.schema) {
+		return nil, nil, fmt.Errorf("exec: cache candidate %v: compiled schema %v != planned schema %v",
+			d.cand.Expr, schema, d.schema)
 	}
 	return &spoolOp{
 		in:       in,
 		cache:    c.Cache,
 		fp:       d.cand.FP,
-		canonPos: canonPos,
+		canon:    d.canon,
+		width:    d.width,
 		counts:   d.cand.Counts,
 		stats:    stats,
 		versions: d.versions,
@@ -347,49 +348,9 @@ func (c *Compiler) applyCacheDecision(d *cacheDecision, p *relalg.Plan, stats *R
 	}, schema, nil
 }
 
-// PlanSchema returns the output schema (the ColID of every output column, in
-// order) of the operator tree the vectorized compiler builds for p, without
-// building it.
-func (c *Compiler) PlanSchema(p *relalg.Plan) ([]relalg.ColID, error) {
-	relSchema := func(rel int) ([]relalg.ColID, error) {
-		arity, err := c.tableArity(rel)
-		if err != nil {
-			return nil, err
-		}
-		s := make([]relalg.ColID, arity)
-		for i := range s {
-			s[i] = relalg.ColID{Rel: rel, Off: i}
-		}
-		return s, nil
-	}
-	switch p.Log {
-	case relalg.LogScan:
-		return relSchema(p.Rel)
-	case relalg.LogEnforce:
-		return c.PlanSchema(p.Left)
-	case relalg.LogJoin:
-		var ls []relalg.ColID
-		var err error
-		if p.Phy == relalg.PhyIndexNLJoin {
-			ls, err = relSchema(p.Left.Expr.SingleMember())
-		} else {
-			ls, err = c.PlanSchema(p.Left)
-		}
-		if err != nil {
-			return nil, err
-		}
-		rs, err := c.PlanSchema(p.Right)
-		if err != nil {
-			return nil, err
-		}
-		return append(append([]relalg.ColID(nil), ls...), rs...), nil
-	}
-	return nil, fmt.Errorf("exec: unknown logical operator %v", p.Log)
-}
-
 // spoolOp tees its input's batches into a materialization while streaming
-// them onward unchanged. At end of stream it permutes the materialized
-// columns into canonical order, attaches the subtree's observed
+// them onward unchanged. At end of stream it places the materialized
+// columns at their canonical positions, attaches the subtree's observed
 // cardinalities (final by then — the whole subtree has drained) and the
 // pinned table versions, and stores the entry. Teeing is abandoned — the
 // stream continues untouched — if the materialization outgrows the cache's
@@ -399,7 +360,8 @@ type spoolOp struct {
 	in       VecIterator
 	cache    *rescache.Cache
 	fp       string
-	canonPos []int // canonical column k -> subtree schema position
+	canon    []int // subtree schema position -> canonical column
+	width    int   // canonical width of the entry
 	counts   []CachePoint
 	stats    *RunStats
 	versions []rescache.TableVersion
@@ -425,7 +387,7 @@ func (s *spoolOp) Next() (*Batch, error) {
 	}
 	if !s.abandoned {
 		s.data.appendBatch(b)
-		if int64(s.data.n)*int64(len(s.canonPos))*8 > s.maxBytes {
+		if colBytes(len(s.canon), s.data.n) > s.maxBytes {
 			s.abandoned = true
 			s.data = colData{}
 		}
@@ -435,25 +397,30 @@ func (s *spoolOp) Next() (*Batch, error) {
 
 func (s *spoolOp) Close() error { return s.in.Close() }
 
-// finish builds and stores the entry, once.
+// finish builds and stores the entry, once. The held columns are copied
+// into one exact-size backing array: the append-grown tee buffers carry up to
+// a quarter of slack capacity each, which a long-lived entry would pin well
+// past its accounted size.
 func (s *spoolOp) finish() {
 	if s.abandoned || s.done {
 		return
 	}
 	s.done = true
-	cols := make([][]int64, len(s.canonPos))
-	for k, i := range s.canonPos {
+	n := s.data.n
+	held := flatCols(len(s.canon), n)
+	cols := make([][]int64, s.width)
+	for i, k := range s.canon {
 		if s.data.cols != nil {
-			cols[k] = s.data.cols[i]
-		} else {
-			cols[k] = []int64{}
+			copy(held[i], s.data.cols[i])
 		}
+		cols[k] = held[i]
 	}
+	s.data = colData{}
 	cards := make(map[string]int64, len(s.counts))
 	for _, cp := range s.counts {
 		cards[cp.FP] = *s.stats.counter(cp.Set)
 	}
 	s.cache.Store(s.fp, &rescache.Entry{
-		Cols: cols, N: s.data.n, Cards: cards, Versions: s.versions,
+		Cols: cols, N: n, Cards: cards, Versions: s.versions,
 	})
 }

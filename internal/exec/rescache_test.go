@@ -3,6 +3,7 @@ package exec
 import (
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/cost"
 	"repro/internal/relalg"
 	"repro/internal/rescache"
@@ -30,9 +31,13 @@ func statsEqual(t *testing.T, name string, got, want map[relalg.RelSet]int64) {
 // (spooling) and a second (probing) must both reproduce the uncached result
 // multiset AND the uncached RunStats byte for byte, at serial and parallel
 // compilation. The probe run must actually hit — a silently cold cache would
-// pass the differential while testing nothing.
+// pass the differential while testing nothing. Entries are column-sparse, so
+// the same bar is then held across two fingerprint-equal consumers that read
+// different columns of the shared subtrees (sparseCacheDifferential).
 func TestResultCacheSpoolProbeDifferential(t *testing.T) {
 	cat := tpch.Generate(tpch.Config{ScaleFactor: 0.002, Seed: 7})
+	t.Run("sparse", func(t *testing.T) { sparseCacheDifferential(t, cat, tpch.SegMachinery) })
+	t.Run("sparse, empty result", func(t *testing.T) { sparseCacheDifferential(t, cat, -1) })
 	for name, q := range tpch.Queries() {
 		m, err := cost.NewModel(q, cat, cost.DefaultParams())
 		if err != nil {
@@ -85,6 +90,99 @@ func TestResultCacheSpoolProbeDifferential(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// sparseCacheDifferential runs two consumers of one cache whose plans are
+// fingerprint-equal node for node — Q3S's joins under two aggregations — but
+// whose subtrees carry different columns: narrow reads one lineitem column,
+// wide one more. Every run must reproduce its uncached rows and RunStats;
+// what changes is who hits. segment selects the customers: a value no
+// customer has makes every entry over customer empty (N == 0), where "held,
+// but empty" and "not held" must still be told apart.
+func sparseCacheDifferential(t *testing.T, cat *catalog.Catalog, segment int64) {
+	type consumer struct {
+		q     *relalg.Query
+		plan  *relalg.Plan
+		cands []CacheCandidate
+		rows  string
+		stats map[relalg.RelSet]int64
+	}
+	consumerOf := func(agg *relalg.AggSpec) *consumer {
+		q := tpch.Q3S()
+		q.Scans[0].Val = segment
+		q.Agg = agg
+		m, err := cost.NewModel(q, cat, cost.DefaultParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		vr, err := volcano.Optimize(m, relalg.DefaultSpace())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := &consumer{q: q, plan: vr.Plan,
+			cands: BuildCacheCandidates(q, vr.Plan, relalg.NewFingerprinter(q), 0)}
+		v, st, err := (&Compiler{Q: q, Cat: cat}).CompileVec(vr.Plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := DrainVec(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.rows, c.stats = rowMultiset(rows), st.Snapshot()
+		return c
+	}
+	const lineitem = 2
+	price := relalg.ColID{Rel: lineitem, Off: 5}
+	narrow := consumerOf(&relalg.AggSpec{Sums: []relalg.ColID{price}, CountAll: true})
+	wide := consumerOf(&relalg.AggSpec{Sums: []relalg.ColID{price},
+		GroupBy: []relalg.ColID{{Rel: lineitem, Off: 6}}, CountAll: true})
+	if len(narrow.cands) == 0 || len(narrow.cands) != len(wide.cands) || narrow.cands[0].FP != wide.cands[0].FP {
+		t.Fatalf("consumers are not fingerprint-equal: %d vs %d candidates", len(narrow.cands), len(wide.cands))
+	}
+
+	cache := rescache.New(rescache.Options{MaxBytes: 64 << 20})
+	// run executes c against the shared cache, holds it to its uncached
+	// result, and returns the cache activity of this one run.
+	run := func(label string, c *consumer) (hits, misses, stores int64) {
+		t.Helper()
+		m0 := cache.Metrics()
+		v, st, err := (&Compiler{Q: c.q, Cat: cat, Cache: cache, CacheCands: c.cands}).CompileVec(c.plan)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		rows, err := DrainVec(v)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if rowMultiset(rows) != c.rows {
+			t.Fatalf("%s: result differs from the uncached run", label)
+		}
+		statsEqual(t, label, st.Snapshot(), c.stats)
+		m1 := cache.Metrics()
+		return m1.Hits - m0.Hits, m1.Misses - m0.Misses, m1.Stores - m0.Stores
+	}
+
+	if _, _, stores := run("narrow spools", narrow); stores == 0 {
+		t.Fatal("narrow consumer stored nothing")
+	}
+	if hits, misses, _ := run("narrow probes", narrow); hits != 1 || misses != 0 {
+		t.Fatalf("narrow consumer over its own entries: %d hits %d misses, want the root hit alone", hits, misses)
+	}
+	// The narrow entries lack the wide consumer's extra lineitem column: a
+	// miss wherever that column is carried — never a hit on a column the
+	// entry does not hold — and the wide spool replaces them.
+	if _, misses, stores := run("wide over narrow entries", wide); misses == 0 || stores == 0 {
+		t.Fatalf("wide consumer over narrow entries: %d misses %d stores, want a miss and a re-spool", misses, stores)
+	}
+	if hits, misses, _ := run("wide probes", wide); hits != 1 || misses != 0 {
+		t.Fatalf("wide consumer over its own entries: %d hits %d misses, want the root hit alone", hits, misses)
+	}
+	// A wide entry holds everything the narrow consumer reads.
+	if hits, misses, stores := run("narrow over wide entries", narrow); hits != 1 || misses != 0 || stores != 0 {
+		t.Fatalf("narrow consumer over wide entries: %d hits %d misses %d stores, want the root hit alone",
+			hits, misses, stores)
 	}
 }
 

@@ -12,19 +12,27 @@ import (
 // ScanFilter kernels as a plain table scan — pruning only removes rows the
 // filter would reject anyway, so the result multiset is identical.
 type storageScanOp struct {
-	store  storage.Backend
-	preds  []storage.Pred
-	filter ScanFilter
-	it     *storage.SegIter
-	batch  Batch
-	sel    []int
-	pruned int64
+	store   storage.Backend
+	preds   []storage.Pred
+	src     []int      // table offset of each emitted column
+	predSrc []int      // table offset of each column the filter reads
+	filter  ScanFilter // conditions over positions in predSrc
+	it      *storage.SegIter
+	pred    [][]int64
+	batch   Batch
+	sel     []int
+	pruned  int64
 }
 
-// newStorageScan builds the leaf. The pushed preds mirror filter.Conds so
-// pruning and filtering agree on the predicate set.
-func newStorageScan(store storage.Backend, preds []storage.Pred, filter ScanFilter) *storageScanOp {
-	return &storageScanOp{store: store, preds: preds, filter: filter}
+// newStorageScan builds the leaf. The pushed preds mirror the leaf's filter
+// so pruning and filtering agree on the predicate set.
+func newStorageScan(store storage.Backend, leaf scanLeaf) *storageScanOp {
+	src := make([]int, len(leaf.schema))
+	for i, col := range leaf.schema {
+		src[i] = col.Off
+	}
+	return &storageScanOp{store: store, preds: storagePreds(leaf.filter.Conds, leaf.predSrc),
+		src: src, predSrc: leaf.predSrc, filter: leaf.filter}
 }
 
 func (s *storageScanOp) Open() error {
@@ -41,17 +49,20 @@ func (s *storageScanOp) Next() (*Batch, error) {
 		if !ok {
 			return nil, nil
 		}
-		if cap(s.batch.Cols) < len(cols) {
-			s.batch.Cols = make([][]int64, len(cols))
+		s.batch.Cols = s.batch.Cols[:0]
+		for _, off := range s.src {
+			s.batch.Cols = append(s.batch.Cols, cols[off])
 		}
-		s.batch.Cols = s.batch.Cols[:len(cols)]
-		copy(s.batch.Cols, cols)
 		s.batch.N = n
 		if s.filter.Empty() {
 			s.batch.Sel = nil
 			return &s.batch, nil
 		}
-		s.sel = s.filter.SelCols(s.batch.Cols, s.batch.N, s.sel)
+		s.pred = s.pred[:0]
+		for _, off := range s.predSrc {
+			s.pred = append(s.pred, cols[off])
+		}
+		s.sel = s.filter.SelCols(s.pred, n, s.sel)
 		if len(s.sel) == 0 {
 			continue
 		}
@@ -68,10 +79,11 @@ func (s *storageScanOp) Close() error {
 	return nil
 }
 
-// storagePreds translates the compiled scan conditions into storage-layer
-// pushdown predicates. The operator mapping is explicit so a reordering of
-// either enum cannot silently flip comparison semantics.
-func storagePreds(conds []ScanCond) []storage.Pred {
+// storagePreds translates the compiled scan conditions (over positions in
+// predSrc) into storage-layer pushdown predicates over table columns. The
+// operator mapping is explicit so a reordering of either enum cannot
+// silently flip comparison semantics.
+func storagePreds(conds []ScanCond, predSrc []int) []storage.Pred {
 	if len(conds) == 0 {
 		return nil
 	}
@@ -94,7 +106,7 @@ func storagePreds(conds []ScanCond) []storage.Pred {
 		default:
 			continue // unknown operator: not pushed, still filtered
 		}
-		out = append(out, storage.Pred{Col: cn.Off, Op: op, Val: cn.Val})
+		out = append(out, storage.Pred{Col: predSrc[cn.Off], Op: op, Val: cn.Val})
 	}
 	return out
 }

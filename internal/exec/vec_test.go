@@ -116,7 +116,7 @@ func TestVecHashJoinSpansBatches(t *testing.T) {
 		build[i] = []int64{1, int64(i)}
 		probe[i] = []int64{1, int64(100 + i)}
 	}
-	v := NewVecHashJoin(NewVecScanRows(build, ScanFilter{}), NewVecScanRows(probe, ScanFilter{}), []int{0}, []int{0}, nil, 1)
+	v := NewVecHashJoin(NewVecScanRows(build, ScanFilter{}), NewVecScanRows(probe, ScanFilter{}), []int{0}, []int{0}, nil, seq(2), seq(2), 1)
 	out, err := DrainVec(v)
 	if err != nil {
 		t.Fatal(err)
@@ -173,10 +173,10 @@ func TestVecHashJoinOpenErrorReleasesProbe(t *testing.T) {
 	}
 	unsorted := rows([]int64{2}, []int64{1})
 	sorted := rows([]int64{1})
-	build := NewVecMergeJoin(NewVecScanRows(unsorted, ScanFilter{}), NewVecScanRows(sorted, ScanFilter{}), 0, 0, nil)
+	build := NewVecMergeJoin(NewVecScanRows(unsorted, ScanFilter{}), NewVecScanRows(sorted, ScanFilter{}), 0, 0, nil, seq(1), seq(1))
 	before := runtime.NumGoroutine()
 	probeCols := transposeRows(probeData, 1)
-	j := NewVecHashJoin(build, NewParallelScan(probeCols.cols, probeCols.n, ScanFilter{}, 4), []int{0}, []int{0}, nil, 1)
+	j := NewVecHashJoin(build, NewParallelScan(probeCols.cols, probeCols.n, ScanFilter{}, 4), []int{0}, []int{0}, nil, seq(2), seq(1), 1)
 	if err := j.Open(); err == nil {
 		t.Fatal("unsorted build input accepted")
 	}

@@ -12,30 +12,46 @@ import (
 // per column. Output columns live in a single flat buffer owned by the
 // operator and recycled every batch.
 
-// colEmitter is the reusable columnar output side of the join operators.
+// colEmitter is the reusable columnar output side of the join operators:
+// the build-side and probe-side input columns the join emits (build columns
+// first), as positions in the respective inputs. Columns the join only reads
+// itself — keys and residual operands nothing above needs — are in neither
+// list and are never gathered.
 type colEmitter struct {
-	batch Batch
+	buildOut, probeOut []int
+	batch              Batch
 }
 
-func (e *colEmitter) init(width int) {
-	flat := make([]int64, width*BatchSize)
-	e.batch.Cols = make([][]int64, width)
-	for c := range e.batch.Cols {
-		e.batch.Cols[c] = flat[c*BatchSize : (c+1)*BatchSize : (c+1)*BatchSize]
+// flatCols returns width columns of capacity n each over one backing array.
+func flatCols(width, n int) [][]int64 {
+	flat := make([]int64, width*n)
+	cols := make([][]int64, width)
+	for c := range cols {
+		cols[c] = flat[c*n : (c+1)*n : (c+1)*n]
 	}
+	return cols
 }
 
-// emit gathers the paired rows (build ++ probe) into the output batch.
-func (e *colEmitter) emit(build *colData, probeCols [][]int64, pb, pp []int32) *Batch {
+// gatherPairs stitches the paired rows into out: the buildOut columns of
+// build through pb, then the probeOut columns of probeCols through pp.
+func gatherPairs(out [][]int64, build *colData, buildOut []int, probeCols [][]int64, probeOut []int, pb, pp []int32) {
 	m := len(pb)
-	bw := build.width()
-	for c := 0; c < bw; c++ {
-		Gather(e.batch.Cols[c][:m], build.cols[c], pb)
+	for k, c := range buildOut {
+		Gather(out[k][:m], build.cols[c], pb)
 	}
-	for c := bw; c < len(e.batch.Cols); c++ {
-		Gather(e.batch.Cols[c][:m], probeCols[c-bw], pp)
+	out = out[len(buildOut):]
+	for k, c := range probeOut {
+		Gather(out[k][:m], probeCols[c], pp)
 	}
-	e.batch.N = m
+}
+
+// emit gathers the paired rows into the output batch.
+func (e *colEmitter) emit(build *colData, probeCols [][]int64, pb, pp []int32) *Batch {
+	if e.batch.Cols == nil {
+		e.batch.Cols = flatCols(len(e.buildOut)+len(e.probeOut), BatchSize)
+	}
+	gatherPairs(e.batch.Cols, build, e.buildOut, probeCols, e.probeOut, pb, pp)
+	e.batch.N = len(pb)
 	e.batch.Sel = nil
 	return &e.batch
 }
@@ -109,13 +125,14 @@ type vecHashJoinOp struct {
 // through batch-at-a-time, keyed on rKeys. Probe-batch
 // hashes are computed with one column pass per key; chain hits are
 // prefiltered on the full hash before the key-equality check, collected as
-// index pairs, residual-filtered, and gathered column-wise into the output.
-// When workers > 1, the build side drains at worker parallelism where the
+// index pairs, residual-filtered, and gathered column-wise into the output:
+// the lOut columns of the build input, then the rOut columns of the probe
+// input. When workers > 1, the build side drains at worker parallelism where the
 // source supports it and large tables are built with the partitioned
 // parallel insert.
-func NewVecHashJoin(left, right VecIterator, lKeys, rKeys []int, residual []ColPred, workers int) VecIterator {
+func NewVecHashJoin(left, right VecIterator, lKeys, rKeys []int, residual []ColPred, lOut, rOut []int, workers int) VecIterator {
 	return &vecHashJoinOp{left: left, right: right, lKeys: lKeys, rKeys: rKeys,
-		residual: residual, workers: workers}
+		residual: residual, workers: workers, emit: colEmitter{buildOut: lOut, probeOut: rOut}}
 }
 
 func (j *vecHashJoinOp) Open() error {
@@ -200,9 +217,6 @@ func (j *vecHashJoinOp) flushPairs() *Batch {
 	j.pairsB, j.pairsP = j.pairsB[:0], j.pairsP[:0]
 	if len(pb) == 0 {
 		return nil
-	}
-	if j.emit.batch.Cols == nil {
-		j.emit.init(j.table.data.width() + j.pb.Width())
 	}
 	return j.emit.emit(&j.table.data, j.pb.Cols, pb, pp)
 }
@@ -295,9 +309,11 @@ type vecMergeJoinOp struct {
 }
 
 // NewVecMergeJoin joins two inputs already sorted on their key columns,
-// batch-at-a-time over column-major materializations.
-func NewVecMergeJoin(left, right VecIterator, lKey, rKey int, residual []ColPred) VecIterator {
-	return &vecMergeJoinOp{left: left, right: right, lKey: lKey, rKey: rKey, residual: residual}
+// batch-at-a-time over column-major materializations, emitting the lOut
+// columns of the left input, then the rOut columns of the right.
+func NewVecMergeJoin(left, right VecIterator, lKey, rKey int, residual []ColPred, lOut, rOut []int) VecIterator {
+	return &vecMergeJoinOp{left: left, right: right, lKey: lKey, rKey: rKey, residual: residual,
+		emit: colEmitter{buildOut: lOut, probeOut: rOut}}
 }
 
 func (m *vecMergeJoinOp) Open() error {
@@ -338,9 +354,6 @@ func (m *vecMergeJoinOp) flushPairs() *Batch {
 	m.pairsB, m.pairsP = m.pairsB[:0], m.pairsP[:0]
 	if len(pb) == 0 {
 		return nil
-	}
-	if m.emit.batch.Cols == nil {
-		m.emit.init(m.lData.width() + m.rData.width())
 	}
 	return m.emit.emit(&m.lData, m.rData.cols, pb, pp)
 }
@@ -406,18 +419,20 @@ type colIndex struct {
 	m    map[int64][]int32
 }
 
-// buildColIndex constructs an index on column col of a column-major table;
-// filter applies the pushed-down local selections of the inner relation.
-func buildColIndex(data colData, col int, filter ScanFilter) *colIndex {
+// buildColIndex constructs an index on column col of a scan leaf's data; the
+// leaf's filter applies the pushed-down local selections of the inner
+// relation.
+func buildColIndex(leaf scanLeaf, col int) *colIndex {
+	data := leaf.data
 	ix := &colIndex{data: data, m: map[int64][]int32{}}
 	key := data.cols[col]
-	if filter.Empty() {
+	if leaf.filter.Empty() {
 		for i := 0; i < data.n; i++ {
 			ix.m[key[i]] = append(ix.m[key[i]], int32(i))
 		}
 		return ix
 	}
-	sel := filter.SelCols(data.cols, data.n, make([]int, 0, data.n))
+	sel := leaf.sel(0, data.n, make([]int, 0, data.n))
 	for _, i := range sel {
 		ix.m[key[i]] = append(ix.m[key[i]], int32(i))
 	}
@@ -442,10 +457,12 @@ type vecIndexNLOp struct {
 }
 
 // NewVecIndexNLJoin probes a prebuilt inner index with each outer row,
-// batch-at-a-time. The output row is inner ++ outer, matching the plan
-// convention that the indexed inner is the left child.
-func NewVecIndexNLJoin(outer VecIterator, index *colIndex, outerKey int, residual []ColPred) VecIterator {
-	return &vecIndexNLOp{outer: outer, index: index, outerKey: outerKey, residual: residual}
+// batch-at-a-time. The output row is the innerOut columns of the inner, then
+// the outerOut columns of the outer, matching the plan convention that the
+// indexed inner is the left child.
+func NewVecIndexNLJoin(outer VecIterator, index *colIndex, outerKey int, residual []ColPred, innerOut, outerOut []int) VecIterator {
+	return &vecIndexNLOp{outer: outer, index: index, outerKey: outerKey, residual: residual,
+		emit: colEmitter{buildOut: innerOut, probeOut: outerOut}}
 }
 
 func (j *vecIndexNLOp) Open() error {
@@ -459,9 +476,6 @@ func (j *vecIndexNLOp) flushPairs() *Batch {
 	j.pairsB, j.pairsP = j.pairsB[:0], j.pairsP[:0]
 	if len(pb) == 0 {
 		return nil
-	}
-	if j.emit.batch.Cols == nil {
-		j.emit.init(j.index.data.width() + j.ob.Width())
 	}
 	return j.emit.emit(&j.index.data, j.ob.Cols, pb, pp)
 }

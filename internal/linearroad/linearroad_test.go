@@ -151,6 +151,11 @@ func TestSegTollSMatchesReference(t *testing.T) {
 		// Execute over the window buffers with parallel window scans
 		// enabled, the way aqp.RunSlice does.
 		comp := &exec.Compiler{Q: q, Cat: win.Catalog(), Data: win.Data, Parallelism: 4}
+		// The root join carries what the aggregation reads (three r2 group
+		// columns and r5's position), not the 40 columns of five windows.
+		if schema, err := comp.PlanSchema(p); err != nil || len(schema) > 5 {
+			t.Fatalf("root join schema %v (err %v), want at most 5 columns\n%s", schema, err, p.Explain(q))
+		}
 		v, st, err := comp.CompileVec(p)
 		if err != nil {
 			t.Fatalf("compile: %v\n%s", err, p.Explain(q))

@@ -180,6 +180,11 @@ func (q *Query) Validate() error {
 		if err := checkCol(p.R, "filter predicate"); err != nil {
 			return err
 		}
+		// A filter is applied at the join that brings its two sides
+		// together; one within a single relation would never be applied.
+		if p.L.Rel == p.R.Rel {
+			return fmt.Errorf("query %s: filter predicate within one relation %+v", q.Name, p)
+		}
 		if p.Sel <= 0 || p.Sel > 1 {
 			return fmt.Errorf("query %s: filter selectivity %v out of (0,1]", q.Name, p.Sel)
 		}

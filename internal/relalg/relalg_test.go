@@ -134,6 +134,8 @@ func TestValidateRejectsBadQueries(t *testing.T) {
 			Scans: []ScanPred{{Col: ColID{Rel: 5, Off: 0}}}},
 		{Name: "selfjoinpred", Rels: []RelRef{{Alias: "A"}, {Alias: "B"}},
 			Joins: []JoinPred{{L: ColID{Rel: 0, Off: 0}, R: ColID{Rel: 0, Off: 1}}}},
+		{Name: "selffilterpred", Rels: []RelRef{{Alias: "A"}, {Alias: "B"}},
+			Filters: []FilterPred{{L: ColID{Rel: 0, Off: 0}, R: ColID{Rel: 0, Off: 1}, Sel: 0.5}}},
 		{Name: "badsel", Rels: []RelRef{{Alias: "A"}, {Alias: "B"}},
 			Filters: []FilterPred{{L: ColID{Rel: 0, Off: 0}, R: ColID{Rel: 1, Off: 0}, Sel: 0}}},
 	}

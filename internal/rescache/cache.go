@@ -11,7 +11,12 @@
 // The cache is deliberately dumb about plans: it stores opaque column
 // vectors plus the bookkeeping needed to serve them soundly, and leaves all
 // plan surgery (candidate selection, probe/spool decisions, column
-// permutations, cardinality replay) to internal/exec. Three mechanisms keep
+// permutations, cardinality replay) to internal/exec. Entries are
+// column-sparse: a producer stores only the columns its query read above the
+// subexpression, and a consumer is served only by an entry that holds every
+// column it reads (the coverage rule, checked by the consumer's accept
+// callback); a narrower entry is a miss and is replaced by the consumer's
+// own materialization — last writer wins. Three mechanisms keep
 // a stored result trustworthy and the store bounded:
 //
 //   - Invalidation: every entry pins the data version (catalog.Table's
@@ -51,10 +56,12 @@ type Entry struct {
 	// Cols is the column-major result in CANONICAL column order: the member
 	// relations of the subexpression in relalg.Fingerprinter.CanonicalMembers
 	// order, each contributing its full base-table arity. Canonical order is
-	// what makes the entry query-independent — every consumer permutes these
-	// headers (zero-copy) back into its own plan's schema order.
+	// what makes the entry query-independent — every consumer picks these
+	// headers (zero-copy) back into its own plan's schema order. The width
+	// is always canonical, but only the columns the producer carried are
+	// held: an absent column is nil, a held one is non-nil even when N == 0.
 	Cols [][]int64
-	// N is the row count (every column has length N).
+	// N is the row count (every held column has length N).
 	N int
 	// Cards maps the canonical fingerprint of the subtree root and of every
 	// counted interior node of the PRODUCING plan to its exact observed
@@ -77,11 +84,19 @@ type Entry struct {
 // Bytes returns the entry's accounted size.
 func (e *Entry) Bytes() int64 { return e.bytes }
 
-// size computes the accounted byte cost: the column payload plus a fixed
-// per-entry overhead standing in for headers, map and bookkeeping.
+// size computes the accounted byte cost: the payload of the held columns,
+// the canonical-width header array (one slice header per column, held or
+// not — for a small sparse entry this outweighs the payload), and a fixed
+// per-entry overhead standing in for the struct, map and bookkeeping.
 func (e *Entry) size() int64 {
-	const overhead = 256
-	return int64(len(e.Cols))*int64(e.N)*8 + int64(len(e.Cards))*64 + overhead
+	const overhead, sliceHeader = 256, 24
+	held := 0
+	for _, col := range e.Cols {
+		if col != nil {
+			held++
+		}
+	}
+	return int64(held)*int64(e.N)*8 + int64(len(e.Cols))*sliceHeader + int64(len(e.Cards))*64 + overhead
 }
 
 // Options configures a Cache.

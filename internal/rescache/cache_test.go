@@ -99,6 +99,20 @@ func TestAcceptRejectionKeepsEntry(t *testing.T) {
 	}
 }
 
+// TestSparseEntryChargesHeldColumns: an entry keeps its canonical width but
+// pays only for the payload of the columns it holds, plus one slice header
+// per canonical column.
+func TestSparseEntryChargesHeldColumns(t *testing.T) {
+	dense, sparse := entry(100, 2), entry(100, 2)
+	sparse.Cols = [][]int64{nil, sparse.Cols[0], nil, nil, sparse.Cols[1], nil}
+	if got, want := sparse.size()-dense.size(), int64(4*24); got != want {
+		t.Fatalf("four absent columns cost %d bytes over the dense entry, want %d (headers only)", got, want)
+	}
+	if got, want := entry(100, 3).size()-dense.size(), int64(100*8+24); got != want {
+		t.Fatalf("a third held column costs %d bytes, want %d", got, want)
+	}
+}
+
 func TestBudgetEvictsLRU(t *testing.T) {
 	a := entry(100, 1)
 	per := a.size()

@@ -17,7 +17,11 @@
 //     (Compiler.CompileVec → DrainVec/CountVec): selection vectors,
 //     morsel-driven parallel pipelines behind a Parallelism option,
 //     per-query memory accounting with grace-hash spilling under a budget,
-//     and exact per-operator cardinality feedback;
+//     and exact per-operator cardinality feedback. Invariant: an operator's
+//     schema is the set of columns read at or above it (aggregation inputs,
+//     predicates not yet applied, its own sort key), so a column dies after
+//     its last reader; a query without an aggregation returns every column
+//     and is all-live;
 //   - internal/aqp — the adaptive query processing loop;
 //   - internal/fbstore — the server-wide statistics plane: calibrated
 //     cardinality observations keyed by canonical subexpression
@@ -25,7 +29,9 @@
 //     eviction;
 //   - internal/rescache — the bounded server-wide semantic result cache:
 //     materialized subexpression outputs keyed by the same canonical
-//     fingerprints, invalidated by base-table data versions;
+//     fingerprints, invalidated by base-table data versions; entries hold
+//     only the columns their producer carried and serve a consumer only
+//     when they cover every column it reads;
 //   - internal/server — the concurrent query service: sessions over a
 //     shared plan cache whose entries each hold a live incremental
 //     optimizer, so every execution's feedback incrementally repairs the
