@@ -182,7 +182,7 @@ func streamBench(b *testing.B, strategy aqp.Strategy, cumulative bool, slices in
 		for s := 0; s < slices; s++ {
 			win.Ingest(gen.Slice(int64(s), int64(s+1)))
 			win.Materialize()
-			if _, err := ctl.RunSlice(win.Data); err != nil {
+			if _, err := ctl.RunSlice(nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -221,7 +221,7 @@ func BenchmarkTable3SliceSizes(b *testing.B) {
 			for from := int64(0); from < 20; from += secs {
 				win.Ingest(gen.Slice(from, from+secs))
 				win.Materialize()
-				if _, err := ctl.RunSlice(win.Data); err != nil {
+				if _, err := ctl.RunSlice(nil); err != nil {
 					b.Fatal(err)
 				}
 			}

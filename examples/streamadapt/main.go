@@ -34,7 +34,7 @@ func main() {
 	for s := int64(0); s < 30; s++ {
 		win.Ingest(gen.Slice(s, s+1))
 		win.Materialize()
-		res, err := ctl.RunSlice(win.Data)
+		res, err := ctl.RunSlice(nil)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -141,8 +141,15 @@ func (c *Controller) Model() *cost.Model { return c.model }
 
 // RunSlice performs one split-point round: re-optimize under the feedback
 // staged from the previous slice, then execute the chosen plan over the
-// current window contents supplied by data.
-func (c *Controller) RunSlice(data func(rel int) [][]int64) (SliceResult, error) {
+// catalog tables' current column snapshots (for a stream, what
+// linearroad.Windows.Materialize last published).
+//
+// The parameter is vestigial and never consulted: it used to supply the
+// window contents as rows. It stays only because benchmarks/stream.go
+// passes linearroad.Windows.Data and that module is frozen for every PR but
+// a benchmark one; the follow-up benchmark PR that stops passing it drops
+// the parameter here and Windows.Data with it.
+func (c *Controller) RunSlice(_ func(rel int) [][]int64) (SliceResult, error) {
 	var res SliceResult
 
 	start := time.Now()
@@ -192,7 +199,7 @@ func (c *Controller) RunSlice(data func(rel int) [][]int64) (SliceResult, error)
 	// Execute over the current windows with the vectorized executor and
 	// collect actual cardinalities.
 	start = time.Now()
-	comp := &exec.Compiler{Q: c.cfg.Query, Cat: c.cfg.Cat, Data: data,
+	comp := &exec.Compiler{Q: c.cfg.Query, Cat: c.cfg.Cat,
 		Parallelism: c.cfg.Parallelism, MemBudgetBytes: c.cfg.MemBudgetBytes}
 	v, stats, err := comp.CompileVec(plan)
 	if err != nil {

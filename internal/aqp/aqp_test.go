@@ -29,7 +29,7 @@ func runStream(t *testing.T, cfg Config, slices int) []SliceResult {
 	for s := 0; s < slices; s++ {
 		win.Ingest(gen.Slice(int64(s*2), int64(s*2+2)))
 		win.Materialize()
-		res, err := ctl.RunSlice(win.Data)
+		res, err := ctl.RunSlice(nil)
 		if err != nil {
 			t.Fatalf("slice %d: %v", s, err)
 		}
@@ -106,12 +106,12 @@ func TestFeedbackCalibration(t *testing.T) {
 	}
 	win.Ingest(gen.Slice(0, 10))
 	win.Materialize()
-	if _, err := ctl.RunSlice(win.Data); err != nil {
+	if _, err := ctl.RunSlice(nil); err != nil {
 		t.Fatal(err)
 	}
 	// Freeze the stream: re-running the same windows must reproduce the
 	// same observations, and the calibrated model must predict them.
-	res, err := ctl.RunSlice(win.Data)
+	res, err := ctl.RunSlice(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,7 @@ func (e *Env) streamRun(cfg aqp.Config, seed uint64, cars int, slices int, slice
 		from := int64(s) * sliceSeconds
 		win.Ingest(gen.Slice(from, from+sliceSeconds))
 		win.Materialize()
-		res, err := ctl.RunSlice(win.Data)
+		res, err := ctl.RunSlice(nil)
 		if err != nil {
 			panic(fmt.Sprintf("bench: stream slice %d: %v", s, err))
 		}
@@ -62,7 +62,7 @@ func (e *Env) goodAndBadPlans(seed uint64, cars int, slices int, sliceSeconds in
 		from := int64(s) * sliceSeconds
 		win.Ingest(gen.Slice(from, from+sliceSeconds))
 		win.Materialize()
-		last, err = ctl.RunSlice(win.Data)
+		last, err = ctl.RunSlice(nil)
 		if err != nil {
 			panic(err)
 		}

@@ -1,7 +1,9 @@
 // Package catalog models the database's physical design and statistics:
-// tables, columns, indexes, sort orders, row data, and the per-column
-// statistics (row counts, distincts, min/max, equi-depth histograms) that
-// the cost model consumes. The paper's built-in functions Fn_scansummary and
+// tables, columns, indexes, sort orders, and the per-column statistics (row
+// counts, distincts, min/max, equi-depth histograms) that the cost model
+// consumes. A table's data lives in exactly one place, the column snapshot
+// of its storage.Backend; rows are how data arrives (AppendRows, ResetRows),
+// never how it is held. The paper's built-in functions Fn_scansummary and
 // the histogram machinery it mentions live on top of this package.
 package catalog
 
@@ -25,17 +27,16 @@ type ColStats struct {
 	Hist     *stats.Histogram // nil until Analyze
 }
 
-// Table is a base table: schema, optional row data, physical design and
-// statistics. Rows are fixed-arity []int64 records; strings and decimals are
-// dictionary/fixed-point encoded by the workload generators. Alongside the
-// row-major Rows, the table binds to a storage.Backend holding the
-// column-major mirror (see ColumnSnapshot) that the vectorized executor
-// scans as zero-copy column windows. The default backend is a volatile
-// MemStore; persistent deployments bind a DiskStore via Catalog.BindDir.
+// Table is a base table: schema, physical design, statistics, and the
+// storage.Backend that holds its data as one immutable, atomically
+// republished column snapshot (see ColumnSnapshot) — what the executor scans
+// as zero-copy column windows and what Analyze reads. Values are int64;
+// strings and decimals are dictionary/fixed-point encoded by the workload
+// generators. The default backend is a volatile MemStore, created on first
+// use; persistent deployments bind a DiskStore via Catalog.BindDir.
 type Table struct {
 	Name     string
 	ColNames []string
-	Rows     [][]int64
 
 	NumRows  float64
 	Width    float64 // estimated bytes per row, for page-count costing
@@ -43,18 +44,16 @@ type Table struct {
 	Indexes  []int // column offsets carrying an index, ascending
 	SortedBy int   // column offset of the physical sort order, or -1
 
-	// mu serializes mutators (Append, Analyze, store binding) and the
-	// store-resync check; executions never hold it while scanning — they
-	// read an immutable storage.Snapshot instead.
+	// mu guards the store binding and orders mutations with their version
+	// bump; executions never hold it while scanning — they read an
+	// immutable storage.Snapshot instead.
 	mu    sync.Mutex
 	store storage.Backend
 
-	// dataVersion counts data mutations: every Append and every Analyze
-	// (Rows may have been replaced wholesale before an Analyze) bumps it.
-	// Derived state materialized from the table's rows — cached query
-	// results above all — pins the version it read and treats any later
-	// value as an invalidation signal. A spurious bump (an Analyze that
-	// changed nothing) costs a rematerialization, never a wrong result.
+	// dataVersion counts data mutations: every AppendRows and ResetRows
+	// bumps it. Derived state materialized from the table's rows — cached
+	// query results above all — pins the version it read and treats any
+	// later value as an invalidation signal.
 	dataVersion atomic.Uint64
 }
 
@@ -113,148 +112,111 @@ func (t *Table) HasIndex(off int) bool {
 
 // Append adds a row. The caller must Analyze afterwards to refresh stats.
 // It panics on arity mismatch or a storage failure; mutation paths that
-// must surface storage errors (persistent backends) use AppendRows.
+// must surface storage errors (persistent backends) use AppendRows, and
+// bulk loads batch their rows into it (every call republishes the snapshot).
 func (t *Table) Append(row []int64) {
 	if err := t.AppendRows([][]int64{row}); err != nil {
 		panic(fmt.Sprintf("catalog: append to %s: %v", t.Name, err))
 	}
 }
 
-// AppendRows adds a batch of rows through the bound storage backend and
-// bumps the data version. In-flight executions are unaffected: they keep
-// reading the storage snapshot they captured, which appends never mutate.
+// AppendRows adds a batch of rows through the storage backend and bumps the
+// data version. In-flight executions are unaffected: they keep reading the
+// storage snapshot they captured, which appends never mutate.
 func (t *Table) AppendRows(rows [][]int64) error {
+	if err := t.checkArity(rows); err != nil {
+		return err
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if err := t.storeLocked().Append(rows); err != nil {
+		return err
+	}
+	t.dataVersion.Add(1)
+	return nil
+}
+
+// ResetRows replaces the table's content wholesale — a stream window
+// republished each slice — and bumps the data version. It panics on arity
+// mismatch. The caller must Analyze afterwards to refresh stats.
+func (t *Table) ResetRows(rows [][]int64) {
+	if err := t.checkArity(rows); err != nil {
+		panic(fmt.Sprintf("catalog: reset %s: %v", t.Name, err))
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.storeLocked().ResetRows(rows)
+	t.dataVersion.Add(1)
+}
+
+func (t *Table) checkArity(rows [][]int64) error {
 	for _, row := range rows {
 		if len(row) != len(t.ColNames) {
 			return fmt.Errorf("row arity %d != schema arity %d", len(row), len(t.ColNames))
 		}
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.store != nil {
-		// Resync first if a legacy path replaced Rows since the last sync,
-		// then append through the backend so the publication is atomic.
-		if t.store.Snapshot().N != len(t.Rows) {
-			t.store.ResetRows(t.Rows)
-		}
-		if err := t.store.Append(rows); err != nil {
-			return err
-		}
-	}
-	// With no backend bound yet (bulk load before the first Analyze), rows
-	// accumulate here and the mirror is built once, at Analyze.
-	t.Rows = append(t.Rows, rows...)
-	t.dataVersion.Add(1)
 	return nil
 }
 
 // DataVersion returns the table's data version: a counter bumped by every
-// mutation of the stored rows (Append, wholesale replacement via Analyze).
-// Consumers of materialized derived state compare the version they captured
-// at materialization time against the current one to detect staleness.
+// mutation of the stored rows (AppendRows, ResetRows). Consumers of
+// materialized derived state compare the version they captured at
+// materialization time against the current one to detect staleness.
 func (t *Table) DataVersion() uint64 { return t.dataVersion.Load() }
 
-// SetDataVersion seeds the version counter, e.g. with the value a
-// persistent backend recorded at its last flush, so versions stay monotonic
-// across restarts.
-func (t *Table) SetDataVersion(v uint64) { t.dataVersion.Store(v) }
-
-// Bind attaches a storage backend. The backend's snapshot must already hold
-// the table's rows (or be resynced by the next Analyze/ColumnSnapshot).
-func (t *Table) Bind(st storage.Backend) {
-	t.mu.Lock()
-	t.store = st
-	t.mu.Unlock()
-}
-
-// Store returns the bound storage backend, creating and populating the
-// default in-memory backend on first use.
+// Store returns the storage backend, creating the default in-memory one on
+// first use.
 func (t *Table) Store() storage.Backend {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.syncedStoreLocked()
+	return t.storeLocked()
 }
 
-// syncedStoreLocked returns the backend, lazily bound and resynced to Rows
-// if a legacy path replaced them wholesale. Caller holds t.mu.
-func (t *Table) syncedStoreLocked() storage.Backend {
+// storeLocked is Store for callers holding t.mu.
+func (t *Table) storeLocked() storage.Backend {
 	if t.store == nil {
-		t.store = storage.NewMemStoreRows(len(t.ColNames), t.Rows)
-		return t.store
-	}
-	if t.store.Snapshot().N != len(t.Rows) {
-		t.store.ResetRows(t.Rows)
+		t.store = storage.NewMemStore(len(t.ColNames))
 	}
 	return t.store
 }
 
-// ColumnSnapshot returns an immutable column-major view of the rows:
-// cols[c][i] == Rows[i][c] for i < n. The pair is consistent — later
-// appends publish new snapshots without disturbing this one — so it is safe
-// to scan concurrently with mutations.
+// ColumnSnapshot returns the table's data: an immutable column-major view,
+// cols[c][i] being row i's value in column c for i < n. The pair is
+// consistent — later appends publish new snapshots without disturbing this
+// one — so it is safe to scan concurrently with mutations.
 func (t *Table) ColumnSnapshot() (cols [][]int64, n int) {
-	t.mu.Lock()
-	snap := t.syncedStoreLocked().Snapshot()
-	t.mu.Unlock()
+	snap := t.Store().Snapshot()
 	return snap.Cols, snap.N
 }
 
-// Columns returns the column-major mirror of Rows: Columns()[c][i] ==
-// Rows[i][c]. It is a convenience over ColumnSnapshot for callers that read
-// the row count separately; concurrent mutators make that pair racy, so
-// execution paths use ColumnSnapshot.
-func (t *Table) Columns() [][]int64 {
-	cols, _ := t.ColumnSnapshot()
-	return cols
-}
-
 // Analyze recomputes NumRows and per-column statistics (distincts, min/max,
-// equi-depth histograms) from the stored rows, and resyncs the storage
-// backend (Rows may have been replaced wholesale since the last sync).
+// equi-depth histograms) from one captured snapshot, so it needs no
+// quiescence from writers: whatever is appended meanwhile, the statistics
+// describe a state of the table that was actually published. The statistics
+// themselves are plain fields the planner reads unsynchronized: re-analyzing
+// a table while statements over it are being planned is the caller's to
+// coordinate.
 func (t *Table) Analyze(buckets int) {
 	if buckets <= 0 {
 		buckets = DefaultHistogramBuckets
 	}
-	t.mu.Lock()
-	t.NumRows = float64(len(t.Rows))
-	t.Cols = make([]ColStats, len(t.ColNames))
-	if t.store == nil {
-		t.store = storage.NewMemStoreRows(len(t.ColNames), t.Rows)
-	} else {
-		t.store.ResetRows(t.Rows)
-	}
-	t.dataVersion.Add(1)
-	snap := t.store.Snapshot()
-	t.mu.Unlock()
-	if snap.N == 0 {
-		for i := range t.Cols {
-			t.Cols[i] = ColStats{Distinct: 1}
+	snap := t.Store().Snapshot()
+	cols := make([]ColStats, len(t.ColNames))
+	for c := range cols {
+		if snap.N == 0 {
+			cols[c] = ColStats{Distinct: 1}
+			continue
 		}
-		return
-	}
-	for c := range t.ColNames {
 		h := stats.BuildHistogram(snap.Cols[c], buckets)
-		t.Cols[c] = ColStats{
-			Distinct: h.Distinct(),
-			Min:      h.Min(),
-			Max:      h.Max(),
-			Hist:     h,
-		}
+		cols[c] = ColStats{Distinct: h.Distinct(), Min: h.Min(), Max: h.Max(), Hist: h}
 	}
+	t.NumRows, t.Cols = float64(snap.N), cols
 }
 
 // ZoneCols returns the column offsets whose segment zone maps make
 // predicate pruning effective on the bound backend (none for the in-memory
 // store). The optimizer enumerates segment-pruned scans over these.
-func (t *Table) ZoneCols() []int {
-	t.mu.Lock()
-	st := t.store
-	t.mu.Unlock()
-	if st == nil {
-		return nil
-	}
-	return st.ZoneCols()
-}
+func (t *Table) ZoneCols() []int { return t.Store().ZoneCols() }
 
 // SetSyntheticStats configures statistics without row data, for
 // optimizer-only experiments: rows, and per-column distinct counts with
@@ -337,7 +299,7 @@ func (c *Catalog) Names() []string {
 func (c *Catalog) AnalyzeAll(buckets int) {
 	for _, name := range c.order {
 		t := c.tables[name]
-		if len(t.Rows) > 0 || t.NumRows == 0 {
+		if _, n := t.ColumnSnapshot(); n > 0 || t.NumRows == 0 {
 			t.Analyze(buckets)
 		}
 	}

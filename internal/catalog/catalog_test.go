@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -118,19 +119,80 @@ func TestDataVersion(t *testing.T) {
 	if v1 == 0 {
 		t.Fatal("Append did not bump the data version")
 	}
+	// Reads — statistics included — leave the version alone.
 	tb.Analyze(4)
-	v2 := tb.DataVersion()
-	if v2 <= v1 {
-		t.Fatal("Analyze did not bump the data version")
-	}
-	// Reads leave the version alone.
-	tb.Columns()
+	tb.ColumnSnapshot()
 	_, _ = tb.ColIndex("a")
-	if tb.DataVersion() != v2 {
+	if tb.DataVersion() != v1 {
 		t.Fatal("read-only access bumped the data version")
 	}
 	tb.Append([]int64{3, 4})
-	if tb.DataVersion() <= v2 {
+	v2 := tb.DataVersion()
+	if v2 <= v1 {
 		t.Fatal("second Append did not bump the data version")
+	}
+	tb.ResetRows([][]int64{{5, 6}})
+	if tb.DataVersion() <= v2 {
+		t.Fatal("ResetRows did not bump the data version")
+	}
+	if cols, n := tb.ColumnSnapshot(); n != 1 || cols[0][0] != 5 || cols[1][0] != 6 {
+		t.Fatalf("ResetRows left %d rows, cols %v", n, cols)
+	}
+}
+
+// TestAnalyzeDuringAppend: Analyze reads one captured snapshot, so it needs
+// no quiescence from writers. While one goroutine appends fixed-size
+// batches, every concurrent Analyze must describe a state that was actually
+// published — a whole number of batches, with column statistics over exactly
+// those rows — and once the writer is done, Analyze must equal a quiescent
+// one over the same data. Run under -race (CI does).
+func TestAnalyzeDuringAppend(t *testing.T) {
+	const batch, batches = 37, 120
+	gen := func(i int) []int64 { return []int64{int64(i), int64(i % 7)} }
+	tb := NewTable("t", "k", "v")
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for b := 0; b < batches; b++ {
+			rows := make([][]int64, batch)
+			for i := range rows {
+				rows[i] = gen(b*batch + i)
+			}
+			if err := tb.AppendRows(rows); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		tb.Analyze(8)
+		n := int(tb.NumRows)
+		if n%batch != 0 || n > batch*batches {
+			t.Fatalf("Analyze saw %d rows: not a published snapshot (batches of %d)", n, batch)
+		}
+		if n == 0 {
+			continue
+		}
+		// k is 0..n-1 in the first n rows: the statistics are over exactly
+		// the rows counted, not a longer or shorter prefix.
+		if k := tb.Cols[0]; k.Min != 0 || k.Max != int64(n-1) || k.Hist.Total != float64(n) {
+			t.Fatalf("NumRows %d but k spans [%d, %d] over %v rows", n, k.Min, k.Max, k.Hist.Total)
+		}
+	}
+
+	quiet := NewTable("t", "k", "v")
+	for i := 0; i < batch*batches; i++ {
+		quiet.Append(gen(i))
+	}
+	quiet.Analyze(8)
+	tb.Analyze(8)
+	if tb.NumRows != quiet.NumRows || !reflect.DeepEqual(tb.Cols, quiet.Cols) {
+		t.Fatalf("Analyze after concurrent appends differs from a quiescent one:\n%v %+v\n%v %+v",
+			tb.NumRows, tb.Cols, quiet.NumRows, quiet.Cols)
 	}
 }

@@ -15,12 +15,12 @@ type BindSummary struct {
 }
 
 // BindDir binds every table in the catalog to a persistent DiskStore under
-// dir (one subdirectory per table). Tables with data on disk are loaded
-// from it — the on-disk rows REPLACE whatever the process generated, and
+// dir (one subdirectory per table). Tables with data on disk are served
+// from it — the loaded snapshot REPLACES whatever the process generated, and
 // the persisted data version carries over, so a restart serves the same
-// data without regeneration. Tables with an empty directory keep their
-// in-memory rows and are seeded into the store; the first Flush persists
-// them. Statistics are refreshed for loaded tables.
+// data without regeneration. Tables with an empty directory hand the
+// snapshot they already hold to the store; the first Flush persists it.
+// Statistics are refreshed for loaded tables.
 func (c *Catalog) BindDir(dir string, buckets int) (BindSummary, error) {
 	var sum BindSummary
 	for _, name := range c.Names() {
@@ -29,36 +29,23 @@ func (c *Catalog) BindDir(dir string, buckets int) (BindSummary, error) {
 		if err != nil {
 			return sum, fmt.Errorf("catalog: bind %s: %w", name, err)
 		}
-		snap := st.Snapshot()
-		if snap.N > 0 {
-			// Disk wins: materialize the row-major mirror from the loaded
-			// snapshot and adopt the persisted data version.
-			rows := make([][]int64, snap.N)
-			flat := make([]int64, snap.N*len(t.ColNames))
-			for i := 0; i < snap.N; i++ {
-				row := flat[i*len(t.ColNames) : (i+1)*len(t.ColNames) : (i+1)*len(t.ColNames)]
-				for col := range t.ColNames {
-					row[col] = snap.Cols[col][i]
-				}
-				rows[i] = row
-			}
-			t.mu.Lock()
-			t.Rows = rows
-			t.store = st
-			t.mu.Unlock()
-			t.SetDataVersion(st.LoadedVersion())
-			t.Analyze(buckets)
-			sum.Loaded++
-			sum.Rows += snap.N
-		} else {
-			// Fresh directory: seed the store from the generated rows; the
-			// next Flush writes them out as segments.
-			t.mu.Lock()
-			st.ResetRows(t.Rows)
-			t.store = st
-			t.mu.Unlock()
-			sum.Seeded++
+		loaded := st.Snapshot().N
+		t.mu.Lock()
+		if loaded == 0 {
+			// Fresh directory: the next Flush writes the table out as segments.
+			st.ResetSnapshot(t.storeLocked().Snapshot())
 		}
+		t.store = st
+		t.mu.Unlock()
+		if loaded == 0 {
+			sum.Seeded++
+			continue
+		}
+		// Disk wins: adopt the persisted data version with the data.
+		t.dataVersion.Store(st.LoadedVersion())
+		t.Analyze(buckets)
+		sum.Loaded++
+		sum.Rows += loaded
 	}
 	return sum, nil
 }
@@ -71,10 +58,8 @@ func (c *Catalog) FlushDir() error {
 	var firstErr error
 	for _, name := range c.Names() {
 		t := c.tables[name]
-		t.mu.Lock()
-		st := t.store
-		t.mu.Unlock()
-		if st == nil || st.Kind() != "disk" {
+		st := t.Store()
+		if st.Kind() != "disk" {
 			continue
 		}
 		if err := st.Flush(t.DataVersion()); err != nil && firstErr == nil {

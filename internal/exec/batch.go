@@ -198,34 +198,17 @@ func (d *colData) appendFrom(o colData) {
 	d.n += o.n
 }
 
-// transposeCols converts row-major data into columnar form, keeping only
-// the row positions listed in src: column i of the result is row position
-// src[i]. The columns share one exact-size backing array. This is the
-// Compiler.Data path, where the stream layer's window buffers are transposed
-// on every compile — only the columns the scan reads are.
-func transposeCols(rows [][]int64, src []int) colData {
-	d := colData{cols: flatCols(len(src), len(rows)), n: len(rows)}
+// transposeRows converts arity-wide row-major data into columnar form
+// (operator outputs rendered as rows, and test helpers). The columns share
+// one exact-size backing array.
+func transposeRows(rows [][]int64, arity int) colData {
+	d := colData{cols: flatCols(arity, len(rows)), n: len(rows)}
 	for r, row := range rows {
-		for i, off := range src {
-			d.cols[i][r] = row[off]
+		for c := range d.cols {
+			d.cols[c][r] = row[c]
 		}
 	}
 	return d
-}
-
-// transposeRows is transposeCols over every position of arity-wide rows
-// (operator outputs rendered as rows, and test helpers).
-func transposeRows(rows [][]int64, arity int) colData {
-	return transposeCols(rows, seq(arity))
-}
-
-// seq returns 0..n-1: every position of an n-wide input.
-func seq(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
 }
 
 // colDrainer is implemented by operators that can materialize their entire

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/catalog"
 	"repro/internal/obs"
@@ -53,10 +52,6 @@ func (s *RunStats) Snapshot() map[relalg.RelSet]int64 {
 type Compiler struct {
 	Q   *relalg.Query
 	Cat *catalog.Catalog
-	// Data overrides the row source per query relation; when nil (or when
-	// it returns nil) the catalog table's column snapshot is scanned. The
-	// stream layer uses this to execute over window buffers.
-	Data func(rel int) [][]int64
 	// Parallelism caps the number of workers of morsel-driven parallel
 	// execution; values <= 1 execute serially. Right-spine hash-join
 	// chains over a large unsorted leaf scan fuse into full parallel
@@ -71,8 +66,7 @@ type Compiler struct {
 	// CacheCands the plan's cacheable subtrees (BuildCacheCandidates on
 	// THIS plan tree — candidates match by node identity). CompileVec
 	// resolves them into probe hits (subtree replaced by a cached scan) or
-	// spools (subtree teed into the cache); see rescache.go. Data-overridden
-	// compilations ignore both.
+	// spools (subtree teed into the cache); see rescache.go.
 	Cache      *rescache.Cache
 	CacheCands []CacheCandidate
 	// Prof, when non-nil, collects a per-operator execution profile for
@@ -222,10 +216,8 @@ func (l *scanLeaf) sel(lo, hi int, buf []int) []int {
 	return l.filter.selRange(l.pred, lo, hi, buf)
 }
 
-// resolveScan resolves the scan of rel emitting schema. The columns are the
-// catalog table's zero-copy column snapshot or — for Data-overridden
-// relations (the stream layer's window buffers) — a one-time transposition of
-// just the columns read.
+// resolveScan resolves the scan of rel emitting schema over the catalog
+// table's zero-copy column snapshot.
 func (c *Compiler) resolveScan(rel int, schema []relalg.ColID) (scanLeaf, error) {
 	t, err := c.Cat.Table(c.Q.Rels[rel].Table)
 	if err != nil {
@@ -239,31 +231,11 @@ func (c *Compiler) resolveScan(rel int, schema []relalg.ColID) (scanLeaf, error)
 		leaf.filter.Conds = append(leaf.filter.Conds, ScanCond{Off: len(leaf.predSrc), Op: pr.Op, Val: pr.Val})
 		leaf.predSrc = append(leaf.predSrc, pr.Col.Off)
 	}
-	// cols is indexed by table offset; n is the row count.
-	var cols, rows [][]int64
-	var n int
-	if c.Data != nil {
-		rows = c.Data(rel)
-	}
-	if rows != nil {
-		read := slices.Clone(leaf.predSrc)
-		for _, col := range schema {
-			read = append(read, col.Off)
-		}
-		slices.Sort(read)
-		read = slices.Compact(read)
-		d := transposeCols(rows, read)
-		cols, n = make([][]int64, len(t.ColNames)), d.n
-		for i, off := range read {
-			cols[off] = d.cols[i]
-		}
-	} else {
-		// ColumnSnapshot returns a consistent (columns, row count) pair from
-		// the storage backend's atomically published snapshot, so compiling
-		// concurrently with appends can never pair fresh columns with a stale
-		// count (or vice versa).
-		cols, n = t.ColumnSnapshot()
-	}
+	// ColumnSnapshot returns a consistent (columns, row count) pair from the
+	// storage backend's atomically published snapshot, so compiling
+	// concurrently with appends can never pair fresh columns with a stale
+	// count (or vice versa). cols is indexed by table offset.
+	cols, n := t.ColumnSnapshot()
 	leaf.data = colData{cols: make([][]int64, len(schema)), n: n}
 	for i, col := range schema {
 		leaf.data.cols[i] = cols[col.Off]
@@ -306,11 +278,10 @@ func (c *Compiler) compileVecNode(p *relalg.Plan, stats *RunStats) (VecIterator,
 			return nil, nil, err
 		}
 		var v VecIterator
-		if p.Phy == relalg.PhySegScan && c.Data == nil {
+		if p.Phy == relalg.PhySegScan {
 			// Segment-pruned access path: scan through the storage
 			// backend, which skips segments whose zone maps exclude the
-			// pushed-down conditions. Data-overridden relations (stream
-			// windows) have no backend and fall through to the plain scan.
+			// pushed-down conditions.
 			t, err := c.Cat.Table(c.Q.Rels[p.Rel].Table)
 			if err != nil {
 				return nil, nil, err

@@ -20,6 +20,15 @@ func rows(vals ...[]int64) [][]int64 { return vals }
 
 func scanOf(vals ...[]int64) VecIterator { return NewVecScanRows(vals, ScanFilter{}) }
 
+// seq returns 0..n-1: every position of an n-wide input.
+func seq(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
+	}
+	return out
+}
+
 func TestHashJoinCompoundKeys(t *testing.T) {
 	l := scanOf([]int64{1, 5}, []int64{1, 6}, []int64{2, 5})
 	r := scanOf([]int64{1, 5, 100}, []int64{2, 6, 200})

@@ -270,7 +270,7 @@ func TestExecutionAllocatedBytesCeiling(t *testing.T) {
 		comp    Compiler
 		ceiling uint64
 	}{
-		{"SegTollS slice", Compiler{Q: linearroad.SegTollS(), Cat: win.Catalog(), Data: win.Data}, 6400 << 10},
+		{"SegTollS slice", Compiler{Q: linearroad.SegTollS(), Cat: win.Catalog()}, 6400 << 10},
 		{"TPC-H Q5", Compiler{Q: tpch.Q5(), Cat: tpch.Generate(tpch.Config{ScaleFactor: 0.002, Seed: 7})}, 240 << 10},
 	} {
 		m, err := cost.NewModel(tc.comp.Q, tc.comp.Cat, cost.DefaultParams())

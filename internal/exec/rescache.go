@@ -225,10 +225,9 @@ func (c *Compiler) tableVersion(table string) (uint64, bool) {
 // outermost-first: everything inside a probe hit is skipped (those nodes are
 // never compiled), and at most one spool is placed along any root-to-leaf
 // path (a nested spool would tee rows the outer spool already pays for).
-// Data-overridden relations (stream windows) compile cache-free.
 func (c *Compiler) resolveCache() {
 	c.decisions = nil
-	if !c.Cache.Enabled() || len(c.CacheCands) == 0 || c.Data != nil {
+	if !c.Cache.Enabled() || len(c.CacheCands) == 0 {
 		return
 	}
 	var hitRoots, spoolRoots []relalg.RelSet

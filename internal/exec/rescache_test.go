@@ -7,6 +7,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/relalg"
 	"repro/internal/rescache"
+	"repro/internal/testkit"
 	"repro/internal/tpch"
 	"repro/internal/volcano"
 )
@@ -278,17 +279,22 @@ func TestResultCacheVersionPinning(t *testing.T) {
 		t.Fatal("second run did not probe-hit")
 	}
 
-	// Mutate the customer table: every cached entry over it must bypass.
+	// Republish the customer table with the content it already has: a new
+	// data version, so every cached entry over it must bypass.
 	cust := cat.MustTable("customer")
-	cust.Append(append([]int64(nil), cust.Rows[0]...))
-	cust.Rows = cust.Rows[:len(cust.Rows)-1]
+	_, n := cust.ColumnSnapshot()
+	same := make([][]int64, n)
+	for i := range same {
+		same[i] = testkit.Row(cust, i)
+	}
+	cust.ResetRows(same)
 	cust.Analyze(0)
 
 	hitsBefore := cache.Metrics().Hits
 	after := run()
 	met := cache.Metrics()
 	if met.Invalidations == 0 {
-		t.Fatal("no invalidation after Append+Analyze bumped the data version")
+		t.Fatal("no invalidation after ResetRows bumped the data version")
 	}
 	if after != before {
 		t.Fatal("post-invalidation run (same logical data) changed the result")

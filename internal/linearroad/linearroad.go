@@ -87,10 +87,11 @@ func SegTollS() *relalg.Query {
 
 // Windows maintains the five window states of SegTollS over the raw stream:
 // two time-sliding windows (300 s and 30 s) and three partitioned last-N
-// windows. Ingest applies a batch of reports; Materialize copies current
-// window contents into the catalog tables and refreshes their statistics —
-// the state-migration substitute described in DESIGN.md (window state is
-// the shared state carried across plan switches, as in CAPS).
+// windows. Ingest applies a batch of reports; Materialize publishes current
+// window contents as the catalog tables' snapshots and refreshes their
+// statistics — the state-migration substitute described in DESIGN.md
+// (window state is the shared state carried across plan switches, as in
+// CAPS).
 type Windows struct {
 	cat *catalog.Catalog
 
@@ -145,22 +146,24 @@ func (w *Windows) Ingest(rows [][]int64) {
 	}
 }
 
-// Materialize snapshots the window contents into the catalog tables and
+// Materialize publishes the window contents as the catalog tables' column
+// snapshots — the one representation the executor and Analyze read — and
 // recomputes their statistics.
 func (w *Windows) Materialize() {
 	snap := [][][]int64{w.w1.rows(), w.w2.rows(), w.w3.rows(), w.w4.rows(), w.w5.rows()}
 	for i, name := range WindowTables {
 		t := w.cat.MustTable(name)
-		t.Rows = snap[i]
+		t.ResetRows(snap[i])
 		t.Analyze(16)
 	}
 }
 
-// Data exposes the current window rows for the executor's Data hook; rel is
-// the SegTollS relation ordinal.
-func (w *Windows) Data(rel int) [][]int64 {
-	return w.cat.MustTable(WindowTables[rel]).Rows
-}
+// Data is vestigial: it returns nil and nothing consults it. The executor
+// reads the snapshots Materialize published. It stays only because
+// benchmarks/stream.go passes it to aqp.Controller.RunSlice and that module
+// is frozen for every PR but a benchmark one; the follow-up benchmark PR
+// that stops passing it deletes this method and RunSlice's parameter.
+func (w *Windows) Data(rel int) [][]int64 { return nil }
 
 // timeWindow keeps rows whose timestamp is within span of the newest.
 type timeWindow struct {
@@ -180,7 +183,8 @@ func (tw *timeWindow) add(r []int64) {
 	}
 }
 
-func (tw *timeWindow) rows() [][]int64 { return append([][]int64(nil), tw.buf...) }
+// rows is the window's content, valid until the next add.
+func (tw *timeWindow) rows() [][]int64 { return tw.buf }
 
 // lastN keeps the most recent n rows per key.
 type lastN struct {

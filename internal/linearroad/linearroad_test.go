@@ -104,13 +104,13 @@ func TestWindowsIngestAndMaterialize(t *testing.T) {
 		}
 	}
 	// w2 and w3 are 1-per-key windows.
-	w3 := cat.MustTable("w3")
+	w3, n := cat.MustTable("w3").ColumnSnapshot()
 	seen := map[int64]bool{}
-	for _, r := range w3.Rows {
-		if seen[r[ColCarID]] {
+	for _, car := range w3[ColCarID][:n] {
+		if seen[car] {
 			t.Fatal("w3 has more than one row per car")
 		}
-		seen[r[ColCarID]] = true
+		seen[car] = true
 	}
 }
 
@@ -148,9 +148,9 @@ func TestSegTollSMatchesReference(t *testing.T) {
 	}
 	want := testkit.Canonical(wantRows, nil)
 	for _, p := range []*relalg.Plan{best, worst} {
-		// Execute over the window buffers with parallel window scans
+		// Execute over the published windows with parallel window scans
 		// enabled, the way aqp.RunSlice does.
-		comp := &exec.Compiler{Q: q, Cat: win.Catalog(), Data: win.Data, Parallelism: 4}
+		comp := &exec.Compiler{Q: q, Cat: win.Catalog(), Parallelism: 4}
 		// The root join carries what the aggregation reads (three r2 group
 		// columns and r5's position), not the 40 columns of five windows.
 		if schema, err := comp.PlanSchema(p); err != nil || len(schema) > 5 {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/sqlmini"
+	"repro/internal/testkit"
 )
 
 // sharedSubexprSQL is a hot set whose statements deliberately overlap: every
@@ -133,8 +134,8 @@ func TestResultCacheInvalidationDifferential(t *testing.T) {
 	// Mutate customer while quiesced: clone the highest-key row under a
 	// fresh key so the filtered scan's output genuinely changes.
 	cust := srv.Catalog().MustTable("customer")
-	row := append([]int64(nil), cust.Rows[0]...)
-	row[cust.MustCol("c_custkey")] = int64(len(cust.Rows) + 1000)
+	row := testkit.Row(cust, 0)
+	row[cust.MustCol("c_custkey")] = int64(cust.NumRows) + 1000
 	cust.Append(row)
 	cust.Analyze(0)
 

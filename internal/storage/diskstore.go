@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -31,13 +32,14 @@ import (
 //   - seg-XXXXXX.ixN — ordered index segments for indexed column N:
 //     (order-preserving key, global row id) pairs sorted by key.
 //
-// All reads are served from an embedded MemStore; the files exist to
-// survive restarts. Flush compacts the unflushed tail (WAL rows plus any
-// wholesale reset) into a new segment and truncates the log. Zone-map
-// pruning stays multiset-sound even though segments are sorted at flush
-// while the in-memory mirror keeps arrival order: a segment's zone is the
-// min/max of the SAME row multiset its in-memory span holds, so a zone that
-// excludes a predicate excludes every row of the span.
+// All reads are served from an embedded MemStore, which holds the only
+// in-memory copy of the rows; the files exist to survive restarts. Flush
+// compacts the unflushed tail (WAL rows plus any wholesale reset) into a new
+// segment and truncates the log. Zone-map pruning stays multiset-sound even
+// though segments are sorted at flush while the in-memory snapshot keeps
+// arrival order: a segment's zone is the min/max of the SAME row multiset
+// its in-memory span holds, so a zone that excludes a predicate excludes
+// every row of the span.
 type DiskStore struct {
 	dir       string
 	name      string
@@ -47,17 +49,20 @@ type DiskStore struct {
 
 	mem *MemStore
 
-	mu         sync.Mutex
-	wal        *os.File
-	walFile    string // active log's file name, as recorded in the manifest
-	walRows    int    // rows in the log (the unflushed tail), when not dirtyAll
-	segs       []segMeta
-	segRows    int // rows covered by segments == start of the tail span
-	seq        int // next segment file number
-	dirtyAll   bool
-	loadedVer  uint64
-	indexes    map[int]*OrderedIndex
+	mu        sync.Mutex
+	wal       *os.File
+	walFile   string // active log's file name, as recorded in the manifest
+	walRows   int    // rows in the log (the unflushed tail), when not dirtyAll
+	segs      []segMeta
+	segRows   int // rows covered by segments == start of the tail span
+	seq       int // next segment file number
+	dirtyAll  bool
+	loadedVer uint64
+	// indexValid says the persisted index segments describe the snapshot:
+	// true from a load without a log tail until the first mutation. indexes
+	// holds the ones somebody asked for, merged on that first request.
 	indexValid bool
+	indexes    map[int]*OrderedIndex
 }
 
 // segMeta is one segment's manifest entry plus its loaded zone maps.
@@ -88,10 +93,10 @@ const (
 )
 
 // OpenDiskStore opens (or initializes) the persistent store for one table
-// under dir. Existing segments and the append log are replayed into memory;
-// the store then serves reads at in-memory speed. sortedBy < 0 means no
-// clustered order; indexCols lists columns to maintain ordered index
-// segments for.
+// under dir. Existing segments are decoded into one column snapshot sized
+// from the manifest, the append log's rows after them; the store then
+// serves reads at in-memory speed. sortedBy < 0 means no clustered order;
+// indexCols lists columns to maintain ordered index segments for.
 func OpenDiskStore(dir, name string, width, sortedBy int, indexCols []int) (*DiskStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: create table dir: %w", err)
@@ -103,12 +108,12 @@ func OpenDiskStore(dir, name string, width, sortedBy int, indexCols []int) (*Dis
 		sortedBy:  sortedBy,
 		indexCols: append([]int(nil), indexCols...),
 		mem:       NewMemStore(width),
-		indexes:   map[int]*OrderedIndex{},
 	}
-	if err := s.load(); err != nil {
+	walGood, err := s.load()
+	if err != nil {
 		return nil, err
 	}
-	wal, err := s.openWAL()
+	wal, err := s.openWAL(walGood)
 	if err != nil {
 		return nil, err
 	}
@@ -116,8 +121,10 @@ func OpenDiskStore(dir, name string, width, sortedBy int, indexCols []int) (*Dis
 	return s, nil
 }
 
-// load replays the manifest's segments and then the WAL into memory.
-func (s *DiskStore) load() error {
+// load reads the manifest, decodes its segments and then the active log's
+// complete records into one exactly-sized column snapshot, and returns the
+// byte length of the log's good prefix.
+func (s *DiskStore) load() (walGood int64, err error) {
 	var m manifest
 	raw, err := os.ReadFile(filepath.Join(s.dir, manifestName))
 	switch {
@@ -125,16 +132,16 @@ func (s *DiskStore) load() error {
 		// Fresh directory, or a crash before the first flush: nothing but
 		// (possibly) a log to replay.
 	case err != nil:
-		return fmt.Errorf("storage: read manifest: %w", err)
+		return 0, fmt.Errorf("storage: read manifest: %w", err)
 	default:
 		if err := json.Unmarshal(raw, &m); err != nil {
-			return fmt.Errorf("storage: parse manifest: %w", err)
+			return 0, fmt.Errorf("storage: parse manifest: %w", err)
 		}
 		if m.Format != manifestFormat {
-			return fmt.Errorf("storage: manifest format %d not supported", m.Format)
+			return 0, fmt.Errorf("storage: manifest format %d not supported", m.Format)
 		}
 		if m.Width != s.width {
-			return fmt.Errorf("storage: table %s has %d columns on disk, %d in schema", s.name, m.Width, s.width)
+			return 0, fmt.Errorf("storage: table %s has %d columns on disk, %d in schema", s.name, m.Width, s.width)
 		}
 	}
 	s.loadedVer = m.DataVersion
@@ -155,59 +162,46 @@ func (s *DiskStore) load() error {
 			}
 		}
 	}
-	var ixKeys, ixRows map[int][]int64
-	if len(s.indexCols) > 0 {
-		ixKeys = map[int][]int64{}
-		ixRows = map[int][]int64{}
+	walPath := filepath.Join(s.dir, s.walFile)
+	walGood, s.walRows, err = walGoodPrefix(walPath, s.width)
+	if err != nil {
+		return 0, err
 	}
 	for _, sm := range m.Segments {
-		zones, rows, err := readSegment(filepath.Join(s.dir, sm.File), s.width)
+		if sm.Rows < 0 {
+			return 0, fmt.Errorf("storage: segment %s: manifest says %d rows", sm.File, sm.Rows)
+		}
+		s.segRows += sm.Rows
+	}
+	// Every row's final position is known before any is read: segments in
+	// manifest order, then the log's rows (the unflushed tail).
+	n := s.segRows + s.walRows
+	cols := make([][]int64, s.width)
+	for c := range cols {
+		cols[c] = make([]int64, n)
+	}
+	lo := 0
+	for _, sm := range m.Segments {
+		zones, err := readSegment(filepath.Join(s.dir, sm.File), cols, lo, sm.Rows)
 		if err != nil {
-			return fmt.Errorf("storage: segment %s: %w", sm.File, err)
-		}
-		if len(rows) != sm.Rows {
-			return fmt.Errorf("storage: segment %s holds %d rows, manifest says %d", sm.File, len(rows), sm.Rows)
-		}
-		if err := s.mem.Append(rows); err != nil {
-			return err
+			return 0, fmt.Errorf("storage: segment %s: %w", sm.File, err)
 		}
 		s.segs = append(s.segs, segMeta{File: sm.File, Rows: sm.Rows, zones: zones})
-		s.segRows += sm.Rows
-		for _, col := range s.indexCols {
-			k, r, err := readIndexSegment(ixPath(filepath.Join(s.dir, sm.File), col), col)
-			if err != nil {
-				return fmt.Errorf("storage: index segment for %s col %d: %w", sm.File, col, err)
-			}
-			ixKeys[col] = append(ixKeys[col], k...)
-			ixRows[col] = append(ixRows[col], r...)
-		}
+		lo += sm.Rows
 	}
-	// Replay the active append log; its rows are the unflushed tail.
-	walRows, err := replayWAL(filepath.Join(s.dir, s.walFile), s.width, func(rows [][]int64) error {
-		return s.mem.Append(rows)
-	})
-	if err != nil {
-		return err
+	if err := replayWAL(walPath, walGood, cols, lo); err != nil {
+		return 0, err
 	}
-	s.walRows = walRows
-	// The merged on-disk indexes are usable only when they cover every row.
-	s.indexValid = walRows == 0
-	if s.indexValid {
-		for _, col := range s.indexCols {
-			s.indexes[col] = NewOrderedIndex(col, ixKeys[col], ixRows[col])
-		}
-	}
-	return nil
+	s.mem.reset(&Snapshot{Cols: cols, N: n})
+	// The persisted indexes are usable only when they cover every row.
+	s.indexValid = s.walRows == 0
+	return walGood, nil
 }
 
 // openWAL opens the active log for appending, truncating any torn tail
-// first so new records never follow garbage.
-func (s *DiskStore) openWAL() (*os.File, error) {
+// after its good prefix first so new records never follow garbage.
+func (s *DiskStore) openWAL(good int64) (*os.File, error) {
 	path := filepath.Join(s.dir, s.walFile)
-	good, err := walGoodPrefix(path, s.width)
-	if err != nil {
-		return nil, err
-	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("storage: open wal: %w", err)
@@ -262,44 +256,39 @@ func (s *DiskStore) Append(rows [][]int64) error {
 	}
 	s.walRows += len(rows)
 	// Unflushed rows are invisible to the persisted indexes.
-	s.indexValid = false
+	s.dropIndexesLocked()
 	return nil
 }
 
 func (s *DiskStore) ResetRows(rows [][]int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if sameContent(s.mem.Snapshot(), rows) {
-		// The analyze/rebuild path re-materializes identical content (the
-		// common case); segments, zones, and indexes all remain exact, so
-		// the snapshot readers hold stays published untouched.
-		return
-	}
-	// Content changed — even at the same row count (e.g. a full sliding
-	// window replaced wholesale), disk history no longer matches. The next
-	// Flush rewrites everything as one segment.
-	s.mem.ResetRows(rows)
-	s.dirtyAll = true
-	s.indexValid = false
+	s.ResetSnapshot(transpose(s.width, rows))
 }
 
-// sameContent reports whether the row-major rows hold exactly the
-// snapshot's values, in order.
-func sameContent(snap *Snapshot, rows [][]int64) bool {
-	if len(rows) != snap.N {
-		return false
+// ResetSnapshot replaces the store's content wholesale with snap — how a
+// catalog seeds a fresh directory from the table it already holds, without
+// a detour through rows. The columns are shared, not copied (snapshots are
+// immutable; their capacity is clipped so this store's appends copy rather
+// than write into arrays another store may own). Disk history no longer
+// matches, even at the same row count: the next Flush rewrites everything
+// as one segment.
+func (s *DiskStore) ResetSnapshot(snap *Snapshot) {
+	cols := make([][]int64, s.width)
+	for c := range cols {
+		cols[c] = snap.Cols[c][:snap.N:snap.N]
 	}
-	for i, r := range rows {
-		if len(r) != len(snap.Cols) {
-			return false
-		}
-		for c, v := range r {
-			if snap.Cols[c][i] != v {
-				return false
-			}
-		}
-	}
-	return true
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.mem.reset(&Snapshot{Cols: cols, N: snap.N})
+	s.dirtyAll = true
+	s.dropIndexesLocked()
+}
+
+// dropIndexesLocked marks the persisted indexes stale — their row ids no
+// longer describe the snapshot — and releases the merged ones. Caller
+// holds s.mu.
+func (s *DiskStore) dropIndexesLocked() {
+	s.indexValid = false
+	s.indexes = nil
 }
 
 func (s *DiskStore) Scan(preds []Pred, batch int) *SegIter {
@@ -356,12 +345,33 @@ func (s *DiskStore) ZoneCols() []int {
 	return []int{s.sortedBy}
 }
 
+// OrderedIndex merges the column's persisted index segments on the first
+// request and keeps the result until the next mutation; nothing is read or
+// held for an index nobody asks for. An unreadable index segment is no
+// index, not an error: callers fall back to scanning.
 func (s *DiskStore) OrderedIndex(col int) *OrderedIndex {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.indexValid {
+	if !s.indexValid || !slices.Contains(s.indexCols, col) {
 		return nil
 	}
+	if ix := s.indexes[col]; ix != nil {
+		return ix
+	}
+	keys := make([]int64, 0, s.segRows)
+	rows := make([]int64, 0, s.segRows)
+	for _, sm := range s.segs {
+		k, r, err := readIndexSegment(ixPath(filepath.Join(s.dir, sm.File), col), col)
+		if err != nil {
+			return nil
+		}
+		keys = append(keys, k...)
+		rows = append(rows, r...)
+	}
+	if s.indexes == nil {
+		s.indexes = map[int]*OrderedIndex{}
+	}
+	s.indexes[col] = NewOrderedIndex(col, keys, rows)
 	return s.indexes[col]
 }
 
@@ -446,9 +456,9 @@ func (s *DiskStore) Flush(version uint64) error {
 	s.walRows = 0
 	s.loadedVer = version
 	// The fresh index segments refer to on-disk (sorted) row positions; the
-	// in-memory mirror keeps arrival order, so they only become usable at
-	// the next boot.
-	s.indexValid = false
+	// snapshot keeps arrival order, so they only become usable at the next
+	// boot.
+	s.dropIndexesLocked()
 	return nil
 }
 

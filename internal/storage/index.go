@@ -4,9 +4,9 @@ import "sort"
 
 // OrderedIndex is an ordered secondary index over one column: every row id
 // of the store, sorted by that column's value (ties in row order). Disk
-// stores persist one index segment per flush and merge them at load; the
-// merged index is valid only while it covers every row, so DiskStore stops
-// handing it out after an unflushed Append.
+// stores persist one index segment per flush and merge them when the index
+// is first asked for; the merged index is valid only while it covers every
+// row, so DiskStore drops it at an unflushed Append.
 type OrderedIndex struct {
 	col  int
 	keys []int64 // sorted ascending

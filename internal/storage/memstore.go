@@ -6,8 +6,8 @@ import (
 	"sync/atomic"
 )
 
-// MemStore is the volatile backend: the table's columnar mirror held behind
-// one atomically published Snapshot. Appends grow the columns and publish a
+// MemStore is the volatile backend: the table's columns held behind one
+// atomically published Snapshot. Appends grow the columns and publish a
 // new snapshot; readers that loaded the previous snapshot keep a consistent
 // view because they only ever index rows < the N they loaded, and the
 // atomic Store/Load pair orders the value writes before the new length
@@ -16,7 +16,7 @@ import (
 // reader.
 type MemStore struct {
 	width int
-	mu    sync.Mutex // serializes writers (Append/ResetRows)
+	mu    sync.Mutex // serializes writers (Append/ResetRows/reset)
 	snap  atomic.Pointer[Snapshot]
 }
 
@@ -25,13 +25,6 @@ func NewMemStore(width int) *MemStore {
 	s := &MemStore{width: width}
 	cols := make([][]int64, width)
 	s.snap.Store(&Snapshot{Cols: cols})
-	return s
-}
-
-// NewMemStoreRows builds a store from row-major data in one transpose.
-func NewMemStoreRows(width int, rows [][]int64) *MemStore {
-	s := NewMemStore(width)
-	s.ResetRows(rows)
 	return s
 }
 
@@ -78,22 +71,25 @@ func (s *MemStore) appendLocked(rows [][]int64) {
 	s.snap.Store(&Snapshot{Cols: cols, N: n})
 }
 
-// growCap picks an amortized capacity for growth to need.
+// growCap picks the capacity for growth to need: a quarter of headroom, not
+// a doubling. The snapshot is the only copy of the table, so the slack a
+// growth leaves behind is resident for as long as the table is; 25 % keeps
+// appends amortized (a column is copied once per ~have/4 appended rows)
+// without holding a loaded table at twice its size after its first append.
 func growCap(have, need int) int {
-	c := have * 2
-	if c < need {
-		c = need
-	}
-	if c < 64 {
-		c = 64
-	}
-	return c
+	return max(need, have+have/4, 64)
 }
 
 func (s *MemStore) ResetRows(rows [][]int64) {
+	s.reset(transpose(s.width, rows))
+}
+
+// reset publishes snap as the store's whole content. The store takes the
+// column arrays over: the caller must not write to them afterwards.
+func (s *MemStore) reset(snap *Snapshot) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.snap.Store(transpose(s.width, rows))
+	s.snap.Store(snap)
 }
 
 // transpose builds a column-major snapshot from row-major data using one

@@ -81,63 +81,62 @@ func writeSegment(path string, snap *Snapshot, perm []int) ([]Zone, error) {
 	return zones, nil
 }
 
-// readSegment loads a segment's zone maps and rows (row-major, in file
-// order).
-func readSegment(path string, width int) ([]Zone, [][]int64, error) {
+// readSegment decodes a segment of n rows straight into rows [lo, lo+n) of
+// the column arrays dst — the file is column-contiguous, so each column is
+// one sequential read into its final place — and returns its zone maps.
+func readSegment(path string, dst [][]int64, lo, n int) ([]Zone, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	defer f.Close()
 	r := bufio.NewReaderSize(f, 1<<16)
 	var hdr [16]byte
 	if _, err := io.ReadFull(r, hdr[:8]); err != nil {
-		return nil, nil, fmt.Errorf("read magic: %w", err)
+		return nil, fmt.Errorf("read magic: %w", err)
 	}
 	if string(hdr[:8]) != segMagic {
-		return nil, nil, fmt.Errorf("bad magic %q", hdr[:8])
+		return nil, fmt.Errorf("bad magic %q", hdr[:8])
 	}
 	if _, err := io.ReadFull(r, hdr[:8]); err != nil {
-		return nil, nil, fmt.Errorf("read header: %w", err)
+		return nil, fmt.Errorf("read header: %w", err)
 	}
-	w := int(binary.LittleEndian.Uint32(hdr[0:4]))
-	n := int(binary.LittleEndian.Uint32(hdr[4:8]))
-	if w != width {
-		return nil, nil, fmt.Errorf("segment width %d, want %d", w, width)
+	if w := int(binary.LittleEndian.Uint32(hdr[0:4])); w != len(dst) {
+		return nil, fmt.Errorf("segment width %d, want %d", w, len(dst))
 	}
-	zones := make([]Zone, width)
+	if rows := int(binary.LittleEndian.Uint32(hdr[4:8])); rows != n {
+		return nil, fmt.Errorf("segment holds %d rows, manifest says %d", rows, n)
+	}
+	zones := make([]Zone, len(dst))
 	for c := range zones {
 		if _, err := io.ReadFull(r, hdr[:16]); err != nil {
-			return nil, nil, fmt.Errorf("read zones: %w", err)
+			return nil, fmt.Errorf("read zones: %w", err)
 		}
 		zones[c].Min = int64(binary.LittleEndian.Uint64(hdr[0:8]))
 		zones[c].Max = int64(binary.LittleEndian.Uint64(hdr[8:16]))
 	}
-	flat := make([]int64, width*n)
 	buf := make([]byte, 8*1024)
-	for off := 0; off < len(flat); {
-		want := (len(flat) - off) * 8
-		if want > len(buf) {
-			want = len(buf)
+	for _, col := range dst {
+		if err := readInt64s(r, buf, col[lo:lo+n]); err != nil {
+			return nil, fmt.Errorf("read data: %w", err)
 		}
+	}
+	return zones, nil
+}
+
+// readInt64s fills out with little-endian values read through buf.
+func readInt64s(r io.Reader, buf []byte, out []int64) error {
+	for len(out) > 0 {
+		want := min(len(out)*8, len(buf))
 		if _, err := io.ReadFull(r, buf[:want]); err != nil {
-			return nil, nil, fmt.Errorf("read data: %w", err)
+			return err
 		}
 		for b := 0; b < want; b += 8 {
-			flat[off] = int64(binary.LittleEndian.Uint64(buf[b : b+8]))
-			off++
+			out[b/8] = int64(binary.LittleEndian.Uint64(buf[b : b+8]))
 		}
+		out = out[want/8:]
 	}
-	rows := make([][]int64, n)
-	rowFlat := make([]int64, n*width)
-	for i := 0; i < n; i++ {
-		row := rowFlat[i*width : (i+1)*width : (i+1)*width]
-		for c := 0; c < width; c++ {
-			row[c] = flat[c*n+i]
-		}
-		rows[i] = row
-	}
-	return zones, rows, nil
+	return nil
 }
 
 // writeIndexSegment persists the ordered (key, global row id) pairs for one
@@ -251,72 +250,74 @@ func writeWALRecord(f *os.File, rows [][]int64) error {
 	return nil
 }
 
-// replayWAL feeds every complete record's rows to fn, in order, stopping
-// silently at a torn tail. It returns the number of rows replayed.
-func replayWAL(path string, width int, fn func(rows [][]int64) error) (int, error) {
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return 0, nil
+// replayWAL decodes the records in the log's first good bytes (a
+// walGoodPrefix, so every record is complete) into the column arrays dst
+// from row lo on. The log is row-major — rows are the ingest format — and
+// this is the one place an open turns rows into columns.
+func replayWAL(path string, good int64, dst [][]int64, lo int) error {
+	if good == 0 {
+		return nil
 	}
+	f, err := os.Open(path)
 	if err != nil {
-		return 0, fmt.Errorf("storage: open wal: %w", err)
+		return fmt.Errorf("storage: open wal: %w", err)
 	}
 	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<16)
-	total := 0
+	r := bufio.NewReaderSize(io.LimitReader(f, good), 1<<16)
+	width := len(dst)
 	var hdr [4]byte
+	var body []byte
 	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return total, nil // clean EOF or torn length prefix
+		if _, err := io.ReadFull(r, hdr[:]); err == io.EOF {
+			return nil
+		} else if err != nil {
+			return fmt.Errorf("storage: read wal: %w", err)
 		}
 		n := int(binary.LittleEndian.Uint32(hdr[:]))
-		body := make([]byte, n*width*8)
+		if cap(body) < n*width*8 {
+			body = make([]byte, n*width*8)
+		}
+		body = body[:n*width*8]
 		if _, err := io.ReadFull(r, body); err != nil {
-			return total, nil // torn record body
+			return fmt.Errorf("storage: read wal: %w", err)
 		}
-		rows := make([][]int64, n)
-		flat := make([]int64, n*width)
 		for i := 0; i < n; i++ {
-			row := flat[i*width : (i+1)*width : (i+1)*width]
 			for c := 0; c < width; c++ {
-				row[c] = int64(binary.LittleEndian.Uint64(body[(i*width+c)*8:]))
+				dst[c][lo+i] = int64(binary.LittleEndian.Uint64(body[(i*width+c)*8:]))
 			}
-			rows[i] = row
 		}
-		if err := fn(rows); err != nil {
-			return total, err
-		}
-		total += n
+		lo += n
 	}
 }
 
 // walGoodPrefix returns the byte length of the longest prefix of the log
-// made of complete records, so a torn tail can be truncated before new
-// appends.
-func walGoodPrefix(path string, width int) (int64, error) {
+// made of complete records, and the rows it holds, so the snapshot can be
+// sized before replay and a torn tail truncated before new appends.
+func walGoodPrefix(path string, width int) (good int64, rows int, err error) {
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
-		return 0, nil
+		return 0, 0, nil
 	}
 	if err != nil {
-		return 0, fmt.Errorf("storage: open wal: %w", err)
+		return 0, 0, fmt.Errorf("storage: open wal: %w", err)
 	}
 	defer f.Close()
 	info, err := f.Stat()
 	if err != nil {
-		return 0, fmt.Errorf("storage: stat wal: %w", err)
+		return 0, 0, fmt.Errorf("storage: stat wal: %w", err)
 	}
 	size := info.Size()
-	var good int64
 	var hdr [4]byte
 	for {
 		if _, err := f.ReadAt(hdr[:], good); err != nil {
-			return good, nil
+			return good, rows, nil
 		}
-		rec := 4 + int64(binary.LittleEndian.Uint32(hdr[:]))*int64(width)*8
+		n := int(binary.LittleEndian.Uint32(hdr[:]))
+		rec := 4 + int64(n)*int64(width)*8
 		if good+rec > size {
-			return good, nil
+			return good, rows, nil
 		}
 		good += rec
+		rows += n
 	}
 }

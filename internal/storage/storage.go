@@ -3,11 +3,13 @@
 // scans with predicate pushdown, ordered secondary-index lookups, and
 // data-version reporting — with two implementations.
 //
-// MemStore wraps the in-memory column mirror every table has always had. It
-// keeps the zero-copy fast path exactly: the executor scans column windows
-// straight over the snapshot arrays. What it adds is mutation safety — the
-// snapshot is published behind one atomic pointer, so an Append never
-// invalidates the columns an in-flight execution is reading (the old
+// A store's column snapshot is the table: the one in-memory copy of its
+// rows, which the executor scans as zero-copy column windows and the catalog
+// reads for statistics. Rows are only how data arrives — Append batches, log
+// records, ResetRows — and every backend turns them into columns once.
+//
+// MemStore publishes the snapshot behind one atomic pointer, so an Append
+// never invalidates the columns an in-flight execution is reading (the old
 // snapshot stays intact for its holders; see Snapshot).
 //
 // DiskStore is a log-structured persistent backend layered over a MemStore:
@@ -16,9 +18,10 @@
 // table's clustered column, per-column zone maps (min/max) in the header,
 // and sorted (key, rowid) secondary-index segments using an
 // order-preserving int64 key encoding (see EncodeKey). On open, segments
-// and the log replay into the memory snapshot, so serving reads are as fast
-// as the pure in-memory store; the segment zone maps additionally let scans
-// skip whole segments that a pushed-down predicate proves empty.
+// are decoded column by column into a snapshot sized from the manifest (the
+// log's rows after them), so serving reads are as fast as the pure
+// in-memory store; the segment zone maps additionally let scans skip whole
+// segments that a pushed-down predicate proves empty.
 package storage
 
 import (
@@ -89,8 +92,8 @@ type Backend interface {
 	// snapshots taken after Append returns.
 	Append(rows [][]int64) error
 	// ResetRows replaces the store's content wholesale from row-major data
-	// — the catalog's Analyze/rebuild path. Persistent backends rewrite
-	// their history at the next Flush when the content genuinely changed.
+	// — a stream window republished each slice. Persistent backends rewrite
+	// their history at the next Flush.
 	ResetRows(rows [][]int64)
 	// Scan returns a pooled batch iterator over the rows, pruned by the
 	// predicates where zone maps allow, yielding zero-copy column windows
@@ -103,7 +106,7 @@ type Backend interface {
 	ZoneCols() []int
 	// OrderedIndex returns the persisted ordered secondary index on a
 	// column, or nil when none exists or it does not cover every row
-	// (e.g. after unflushed appends).
+	// (e.g. after unflushed appends). It is read from disk on first use.
 	OrderedIndex(col int) *OrderedIndex
 	// LoadedVersion reports the data version persisted at the last
 	// Flush (0 for volatile backends or a fresh directory).

@@ -159,9 +159,18 @@ func TestDiskStoreRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, [][]int64{row(1, 10), row(2, 20), row(3, 30)}) {
 		t.Fatalf("reloaded rows = %v", got)
 	}
+	if s2.indexes != nil {
+		t.Fatal("index merged at open, before anyone asked for it")
+	}
 	ix := s2.OrderedIndex(1)
 	if ix == nil {
 		t.Fatal("no ordered index after clean reload")
+	}
+	if s2.OrderedIndex(1) != ix {
+		t.Fatal("second request merged the index again")
+	}
+	if s2.OrderedIndex(0) != nil {
+		t.Fatal("index handed out for a column that has none")
 	}
 	if ids := ix.Lookup(20); len(ids) != 1 || ids[0] != 1 {
 		t.Fatalf("Lookup(20) = %v, want [1]", ids)
@@ -338,12 +347,7 @@ func TestDiskStoreResetRows(t *testing.T) {
 	if err := s.Flush(1); err != nil {
 		t.Fatal(err)
 	}
-	// Same row count: the analyze path. Segments survive.
-	s.ResetRows([][]int64{row(1), row(2), row(3)})
-	if got := len(s.segs); got != 1 {
-		t.Fatalf("same-N reset dropped segments: %d", got)
-	}
-	// Different count: wholesale replacement; next flush rewrites.
+	// Wholesale replacement; next flush rewrites.
 	s.ResetRows([][]int64{row(7), row(8)})
 	if err := s.Flush(2); err != nil {
 		t.Fatal(err)

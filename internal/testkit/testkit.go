@@ -15,6 +15,17 @@ import (
 	"repro/internal/stats"
 )
 
+// Row copies row i out of the table's column snapshot — tables hold no rows,
+// and tests that clone or inspect one read it here.
+func Row(t *catalog.Table, i int) []int64 {
+	cols, _ := t.ColumnSnapshot()
+	row := make([]int64, len(cols))
+	for c := range cols {
+		row[c] = cols[c][i]
+	}
+	return row
+}
+
 // ColsPerTable is the arity of every synthetic table.
 const ColsPerTable = 4
 

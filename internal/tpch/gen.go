@@ -82,63 +82,87 @@ func (c Config) n(base int) int {
 	return n
 }
 
+// loader is a table being bulk-loaded: add batches generated rows into
+// AppendRows (rows are how data arrives; the table keeps only columns).
+type loader struct {
+	*catalog.Table
+	buf [][]int64
+}
+
+const loadBatchRows = 8192
+
+func (l *loader) add(row ...int64) {
+	if l.buf = append(l.buf, row); len(l.buf) == loadBatchRows {
+		l.flush()
+	}
+}
+
+func (l *loader) flush() {
+	if err := l.AppendRows(l.buf); err != nil {
+		panic(err)
+	}
+	l.buf = l.buf[:0]
+}
+
 // Generate builds the eight TPC-H tables with data, statistics and the
 // physical design used throughout the evaluation (primary and foreign key
 // indexes; orders and lineitem clustered on the order key).
 func Generate(cfg Config) *catalog.Catalog {
 	r := stats.NewRand(cfg.Seed)
 	cat := catalog.New()
+	// load registers a table and returns its loader; every loader is flushed
+	// before statistics are taken.
+	var loaders []*loader
+	load := func(t *catalog.Table) *loader {
+		cat.Add(t)
+		loaders = append(loaders, &loader{Table: t})
+		return loaders[len(loaders)-1]
+	}
 
-	region := catalog.NewTable("region", "r_regionkey", "r_name")
+	region := load(catalog.NewTable("region", "r_regionkey", "r_name"))
 	for i := 0; i < 5; i++ {
-		region.Append([]int64{int64(i), int64(i)})
+		region.add(int64(i), int64(i))
 	}
 	region.AddIndex("r_regionkey")
-	cat.Add(region)
 
-	nation := catalog.NewTable("nation", "n_nationkey", "n_name", "n_regionkey")
+	nation := load(catalog.NewTable("nation", "n_nationkey", "n_name", "n_regionkey"))
 	for i := 0; i < 25; i++ {
-		nation.Append([]int64{int64(i), int64(i), int64(i % 5)})
+		nation.add(int64(i), int64(i), int64(i%5))
 	}
 	nation.AddIndex("n_nationkey")
 	nation.AddIndex("n_regionkey")
-	cat.Add(nation)
 
 	nSupp := cfg.n(10000)
-	supplier := catalog.NewTable("supplier", "s_suppkey", "s_name", "s_nationkey")
+	supplier := load(catalog.NewTable("supplier", "s_suppkey", "s_name", "s_nationkey"))
 	for i := 0; i < nSupp; i++ {
-		supplier.Append([]int64{int64(i), int64(i), r.Int64n(25)})
+		supplier.add(int64(i), int64(i), r.Int64n(25))
 	}
 	supplier.AddIndex("s_suppkey")
 	supplier.AddIndex("s_nationkey")
-	cat.Add(supplier)
 
 	nCust := cfg.n(150000)
-	customer := catalog.NewTable("customer", "c_custkey", "c_name", "c_mktsegment", "c_nationkey")
+	customer := load(catalog.NewTable("customer", "c_custkey", "c_name", "c_mktsegment", "c_nationkey"))
 	for i := 0; i < nCust; i++ {
-		customer.Append([]int64{int64(i), int64(i), r.Int64n(NumSegments), r.Int64n(25)})
+		customer.add(int64(i), int64(i), r.Int64n(NumSegments), r.Int64n(25))
 	}
 	customer.AddIndex("c_custkey")
 	customer.AddIndex("c_nationkey")
-	cat.Add(customer)
 
 	nPart := cfg.n(200000)
-	part := catalog.NewTable("part", "p_partkey", "p_name", "p_size")
+	part := load(catalog.NewTable("part", "p_partkey", "p_name", "p_size"))
 	for i := 0; i < nPart; i++ {
-		part.Append([]int64{int64(i), int64(i), 1 + r.Int64n(50)})
+		part.add(int64(i), int64(i), 1+r.Int64n(50))
 	}
 	part.AddIndex("p_partkey")
-	cat.Add(part)
 
-	partsupp := catalog.NewTable("partsupp", "ps_partkey", "ps_suppkey", "ps_availqty")
+	partsupp := load(catalog.NewTable("partsupp", "ps_partkey", "ps_suppkey", "ps_availqty"))
 	for i := 0; i < nPart; i++ {
 		for j := 0; j < 4; j++ {
-			partsupp.Append([]int64{int64(i), int64((i + j*nPart/4) % nSupp), 1 + r.Int64n(9999)})
+			partsupp.add(int64(i), int64((i+j*nPart/4)%nSupp), 1+r.Int64n(9999))
 		}
 	}
 	partsupp.AddIndex("ps_partkey")
 	partsupp.AddIndex("ps_suppkey")
-	cat.Add(partsupp)
 
 	var custZipf, partZipf, suppZipf *stats.Zipf
 	if cfg.Skew > 0 {
@@ -154,30 +178,30 @@ func Generate(cfg Config) *catalog.Catalog {
 	}
 
 	nOrders := cfg.n(1500000)
-	orders := catalog.NewTable("orders", "o_orderkey", "o_custkey", "o_orderdate", "o_shippriority")
+	orders := load(catalog.NewTable("orders", "o_orderkey", "o_custkey", "o_orderdate", "o_shippriority"))
 	orders.SortedBy = 0
-	lineitem := catalog.NewTable("lineitem",
+	lineitem := load(catalog.NewTable("lineitem",
 		"l_orderkey", "l_partkey", "l_suppkey", "l_shipdate", "l_quantity",
-		"l_extendedprice", "l_discount", "l_returnflag", "l_linestatus")
+		"l_extendedprice", "l_discount", "l_returnflag", "l_linestatus"))
 	lineitem.SortedBy = 0
 	maxDate := Date(1998, 12, 1)
 	for i := 0; i < nOrders; i++ {
 		odate := r.Int64n(maxDate)
-		orders.Append([]int64{int64(i), pickKey(nCust, custZipf), odate, r.Int64n(3)})
+		orders.add(int64(i), pickKey(nCust, custZipf), odate, r.Int64n(3))
 		lines := 1 + r.Intn(7)
 		for j := 0; j < lines; j++ {
 			ship := odate + 1 + r.Int64n(120)
-			lineitem.Append([]int64{
+			lineitem.add(
 				int64(i),
 				pickKey(nPart, partZipf),
 				pickKey(nSupp, suppZipf),
 				ship,
-				1 + r.Int64n(50),
-				100 + r.Int64n(100000), // cents
-				r.Int64n(11),           // discount in %
+				1+r.Int64n(50),
+				100+r.Int64n(100000), // cents
+				r.Int64n(11),         // discount in %
 				r.Int64n(NumFlags),
 				r.Int64n(2),
-			})
+			)
 		}
 	}
 	orders.AddIndex("o_orderkey")
@@ -185,9 +209,10 @@ func Generate(cfg Config) *catalog.Catalog {
 	lineitem.AddIndex("l_orderkey")
 	lineitem.AddIndex("l_partkey")
 	lineitem.AddIndex("l_suppkey")
-	cat.Add(orders)
-	cat.Add(lineitem)
 
+	for _, l := range loaders {
+		l.flush()
+	}
 	cat.AnalyzeAll(cfg.HistogramBuckets)
 	return cat
 }

@@ -3,6 +3,7 @@ package tpch
 import (
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/exec"
@@ -36,14 +37,14 @@ func TestGenerateSizesScale(t *testing.T) {
 func TestGenerateDeterministic(t *testing.T) {
 	a := Generate(tinyConfig())
 	b := Generate(tinyConfig())
-	ra := a.MustTable("lineitem").Rows
-	rb := b.MustTable("lineitem").Rows
-	if len(ra) != len(rb) {
+	ca, na := a.MustTable("lineitem").ColumnSnapshot()
+	cb, nb := b.MustTable("lineitem").ColumnSnapshot()
+	if na != nb {
 		t.Fatal("row counts differ across runs")
 	}
-	for i := range ra {
-		for c := range ra[i] {
-			if ra[i][c] != rb[i][c] {
+	for c := range ca {
+		for i := 0; i < na; i++ {
+			if ca[c][i] != cb[c][i] {
 				t.Fatalf("row %d col %d differs", i, c)
 			}
 		}
@@ -53,18 +54,19 @@ func TestGenerateDeterministic(t *testing.T) {
 func TestSkewConcentratesKeys(t *testing.T) {
 	uniform := Generate(Config{ScaleFactor: 0.002, Seed: 1, Skew: 0})
 	skewed := Generate(Config{ScaleFactor: 0.002, Seed: 1, Skew: 0.9})
-	count := func(rows [][]int64, col int) (maxFreq int) {
+	count := func(cat *catalog.Catalog, col int) (maxFreq int) {
+		cols, n := cat.MustTable("lineitem").ColumnSnapshot()
 		freq := map[int64]int{}
-		for _, r := range rows {
-			freq[r[col]]++
-			if freq[r[col]] > maxFreq {
-				maxFreq = freq[r[col]]
+		for _, v := range cols[col][:n] {
+			freq[v]++
+			if freq[v] > maxFreq {
+				maxFreq = freq[v]
 			}
 		}
 		return
 	}
-	u := count(uniform.MustTable("lineitem").Rows, 1) // l_partkey
-	s := count(skewed.MustTable("lineitem").Rows, 1)
+	u := count(uniform, 1) // l_partkey
+	s := count(skewed, 1)
 	if s <= 2*u {
 		t.Fatalf("skewed hottest part freq %d not > 2x uniform %d", s, u)
 	}

@@ -115,8 +115,8 @@
 // columns — shared across statements and sessions that never saw each other
 // — while a miss tees the subtree's output into the cache as a side effect
 // of normal execution. Entries pin the data versions of their base tables
-// (bumped by catalog Append/Analyze), so a mutation silently invalidates
-// every dependent result; the byte budget evicts LRU, and
+// (bumped by catalog AppendRows/ResetRows), so a mutation silently
+// invalidates every dependent result; the byte budget evicts LRU, and
 // ServerOptions.ResultCacheStaleAfter ages out entries the workload stopped
 // touching. Cached serving is exactly transparent: results and the
 // per-operator cardinality feedback driving plan repair are byte-identical
@@ -177,18 +177,23 @@
 //
 // # Storage
 //
-// Tables bind to a pluggable storage backend (internal/storage). The
-// default is an in-memory column store whose snapshots publish behind one
-// atomic pointer, so appending rows never disturbs the column windows an
-// in-flight execution is scanning — mutation-safe and still zero-copy.
+// A table's data is held once: as the immutable column snapshot of its
+// storage backend (internal/storage). The executor scans it as zero-copy
+// column windows, catalog.Table.Analyze computes statistics from it, and
+// rows exist only on the way in (AppendRows, ResetRows, log records). The
+// default backend is an in-memory column store whose snapshots publish
+// behind one atomic pointer, so appending rows never disturbs the column
+// windows an in-flight execution is scanning — mutation-safe and still
+// zero-copy.
 // Setting ServerOptions.DataDir binds every table to a log-structured
 // persistent backend under that directory instead: appends write through a
 // synced write-ahead log, and a graceful Server.Shutdown flushes the
 // unflushed tail into immutable column-segment files (rows sorted by the
 // table's clustered column, per-column min/max zone maps, plus ordered
 // secondary-index segments under an order-preserving key encoding). On the
-// next boot the directory wins over generated seed data: segments and log
-// replay into memory, data versions carry over (so result-cache
+// next boot the directory wins over generated seed data: segments decode
+// column by column into one snapshot sized from the manifest, the log's
+// rows after them, data versions carry over (so result-cache
 // invalidation state survives), and the server serves byte-identical
 // results with zero regeneration. Segment zone maps also give the
 // optimizer a genuinely distinct access path — a segment-pruned scan that
