@@ -34,8 +34,10 @@ type aggTable struct {
 	counts []int64
 	idCols []int // 0..gw-1, for inserting already-extracted flat keys
 	// distinct value sets per (group, CountDistinct column); the only
-	// per-group allocation left, and only for COUNT(DISTINCT) queries.
+	// per-group allocation left, and only for COUNT(DISTINCT) queries. dvals
+	// counts the values stored across all of them, for approxBytes.
 	distinct []map[int64]struct{}
+	dvals    int
 	n        int
 }
 
@@ -66,8 +68,16 @@ func (t *aggTable) add(r Row) {
 	}
 	t.counts[g]++
 	for i, c := range t.spec.CountDistinct {
-		t.distinct[g*t.dw+i][r[c]] = struct{}{}
+		t.addDistinct(g*t.dw+i, r[c])
 	}
+}
+
+// addDistinct stores v in distinct set d, counting it when it is new.
+func (t *aggTable) addDistinct(d int, v int64) {
+	set := t.distinct[d]
+	before := len(set)
+	set[v] = struct{}{}
+	t.dvals += len(set) - before
 }
 
 // aggScratch is the reusable per-consumer scratch of the columnar
@@ -83,8 +93,11 @@ type aggScratch struct {
 // column pass per key (bit-identical to hashCols, so merge stays
 // compatible), group ids are resolved once per row, and each accumulator
 // column is then updated in its own tight loop over the chunk — column
-// locality on both the input and the flat sums array.
-func (t *aggTable) addBatch(cols [][]int64, n int, sel []int, s *aggScratch) {
+// locality on both the input and the flat sums array. mult, when non-nil, is
+// the chunk's multiplicity vector (Batch.Mult): row i stands for mult[i]
+// copies, so it adds mult[i] to COUNT(*) and mult[i]·v to a SUM; a
+// COUNT(DISTINCT) set is the same however often a value arrives.
+func (t *aggTable) addBatch(cols [][]int64, n int, sel []int, mult []int64, s *aggScratch) {
 	s.hashes = hashLive(s.hashes, cols, t.spec.GroupBy, n, sel)
 	m := len(s.hashes)
 	if cap(s.gids) < m {
@@ -104,16 +117,36 @@ func (t *aggTable) addBatch(cols [][]int64, n int, sel []int, s *aggScratch) {
 			}
 		}
 	}
+	if mult != nil {
+		t.addExtraCopies(cols, sel, mult, s.gids)
+	}
 	for di, c := range t.spec.CountDistinct {
 		col := cols[c]
 		if sel == nil {
 			for i := 0; i < n; i++ {
-				t.distinct[int(s.gids[i])*t.dw+di][col[i]] = struct{}{}
+				t.addDistinct(int(s.gids[i])*t.dw+di, col[i])
 			}
 		} else {
 			for k, i := range sel {
-				t.distinct[int(s.gids[k])*t.dw+di][col[i]] = struct{}{}
+				t.addDistinct(int(s.gids[k])*t.dw+di, col[i])
 			}
+		}
+	}
+}
+
+// addExtraCopies finishes addBatch over a weighted chunk: COUNT(*) and every
+// SUM hold each live row once by now, and row i stands for mult[i] copies, so
+// the other mult[i]-1 are added here.
+func (t *aggTable) addExtraCopies(cols [][]int64, sel []int, mult []int64, gids []int32) {
+	for k, g := range gids {
+		i := k
+		if sel != nil {
+			i = sel[k]
+		}
+		extra := mult[i] - 1
+		t.counts[g] += extra
+		for si, c := range t.spec.Sums {
+			t.sums[int(g)*t.sw+si] += extra * cols[c][i]
 		}
 	}
 }
@@ -325,13 +358,18 @@ func (t *aggTable) newGroup(slot uint64, h uint64, r Row, cols []int) int {
 }
 
 // approxBytes estimates the table's tracked footprint: the slot array plus
-// per-group hash, key, sum and count storage (and a nominal map allowance
-// per COUNT(DISTINCT) set). Monotone in n, so charging the delta after each
+// per-group hash, key, sum and count storage, an empty-map allowance per
+// COUNT(DISTINCT) set and distinctValueBytes per value stored in one.
+// Monotone in n and in the stored values, so charging the delta after each
 // batch keeps the reservation current.
 func (t *aggTable) approxBytes() int64 {
 	per := int64(8 + t.gw*8 + t.sw*8 + 8 + t.dw*48)
-	return int64(t.mask+1)*4 + int64(t.n)*per
+	return int64(t.mask+1)*4 + int64(t.n)*per + int64(t.dvals)*distinctValueBytes
 }
+
+// distinctValueBytes is what one value held in a COUNT(DISTINCT) set is
+// charged: its 8-byte key and control byte at the map's growth-averaged load.
+const distinctValueBytes = 16
 
 func (t *aggTable) grow() {
 	size := 2 * (t.mask + 1)
@@ -436,7 +474,7 @@ func (a *vecHashAggOp) Open() error {
 		if b == nil {
 			break
 		}
-		t.addBatch(b.Cols, b.N, b.Sel, &scratch)
+		t.addBatch(b.Cols, b.N, b.Sel, b.Mult, &scratch)
 		if a.mem == nil {
 			continue
 		}

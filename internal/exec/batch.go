@@ -1,6 +1,9 @@
 package exec
 
-import "errors"
+import (
+	"errors"
+	"fmt"
+)
 
 // BatchSize is the fixed batch capacity of the vectorized executor. Batches
 // are column-major: up to BatchSize rows held as one contiguous []int64 per
@@ -21,10 +24,17 @@ const BatchSize = 1024
 // next batch. Consumers must therefore copy values out (not retain Cols or
 // Sel) before calling Next again; DrainVec and the materializing drains do
 // exactly one such copy per row.
+//
+// Mult, when non-nil, is a multiplicity vector indexed like a column: live
+// row i stands for Mult[i] identical rows. Only a hash join in counting mode
+// produces one (Compiler.counted), and only its four consumers read it — the
+// cardinality counter, the aggregation, the probe side of another counting
+// join and the profiling shim. Everything else requires nil (unweighted).
 type Batch struct {
 	Cols [][]int64
 	N    int
 	Sel  []int
+	Mult []int64
 }
 
 // Len returns the number of live rows.
@@ -37,6 +47,36 @@ func (b *Batch) Len() int {
 
 // Width returns the number of columns.
 func (b *Batch) Width() int { return len(b.Cols) }
+
+// Rows returns the number of rows the batch stands for: the multiplicities of
+// its live rows summed, Len when it carries none.
+func (b *Batch) Rows() int64 {
+	if b.Mult == nil {
+		return int64(b.Len())
+	}
+	var n int64
+	if b.Sel == nil {
+		for _, m := range b.Mult[:b.N] {
+			n += m
+		}
+	} else {
+		for _, i := range b.Sel {
+			n += b.Mult[i]
+		}
+	}
+	return n
+}
+
+// unweighted is the guard of every consumer that does not read Mult: handed a
+// weighted batch it would silently return a short result, so a counting join
+// compiled under it — a compiler bug, like an unsorted merge-join input —
+// surfaces as the query's error instead.
+func unweighted(b *Batch, consumer string) error {
+	if b.Mult != nil {
+		return fmt.Errorf("exec: %s does not read multiplicities but its input is a counting join", consumer)
+	}
+	return nil
+}
 
 // VecIterator is the batch-at-a-time (vectorized Volcano) operator
 // interface. Next returns nil at end of stream.
@@ -66,6 +106,9 @@ func DrainVec(v VecIterator) ([]Row, error) {
 		}
 		if b == nil {
 			break
+		}
+		if err := unweighted(b, "DrainVec"); err != nil {
+			return nil, errors.Join(err, v.Close())
 		}
 		n, w := b.Len(), b.Width()
 		if n == 0 {
@@ -106,6 +149,9 @@ func CountVec(v VecIterator) (int64, error) {
 		}
 		if b == nil {
 			break
+		}
+		if err := unweighted(b, "CountVec"); err != nil {
+			return n, errors.Join(err, v.Close())
 		}
 		n += int64(b.Len())
 	}
@@ -239,6 +285,9 @@ func drainVecCols(in VecIterator) (colData, error) {
 		if b == nil {
 			break
 		}
+		if err := unweighted(b, "a materializing drain"); err != nil {
+			return out, errors.Join(err, in.Close())
+		}
 		out.appendBatch(b)
 	}
 	return out, in.Close()
@@ -339,6 +388,7 @@ func (p *vecProjectOp) Next() (*Batch, error) {
 	p.batch.Cols = out
 	p.batch.N = b.N
 	p.batch.Sel = b.Sel
+	p.batch.Mult = b.Mult
 	return &p.batch, nil
 }
 
@@ -404,8 +454,10 @@ type vecCounterOp struct {
 }
 
 // NewVecCounter wraps a vectorized iterator and accumulates its output
-// cardinality into n. The counter sits above any exchange, so counts stay
-// exact (and race-free) under morsel-driven parallel scans.
+// cardinality into n — the rows its batches stand for, so a counting join
+// reports exactly what the enumerating join would. The counter sits above any
+// exchange, so counts stay exact (and race-free) under morsel-driven parallel
+// scans.
 func NewVecCounter(in VecIterator, n *int64) VecIterator { return &vecCounterOp{in: in, n: n} }
 
 func (c *vecCounterOp) Open() error { return c.in.Open() }
@@ -413,7 +465,7 @@ func (c *vecCounterOp) Open() error { return c.in.Open() }
 func (c *vecCounterOp) Next() (*Batch, error) {
 	b, err := c.in.Next()
 	if b != nil {
-		*c.n += int64(b.Len())
+		*c.n += b.Rows()
 	}
 	return b, err
 }

@@ -127,7 +127,7 @@ func (c *Compiler) CompileVec(plan *relalg.Plan) (VecIterator, *RunStats, error)
 		if c.Q.Agg != nil {
 			minStages = 0
 		}
-		op, schema, ok, err := c.compilePipeline(plan, stats, minStages)
+		op, schema, ok, err := c.compilePipeline(plan, stats, minStages, c.Q.Agg != nil)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -149,7 +149,8 @@ func (c *Compiler) CompileVec(plan *relalg.Plan) (VecIterator, *RunStats, error)
 			return op, stats, nil
 		}
 	}
-	v, schema, err := c.compileVec(plan, stats)
+	// The aggregation reads Batch.Mult; a root without one is drained as rows.
+	v, schema, err := c.compileVec(plan, stats, c.Q.Agg != nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -248,13 +249,20 @@ func (c *Compiler) resolveScan(rel int, schema []relalg.ColID) (scanLeaf, error)
 
 // compileVec compiles one plan node via compileVecNode and — when
 // profiling — wraps the result in the timing shim for that node. Fused
-// pipelines are exempt: they register their own per-stage spans.
-func (c *Compiler) compileVec(p *relalg.Plan, stats *RunStats) (VecIterator, []relalg.ColID, error) {
-	v, schema, err := c.compileVecNode(p, stats)
+// pipelines are exempt, bare or under a result-cache spool: they register
+// their own per-stage spans, p's among them, and fill them from another
+// goroutine. weighted says whether the node's consumer reads Batch.Mult (see
+// Compiler.counted).
+func (c *Compiler) compileVec(p *relalg.Plan, stats *RunStats, weighted bool) (VecIterator, []relalg.ColID, error) {
+	v, schema, err := c.compileVecNode(p, stats, weighted)
 	if err != nil || c.Prof == nil {
 		return v, schema, err
 	}
-	if _, fused := v.(*parallelPipelineOp); fused {
+	in := v
+	if s, spooled := in.(*spoolOp); spooled {
+		in = s.in
+	}
+	if _, fused := in.(*parallelPipelineOp); fused {
 		return v, schema, nil
 	}
 	c.Prof.cols[p] = len(schema)
@@ -263,7 +271,7 @@ func (c *Compiler) compileVec(p *relalg.Plan, stats *RunStats) (VecIterator, []r
 
 // compileVecNode returns the operator for one plan node and its output
 // schema (the ColID of every output column, in order).
-func (c *Compiler) compileVecNode(p *relalg.Plan, stats *RunStats) (VecIterator, []relalg.ColID, error) {
+func (c *Compiler) compileVecNode(p *relalg.Plan, stats *RunStats, weighted bool) (VecIterator, []relalg.ColID, error) {
 	if d := c.takeDecision(p); d != nil {
 		return c.applyCacheDecision(d, p, stats)
 	}
@@ -300,7 +308,7 @@ func (c *Compiler) compileVecNode(p *relalg.Plan, stats *RunStats) (VecIterator,
 		return c.countedVec(v, p.Expr, stats), schema, nil
 
 	case relalg.LogEnforce:
-		child, schema, err := c.compileVec(p.Left, stats)
+		child, schema, err := c.compileVec(p.Left, stats, false)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -318,7 +326,7 @@ func (c *Compiler) compileVecNode(p *relalg.Plan, stats *RunStats) (VecIterator,
 		if p.Phy == relalg.PhyHashJoin {
 			// Fuse an interior hash-join chain (e.g. a build-side
 			// subtree) into a collect-mode parallel pipeline.
-			op, schema, ok, err := c.compilePipeline(p, stats, 1)
+			op, schema, ok, err := c.compilePipeline(p, stats, 1, weighted)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -326,11 +334,12 @@ func (c *Compiler) compileVecNode(p *relalg.Plan, stats *RunStats) (VecIterator,
 				return op, schema, nil
 			}
 		}
-		left, ls, err := c.compileVec(p.Left, stats)
+		left, ls, err := c.compileVec(p.Left, stats, false)
 		if err != nil {
 			return nil, nil, err
 		}
-		right, rs, err := c.compileVec(p.Right, stats)
+		counted := c.counted(p, ls, weighted)
+		right, rs, err := c.compileVec(p.Right, stats, counted)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -354,6 +363,10 @@ func (c *Compiler) compileVecNode(p *relalg.Plan, stats *RunStats) (VecIterator,
 			v = NewVecHashJoin(left, right, lKeys, rKeys, residual, lOut, rOut, c.Parallelism)
 			if hj, ok := v.(*vecHashJoinOp); ok {
 				hj.mem = c.Mem.Child("hashjoin")
+				hj.counting = counted
+			}
+			if c.Prof != nil {
+				c.Prof.counted[p] = counted
 			}
 		case relalg.PhyMergeJoin:
 			residual, err := c.colResidualPreds(p, in)
@@ -399,7 +412,7 @@ func (c *Compiler) compileVecIndexNL(p *relalg.Plan, jp relalg.JoinPred, stats *
 	// catalog's untracked mirror.
 	c.Mem.Force(int64(leaf.data.n) * 40)
 
-	outer, rs, err := c.compileVec(p.Right, stats)
+	outer, rs, err := c.compileVec(p.Right, stats, false)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -426,8 +439,9 @@ func (c *Compiler) compileVecIndexNL(p *relalg.Plan, jp relalg.JoinPred, stats *
 // join — merging exact per-worker counts, so it must not be wrapped in
 // countedVec. Returns ok=false when the shape doesn't match or the scan is
 // too small to pay for workers; the caller falls back to the exchange-based
-// operators.
-func (c *Compiler) compilePipeline(p *relalg.Plan, stats *RunStats, minStages int) (*parallelPipelineOp, []relalg.ColID, bool, error) {
+// operators. weighted says whether the pipeline's consumer — the fused
+// aggregation included — reads Batch.Mult.
+func (c *Compiler) compilePipeline(p *relalg.Plan, stats *RunStats, minStages int, weighted bool) (*parallelPipelineOp, []relalg.ColID, bool, error) {
 	if c.Parallelism <= 1 {
 		return nil, nil, false, nil
 	}
@@ -463,26 +477,30 @@ func (c *Compiler) compilePipeline(p *relalg.Plan, stats *RunStats, minStages in
 	}
 	scanCard := stats.counter(cur.Expr)
 
+	// Which stages count is decided from the top of the spine down, before
+	// anything is compiled: a stage's consumer is the stage above it, the
+	// topmost's the pipeline's. The same pass sizes the build sides at the
+	// width they actually carry.
+	counted := make([]bool, len(spine))
+	var est int64
+	for i, pj := range spine {
+		ls, err := c.PlanSchema(pj.Left)
+		if err != nil {
+			return nil, nil, false, err
+		}
+		weighted = c.counted(pj, ls, weighted)
+		counted[i] = weighted
+		rows := int(pj.Left.Card)
+		est += colBytes(len(ls), rows) + joinTableBytes(rows, counted[i])
+	}
 	// Under a memory budget, fusion is admission-gated: the fused pipeline
 	// Force-charges its build tables (it cannot spill them), so it is only
 	// used when the optimizer's cardinality estimates put the combined build
-	// footprint (at the width the build sides actually carry) within half
-	// the budget. The check runs before any build subtree is compiled —
-	// bailing later would leave counters and cache decisions
-	// half-registered. Misestimates surface as tracked overage.
-	if c.Mem.Bounded() {
-		var est int64
-		for _, pj := range spine {
-			ls, err := c.PlanSchema(pj.Left)
-			if err != nil {
-				return nil, nil, false, err
-			}
-			rows := int(pj.Left.Card)
-			est += colBytes(len(ls), rows) + joinTableBytes(rows)
-		}
-		if est > c.Mem.Limit()/2 {
-			return nil, nil, false, nil
-		}
+	// footprint within half the budget. The check runs before any build
+	// subtree is compiled — bailing later would leave counters and cache
+	// decisions half-registered. Misestimates surface as tracked overage.
+	if c.Mem.Bounded() && est > c.Mem.Limit()/2 {
+		return nil, nil, false, nil
 	}
 
 	// Stages assemble bottom-up: the innermost join of the spine is probed
@@ -492,7 +510,7 @@ func (c *Compiler) compilePipeline(p *relalg.Plan, stats *RunStats, minStages in
 	for i := len(spine) - 1; i >= 0; i-- {
 		pj := spine[i]
 		jp := c.Q.Joins[pj.Pred]
-		build, ls, err := c.compileVec(pj.Left, stats)
+		build, ls, err := c.compileVec(pj.Left, stats, false)
 		if err != nil {
 			return nil, nil, false, err
 		}
@@ -512,9 +530,10 @@ func (c *Compiler) compilePipeline(p *relalg.Plan, stats *RunStats, minStages in
 		schema, lOut, rOut = c.joinSchema(pj, ls, schema)
 		stages = append(stages, &pipeStage{build: build, buildKeys: lKeys,
 			probeKeys: rKeys, residual: residual, buildOut: lOut, probeOut: rOut,
-			card: stats.counter(pj.Expr)})
+			counting: counted[i], card: stats.counter(pj.Expr)})
 		if c.Prof != nil {
 			c.Prof.cols[pj] = len(schema)
+			c.Prof.counted[pj] = counted[i]
 		}
 	}
 	op := newParallelPipeline(leaf, scanCard, stages, c.Parallelism)

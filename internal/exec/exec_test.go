@@ -205,15 +205,25 @@ func randomExecQuery(r *stats.Rand, cat *catalog.Catalog, nRels int, agg bool) *
 // — and the deliberately worst plan — and compares the result multiset and
 // every operator's RunStats cardinality against the plan-independent
 // reference evaluator, once under a narrow aggregation (columns die below
-// the root on every seed) and once without one (every column is live). This
-// exercises hash, merge and index-NL joins, sort enforcers, secondary
-// equi-keys, residual filters and aggregation across arbitrary plan shapes.
+// the root on every seed), once without one (every column is live) and once
+// under COUNT(*) and COUNT(DISTINCT) of a single column, which leaves every
+// other relation dead so that hash joins count instead of enumerating
+// (Compiler.counted) at the root and below it. This exercises hash, merge and
+// index-NL joins, sort enforcers, secondary equi-keys, residual filters and
+// aggregation across arbitrary plan shapes.
 func TestPlansAgreeWithReference(t *testing.T) {
 	seen := map[relalg.PhyOp]bool{}
+	var countedRoots, countedBelow int
 	for seed := uint64(1); seed <= 40; seed++ {
 		cat := tinyCatalog(seed, 3, 30)
-		q := randomExecQuery(stats.NewRand(seed*131), cat, 2+int(seed%3), true)
-		allLive := randomExecQuery(stats.NewRand(seed*131), cat, 2+int(seed%3), false)
+		nRels := 2 + int(seed%3)
+		q := randomExecQuery(stats.NewRand(seed*131), cat, nRels, true)
+		allLive := randomExecQuery(stats.NewRand(seed*131), cat, nRels, false)
+		oneCol := randomExecQuery(stats.NewRand(seed*131), cat, nRels, false)
+		oneCol.Filters = oneCol.Filters[1:] // a filter crossing a join makes it enumerate
+		spine, leaf := rightDeepHashPlan(oneCol, stats.NewRand(seed*977))
+		oneCol.Agg = &relalg.AggSpec{CountAll: true,
+			CountDistinct: []relalg.ColID{{Rel: leaf, Off: int(seed/3) % 4}}}
 		m, err := cost.NewModel(q, cat, cost.DefaultParams())
 		if err != nil {
 			t.Fatal(err)
@@ -241,15 +251,31 @@ func TestPlansAgreeWithReference(t *testing.T) {
 			plans = append(plans, wp)
 		}
 
-		for _, q := range []*relalg.Query{q, allLive} {
+		for _, q := range []*relalg.Query{q, allLive, oneCol} {
 			ref := testkit.NewReference(q, cat)
 			want := testkit.Canonical(ref.Rows(), nil)
-			for pi, plan := range plans {
-				checkAgainstReference(t, fmt.Sprintf("seed %d plan %d agg=%v", seed, pi, q.Agg != nil),
-					&Compiler{Q: q, Cat: cat}, ref, want, plan)
-				eachPlanNode(plan, func(p *relalg.Plan) { seen[p.Phy] = true })
+			for pi, plan := range append(plans, spine) {
+				comp := &Compiler{Q: q, Cat: cat}
+				if q == oneCol {
+					comp.Prof = NewPlanProfile()
+				}
+				checkAgainstReference(t, fmt.Sprintf("seed %d plan %d agg=%+v", seed, pi, q.Agg), comp, ref, want, plan)
+				eachPlanNode(plan, func(p *relalg.Plan) {
+					seen[p.Phy] = true
+					if comp.Prof != nil && comp.Prof.counted[p] {
+						if p == plan {
+							countedRoots++
+						} else {
+							countedBelow++
+						}
+					}
+				})
 			}
 		}
+	}
+	if countedRoots == 0 || countedBelow == 0 {
+		t.Errorf("%d root joins and %d joins below the root ran in counting mode; the seeds no longer cover both",
+			countedRoots, countedBelow)
 	}
 	for _, phy := range []relalg.PhyOp{relalg.PhyHashJoin, relalg.PhyMergeJoin,
 		relalg.PhyIndexNLJoin, relalg.PhySort, relalg.PhyIndexScan} {
@@ -257,6 +283,35 @@ func TestPlansAgreeWithReference(t *testing.T) {
 			t.Errorf("no random plan used %v; the seeds no longer cover it", phy)
 		}
 	}
+}
+
+// rightDeepHashPlan joins q's relations by hash joins along one probe spine
+// in a seeded connected order: a random relation is the probe leaf (returned
+// with the plan) and every other relation the build side of one join above
+// it — the shape in which dead build sides stack.
+func rightDeepHashPlan(q *relalg.Query, r *stats.Rand) (*relalg.Plan, int) {
+	scan := func(rel int) *relalg.Plan {
+		return &relalg.Plan{Expr: relalg.Single(rel), Log: relalg.LogScan, Phy: relalg.PhyTableScan, Rel: rel}
+	}
+	leaf := r.Intn(len(q.Rels))
+	plan := scan(leaf)
+	for plan.Expr.Count() < len(q.Rels) {
+		type edge struct{ rel, pred int }
+		var next []edge
+		for rel := range q.Rels {
+			for pi, jp := range q.Joins {
+				if !plan.Expr.Has(rel) && jp.Crosses(relalg.Single(rel), plan.Expr) {
+					next = append(next, edge{rel, pi})
+					break
+				}
+			}
+		}
+		e := next[r.Intn(len(next))]
+		build := scan(e.rel)
+		plan = &relalg.Plan{Expr: build.Expr.Union(plan.Expr), Log: relalg.LogJoin, Phy: relalg.PhyHashJoin,
+			Pred: e.pred, Left: build, Right: plan}
+	}
+	return plan, leaf
 }
 
 func eachPlanNode(p *relalg.Plan, fn func(*relalg.Plan)) {
@@ -272,8 +327,8 @@ func eachPlanNode(p *relalg.Plan, fn func(*relalg.Plan)) {
 // multiset equals want (the canonical rendering of ref.Rows()) and that the
 // feedback probes are exact: every scan and join node compiled as its own
 // operator reports the reference cardinality of its subexpression, and
-// nothing else is reported.
-func checkAgainstReference(t *testing.T, label string, comp *Compiler, ref *testkit.Reference, want string, plan *relalg.Plan) {
+// nothing else is reported. It returns the execution's RunStats.
+func checkAgainstReference(t *testing.T, label string, comp *Compiler, ref *testkit.Reference, want string, plan *relalg.Plan) *RunStats {
 	t.Helper()
 	v, st, err := comp.CompileVec(plan)
 	if err != nil {
@@ -306,4 +361,5 @@ func checkAgainstReference(t *testing.T, label string, comp *Compiler, ref *test
 	if len(st.Cards) != len(counted) {
 		t.Fatalf("%s: RunStats covers %d subexpressions, plan has %d counted nodes", label, len(st.Cards), len(counted))
 	}
+	return st
 }

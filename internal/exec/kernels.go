@@ -309,15 +309,25 @@ func colKeysEqual(bCols [][]int64, bKeys []int, bi int, pCols [][]int64, pKeys [
 // prefiltering, laid out as flat arrays instead of a Go map. The build rows
 // themselves are column-major, so probe-time key verification and result
 // stitching read contiguous column slices.
+//
+// In counting mode (mult != nil; see Compiler.counted) nothing above the join
+// reads a build column, so the build links only the first row of each
+// distinct key and counts the rest onto it: mult[i] is the number of build
+// rows sharing linked row i's key. A chain then holds at most one match per
+// probe row.
 type joinTable struct {
 	mask   uint64
 	head   []int32 // bucket -> 1-based index of the chain head row
 	next   []int32 // row -> 1-based index of the next row in its chain
 	hashes []uint64
+	mult   []int32
+	keys   []int
 	data   colData
 }
 
-func buildJoinTable(data colData, keys []int) *joinTable {
+// allocJoinTable sizes the flat arrays for data; hashes and links are filled
+// in by the serial or the partitioned build.
+func allocJoinTable(data colData, keys []int, counting bool) *joinTable {
 	n := data.n
 	size := 16
 	for size < 2*n {
@@ -328,10 +338,39 @@ func buildJoinTable(data colData, keys []int) *joinTable {
 		head:   make([]int32, size),
 		next:   make([]int32, n),
 		hashes: make([]uint64, n),
+		keys:   keys,
 		data:   data,
 	}
-	hashDenseRange(t.hashes, data.cols, keys, 0, n)
-	for i := 0; i < n; i++ {
+	if counting {
+		t.mult = make([]int32, n)
+	}
+	return t
+}
+
+// countDup is the counting-mode step before build row i (hashed already) is
+// linked: it adds the row to the multiplicity of the linked row with the same
+// key and reports true — i then stays unlinked — or starts i's own
+// multiplicity when its key is new.
+func (t *joinTable) countDup(i int32) bool {
+	h := t.hashes[i]
+	for ci := t.head[h&t.mask]; ci != 0; ci = t.next[ci-1] {
+		r := ci - 1
+		if t.hashes[r] == h && colKeysEqual(t.data.cols, t.keys, int(r), t.data.cols, t.keys, int(i)) {
+			t.mult[r]++
+			return true
+		}
+	}
+	t.mult[i] = 1
+	return false
+}
+
+func buildJoinTable(data colData, keys []int, counting bool) *joinTable {
+	t := allocJoinTable(data, keys, counting)
+	hashDenseRange(t.hashes, data.cols, keys, 0, data.n)
+	for i := 0; i < data.n; i++ {
+		if counting && t.countDup(int32(i)) {
+			continue
+		}
 		b := t.hashes[i] & t.mask
 		t.next[i] = t.head[b]
 		t.head[b] = int32(i + 1)
@@ -339,15 +378,49 @@ func buildJoinTable(data colData, keys []int) *joinTable {
 	return t
 }
 
+// countMatches is the counting-mode probe of one chunk: hs[k] is the hash of
+// its k-th live row (sel == nil: row k), pKeys the probe key columns and mult
+// the chunk's own multiplicities (nil: every row stands for itself). Each
+// live row whose key is linked — verified on full hash and key equality, like
+// the enumerating chain walk — is appended to outSel once, with outMult[i] =
+// matching build rows × mult[i]; outMult is indexed by row and must hold the
+// chunk's N entries. Returns the selection and the rows it stands for.
+func (t *joinTable) countMatches(cols [][]int64, pKeys []int, hs []uint64, sel []int, mult []int64,
+	outSel []int, outMult []int64) ([]int, int64) {
+	outSel = outSel[:0]
+	var rows int64
+	for k, h := range hs {
+		i := k
+		if sel != nil {
+			i = sel[k]
+		}
+		for ci := t.head[h&t.mask]; ci != 0; ci = t.next[ci-1] {
+			r := int(ci - 1)
+			if t.hashes[r] != h || !colKeysEqual(t.data.cols, t.keys, r, cols, pKeys, i) {
+				continue
+			}
+			m := int64(t.mult[r])
+			if mult != nil {
+				m *= mult[i]
+			}
+			outSel = append(outSel, i)
+			outMult[i] = m
+			rows += m
+			break
+		}
+	}
+	return outSel, rows
+}
+
 // newJoinTable picks the build strategy: partitioned parallel when the
 // build side is large enough to pay for worker startup, serial otherwise.
 // Either way the resulting table is the same read-only structure the probe
 // loops already use.
-func newJoinTable(data colData, keys []int, workers int) *joinTable {
+func newJoinTable(data colData, keys []int, workers int, counting bool) *joinTable {
 	if workers > 1 && data.n >= minParallelRows {
-		return buildJoinTableParallel(data, keys, workers)
+		return buildJoinTableParallel(data, keys, workers, counting)
 	}
-	return buildJoinTable(data, keys)
+	return buildJoinTable(data, keys, counting)
 }
 
 // buildJoinTableParallel builds the same flat chained table as
@@ -355,22 +428,14 @@ func newJoinTable(data colData, keys []int, workers int) *joinTable {
 // disjoint row ranges column-wise and bin the row indices by destination
 // bucket partition into per-(worker, partition) buffers. Phase 2: each
 // partition owner links exactly the rows binned for its contiguous bucket
-// range, so every head and next slot is written by a single goroutine and
-// the table comes out identical (up to chain order, which the probe treats
-// as a multiset) without any synchronization on the hot arrays.
-func buildJoinTableParallel(data colData, keys []int, workers int) *joinTable {
+// range, so every head, next and mult slot is written by a single goroutine
+// (rows with equal keys share a bucket) and the table comes out identical (up
+// to chain order, which the probe treats as a multiset) without any
+// synchronization on the hot arrays.
+func buildJoinTableParallel(data colData, keys []int, workers int, counting bool) *joinTable {
 	n := data.n
-	size := 16
-	for size < 2*n {
-		size <<= 1
-	}
-	t := &joinTable{
-		mask:   uint64(size - 1),
-		head:   make([]int32, size),
-		next:   make([]int32, n),
-		hashes: make([]uint64, n),
-		data:   data,
-	}
+	t := allocJoinTable(data, keys, counting)
+	size := len(t.head)
 	if workers > n {
 		workers = n
 	}
@@ -411,6 +476,9 @@ func buildJoinTableParallel(data colData, keys []int, workers int) *joinTable {
 					continue
 				}
 				for _, i := range bins[w][p] {
+					if counting && t.countDup(i) {
+						continue
+					}
 					b := t.hashes[i] & t.mask
 					t.next[i] = t.head[b]
 					t.head[b] = i + 1

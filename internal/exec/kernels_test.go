@@ -196,6 +196,58 @@ func TestSelColsMatchesRowClosures(t *testing.T) {
 	}
 }
 
+// TestAddBatchWeighted: a chunk with a multiplicity vector folds into the
+// aggregation exactly as the rows it stands for would one by one — COUNT(*)
+// and SUM scale, COUNT(DISTINCT) does not — dense and under a selection, for
+// each group-key width resolveGids specializes.
+func TestAddBatchWeighted(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	n := BatchSize
+	cols := make([][]int64, 5)
+	for c := range cols {
+		cols[c] = make([]int64, n)
+		for i := range cols[c] {
+			cols[c][i] = int64(rng.Intn(6))
+		}
+	}
+	mult := make([]int64, n)
+	var sel []int
+	for i := range mult {
+		mult[i] = int64(1 + rng.Intn(4))
+		if rng.Intn(3) > 0 {
+			sel = append(sel, i)
+		}
+	}
+	for gw := 1; gw <= 3; gw++ {
+		spec := AggSpecExec{GroupBy: []int{0, 1, 2}[:gw], Sums: []int{3}, CountAll: true, CountDistinct: []int{4}}
+		for _, sel := range [][]int{nil, sel} {
+			weighted, scalar := newAggTable(spec), newAggTable(spec)
+			var scratch aggScratch
+			weighted.addBatch(cols, n, sel, mult, &scratch)
+			live := sel
+			if live == nil {
+				live = seq(n)
+			}
+			row := make(Row, len(cols))
+			for _, i := range live {
+				for c := range cols {
+					row[c] = cols[c][i]
+				}
+				for k := int64(0); k < mult[i]; k++ {
+					scalar.add(row)
+				}
+			}
+			if got, want := rowMultiset(weighted.rows()), rowMultiset(scalar.rows()); got != want {
+				t.Fatalf("group width %d, selection %v: weighted chunk gives\n%s\nits rows one by one\n%s", gw, sel != nil, got, want)
+			}
+			if weighted.dvals != scalar.dvals || weighted.approxBytes() != scalar.approxBytes() {
+				t.Fatalf("group width %d: %d stored distinct values charged %d B, scalar reference %d charged %d B",
+					gw, weighted.dvals, weighted.approxBytes(), scalar.dvals, scalar.approxBytes())
+			}
+		}
+	}
+}
+
 // ---- steady-state allocation test ----
 
 // TestScanAggSteadyStateAllocs pins the zero-allocation contract of the
@@ -243,7 +295,7 @@ func TestScanAggSteadyStateAllocs(t *testing.T) {
 			tracked.Force(sz)
 			untracked.Reserve(sz)
 			untracked.Force(sz)
-			table.addBatch(b.Cols, b.N, b.Sel, &scratch)
+			table.addBatch(b.Cols, b.N, b.Sel, nil, &scratch)
 		}
 		tracked.ReleaseAll()
 		untracked.ReleaseAll()

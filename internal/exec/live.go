@@ -93,6 +93,41 @@ func (c *Compiler) joinSchema(p *relalg.Plan, ls, rs []relalg.ColID) (schema []r
 	return schema, lOut, rOut
 }
 
+// counted reports whether join p runs in counting mode: instead of copying a
+// probe row once per matching build row it emits the row once, with the match
+// count in Batch.Mult (the count-join of eager aggregation). That is sound
+// exactly when the copies would be identical and their consumer takes a count
+// in their place:
+//
+//   - p is a hash join whose build side is dead — no column of ls, its
+//     build-side schema, is live above p — and no residual filter of p reads
+//     one (a filter crossing p compares a build column with a probe column
+//     per pair, so the matches of one probe row are no longer alike);
+//   - weighted: p's consumer reads Mult. The aggregation on top of the root
+//     does, and so does the probe side of a counting join, so a spine of dead
+//     build sides composes. Everything else — a build-side drain, a sort, a
+//     merge or index nested-loops join, a result-cache spool, the root of a
+//     query without aggregation — needs the rows and p enumerates.
+//
+// Counting changes no cardinality: the counters sum Mult, so RunStats and
+// all feedback derived from it are those of the enumerating join.
+func (c *Compiler) counted(p *relalg.Plan, ls []relalg.ColID, weighted bool) bool {
+	if !weighted || p.Phy != relalg.PhyHashJoin {
+		return false
+	}
+	for _, col := range ls {
+		if c.live(col, p.Expr) {
+			return false
+		}
+	}
+	for _, f := range c.Q.Filters {
+		if (relalg.JoinPred{L: f.L, R: f.R}).Crosses(p.Left.Expr, p.Right.Expr) {
+			return false
+		}
+	}
+	return true
+}
+
 // PlanSchema returns the output schema (the ColID of every output column, in
 // order) of the operator tree the compiler builds for p, without building it.
 func (c *Compiler) PlanSchema(p *relalg.Plan) ([]relalg.ColID, error) {

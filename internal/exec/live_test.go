@@ -2,21 +2,23 @@ package exec
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/catalog"
 	"repro/internal/relalg"
+	"repro/internal/rescache"
 	"repro/internal/stats"
 	"repro/internal/testkit"
 )
 
-// liveCatalog holds two tables R and S of (a, b, c, d), each large enough
+// liveCatalog holds three tables R, S and T of (a, b, c, d), each large enough
 // for the parallel scan and fused pipeline paths: a is a join key with a few
 // matches per value, b a low-cardinality selection / grouping column.
 func liveCatalog() *catalog.Catalog {
 	r := stats.NewRand(23)
 	cat := catalog.New()
-	for _, name := range []string{"R", "S"} {
+	for _, name := range []string{"R", "S", "T"} {
 		tb := catalog.NewTable(name, "a", "b", "c", "d")
 		for i := 0; i < minParallelRows+900; i++ {
 			tb.Append([]int64{r.Int64n(2000), r.Int64n(8), r.Int64n(50), int64(i)})
@@ -37,20 +39,70 @@ func liveJoin(phy relalg.PhyOp, l, r *relalg.Plan) *relalg.Plan {
 		Left: l, Right: r, Card: 4 * minParallelRows}
 }
 
+// liveJoinOn is liveJoin on the query's join predicate pred.
+func liveJoinOn(phy relalg.PhyOp, pred int, l, r *relalg.Plan) *relalg.Plan {
+	p := liveJoin(phy, l, r)
+	p.Pred = pred
+	return p
+}
+
+// checkCounted holds a profiled execution to the joins expected to count:
+// exactly the hash joins over the subexpressions in counts ran in counting
+// mode, EXPLAIN ANALYZE marks those and no other, and every counted join
+// still reports the reference cardinality as its rows while emitting fewer
+// batches than that many rows would fill.
+func checkCounted(t *testing.T, label string, prof *PlanProfile, q *relalg.Query, plan *relalg.Plan,
+	st *RunStats, counts []relalg.RelSet, ref *testkit.Reference) {
+	t.Helper()
+	want := map[relalg.RelSet]bool{}
+	for _, s := range counts {
+		want[s] = true
+	}
+	eachPlanNode(plan, func(p *relalg.Plan) {
+		if p.Log != relalg.LogJoin {
+			return
+		}
+		if prof.counted[p] != want[p.Expr] {
+			t.Fatalf("%s: join %v counted=%v, want %v\n%s", label, p.Expr, prof.counted[p], want[p.Expr], plan.Explain(q))
+		}
+		sp := prof.SpanOf(p)
+		if !want[p.Expr] || sp == nil {
+			return
+		}
+		if card := ref.Card(p.Expr); sp.Rows != card || sp.Batches > card {
+			t.Fatalf("%s: counted join %v recorded rows=%d batches=%d, reference cardinality %d",
+				label, p.Expr, sp.Rows, sp.Batches, card)
+		}
+	})
+	if text := prof.Format(q, plan, st); strings.Count(text, " counted ") != len(counts) {
+		t.Fatalf("%s: EXPLAIN ANALYZE marks %d joins counted, want %d:\n%s",
+			label, strings.Count(text, " counted "), len(counts), text)
+	}
+}
+
 // TestLivenessEdgeCases runs the schemas column liveness makes unusual — no
 // column at all, a relation reduced to its join key, a sort column nothing
 // above reads, a selection on a column the scan does not emit below a join
-// with a cross-relation filter — against the reference evaluator at every
-// parallelism, with and without a spill budget, and pins the widths the
-// compiler plans and the widths blocking consumers materialize.
+// with a cross-relation filter — and every way a hash join's build side can
+// be dead (Compiler.counted: the join hands its consumer a multiplicity
+// instead of copies, or must not) against the reference evaluator at every
+// parallelism, with and without a spill budget, profiled and not, and pins
+// the widths the compiler plans, the widths blocking consumers materialize
+// and which joins count.
 func TestLivenessEdgeCases(t *testing.T) {
 	cat := liveCatalog()
 	col := func(rel, off int) relalg.ColID { return relalg.ColID{Rel: rel, Off: off} }
-	rels := []relalg.RelRef{{Alias: "r", Table: "R"}, {Alias: "s", Table: "S"}}
-	onA := []relalg.JoinPred{{L: col(0, 0), R: col(1, 0)}}
+	// Two relations r ⋈ s on a for most cases; t joins s on a for the rest.
+	rels3 := []relalg.RelRef{{Alias: "r", Table: "R"}, {Alias: "s", Table: "S"}, {Alias: "t", Table: "T"}}
+	onA3 := []relalg.JoinPred{{L: col(0, 0), R: col(1, 0)}, {L: col(2, 0), R: col(1, 0)}}
+	rels, onA := rels3[:2], onA3[:1]
+	rs, rst := relalg.Single(0).Union(relalg.Single(1)), relalg.Single(0).Union(relalg.Single(1)).Union(relalg.Single(2))
 	sel := []relalg.ScanPred{{Col: col(0, 1), Op: relalg.CmpLE, Val: 3}}
 	sBySum := &relalg.AggSpec{GroupBy: []relalg.ColID{col(1, 1)}, Sums: []relalg.ColID{col(1, 2)}}
-	// r.b is read by r's selection only, r.c by the filter at the join only.
+	sMix := &relalg.AggSpec{GroupBy: []relalg.ColID{col(1, 1)}, Sums: []relalg.ColID{col(1, 3)},
+		CountAll: true, CountDistinct: []relalg.ColID{col(1, 2)}}
+	// r.b is read by r's selection only, r.c by the filter at the join only:
+	// r is dead above the join, but its matches differ under the filter.
 	deadSel := &relalg.Query{Rels: rels, Scans: sel, Joins: onA, Agg: sBySum,
 		Filters: []relalg.FilterPred{{L: col(0, 2), R: col(1, 2), Op: relalg.CmpLT, Off: 5, Sel: 0.5}}}
 
@@ -62,6 +114,11 @@ func TestLivenessEdgeCases(t *testing.T) {
 	indexR.Phy, indexR.IdxCol = relalg.PhyIndexScan, col(0, 1)
 	sortedScanS := liveScan(1)
 	sortedScanS.Prop = relalg.Sorted(col(1, 0))
+	sortedT := liveScan(2)
+	sortedT.Prop = relalg.Sorted(col(2, 0))
+	hashRS := func() *relalg.Plan { return liveJoin(relalg.PhyHashJoin, liveScan(0), liveScan(1)) }
+	sortedRS := &relalg.Plan{Expr: rs, Prop: relalg.Sorted(col(1, 0)),
+		Log: relalg.LogEnforce, Phy: relalg.PhySort, Left: hashRS(), Card: 4 * minParallelRows}
 
 	cases := []struct {
 		name  string
@@ -69,37 +126,79 @@ func TestLivenessEdgeCases(t *testing.T) {
 		plan  *relalg.Plan
 		width int // of the plan root
 		left  int // of the root's left input (joins only)
+		// counts lists the joins that must run in counting mode, by
+		// subexpression; every other join must enumerate.
+		counts  []relalg.RelSet
+		noSpill bool // nothing reaches the hash join's build side
 	}{
 		{"count over a filtered scan carries no column",
 			&relalg.Query{Rels: rels[:1], Scans: sel, Agg: &relalg.AggSpec{CountAll: true}},
-			liveScan(0), 0, 0},
+			liveScan(0), 0, 0, nil, false},
 		{"index scan keeps its key for itself",
 			&relalg.Query{Rels: rels[:1], Scans: sel, Agg: &relalg.AggSpec{CountAll: true}},
-			indexR, 1, 0},
+			indexR, 1, 0, nil, false},
 		{"hash join build side is its key alone",
 			&relalg.Query{Rels: rels, Joins: onA, Agg: sBySum},
-			liveJoin(relalg.PhyHashJoin, liveScan(0), liveScan(1)), 2, 1},
+			hashRS(), 2, 1, []relalg.RelSet{rs}, false},
 		{"index key is a selection column read by nothing else",
 			&relalg.Query{Rels: rels, Scans: sel, Joins: onA, Agg: sBySum},
-			liveJoin(relalg.PhyHashJoin, indexR, liveScan(1)), 2, 2},
+			liveJoin(relalg.PhyHashJoin, indexR, liveScan(1)), 2, 2, []relalg.RelSet{rs}, false},
 		{"index nested loops over a key-only inner",
 			&relalg.Query{Rels: rels, Scans: sel, Joins: onA, Agg: sBySum},
-			liveJoin(relalg.PhyIndexNLJoin, liveScan(0), liveScan(1)), 2, 1},
+			liveJoin(relalg.PhyIndexNLJoin, liveScan(0), liveScan(1)), 2, 1, nil, false},
 		{"merge join sort column dies at the join",
 			&relalg.Query{Rels: rels, Joins: onA, Agg: &relalg.AggSpec{
 				GroupBy: []relalg.ColID{col(0, 1)}, Sums: []relalg.ColID{col(1, 2)}, CountAll: true}},
-			liveJoin(relalg.PhyMergeJoin, sortedR, sortedS), 2, 2},
+			liveJoin(relalg.PhyMergeJoin, sortedR, sortedS), 2, 2, nil, false},
 		{"join with no live output column",
 			&relalg.Query{Rels: rels, Joins: onA, Agg: &relalg.AggSpec{CountAll: true}},
-			liveJoin(relalg.PhyHashJoin, liveScan(0), liveScan(1)), 0, 1},
-		{"hash build under a selection on a column it does not emit",
-			deadSel, liveJoin(relalg.PhyHashJoin, liveScan(0), liveScan(1)), 2, 2},
+			hashRS(), 0, 1, []relalg.RelSet{rs}, false},
+		{"hash build under a selection on a column it does not emit: dead, but a residual reads it",
+			deadSel, hashRS(), 2, 2, nil, false},
 		{"hash probe under a selection on a column it does not emit",
-			deadSel, liveJoin(relalg.PhyHashJoin, liveScan(1), liveScan(0)), 2, 3},
+			deadSel, liveJoin(relalg.PhyHashJoin, liveScan(1), liveScan(0)), 2, 3, nil, false},
 		{"sorted merge input under a selection on a column it does not emit",
-			deadSel, liveJoin(relalg.PhyMergeJoin, sortedR, sortedScanS), 2, 2},
+			deadSel, liveJoin(relalg.PhyMergeJoin, sortedR, sortedScanS), 2, 2, nil, false},
 		{"index inner under a selection on a column it does not emit",
-			deadSel, liveJoin(relalg.PhyIndexNLJoin, liveScan(0), liveScan(1)), 2, 2},
+			deadSel, liveJoin(relalg.PhyIndexNLJoin, liveScan(0), liveScan(1)), 2, 2, nil, false},
+
+		// A dead build side with duplicate keys (R holds ~2.5 rows per a).
+		{"dead build side under COUNT(DISTINCT)",
+			&relalg.Query{Rels: rels, Joins: onA, Agg: &relalg.AggSpec{
+				GroupBy: []relalg.ColID{col(1, 1)}, CountDistinct: []relalg.ColID{col(1, 2)}}},
+			hashRS(), 2, 1, []relalg.RelSet{rs}, false},
+		{"dead build side under COUNT(*), SUM and COUNT(DISTINCT) at once",
+			&relalg.Query{Rels: rels, Joins: onA, Agg: sMix},
+			hashRS(), 3, 1, []relalg.RelSet{rs}, false},
+		{"dead build side that leaves probe rows unmatched",
+			&relalg.Query{Rels: rels, Scans: sel, Joins: onA, Agg: sMix},
+			hashRS(), 3, 1, []relalg.RelSet{rs}, false},
+		{"empty dead build side",
+			&relalg.Query{Rels: rels, Scans: []relalg.ScanPred{{Col: col(0, 1), Op: relalg.CmpLT, Val: 0}},
+				Joins: onA, Agg: sMix},
+			hashRS(), 3, 1, []relalg.RelSet{rs}, true},
+		{"two dead build sides in a row on the probe spine",
+			&relalg.Query{Rels: rels3, Joins: onA3, Agg: sMix},
+			liveJoinOn(relalg.PhyHashJoin, 1, liveScan(2), hashRS()), 3, 1, []relalg.RelSet{rs, rst}, false},
+		{"counting join over an enumerating one",
+			&relalg.Query{Rels: rels3, Joins: onA3, Agg: &relalg.AggSpec{
+				GroupBy: []relalg.ColID{col(0, 1)}, Sums: []relalg.ColID{col(1, 2)}, CountAll: true}},
+			liveJoinOn(relalg.PhyHashJoin, 1, liveScan(2), hashRS()), 2, 1, []relalg.RelSet{rst}, false},
+		{"dead build side on the probe side of an enumerating join",
+			&relalg.Query{Rels: rels3, Joins: onA3, Agg: &relalg.AggSpec{
+				GroupBy: []relalg.ColID{col(2, 1)}, Sums: []relalg.ColID{col(1, 2)}, CountAll: true}},
+			liveJoinOn(relalg.PhyHashJoin, 1, liveScan(2), hashRS()), 2, 2, nil, false},
+		{"dead build side inside a build-side subtree",
+			&relalg.Query{Rels: rels3, Joins: onA3, Agg: &relalg.AggSpec{
+				GroupBy: []relalg.ColID{col(2, 1)}, CountAll: true}},
+			liveJoinOn(relalg.PhyHashJoin, 1, hashRS(), liveScan(2)), 1, 1, []relalg.RelSet{rst}, false},
+		{"dead build side under a sort and a merge join",
+			&relalg.Query{Rels: rels3, Joins: onA3, Agg: &relalg.AggSpec{
+				GroupBy: []relalg.ColID{col(2, 1)}, Sums: []relalg.ColID{col(1, 2)}, CountAll: true}},
+			liveJoinOn(relalg.PhyMergeJoin, 1, sortedRS, sortedT), 2, 2, nil, false},
+		{"dead build side of a query without aggregation",
+			&relalg.Query{Rels: rels, Joins: onA},
+			hashRS(), 8, 4, nil, false},
 	}
 	for _, tc := range cases {
 		if err := tc.q.Validate(); err != nil {
@@ -130,7 +229,7 @@ func TestLivenessEdgeCases(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", tc.name, err)
 				}
-				v, _, err := comp.compileVec(in, &RunStats{Cards: map[relalg.RelSet]*int64{}})
+				v, _, err := comp.compileVec(in, &RunStats{Cards: map[relalg.RelSet]*int64{}}, false)
 				if err != nil {
 					t.Fatalf("%s: %v", tc.name, err)
 				}
@@ -138,19 +237,83 @@ func TestLivenessEdgeCases(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", tc.name, err)
 				}
-				if data.width() != len(schema) || int64(data.n) != ref.Card(in.Expr) {
+				// (An empty materialization has no columns to be wide.)
+				if (data.n > 0 && data.width() != len(schema)) || int64(data.n) != ref.Card(in.Expr) {
 					t.Fatalf("%s (par=%d): drained %v as %d columns x %d rows; schema has %d columns, reference %d rows",
 						tc.name, par, in.Expr, data.width(), data.n, len(schema), ref.Card(in.Expr))
 				}
 			}
 		}
-		for _, budget := range []int64{0, 24 << 10} {
+		// The small budget spills every hash join; the roomy one spills nothing
+		// but keeps the aggregation a serial operator above the fused pipeline,
+		// whose collect terminal then carries the multiplicities.
+		const tight, roomy = 24 << 10, 8 << 20
+		for _, budget := range []int64{0, tight, roomy} {
 			for _, par := range []int{1, 2, 4} {
-				comp := &Compiler{Q: tc.q, Cat: cat, Parallelism: par, MemBudgetBytes: budget}
-				checkAgainstReference(t, fmt.Sprintf("%s (par=%d budget=%d)", tc.name, par, budget),
-					comp, ref, want, tc.plan)
-				if parts, _, _ := comp.Mem.SpillStats(); budget > 0 && tc.plan.Phy == relalg.PhyHashJoin && parts == 0 {
-					t.Fatalf("%s (par=%d): hash join never spilled under a %d-byte budget", tc.name, par, budget)
+				for _, profiled := range []bool{false, true} {
+					label := fmt.Sprintf("%s (par=%d budget=%d profiled=%v)", tc.name, par, budget, profiled)
+					comp := &Compiler{Q: tc.q, Cat: cat, Parallelism: par, MemBudgetBytes: budget}
+					if profiled {
+						comp.Prof = NewPlanProfile()
+					}
+					st := checkAgainstReference(t, label, comp, ref, want, tc.plan)
+					if profiled {
+						checkCounted(t, label, comp.Prof, tc.q, tc.plan, st, tc.counts, ref)
+					}
+					if parts, _, _ := comp.Mem.SpillStats(); budget == tight && tc.plan.Phy == relalg.PhyHashJoin &&
+						!tc.noSpill && parts == 0 {
+						t.Fatalf("%s: hash join never spilled", label)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCountedJoinIsNeverSpooled: a result-cache entry holds rows, so a join
+// the cache spools enumerates even where it could count — the entry a probe
+// later serves is the one an uncounted plan would have stored — while a join
+// above the spooled subtree still counts.
+func TestCountedJoinIsNeverSpooled(t *testing.T) {
+	cat := liveCatalog()
+	col := func(rel, off int) relalg.ColID { return relalg.ColID{Rel: rel, Off: off} }
+	q := &relalg.Query{
+		Rels:  []relalg.RelRef{{Alias: "r", Table: "R"}, {Alias: "s", Table: "S"}, {Alias: "t", Table: "T"}},
+		Joins: []relalg.JoinPred{{L: col(0, 0), R: col(1, 0)}, {L: col(2, 0), R: col(1, 0)}},
+		Agg: &relalg.AggSpec{GroupBy: []relalg.ColID{col(1, 1)}, Sums: []relalg.ColID{col(1, 3)},
+			CountAll: true, CountDistinct: []relalg.ColID{col(1, 2)}},
+	}
+	if err := q.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	inner := liveJoin(relalg.PhyHashJoin, liveScan(0), liveScan(1))
+	plan := liveJoinOn(relalg.PhyHashJoin, 1, liveScan(2), inner)
+	ref := testkit.NewReference(q, cat)
+	want := testkit.Canonical(ref.Rows(), nil)
+	all := BuildCacheCandidates(q, plan, relalg.NewFingerprinter(q), 0)
+	if len(all) != 2 || all[0].Node != plan || all[1].Node != inner {
+		t.Fatalf("candidates %+v, want the root join then the inner one", all)
+	}
+	for _, tc := range []struct {
+		name   string
+		cands  []CacheCandidate
+		counts []relalg.RelSet // during the spool run
+	}{
+		{"root spooled", all, nil},
+		{"inner join spooled", all[1:], []relalg.RelSet{plan.Expr}},
+	} {
+		for _, par := range []int{1, 2, 4} {
+			cache := rescache.New(rescache.Options{MaxBytes: 64 << 20})
+			for run, label := range []string{"spool", "probe"} {
+				label = fmt.Sprintf("%s, %s run (par=%d)", tc.name, label, par)
+				comp := &Compiler{Q: q, Cat: cat, Parallelism: par, Cache: cache, CacheCands: tc.cands,
+					Prof: NewPlanProfile()}
+				st := checkAgainstReference(t, label, comp, ref, want, plan)
+				if run == 0 {
+					checkCounted(t, label, comp.Prof, q, plan, st, tc.counts, ref)
+				}
+				if m := cache.Metrics(); m.Stores != 1 || m.Hits != int64(run) {
+					t.Fatalf("%s: %d stores %d hits, want one entry stored and served once", label, m.Stores, m.Hits)
 				}
 			}
 		}

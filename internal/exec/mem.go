@@ -225,12 +225,17 @@ func (t *MemTracker) SpillStats() (partitions, bytes, recursions int64) {
 func colBytes(width, n int) int64 { return int64(width) * int64(n) * 8 }
 
 // joinTableBytes is the tracked size of the chained hash table built over n
-// rows (head array at the next power of two >= 2n, next links, full hashes);
-// the row data itself is charged separately as colBytes.
-func joinTableBytes(n int) int64 {
+// rows (head array at the next power of two >= 2n, next links, full hashes,
+// and per-row multiplicities when the table counts); the row data itself is
+// charged separately as colBytes.
+func joinTableBytes(n int, counting bool) int64 {
 	size := 16
 	for size < 2*n {
 		size <<= 1
 	}
-	return int64(size)*4 + int64(n)*(4+8)
+	per := int64(4 + 8)
+	if counting {
+		per += 4
+	}
+	return int64(size)*4 + int64(n)*per
 }

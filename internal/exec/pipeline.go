@@ -23,9 +23,12 @@ import (
 // the key offsets of the build row and of the incoming probe row, the
 // residual predicates first checkable at this join, the build and probe
 // columns the join emits (its live output, build columns first), and the
-// cardinality counter for the join's output. The joinTable is built at Open
-// (with the partitioned parallel build for large sides) and is read-only
-// afterwards, so all workers probe it without synchronization.
+// cardinality counter for the join's output. A counting stage
+// (Compiler.counted) emits no build column and passes each matching probe row
+// on once with its match count; only a counting stage or the terminal may
+// follow it. The joinTable is built at Open (with the partitioned parallel
+// build for large sides) and is read-only afterwards, so all workers probe it
+// without synchronization.
 type pipeStage struct {
 	build     VecIterator
 	buildKeys []int
@@ -33,6 +36,7 @@ type pipeStage struct {
 	residual  []ColPred
 	buildOut  []int
 	probeOut  []int
+	counting  bool
 	card      *int64
 
 	table *joinTable
@@ -100,11 +104,15 @@ func (p *parallelPipelineOp) fuseAgg(spec AggSpecExec) { p.agg = &spec }
 // probe-hash vector, the pending match pairs, and the stage's columnar
 // output chunk (flat-backed, capacity BatchSize per column). The output
 // chunk is consumed synchronously by the cascade below before the next
-// flush overwrites it.
+// flush overwrites it. A counting stage copies nothing: out holds the
+// headers of the incoming chunk's live columns, sel and mult the matched
+// rows and their multiplicities.
 type stageScratch struct {
 	hashes         []uint64
 	pairsB, pairsP []int32
 	out            [][]int64
+	sel            []int
+	mult           []int64
 }
 
 // pipeWorker is the per-worker private state: cardinality counters (index 0
@@ -130,8 +138,8 @@ func (p *parallelPipelineOp) Open() error {
 		if err != nil {
 			return err
 		}
-		p.mem.Force(colBytes(data.width(), data.n) + joinTableBytes(data.n))
-		st.table = newJoinTable(data, st.buildKeys, p.workers)
+		p.mem.Force(colBytes(data.width(), data.n) + joinTableBytes(data.n, st.counting))
+		st.table = newJoinTable(data, st.buildKeys, p.workers, st.counting)
 		width = len(st.buildOut) + len(st.probeOut)
 	}
 
@@ -141,8 +149,18 @@ func (p *parallelPipelineOp) Open() error {
 		p.quit = make(chan struct{})
 		shells := 2*p.workers + 1 // per-worker in flight + channel buffer + consumer
 		p.free = make(chan *Batch, shells)
+		// Chunks leave a counting last stage weighted, so the shells carry a
+		// multiplicity vector beside their columns.
+		weighted := len(p.stages) > 0 && p.stages[len(p.stages)-1].counting
 		for i := 0; i < shells; i++ {
-			p.free <- &Batch{Cols: flatCols(width, BatchSize)}
+			shell := &Batch{Cols: flatCols(width, BatchSize)}
+			if weighted {
+				shell.Mult = make([]int64, BatchSize)
+			}
+			p.free <- shell
+		}
+		if weighted {
+			width++ // the multiplicities are charged as one more column
 		}
 		p.mem.Force(int64(shells) * colBytes(width, BatchSize))
 	}
@@ -157,6 +175,14 @@ func (p *parallelPipelineOp) Open() error {
 			stages: make([]stageScratch, len(p.stages)),
 		}
 		for i, st := range p.stages {
+			if st.counting {
+				pw.stages[i] = stageScratch{
+					out:  make([][]int64, len(st.probeOut)),
+					sel:  make([]int, 0, morselSize),
+					mult: make([]int64, morselSize),
+				}
+				continue
+			}
 			pw.stages[i] = stageScratch{
 				pairsB: make([]int32, 0, BatchSize),
 				pairsP: make([]int32, 0, BatchSize),
@@ -278,12 +304,12 @@ func (w *pipeWorker) run(cursor *atomic.Int64) {
 		n := hi - lo
 		if filter.Empty() {
 			w.counts[0] += int64(n)
-			w.probeStage(0, window, n, nil)
+			w.probeStage(0, window, n, nil, nil)
 		} else {
 			sel = leaf.sel(lo, hi, sel)
 			w.counts[0] += int64(len(sel))
 			if len(sel) > 0 {
-				w.probeStage(0, window, n, sel)
+				w.probeStage(0, window, n, sel, nil)
 			}
 		}
 	}
@@ -295,30 +321,32 @@ func (w *pipeWorker) run(cursor *atomic.Int64) {
 // shared chains collecting (build, probe) pairs, and flushes BatchSize
 // pairs at a time through residual filtering and per-column Gather into the
 // depth's scratch chunk — which the cascade below consumes synchronously
-// before the next flush overwrites it.
+// before the next flush overwrites it. mult is the chunk's multiplicity
+// vector (nil unless a counting stage emitted it); a counting stage hands the
+// chunk's own columns on under the selection of its matched rows.
 //
 // Under profiling, entering a stage switches the worker's clock to that
 // stage's slot and leaving restores the caller's, so every instant of
 // worker time is attributed to exactly one segment; slot depth+1 covers
 // both probe stages and the terminal sink (depth == len(stages)).
-func (w *pipeWorker) probeStage(depth int, cols [][]int64, n int, sel []int) {
+func (w *pipeWorker) probeStage(depth int, cols [][]int64, n int, sel []int, mult []int64) {
 	if ck := w.clock; ck != nil {
 		prev := ck.cur
 		ck.to(depth + 1)
 		ck.batches[depth+1]++
-		w.probeStageBody(depth, cols, n, sel)
+		w.probeStageBody(depth, cols, n, sel, mult)
 		ck.to(prev)
 		return
 	}
-	w.probeStageBody(depth, cols, n, sel)
+	w.probeStageBody(depth, cols, n, sel, mult)
 }
 
-func (w *pipeWorker) probeStageBody(depth int, cols [][]int64, n int, sel []int) {
+func (w *pipeWorker) probeStageBody(depth int, cols [][]int64, n int, sel []int, mult []int64) {
 	if depth == len(w.op.stages) {
 		if w.agg != nil {
-			w.agg.addBatch(cols, n, sel, &w.aggScr)
+			w.agg.addBatch(cols, n, sel, mult, &w.aggScr)
 		} else {
-			w.send(cols, n, sel)
+			w.send(cols, n, sel, mult)
 		}
 		return
 	}
@@ -326,6 +354,18 @@ func (w *pipeWorker) probeStageBody(depth int, cols [][]int64, n int, sel []int)
 	sc := &w.stages[depth]
 	sc.hashes = hashLive(sc.hashes, cols, st.probeKeys, n, sel)
 	t := st.table
+	if st.counting {
+		var rows int64
+		sc.sel, rows = t.countMatches(cols, st.probeKeys, sc.hashes, sel, mult, sc.sel, sc.mult[:n])
+		if len(sc.sel) > 0 {
+			w.counts[depth+1] += rows
+			for k, c := range st.probeOut {
+				sc.out[k] = cols[c]
+			}
+			w.probeStage(depth+1, sc.out, n, sc.sel, sc.mult[:n])
+		}
+		return
+	}
 	if sel == nil {
 		for i := 0; i < n; i++ {
 			w.walkChain(depth, st, t, cols, i, sc.hashes[i])
@@ -343,7 +383,7 @@ func (w *pipeWorker) probeStageBody(depth int, cols [][]int64, n int, sel []int)
 // send copies a finished chunk into a pooled shell and hands it to the
 // consumer. Both the shell acquisition and the channel send select on quit,
 // so producers never block past an early Close.
-func (w *pipeWorker) send(cols [][]int64, n int, sel []int) {
+func (w *pipeWorker) send(cols [][]int64, n int, sel []int, mult []int64) {
 	if w.stopped {
 		return
 	}
@@ -359,16 +399,10 @@ func (w *pipeWorker) send(cols [][]int64, n int, sel []int) {
 		m = len(sel)
 	}
 	for c := range shell.Cols {
-		dst := shell.Cols[c][:BatchSize]
-		if sel == nil {
-			copy(dst[:n], cols[c][:n])
-		} else {
-			src := cols[c]
-			for k, i := range sel {
-				dst[k] = src[i]
-			}
-		}
-		shell.Cols[c] = dst[:m]
+		shell.Cols[c] = compactInto(shell.Cols[c], cols[c], n, sel)
+	}
+	if mult != nil {
+		shell.Mult = compactInto(shell.Mult, mult, n, sel)
 	}
 	shell.N = m
 	shell.Sel = nil
@@ -377,6 +411,19 @@ func (w *pipeWorker) send(cols [][]int64, n int, sel []int) {
 	case <-w.op.quit:
 		w.stopped = true
 	}
+}
+
+// compactInto copies the live rows of src (rows 0..n-1, or those of sel)
+// densely into dst's BatchSize-capacity buffer and returns them.
+func compactInto(dst, src []int64, n int, sel []int) []int64 {
+	dst = dst[:BatchSize]
+	if sel == nil {
+		return dst[:copy(dst, src[:n])]
+	}
+	for k, i := range sel {
+		dst[k] = src[i]
+	}
+	return dst[:len(sel)]
 }
 
 func (w *pipeWorker) walkChain(depth int, st *pipeStage, t *joinTable, cols [][]int64, i int, h uint64) {
@@ -407,7 +454,7 @@ func (w *pipeWorker) flushStage(depth int, cols [][]int64) {
 	if m := len(pb); m > 0 {
 		w.counts[depth+1] += int64(m)
 		gatherPairs(sc.out, &st.table.data, st.buildOut, cols, st.probeOut, pb, pp)
-		w.probeStage(depth+1, sc.out, m, nil)
+		w.probeStage(depth+1, sc.out, m, nil, nil)
 	}
 	sc.pairsB, sc.pairsP = sc.pairsB[:0], sc.pairsP[:0]
 }
@@ -480,6 +527,9 @@ func (p *parallelPipelineOp) drainCols() (colData, error) {
 			}
 			if b == nil {
 				break
+			}
+			if err := unweighted(b, "a materializing drain"); err != nil {
+				return out, errors.Join(err, p.Close())
 			}
 			out.appendBatch(b)
 		}

@@ -241,41 +241,64 @@ func TestAggTableGlobalGroup(t *testing.T) {
 
 // TestBuildJoinTableParallelMatchesSerial checks the partitioned parallel
 // build produces the same table as the serial build: same sizing, same
-// hashes, and identical per-bucket chain membership.
+// hashes, and identical per-bucket chain membership — and, for a counting
+// table, one linked row per distinct key carrying the number of rows that
+// share it.
 func TestBuildJoinTableParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	rows := make([][]int64, 3*minParallelRows+777)
+	distinct := map[[2]int64]int32{}
 	for i := range rows {
 		rows[i] = []int64{int64(rng.Intn(5000)), int64(rng.Intn(64)), int64(i)}
+		distinct[[2]int64{rows[i][0], rows[i][1]}]++
 	}
 	keys := []int{0, 1}
 	data := transposeRows(rows, 3)
-	serial := buildJoinTable(data, keys)
-	for _, workers := range []int{2, 4, 7} {
-		par := buildJoinTableParallel(data, keys, workers)
-		if par.mask != serial.mask {
-			t.Fatalf("workers=%d: mask %d != serial %d", workers, par.mask, serial.mask)
-		}
-		for i := range rows {
-			if par.hashes[i] != serial.hashes[i] {
-				t.Fatalf("workers=%d: hash of row %d differs", workers, i)
+	for _, counting := range []bool{false, true} {
+		serial := buildJoinTable(data, keys, counting)
+		linked := 0
+		for b := range serial.head {
+			for ci := serial.head[b]; ci != 0; ci = serial.next[ci-1] {
+				linked++
+				if r := rows[ci-1]; counting && serial.mult[ci-1] != distinct[[2]int64{r[0], r[1]}] {
+					t.Fatalf("row %d linked with multiplicity %d, its key occurs %d times",
+						ci-1, serial.mult[ci-1], distinct[[2]int64{r[0], r[1]}])
+				}
 			}
 		}
-		chain := func(t *joinTable, b int) map[int32]bool {
-			m := map[int32]bool{}
-			for ci := t.head[b]; ci != 0; ci = t.next[ci-1] {
-				m[ci] = true
-			}
-			return m
+		if want := map[bool]int{false: len(rows), true: len(distinct)}[counting]; linked != want {
+			t.Fatalf("counting=%v: %d rows linked, want %d", counting, linked, want)
 		}
-		for b := 0; b <= int(serial.mask); b++ {
-			sc, pc := chain(serial, b), chain(par, b)
-			if len(sc) != len(pc) {
-				t.Fatalf("workers=%d: bucket %d has %d rows, serial %d", workers, b, len(pc), len(sc))
+		for _, workers := range []int{2, 4, 7} {
+			par := buildJoinTableParallel(data, keys, workers, counting)
+			if par.mask != serial.mask {
+				t.Fatalf("workers=%d: mask %d != serial %d", workers, par.mask, serial.mask)
 			}
-			for i := range sc {
-				if !pc[i] {
-					t.Fatalf("workers=%d: bucket %d missing row %d", workers, b, i)
+			for i := range rows {
+				if par.hashes[i] != serial.hashes[i] {
+					t.Fatalf("workers=%d: hash of row %d differs", workers, i)
+				}
+			}
+			// chain maps each linked row of bucket b to its multiplicity.
+			chain := func(t *joinTable, b int) map[int32]int32 {
+				m := map[int32]int32{}
+				for ci := t.head[b]; ci != 0; ci = t.next[ci-1] {
+					m[ci] = 1
+					if counting {
+						m[ci] = t.mult[ci-1]
+					}
+				}
+				return m
+			}
+			for b := 0; b <= int(serial.mask); b++ {
+				sc, pc := chain(serial, b), chain(par, b)
+				if len(sc) != len(pc) {
+					t.Fatalf("workers=%d counting=%v: bucket %d has %d rows, serial %d", workers, counting, b, len(pc), len(sc))
+				}
+				for i, m := range sc {
+					if pc[i] != m {
+						t.Fatalf("workers=%d counting=%v: bucket %d row %d x%d, serial x%d", workers, counting, b, i, pc[i], m)
+					}
 				}
 			}
 		}

@@ -35,6 +35,10 @@ type PlanProfile struct {
 	// cols is each compiled node's output width: the columns still read at
 	// or above it (live.go), recorded at compile time.
 	cols map[*relalg.Plan]int
+	// counted marks the hash joins compiled in counting mode (live.go),
+	// recorded at compile time: their rows are the multiplicities summed,
+	// their batches what was emitted.
+	counted map[*relalg.Plan]bool
 	// Agg profiles the terminal aggregation (hash agg above the plan root,
 	// or the fused pipeline's worker-local partial aggregation).
 	Agg *obs.Span
@@ -45,7 +49,8 @@ type PlanProfile struct {
 
 // NewPlanProfile returns an empty profile ready for Compiler.Prof.
 func NewPlanProfile() *PlanProfile {
-	return &PlanProfile{spans: map[*relalg.Plan]*obs.Span{}, cols: map[*relalg.Plan]int{}, Agg: &obs.Span{}}
+	return &PlanProfile{spans: map[*relalg.Plan]*obs.Span{}, cols: map[*relalg.Plan]int{},
+		counted: map[*relalg.Plan]bool{}, Agg: &obs.Span{}}
 }
 
 // span returns the (inclusive-time) span of a plan node, registering it on
@@ -94,7 +99,10 @@ func (pp *PlanProfile) displayNanos(p *relalg.Plan) int64 {
 // node with the optimizer's estimated cardinality against the actual row
 // count (and their q-error — the paper's estimation error, made visible per
 // query), plus the operator's output width (cols: what it carries upward),
-// batches and cumulative wall time from the execution profile.
+// batches and cumulative wall time from the execution profile. A hash join
+// that ran in counting mode is marked "counted": its rows are the
+// multiplicities summed — equal to act, as for every operator — while its
+// batches are what it actually emitted.
 // stats is the RunStats of the same execution. Span times of fused parallel
 // pipelines are summed across workers (CPU time, not wall time); the header
 // notes the parallelism.
@@ -158,8 +166,11 @@ func (pp *PlanProfile) format(q *relalg.Query, p *relalg.Plan, stats *RunStats, 
 		fmt.Fprintf(b, " act=-")
 	}
 	if sp := pp.spans[p]; sp != nil {
-		fmt.Fprintf(b, " | rows=%d cols=%d batches=%d time=%v]",
-			sp.Rows, pp.cols[p], sp.Batches, time.Duration(pp.displayNanos(p)).Round(time.Microsecond))
+		fmt.Fprintf(b, " | rows=%d cols=%d batches=%d", sp.Rows, pp.cols[p], sp.Batches)
+		if pp.counted[p] {
+			b.WriteString(" counted")
+		}
+		fmt.Fprintf(b, " time=%v]", time.Duration(pp.displayNanos(p)).Round(time.Microsecond))
 	} else {
 		fmt.Fprintf(b, " | not executed (cached)]")
 	}
@@ -187,7 +198,7 @@ func qError(est float64, act int64) float64 {
 
 // profVec is the serial profiling shim: it times Open/Next/Close around its
 // input (inclusive time — the clock runs across the child's work) and
-// counts emitted batches and live rows.
+// counts emitted batches and the rows they stand for.
 type profVec struct {
 	in VecIterator
 	sp *obs.Span
@@ -204,7 +215,7 @@ func (p *profVec) Next() (*Batch, error) {
 	t0 := time.Now()
 	b, err := p.in.Next()
 	if b != nil {
-		p.sp.Record(1, int64(b.Len()), time.Since(t0))
+		p.sp.Record(1, b.Rows(), time.Since(t0))
 	} else {
 		p.sp.Record(0, 0, time.Since(t0))
 	}

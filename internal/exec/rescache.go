@@ -325,8 +325,9 @@ func (c *Compiler) applyCacheDecision(d *cacheDecision, p *relalg.Plan, stats *R
 
 	// Compile the missed subtree via compileVecNode: the profiling shim for
 	// p (if any) is added by the compileVec wrapper around THIS call, so
-	// going through compileVec here would double-register p's span.
-	in, schema, err := c.compileVecNode(p, stats)
+	// going through compileVec here would double-register p's span. An entry
+	// holds rows, so a spooled join enumerates whatever consumes it.
+	in, schema, err := c.compileVecNode(p, stats, false)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -383,6 +384,11 @@ func (s *spoolOp) Next() (*Batch, error) {
 	if b == nil {
 		s.finish()
 		return nil, nil
+	}
+	if err := unweighted(b, "a result-cache spool"); err != nil {
+		s.abandoned = true
+		s.data = colData{}
+		return nil, err
 	}
 	if !s.abandoned {
 		s.data.appendBatch(b)

@@ -225,6 +225,41 @@ func TestSpillAggMatchesUnbounded(t *testing.T) {
 	}
 }
 
+// TestCountDistinctChargesItsValues: the tracked footprint of a COUNT(DISTINCT)
+// aggregation grows with the values its sets hold, not only with its groups.
+// These are the plans that cannot spill, so what they Force-charge is all the
+// memory ceiling ever learns about them.
+func TestCountDistinctChargesItsValues(t *testing.T) {
+	const groups, n = 4, 20000
+	peak := func(distinct int) int64 {
+		rows := make([][]int64, n)
+		for i := range rows {
+			rows[i] = []int64{int64(i % groups), int64(i % distinct)}
+		}
+		agg := NewVecHashAgg(NewVecScanRows(rows, ScanFilter{}),
+			AggSpecExec{GroupBy: []int{0}, CountDistinct: []int{1}}).(*vecHashAggOp)
+		root := NewMemTracker(0)
+		agg.mem = root.Child("agg")
+		out, err := DrainVec(agg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range out {
+			if len(out) != groups || r[1] != int64(distinct/groups) {
+				t.Fatalf("%d values over %d groups: result %v", distinct, groups, out)
+			}
+		}
+		if root.Used() != 0 {
+			t.Fatalf("%d bytes still charged after Close", root.Used())
+		}
+		return root.Peak()
+	}
+	few, many := peak(8), peak(8000)
+	if many-few < (8000-8)*8 {
+		t.Fatalf("tracked peak %d B with 8 distinct values, %d B with 8000: the sets' contents are not charged", few, many)
+	}
+}
+
 // TestMemTrackerBasics pins the Reserve/Force/Release semantics the spill
 // operators rely on.
 func TestMemTrackerBasics(t *testing.T) {

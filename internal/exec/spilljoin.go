@@ -11,6 +11,13 @@ package exec
 // and the join's output multiset and cardinality counters are identical to
 // the unbounded run.
 //
+// A counting join (vecHashJoinOp.counting) spills the same way, with the
+// probe rows' multiplicities as one more column of the probe runs — after the
+// live columns, so key offsets stand — peeled back off into Batch.Mult as a
+// run is read. Each loaded partition or chunk is a counting table over its
+// own build rows; a key split across chunks yields one weighted row per
+// chunk, and the multiplicities still sum to the match count.
+//
 // A partition whose build side still exceeds the reservation is recursively
 // repartitioned one hash-bit window deeper; at maxSpillLevel (few distinct
 // hash bits left — the skewed-key end state) the driver falls back to
@@ -26,10 +33,13 @@ type spillPair struct {
 
 // spillJoin drives partition-at-a-time probing for a spilled vecHashJoinOp.
 type spillJoin struct {
-	mem     *MemTracker
-	workers int
-	lKeys   []int
-	rKeys   []int
+	mem      *MemTracker
+	workers  int
+	lKeys    []int
+	rKeys    []int
+	counting bool
+	shell    Batch   // counting: a probe-run batch with its last column as Mult
+	ones     []int64 // counting: the multiplicities of an unweighted probe batch
 
 	work []spillPair // LIFO: recursive sub-partitions are processed first
 
@@ -42,9 +52,9 @@ type spillJoin struct {
 	buildRd   *spillRunReader // sequential chunk source over cur.build
 }
 
-// spillBuildBytes is the reservation needed to load and hash n build rows.
-func spillBuildBytes(width, n int) int64 {
-	return colBytes(width, n) + joinTableBytes(n)
+// buildBytes is the reservation needed to load and hash n build rows.
+func (s *spillJoin) buildBytes(width, n int) int64 {
+	return colBytes(width, n) + joinTableBytes(n, s.counting)
 }
 
 // releaseTable drops the charge of the partition table being left behind.
@@ -66,6 +76,11 @@ func (j *vecHashJoinOp) spillNextBatch() (*Batch, error) {
 				return nil, err
 			}
 			if b != nil {
+				if s.counting {
+					w := b.Width() - 1
+					s.shell = Batch{Cols: b.Cols[:w], N: b.N, Mult: b.Cols[w]}
+					b = &s.shell
+				}
 				return b, nil
 			}
 			// Probe run exhausted for the current table.
@@ -110,7 +125,7 @@ func (s *spillJoin) advance(j *vecHashJoinOp) (bool, error) {
 			it.probe.close()
 			continue
 		}
-		need := spillBuildBytes(it.build.width, it.build.rows)
+		need := s.buildBytes(it.build.width, it.build.rows)
 		if s.mem.Reserve(need) {
 			data, err := readRunAll(it.build)
 			if err != nil {
@@ -119,7 +134,7 @@ func (s *spillJoin) advance(j *vecHashJoinOp) (bool, error) {
 				it.probe.close()
 				return false, err
 			}
-			j.table = newJoinTable(data, s.lKeys, s.workers)
+			j.table = newJoinTable(data, s.lKeys, s.workers, s.counting)
 			s.charged = need
 			rd, err := it.probe.reader()
 			if err != nil {
@@ -192,12 +207,12 @@ func (s *spillJoin) advance(j *vecHashJoinOp) (bool, error) {
 func (s *spillJoin) loadChunk(j *vecHashJoinOp) (bool, error) {
 	s.releaseTable()
 	width := s.cur.build.width
-	// Per-row cost upper bound: 8 bytes per column plus at most 28 bytes of
+	// Per-row cost upper bound: 8 bytes per column plus at most 32 bytes of
 	// join-table overhead (head slots round up to 4n ints worst case, next
-	// links and hashes are 12). One reader-batch of slack is left below the
-	// budget because chunk accumulation only checks the target between
-	// batches.
-	rowCost := int64(width*8) + 28
+	// links, hashes and multiplicities are 16). One reader-batch of slack is
+	// left below the budget because chunk accumulation only checks the target
+	// between batches.
+	rowCost := int64(width*8) + 32
 	target := BatchSize
 	if lim := s.mem.Limit(); lim > 0 {
 		if fit := (lim-s.mem.rootUsed())/rowCost - BatchSize; fit > int64(target) {
@@ -218,18 +233,29 @@ func (s *spillJoin) loadChunk(j *vecHashJoinOp) (bool, error) {
 	if data.n == 0 {
 		return false, nil
 	}
-	need := spillBuildBytes(width, data.n)
+	need := s.buildBytes(width, data.n)
 	if !s.mem.Reserve(need) {
 		s.mem.Force(need)
 	}
 	s.charged = need
-	j.table = newJoinTable(data, s.lKeys, s.workers)
+	j.table = newJoinTable(data, s.lKeys, s.workers, s.counting)
 	rd, err := s.cur.probe.reader()
 	if err != nil {
 		return false, err
 	}
 	s.probeRd = rd
 	return true, nil
+}
+
+// multOf returns the multiplicity column of a probe batch: its own, or ones.
+func (s *spillJoin) multOf(b *Batch) []int64 {
+	if b.Mult != nil {
+		return b.Mult
+	}
+	for len(s.ones) < b.N {
+		s.ones = append(s.ones, 1)
+	}
+	return s.ones[:b.N]
 }
 
 // closeAll releases whatever the spilled join still holds.
@@ -257,7 +283,7 @@ func (s *spillJoin) closeAll() {
 // probe input is partitioned by the same hash windows. Called from
 // vecHashJoinOp.Open with the build input already open.
 func (j *vecHashJoinOp) openSpill(sofar colData, pending *Batch, charged int64) error {
-	s := &spillJoin{mem: j.mem, workers: j.workers, lKeys: j.lKeys, rKeys: j.rKeys}
+	s := &spillJoin{mem: j.mem, workers: j.workers, lKeys: j.lKeys, rKeys: j.rKeys, counting: j.counting}
 	// The very first batch can already overflow a tiny budget, leaving the
 	// drained prefix empty; the build width then comes from the batch.
 	bWidth := sofar.width()
@@ -297,6 +323,10 @@ func (j *vecHashJoinOp) openSpill(sofar colData, pending *Batch, charged int64) 
 		if b == nil {
 			break
 		}
+		if err := unweighted(b, "a hash-join build side"); err != nil {
+			bp.abort()
+			return err
+		}
 		if err := bp.add(b.Cols, b.N, b.Sel); err != nil {
 			bp.abort()
 			return err
@@ -316,31 +346,35 @@ func (j *vecHashJoinOp) openSpill(sofar colData, pending *Batch, charged int64) 
 		}
 	}
 	// Partition the probe side by the same level-0 hash windows.
-	pWidth := -1
 	var pp *spillPartitioner
+	fail := func(err error) error {
+		if pp != nil {
+			pp.abort()
+		}
+		closeRuns(bruns)
+		return err
+	}
 	for {
 		b, err := j.right.Next()
 		if err != nil {
-			if pp != nil {
-				pp.abort()
-			}
-			closeRuns(bruns)
-			return err
+			return fail(err)
 		}
 		if b == nil {
 			break
 		}
+		cols := b.Cols
+		if j.counting {
+			cols = append(cols[:len(cols):len(cols)], s.multOf(b))
+		} else if err := unweighted(b, "an enumerating hash join"); err != nil {
+			return fail(err)
+		}
 		if pp == nil {
-			pWidth = b.Width()
-			if pp, err = newSpillPartitioner(j.mem, pWidth, j.rKeys, 0); err != nil {
-				closeRuns(bruns)
-				return err
+			if pp, err = newSpillPartitioner(j.mem, len(cols), j.rKeys, 0); err != nil {
+				return fail(err)
 			}
 		}
-		if err := pp.add(b.Cols, b.N, b.Sel); err != nil {
-			pp.abort()
-			closeRuns(bruns)
-			return err
+		if err := pp.add(cols, b.N, b.Sel); err != nil {
+			return fail(err)
 		}
 	}
 	if pp == nil {

@@ -163,6 +163,67 @@ func TestDrainJoinsCloseError(t *testing.T) {
 	}
 }
 
+// weightedIter emits one batch of n single-column rows, each standing for
+// three: what a counting hash join hands its consumer.
+type weightedIter struct {
+	n    int
+	done bool
+}
+
+func (w *weightedIter) Open() error { w.done = false; return nil }
+func (w *weightedIter) Next() (*Batch, error) {
+	if w.done {
+		return nil, nil
+	}
+	w.done = true
+	b := &Batch{Cols: [][]int64{make([]int64, w.n)}, N: w.n, Mult: make([]int64, w.n)}
+	for i := range b.Mult {
+		b.Cols[0][i], b.Mult[i] = int64(i), 3
+	}
+	return b, nil
+}
+func (w *weightedIter) Close() error { return nil }
+
+// TestWeightedBatchEscapes: a weighted batch reaching anything that does not
+// read Batch.Mult is a compiler bug and must end the query with an error,
+// never with a result that silently counts each weighted row once.
+func TestWeightedBatchEscapes(t *testing.T) {
+	scan := func() VecIterator { return scanOf([]int64{1}, []int64{2}) }
+	index := buildColIndex(leafOfCols([][]int64{{1, 2}}, 2, ScanFilter{}), 0)
+	bounded := NewVecHashJoin(&weightedIter{n: 4}, scan(), []int{0}, []int{0}, nil, nil, seq(1), 1).(*vecHashJoinOp)
+	bounded.mem = NewMemTracker(1 << 20).Child("hashjoin")
+	spilled := NewVecHashJoin(&weightedIter{n: 4}, scan(), []int{0}, []int{0}, nil, nil, seq(1), 1).(*vecHashJoinOp)
+	spilled.mem = NewMemTracker(8).Child("hashjoin")
+	spilledProbe := NewVecHashJoin(scan(), &weightedIter{n: 4}, []int{0}, []int{0}, nil, seq(1), seq(1), 1).(*vecHashJoinOp)
+	spilledProbe.mem = NewMemTracker(8).Child("hashjoin")
+	for name, v := range map[string]VecIterator{
+		"result":                      &weightedIter{n: 4},
+		"sort":                        NewVecSort(&weightedIter{n: 4}, 0),
+		"merge join, left":            NewVecMergeJoin(&weightedIter{n: 4}, scan(), 0, 0, nil, seq(1), seq(1)),
+		"merge join, right":           NewVecMergeJoin(scan(), &weightedIter{n: 4}, 0, 0, nil, seq(1), seq(1)),
+		"index nested loops outer":    NewVecIndexNLJoin(&weightedIter{n: 4}, index, 0, nil, seq(1), seq(1)),
+		"hash join build":             NewVecHashJoin(&weightedIter{n: 4}, scan(), []int{0}, []int{0}, nil, nil, seq(1), 1),
+		"hash join build, bounded":    bounded,
+		"hash join build, spilling":   spilled,
+		"enumerating hash join probe": NewVecHashJoin(scan(), &weightedIter{n: 4}, []int{0}, []int{0}, nil, seq(1), seq(1), 1),
+		"enumerating probe, spilling": spilledProbe,
+		"result-cache spool":          &spoolOp{in: &weightedIter{n: 4}, maxBytes: 1 << 20},
+	} {
+		if _, err := DrainVec(v); err == nil || !strings.Contains(err.Error(), "multiplicities") {
+			t.Errorf("%s: DrainVec error = %v, want the weighted-batch error", name, err)
+		}
+		if _, err := CountVec(v); err == nil || !strings.Contains(err.Error(), "multiplicities") {
+			t.Errorf("%s: CountVec error = %v, want the weighted-batch error", name, err)
+		}
+	}
+	// The counter and the aggregation do read it.
+	var n int64
+	agg := NewVecHashAgg(NewVecCounter(&weightedIter{n: 4}, &n), AggSpecExec{CountAll: true, Sums: []int{0}})
+	if out, err := DrainVec(agg); err != nil || n != 12 || len(out) != 1 || out[0][0] != 3*(0+1+2+3) || out[0][1] != 12 {
+		t.Fatalf("counter saw %d rows, aggregate %v (err %v); want 12 rows, SUM 18, COUNT 12", n, out, err)
+	}
+}
+
 // TestVecHashJoinOpenErrorReleasesProbe: when draining the build side fails
 // (unsorted merge join below), the already-opened probe side — including
 // parallel scan workers — must be released rather than leaked.

@@ -102,6 +102,11 @@ type vecHashJoinOp struct {
 	workers      int
 	mem          *MemTracker // child tracker; nil = untracked
 
+	// counting: nothing above reads a build column and the consumer reads
+	// Batch.Mult (Compiler.counted), so each matching probe row is emitted
+	// once, carrying its match count, instead of once per match.
+	counting bool
+
 	table *joinTable
 	spill *spillJoin // non-nil once the build overflowed its reservation
 
@@ -116,6 +121,11 @@ type vecHashJoinOp struct {
 
 	pairsB, pairsP []int32
 	emit           colEmitter
+
+	// counting-mode output: the probe batch's columns re-headed, the matched
+	// rows' selection and their multiplicities.
+	sel  []int
+	mult []int64
 }
 
 // NewVecHashJoin is the pipelined hash join of the paper's Table 1: the
@@ -150,10 +160,10 @@ func (j *vecHashJoinOp) Open() error {
 		if err != nil {
 			return errors.Join(err, j.right.Close())
 		}
-		j.mem.Force(colBytes(build.width(), build.n) + joinTableBytes(build.n))
-		j.table = newJoinTable(build, j.lKeys, j.workers)
+		j.mem.Force(colBytes(build.width(), build.n) + joinTableBytes(build.n, j.counting))
+		j.table = newJoinTable(build, j.lKeys, j.workers, j.counting)
 	}
-	if j.pairsB == nil {
+	if j.pairsB == nil && !j.counting {
 		j.pairsB = make([]int32, 0, BatchSize)
 		j.pairsP = make([]int32, 0, BatchSize)
 	}
@@ -181,6 +191,10 @@ func (j *vecHashJoinOp) openBounded() error {
 		if b == nil {
 			break
 		}
+		if err := unweighted(b, "a hash-join build side"); err != nil {
+			j.mem.Release(charged)
+			return errors.Join(err, j.left.Close())
+		}
 		need := colBytes(b.Width(), b.Len())
 		if !j.mem.Reserve(need) {
 			return j.openSpill(build, b, charged)
@@ -190,14 +204,14 @@ func (j *vecHashJoinOp) openBounded() error {
 	}
 	// Reserve the hash table before closing the build input: if even the
 	// table does not fit, openSpill re-drains the (exhausted) input.
-	if !j.mem.Reserve(joinTableBytes(build.n)) {
+	if !j.mem.Reserve(joinTableBytes(build.n, j.counting)) {
 		return j.openSpill(build, nil, charged)
 	}
 	if err := j.left.Close(); err != nil {
 		j.mem.ReleaseAll()
 		return err
 	}
-	j.table = newJoinTable(build, j.lKeys, j.workers)
+	j.table = newJoinTable(build, j.lKeys, j.workers, j.counting)
 	return nil
 }
 
@@ -221,7 +235,38 @@ func (j *vecHashJoinOp) flushPairs() *Batch {
 	return j.emit.emit(&j.table.data, j.pb.Cols, pb, pp)
 }
 
+// nextCounted is Next in counting mode. A probe row matches at most one
+// linked build row, so a probe batch yields at most one output batch and
+// nothing is copied: the output is the probe batch's live columns under the
+// selection of its matched rows, with their multiplicities beside them.
+func (j *vecHashJoinOp) nextCounted() (*Batch, error) {
+	for {
+		b, err := j.nextProbeBatch()
+		if err != nil || b == nil {
+			return nil, err
+		}
+		j.hs = hashLive(j.hs, b.Cols, j.rKeys, b.N, b.Sel)
+		if cap(j.mult) < b.N {
+			j.mult = make([]int64, max(b.N, BatchSize))
+		}
+		j.sel, _ = j.table.countMatches(b.Cols, j.rKeys, j.hs, b.Sel, b.Mult, j.sel, j.mult[:b.N])
+		if len(j.sel) == 0 {
+			continue
+		}
+		out := &j.emit.batch
+		out.Cols = out.Cols[:0]
+		for _, c := range j.emit.probeOut {
+			out.Cols = append(out.Cols, b.Cols[c])
+		}
+		out.N, out.Sel, out.Mult = b.N, j.sel, j.mult[:b.N]
+		return out, nil
+	}
+}
+
 func (j *vecHashJoinOp) Next() (*Batch, error) {
+	if j.counting {
+		return j.nextCounted()
+	}
 	t := j.table
 	for {
 		for j.chain != 0 {
@@ -273,6 +318,9 @@ func (j *vecHashJoinOp) Next() (*Batch, error) {
 			// drop the stale reference before re-checking the cursor.
 			j.pb = nil
 			continue
+		}
+		if err := unweighted(b, "an enumerating hash join"); err != nil {
+			return nil, err
 		}
 		j.pb, j.pi = b, 0
 		j.hs = hashLive(j.hs, b.Cols, j.rKeys, b.N, b.Sel)
@@ -521,6 +569,9 @@ func (j *vecIndexNLOp) Next() (*Batch, error) {
 			// recycle its last batch at end of stream.
 			j.ob = nil
 			continue
+		}
+		if err := unweighted(b, "an index nested-loops join"); err != nil {
+			return nil, err
 		}
 		j.ob, j.oi = b, 0
 	}

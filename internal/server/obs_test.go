@@ -11,6 +11,8 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/relalg"
+	"repro/internal/tpch"
 )
 
 // drive runs every named workload query n times through one session.
@@ -73,9 +75,19 @@ func TestExplainAnalyzeThroughServer(t *testing.T) {
 // participating: tracing and slow-query profiling fully on leave result
 // multisets and the feedback-driven per-entry optimizer state identical to
 // a server with everything off.
+//
+// The workload is extended with Q3S under an aggregation over lineitem alone:
+// its customer ⋈ orders build side is dead above the root join, so the join
+// runs in counting mode and the profile's rows are multiplicities summed.
 func TestTracingDifferential(t *testing.T) {
-	quiet := testServer(t, Options{Parallelism: 2})
-	traced := testServer(t, Options{Parallelism: 2,
+	named := tpch.Queries()
+	counted := tpch.Q3S()
+	counted.Name = "Q3SCounted"
+	counted.Agg = &relalg.AggSpec{CountAll: true,
+		Sums: []relalg.ColID{{Rel: 2, Off: 5}}, CountDistinct: []relalg.ColID{{Rel: 2, Off: 1}}}
+	named[counted.Name] = counted
+	quiet := testServer(t, Options{Parallelism: 2, Named: named})
+	traced := testServer(t, Options{Parallelism: 2, Named: named,
 		TraceEvents: 256, TraceSlowQuery: time.Nanosecond})
 
 	for name := range quiet.opts.Named {
@@ -111,6 +123,11 @@ func TestTracingDifferential(t *testing.T) {
 	if m0.Repairs != m1.Repairs || m0.Converged != m1.Converged {
 		t.Fatalf("tracing changed feedback totals: repairs %d vs %d, converged %d vs %d",
 			m0.Repairs, m1.Repairs, m0.Converged, m1.Converged)
+	}
+	if st, err := traced.Session().PrepareNamed(counted.Name); err != nil {
+		t.Fatal(err)
+	} else if _, analyzed, err := st.ExplainAnalyze(); err != nil || !strings.Contains(analyzed, " counted ") {
+		t.Fatalf("the differential covers no counting join (err %v):\n%s", err, analyzed)
 	}
 }
 

@@ -7,7 +7,7 @@ package stats
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Histogram is an equi-depth (equal-frequency) histogram over int64 values.
@@ -37,7 +37,7 @@ func BuildHistogram(values []int64, buckets int) *Histogram {
 	}
 	sorted := make([]int64, n)
 	copy(sorted, values)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	slices.Sort(sorted)
 
 	h := &Histogram{Total: float64(n)}
 	h.Bounds = append(h.Bounds, sorted[0]-1)

@@ -21,7 +21,14 @@
 //     schema is the set of columns read at or above it (aggregation inputs,
 //     predicates not yet applied, its own sort key), so a column dies after
 //     its last reader; a query without an aggregation returns every column
-//     and is all-live;
+//     and is all-live. Where that leaves a hash join's build side dead — no
+//     build column read above it, no residual on one — and the join feeds
+//     the aggregation (directly, or through more such joins on its probe
+//     side), the join counts instead of enumerating: each matching probe
+//     row is passed on once with its match count beside it (Batch.Mult),
+//     which COUNT(*) and SUM scale by and COUNT(DISTINCT) ignores; the
+//     cardinality counters sum the multiplicities, so feedback is that of
+//     the enumerating join;
 //   - internal/aqp — the adaptive query processing loop;
 //   - internal/fbstore — the server-wide statistics plane: calibrated
 //     cardinality observations keyed by canonical subexpression
@@ -134,8 +141,10 @@
 //     its feedback repairs the cached plan like any other — while
 //     attributing time, batch and row counts to every plan operator, and
 //     renders the plan annotated with estimated-vs-actual cardinality and
-//     q-error per node. cmd/optcli -analyze and the protocol's "analyze"
-//     command expose the same tree.
+//     q-error per node. A hash join that counted instead of enumerating is
+//     marked "counted": its rows= is still its cardinality, its batches=
+//     what it actually emitted. cmd/optcli -analyze and the protocol's
+//     "analyze" command expose the same tree.
 //   - Lifecycle tracing. ServerOptions.TraceEvents keeps the last N
 //     structured events (prepare hit/miss, admission queue wait, exec,
 //     incremental repair, result-cache probe/spool/invalidate) in a
