@@ -9,9 +9,10 @@
 //	reproserve -listen :7878           # TCP; try: nc localhost 7878
 //	echo 'run SELECT ... FROM ...' | reproserve
 //
-// The plan cache is bounded with -max-entries (LRU) and -ttl (idle expiry);
-// eviction is safe because learned statistics live in the server-wide
-// statistics plane and warm-start re-admitted entries. On SIGINT/SIGTERM the
+// The plan cache is bounded with -max-entries (LRU), its only bound: an idle
+// entry is a live optimizer worth keeping. Eviction is safe because learned
+// statistics live in the server-wide statistics plane and warm-start
+// re-admitted entries. On SIGINT/SIGTERM the
 // server shuts down gracefully: it stops accepting connections, drains
 // in-flight executions through the admission semaphore, and writes the final
 // metrics report to stderr.
@@ -70,8 +71,9 @@
 // zero-copy column windows instead of re-executing it, and a miss spools
 // the subtree's output into the cache as a side effect of execution.
 // Entries are invalidated by base-table data versions, so mutations are
-// never served stale. The shutdown metrics flush reports the cache's
-// hit/miss/store/eviction/invalidation counters when enabled.
+// never served stale; the byte budget is the cache's only bound. The
+// shutdown metrics flush reports the cache's hit/miss/store/eviction/
+// invalidation counters when enabled.
 //
 // Observability:
 //
@@ -128,7 +130,6 @@ func main() {
 	parallelism := flag.Int("parallelism", 1, "executor pipeline workers per query; <= 1 is serial")
 	maxConcurrent := flag.Int("max-concurrent", 0, "admission bound on concurrently executing queries; 0 sizes it against parallelism")
 	maxEntries := flag.Int("max-entries", 0, "plan cache entry bound (LRU eviction); 0 is unbounded")
-	ttl := flag.Duration("ttl", 0, "plan cache idle expiry (e.g. 10m); 0 never expires")
 	statsFile := flag.String("stats-file", "", "statistics-plane snapshot path: loaded on boot when present, saved (atomic rotation) on graceful shutdown")
 	snapshotInterval := flag.Duration("stats-snapshot-interval", 0, "additionally save the statistics snapshot every interval while serving (e.g. 5m); 0 saves only at shutdown; requires -stats-file")
 	memBudgetMB := flag.Int64("mem-budget-mb", 0, "per-query execution memory budget in MiB (hash joins/aggregations spill to disk beyond it); 0 is unbounded")
@@ -184,7 +185,6 @@ func main() {
 		MemBudgetBytes:  *memBudgetMB << 20,
 		MemCeilingBytes: *memCeilingMB << 20,
 		MaxEntries:      *maxEntries,
-		TTL:             *ttl,
 		Stats:           stats,
 		Dict:            tpch.Dict(),
 		Date:            tpch.Date,
@@ -244,8 +244,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "reproserve: listening on %s (sf=%g, parallelism=%d, max-entries=%d, ttl=%v)\n",
-		l.Addr(), *sf, *parallelism, *maxEntries, *ttl)
+	fmt.Fprintf(os.Stderr, "reproserve: listening on %s (sf=%g, parallelism=%d, max-entries=%d)\n",
+		l.Addr(), *sf, *parallelism, *maxEntries)
 	go func() {
 		s := <-sig
 		fmt.Fprintf(os.Stderr, "reproserve: %v, stop accepting, draining in-flight executions\n", s)

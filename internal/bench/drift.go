@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/driftkit"
+	"repro/internal/fbstore"
 	"repro/internal/linearroad"
 	"repro/internal/server"
 )
@@ -43,8 +44,9 @@ func (e *Env) Drift(execsPerPhase int) *Table {
 	}
 	h := driftkit.New(sc)
 	srv, err := server.New(h.Catalog(), server.Options{
-		DecayHalfLife: 30, FeedbackThreshold: 0.3,
-		Parallelism: e.Parallelism, TraceEvents: 16 * (3 * execsPerPhase),
+		Stats:             fbstore.NewWithOptions(fbstore.Options{DecayHalfLife: 30}),
+		FeedbackThreshold: 0.3, Parallelism: e.Parallelism,
+		TraceEvents: 16 * (3 * execsPerPhase),
 	})
 	if err != nil {
 		panic(fmt.Sprintf("bench: drift: %v", err))

@@ -33,7 +33,7 @@ func (e *Env) ResultCache() *Table {
 			panic(fmt.Sprintf("bench: %s: %v", q.Name, err))
 		}
 		fper := relalg.NewFingerprinter(q)
-		cands := exec.BuildCacheCandidates(q, vr.Plan, fper, 0)
+		cands := exec.BuildCacheCandidates(q, vr.Plan, fper)
 		run := func(cache *rescache.Cache) {
 			comp := &exec.Compiler{Q: q, Cat: e.Cat, Parallelism: e.Parallelism,
 				Cache: cache, CacheCands: cands}
@@ -46,7 +46,7 @@ func (e *Env) ResultCache() *Table {
 			}
 		}
 		uncached := e.timeIt(func() { run(nil) })
-		cache := rescache.New(rescache.Options{MaxBytes: 256 << 20})
+		cache := rescache.New(256 << 20)
 		spool := e.timeOnce(func() { run(cache) })
 		warm := e.timeIt(func() { run(cache) })
 		met := cache.Metrics()

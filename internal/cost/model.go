@@ -240,9 +240,6 @@ func (m *Model) SetScanCostFactor(rel int, factor float64) {
 	m.scanFactor[rel] = factor
 }
 
-// ScanCostFactor returns the current factor for rel.
-func (m *Model) ScanCostFactor(rel int) float64 { return m.scanFactor[rel] }
-
 // CardDependsOn reports whether the cardinality of expression e is affected
 // by an override on s — i.e. whether s ⊆ e. The incremental optimizer uses
 // it to locate the affected region of its state.
@@ -290,13 +287,6 @@ func (m *Model) applyOverrides(s relalg.RelSet, base float64) float64 {
 	}
 	return math.Max(base, 1e-6)
 }
-
-// BaseRows returns the raw row count of relation rel.
-func (m *Model) BaseRows(rel int) float64 { return m.baseRows[rel] }
-
-// BaseCard returns the post-selection cardinality of relation rel (without
-// overrides).
-func (m *Model) BaseCard(rel int) float64 { return m.baseCard[rel] }
 
 // ---- operator costs (Fn_scancost / Fn_nonscancost) ----
 

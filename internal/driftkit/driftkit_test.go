@@ -3,6 +3,7 @@ package driftkit
 import (
 	"testing"
 
+	"repro/internal/fbstore"
 	"repro/internal/linearroad"
 	"repro/internal/obs"
 	"repro/internal/server"
@@ -58,7 +59,8 @@ func replay(t *testing.T, halfLife float64) *Report {
 	// Threshold 0.3: wide enough to suppress the window-membership noise
 	// inside a stationary phase, far below the ~8x step at the shift.
 	srv, err := server.New(h.Catalog(), server.Options{
-		DecayHalfLife: halfLife, FeedbackThreshold: 0.3, TraceEvents: 512})
+		Stats:             fbstore.NewWithOptions(fbstore.Options{DecayHalfLife: halfLife}),
+		FeedbackThreshold: 0.3, TraceEvents: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +125,8 @@ func TestHarnessDeterminism(t *testing.T) {
 	short.Phases[0].Execs = 4
 	run := func() string {
 		h := New(short)
-		srv, err := server.New(h.Catalog(), server.Options{DecayHalfLife: 30, TraceEvents: 256})
+		srv, err := server.New(h.Catalog(), server.Options{
+			Stats: fbstore.NewWithOptions(fbstore.Options{DecayHalfLife: 30}), TraceEvents: 256})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -360,40 +360,6 @@ func (s *vecScanOp) Next() (*Batch, error) {
 
 func (s *vecScanOp) Close() error { return nil }
 
-// ---- vectorized projection ----
-
-type vecProjectOp struct {
-	in    VecIterator
-	cols  []int
-	batch Batch
-}
-
-// NewVecProject returns vectorized column projection — with a columnar
-// layout this is pure column-header shuffling, zero copies.
-func NewVecProject(in VecIterator, cols []int) VecIterator {
-	return &vecProjectOp{in: in, cols: cols}
-}
-
-func (p *vecProjectOp) Open() error { return p.in.Open() }
-
-func (p *vecProjectOp) Next() (*Batch, error) {
-	b, err := p.in.Next()
-	if err != nil || b == nil {
-		return nil, err
-	}
-	out := p.batch.Cols[:0]
-	for _, c := range p.cols {
-		out = append(out, b.Cols[c])
-	}
-	p.batch.Cols = out
-	p.batch.N = b.N
-	p.batch.Sel = b.Sel
-	p.batch.Mult = b.Mult
-	return &p.batch, nil
-}
-
-func (p *vecProjectOp) Close() error { return p.in.Close() }
-
 // ---- vectorized sort ----
 
 type vecSortOp struct {

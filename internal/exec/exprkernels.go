@@ -2,12 +2,9 @@ package exec
 
 import "sort"
 
-// Typed expression kernels over contiguous column slices, dispatched once
-// per batch. Gather is the workhorse of join result stitching and the sort
-// operator; the arithmetic, min/max and CASE kernels are the building
-// blocks for computed projections (derived measures, conditional
-// aggregation inputs) so those grow column-at-a-time instead of row-by-row.
-// All kernels are allocation-free: the caller owns dst and sizes it.
+// Typed kernels over contiguous column slices, dispatched once per batch.
+// Gather is the workhorse of join result stitching and the sort operator.
+// It is allocation-free: the caller owns dst and sizes it.
 
 // Gather copies src values through an index vector: dst[k] = src[idx[k]]
 // for k < len(idx). dst must have length >= len(idx).
@@ -15,108 +12,6 @@ func Gather(dst, src []int64, idx []int32) {
 	_ = dst[:len(idx)]
 	for k, i := range idx {
 		dst[k] = src[i]
-	}
-}
-
-// AddCols computes dst[i] = a[i] + b[i] over len(dst) elements.
-func AddCols(dst, a, b []int64) {
-	_, _ = a[:len(dst)], b[:len(dst)]
-	for i := range dst {
-		dst[i] = a[i] + b[i]
-	}
-}
-
-// SubCols computes dst[i] = a[i] - b[i] over len(dst) elements.
-func SubCols(dst, a, b []int64) {
-	_, _ = a[:len(dst)], b[:len(dst)]
-	for i := range dst {
-		dst[i] = a[i] - b[i]
-	}
-}
-
-// MulCols computes dst[i] = a[i] * b[i] over len(dst) elements.
-func MulCols(dst, a, b []int64) {
-	_, _ = a[:len(dst)], b[:len(dst)]
-	for i := range dst {
-		dst[i] = a[i] * b[i]
-	}
-}
-
-// AddConst computes dst[i] = a[i] + c over len(dst) elements.
-func AddConst(dst, a []int64, c int64) {
-	_ = a[:len(dst)]
-	for i := range dst {
-		dst[i] = a[i] + c
-	}
-}
-
-// MinCol returns the minimum of the live values of col (all n when sel is
-// nil, the selected indices otherwise); ok=false on an empty selection.
-func MinCol(col []int64, n int, sel []int) (min int64, ok bool) {
-	if sel == nil {
-		if n == 0 {
-			return 0, false
-		}
-		min = col[0]
-		for _, v := range col[1:n] {
-			if v < min {
-				min = v
-			}
-		}
-		return min, true
-	}
-	if len(sel) == 0 {
-		return 0, false
-	}
-	min = col[sel[0]]
-	for _, i := range sel[1:] {
-		if v := col[i]; v < min {
-			min = v
-		}
-	}
-	return min, true
-}
-
-// MaxCol returns the maximum of the live values of col; ok=false on an
-// empty selection.
-func MaxCol(col []int64, n int, sel []int) (max int64, ok bool) {
-	if sel == nil {
-		if n == 0 {
-			return 0, false
-		}
-		max = col[0]
-		for _, v := range col[1:n] {
-			if v > max {
-				max = v
-			}
-		}
-		return max, true
-	}
-	if len(sel) == 0 {
-		return 0, false
-	}
-	max = col[sel[0]]
-	for _, i := range sel[1:] {
-		if v := col[i]; v > max {
-			max = v
-		}
-	}
-	return max, true
-}
-
-// CaseSelect is the CASE-style conditional select: dst[i] = a[i] when
-// cond[i] != 0, else b[i], over len(dst) elements — a branch-free merge of
-// two candidate columns under a boolean column.
-func CaseSelect(dst, cond, a, b []int64) {
-	_, _, _ = cond[:len(dst)], a[:len(dst)], b[:len(dst)]
-	for i := range dst {
-		c := cond[i]
-		av, bv := a[i], b[i]
-		if c != 0 {
-			dst[i] = av
-		} else {
-			dst[i] = bv
-		}
 	}
 }
 

@@ -37,84 +37,6 @@ func TestGather(t *testing.T) {
 	}
 }
 
-func TestArithmeticKernels(t *testing.T) {
-	a := []int64{1, -2, 3, 1 << 40}
-	b := []int64{10, 20, -30, 5}
-	dst := make([]int64, 4)
-	AddCols(dst, a, b)
-	for i := range dst {
-		if dst[i] != a[i]+b[i] {
-			t.Fatalf("AddCols[%d] = %d", i, dst[i])
-		}
-	}
-	SubCols(dst, a, b)
-	for i := range dst {
-		if dst[i] != a[i]-b[i] {
-			t.Fatalf("SubCols[%d] = %d", i, dst[i])
-		}
-	}
-	MulCols(dst, a, b)
-	for i := range dst {
-		if dst[i] != a[i]*b[i] {
-			t.Fatalf("MulCols[%d] = %d", i, dst[i])
-		}
-	}
-	AddConst(dst, a, 7)
-	for i := range dst {
-		if dst[i] != a[i]+7 {
-			t.Fatalf("AddConst[%d] = %d", i, dst[i])
-		}
-	}
-	// Empty destination: all kernels are no-ops.
-	AddCols(nil, nil, nil)
-	SubCols(nil, nil, nil)
-	MulCols(nil, nil, nil)
-	AddConst(nil, nil, 1)
-}
-
-func TestMinMaxCol(t *testing.T) {
-	col := []int64{5, -3, 8, 0, 8, -3}
-	if v, ok := MinCol(col, len(col), nil); !ok || v != -3 {
-		t.Fatalf("MinCol dense = %d, %v", v, ok)
-	}
-	if v, ok := MaxCol(col, len(col), nil); !ok || v != 8 {
-		t.Fatalf("MaxCol dense = %d, %v", v, ok)
-	}
-	sel := []int{0, 2, 3}
-	if v, ok := MinCol(col, len(col), sel); !ok || v != 0 {
-		t.Fatalf("MinCol sel = %d, %v", v, ok)
-	}
-	if v, ok := MaxCol(col, len(col), sel); !ok || v != 8 {
-		t.Fatalf("MaxCol sel = %d, %v", v, ok)
-	}
-	// Empty selection and empty column both report ok=false.
-	if _, ok := MinCol(col, len(col), []int{}); ok {
-		t.Fatal("MinCol on empty selection reported ok")
-	}
-	if _, ok := MaxCol(nil, 0, nil); ok {
-		t.Fatal("MaxCol on empty column reported ok")
-	}
-	// Single-element edge.
-	if v, ok := MinCol(col, 1, nil); !ok || v != 5 {
-		t.Fatalf("MinCol n=1 = %d, %v", v, ok)
-	}
-}
-
-func TestCaseSelect(t *testing.T) {
-	cond := []int64{1, 0, -7, 0}
-	a := []int64{10, 20, 30, 40}
-	b := []int64{-1, -2, -3, -4}
-	dst := make([]int64, 4)
-	CaseSelect(dst, cond, a, b)
-	want := []int64{10, -2, 30, -4}
-	for i := range want {
-		if dst[i] != want[i] {
-			t.Fatalf("CaseSelect = %v, want %v", dst, want)
-		}
-	}
-	CaseSelect(nil, nil, nil, nil) // empty batch is a no-op
-}
-
 // ---- property test: columnar selection vs row-at-a-time evaluation ----
 
 // TestSelColsMatchesRowClosures drives ScanFilter.SelCols over random

@@ -290,7 +290,7 @@ func TestCountedJoinIsNeverSpooled(t *testing.T) {
 	plan := liveJoinOn(relalg.PhyHashJoin, 1, liveScan(2), inner)
 	ref := testkit.NewReference(q, cat)
 	want := testkit.Canonical(ref.Rows(), nil)
-	all := BuildCacheCandidates(q, plan, relalg.NewFingerprinter(q), 0)
+	all := BuildCacheCandidates(q, plan, relalg.NewFingerprinter(q))
 	if len(all) != 2 || all[0].Node != plan || all[1].Node != inner {
 		t.Fatalf("candidates %+v, want the root join then the inner one", all)
 	}
@@ -303,7 +303,7 @@ func TestCountedJoinIsNeverSpooled(t *testing.T) {
 		{"inner join spooled", all[1:], []relalg.RelSet{plan.Expr}},
 	} {
 		for _, par := range []int{1, 2, 4} {
-			cache := rescache.New(rescache.Options{MaxBytes: 64 << 20})
+			cache := rescache.New(64 << 20)
 			for run, label := range []string{"spool", "probe"} {
 				label = fmt.Sprintf("%s, %s run (par=%d)", tc.name, label, par)
 				comp := &Compiler{Q: q, Cat: cat, Parallelism: par, Cache: cache, CacheCands: tc.cands,

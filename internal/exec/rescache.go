@@ -68,34 +68,29 @@ type CacheCandidate struct {
 	// Counts lists every node of the subtree that the compiler wires a
 	// cardinality counter onto (the root first), with its fingerprint.
 	Counts []CachePoint
-	// Cost is the optimizer's cost estimate for the subtree — what a probe
-	// hit saves, and the admission threshold input.
-	Cost float64
 }
 
 // BuildCacheCandidates walks plan and returns its cacheable subtrees in
 // pre-order (parents before children). A node qualifies when it is a
-// filtered table scan or a join, promises no physical property, its member
-// order is unambiguous (no self-join tie-break), and its estimated cost
-// reaches minCost. The walk mirrors the compiler's counting structure: the
-// folded inner leaf of an index nested-loops join is neither counted nor
-// offered. The Fingerprinter must be the minting query's; the caller
+// filtered table scan or a join, promises no physical property, and its
+// member order is unambiguous (no self-join tie-break). The walk mirrors
+// the compiler's counting structure: the folded inner leaf of an index
+// nested-loops join is neither counted nor offered. The Fingerprinter must be the minting query's; the caller
 // serializes access to it (it memoizes internally).
-func BuildCacheCandidates(q *relalg.Query, plan *relalg.Plan, fper *relalg.Fingerprinter, minCost float64) []CacheCandidate {
+func BuildCacheCandidates(q *relalg.Query, plan *relalg.Plan, fper *relalg.Fingerprinter) []CacheCandidate {
 	var out []CacheCandidate
 	var walk func(p *relalg.Plan)
 	walk = func(p *relalg.Plan) {
 		if p == nil {
 			return
 		}
-		if cacheEligible(q, p, minCost) && !fper.AmbiguousOrder(p.Expr) {
+		if cacheEligible(q, p) && !fper.AmbiguousOrder(p.Expr) {
 			out = append(out, CacheCandidate{
 				Node:       p,
 				Expr:       p.Expr,
 				FP:         fper.Fingerprint(p.Expr),
 				CanonOrder: fper.CanonicalMembers(p.Expr),
 				Counts:     collectCachePoints(nil, p, fper),
-				Cost:       p.Cost,
 			})
 		}
 		switch p.Log {
@@ -114,8 +109,8 @@ func BuildCacheCandidates(q *relalg.Query, plan *relalg.Plan, fper *relalg.Finge
 }
 
 // cacheEligible applies the per-node candidacy rules.
-func cacheEligible(q *relalg.Query, p *relalg.Plan, minCost float64) bool {
-	if p.Prop.Kind != relalg.PropAny || p.Cost < minCost {
+func cacheEligible(q *relalg.Query, p *relalg.Plan) bool {
+	if p.Prop.Kind != relalg.PropAny {
 		return false
 	}
 	switch p.Log {

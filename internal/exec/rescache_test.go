@@ -49,7 +49,7 @@ func TestResultCacheSpoolProbeDifferential(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		fper := relalg.NewFingerprinter(q)
-		cands := BuildCacheCandidates(q, vr.Plan, fper, 0)
+		cands := BuildCacheCandidates(q, vr.Plan, fper)
 
 		base := &Compiler{Q: q, Cat: cat}
 		v, baseStats, err := base.CompileVec(vr.Plan)
@@ -64,7 +64,7 @@ func TestResultCacheSpoolProbeDifferential(t *testing.T) {
 		wantStats := baseStats.Snapshot()
 
 		for _, par := range []int{1, 2} {
-			cache := rescache.New(rescache.Options{MaxBytes: 64 << 20})
+			cache := rescache.New(64 << 20)
 			for run, label := range []string{"spool", "probe"} {
 				comp := &Compiler{Q: q, Cat: cat, Parallelism: par,
 					Cache: cache, CacheCands: cands}
@@ -122,7 +122,7 @@ func sparseCacheDifferential(t *testing.T, cat *catalog.Catalog, segment int64) 
 			t.Fatal(err)
 		}
 		c := &consumer{q: q, plan: vr.Plan,
-			cands: BuildCacheCandidates(q, vr.Plan, relalg.NewFingerprinter(q), 0)}
+			cands: BuildCacheCandidates(q, vr.Plan, relalg.NewFingerprinter(q))}
 		v, st, err := (&Compiler{Q: q, Cat: cat}).CompileVec(vr.Plan)
 		if err != nil {
 			t.Fatal(err)
@@ -143,7 +143,7 @@ func sparseCacheDifferential(t *testing.T, cat *catalog.Catalog, segment int64) 
 		t.Fatalf("consumers are not fingerprint-equal: %d vs %d candidates", len(narrow.cands), len(wide.cands))
 	}
 
-	cache := rescache.New(rescache.Options{MaxBytes: 64 << 20})
+	cache := rescache.New(64 << 20)
 	// run executes c against the shared cache, holds it to its uncached
 	// result, and returns the cache activity of this one run.
 	run := func(label string, c *consumer) (hits, misses, stores int64) {
@@ -202,7 +202,7 @@ func TestResultCacheCandidateShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	fper := relalg.NewFingerprinter(q)
-	cands := BuildCacheCandidates(q, vr.Plan, fper, 0)
+	cands := BuildCacheCandidates(q, vr.Plan, fper)
 	if len(cands) == 0 {
 		t.Fatal("no candidates on a 3-way join plan")
 	}
@@ -252,8 +252,8 @@ func TestResultCacheVersionPinning(t *testing.T) {
 		t.Fatal(err)
 	}
 	fper := relalg.NewFingerprinter(q)
-	cands := BuildCacheCandidates(q, vr.Plan, fper, 0)
-	cache := rescache.New(rescache.Options{MaxBytes: 64 << 20})
+	cands := BuildCacheCandidates(q, vr.Plan, fper)
+	cache := rescache.New(64 << 20)
 
 	run := func() string {
 		comp := &Compiler{Q: q, Cat: cat, Cache: cache, CacheCands: cands}

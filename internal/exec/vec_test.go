@@ -131,16 +131,6 @@ func TestVecHashJoinSpansBatches(t *testing.T) {
 	}
 }
 
-func TestVecProject(t *testing.T) {
-	out, err := DrainVec(NewVecProject(NewVecScanRows(rows([]int64{1, 2, 3}), ScanFilter{}), []int{2, 0}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 1 || out[0][0] != 3 || out[0][1] != 1 {
-		t.Fatalf("vec project = %v", out)
-	}
-}
-
 // ---- error-path tests ----
 
 type failingIter struct{ closeErr error }

@@ -257,9 +257,10 @@ func (h *Histogram) WritePromHistogram(w io.Writer, name, help string) {
 	}
 }
 
-// WritePromCounter writes one counter sample in Prometheus text format.
-func WritePromCounter(w io.Writer, name, help string, v int64) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
+// WritePromCounter writes one counter sample in Prometheus text format: an
+// event count, or a float64 accumulation such as seconds.
+func WritePromCounter[T int | int64 | float64](w io.Writer, name, help string, v T) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %v\n", name, help, name, name, v)
 }
 
 // WritePromGauge writes one gauge sample in Prometheus text format.

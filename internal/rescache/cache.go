@@ -16,33 +16,32 @@
 // subexpression, and a consumer is served only by an entry that holds every
 // column it reads (the coverage rule, checked by the consumer's accept
 // callback); a narrower entry is a miss and is replaced by the consumer's
-// own materialization — last writer wins. Three mechanisms keep
-// a stored result trustworthy and the store bounded:
+// own materialization — last writer wins. Two mechanisms keep a stored
+// result trustworthy and the store bounded:
 //
 //   - Invalidation: every entry pins the data version (catalog.Table's
 //     mutation counter) of each base table it was materialized from. A
 //     probe revalidates the pinned versions against the live catalog; any
 //     mismatch deletes the entry and reports a miss — appended rows can
 //     never be served stale.
-//   - Byte budget: entries are sized in bytes and admitted against
-//     Options.MaxBytes with least-recently-probed eviction; an entry larger
-//     than the whole budget is rejected outright.
-//   - Ageing: like the statistics plane, the cache runs a LOGICAL clock —
-//     one tick per probe — and Options.StaleAfter is the horizon beyond
-//     which an unprobed entry stops serving (a cold recompute beats a
-//     possibly-drifted materialization paired with drifting statistics);
-//     entries older than twice the horizon are reclaimed by an amortized
-//     sweep, so a retired workload's results do not squat in the budget.
+//   - Byte budget: entries are sized in bytes and admitted against the
+//     budget given to New with least-recently-probed eviction; an entry
+//     larger than the whole budget is rejected outright. The budget is the
+//     cache's only bound: an entry is held until it is evicted or
+//     invalidated, however long ago it was last probed.
 //
 // Concurrency: one mutex guards the map, the LRU list and the counters.
-// Critical sections are O(1) outside eviction/sweep; the expensive parts —
+// Critical sections are O(1) outside eviction; the expensive parts —
 // executing, materializing, permuting — all happen outside the cache.
 // Entries are immutable after Store, so a reader holding a returned *Entry
 // across an eviction or invalidation keeps a consistent (merely orphaned)
 // result alive until it drops the pointer.
 package rescache
 
-import "sync"
+import (
+	"container/list"
+	"sync"
+)
 
 // TableVersion pins one base table's data version at materialization time.
 type TableVersion struct {
@@ -75,10 +74,9 @@ type Entry struct {
 	// materialized from; probes revalidate them against the live catalog.
 	Versions []TableVersion
 
-	bytes      int64
-	tick       uint64 // logical clock at the last probe hit / store
-	prev, next *Entry // LRU list, most recently used first
-	fp         string
+	bytes int64
+	elem  *list.Element // position in the cache's LRU list
+	fp    string
 }
 
 // Bytes returns the entry's accounted size.
@@ -99,73 +97,46 @@ func (e *Entry) size() int64 {
 	return int64(held)*int64(e.N)*8 + int64(len(e.Cols))*sliceHeader + int64(len(e.Cards))*64 + overhead
 }
 
-// Options configures a Cache.
-type Options struct {
-	// MaxBytes is the byte budget across all entries; storing beyond it
-	// evicts least-recently-probed entries first. <= 0 disables the cache
-	// entirely (Store rejects, Probe always misses).
-	MaxBytes int64
-	// StaleAfter is the logical age (in probes) beyond which an unprobed
-	// entry stops serving; entries older than twice this age are reclaimed
-	// by the amortized sweep. 0 disables ageing.
-	StaleAfter uint64
-}
-
-// reclaimAfter is the logical age at which a stale entry is deleted.
-func (o Options) reclaimAfter() uint64 { return 2 * o.StaleAfter }
-
 // Cache is a bounded, invalidating store of materialized subexpression
 // results. Safe for concurrent use.
 type Cache struct {
-	opts Options
+	maxBytes int64
 
-	mu         sync.Mutex
-	m          map[string]*Entry
-	head, tail *Entry // LRU list: head = most recently probed
-	bytes      int64
-	clock      uint64 // logical clock: one tick per probe
-	lastSweep  uint64
+	mu    sync.Mutex
+	m     map[string]*Entry
+	lru   list.List // of *Entry, most recently probed first
+	bytes int64
 
 	hits, misses, stores     int64
 	evictions, invalidations int64
-	reclaimed                int64
 }
 
-// New builds an empty cache.
-func New(opts Options) *Cache {
-	return &Cache{opts: opts, m: map[string]*Entry{}}
+// New builds an empty cache with a byte budget across all entries; storing
+// beyond it evicts least-recently-probed entries first. maxBytes <= 0
+// disables the cache entirely (Store rejects, Probe always misses).
+func New(maxBytes int64) *Cache {
+	return &Cache{maxBytes: maxBytes, m: map[string]*Entry{}}
 }
 
 // Enabled reports whether the cache can hold anything at all.
-func (c *Cache) Enabled() bool { return c != nil && c.opts.MaxBytes > 0 }
+func (c *Cache) Enabled() bool { return c != nil && c.maxBytes > 0 }
 
 // Probe looks the fingerprint up and revalidates the entry's pinned table
 // versions through cur (current data version by table name; ok=false means
-// the table is gone). It returns the entry only when every version matches,
-// the entry is within the staleness horizon, and accept (if non-nil)
-// approves it; a version mismatch deletes the entry (counted as an
-// invalidation), while an accept rejection counts a plain miss and leaves
-// the entry in place — the rejecting caller's plan shape is incompatible,
-// but other consumers' may not be, and a follow-up Store simply replaces
-// it. Each probe ticks the logical clock and periodically sweeps
-// reclaimable entries.
+// the table is gone). It returns the entry only when every version matches
+// and accept (if non-nil) approves it; a version mismatch deletes the entry
+// (counted as an invalidation), while an accept rejection counts a plain
+// miss and leaves the entry in place — the rejecting caller's plan shape is
+// incompatible, but other consumers' may not be, and a follow-up Store
+// simply replaces it.
 func (c *Cache) Probe(fp string, cur func(table string) (uint64, bool), accept func(*Entry) bool) (*Entry, bool) {
 	if !c.Enabled() {
 		return nil, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.clock++
-	c.maybeSweepLocked()
 	e := c.m[fp]
 	if e == nil {
-		c.misses++
-		return nil, false
-	}
-	if c.opts.StaleAfter > 0 && c.clock-e.tick > c.opts.StaleAfter {
-		// Beyond the horizon: stop serving but leave the entry for the
-		// sweep, so a barely-stale hot set can (not) come back cheaply and
-		// the reclaim accounting stays in one place.
 		c.misses++
 		return nil, false
 	}
@@ -182,8 +153,7 @@ func (c *Cache) Probe(fp string, cur func(table string) (uint64, bool), accept f
 		c.misses++
 		return nil, false
 	}
-	e.tick = c.clock
-	c.touchLocked(e)
+	c.lru.MoveToFront(e.elem)
 	c.hits++
 	return e, true
 }
@@ -194,7 +164,7 @@ func (c *Cache) MaxBytes() int64 {
 	if c == nil {
 		return 0
 	}
-	return c.opts.MaxBytes
+	return c.maxBytes
 }
 
 // Store admits a materialized entry under the fingerprint, evicting
@@ -207,7 +177,7 @@ func (c *Cache) Store(fp string, e *Entry) bool {
 		return false
 	}
 	e.bytes = e.size()
-	if e.bytes > c.opts.MaxBytes {
+	if e.bytes > c.maxBytes {
 		return false
 	}
 	e.fp = fp
@@ -216,13 +186,12 @@ func (c *Cache) Store(fp string, e *Entry) bool {
 	if old := c.m[fp]; old != nil {
 		c.unlinkLocked(old)
 	}
-	for c.bytes+e.bytes > c.opts.MaxBytes && c.tail != nil {
-		c.unlinkLocked(c.tail)
+	for c.bytes+e.bytes > c.maxBytes && c.lru.Len() > 0 {
+		c.unlinkLocked(c.lru.Back().Value.(*Entry))
 		c.evictions++
 	}
-	e.tick = c.clock
 	c.m[fp] = e
-	c.pushFrontLocked(e)
+	e.elem = c.lru.PushFront(e)
 	c.bytes += e.bytes
 	c.stores++
 	return true
@@ -251,64 +220,10 @@ func (c *Cache) Invalidate(table string) int {
 	return n
 }
 
-// maybeSweepLocked reclaims entries beyond twice the staleness horizon, at
-// most once per StaleAfter ticks so the cost amortizes to O(1) per probe.
-func (c *Cache) maybeSweepLocked() {
-	if c.opts.StaleAfter == 0 || c.clock-c.lastSweep < c.opts.StaleAfter {
-		return
-	}
-	c.lastSweep = c.clock
-	horizon := c.opts.reclaimAfter()
-	for _, e := range c.m {
-		if c.clock-e.tick > horizon {
-			c.unlinkLocked(e)
-			c.reclaimed++
-		}
-	}
-}
-
-func (c *Cache) pushFrontLocked(e *Entry) {
-	e.prev, e.next = nil, c.head
-	if c.head != nil {
-		c.head.prev = e
-	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
-	}
-}
-
-func (c *Cache) touchLocked(e *Entry) {
-	if c.head == e {
-		return
-	}
-	// unlink from the list only (stays in the map)
-	if e.prev != nil {
-		e.prev.next = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	}
-	if c.tail == e {
-		c.tail = e.prev
-	}
-	c.pushFrontLocked(e)
-}
-
 // unlinkLocked removes e from the map, the LRU list and the byte account.
 func (c *Cache) unlinkLocked(e *Entry) {
 	delete(c.m, e.fp)
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else if c.head == e {
-		c.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else if c.tail == e {
-		c.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
+	c.lru.Remove(e.elem)
 	c.bytes -= e.bytes
 }
 
@@ -316,14 +231,12 @@ func (c *Cache) unlinkLocked(e *Entry) {
 type Metrics struct {
 	Entries int
 	Bytes   int64
-	Clock   uint64
 
 	Hits          int64 // probes served from cache
 	Misses        int64 // probes that found nothing servable
 	Stores        int64 // entries admitted
 	Evictions     int64 // entries evicted by the byte budget
 	Invalidations int64 // entries dropped on a data-version mismatch
-	Reclaimed     int64 // entries reclaimed by the staleness sweep
 }
 
 // Metrics snapshots the counters.
@@ -334,9 +247,8 @@ func (c *Cache) Metrics() Metrics {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return Metrics{
-		Entries: len(c.m), Bytes: c.bytes, Clock: c.clock,
+		Entries: len(c.m), Bytes: c.bytes,
 		Hits: c.hits, Misses: c.misses, Stores: c.stores,
 		Evictions: c.evictions, Invalidations: c.invalidations,
-		Reclaimed: c.reclaimed,
 	}
 }

@@ -23,7 +23,7 @@ func entry(n int, cols int, tables ...TableVersion) *Entry {
 }
 
 func TestStoreProbeRoundTrip(t *testing.T) {
-	c := New(Options{MaxBytes: 1 << 20})
+	c := New(1 << 20)
 	live := fixedVersions(map[string]uint64{"a": 1})
 	if _, ok := c.Probe("fp", live, nil); ok {
 		t.Fatal("probe hit on an empty cache")
@@ -46,7 +46,7 @@ func TestStoreProbeRoundTrip(t *testing.T) {
 }
 
 func TestDisabledCache(t *testing.T) {
-	for _, c := range []*Cache{nil, New(Options{})} {
+	for _, c := range []*Cache{nil, New(0)} {
 		if c.Enabled() {
 			t.Fatal("disabled cache claims enabled")
 		}
@@ -64,7 +64,7 @@ func TestDisabledCache(t *testing.T) {
 }
 
 func TestVersionMismatchInvalidates(t *testing.T) {
-	c := New(Options{MaxBytes: 1 << 20})
+	c := New(1 << 20)
 	c.Store("fp", entry(10, 1, TableVersion{Table: "a", Version: 1}))
 	if _, ok := c.Probe("fp", fixedVersions(map[string]uint64{"a": 2}), nil); ok {
 		t.Fatal("probe served a stale data version")
@@ -84,7 +84,7 @@ func TestVersionMismatchInvalidates(t *testing.T) {
 }
 
 func TestAcceptRejectionKeepsEntry(t *testing.T) {
-	c := New(Options{MaxBytes: 1 << 20})
+	c := New(1 << 20)
 	live := fixedVersions(map[string]uint64{"a": 1})
 	c.Store("fp", entry(10, 1, TableVersion{Table: "a", Version: 1}))
 	if _, ok := c.Probe("fp", live, func(*Entry) bool { return false }); ok {
@@ -116,7 +116,7 @@ func TestSparseEntryChargesHeldColumns(t *testing.T) {
 func TestBudgetEvictsLRU(t *testing.T) {
 	a := entry(100, 1)
 	per := a.size()
-	c := New(Options{MaxBytes: 3 * per})
+	c := New(3 * per)
 	c.Store("a", a)
 	c.Store("b", entry(100, 1))
 	c.Store("c", entry(100, 1))
@@ -139,7 +139,7 @@ func TestBudgetEvictsLRU(t *testing.T) {
 }
 
 func TestOversizeRejected(t *testing.T) {
-	c := New(Options{MaxBytes: 64})
+	c := New(64)
 	if c.Store("big", entry(1000, 4)) {
 		t.Fatal("entry larger than the whole budget was admitted")
 	}
@@ -149,7 +149,7 @@ func TestOversizeRejected(t *testing.T) {
 }
 
 func TestStoreReplacesSameFingerprint(t *testing.T) {
-	c := New(Options{MaxBytes: 1 << 20})
+	c := New(1 << 20)
 	c.Store("fp", entry(10, 1))
 	e2 := entry(20, 1)
 	c.Store("fp", e2)
@@ -162,38 +162,8 @@ func TestStoreReplacesSameFingerprint(t *testing.T) {
 	}
 }
 
-func TestStalenessHorizonAndReclaim(t *testing.T) {
-	c := New(Options{MaxBytes: 1 << 20, StaleAfter: 5})
-	c.Store("old", entry(10, 1))
-	// Advance the logical clock past the horizon with unrelated probes.
-	for i := 0; i < 6; i++ {
-		c.Probe("none", fixedVersions(nil), nil)
-	}
-	if _, ok := c.Probe("old", fixedVersions(nil), nil); ok {
-		t.Fatal("entry served beyond the staleness horizon")
-	}
-	// Past twice the horizon the sweep reclaims it.
-	for i := 0; i < 10; i++ {
-		c.Probe("none", fixedVersions(nil), nil)
-	}
-	if m := c.Metrics(); m.Reclaimed != 1 || m.Entries != 0 {
-		t.Fatalf("metrics %+v, want the stale entry reclaimed", m)
-	}
-}
-
-func TestProbeRefreshesAge(t *testing.T) {
-	c := New(Options{MaxBytes: 1 << 20, StaleAfter: 5})
-	c.Store("hot", entry(10, 1))
-	// Keep touching the entry: it must never go stale.
-	for i := 0; i < 30; i++ {
-		if _, ok := c.Probe("hot", fixedVersions(nil), nil); !ok {
-			t.Fatalf("hot entry went stale at probe %d", i)
-		}
-	}
-}
-
 func TestInvalidateByTable(t *testing.T) {
-	c := New(Options{MaxBytes: 1 << 20})
+	c := New(1 << 20)
 	c.Store("ab", entry(10, 1, TableVersion{Table: "a", Version: 1}, TableVersion{Table: "b", Version: 1}))
 	c.Store("b", entry(10, 1, TableVersion{Table: "b", Version: 1}))
 	c.Store("c", entry(10, 1, TableVersion{Table: "c", Version: 1}))

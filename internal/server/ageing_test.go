@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"testing"
-	"time"
 
 	"repro/internal/fbstore"
 )
@@ -100,17 +99,17 @@ func TestSnapshotDifferentialRepairs(t *testing.T) {
 	}
 }
 
-// TestEvictionAgeingTable drives the MaxEntries/TTL eviction machinery with
-// observation ageing on, through the regimes that matter under drift: hot
-// statistics must survive evict/re-admit churn (decay alone never forgets
+// TestEvictionAgeingTable drives MaxEntries eviction (a bound of one entry
+// in every row) with observation ageing on, through the regimes that matter
+// under drift: hot statistics must survive evict/re-admit churn (decay alone never forgets
 // an actively observed fingerprint), while statistics the workload stopped
 // touching go stale — no longer warm-starting — and are eventually
 // reclaimed from the plane entirely.
 func TestEvictionAgeingTable(t *testing.T) {
 	const stale = 10
 	cases := []struct {
-		name string
-		opts Options
+		name   string
+		ageing fbstore.Options
 		// run returns the statement whose cache entry is inspected.
 		run          func(t *testing.T, srv *Server) *Stmt
 		wantWarm     bool // re-admitted entry warm-started
@@ -120,8 +119,8 @@ func TestEvictionAgeingTable(t *testing.T) {
 		{
 			// LRU churn with decay on: A converges, B evicts A, A re-admits
 			// warm with zero repairs — eviction still never forgets.
-			name: "lru-churn/hot-retained",
-			opts: Options{MaxEntries: 1, DecayHalfLife: 50},
+			name:   "lru-churn/hot-retained",
+			ageing: fbstore.Options{DecayHalfLife: 50},
 			run: func(t *testing.T, srv *Server) *Stmt {
 				execSQL(t, srv, statsQueryA, 3)
 				execSQL(t, srv, statsQueryB, 1)
@@ -130,26 +129,10 @@ func TestEvictionAgeingTable(t *testing.T) {
 			wantWarm: true,
 		},
 		{
-			// TTL expiry with decay on: the idle entry expires, its
-			// statistics do not.
-			name: "ttl-expiry/hot-retained",
-			opts: Options{TTL: 200 * time.Millisecond, DecayHalfLife: 50},
-			run: func(t *testing.T, srv *Server) *Stmt {
-				execSQL(t, srv, statsQueryA, 3)
-				time.Sleep(500 * time.Millisecond)
-				st := execSQL(t, srv, statsQueryA, 2)
-				if st.Hit {
-					t.Skip("entry survived the TTL (loaded runner); nothing to assert")
-				}
-				return st
-			},
-			wantWarm: true,
-		},
-		{
 			// Repeated evict/re-admit cycles with both ageing knobs on: the
 			// entry stays hot throughout, so every re-admission warm-starts.
-			name: "evict-readmit-cycles/hot-retained",
-			opts: Options{MaxEntries: 1, DecayHalfLife: 30, StaleAfter: 500},
+			name:   "evict-readmit-cycles/hot-retained",
+			ageing: fbstore.Options{DecayHalfLife: 30, StaleAfter: 500},
 			run: func(t *testing.T, srv *Server) *Stmt {
 				execSQL(t, srv, statsQueryA, 3)
 				for i := 0; i < 3; i++ {
@@ -165,8 +148,8 @@ func TestEvictionAgeingTable(t *testing.T) {
 			// advances the observation clock far past the horizon, A's
 			// fingerprints go stale and are reclaimed, and a re-admitted A
 			// starts cold and relearns.
-			name: "abandoned/stale-reclaimed",
-			opts: Options{MaxEntries: 1, StaleAfter: stale},
+			name:   "abandoned/stale-reclaimed",
+			ageing: fbstore.Options{StaleAfter: stale},
 			run: func(t *testing.T, srv *Server) *Stmt {
 				execSQL(t, srv, statsQueryA, 3)
 				execNamed(t, srv, "Q1", 15)
@@ -181,7 +164,7 @@ func TestEvictionAgeingTable(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			srv := testServer(t, tc.opts)
+			srv := testServer(t, Options{MaxEntries: 1, Stats: fbstore.NewWithOptions(tc.ageing)})
 			st := tc.run(t, srv)
 			m := srv.Metrics()
 			repairs, warm, fullOpts := repairsOf(m, st.CacheKey())
@@ -197,10 +180,10 @@ func TestEvictionAgeingTable(t *testing.T) {
 			if (m.StatsReclaimed > 0) != tc.wantReclaims {
 				t.Errorf("reclaimed = %d, want reclaims=%v", m.StatsReclaimed, tc.wantReclaims)
 			}
-			if m.Evictions == 0 && (tc.opts.MaxEntries > 0 || tc.opts.TTL > 0) {
+			if m.Evictions == 0 {
 				t.Error("scenario produced no evictions; the table row tests nothing")
 			}
-			if tc.opts.DecayHalfLife > 0 && m.StatsDecays == 0 {
+			if tc.ageing.DecayHalfLife > 0 && m.StatsDecays == 0 {
 				t.Error("decay enabled but no fold ever decayed")
 			}
 		})

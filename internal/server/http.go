@@ -64,12 +64,12 @@ func (s *Server) WriteProm(w io.Writer) {
 	obs.WritePromGauge(w, "repro_plan_cache_entries", "Live plan cache entries.", float64(m.Entries))
 	obs.WritePromCounter(w, "repro_prepare_hits_total", "Prepares served from the plan cache.", m.Hits)
 	obs.WritePromCounter(w, "repro_prepare_misses_total", "Prepares that optimized from scratch.", m.Misses)
-	obs.WritePromCounter(w, "repro_plan_cache_evictions_total", "Plan cache entries evicted (LRU bound or TTL).", m.Evictions)
+	obs.WritePromCounter(w, "repro_plan_cache_evictions_total", "Plan cache entries evicted by the LRU bound.", m.Evictions)
 	obs.WritePromCounter(w, "repro_execs_total", "Statement executions.", m.Execs)
 	obs.WritePromCounter(w, "repro_full_opts_total", "From-scratch optimizations.", m.FullOpts)
 	obs.WritePromCounter(w, "repro_repairs_total", "Incremental plan repairs triggered by feedback.", m.Repairs)
 	obs.WritePromCounter(w, "repro_converged_execs_total", "Executions whose feedback stayed sub-threshold.", m.Converged)
-	obs.WritePromCounter(w, "repro_full_opt_seconds_total", "Cumulative from-scratch optimization time.", int64(m.FullOptTime.Seconds()))
+	obs.WritePromCounter(w, "repro_full_opt_seconds_total", "Cumulative from-scratch optimization time.", m.FullOptTime.Seconds())
 	obs.WritePromGauge(w, "repro_stats_keys", "Fingerprints the shared statistics plane has learned.", float64(m.StatsKeys))
 	obs.WritePromCounter(w, "repro_warm_seeds_total", "Factors warm-started from the statistics plane.", m.WarmSeeds)
 	obs.WritePromCounter(w, "repro_stats_decays_total", "Statistics folds that decayed stored history.", m.StatsDecays)
@@ -87,6 +87,7 @@ func (s *Server) WriteProm(w io.Writer) {
 		obs.WritePromCounter(w, "repro_result_cache_hits_total", "Result-cache probe hits.", rc.Hits)
 		obs.WritePromCounter(w, "repro_result_cache_misses_total", "Result-cache probe misses.", rc.Misses)
 		obs.WritePromCounter(w, "repro_result_cache_stores_total", "Subplan outputs spooled into the result cache.", rc.Stores)
+		obs.WritePromCounter(w, "repro_result_cache_evictions_total", "Result-cache entries evicted by the byte budget.", rc.Evictions)
 		obs.WritePromCounter(w, "repro_result_cache_invalidations_total", "Result-cache invalidations.", rc.Invalidations)
 	}
 	s.latencyH.WritePromHistogram(w, "repro_exec_latency_seconds", "Statement execution wall time.")

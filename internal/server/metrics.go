@@ -39,16 +39,18 @@ type EntryMetrics struct {
 	EstErr float64
 }
 
-// Metrics is a consistent-enough snapshot of the server's counters: entry
-// snapshots are taken per-entry under the entry lock, totals are sums over
-// the snapshot.
+// Metrics is a consistent-enough snapshot of the server's counters. The
+// totals are server-wide counters bumped at the event, so they include
+// evicted entries' history and executions of statements held across an
+// eviction; PerEntry covers the entries cached now, each snapshotted under
+// its entry lock.
 type Metrics struct {
 	Sessions int64 // sessions opened
 	Entries  int   // live cache entries
 
 	Hits      int64 // prepares served from cache
 	Misses    int64 // prepares that created (and optimized) an entry
-	Evictions int64 // entries dropped by the LRU bound or TTL expiry
+	Evictions int64 // entries evicted by the LRU bound
 	Execs     int64
 
 	FullOpts    int64
@@ -105,39 +107,24 @@ type Metrics struct {
 	SpillBytes      int64
 	SpillRecursions int64
 
-	// Retired is the aggregate history of evicted entries. It is already
-	// included in the totals above; it is broken out so the totals can be
-	// reconciled against the per-entry lines, which cover live entries only.
-	Retired RetiredMetrics
-
 	PerEntry []EntryMetrics // in entry creation order
-}
-
-// RetiredMetrics is the evicted-entry history folded into Metrics totals.
-type RetiredMetrics struct {
-	Execs       int64
-	FullOpts    int64
-	FullOptTime time.Duration
-	Repairs     int64
-	RepairTime  time.Duration
-	Converged   int64
 }
 
 // Metrics snapshots the server's counters.
 func (s *Server) Metrics() Metrics {
-	s.mu.RLock()
-	entries := make([]*planEntry, 0, len(s.order))
-	for _, key := range s.order {
-		entries = append(entries, s.entries[key])
-	}
-	s.mu.RUnlock()
-
+	entries := s.plans.list()
 	m := Metrics{
 		Sessions:       s.sessions.Load(),
 		Entries:        len(entries),
-		Hits:           s.hits.Load(),
-		Misses:         s.misses.Load(),
-		Evictions:      s.evictions.Load(),
+		Hits:           s.plans.hits.Load(),
+		Misses:         s.plans.misses.Load(),
+		Evictions:      s.plans.evictions.Load(),
+		Execs:          s.execs.Load(),
+		FullOpts:       s.fullOpts.Load(),
+		FullOptTime:    time.Duration(s.fullOptNanos.Load()),
+		Repairs:        s.repairs.Load(),
+		RepairTime:     time.Duration(s.repairNanos.Load()),
+		Converged:      s.converged.Load(),
 		StatsKeys:      s.stats.Len(),
 		WarmSeeds:      s.warmSeeds.Load(),
 		StatsClock:     s.stats.Clock(),
@@ -159,33 +146,9 @@ func (s *Server) Metrics() Metrics {
 		SpillPartitions: s.spillPartitions.Load(),
 		SpillBytes:      s.spillBytes.Load(),
 		SpillRecursions: s.spillRecursions.Load(),
-
-		Retired: RetiredMetrics{
-			Execs:       s.retired.execs.Load(),
-			FullOpts:    s.retired.fullOpts.Load(),
-			FullOptTime: time.Duration(s.retired.fullOptTime.Load()),
-			Repairs:     s.retired.repairs.Load(),
-			RepairTime:  time.Duration(s.retired.repairTime.Load()),
-			Converged:   s.retired.converged.Load(),
-		},
 	}
-	// Start the totals from the retired history so evicted entries' past
-	// stays in the aggregate counters (their per-entry lines are gone).
-	m.Execs = m.Retired.Execs
-	m.FullOpts = m.Retired.FullOpts
-	m.FullOptTime = m.Retired.FullOptTime
-	m.Repairs = m.Retired.Repairs
-	m.RepairTime = m.Retired.RepairTime
-	m.Converged = m.Retired.Converged
 	for _, e := range entries {
-		em := e.snapshot()
-		m.Execs += em.Execs
-		m.FullOpts += em.FullOpts
-		m.FullOptTime += em.FullOptTime
-		m.Repairs += em.Repairs
-		m.RepairTime += em.RepairTime
-		m.Converged += em.Converged
-		m.PerEntry = append(m.PerEntry, em)
+		m.PerEntry = append(m.PerEntry, e.snapshot())
 	}
 	return m
 }
@@ -223,9 +186,6 @@ func (m Metrics) String() string {
 	fmt.Fprintf(&b, "full-opts=%d (%v) repairs=%d (%v) converged-execs=%d\n",
 		m.FullOpts, m.FullOptTime.Round(time.Microsecond),
 		m.Repairs, m.RepairTime.Round(time.Microsecond), m.Converged)
-	fmt.Fprintf(&b, "retired: execs=%d full-opts=%d (%v) repairs=%d (%v) converged=%d\n",
-		m.Retired.Execs, m.Retired.FullOpts, m.Retired.FullOptTime.Round(time.Microsecond),
-		m.Retired.Repairs, m.Retired.RepairTime.Round(time.Microsecond), m.Retired.Converged)
 	fmt.Fprintf(&b, "latency: %s\n", m.ExecLatency)
 	fmt.Fprintf(&b, "queue-wait: waited=%d mem-waited=%d %s\n", m.QueueWaits, m.MemWaits, m.QueueWait)
 	fmt.Fprintf(&b, "memory: peak-bytes %s\n", m.PeakMem)
@@ -240,9 +200,9 @@ func (m Metrics) String() string {
 		m.StatsKeys, m.WarmSeeds, m.StatsClock, m.StatsDecays, m.StatsStale, m.StatsReclaimed)
 	if m.ResultCacheEnabled {
 		rc := m.ResultCache
-		fmt.Fprintf(&b, "result-cache: entries=%d bytes=%d hits=%d misses=%d stores=%d evictions=%d invalidations=%d reclaimed=%d\n",
+		fmt.Fprintf(&b, "result-cache: entries=%d bytes=%d hits=%d misses=%d stores=%d evictions=%d invalidations=%d\n",
 			rc.Entries, rc.Bytes, rc.Hits, rc.Misses, rc.Stores,
-			rc.Evictions, rc.Invalidations, rc.Reclaimed)
+			rc.Evictions, rc.Invalidations)
 	}
 	for _, e := range m.PerEntry {
 		fmt.Fprintf(&b, "  [%s] %-8s hits=%-3d execs=%-4d full-opt=%d/%v repairs=%d/%v converged=%d touched=%d warm=%d est-err=%.3f plan=v%d\n",

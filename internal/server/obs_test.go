@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -225,7 +226,7 @@ func TestMetricsReportAndJSON(t *testing.T) {
 	drive(t, srv, 2)
 	m := srv.Metrics()
 	text := m.String()
-	for _, want := range []string{"retired: execs=0", "latency: n=", "queue-wait: waited=", "est-err="} {
+	for _, want := range []string{"latency: n=", "queue-wait: waited=", "est-err="} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("metrics report missing %q:\n%s", want, text)
 		}
@@ -239,7 +240,7 @@ func TestMetricsReportAndJSON(t *testing.T) {
 	if err := json.Unmarshal(blob, &decoded); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"Execs", "ExecLatency", "QueueWait", "Retired", "PerEntry", "FullOptTimeString"} {
+	for _, key := range []string{"Execs", "ExecLatency", "QueueWait", "PerEntry", "FullOptTimeString"} {
 		if _, ok := decoded[key]; !ok {
 			t.Fatalf("metrics JSON missing %q:\n%s", key, blob)
 		}
@@ -250,9 +251,7 @@ func TestMetricsReportAndJSON(t *testing.T) {
 }
 
 func TestDebugHandlerScrape(t *testing.T) {
-	srv := testServer(t, Options{TraceEvents: 128})
-	drive(t, srv, 3)
-
+	srv := testServer(t, Options{TraceEvents: 128, ResultCacheBytes: 1 << 20})
 	ts := httptest.NewServer(srv.DebugHandler())
 	defer ts.Close()
 
@@ -272,6 +271,22 @@ func TestDebugHandlerScrape(t *testing.T) {
 		return string(body)
 	}
 
+	// One prepare is one from-scratch optimization: microseconds, which the
+	// seconds counter must already show.
+	if _, err := srv.Session().PrepareNamed("Q1"); err != nil {
+		t.Fatal(err)
+	}
+	optSeconds := 0.0
+	for _, line := range strings.Split(get("/metrics"), "\n") {
+		if v, ok := strings.CutPrefix(line, "repro_full_opt_seconds_total "); ok {
+			optSeconds, _ = strconv.ParseFloat(v, 64)
+		}
+	}
+	if optSeconds <= 0 || optSeconds >= 1 {
+		t.Fatalf("repro_full_opt_seconds_total = %v after one prepare, want a fraction of a second", optSeconds)
+	}
+
+	drive(t, srv, 3)
 	prom := get("/metrics")
 	for _, want := range []string{
 		"# TYPE repro_exec_latency_seconds histogram",
@@ -280,6 +295,7 @@ func TestDebugHandlerScrape(t *testing.T) {
 		"# TYPE repro_queue_wait_seconds histogram",
 		"# TYPE repro_repair_seconds histogram",
 		"repro_execs_total",
+		"repro_result_cache_evictions_total ",
 		"repro_entry_est_error{entry=",
 	} {
 		if !strings.Contains(prom, want) {

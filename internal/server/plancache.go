@@ -1,0 +1,325 @@
+package server
+
+import (
+	"cmp"
+	"math"
+	"slices"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"repro/internal/aqp"
+	"repro/internal/core"
+	"repro/internal/cost"
+	"repro/internal/exec"
+	"repro/internal/obs"
+	"repro/internal/relalg"
+)
+
+// planCache is the shared plan cache: planEntry by CanonicalKey, bounded by
+// entry count with exact least-recently-used eviction, and the only code
+// that reads or writes an entry's recency stamp and liveness flag. Eviction
+// touches neither the victim's mutex nor its plan (see the package comment
+// for what an evicted entry still does).
+type planCache struct {
+	max int // entry bound (Options.MaxEntries); 0 is unbounded
+
+	mu      sync.RWMutex
+	entries map[string]*planEntry
+	seq     uint64 // creation stamp of the newest entry
+
+	hits      atomic.Int64 // prepares that found a live entry
+	misses    atomic.Int64 // prepares that created one
+	evictions atomic.Int64 // entries dropped by the bound
+}
+
+// resolve returns the cached entry for q's canonical structure, creating it
+// (uninitialized: see planEntry.ensureInit) when there is none; hit reports
+// which.
+func (c *planCache) resolve(q *relalg.Query) (e *planEntry, hit bool) {
+	key := CanonicalKey(q)
+	now := time.Now().UnixNano()
+
+	c.mu.RLock()
+	e = c.entries[key]
+	c.mu.RUnlock()
+	hit = e != nil
+	if e == nil {
+		c.mu.Lock()
+		if e = c.entries[key]; e != nil {
+			hit = true // lost the race to another prepare
+		} else {
+			c.evictLocked()
+			c.seq++
+			e = &planEntry{key: key, hash: keyHash(key), q: q, name: q.Name, seq: c.seq}
+			c.entries[key] = e
+		}
+		c.mu.Unlock()
+	}
+	e.lastUsed.Store(now)
+	if hit {
+		c.hits.Add(1)
+		e.hits.Add(1)
+	} else {
+		c.misses.Add(1)
+	}
+	return e, hit
+}
+
+// evictLocked drops least-recently-used entries until one more fits the
+// bound. O(entries) per victim, fine at the cache sizes a bound implies.
+func (c *planCache) evictLocked() {
+	for c.max > 0 && len(c.entries) >= c.max {
+		var lru *planEntry
+		var lruAt int64
+		for _, e := range c.entries {
+			if at := e.lastUsed.Load(); lru == nil || at < lruAt {
+				lru, lruAt = e, at
+			}
+		}
+		lru.dropped.Store(true)
+		delete(c.entries, lru.key)
+		c.evictions.Add(1)
+	}
+}
+
+// reuse is a prepare served from a handle the caller already holds: a hit,
+// lock-free, if e is still cached; false sends the caller to resolve.
+func (c *planCache) reuse(e *planEntry) bool {
+	if !e.live() {
+		return false
+	}
+	e.touch()
+	c.hits.Add(1)
+	e.hits.Add(1)
+	return true
+}
+
+// list returns the cached entries in creation order.
+func (c *planCache) list() []*planEntry {
+	c.mu.RLock()
+	out := make([]*planEntry, 0, len(c.entries))
+	for _, e := range c.entries {
+		out = append(out, e)
+	}
+	c.mu.RUnlock()
+	slices.SortFunc(out, func(a, b *planEntry) int { return cmp.Compare(a.seq, b.seq) })
+	return out
+}
+
+// planEntry is one cache slot: the live incremental optimizer for one
+// canonical query structure, plus its feedback calibration state and
+// metrics. See the package comment for the locking discipline.
+type planEntry struct {
+	key  string
+	hash string // short digest of key; the trace label for this entry
+	q    *relalg.Query
+	name string
+	seq  uint64 // creation stamp, for stable metrics listings
+
+	// estErr is the entry's latest cardinality estimation error — the mean
+	// |ln(actual/estimated)| over the executed plan's counted nodes,
+	// recomputed from every execution's feedback — stored as Float64bits so
+	// metrics scrapes read it lock-free. It trends to zero as the entry's
+	// statistics converge and spikes when the data drifts.
+	estErr atomic.Uint64
+
+	// cur is the published {plan, version} pair, swapped as one pointer on
+	// every repair so executions always report the generation they
+	// actually ran.
+	cur      atomic.Pointer[planVersion]
+	hits     atomic.Int64
+	execs    atomic.Int64
+	lastUsed atomic.Int64 // unix nanos of the last prepare/exec (LRU order)
+	dropped  atomic.Bool  // set on eviction; handles re-resolve
+
+	mu      sync.Mutex // guards everything below
+	model   *cost.Model
+	opt     *core.Optimizer
+	cal     *aqp.Calibrator
+	fper    *relalg.Fingerprinter // memoized; not concurrency-safe, use under mu
+	initErr error
+
+	fullOpts    int64 // from-scratch optimizations (1, at initialization)
+	fullOptTime time.Duration
+	repairs     int64 // incremental Reoptimize calls
+	repairTime  time.Duration
+	converged   int64 // executions whose feedback was within threshold
+	touched     int64 // cumulative optimizer entries touched by repairs
+	warmSeeds   int   // factors seeded from the shared store at init
+}
+
+// live reports whether e is still cached. Lock-free.
+func (e *planEntry) live() bool { return !e.dropped.Load() }
+
+// touch stamps e as just used, so the LRU bound evicts it last.
+func (e *planEntry) touch() { e.lastUsed.Store(time.Now().UnixNano()) }
+
+// planVersion is one published plan generation. The tree is immutable;
+// version 1 is the initial optimization, each repair bumps it.
+type planVersion struct {
+	plan    *relalg.Plan
+	version uint64
+	// cands are the plan's cacheable subtrees for the semantic result
+	// cache, derived once per generation (candidates match plan nodes by
+	// identity, so they are only valid against exactly this tree). Nil when
+	// result caching is disabled.
+	cands []exec.CacheCandidate
+}
+
+// warmStartBound caps the subexpression enumeration at warm start: beyond
+// this many relations the connected-subset lattice is too large to probe
+// the store exhaustively, so oversized queries simply start cold. Every
+// workload query here is far below it (the paper's largest is an 8-way
+// join).
+const warmStartBound = 12
+
+// warmSets enumerates the candidate expressions to warm-start from the
+// store: every connected subexpression of q (the same no-Cartesian-product
+// space the enumerator explores).
+func warmSets(q *relalg.Query) []relalg.RelSet {
+	if len(q.Rels) > warmStartBound {
+		return nil
+	}
+	all := q.AllRels()
+	sets := make([]relalg.RelSet, 0, 1<<uint(len(q.Rels))-1)
+	all.ProperSubsets(func(sub relalg.RelSet) {
+		if q.Connected(sub) {
+			sets = append(sets, sub)
+		}
+	})
+	sets = append(sets, all)
+	return sets
+}
+
+// ensureInit builds the entry's model and optimizer and runs the single
+// from-scratch optimization, exactly once. Before that optimization the
+// model is warm-started: every connected subexpression whose fingerprint
+// the shared store already knows gets its learned factor seeded, so a
+// structurally new query over hot tables optimizes against the workload's
+// converged statistics from the very first plan — and an entry re-admitted
+// after eviction picks up exactly where its evicted predecessor left off.
+// Errors are sticky: a query whose model cannot be built fails the same way
+// on every prepare.
+func (e *planEntry) ensureInit(s *Server) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.opt != nil || e.initErr != nil {
+		return e.initErr
+	}
+	m, err := cost.NewModel(e.q, s.cat, cost.DefaultParams())
+	if err != nil {
+		e.initErr = err
+		return err
+	}
+	fp := relalg.NewFingerprinter(e.q)
+	cal := aqp.NewSharedCalibrator(s.stats, fp.Fingerprint, true, s.opts.FeedbackThreshold)
+	e.warmSeeds = cal.WarmStart(m, warmSets(e.q))
+	s.warmSeeds.Add(int64(e.warmSeeds))
+	opt, err := core.New(m, relalg.DefaultSpace(), core.PruneAll)
+	if err != nil {
+		e.initErr = err
+		return err
+	}
+	plan, err := opt.Optimize()
+	if err != nil {
+		e.initErr = err
+		return err
+	}
+	e.model = m
+	e.opt = opt
+	e.cal = cal
+	e.fper = fp
+	elapsed := opt.Metrics().Elapsed
+	e.fullOpts++
+	e.fullOptTime += elapsed
+	s.fullOpts.Add(1)
+	s.fullOptNanos.Add(int64(elapsed))
+	e.cur.Store(&planVersion{plan: plan, version: 1, cands: e.cacheCands(s, plan)})
+	return nil
+}
+
+// cacheCands derives the result-cache candidates for a freshly published
+// plan tree. Caller holds e.mu (the Fingerprinter memo is not
+// concurrency-safe).
+func (e *planEntry) cacheCands(s *Server, plan *relalg.Plan) []exec.CacheCandidate {
+	if !s.resCache.Enabled() {
+		return nil
+	}
+	return exec.BuildCacheCandidates(e.q, plan, e.fper)
+}
+
+// planEstErr measures how far the executed plan's cardinality estimates
+// were from the observed truth: the mean |ln(actual/estimated)| over the
+// plan's counted nodes (both sides floored at one row). 0 is a perfect
+// plan; ln 2 ≈ 0.69 means estimates are off by 2x on average.
+func planEstErr(plan *relalg.Plan, cards map[relalg.RelSet]int64) float64 {
+	var sum float64
+	var n int
+	var walk func(p *relalg.Plan)
+	walk = func(p *relalg.Plan) {
+		if p == nil {
+			return
+		}
+		if p.Log != relalg.LogEnforce {
+			if act, ok := cards[p.Expr]; ok {
+				a, est := float64(act), p.Card
+				if a < 1 {
+					a = 1
+				}
+				if est < 1 {
+					est = 1
+				}
+				sum += math.Abs(math.Log(a / est))
+				n++
+			}
+		}
+		walk(p.Left)
+		walk(p.Right)
+	}
+	walk(plan)
+	if n == 0 {
+		return 0
+	}
+	return sum / float64(n)
+}
+
+// feedback folds one execution's observed cardinalities into the shared
+// stats store and incrementally repairs the cached plan when any factor
+// moved beyond the feedback threshold. This is the §4 view-maintenance loop
+// running as a service: UpdateCardFactor stages the deltas, Reoptimize
+// repairs only the affected region, and the repaired plan is published
+// atomically for every session. snap is the plan generation that executed —
+// its estimates, against cards, yield the entry's estimation-error gauge.
+// A repair is counted, timed and traced here; repaired reports it.
+func (e *planEntry) feedback(s *Server, snap *planVersion, cards map[relalg.RelSet]int64) (repaired bool, err error) {
+	e.estErr.Store(math.Float64bits(planEstErr(snap.plan, cards)))
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	changed := e.cal.Observe(cards, e.model)
+	if len(changed) == 0 {
+		e.converged++
+		s.converged.Add(1)
+		return false, nil
+	}
+	for set, f := range changed {
+		e.opt.UpdateCardFactor(set, f)
+	}
+	plan, err := e.opt.Reoptimize()
+	if err != nil {
+		return false, err
+	}
+	met := e.opt.Metrics()
+	e.repairs++
+	e.repairTime += met.Elapsed
+	e.touched += int64(met.TouchedEntries)
+	s.repairs.Add(1)
+	s.repairNanos.Add(int64(met.Elapsed))
+	s.repairH.Observe(met.Elapsed)
+	next := &planVersion{plan: plan, version: e.cur.Load().version + 1,
+		cands: e.cacheCands(s, plan)}
+	e.cur.Store(next)
+	s.trace.Emit(obs.Event{Kind: obs.KindRepair, Query: e.hash,
+		A: int64(met.TouchedEntries), B: int64(next.version), Dur: met.Elapsed})
+	return true, nil
+}

@@ -104,6 +104,10 @@ func TestServeConcurrentStressResultCache(t *testing.T) {
 	if rc.Invalidations != 0 {
 		t.Fatalf("spurious invalidations on an immutable catalog: %+v", rc)
 	}
+	if m.Execs != goroutines*rounds || m.Execs != m.Converged+m.Repairs {
+		t.Fatalf("execs = %d (want %d), converged %d + repairs %d: every execution is counted once and its feedback either converged or repaired",
+			m.Execs, goroutines*rounds, m.Converged, m.Repairs)
+	}
 }
 
 // TestResultCacheInvalidationDifferential: an Append to a base table bumps

@@ -14,12 +14,14 @@
 // state keyed by canonical subexpression fingerprint (relalg.Fingerprinter)
 // rather than by the entry's positional RelSets, so two structurally
 // different queries over the same tables share one learned history. That
-// sharing is what makes the cache safely boundable: eviction (LRU order,
-// optional TTL, Options.MaxEntries) discards only the plan and its live
+// sharing is what makes the cache safely boundable: eviction (exact LRU
+// under Options.MaxEntries, the cache's one bound — an idle optimizer is the
+// state the paper says to keep) discards only the plan and its live
 // optimizer — the learned statistics survive in the store and warm-start
 // the entry on re-admission, and every cache miss over hot tables seeds its
 // fresh cost model from the store before the first optimization, starting
 // near-converged instead of repeating the workload's whole learning curve.
+// Forgetting under data drift is the store's job alone (fbstore.Options).
 //
 // Concurrency model (audited against the contracts of the underlying
 // packages):
@@ -35,11 +37,13 @@
 //   - the fbstore.StatsStore is concurrency-safe on its own (short per-key
 //     critical sections; folds are commutative), so entries never serialize
 //     against each other on the shared statistics plane;
-//   - the cache map itself is under a server-wide RWMutex, held only for
+//   - the cache map itself is under the plan cache's RWMutex, held only for
 //     lookup/insert/evict (never during optimization or execution); an
 //     evicted entry keeps serving statements that already hold it — it
 //     merely becomes invisible to new prepares, and its feedback still
 //     lands in the shared store;
+//   - server-wide totals are atomics bumped at the event, so they cover
+//     every execution whether or not its entry is still cached;
 //   - admission control bounds concurrent executions with a semaphore sized
 //     against the executor's Parallelism, so concurrent queries don't
 //     oversubscribe the morsel workers.
@@ -47,17 +51,13 @@ package server
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/aqp"
 	"repro/internal/catalog"
-	"repro/internal/core"
-	"repro/internal/cost"
 	"repro/internal/exec"
 	"repro/internal/fbstore"
 	"repro/internal/obs"
@@ -66,17 +66,12 @@ import (
 	"repro/internal/sqlmini"
 )
 
-// Options configures a Server. The zero value is serviceable: default cost
-// parameters, full plan space, full pruning, serial execution, admission
-// sized to the machine, unbounded plan cache, private statistics store.
+// Options configures a Server. The zero value is serviceable: serial
+// execution, admission sized to the machine, unbounded plan cache, private
+// statistics store. Every entry optimizes over the full plan space with
+// default cost parameters and all pruning strategies, and calibrates from
+// cumulatively averaged observations (the paper's AQP-Cumulative).
 type Options struct {
-	// Params overrides the cost-model constants (nil: defaults).
-	Params *cost.Params
-	// Space restricts the plan space (nil: the full space).
-	Space *relalg.SpaceOptions
-	// Pruning selects the optimizer's pruning strategies (nil: all).
-	Pruning *core.Pruning
-
 	// Parallelism is the vectorized executor's morsel-driven worker count
 	// per query; <= 1 executes serially.
 	Parallelism int
@@ -107,14 +102,7 @@ type Options struct {
 	// Eviction discards only the plan and its live optimizer — the learned
 	// statistics survive in the shared store and warm-start re-admission.
 	MaxEntries int
-	// TTL expires cache entries idle longer than this (checked lazily at
-	// prepare time, no background sweeper). 0 never expires.
-	TTL time.Duration
 
-	// NonCumulative switches feedback calibration from cumulatively
-	// averaged observations (the default, the paper's AQP-Cumulative) to
-	// last-execution-only.
-	NonCumulative bool
 	// FeedbackThreshold suppresses feedback factors within this relative
 	// distance of the previously applied one (0: the default 0.2). It is
 	// what drives repairs to zero once a cached entry's statistics
@@ -122,21 +110,13 @@ type Options struct {
 	FeedbackThreshold float64
 
 	// Stats supplies the server-wide statistics plane; nil creates a
-	// private one. Sharing one store between servers (or across server
-	// restarts within a process) carries the learned cardinalities over;
-	// for restarts across processes, persist the store with its Save/Load
-	// snapshot codec (cmd/reproserve's -stats-file does both ends).
+	// private one that keeps its full history. Sharing one store between
+	// servers (or across server restarts within a process) carries the
+	// learned cardinalities over; for restarts across processes, persist
+	// the store with its Save/Load snapshot codec (cmd/reproserve's
+	// -stats-file does both ends). Observation ageing under data drift is
+	// the store's own policy: build it with fbstore.NewWithOptions.
 	Stats *fbstore.StatsStore
-
-	// DecayHalfLife and StaleAfter configure observation ageing on the
-	// private statistics store (see fbstore.Options): the half-life, in
-	// logical observations, at which past observations lose half their
-	// weight in the calibrated estimates, and the horizon beyond which an
-	// unobserved fingerprint stops warm-starting and is eventually
-	// reclaimed. Zero values keep the full history forever. Ignored when
-	// Stats is supplied — ageing policy belongs to whoever built the store.
-	DecayHalfLife float64
-	StaleAfter    uint64
 
 	// ResultCacheBytes enables the server-wide semantic result cache
 	// (internal/rescache) with this byte budget: materialized outputs of
@@ -144,15 +124,6 @@ type Options struct {
 	// shared across statements and sessions. 0 (the default) disables
 	// result caching entirely.
 	ResultCacheBytes int64
-	// ResultCacheMinCost is the optimizer-cost threshold below which a
-	// cacheable subtree is not worth spooling (0: no threshold — every
-	// eligible subtree is cached on first execution).
-	ResultCacheMinCost float64
-	// ResultCacheStaleAfter is the logical age, in result-cache probes,
-	// beyond which an unprobed materialization stops serving and is
-	// eventually reclaimed — the result-plane analogue of StaleAfter.
-	// 0 keeps materializations until evicted or invalidated.
-	ResultCacheStaleAfter uint64
 
 	// DataDir binds every catalog table to a persistent log-structured
 	// storage backend rooted at this directory (one subdirectory per
@@ -226,21 +197,20 @@ type Server struct {
 	memCond  *sync.Cond
 	memInUse int64
 
-	mu      sync.RWMutex
-	entries map[string]*planEntry
-	order   []string // insertion order, for stable metrics listings
-	// retired accumulates evicted entries' counters so server-wide
-	// Metrics totals survive cache churn instead of silently forgetting
-	// evicted history. Atomics, folded in by retire OUTSIDE the cache
-	// lock: snapshotting a victim takes its entry mutex, which may be
-	// held across a whole optimization.
-	retired retiredCounters
+	plans *planCache
 
 	sessions  atomic.Int64
-	hits      atomic.Int64
-	misses    atomic.Int64
-	evictions atomic.Int64
 	warmSeeds atomic.Int64 // factors seeded from the store across all inits
+
+	// Totals, bumped once at the event (Stmt.exec, ensureInit, feedback)
+	// rather than summed over entries, so eviction never loses history.
+	// At quiescence execs == converged + repairs.
+	execs        atomic.Int64
+	fullOpts     atomic.Int64
+	fullOptNanos atomic.Int64
+	repairs      atomic.Int64
+	repairNanos  atomic.Int64
+	converged    atomic.Int64
 
 	// The observability plane. The three histograms are always on (one
 	// atomic add per execution); trace and slow are nil unless the
@@ -310,17 +280,11 @@ func New(cat *catalog.Catalog, opts Options) (*Server, error) {
 	}
 	stats := opts.Stats
 	if stats == nil {
-		stats = fbstore.NewWithOptions(fbstore.Options{
-			DecayHalfLife: opts.DecayHalfLife,
-			StaleAfter:    opts.StaleAfter,
-		})
+		stats = fbstore.New()
 	}
 	var rc *rescache.Cache
 	if opts.ResultCacheBytes > 0 {
-		rc = rescache.New(rescache.Options{
-			MaxBytes:   opts.ResultCacheBytes,
-			StaleAfter: opts.ResultCacheStaleAfter,
-		})
+		rc = rescache.New(opts.ResultCacheBytes)
 	}
 	srv := &Server{
 		cat:      cat,
@@ -329,7 +293,7 @@ func New(cat *catalog.Catalog, opts Options) (*Server, error) {
 		resCache: rc,
 		bind:     bind,
 		sem:      make(chan struct{}, opts.MaxConcurrent),
-		entries:  map[string]*planEntry{},
+		plans:    &planCache{max: opts.MaxEntries, entries: map[string]*planEntry{}},
 		latencyH: obs.NewHistogram(),
 		repairH:  obs.NewHistogram(),
 		queueH:   obs.NewHistogram(),
@@ -412,8 +376,6 @@ type Session struct {
 	srv *Server
 	ID  int64
 
-	execs atomic.Int64
-
 	// stmts is the session-local statement handle cache: statement text
 	// (or workload name) resolved straight to the shared cache entry, so a
 	// re-prepare of a statement this session has already bound skips the
@@ -424,16 +386,16 @@ type Session struct {
 	// and that entry's live optimizer — reachable, so storeStmt sweeps
 	// evicted handles out whenever the map has doubled since the last sweep
 	// (sweepAt): the session holds at most twice the handles the server's
-	// own MaxEntries/TTL policy keeps alive, at amortized O(1) per store.
+	// own MaxEntries bound keeps alive, at amortized O(1) per store.
 	stmtMu  sync.Mutex
 	stmts   map[string]*planEntry
 	sweepAt int
 }
 
 // cachedStmt resolves a session-local statement key, counting a prepare hit.
-// An entry the server has since evicted (or idled past the TTL) falls back
-// to the shared-cache path so eviction semantics stay exactly those of an
-// uncached prepare; both checks are lock-free.
+// An entry the server has since evicted falls back to the shared-cache path
+// so eviction semantics stay exactly those of an uncached prepare; the check
+// takes no server lock.
 func (sess *Session) cachedStmt(key string) (*Stmt, bool) {
 	sess.stmtMu.Lock()
 	e := sess.stmts[key]
@@ -441,8 +403,7 @@ func (sess *Session) cachedStmt(key string) (*Stmt, bool) {
 	if e == nil {
 		return nil, false
 	}
-	now := time.Now()
-	if sess.srv.gone(e, now) {
+	if !sess.srv.plans.reuse(e) {
 		sess.stmtMu.Lock()
 		if sess.stmts[key] == e {
 			delete(sess.stmts, key)
@@ -450,9 +411,6 @@ func (sess *Session) cachedStmt(key string) (*Stmt, bool) {
 		sess.stmtMu.Unlock()
 		return nil, false
 	}
-	e.lastUsed.Store(now.UnixNano())
-	sess.srv.hits.Add(1)
-	e.hits.Add(1)
 	sess.srv.trace.Emit(obs.Event{Kind: obs.KindPrepare, Query: e.hash, Note: "hit"})
 	return &Stmt{sess: sess, entry: e, Hit: true}, true
 }
@@ -461,10 +419,10 @@ func (sess *Session) cachedStmt(key string) (*Stmt, bool) {
 const minStmtSweep = 8
 
 // storeStmt remembers a resolved statement handle under the session-local
-// key, first sweeping out handles whose entry the server has evicted or
-// expired if the map has doubled since the last sweep. A swept statement's
-// next prepare takes the shared-cache path, exactly as cachedStmt's own
-// check would have sent it.
+// key, first sweeping out handles whose entry the server has evicted if the
+// map has doubled since the last sweep. A swept statement's next prepare
+// takes the shared-cache path, exactly as cachedStmt's own check would have
+// sent it.
 func (sess *Session) storeStmt(key string, st *Stmt) {
 	sess.stmtMu.Lock()
 	defer sess.stmtMu.Unlock()
@@ -472,9 +430,8 @@ func (sess *Session) storeStmt(key string, st *Stmt) {
 		sess.stmts = map[string]*planEntry{}
 	}
 	if len(sess.stmts) >= max(sess.sweepAt, minStmtSweep) {
-		now := time.Now()
 		for k, e := range sess.stmts {
-			if sess.srv.gone(e, now) {
+			if !e.live() {
 				delete(sess.stmts, k)
 			}
 		}
@@ -482,9 +439,6 @@ func (sess *Session) storeStmt(key string, st *Stmt) {
 	}
 	sess.stmts[key] = st.entry
 }
-
-// Execs reports the number of statements this session has executed.
-func (sess *Session) Execs() int64 { return sess.execs.Load() }
 
 // Prepare parses a SQL statement and binds it to the shared plan cache,
 // optimizing it from scratch only if no structurally equal statement is
@@ -545,42 +499,9 @@ func (sess *Session) PrepareQuery(q *relalg.Query) (*Stmt, error) {
 
 // entry resolves (or creates) the cache entry for q and ensures it is
 // initialized — the only point where a from-scratch optimization ever
-// happens, and the only point where entries are evicted (lazy TTL expiry
-// plus the LRU bound on insert).
+// happens.
 func (s *Server) entry(q *relalg.Query) (*planEntry, bool, error) {
-	key := CanonicalKey(q)
-	now := time.Now()
-
-	s.mu.RLock()
-	e := s.entries[key]
-	s.mu.RUnlock()
-	if e != nil && s.expired(e, now) {
-		e = nil
-	}
-	hit := e != nil
-	if e == nil {
-		var victims []*planEntry
-		s.mu.Lock()
-		if cur := s.entries[key]; cur != nil && !s.expired(cur, now) {
-			e, hit = cur, true // lost the race to another prepare
-		} else {
-			// An expired cur is removed by evictLocked's TTL sweep.
-			victims = s.evictLocked(now)
-			e = &planEntry{key: key, hash: keyHash(key), q: q, name: q.Name}
-			e.lastUsed.Store(now.UnixNano())
-			s.entries[key] = e
-			s.order = append(s.order, key)
-		}
-		s.mu.Unlock()
-		s.retire(victims)
-	}
-	e.lastUsed.Store(now.UnixNano())
-	if hit {
-		s.hits.Add(1)
-		e.hits.Add(1)
-	} else {
-		s.misses.Add(1)
-	}
+	e, hit := s.plans.resolve(q)
 	if err := e.ensureInit(s); err != nil {
 		return nil, hit, err
 	}
@@ -595,330 +516,6 @@ func (s *Server) entry(q *relalg.Query) (*planEntry, bool, error) {
 		s.trace.Emit(ev)
 	}
 	return e, hit, nil
-}
-
-// expired reports whether e has been idle beyond the TTL.
-func (s *Server) expired(e *planEntry, now time.Time) bool {
-	return s.opts.TTL > 0 && now.Sub(time.Unix(0, e.lastUsed.Load())) > s.opts.TTL
-}
-
-// gone reports whether a handle on e must re-resolve through the shared
-// cache: the entry was evicted, or has idled past the TTL. Lock-free.
-func (s *Server) gone(e *planEntry, now time.Time) bool {
-	return e.dropped.Load() || s.expired(e, now)
-}
-
-// evictLocked enforces the eviction policy under the cache write lock:
-// first lazily expire idle entries (TTL), then evict least-recently-used
-// entries until an insert stays within MaxEntries. It returns the victims;
-// the caller folds their counters in with retire after releasing the lock.
-// Eviction is safe by construction — the entry's learned statistics already
-// live in the shared store, so re-admission warm-starts instead of
-// relearning — and cheap to keep simple: O(entries) scans, fine at the
-// cache sizes a bound implies.
-func (s *Server) evictLocked(now time.Time) []*planEntry {
-	var victims []*planEntry
-	if s.opts.TTL > 0 {
-		for key, e := range s.entries {
-			if s.expired(e, now) {
-				victims = append(victims, s.removeLocked(key))
-				s.evictions.Add(1)
-			}
-		}
-	}
-	if s.opts.MaxEntries <= 0 {
-		return victims
-	}
-	for len(s.entries) >= s.opts.MaxEntries {
-		var lruKey string
-		var lruAt int64
-		for key, e := range s.entries {
-			if at := e.lastUsed.Load(); lruKey == "" || at < lruAt {
-				lruKey, lruAt = key, at
-			}
-		}
-		victims = append(victims, s.removeLocked(lruKey))
-		s.evictions.Add(1)
-	}
-	return victims
-}
-
-// retiredCounters is the aggregate history of evicted entries, folded into
-// the server-wide Metrics totals so eviction never erases what happened.
-// Durations are stored as nanoseconds.
-type retiredCounters struct {
-	execs       atomic.Int64
-	fullOpts    atomic.Int64
-	fullOptTime atomic.Int64
-	repairs     atomic.Int64
-	repairTime  atomic.Int64
-	converged   atomic.Int64
-}
-
-// removeLocked drops one entry from the map and the order listing and
-// returns it. Sessions still holding the entry keep executing against it;
-// it is simply no longer discoverable, and its feedback keeps flowing into
-// the shared store.
-func (s *Server) removeLocked(key string) *planEntry {
-	e := s.entries[key]
-	e.dropped.Store(true)
-	delete(s.entries, key)
-	for i, k := range s.order {
-		if k == key {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
-	}
-	return e
-}
-
-// retire folds evicted entries' counters into the retired totals. Called
-// with the cache lock RELEASED: snapshot takes each victim's entry mutex,
-// which may be held across a whole optimization, and waiting for that must
-// stall only this prepare, never the server. A Metrics call racing the gap
-// between removal and retire transiently undercounts the victim — the
-// snapshot is documented as consistent-enough, and the gap closes
-// immediately. (Executions an orphaned victim runs after its snapshot are
-// not re-counted.)
-func (s *Server) retire(victims []*planEntry) {
-	for _, e := range victims {
-		em := e.snapshot()
-		s.retired.execs.Add(em.Execs)
-		s.retired.fullOpts.Add(em.FullOpts)
-		s.retired.fullOptTime.Add(int64(em.FullOptTime))
-		s.retired.repairs.Add(em.Repairs)
-		s.retired.repairTime.Add(int64(em.RepairTime))
-		s.retired.converged.Add(em.Converged)
-	}
-}
-
-// planEntry is one cache slot: the live incremental optimizer for one
-// canonical query structure, plus its feedback calibration state and
-// metrics. See the package comment for the locking discipline.
-type planEntry struct {
-	key  string
-	hash string // short digest of key; the trace label for this entry
-	q    *relalg.Query
-	name string
-
-	// estErr is the entry's latest cardinality estimation error — the mean
-	// |ln(actual/estimated)| over the executed plan's counted nodes,
-	// recomputed from every execution's feedback — stored as Float64bits so
-	// metrics scrapes read it lock-free. It trends to zero as the entry's
-	// statistics converge and spikes when the data drifts.
-	estErr atomic.Uint64
-
-	// cur is the published {plan, version} pair, swapped as one pointer on
-	// every repair so executions always report the generation they
-	// actually ran.
-	cur      atomic.Pointer[planVersion]
-	hits     atomic.Int64
-	execs    atomic.Int64
-	lastUsed atomic.Int64 // unix nanos of the last prepare/exec (LRU + TTL)
-	dropped  atomic.Bool  // set on eviction; session handle caches re-resolve
-
-	mu      sync.Mutex // guards everything below
-	model   *cost.Model
-	opt     *core.Optimizer
-	cal     *aqp.Calibrator
-	fper    *relalg.Fingerprinter // memoized; not concurrency-safe, use under mu
-	initErr error
-
-	fullOpts    int64 // from-scratch optimizations (1, at initialization)
-	fullOptTime time.Duration
-	repairs     int64 // incremental Reoptimize calls
-	repairTime  time.Duration
-	converged   int64 // executions whose feedback was within threshold
-	touched     int64 // cumulative optimizer entries touched by repairs
-	warmSeeds   int   // factors seeded from the shared store at init
-}
-
-// planVersion is one published plan generation. The tree is immutable;
-// version 1 is the initial optimization, each repair bumps it.
-type planVersion struct {
-	plan    *relalg.Plan
-	version uint64
-	// cands are the plan's cacheable subtrees for the semantic result
-	// cache, derived once per generation (candidates match plan nodes by
-	// identity, so they are only valid against exactly this tree). Nil when
-	// result caching is disabled.
-	cands []exec.CacheCandidate
-}
-
-// warmStartBound caps the subexpression enumeration at warm start: beyond
-// this many relations the connected-subset lattice is too large to probe
-// the store exhaustively, so oversized queries simply start cold. Every
-// workload query here is far below it (the paper's largest is an 8-way
-// join).
-const warmStartBound = 12
-
-// warmSets enumerates the candidate expressions to warm-start from the
-// store: every connected subexpression of q (the same no-Cartesian-product
-// space the enumerator explores).
-func warmSets(q *relalg.Query) []relalg.RelSet {
-	if len(q.Rels) > warmStartBound {
-		return nil
-	}
-	all := q.AllRels()
-	sets := make([]relalg.RelSet, 0, 1<<uint(len(q.Rels))-1)
-	all.ProperSubsets(func(sub relalg.RelSet) {
-		if q.Connected(sub) {
-			sets = append(sets, sub)
-		}
-	})
-	sets = append(sets, all)
-	return sets
-}
-
-// ensureInit builds the entry's model and optimizer and runs the single
-// from-scratch optimization, exactly once. Before that optimization the
-// model is warm-started: every connected subexpression whose fingerprint
-// the shared store already knows gets its learned factor seeded, so a
-// structurally new query over hot tables optimizes against the workload's
-// converged statistics from the very first plan — and an entry re-admitted
-// after eviction picks up exactly where its evicted predecessor left off.
-// Errors are sticky: a query whose model cannot be built fails the same way
-// on every prepare.
-func (e *planEntry) ensureInit(s *Server) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.opt != nil || e.initErr != nil {
-		return e.initErr
-	}
-	params := cost.DefaultParams()
-	if s.opts.Params != nil {
-		params = *s.opts.Params
-	}
-	space := relalg.DefaultSpace()
-	if s.opts.Space != nil {
-		space = *s.opts.Space
-	}
-	mode := core.PruneAll
-	if s.opts.Pruning != nil {
-		mode = *s.opts.Pruning
-	}
-	m, err := cost.NewModel(e.q, s.cat, params)
-	if err != nil {
-		e.initErr = err
-		return err
-	}
-	fp := relalg.NewFingerprinter(e.q)
-	cal := aqp.NewSharedCalibrator(s.stats, fp.Fingerprint,
-		!s.opts.NonCumulative, s.opts.FeedbackThreshold)
-	e.warmSeeds = cal.WarmStart(m, warmSets(e.q))
-	s.warmSeeds.Add(int64(e.warmSeeds))
-	opt, err := core.New(m, space, mode)
-	if err != nil {
-		e.initErr = err
-		return err
-	}
-	plan, err := opt.Optimize()
-	if err != nil {
-		e.initErr = err
-		return err
-	}
-	e.model = m
-	e.opt = opt
-	e.cal = cal
-	e.fper = fp
-	e.fullOpts++
-	e.fullOptTime += opt.Metrics().Elapsed
-	e.cur.Store(&planVersion{plan: plan, version: 1, cands: e.cacheCands(s, plan)})
-	return nil
-}
-
-// cacheCands derives the result-cache candidates for a freshly published
-// plan tree. Caller holds e.mu (the Fingerprinter memo is not
-// concurrency-safe).
-func (e *planEntry) cacheCands(s *Server, plan *relalg.Plan) []exec.CacheCandidate {
-	if !s.resCache.Enabled() {
-		return nil
-	}
-	return exec.BuildCacheCandidates(e.q, plan, e.fper, s.opts.ResultCacheMinCost)
-}
-
-// feedbackResult summarizes one feedback application for the caller's
-// metrics and trace emission.
-type feedbackResult struct {
-	repaired bool
-	dur      time.Duration // repair time (zero unless repaired)
-	touched  int64         // optimizer entries the repair touched
-	version  uint64        // plan version published by the repair
-	estErr   float64       // this execution's estimation error
-}
-
-// planEstErr measures how far the executed plan's cardinality estimates
-// were from the observed truth: the mean |ln(actual/estimated)| over the
-// plan's counted nodes (both sides floored at one row). 0 is a perfect
-// plan; ln 2 ≈ 0.69 means estimates are off by 2x on average.
-func planEstErr(plan *relalg.Plan, cards map[relalg.RelSet]int64) float64 {
-	var sum float64
-	var n int
-	var walk func(p *relalg.Plan)
-	walk = func(p *relalg.Plan) {
-		if p == nil {
-			return
-		}
-		if p.Log != relalg.LogEnforce {
-			if act, ok := cards[p.Expr]; ok {
-				a, est := float64(act), p.Card
-				if a < 1 {
-					a = 1
-				}
-				if est < 1 {
-					est = 1
-				}
-				sum += math.Abs(math.Log(a / est))
-				n++
-			}
-		}
-		walk(p.Left)
-		walk(p.Right)
-	}
-	walk(plan)
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
-// feedback folds one execution's observed cardinalities into the shared
-// stats store and incrementally repairs the cached plan when any factor
-// moved beyond the feedback threshold. This is the §4 view-maintenance loop
-// running as a service: UpdateCardFactor stages the deltas, Reoptimize
-// repairs only the affected region, and the repaired plan is published
-// atomically for every session. snap is the plan generation that executed —
-// its estimates, against cards, yield the entry's estimation-error gauge.
-func (e *planEntry) feedback(s *Server, snap *planVersion, cards map[relalg.RelSet]int64) (feedbackResult, error) {
-	var fb feedbackResult
-	fb.estErr = planEstErr(snap.plan, cards)
-	e.estErr.Store(math.Float64bits(fb.estErr))
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	changed := e.cal.Observe(cards, e.model)
-	if len(changed) == 0 {
-		e.converged++
-		return fb, nil
-	}
-	for set, f := range changed {
-		e.opt.UpdateCardFactor(set, f)
-	}
-	plan, err := e.opt.Reoptimize()
-	if err != nil {
-		return fb, err
-	}
-	met := e.opt.Metrics()
-	e.repairs++
-	e.repairTime += met.Elapsed
-	e.touched += int64(met.TouchedEntries)
-	next := &planVersion{plan: plan, version: e.cur.Load().version + 1,
-		cands: e.cacheCands(s, plan)}
-	e.cur.Store(next)
-	fb.repaired = true
-	fb.dur = met.Elapsed
-	fb.touched = int64(met.TouchedEntries)
-	fb.version = next.version
-	return fb, nil
 }
 
 // Stmt is a prepared statement: a session's handle on a shared cache entry.
@@ -1018,7 +615,7 @@ func (st *Stmt) exec(prof *exec.PlanProfile) (res *Result, analyzed string, err 
 	}
 
 	e := st.entry
-	e.lastUsed.Store(time.Now().UnixNano())
+	e.touch()
 	snap := e.cur.Load()
 
 	analyze := prof != nil
@@ -1057,7 +654,7 @@ func (st *Stmt) exec(prof *exec.PlanProfile) (res *Result, analyzed string, err 
 	elapsed := time.Since(start)
 	srv.latencyH.Observe(elapsed)
 	e.execs.Add(1)
-	st.sess.execs.Add(1)
+	srv.execs.Add(1)
 
 	peak := mem.Peak()
 	srv.peakMemH.ObserveInt64(peak)
@@ -1088,17 +685,12 @@ func (st *Stmt) exec(prof *exec.PlanProfile) (res *Result, analyzed string, err 
 		}
 	}
 
-	fb, err := e.feedback(srv, snap, stats.Snapshot())
+	repaired, err := e.feedback(srv, snap, stats.Snapshot())
 	if err != nil {
 		return nil, "", err
 	}
-	if fb.repaired {
-		srv.repairH.Observe(fb.dur)
-		srv.trace.Emit(obs.Event{Kind: obs.KindRepair, Query: e.hash,
-			A: fb.touched, B: int64(fb.version), Dur: fb.dur})
-	}
 	note := ""
-	if fb.repaired {
+	if repaired {
 		note = "repaired"
 	}
 	srv.trace.Emit(obs.Event{Kind: obs.KindExec, Query: e.hash,
@@ -1120,7 +712,7 @@ func (st *Stmt) exec(prof *exec.PlanProfile) (res *Result, analyzed string, err 
 	if !analyze {
 		analyzed = ""
 	}
-	res = &Result{Rows: rows, PlanVersion: snap.version, Repaired: fb.repaired, Elapsed: elapsed}
+	res = &Result{Rows: rows, PlanVersion: snap.version, Repaired: repaired, Elapsed: elapsed}
 	return res, analyzed, nil
 }
 

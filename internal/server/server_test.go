@@ -275,6 +275,10 @@ func TestServeConcurrentStress(t *testing.T) {
 		t.Errorf("misses = %d, want one per distinct structure (%d)",
 			after.Misses, len(hot)+len(cold))
 	}
+	if want := int64(goroutines*rounds + 2*len(hot)); after.Execs != want || after.Execs != after.Converged+after.Repairs {
+		t.Errorf("execs = %d (want %d), converged %d + repairs %d: every execution is counted once and its feedback either converged or repaired",
+			after.Execs, want, after.Converged, after.Repairs)
+	}
 }
 
 func TestProtoSessionRoundTrip(t *testing.T) {

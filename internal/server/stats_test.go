@@ -3,7 +3,6 @@ package server
 import (
 	"sync"
 	"testing"
-	"time"
 )
 
 // Two structurally DIFFERENT statements with identical semantics: the FROM
@@ -156,44 +155,6 @@ func TestSharedStatsWarmStartAcrossEntries(t *testing.T) {
 	}
 }
 
-// TestEvictionTTL: an entry idle beyond the TTL is expired lazily at the
-// next prepare — a miss that re-optimizes (warm) rather than a hit.
-func TestEvictionTTL(t *testing.T) {
-	// Generous TTL: the re-prepare below must land inside it even on a
-	// loaded -race CI runner.
-	const ttl = 300 * time.Millisecond
-	srv := testServer(t, Options{TTL: ttl})
-	sess := srv.Session()
-	st, err := sess.Prepare(statsQueryA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Exec(); err != nil {
-		t.Fatal(err)
-	}
-	if again, err := sess.Prepare(statsQueryA); err != nil {
-		t.Fatal(err)
-	} else if !again.Hit {
-		t.Fatal("immediate re-prepare missed despite TTL not elapsed")
-	}
-	time.Sleep(2 * ttl)
-	again, err := sess.Prepare(statsQueryA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.Hit {
-		t.Fatal("prepare hit an entry idle beyond the TTL")
-	}
-	m := srv.Metrics()
-	if m.Evictions < 1 {
-		t.Fatalf("evictions=%d after TTL expiry, want >= 1", m.Evictions)
-	}
-	// The expired entry's statistics warmed its replacement.
-	if _, warm, _ := repairsOf(m, again.CacheKey()); warm == 0 {
-		t.Fatal("TTL-expired entry's statistics did not warm the re-admission")
-	}
-}
-
 // TestEvictionLRUOrder: with a bound of 2, touching the older entry makes
 // the other one the LRU victim.
 func TestEvictionLRUOrder(t *testing.T) {
@@ -234,6 +195,31 @@ func TestEvictionLRUOrder(t *testing.T) {
 	}
 	if m := srv.Metrics(); m.Entries > 2 {
 		t.Fatalf("entries=%d exceeds MaxEntries=2", m.Entries)
+	}
+}
+
+// TestHeldStatementCountedAcrossEviction: a statement held across its
+// entry's eviction keeps executing against the orphaned entry, and every one
+// of those executions — and the feedback it produced — is in the server
+// totals.
+func TestHeldStatementCountedAcrossEviction(t *testing.T) {
+	srv := testServer(t, Options{MaxEntries: 1})
+	held := execSQL(t, srv, statsQueryA, 2)
+	execSQL(t, srv, statsQueryB, 1) // evicts A's entry
+	for i := 0; i < 3; i++ {
+		if _, err := held.Exec(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := srv.Metrics()
+	if m.Evictions != 1 || m.Entries != 1 {
+		t.Fatalf("evictions=%d entries=%d, want the held statement's entry evicted", m.Evictions, m.Entries)
+	}
+	if m.Execs != 2+1+3 {
+		t.Fatalf("execs=%d, want all %d counted (3 ran after the eviction)", m.Execs, 2+1+3)
+	}
+	if m.Execs != m.Converged+m.Repairs {
+		t.Fatalf("execs=%d != converged %d + repairs %d", m.Execs, m.Converged, m.Repairs)
 	}
 }
 

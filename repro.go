@@ -87,11 +87,12 @@
 // one shared history, and a structurally new statement over hot tables
 // warm-starts its first optimization from what the workload already
 // learned. That makes the cache safely boundable — ServerOptions.MaxEntries
-// caps it with LRU eviction and ServerOptions.TTL expires idle entries;
-// eviction discards only the plan and its live optimizer, never the
-// statistics, so re-admission starts near-converged. ServerOptions.Stats
-// optionally shares one NewStatsStore between servers. Server.Shutdown
-// drains in-flight executions for a graceful stop.
+// caps it with LRU eviction, the plan cache's one bound: an idle entry is a
+// live optimizer worth keeping and leaves only to make room. Eviction
+// discards only the plan and its live optimizer, never the statistics, so
+// re-admission starts near-converged. ServerOptions.Stats optionally shares
+// one NewStatsStore between servers. Server.Shutdown drains in-flight
+// executions for a graceful stop.
 //
 // # Statistics persistence and ageing
 //
@@ -101,13 +102,15 @@
 // restarted server re-prepares its workload with full-opt=1, warm-started
 // factors, and no relearning — cmd/reproserve wires this to -stats-file,
 // loading on boot and saving on shutdown. Under data drift, frozen
-// statistics mislead; StatsStoreOptions (or ServerOptions.DecayHalfLife /
-// StaleAfter for a server-private store) turn on observation ageing:
-// DecayHalfLife exponentially decays the cumulative observation history on
-// a logical observation clock, so post-drift feedback overturns a
-// confidently-wrong factor in O(half-life) observations instead of
-// O(history), and StaleAfter is the horizon beyond which an unobserved
-// fingerprint stops warm-starting and is eventually reclaimed. The
+// statistics mislead; StatsStoreOptions turn on observation ageing for a
+// store built with NewStatsStoreWith and handed to the server as
+// ServerOptions.Stats (a server's private default store keeps everything) —
+// the only ageing policy in the serving stack: DecayHalfLife exponentially
+// decays the cumulative observation history on a logical observation
+// clock, so post-drift feedback overturns a confidently-wrong factor in
+// O(half-life) observations instead of O(history), and StaleAfter is the
+// horizon beyond which an unobserved fingerprint stops warm-starting and is
+// eventually reclaimed. The
 // internal/driftkit harness replays phase-shifted workloads against a live
 // Server to assert exactly that repair-then-reconverge trajectory.
 //
@@ -123,9 +126,8 @@
 // — while a miss tees the subtree's output into the cache as a side effect
 // of normal execution. Entries pin the data versions of their base tables
 // (bumped by catalog AppendRows/ResetRows), so a mutation silently
-// invalidates every dependent result; the byte budget evicts LRU, and
-// ServerOptions.ResultCacheStaleAfter ages out entries the workload stopped
-// touching. Cached serving is exactly transparent: results and the
+// invalidates every dependent result, and the byte budget — the cache's one
+// bound — evicts least-recently-probed entries. Cached serving is exactly transparent: results and the
 // per-operator cardinality feedback driving plan repair are byte-identical
 // with the cache on or off. Hit/miss/store/eviction/invalidation counters
 // surface in ServerMetrics; cmd/reproserve wires the budget to
