@@ -108,8 +108,11 @@ type Controller struct {
 
 // NewController builds the controller. The cost model snapshots the
 // catalog's statistics now ("the optimizer starts with zero statistical
-// information" when the window tables are still empty); all later knowledge
-// arrives through feedback factors.
+// information" when the window tables are still empty); later knowledge
+// arrives through feedback factors — and, for the two things the model reads
+// live (an inner column's distinct count when an index-NL join is costed, a
+// zone column's selectivity for a segment-pruned scan), through
+// catalog.Table.Stats, which builds that column on first read.
 func NewController(cfg Config) (*Controller, error) {
 	m, err := cost.NewModel(cfg.Query, cfg.Cat, cfg.Params)
 	if err != nil {

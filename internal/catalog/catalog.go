@@ -2,9 +2,13 @@
 // tables, columns, indexes, sort orders, and the per-column statistics (row
 // counts, distincts, min/max, equi-depth histograms) that the cost model
 // consumes. A table's data lives in exactly one place, the column snapshot
-// of its storage.Backend; rows are how data arrives (AppendRows, ResetRows),
-// never how it is held. The paper's built-in functions Fn_scansummary and
-// the histogram machinery it mentions live on top of this package.
+// of its storage.Backend; rows are how data arrives (AppendRows), never how
+// it is held, and a stream window is republished as columns (ResetSnapshot).
+// Statistics are lazy: Analyze only records which rows they describe, and a
+// column's histogram is built the first time a planner reads it (Stats) — a
+// table nobody plans over pays nothing. The paper's built-in functions
+// Fn_scansummary and the histogram machinery it mentions live on top of this
+// package.
 package catalog
 
 import (
@@ -27,6 +31,17 @@ type ColStats struct {
 	Hist     *stats.Histogram // nil until Analyze
 }
 
+// tableStats is what one Analyze leaves behind: which rows the statistics
+// describe, and the columns somebody has read since. It holds no snapshot —
+// snapshots are append-only and prefix-stable, so Stats builds from the first
+// rows rows of the current one and a superseded snapshot's arrays stay
+// collectable.
+type tableStats struct {
+	rows    float64
+	buckets int
+	cols    []atomic.Pointer[ColStats] // nil entry: not built yet
+}
+
 // Table is a base table: schema, physical design, statistics, and the
 // storage.Backend that holds its data as one immutable, atomically
 // republished column snapshot (see ColumnSnapshot) — what the executor scans
@@ -38,11 +53,21 @@ type Table struct {
 	Name     string
 	ColNames []string
 
+	// NumRows is the analyzed row count. It is an exported field only because
+	// benchmarks/servehot.go reads it; everything else calls Rows, which is
+	// ordered with Analyze.
 	NumRows  float64
 	Width    float64 // estimated bytes per row, for page-count costing
-	Cols     []ColStats
-	Indexes  []int // column offsets carrying an index, ascending
-	SortedBy int   // column offset of the physical sort order, or -1
+	Indexes  []int   // column offsets carrying an index, ascending
+	SortedBy int     // column offset of the physical sort order, or -1
+
+	// st is the last Analyze (nil before the first): readers load it and a
+	// built column without locking — the planner costs index joins from
+	// Stats inside every repair. statsMu serializes whoever writes NumRows,
+	// replaces st or builds a column; Stats may take mu under it, never the
+	// reverse.
+	statsMu sync.Mutex
+	st      atomic.Pointer[tableStats]
 
 	// mu guards the store binding and orders mutations with their version
 	// bump; executions never hold it while scanning — they read an
@@ -50,7 +75,7 @@ type Table struct {
 	mu    sync.Mutex
 	store storage.Backend
 
-	// dataVersion counts data mutations: every AppendRows and ResetRows
+	// dataVersion counts data mutations: every AppendRows and ResetSnapshot
 	// bumps it. Derived state materialized from the table's rows — cached
 	// query results above all — pins the version it read and treats any
 	// later value as an invalidation signal.
@@ -63,7 +88,6 @@ func NewTable(name string, cols ...string) *Table {
 	return &Table{
 		Name:     name,
 		ColNames: cols,
-		Cols:     make([]ColStats, len(cols)),
 		SortedBy: -1,
 		Width:    float64(8 * len(cols)),
 	}
@@ -124,9 +148,6 @@ func (t *Table) Append(row []int64) {
 // data version. In-flight executions are unaffected: they keep reading the
 // storage snapshot they captured, which appends never mutate.
 func (t *Table) AppendRows(rows [][]int64) error {
-	if err := t.checkArity(rows); err != nil {
-		return err
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if err := t.storeLocked().Append(rows); err != nil {
@@ -136,30 +157,22 @@ func (t *Table) AppendRows(rows [][]int64) error {
 	return nil
 }
 
-// ResetRows replaces the table's content wholesale — a stream window
-// republished each slice — and bumps the data version. It panics on arity
-// mismatch. The caller must Analyze afterwards to refresh stats.
-func (t *Table) ResetRows(rows [][]int64) {
-	if err := t.checkArity(rows); err != nil {
-		panic(fmt.Sprintf("catalog: reset %s: %v", t.Name, err))
+// ResetSnapshot replaces the table's content wholesale with snap — a stream
+// window republished each slice — and bumps the data version. The columns
+// are shared, not copied. It panics on arity mismatch. The caller must
+// Analyze afterwards: statistics describe a prefix of the current content.
+func (t *Table) ResetSnapshot(snap *storage.Snapshot) {
+	if len(snap.Cols) != len(t.ColNames) {
+		panic(fmt.Sprintf("catalog: reset %s: %d columns != schema arity %d", t.Name, len(snap.Cols), len(t.ColNames)))
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.storeLocked().ResetRows(rows)
+	t.storeLocked().ResetSnapshot(snap)
 	t.dataVersion.Add(1)
 }
 
-func (t *Table) checkArity(rows [][]int64) error {
-	for _, row := range rows {
-		if len(row) != len(t.ColNames) {
-			return fmt.Errorf("row arity %d != schema arity %d", len(row), len(t.ColNames))
-		}
-	}
-	return nil
-}
-
 // DataVersion returns the table's data version: a counter bumped by every
-// mutation of the stored rows (AppendRows, ResetRows). Consumers of
+// mutation of the stored rows (AppendRows, ResetSnapshot). Consumers of
 // materialized derived state compare the version they captured at
 // materialization time against the current one to detect staleness.
 func (t *Table) DataVersion() uint64 { return t.dataVersion.Load() }
@@ -189,28 +202,60 @@ func (t *Table) ColumnSnapshot() (cols [][]int64, n int) {
 	return snap.Cols, snap.N
 }
 
-// Analyze recomputes NumRows and per-column statistics (distincts, min/max,
-// equi-depth histograms) from one captured snapshot, so it needs no
-// quiescence from writers: whatever is appended meanwhile, the statistics
-// describe a state of the table that was actually published. The statistics
-// themselves are plain fields the planner reads unsynchronized: re-analyzing
-// a table while statements over it are being planned is the caller's to
-// coordinate.
+// Analyze refreshes the statistics in O(1): it sets NumRows to the row count
+// of the snapshot published now and forgets the column statistics built so
+// far; Stats rebuilds a column over exactly those rows when a planner next
+// reads it. It needs no quiescence from writers or planners — whatever is
+// appended meanwhile, the statistics describe a state of the table that was
+// actually published.
 func (t *Table) Analyze(buckets int) {
 	if buckets <= 0 {
 		buckets = DefaultHistogramBuckets
 	}
-	snap := t.Store().Snapshot()
-	cols := make([]ColStats, len(t.ColNames))
-	for c := range cols {
-		if snap.N == 0 {
-			cols[c] = ColStats{Distinct: 1}
-			continue
-		}
-		h := stats.BuildHistogram(snap.Cols[c], buckets)
-		cols[c] = ColStats{Distinct: h.Distinct(), Min: h.Min(), Max: h.Max(), Hist: h}
+	n := float64(t.Store().Snapshot().N)
+	t.setStats(&tableStats{rows: n, buckets: buckets, cols: make([]atomic.Pointer[ColStats], len(t.ColNames))})
+}
+
+func (t *Table) setStats(st *tableStats) {
+	t.statsMu.Lock()
+	defer t.statsMu.Unlock()
+	t.NumRows = st.rows
+	t.st.Store(st)
+}
+
+// Rows returns the analyzed row count (NumRows, read in order with Analyze).
+func (t *Table) Rows() float64 {
+	if st := t.st.Load(); st != nil {
+		return st.rows
 	}
-	t.NumRows, t.Cols = float64(snap.N), cols
+	return 0
+}
+
+// Stats returns the statistics of the column at off as of the last Analyze
+// (distinct count, min/max, equi-depth histogram), building them on first
+// read. A never-analyzed table reports the zero ColStats, an analyzed empty
+// one Distinct 1.
+func (t *Table) Stats(off int) ColStats {
+	st := t.st.Load()
+	if st == nil {
+		return ColStats{}
+	}
+	if cs := st.cols[off].Load(); cs != nil {
+		return *cs
+	}
+	t.statsMu.Lock()
+	defer t.statsMu.Unlock()
+	if cs := st.cols[off].Load(); cs != nil {
+		return *cs
+	}
+	cs := ColStats{Distinct: 1}
+	snap := t.Store().Snapshot()
+	if n := min(int(st.rows), snap.N); n > 0 {
+		h := stats.BuildHistogram(snap.Cols[off][:n], st.buckets)
+		cs = ColStats{Distinct: h.Distinct(), Min: h.Min(), Max: h.Max(), Hist: h}
+	}
+	st.cols[off].Store(&cs)
+	return cs
 }
 
 // ZoneCols returns the column offsets whose segment zone maps make
@@ -225,8 +270,7 @@ func (t *Table) SetSyntheticStats(rows float64, distincts []int64) {
 	if len(distincts) != len(t.ColNames) {
 		panic("catalog: SetSyntheticStats arity mismatch")
 	}
-	t.NumRows = rows
-	t.Cols = make([]ColStats, len(t.ColNames))
+	st := &tableStats{rows: rows, cols: make([]atomic.Pointer[ColStats], len(t.ColNames))}
 	for c, d := range distincts {
 		if d < 1 {
 			d = 1
@@ -247,8 +291,9 @@ func (t *Table) SetSyntheticStats(rows float64, distincts []int64) {
 			h.Counts[i] = rows / float64(len(h.Counts))
 			h.DistinctPerBucket[i] = float64(d) / float64(len(h.Counts))
 		}
-		t.Cols[c] = ColStats{Distinct: float64(d), Min: 0, Max: d - 1, Hist: h}
+		st.cols[c].Store(&ColStats{Distinct: float64(d), Min: 0, Max: d - 1, Hist: h})
 	}
+	t.setStats(st)
 }
 
 // Catalog is a named collection of tables.
@@ -299,7 +344,7 @@ func (c *Catalog) Names() []string {
 func (c *Catalog) AnalyzeAll(buckets int) {
 	for _, name := range c.order {
 		t := c.tables[name]
-		if _, n := t.ColumnSnapshot(); n > 0 || t.NumRows == 0 {
+		if _, n := t.ColumnSnapshot(); n > 0 || t.Rows() == 0 {
 			t.Analyze(buckets)
 		}
 	}

@@ -4,6 +4,8 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"repro/internal/storage"
 )
 
 func TestTableSchemaHelpers(t *testing.T) {
@@ -44,16 +46,16 @@ func TestAnalyze(t *testing.T) {
 	if tb.NumRows != 100 {
 		t.Fatalf("NumRows = %v", tb.NumRows)
 	}
-	if d := tb.Cols[0].Distinct; math.Abs(d-100) > 1 {
+	if d := tb.Stats(0).Distinct; math.Abs(d-100) > 1 {
 		t.Fatalf("distinct(k) = %v", d)
 	}
-	if d := tb.Cols[1].Distinct; math.Abs(d-5) > 0.5 {
+	if d := tb.Stats(1).Distinct; math.Abs(d-5) > 0.5 {
 		t.Fatalf("distinct(v) = %v", d)
 	}
-	if tb.Cols[0].Min != 0 || tb.Cols[0].Max != 99 {
-		t.Fatalf("min/max = %d/%d", tb.Cols[0].Min, tb.Cols[0].Max)
+	if tb.Stats(0).Min != 0 || tb.Stats(0).Max != 99 {
+		t.Fatalf("min/max = %d/%d", tb.Stats(0).Min, tb.Stats(0).Max)
 	}
-	if tb.Cols[0].Hist == nil {
+	if tb.Stats(0).Hist == nil {
 		t.Fatal("histogram missing")
 	}
 }
@@ -61,8 +63,8 @@ func TestAnalyze(t *testing.T) {
 func TestAnalyzeEmptyTable(t *testing.T) {
 	tb := NewTable("t", "a")
 	tb.Analyze(4)
-	if tb.NumRows != 0 || tb.Cols[0].Distinct != 1 {
-		t.Fatalf("empty analyze: rows=%v distinct=%v", tb.NumRows, tb.Cols[0].Distinct)
+	if tb.NumRows != 0 || tb.Stats(0).Distinct != 1 {
+		t.Fatalf("empty analyze: rows=%v distinct=%v", tb.NumRows, tb.Stats(0).Distinct)
 	}
 }
 
@@ -72,10 +74,10 @@ func TestSetSyntheticStats(t *testing.T) {
 	if tb.NumRows != 1000 {
 		t.Fatalf("rows = %v", tb.NumRows)
 	}
-	if tb.Cols[0].Distinct != 50 || tb.Cols[1].Distinct != 1000 {
-		t.Fatalf("distincts = %v %v", tb.Cols[0].Distinct, tb.Cols[1].Distinct)
+	if tb.Stats(0).Distinct != 50 || tb.Stats(1).Distinct != 1000 {
+		t.Fatalf("distincts = %v %v", tb.Stats(0).Distinct, tb.Stats(1).Distinct)
 	}
-	if tb.Cols[0].Hist == nil || tb.Cols[0].Hist.Total != 1000 {
+	if tb.Stats(0).Hist == nil || tb.Stats(0).Hist.Total != 1000 {
 		t.Fatal("synthetic histogram missing or mis-sized")
 	}
 }
@@ -131,12 +133,12 @@ func TestDataVersion(t *testing.T) {
 	if v2 <= v1 {
 		t.Fatal("second Append did not bump the data version")
 	}
-	tb.ResetRows([][]int64{{5, 6}})
+	tb.ResetSnapshot(&storage.Snapshot{Cols: [][]int64{{5}, {6}}, N: 1})
 	if tb.DataVersion() <= v2 {
-		t.Fatal("ResetRows did not bump the data version")
+		t.Fatal("ResetSnapshot did not bump the data version")
 	}
 	if cols, n := tb.ColumnSnapshot(); n != 1 || cols[0][0] != 5 || cols[1][0] != 6 {
-		t.Fatalf("ResetRows left %d rows, cols %v", n, cols)
+		t.Fatalf("ResetSnapshot left %d rows, cols %v", n, cols)
 	}
 }
 
@@ -180,7 +182,7 @@ func TestAnalyzeDuringAppend(t *testing.T) {
 		}
 		// k is 0..n-1 in the first n rows: the statistics are over exactly
 		// the rows counted, not a longer or shorter prefix.
-		if k := tb.Cols[0]; k.Min != 0 || k.Max != int64(n-1) || k.Hist.Total != float64(n) {
+		if k := tb.Stats(0); k.Min != 0 || k.Max != int64(n-1) || k.Hist.Total != float64(n) {
 			t.Fatalf("NumRows %d but k spans [%d, %d] over %v rows", n, k.Min, k.Max, k.Hist.Total)
 		}
 	}
@@ -191,8 +193,10 @@ func TestAnalyzeDuringAppend(t *testing.T) {
 	}
 	quiet.Analyze(8)
 	tb.Analyze(8)
-	if tb.NumRows != quiet.NumRows || !reflect.DeepEqual(tb.Cols, quiet.Cols) {
-		t.Fatalf("Analyze after concurrent appends differs from a quiescent one:\n%v %+v\n%v %+v",
-			tb.NumRows, tb.Cols, quiet.NumRows, quiet.Cols)
+	for c := range tb.ColNames {
+		if got, want := tb.Stats(c), quiet.Stats(c); tb.NumRows != quiet.NumRows || !reflect.DeepEqual(got, want) {
+			t.Fatalf("Analyze after concurrent appends differs from a quiescent one:\n%v %+v\n%v %+v",
+				tb.NumRows, got, quiet.NumRows, want)
+		}
 	}
 }

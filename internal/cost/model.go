@@ -105,7 +105,7 @@ func NewModel(q *relalg.Query, cat *catalog.Catalog, p Params) (*Model, error) {
 			return nil, fmt.Errorf("query %s relation %s: %w", q.Name, r.Alias, err)
 		}
 		m.tables[i] = t
-		m.baseRows[i] = math.Max(t.NumRows, 1)
+		m.baseRows[i] = math.Max(t.Rows(), 1)
 		m.scanFactor[i] = 1
 		sel := 1.0
 		for _, pr := range q.ScanPredsOf(i) {
@@ -132,7 +132,7 @@ func NewModel(q *relalg.Query, cat *catalog.Catalog, p Params) (*Model, error) {
 }
 
 func (m *Model) predSel(t *catalog.Table, pr relalg.ScanPred) (float64, error) {
-	cs := t.Cols[pr.Col.Off]
+	cs := t.Stats(pr.Col.Off)
 	if cs.Hist != nil {
 		return cs.Hist.FracCmp(pr.Op.String(), pr.Val)
 	}
@@ -149,13 +149,12 @@ func (m *Model) predSel(t *catalog.Table, pr relalg.ScanPred) (float64, error) {
 
 func (m *Model) colDistinct(c relalg.ColID) float64 {
 	t := m.tables[c.Rel]
-	if c.Off < len(t.Cols) {
-		d := t.Cols[c.Off].Distinct
-		if d >= 1 {
+	if c.Off < len(t.ColNames) {
+		if d := t.Stats(c.Off).Distinct; d >= 1 {
 			return d
 		}
 	}
-	return math.Max(t.NumRows, 1)
+	return math.Max(t.Rows(), 1)
 }
 
 // ---- relalg.SchemaInfo ----

@@ -7,7 +7,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/relalg"
 	"repro/internal/rescache"
-	"repro/internal/testkit"
+	"repro/internal/storage"
 	"repro/internal/tpch"
 	"repro/internal/volcano"
 )
@@ -282,19 +282,15 @@ func TestResultCacheVersionPinning(t *testing.T) {
 	// Republish the customer table with the content it already has: a new
 	// data version, so every cached entry over it must bypass.
 	cust := cat.MustTable("customer")
-	_, n := cust.ColumnSnapshot()
-	same := make([][]int64, n)
-	for i := range same {
-		same[i] = testkit.Row(cust, i)
-	}
-	cust.ResetRows(same)
+	cols, n := cust.ColumnSnapshot()
+	cust.ResetSnapshot(&storage.Snapshot{Cols: cols, N: n})
 	cust.Analyze(0)
 
 	hitsBefore := cache.Metrics().Hits
 	after := run()
 	met := cache.Metrics()
 	if met.Invalidations == 0 {
-		t.Fatal("no invalidation after ResetRows bumped the data version")
+		t.Fatal("no invalidation after ResetSnapshot bumped the data version")
 	}
 	if after != before {
 		t.Fatal("post-invalidation run (same logical data) changed the result")

@@ -3,13 +3,16 @@
 // with drifting hot segments, our substitute for the benchmark's validated
 // generator) and the paper's SegTollS query (Table 2) — a five-way windowed
 // self-join over the CarLocStr stream — together with the sliding and
-// partitioned window state the query's FROM clause declares.
+// partitioned window state the query's FROM clause declares. Reports arrive
+// as rows (Ingest); a window holds them as columns and publishes those
+// columns as its table's snapshot, so no slice transposes anything.
 package linearroad
 
 import (
 	"repro/internal/catalog"
 	"repro/internal/relalg"
 	"repro/internal/stats"
+	"repro/internal/storage"
 )
 
 // CarLocStr column offsets.
@@ -88,7 +91,7 @@ func SegTollS() *relalg.Query {
 // Windows maintains the five window states of SegTollS over the raw stream:
 // two time-sliding windows (300 s and 30 s) and three partitioned last-N
 // windows. Ingest applies a batch of reports; Materialize publishes current
-// window contents as the catalog tables' snapshots and refreshes their
+// window contents as the catalog tables' snapshots and re-dates their
 // statistics — the state-migration substitute described in DESIGN.md
 // (window state is the shared state carried across plan switches, as in
 // CAPS).
@@ -147,13 +150,14 @@ func (w *Windows) Ingest(rows [][]int64) {
 }
 
 // Materialize publishes the window contents as the catalog tables' column
-// snapshots — the one representation the executor and Analyze read — and
-// recomputes their statistics.
+// snapshots — the one representation the executor and the statistics read —
+// and re-dates their statistics (O(1): a histogram is built only if a
+// planner asks for that column).
 func (w *Windows) Materialize() {
-	snap := [][][]int64{w.w1.rows(), w.w2.rows(), w.w3.rows(), w.w4.rows(), w.w5.rows()}
+	snaps := []*storage.Snapshot{w.w1.snapshot(), w.w2.snapshot(), w.w3.snapshot(), w.w4.snapshot(), w.w5.snapshot()}
 	for i, name := range WindowTables {
 		t := w.cat.MustTable(name)
-		t.ResetRows(snap[i])
+		t.ResetSnapshot(snaps[i])
 		t.Analyze(16)
 	}
 }
@@ -165,57 +169,85 @@ func (w *Windows) Materialize() {
 // that stops passing it deletes this method and RunSlice's parameter.
 func (w *Windows) Data(rel int) [][]int64 { return nil }
 
-// timeWindow keeps rows whose timestamp is within span of the newest.
+// timeWindow keeps rows whose timestamp is within span of the newest, as
+// columns: live rows are [start, len). A row is only ever appended past every
+// published snapshot and expiry only moves start, so published columns are
+// never written again; growth copies the live rows into fresh arrays, which
+// is also when the expired prefix is dropped.
 type timeWindow struct {
-	span int64
-	buf  [][]int64
+	span  int64
+	cols  [NumCols][]int64
+	start int
 }
 
 func (tw *timeWindow) add(r []int64) {
-	tw.buf = append(tw.buf, r)
-	now := r[ColTime]
-	i := 0
-	for i < len(tw.buf) && tw.buf[i][ColTime] <= now-tw.span {
-		i++
+	if n := len(tw.cols[0]); n == cap(tw.cols[0]) {
+		for c, col := range tw.cols {
+			tw.cols[c] = append(make([]int64, 0, max(2*(n-tw.start), 64)), col[tw.start:]...)
+		}
+		tw.start = 0
 	}
-	if i > 0 {
-		tw.buf = append(tw.buf[:0], tw.buf[i:]...)
+	for c := range tw.cols {
+		tw.cols[c] = append(tw.cols[c], r[c])
+	}
+	// Terminates at the row just added: span is positive.
+	for tw.cols[ColTime][tw.start] <= r[ColTime]-tw.span {
+		tw.start++
 	}
 }
 
-// rows is the window's content, valid until the next add.
-func (tw *timeWindow) rows() [][]int64 { return tw.buf }
+// snapshot is the window's content, zero-copy.
+func (tw *timeWindow) snapshot() *storage.Snapshot {
+	snap := &storage.Snapshot{Cols: make([][]int64, NumCols), N: len(tw.cols[0]) - tw.start}
+	for c, col := range tw.cols {
+		snap.Cols[c] = col[tw.start:]
+	}
+	return snap
+}
 
-// lastN keeps the most recent n rows per key.
+// lastN keeps the most recent n rows per key in dense, slot-addressed
+// columns: a key owns up to n slots, oldest row first, and once it is full a
+// new row shifts its older ones down in place.
 type lastN struct {
 	n    int
 	key  func([]int64) int64
-	byK  map[int64][][]int64
-	keys []int64 // insertion order of first sight, for determinism
+	cols [NumCols][]int64
+	byK  map[int64][]int // the slots a key owns, in order of acquisition
 }
 
 func (l *lastN) add(r []int64) {
 	if l.byK == nil {
-		l.byK = map[int64][][]int64{}
+		l.byK = map[int64][]int{}
 	}
 	k := l.key(r)
-	b, seen := l.byK[k]
-	if !seen {
-		l.keys = append(l.keys, k)
+	slots := l.byK[k]
+	if len(slots) < l.n {
+		l.byK[k] = append(slots, len(l.cols[0]))
+		for c := range l.cols {
+			l.cols[c] = append(l.cols[c], r[c])
+		}
+		return
 	}
-	b = append(b, r)
-	if len(b) > l.n {
-		b = b[len(b)-l.n:]
+	for c := range l.cols {
+		col := l.cols[c]
+		for i := 1; i < len(slots); i++ {
+			col[slots[i-1]] = col[slots[i]]
+		}
+		col[slots[len(slots)-1]] = r[c]
 	}
-	l.byK[k] = b
 }
 
-func (l *lastN) rows() [][]int64 {
-	var out [][]int64
-	for _, k := range l.keys {
-		out = append(out, l.byK[k]...)
+// snapshot copies the window's content out (slots are rewritten in place, so
+// a published snapshot cannot share them): one copy per column.
+func (l *lastN) snapshot() *storage.Snapshot {
+	n := len(l.cols[0])
+	snap := &storage.Snapshot{Cols: make([][]int64, NumCols), N: n}
+	flat := make([]int64, NumCols*n)
+	for c, col := range l.cols {
+		snap.Cols[c] = flat[c*n : (c+1)*n]
+		copy(snap.Cols[c], col)
 	}
-	return out
+	return snap
 }
 
 // Gen produces the synthetic stream: cars on expressways reporting

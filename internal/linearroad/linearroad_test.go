@@ -7,6 +7,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/exec"
 	"repro/internal/relalg"
+	"repro/internal/storage"
 	"repro/internal/testkit"
 )
 
@@ -56,12 +57,23 @@ func TestGenDeterministicAndBursty(t *testing.T) {
 	}
 }
 
+// rowsOf reads a published snapshot back row by row.
+func rowsOf(snap *storage.Snapshot) [][]int64 {
+	rows := make([][]int64, snap.N)
+	for i := range rows {
+		for _, col := range snap.Cols {
+			rows[i] = append(rows[i], col[i])
+		}
+	}
+	return rows
+}
+
 func TestTimeWindowExpires(t *testing.T) {
 	w := &timeWindow{span: 10}
 	for ts := int64(0); ts < 25; ts++ {
 		w.add([]int64{ts, 0, 0, 0, 0, 0, 0, 0})
 	}
-	rows := w.rows()
+	rows := rowsOf(w.snapshot())
 	for _, r := range rows {
 		if r[ColTime] <= 24-10 {
 			t.Fatalf("expired row retained: t=%d", r[ColTime])
@@ -78,7 +90,7 @@ func TestLastNCaps(t *testing.T) {
 		w.add([]int64{i, 7, 0, 0, 0, 0, 0, i * 100})
 	}
 	w.add([]int64{9, 8, 0, 0, 0, 0, 0, 0})
-	rows := w.rows()
+	rows := rowsOf(w.snapshot())
 	if len(rows) != 3 {
 		t.Fatalf("lastN rows = %d, want 3 (2 for car 7, 1 for car 8)", len(rows))
 	}
@@ -99,7 +111,7 @@ func TestWindowsIngestAndMaterialize(t *testing.T) {
 		if tb.NumRows == 0 {
 			t.Fatalf("window %s empty after 20s of stream", name)
 		}
-		if tb.Cols[ColCarID].Hist == nil {
+		if tb.Stats(ColCarID).Hist == nil {
 			t.Fatalf("window %s missing statistics", name)
 		}
 	}

@@ -197,29 +197,6 @@ func (c *Cache) Store(fp string, e *Entry) bool {
 	return true
 }
 
-// Invalidate drops every entry whose pinned versions include the table —
-// the eager path for callers that know a table changed (tests, admin
-// commands); regular serving relies on probe-time revalidation.
-func (c *Cache) Invalidate(table string) int {
-	if !c.Enabled() {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for _, e := range c.m {
-		for _, v := range e.Versions {
-			if v.Table == table {
-				c.unlinkLocked(e)
-				c.invalidations++
-				n++
-				break
-			}
-		}
-	}
-	return n
-}
-
 // unlinkLocked removes e from the map, the LRU list and the byte account.
 func (c *Cache) unlinkLocked(e *Entry) {
 	delete(c.m, e.fp)

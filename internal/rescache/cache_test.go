@@ -161,20 +161,3 @@ func TestStoreReplacesSameFingerprint(t *testing.T) {
 		t.Fatalf("metrics %+v, want exactly the replacement accounted", m)
 	}
 }
-
-func TestInvalidateByTable(t *testing.T) {
-	c := New(1 << 20)
-	c.Store("ab", entry(10, 1, TableVersion{Table: "a", Version: 1}, TableVersion{Table: "b", Version: 1}))
-	c.Store("b", entry(10, 1, TableVersion{Table: "b", Version: 1}))
-	c.Store("c", entry(10, 1, TableVersion{Table: "c", Version: 1}))
-	if n := c.Invalidate("b"); n != 2 {
-		t.Fatalf("invalidated %d entries over table b, want 2", n)
-	}
-	m := c.Metrics()
-	if m.Entries != 1 || m.Invalidations != 2 {
-		t.Fatalf("metrics %+v, want only the c entry left", m)
-	}
-	if _, ok := c.Probe("c", fixedVersions(map[string]uint64{"c": 1}), nil); !ok {
-		t.Fatal("unrelated entry was invalidated")
-	}
-}

@@ -192,7 +192,7 @@ func (s *DiskStore) load() (walGood int64, err error) {
 	if err := replayWAL(walPath, walGood, cols, lo); err != nil {
 		return 0, err
 	}
-	s.mem.reset(&Snapshot{Cols: cols, N: n})
+	s.mem.ResetSnapshot(&Snapshot{Cols: cols, N: n})
 	// The persisted indexes are usable only when they cover every row.
 	s.indexValid = s.walRows == 0
 	return walGood, nil
@@ -260,25 +260,14 @@ func (s *DiskStore) Append(rows [][]int64) error {
 	return nil
 }
 
-func (s *DiskStore) ResetRows(rows [][]int64) {
-	s.ResetSnapshot(transpose(s.width, rows))
-}
-
-// ResetSnapshot replaces the store's content wholesale with snap — how a
-// catalog seeds a fresh directory from the table it already holds, without
-// a detour through rows. The columns are shared, not copied (snapshots are
-// immutable; their capacity is clipped so this store's appends copy rather
-// than write into arrays another store may own). Disk history no longer
-// matches, even at the same row count: the next Flush rewrites everything
-// as one segment.
+// ResetSnapshot replaces the store's content wholesale with snap — also how
+// a catalog seeds a fresh directory from the table it already holds, without
+// a detour through rows. Disk history no longer matches, even at the same
+// row count: the next Flush rewrites everything as one segment.
 func (s *DiskStore) ResetSnapshot(snap *Snapshot) {
-	cols := make([][]int64, s.width)
-	for c := range cols {
-		cols[c] = snap.Cols[c][:snap.N:snap.N]
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.mem.reset(&Snapshot{Cols: cols, N: snap.N})
+	s.mem.ResetSnapshot(snap)
 	s.dirtyAll = true
 	s.dropIndexesLocked()
 }
@@ -293,7 +282,7 @@ func (s *DiskStore) dropIndexesLocked() {
 
 func (s *DiskStore) Scan(preds []Pred, batch int) *SegIter {
 	// Snapshot and segment metadata must be read atomically together: a
-	// concurrent ResetRows/Flush swaps both under mu, and applying one
+	// concurrent ResetSnapshot/Flush swaps both under mu, and applying one
 	// generation's zone maps to the other's data could prune live rows.
 	s.mu.Lock()
 	snap := s.mem.Snapshot()

@@ -16,7 +16,7 @@ import (
 // reader.
 type MemStore struct {
 	width int
-	mu    sync.Mutex // serializes writers (Append/ResetRows/reset)
+	mu    sync.Mutex // serializes writers (Append/ResetSnapshot)
 	snap  atomic.Pointer[Snapshot]
 }
 
@@ -80,32 +80,16 @@ func growCap(have, need int) int {
 	return max(need, have+have/4, 64)
 }
 
-func (s *MemStore) ResetRows(rows [][]int64) {
-	s.reset(transpose(s.width, rows))
-}
-
-// reset publishes snap as the store's whole content. The store takes the
-// column arrays over: the caller must not write to them afterwards.
-func (s *MemStore) reset(snap *Snapshot) {
+// ResetSnapshot publishes snap's first N rows as the store's whole content,
+// sharing the column arrays with their capacity clipped.
+func (s *MemStore) ResetSnapshot(snap *Snapshot) {
+	cols := make([][]int64, s.width)
+	for c := range cols {
+		cols[c] = snap.Cols[c][:snap.N:snap.N]
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.snap.Store(snap)
-}
-
-// transpose builds a column-major snapshot from row-major data using one
-// contiguous backing array.
-func transpose(width int, rows [][]int64) *Snapshot {
-	n := len(rows)
-	cols := make([][]int64, width)
-	flat := make([]int64, width*n)
-	for c := 0; c < width; c++ {
-		col := flat[c*n : (c+1)*n : (c+1)*n]
-		for i, r := range rows {
-			col[i] = r[c]
-		}
-		cols[c] = col
-	}
-	return &Snapshot{Cols: cols, N: n}
+	s.snap.Store(&Snapshot{Cols: cols, N: snap.N})
 }
 
 func (s *MemStore) Scan(preds []Pred, batch int) *SegIter {

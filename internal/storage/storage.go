@@ -5,8 +5,10 @@
 //
 // A store's column snapshot is the table: the one in-memory copy of its
 // rows, which the executor scans as zero-copy column windows and the catalog
-// reads for statistics. Rows are only how data arrives — Append batches, log
-// records, ResetRows — and every backend turns them into columns once.
+// reads for statistics. Rows are only how data arrives — Append batches and
+// log records — and every backend turns them into columns once; a producer
+// that already holds columns (a stream window, a catalog seeding a fresh
+// directory) publishes them as they are with ResetSnapshot.
 //
 // MemStore publishes the snapshot behind one atomic pointer, so an Append
 // never invalidates the columns an in-flight execution is reading (the old
@@ -91,10 +93,13 @@ type Backend interface {
 	// durably for persistent backends. The new rows are visible in
 	// snapshots taken after Append returns.
 	Append(rows [][]int64) error
-	// ResetRows replaces the store's content wholesale from row-major data
-	// — a stream window republished each slice. Persistent backends rewrite
+	// ResetSnapshot replaces the store's content wholesale with snap — a
+	// stream window republished each slice. The columns are shared, not
+	// copied: the caller must never write to rows < snap.N of them again
+	// (their capacity is clipped, so the store's own appends copy rather
+	// than write into arrays it does not own). Persistent backends rewrite
 	// their history at the next Flush.
-	ResetRows(rows [][]int64)
+	ResetSnapshot(snap *Snapshot)
 	// Scan returns a pooled batch iterator over the rows, pruned by the
 	// predicates where zone maps allow, yielding zero-copy column windows
 	// of at most batch rows (batch <= 0 uses a default). Callers must

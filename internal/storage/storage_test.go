@@ -14,6 +14,17 @@ import (
 
 func row(vs ...int64) []int64 { return vs }
 
+// transpose builds the column snapshot of non-empty row-major data.
+func transpose(rows [][]int64) *Snapshot {
+	snap := &Snapshot{Cols: make([][]int64, len(rows[0])), N: len(rows)}
+	for c := range snap.Cols {
+		for _, r := range rows {
+			snap.Cols[c] = append(snap.Cols[c], r[c])
+		}
+	}
+	return snap
+}
+
 // collect drains a scan into row-major form (arrival order of the windows).
 func collect(it *SegIter, width int) [][]int64 {
 	defer it.Release()
@@ -348,7 +359,7 @@ func TestDiskStoreResetRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Wholesale replacement; next flush rewrites.
-	s.ResetRows([][]int64{row(7), row(8)})
+	s.ResetSnapshot(transpose([][]int64{row(7), row(8)}))
 	if err := s.Flush(2); err != nil {
 		t.Fatal(err)
 	}
@@ -452,7 +463,7 @@ func TestDiskStoreResetRowsSameCountNewContent(t *testing.T) {
 	if s2.OrderedIndex(0) == nil {
 		t.Fatal("no ordered index after clean reload")
 	}
-	s2.ResetRows([][]int64{row(7), row(8), row(9)})
+	s2.ResetSnapshot(transpose([][]int64{row(7), row(8), row(9)}))
 	if s2.OrderedIndex(0) != nil {
 		t.Fatal("index survived a same-count content change")
 	}
@@ -508,7 +519,7 @@ func TestDiskStoreScanConcurrentResetRows(t *testing.T) {
 	go func() {
 		defer close(done)
 		for k := 0; k < 400; k++ {
-			s.ResetRows(gen(int64(k % 2)))
+			s.ResetSnapshot(transpose(gen(int64(k % 2))))
 			if k%64 == 63 {
 				if err := s.Flush(uint64(k)); err != nil {
 					t.Error(err)

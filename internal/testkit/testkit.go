@@ -103,7 +103,7 @@ func RandomQuery(r *stats.Rand, cat *catalog.Catalog, nRels int) *relalg.Query {
 		}
 		t := cat.MustTable(q.Rels[i].Table)
 		off := r.Intn(ColsPerTable)
-		max := t.Cols[off].Max
+		max := t.Stats(off).Max
 		if max < 1 {
 			max = 1
 		}

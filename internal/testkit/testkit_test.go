@@ -24,7 +24,7 @@ func TestSyntheticCatalogShape(t *testing.T) {
 			t.Fatalf("%s rows = %v", n, tb.NumRows)
 		}
 		for c := 0; c < ColsPerTable; c++ {
-			if tb.Cols[c].Distinct < 1 || tb.Cols[c].Hist == nil {
+			if cs := tb.Stats(c); cs.Distinct < 1 || cs.Hist == nil {
 				t.Fatalf("%s col %d stats missing", n, c)
 			}
 		}

@@ -125,7 +125,7 @@
 // columns — shared across statements and sessions that never saw each other
 // — while a miss tees the subtree's output into the cache as a side effect
 // of normal execution. Entries pin the data versions of their base tables
-// (bumped by catalog AppendRows/ResetRows), so a mutation silently
+// (bumped by catalog AppendRows/ResetSnapshot), so a mutation silently
 // invalidates every dependent result, and the byte budget — the cache's one
 // bound — evicts least-recently-probed entries. Cached serving is exactly transparent: results and the
 // per-operator cardinality feedback driving plan repair are byte-identical
@@ -190,8 +190,15 @@
 //
 // A table's data is held once: as the immutable column snapshot of its
 // storage backend (internal/storage). The executor scans it as zero-copy
-// column windows, catalog.Table.Analyze computes statistics from it, and
-// rows exist only on the way in (AppendRows, ResetRows, log records). The
+// column windows and the statistics are built from it. Rows are an ingest
+// format only — what AppendRows takes and the write-ahead log records; a
+// stream window (internal/linearroad) holds its content as columns and
+// publishes those columns as its table's snapshot each slice
+// (Table.ResetSnapshot), transposing nothing. Statistics are built on first
+// read: catalog.Table.Analyze is O(1) — it records which rows the statistics
+// describe — and a column's histogram is built when a planner first asks
+// for it (Table.Stats), from that prefix of the current snapshot, so a
+// column nobody plans over is never sorted. The
 // default backend is an in-memory column store whose snapshots publish
 // behind one atomic pointer, so appending rows never disturbs the column
 // windows an in-flight execution is scanning — mutation-safe and still
