@@ -74,8 +74,8 @@ type Config struct {
 	// Feedback cardinalities are exact at any setting, so the adaptive
 	// loop is unaffected by the parallelism choice.
 	Parallelism int
-	// MemBudgetBytes bounds each slice execution's tracked memory,
-	// forwarded to exec.Compiler: hash joins and aggregations spill under
+	// MemBudgetBytes bounds each slice execution's tracked memory (the
+	// limit of its exec.MemTracker): hash joins and aggregations spill under
 	// grace hashing instead of exceeding it. Feedback cardinalities are
 	// byte-identical with spilling on or off, so the adaptive loop is
 	// unaffected by the budget choice. 0 executes unbounded.
@@ -202,8 +202,10 @@ func (c *Controller) RunSlice(_ func(rel int) [][]int64) (SliceResult, error) {
 	// Execute over the current windows with the vectorized executor and
 	// collect actual cardinalities.
 	start = time.Now()
-	comp := &exec.Compiler{Q: c.cfg.Query, Cat: c.cfg.Cat,
-		Parallelism: c.cfg.Parallelism, MemBudgetBytes: c.cfg.MemBudgetBytes}
+	comp := &exec.Compiler{Q: c.cfg.Query, Cat: c.cfg.Cat, Parallelism: c.cfg.Parallelism}
+	if c.cfg.MemBudgetBytes > 0 {
+		comp.Mem = exec.NewMemTracker(c.cfg.MemBudgetBytes)
+	}
 	v, stats, err := comp.CompileVec(plan)
 	if err != nil {
 		return res, err

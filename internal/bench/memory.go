@@ -41,8 +41,7 @@ func (e *Env) MemoryFigure() *Table {
 				// A compiler carrying a tracker is single-execution, so
 				// each repetition compiles fresh.
 				mem = exec.NewMemTracker(budget)
-				comp := &exec.Compiler{Q: q, Cat: e.Cat, Parallelism: e.Parallelism,
-					MemBudgetBytes: budget, Mem: mem}
+				comp := &exec.Compiler{Q: q, Cat: e.Cat, Parallelism: e.Parallelism, Mem: mem}
 				v, _, err := comp.CompileVec(vr.Plan)
 				if err != nil {
 					panic(fmt.Sprintf("bench: %s: %v", q.Name, err))

@@ -124,16 +124,6 @@ func (t *Table) AddIndex(col string) {
 	sort.Ints(t.Indexes)
 }
 
-// HasIndex reports whether the column offset carries an index.
-func (t *Table) HasIndex(off int) bool {
-	for _, o := range t.Indexes {
-		if o == off {
-			return true
-		}
-	}
-	return false
-}
-
 // Append adds a row. The caller must Analyze afterwards to refresh stats.
 // It panics on arity mismatch or a storage failure; mutation paths that
 // must surface storage errors (persistent backends) use AppendRows, and

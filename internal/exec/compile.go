@@ -75,25 +75,16 @@ type Compiler struct {
 	// register per-stage spans instead; see profile.go). Nil — the default
 	// — compiles exactly the unprofiled operator tree.
 	Prof *PlanProfile
-	// MemBudgetBytes bounds the query's tracked execution memory. When > 0
-	// and Mem is nil, CompileVec creates the tracker; operators that can go
-	// out of core (hash join build, hash aggregation) spill under grace
-	// hashing instead of exceeding the budget, operators that cannot (sorts,
-	// merge joins, index builds, fused pipelines admitted by the planner's
-	// size estimate) charge through and record overage. 0 keeps the
-	// unbounded execution paths exactly.
-	MemBudgetBytes int64
-	// Mem is the query's memory tracker. Callers either pass one in (the
-	// server, to read back peak and spill statistics) or leave it nil and
-	// set MemBudgetBytes. A Compiler carrying a tracker is single-execution:
-	// reusing it across queries would accumulate charges.
+	// Mem is the query's memory tracker, and the one way to bound its
+	// memory: under NewMemTracker(limit) with limit > 0, operators that can
+	// go out of core (hash-join builds — an index-NL join's among them — and
+	// hash aggregation) spill under grace hashing instead of exceeding the
+	// budget, into the tracker's SetSpillDir directory; operators that
+	// cannot (sorts, merge joins, fused pipelines admitted by the planner's
+	// size estimate) charge through and record overage. Nil keeps the
+	// unbounded execution paths exactly. A Compiler carrying a tracker is
+	// single-execution: reusing it across queries would accumulate charges.
 	Mem *MemTracker
-	// SpillDir is the directory spill partition files are created in when
-	// out-of-core operators go to disk ("" = system temp directory). A
-	// write failure there (disk full, bad mount) surfaces as the query's
-	// error; the partition files themselves are unlinked at creation, so
-	// nothing leaks even on abrupt failure.
-	SpillDir string
 	// decisions maps plan nodes to their resolved cache decision for the
 	// current CompileVec call.
 	decisions map[*relalg.Plan]*cacheDecision
@@ -106,12 +97,6 @@ type Compiler struct {
 func (c *Compiler) CompileVec(plan *relalg.Plan) (VecIterator, *RunStats, error) {
 	stats := &RunStats{Cards: map[relalg.RelSet]*int64{}}
 	c.resolveCache()
-	if c.Mem == nil && c.MemBudgetBytes > 0 {
-		c.Mem = NewMemTracker(c.MemBudgetBytes)
-	}
-	if c.SpillDir != "" {
-		c.Mem.SetSpillDir(c.SpillDir)
-	}
 	if c.Prof != nil {
 		c.Prof.workers = c.Parallelism
 	}
@@ -319,9 +304,8 @@ func (c *Compiler) compileVecNode(p *relalg.Plan, stats *RunStats, weighted bool
 		return c.trackedSort(child, off), schema, nil
 
 	case relalg.LogJoin:
-		jp := c.Q.Joins[p.Pred]
 		if p.Phy == relalg.PhyIndexNLJoin {
-			return c.compileVecIndexNL(p, jp, stats)
+			return c.compileVecIndexNL(p, stats)
 		}
 		if p.Phy == relalg.PhyHashJoin {
 			// Fuse an interior hash-join chain (e.g. a build-side
@@ -344,32 +328,21 @@ func (c *Compiler) compileVecNode(p *relalg.Plan, stats *RunStats, weighted bool
 			return nil, nil, err
 		}
 		schema, lOut, rOut := c.joinSchema(p, ls, rs)
-		in := joinInput(ls, rs)
-		lk, rk, err := c.joinOffsets(p, jp, ls, rs)
-		if err != nil {
-			return nil, nil, err
-		}
 		var v VecIterator
 		switch p.Phy {
 		case relalg.PhyHashJoin:
-			lKeys, rKeys, err := c.hashJoinKeys(p, ls, rs, lk, rk)
-			if err != nil {
+			if v, err = c.hashJoin(p, left, right, ls, rs, lOut, rOut, counted); err != nil {
 				return nil, nil, err
-			}
-			residual, err := c.colFilterPredsOnly(p, in)
-			if err != nil {
-				return nil, nil, err
-			}
-			v = NewVecHashJoin(left, right, lKeys, rKeys, residual, lOut, rOut, c.Parallelism)
-			if hj, ok := v.(*vecHashJoinOp); ok {
-				hj.mem = c.Mem.Child("hashjoin")
-				hj.counting = counted
 			}
 			if c.Prof != nil {
 				c.Prof.counted[p] = counted
 			}
 		case relalg.PhyMergeJoin:
-			residual, err := c.colResidualPreds(p, in)
+			lk, rk, err := c.joinOffsets(p, c.Q.Joins[p.Pred], ls, rs)
+			if err != nil {
+				return nil, nil, err
+			}
+			residual, err := c.colResidualPreds(p, joinInput(ls, rs))
 			if err != nil {
 				return nil, nil, err
 			}
@@ -385,47 +358,50 @@ func (c *Compiler) compileVecNode(p *relalg.Plan, stats *RunStats, weighted bool
 	return nil, nil, fmt.Errorf("exec: unknown logical operator %v", p.Log)
 }
 
-func (c *Compiler) compileVecIndexNL(p *relalg.Plan, jp relalg.JoinPred, stats *RunStats) (VecIterator, []relalg.ColID, error) {
+// hashJoin builds the tracked hash join of p over its compiled inputs: build
+// side left (schema ls), probe side right (schema rs).
+func (c *Compiler) hashJoin(p *relalg.Plan, left, right VecIterator, ls, rs []relalg.ColID, lOut, rOut []int, counted bool) (VecIterator, error) {
+	lKeys, rKeys, residual, err := c.hashJoinKeys(p, ls, rs)
+	if err != nil {
+		return nil, err
+	}
+	v := NewVecHashJoin(left, right, lKeys, rKeys, residual, lOut, rOut, c.Parallelism)
+	if hj, ok := v.(*vecHashJoinOp); ok {
+		hj.mem = c.Mem.Child("hashjoin")
+		hj.counting = counted
+	}
+	return v, nil
+}
+
+// compileVecIndexNL realises an index nested-loops join as a hash join whose
+// build side is the indexed inner relation (the plan's left child): the hash
+// table is the index, built over the inner's filtered leaf. The leaf is
+// compiled here as a bare serial scan, not through compileVec — it is part of
+// the join, so it has no counter and no profile span of its own, and an index
+// scan's order is of no use to a hash table — and, unfiltered, it lends the
+// table's columns to the build instead of copying them (vecScanOp.drainCols).
+// Plan space and cost model keep index-NL as the paper's Table 1 has it.
+func (c *Compiler) compileVecIndexNL(p *relalg.Plan, stats *RunStats) (VecIterator, []relalg.ColID, error) {
 	if p.Left.Log != relalg.LogScan {
 		return nil, nil, fmt.Errorf("exec: index nested-loops inner %v is not a scan", p.Left.Expr)
 	}
-	inner := p.Left.Rel
 	ls, err := c.scanSchema(p.Left)
 	if err != nil {
 		return nil, nil, err
 	}
-	leaf, err := c.resolveScan(inner, ls)
+	leaf, err := c.resolveScan(p.Left.Rel, ls)
 	if err != nil {
 		return nil, nil, err
 	}
-	innerCol, outerCol := jp.L, jp.R
-	if innerCol.Rel != inner {
-		innerCol, outerCol = outerCol, innerCol
-	}
-	ik, err := colOffset(ls, innerCol)
-	if err != nil {
-		return nil, nil, err
-	}
-	index := buildColIndex(leaf, ik)
-	// The index map (per-key row-id slices + bucket overhead) has no
-	// out-of-core fallback; the base column data it points into is the
-	// catalog's untracked mirror.
-	c.Mem.Force(int64(leaf.data.n) * 40)
-
 	outer, rs, err := c.compileVec(p.Right, stats, false)
 	if err != nil {
 		return nil, nil, err
 	}
-	ok, err := colOffset(rs, outerCol)
-	if err != nil {
-		return nil, nil, err
-	}
 	schema, lOut, rOut := c.joinSchema(p, ls, rs)
-	residual, err := c.colResidualPreds(p, joinInput(ls, rs))
+	v, err := c.hashJoin(p, &vecScanOp{leaf: leaf}, outer, ls, rs, lOut, rOut, false)
 	if err != nil {
 		return nil, nil, err
 	}
-	v := NewVecIndexNLJoin(outer, index, ok, residual, lOut, rOut)
 	return c.countedVec(v, p.Expr, stats), schema, nil
 }
 
@@ -509,20 +485,11 @@ func (c *Compiler) compilePipeline(p *relalg.Plan, stats *RunStats, minStages in
 	stages := make([]*pipeStage, 0, len(spine))
 	for i := len(spine) - 1; i >= 0; i-- {
 		pj := spine[i]
-		jp := c.Q.Joins[pj.Pred]
 		build, ls, err := c.compileVec(pj.Left, stats, false)
 		if err != nil {
 			return nil, nil, false, err
 		}
-		lk, rk, err := c.joinOffsets(pj, jp, ls, schema)
-		if err != nil {
-			return nil, nil, false, err
-		}
-		lKeys, rKeys, err := c.hashJoinKeys(pj, ls, schema, lk, rk)
-		if err != nil {
-			return nil, nil, false, err
-		}
-		residual, err := c.colFilterPredsOnly(pj, joinInput(ls, schema))
+		lKeys, rKeys, residual, err := c.hashJoinKeys(pj, ls, schema)
 		if err != nil {
 			return nil, nil, false, err
 		}
@@ -583,9 +550,8 @@ func joinInput(ls, rs []relalg.ColID) []relalg.ColID {
 	return append(append([]relalg.ColID(nil), ls...), rs...)
 }
 
-// joinOffsets resolves the primary equi-join columns of p against the
-// child schemas, orienting the predicate so its left column comes from the
-// plan's left child.
+// joinOffsets resolves one equi-predicate crossing join p against the child
+// schemas, orienting it so its left column comes from the plan's left child.
 func (c *Compiler) joinOffsets(p *relalg.Plan, jp relalg.JoinPred, ls, rs []relalg.ColID) (lk, rk int, err error) {
 	lcol, rcol := jp.L, jp.R
 	if !p.Left.Expr.Has(lcol.Rel) {
@@ -600,31 +566,32 @@ func (c *Compiler) joinOffsets(p *relalg.Plan, jp relalg.JoinPred, ls, rs []rela
 	return lk, rk, nil
 }
 
-// hashJoinKeys extends the primary key columns with every other cross
-// equi-predicate of the join, yielding the compound hash key. Keying on
-// every available equi-join column keeps match sets minimal.
-func (c *Compiler) hashJoinKeys(p *relalg.Plan, ls, rs []relalg.ColID, lk, rk int) (lKeys, rKeys []int, err error) {
-	lKeys, rKeys = []int{lk}, []int{rk}
-	for pi, ojp := range c.Q.Joins {
-		if pi == p.Pred || !ojp.Crosses(p.Left.Expr, p.Right.Expr) {
-			continue
+// secondaryEqui lists the equi-join predicates other than p's own that cross
+// p's two sides.
+func (c *Compiler) secondaryEqui(p *relalg.Plan) []relalg.JoinPred {
+	var out []relalg.JoinPred
+	for pi, jp := range c.Q.Joins {
+		if pi != p.Pred && jp.Crosses(p.Left.Expr, p.Right.Expr) {
+			out = append(out, jp)
 		}
-		ol, or := ojp.L, ojp.R
-		if !p.Left.Expr.Has(ol.Rel) {
-			ol, or = or, ol
-		}
-		lo, err := colOffset(ls, ol)
-		if err != nil {
-			return nil, nil, err
-		}
-		ro, err := colOffset(rs, or)
-		if err != nil {
-			return nil, nil, err
-		}
-		lKeys = append(lKeys, lo)
-		rKeys = append(rKeys, ro)
 	}
-	return lKeys, rKeys, nil
+	return out
+}
+
+// hashJoinKeys resolves what a hash join of p reads of its inputs, build side
+// ls and probe side rs: the compound hash key — the primary equi-join columns
+// extended with every other cross equi-predicate, which keeps match sets
+// minimal — and the residual filters left to evaluate on matched pairs.
+func (c *Compiler) hashJoinKeys(p *relalg.Plan, ls, rs []relalg.ColID) (lKeys, rKeys []int, residual []ColPred, err error) {
+	for _, jp := range append([]relalg.JoinPred{c.Q.Joins[p.Pred]}, c.secondaryEqui(p)...) {
+		lk, rk, err := c.joinOffsets(p, jp, ls, rs)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		lKeys, rKeys = append(lKeys, lk), append(rKeys, rk)
+	}
+	residual, err = c.colFilterPredsOnly(p, joinInput(ls, rs))
+	return lKeys, rKeys, residual, err
 }
 
 // colFilterPredsOnly compiles just the non-equi residual filters crossing
@@ -655,15 +622,11 @@ func (c *Compiler) colFilterPredsOnly(p *relalg.Plan, schema []relalg.ColID) ([]
 // colResidualPreds compiles the join predicates and residual filters that
 // first become checkable at this join (both sides present, not the primary
 // equi-key) to structured ColPreds: the secondary equi-join predicates
-// become {CmpEQ, 0} entries, the cross-relation filters keep their operator
-// and constant offset.
+// become {CmpEQ, 0} entries, then colFilterPredsOnly's cross-relation filters
+// with their operator and constant offset.
 func (c *Compiler) colResidualPreds(p *relalg.Plan, schema []relalg.ColID) ([]ColPred, error) {
 	var preds []ColPred
-	lset, rset := p.Left.Expr, p.Right.Expr
-	for pi, jp := range c.Q.Joins {
-		if pi == p.Pred || !jp.Crosses(lset, rset) {
-			continue
-		}
+	for _, jp := range c.secondaryEqui(p) {
 		lo, err := colOffset(schema, jp.L)
 		if err != nil {
 			return nil, err
@@ -674,22 +637,8 @@ func (c *Compiler) colResidualPreds(p *relalg.Plan, schema []relalg.ColID) ([]Co
 		}
 		preds = append(preds, ColPred{L: lo, R: ro, Op: relalg.CmpEQ})
 	}
-	for _, f := range c.Q.Filters {
-		crosses := (lset.Has(f.L.Rel) && rset.Has(f.R.Rel)) || (rset.Has(f.L.Rel) && lset.Has(f.R.Rel))
-		if !crosses {
-			continue
-		}
-		lo, err := colOffset(schema, f.L)
-		if err != nil {
-			return nil, err
-		}
-		ro, err := colOffset(schema, f.R)
-		if err != nil {
-			return nil, err
-		}
-		preds = append(preds, ColPred{L: lo, R: ro, Op: f.Op, Off: f.Off})
-	}
-	return preds, nil
+	filters, err := c.colFilterPredsOnly(p, schema)
+	return append(preds, filters...), err
 }
 
 func colOffset(schema []relalg.ColID, c relalg.ColID) (int, error) {

@@ -65,19 +65,6 @@ func TestMergeJoinDuplicateGroups(t *testing.T) {
 	}
 }
 
-func TestIndexNLJoin(t *testing.T) {
-	inner := transposeRows(rows([]int64{1, 100}, []int64{2, 200}, []int64{2, 201}), 2)
-	idx := buildColIndex(scanLeaf{data: inner}, 0)
-	out, err := DrainVec(NewVecIndexNLJoin(scanOf([]int64{2, 9}, []int64{5, 9}), idx, 0, nil, seq(2), seq(2)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Output is inner ++ outer: the indexed inner is the plan's left child.
-	if len(out) != 2 || out[0][1] != 200 || out[1][1] != 201 || out[0][2] != 2 {
-		t.Fatalf("index NL output = %v", out)
-	}
-}
-
 func TestSortStable(t *testing.T) {
 	out, err := DrainVec(NewVecSort(scanOf([]int64{3, 0}, []int64{1, 1}, []int64{3, 2}, []int64{2, 3}), 0))
 	if err != nil {

@@ -252,7 +252,7 @@ func TestLivenessEdgeCases(t *testing.T) {
 			for _, par := range []int{1, 2, 4} {
 				for _, profiled := range []bool{false, true} {
 					label := fmt.Sprintf("%s (par=%d budget=%d profiled=%v)", tc.name, par, budget, profiled)
-					comp := &Compiler{Q: tc.q, Cat: cat, Parallelism: par, MemBudgetBytes: budget}
+					comp := &Compiler{Q: tc.q, Cat: cat, Parallelism: par, Mem: budgetTracker(budget)}
 					if profiled {
 						comp.Prof = NewPlanProfile()
 					}

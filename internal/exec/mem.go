@@ -14,7 +14,7 @@ import "sync/atomic"
 //     path tracked memory never exceeds the budget.
 //   - Force charges unconditionally and records the bytes past the budget
 //     as overage. Operators with no out-of-core fallback (sorts, merge-join
-//     materializations, index builds, the client-facing result set) use
+//     materializations, the client-facing result set) use
 //     Force; the recorded overage makes "the bound held" checkable — tests
 //     assert peak <= budget exactly when Overage() == 0.
 //

@@ -49,7 +49,7 @@ func TestTPCHSpillDifferential(t *testing.T) {
 		want := rowMultiset(baseRows)
 
 		for _, par := range []int{1, 2, 4} {
-			comp := &Compiler{Q: q, Cat: cat, Parallelism: par, MemBudgetBytes: tightBudget}
+			comp := &Compiler{Q: q, Cat: cat, Parallelism: par, Mem: NewMemTracker(tightBudget)}
 			v, stats, err := comp.CompileVec(vr.Plan)
 			if err != nil {
 				t.Fatalf("%s: compile budgeted (par=%d): %v", name, par, err)

@@ -71,13 +71,12 @@ func TestSpillDirErrorSurfacesAsQueryError(t *testing.T) {
 	}
 }
 
-// TestCompilerSpillDirPropagates: the Compiler.SpillDir option must land on
-// the root memory tracker the operators consult.
+// TestCompilerSpillDirPropagates: the spill directory set on the tracker a
+// Compiler carries must reach the child trackers the operators consult.
 func TestCompilerSpillDirPropagates(t *testing.T) {
 	dir := t.TempDir()
-	c := &Compiler{SpillDir: dir, MemBudgetBytes: 1 << 20}
-	c.Mem = NewMemTracker(c.MemBudgetBytes)
-	c.Mem.SetSpillDir(c.SpillDir)
+	c := &Compiler{Mem: NewMemTracker(1 << 20)}
+	c.Mem.SetSpillDir(dir)
 	if got := c.Mem.Child("x").SpillDir(); got != dir {
 		t.Fatalf("child tracker spill dir = %q, want %q", got, dir)
 	}

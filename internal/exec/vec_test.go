@@ -179,7 +179,6 @@ func (w *weightedIter) Close() error { return nil }
 // never with a result that silently counts each weighted row once.
 func TestWeightedBatchEscapes(t *testing.T) {
 	scan := func() VecIterator { return scanOf([]int64{1}, []int64{2}) }
-	index := buildColIndex(leafOfCols([][]int64{{1, 2}}, 2, ScanFilter{}), 0)
 	bounded := NewVecHashJoin(&weightedIter{n: 4}, scan(), []int{0}, []int{0}, nil, nil, seq(1), 1).(*vecHashJoinOp)
 	bounded.mem = NewMemTracker(1 << 20).Child("hashjoin")
 	spilled := NewVecHashJoin(&weightedIter{n: 4}, scan(), []int{0}, []int{0}, nil, nil, seq(1), 1).(*vecHashJoinOp)
@@ -191,7 +190,6 @@ func TestWeightedBatchEscapes(t *testing.T) {
 		"sort":                        NewVecSort(&weightedIter{n: 4}, 0),
 		"merge join, left":            NewVecMergeJoin(&weightedIter{n: 4}, scan(), 0, 0, nil, seq(1), seq(1)),
 		"merge join, right":           NewVecMergeJoin(scan(), &weightedIter{n: 4}, 0, 0, nil, seq(1), seq(1)),
-		"index nested loops outer":    NewVecIndexNLJoin(&weightedIter{n: 4}, index, 0, nil, seq(1), seq(1)),
 		"hash join build":             NewVecHashJoin(&weightedIter{n: 4}, scan(), []int{0}, []int{0}, nil, nil, seq(1), 1),
 		"hash join build, bounded":    bounded,
 		"hash join build, spilling":   spilled,

@@ -457,124 +457,3 @@ func (m *vecMergeJoinOp) Close() error {
 	m.mem.ReleaseAll()
 	return nil
 }
-
-// ---- vectorized index nested-loops join ----
-
-// colIndex is a hash index over one column of a column-major base table:
-// value -> row indices into data.
-type colIndex struct {
-	data colData
-	m    map[int64][]int32
-}
-
-// buildColIndex constructs an index on column col of a scan leaf's data; the
-// leaf's filter applies the pushed-down local selections of the inner
-// relation.
-func buildColIndex(leaf scanLeaf, col int) *colIndex {
-	data := leaf.data
-	ix := &colIndex{data: data, m: map[int64][]int32{}}
-	key := data.cols[col]
-	if leaf.filter.Empty() {
-		for i := 0; i < data.n; i++ {
-			ix.m[key[i]] = append(ix.m[key[i]], int32(i))
-		}
-		return ix
-	}
-	sel := leaf.sel(0, data.n, make([]int, 0, data.n))
-	for _, i := range sel {
-		ix.m[key[i]] = append(ix.m[key[i]], int32(i))
-	}
-	return ix
-}
-
-type vecIndexNLOp struct {
-	outer    VecIterator // the plan's RIGHT child
-	index    *colIndex   // inner: the plan's LEFT child
-	outerKey int
-	residual []ColPred
-
-	ob      *Batch
-	oi      int
-	matches []int32
-	mi      int
-	curIdx  int
-	drained bool
-
-	pairsB, pairsP []int32
-	emit           colEmitter
-}
-
-// NewVecIndexNLJoin probes a prebuilt inner index with each outer row,
-// batch-at-a-time. The output row is the innerOut columns of the inner, then
-// the outerOut columns of the outer, matching the plan convention that the
-// indexed inner is the left child.
-func NewVecIndexNLJoin(outer VecIterator, index *colIndex, outerKey int, residual []ColPred, innerOut, outerOut []int) VecIterator {
-	return &vecIndexNLOp{outer: outer, index: index, outerKey: outerKey, residual: residual,
-		emit: colEmitter{buildOut: innerOut, probeOut: outerOut}}
-}
-
-func (j *vecIndexNLOp) Open() error {
-	j.pairsB = make([]int32, 0, BatchSize)
-	j.pairsP = make([]int32, 0, BatchSize)
-	return j.outer.Open()
-}
-
-func (j *vecIndexNLOp) flushPairs() *Batch {
-	pb, pp := filterPairs(j.residual, &j.index.data, j.ob.Cols, j.pairsB, j.pairsP)
-	j.pairsB, j.pairsP = j.pairsB[:0], j.pairsP[:0]
-	if len(pb) == 0 {
-		return nil
-	}
-	return j.emit.emit(&j.index.data, j.ob.Cols, pb, pp)
-}
-
-func (j *vecIndexNLOp) Next() (*Batch, error) {
-	for {
-		for j.mi < len(j.matches) {
-			j.pairsB = append(j.pairsB, j.matches[j.mi])
-			j.pairsP = append(j.pairsP, int32(j.curIdx))
-			j.mi++
-			if len(j.pairsB) == BatchSize {
-				if out := j.flushPairs(); out != nil {
-					return out, nil
-				}
-			}
-		}
-		if j.ob != nil && j.oi < j.ob.Len() {
-			j.curIdx = j.oi
-			if j.ob.Sel != nil {
-				j.curIdx = j.ob.Sel[j.oi]
-			}
-			j.oi++
-			j.matches = j.index.m[j.ob.Cols[j.outerKey][j.curIdx]]
-			j.mi = 0
-			continue
-		}
-		// Flush before the outer batch is replaced — pairs index into it.
-		if len(j.pairsB) > 0 {
-			if out := j.flushPairs(); out != nil {
-				return out, nil
-			}
-		}
-		if j.drained {
-			return nil, nil
-		}
-		b, err := j.outer.Next()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			j.drained = true
-			// Same stale-batch hazard as the hash join: the producer may
-			// recycle its last batch at end of stream.
-			j.ob = nil
-			continue
-		}
-		if err := unweighted(b, "an index nested-loops join"); err != nil {
-			return nil, err
-		}
-		j.ob, j.oi = b, 0
-	}
-}
-
-func (j *vecIndexNLOp) Close() error { return j.outer.Close() }

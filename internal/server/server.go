@@ -637,11 +637,10 @@ func (st *Stmt) exec(prof *exec.PlanProfile) (res *Result, analyzed string, err 
 	// The tracker is created even without a budget so per-query peak
 	// memory stays observable on unbounded servers.
 	mem := exec.NewMemTracker(srv.opts.MemBudgetBytes)
+	mem.SetSpillDir(srv.opts.SpillDir)
 	comp := &exec.Compiler{
 		Q: e.q, Cat: srv.cat, Parallelism: srv.opts.Parallelism,
-		Cache: srv.resCache, CacheCands: snap.cands, Prof: prof,
-		MemBudgetBytes: srv.opts.MemBudgetBytes, Mem: mem,
-		SpillDir: srv.opts.SpillDir,
+		Cache: srv.resCache, CacheCands: snap.cands, Prof: prof, Mem: mem,
 	}
 	v, stats, err := comp.CompileVec(snap.plan)
 	if err != nil {

@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"sync"
 )
@@ -29,8 +28,6 @@ import (
 //   - seg-XXXXXX.seg — immutable column segments: rows sorted by the
 //     table's clustered column, per-column zone maps (min/max) in the
 //     header, then column-contiguous little-endian int64 data.
-//   - seg-XXXXXX.ixN — ordered index segments for indexed column N:
-//     (order-preserving key, global row id) pairs sorted by key.
 //
 // All reads are served from an embedded MemStore, which holds the only
 // in-memory copy of the rows; the files exist to survive restarts. Flush
@@ -41,11 +38,10 @@ import (
 // its in-memory span holds, so a zone that excludes a predicate excludes
 // every row of the span.
 type DiskStore struct {
-	dir       string
-	name      string
-	width     int
-	sortedBy  int
-	indexCols []int
+	dir      string
+	name     string
+	width    int
+	sortedBy int
 
 	mem *MemStore
 
@@ -58,11 +54,6 @@ type DiskStore struct {
 	seq       int // next segment file number
 	dirtyAll  bool
 	loadedVer uint64
-	// indexValid says the persisted index segments describe the snapshot:
-	// true from a load without a log tail until the first mutation. indexes
-	// holds the ones somebody asked for, merged on that first request.
-	indexValid bool
-	indexes    map[int]*OrderedIndex
 }
 
 // segMeta is one segment's manifest entry plus its loaded zone maps.
@@ -79,7 +70,6 @@ type manifest struct {
 	SortedBy    int       `json:"sorted_by"`
 	DataVersion uint64    `json:"data_version"`
 	Seq         int       `json:"seq"`
-	IndexCols   []int     `json:"index_cols"`
 	Wal         string    `json:"wal,omitempty"`
 	Segments    []segMeta `json:"segments"`
 }
@@ -89,25 +79,22 @@ const (
 	manifestName   = "MANIFEST.json"
 	walName        = "wal.log" // bootstrap log name, before the first flush rotates
 	segMagic       = "REPROSG1"
-	ixMagic        = "REPROIX1"
 )
 
 // OpenDiskStore opens (or initializes) the persistent store for one table
 // under dir. Existing segments are decoded into one column snapshot sized
 // from the manifest, the append log's rows after them; the store then
-// serves reads at in-memory speed. sortedBy < 0 means no clustered order;
-// indexCols lists columns to maintain ordered index segments for.
-func OpenDiskStore(dir, name string, width, sortedBy int, indexCols []int) (*DiskStore, error) {
+// serves reads at in-memory speed. sortedBy < 0 means no clustered order.
+func OpenDiskStore(dir, name string, width, sortedBy int) (*DiskStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: create table dir: %w", err)
 	}
 	s := &DiskStore{
-		dir:       dir,
-		name:      name,
-		width:     width,
-		sortedBy:  sortedBy,
-		indexCols: append([]int(nil), indexCols...),
-		mem:       NewMemStore(width),
+		dir:      dir,
+		name:     name,
+		width:    width,
+		sortedBy: sortedBy,
+		mem:      NewMemStore(width),
 	}
 	walGood, err := s.load()
 	if err != nil {
@@ -155,12 +142,17 @@ func (s *DiskStore) load() (walGood int64, err error) {
 	// Drop logs the manifest no longer names — a crash between publishing a
 	// rotated manifest and removing the superseded log leaves the old file
 	// behind; replaying it would duplicate the rows Flush just compacted.
-	if stale, _ := filepath.Glob(filepath.Join(s.dir, "wal*.log")); len(stale) > 0 {
-		for _, p := range stale {
-			if filepath.Base(p) != s.walFile {
-				os.Remove(p)
-			}
+	stale, _ := filepath.Glob(filepath.Join(s.dir, "wal*.log"))
+	for _, p := range stale {
+		if filepath.Base(p) != s.walFile {
+			os.Remove(p)
 		}
+	}
+	// Index segments an earlier version of this store wrote beside its
+	// segments; nothing reads them.
+	stale, _ = filepath.Glob(filepath.Join(s.dir, "seg-*.ix*"))
+	for _, p := range stale {
+		os.Remove(p)
 	}
 	walPath := filepath.Join(s.dir, s.walFile)
 	walGood, s.walRows, err = walGoodPrefix(walPath, s.width)
@@ -193,8 +185,6 @@ func (s *DiskStore) load() (walGood int64, err error) {
 		return 0, err
 	}
 	s.mem.ResetSnapshot(&Snapshot{Cols: cols, N: n})
-	// The persisted indexes are usable only when they cover every row.
-	s.indexValid = s.walRows == 0
 	return walGood, nil
 }
 
@@ -255,8 +245,6 @@ func (s *DiskStore) Append(rows [][]int64) error {
 		return err
 	}
 	s.walRows += len(rows)
-	// Unflushed rows are invisible to the persisted indexes.
-	s.dropIndexesLocked()
 	return nil
 }
 
@@ -269,15 +257,6 @@ func (s *DiskStore) ResetSnapshot(snap *Snapshot) {
 	defer s.mu.Unlock()
 	s.mem.ResetSnapshot(snap)
 	s.dirtyAll = true
-	s.dropIndexesLocked()
-}
-
-// dropIndexesLocked marks the persisted indexes stale — their row ids no
-// longer describe the snapshot — and releases the merged ones. Caller
-// holds s.mu.
-func (s *DiskStore) dropIndexesLocked() {
-	s.indexValid = false
-	s.indexes = nil
 }
 
 func (s *DiskStore) Scan(preds []Pred, batch int) *SegIter {
@@ -334,36 +313,6 @@ func (s *DiskStore) ZoneCols() []int {
 	return []int{s.sortedBy}
 }
 
-// OrderedIndex merges the column's persisted index segments on the first
-// request and keeps the result until the next mutation; nothing is read or
-// held for an index nobody asks for. An unreadable index segment is no
-// index, not an error: callers fall back to scanning.
-func (s *DiskStore) OrderedIndex(col int) *OrderedIndex {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.indexValid || !slices.Contains(s.indexCols, col) {
-		return nil
-	}
-	if ix := s.indexes[col]; ix != nil {
-		return ix
-	}
-	keys := make([]int64, 0, s.segRows)
-	rows := make([]int64, 0, s.segRows)
-	for _, sm := range s.segs {
-		k, r, err := readIndexSegment(ixPath(filepath.Join(s.dir, sm.File), col), col)
-		if err != nil {
-			return nil
-		}
-		keys = append(keys, k...)
-		rows = append(rows, r...)
-	}
-	if s.indexes == nil {
-		s.indexes = map[int]*OrderedIndex{}
-	}
-	s.indexes[col] = NewOrderedIndex(col, keys, rows)
-	return s.indexes[col]
-}
-
 func (s *DiskStore) LoadedVersion() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -371,12 +320,12 @@ func (s *DiskStore) LoadedVersion() uint64 {
 }
 
 // Flush persists the unflushed tail (or, after a wholesale reset, the full
-// content) as a new sorted segment plus index segments, then rotates to a
-// fresh append log and rewrites the manifest atomically. Replay is
-// idempotent across the flush boundary because the manifest names the
-// active log: a crash anywhere in Flush recovers either the old manifest +
-// old log (flush never happened) or the new manifest + empty log (flush
-// fully happened) — the compacted rows are never replayed twice.
+// content) as a new sorted segment, then rotates to a fresh append log and
+// rewrites the manifest atomically. Replay is idempotent across the flush
+// boundary because the manifest names the active log: a crash anywhere in
+// Flush recovers either the old manifest + old log (flush never happened) or
+// the new manifest + empty log (flush fully happened) — the compacted rows
+// are never replayed twice.
 func (s *DiskStore) Flush(version uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -431,9 +380,6 @@ func (s *DiskStore) Flush(version uint64) error {
 	s.dirtyAll = false
 	for _, sm := range obsolete {
 		os.Remove(filepath.Join(s.dir, sm.File))
-		for _, col := range s.indexCols {
-			os.Remove(ixPath(filepath.Join(s.dir, sm.File), col))
-		}
 	}
 	// The old log's rows are now covered by segments; drop it. If the
 	// process dies before the Remove lands, open-time cleanup deletes any
@@ -444,15 +390,11 @@ func (s *DiskStore) Flush(version uint64) error {
 	s.walFile = newWalFile
 	s.walRows = 0
 	s.loadedVer = version
-	// The fresh index segments refer to on-disk (sorted) row positions; the
-	// snapshot keeps arrival order, so they only become usable at the next
-	// boot.
-	s.dropIndexesLocked()
 	return nil
 }
 
-// writeSegmentLocked flushes rows [lo, hi) of the snapshot as one segment
-// with its index segments. Caller holds s.mu.
+// writeSegmentLocked flushes rows [lo, hi) of the snapshot as one segment.
+// Caller holds s.mu.
 func (s *DiskStore) writeSegmentLocked(snap *Snapshot, lo, hi int) error {
 	n := hi - lo
 	// Materialize the segment's rows sorted by the clustered column (stable,
@@ -472,11 +414,6 @@ func (s *DiskStore) writeSegmentLocked(snap *Snapshot, lo, hi int) error {
 	if err != nil {
 		return err
 	}
-	for _, col := range s.indexCols {
-		if err := writeIndexSegment(ixPath(path, col), col, snap, perm, lo); err != nil {
-			return err
-		}
-	}
 	s.segs = append(s.segs, segMeta{File: base, Rows: n, zones: zones})
 	s.segRows = hi
 	return nil
@@ -494,7 +431,6 @@ func (s *DiskStore) writeManifestLocked(version uint64, walFile string) error {
 		SortedBy:    s.sortedBy,
 		DataVersion: version,
 		Seq:         s.seq,
-		IndexCols:   s.indexCols,
 		Wal:         walFile,
 		Segments:    s.segs,
 	}
@@ -551,9 +487,4 @@ func (s *DiskStore) Close() error {
 	err := s.wal.Close()
 	s.wal = nil
 	return err
-}
-
-// ixPath names the index segment file for a segment file and column.
-func ixPath(segPath string, col int) string {
-	return fmt.Sprintf("%s.ix%d", segPath[:len(segPath)-len(".seg")], col)
 }

@@ -99,8 +99,6 @@ func (s *MemStore) Scan(preds []Pred, batch int) *SegIter {
 
 func (s *MemStore) ZoneCols() []int { return nil }
 
-func (s *MemStore) OrderedIndex(col int) *OrderedIndex { return nil }
-
 func (s *MemStore) LoadedVersion() uint64 { return 0 }
 
 func (s *MemStore) Flush(version uint64) error { return nil }

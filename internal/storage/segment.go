@@ -7,13 +7,12 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 )
 
-// File I/O for the three on-disk record kinds. Segments and index segments
-// are written to a temporary name and renamed into place so readers never
-// observe a partial file; the WAL is the only file appended in place, and
-// its framing lets replay stop cleanly at a torn tail.
+// File I/O for segments and the append log (the manifest is diskstore.go's).
+// A segment is written to a temporary name and renamed into place so readers
+// never observe a partial file; the WAL is the only file appended in place,
+// and its framing lets replay stop cleanly at a torn tail.
 
 // writeSegment persists snapshot rows, in perm order, as one immutable
 // column segment and returns the per-column zone maps written to its
@@ -137,98 +136,6 @@ func readInt64s(r io.Reader, buf []byte, out []int64) error {
 		out = out[want/8:]
 	}
 	return nil
-}
-
-// writeIndexSegment persists the ordered (key, global row id) pairs for one
-// column of a segment. base is the segment's starting global row position;
-// the pair for perm position i gets row id base+i, matching where the row
-// will sit after the next boot replays the segment.
-func writeIndexSegment(path string, col int, snap *Snapshot, perm []int, base int) error {
-	n := len(perm)
-	keys := make([]int64, n)
-	rows := make([]int64, n)
-	vals := snap.Cols[col]
-	for i, p := range perm {
-		keys[i] = vals[p]
-		rows[i] = int64(base + i)
-	}
-	ord := make([]int, n)
-	for i := range ord {
-		ord[i] = i
-	}
-	sort.SliceStable(ord, func(a, b int) bool { return keys[ord[a]] < keys[ord[b]] })
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("storage: create index segment: %w", err)
-	}
-	w := bufio.NewWriterSize(f, 1<<16)
-	var scratch [16]byte
-	w.WriteString(ixMagic)
-	binary.LittleEndian.PutUint32(scratch[0:4], uint32(col))
-	binary.LittleEndian.PutUint32(scratch[4:8], uint32(n))
-	w.Write(scratch[:8])
-	for _, i := range ord {
-		EncodeKey(scratch[0:8], keys[i])
-		binary.LittleEndian.PutUint64(scratch[8:16], uint64(rows[i]))
-		if _, err := w.Write(scratch[:16]); err != nil {
-			break
-		}
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("storage: write index segment: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("storage: sync index segment: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("storage: close index segment: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("storage: publish index segment: %w", err)
-	}
-	return nil
-}
-
-// readIndexSegment loads one index segment's (key, row id) pairs in key
-// order.
-func readIndexSegment(path string, col int) (keys, rows []int64, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<16)
-	var hdr [16]byte
-	if _, err := io.ReadFull(r, hdr[:8]); err != nil {
-		return nil, nil, fmt.Errorf("read magic: %w", err)
-	}
-	if string(hdr[:8]) != ixMagic {
-		return nil, nil, fmt.Errorf("bad magic %q", hdr[:8])
-	}
-	if _, err := io.ReadFull(r, hdr[:8]); err != nil {
-		return nil, nil, fmt.Errorf("read header: %w", err)
-	}
-	if c := int(binary.LittleEndian.Uint32(hdr[0:4])); c != col {
-		return nil, nil, fmt.Errorf("index segment is for column %d, want %d", c, col)
-	}
-	n := int(binary.LittleEndian.Uint32(hdr[4:8]))
-	keys = make([]int64, n)
-	rows = make([]int64, n)
-	for i := 0; i < n; i++ {
-		if _, err := io.ReadFull(r, hdr[:16]); err != nil {
-			return nil, nil, fmt.Errorf("read entries: %w", err)
-		}
-		keys[i] = DecodeKey(hdr[0:8])
-		rows[i] = int64(binary.LittleEndian.Uint64(hdr[8:16]))
-	}
-	return keys, rows, nil
 }
 
 // writeWALRecord appends one framed batch: [u32 row count][rows × width ×

@@ -1,7 +1,7 @@
 // Package storage is the pluggable table storage layer beneath the catalog:
 // a narrow Backend interface — columnar snapshots, batched append, segment
-// scans with predicate pushdown, ordered secondary-index lookups, and
-// data-version reporting — with two implementations.
+// scans with predicate pushdown, and data-version reporting — with two
+// implementations.
 //
 // A store's column snapshot is the table: the one in-memory copy of its
 // rows, which the executor scans as zero-copy column windows and the catalog
@@ -17,13 +17,14 @@
 // DiskStore is a log-structured persistent backend layered over a MemStore:
 // every append is framed into a write-ahead log, and Flush compacts the
 // unflushed tail into an immutable column-segment file — rows sorted by the
-// table's clustered column, per-column zone maps (min/max) in the header,
-// and sorted (key, rowid) secondary-index segments using an
-// order-preserving int64 key encoding (see EncodeKey). On open, segments
-// are decoded column by column into a snapshot sized from the manifest (the
-// log's rows after them), so serving reads are as fast as the pure
-// in-memory store; the segment zone maps additionally let scans skip whole
-// segments that a pushed-down predicate proves empty.
+// table's clustered column, per-column zone maps (min/max) in the header.
+// A table directory is a manifest, one log and segments; the store keeps no
+// index (an index-NL join hashes the inner relation like any build side, and
+// the row ids a persisted index would need do not survive an append). On
+// open, segments are decoded column by column into a snapshot sized from the
+// manifest (the log's rows after them), so serving reads are as fast as the
+// pure in-memory store; the segment zone maps additionally let scans skip
+// whole segments that a pushed-down predicate proves empty.
 package storage
 
 import (
@@ -109,10 +110,6 @@ type Backend interface {
 	// predicate pruning effective (the clustered column for a DiskStore),
 	// or nil. The optimizer uses this to enumerate segment-pruned scans.
 	ZoneCols() []int
-	// OrderedIndex returns the persisted ordered secondary index on a
-	// column, or nil when none exists or it does not cover every row
-	// (e.g. after unflushed appends). It is read from disk on first use.
-	OrderedIndex(col int) *OrderedIndex
 	// LoadedVersion reports the data version persisted at the last
 	// Flush (0 for volatile backends or a fresh directory).
 	LoadedVersion() uint64

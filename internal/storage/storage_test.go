@@ -2,7 +2,6 @@ package storage
 
 import (
 	"bytes"
-	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -55,34 +54,6 @@ func sortRows(rows [][]int64) {
 		}
 		return false
 	})
-}
-
-func TestEncodeKeyPreservesOrder(t *testing.T) {
-	vals := []int64{math.MinInt64, math.MinInt64 + 1, -1e12, -2, -1, 0, 1, 2, 7, 1e12, math.MaxInt64 - 1, math.MaxInt64}
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 200; i++ {
-		vals = append(vals, rng.Int63()-rng.Int63())
-	}
-	var a, b [8]byte
-	for _, x := range vals {
-		for _, y := range vals {
-			EncodeKey(a[:], x)
-			EncodeKey(b[:], y)
-			cmp := bytes.Compare(a[:], b[:])
-			want := 0
-			if x < y {
-				want = -1
-			} else if x > y {
-				want = 1
-			}
-			if cmp != want {
-				t.Fatalf("EncodeKey order broken: %d vs %d -> %d, want %d", x, y, cmp, want)
-			}
-		}
-		if got := DecodeKey(a[:]); got != x {
-			t.Fatalf("DecodeKey(EncodeKey(%d)) = %d", x, got)
-		}
-	}
 }
 
 func TestMemStoreSnapshotIsolation(t *testing.T) {
@@ -142,7 +113,7 @@ func TestMemStoreConcurrentAppendScan(t *testing.T) {
 
 func TestDiskStoreRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenDiskStore(dir, "t", 2, 0, []int{1})
+	s, err := OpenDiskStore(dir, "t", 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +128,7 @@ func TestDiskStoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := OpenDiskStore(dir, "t", 2, 0, []int{1})
+	s2, err := OpenDiskStore(dir, "t", 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,37 +141,80 @@ func TestDiskStoreRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, [][]int64{row(1, 10), row(2, 20), row(3, 30)}) {
 		t.Fatalf("reloaded rows = %v", got)
 	}
-	if s2.indexes != nil {
-		t.Fatal("index merged at open, before anyone asked for it")
+	if got := dirFiles(t, dir); !reflect.DeepEqual(got, []string{"MANIFEST.json", "seg-000000.seg", "wal-000001.log"}) {
+		t.Fatalf("table directory after a flush holds %v", got)
 	}
-	ix := s2.OrderedIndex(1)
-	if ix == nil {
-		t.Fatal("no ordered index after clean reload")
-	}
-	if s2.OrderedIndex(1) != ix {
-		t.Fatal("second request merged the index again")
-	}
-	if s2.OrderedIndex(0) != nil {
-		t.Fatal("index handed out for a column that has none")
-	}
-	if ids := ix.Lookup(20); len(ids) != 1 || ids[0] != 1 {
-		t.Fatalf("Lookup(20) = %v, want [1]", ids)
-	}
-	if ids := ix.RowIDs(); !reflect.DeepEqual(ids, []int64{0, 1, 2}) {
-		t.Fatalf("RowIDs = %v", ids)
-	}
-	// An unflushed append invalidates the persisted index.
-	if err := s2.Append([][]int64{row(9, 90)}); err != nil {
+}
+
+// dirFiles lists a table directory's file names, sorted.
+func dirFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if s2.OrderedIndex(1) != nil {
-		t.Fatal("index survived an unflushed append")
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	return names
+}
+
+// TestDiskStoreOpensIndexedLayout opens a directory as the store wrote it when
+// it kept ordered index segments — a manifest carrying index_cols and a
+// seg-*.ixN file beside the segment: the rows load unchanged and the index
+// file, which nothing reads, is gone afterwards.
+func TestDiskStoreOpensIndexedLayout(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenDiskStore(dir, "t", 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Append([][]int64{row(3, 30), row(1, 10), row(2, 20)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(7); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	mpath := filepath.Join(dir, manifestName)
+	raw, err := os.ReadFile(mpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := bytes.Replace(raw, []byte(`"seq":`), []byte(`"index_cols": [1], "seq":`), 1)
+	if bytes.Equal(old, raw) {
+		t.Fatalf("manifest has no seq field to put index_cols beside:\n%s", raw)
+	}
+	if err := os.WriteFile(mpath, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ix := append([]byte("REPROIX1"), make([]byte, 8+3*16)...)
+	if err := os.WriteFile(filepath.Join(dir, "seg-000000.ix1"), ix, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := OpenDiskStore(dir, "t", 2, 0)
+	if err != nil {
+		t.Fatalf("open of the indexed layout: %v", err)
+	}
+	defer s2.Close()
+	if got := s2.LoadedVersion(); got != 7 {
+		t.Fatalf("LoadedVersion = %d, want 7", got)
+	}
+	if got := collect(s2.Scan(nil, 0), 2); !reflect.DeepEqual(got, [][]int64{row(1, 10), row(2, 20), row(3, 30)}) {
+		t.Fatalf("rows of the indexed layout = %v", got)
+	}
+	if got := dirFiles(t, dir); !reflect.DeepEqual(got, []string{"MANIFEST.json", "seg-000000.seg", "wal-000001.log"}) {
+		t.Fatalf("table directory after open holds %v", got)
 	}
 }
 
 func TestDiskStoreWALReplayAndTornTail(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenDiskStore(dir, "t", 2, -1, nil)
+	s, err := OpenDiskStore(dir, "t", 2, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +239,7 @@ func TestDiskStoreWALReplayAndTornTail(t *testing.T) {
 	}
 	f.Close()
 
-	s2, err := OpenDiskStore(dir, "t", 2, -1, nil)
+	s2, err := OpenDiskStore(dir, "t", 2, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +254,7 @@ func TestDiskStoreWALReplayAndTornTail(t *testing.T) {
 	if err := s2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s3, err := OpenDiskStore(dir, "t", 2, -1, nil)
+	s3, err := OpenDiskStore(dir, "t", 2, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +266,7 @@ func TestDiskStoreWALReplayAndTornTail(t *testing.T) {
 
 func TestDiskStoreZonePruningDifferential(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenDiskStore(dir, "t", 2, 0, nil)
+	s, err := OpenDiskStore(dir, "t", 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +362,7 @@ func filterRows(rows [][]int64, preds []Pred) [][]int64 {
 
 func TestDiskStoreResetRows(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenDiskStore(dir, "t", 1, 0, nil)
+	s, err := OpenDiskStore(dir, "t", 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +380,7 @@ func TestDiskStoreResetRows(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := OpenDiskStore(dir, "t", 1, 0, nil)
+	s2, err := OpenDiskStore(dir, "t", 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +400,7 @@ func TestDiskStoreResetRows(t *testing.T) {
 // covers. Replay must not duplicate them.
 func TestDiskStoreFlushCrashWindowNoDuplication(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenDiskStore(dir, "t", 2, 0, nil)
+	s, err := OpenDiskStore(dir, "t", 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +423,7 @@ func TestDiskStoreFlushCrashWindowNoDuplication(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := OpenDiskStore(dir, "t", 2, 0, nil)
+	s2, err := OpenDiskStore(dir, "t", 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,7 +442,7 @@ func TestDiskStoreFlushCrashWindowNoDuplication(t *testing.T) {
 	if err := s2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s3, err := OpenDiskStore(dir, "t", 2, 0, nil)
+	s3, err := OpenDiskStore(dir, "t", 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,10 +454,10 @@ func TestDiskStoreFlushCrashWindowNoDuplication(t *testing.T) {
 
 // TestDiskStoreResetRowsSameCountNewContent covers the wholesale
 // replacement that keeps the row count (a full sliding window): segments
-// must be rewritten at the next flush and the persisted indexes dropped.
+// must be rewritten at the next flush and the old zone maps must not prune.
 func TestDiskStoreResetRowsSameCountNewContent(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenDiskStore(dir, "t", 1, 0, []int{0})
+	s, err := OpenDiskStore(dir, "t", 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,17 +470,11 @@ func TestDiskStoreResetRowsSameCountNewContent(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := OpenDiskStore(dir, "t", 1, 0, []int{0})
+	s2, err := OpenDiskStore(dir, "t", 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s2.OrderedIndex(0) == nil {
-		t.Fatal("no ordered index after clean reload")
-	}
 	s2.ResetSnapshot(transpose([][]int64{row(7), row(8), row(9)}))
-	if s2.OrderedIndex(0) != nil {
-		t.Fatal("index survived a same-count content change")
-	}
 	// The old zones (1..3) would prune this predicate; the new rows all
 	// match it.
 	got := collect(s2.Scan([]Pred{{Col: 0, Op: CmpGE, Val: 7}}, 0), 1)
@@ -479,7 +487,7 @@ func TestDiskStoreResetRowsSameCountNewContent(t *testing.T) {
 	if err := s2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s3, err := OpenDiskStore(dir, "t", 1, 0, []int{0})
+	s3, err := OpenDiskStore(dir, "t", 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,7 +504,7 @@ func TestDiskStoreResetRowsSameCountNewContent(t *testing.T) {
 // it are captured atomically.
 func TestDiskStoreScanConcurrentResetRows(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenDiskStore(dir, "t", 2, 0, nil)
+	s, err := OpenDiskStore(dir, "t", 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -550,18 +558,5 @@ func TestDiskStoreScanConcurrentResetRows(t *testing.T) {
 		if len(match) != 0 && len(match) != n {
 			t.Fatalf("scan lost rows of its own generation: %d of %d", len(match), n)
 		}
-	}
-}
-
-func TestOrderedIndexRange(t *testing.T) {
-	ix := NewOrderedIndex(0, []int64{5, 1, 3, 3, 9}, []int64{0, 1, 2, 3, 4})
-	if ids := ix.Lookup(3); !reflect.DeepEqual(ids, []int64{2, 3}) {
-		t.Fatalf("Lookup(3) = %v", ids)
-	}
-	if ids := ix.Range(2, 5); !reflect.DeepEqual(ids, []int64{2, 3, 0}) {
-		t.Fatalf("Range(2,5) = %v", ids)
-	}
-	if ids := ix.Range(10, 20); ids != nil {
-		t.Fatalf("Range(10,20) = %v, want nil", ids)
 	}
 }

@@ -166,8 +166,10 @@
 //
 // Execution is memory-bounded on request. ServerOptions.MemBudgetBytes
 // bounds each query's tracked execution memory: the executor charges its
-// materializing state (hash-join build sides, aggregation tables, pipeline
-// scratch) to a per-query memory tracker, and a hash join or aggregation
+// materializing state (hash-join build sides — an index nested-loops join's
+// hash index is one — aggregation tables, pipeline scratch) to a per-query
+// memory tracker (exec.Compiler.Mem, the one way to bound an execution), and
+// a hash join or aggregation
 // whose build input would exceed the budget switches to grace-hash
 // execution — the input is partitioned to disk by the same hash the
 // in-memory path uses, partitions are processed one at a time, and a
@@ -207,9 +209,10 @@
 // persistent backend under that directory instead: appends write through a
 // synced write-ahead log, and a graceful Server.Shutdown flushes the
 // unflushed tail into immutable column-segment files (rows sorted by the
-// table's clustered column, per-column min/max zone maps, plus ordered
-// secondary-index segments under an order-preserving key encoding). On the
-// next boot the directory wins over generated seed data: segments decode
+// table's clustered column, per-column min/max zone maps); a table directory
+// is a manifest, one log and segments, and the store keeps no index — an
+// index nested-loops join hashes its inner relation like any join build. On
+// the next boot the directory wins over generated seed data: segments decode
 // column by column into one snapshot sized from the manifest, the log's
 // rows after them, data versions carry over (so result-cache
 // invalidation state survives), and the server serves byte-identical
