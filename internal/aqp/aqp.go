@@ -4,8 +4,10 @@
 // execution statistics, re-optimizes (incrementally or from scratch), and
 // continues executing — migrating window state across plan switches in the
 // manner of CAPS [26] (the windows are the shared state; operator state is
-// rebuilt from them at a switch, and that rebuild cost is charged to
-// execution time).
+// rebuilt from them every slice, and that rebuild cost is charged to execution
+// time). While the plan stays what it was the controller re-opens the operator
+// tree it holds, so the rebuild runs in the previous slice's memory; only a
+// plan switch compiles a new tree.
 package aqp
 
 import (
@@ -101,6 +103,10 @@ type Controller struct {
 
 	lastSig string
 	first   bool
+	// The standing query's execution: compiled for the plan lastSig names and
+	// re-opened every slice until the plan changes.
+	root  exec.VecIterator
+	stats *exec.RunStats
 
 	cal     *Calibrator               // observation → factor calibration
 	pending map[relalg.RelSet]float64 // staged factors for the next reopt
@@ -195,29 +201,34 @@ func (c *Controller) RunSlice(_ func(rel int) [][]int64) (SliceResult, error) {
 	res.Plan = plan
 	res.BestCost = plan.Cost
 	sig := plan.Signature()
-	res.Switched = !c.first && sig != c.lastSig
+	changed := sig != c.lastSig
+	res.Switched = !c.first && changed
 	c.lastSig = sig
 	c.first = false
 
 	// Execute over the current windows with the vectorized executor and
-	// collect actual cardinalities.
+	// collect actual cardinalities: open the held tree, compiling it first if
+	// there is none or the plan changed. A tree whose execution failed cannot
+	// be re-opened and is dropped.
 	start = time.Now()
-	comp := &exec.Compiler{Q: c.cfg.Query, Cat: c.cfg.Cat, Parallelism: c.cfg.Parallelism}
-	if c.cfg.MemBudgetBytes > 0 {
-		comp.Mem = exec.NewMemTracker(c.cfg.MemBudgetBytes)
+	if c.root == nil || changed {
+		comp := &exec.Compiler{Q: c.cfg.Query, Cat: c.cfg.Cat, Parallelism: c.cfg.Parallelism}
+		if c.cfg.MemBudgetBytes > 0 {
+			comp.Mem = exec.NewMemTracker(c.cfg.MemBudgetBytes)
+		}
+		if c.root, c.stats, err = comp.CompileVec(plan); err != nil {
+			return res, err // no tree is held: the next slice compiles again
+		}
 	}
-	v, stats, err := comp.CompileVec(plan)
+	n, err := exec.CountVec(c.root)
 	if err != nil {
-		return res, err
-	}
-	n, err := exec.CountVec(v)
-	if err != nil {
+		c.root = nil
 		return res, err
 	}
 	res.Exec = time.Since(start)
 	res.Rows = n
 
-	c.observe(stats)
+	c.observe(c.stats)
 	return res, nil
 }
 

@@ -2,7 +2,7 @@ package exec
 
 import (
 	"errors"
-	"sort"
+	"slices"
 )
 
 // AggSpecExec describes a hash aggregation over the join output.
@@ -33,12 +33,18 @@ type aggTable struct {
 	sums   []int64 // group g's sums at [g*sw, (g+1)*sw)
 	counts []int64
 	idCols []int // 0..gw-1, for inserting already-extracted flat keys
-	// distinct value sets per (group, CountDistinct column); the only
-	// per-group allocation left, and only for COUNT(DISTINCT) queries. dvals
-	// counts the values stored across all of them, for approxBytes.
-	distinct []map[int64]struct{}
-	dvals    int
-	n        int
+	n      int
+	perm   []int32 // sorted's group permutation
+
+	// All COUNT(DISTINCT) sets are one open-addressing set of (set id, value)
+	// pairs, set id = group·dw + column: slot s holds value dvals[s] of set
+	// dids[s]-1, or nothing when dids[s] is 0. dcounts[d] is the size of set d,
+	// dn the values stored in all of them.
+	dmask   uint64
+	dids    []int32
+	dvals   []int64
+	dcounts []int64
+	dn      int
 }
 
 const aggInitSlots = 256 // power of two
@@ -56,7 +62,19 @@ func newAggTable(spec AggSpecExec) *aggTable {
 	for i := range t.idCols {
 		t.idCols[i] = i
 	}
+	if t.dw > 0 {
+		t.dmask, t.dids, t.dvals = aggInitSlots-1, make([]int32, aggInitSlots), make([]int64, aggInitSlots)
+	}
 	return t
+}
+
+// reset empties the table for the next execution; every array keeps its
+// capacity, and the slot arrays the size they grew to.
+func (t *aggTable) reset() {
+	clear(t.slots)
+	clear(t.dids)
+	t.hashes, t.keys, t.sums, t.counts, t.dcounts = t.hashes[:0], t.keys[:0], t.sums[:0], t.counts[:0], t.dcounts[:0]
+	t.n, t.dn = 0, 0
 }
 
 // add folds one row into the table — the scalar reference the addBatch
@@ -74,10 +92,39 @@ func (t *aggTable) add(r Row) {
 
 // addDistinct stores v in distinct set d, counting it when it is new.
 func (t *aggTable) addDistinct(d int, v int64) {
-	set := t.distinct[d]
-	before := len(set)
-	set[v] = struct{}{}
-	t.dvals += len(set) - before
+	h := (hashSeed ^ uint64(d)) * hashMul
+	h = (h ^ uint64(v)) * hashMul
+	h ^= h >> 32
+	id := int32(d + 1)
+	for s := h & t.dmask; ; s = (s + 1) & t.dmask {
+		switch t.dids[s] {
+		case id:
+			if t.dvals[s] == v {
+				return
+			}
+		case 0:
+			t.dids[s], t.dvals[s] = id, v
+			t.dcounts[d]++
+			t.dn++
+			if uint64(t.dn)*4 > (t.dmask+1)*3 {
+				t.growDistinct()
+			}
+			return
+		}
+	}
+}
+
+// growDistinct doubles the distinct set and re-inserts what it holds.
+func (t *aggTable) growDistinct() {
+	ids, vals := t.dids, t.dvals
+	size := 2 * len(ids)
+	t.dmask, t.dids, t.dvals, t.dn = uint64(size-1), make([]int32, size), make([]int64, size), 0
+	clear(t.dcounts)
+	for s, id := range ids {
+		if id != 0 {
+			t.addDistinct(int(id-1), vals[s])
+		}
+	}
 }
 
 // aggScratch is the reusable per-consumer scratch of the columnar
@@ -99,11 +146,7 @@ type aggScratch struct {
 // COUNT(DISTINCT) set is the same however often a value arrives.
 func (t *aggTable) addBatch(cols [][]int64, n int, sel []int, mult []int64, s *aggScratch) {
 	s.hashes = hashLive(s.hashes, cols, t.spec.GroupBy, n, sel)
-	m := len(s.hashes)
-	if cap(s.gids) < m {
-		s.gids = make([]int32, m)
-	}
-	s.gids = s.gids[:m]
+	s.gids = sized(s.gids, len(s.hashes))
 	t.resolveGids(cols, n, sel, s)
 	for si, c := range t.spec.Sums {
 		col, sums, sw := cols[c], t.sums, t.sw
@@ -261,9 +304,7 @@ func (t *aggTable) findOrCreateCols(h uint64, cols [][]int64, i int) int {
 			}
 			t.sums = append(t.sums, make([]int64, t.sw)...)
 			t.counts = append(t.counts, 0)
-			for d := 0; d < t.dw; d++ {
-				t.distinct = append(t.distinct, map[int64]struct{}{})
-			}
+			t.dcounts = append(t.dcounts, make([]int64, t.dw)...)
 			if uint64(t.n)*4 > (t.mask+1)*3 {
 				t.grow()
 			}
@@ -346,9 +387,7 @@ func (t *aggTable) newGroup(slot uint64, h uint64, r Row, cols []int) int {
 	}
 	t.sums = append(t.sums, make([]int64, t.sw)...)
 	t.counts = append(t.counts, 0)
-	for i := 0; i < t.dw; i++ {
-		t.distinct = append(t.distinct, map[int64]struct{}{})
-	}
+	t.dcounts = append(t.dcounts, make([]int64, t.dw)...)
 	// Grow at 3/4 load; rehashing only touches the slot array (hashes are
 	// stored per group).
 	if uint64(t.n)*4 > (t.mask+1)*3 {
@@ -357,19 +396,15 @@ func (t *aggTable) newGroup(slot uint64, h uint64, r Row, cols []int) int {
 	return g
 }
 
-// approxBytes estimates the table's tracked footprint: the slot array plus
-// per-group hash, key, sum and count storage, an empty-map allowance per
-// COUNT(DISTINCT) set and distinctValueBytes per value stored in one.
-// Monotone in n and in the stored values, so charging the delta after each
-// batch keeps the reservation current.
+// approxBytes estimates the table's tracked footprint: the slot array, the
+// per-group hash, key, sum, count and distinct-count storage, and the distinct
+// set's two slot arrays as held (12 bytes a slot). Monotone in n and in the
+// stored values, so charging the delta after each batch keeps the reservation
+// current.
 func (t *aggTable) approxBytes() int64 {
-	per := int64(8 + t.gw*8 + t.sw*8 + 8 + t.dw*48)
-	return int64(t.mask+1)*4 + int64(t.n)*per + int64(t.dvals)*distinctValueBytes
+	per := int64(8 + t.gw*8 + t.sw*8 + 8 + t.dw*8)
+	return int64(t.mask+1)*4 + int64(t.n)*per + int64(len(t.dids))*12
 }
-
-// distinctValueBytes is what one value held in a COUNT(DISTINCT) set is
-// charged: its 8-byte key and control byte at the map's growth-averaged load.
-const distinctValueBytes = 16
 
 func (t *aggTable) grow() {
 	size := 2 * (t.mask + 1)
@@ -386,41 +421,76 @@ func (t *aggTable) grow() {
 
 // mergeFrom folds another table's partial aggregates into t — the final
 // merge of worker-local aggregation state in the parallel pipeline. Both
-// tables must share the same spec.
+// tables must share the same spec. o's distinct values are re-inserted under
+// the merged groups' set ids.
 func (t *aggTable) mergeFrom(o *aggTable) {
+	merged := make([]int, o.n) // o's group id -> t's
 	for g := 0; g < o.n; g++ {
 		tg := t.findOrCreateKey(o.hashes[g], o.keys[g*o.gw:(g+1)*o.gw])
 		for i := 0; i < t.sw; i++ {
 			t.sums[tg*t.sw+i] += o.sums[g*o.sw+i]
 		}
 		t.counts[tg] += o.counts[g]
-		for i := 0; i < t.dw; i++ {
-			dst := t.distinct[tg*t.dw+i]
-			for v := range o.distinct[g*o.dw+i] {
-				dst[v] = struct{}{}
-			}
+		merged[g] = tg
+	}
+	for s, id := range o.dids {
+		if id != 0 {
+			d := int(id - 1)
+			t.addDistinct(merged[d/t.dw]*t.dw+d%t.dw, o.dvals[s])
 		}
 	}
 }
 
-// rows renders the groups as output rows in deterministic (sorted group
-// key) order: group-by columns, SUMs, COUNT(*) if requested, then
-// COUNT(DISTINCT) values.
-func (t *aggTable) rows() []Row {
-	out := make([]Row, 0, t.n)
+// sorted returns the group ids in ascending group-key order — the
+// deterministic output order. Keys are unique, so they order the rows.
+func (t *aggTable) sorted() []int32 {
+	t.perm = t.perm[:0]
 	for g := 0; g < t.n; g++ {
-		row := make(Row, 0, t.gw+t.sw+1+t.dw)
-		row = append(row, t.keys[g*t.gw:(g+1)*t.gw]...)
-		row = append(row, t.sums[g*t.sw:(g+1)*t.sw]...)
-		if t.spec.CountAll {
-			row = append(row, t.counts[g])
-		}
-		for i := 0; i < t.dw; i++ {
-			row = append(row, int64(len(t.distinct[g*t.dw+i])))
-		}
-		out = append(out, row)
+		t.perm = append(t.perm, int32(g))
 	}
-	sort.Slice(out, func(i, j int) bool { return rowLess(out[i], out[j]) })
+	gw := t.gw
+	slices.SortFunc(t.perm, func(a, b int32) int {
+		return slices.Compare(t.keys[int(a)*gw:int(a+1)*gw], t.keys[int(b)*gw:int(b+1)*gw])
+	})
+	return t.perm
+}
+
+// cols renders the groups column-major in sorted group-key order, straight
+// from the flat group arrays into out's columns (reused when large enough):
+// group-by columns, SUMs, COUNT(*) if requested, then COUNT(DISTINCT) values.
+func (t *aggTable) cols(out colData) colData {
+	cw := 0
+	if t.spec.CountAll {
+		cw = 1
+	}
+	out.cols, out.n = sized(out.cols, t.gw+t.sw+cw+t.dw), t.n
+	perm, c := t.sorted(), 0
+	for _, src := range []struct {
+		vals []int64
+		w    int
+	}{{t.keys, t.gw}, {t.sums, t.sw}, {t.counts, cw}, {t.dcounts, t.dw}} {
+		for k := 0; k < src.w; k++ {
+			col := sized(out.cols[c], t.n)
+			for r, g := range perm {
+				col[r] = src.vals[int(g)*src.w+k]
+			}
+			out.cols[c] = col
+			c++
+		}
+	}
+	return out
+}
+
+// rows is cols row-major, for the spill merge and the tests.
+func (t *aggTable) rows() []Row {
+	d := t.cols(colData{})
+	out := make([]Row, d.n)
+	for r := range out {
+		out[r] = make(Row, d.width())
+		for c, col := range d.cols {
+			out[r][c] = col[r]
+		}
+	}
 	return out
 }
 
@@ -433,6 +503,10 @@ type vecHashAggOp struct {
 	out   colData
 	pos   int
 	batch Batch
+
+	// kept across executions: the group table and the batch scratch
+	t       *aggTable
+	scratch aggScratch
 }
 
 // NewVecHashAgg returns a blocking hash aggregation: it consumes its input
@@ -446,12 +520,15 @@ func NewVecHashAgg(in VecIterator, spec AggSpecExec) VecIterator {
 }
 
 func (a *vecHashAggOp) Open() error {
-	t := newAggTable(a.spec)
+	if a.t == nil {
+		a.t = newAggTable(a.spec)
+	}
+	t := a.t
+	t.reset()
 	if err := a.in.Open(); err != nil {
 		return err
 	}
 	var (
-		scratch aggScratch
 		sp      *aggSpill
 		part    *spillPartitioner
 		charged int64
@@ -474,7 +551,7 @@ func (a *vecHashAggOp) Open() error {
 		if b == nil {
 			break
 		}
-		t.addBatch(b.Cols, b.N, b.Sel, b.Mult, &scratch)
+		t.addBatch(b.Cols, b.N, b.Sel, b.Mult, &a.scratch)
 		if a.mem == nil {
 			continue
 		}
@@ -505,79 +582,45 @@ func (a *vecHashAggOp) Open() error {
 		}
 		a.mem.Release(charged)
 		charged = 0
-		t = newAggTable(a.spec)
+		t = newAggTable(a.spec) // restart small, not at the size that overflowed
+		a.t = t
 	}
 	if err := a.in.Close(); err != nil {
 		return fail(err)
 	}
-	var rows []Row
 	if part == nil {
-		rows = t.rows()
+		a.out = t.cols(a.out)
 		a.mem.Release(charged)
-		charged = 0
 	} else {
 		if err := sp.dump(t, part); err != nil {
 			return fail(err)
 		}
 		a.mem.Release(charged)
-		charged = 0
 		runs, err := part.finish(a.mem)
 		if err != nil {
 			return err
 		}
-		if rows, err = sp.mergeAll(runs); err != nil {
+		rows, err := sp.mergeAll(runs)
+		if err != nil {
 			return err
 		}
-	}
-	var arity int
-	if len(rows) > 0 {
-		arity = len(rows[0])
+		var arity int
+		if len(rows) > 0 {
+			arity = len(rows[0])
+		}
+		a.out = transposeRows(rows, arity)
 	}
 	// The final output must materialize for the consumer regardless of
 	// budget; Force records any overage.
-	a.mem.Force(colBytes(arity, len(rows)))
-	a.out = transposeRows(rowsAsRaw(rows), arity)
+	a.mem.Force(colBytes(a.out.width(), a.out.n))
 	a.pos = 0
 	return nil
 }
 
-func rowsAsRaw(rows []Row) [][]int64 {
-	out := make([][]int64, len(rows))
-	for i, r := range rows {
-		out[i] = r
-	}
-	return out
-}
-
-func (a *vecHashAggOp) Next() (*Batch, error) {
-	if a.pos >= a.out.n {
-		return nil, nil
-	}
-	end := a.pos + BatchSize
-	if end > a.out.n {
-		end = a.out.n
-	}
-	a.batch.Cols = a.out.window(a.batch.Cols, a.pos, end)
-	a.batch.N = end - a.pos
-	a.batch.Sel = nil
-	a.pos = end
-	return &a.batch, nil
-}
+func (a *vecHashAggOp) Next() (*Batch, error) { return a.out.emit(&a.batch, &a.pos), nil }
 
 func (a *vecHashAggOp) Close() error {
-	a.out = colData{}
+	a.out.n = 0 // the columns stay for the next execution
 	a.mem.ReleaseAll()
 	return nil
-}
-
-func rowLess(a, b Row) bool {
-	for i := range a {
-		if i >= len(b) {
-			return false
-		}
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
 }

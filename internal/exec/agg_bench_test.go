@@ -2,7 +2,7 @@ package exec
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 )
 
@@ -80,9 +80,9 @@ func TestAggTableMatchesKeyStringBaseline(t *testing.T) {
 		row := append(append(Row(nil), st.key...), st.sums...)
 		want = append(want, append(row, st.count))
 	}
-	sort.Slice(want, func(i, j int) bool { return rowLess(want[i], want[j]) })
+	slices.SortFunc(want, func(a, b Row) int { return slices.Compare(a, b) })
 	for i := range got {
-		if rowLess(got[i], want[i]) || rowLess(want[i], got[i]) {
+		if !slices.Equal(got[i], want[i]) {
 			t.Fatalf("group %d: flat %v, baseline %v", i, got[i], want[i])
 		}
 	}

@@ -79,14 +79,18 @@ func unweighted(b *Batch, consumer string) error {
 }
 
 // VecIterator is the batch-at-a-time (vectorized Volcano) operator
-// interface. Next returns nil at end of stream.
+// interface. Next returns nil at end of stream. An operator tree is
+// re-openable: after Close, Open starts a new execution over what the tables
+// hold then (execRoot states the contract and its two refusals).
 type VecIterator interface {
 	// Open prepares the operator (builds hash tables, sorts inputs,
-	// launches scan workers).
+	// launches scan workers), emptying and reusing whatever buffers a
+	// previous execution left it.
 	Open() error
 	// Next returns the next batch, or nil at end of stream.
 	Next() (*Batch, error)
-	// Close releases operator state.
+	// Close ends the execution: trackers are released, files unlinked,
+	// workers joined. Buffers the operator owns keep their capacity.
 	Close() error
 }
 
@@ -179,6 +183,27 @@ func newColData(width, capHint int) colData {
 
 func (d *colData) width() int { return len(d.cols) }
 
+// reset empties d; its columns keep their capacity.
+func (d *colData) reset() {
+	for c := range d.cols {
+		d.cols[c] = d.cols[c][:0]
+	}
+	d.n = 0
+}
+
+// sized returns s at length n with unspecified contents, reusing its array
+// when that is large enough. A first allocation is exact; a regrown one leaves
+// a quarter of room, for the table that gains rows with every execution.
+func sized[T any](s []T, n int) []T {
+	switch {
+	case cap(s) >= n:
+		return s[:n]
+	case cap(s) == 0:
+		return make([]T, n)
+	}
+	return make([]T, n, n+n/4)
+}
+
 // window returns the zero-copy column windows of rows [lo, hi) into dst
 // (reused across calls).
 func (d *colData) window(dst [][]int64, lo, hi int) [][]int64 {
@@ -187,6 +212,18 @@ func (d *colData) window(dst [][]int64, lo, hi int) [][]int64 {
 		dst = append(dst, col[lo:hi])
 	}
 	return dst
+}
+
+// emit hands out rows [*pos, *pos+BatchSize) of d as a dense batch of
+// zero-copy windows in b and advances *pos; nil at the end.
+func (d *colData) emit(b *Batch, pos *int) *Batch {
+	if *pos >= d.n {
+		return nil
+	}
+	end := min(*pos+BatchSize, d.n)
+	b.Cols, b.N, b.Sel = d.window(b.Cols, *pos, end), end-*pos, nil
+	*pos = end
+	return b
 }
 
 // appendBatch copies a batch's live rows onto the end of d, initializing
@@ -247,7 +284,7 @@ func (d *colData) appendFrom(o colData) {
 // transposeRows converts arity-wide row-major data into columnar form
 // (operator outputs rendered as rows, and test helpers). The columns share
 // one exact-size backing array.
-func transposeRows(rows [][]int64, arity int) colData {
+func transposeRows[R ~[]int64](rows []R, arity int) colData {
 	d := colData{cols: flatCols(arity, len(rows)), n: len(rows)}
 	for r, row := range rows {
 		for c := range d.cols {
@@ -264,34 +301,40 @@ func transposeRows(rows [][]int64, arity int) colData {
 // filter, and drain parallel scans and fused pipelines at full worker
 // parallelism instead of serializing every batch through one consumer.
 type colDrainer interface {
-	drainCols() (colData, error)
+	drainCols(buf *colData) (colData, error)
 }
 
 // drainVecCols opens in, materializes every live row column-wise and closes
 // it — the materializing primitive shared by sort, merge join, hash join
-// builds and the pipeline's build sides.
-func drainVecCols(in VecIterator) (colData, error) {
-	if d, ok := in.(colDrainer); ok {
-		return d.drainCols()
+// builds and the pipeline's build sides. What is copied goes into buf — the
+// consumer's materialization of its previous execution, or nil — so a re-opened
+// consumer allocates only what outgrew it. The result is buf's content or
+// columns the source lends: read-only, and valid until the next drain.
+func drainVecCols(in VecIterator, buf *colData) (colData, error) {
+	if buf == nil {
+		buf = new(colData)
 	}
-	var out colData
+	if d, ok := in.(colDrainer); ok {
+		return d.drainCols(buf)
+	}
+	buf.reset()
 	if err := in.Open(); err != nil {
-		return out, errors.Join(err, in.Close())
+		return *buf, errors.Join(err, in.Close())
 	}
 	for {
 		b, err := in.Next()
 		if err != nil {
-			return out, errors.Join(err, in.Close())
+			return *buf, errors.Join(err, in.Close())
 		}
 		if b == nil {
 			break
 		}
 		if err := unweighted(b, "a materializing drain"); err != nil {
-			return out, errors.Join(err, in.Close())
+			return *buf, errors.Join(err, in.Close())
 		}
-		out.appendBatch(b)
+		buf.appendBatch(b)
 	}
-	return out, in.Close()
+	return *buf, in.Close()
 }
 
 // ---- vectorized scan ----
@@ -303,6 +346,8 @@ type vecScanOp struct {
 	pos   int
 	batch Batch
 	sel   []int
+	ids   []int32   // drainCols' surviving row ids
+	lent  [][]int64 // drainCols' headers over an unfiltered table's columns
 }
 
 // NewVecScan returns a serial vectorized filtering scan over column-major
@@ -330,7 +375,11 @@ func NewVecScanRows(rows [][]int64, filter ScanFilter) VecIterator {
 	return NewVecScan(d.cols, d.n, filter)
 }
 
-func (s *vecScanOp) Open() error { s.pos = 0; return nil }
+func (s *vecScanOp) Open() error {
+	s.leaf.bind()
+	s.pos = 0
+	return nil
+}
 
 func (s *vecScanOp) Next() (*Batch, error) {
 	for s.pos < s.leaf.data.n {
@@ -366,29 +415,31 @@ func (s *vecScanOp) Close() error { return nil }
 // as they are: they are immutable, consumers only read a materialization, and
 // the clipped capacity makes a stray append copy rather than write into the
 // table. A filtered scan collects its survivors' row ids window by window,
-// then copies each column once, at exact size.
-func (s *vecScanOp) drainCols() (colData, error) {
+// then copies each column once into buf, at exact size when buf's is too small.
+func (s *vecScanOp) drainCols(buf *colData) (colData, error) {
+	s.leaf.bind()
 	d := s.leaf.data
 	if s.leaf.filter.Empty() {
-		out := colData{cols: make([][]int64, d.width()), n: d.n}
+		s.lent = sized(s.lent, d.width())
 		for c, col := range d.cols {
-			out.cols[c] = col[:d.n:d.n]
+			s.lent[c] = col[:d.n:d.n]
 		}
-		return out, nil
+		return colData{cols: s.lent, n: d.n}, nil
 	}
-	var ids []int32
-	sel := make([]int, 0, BatchSize)
+	buf.cols = sized(buf.cols, d.width())
+	s.ids = s.ids[:0]
 	for lo := 0; lo < d.n; lo += BatchSize {
-		sel = s.leaf.sel(lo, min(lo+BatchSize, d.n), sel)
-		for _, i := range sel {
-			ids = append(ids, int32(lo+i))
+		s.sel = s.leaf.sel(lo, min(lo+BatchSize, d.n), s.sel)
+		for _, i := range s.sel {
+			s.ids = append(s.ids, int32(lo+i))
 		}
 	}
-	out := colData{cols: flatCols(d.width(), len(ids)), n: len(ids)}
+	buf.n = len(s.ids)
 	for c, col := range d.cols {
-		Gather(out.cols[c], col, ids)
+		buf.cols[c] = sized(buf.cols[c], buf.n)
+		Gather(buf.cols[c], col, s.ids)
 	}
-	return out, nil
+	return *buf, nil
 }
 
 // ---- vectorized sort ----
@@ -408,7 +459,7 @@ type vecSortOp struct {
 func NewVecSort(in VecIterator, col int) VecIterator { return &vecSortOp{in: in, col: col} }
 
 func (s *vecSortOp) Open() error {
-	data, err := drainVecCols(s.in)
+	data, err := drainVecCols(s.in, nil)
 	if err != nil {
 		return err
 	}
@@ -422,20 +473,7 @@ func (s *vecSortOp) Open() error {
 	return nil
 }
 
-func (s *vecSortOp) Next() (*Batch, error) {
-	if s.pos >= s.data.n {
-		return nil, nil
-	}
-	end := s.pos + BatchSize
-	if end > s.data.n {
-		end = s.data.n
-	}
-	s.batch.Cols = s.data.window(s.batch.Cols, s.pos, end)
-	s.batch.N = end - s.pos
-	s.batch.Sel = nil
-	s.pos = end
-	return &s.batch, nil
-}
+func (s *vecSortOp) Next() (*Batch, error) { return s.data.emit(&s.batch, &s.pos), nil }
 
 func (s *vecSortOp) Close() error {
 	s.data = colData{}
@@ -472,8 +510,8 @@ func (c *vecCounterOp) Close() error { return c.in.Close() }
 // drainCols forwards the parallel drain fast path through the counter,
 // keeping the counted cardinality exact: the materialized row count is by
 // definition the operator's output cardinality.
-func (c *vecCounterOp) drainCols() (colData, error) {
-	d, err := drainVecCols(c.in)
+func (c *vecCounterOp) drainCols(buf *colData) (colData, error) {
+	d, err := drainVecCols(c.in, buf)
 	*c.n += int64(d.n)
 	return d, err
 }

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/catalog"
@@ -33,6 +34,13 @@ func (s *RunStats) counter(set relalg.RelSet) *int64 {
 		s.Cards[set] = n
 	}
 	return n
+}
+
+// Reset zeroes every counter; a re-opened tree starts its execution with it.
+func (s *RunStats) Reset() {
+	for _, n := range s.Cards {
+		*n = 0
+	}
 }
 
 // Snapshot copies the observed cardinalities into a plain map — the handoff
@@ -82,8 +90,9 @@ type Compiler struct {
 	// budget, into the tracker's SetSpillDir directory; operators that
 	// cannot (sorts, merge joins, fused pipelines admitted by the planner's
 	// size estimate) charge through and record overage. Nil keeps the
-	// unbounded execution paths exactly. A Compiler carrying a tracker is
-	// single-execution: reusing it across queries would accumulate charges.
+	// unbounded execution paths exactly. The tracker belongs to the compiled
+	// tree: nothing is charged between its executions, and peak, overage and
+	// spill counters describe the latest one.
 	Mem *MemTracker
 	// decisions maps plan nodes to their resolved cache decision for the
 	// current CompileVec call.
@@ -131,7 +140,7 @@ func (c *Compiler) CompileVec(plan *relalg.Plan) (VecIterator, *RunStats, error)
 					op.prof.term = c.Prof.Agg
 				}
 			}
-			return op, stats, nil
+			return c.root(op, stats), stats, nil
 		}
 	}
 	// The aggregation reads Batch.Mult; a root without one is drained as rows.
@@ -152,8 +161,55 @@ func (c *Compiler) CompileVec(plan *relalg.Plan) (VecIterator, *RunStats, error)
 			v = &profVec{in: v, sp: c.Prof.Agg}
 		}
 	}
-	return v, stats, nil
+	return c.root(v, stats), stats, nil
 }
+
+// execRoot sits on top of every compiled tree and holds the reopen contract:
+// after Close, Open starts a new execution of the same operators — scan leaves
+// rebind to their tables' current snapshots, RunStats and the tracker's
+// per-execution figures start over, and every operator empties the buffers it
+// owns and keeps their capacity. Two kinds of tree refuse instead of returning
+// stale rows: one compiled against a result cache (its probe hits and spools
+// were decided against the cache's content at compile time) and one whose last
+// execution failed (its operators are in no defined state).
+type execRoot struct {
+	in          VecIterator
+	stats       *RunStats
+	mem         *MemTracker
+	cached      bool
+	ran, failed bool
+}
+
+func (c *Compiler) root(v VecIterator, stats *RunStats) VecIterator {
+	return &execRoot{in: v, stats: stats, mem: c.Mem, cached: c.Cache != nil}
+}
+
+// note records that the execution failed.
+func (r *execRoot) note(err error) error {
+	r.failed = r.failed || err != nil
+	return err
+}
+
+func (r *execRoot) Open() error {
+	switch {
+	case r.ran && r.cached:
+		return errors.New("exec: a tree compiled against a result cache runs once")
+	case r.ran && r.failed:
+		return errors.New("exec: a tree whose execution failed cannot be re-opened")
+	case r.ran:
+		r.stats.Reset()
+		r.mem.restart()
+	}
+	r.ran = true
+	return r.note(r.in.Open())
+}
+
+func (r *execRoot) Next() (*Batch, error) {
+	b, err := r.in.Next()
+	return b, r.note(err)
+}
+
+func (r *execRoot) Close() error { return r.note(r.in.Close()) }
 
 // aggSpec resolves the query's aggregation columns against the plan root's
 // output schema.
@@ -194,6 +250,28 @@ type scanLeaf struct {
 	filter  ScanFilter // conditions over positions in pred
 	pred    [][]int64
 	predSrc []int // table offset of each column of pred
+	// tab is the table data and pred are cut from; nil for a scan over fixed
+	// columns (a cached result, a test's).
+	tab *catalog.Table
+}
+
+// bind points the leaf at its table's current column snapshot. Scans call it
+// when an execution opens them, so a re-opened tree reads what the table holds
+// now. ColumnSnapshot returns a consistent (columns, row count) pair from the
+// backend's atomically published snapshot, so binding concurrently with
+// appends can never pair fresh columns with a stale count (or vice versa).
+func (l *scanLeaf) bind() {
+	if l.tab == nil {
+		return
+	}
+	cols, n := l.tab.ColumnSnapshot() // indexed by table offset
+	l.data.n = n
+	for i, col := range l.schema {
+		l.data.cols[i] = cols[col.Off]
+	}
+	for i, off := range l.predSrc {
+		l.pred[i] = cols[off]
+	}
 }
 
 // sel computes the selection vector of rows [lo, hi) into buf; the indexes
@@ -203,13 +281,14 @@ func (l *scanLeaf) sel(lo, hi int, buf []int) []int {
 }
 
 // resolveScan resolves the scan of rel emitting schema over the catalog
-// table's zero-copy column snapshot.
+// table's zero-copy column snapshot, bound to the current one: the compiler
+// sizes its parallelism decisions by it.
 func (c *Compiler) resolveScan(rel int, schema []relalg.ColID) (scanLeaf, error) {
 	t, err := c.Cat.Table(c.Q.Rels[rel].Table)
 	if err != nil {
 		return scanLeaf{}, err
 	}
-	leaf := scanLeaf{schema: schema}
+	leaf := scanLeaf{schema: schema, tab: t}
 	for _, pr := range c.Q.ScanPredsOf(rel) {
 		if pr.Col.Off >= len(t.ColNames) {
 			return scanLeaf{}, fmt.Errorf("exec: column %+v not in table %s", pr.Col, t.Name)
@@ -217,18 +296,9 @@ func (c *Compiler) resolveScan(rel int, schema []relalg.ColID) (scanLeaf, error)
 		leaf.filter.Conds = append(leaf.filter.Conds, ScanCond{Off: len(leaf.predSrc), Op: pr.Op, Val: pr.Val})
 		leaf.predSrc = append(leaf.predSrc, pr.Col.Off)
 	}
-	// ColumnSnapshot returns a consistent (columns, row count) pair from the
-	// storage backend's atomically published snapshot, so compiling
-	// concurrently with appends can never pair fresh columns with a stale
-	// count (or vice versa). cols is indexed by table offset.
-	cols, n := t.ColumnSnapshot()
-	leaf.data = colData{cols: make([][]int64, len(schema)), n: n}
-	for i, col := range schema {
-		leaf.data.cols[i] = cols[col.Off]
-	}
-	for _, off := range leaf.predSrc {
-		leaf.pred = append(leaf.pred, cols[off])
-	}
+	leaf.data.cols = make([][]int64, len(schema))
+	leaf.pred = make([][]int64, len(leaf.predSrc))
+	leaf.bind()
 	return leaf, nil
 }
 

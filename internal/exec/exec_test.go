@@ -321,6 +321,15 @@ func checkAgainstReference(t *testing.T, label string, comp *Compiler, ref *test
 	if err != nil {
 		t.Fatalf("%s: compile: %v\n%s", label, err, plan.Explain(comp.Q))
 	}
+	checkExecution(t, label, comp, v, st, ref.Card, want, plan)
+	return st
+}
+
+// checkExecution is checkAgainstReference for one execution of a tree
+// compiled already; card gives the reference cardinality of a subexpression.
+func checkExecution(t *testing.T, label string, comp *Compiler, v VecIterator, st *RunStats,
+	card func(relalg.RelSet) int64, want string, plan *relalg.Plan) {
+	t.Helper()
 	got, err := DrainVec(v)
 	if err != nil {
 		t.Fatalf("%s: %v\n%s", label, err, plan.Explain(comp.Q))
@@ -341,12 +350,11 @@ func checkAgainstReference(t *testing.T, label string, comp *Compiler, ref *test
 		}
 		counted[p.Expr] = true
 		got, ok := st.Card(p.Expr)
-		if want := ref.Card(p.Expr); !ok || got != want {
+		if want := card(p.Expr); !ok || got != want {
 			t.Fatalf("%s: cardinality of %v = %d (reported %v), reference %d", label, p.Expr, got, ok, want)
 		}
 	})
 	if len(st.Cards) != len(counted) {
 		t.Fatalf("%s: RunStats covers %d subexpressions, plan has %d counted nodes", label, len(st.Cards), len(counted))
 	}
-	return st
 }

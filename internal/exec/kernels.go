@@ -196,10 +196,7 @@ func hashLive(dst []uint64, cols [][]int64, keys []int, n int, sel []int) []uint
 	if m == 0 {
 		return dst[:0]
 	}
-	if cap(dst) < m {
-		dst = make([]uint64, m)
-	}
-	dst = dst[:m]
+	dst = sized(dst, m)
 	switch len(keys) {
 	case 1:
 		col := cols[keys[0]]
@@ -325,24 +322,23 @@ type joinTable struct {
 	data   colData
 }
 
-// allocJoinTable sizes the flat arrays for data; hashes and links are filled
-// in by the serial or the partitioned build.
-func allocJoinTable(data colData, keys []int, counting bool) *joinTable {
+// allocJoinTable sizes the flat arrays for data in t — nil, or the operator's
+// table of its previous execution, whose arrays are reused where large enough;
+// hashes and links are filled in by the serial or the partitioned build.
+func allocJoinTable(t *joinTable, data colData, keys []int, counting bool) *joinTable {
 	n := data.n
 	size := 16
 	for size < 2*n {
 		size <<= 1
 	}
-	t := &joinTable{
-		mask:   uint64(size - 1),
-		head:   make([]int32, size),
-		next:   make([]int32, n),
-		hashes: make([]uint64, n),
-		keys:   keys,
-		data:   data,
+	if t == nil {
+		t = new(joinTable)
 	}
+	t.mask, t.keys, t.data = uint64(size-1), keys, data
+	t.head, t.next, t.hashes = sized(t.head, size), sized(t.next, n), sized(t.hashes, n)
+	clear(t.head) // next and hashes are written for every row that is read
 	if counting {
-		t.mult = make([]int32, n)
+		t.mult = sized(t.mult, n) // countDup starts each linked row's count
 	}
 	return t
 }
@@ -364,8 +360,8 @@ func (t *joinTable) countDup(i int32) bool {
 	return false
 }
 
-func buildJoinTable(data colData, keys []int, counting bool) *joinTable {
-	t := allocJoinTable(data, keys, counting)
+func buildJoinTable(t *joinTable, data colData, keys []int, counting bool) *joinTable {
+	t = allocJoinTable(t, data, keys, counting)
 	hashDenseRange(t.hashes, data.cols, keys, 0, data.n)
 	for i := 0; i < data.n; i++ {
 		if counting && t.countDup(int32(i)) {
@@ -415,12 +411,12 @@ func (t *joinTable) countMatches(cols [][]int64, pKeys []int, hs []uint64, sel [
 // newJoinTable picks the build strategy: partitioned parallel when the
 // build side is large enough to pay for worker startup, serial otherwise.
 // Either way the resulting table is the same read-only structure the probe
-// loops already use.
-func newJoinTable(data colData, keys []int, workers int, counting bool) *joinTable {
+// loops already use, built in t's arrays when t is not nil.
+func newJoinTable(t *joinTable, data colData, keys []int, workers int, counting bool) *joinTable {
 	if workers > 1 && data.n >= minParallelRows {
-		return buildJoinTableParallel(data, keys, workers, counting)
+		return buildJoinTableParallel(t, data, keys, workers, counting)
 	}
-	return buildJoinTable(data, keys, counting)
+	return buildJoinTable(t, data, keys, counting)
 }
 
 // buildJoinTableParallel builds the same flat chained table as
@@ -432,9 +428,9 @@ func newJoinTable(data colData, keys []int, workers int, counting bool) *joinTab
 // (rows with equal keys share a bucket) and the table comes out identical (up
 // to chain order, which the probe treats as a multiset) without any
 // synchronization on the hot arrays.
-func buildJoinTableParallel(data colData, keys []int, workers int, counting bool) *joinTable {
+func buildJoinTableParallel(t *joinTable, data colData, keys []int, workers int, counting bool) *joinTable {
 	n := data.n
-	t := allocJoinTable(data, keys, counting)
+	t = allocJoinTable(t, data, keys, counting)
 	size := len(t.head)
 	if workers > n {
 		workers = n

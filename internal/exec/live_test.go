@@ -233,7 +233,7 @@ func TestLivenessEdgeCases(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", tc.name, err)
 				}
-				data, err := drainVecCols(v)
+				data, err := drainVecCols(v, nil)
 				if err != nil {
 					t.Fatalf("%s: %v", tc.name, err)
 				}

@@ -143,6 +143,17 @@ func (t *MemTracker) ReleaseAll() {
 	t.root.used.Add(-t.used.Swap(0))
 }
 
+// restart begins a root tracker's next execution: peak, overage and spill
+// counters describe one execution each.
+func (t *MemTracker) restart() {
+	if t != nil {
+		t.peak.Store(t.used.Load())
+		for _, n := range []*atomic.Int64{&t.overage, &t.spillPartitions, &t.spillBytes, &t.spillRecursions} {
+			n.Store(0)
+		}
+	}
+}
+
 func (t *MemTracker) notePeak(v int64) {
 	for {
 		p := t.peak.Load()

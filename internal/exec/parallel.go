@@ -16,7 +16,8 @@ const minParallelRows = 4 * morselSize
 
 type parallelScanOp struct {
 	leaf    scanLeaf
-	workers int
+	par     int // the compiler's Parallelism
+	workers int // of this execution: at most par, at most one per morsel
 
 	cursor atomic.Int64
 	ch     chan *Batch
@@ -44,7 +45,7 @@ func NewParallelScan(cols [][]int64, n int, filter ScanFilter, workers int) VecI
 }
 
 func newParallelScan(leaf scanLeaf, workers int) *parallelScanOp {
-	return &parallelScanOp{leaf: leaf, workers: scanWorkers(workers, leaf.data.n)}
+	return &parallelScanOp{leaf: leaf, par: workers}
 }
 
 // scanWorkers caps the worker count at one per morsel of an n-row table.
@@ -59,6 +60,8 @@ func scanWorkers(workers, n int) int {
 }
 
 func (s *parallelScanOp) Open() error {
+	s.leaf.bind()
+	s.workers = scanWorkers(s.par, s.leaf.data.n)
 	s.cursor.Store(0)
 	s.closed = false
 	s.ch = make(chan *Batch, 2*s.workers)
@@ -183,12 +186,14 @@ func (s *parallelScanOp) Close() error {
 // column-wise to per-worker buffers, concatenated once at the end. This is
 // the build-side path of the parallel pipeline — the whole drain runs at
 // worker parallelism with zero cross-worker coordination beyond the cursor.
-func (s *parallelScanOp) drainCols() (colData, error) {
+func (s *parallelScanOp) drainCols(buf *colData) (colData, error) {
+	s.leaf.bind()
 	data := s.leaf.data
+	workers := scanWorkers(s.par, data.n)
 	var cursor atomic.Int64
-	bufs := make([]colData, s.workers)
+	bufs := make([]colData, workers)
 	var wg sync.WaitGroup
-	for w := 0; w < s.workers; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
@@ -216,9 +221,9 @@ func (s *parallelScanOp) drainCols() (colData, error) {
 		}(w)
 	}
 	wg.Wait()
-	var out colData
+	buf.reset()
 	for _, b := range bufs {
-		out.appendFrom(b)
+		buf.appendFrom(b)
 	}
-	return out, nil
+	return *buf, nil
 }

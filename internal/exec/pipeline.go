@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,7 +38,9 @@ type pipeStage struct {
 	counting  bool
 	card      *int64
 
+	// kept across executions, like vecHashJoinOp's
 	table *joinTable
+	data  colData
 }
 
 type parallelPipelineOp struct {
@@ -50,7 +51,9 @@ type parallelPipelineOp struct {
 
 	stages  []*pipeStage // in probe order: stages[0] is probed first
 	agg     *AggSpecExec // nil = collect mode (emit joined rows)
-	workers int
+	par     int          // the compiler's Parallelism
+	workers int          // of this execution: at most par, at most one per morsel
+	ws      []*pipeWorker
 	mem     *MemTracker // child tracker; Force-only (fusion is admission-gated)
 	// prof, when non-nil, receives the fused profile: per-worker stage
 	// clocks attribute each worker's wall time exclusively to the segment
@@ -74,6 +77,7 @@ type parallelPipelineOp struct {
 	stream bool
 	ch     chan *Batch
 	free   chan *Batch
+	shells []*Batch // every shell there is; free is refilled from it at Open
 	quit   chan struct{}
 	last   *Batch // batch lent to the consumer, recycled on the next call
 	closed bool
@@ -85,15 +89,7 @@ type parallelPipelineOp struct {
 // aggregation with a final merge.
 func newParallelPipeline(leaf scanLeaf, scanCard *int64,
 	stages []*pipeStage, workers int) *parallelPipelineOp {
-	if max := (leaf.data.n + morselSize - 1) / morselSize; workers > max {
-		workers = max
-	}
-	// At least one worker even for an empty probe table, so the merge
-	// phase always has a terminal to read.
-	if workers < 1 {
-		workers = 1
-	}
-	return &parallelPipelineOp{leaf: leaf, scanCard: scanCard, stages: stages, workers: workers}
+	return &parallelPipelineOp{leaf: leaf, scanCard: scanCard, stages: stages, par: workers}
 }
 
 // fuseAgg replaces the pipeline's collect terminal with worker-local hash
@@ -129,125 +125,131 @@ type pipeWorker struct {
 }
 
 func (p *parallelPipelineOp) Open() error {
+	p.leaf.bind()
+	// At least one worker even for an empty probe table, so the merge phase
+	// always has a terminal to read.
+	p.workers = max(1, scanWorkers(p.par, p.leaf.data.n))
 	// Build every stage's join table up front. Build sides drain through
 	// drainVecCols, which parallelizes across morsels where the subtree
 	// supports it; large tables use the partitioned parallel insert.
 	width := p.leaf.data.width() // the pipeline's output width: the last stage's, or the scan's
 	for _, st := range p.stages {
-		data, err := drainVecCols(st.build)
+		data, err := drainVecCols(st.build, &st.data)
 		if err != nil {
 			return err
 		}
 		p.mem.Force(colBytes(data.width(), data.n) + joinTableBytes(data.n, st.counting))
-		st.table = newJoinTable(data, st.buildKeys, p.workers, st.counting)
+		st.table = newJoinTable(st.table, data, st.buildKeys, p.workers, st.counting)
 		width = len(st.buildOut) + len(st.probeOut)
 	}
 
-	p.stream = p.agg == nil
+	p.stream, p.closed, p.pos = p.agg == nil, false, 0
 	if p.stream {
 		p.ch = make(chan *Batch, p.workers)
 		p.quit = make(chan struct{})
-		shells := 2*p.workers + 1 // per-worker in flight + channel buffer + consumer
-		p.free = make(chan *Batch, shells)
 		// Chunks leave a counting last stage weighted, so the shells carry a
 		// multiplicity vector beside their columns.
 		weighted := len(p.stages) > 0 && p.stages[len(p.stages)-1].counting
-		for i := 0; i < shells; i++ {
+		for len(p.shells) < 2*p.workers+1 { // per-worker in flight + channel buffer + consumer
 			shell := &Batch{Cols: flatCols(width, BatchSize)}
 			if weighted {
 				shell.Mult = make([]int64, BatchSize)
 			}
+			p.shells = append(p.shells, shell)
+		}
+		p.free = make(chan *Batch, len(p.shells))
+		for _, shell := range p.shells {
 			p.free <- shell
 		}
 		if weighted {
 			width++ // the multiplicities are charged as one more column
 		}
-		p.mem.Force(int64(shells) * colBytes(width, BatchSize))
+		p.mem.Force(int64(len(p.shells)) * colBytes(width, BatchSize))
 	}
 
+	for len(p.ws) < p.workers {
+		p.ws = append(p.ws, p.newWorker())
+	}
+	workers := p.ws[:p.workers]
 	var cursor atomic.Int64
-	workers := make([]*pipeWorker, p.workers)
 	var wg sync.WaitGroup
-	for w := 0; w < p.workers; w++ {
-		pw := &pipeWorker{
-			op:     p,
-			counts: make([]int64, len(p.stages)+1),
-			stages: make([]stageScratch, len(p.stages)),
-		}
-		for i, st := range p.stages {
-			if st.counting {
-				pw.stages[i] = stageScratch{
-					out:  make([][]int64, len(st.probeOut)),
-					sel:  make([]int, 0, morselSize),
-					mult: make([]int64, morselSize),
-				}
-				continue
-			}
-			pw.stages[i] = stageScratch{
-				pairsB: make([]int32, 0, BatchSize),
-				pairsP: make([]int32, 0, BatchSize),
-				out:    flatCols(len(st.buildOut)+len(st.probeOut), BatchSize),
-			}
-		}
-		if p.agg != nil {
-			pw.agg = newAggTable(*p.agg)
+	for _, pw := range workers {
+		clear(pw.counts)
+		pw.stopped = false
+		if pw.agg != nil {
+			pw.agg.reset()
 		}
 		if p.prof != nil {
 			pw.clock = newStageClock(len(p.stages) + 2)
 		}
-		workers[w] = pw
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			pw.run(&cursor)
 		}()
 	}
+	// Exact-cardinality merge: per-worker counters sum to precisely the
+	// counts the serial operator tree would have produced, so RunStats
+	// feedback into the adaptive loop is byte-identical at any parallelism.
+	joined := func() {
+		wg.Wait()
+		for _, pw := range workers {
+			*p.scanCard += pw.counts[0]
+			for i, st := range p.stages {
+				*st.card += pw.counts[i+1]
+			}
+		}
+	}
 
 	if p.stream {
 		go func() {
-			wg.Wait()
-			for _, pw := range workers {
-				*p.scanCard += pw.counts[0]
-				for i, st := range p.stages {
-					*st.card += pw.counts[i+1]
-				}
-			}
+			joined()
 			if p.prof != nil {
 				p.mergeProf(workers)
 			}
 			close(p.ch)
 		}()
-		p.pos = 0
 		return nil
 	}
-	wg.Wait()
-
-	// Exact-cardinality merge: per-worker counters sum to precisely the
-	// counts the serial operator tree would have produced, so RunStats
-	// feedback into the adaptive loop is byte-identical at any
-	// parallelism.
-	for _, pw := range workers {
-		*p.scanCard += pw.counts[0]
-		for i, st := range p.stages {
-			*st.card += pw.counts[i+1]
-		}
-	}
+	joined()
 	agg := workers[0].agg
 	for _, pw := range workers[1:] {
 		agg.mergeFrom(pw.agg)
 	}
-	rows := agg.rows()
-	var arity int
-	if len(rows) > 0 {
-		arity = len(rows[0])
-	}
-	p.mem.Force(colBytes(arity, len(rows)))
-	p.out = transposeRows(rowsAsRaw(rows), arity)
+	p.out = agg.cols(p.out)
+	p.mem.Force(colBytes(p.out.width(), p.out.n))
 	if p.prof != nil {
 		p.mergeProf(workers)
 	}
-	p.pos = 0
 	return nil
+}
+
+// newWorker allocates one worker's private state; Open empties and reuses it.
+func (p *parallelPipelineOp) newWorker() *pipeWorker {
+	pw := &pipeWorker{
+		op:     p,
+		counts: make([]int64, len(p.stages)+1),
+		stages: make([]stageScratch, len(p.stages)),
+	}
+	for i, st := range p.stages {
+		if st.counting {
+			pw.stages[i] = stageScratch{
+				out:  make([][]int64, len(st.probeOut)),
+				sel:  make([]int, 0, morselSize),
+				mult: make([]int64, morselSize),
+			}
+			continue
+		}
+		pw.stages[i] = stageScratch{
+			pairsB: make([]int32, 0, BatchSize),
+			pairsP: make([]int32, 0, BatchSize),
+			out:    flatCols(len(st.buildOut)+len(st.probeOut), BatchSize),
+		}
+	}
+	if p.agg != nil {
+		pw.agg = newAggTable(*p.agg)
+	}
+	return pw
 }
 
 // mergeProf folds the per-worker stage clocks into the profile's self-time
@@ -476,18 +478,7 @@ func (p *parallelPipelineOp) Next() (*Batch, error) {
 		p.last = b
 		return b, nil
 	}
-	if p.pos >= p.out.n {
-		return nil, nil
-	}
-	end := p.pos + BatchSize
-	if end > p.out.n {
-		end = p.out.n
-	}
-	p.batch.Cols = p.out.window(p.batch.Cols, p.pos, end)
-	p.batch.N = end - p.pos
-	p.batch.Sel = nil
-	p.pos = end
-	return &p.batch, nil
+	return p.out.emit(&p.batch, &p.pos), nil
 }
 
 func (p *parallelPipelineOp) Close() error {
@@ -501,41 +492,7 @@ func (p *parallelPipelineOp) Close() error {
 		}
 		p.last = nil
 	}
-	p.out = colData{}
-	for _, st := range p.stages {
-		st.table = nil
-	}
+	p.out.n = 0 // the columns stay for the next execution
 	p.mem.ReleaseAll()
 	return nil
-}
-
-// drainCols gives materializing consumers (e.g. an outer join draining a
-// fused build-side pipeline) the pipeline's output in one column-major
-// buffer: the streamed batches are appended as they arrive (same copy count
-// as the former worker-local collect + concatenate), the aggregate path
-// moves the already-materialized output.
-func (p *parallelPipelineOp) drainCols() (colData, error) {
-	if err := p.Open(); err != nil {
-		return colData{}, errors.Join(err, p.Close())
-	}
-	if p.stream {
-		var out colData
-		for {
-			b, err := p.Next()
-			if err != nil {
-				return out, errors.Join(err, p.Close())
-			}
-			if b == nil {
-				break
-			}
-			if err := unweighted(b, "a materializing drain"); err != nil {
-				return out, errors.Join(err, p.Close())
-			}
-			out.appendBatch(b)
-		}
-		return out, p.Close()
-	}
-	out := p.out
-	p.out = colData{} // ownership moves to the caller before Close drops it
-	return out, p.Close()
 }

@@ -1,7 +1,10 @@
 package exec
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/cost"
@@ -45,7 +48,7 @@ func TestCompilePipelineFuses(t *testing.T) {
 	}
 	for _, tc := range cases {
 		v, _ := compileFor(t, tc.q, 4)
-		pp, ok := v.(*parallelPipelineOp)
+		pp, ok := v.(*execRoot).in.(*parallelPipelineOp)
 		if !ok {
 			t.Fatalf("%s: compiled root is %T, want *parallelPipelineOp", tc.q.Name, v)
 		}
@@ -58,7 +61,7 @@ func TestCompilePipelineFuses(t *testing.T) {
 	}
 	// Serial compilation must not fuse.
 	v, _ := compileFor(t, tpch.Q3S(), 1)
-	if _, ok := v.(*parallelPipelineOp); ok {
+	if _, ok := v.(*execRoot).in.(*parallelPipelineOp); ok {
 		t.Fatal("Parallelism=1 compiled to a parallel pipeline")
 	}
 }
@@ -177,7 +180,7 @@ func TestPipelineAggMatchesSerial(t *testing.T) {
 		t.Fatalf("fused agg differs from serial: %d groups vs %d", len(got), len(want))
 	}
 	for i := range got {
-		if rowLess(got[i], want[i]) || rowLess(want[i], got[i]) {
+		if !slices.Equal(got[i], want[i]) {
 			t.Fatalf("fused agg order differs at group %d: %v vs %v", i, got[i], want[i])
 		}
 	}
@@ -215,9 +218,77 @@ func TestAggTableMerge(t *testing.T) {
 		t.Fatalf("merged %d groups, single table has %d", len(got), len(want))
 	}
 	for i := range got {
-		if rowLess(got[i], want[i]) || rowLess(want[i], got[i]) {
+		if !slices.Equal(got[i], want[i]) {
 			t.Fatalf("group %d: merged %v, single %v", i, got[i], want[i])
 		}
+	}
+}
+
+// TestDistinctSetMatchesMapOracle drives aggTable's flat COUNT(DISTINCT) set —
+// one open-addressing set of (set id, value) pairs for every group and column
+// — against a Go map of the same pairs: values that are their own edge cases
+// (0, -1, the extreme int64s) stored under many set ids, growth across several
+// doublings, reset and refill in the kept arrays, and mergeFrom of two and of
+// four partial tables, which re-inserts under the merged group's ids.
+func TestDistinctSetMatchesMapOracle(t *testing.T) {
+	spec := AggSpecExec{GroupBy: []int{0}, CountDistinct: []int{1, 2}}
+	rng := rand.New(rand.NewSource(31))
+	value := func() int64 {
+		if edge := []int64{0, -1, math.MinInt64, math.MaxInt64}; rng.Intn(8) == 0 {
+			return edge[rng.Intn(len(edge))]
+		}
+		return int64(rng.Intn(3000))
+	}
+	type pair = [2]int64 // (group key · 2 + column, value)
+	fill := func(tabs []*aggTable, oracle map[pair]struct{}, n int) {
+		for i := 0; i < n; i++ {
+			r := Row{int64(rng.Intn(40)), value(), value()}
+			tabs[i%len(tabs)].add(r)
+			oracle[pair{r[0] * 2, r[1]}], oracle[pair{r[0]*2 + 1, r[2]}] = struct{}{}, struct{}{}
+		}
+	}
+	check := func(label string, tab *aggTable, oracle map[pair]struct{}) {
+		t.Helper()
+		want := map[pair]int64{} // (group key, column) -> distinct values
+		for p := range oracle {
+			want[pair{p[0] / 2, p[0] % 2}]++
+		}
+		if tab.dn != len(oracle) {
+			t.Fatalf("%s: the set holds %d values, the oracle %d", label, tab.dn, len(oracle))
+		}
+		for _, r := range tab.rows() {
+			if r[1] != want[pair{r[0], 0}] || r[2] != want[pair{r[0], 1}] {
+				t.Fatalf("%s: group %d counts %d and %d distinct values, the oracle %d and %d",
+					label, r[0], r[1], r[2], want[pair{r[0], 0}], want[pair{r[0], 1}])
+			}
+		}
+	}
+
+	tab, oracle := newAggTable(spec), map[pair]struct{}{}
+	fill([]*aggTable{tab}, oracle, 200000)
+	check("filled", tab, oracle)
+	grown := len(tab.dids)
+	if grown < 8*aggInitSlots {
+		t.Fatalf("the set grew to %d slots only: the fill no longer crosses several doublings", grown)
+	}
+	tab.reset()
+	oracle = map[pair]struct{}{}
+	check("reset", tab, oracle)
+	fill([]*aggTable{tab}, oracle, 5000)
+	check("refilled", tab, oracle)
+	if len(tab.dids) != grown {
+		t.Fatalf("reset kept %d of the set's %d slots", len(tab.dids), grown)
+	}
+	for _, n := range []int{2, 4} {
+		parts, oracle := make([]*aggTable, n), map[pair]struct{}{}
+		for i := range parts {
+			parts[i] = newAggTable(spec)
+		}
+		fill(parts, oracle, 50000)
+		for _, p := range parts[1:] {
+			parts[0].mergeFrom(p)
+		}
+		check(fmt.Sprintf("%d partial tables merged", n), parts[0], oracle)
 	}
 }
 
@@ -255,7 +326,7 @@ func TestBuildJoinTableParallelMatchesSerial(t *testing.T) {
 	keys := []int{0, 1}
 	data := transposeRows(rows, 3)
 	for _, counting := range []bool{false, true} {
-		serial := buildJoinTable(data, keys, counting)
+		serial := buildJoinTable(nil, data, keys, counting)
 		linked := 0
 		for b := range serial.head {
 			for ci := serial.head[b]; ci != 0; ci = serial.next[ci-1] {
@@ -270,7 +341,7 @@ func TestBuildJoinTableParallelMatchesSerial(t *testing.T) {
 			t.Fatalf("counting=%v: %d rows linked, want %d", counting, linked, want)
 		}
 		for _, workers := range []int{2, 4, 7} {
-			par := buildJoinTableParallel(data, keys, workers, counting)
+			par := buildJoinTableParallel(nil, data, keys, workers, counting)
 			if par.mask != serial.mask {
 				t.Fatalf("workers=%d: mask %d != serial %d", workers, par.mask, serial.mask)
 			}

@@ -232,9 +232,9 @@ func (p *profVec) Close() error {
 // drainCols forwards the materializing fast path through the shim — wrapping
 // must not demote a parallel drain to the batch stream. The whole drain is
 // one timed observation: one logical batch carrying every live row.
-func (p *profVec) drainCols() (colData, error) {
+func (p *profVec) drainCols(buf *colData) (colData, error) {
 	t0 := time.Now()
-	d, err := drainVecCols(p.in)
+	d, err := drainVecCols(p.in, buf)
 	p.sp.Record(1, int64(d.n), time.Since(t0))
 	return d, err
 }

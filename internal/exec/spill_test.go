@@ -254,9 +254,12 @@ func TestCountDistinctChargesItsValues(t *testing.T) {
 		}
 		return root.Peak()
 	}
+	// The one flat set is charged as held, 12 bytes a slot: the 256 it starts
+	// with hold 8 values, 8000 take 16384 (doubling at three quarters full).
 	few, many := peak(8), peak(8000)
-	if many-few < (8000-8)*8 {
-		t.Fatalf("tracked peak %d B with 8 distinct values, %d B with 8000: the sets' contents are not charged", few, many)
+	if many-few != (16384-256)*12 {
+		t.Fatalf("tracked peak %d B with 8 distinct values, %d B with 8000: want %d B between them, the set's slots as held",
+			few, many, (16384-256)*12)
 	}
 }
 

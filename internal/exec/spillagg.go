@@ -1,6 +1,6 @@
 package exec
 
-import "sort"
+import "slices"
 
 // Grace-hash spill for vectorized hash aggregation. Aggregation state is
 // associative — a group's (sums, count) accumulators merge by addition — so
@@ -207,6 +207,6 @@ func (sp *aggSpill) mergeAll(runs []*spillRun) ([]Row, error) {
 		}
 		rows = append(rows, sub...)
 	}
-	sort.Slice(rows, func(i, j int) bool { return rowLess(rows[i], rows[j]) })
+	slices.SortFunc(rows, func(a, b Row) int { return slices.Compare(a, b) })
 	return rows, nil
 }

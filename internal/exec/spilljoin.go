@@ -134,7 +134,7 @@ func (s *spillJoin) advance(j *vecHashJoinOp) (bool, error) {
 				it.probe.close()
 				return false, err
 			}
-			j.table = newJoinTable(data, s.lKeys, s.workers, s.counting)
+			j.table = newJoinTable(nil, data, s.lKeys, s.workers, s.counting)
 			s.charged = need
 			rd, err := it.probe.reader()
 			if err != nil {
@@ -238,7 +238,7 @@ func (s *spillJoin) loadChunk(j *vecHashJoinOp) (bool, error) {
 		s.mem.Force(need)
 	}
 	s.charged = need
-	j.table = newJoinTable(data, s.lKeys, s.workers, s.counting)
+	j.table = newJoinTable(nil, data, s.lKeys, s.workers, s.counting)
 	rd, err := s.cur.probe.reader()
 	if err != nil {
 		return false, err
@@ -308,6 +308,7 @@ func (j *vecHashJoinOp) openSpill(sofar colData, pending *Batch, charged int64) 
 		}
 	}
 	j.mem.Release(charged)
+	j.build = colData{}
 	if pending != nil {
 		if err := bp.add(pending.Cols, pending.N, pending.Sel); err != nil {
 			bp.abort()

@@ -107,7 +107,10 @@ type vecHashJoinOp struct {
 	// once, carrying its match count, instead of once per match.
 	counting bool
 
+	// table and build are kept across executions: an Open rebuilds them in
+	// the arrays they have.
 	table *joinTable
+	build colData    // the drained build side, unless its source lent columns
 	spill *spillJoin // non-nil once the build overflowed its reservation
 
 	// probe state, carried across Next calls
@@ -146,6 +149,10 @@ func NewVecHashJoin(left, right VecIterator, lKeys, rKeys []int, residual []ColP
 }
 
 func (j *vecHashJoinOp) Open() error {
+	j.pb, j.pi, j.chain, j.drained = nil, 0, 0, false
+	if !j.counting {
+		j.pairsB, j.pairsP = sized(j.pairsB, BatchSize)[:0], sized(j.pairsP, BatchSize)[:0]
+	}
 	if err := j.right.Open(); err != nil {
 		return err
 	}
@@ -156,16 +163,12 @@ func (j *vecHashJoinOp) Open() error {
 			return errors.Join(err, j.right.Close())
 		}
 	} else {
-		build, err := drainVecCols(j.left)
+		build, err := drainVecCols(j.left, &j.build)
 		if err != nil {
 			return errors.Join(err, j.right.Close())
 		}
 		j.mem.Force(colBytes(build.width(), build.n) + joinTableBytes(build.n, j.counting))
-		j.table = newJoinTable(build, j.lKeys, j.workers, j.counting)
-	}
-	if j.pairsB == nil && !j.counting {
-		j.pairsB = make([]int32, 0, BatchSize)
-		j.pairsP = make([]int32, 0, BatchSize)
+		j.table = newJoinTable(j.table, build, j.lKeys, j.workers, j.counting)
 	}
 	return nil
 }
@@ -178,10 +181,8 @@ func (j *vecHashJoinOp) openBounded() error {
 	if err := j.left.Open(); err != nil {
 		return errors.Join(err, j.left.Close())
 	}
-	var (
-		build   colData
-		charged int64
-	)
+	j.build.reset()
+	var charged int64
 	for {
 		b, err := j.left.Next()
 		if err != nil {
@@ -197,21 +198,21 @@ func (j *vecHashJoinOp) openBounded() error {
 		}
 		need := colBytes(b.Width(), b.Len())
 		if !j.mem.Reserve(need) {
-			return j.openSpill(build, b, charged)
+			return j.openSpill(j.build, b, charged)
 		}
 		charged += need
-		build.appendBatch(b)
+		j.build.appendBatch(b)
 	}
 	// Reserve the hash table before closing the build input: if even the
 	// table does not fit, openSpill re-drains the (exhausted) input.
-	if !j.mem.Reserve(joinTableBytes(build.n, j.counting)) {
-		return j.openSpill(build, nil, charged)
+	if !j.mem.Reserve(joinTableBytes(j.build.n, j.counting)) {
+		return j.openSpill(j.build, nil, charged)
 	}
 	if err := j.left.Close(); err != nil {
 		j.mem.ReleaseAll()
 		return err
 	}
-	j.table = newJoinTable(build, j.lKeys, j.workers, j.counting)
+	j.table = newJoinTable(j.table, j.build, j.lKeys, j.workers, j.counting)
 	return nil
 }
 
@@ -331,7 +332,6 @@ func (j *vecHashJoinOp) Next() (*Batch, error) {
 }
 
 func (j *vecHashJoinOp) Close() error {
-	j.table = nil
 	j.spill.closeAll()
 	j.spill = nil
 	j.mem.ReleaseAll()
@@ -365,11 +365,12 @@ func NewVecMergeJoin(left, right VecIterator, lKey, rKey int, residual []ColPred
 }
 
 func (m *vecMergeJoinOp) Open() error {
+	m.li, m.ri, m.gls, m.gle, m.grs, m.gre, m.gi, m.gj = 0, 0, 0, 0, 0, 0, 0, 0
 	var err error
-	if m.lData, err = drainVecCols(m.left); err != nil {
+	if m.lData, err = drainVecCols(m.left, nil); err != nil {
 		return err
 	}
-	if m.rData, err = drainVecCols(m.right); err != nil {
+	if m.rData, err = drainVecCols(m.right, nil); err != nil {
 		return err
 	}
 	m.mem.Force(colBytes(m.lData.width(), m.lData.n) + colBytes(m.rData.width(), m.rData.n))
@@ -392,8 +393,7 @@ func (m *vecMergeJoinOp) Open() error {
 			}
 		}
 	}
-	m.pairsB = make([]int32, 0, BatchSize)
-	m.pairsP = make([]int32, 0, BatchSize)
+	m.pairsB, m.pairsP = sized(m.pairsB, BatchSize)[:0], sized(m.pairsP, BatchSize)[:0]
 	return nil
 }
 

@@ -28,8 +28,20 @@
 //     row is passed on once with its match count beside it (Batch.Mult),
 //     which COUNT(*) and SUM scale by and COUNT(DISTINCT) ignores; the
 //     cardinality counters sum the multiplicities, so feedback is that of
-//     the enumerating join;
-//   - internal/aqp — the adaptive query processing loop;
+//     the enumerating join. A compiled tree is re-openable: after Close,
+//     Open starts a new execution — scans rebind to their tables' current
+//     column snapshots, RunStats counters are zeroed (RunStats.Reset), and
+//     every operator empties the buffers it owns (build sides, join tables,
+//     the aggregation's group arrays and its one flat COUNT(DISTINCT) set,
+//     output columns, batch scratch) and keeps their capacity, for exactly
+//     as long as the operator itself lives; nothing is charged to the
+//     tracker between executions. A tree compiled against a result cache,
+//     or one whose last execution failed, refuses a second Open;
+//   - internal/aqp — the adaptive query processing loop. The controller
+//     owns the standing query's execution: it compiles a plan once and
+//     re-opens that tree at every split point until the re-optimizer
+//     returns a plan with another signature (the serving layer, whose
+//     statements have no single owner yet, still compiles per request);
 //   - internal/fbstore — the server-wide statistics plane: calibrated
 //     cardinality observations keyed by canonical subexpression
 //     fingerprint, shared by every plan-cache entry and surviving their
