@@ -284,35 +284,42 @@ func BenchmarkAblationPlanSpace(b *testing.B) {
 	}
 }
 
-// benchExecQuery executes one TPC-H query at the default benchmark scale
-// with 1 (serial) / 2 / 4 pipeline workers and all cores.
+// benchExecQuery executes one TPC-H query under its Volcano plan at the scale
+// every test and benchmark workload uses (SF 0.005) and ten times that, at
+// Parallelism 1 (serial), 2 and all cores. Only a query that ends in an
+// aggregation gets pipeline workers; at any other shape the three must read
+// the same, since they compile to the same serial operator tree.
 func benchExecQuery(b *testing.B, q *relalg.Query) {
-	cat := tpch.Generate(tpch.Config{ScaleFactor: 0.005, Seed: 42})
-	m, err := cost.NewModel(q, cat, cost.DefaultParams())
-	if err != nil {
-		b.Fatal(err)
-	}
-	vr, err := volcano.Optimize(m, relalg.DefaultSpace())
-	if err != nil {
-		b.Fatal(err)
-	}
-	run := func(b *testing.B, par int) {
-		for i := 0; i < b.N; i++ {
-			comp := &exec.Compiler{Q: q, Cat: cat, Parallelism: par}
-			v, _, err := comp.CompileVec(vr.Plan)
+	for _, sf := range []float64{0.005, 0.05} {
+		b.Run(fmt.Sprintf("sf%g", sf), func(b *testing.B) {
+			cat := tpch.Generate(tpch.Config{ScaleFactor: sf, Seed: 42})
+			m, err := cost.NewModel(q, cat, cost.DefaultParams())
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := exec.CountVec(v); err != nil {
+			vr, err := volcano.Optimize(m, relalg.DefaultSpace())
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
+			for _, par := range []struct {
+				name string
+				p    int
+			}{{"vec-p1", 1}, {"vec-p2", 2}, {"vec-pmax", runtime.GOMAXPROCS(0)}} {
+				b.Run(par.name, func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						comp := &exec.Compiler{Q: q, Cat: cat, Parallelism: par.p}
+						v, _, err := comp.CompileVec(vr.Plan)
+						if err != nil {
+							b.Fatal(err)
+						}
+						if _, err := exec.CountVec(v); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+		})
 	}
-	for _, par := range []int{1, 2, 4} {
-		par := par
-		b.Run(fmt.Sprintf("vec-p%d", par), func(b *testing.B) { run(b, par) })
-	}
-	b.Run("vec-pmax", func(b *testing.B) { run(b, runtime.GOMAXPROCS(0)) })
 }
 
 // BenchmarkExecQ3S compares serial vs pipeline-parallel execution of the
@@ -322,6 +329,10 @@ func BenchmarkExecQ3S(b *testing.B) { benchExecQuery(b, tpch.Q3S()) }
 // BenchmarkExecQ5 is the same sweep on TPC-H Q5 (six-way join with
 // aggregation).
 func BenchmarkExecQ5(b *testing.B) { benchExecQuery(b, tpch.Q5()) }
+
+// BenchmarkExecQ10 is the same sweep on TPC-H Q10 (four-way join grouped by
+// customer).
+func BenchmarkExecQ10(b *testing.B) { benchExecQuery(b, tpch.Q10()) }
 
 // BenchmarkExecQ1 is the same sweep on TPC-H Q1 (single-table aggregation
 // over lineitem) — the aggregation-heavy workload; run with

@@ -8,7 +8,7 @@
 //	optcli -query q8join -arch volcano
 //	optcli -query q3s -table            # paper Table 1
 //	optcli -query q5 -reopt "D=8"       # apply a Figure 5 style update
-//	optcli -query q5 -exec -parallelism 4  # execute the plan with 4 workers
+//	optcli -query q5 -exec -parallelism 4  # execute the plan with 4 pipeline workers
 //	optcli -query q5 -analyze              # execute with per-operator profiling
 //	                                       # (EXPLAIN ANALYZE: time/batches/rows,
 //	                                       # est-vs-act cardinality per node)
@@ -46,7 +46,7 @@ func main() {
 	reopt := flag.String("reopt", "", "comma list of updates, e.g. \"A=0.5,E=8\" (Q5 expressions) or \"scan:orders=4\"")
 	doExec := flag.Bool("exec", false, "execute the chosen plan and print row count and timing")
 	analyze := flag.Bool("analyze", false, "execute with per-operator profiling and print the EXPLAIN ANALYZE tree (implies -exec)")
-	parallelism := flag.Int("parallelism", 1, "executor pipeline workers for -exec; <= 1 is serial")
+	parallelism := flag.Int("parallelism", 1, "workers of the fused pipeline an aggregating query runs as under -exec; a query without an aggregation, and any at <= 1, is serial")
 	flag.Parse()
 
 	cat := tpch.Generate(tpch.Config{ScaleFactor: *sf, Seed: 42})
@@ -191,8 +191,8 @@ func main() {
 	}
 }
 
-// execute runs the chosen plan through the vectorized executor — with fused
-// parallel pipelines when parallelism > 1 — and prints the result
+// execute runs the chosen plan through the vectorized executor — an
+// aggregating query as a fused parallel pipeline when parallelism > 1 — and prints the result
 // cardinality and execution time. With analyze it profiles every operator
 // and prints the annotated EXPLAIN ANALYZE tree.
 func execute(q *relalg.Query, cat *catalog.Catalog, plan *relalg.Plan, parallelism int, analyze bool) {

@@ -69,12 +69,13 @@ type Config struct {
 	// propagating, and it is what lets re-optimization overhead converge
 	// to zero as statistics stabilize (Figure 9).
 	FeedbackThreshold float64
-	// Parallelism caps the workers of the vectorized executor's
-	// morsel-driven parallelism during slice execution — full fused
-	// pipelines (scan → join probes → partial aggregation) where the plan
-	// shape allows, parallel leaf scans otherwise; <= 1 is serial.
-	// Feedback cardinalities are exact at any setting, so the adaptive
-	// loop is unaffected by the parallelism choice.
+	// Parallelism caps the workers of the vectorized executor's one
+	// parallel shape during slice execution: an unbounded aggregating query
+	// over a hash-join chain runs as a fused pipeline (scan → join probes →
+	// partial aggregation) whose workers finish inside Open; anything else,
+	// and everything at <= 1, runs on the serial operators. Feedback
+	// cardinalities are exact at any setting, so the adaptive loop is
+	// unaffected by the parallelism choice.
 	Parallelism int
 	// MemBudgetBytes bounds each slice execution's tracked memory (the
 	// limit of its exec.MemTracker): hash joins and aggregations spill under

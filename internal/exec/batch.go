@@ -83,14 +83,14 @@ func unweighted(b *Batch, consumer string) error {
 // re-openable: after Close, Open starts a new execution over what the tables
 // hold then (execRoot states the contract and its two refusals).
 type VecIterator interface {
-	// Open prepares the operator (builds hash tables, sorts inputs,
-	// launches scan workers), emptying and reusing whatever buffers a
-	// previous execution left it.
+	// Open prepares the operator (builds hash tables, sorts inputs, runs a
+	// fused pipeline's workers to completion), emptying and reusing whatever
+	// buffers a previous execution left it. No goroutine outlives it.
 	Open() error
 	// Next returns the next batch, or nil at end of stream.
 	Next() (*Batch, error)
-	// Close ends the execution: trackers are released, files unlinked,
-	// workers joined. Buffers the operator owns keep their capacity.
+	// Close ends the execution: trackers are released, files unlinked.
+	// Buffers the operator owns keep their capacity.
 	Close() error
 }
 
@@ -248,39 +248,6 @@ func (d *colData) appendBatch(b *Batch) {
 	d.n += b.Len()
 }
 
-// appendSel copies the selected rows of a column window set onto d.
-func (d *colData) appendSel(cols [][]int64, n int, sel []int) {
-	if d.cols == nil {
-		d.cols = make([][]int64, len(cols))
-	}
-	if sel == nil {
-		for c := range d.cols {
-			d.cols[c] = append(d.cols[c], cols[c][:n]...)
-		}
-		d.n += n
-		return
-	}
-	for c := range d.cols {
-		col, dst := cols[c], d.cols[c]
-		for _, i := range sel {
-			dst = append(dst, col[i])
-		}
-		d.cols[c] = dst
-	}
-	d.n += len(sel)
-}
-
-// appendFrom concatenates another colData (the per-worker merge).
-func (d *colData) appendFrom(o colData) {
-	if d.cols == nil {
-		d.cols = make([][]int64, o.width())
-	}
-	for c := range d.cols {
-		d.cols[c] = append(d.cols[c], o.cols[c]...)
-	}
-	d.n += o.n
-}
-
 // transposeRows converts arity-wide row-major data into columnar form
 // (operator outputs rendered as rows, and test helpers). The columns share
 // one exact-size backing array.
@@ -297,9 +264,7 @@ func transposeRows[R ~[]int64](rows []R, arity int) colData {
 // colDrainer is implemented by operators that can materialize their entire
 // output as colData without going through the batch stream. drainVecCols
 // uses it as a fast path, so blocking consumers (hash-join build, merge
-// join, sort) take a serial base scan without copying what it does not
-// filter, and drain parallel scans and fused pipelines at full worker
-// parallelism instead of serializing every batch through one consumer.
+// join, sort) take a base scan without copying what it does not filter.
 type colDrainer interface {
 	drainCols(buf *colData) (colData, error)
 }
@@ -339,7 +304,7 @@ func drainVecCols(in VecIterator, buf *colData) (colData, error) {
 
 // ---- vectorized scan ----
 
-// vecScanOp is the serial scan of one leaf: it emits zero-copy windows of the
+// vecScanOp is the scan of one leaf: it emits zero-copy windows of the
 // leaf's data columns, selected by the leaf's filter.
 type vecScanOp struct {
 	leaf  scanLeaf
@@ -350,7 +315,7 @@ type vecScanOp struct {
 	lent  [][]int64 // drainCols' headers over an unfiltered table's columns
 }
 
-// NewVecScan returns a serial vectorized filtering scan over column-major
+// NewVecScan returns a vectorized filtering scan over column-major
 // data (cols[c] must all have length n): each batch is a set of zero-copy
 // column windows with a selection vector for the surviving rows. Structured
 // conditions in the filter are evaluated with typed columnar kernels (one
@@ -490,9 +455,7 @@ type vecCounterOp struct {
 
 // NewVecCounter wraps a vectorized iterator and accumulates its output
 // cardinality into n — the rows its batches stand for, so a counting join
-// reports exactly what the enumerating join would. The counter sits above any
-// exchange, so counts stay exact (and race-free) under morsel-driven parallel
-// scans.
+// reports exactly what the enumerating join would.
 func NewVecCounter(in VecIterator, n *int64) VecIterator { return &vecCounterOp{in: in, n: n} }
 
 func (c *vecCounterOp) Open() error { return c.in.Open() }
@@ -507,7 +470,7 @@ func (c *vecCounterOp) Next() (*Batch, error) {
 
 func (c *vecCounterOp) Close() error { return c.in.Close() }
 
-// drainCols forwards the parallel drain fast path through the counter,
+// drainCols forwards the materializing fast path through the counter,
 // keeping the counted cardinality exact: the materialized row count is by
 // definition the operator's output cardinality.
 func (c *vecCounterOp) drainCols(buf *colData) (colData, error) {

@@ -46,8 +46,8 @@ func (s *RunStats) Reset() {
 // Snapshot copies the observed cardinalities into a plain map — the handoff
 // from one finished execution to the feedback consumer (the adaptive loop or
 // the serving layer's shared stats store). It must only be called after the
-// operator tree has been drained and closed: parallel operators merge their
-// per-worker counters at pipeline end, so earlier reads would race.
+// operator tree has been drained and closed: until then its operators are
+// still counting.
 func (s *RunStats) Snapshot() map[relalg.RelSet]int64 {
 	out := make(map[relalg.RelSet]int64, len(s.Cards))
 	for set, n := range s.Cards {
@@ -61,14 +61,14 @@ type Compiler struct {
 	Q   *relalg.Query
 	Cat *catalog.Catalog
 	// Parallelism caps the number of workers of morsel-driven parallel
-	// execution; values <= 1 execute serially. Right-spine hash-join
-	// chains over a large unsorted leaf scan fuse into full parallel
-	// pipelines (scan → probe cascade → worker-local aggregation, see
-	// pipeline.go); remaining large leaf scans fan out individually.
-	// Per-operator cardinality counters stay exact either way (fused
-	// pipelines merge per-worker counters, exchange scans count above the
-	// exchange), so RunStats feedback into the adaptive layer is
-	// unaffected.
+	// execution; values <= 1 execute serially. Above 1, an unbounded
+	// aggregating query whose plan is a right-spine hash-join chain over an
+	// unsorted leaf scan runs as one fused pipeline (scan → probe cascade →
+	// worker-local aggregation, see pipeline.go) whose workers start and
+	// finish inside Open; every other query compiles to the same serial
+	// operator tree at any value. Per-operator cardinality counters stay
+	// exact (the pipeline merges per-worker counters), so RunStats feedback
+	// into the adaptive layer is unaffected.
 	Parallelism int
 	// Cache, when enabled, is the server-wide semantic result cache, and
 	// CacheCands the plan's cacheable subtrees (BuildCacheCandidates on
@@ -88,8 +88,8 @@ type Compiler struct {
 	// go out of core (hash-join builds — an index-NL join's among them — and
 	// hash aggregation) spill under grace hashing instead of exceeding the
 	// budget, into the tracker's SetSpillDir directory; operators that
-	// cannot (sorts, merge joins, fused pipelines admitted by the planner's
-	// size estimate) charge through and record overage. Nil keeps the
+	// cannot (sorts, merge joins) charge through and record overage. A bounded
+	// query always runs on the serial, spillable operators. Nil keeps the
 	// unbounded execution paths exactly. The tracker belongs to the compiled
 	// tree: nothing is charged between its executions, and peak, overage and
 	// spill counters describe the latest one.
@@ -106,40 +106,17 @@ type Compiler struct {
 func (c *Compiler) CompileVec(plan *relalg.Plan) (VecIterator, *RunStats, error) {
 	stats := &RunStats{Cards: map[relalg.RelSet]*int64{}}
 	c.resolveCache()
-	if c.Prof != nil {
-		c.Prof.workers = c.Parallelism
-	}
-	// Full-pipeline fusion at the root: when the query aggregates, the
-	// fused pipeline's terminal becomes worker-local partial aggregation
-	// (even for a bare scan plan, the Q1/Q6 shape), so no exchange or
-	// shared aggregation state sits on the per-row path. Under a memory
-	// budget the aggregation must stay spillable, so the root terminal
-	// falls back to the serial spill-capable operator over the (possibly
-	// still fused, estimate-admitted) join pipeline below.
-	if c.Parallelism > 1 && !(c.Q.Agg != nil && c.Mem.Bounded()) {
-		minStages := 1
-		if c.Q.Agg != nil {
-			minStages = 0
-		}
-		op, schema, ok, err := c.compilePipeline(plan, stats, minStages, c.Q.Agg != nil)
+	// The one parallel shape: an aggregating query fuses at the root, where
+	// the pipeline's terminal is worker-local partial aggregation (even for a
+	// bare scan plan, the Q1/Q6 shape) and no shared state sits on the per-row
+	// path. Under a memory budget the aggregation and the builds must stay
+	// spillable, so a bounded query is a serial one.
+	if c.Parallelism > 1 && c.Q.Agg != nil && !c.Mem.Bounded() {
+		op, ok, err := c.compilePipeline(plan, stats)
 		if err != nil {
 			return nil, nil, err
 		}
 		if ok {
-			if c.Q.Agg != nil {
-				spec, err := c.aggSpec(schema)
-				if err != nil {
-					return nil, nil, err
-				}
-				op.fuseAgg(spec)
-				if op.prof != nil {
-					// The fused aggregation is the pipeline's terminal:
-					// its time comes from the workers' terminal clock
-					// slot, self-time like the other stages.
-					c.Prof.Agg.Self = true
-					op.prof.term = c.Prof.Agg
-				}
-			}
 			return c.root(op, stats), stats, nil
 		}
 	}
@@ -281,8 +258,8 @@ func (l *scanLeaf) sel(lo, hi int, buf []int) []int {
 }
 
 // resolveScan resolves the scan of rel emitting schema over the catalog
-// table's zero-copy column snapshot, bound to the current one: the compiler
-// sizes its parallelism decisions by it.
+// table; the scan binds it to the table's zero-copy column snapshot when an
+// execution opens it.
 func (c *Compiler) resolveScan(rel int, schema []relalg.ColID) (scanLeaf, error) {
 	t, err := c.Cat.Table(c.Q.Rels[rel].Table)
 	if err != nil {
@@ -298,27 +275,16 @@ func (c *Compiler) resolveScan(rel int, schema []relalg.ColID) (scanLeaf, error)
 	}
 	leaf.data.cols = make([][]int64, len(schema))
 	leaf.pred = make([][]int64, len(leaf.predSrc))
-	leaf.bind()
 	return leaf, nil
 }
 
 // compileVec compiles one plan node via compileVecNode and — when
-// profiling — wraps the result in the timing shim for that node. Fused
-// pipelines are exempt, bare or under a result-cache spool: they register
-// their own per-stage spans, p's among them, and fill them from another
-// goroutine. weighted says whether the node's consumer reads Batch.Mult (see
-// Compiler.counted).
+// profiling — wraps the result in the timing shim for that node. weighted says
+// whether the node's consumer reads Batch.Mult (see Compiler.counted).
 func (c *Compiler) compileVec(p *relalg.Plan, stats *RunStats, weighted bool) (VecIterator, []relalg.ColID, error) {
 	v, schema, err := c.compileVecNode(p, stats, weighted)
 	if err != nil || c.Prof == nil {
 		return v, schema, err
-	}
-	in := v
-	if s, spooled := in.(*spoolOp); spooled {
-		in = s.in
-	}
-	if _, fused := in.(*parallelPipelineOp); fused {
-		return v, schema, nil
 	}
 	c.Prof.cols[p] = len(schema)
 	return &profVec{in: v, sp: c.Prof.span(p)}, schema, nil
@@ -351,7 +317,7 @@ func (c *Compiler) compileVecNode(p *relalg.Plan, stats *RunStats, weighted bool
 			}
 			v = newStorageScan(t.Store(), leaf)
 		} else {
-			v = c.scanVec(leaf)
+			v = &vecScanOp{leaf: leaf}
 		}
 		if sortCol, sorts := scanSortCol(p); sorts {
 			off, err := colOffset(schema, sortCol)
@@ -376,17 +342,6 @@ func (c *Compiler) compileVecNode(p *relalg.Plan, stats *RunStats, weighted bool
 	case relalg.LogJoin:
 		if p.Phy == relalg.PhyIndexNLJoin {
 			return c.compileVecIndexNL(p, stats)
-		}
-		if p.Phy == relalg.PhyHashJoin {
-			// Fuse an interior hash-join chain (e.g. a build-side
-			// subtree) into a collect-mode parallel pipeline.
-			op, schema, ok, err := c.compilePipeline(p, stats, 1, weighted)
-			if err != nil {
-				return nil, nil, err
-			}
-			if ok {
-				return op, schema, nil
-			}
 		}
 		left, ls, err := c.compileVec(p.Left, stats, false)
 		if err != nil {
@@ -435,7 +390,7 @@ func (c *Compiler) hashJoin(p *relalg.Plan, left, right VecIterator, ls, rs []re
 	if err != nil {
 		return nil, err
 	}
-	v := NewVecHashJoin(left, right, lKeys, rKeys, residual, lOut, rOut, c.Parallelism)
+	v := NewVecHashJoin(left, right, lKeys, rKeys, residual, lOut, rOut)
 	if hj, ok := v.(*vecHashJoinOp); ok {
 		hj.mem = c.Mem.Child("hashjoin")
 		hj.counting = counted
@@ -475,27 +430,23 @@ func (c *Compiler) compileVecIndexNL(p *relalg.Plan, stats *RunStats) (VecIterat
 	return c.countedVec(v, p.Expr, stats), schema, nil
 }
 
-// compilePipeline tries to fuse the subtree rooted at p into one
-// parallelPipelineOp: a right-spine chain of at least minStages hash joins
-// (possibly zero, for bare scan+agg plans) over a large unsorted leaf scan.
-// Each stage's build side is compiled with the regular vectorized compiler
-// (and may itself fuse recursively), drained at Open, and probed by every
-// pipeline worker against the shared immutable table. The op registers the
-// cardinality counters of every fused expression itself — the scan and each
-// join — merging exact per-worker counts, so it must not be wrapped in
-// countedVec. Returns ok=false when the shape doesn't match or the scan is
-// too small to pay for workers; the caller falls back to the exchange-based
-// operators. weighted says whether the pipeline's consumer — the fused
-// aggregation included — reads Batch.Mult.
-func (c *Compiler) compilePipeline(p *relalg.Plan, stats *RunStats, minStages int, weighted bool) (*parallelPipelineOp, []relalg.ColID, bool, error) {
-	if c.Parallelism <= 1 {
-		return nil, nil, false, nil
-	}
+// compilePipeline tries to fuse the whole plan of an aggregating query into
+// one parallelPipelineOp: a right-spine chain of hash joins (possibly none, for
+// bare scan+agg plans) over an unsorted leaf scan, ending in the query's
+// aggregation. Each stage's build side is compiled with the regular vectorized
+// compiler, drained at Open, and probed by every pipeline worker against the
+// shared immutable table. The op registers the cardinality counters of every
+// fused expression itself — the scan and each join — merging exact per-worker
+// counts, so it must not be wrapped in countedVec. How many workers an
+// execution uses is decided when it opens, from the table as it is then.
+// Returns ok=false when the shape doesn't match; the caller compiles the
+// serial operator tree.
+func (c *Compiler) compilePipeline(p *relalg.Plan, stats *RunStats) (*parallelPipelineOp, bool, error) {
 	if c.decisionWithin(p) {
 		// A probe or spool targets a node inside this subtree; fusing it
 		// into one operator would silently skip the cache. Fall back to
 		// the plain operator tree, where compileVec honors the decision.
-		return nil, nil, false, nil
+		return nil, false, nil
 	}
 	var spine []*relalg.Plan
 	cur := p
@@ -503,50 +454,32 @@ func (c *Compiler) compilePipeline(p *relalg.Plan, stats *RunStats, minStages in
 		spine = append(spine, cur)
 		cur = cur.Right
 	}
-	if len(spine) < minStages {
-		return nil, nil, false, nil
-	}
 	if cur.Log != relalg.LogScan || cur.Prop.Kind == relalg.PropSorted ||
 		cur.Phy == relalg.PhyIndexScan || cur.Phy == relalg.PhySegScan {
-		return nil, nil, false, nil
+		return nil, false, nil
 	}
 	schema, err := c.scanSchema(cur)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, false, err
 	}
 	leaf, err := c.resolveScan(cur.Rel, schema)
 	if err != nil {
-		return nil, nil, false, err
-	}
-	if leaf.data.n < minParallelRows {
-		return nil, nil, false, nil
+		return nil, false, err
 	}
 	scanCard := stats.counter(cur.Expr)
 
 	// Which stages count is decided from the top of the spine down, before
 	// anything is compiled: a stage's consumer is the stage above it, the
-	// topmost's the pipeline's. The same pass sizes the build sides at the
-	// width they actually carry.
+	// topmost's the aggregation, which reads Batch.Mult.
 	counted := make([]bool, len(spine))
-	var est int64
+	weighted := true
 	for i, pj := range spine {
 		ls, err := c.PlanSchema(pj.Left)
 		if err != nil {
-			return nil, nil, false, err
+			return nil, false, err
 		}
 		weighted = c.counted(pj, ls, weighted)
 		counted[i] = weighted
-		rows := int(pj.Left.Card)
-		est += colBytes(len(ls), rows) + joinTableBytes(rows, counted[i])
-	}
-	// Under a memory budget, fusion is admission-gated: the fused pipeline
-	// Force-charges its build tables (it cannot spill them), so it is only
-	// used when the optimizer's cardinality estimates put the combined build
-	// footprint within half the budget. The check runs before any build
-	// subtree is compiled — bailing later would leave counters and cache
-	// decisions half-registered. Misestimates surface as tracked overage.
-	if c.Mem.Bounded() && est > c.Mem.Limit()/2 {
-		return nil, nil, false, nil
 	}
 
 	// Stages assemble bottom-up: the innermost join of the spine is probed
@@ -557,11 +490,11 @@ func (c *Compiler) compilePipeline(p *relalg.Plan, stats *RunStats, minStages in
 		pj := spine[i]
 		build, ls, err := c.compileVec(pj.Left, stats, false)
 		if err != nil {
-			return nil, nil, false, err
+			return nil, false, err
 		}
 		lKeys, rKeys, residual, err := c.hashJoinKeys(pj, ls, schema)
 		if err != nil {
-			return nil, nil, false, err
+			return nil, false, err
 		}
 		var lOut, rOut []int
 		schema, lOut, rOut = c.joinSchema(pj, ls, schema)
@@ -573,31 +506,28 @@ func (c *Compiler) compilePipeline(p *relalg.Plan, stats *RunStats, minStages in
 			c.Prof.counted[pj] = counted[i]
 		}
 	}
-	op := newParallelPipeline(leaf, scanCard, stages, c.Parallelism)
+	spec, err := c.aggSpec(schema)
+	if err != nil {
+		return nil, false, err
+	}
+	op := newParallelPipeline(leaf, scanCard, stages, spec, c.Parallelism)
 	op.mem = c.Mem.Child("pipeline")
 	if c.Prof != nil {
 		// Register self-time spans for every fused node: stages[j] probes
-		// spine[len-1-j] (the stage list assembles bottom-up), and the
-		// scan span belongs to the leaf. Build subtrees were compiled via
+		// spine[len-1-j] (the stage list assembles bottom-up), the scan span
+		// belongs to the leaf, and the aggregation's time comes from the
+		// workers' terminal clock slot. Build subtrees were compiled via
 		// compileVec above and carry their own inclusive shims.
-		pr := &pipeProf{scan: c.Prof.selfSpan(cur), stages: make([]*obs.Span, len(stages))}
+		c.Prof.workers = c.Parallelism
+		c.Prof.Agg.Self = true
+		pr := &pipeProf{scan: c.Prof.selfSpan(cur), stages: make([]*obs.Span, len(stages)), term: c.Prof.Agg}
 		for j := range stages {
 			pr.stages[j] = c.Prof.selfSpan(spine[len(spine)-1-j])
 		}
 		op.prof = pr
 		c.Prof.cols[cur] = len(leaf.schema)
 	}
-	return op, schema, true, nil
-}
-
-// scanVec picks the leaf scan implementation: morsel-driven parallel when
-// the Parallelism option allows it and the table is large enough to pay for
-// worker startup, serial otherwise.
-func (c *Compiler) scanVec(leaf scanLeaf) VecIterator {
-	if c.Parallelism > 1 && leaf.data.n >= minParallelRows {
-		return newParallelScan(leaf, c.Parallelism)
-	}
-	return &vecScanOp{leaf: leaf}
+	return op, true, nil
 }
 
 func (c *Compiler) countedVec(v VecIterator, set relalg.RelSet, stats *RunStats) VecIterator {

@@ -28,20 +28,22 @@
 // The hot kernels — per-operator predicate selection, vectorized
 // multiplicative hashing, join result stitching via Gather, flat-table
 // aggregation — are tight loops over contiguous slices dispatched once per
-// batch (kernels.go, exprkernels.go, vecjoin.go, agg.go). Batch column slices are recycled, so
-// consumers copy values out before the producer's next call; DrainVec and
+// batch (kernels.go, exprkernels.go, vecjoin.go, agg.go). Batch column slices
+// are recycled, so consumers copy values out before the producer's next call; DrainVec and
 // the operator-internal materializing drains do exactly one such copy per
-// row. Under the compiler's Parallelism option, parallelism is morsel-driven
-// and extends across whole pipelines (pipeline.go): right-spine hash-join
-// chains over a large leaf scan fuse into a parallelPipelineOp whose
-// workers each run the full scan → probe cascade → partial-aggregate chain
-// privately — join tables are built once with a partitioned parallel insert
-// and shared read-only, aggregation state is worker-local in a flat
-// open-addressing aggTable (agg.go, no per-row key allocation), and partial
-// aggregates and exact per-operator cardinality counts merge once at the
-// end, so RunStats feedback is byte-identical at any parallelism. Plans
-// that don't match the pipeline shape fall back to morsel-driven parallel
-// leaf scans behind an exchange channel (parallel.go).
+// row. Under the compiler's Parallelism option there is one parallel shape
+// (pipeline.go): an unbounded aggregating query whose plan is a right-spine
+// hash-join chain over an unsorted leaf scan compiles to a parallelPipelineOp
+// at its root, whose workers each run the full scan → probe cascade →
+// partial-aggregate chain privately — join tables are built once and shared
+// read-only, aggregation state is worker-local in a flat open-addressing
+// aggTable (agg.go, no per-row key allocation), and partial aggregates and
+// exact per-operator cardinality counts merge once at the end, so RunStats
+// feedback is byte-identical at any parallelism. The workers start and finish
+// inside that operator's Open: the package has no channel, and no goroutine
+// outlives an Open. Every other query — no aggregation, a memory budget,
+// another plan shape — compiles to the same serial operator tree at any
+// Parallelism and returns the same rows in the same order.
 //
 // Correctness is checked against testkit.Reference, a naive evaluator of the
 // logical query that shares no code with this package: result multisets and

@@ -32,7 +32,7 @@ func seq(n int) []int {
 func TestHashJoinCompoundKeys(t *testing.T) {
 	l := scanOf([]int64{1, 5}, []int64{1, 6}, []int64{2, 5})
 	r := scanOf([]int64{1, 5, 100}, []int64{2, 6, 200})
-	out, err := DrainVec(NewVecHashJoin(l, r, []int{0, 1}, []int{0, 1}, nil, seq(2), seq(3), 1))
+	out, err := DrainVec(NewVecHashJoin(l, r, []int{0, 1}, []int{0, 1}, nil, seq(2), seq(3)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,6 @@
 package exec
 
-import (
-	"sync"
-
-	"repro/internal/relalg"
-)
+import "repro/internal/relalg"
 
 // This file holds the batch kernels that make the vectorized path fast:
 // predicate selection loops specialized per comparison operator running
@@ -173,7 +169,7 @@ const (
 // hashCols mixes the compound key columns of r with a multiplicative hash —
 // cheap, and strong enough for bucket selection since every chain hit is
 // verified by hash and key equality.
-// hashLive and hashDenseRange compute bit-identical values column-wise.
+// hashLive and hashDense compute bit-identical values column-wise.
 func hashCols(r []int64, cols []int) uint64 {
 	h := hashSeed
 	for _, c := range cols {
@@ -250,40 +246,39 @@ func hashLive(dst []uint64, cols [][]int64, keys []int, n int, sel []int) []uint
 	return dst
 }
 
-// hashDenseRange fills dst[lo:hi] with the hashes of rows lo..hi-1 of a
-// column-major row set — the build-side hashing pass, shared by the serial
-// and partitioned parallel join-table builds.
-func hashDenseRange(dst []uint64, cols [][]int64, keys []int, lo, hi int) {
-	if lo >= hi {
-		return
+// hashDense fills dst with the hashes of rows 0..len(dst)-1 of a column-major
+// row set — the build-side hashing pass of the join-table build.
+func hashDense(dst []uint64, cols [][]int64, keys []int) {
+	if len(dst) == 0 {
+		return // an empty build side may have no columns at all
 	}
 	switch len(keys) {
 	case 1:
 		col := cols[keys[0]]
-		for i := lo; i < hi; i++ {
+		for i := range dst {
 			h := (hashSeed ^ uint64(col[i])) * hashMul
 			dst[i] = h ^ h>>32
 		}
 		return
 	case 2:
 		c0, c1 := cols[keys[0]], cols[keys[1]]
-		for i := lo; i < hi; i++ {
+		for i := range dst {
 			h := (hashSeed ^ uint64(c0[i])) * hashMul
 			h = (h ^ uint64(c1[i])) * hashMul
 			dst[i] = h ^ h>>32
 		}
 		return
 	}
-	for i := lo; i < hi; i++ {
+	for i := range dst {
 		dst[i] = hashSeed
 	}
 	for _, key := range keys {
 		col := cols[key]
-		for i := lo; i < hi; i++ {
+		for i := range dst {
 			dst[i] = (dst[i] ^ uint64(col[i])) * hashMul
 		}
 	}
-	for i := lo; i < hi; i++ {
+	for i := range dst {
 		dst[i] ^= dst[i] >> 32
 	}
 }
@@ -322,27 +317,6 @@ type joinTable struct {
 	data   colData
 }
 
-// allocJoinTable sizes the flat arrays for data in t — nil, or the operator's
-// table of its previous execution, whose arrays are reused where large enough;
-// hashes and links are filled in by the serial or the partitioned build.
-func allocJoinTable(t *joinTable, data colData, keys []int, counting bool) *joinTable {
-	n := data.n
-	size := 16
-	for size < 2*n {
-		size <<= 1
-	}
-	if t == nil {
-		t = new(joinTable)
-	}
-	t.mask, t.keys, t.data = uint64(size-1), keys, data
-	t.head, t.next, t.hashes = sized(t.head, size), sized(t.next, n), sized(t.hashes, n)
-	clear(t.head) // next and hashes are written for every row that is read
-	if counting {
-		t.mult = sized(t.mult, n) // countDup starts each linked row's count
-	}
-	return t
-}
-
 // countDup is the counting-mode step before build row i (hashed already) is
 // linked: it adds the row to the multiplicity of the linked row with the same
 // key and reports true — i then stays unlinked — or starts i's own
@@ -360,10 +334,25 @@ func (t *joinTable) countDup(i int32) bool {
 	return false
 }
 
+// buildJoinTable builds the table over data in t — nil, or the operator's
+// table of its previous execution, whose arrays are reused where large enough.
 func buildJoinTable(t *joinTable, data colData, keys []int, counting bool) *joinTable {
-	t = allocJoinTable(t, data, keys, counting)
-	hashDenseRange(t.hashes, data.cols, keys, 0, data.n)
-	for i := 0; i < data.n; i++ {
+	n := data.n
+	size := 16
+	for size < 2*n {
+		size <<= 1
+	}
+	if t == nil {
+		t = new(joinTable)
+	}
+	t.mask, t.keys, t.data = uint64(size-1), keys, data
+	t.head, t.next, t.hashes = sized(t.head, size), sized(t.next, n), sized(t.hashes, n)
+	clear(t.head) // next and hashes are written for every row that is read
+	if counting {
+		t.mult = sized(t.mult, n) // countDup starts each linked row's count
+	}
+	hashDense(t.hashes, data.cols, keys)
+	for i := 0; i < n; i++ {
 		if counting && t.countDup(int32(i)) {
 			continue
 		}
@@ -406,84 +395,6 @@ func (t *joinTable) countMatches(cols [][]int64, pKeys []int, hs []uint64, sel [
 		}
 	}
 	return outSel, rows
-}
-
-// newJoinTable picks the build strategy: partitioned parallel when the
-// build side is large enough to pay for worker startup, serial otherwise.
-// Either way the resulting table is the same read-only structure the probe
-// loops already use, built in t's arrays when t is not nil.
-func newJoinTable(t *joinTable, data colData, keys []int, workers int, counting bool) *joinTable {
-	if workers > 1 && data.n >= minParallelRows {
-		return buildJoinTableParallel(t, data, keys, workers, counting)
-	}
-	return buildJoinTable(t, data, keys, counting)
-}
-
-// buildJoinTableParallel builds the same flat chained table as
-// buildJoinTable with a two-phase partitioned insert. Phase 1: workers hash
-// disjoint row ranges column-wise and bin the row indices by destination
-// bucket partition into per-(worker, partition) buffers. Phase 2: each
-// partition owner links exactly the rows binned for its contiguous bucket
-// range, so every head, next and mult slot is written by a single goroutine
-// (rows with equal keys share a bucket) and the table comes out identical (up
-// to chain order, which the probe treats as a multiset) without any
-// synchronization on the hot arrays.
-func buildJoinTableParallel(t *joinTable, data colData, keys []int, workers int, counting bool) *joinTable {
-	n := data.n
-	t = allocJoinTable(t, data, keys, counting)
-	size := len(t.head)
-	if workers > n {
-		workers = n
-	}
-	// partition p owns buckets [p*size/workers, (p+1)*size/workers)
-	partOf := func(bucket uint64) int { return int(bucket) * workers / size }
-
-	bins := make([][][]int32, workers) // bins[worker][partition] -> row indices
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			hashDenseRange(t.hashes, data.cols, keys, lo, hi)
-			mine := make([][]int32, workers)
-			for i := lo; i < hi; i++ {
-				p := partOf(t.hashes[i] & t.mask)
-				mine[p] = append(mine[p], int32(i))
-			}
-			bins[w] = mine
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for p := 0; p < workers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for w := 0; w < workers; w++ {
-				if bins[w] == nil {
-					continue
-				}
-				for _, i := range bins[w][p] {
-					if counting && t.countDup(i) {
-						continue
-					}
-					b := t.hashes[i] & t.mask
-					t.next[i] = t.head[b]
-					t.head[b] = i + 1
-				}
-			}
-		}(p)
-	}
-	wg.Wait()
-	return t
 }
 
 // ---- sort kernel ----

@@ -13,7 +13,7 @@ import (
 )
 
 // liveCatalog holds three tables R, S and T of (a, b, c, d), each large enough
-// for the parallel scan and fused pipeline paths: a is a join key with a few
+// for more than one fused-pipeline worker: a is a join key with a few
 // matches per value, b a low-cardinality selection / grouping column.
 func liveCatalog() *catalog.Catalog {
 	r := stats.NewRand(23)
@@ -217,36 +217,32 @@ func TestLivenessEdgeCases(t *testing.T) {
 		want := testkit.Canonical(ref.Rows(), nil)
 		// What a blocking consumer (join build, sort) drains from an input
 		// is exactly the input's schema: the joins split residual operand
-		// offsets at the materialized build width. The parallel drain paths
-		// only run at Parallelism > 1.
-		for _, par := range []int{1, 2, 4} {
-			for _, in := range []*relalg.Plan{tc.plan.Left, tc.plan.Right} {
-				if in == nil {
-					continue
-				}
-				comp := &Compiler{Q: tc.q, Cat: cat, Parallelism: par}
-				schema, err := comp.PlanSchema(in)
-				if err != nil {
-					t.Fatalf("%s: %v", tc.name, err)
-				}
-				v, _, err := comp.compileVec(in, &RunStats{Cards: map[relalg.RelSet]*int64{}}, false)
-				if err != nil {
-					t.Fatalf("%s: %v", tc.name, err)
-				}
-				data, err := drainVecCols(v, nil)
-				if err != nil {
-					t.Fatalf("%s: %v", tc.name, err)
-				}
-				// (An empty materialization has no columns to be wide.)
-				if (data.n > 0 && data.width() != len(schema)) || int64(data.n) != ref.Card(in.Expr) {
-					t.Fatalf("%s (par=%d): drained %v as %d columns x %d rows; schema has %d columns, reference %d rows",
-						tc.name, par, in.Expr, data.width(), data.n, len(schema), ref.Card(in.Expr))
-				}
+		// offsets at the materialized build width.
+		for _, in := range []*relalg.Plan{tc.plan.Left, tc.plan.Right} {
+			if in == nil {
+				continue
+			}
+			comp := &Compiler{Q: tc.q, Cat: cat}
+			schema, err := comp.PlanSchema(in)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			v, _, err := comp.compileVec(in, &RunStats{Cards: map[relalg.RelSet]*int64{}}, false)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			data, err := drainVecCols(v, nil)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			// (An empty materialization has no columns to be wide.)
+			if (data.n > 0 && data.width() != len(schema)) || int64(data.n) != ref.Card(in.Expr) {
+				t.Fatalf("%s: drained %v as %d columns x %d rows; schema has %d columns, reference %d rows",
+					tc.name, in.Expr, data.width(), data.n, len(schema), ref.Card(in.Expr))
 			}
 		}
 		// The small budget spills every hash join; the roomy one spills nothing
-		// but keeps the aggregation a serial operator above the fused pipeline,
-		// whose collect terminal then carries the multiplicities.
+		// and, being a budget, still keeps the tree serial at any Parallelism.
 		const tight, roomy = 24 << 10, 8 << 20
 		for _, budget := range []int64{0, tight, roomy} {
 			for _, par := range []int{1, 2, 4} {

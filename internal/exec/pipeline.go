@@ -6,17 +6,36 @@ import (
 	"time"
 )
 
-// This file implements full-pipeline morsel-driven parallelism: instead of
-// fanning out only at the leaf scan and funneling every batch through an
-// exchange channel, a fused pipeline runs the whole
-// scan → probe → … → probe → (partial aggregate | collect) chain inside
-// each worker. Workers claim probe-side morsels off an atomic cursor as
-// zero-copy column windows, push them through the probe cascade in columnar
-// chunks — per-batch hashing, pair collection against the shared immutable
-// join tables, residual filtering and one Gather per output column — and
-// sink the surviving chunks into worker-local state (an aggTable fed by
-// addBatch, or a worker-local column buffer), merged exactly once when all
-// workers finish. Nothing crosses between workers on the per-row path.
+// This file is the executor's whole parallel plane: the fused pipeline at the
+// root of an aggregating query, which runs the
+// scan → probe → … → probe → partial aggregate chain inside each worker.
+// Workers claim probe-side morsels off an atomic cursor as zero-copy column
+// windows, push them through the probe cascade in columnar chunks — per-batch
+// hashing, pair collection against the shared immutable join tables, residual
+// filtering and one Gather per output column — and sink the surviving chunks
+// into a worker-local aggTable, merged exactly once when all workers finish.
+// Nothing crosses between workers on the per-row path, and the workers start
+// and finish inside Open: no goroutine outlives it, and Next only hands out
+// the merged groups.
+
+// morselSize is the number of base-table rows a pipeline worker claims at a
+// time. One atomic fetch-add per morsel keeps coordination overhead
+// negligible while still load-balancing skewed predicate costs.
+const morselSize = BatchSize
+
+// minParallelRows is the smallest probe table worth more than one worker:
+// below this, worker startup dominates the scan itself.
+const minParallelRows = 4 * morselSize
+
+// scanWorkers sizes one execution over an n-row probe table: one worker, run
+// inline, below minParallelRows, and otherwise at most par and at most one
+// per morsel.
+func scanWorkers(par, n int) int {
+	if n < minParallelRows {
+		return 1
+	}
+	return max(1, min(par, (n+morselSize-1)/morselSize))
+}
 
 // pipeStage is one fused hash-join probe: the compiled build-side subtree,
 // the key offsets of the build row and of the incoming probe row, the
@@ -25,9 +44,8 @@ import (
 // cardinality counter for the join's output. A counting stage
 // (Compiler.counted) emits no build column and passes each matching probe row
 // on once with its match count; only a counting stage or the terminal may
-// follow it. The joinTable is built at Open (with the partitioned parallel
-// build for large sides) and is read-only afterwards, so all workers probe it
-// without synchronization.
+// follow it. The joinTable is built at Open and is read-only afterwards, so all
+// workers probe it without synchronization.
 type pipeStage struct {
 	build     VecIterator
 	buildKeys []int
@@ -50,11 +68,11 @@ type parallelPipelineOp struct {
 	scanCard *int64
 
 	stages  []*pipeStage // in probe order: stages[0] is probed first
-	agg     *AggSpecExec // nil = collect mode (emit joined rows)
+	agg     AggSpecExec  // the terminal: worker-local partial aggregation
 	par     int          // the compiler's Parallelism
-	workers int          // of this execution: at most par, at most one per morsel
+	workers int          // of this execution (scanWorkers)
 	ws      []*pipeWorker
-	mem     *MemTracker // child tracker; Force-only (fusion is admission-gated)
+	mem     *MemTracker // child tracker; Force-only (only an unbounded query fuses)
 	// prof, when non-nil, receives the fused profile: per-worker stage
 	// clocks attribute each worker's wall time exclusively to the segment
 	// it is executing (scan, probe stage, terminal sink) and are merged
@@ -62,39 +80,17 @@ type parallelPipelineOp struct {
 	// default — leaves only a per-chunk nil check on the probe path.
 	prof *pipeProf
 
-	out   colData
+	out   colData // the merged groups
 	pos   int
 	batch Batch
-
-	// Streaming collect terminal: instead of materializing worker-local
-	// buffers and concatenating them, collect-mode workers copy finished
-	// chunks into pooled batch shells and hand them to the consumer through
-	// an exchange channel — joined rows never materialize whole. A closer
-	// goroutine joins the workers, merges their exact cardinality counters
-	// and profile clocks, then closes ch, so counters are fully merged
-	// before the consumer can observe end-of-stream (the Snapshot-after-
-	// drain contract). quit unblocks producers on early Close.
-	stream bool
-	ch     chan *Batch
-	free   chan *Batch
-	shells []*Batch // every shell there is; free is refilled from it at Open
-	quit   chan struct{}
-	last   *Batch // batch lent to the consumer, recycled on the next call
-	closed bool
 }
 
 // newParallelPipeline assembles a fused pipeline over a probe-side base
-// table. With agg == nil the op emits the joined rows; setting agg (via
-// fuseAgg before Open) switches the terminal to worker-local partial
-// aggregation with a final merge.
+// table, ending in the aggregation agg.
 func newParallelPipeline(leaf scanLeaf, scanCard *int64,
-	stages []*pipeStage, workers int) *parallelPipelineOp {
-	return &parallelPipelineOp{leaf: leaf, scanCard: scanCard, stages: stages, par: workers}
+	stages []*pipeStage, agg AggSpecExec, workers int) *parallelPipelineOp {
+	return &parallelPipelineOp{leaf: leaf, scanCard: scanCard, stages: stages, agg: agg, par: workers}
 }
-
-// fuseAgg replaces the pipeline's collect terminal with worker-local hash
-// aggregation. Must be called before Open.
-func (p *parallelPipelineOp) fuseAgg(spec AggSpecExec) { p.agg = &spec }
 
 // stageScratch is one probe depth's reusable worker-private buffers: the
 // probe-hash vector, the pending match pairs, and the stage's columnar
@@ -113,110 +109,76 @@ type stageScratch struct {
 
 // pipeWorker is the per-worker private state: cardinality counters (index 0
 // is the scan, index i+1 is stage i's output), per-depth stage scratch, and
-// the terminal sink (aggregate table or columnar collect buffer).
+// the terminal sink, the worker's partial aggregate table.
 type pipeWorker struct {
-	op      *parallelPipelineOp
-	counts  []int64
-	stages  []stageScratch
-	agg     *aggTable
-	aggScr  aggScratch
-	stopped bool        // streaming consumer went away; stop producing
-	clock   *stageClock // nil unless profiling
+	op     *parallelPipelineOp
+	counts []int64
+	stages []stageScratch
+	agg    *aggTable
+	aggScr aggScratch
+	clock  *stageClock // nil unless profiling
 }
 
+// Open runs the whole pipeline: it builds every stage's join table, runs the
+// workers to completion and merges what they hold. Sizing the execution from
+// the snapshot bound here, not at compile time, is what lets a held tree use
+// more workers once its probe table has grown.
 func (p *parallelPipelineOp) Open() error {
 	p.leaf.bind()
-	// At least one worker even for an empty probe table, so the merge phase
-	// always has a terminal to read.
-	p.workers = max(1, scanWorkers(p.par, p.leaf.data.n))
-	// Build every stage's join table up front. Build sides drain through
-	// drainVecCols, which parallelizes across morsels where the subtree
-	// supports it; large tables use the partitioned parallel insert.
-	width := p.leaf.data.width() // the pipeline's output width: the last stage's, or the scan's
+	p.workers = scanWorkers(p.par, p.leaf.data.n)
 	for _, st := range p.stages {
 		data, err := drainVecCols(st.build, &st.data)
 		if err != nil {
 			return err
 		}
 		p.mem.Force(colBytes(data.width(), data.n) + joinTableBytes(data.n, st.counting))
-		st.table = newJoinTable(st.table, data, st.buildKeys, p.workers, st.counting)
-		width = len(st.buildOut) + len(st.probeOut)
-	}
-
-	p.stream, p.closed, p.pos = p.agg == nil, false, 0
-	if p.stream {
-		p.ch = make(chan *Batch, p.workers)
-		p.quit = make(chan struct{})
-		// Chunks leave a counting last stage weighted, so the shells carry a
-		// multiplicity vector beside their columns.
-		weighted := len(p.stages) > 0 && p.stages[len(p.stages)-1].counting
-		for len(p.shells) < 2*p.workers+1 { // per-worker in flight + channel buffer + consumer
-			shell := &Batch{Cols: flatCols(width, BatchSize)}
-			if weighted {
-				shell.Mult = make([]int64, BatchSize)
-			}
-			p.shells = append(p.shells, shell)
-		}
-		p.free = make(chan *Batch, len(p.shells))
-		for _, shell := range p.shells {
-			p.free <- shell
-		}
-		if weighted {
-			width++ // the multiplicities are charged as one more column
-		}
-		p.mem.Force(int64(len(p.shells)) * colBytes(width, BatchSize))
+		st.table = buildJoinTable(st.table, data, st.buildKeys, st.counting)
 	}
 
 	for len(p.ws) < p.workers {
 		p.ws = append(p.ws, p.newWorker())
 	}
 	workers := p.ws[:p.workers]
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
 	for _, pw := range workers {
 		clear(pw.counts)
-		pw.stopped = false
-		if pw.agg != nil {
-			pw.agg.reset()
-		}
+		pw.agg.reset()
 		if p.prof != nil {
 			pw.clock = newStageClock(len(p.stages) + 2)
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			pw.run(&cursor)
-		}()
 	}
+	var cursor atomic.Int64
+	var wg sync.WaitGroup
+	if len(workers) == 1 {
+		workers[0].run(&cursor)
+	} else {
+		// Every worker gets a goroutine and the caller waits. Running one of
+		// them inline instead leaves the goroutine spawned beside it in this
+		// P's runnext slot, which an idle P steals only after a sleep: 5–10 %
+		// of Q1 at SF 0.005 on 2 vCPUs.
+		for _, pw := range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				pw.run(&cursor)
+			}()
+		}
+		wg.Wait()
+	}
+
 	// Exact-cardinality merge: per-worker counters sum to precisely the
 	// counts the serial operator tree would have produced, so RunStats
 	// feedback into the adaptive loop is byte-identical at any parallelism.
-	joined := func() {
-		wg.Wait()
-		for _, pw := range workers {
-			*p.scanCard += pw.counts[0]
-			for i, st := range p.stages {
-				*st.card += pw.counts[i+1]
-			}
+	for _, pw := range workers {
+		*p.scanCard += pw.counts[0]
+		for i, st := range p.stages {
+			*st.card += pw.counts[i+1]
 		}
 	}
-
-	if p.stream {
-		go func() {
-			joined()
-			if p.prof != nil {
-				p.mergeProf(workers)
-			}
-			close(p.ch)
-		}()
-		return nil
-	}
-	joined()
 	agg := workers[0].agg
 	for _, pw := range workers[1:] {
 		agg.mergeFrom(pw.agg)
 	}
-	p.out = agg.cols(p.out)
+	p.out, p.pos = agg.cols(p.out), 0
 	p.mem.Force(colBytes(p.out.width(), p.out.n))
 	if p.prof != nil {
 		p.mergeProf(workers)
@@ -230,6 +192,7 @@ func (p *parallelPipelineOp) newWorker() *pipeWorker {
 		op:     p,
 		counts: make([]int64, len(p.stages)+1),
 		stages: make([]stageScratch, len(p.stages)),
+		agg:    newAggTable(p.agg),
 	}
 	for i, st := range p.stages {
 		if st.counting {
@@ -245,9 +208,6 @@ func (p *parallelPipelineOp) newWorker() *pipeWorker {
 			pairsP: make([]int32, 0, BatchSize),
 			out:    flatCols(len(st.buildOut)+len(st.probeOut), BatchSize),
 		}
-	}
-	if p.agg != nil {
-		pw.agg = newAggTable(*p.agg)
 	}
 	return pw
 }
@@ -266,17 +226,9 @@ func (p *parallelPipelineOp) mergeProf(workers []*pipeWorker) {
 		for i := range p.stages {
 			p.prof.stages[i].Record(ck.batches[i+2], pw.counts[i+1], time.Duration(ck.times[i+1]))
 		}
-		if p.prof.term != nil {
-			p.prof.term.Record(0, 0, time.Duration(ck.times[last]))
-		} else if n := len(p.stages); n > 0 {
-			// Collect mode has no terminal operator; materialization time
-			// belongs to the last stage's output.
-			p.prof.stages[n-1].Record(0, 0, time.Duration(ck.times[last]))
-		}
+		p.prof.term.Record(0, 0, time.Duration(ck.times[last]))
 	}
-	if p.prof.term != nil {
-		p.prof.term.Record(int64((p.out.n+BatchSize-1)/BatchSize), int64(p.out.n), 0)
-	}
+	p.prof.term.Record(int64((p.out.n+BatchSize-1)/BatchSize), int64(p.out.n), 0)
 }
 
 func (w *pipeWorker) run(cursor *atomic.Int64) {
@@ -292,7 +244,7 @@ func (w *pipeWorker) run(cursor *atomic.Int64) {
 	var window [][]int64
 	for {
 		lo := int(cursor.Add(1)-1) * morselSize
-		if lo >= data.n || w.stopped {
+		if lo >= data.n {
 			if w.clock != nil {
 				w.clock.to(0) // flush the trailing scan segment
 			}
@@ -345,11 +297,7 @@ func (w *pipeWorker) probeStage(depth int, cols [][]int64, n int, sel []int, mul
 
 func (w *pipeWorker) probeStageBody(depth int, cols [][]int64, n int, sel []int, mult []int64) {
 	if depth == len(w.op.stages) {
-		if w.agg != nil {
-			w.agg.addBatch(cols, n, sel, mult, &w.aggScr)
-		} else {
-			w.send(cols, n, sel, mult)
-		}
+		w.agg.addBatch(cols, n, sel, mult, &w.aggScr)
 		return
 	}
 	st := w.op.stages[depth]
@@ -380,52 +328,6 @@ func (w *pipeWorker) probeStageBody(depth int, cols [][]int64, n int, sel []int,
 	if len(sc.pairsB) > 0 {
 		w.flushStage(depth, cols)
 	}
-}
-
-// send copies a finished chunk into a pooled shell and hands it to the
-// consumer. Both the shell acquisition and the channel send select on quit,
-// so producers never block past an early Close.
-func (w *pipeWorker) send(cols [][]int64, n int, sel []int, mult []int64) {
-	if w.stopped {
-		return
-	}
-	var shell *Batch
-	select {
-	case shell = <-w.op.free:
-	case <-w.op.quit:
-		w.stopped = true
-		return
-	}
-	m := n
-	if sel != nil {
-		m = len(sel)
-	}
-	for c := range shell.Cols {
-		shell.Cols[c] = compactInto(shell.Cols[c], cols[c], n, sel)
-	}
-	if mult != nil {
-		shell.Mult = compactInto(shell.Mult, mult, n, sel)
-	}
-	shell.N = m
-	shell.Sel = nil
-	select {
-	case w.op.ch <- shell:
-	case <-w.op.quit:
-		w.stopped = true
-	}
-}
-
-// compactInto copies the live rows of src (rows 0..n-1, or those of sel)
-// densely into dst's BatchSize-capacity buffer and returns them.
-func compactInto(dst, src []int64, n int, sel []int) []int64 {
-	dst = dst[:BatchSize]
-	if sel == nil {
-		return dst[:copy(dst, src[:n])]
-	}
-	for k, i := range sel {
-		dst[k] = src[i]
-	}
-	return dst[:len(sel)]
 }
 
 func (w *pipeWorker) walkChain(depth int, st *pipeStage, t *joinTable, cols [][]int64, i int, h uint64) {
@@ -462,36 +364,10 @@ func (w *pipeWorker) flushStage(depth int, cols [][]int64) {
 }
 
 func (p *parallelPipelineOp) Next() (*Batch, error) {
-	if p.stream {
-		if p.last != nil {
-			// Recycle the batch the consumer just finished with.
-			select {
-			case p.free <- p.last:
-			default:
-			}
-			p.last = nil
-		}
-		b, ok := <-p.ch
-		if !ok {
-			return nil, nil
-		}
-		p.last = b
-		return b, nil
-	}
 	return p.out.emit(&p.batch, &p.pos), nil
 }
 
 func (p *parallelPipelineOp) Close() error {
-	if p.stream && !p.closed {
-		p.closed = true
-		close(p.quit)
-		// Drain until the closer goroutine closes ch: releases blocked
-		// producers and guarantees the counter merge happened before
-		// Close returns.
-		for range p.ch {
-		}
-		p.last = nil
-	}
 	p.out.n = 0 // the columns stay for the next execution
 	p.mem.ReleaseAll()
 	return nil

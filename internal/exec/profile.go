@@ -42,8 +42,8 @@ type PlanProfile struct {
 	// Agg profiles the terminal aggregation (hash agg above the plan root,
 	// or the fused pipeline's worker-local partial aggregation).
 	Agg *obs.Span
-	// workers is the compile-time parallelism, recorded for rendering:
-	// fused-pipeline span times are summed across workers.
+	// workers is the Parallelism of the fused pipeline, zero when the tree has
+	// none, recorded for rendering: its span times are summed across workers.
 	workers int
 }
 
@@ -230,8 +230,8 @@ func (p *profVec) Close() error {
 }
 
 // drainCols forwards the materializing fast path through the shim — wrapping
-// must not demote a parallel drain to the batch stream. The whole drain is
-// one timed observation: one logical batch carrying every live row.
+// must not make a build side copy columns its scan would lend. The whole drain
+// is one timed observation: one logical batch carrying every live row.
 func (p *profVec) drainCols(buf *colData) (colData, error) {
 	t0 := time.Now()
 	d, err := drainVecCols(p.in, buf)
@@ -241,8 +241,7 @@ func (p *profVec) drainCols(buf *colData) (colData, error) {
 
 // pipeProf carries the fused pipeline's profile spans: the scan, one span
 // per probe stage (in probe order, matching parallelPipelineOp.stages), and
-// the terminal (the fused aggregation; nil in collect mode, where terminal
-// time folds into the last stage). All are self-time spans filled from
+// the terminal (the fused aggregation). All are self-time spans filled from
 // per-worker stage clocks, merged once after the workers join.
 type pipeProf struct {
 	scan   *obs.Span

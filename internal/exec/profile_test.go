@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -13,7 +14,7 @@ import (
 // TestExplainAnalyzeMatchesRunStats asserts the tentpole invariant: the
 // row count a profiling span records for a plan node equals the RunStats
 // cardinality of that node's subexpression, for every counted node of
-// every workload query, serial and under fused parallel pipelines.
+// every workload query, serial and under the fused parallel pipeline.
 func TestExplainAnalyzeMatchesRunStats(t *testing.T) {
 	cat := tpch.Generate(tpch.Config{ScaleFactor: 0.002, Seed: 7})
 	for name, q := range tpch.Queries() {
@@ -76,6 +77,19 @@ func TestExplainAnalyzeMatchesRunStats(t *testing.T) {
 			text := prof.Format(q, vr.Plan, stats)
 			if !strings.Contains(text, "act=") || !strings.Contains(text, "time=") {
 				t.Fatalf("%s (par=%d): analyze output missing annotations:\n%s", name, par, text)
+			}
+			// The header speaks of workers exactly when the tree has some.
+			_, fused := v.(*execRoot).in.(*parallelPipelineOp)
+			if fused != (par > 1 && q.Agg != nil) {
+				t.Fatalf("%s (par=%d): fused pipeline = %v", name, par, fused)
+			}
+			header, _, _ := strings.Cut(text, "\n")
+			want := "EXPLAIN ANALYZE"
+			if fused {
+				want += fmt.Sprintf(" (parallelism=%d, operator times are summed across workers)", par)
+			}
+			if header != want {
+				t.Fatalf("%s (par=%d): header %q, want %q", name, par, header, want)
 			}
 		}
 	}

@@ -68,7 +68,9 @@ func reopenPlans(t *testing.T, q *relalg.Query, cat *catalog.Catalog) map[string
 // the held tree must return the multiset and report the cardinalities of
 // testkit.Reference over the tables as they are now, agree with a tree
 // compiled freshly at that moment, and leave nothing charged to its tracker;
-// some tree under the budget must really spill in every one.
+// some tree under the budget must really spill in every one. Last, a tree
+// compiled at Parallelism 4 over the tables emptied runs before and after
+// AppendRows has put their rows back.
 func TestReopenedExecutionMatchesFresh(t *testing.T) {
 	win := linearroad.NewWindows()
 	win.Ingest(linearroad.NewGen(2, 60).Slice(0, 40))
@@ -97,18 +99,22 @@ func TestReopenedExecutionMatchesFresh(t *testing.T) {
 			}
 			tab.ResetSnapshot(cut)
 		}
+		appendFirst := func(tab *catalog.Table, n int) { // the leading n rows of what tab first held
+			snap := first[tab]
+			rows := make([][]int64, n)
+			for i := range rows {
+				rows[i] = make([]int64, len(snap.Cols))
+				for c, col := range snap.Cols {
+					rows[i][c] = col[i]
+				}
+			}
+			if err := tab.AppendRows(rows); err != nil {
+				t.Fatal(err)
+			}
+		}
 		grow := func() { // every relation, by half of what it first held
 			for tab, snap := range first {
-				rows := make([][]int64, snap.N/2)
-				for i := range rows {
-					rows[i] = make([]int64, len(snap.Cols))
-					for c, col := range snap.Cols {
-						rows[i][c] = col[i]
-					}
-				}
-				if err := tab.AppendRows(rows); err != nil {
-					t.Fatal(err)
-				}
+				appendFirst(tab, snap.N/2)
 			}
 		}
 
@@ -129,7 +135,8 @@ func TestReopenedExecutionMatchesFresh(t *testing.T) {
 			return tree{label, comp, plan, root, stats}
 		}
 		var held []tree
-		for name, plan := range reopenPlans(t, q, cat) {
+		plans := reopenPlans(t, q, cat)
+		for name, plan := range plans {
 			for _, par := range []int{1, 4} {
 				for _, budget := range []int64{0, tightBudget} {
 					held = append(held, compile(fmt.Sprintf("%s %s plan (par=%d budget=%d)", q.Name, name, par, budget), plan, par, budget))
@@ -166,6 +173,41 @@ func TestReopenedExecutionMatchesFresh(t *testing.T) {
 			}
 			if len(q.Rels) > 1 && spilled == 0 {
 				t.Fatalf("%s, execution %d: no tree under the %d-byte budget spilled a partition", q.Name, step+1, tightBudget)
+			}
+		}
+
+		// A held tree sizes its pipeline when it opens, not when it is compiled:
+		// compiled over empty tables it runs one worker inline, and more than one
+		// once AppendRows has grown its probe table past minParallelRows — which
+		// a window of this stream reaches only when it is put back several times.
+		for tab, snap := range first {
+			tab.ResetSnapshot(&storage.Snapshot{Cols: make([][]int64, len(snap.Cols))})
+		}
+		tr := compile(q.Name+" compiled over empty tables (par=4)", plans["volcano"], 4, 0)
+		pipe, fused := tr.root.(*execRoot).in.(*parallelPipelineOp)
+		refill := func() {
+			for tab, snap := range first {
+				appendFirst(tab, snap.N)
+			}
+			if fused {
+				for probe, n := pipe.leaf.tab, first[pipe.leaf.tab].N; n < minParallelRows; n += first[probe].N {
+					appendFirst(probe, first[probe].N)
+				}
+			}
+		}
+		for step, change := range []func(){func() {}, refill} {
+			change()
+			ref := testkit.NewReference(q, cat)
+			want := testkit.Canonical(ref.Rows(), nil)
+			label := fmt.Sprintf("%s, execution %d", tr.label, step+1)
+			checkExecution(t, label, tr.comp, tr.root, tr.stats, ref.Card, want, tr.plan)
+			fresh := compile(label+", fresh tree", tr.plan, 4, 0)
+			checkExecution(t, fresh.label, fresh.comp, fresh.root, fresh.stats, ref.Card, want, fresh.plan)
+			if got, want := tr.stats.Snapshot(), fresh.stats.Snapshot(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: RunStats %v, a freshly compiled tree reports %v", label, got, want)
+			}
+			if fused && (step == 1) != (pipe.workers > 1) {
+				t.Fatalf("%s: %d workers over a probe table of %d rows", label, pipe.workers, pipe.leaf.data.n)
 			}
 		}
 		for tab, snap := range first {
@@ -213,7 +255,7 @@ func (f *failOnceIter) Close() error { return nil }
 func TestFailedTreeRefusesReopen(t *testing.T) {
 	var comp Compiler
 	stats := &RunStats{Cards: map[relalg.RelSet]*int64{}}
-	root := comp.root(NewVecHashJoin(scanOf([]int64{1}), &failOnceIter{}, []int{0}, []int{0}, nil, seq(1), nil, 1), stats)
+	root := comp.root(NewVecHashJoin(scanOf([]int64{1}), &failOnceIter{}, []int{0}, []int{0}, nil, seq(1), nil), stats)
 	if _, err := DrainVec(root); err == nil {
 		t.Fatal("the failing execution returned no error")
 	}

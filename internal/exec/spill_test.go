@@ -104,7 +104,7 @@ func spillJoinInputs(buildN, probeN, keyMod int) (build, probe [][]int64) {
 func runTrackedJoin(t *testing.T, build, probe [][]int64, budget int64) ([]Row, *MemTracker) {
 	t.Helper()
 	j := NewVecHashJoin(NewVecScanRows(build, ScanFilter{}), NewVecScanRows(probe, ScanFilter{}),
-		[]int{0}, []int{0}, nil, seq(2), seq(2), 1)
+		[]int{0}, []int{0}, nil, seq(2), seq(2))
 	tr := NewMemTracker(budget)
 	j.(*vecHashJoinOp).mem = tr.Child("hashjoin")
 	out, err := DrainVec(j)
@@ -306,7 +306,7 @@ func benchSpillJoin(b *testing.B, budget int64) {
 	var peak int64
 	for i := 0; i < b.N; i++ {
 		j := NewVecHashJoin(NewVecScanRows(build, ScanFilter{}), NewVecScanRows(probe, ScanFilter{}),
-			[]int{0}, []int{0}, nil, seq(2), seq(2), 1)
+			[]int{0}, []int{0}, nil, seq(2), seq(2))
 		tr := NewMemTracker(budget)
 		j.(*vecHashJoinOp).mem = tr.Child("hashjoin")
 		n, err := CountVec(j)

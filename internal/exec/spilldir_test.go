@@ -17,7 +17,7 @@ func TestSpillDirRedirectsPartitionFiles(t *testing.T) {
 
 	dir := t.TempDir()
 	j := NewVecHashJoin(NewVecScanRows(build, ScanFilter{}), NewVecScanRows(probe, ScanFilter{}),
-		[]int{0}, []int{0}, nil, seq(2), seq(2), 1)
+		[]int{0}, []int{0}, nil, seq(2), seq(2))
 	tr := NewMemTracker(32 << 10)
 	tr.SetSpillDir(dir)
 	j.(*vecHashJoinOp).mem = tr.Child("hashjoin")
@@ -47,7 +47,7 @@ func TestSpillDirErrorSurfacesAsQueryError(t *testing.T) {
 	build, probe := spillJoinInputs(65536, 512, 1000)
 	bogus := filepath.Join(t.TempDir(), "does", "not", "exist")
 	j := NewVecHashJoin(NewVecScanRows(build, ScanFilter{}), NewVecScanRows(probe, ScanFilter{}),
-		[]int{0}, []int{0}, nil, seq(2), seq(2), 1)
+		[]int{0}, []int{0}, nil, seq(2), seq(2))
 	tr := NewMemTracker(32 << 10)
 	tr.SetSpillDir(bogus)
 	j.(*vecHashJoinOp).mem = tr.Child("hashjoin")

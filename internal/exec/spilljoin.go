@@ -34,7 +34,6 @@ type spillPair struct {
 // spillJoin drives partition-at-a-time probing for a spilled vecHashJoinOp.
 type spillJoin struct {
 	mem      *MemTracker
-	workers  int
 	lKeys    []int
 	rKeys    []int
 	counting bool
@@ -134,7 +133,7 @@ func (s *spillJoin) advance(j *vecHashJoinOp) (bool, error) {
 				it.probe.close()
 				return false, err
 			}
-			j.table = newJoinTable(nil, data, s.lKeys, s.workers, s.counting)
+			j.table = buildJoinTable(nil, data, s.lKeys, s.counting)
 			s.charged = need
 			rd, err := it.probe.reader()
 			if err != nil {
@@ -238,7 +237,7 @@ func (s *spillJoin) loadChunk(j *vecHashJoinOp) (bool, error) {
 		s.mem.Force(need)
 	}
 	s.charged = need
-	j.table = newJoinTable(nil, data, s.lKeys, s.workers, s.counting)
+	j.table = buildJoinTable(nil, data, s.lKeys, s.counting)
 	rd, err := s.cur.probe.reader()
 	if err != nil {
 		return false, err
@@ -283,7 +282,7 @@ func (s *spillJoin) closeAll() {
 // probe input is partitioned by the same hash windows. Called from
 // vecHashJoinOp.Open with the build input already open.
 func (j *vecHashJoinOp) openSpill(sofar colData, pending *Batch, charged int64) error {
-	s := &spillJoin{mem: j.mem, workers: j.workers, lKeys: j.lKeys, rKeys: j.rKeys, counting: j.counting}
+	s := &spillJoin{mem: j.mem, lKeys: j.lKeys, rKeys: j.rKeys, counting: j.counting}
 	// The very first batch can already overflow a tiny budget, leaving the
 	// drained prefix empty; the build width then comes from the batch.
 	bWidth := sofar.width()

@@ -3,12 +3,15 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/catalog"
 	"repro/internal/cost"
+	"repro/internal/linearroad"
 	"repro/internal/relalg"
 	"repro/internal/testkit"
 	"repro/internal/tpch"
@@ -62,51 +65,6 @@ func TestVecScanBatchesAndSelection(t *testing.T) {
 	}
 }
 
-func TestParallelScanMatchesSerial(t *testing.T) {
-	n := 10*morselSize + 123
-	data := make([][]int64, n)
-	for i := range data {
-		data[i] = []int64{int64(i), int64(i % 7)}
-	}
-	filter := ScanFilter{Conds: []ScanCond{{Off: 1, Op: relalg.CmpLT, Val: 3}}}
-	serial, err := DrainVec(NewVecScanRows(data, filter))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cols := transposeRows(data, 2)
-	for _, workers := range []int{2, 4, 13} {
-		par, err := DrainVec(NewParallelScan(cols.cols, cols.n, filter, workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := rowMultiset(par), rowMultiset(serial); got != want {
-			t.Fatalf("workers=%d: parallel scan multiset differs from serial", workers)
-		}
-	}
-}
-
-func TestParallelScanEarlyClose(t *testing.T) {
-	data := make([][]int64, 50*morselSize)
-	for i := range data {
-		data[i] = []int64{int64(i)}
-	}
-	cols := transposeRows(data, 1)
-	v := NewParallelScan(cols.cols, cols.n, ScanFilter{}, 4)
-	if err := v.Open(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := v.Next(); err != nil {
-		t.Fatal(err)
-	}
-	// Close with most batches unconsumed: workers must unblock and exit.
-	if err := v.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := v.Close(); err != nil { // double close is a no-op
-		t.Fatal(err)
-	}
-}
-
 func TestVecHashJoinSpansBatches(t *testing.T) {
 	// Every probe row matches every build row: 60 * 60 = 3600 outputs,
 	// forcing multiple output batch flushes.
@@ -116,7 +74,7 @@ func TestVecHashJoinSpansBatches(t *testing.T) {
 		build[i] = []int64{1, int64(i)}
 		probe[i] = []int64{1, int64(100 + i)}
 	}
-	v := NewVecHashJoin(NewVecScanRows(build, ScanFilter{}), NewVecScanRows(probe, ScanFilter{}), []int{0}, []int{0}, nil, seq(2), seq(2), 1)
+	v := NewVecHashJoin(NewVecScanRows(build, ScanFilter{}), NewVecScanRows(probe, ScanFilter{}), []int{0}, []int{0}, nil, seq(2), seq(2))
 	out, err := DrainVec(v)
 	if err != nil {
 		t.Fatal(err)
@@ -179,21 +137,21 @@ func (w *weightedIter) Close() error { return nil }
 // never with a result that silently counts each weighted row once.
 func TestWeightedBatchEscapes(t *testing.T) {
 	scan := func() VecIterator { return scanOf([]int64{1}, []int64{2}) }
-	bounded := NewVecHashJoin(&weightedIter{n: 4}, scan(), []int{0}, []int{0}, nil, nil, seq(1), 1).(*vecHashJoinOp)
+	bounded := NewVecHashJoin(&weightedIter{n: 4}, scan(), []int{0}, []int{0}, nil, nil, seq(1)).(*vecHashJoinOp)
 	bounded.mem = NewMemTracker(1 << 20).Child("hashjoin")
-	spilled := NewVecHashJoin(&weightedIter{n: 4}, scan(), []int{0}, []int{0}, nil, nil, seq(1), 1).(*vecHashJoinOp)
+	spilled := NewVecHashJoin(&weightedIter{n: 4}, scan(), []int{0}, []int{0}, nil, nil, seq(1)).(*vecHashJoinOp)
 	spilled.mem = NewMemTracker(8).Child("hashjoin")
-	spilledProbe := NewVecHashJoin(scan(), &weightedIter{n: 4}, []int{0}, []int{0}, nil, seq(1), seq(1), 1).(*vecHashJoinOp)
+	spilledProbe := NewVecHashJoin(scan(), &weightedIter{n: 4}, []int{0}, []int{0}, nil, seq(1), seq(1)).(*vecHashJoinOp)
 	spilledProbe.mem = NewMemTracker(8).Child("hashjoin")
 	for name, v := range map[string]VecIterator{
 		"result":                      &weightedIter{n: 4},
 		"sort":                        NewVecSort(&weightedIter{n: 4}, 0),
 		"merge join, left":            NewVecMergeJoin(&weightedIter{n: 4}, scan(), 0, 0, nil, seq(1), seq(1)),
 		"merge join, right":           NewVecMergeJoin(scan(), &weightedIter{n: 4}, 0, 0, nil, seq(1), seq(1)),
-		"hash join build":             NewVecHashJoin(&weightedIter{n: 4}, scan(), []int{0}, []int{0}, nil, nil, seq(1), 1),
+		"hash join build":             NewVecHashJoin(&weightedIter{n: 4}, scan(), []int{0}, []int{0}, nil, nil, seq(1)),
 		"hash join build, bounded":    bounded,
 		"hash join build, spilling":   spilled,
-		"enumerating hash join probe": NewVecHashJoin(scan(), &weightedIter{n: 4}, []int{0}, []int{0}, nil, seq(1), seq(1), 1),
+		"enumerating hash join probe": NewVecHashJoin(scan(), &weightedIter{n: 4}, []int{0}, []int{0}, nil, seq(1), seq(1)),
 		"enumerating probe, spilling": spilledProbe,
 		"result-cache spool":          &spoolOp{in: &weightedIter{n: 4}, maxBytes: 1 << 20},
 	} {
@@ -212,31 +170,152 @@ func TestWeightedBatchEscapes(t *testing.T) {
 	}
 }
 
+// unsortedMergeJoin is a build side whose Open fails: a merge join over an
+// unsorted input.
+func unsortedMergeJoin() VecIterator {
+	return NewVecMergeJoin(scanOf([]int64{2}, []int64{1}), scanOf([]int64{1}), 0, 0, nil, seq(1), seq(1))
+}
+
+// closeRecorder is a probe side that records whether it was closed.
+type closeRecorder struct {
+	VecIterator
+	closed bool
+}
+
+func (c *closeRecorder) Close() error { c.closed = true; return c.VecIterator.Close() }
+
 // TestVecHashJoinOpenErrorReleasesProbe: when draining the build side fails
-// (unsorted merge join below), the already-opened probe side — including
-// parallel scan workers — must be released rather than leaked.
+// (unsorted merge join below), the already-opened probe side must be closed
+// rather than leaked.
 func TestVecHashJoinOpenErrorReleasesProbe(t *testing.T) {
-	probeData := make([][]int64, 8*morselSize)
-	for i := range probeData {
-		probeData[i] = []int64{int64(i)}
-	}
-	unsorted := rows([]int64{2}, []int64{1})
-	sorted := rows([]int64{1})
-	build := NewVecMergeJoin(NewVecScanRows(unsorted, ScanFilter{}), NewVecScanRows(sorted, ScanFilter{}), 0, 0, nil, seq(1), seq(1))
-	before := runtime.NumGoroutine()
-	probeCols := transposeRows(probeData, 1)
-	j := NewVecHashJoin(build, NewParallelScan(probeCols.cols, probeCols.n, ScanFilter{}, 4), []int{0}, []int{0}, nil, seq(2), seq(1), 1)
+	probe := &closeRecorder{VecIterator: scanOf([]int64{1})}
+	j := NewVecHashJoin(unsortedMergeJoin(), probe, []int{0}, []int{0}, nil, seq(2), seq(1))
 	if err := j.Open(); err == nil {
 		t.Fatal("unsorted build input accepted")
 	}
-	for i := 0; i < 100; i++ {
-		if runtime.NumGoroutine() <= before {
-			return
-		}
+	if !probe.closed {
+		t.Fatal("the probe side was opened and never closed")
+	}
+}
+
+// settled reports whether the goroutine count is back at base. A worker that
+// has released its WaitGroup is still counted until it has finished exiting, so
+// a count above base gets a moment to fall; one that stays there is a leak.
+func settled(base int) bool {
+	for i := 0; i < 200 && runtime.NumGoroutine() > base; i++ {
 		time.Sleep(time.Millisecond)
 	}
-	t.Fatalf("probe-side workers leaked: %d goroutines, started with %d",
-		runtime.NumGoroutine(), before)
+	return runtime.NumGoroutine() <= base
+}
+
+// opShape renders an operator tree as its operator types, children in field
+// order.
+func opShape(v reflect.Value) string {
+	for v.Kind() == reflect.Interface || v.Kind() == reflect.Pointer {
+		v = v.Elem()
+	}
+	s := v.Type().Name()
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.Type() == reflect.TypeFor[VecIterator]() && !f.IsNil() {
+			s += "(" + opShape(f) + ")"
+		}
+	}
+	return s
+}
+
+// TestNoGoroutineOutlivesOpen pins where the executor is concurrent: inside
+// Open and nowhere else. For every workload query at Parallelism 2 and 4 the
+// goroutine count is back at its baseline when Open returns and after a Close
+// with nothing consumed, and an Open that fails in a build side leaves none
+// behind either. A query without an aggregation has no parallel form at all:
+// at Parallelism 1 and 4 it compiles to the same operators and returns the
+// same rows in the same order, with the same RunStats.
+func TestNoGoroutineOutlivesOpen(t *testing.T) {
+	win := linearroad.NewWindows()
+	win.Ingest(linearroad.NewGen(2, 60).Slice(0, 40))
+	win.Materialize()
+	tp := tpch.Generate(tpch.Config{ScaleFactor: 0.005, Seed: 7})
+	type workload struct {
+		q   *relalg.Query
+		cat *catalog.Catalog
+	}
+	work := []workload{{linearroad.SegTollS(), win.Catalog()}}
+	for _, q := range tpch.Queries() {
+		work = append(work, workload{q, tp})
+	}
+	for _, w := range work {
+		m, err := cost.NewModel(w.q, w.cat, cost.DefaultParams())
+		if err != nil {
+			t.Fatalf("%s: %v", w.q.Name, err)
+		}
+		vr, err := volcano.Optimize(m, relalg.DefaultSpace())
+		if err != nil {
+			t.Fatalf("%s: %v", w.q.Name, err)
+		}
+		for _, par := range []int{2, 4} {
+			base := runtime.NumGoroutine()
+			v, _, err := (&Compiler{Q: w.q, Cat: w.cat, Parallelism: par}).CompileVec(vr.Plan)
+			if err != nil {
+				t.Fatalf("%s: %v", w.q.Name, err)
+			}
+			if err := v.Open(); err != nil {
+				t.Fatalf("%s (par=%d): %v", w.q.Name, par, err)
+			}
+			if !settled(base) {
+				t.Fatalf("%s (par=%d): %d goroutines after Open returned, %d before it", w.q.Name, par, runtime.NumGoroutine(), base)
+			}
+			if err := v.Close(); err != nil {
+				t.Fatalf("%s (par=%d): %v", w.q.Name, par, err)
+			}
+			if !settled(base) {
+				t.Fatalf("%s (par=%d): %d goroutines after Close, %d before Open", w.q.Name, par, runtime.NumGoroutine(), base)
+			}
+		}
+		if w.q.Agg != nil {
+			continue
+		}
+		serial := &Compiler{Q: w.q, Cat: w.cat, Parallelism: 1}
+		v1, st1, err := serial.CompileVec(vr.Plan)
+		if err != nil {
+			t.Fatalf("%s: %v", w.q.Name, err)
+		}
+		v4, st4, err := (&Compiler{Q: w.q, Cat: w.cat, Parallelism: 4}).CompileVec(vr.Plan)
+		if err != nil {
+			t.Fatalf("%s: %v", w.q.Name, err)
+		}
+		if s1, s4 := opShape(reflect.ValueOf(v1)), opShape(reflect.ValueOf(v4)); s1 != s4 {
+			t.Fatalf("%s compiles to different operators:\npar=1 %s\npar=4 %s", w.q.Name, s1, s4)
+		}
+		rows1, err := DrainVec(v1)
+		if err != nil {
+			t.Fatalf("%s: %v", w.q.Name, err)
+		}
+		rows4, err := DrainVec(v4)
+		if err != nil {
+			t.Fatalf("%s: %v", w.q.Name, err)
+		}
+		if len(rows1) == 0 || !reflect.DeepEqual(rows1, rows4) {
+			t.Fatalf("%s: %d rows at par=1, %d at par=4, or in another order", w.q.Name, len(rows1), len(rows4))
+		}
+		statsEqual(t, w.q.Name, st4.Snapshot(), st1.Snapshot())
+	}
+
+	// A fused pipeline whose build side fails never starts a worker.
+	probe := make([][]int64, 2*minParallelRows)
+	for i := range probe {
+		probe[i] = []int64{int64(i)}
+	}
+	var scanN, joinN int64
+	pipe := newParallelPipeline(leafOf(probe, 1, ScanFilter{}), &scanN, []*pipeStage{{build: unsortedMergeJoin(),
+		buildKeys: []int{0}, probeKeys: []int{0}, buildOut: seq(2), probeOut: seq(1), card: &joinN}},
+		AggSpecExec{CountAll: true}, 4)
+	base := runtime.NumGoroutine()
+	if err := pipe.Open(); err == nil {
+		t.Fatal("unsorted build input accepted")
+	}
+	if !settled(base) {
+		t.Fatalf("%d goroutines after a failed Open, %d before it", runtime.NumGoroutine(), base)
+	}
 }
 
 // ---- differential test: executor vs reference evaluator, TPC-H workload ----
@@ -244,16 +323,15 @@ func TestVecHashJoinOpenErrorReleasesProbe(t *testing.T) {
 func rowMultiset(rows []Row) string { return testkit.Canonical(rows, nil) }
 
 // TestTPCHReferenceDifferential executes every TPC-H workload query at every
-// parallelism level (serial, and with fused parallel pipelines plus
-// morsel-driven scans at 2 and 4 workers) and asserts that the result
+// parallelism level (serial, and with the fused parallel pipeline at 2 and 4
+// workers) and asserts that the result
 // multiset and the RunStats feedback cardinality of every scan and join
 // operator equal what testkit.Reference computes from the logical query
 // alone — the proof that the §5.4 adaptive loop sees correct, byte-identical
 // feedback at any parallelism. The reference shares no code with the
 // compiler, so a wrong key set or a dropped residual fails here instead of
 // agreeing with itself. Run under -race (the CI race shard) this also
-// exercises the pipeline workers, partitioned build, and exchange machinery
-// for data races.
+// exercises the pipeline workers for data races.
 func TestTPCHReferenceDifferential(t *testing.T) {
 	cat := tpch.Generate(tpch.Config{ScaleFactor: 0.002, Seed: 7})
 	for name, q := range tpch.Queries() {
@@ -274,8 +352,8 @@ func TestTPCHReferenceDifferential(t *testing.T) {
 	}
 }
 
-// TestCompileParallelCountMatches runs a query end to end via CountVec under
-// parallel scans — the aqp.RunSlice code path.
+// TestCompileParallelCountMatches runs a query end to end via CountVec at
+// Parallelism 4 — the aqp.RunSlice code path.
 func TestCompileParallelCountMatches(t *testing.T) {
 	cat := tpch.Generate(tpch.Config{ScaleFactor: 0.002, Seed: 11})
 	q := tpch.Q3S()

@@ -99,7 +99,6 @@ type vecHashJoinOp struct {
 	left, right  VecIterator
 	lKeys, rKeys []int
 	residual     []ColPred
-	workers      int
 	mem          *MemTracker // child tracker; nil = untracked
 
 	// counting: nothing above reads a build column and the consumer reads
@@ -140,12 +139,10 @@ type vecHashJoinOp struct {
 // prefiltered on the full hash before the key-equality check, collected as
 // index pairs, residual-filtered, and gathered column-wise into the output:
 // the lOut columns of the build input, then the rOut columns of the probe
-// input. When workers > 1, the build side drains at worker parallelism where the
-// source supports it and large tables are built with the partitioned
-// parallel insert.
-func NewVecHashJoin(left, right VecIterator, lKeys, rKeys []int, residual []ColPred, lOut, rOut []int, workers int) VecIterator {
+// input.
+func NewVecHashJoin(left, right VecIterator, lKeys, rKeys []int, residual []ColPred, lOut, rOut []int) VecIterator {
 	return &vecHashJoinOp{left: left, right: right, lKeys: lKeys, rKeys: rKeys,
-		residual: residual, workers: workers, emit: colEmitter{buildOut: lOut, probeOut: rOut}}
+		residual: residual, emit: colEmitter{buildOut: lOut, probeOut: rOut}}
 }
 
 func (j *vecHashJoinOp) Open() error {
@@ -158,8 +155,7 @@ func (j *vecHashJoinOp) Open() error {
 	}
 	if j.mem.Bounded() {
 		if err := j.openBounded(); err != nil {
-			// Release the already-opened probe side (which may have
-			// launched parallel scan workers).
+			// Release the already-opened probe side.
 			return errors.Join(err, j.right.Close())
 		}
 	} else {
@@ -168,14 +164,14 @@ func (j *vecHashJoinOp) Open() error {
 			return errors.Join(err, j.right.Close())
 		}
 		j.mem.Force(colBytes(build.width(), build.n) + joinTableBytes(build.n, j.counting))
-		j.table = newJoinTable(j.table, build, j.lKeys, j.workers, j.counting)
+		j.table = buildJoinTable(j.table, build, j.lKeys, j.counting)
 	}
 	return nil
 }
 
 // openBounded drains the build side batch-at-a-time under the memory
-// reservation (forgoing the parallel drainCols fast path — the price of a
-// hard bound), switching to grace-hash spilling the moment a reservation
+// reservation (forgoing the drainCols fast path — the price of a hard
+// bound), switching to grace-hash spilling the moment a reservation
 // fails. On the spill path openSpill takes over the open build input.
 func (j *vecHashJoinOp) openBounded() error {
 	if err := j.left.Open(); err != nil {
@@ -212,7 +208,7 @@ func (j *vecHashJoinOp) openBounded() error {
 		j.mem.ReleaseAll()
 		return err
 	}
-	j.table = newJoinTable(j.table, j.build, j.lKeys, j.workers, j.counting)
+	j.table = buildJoinTable(j.table, j.build, j.lKeys, j.counting)
 	return nil
 }
 
@@ -315,8 +311,8 @@ func (j *vecHashJoinOp) Next() (*Batch, error) {
 		if b == nil {
 			j.drained = true
 			// The producer may recycle its last batch when it reports end
-			// of stream (the parallel scan clears Sel, changing Len), so
-			// drop the stale reference before re-checking the cursor.
+			// of stream (the ownership contract lets it change Len), so drop
+			// the stale reference before re-checking the cursor.
 			j.pb = nil
 			continue
 		}

@@ -72,8 +72,10 @@ import (
 // default cost parameters and all pruning strategies, and calibrates from
 // cumulatively averaged observations (the paper's AQP-Cumulative).
 type Options struct {
-	// Parallelism is the vectorized executor's morsel-driven worker count
-	// per query; <= 1 executes serially.
+	// Parallelism caps the workers of the one parallel shape the executor
+	// has, per query: an aggregating query over a hash-join chain, executed
+	// without a memory budget, runs as a fused morsel-driven pipeline. Every
+	// other query, and every query at <= 1, executes serially.
 	Parallelism int
 	// MaxConcurrent bounds concurrently executing queries (admission
 	// control). 0 derives it from GOMAXPROCS / Parallelism so the worker

@@ -15,7 +15,8 @@
 //     the shared query model, physical design, statistics and cost model;
 //   - internal/exec — the executor, one vectorized columnar engine
 //     (Compiler.CompileVec → DrainVec/CountVec): selection vectors,
-//     morsel-driven parallel pipelines behind a Parallelism option,
+//     one morsel-driven parallel pipeline — at the root of an aggregating
+//     query, finished inside Open — behind a Parallelism option,
 //     per-query memory accounting with grace-hash spilling under a budget,
 //     and exact per-operator cardinality feedback. Invariant: an operator's
 //     schema is the set of columns read at or above it (aggregation inputs,
