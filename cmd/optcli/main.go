@@ -46,7 +46,7 @@ func main() {
 	reopt := flag.String("reopt", "", "comma list of updates, e.g. \"A=0.5,E=8\" (Q5 expressions) or \"scan:orders=4\"")
 	doExec := flag.Bool("exec", false, "execute the chosen plan and print row count and timing")
 	analyze := flag.Bool("analyze", false, "execute with per-operator profiling and print the EXPLAIN ANALYZE tree (implies -exec)")
-	parallelism := flag.Int("parallelism", 1, "workers of the fused pipeline an aggregating query runs as under -exec; a query without an aggregation, and any at <= 1, is serial")
+	parallelism := flag.Int("parallelism", 1, "workers that run copies of an aggregating query's probe spine under -exec; a query without an aggregation, and any at <= 1, is serial")
 	flag.Parse()
 
 	cat := tpch.Generate(tpch.Config{ScaleFactor: *sf, Seed: 42})
@@ -192,8 +192,8 @@ func main() {
 }
 
 // execute runs the chosen plan through the vectorized executor — an
-// aggregating query as a fused parallel pipeline when parallelism > 1 — and prints the result
-// cardinality and execution time. With analyze it profiles every operator
+// aggregating query over a probe spine on parallelism workers when
+// parallelism > 1 — and prints the result cardinality and execution time. With analyze it profiles every operator
 // and prints the annotated EXPLAIN ANALYZE tree.
 func execute(q *relalg.Query, cat *catalog.Catalog, plan *relalg.Plan, parallelism int, analyze bool) {
 	comp := &exec.Compiler{Q: q, Cat: cat, Parallelism: parallelism}

@@ -96,7 +96,7 @@ func main() {
 	slices := flag.Int("slices", 120, "stream slices for Figures 9/10")
 	repeats := flag.Int("repeats", 5, "timing repetitions (minimum is reported)")
 	parallelism := flag.Int("parallelism", 1,
-		"workers of the fused pipeline an aggregating query runs as, wherever plans execute; other queries, and any at <= 1, execute serially (the paper's setting)")
+		"workers that run copies of an aggregating query's probe spine, wherever plans execute; other queries, and any at <= 1, execute serially (the paper's setting)")
 	flag.Parse()
 
 	selected, err := selectJobs(*fig, *table)

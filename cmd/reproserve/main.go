@@ -127,7 +127,7 @@ func main() {
 	listen := flag.String("listen", "", "TCP listen address (e.g. :7878); empty serves stdin/stdout")
 	sf := flag.Float64("sf", 0.005, "TPC-H scale factor")
 	skew := flag.Float64("skew", 0, "TPC-H Zipf skew on foreign keys")
-	parallelism := flag.Int("parallelism", 1, "workers of the fused pipeline an aggregating query without a memory budget runs as; other queries, and any at <= 1, execute serially")
+	parallelism := flag.Int("parallelism", 1, "workers that run copies of the probe spine of an aggregating query without a memory budget; other queries, and any at <= 1, execute serially")
 	maxConcurrent := flag.Int("max-concurrent", 0, "admission bound on concurrently executing queries; 0 sizes it against parallelism")
 	maxEntries := flag.Int("max-entries", 0, "plan cache entry bound (LRU eviction); 0 is unbounded")
 	statsFile := flag.String("stats-file", "", "statistics-plane snapshot path: loaded on boot when present, saved (atomic rotation) on graceful shutdown")

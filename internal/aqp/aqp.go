@@ -70,19 +70,13 @@ type Config struct {
 	// to zero as statistics stabilize (Figure 9).
 	FeedbackThreshold float64
 	// Parallelism caps the workers of the vectorized executor's one
-	// parallel shape during slice execution: an unbounded aggregating query
-	// over a hash-join chain runs as a fused pipeline (scan → join probes →
-	// partial aggregation) whose workers finish inside Open; anything else,
-	// and everything at <= 1, runs on the serial operators. Feedback
-	// cardinalities are exact at any setting, so the adaptive loop is
-	// unaffected by the parallelism choice.
+	// parallel shape during slice execution: an aggregating query over a
+	// hash-join probe spine runs as that many copies of the spine's serial
+	// operators, each into its own partial aggregate, finished inside Open;
+	// anything else, and everything at <= 1, runs on one serial tree.
+	// Feedback cardinalities are exact at any setting, so the adaptive loop
+	// is unaffected by the parallelism choice.
 	Parallelism int
-	// MemBudgetBytes bounds each slice execution's tracked memory (the
-	// limit of its exec.MemTracker): hash joins and aggregations spill under
-	// grace hashing instead of exceeding it. Feedback cardinalities are
-	// byte-identical with spilling on or off, so the adaptive loop is
-	// unaffected by the budget choice. 0 executes unbounded.
-	MemBudgetBytes int64
 }
 
 // SliceResult reports one split-point round trip.
@@ -214,9 +208,6 @@ func (c *Controller) RunSlice(_ func(rel int) [][]int64) (SliceResult, error) {
 	start = time.Now()
 	if c.root == nil || changed {
 		comp := &exec.Compiler{Q: c.cfg.Query, Cat: c.cfg.Cat, Parallelism: c.cfg.Parallelism}
-		if c.cfg.MemBudgetBytes > 0 {
-			comp.Mem = exec.NewMemTracker(c.cfg.MemBudgetBytes)
-		}
 		if c.root, c.stats, err = comp.CompileVec(plan); err != nil {
 			return res, err // no tree is held: the next slice compiles again
 		}

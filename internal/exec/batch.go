@@ -3,6 +3,7 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 )
 
 // BatchSize is the fixed batch capacity of the vectorized executor. Batches
@@ -84,7 +85,7 @@ func unweighted(b *Batch, consumer string) error {
 // hold then (execRoot states the contract and its two refusals).
 type VecIterator interface {
 	// Open prepares the operator (builds hash tables, sorts inputs, runs a
-	// fused pipeline's workers to completion), emptying and reusing whatever
+	// parallel aggregation's workers to completion), emptying and reusing whatever
 	// buffers a previous execution left it. No goroutine outlives it.
 	Open() error
 	// Next returns the next batch, or nil at end of stream.
@@ -313,6 +314,9 @@ type vecScanOp struct {
 	sel   []int
 	ids   []int32   // drainCols' surviving row ids
 	lent  [][]int64 // drainCols' headers over an unfiltered table's columns
+	// cursor, on a pipeline worker's copy (pipeline.go), is the leaf position
+	// all copies share: each batch claims the next BatchSize rows off it.
+	cursor *atomic.Int64
 }
 
 // NewVecScan returns a vectorized filtering scan over column-major
@@ -347,12 +351,15 @@ func (s *vecScanOp) Open() error {
 }
 
 func (s *vecScanOp) Next() (*Batch, error) {
-	for s.pos < s.leaf.data.n {
-		end := s.pos + BatchSize
-		if end > s.leaf.data.n {
-			end = s.leaf.data.n
-		}
+	for {
 		lo := s.pos
+		if s.cursor != nil {
+			lo = int(s.cursor.Add(1)-1) * BatchSize
+		}
+		if lo >= s.leaf.data.n {
+			return nil, nil
+		}
+		end := min(lo+BatchSize, s.leaf.data.n)
 		s.pos = end
 		s.batch.Cols = s.leaf.data.window(s.batch.Cols, lo, end)
 		s.batch.N = end - lo
@@ -370,7 +377,6 @@ func (s *vecScanOp) Next() (*Batch, error) {
 		s.batch.Sel = s.sel
 		return &s.batch, nil
 	}
-	return nil, nil
 }
 
 func (s *vecScanOp) Close() error { return nil }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/catalog"
-	"repro/internal/obs"
 	"repro/internal/relalg"
 	"repro/internal/rescache"
 )
@@ -61,14 +60,13 @@ type Compiler struct {
 	Q   *relalg.Query
 	Cat *catalog.Catalog
 	// Parallelism caps the number of workers of morsel-driven parallel
-	// execution; values <= 1 execute serially. Above 1, an unbounded
-	// aggregating query whose plan is a right-spine hash-join chain over an
-	// unsorted leaf scan runs as one fused pipeline (scan → probe cascade →
-	// worker-local aggregation, see pipeline.go) whose workers start and
-	// finish inside Open; every other query compiles to the same serial
-	// operator tree at any value. Per-operator cardinality counters stay
-	// exact (the pipeline merges per-worker counters), so RunStats feedback
-	// into the adaptive layer is unaffected.
+	// execution; values <= 1 execute serially. The tree is the same at any
+	// value; above 1, when an unbounded aggregating query's input is a
+	// right spine of hash joins over a plain scan, the aggregation runs that
+	// many copies of the spine's operators, each into a partial aggregate,
+	// whose workers start and finish inside Open (pipeline.go). The copies'
+	// cardinality counters sum into the tree's, so RunStats feedback into the
+	// adaptive layer is unaffected.
 	Parallelism int
 	// Cache, when enabled, is the server-wide semantic result cache, and
 	// CacheCands the plan's cacheable subtrees (BuildCacheCandidates on
@@ -79,9 +77,8 @@ type Compiler struct {
 	CacheCands []CacheCandidate
 	// Prof, when non-nil, collects a per-operator execution profile for
 	// EXPLAIN ANALYZE: every compiled operator is wrapped in a timing shim
-	// recording batches/rows/wall time per plan node (fused pipelines
-	// register per-stage spans instead; see profile.go). Nil — the default
-	// — compiles exactly the unprofiled operator tree.
+	// recording batches/rows/wall time per plan node (see profile.go). Nil —
+	// the default — compiles exactly the unprofiled operator tree.
 	Prof *PlanProfile
 	// Mem is the query's memory tracker, and the one way to bound its
 	// memory: under NewMemTracker(limit) with limit > 0, operators that can
@@ -106,20 +103,6 @@ type Compiler struct {
 func (c *Compiler) CompileVec(plan *relalg.Plan) (VecIterator, *RunStats, error) {
 	stats := &RunStats{Cards: map[relalg.RelSet]*int64{}}
 	c.resolveCache()
-	// The one parallel shape: an aggregating query fuses at the root, where
-	// the pipeline's terminal is worker-local partial aggregation (even for a
-	// bare scan plan, the Q1/Q6 shape) and no shared state sits on the per-row
-	// path. Under a memory budget the aggregation and the builds must stay
-	// spillable, so a bounded query is a serial one.
-	if c.Parallelism > 1 && c.Q.Agg != nil && !c.Mem.Bounded() {
-		op, ok, err := c.compilePipeline(plan, stats)
-		if err != nil {
-			return nil, nil, err
-		}
-		if ok {
-			return c.root(op, stats), stats, nil
-		}
-	}
 	// The aggregation reads Batch.Mult; a root without one is drained as rows.
 	v, schema, err := c.compileVec(plan, stats, c.Q.Agg != nil)
 	if err != nil {
@@ -130,15 +113,34 @@ func (c *Compiler) CompileVec(plan *relalg.Plan) (VecIterator, *RunStats, error)
 		if err != nil {
 			return nil, nil, err
 		}
-		v = NewVecHashAgg(v, spec)
-		if ha, ok := v.(*vecHashAggOp); ok {
-			ha.mem = c.Mem.Child("agg")
-		}
+		v = c.aggregate(v, spec)
 		if c.Prof != nil {
 			v = &profVec{in: v, sp: c.Prof.Agg}
 		}
 	}
 	return c.root(v, stats), stats, nil
+}
+
+// aggregate puts the query's aggregation over its compiled input. The one
+// parallel shape is here: above one worker, an unbounded query whose input is
+// a probe spine runs as P copies of that spine, each into its own partial
+// aggregate (pipeline.go). Under a memory budget the aggregation and the
+// builds must stay spillable, so a bounded query is a serial one.
+func (c *Compiler) aggregate(in VecIterator, spec AggSpecExec) VecIterator {
+	if c.Parallelism > 1 && !c.Mem.Bounded() {
+		if p := newParallelPipeline(in, spec, c.Parallelism); p != nil {
+			p.mem = c.Mem.Child("pipeline")
+			if c.Prof != nil {
+				c.Prof.workers = c.Parallelism
+			}
+			return p
+		}
+	}
+	v := NewVecHashAgg(in, spec)
+	if ha, ok := v.(*vecHashAggOp); ok {
+		ha.mem = c.Mem.Child("agg")
+	}
+	return v
 }
 
 // execRoot sits on top of every compiled tree and holds the reopen contract:
@@ -428,106 +430,6 @@ func (c *Compiler) compileVecIndexNL(p *relalg.Plan, stats *RunStats) (VecIterat
 		return nil, nil, err
 	}
 	return c.countedVec(v, p.Expr, stats), schema, nil
-}
-
-// compilePipeline tries to fuse the whole plan of an aggregating query into
-// one parallelPipelineOp: a right-spine chain of hash joins (possibly none, for
-// bare scan+agg plans) over an unsorted leaf scan, ending in the query's
-// aggregation. Each stage's build side is compiled with the regular vectorized
-// compiler, drained at Open, and probed by every pipeline worker against the
-// shared immutable table. The op registers the cardinality counters of every
-// fused expression itself — the scan and each join — merging exact per-worker
-// counts, so it must not be wrapped in countedVec. How many workers an
-// execution uses is decided when it opens, from the table as it is then.
-// Returns ok=false when the shape doesn't match; the caller compiles the
-// serial operator tree.
-func (c *Compiler) compilePipeline(p *relalg.Plan, stats *RunStats) (*parallelPipelineOp, bool, error) {
-	if c.decisionWithin(p) {
-		// A probe or spool targets a node inside this subtree; fusing it
-		// into one operator would silently skip the cache. Fall back to
-		// the plain operator tree, where compileVec honors the decision.
-		return nil, false, nil
-	}
-	var spine []*relalg.Plan
-	cur := p
-	for cur.Log == relalg.LogJoin && cur.Phy == relalg.PhyHashJoin {
-		spine = append(spine, cur)
-		cur = cur.Right
-	}
-	if cur.Log != relalg.LogScan || cur.Prop.Kind == relalg.PropSorted ||
-		cur.Phy == relalg.PhyIndexScan || cur.Phy == relalg.PhySegScan {
-		return nil, false, nil
-	}
-	schema, err := c.scanSchema(cur)
-	if err != nil {
-		return nil, false, err
-	}
-	leaf, err := c.resolveScan(cur.Rel, schema)
-	if err != nil {
-		return nil, false, err
-	}
-	scanCard := stats.counter(cur.Expr)
-
-	// Which stages count is decided from the top of the spine down, before
-	// anything is compiled: a stage's consumer is the stage above it, the
-	// topmost's the aggregation, which reads Batch.Mult.
-	counted := make([]bool, len(spine))
-	weighted := true
-	for i, pj := range spine {
-		ls, err := c.PlanSchema(pj.Left)
-		if err != nil {
-			return nil, false, err
-		}
-		weighted = c.counted(pj, ls, weighted)
-		counted[i] = weighted
-	}
-
-	// Stages assemble bottom-up: the innermost join of the spine is probed
-	// first, and each stage's output schema is the next stage's probe schema
-	// — exactly the schema the unfused operator tree would produce.
-	stages := make([]*pipeStage, 0, len(spine))
-	for i := len(spine) - 1; i >= 0; i-- {
-		pj := spine[i]
-		build, ls, err := c.compileVec(pj.Left, stats, false)
-		if err != nil {
-			return nil, false, err
-		}
-		lKeys, rKeys, residual, err := c.hashJoinKeys(pj, ls, schema)
-		if err != nil {
-			return nil, false, err
-		}
-		var lOut, rOut []int
-		schema, lOut, rOut = c.joinSchema(pj, ls, schema)
-		stages = append(stages, &pipeStage{build: build, buildKeys: lKeys,
-			probeKeys: rKeys, residual: residual, buildOut: lOut, probeOut: rOut,
-			counting: counted[i], card: stats.counter(pj.Expr)})
-		if c.Prof != nil {
-			c.Prof.cols[pj] = len(schema)
-			c.Prof.counted[pj] = counted[i]
-		}
-	}
-	spec, err := c.aggSpec(schema)
-	if err != nil {
-		return nil, false, err
-	}
-	op := newParallelPipeline(leaf, scanCard, stages, spec, c.Parallelism)
-	op.mem = c.Mem.Child("pipeline")
-	if c.Prof != nil {
-		// Register self-time spans for every fused node: stages[j] probes
-		// spine[len-1-j] (the stage list assembles bottom-up), the scan span
-		// belongs to the leaf, and the aggregation's time comes from the
-		// workers' terminal clock slot. Build subtrees were compiled via
-		// compileVec above and carry their own inclusive shims.
-		c.Prof.workers = c.Parallelism
-		c.Prof.Agg.Self = true
-		pr := &pipeProf{scan: c.Prof.selfSpan(cur), stages: make([]*obs.Span, len(stages)), term: c.Prof.Agg}
-		for j := range stages {
-			pr.stages[j] = c.Prof.selfSpan(spine[len(spine)-1-j])
-		}
-		op.prof = pr
-		c.Prof.cols[cur] = len(leaf.schema)
-	}
-	return op, true, nil
 }
 
 func (c *Compiler) countedVec(v VecIterator, set relalg.RelSet, stats *RunStats) VecIterator {

@@ -32,18 +32,19 @@
 // are recycled, so consumers copy values out before the producer's next call; DrainVec and
 // the operator-internal materializing drains do exactly one such copy per
 // row. Under the compiler's Parallelism option there is one parallel shape
-// (pipeline.go): an unbounded aggregating query whose plan is a right-spine
-// hash-join chain over an unsorted leaf scan compiles to a parallelPipelineOp
-// at its root, whose workers each run the full scan → probe cascade →
-// partial-aggregate chain privately — join tables are built once and shared
-// read-only, aggregation state is worker-local in a flat open-addressing
-// aggTable (agg.go, no per-row key allocation), and partial aggregates and
-// exact per-operator cardinality counts merge once at the end, so RunStats
-// feedback is byte-identical at any parallelism. The workers start and finish
-// inside that operator's Open: the package has no channel, and no goroutine
-// outlives an Open. Every other query — no aggregation, a memory budget,
-// another plan shape — compiles to the same serial operator tree at any
-// Parallelism and returns the same rows in the same order.
+// (pipeline.go), and it is made of the serial operators: when an unbounded
+// aggregating query's compiled input is a right spine of hash joins over a
+// counted plain scan, a parallelPipelineOp takes the aggregation's place and
+// runs P copies of that spine — scans claiming morsels off one cursor, joins
+// probing tables the serial spine built once, counters and profiling shims of
+// their own — each into a worker-local aggTable (agg.go, flat open
+// addressing, no per-row key allocation). Partial aggregates, counters and
+// spans merge once at the end, so RunStats feedback is byte-identical at any
+// parallelism. The workers start and finish inside that operator's Open: the
+// package has no channel, and no goroutine outlives an Open. Every other
+// query — no aggregation, a memory budget, another plan shape — runs the
+// serial aggregation over the same tree and returns the same rows in the same
+// order.
 //
 // Correctness is checked against testkit.Reference, a naive evaluator of the
 // logical query that shares no code with this package: result multisets and

@@ -13,7 +13,7 @@ import (
 )
 
 // liveCatalog holds three tables R, S and T of (a, b, c, d), each large enough
-// for more than one fused-pipeline worker: a is a join key with a few
+// for more than one parallel worker: a is a join key with a few
 // matches per value, b a low-cardinality selection / grouping column.
 func liveCatalog() *catalog.Catalog {
 	r := stats.NewRand(23)
@@ -88,7 +88,10 @@ func checkCounted(t *testing.T, label string, prof *PlanProfile, q *relalg.Query
 // instead of copies, or must not) against the reference evaluator at every
 // parallelism, with and without a spill budget, profiled and not, and pins
 // the widths the compiler plans, the widths blocking consumers materialize
-// and which joins count.
+// and which joins count. Unbounded above one worker, every aggregating case
+// whose probe spine ends in a plain scan runs in parallel — the index-NL ones
+// too, a hash join since PR 22 — and so does every hash-join case with a
+// result-cache spool or probe inside its build side, run last.
 func TestLivenessEdgeCases(t *testing.T) {
 	cat := liveCatalog()
 	col := func(rel, off int) relalg.ColID { return relalg.ColID{Rel: rel, Off: off} }
@@ -200,6 +203,7 @@ func TestLivenessEdgeCases(t *testing.T) {
 			&relalg.Query{Rels: rels, Joins: onA},
 			hashRS(), 8, 4, nil, false},
 	}
+	cachedBuilds := 0
 	for _, tc := range cases {
 		if err := tc.q.Validate(); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
@@ -263,6 +267,40 @@ func TestLivenessEdgeCases(t *testing.T) {
 				}
 			}
 		}
+		// A result-cache spool, then probe, inside a hash join's build side
+		// leaves the probe spine parallel.
+		var cands []CacheCandidate
+		if tc.plan.Phy == relalg.PhyHashJoin {
+			for _, cand := range BuildCacheCandidates(tc.q, tc.plan, relalg.NewFingerprinter(tc.q)) {
+				if cand.Expr.IsSubset(tc.plan.Left.Expr) {
+					cands = append(cands, cand)
+				}
+			}
+		}
+		if len(cands) == 0 {
+			continue
+		}
+		for _, par := range []int{2, 4} {
+			cache := rescache.New(64 << 20)
+			for run, label := range []string{"spool", "probe"} {
+				label = fmt.Sprintf("%s, build side cached, %s run (par=%d)", tc.name, label, par)
+				comp := &Compiler{Q: tc.q, Cat: cat, Parallelism: par, Cache: cache, CacheCands: cands}
+				v, st, err := comp.CompileVec(tc.plan)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				checkExecution(t, label, comp, v, st, ref.Card, want, tc.plan)
+				if m := cache.Metrics(); parallelOf(v) == nil || m.Stores != 1 || m.Hits != int64(run) {
+					t.Fatalf("%s: root %T, %d stores %d hits; want a parallel aggregation beside one stored entry served once",
+						label, v.(*execRoot).in, m.Stores, m.Hits)
+				}
+				cachedBuilds++
+			}
+		}
+	}
+	t.Logf("%d parallel executions beside a cached build side", cachedBuilds)
+	if cachedBuilds == 0 {
+		t.Fatal("no case put a result-cache decision inside a build side")
 	}
 }
 

@@ -4,11 +4,17 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"regexp"
 	"slices"
+	"strings"
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/cost"
+	"repro/internal/linearroad"
 	"repro/internal/relalg"
+	"repro/internal/testkit"
 	"repro/internal/tpch"
 	"repro/internal/volcano"
 )
@@ -33,25 +39,55 @@ func compileFor(t *testing.T, q *relalg.Query, par int) (VecIterator, *RunStats)
 	return v, stats
 }
 
-// TestCompilePipelineFuses asserts that the compiler fuses the one shape the
-// pipeline exists for — an aggregating query, its join chain or its bare scan —
-// and nothing else: a query without an aggregation and a serial compilation
-// get the serial operator tree.
+// parallelOf returns the parallel aggregation of a compiled tree, nil when it
+// has none.
+func parallelOf(v VecIterator) *parallelPipelineOp {
+	in := v.(*execRoot).in
+	if pv, ok := in.(*profVec); ok {
+		in = pv.in
+	}
+	p, _ := in.(*parallelPipelineOp)
+	return p
+}
+
+// spineShape lists the operator types down v's probe path: from every
+// operator to its input, from a join to its probe side.
+func spineShape(v reflect.Value) []string {
+	var out []string
+	for v.IsValid() && !v.IsNil() {
+		for v.Kind() == reflect.Interface || v.Kind() == reflect.Pointer {
+			v = v.Elem()
+		}
+		out = append(out, v.Type().Name())
+		next := v.FieldByName("right")
+		if !next.IsValid() {
+			next = v.FieldByName("in")
+		}
+		v = next
+	}
+	return out
+}
+
+// TestCompilePipelineFuses asserts that the compiler runs the one shape the
+// parallel aggregation exists for — an aggregating query over its join spine
+// or its bare scan — and nothing else: a query without an aggregation and a
+// serial compilation get the serial operator tree.
 func TestCompilePipelineFuses(t *testing.T) {
 	for _, tc := range []struct {
-		q      *relalg.Query
-		stages int
+		q     *relalg.Query
+		joins int
 	}{
 		{tpch.Q5(), 1}, // six-way join + agg
-		{tpch.Q1(), 0}, // bare scan + agg (zero-stage pipeline)
+		{tpch.Q1(), 0}, // bare scan + agg (no join on the spine)
 	} {
 		v, _ := compileFor(t, tc.q, 4)
-		pp, ok := v.(*execRoot).in.(*parallelPipelineOp)
-		if !ok {
+		pp := parallelOf(v)
+		if pp == nil {
 			t.Fatalf("%s: compiled root is %T, want *parallelPipelineOp", tc.q.Name, v.(*execRoot).in)
 		}
-		if len(pp.stages) != tc.stages {
-			t.Errorf("%s: fused %d stages, want %d", tc.q.Name, len(pp.stages), tc.stages)
+		shape := spineShape(reflect.ValueOf(pp.spine))
+		if joins := strings.Count(strings.Join(shape, " "), "vecHashJoinOp"); joins != tc.joins {
+			t.Errorf("%s: spine %v, want %d joins over a scan", tc.q.Name, shape, tc.joins)
 		}
 	}
 	for _, tc := range []struct {
@@ -59,25 +95,62 @@ func TestCompilePipelineFuses(t *testing.T) {
 		par int
 	}{{tpch.Q3S(), 4}, {tpch.Q5(), 1}} {
 		v, _ := compileFor(t, tc.q, tc.par)
-		if _, ok := v.(*execRoot).in.(*parallelPipelineOp); ok {
-			t.Fatalf("%s at Parallelism=%d compiled to a parallel pipeline", tc.q.Name, tc.par)
+		if parallelOf(v) != nil {
+			t.Fatalf("%s at Parallelism=%d compiled to a parallel aggregation", tc.q.Name, tc.par)
 		}
 	}
 }
 
-// leafOf is a scan leaf over row-major test data that emits every column.
-func leafOf(rows [][]int64, arity int, filter ScanFilter) scanLeaf {
-	d := transposeRows(rows, arity)
-	return leafOfCols(d.cols, d.n, filter)
+// rowsCatalog holds one table per entry of tabs, columns named c0, c1, ….
+func rowsCatalog(tabs map[string][][]int64) *catalog.Catalog {
+	cat := catalog.New()
+	for name, rows := range tabs {
+		cols := make([]string, len(rows[0]))
+		for i := range cols {
+			cols[i] = fmt.Sprintf("c%d", i)
+		}
+		tb := catalog.NewTable(name, cols...)
+		for _, r := range rows {
+			tb.Append(r)
+		}
+		cat.Add(tb)
+	}
+	return cat
 }
 
-// TestPipelineCascadeMatchesSerial builds a two-stage probe cascade by hand
-// and checks it against the nested serial hash joins, including residual
-// filters and exact per-stage cardinality counters. The terminal groups by
-// every column and counts, so the groups are the joined rows' multiset.
+// drainParallel compiles plan at par workers, asserts that it runs as a
+// parallel aggregation on more than one worker, and drains it.
+func drainParallel(t *testing.T, q *relalg.Query, cat *catalog.Catalog, plan *relalg.Plan, par int) ([]Row, *RunStats) {
+	t.Helper()
+	if err := q.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	v, st, err := (&Compiler{Q: q, Cat: cat, Parallelism: par}).CompileVec(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe := parallelOf(v)
+	if pipe == nil {
+		t.Fatalf("compiled root is %T, want a parallel aggregation", v.(*execRoot).in)
+	}
+	rows, err := DrainVec(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pipe.workers < 2 {
+		t.Fatalf("%d worker ran, want more than one", pipe.workers)
+	}
+	return rows, st
+}
+
+// TestPipelineCascadeMatchesSerial compiles a two-join probe spine at four
+// workers and checks it against the nested serial hash joins built by hand,
+// including a residual filter and the exact cardinality of every spine
+// operator. The aggregation groups by every column and counts, so the groups
+// are the joined rows' multiset.
 func TestPipelineCascadeMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	probe := make([][]int64, 6*morselSize)
+	probe := make([][]int64, 6*BatchSize)
 	for i := range probe {
 		probe[i] = []int64{int64(rng.Intn(200)), int64(rng.Intn(100)), int64(i)}
 	}
@@ -108,52 +181,56 @@ func TestPipelineCascadeMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := AggSpecExec{GroupBy: seq(7), CountAll: true}
-	want, err := DrainVec(NewVecHashAgg(serial, spec))
+	want, err := DrainVec(NewVecHashAgg(serial, AggSpecExec{GroupBy: seq(7), CountAll: true}))
 	if err != nil {
 		t.Fatal(err)
-	}
-
-	var scanN, aN, bN int64
-	stages := []*pipeStage{
-		{build: NewVecScanRows(buildA, ScanFilter{}), buildKeys: []int{0},
-			probeKeys: []int{0}, buildOut: seq(2), probeOut: seq(3), card: &aN},
-		{build: NewVecScanRows(buildB, ScanFilter{}), buildKeys: []int{0},
-			probeKeys: []int{3}, residual: residual, buildOut: seq(2), probeOut: seq(5), card: &bN},
-	}
-	pipe := newParallelPipeline(leafOf(probe, 3, filter), &scanN, stages, spec, 4)
-	got, err := DrainVec(pipe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g, w := rowMultiset(got), rowMultiset(want); g != w {
-		t.Fatalf("pipeline multiset differs from serial: %d groups vs %d", len(got), len(want))
-	}
-	if bN != joined || joined == 0 {
-		t.Errorf("final stage counter = %d, want %d", bN, joined)
 	}
 	wantScan, err := CountVec(NewVecScanRows(probe, filter))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if scanN != wantScan {
-		t.Errorf("scan counter = %d, want %d", scanN, wantScan)
 	}
 	wantA, err := CountVec(NewVecHashJoin(NewVecScanRows(buildA, ScanFilter{}),
 		NewVecScanRows(probe, filter), []int{0}, []int{0}, nil, seq(2), seq(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if aN != wantA {
-		t.Errorf("stage A counter = %d, want %d", aN, wantA)
+
+	// The same joins as a query over p, a and b, grouped by every column of
+	// the joined row in the hand-built order.
+	col := func(rel, off int) relalg.ColID { return relalg.ColID{Rel: rel, Off: off} }
+	q := &relalg.Query{
+		Rels:    []relalg.RelRef{{Alias: "p", Table: "P"}, {Alias: "a", Table: "A"}, {Alias: "b", Table: "B"}},
+		Scans:   []relalg.ScanPred{{Col: col(0, 1), Op: relalg.CmpLT, Val: 90}},
+		Joins:   []relalg.JoinPred{{L: col(1, 0), R: col(0, 0)}, {L: col(2, 0), R: col(0, 1)}},
+		Filters: []relalg.FilterPred{{L: col(2, 1), R: col(0, 2), Op: relalg.CmpLT, Sel: 0.5}},
+		Agg: &relalg.AggSpec{CountAll: true, GroupBy: []relalg.ColID{
+			col(2, 0), col(2, 1), col(1, 0), col(1, 1), col(0, 0), col(0, 1), col(0, 2)}},
+	}
+	scanP := liveScan(0)
+	joinA := liveJoinOn(relalg.PhyHashJoin, 0, liveScan(1), scanP)
+	joinB := liveJoinOn(relalg.PhyHashJoin, 1, liveScan(2), joinA)
+	got, st := drainParallel(t, q, rowsCatalog(map[string][][]int64{"P": probe, "A": buildA, "B": buildB}), joinB, 4)
+	if g, w := rowMultiset(got), rowMultiset(want); g != w {
+		t.Fatalf("parallel multiset differs from serial: %d groups vs %d", len(got), len(want))
+	}
+	card := func(p *relalg.Plan) int64 { n, _ := st.Card(p.Expr); return n }
+	if card(joinB) != joined || joined == 0 {
+		t.Errorf("join B counter = %d, want %d", card(joinB), joined)
+	}
+	if card(scanP) != wantScan {
+		t.Errorf("scan counter = %d, want %d", card(scanP), wantScan)
+	}
+	if card(joinA) != wantA {
+		t.Errorf("join A counter = %d, want %d", card(joinA), wantA)
 	}
 }
 
-// TestPipelineAggMatchesSerial runs the same cascade with a fused
-// aggregation terminal against the serial hash-agg-over-join reference.
+// TestPipelineAggMatchesSerial runs a one-join spine under SUM, COUNT(*) and
+// COUNT(DISTINCT) at four workers against the serial hash-agg-over-join
+// reference built by hand.
 func TestPipelineAggMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	probe := make([][]int64, 5*morselSize)
+	probe := make([][]int64, 5*BatchSize)
 	for i := range probe {
 		probe[i] = []int64{int64(rng.Intn(50)), int64(rng.Intn(1000))}
 	}
@@ -164,28 +241,160 @@ func TestPipelineAggMatchesSerial(t *testing.T) {
 	spec := AggSpecExec{GroupBy: []int{1}, Sums: []int{3}, CountAll: true,
 		CountDistinct: []int{0}}
 
-	serial := NewVecHashAgg(NewVecHashJoin(NewVecScanRows(build, ScanFilter{}),
-		NewVecScanRows(probe, ScanFilter{}), []int{0}, []int{0}, nil, seq(2), seq(2)), spec)
-	want, err := DrainVec(serial)
+	serial := NewVecHashJoin(NewVecScanRows(build, ScanFilter{}),
+		NewVecScanRows(probe, ScanFilter{}), []int{0}, []int{0}, nil, seq(2), seq(2))
+	joined, err := CountVec(serial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := DrainVec(NewVecHashAgg(serial, spec))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	var scanN, joinN int64
-	stages := []*pipeStage{{build: NewVecScanRows(build, ScanFilter{}),
-		buildKeys: []int{0}, probeKeys: []int{0}, buildOut: seq(2), probeOut: seq(2), card: &joinN}}
-	pipe := newParallelPipeline(leafOf(probe, 2, ScanFilter{}), &scanN, stages, spec, 4)
-	got, err := DrainVec(pipe)
-	if err != nil {
-		t.Fatal(err)
+	col := func(rel, off int) relalg.ColID { return relalg.ColID{Rel: rel, Off: off} }
+	q := &relalg.Query{
+		Rels:  []relalg.RelRef{{Alias: "p", Table: "P"}, {Alias: "d", Table: "D"}},
+		Joins: []relalg.JoinPred{{L: col(1, 0), R: col(0, 0)}},
+		Agg: &relalg.AggSpec{GroupBy: []relalg.ColID{col(1, 1)}, Sums: []relalg.ColID{col(0, 1)},
+			CountAll: true, CountDistinct: []relalg.ColID{col(1, 0)}},
 	}
+	join := liveJoinOn(relalg.PhyHashJoin, 0, liveScan(1), liveScan(0))
+	got, st := drainParallel(t, q, rowsCatalog(map[string][][]int64{"P": probe, "D": build}), join, 4)
 	// Aggregated output is deterministically ordered, so compare exactly.
 	if g, w := rowMultiset(got), rowMultiset(want); g != w {
-		t.Fatalf("fused agg differs from serial: %d groups vs %d", len(got), len(want))
+		t.Fatalf("parallel agg differs from serial: %d groups vs %d", len(got), len(want))
 	}
 	for i := range got {
 		if !slices.Equal(got[i], want[i]) {
-			t.Fatalf("fused agg order differs at group %d: %v vs %v", i, got[i], want[i])
+			t.Fatalf("parallel agg order differs at group %d: %v vs %v", i, got[i], want[i])
+		}
+	}
+	if n, _ := st.Card(join.Expr); n != joined {
+		t.Errorf("join counter = %d, want %d", n, joined)
+	}
+}
+
+// growProbe appends the rows of the table plan's probe spine ends in to it
+// until it holds enough for more than one worker. The plan stays as it was
+// optimized.
+func growProbe(t *testing.T, q *relalg.Query, cat *catalog.Catalog, plan *relalg.Plan) {
+	t.Helper()
+	for plan.Log == relalg.LogJoin {
+		plan = plan.Right
+	}
+	if plan.Log != relalg.LogScan {
+		return
+	}
+	tab := cat.MustTable(q.Rels[plan.Rel].Table)
+	cols, n := tab.ColumnSnapshot()
+	rows := make([][]int64, n)
+	for i := range rows {
+		rows[i] = make([]int64, len(cols))
+		for c, col := range cols {
+			rows[i][c] = col[i]
+		}
+	}
+	for have := n; n > 0 && have < minParallelRows; have += n {
+		if err := tab.AppendRows(rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestParallelWorkersRunTheSerialOperators: a parallel aggregation is P copies
+// of the serial tree's probe spine. Every aggregating workload query — the five
+// TPC-H ones and SegTollS — runs one at P ∈ {2, 4}, on P workers once its probe
+// table is large enough, and then each worker's spine holds exactly the
+// operator types of the serial spine, rows and RunStats equal the serial
+// execution's and testkit.Reference's, and EXPLAIN ANALYZE renders the same
+// nodes with the same rows, columns and batches: the same counters and shims,
+// only copied.
+func TestParallelWorkersRunTheSerialOperators(t *testing.T) {
+	win := linearroad.NewWindows()
+	win.Ingest(linearroad.NewGen(2, 60).Slice(0, 40))
+	win.Materialize()
+	tp := tpch.Generate(tpch.Config{ScaleFactor: 0.002, Seed: 7})
+	type workload struct {
+		q   *relalg.Query
+		cat *catalog.Catalog
+	}
+	work := []workload{{linearroad.SegTollS(), win.Catalog()}}
+	for _, q := range tpch.Queries() {
+		work = append(work, workload{q, tp})
+	}
+	times := regexp.MustCompile(` time=[^\]]*`)
+	analyze := func(prof *PlanProfile, q *relalg.Query, plan *relalg.Plan, st *RunStats) string {
+		_, body, _ := strings.Cut(prof.Format(q, plan, st), "\n") // the header names the parallelism
+		return times.ReplaceAllString(body, "")
+	}
+	for _, w := range work {
+		if w.q.Agg == nil {
+			continue
+		}
+		m, err := cost.NewModel(w.q, w.cat, cost.DefaultParams())
+		if err != nil {
+			t.Fatalf("%s: %v", w.q.Name, err)
+		}
+		vr, err := volcano.Optimize(m, relalg.DefaultSpace())
+		if err != nil {
+			t.Fatalf("%s: %v", w.q.Name, err)
+		}
+		plan := vr.Plan
+		growProbe(t, w.q, w.cat, plan)
+		serialProf := NewPlanProfile()
+		sv, sst, err := (&Compiler{Q: w.q, Cat: w.cat, Parallelism: 1, Prof: serialProf}).CompileVec(plan)
+		if err != nil {
+			t.Fatalf("%s: %v", w.q.Name, err)
+		}
+		serialSpine := spineShape(reflect.ValueOf(sv.(*execRoot).in.(*profVec).in.(*vecHashAggOp).in))
+		serialRows, err := DrainVec(sv)
+		if err != nil {
+			t.Fatalf("%s: %v", w.q.Name, err)
+		}
+		serialText := analyze(serialProf, w.q, plan, sst)
+		// The serial execution against the reference; the parallel ones
+		// against the serial one.
+		ref := testkit.NewReference(w.q, w.cat)
+		if testkit.Canonical(serialRows, nil) != testkit.Canonical(ref.Rows(), nil) {
+			t.Fatalf("%s: serial result multiset differs from the reference", w.q.Name)
+		}
+		for set, n := range sst.Snapshot() {
+			if want := ref.Card(set); n != want {
+				t.Fatalf("%s: serial cardinality of %v = %d, reference %d", w.q.Name, set, n, want)
+			}
+		}
+		for _, par := range []int{2, 4} {
+			label := fmt.Sprintf("%s (par=%d)", w.q.Name, par)
+			prof := NewPlanProfile()
+			comp := &Compiler{Q: w.q, Cat: w.cat, Parallelism: par, Prof: prof}
+			v, st, err := comp.CompileVec(plan)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			pipe := parallelOf(v)
+			if pipe == nil {
+				t.Fatalf("%s: compiled root is %T, want a parallel aggregation", label, v.(*execRoot).in)
+			}
+			rows, err := DrainVec(v)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if pipe.workers != par {
+				t.Fatalf("%s: %d workers over %d probe rows", label, pipe.workers, pipe.scan.leaf.data.n)
+			}
+			for i, pw := range pipe.ws[:pipe.workers] {
+				if got := spineShape(reflect.ValueOf(pw.spine)); !slices.Equal(got, serialSpine) {
+					t.Fatalf("%s: worker %d runs %v, the serial spine is %v", label, i, got, serialSpine)
+				}
+			}
+			if !reflect.DeepEqual(rows, serialRows) {
+				t.Fatalf("%s: %d rows, %d serially, or other ones", label, len(rows), len(serialRows))
+			}
+			statsEqual(t, label, st.Snapshot(), sst.Snapshot())
+			if got := analyze(prof, w.q, plan, st); got != serialText {
+				t.Fatalf("%s: EXPLAIN ANALYZE differs from the serial rendering:\n%s\nserial:\n%s", label, got, serialText)
+			}
 		}
 	}
 }

@@ -12,9 +12,9 @@ import (
 // Per-operator execution profiling (EXPLAIN ANALYZE). Setting Compiler.Prof
 // to a fresh PlanProfile makes CompileVec wrap every compiled operator in a
 // timing shim (profVec) that records batches, live rows and cumulative wall
-// time at batch granularity into a per-plan-node obs.Span; the fused
-// parallel pipeline instead registers per-stage self-time spans filled from
-// per-worker clocks (pipeline.go) and merged exactly once. With Prof nil —
+// time at batch granularity into a per-plan-node obs.Span; a parallel
+// aggregation's workers run copies of the same shims into spans of their own,
+// merged into the node's exactly once (pipeline.go). With Prof nil —
 // the default — no shim is inserted anywhere and the operator tree is
 // byte-for-byte the one an unprofiled compile produces, so profiling is
 // provably free when off (TestScanAggSteadyStateAllocs and the RunStats
@@ -39,11 +39,11 @@ type PlanProfile struct {
 	// recorded at compile time: their rows are the multiplicities summed,
 	// their batches what was emitted.
 	counted map[*relalg.Plan]bool
-	// Agg profiles the terminal aggregation (hash agg above the plan root,
-	// or the fused pipeline's worker-local partial aggregation).
+	// Agg profiles the aggregation above the plan root, serial or parallel.
 	Agg *obs.Span
-	// workers is the Parallelism of the fused pipeline, zero when the tree has
-	// none, recorded for rendering: its span times are summed across workers.
+	// workers is the Parallelism of a parallel aggregation, zero when the tree
+	// has none, recorded for rendering: its spine's span times are summed
+	// across workers.
 	workers int
 }
 
@@ -64,35 +64,21 @@ func (pp *PlanProfile) span(p *relalg.Plan) *obs.Span {
 	return sp
 }
 
-// selfSpan registers a node's span in self-time mode (the fused pipeline's
-// exclusive per-stage attribution; see obs.Span.Self).
-func (pp *PlanProfile) selfSpan(p *relalg.Plan) *obs.Span {
-	sp := pp.span(p)
-	sp.Self = true
-	return sp
-}
-
 // SpanOf returns the recorded span of a plan node (nil when the node was
 // never executed, e.g. a subtree served from the result cache).
 func (pp *PlanProfile) SpanOf(p *relalg.Plan) *obs.Span { return pp.spans[p] }
 
-// displayNanos returns the inclusive wall time to display for a node:
-// inclusive spans stand as recorded, self-time spans (fused pipeline
-// stages) add their children back, and unexecuted nodes contribute their
-// children's time (zero when the whole subtree was skipped).
+// displayNanos returns the inclusive wall time to display for a node: its
+// span as recorded, or for an unexecuted node its children's time (zero when
+// the whole subtree was skipped).
 func (pp *PlanProfile) displayNanos(p *relalg.Plan) int64 {
 	if p == nil {
 		return 0
 	}
-	sp := pp.spans[p]
-	if sp != nil && !sp.Self {
+	if sp := pp.spans[p]; sp != nil {
 		return sp.Nanos
 	}
-	kids := pp.displayNanos(p.Left) + pp.displayNanos(p.Right)
-	if sp != nil {
-		return sp.Nanos + kids
-	}
-	return kids
+	return pp.displayNanos(p.Left) + pp.displayNanos(p.Right)
 }
 
 // Format renders the EXPLAIN ANALYZE tree: the physical plan annotated per
@@ -103,9 +89,9 @@ func (pp *PlanProfile) displayNanos(p *relalg.Plan) int64 {
 // that ran in counting mode is marked "counted": its rows are the
 // multiplicities summed — equal to act, as for every operator — while its
 // batches are what it actually emitted.
-// stats is the RunStats of the same execution. Span times of fused parallel
-// pipelines are summed across workers (CPU time, not wall time); the header
-// notes the parallelism.
+// stats is the RunStats of the same execution. Span times on a parallel
+// aggregation's probe spine are summed across workers (CPU time, not wall
+// time); the header notes the parallelism.
 func (pp *PlanProfile) Format(q *relalg.Query, plan *relalg.Plan, stats *RunStats) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "EXPLAIN ANALYZE")
@@ -114,12 +100,8 @@ func (pp *PlanProfile) Format(q *relalg.Query, plan *relalg.Plan, stats *RunStat
 	}
 	b.WriteByte('\n')
 	if pp.Agg != nil && (pp.Agg.Batches > 0 || pp.Agg.Nanos > 0) {
-		nanos := pp.Agg.Nanos
-		if pp.Agg.Self {
-			nanos += pp.displayNanos(plan)
-		}
 		fmt.Fprintf(&b, "HashAggregate  [rows=%d batches=%d time=%v]\n",
-			pp.Agg.Rows, pp.Agg.Batches, time.Duration(nanos).Round(time.Microsecond))
+			pp.Agg.Rows, pp.Agg.Batches, pp.Agg.Time().Round(time.Microsecond))
 	}
 	pp.format(q, plan, stats, &b, 0)
 	return b.String()
@@ -237,37 +219,4 @@ func (p *profVec) drainCols(buf *colData) (colData, error) {
 	d, err := drainVecCols(p.in, buf)
 	p.sp.Record(1, int64(d.n), time.Since(t0))
 	return d, err
-}
-
-// pipeProf carries the fused pipeline's profile spans: the scan, one span
-// per probe stage (in probe order, matching parallelPipelineOp.stages), and
-// the terminal (the fused aggregation). All are self-time spans filled from
-// per-worker stage clocks, merged once after the workers join.
-type pipeProf struct {
-	scan   *obs.Span
-	stages []*obs.Span
-	term   *obs.Span
-}
-
-// stageClock is one pipeline worker's private time-attribution register:
-// slot 0 is the scan, slot i+1 probe stage i, slot len(stages)+1 the
-// terminal sink. Exactly one slot accumulates at any instant; transitions
-// cost one clock read. batches counts chunk arrivals per slot.
-type stageClock struct {
-	times   []int64
-	batches []int64
-	cur     int
-	last    time.Time
-}
-
-func newStageClock(slots int) *stageClock {
-	return &stageClock{times: make([]int64, slots), batches: make([]int64, slots)}
-}
-
-// to closes the current attribution segment and switches to slot.
-func (c *stageClock) to(slot int) {
-	now := time.Now()
-	c.times[c.cur] += now.Sub(c.last).Nanoseconds()
-	c.cur = slot
-	c.last = now
 }

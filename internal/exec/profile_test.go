@@ -14,7 +14,7 @@ import (
 // TestExplainAnalyzeMatchesRunStats asserts the tentpole invariant: the
 // row count a profiling span records for a plan node equals the RunStats
 // cardinality of that node's subexpression, for every counted node of
-// every workload query, serial and under the fused parallel pipeline.
+// every workload query, serial and under the parallel aggregation.
 func TestExplainAnalyzeMatchesRunStats(t *testing.T) {
 	cat := tpch.Generate(tpch.Config{ScaleFactor: 0.002, Seed: 7})
 	for name, q := range tpch.Queries() {
@@ -79,9 +79,9 @@ func TestExplainAnalyzeMatchesRunStats(t *testing.T) {
 				t.Fatalf("%s (par=%d): analyze output missing annotations:\n%s", name, par, text)
 			}
 			// The header speaks of workers exactly when the tree has some.
-			_, fused := v.(*execRoot).in.(*parallelPipelineOp)
+			fused := parallelOf(v) != nil
 			if fused != (par > 1 && q.Agg != nil) {
-				t.Fatalf("%s (par=%d): fused pipeline = %v", name, par, fused)
+				t.Fatalf("%s (par=%d): parallel aggregation = %v", name, par, fused)
 			}
 			header, _, _ := strings.Cut(text, "\n")
 			want := "EXPLAIN ANALYZE"

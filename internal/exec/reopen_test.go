@@ -176,21 +176,23 @@ func TestReopenedExecutionMatchesFresh(t *testing.T) {
 			}
 		}
 
-		// A held tree sizes its pipeline when it opens, not when it is compiled:
-		// compiled over empty tables it runs one worker inline, and more than one
-		// once AppendRows has grown its probe table past minParallelRows — which
-		// a window of this stream reaches only when it is put back several times.
+		// A held tree sizes its parallel aggregation when it opens, not when it
+		// is compiled: compiled over empty tables it runs one worker inline, and
+		// more than one once AppendRows has grown its probe table past
+		// minParallelRows — which a window of this stream reaches only when it
+		// is put back several times.
 		for tab, snap := range first {
 			tab.ResetSnapshot(&storage.Snapshot{Cols: make([][]int64, len(snap.Cols))})
 		}
 		tr := compile(q.Name+" compiled over empty tables (par=4)", plans["volcano"], 4, 0)
-		pipe, fused := tr.root.(*execRoot).in.(*parallelPipelineOp)
+		pipe := parallelOf(tr.root)
+		fused := pipe != nil
 		refill := func() {
 			for tab, snap := range first {
 				appendFirst(tab, snap.N)
 			}
 			if fused {
-				for probe, n := pipe.leaf.tab, first[pipe.leaf.tab].N; n < minParallelRows; n += first[probe].N {
+				for probe, n := pipe.scan.leaf.tab, first[pipe.scan.leaf.tab].N; n < minParallelRows; n += first[probe].N {
 					appendFirst(probe, first[probe].N)
 				}
 			}
@@ -207,7 +209,7 @@ func TestReopenedExecutionMatchesFresh(t *testing.T) {
 				t.Fatalf("%s: RunStats %v, a freshly compiled tree reports %v", label, got, want)
 			}
 			if fused && (step == 1) != (pipe.workers > 1) {
-				t.Fatalf("%s: %d workers over a probe table of %d rows", label, pipe.workers, pipe.leaf.data.n)
+				t.Fatalf("%s: %d workers over a probe table of %d rows", label, pipe.workers, pipe.scan.leaf.data.n)
 			}
 		}
 		for tab, snap := range first {

@@ -288,19 +288,6 @@ func (c *Compiler) takeDecision(p *relalg.Plan) *cacheDecision {
 	return d
 }
 
-// decisionWithin reports whether any unconsumed decision targets a node
-// inside the subtree rooted at p. Pipeline fusion bails out in that case:
-// the fused operator compiles the spine wholesale and would silently skip
-// the probe or spool.
-func (c *Compiler) decisionWithin(p *relalg.Plan) bool {
-	for _, d := range c.decisions {
-		if d.cand.Expr.IsSubset(p.Expr) {
-			return true
-		}
-	}
-	return false
-}
-
 // applyCacheDecision compiles a decided node: a probe hit becomes a cached
 // scan over the entry's columns picked into this plan's schema order, with
 // the entry's cardinalities replayed into RunStats (the subtree's operators

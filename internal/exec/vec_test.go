@@ -300,18 +300,29 @@ func TestNoGoroutineOutlivesOpen(t *testing.T) {
 		statsEqual(t, w.q.Name, st4.Snapshot(), st1.Snapshot())
 	}
 
-	// A fused pipeline whose build side fails never starts a worker.
-	probe := make([][]int64, 2*minParallelRows)
-	for i := range probe {
-		probe[i] = []int64{int64(i)}
+	// A parallel aggregation whose build side fails never starts a worker: the
+	// build side of t's join is a merge join of r and s without the sorts it
+	// needs.
+	col := func(rel, off int) relalg.ColID { return relalg.ColID{Rel: rel, Off: off} }
+	q := &relalg.Query{
+		Rels:  []relalg.RelRef{{Alias: "r", Table: "R"}, {Alias: "s", Table: "S"}, {Alias: "t", Table: "T"}},
+		Joins: []relalg.JoinPred{{L: col(0, 0), R: col(1, 0)}, {L: col(2, 0), R: col(1, 0)}},
+		Agg:   &relalg.AggSpec{CountAll: true},
 	}
-	var scanN, joinN int64
-	pipe := newParallelPipeline(leafOf(probe, 1, ScanFilter{}), &scanN, []*pipeStage{{build: unsortedMergeJoin(),
-		buildKeys: []int{0}, probeKeys: []int{0}, buildOut: seq(2), probeOut: seq(1), card: &joinN}},
-		AggSpecExec{CountAll: true}, 4)
+	if err := q.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	plan := liveJoinOn(relalg.PhyHashJoin, 1, liveJoin(relalg.PhyMergeJoin, liveScan(0), liveScan(1)), liveScan(2))
+	v, _, err := (&Compiler{Q: q, Cat: liveCatalog(), Parallelism: 4}).CompileVec(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if parallelOf(v) == nil {
+		t.Fatalf("compiled root is %T, want a parallel aggregation", v.(*execRoot).in)
+	}
 	base := runtime.NumGoroutine()
-	if err := pipe.Open(); err == nil {
-		t.Fatal("unsorted build input accepted")
+	if err := v.Open(); err == nil || !strings.Contains(err.Error(), "not sorted") {
+		t.Fatalf("unsorted build input: Open returned %v", err)
 	}
 	if !settled(base) {
 		t.Fatalf("%d goroutines after a failed Open, %d before it", runtime.NumGoroutine(), base)
@@ -323,7 +334,7 @@ func TestNoGoroutineOutlivesOpen(t *testing.T) {
 func rowMultiset(rows []Row) string { return testkit.Canonical(rows, nil) }
 
 // TestTPCHReferenceDifferential executes every TPC-H workload query at every
-// parallelism level (serial, and with the fused parallel pipeline at 2 and 4
+// parallelism level (serial, and with the parallel aggregation at 2 and 4
 // workers) and asserts that the result
 // multiset and the RunStats feedback cardinality of every scan and join
 // operator equal what testkit.Reference computes from the logical query
@@ -331,7 +342,7 @@ func rowMultiset(rows []Row) string { return testkit.Canonical(rows, nil) }
 // feedback at any parallelism. The reference shares no code with the
 // compiler, so a wrong key set or a dropped residual fails here instead of
 // agreeing with itself. Run under -race (the CI race shard) this also
-// exercises the pipeline workers for data races.
+// exercises the parallel workers for data races.
 func TestTPCHReferenceDifferential(t *testing.T) {
 	cat := tpch.Generate(tpch.Config{ScaleFactor: 0.002, Seed: 7})
 	for name, q := range tpch.Queries() {

@@ -111,6 +111,9 @@ type vecHashJoinOp struct {
 	table *joinTable
 	build colData    // the drained build side, unless its source lent columns
 	spill *spillJoin // non-nil once the build overflowed its reservation
+	// src, on a pipeline worker's copy (pipeline.go), is the join whose table
+	// the copy probes: src builds it, the copies only read it.
+	src *vecHashJoinOp
 
 	// probe state, carried across Next calls
 	pb      *Batch
@@ -153,18 +156,22 @@ func (j *vecHashJoinOp) Open() error {
 	if err := j.right.Open(); err != nil {
 		return err
 	}
-	if j.mem.Bounded() {
-		if err := j.openBounded(); err != nil {
-			// Release the already-opened probe side.
-			return errors.Join(err, j.right.Close())
+	var err error
+	switch {
+	case j.src != nil:
+		j.table = j.src.table
+	case j.mem.Bounded():
+		err = j.openBounded()
+	default:
+		var build colData
+		if build, err = drainVecCols(j.left, &j.build); err == nil {
+			j.mem.Force(colBytes(build.width(), build.n) + joinTableBytes(build.n, j.counting))
+			j.table = buildJoinTable(j.table, build, j.lKeys, j.counting)
 		}
-	} else {
-		build, err := drainVecCols(j.left, &j.build)
-		if err != nil {
-			return errors.Join(err, j.right.Close())
-		}
-		j.mem.Force(colBytes(build.width(), build.n) + joinTableBytes(build.n, j.counting))
-		j.table = buildJoinTable(j.table, build, j.lKeys, j.counting)
+	}
+	if err != nil {
+		// Release the already-opened probe side.
+		return errors.Join(err, j.right.Close())
 	}
 	return nil
 }

@@ -30,21 +30,15 @@ import (
 // no-ops so operators record unconditionally through a possibly-nil
 // pointer.
 //
-// A Span is written by one goroutine at a time (per-worker spans are
-// merged single-threaded after the workers join); it is not itself
+// Time is inclusive: the recording operator wraps its input, so its clock
+// runs across the input's work too. A Span is written by one goroutine at a
+// time (parallel workers record into spans of their own, merged
+// single-threaded after the workers join); it is not itself
 // concurrency-safe.
 type Span struct {
 	Batches int64
 	Rows    int64
 	Nanos   int64 // cumulative wall time, nanoseconds
-
-	// Self marks a span recording self-time only: the fused parallel
-	// pipeline attributes each worker's wall time exclusively to the stage
-	// the worker is executing, so an annotated-tree renderer adds
-	// descendant time back to display the conventional inclusive time.
-	// Spans recorded by wrapping operators are inclusive (Self=false):
-	// their clock runs across the child's Next call.
-	Self bool
 }
 
 // Record folds one observation into the span.

@@ -52,12 +52,15 @@ func (c *planCache) resolve(q *relalg.Query) (e *planEntry, hit bool) {
 			c.evictLocked()
 			c.seq++
 			e = &planEntry{key: key, hash: keyHash(key), q: q, name: q.Name, seq: c.seq}
+			// Stamped before it is visible: unstamped, a concurrent miss's
+			// eviction would take it for the least recently used entry.
+			e.lastUsed.Store(now)
 			c.entries[key] = e
 		}
 		c.mu.Unlock()
 	}
-	e.lastUsed.Store(now)
 	if hit {
+		e.lastUsed.Store(now)
 		c.hits.Add(1)
 		e.hits.Add(1)
 	} else {

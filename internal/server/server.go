@@ -73,9 +73,10 @@ import (
 // cumulatively averaged observations (the paper's AQP-Cumulative).
 type Options struct {
 	// Parallelism caps the workers of the one parallel shape the executor
-	// has, per query: an aggregating query over a hash-join chain, executed
-	// without a memory budget, runs as a fused morsel-driven pipeline. Every
-	// other query, and every query at <= 1, executes serially.
+	// has, per query: an aggregating query over a hash-join probe spine,
+	// executed without a memory budget, runs that many morsel-driven copies
+	// of the spine's serial operators. Every other query, and every query at
+	// <= 1, executes serially.
 	Parallelism int
 	// MaxConcurrent bounds concurrently executing queries (admission
 	// control). 0 derives it from GOMAXPROCS / Parallelism so the worker

@@ -15,8 +15,9 @@
 //     the shared query model, physical design, statistics and cost model;
 //   - internal/exec — the executor, one vectorized columnar engine
 //     (Compiler.CompileVec → DrainVec/CountVec): selection vectors,
-//     one morsel-driven parallel pipeline — at the root of an aggregating
-//     query, finished inside Open — behind a Parallelism option,
+//     one morsel-driven parallel shape behind a Parallelism option — an
+//     aggregation over P copies of its input's serial probe spine, finished
+//     inside Open —
 //     per-query memory accounting with grace-hash spilling under a budget,
 //     and exact per-operator cardinality feedback. Invariant: an operator's
 //     schema is the set of columns read at or above it (aggregation inputs,
@@ -180,7 +181,8 @@
 // Execution is memory-bounded on request. ServerOptions.MemBudgetBytes
 // bounds each query's tracked execution memory: the executor charges its
 // materializing state (hash-join build sides — an index nested-loops join's
-// hash index is one — aggregation tables, pipeline scratch) to a per-query
+// hash index is one — and aggregation tables, a parallel aggregation's partial
+// ones among them) to a per-query
 // memory tracker (exec.Compiler.Mem, the one way to bound an execution), and
 // a hash join or aggregation
 // whose build input would exceed the budget switches to grace-hash
