@@ -367,9 +367,6 @@ func (s *vecScanOp) Next() (*Batch, error) {
 			s.batch.Sel = nil
 			return &s.batch, nil
 		}
-		if s.sel == nil {
-			s.sel = make([]int, 0, BatchSize)
-		}
 		s.sel = s.leaf.sel(lo, end, s.sel)
 		if len(s.sel) == 0 {
 			continue

@@ -5,9 +5,11 @@ import "repro/internal/relalg"
 // This file holds the batch kernels that make the vectorized path fast:
 // predicate selection loops specialized per comparison operator running
 // over one contiguous column slice each (one operator dispatch per batch,
-// no per-row pointer chase), a vectorized multiplicative hash over key
-// columns, and a chained open-addressing hash table for the vectorized
-// hash join whose build side is stored column-major.
+// no per-row pointer chase) and branch-free inside (every row is written,
+// the output cursor advances by the comparison's 0/1 outcome, so an
+// unpredictable predicate costs no mispredictions), a vectorized
+// multiplicative hash over key columns, and a bucket-chained hash table for
+// the vectorized hash join whose build side is stored column-major.
 
 // ScanCond is a structured pushed-down selection: col[Off] <Op> Val. The
 // scans evaluate conditions with per-batch single-column kernels.
@@ -29,6 +31,7 @@ func (f ScanFilter) Empty() bool { return len(f.Conds) == 0 }
 // holding rows 0..n-1) into buf, which is reused across batches by the
 // caller. The first condition scans its column densely; each further
 // condition compacts the selection in place, touching only its own column.
+// The dense kernel writes a slot for every row, so buf grows once, to n.
 func (f ScanFilter) SelCols(cols [][]int64, n int, buf []int) []int {
 	return f.selRange(cols, 0, n, buf)
 }
@@ -37,114 +40,96 @@ func (f ScanFilter) SelCols(cols [][]int64, n int, buf []int) []int {
 // selection indexes are relative to lo, matching column windows cut at the
 // same bounds.
 func (f ScanFilter) selRange(cols [][]int64, lo, hi int, buf []int) []int {
-	sel := buf[:0]
 	n := hi - lo
-	dense := true
-	for _, c := range f.Conds {
-		col := cols[c.Off][lo:hi]
-		if dense {
-			sel = condSelDense(col, n, c.Op, c.Val, sel)
-			dense = false
-		} else {
-			sel = condSelRefine(col, c.Op, c.Val, sel)
+	if f.Empty() {
+		sel := sized(buf, n)
+		for i := range sel {
+			sel[i] = i
 		}
+		return sel
 	}
-	if dense {
-		for i := 0; i < n; i++ {
-			sel = append(sel, i)
-		}
+	c := f.Conds[0]
+	sel := condSelDense(cols[c.Off][lo:hi], n, c.Op, c.Val, buf)
+	for _, c := range f.Conds[1:] {
+		sel = condSelRefine(cols[c.Off][lo:hi], c.Op, c.Val, sel)
 	}
 	return sel
 }
 
-// condSelDense appends the indices i < n with col[i] <op> val to sel, with
-// one operator dispatch for the whole column.
-func condSelDense(col []int64, n int, op relalg.CmpOp, val int64, sel []int) []int {
-	col = col[:n]
+// b2i is 1 for true and 0 for false. The compiler emits it as SETcc, which is
+// what keeps the selection loops free of data-dependent branches.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// cmpFlip reduces op to a base comparison — =, < or <= — and a 0/1 negation:
+// <> is not =, >= is not <, > is not <=. An unknown op is its own base, which
+// no kernel matches, so it selects nothing, as CmpOp.Eval reports false.
+func cmpFlip(op relalg.CmpOp) (relalg.CmpOp, int) {
 	switch op {
+	case relalg.CmpNE:
+		return relalg.CmpEQ, 1
+	case relalg.CmpGE:
+		return relalg.CmpLT, 1
+	case relalg.CmpGT:
+		return relalg.CmpLE, 1
+	}
+	return op, 0
+}
+
+// condSelDense writes the indices i < n with col[i] <op> val into sel's
+// backing array, grown to n if it is smaller, and returns them: every index
+// is stored, and the cursor advances past the rows that satisfy the condition.
+func condSelDense(col []int64, n int, op relalg.CmpOp, val int64, sel []int) []int {
+	col, sel = col[:n], sized(sel, n)
+	base, flip := cmpFlip(op)
+	k := 0
+	switch base {
 	case relalg.CmpEQ:
 		for i, v := range col {
-			if v == val {
-				sel = append(sel, i)
-			}
-		}
-	case relalg.CmpNE:
-		for i, v := range col {
-			if v != val {
-				sel = append(sel, i)
-			}
+			sel[k] = i
+			k += b2i(v == val) ^ flip
 		}
 	case relalg.CmpLT:
 		for i, v := range col {
-			if v < val {
-				sel = append(sel, i)
-			}
+			sel[k] = i
+			k += b2i(v < val) ^ flip
 		}
 	case relalg.CmpLE:
 		for i, v := range col {
-			if v <= val {
-				sel = append(sel, i)
-			}
-		}
-	case relalg.CmpGT:
-		for i, v := range col {
-			if v > val {
-				sel = append(sel, i)
-			}
-		}
-	case relalg.CmpGE:
-		for i, v := range col {
-			if v >= val {
-				sel = append(sel, i)
-			}
+			sel[k] = i
+			k += b2i(v <= val) ^ flip
 		}
 	}
-	return sel
+	return sel[:k]
 }
 
 // condSelRefine compacts sel in place to the rows whose col value also
-// satisfies the condition.
+// satisfies the condition, the same branch-free way.
 func condSelRefine(col []int64, op relalg.CmpOp, val int64, sel []int) []int {
-	out := sel[:0]
-	switch op {
+	base, flip := cmpFlip(op)
+	k := 0
+	switch base {
 	case relalg.CmpEQ:
 		for _, i := range sel {
-			if col[i] == val {
-				out = append(out, i)
-			}
-		}
-	case relalg.CmpNE:
-		for _, i := range sel {
-			if col[i] != val {
-				out = append(out, i)
-			}
+			sel[k] = i
+			k += b2i(col[i] == val) ^ flip
 		}
 	case relalg.CmpLT:
 		for _, i := range sel {
-			if col[i] < val {
-				out = append(out, i)
-			}
+			sel[k] = i
+			k += b2i(col[i] < val) ^ flip
 		}
 	case relalg.CmpLE:
 		for _, i := range sel {
-			if col[i] <= val {
-				out = append(out, i)
-			}
-		}
-	case relalg.CmpGT:
-		for _, i := range sel {
-			if col[i] > val {
-				out = append(out, i)
-			}
-		}
-	case relalg.CmpGE:
-		for _, i := range sel {
-			if col[i] >= val {
-				out = append(out, i)
-			}
+			sel[k] = i
+			k += b2i(col[i] <= val) ^ flip
 		}
 	}
-	return out
+	return sel[:k]
 }
 
 // ColPred is a structured residual predicate over a joined output row:
@@ -363,38 +348,58 @@ func buildJoinTable(t *joinTable, data colData, keys []int, counting bool) *join
 	return t
 }
 
-// countMatches is the counting-mode probe of one chunk: hs[k] is the hash of
-// its k-th live row (sel == nil: row k), pKeys the probe key columns and mult
-// the chunk's own multiplicities (nil: every row stands for itself). Each
-// live row whose key is linked — verified on full hash and key equality, like
-// the enumerating chain walk — is appended to outSel once, with outMult[i] =
-// matching build rows × mult[i]; outMult is indexed by row and must hold the
-// chunk's N entries. Returns the selection and the rows it stands for.
-func (t *joinTable) countMatches(cols [][]int64, pKeys []int, hs []uint64, sel []int, mult []int64,
-	outSel []int, outMult []int64) ([]int, int64) {
-	outSel = outSel[:0]
-	var rows int64
+// probeRow is a probe row whose bucket is not empty: its index in the probe
+// chunk and its chain cursor, a 1-based table row (0 = end of chain).
+type probeRow struct{ row, chain int32 }
+
+// heads loads every live probe row's bucket head in one pass, so the rows'
+// independent cache misses overlap, and keeps — in order and branch-free —
+// the rows whose bucket is not empty: afterwards hs[x] and cands[x] are the
+// hash, the probe row and the chain head of the x-th of them.
+func (t *joinTable) heads(hs []uint64, sel []int, cands []probeRow) ([]uint64, []probeRow) {
+	cands = sized(cands, len(hs))
+	m := 0
 	for k, h := range hs {
+		c := t.head[h&t.mask]
 		i := k
 		if sel != nil {
 			i = sel[k]
 		}
-		for ci := t.head[h&t.mask]; ci != 0; ci = t.next[ci-1] {
-			r := int(ci - 1)
-			if t.hashes[r] != h || !colKeysEqual(t.data.cols, t.keys, r, cols, pKeys, i) {
+		hs[m], cands[m] = h, probeRow{int32(i), c}
+		m += b2i(c != 0)
+	}
+	return hs[:m], cands[:m]
+}
+
+// walk appends to pb and pp the (build row, probe row) matches of the rows x,
+// x+1, ... heads kept — in probe-row order, then chain order — until pb holds
+// BatchSize pairs, and returns the row to resume at (len(cands) once the chunk
+// is done). A stop mid-chain leaves the rest of the chain in the row's cursor.
+// Both join modes probe through it; a counting table holds at most one match
+// per probe row.
+//
+// A one-column key's hash is a bijection of the key (the seed xor, the odd
+// multiply and the xorshift are each invertible), so there the hash compare is
+// the key compare and no build column is read — an empty build side may have
+// none. Wider keys are verified column by column against the probe chunk cols.
+func (t *joinTable) walk(cols [][]int64, pKeys []int, hs []uint64, cands []probeRow, x int,
+	pb, pp []int32) (int, []int32, []int32) {
+	oneKey := len(t.keys) == 1
+	for ; x < len(cands); x++ {
+		h, i := hs[x], cands[x].row
+		for ci := cands[x].chain; ci != 0; ci = t.next[ci-1] {
+			r := ci - 1
+			if t.hashes[r] != h || !oneKey && !colKeysEqual(t.data.cols, t.keys, int(r), cols, pKeys, int(i)) {
 				continue
 			}
-			m := int64(t.mult[r])
-			if mult != nil {
-				m *= mult[i]
+			pb, pp = append(pb, r), append(pp, i)
+			if len(pb) == BatchSize {
+				cands[x].chain = t.next[r]
+				return x, pb, pp
 			}
-			outSel = append(outSel, i)
-			outMult[i] = m
-			rows += m
-			break
 		}
 	}
-	return outSel, rows
+	return x, pb, pp
 }
 
 // ---- sort kernel ----

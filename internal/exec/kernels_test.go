@@ -1,8 +1,10 @@
 package exec
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/cost"
@@ -44,9 +46,15 @@ func TestGather(t *testing.T) {
 // row set against evaluating every condition with CmpOp.Eval one row at a
 // time. Also pins the empty-selection and full-batch edges.
 func TestSelColsMatchesRowClosures(t *testing.T) {
-	ops := []relalg.CmpOp{relalg.CmpEQ, relalg.CmpNE, relalg.CmpLT,
-		relalg.CmpLE, relalg.CmpGT, relalg.CmpGE}
 	rng := rand.New(rand.NewSource(42))
+	// Values in [0, 20) and the extremes, so comparisons meet both ends of
+	// the int64 range.
+	value := func() int64 {
+		if v := rng.Intn(24); v < 20 {
+			return int64(v)
+		}
+		return extremes[rng.Intn(len(extremes))]
+	}
 	for trial := 0; trial < 200; trial++ {
 		width := 1 + rng.Intn(4)
 		n := rng.Intn(2 * BatchSize)
@@ -54,14 +62,14 @@ func TestSelColsMatchesRowClosures(t *testing.T) {
 		for c := range cols {
 			cols[c] = make([]int64, n)
 			for i := range cols[c] {
-				cols[c][i] = int64(rng.Intn(20))
+				cols[c][i] = value()
 			}
 		}
 		nconds := rng.Intn(4)
 		conds := make([]ScanCond, nconds)
 		for k := range conds {
 			conds[k] = ScanCond{Off: rng.Intn(width),
-				Op: ops[rng.Intn(len(ops))], Val: int64(rng.Intn(20))}
+				Op: allOps[rng.Intn(len(allOps))], Val: value()}
 		}
 		filter := ScanFilter{Conds: conds}
 
@@ -115,6 +123,143 @@ func TestSelColsMatchesRowClosures(t *testing.T) {
 	dense := ScanFilter{}.SelCols(cols, len(col), nil)
 	if len(dense) != len(col) {
 		t.Fatalf("empty filter selected %d rows", len(dense))
+	}
+}
+
+var (
+	allOps   = []relalg.CmpOp{relalg.CmpEQ, relalg.CmpNE, relalg.CmpLT, relalg.CmpLE, relalg.CmpGT, relalg.CmpGE}
+	extremes = []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, math.MaxInt64 - 1, math.MaxInt64}
+)
+
+// staleBufs returns selection buffers of capacity 0, below n and at least n,
+// the last two holding stale indexes a kernel must overwrite or ignore.
+func staleBufs(n int) [][]int {
+	bufs := [][]int{nil}
+	for _, c := range []int{n / 2, n + 3} {
+		buf := make([]int, c)
+		for i := range buf {
+			buf[i] = -7
+		}
+		bufs = append(bufs, buf[:0])
+	}
+	return bufs
+}
+
+// TestSelectionKernelsMatchScalar checks the branch-free selection kernels —
+// condSelDense, condSelRefine and the residual pass filterPairs — against
+// CmpOp.Eval one row at a time: every operator, the int64 extremes, all-equal
+// and alternating columns, batch sizes around BatchSize, selection buffers of
+// every capacity holding stale indexes, and residual operands on each side
+// with offsets that wrap.
+func TestSelectionKernelsMatchScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	for _, n := range []int{0, 1, BatchSize - 1, BatchSize, BatchSize + 1} {
+		columns := map[string][]int64{}
+		for _, name := range []string{"extremes", "equal", "alternating"} {
+			col := make([]int64, n)
+			for i := range col {
+				switch name {
+				case "extremes":
+					col[i] = extremes[rng.Intn(len(extremes))]
+				case "equal":
+					col[i] = -1
+				case "alternating":
+					col[i] = []int64{math.MinInt64, math.MaxInt64}[i%2]
+				}
+			}
+			columns[name] = col
+		}
+		for name, col := range columns {
+			for _, op := range allOps {
+				for _, val := range extremes {
+					var want []int
+					for i, v := range col {
+						if op.Eval(v, val) {
+							want = append(want, i)
+						}
+					}
+					for _, buf := range staleBufs(n) {
+						got := condSelDense(col, n, op, val, buf)
+						if !slices.Equal(got, want) {
+							t.Fatalf("condSelDense n=%d %s %v %d (buffer cap %d): %v, want %v", n, name, op, val, cap(buf), got, want)
+						}
+					}
+					// Refine a random ascending subset, held in a buffer with a stale tail.
+					var sub, wantRef []int
+					for i := range col {
+						if rng.Intn(3) > 0 {
+							sub = append(sub, i)
+							if op.Eval(col[i], val) {
+								wantRef = append(wantRef, i)
+							}
+						}
+					}
+					in := append(make([]int, 0, len(sub)+5), sub...)
+					got := condSelRefine(col, op, val, append(in, -7, -7)[:len(sub)])
+					if !slices.Equal(got, wantRef) {
+						t.Fatalf("condSelRefine n=%d %s %v %d: %v, want %v", n, name, op, val, got, wantRef)
+					}
+				}
+			}
+		}
+
+		// Residuals: two build and two probe columns, pairs drawn with
+		// repetition, every side combination, offsets at the extremes.
+		build := colData{cols: [][]int64{make([]int64, n+1), make([]int64, n+1)}, n: n + 1}
+		probeCols := [][]int64{make([]int64, n+1), make([]int64, n+1)}
+		for _, col := range append(slices.Clone(build.cols), probeCols...) {
+			for i := range col {
+				col[i] = extremes[rng.Intn(len(extremes))]
+			}
+		}
+		pb, pp := make([]int32, n), make([]int32, n)
+		for x := range pb {
+			pb[x], pp[x] = int32(rng.Intn(n+1)), int32(rng.Intn(n+1))
+		}
+		value := func(c int, x int) int64 {
+			if c < 2 {
+				return build.cols[c][pb[x]]
+			}
+			return probeCols[c-2][pp[x]]
+		}
+		check := func(preds []ColPred) {
+			var want [][2]int32
+			for x := range pb {
+				keep := true
+				for _, p := range preds {
+					keep = keep && p.Op.Eval(value(p.L, x), value(p.R, x)+p.Off)
+				}
+				if keep {
+					want = append(want, [2]int32{pb[x], pp[x]})
+				}
+			}
+			gb, gp := filterPairs(preds, &build, probeCols, slices.Clone(pb), slices.Clone(pp))
+			if len(gb) != len(want) || len(gp) != len(want) {
+				t.Fatalf("filterPairs n=%d %+v: %d pairs, want %d", n, preds, len(gb), len(want))
+			}
+			for x := range want {
+				if [2]int32{gb[x], gp[x]} != want[x] {
+					t.Fatalf("filterPairs n=%d %+v: pair %d = (%d, %d), want %v", n, preds, x, gb[x], gp[x], want[x])
+				}
+			}
+		}
+		for _, op := range allOps {
+			for _, off := range extremes {
+				for _, l := range []int{0, 2} { // build, probe
+					for _, r := range []int{1, 3} {
+						check([]ColPred{{L: l, R: r, Op: op, Off: off}})
+					}
+				}
+			}
+		}
+		for range 50 {
+			preds := make([]ColPred, 1+rng.Intn(3))
+			for k := range preds {
+				preds[k] = ColPred{L: rng.Intn(4), R: rng.Intn(4), Op: allOps[rng.Intn(len(allOps))],
+					Off: extremes[rng.Intn(len(extremes))]}
+			}
+			check(preds)
+		}
 	}
 }
 
@@ -285,20 +430,59 @@ func TestExecutionAllocatedBytesCeiling(t *testing.T) {
 
 // ---- kernel microbenchmarks ----
 
+// BenchmarkSelColsDense filters one batch to col < 90 over two columns: a
+// period-100 ramp (90 % selected) whose outcomes a branch predictor learns,
+// and seeded random values selected at 50 %, which it cannot.
 func BenchmarkSelColsDense(b *testing.B) {
 	n := BatchSize
-	col := make([]int64, n)
-	for i := range col {
-		col[i] = int64(i % 100)
+	for _, tc := range []struct {
+		name string
+		val  func(rng *rand.Rand, i int) int64
+	}{
+		{"periodic", func(_ *rand.Rand, i int) int64 { return int64(i % 100) }},
+		{"random50", func(rng *rand.Rand, _ int) int64 { return int64(rng.Intn(180)) }},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(50))
+			col := make([]int64, n)
+			for i := range col {
+				col[i] = tc.val(rng, i)
+			}
+			cols := [][]int64{col}
+			filter := ScanFilter{Conds: []ScanCond{{Off: 0, Op: relalg.CmpLT, Val: 90}}}
+			buf := make([]int, 0, n)
+			b.SetBytes(int64(n * 8))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf = filter.SelCols(cols, n, buf)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
+		})
 	}
-	cols := [][]int64{col}
-	filter := ScanFilter{Conds: []ScanCond{{Off: 0, Op: relalg.CmpLT, Val: 90}}}
-	buf := make([]int, 0, n)
-	b.SetBytes(int64(n * 8))
+}
+
+// BenchmarkFilterPairs runs one residual, build[0] < probe[0], over a full
+// pair buffer of random rows that keeps half the pairs. Each op restores the
+// pairs first (two 4 KiB copies), which ns/row includes.
+func BenchmarkFilterPairs(b *testing.B) {
+	n := BatchSize
+	rng := rand.New(rand.NewSource(51))
+	build := colData{cols: [][]int64{make([]int64, n)}, n: n}
+	probeCols := [][]int64{make([]int64, n)}
+	pb, pp := make([]int32, n), make([]int32, n)
+	for i := 0; i < n; i++ {
+		build.cols[0][i], probeCols[0][i] = rng.Int63n(1000), rng.Int63n(1000)
+		pb[i], pp[i] = int32(rng.Intn(n)), int32(rng.Intn(n))
+	}
+	preds := []ColPred{{L: 0, R: 1, Op: relalg.CmpLT}}
+	wb, wp := make([]int32, n), make([]int32, n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = filter.SelCols(cols, n, buf)
+		copy(wb, pb)
+		copy(wp, pp)
+		filterPairs(preds, &build, probeCols, wb, wp)
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
 }
 
 func BenchmarkHashLive2Key(b *testing.B) {

@@ -5,11 +5,10 @@ package exec
 // high bits of the join-key hash and the partitions are processed one at a
 // time: each partition's build rows are loaded and hashed with the exact
 // same joinTable + probe kernels as the in-memory path, and its probe run is
-// streamed through the unchanged chain-walk state machine in
-// vecHashJoinOp.Next. Matching rows share a key, hence a hash, hence a
-// partition at every level, so every matching pair is emitted exactly once
-// and the join's output multiset and cardinality counters are identical to
-// the unbounded run.
+// streamed through the same head pass and chain walk in vecHashJoinOp.Next.
+// Matching rows share a key, hence a hash, hence a partition at every level,
+// so every matching pair is emitted exactly once and the join's output
+// multiset and cardinality counters are identical to the unbounded run.
 //
 // A counting join (vecHashJoinOp.counting) spills the same way, with the
 // probe rows' multiplicities as one more column of the probe runs — after the

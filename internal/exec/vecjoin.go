@@ -3,6 +3,8 @@ package exec
 import (
 	"errors"
 	"fmt"
+
+	"repro/internal/relalg"
 )
 
 // The row-producing join operators share one output scheme: matches are
@@ -57,40 +59,48 @@ func (e *colEmitter) emit(build *colData, probeCols [][]int64, pb, pp []int32) *
 }
 
 // filterPairs compacts the pair vectors in place to the pairs whose
-// concatenated (build ++ probe) row satisfies every residual predicate,
-// reading only the referenced columns.
+// concatenated (build ++ probe) row satisfies every residual predicate: one
+// branch-free pass per predicate, reading each operand column through pb or
+// pp by its side and keeping the pair by the comparison's 0/1 outcome.
 func filterPairs(preds []ColPred, build *colData, probeCols [][]int64, pb, pp []int32) ([]int32, []int32) {
-	if len(preds) == 0 {
-		return pb, pp
-	}
 	bw := build.width()
-	k := 0
-	for j := range pb {
-		bi, pi := pb[j], pp[j]
-		ok := true
-		for _, p := range preds {
-			var lv, rv int64
-			if p.L < bw {
-				lv = build.cols[p.L][bi]
-			} else {
-				lv = probeCols[p.L-bw][pi]
-			}
-			if p.R < bw {
-				rv = build.cols[p.R][bi]
-			} else {
-				rv = probeCols[p.R-bw][pi]
-			}
-			if !p.Op.Eval(lv, rv+p.Off) {
-				ok = false
-				break
-			}
+	side := func(c int) ([]int64, []int32) {
+		if c < bw {
+			return build.cols[c], pb
 		}
-		if ok {
-			pb[k], pp[k] = bi, pi
-			k++
-		}
+		return probeCols[c-bw], pp
 	}
-	return pb[:k], pp[:k]
+	for _, p := range preds {
+		if len(pb) == 0 {
+			break // an empty build side may have no columns to index
+		}
+		lc, lx := side(p.L)
+		rc, rx := side(p.R)
+		base, flip := cmpFlip(p.Op)
+		k := 0
+		switch base {
+		case relalg.CmpEQ:
+			for x := range pb {
+				keep := b2i(lc[lx[x]] == rc[rx[x]]+p.Off) ^ flip
+				pb[k], pp[k] = pb[x], pp[x]
+				k += keep
+			}
+		case relalg.CmpLT:
+			for x := range pb {
+				keep := b2i(lc[lx[x]] < rc[rx[x]]+p.Off) ^ flip
+				pb[k], pp[k] = pb[x], pp[x]
+				k += keep
+			}
+		case relalg.CmpLE:
+			for x := range pb {
+				keep := b2i(lc[lx[x]] <= rc[rx[x]]+p.Off) ^ flip
+				pb[k], pp[k] = pb[x], pp[x]
+				k += keep
+			}
+		}
+		pb, pp = pb[:k], pp[:k]
+	}
+	return pb, pp
 }
 
 // ---- vectorized hash join ----
@@ -115,13 +125,13 @@ type vecHashJoinOp struct {
 	// the copy probes: src builds it, the copies only read it.
 	src *vecHashJoinOp
 
-	// probe state, carried across Next calls
+	// probe state, carried across Next calls: the probe batch, the hashes,
+	// indexes and chain cursors of its rows with a non-empty bucket
+	// (joinTable.heads, joinTable.walk), and the one to resume at.
 	pb      *Batch
-	pi      int // cursor into the probe batch's live rows
 	hs      []uint64
-	curIdx  int
-	curHash uint64
-	chain   int32 // 1-based index into table rows, 0 = end of chain
+	cands   []probeRow
+	resume  int
 	drained bool
 
 	pairsB, pairsP []int32
@@ -134,25 +144,32 @@ type vecHashJoinOp struct {
 }
 
 // NewVecHashJoin is the pipelined hash join of the paper's Table 1: the
-// build side (left) is drained column-major into a flat chained hash table
-// at Open, keyed on the compound key of lKeys (every available equi-join
+// build side (left) is drained column-major into a flat bucket-chained hash
+// table at Open, keyed on the compound key of lKeys (every available equi-join
 // column, which keeps match sets minimal); the probe side (right) streams
-// through batch-at-a-time, keyed on rKeys. Probe-batch
-// hashes are computed with one column pass per key; chain hits are
-// prefiltered on the full hash before the key-equality check, collected as
-// index pairs, residual-filtered, and gathered column-wise into the output:
-// the lOut columns of the build input, then the rOut columns of the probe
-// input.
+// through batch-at-a-time, keyed on rKeys. A probe batch is probed in two
+// phases: one pass loads every live row's bucket head, so the independent
+// cache misses overlap, and keeps the rows whose bucket is not empty; then one
+// walk visits their chains in probe-row order, then chain order, prefiltering
+// on the full hash before the key check. Matches are collected as index pairs,
+// residual-filtered, and gathered column-wise into the output — the lOut
+// columns of the build input, then the rOut columns of the probe input — so
+// rows come out in that order: probe row, then chain position (the reverse of
+// build order). The walk stops when BatchSize pairs are pending and resumes
+// mid-chain on the next call.
 func NewVecHashJoin(left, right VecIterator, lKeys, rKeys []int, residual []ColPred, lOut, rOut []int) VecIterator {
 	return &vecHashJoinOp{left: left, right: right, lKeys: lKeys, rKeys: rKeys,
 		residual: residual, emit: colEmitter{buildOut: lOut, probeOut: rOut}}
 }
 
 func (j *vecHashJoinOp) Open() error {
-	j.pb, j.pi, j.chain, j.drained = nil, 0, 0, false
-	if !j.counting {
-		j.pairsB, j.pairsP = sized(j.pairsB, BatchSize)[:0], sized(j.pairsP, BatchSize)[:0]
+	j.pb, j.resume, j.drained = nil, 0, false
+	j.cands = j.cands[:0]
+	if cap(j.pairsB) < BatchSize { // both pair vectors in one allocation
+		buf := make([]int32, 2*BatchSize)
+		j.pairsB, j.pairsP = buf[:0:BatchSize], buf[BatchSize:BatchSize]
 	}
+	j.pairsB, j.pairsP = j.pairsB[:0], j.pairsP[:0]
 	if err := j.right.Open(); err != nil {
 		return err
 	}
@@ -233,80 +250,51 @@ func (j *vecHashJoinOp) nextProbeBatch() (*Batch, error) {
 func (j *vecHashJoinOp) flushPairs() *Batch {
 	pb, pp := filterPairs(j.residual, &j.table.data, j.pb.Cols, j.pairsB, j.pairsP)
 	j.pairsB, j.pairsP = j.pairsB[:0], j.pairsP[:0]
-	if len(pb) == 0 {
+	switch {
+	case len(pb) == 0:
 		return nil
+	case j.counting:
+		return j.emitCounted(pb, pp)
 	}
 	return j.emit.emit(&j.table.data, j.pb.Cols, pb, pp)
 }
 
-// nextCounted is Next in counting mode. A probe row matches at most one
-// linked build row, so a probe batch yields at most one output batch and
-// nothing is copied: the output is the probe batch's live columns under the
-// selection of its matched rows, with their multiplicities beside them.
-func (j *vecHashJoinOp) nextCounted() (*Batch, error) {
-	for {
-		b, err := j.nextProbeBatch()
-		if err != nil || b == nil {
-			return nil, err
-		}
-		j.hs = hashLive(j.hs, b.Cols, j.rKeys, b.N, b.Sel)
-		if cap(j.mult) < b.N {
-			j.mult = make([]int64, max(b.N, BatchSize))
-		}
-		j.sel, _ = j.table.countMatches(b.Cols, j.rKeys, j.hs, b.Sel, b.Mult, j.sel, j.mult[:b.N])
-		if len(j.sel) == 0 {
-			continue
-		}
-		out := &j.emit.batch
-		out.Cols = out.Cols[:0]
-		for _, c := range j.emit.probeOut {
-			out.Cols = append(out.Cols, b.Cols[c])
-		}
-		out.N, out.Sel, out.Mult = b.N, j.sel, j.mult[:b.N]
-		return out, nil
+// emitCounted is the counting-mode output of matched pairs, at most one per
+// probe row. Nothing is copied: the output is the probe batch's live columns
+// under the selection of its matched rows, each carrying its linked build
+// row's multiplicity times its own.
+func (j *vecHashJoinOp) emitCounted(pb, pp []int32) *Batch {
+	b := j.pb
+	if cap(j.mult) < b.N {
+		j.mult = make([]int64, max(b.N, BatchSize))
 	}
+	j.sel = sized(j.sel, len(pp))
+	for x, i := range pp {
+		m := int64(j.table.mult[pb[x]])
+		if b.Mult != nil {
+			m *= b.Mult[i]
+		}
+		j.sel[x], j.mult[i] = int(i), m
+	}
+	out := &j.emit.batch
+	out.Cols = out.Cols[:0]
+	for _, c := range j.emit.probeOut {
+		out.Cols = append(out.Cols, b.Cols[c])
+	}
+	out.N, out.Sel, out.Mult = b.N, j.sel, j.mult[:b.N]
+	return out
 }
 
 func (j *vecHashJoinOp) Next() (*Batch, error) {
-	if j.counting {
-		return j.nextCounted()
-	}
-	t := j.table
 	for {
-		for j.chain != 0 {
-			i := j.chain - 1
-			j.chain = t.next[i]
-			if t.hashes[i] != j.curHash {
-				continue
-			}
-			if !colKeysEqual(t.data.cols, j.lKeys, int(i), j.pb.Cols, j.rKeys, j.curIdx) {
-				continue
-			}
-			j.pairsB = append(j.pairsB, i)
-			j.pairsP = append(j.pairsP, int32(j.curIdx))
-			if len(j.pairsB) == BatchSize {
-				if out := j.flushPairs(); out != nil {
-					return out, nil
-				}
-			}
-		}
-		// advance to the next probe row
-		if j.pb != nil && j.pi < j.pb.Len() {
-			j.curIdx = j.pi
-			if j.pb.Sel != nil {
-				j.curIdx = j.pb.Sel[j.pi]
-			}
-			j.curHash = j.hs[j.pi]
-			j.pi++
-			j.chain = t.head[j.curHash&t.mask]
-			continue
-		}
-		// Pairs index into the current probe batch's columns, so they must
-		// be stitched out before the batch is released or replaced.
-		if len(j.pairsB) > 0 {
+		// Pairs index into the current probe batch's columns, so they are
+		// stitched out before the batch is released or replaced.
+		if j.resume < len(j.cands) {
+			j.resume, j.pairsB, j.pairsP = j.table.walk(j.pb.Cols, j.rKeys, j.hs, j.cands, j.resume, j.pairsB, j.pairsP)
 			if out := j.flushPairs(); out != nil {
 				return out, nil
 			}
+			continue
 		}
 		if j.drained {
 			return nil, nil
@@ -316,21 +304,22 @@ func (j *vecHashJoinOp) Next() (*Batch, error) {
 			return nil, err
 		}
 		if b == nil {
-			j.drained = true
-			// The producer may recycle its last batch when it reports end
-			// of stream (the ownership contract lets it change Len), so drop
-			// the stale reference before re-checking the cursor.
-			j.pb = nil
-			continue
+			// The producer may recycle its last batch when it reports end of
+			// stream, so no reference to it is kept.
+			j.pb, j.drained = nil, true
+			return nil, nil
 		}
-		if err := unweighted(b, "an enumerating hash join"); err != nil {
-			return nil, err
+		if !j.counting {
+			if err := unweighted(b, "an enumerating hash join"); err != nil {
+				return nil, err
+			}
 		}
-		j.pb, j.pi = b, 0
+		// The spilled path installs a fresh table per partition before it
+		// returns the partition's first probe batch, so the heads are read
+		// from the table this batch probes.
+		j.pb, j.resume = b, 0
 		j.hs = hashLive(j.hs, b.Cols, j.rKeys, b.N, b.Sel)
-		// The spilled path installs a fresh table per partition; pairs are
-		// always flushed before a new probe batch, so the swap is safe here.
-		t = j.table
+		j.hs, j.cands = j.table.heads(j.hs, b.Sel, j.cands)
 	}
 }
 
