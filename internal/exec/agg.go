@@ -2,6 +2,7 @@ package exec
 
 import (
 	"errors"
+	"math"
 	"slices"
 )
 
@@ -20,6 +21,12 @@ type AggSpecExec struct {
 // beyond amortized slice growth — no per-row key string, no per-group
 // state struct — which is what keeps the aggregation hot path off the
 // allocator at any parallelism.
+//
+// In front of the slots sits a direct map: while the live keys of an
+// execution fit a box of at most directSlots cells, a row's group is one load
+// at its key's packed offset — no hash, probe or key compare. A box that would
+// pass directSlots makes the table wide: it hashes until reset. Groups are
+// created through the slots either way, so those always hold every group.
 type aggTable struct {
 	spec AggSpecExec
 	gw   int // group-key width
@@ -45,9 +52,22 @@ type aggTable struct {
 	dvals   []int64
 	dcounts []int64
 	dn      int
+
+	// The box holds key column c in [lo[c], lo[c]+span[c]); direct[x]-1 is the
+	// group whose key packs row-major to cell x (none at 0), for every group
+	// in [0, mapped) inside the box. No cells is no box yet.
+	direct []int32
+	lo     []int64
+	span   []uint64
+	mapped int
+	wide   bool
 }
 
 const aggInitSlots = 256 // power of two
+
+// directSlots bounds the direct map at 16 KiB. Every narrow group key of the
+// TPC-H and Linear Road queries fits; Q10's c_custkey × n_name does not.
+const directSlots = 4096
 
 func newAggTable(spec AggSpecExec) *aggTable {
 	t := &aggTable{
@@ -69,12 +89,14 @@ func newAggTable(spec AggSpecExec) *aggTable {
 }
 
 // reset empties the table for the next execution; every array keeps its
-// capacity, and the slot arrays the size they grew to.
+// capacity, and the slot arrays the size they grew to. The execution starts
+// with no box and not wide.
 func (t *aggTable) reset() {
 	clear(t.slots)
 	clear(t.dids)
 	t.hashes, t.keys, t.sums, t.counts, t.dcounts = t.hashes[:0], t.keys[:0], t.sums[:0], t.counts[:0], t.dcounts[:0]
 	t.n, t.dn = 0, 0
+	t.direct, t.mapped, t.wide = t.direct[:0], 0, false
 }
 
 // add folds one row into the table — the scalar reference the addBatch
@@ -128,26 +150,30 @@ func (t *aggTable) growDistinct() {
 }
 
 // aggScratch is the reusable per-consumer scratch of the columnar
-// aggregation path: the batch hash vector and the resolved group id per
-// live row. One instance per serial consumer or pipeline worker.
+// aggregation path: the hash path's batch hash vector and the resolved group
+// id per live row. One instance per serial consumer or pipeline worker.
 type aggScratch struct {
 	hashes []uint64
 	gids   []int32
 }
 
 // addBatch folds a column-major chunk (cols[c] holding rows 0..n-1, live
-// rows given by sel) into the table: group-key hashes are computed with one
-// column pass per key (bit-identical to hashCols, so merge stays
-// compatible), group ids are resolved once per row, and each accumulator
-// column is then updated in its own tight loop over the chunk — column
-// locality on both the input and the flat sums array. mult, when non-nil, is
-// the chunk's multiplicity vector (Batch.Mult): row i stands for mult[i]
-// copies, so it adds mult[i] to COUNT(*) and mult[i]·v to a SUM; a
+// rows given by sel) into the table: group ids are resolved once per row —
+// through the direct map, and for a wide table through the slots — and each
+// accumulator column is then updated in its own tight loop over the chunk —
+// column locality on both the input and the flat sums array. mult, when
+// non-nil, is the chunk's multiplicity vector (Batch.Mult): row i stands for
+// mult[i] copies, so it adds mult[i] to COUNT(*) and mult[i]·v to a SUM; a
 // COUNT(DISTINCT) set is the same however often a value arrives.
 func (t *aggTable) addBatch(cols [][]int64, n int, sel []int, mult []int64, s *aggScratch) {
-	s.hashes = hashLive(s.hashes, cols, t.spec.GroupBy, n, sel)
-	s.gids = sized(s.gids, len(s.hashes))
-	t.resolveGids(cols, n, sel, s)
+	live := sel
+	if live == nil {
+		live = allRows[:n]
+	}
+	s.gids = sized(s.gids, len(live))
+	if k := t.resolveDirect(cols, live, s.gids); k < len(live) {
+		t.resolveGids(cols, n, live, s, k)
+	}
 	for si, c := range t.spec.Sums {
 		col, sums, sw := cols[c], t.sums, t.sw
 		if sel == nil {
@@ -194,98 +220,177 @@ func (t *aggTable) addExtraCopies(cols [][]int64, sel []int, mult []int64, gids 
 	}
 }
 
-// resolveGids fills s.gids[k] with the group id of the k-th live row,
-// creating groups as needed, and bumps each group's COUNT(*) in the same
-// pass. The overwhelmingly common case — the group already exists and sits
-// in its home slot — is handled inline, with the key comparison specialized
-// for one- and two-column group keys so the hit path is pure slice reads;
-// home-slot misses fall into findOrCreateCols' full open-addressing probe.
-// Table fields (slots, hashes, keys, counts, mask) are reloaded every row
-// because a miss can grow the table mid-batch.
-func (t *aggTable) resolveGids(cols [][]int64, n int, sel []int, s *aggScratch) {
-	switch len(t.spec.GroupBy) {
+// allRows selects every row of a full batch, for the gid loops, which read
+// live rows through a selection either way.
+var allRows = func() (rows [BatchSize]int) {
+	for i := range rows {
+		rows[i] = i
+	}
+	return rows
+}()
+
+// resolveDirect resolves the live rows sel through the direct map, bumping
+// COUNT(*), and returns how many it resolved: all, or those before the table
+// went wide. A row whose group does not exist yet creates it through the
+// slots; a row outside the box widens it. The lookup resumes at that row.
+func (t *aggTable) resolveDirect(cols [][]int64, sel []int, gids []int32) int {
+	k := 0
+	for k < len(gids) && !t.wide {
+		if len(t.direct) > 0 {
+			t.mapGroups()
+			if k = t.lookupDirect(cols, sel, gids, k); k == len(gids) {
+				break
+			}
+			i := sel[k]
+			if _, in := t.cellAt(cols, i); in {
+				g := t.findOrCreateCols(hashColsAt(cols, t.spec.GroupBy, i), cols, i)
+				gids[k] = int32(g)
+				t.counts[g]++
+				k++
+				continue
+			}
+		}
+		t.widen(cols, sel[k:])
+	}
+	return k
+}
+
+// lookupDirect resolves live rows k, k+1, … through the direct map up to the
+// first whose key lies outside the box or has no group, and returns that row
+// (len(gids) if none). One unsigned compare checks a key column's offset
+// against its span; one- and two-column keys get their own loops.
+func (t *aggTable) lookupDirect(cols [][]int64, sel []int, gids []int32, k int) int {
+	keys, direct, counts := t.spec.GroupBy, t.direct, t.counts
+	switch len(keys) {
 	case 1:
-		c0 := cols[t.spec.GroupBy[0]]
-		if sel == nil {
-			for i := 0; i < n; i++ {
-				h := s.hashes[i]
-				g := -1
-				if gi := t.slots[h&t.mask]; gi > 0 {
-					if cand := int(gi - 1); t.hashes[cand] == h && t.keys[cand] == c0[i] {
-						g = cand
-					}
-				}
-				if g < 0 {
-					g = t.findOrCreateCols(h, cols, i)
-				}
-				s.gids[i] = int32(g)
-				t.counts[g]++
+		c0, lo0, s0 := cols[keys[0]], t.lo[0], t.span[0]
+		for ; k < len(gids); k++ {
+			x := uint64(c0[sel[k]] - lo0)
+			if x >= s0 || direct[x] == 0 {
+				break
 			}
-		} else {
-			for k, i := range sel {
-				h := s.hashes[k]
-				g := -1
-				if gi := t.slots[h&t.mask]; gi > 0 {
-					if cand := int(gi - 1); t.hashes[cand] == h && t.keys[cand] == c0[i] {
-						g = cand
-					}
-				}
-				if g < 0 {
-					g = t.findOrCreateCols(h, cols, i)
-				}
-				s.gids[k] = int32(g)
-				t.counts[g]++
-			}
+			g := direct[x] - 1
+			gids[k] = g
+			counts[g]++
 		}
 	case 2:
-		c0, c1 := cols[t.spec.GroupBy[0]], cols[t.spec.GroupBy[1]]
-		if sel == nil {
-			for i := 0; i < n; i++ {
-				h := s.hashes[i]
-				g := -1
-				if gi := t.slots[h&t.mask]; gi > 0 {
-					if cand := int(gi - 1); t.hashes[cand] == h &&
-						t.keys[cand*2] == c0[i] && t.keys[cand*2+1] == c1[i] {
-						g = cand
-					}
-				}
-				if g < 0 {
-					g = t.findOrCreateCols(h, cols, i)
-				}
-				s.gids[i] = int32(g)
-				t.counts[g]++
+		c0, c1 := cols[keys[0]], cols[keys[1]]
+		lo0, lo1, s0, s1 := t.lo[0], t.lo[1], t.span[0], t.span[1]
+		for ; k < len(gids); k++ {
+			i := sel[k]
+			d0, d1 := uint64(c0[i]-lo0), uint64(c1[i]-lo1)
+			if d0 >= s0 || d1 >= s1 || direct[d0*s1+d1] == 0 {
+				break
 			}
-		} else {
-			for k, i := range sel {
-				h := s.hashes[k]
-				g := -1
-				if gi := t.slots[h&t.mask]; gi > 0 {
-					if cand := int(gi - 1); t.hashes[cand] == h &&
-						t.keys[cand*2] == c0[i] && t.keys[cand*2+1] == c1[i] {
-						g = cand
-					}
-				}
-				if g < 0 {
-					g = t.findOrCreateCols(h, cols, i)
-				}
-				s.gids[k] = int32(g)
-				t.counts[g]++
-			}
+			g := direct[d0*s1+d1] - 1
+			gids[k] = g
+			counts[g]++
 		}
 	default:
-		if sel == nil {
-			for i := 0; i < n; i++ {
-				g := t.findOrCreateCols(s.hashes[i], cols, i)
-				s.gids[i] = int32(g)
-				t.counts[g]++
+		for ; k < len(gids); k++ {
+			x, in := t.cellAt(cols, sel[k])
+			if !in || direct[x] == 0 {
+				break
 			}
-		} else {
-			for k, i := range sel {
-				g := t.findOrCreateCols(s.hashes[k], cols, i)
-				s.gids[k] = int32(g)
-				t.counts[g]++
-			}
+			g := direct[x] - 1
+			gids[k] = g
+			counts[g]++
 		}
+	}
+	return k
+}
+
+// cellAt returns the cell row i's key packs to, row-major, and whether the key
+// lies in the box.
+func (t *aggTable) cellAt(cols [][]int64, i int) (uint64, bool) {
+	x := uint64(0)
+	for c, key := range t.spec.GroupBy {
+		d := uint64(cols[key][i] - t.lo[c])
+		if d >= t.span[c] {
+			return 0, false
+		}
+		x = x*t.span[c] + d
+	}
+	return x, true
+}
+
+// mapGroups enters the groups created since the map was complete — all of them
+// after widen — whose keys lie in the box.
+func (t *aggTable) mapGroups() {
+	for ; t.mapped < t.n; t.mapped++ {
+		x, in := uint64(0), true
+		for c, s := range t.span {
+			d := uint64(t.keys[t.mapped*t.gw+c] - t.lo[c])
+			in = in && d < s
+			x = x*s + d
+		}
+		if in {
+			t.direct[x] = int32(t.mapped + 1)
+		}
+	}
+}
+
+// widen grows the box to cover the keys of the live rows sel (a first box is
+// their range) and clears the map. An outgrown key column grows to up to twice
+// its span, on the side it outgrew and as far as directSlots allows, so a key
+// that creeps upward rebuilds the map O(log) times. No fit makes it wide.
+func (t *aggTable) widen(cols [][]int64, sel []int) {
+	if t.lo == nil {
+		t.lo, t.span = make([]int64, t.gw), make([]uint64, t.gw)
+	}
+	boxed, cells := len(t.direct) > 0, uint64(1)
+	var up, down uint64 // outgrown key columns, a bit each
+	for c, key := range t.spec.GroupBy {
+		lo, hi := liveRange(cols[key], sel)
+		if boxed {
+			olo, ohi := t.lo[c], t.lo[c]+int64(t.span[c]-1)
+			up |= uint64(b2i(hi > ohi)) << c
+			down |= uint64(b2i(lo < olo)) << c
+			lo, hi = min(lo, olo), max(hi, ohi)
+		}
+		t.lo[c], t.span[c] = lo, uint64(hi-lo)+1
+		if cells *= t.span[c]; uint64(hi-lo) >= directSlots || cells > directSlots {
+			t.wide = true
+			return
+		}
+	}
+	for c, s := range t.span {
+		g := min(s, directSlots/(cells/s)-s) // cells to add along c
+		switch {
+		case up>>c&1 == 1:
+			g = min(g, uint64(math.MaxInt64-(t.lo[c]+int64(s-1))))
+		case down>>c&1 == 1:
+			g = min(g, uint64(t.lo[c]-math.MinInt64))
+			t.lo[c] -= int64(g)
+		default:
+			continue
+		}
+		t.span[c] += g
+		cells = cells / s * t.span[c]
+	}
+	t.direct, t.mapped = sized(t.direct, int(cells)), 0
+	clear(t.direct)
+}
+
+// liveRange returns the least and the greatest value of col over the live
+// rows sel; there is at least one.
+func liveRange(col []int64, sel []int) (lo, hi int64) {
+	lo, hi = math.MaxInt64, math.MinInt64
+	for _, i := range sel {
+		lo, hi = min(lo, col[i]), max(hi, col[i])
+	}
+	return lo, hi
+}
+
+// resolveGids is the hash path, for a wide table: it fills gids[k], for live
+// rows k from on, with the group id of live row sel[k], creating groups as
+// needed, and bumps each group's COUNT(*) in the same pass.
+func (t *aggTable) resolveGids(cols [][]int64, n int, sel []int, s *aggScratch, from int) {
+	s.hashes = hashLive(s.hashes, cols, t.spec.GroupBy, n, sel)
+	for k := from; k < len(sel); k++ {
+		g := t.findOrCreateCols(s.hashes[k], cols, sel[k])
+		s.gids[k] = int32(g)
+		t.counts[g]++
 	}
 }
 
@@ -397,13 +502,13 @@ func (t *aggTable) newGroup(slot uint64, h uint64, r Row, cols []int) int {
 }
 
 // approxBytes estimates the table's tracked footprint: the slot array, the
-// per-group hash, key, sum, count and distinct-count storage, and the distinct
-// set's two slot arrays as held (12 bytes a slot). Monotone in n and in the
-// stored values, so charging the delta after each batch keeps the reservation
-// current.
+// direct map (4 bytes a cell), the per-group hash, key, sum, count and
+// distinct-count storage, and the distinct set's two slot arrays as held (12
+// bytes a slot). Monotone in n, in the box and in the stored values, so
+// charging the delta after each batch keeps the reservation current.
 func (t *aggTable) approxBytes() int64 {
 	per := int64(8 + t.gw*8 + t.sw*8 + 8 + t.dw*8)
-	return int64(t.mask+1)*4 + int64(t.n)*per + int64(len(t.dids))*12
+	return int64(t.mask+1)*4 + int64(len(t.direct))*4 + int64(t.n)*per + int64(len(t.dids))*12
 }
 
 func (t *aggTable) grow() {
@@ -510,11 +615,11 @@ type vecHashAggOp struct {
 }
 
 // NewVecHashAgg returns a blocking hash aggregation: it consumes its input
-// batch-at-a-time through aggTable.addBatch (columnar group-key hashing and
-// per-column accumulator loops) and emits the aggregated groups as dense
-// column windows in deterministic (sorted group key) order — the group-by
-// columns followed by SUM values, COUNT(*) if requested, then
-// COUNT(DISTINCT) values.
+// batch-at-a-time through aggTable.addBatch (group ids by direct map while the
+// keys fit a small box, by hashing beyond it; per-column accumulator loops)
+// and emits the groups as dense column windows in deterministic (sorted group
+// key) order — the group-by columns followed by SUM values, COUNT(*) if
+// requested, then COUNT(DISTINCT) values.
 func NewVecHashAgg(in VecIterator, spec AggSpecExec) VecIterator {
 	return &vecHashAggOp{in: in, spec: spec}
 }

@@ -7,9 +7,9 @@ import (
 )
 
 // The keyString baseline: the pre-flat-table aggregation core, kept here as
-// the benchmark comparator. It materializes a Row key and an 8-bytes-per-
-// column string for every input row, plus a state struct per group — the
-// allocations the flat open-addressing table eliminates.
+// TestAggTableMatchesKeyStringBaseline's oracle. It materializes a Row key and
+// an 8-bytes-per-column string for every input row, plus a state struct per
+// group.
 
 type baselineAggState struct {
 	key   Row
@@ -88,35 +88,64 @@ func TestAggTableMatchesKeyStringBaseline(t *testing.T) {
 	}
 }
 
-// BenchmarkAggTable compares the flat open-addressing aggregation table
-// against the keyString/map baseline it replaced. Run with -benchmem: the
-// flat table's allocs/op stay near zero while the baseline allocates
-// multiple objects per input row.
-func BenchmarkAggTable(b *testing.B) {
-	rows := aggBenchRows()
-	spec := AggSpecExec{GroupBy: []int{0, 1}, Sums: []int{2, 3}, CountAll: true}
-	b.Run("flat", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			t := newAggTable(spec)
-			for _, r := range rows {
-				t.add(r)
+// BenchmarkAggAddBatch times addBatch, the aggregation's only entry from an
+// operator, on 1024-row chunks in four shapes: Q1 (two narrow keys, two SUMs,
+// COUNT(*), 98 % selected), one group (Q6: one SUM over a selection),
+// SegTollS (three narrow keys and a COUNT(DISTINCT)), and two keys whose box
+// passes directSlots, so the table is wide and hashes. An op is one execution
+// of 16 chunks into a reset table; ns/row is per aggregated (live) row.
+func BenchmarkAggAddBatch(b *testing.B) {
+	for _, tc := range []struct {
+		name     string
+		spec     AggSpecExec
+		domains  []int64 // per column: values are uniform in [0, domain)
+		selected int     // percent of rows live; 100 is dense
+	}{
+		{"q1", AggSpecExec{GroupBy: []int{0, 1}, Sums: []int{2, 3}, CountAll: true}, []int64{3, 2, 50, 1e6}, 98},
+		{"one-group", AggSpecExec{Sums: []int{0}}, []int64{1e6}, 14},
+		{"segtolls", AggSpecExec{GroupBy: []int{0, 1, 2}, CountDistinct: []int{3}}, []int64{3, 2, 100, 5000}, 100},
+		{"wide", AggSpecExec{GroupBy: []int{0, 1}, Sums: []int{2}, CountAll: true}, []int64{1 << 20, 4, 1e6}, 100},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(52))
+			chunks, rows := make([]aggInput, 16), 0
+			for k := range chunks {
+				in := aggInput{cols: make([][]int64, len(tc.domains)), n: BatchSize}
+				for c, d := range tc.domains {
+					in.cols[c] = make([]int64, BatchSize)
+					for i := range in.cols[c] {
+						in.cols[c][i] = rng.Int63n(d)
+					}
+				}
+				if tc.selected < 100 {
+					for i := range BatchSize {
+						if rng.Intn(100) < tc.selected {
+							in.sel = append(in.sel, i)
+						}
+					}
+					rows += len(in.sel)
+				} else {
+					rows += BatchSize
+				}
+				chunks[k] = in
 			}
-			if t.n == 0 {
-				b.Fatal("no groups")
+			t, s := newAggTable(tc.spec), &aggScratch{}
+			run := func() {
+				t.reset()
+				for _, in := range chunks {
+					t.addBatch(in.cols, in.n, in.sel, nil, s)
+				}
 			}
-		}
-	})
-	b.Run("keystring-baseline", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			t := &baselineAggTable{spec: spec, groups: map[string]*baselineAggState{}}
-			for _, r := range rows {
-				t.add(r)
+			run() // sizes the table and the scratch
+			if t.wide != (tc.name == "wide") {
+				b.Fatalf("%s: wide %v", tc.name, t.wide)
 			}
-			if len(t.groups) == 0 {
-				b.Fatal("no groups")
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				run()
 			}
-		}
-	})
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+		})
+	}
 }

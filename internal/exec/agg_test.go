@@ -1,0 +1,259 @@
+package exec
+
+import (
+	"fmt"
+	"math"
+	"math/bits"
+	"math/rand"
+	"testing"
+)
+
+// aggInput is one chunk for addBatch: columns, rows, selection and
+// multiplicities as a Batch carries them.
+type aggInput struct {
+	cols [][]int64
+	n    int
+	sel  []int
+	mult []int64
+}
+
+// feed folds in into direct through addBatch and into scalar through add, one
+// row and one copy at a time.
+func feed(direct, scalar *aggTable, in aggInput, s *aggScratch) {
+	direct.addBatch(in.cols, in.n, in.sel, in.mult, s)
+	live := in.sel
+	if live == nil {
+		live = seq(in.n)
+	}
+	row := make(Row, len(in.cols))
+	for _, i := range live {
+		for c := range in.cols {
+			row[c] = in.cols[c][i]
+		}
+		copies := int64(1)
+		if in.mult != nil {
+			copies = in.mult[i]
+		}
+		for ; copies > 0; copies-- {
+			scalar.add(row)
+		}
+	}
+}
+
+func firstDiff[T comparable](a, b []T) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	if len(a) != len(b) {
+		return min(len(a), len(b))
+	}
+	return -1
+}
+
+// sameGroups requires got and want to hold the same groups under the same ids:
+// keys in creation order, their hashes and slots, sums, counts and distinct
+// counts.
+func sameGroups(t *testing.T, label string, got, want *aggTable) {
+	t.Helper()
+	for _, d := range []struct {
+		name string
+		at   int
+	}{
+		{"keys", firstDiff(got.keys, want.keys)},
+		{"hashes", firstDiff(got.hashes, want.hashes)},
+		{"slots", firstDiff(got.slots, want.slots)},
+		{"sums", firstDiff(got.sums, want.sums)},
+		{"counts", firstDiff(got.counts, want.counts)},
+		{"distinct counts", firstDiff(got.dcounts, want.dcounts)},
+	} {
+		if d.at >= 0 {
+			t.Fatalf("%s: addBatch's %s differ from add's at %d (%d groups, add made %d)", label, d.name, d.at, got.n, want.n)
+		}
+	}
+	if got.dn != want.dn {
+		t.Fatalf("%s: addBatch stores %d distinct values, add %d", label, got.dn, want.dn)
+	}
+}
+
+// keyInput builds a chunk of n rows whose key columns take key(c, i) and whose
+// two value columns are small random numbers.
+func keyInput(rng *rand.Rand, gw, n int, key func(c, i int) int64) aggInput {
+	in := aggInput{cols: make([][]int64, gw+2), n: n}
+	for c := range in.cols {
+		in.cols[c] = make([]int64, n)
+		for i := range n {
+			if c < gw {
+				in.cols[c][i] = key(c, i)
+			} else {
+				in.cols[c][i] = rng.Int63n(7) - 3
+			}
+		}
+	}
+	return in
+}
+
+// TestDirectGroupIdsMatchHashPath drives addBatch — the direct map, widening,
+// and the hash path of a wide table — and the scalar add with the same rows,
+// and requires the same groups under the same ids after every chunk.
+func TestDirectGroupIdsMatchHashPath(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	specOf := func(gw int) AggSpecExec {
+		return AggSpecExec{GroupBy: seq(gw), Sums: []int{gw, gw + 1}, CountAll: true, CountDistinct: []int{gw + 1}}
+	}
+
+	// Random chunks: 0–3 key columns, with and without Sel and Mult, keys in a
+	// window that drifts (widening mid-chunk) and, from chunk 9 on, jumps far
+	// enough to make the table wide mid-execution.
+	for gw := 0; gw <= 3; gw++ {
+		for _, selected := range []bool{false, true} {
+			for _, weighted := range []bool{false, true} {
+				label := fmt.Sprintf("%d key columns, selection %v, weighted %v", gw, selected, weighted)
+				direct, scalar := newAggTable(specOf(gw)), newAggTable(specOf(gw))
+				var s aggScratch
+				for b := 0; b < 12; b++ {
+					base, w := int64(-20+3*b), int64(1+rng.Intn(8))
+					far := b >= 9 && rng.Intn(2) == 0
+					in := keyInput(rng, gw, rng.Intn(BatchSize+1), func(c, i int) int64 {
+						if far && i > 0 && rng.Intn(50) == 0 {
+							return 1 << 40
+						}
+						return base + rng.Int63n(w+int64(i/100))
+					})
+					if selected {
+						in.sel = []int{}
+						for i := range in.n {
+							if rng.Intn(3) > 0 {
+								in.sel = append(in.sel, i)
+							}
+						}
+					}
+					if weighted {
+						in.mult = make([]int64, in.n)
+						for i := range in.mult {
+							in.mult[i] = 1 + rng.Int63n(3)
+						}
+					}
+					feed(direct, scalar, in, &s)
+					sameGroups(t, fmt.Sprintf("%s, chunk %d", label, b), direct, scalar)
+				}
+				if gw > 0 && len(direct.direct) == 0 {
+					t.Fatalf("%s: the direct map was never built", label)
+				}
+			}
+		}
+	}
+
+	// A box widened at row 300 of the second chunk, by a key one past its edge
+	// whose unchecked cell would be another group's: rows before it are
+	// counted once, the rest through the wider box.
+	direct, scalar := newAggTable(specOf(2)), newAggTable(specOf(2))
+	var s aggScratch
+	small := func(c, i int) int64 { return int64(i >> (2 * c) % 4) } // a 4×4 grid
+	feed(direct, scalar, keyInput(rng, 2, 64, small), &s)
+	if direct.wide || len(direct.direct) != 16 {
+		t.Fatalf("first chunk: box of %d cells (wide %v), want 4×4", len(direct.direct), direct.wide)
+	}
+	feed(direct, scalar, keyInput(rng, 2, BatchSize, func(c, i int) int64 {
+		if i >= 300 {
+			return int64(i%3 + 4*c + c*(i%10))
+		}
+		return small(c, i)
+	}), &s)
+	sameGroups(t, "widened mid-chunk", direct, scalar)
+	if direct.wide || direct.lo[1] != 0 || direct.span[1] < 14 {
+		t.Fatalf("widened mid-chunk: box lo %v span %v (wide %v), want column 1 to reach 13", direct.lo, direct.span, direct.wide)
+	}
+
+	// The same table outgrows directSlots at row 500 of its third chunk and
+	// hashes the rest of that chunk and the next.
+	feed(direct, scalar, keyInput(rng, 2, BatchSize, func(c, i int) int64 {
+		switch {
+		case i == 500 && c == 0:
+			return 1 << 20
+		case i > 500:
+			return small(c, i) - int64(i%3)
+		}
+		return small(c, i)
+	}), &s)
+	sameGroups(t, "outgrew directSlots mid-chunk", direct, scalar)
+	if !direct.wide {
+		t.Fatalf("a key 2^20 from the box left the table direct: lo %v span %v", direct.lo, direct.span)
+	}
+	feed(direct, scalar, keyInput(rng, 2, BatchSize, func(c, i int) int64 { return int64(i % 37) }), &s)
+	sameGroups(t, "wide", direct, scalar)
+
+	// reset after a wide execution: the next one is direct again.
+	direct.reset()
+	scalar = newAggTable(specOf(2))
+	feed(direct, scalar, keyInput(rng, 2, BatchSize, small), &s)
+	sameGroups(t, "after reset", direct, scalar)
+	if direct.wide || len(direct.direct) != 16 {
+		t.Fatalf("after reset: box of %d cells (wide %v), want 4×4", len(direct.direct), direct.wide)
+	}
+
+	// Empty chunks, dense and selected, before the first box and after it.
+	direct, scalar = newAggTable(specOf(1)), newAggTable(specOf(1))
+	for round := range 2 {
+		cells := len(direct.direct)
+		feed(direct, scalar, aggInput{cols: [][]int64{nil, nil, nil}}, &s)
+		in := keyInput(rng, 1, 8, small)
+		in.sel = []int{}
+		feed(direct, scalar, in, &s)
+		sameGroups(t, "empty chunks", direct, scalar)
+		if len(direct.direct) != cells {
+			t.Fatalf("round %d: empty chunks took the box from %d to %d cells", round, cells, len(direct.direct))
+		}
+		feed(direct, scalar, keyInput(rng, 1, 8, small), &s)
+		sameGroups(t, "after empty chunks", direct, scalar)
+	}
+
+	// A key that creeps by one a chunk, up from 0, down from 0, and up to the
+	// int64 bounds: the map is rebuilt O(log) times, and the table goes wide
+	// once the creep passes directSlots.
+	const chunks = 5000
+	for _, tc := range []struct {
+		name  string
+		start int64
+		step  int64
+	}{{"up", 0, 1}, {"down", 0, -1}, {"up to MaxInt64", math.MaxInt64 - chunks + 1, 1}, {"down to MinInt64", math.MinInt64 + chunks - 1, -1}} {
+		direct, scalar := newAggTable(specOf(1)), newAggTable(specOf(1))
+		rebuilds, last := 0, ""
+		for b := range int64(chunks) {
+			feed(direct, scalar, keyInput(rng, 1, 3, func(_, i int) int64 { return tc.start + tc.step*(b-int64(i%2)) }), &s)
+			if box := fmt.Sprint(direct.lo, direct.span, len(direct.direct), direct.wide); box != last {
+				rebuilds, last = rebuilds+1, box
+			}
+		}
+		sameGroups(t, "creeping "+tc.name, direct, scalar)
+		if limit := 2 * bits.Len(chunks); rebuilds > limit || !direct.wide {
+			t.Fatalf("creeping %s: %d rebuilds over %d chunks (limit %d), wide %v", tc.name, rebuilds, chunks, limit, direct.wide)
+		}
+	}
+
+	// Negative keys, and the int64 bounds in one column: a span that overflows
+	// is wide, not a small box.
+	for _, tc := range []struct {
+		name string
+		key  func(c, i int) int64
+		wide bool
+	}{
+		{"negative keys", func(c, i int) int64 { return -int64(i%5) - 7*int64(c) }, false},
+		{"MinInt64 and MaxInt64", func(c, i int) int64 {
+			if c == 1 {
+				return extremes[i%len(extremes)]
+			}
+			return int64(i % 3)
+		}, true},
+		{"MinInt64 alone", func(c, i int) int64 { return math.MinInt64 + int64(i%2*c) }, false},
+	} {
+		direct, scalar := newAggTable(specOf(2)), newAggTable(specOf(2))
+		feed(direct, scalar, keyInput(rng, 2, BatchSize, tc.key), &s)
+		feed(direct, scalar, keyInput(rng, 2, BatchSize, tc.key), &s)
+		sameGroups(t, tc.name, direct, scalar)
+		if direct.wide != tc.wide {
+			t.Fatalf("%s: wide %v, want %v (lo %v span %v)", tc.name, direct.wide, tc.wide, direct.lo, direct.span)
+		}
+	}
+}

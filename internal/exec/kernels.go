@@ -164,6 +164,15 @@ func hashCols(r []int64, cols []int) uint64 {
 	return h
 }
 
+// hashColsAt is hashCols of row i of a column-major chunk.
+func hashColsAt(cols [][]int64, keys []int, i int) uint64 {
+	h := hashSeed
+	for _, c := range keys {
+		h = (h ^ uint64(cols[c][i])) * hashMul
+	}
+	return h ^ h>>32
+}
+
 // hashLive computes the hash of every live row of a column-major chunk into
 // dst (reused across batches), one column pass per key: dst[k] is the hash
 // of the k-th live row. The per-element recurrence is exactly hashCols'.
