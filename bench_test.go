@@ -1,9 +1,8 @@
 package repro
 
-// Benchmarks regenerating each of the paper's evaluation artifacts (see
-// DESIGN.md's per-experiment index). Each benchmark wraps the measured
-// kernel of the corresponding figure/table; cmd/reprobench prints the full
-// tables. Run with:
+// Benchmarks regenerating each of the paper's evaluation artifacts. Each
+// benchmark wraps the measured kernel of the corresponding figure/table;
+// cmd/reprobench prints the full tables. Run with:
 //
 //	go test -bench=. -benchmem .
 import (
@@ -233,7 +232,7 @@ func BenchmarkTable3SliceSizes(b *testing.B) {
 }
 
 // BenchmarkAblationSearchOrder compares depth-first vs breadth-first
-// expansion (the DESIGN.md §5 ablation).
+// expansion (the paper's §2.3 remark that any search order is admissible).
 func BenchmarkAblationSearchOrder(b *testing.B) {
 	e := benchEnv()
 	q := tpch.Q8Join()

@@ -24,12 +24,12 @@ import (
 	"strings"
 	"time"
 
-	"repro"
 	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/exec"
 	"repro/internal/relalg"
+	"repro/internal/sqlmini"
 	"repro/internal/systemr"
 	"repro/internal/tpch"
 	"repro/internal/volcano"
@@ -53,10 +53,10 @@ func main() {
 	var q *relalg.Query
 	if *sqlText != "" {
 		// Ad-hoc SQL reaches the optimizer (and the -exec path) through
-		// the same front door the server uses: repro.ParseSQL with the
+		// the same front door the server uses: sqlmini.Parse with the
 		// workload dictionary resolving string and date literals.
 		var err error
-		q, err = repro.ParseSQL(*sqlText, cat, repro.SQLOptions{
+		q, err = sqlmini.Parse(*sqlText, cat, sqlmini.Options{
 			Dict: tpch.Dict(), Date: tpch.Date,
 		})
 		if err != nil {

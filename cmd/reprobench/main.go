@@ -46,9 +46,6 @@ var jobs = []job{
 	{"fig", "ablation", func(e *bench.Env, _ int) []*bench.Table {
 		return []*bench.Table{e.AblationSearchOrder(), e.AblationPlanSpace()}
 	}},
-	{"fig", "rescache", func(e *bench.Env, _ int) []*bench.Table { return one(e.ResultCache()) }},
-	{"fig", "drift", func(e *bench.Env, _ int) []*bench.Table { return one(e.Drift(10)) }},
-	{"fig", "memory", func(e *bench.Env, _ int) []*bench.Table { return one(e.MemoryFigure()) }},
 }
 
 // names lists the values -fig (or -table) accepts, in run order.

@@ -10,11 +10,12 @@ func TestSelectJobs(t *testing.T) {
 		{"", "", nil}, // everything; checked below
 		{"4", "", []string{"fig 4"}},
 		{"", "3", []string{"table 3"}},
-		{"memory", "3", []string{"fig memory", "table 3"}},
-		{"", "4", nil},       // 4 is a figure, not a table
-		{"3", "", nil},       // and 3 a table, not a figure
-		{"layouts", "", nil}, // removed with the row engine
-		{"4", "nope", nil},   // one bad name rejects the whole run
+		{"ablation", "3", []string{"fig ablation", "table 3"}},
+		{"", "4", nil},        // 4 is a figure, not a table
+		{"3", "", nil},        // and 3 a table, not a figure
+		{"layouts", "", nil},  // removed with the row engine
+		{"rescache", "", nil}, // not a paper figure: the benchmark reports it
+		{"4", "nope", nil},    // one bad name rejects the whole run
 	} {
 		got, err := selectJobs(tc.fig, tc.table)
 		if tc.fig == "" && tc.table == "" {

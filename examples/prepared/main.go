@@ -29,12 +29,7 @@ func main() {
 	cat := tpch.Generate(tpch.Config{ScaleFactor: 0.005, Seed: 42, Skew: 0.5})
 	q := tpch.Q10()
 
-	srv, err := repro.NewServer(cat, repro.ServerOptions{
-		Parallelism: runtime.GOMAXPROCS(0),
-		// Exact feedback for the demo: repair whenever statistics move at
-		// all, so the convergence to zero repairs is earned, not assumed.
-		FeedbackThreshold: 1e-3,
-	})
+	srv, err := repro.NewServer(cat, repro.ServerOptions{Parallelism: runtime.GOMAXPROCS(0)})
 	if err != nil {
 		log.Fatal(err)
 	}

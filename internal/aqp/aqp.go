@@ -35,18 +35,6 @@ const (
 	Static
 )
 
-func (s Strategy) String() string {
-	switch s {
-	case Incremental:
-		return "incremental"
-	case FullReopt:
-		return "full-reopt"
-	case Static:
-		return "static"
-	}
-	return fmt.Sprintf("Strategy(%d)", int(s))
-}
-
 // Config assembles a controller.
 type Config struct {
 	Query   *relalg.Query
@@ -63,12 +51,6 @@ type Config struct {
 	Cumulative bool
 	// StaticPlan is required for Strategy == Static.
 	StaticPlan *relalg.Plan
-	// FeedbackThreshold suppresses feedback whose factor is within this
-	// relative distance of the previously applied one (default 0.2): a
-	// cost update that would not change any decision is not worth
-	// propagating, and it is what lets re-optimization overhead converge
-	// to zero as statistics stabilize (Figure 9).
-	FeedbackThreshold float64
 	// Parallelism caps the workers of the vectorized executor's one
 	// parallel shape during slice execution: an aggregating query over a
 	// hash-join probe spine runs as that many copies of the spine's serial
@@ -119,12 +101,9 @@ func NewController(cfg Config) (*Controller, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.FeedbackThreshold == 0 {
-		cfg.FeedbackThreshold = 0.2
-	}
 	c := &Controller{
 		cfg: cfg, model: m, first: true,
-		cal:     NewCalibrator(cfg.Cumulative, cfg.FeedbackThreshold),
+		cal:     NewCalibrator(cfg.Cumulative, 0),
 		pending: map[relalg.RelSet]float64{},
 	}
 	if cfg.Strategy == Incremental {
@@ -238,10 +217,6 @@ func (c *Controller) observe(stats *exec.RunStats) {
 		c.pending[set] = f
 	}
 }
-
-// obsForTest exposes the most recent raw observation for an expression
-// (test hook).
-func (c *Controller) obsForTest(set relalg.RelSet) float64 { return c.cal.LastObs(set) }
 
 func clearMap(m map[relalg.RelSet]float64) {
 	for k := range m {

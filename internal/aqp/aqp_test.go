@@ -99,11 +99,11 @@ func TestFeedbackCalibration(t *testing.T) {
 		Query: q, Cat: win.Catalog(), Params: cost.DefaultParams(),
 		Space: relalg.DefaultSpace(), Pruning: core.PruneAll,
 		Strategy: Incremental, Cumulative: false,
-		FeedbackThreshold: 1e-9, // exact calibration for this test
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctl.cal.Threshold = 1e-9 // exact calibration for this test
 	win.Ingest(gen.Slice(0, 10))
 	win.Materialize()
 	if _, err := ctl.RunSlice(nil); err != nil {
@@ -118,7 +118,7 @@ func TestFeedbackCalibration(t *testing.T) {
 	m := ctl.Model()
 	for set := range ctl.cal.local {
 		est := m.Card(set)
-		obs := ctl.obsForTest(set)
+		obs := float64(ctl.stats.Snapshot()[set]) // the last execution's observation
 		if obs == 0 {
 			continue
 		}

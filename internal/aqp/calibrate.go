@@ -184,9 +184,3 @@ func (c *Calibrator) WarmStart(m *cost.Model, sets []relalg.RelSet) int {
 	}
 	return n
 }
-
-// LastObs returns the most recent raw observation for an expression (0 when
-// never observed).
-func (c *Calibrator) LastObs(set relalg.RelSet) float64 {
-	return c.store.LastObs(c.keyOf(set))
-}

@@ -7,9 +7,8 @@ import (
 )
 
 // AblationSearchOrder compares depth-first against breadth-first expansion
-// scheduling (the design choice called out in DESIGN.md §5 and in the
-// paper's §2.3 remark that any search order is admissible): correctness is
-// identical, pruning effectiveness differs.
+// scheduling (the paper's §2.3 remark that any search order is
+// admissible): correctness is identical, pruning effectiveness differs.
 func (e *Env) AblationSearchOrder() *Table {
 	t := &Table{Title: "Ablation: expansion order (full pruning, alive alternatives after initial optimization)",
 		Header: []string{"query", "census-alts", "depth-first", "breadth-first"}}

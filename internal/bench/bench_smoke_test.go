@@ -160,34 +160,6 @@ func TestAblationsRun(t *testing.T) {
 	}
 }
 
-// TestResultCacheFigureShape: the rescache figure runs on the smoke
-// environment, produces one row per shared join core, materializes bytes
-// into the cache, and reports a warm-probe speedup of at least 1x (the
-// ≥2x acceptance bar is read from the full-size benchmark, not the smoke
-// run — here only the direction is asserted, since Repeats=1 timings on a
-// tiny catalog are noisy).
-func TestResultCacheFigureShape(t *testing.T) {
-	tb := smokeEnv().ResultCache()
-	if len(tb.Rows) != 3 {
-		t.Fatalf("ResultCache rows = %d, want 3", len(tb.Rows))
-	}
-	for _, row := range tb.Rows {
-		if len(row) != len(tb.Header) {
-			t.Fatalf("row width %d != header width %d: %v", len(row), len(tb.Header), row)
-		}
-		if cands := parseRatio(t, row[1]); cands < 1 {
-			t.Fatalf("%s: no cache candidates", row[0])
-		}
-		speedup := parseRatio(t, strings.TrimSuffix(row[5], "x"))
-		if speedup < 1 {
-			t.Fatalf("%s: warm probe slower than uncached: %s", row[0], row[5])
-		}
-		if bytes := parseRatio(t, row[6]); bytes <= 0 {
-			t.Fatalf("%s: nothing materialized into the cache", row[0])
-		}
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tb := &Table{Title: "x", Header: []string{"a", "bb"}, Rows: [][]string{{"1", "2"}}, Notes: []string{"n"}}
 	out := tb.String()

@@ -189,6 +189,6 @@ func (e *Env) Table3() *Table {
 		"re-opt column reproduces the paper's shape (finer slices => more total re-optimization time);",
 		"exec column diverges by construction: the paper's continuous engine processes each tuple once regardless",
 		"of slice size, whereas this reproduction re-executes over the full window at every split point, so",
-		"finer slices also multiply execution work (see DESIGN.md, state-migration substitution)")
+		"finer slices also multiply execution work (see internal/aqp: window state is rebuilt every slice)")
 	return t
 }

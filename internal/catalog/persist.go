@@ -69,8 +69,8 @@ func (c *Catalog) FlushDir() error {
 	var firstErr error
 	for _, name := range c.Names() {
 		t := c.tables[name]
-		st := t.Store()
-		if st.Kind() != "disk" {
+		st, ok := t.Store().(*storage.DiskStore)
+		if !ok {
 			continue
 		}
 		if err := st.Flush(t.DataVersion()); err != nil && firstErr == nil {

@@ -224,12 +224,6 @@ func New(m *cost.Model, space relalg.SpaceOptions, mode Pruning) (*Optimizer, er
 	}, nil
 }
 
-// Model exposes the cost model the optimizer was built over.
-func (o *Optimizer) Model() *cost.Model { return o.model }
-
-// Mode returns the pruning configuration.
-func (o *Optimizer) Mode() Pruning { return o.mode }
-
 // Metrics returns a snapshot of the instrumentation counters.
 func (o *Optimizer) Metrics() Metrics { return o.met }
 
@@ -294,7 +288,10 @@ func (o *Optimizer) BestCost() (float64, bool) {
 }
 
 // GroupBestCost exposes the BestCost view for any (expression, property)
-// pair that has been materialized — used by the deltalog oracle tests.
+// pair that has been materialized.
+//
+// Reached by: the deltalog oracle (TestOracleMatchesCore in
+// internal/deltalog), which compares every group's BestCost with it.
 func (o *Optimizer) GroupBestCost(s relalg.RelSet, p relalg.Prop) (float64, bool) {
 	g := o.groups[groupKey{s, p}]
 	if g == nil || !g.hasBest {

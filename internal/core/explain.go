@@ -177,34 +177,6 @@ func alignTable(rows [][]string) string {
 	return b.String()
 }
 
-// DumpGroup renders one group's full internal state (entries, costs,
-// floors, pruning flags, parent edges with their bound contributions) for
-// debugging.
-func (o *Optimizer) DumpGroup(s relalg.RelSet, p relalg.Prop) string {
-	g := o.groups[groupKey{s, p}]
-	if g == nil {
-		return "group not materialized"
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "group %s %s alive=%v refs=%d hasBest=%v best=%g bound=%g floor=%g\n",
-		o.model.Q.SetString(s), p, g.alive, g.refCount, g.hasBest, g.bestCost, g.bound, g.floor)
-	for i := range g.entries {
-		e := &g.entries[i]
-		fmt.Fprintf(&b, "  #%d %v %s lexpr=%s rexpr=%s local=%g costKnown=%v cost=%g floor=%g pruned=%v expanded=%v refHeld=%v\n",
-			e.index, e.alt.Log, e.alt.Phy, o.model.Q.SetString(e.alt.LExpr), o.model.Q.SetString(e.alt.RExpr),
-			e.localCost, e.costKnown, e.cost, e.floor(), e.pruned, e.expanded, e.refHeld)
-	}
-	for _, pr := range g.parents {
-		contrib := "-"
-		if pr.e.hasContrib[pr.s] {
-			contrib = fmt.Sprintf("%g", pr.e.contrib[pr.s])
-		}
-		fmt.Fprintf(&b, "  parent %s %s #%d side%d pruned=%v cost=%g bound=%g contrib=%s\n",
-			o.model.Q.SetString(pr.e.g.key.expr), pr.e.g.key.prop, pr.e.index, pr.s, pr.e.pruned, pr.e.cost, pr.e.g.bound, contrib)
-	}
-	return b.String()
-}
-
 // SpaceEntry is one enumerated SearchSpace tuple in structured form, for
 // external consumers (the deltalog oracle re-executes rules R6-R10 over it).
 type SpaceEntry struct {
@@ -216,6 +188,9 @@ type SpaceEntry struct {
 
 // ExportSpace returns every enumerated SearchSpace tuple in deterministic
 // (creation) order.
+//
+// Reached by: the deltalog oracle (TestOracleMatchesCore in
+// internal/deltalog), which re-derives BestCost from this space.
 func (o *Optimizer) ExportSpace() []SpaceEntry {
 	var out []SpaceEntry
 	for _, g := range o.order {

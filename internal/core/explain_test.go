@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -8,6 +9,25 @@ import (
 	"repro/internal/relalg"
 	"repro/internal/tpch"
 )
+
+// planNodes counts the operators of a plan tree.
+func planNodes(p *relalg.Plan) int {
+	if p == nil {
+		return 0
+	}
+	return 1 + planNodes(p.Left) + planNodes(p.Right)
+}
+
+// scans counts the base-relation scans of a plan tree.
+func scans(p *relalg.Plan) int {
+	if p == nil {
+		return 0
+	}
+	if p.Log == relalg.LogScan {
+		return 1
+	}
+	return scans(p.Left) + scans(p.Right)
+}
 
 func q3sOptimizer(t *testing.T, mode Pruning) *Optimizer {
 	t.Helper()
@@ -38,9 +58,9 @@ func TestSearchSpaceTableShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != plan.Nodes() {
+	if len(rows) != planNodes(plan) {
 		t.Fatalf("live SearchSpace has %d tuples, optimal plan has %d nodes:\n%s",
-			len(rows), plan.Nodes(), o.FormatSearchSpace())
+			len(rows), planNodes(plan), o.FormatSearchSpace())
 	}
 	best := 0
 	for _, r := range rows {
@@ -129,7 +149,7 @@ func TestWorstPlanIsWorse(t *testing.T) {
 	if worst.Cost < best.Cost {
 		t.Fatalf("worst %v < best %v", worst.Cost, best.Cost)
 	}
-	if len(worst.Leaves(nil)) != len(best.Leaves(nil)) {
+	if scans(worst) != scans(best) {
 		t.Fatal("worst plan covers different relations")
 	}
 }
@@ -173,4 +193,32 @@ func TestPruningModeValidation(t *testing.T) {
 	if err := bad[1].Validate(); err != nil {
 		t.Fatalf("valid mode rejected: %v", err)
 	}
+}
+
+// DumpGroup renders one group's full internal state (entries, costs,
+// floors, pruning flags, parent edges with their bound contributions) for
+// debugging.
+func (o *Optimizer) DumpGroup(s relalg.RelSet, p relalg.Prop) string {
+	g := o.groups[groupKey{s, p}]
+	if g == nil {
+		return "group not materialized"
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "group %s %s alive=%v refs=%d hasBest=%v best=%g bound=%g floor=%g\n",
+		o.model.Q.SetString(s), p, g.alive, g.refCount, g.hasBest, g.bestCost, g.bound, g.floor)
+	for i := range g.entries {
+		e := &g.entries[i]
+		fmt.Fprintf(&b, "  #%d %v %s lexpr=%s rexpr=%s local=%g costKnown=%v cost=%g floor=%g pruned=%v expanded=%v refHeld=%v\n",
+			e.index, e.alt.Log, e.alt.Phy, o.model.Q.SetString(e.alt.LExpr), o.model.Q.SetString(e.alt.RExpr),
+			e.localCost, e.costKnown, e.cost, e.floor(), e.pruned, e.expanded, e.refHeld)
+	}
+	for _, pr := range g.parents {
+		contrib := "-"
+		if pr.e.hasContrib[pr.s] {
+			contrib = fmt.Sprintf("%g", pr.e.contrib[pr.s])
+		}
+		fmt.Fprintf(&b, "  parent %s %s #%d side%d pruned=%v cost=%g bound=%g contrib=%s\n",
+			o.model.Q.SetString(pr.e.g.key.expr), pr.e.g.key.prop, pr.e.index, pr.s, pr.e.pruned, pr.e.cost, pr.e.g.bound, contrib)
+	}
+	return b.String()
 }

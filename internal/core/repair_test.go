@@ -152,7 +152,7 @@ func TestReoptimizeSteadyStateAllocs(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				nodes += plan.Nodes()
+				nodes += planNodes(plan)
 			}
 		}
 		// Two cycles reach the steady state: every group a cycle demands

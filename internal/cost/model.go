@@ -177,9 +177,6 @@ func (m *Model) ZoneCols(rel int) []int { return m.tables[rel].ZoneCols() }
 // the predicate's exact selectivity.
 const segScanSlack = 0.10
 
-// Table returns the resolved base table of a query relation.
-func (m *Model) Table(rel int) *catalog.Table { return m.tables[rel] }
-
 // ---- overrides (the incremental re-optimization inputs) ----
 
 // SetCardFactor installs a cardinality override: the estimated cardinality

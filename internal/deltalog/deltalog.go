@@ -83,25 +83,6 @@ type row struct {
 	count int
 }
 
-// Len returns the number of distinct tuples with positive count.
-func (r *Relation) Len() int {
-	n := 0
-	for _, rw := range r.counts {
-		if rw.count > 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// Count returns the multiplicity of a tuple.
-func (r *Relation) Count(t Tuple) int {
-	if rw, ok := r.counts[t.Key(allCols(len(t)))]; ok {
-		return rw.count
-	}
-	return 0
-}
-
 // Snapshot returns the distinct positive tuples in deterministic order.
 func (r *Relation) Snapshot() []Tuple {
 	var out []Tuple
@@ -185,12 +166,6 @@ func (e *Engine) Insert(r *Relation, t Tuple) { e.Enqueue(r, Delta{Tuple: t, Cou
 
 // Delete enqueues a deletion delta.
 func (e *Engine) Delete(r *Relation, t Tuple) { e.Enqueue(r, Delta{Tuple: t, Count: -1}) }
-
-// Update enqueues a replacement (delete old, insert new).
-func (e *Engine) Update(r *Relation, old, new Tuple) {
-	e.Delete(r, old)
-	e.Insert(r, new)
-}
 
 // Enqueue schedules an arbitrary delta against a relation.
 func (e *Engine) Enqueue(r *Relation, d Delta) {

@@ -7,6 +7,31 @@ import (
 	"repro/internal/stats"
 )
 
+// Len returns the number of distinct tuples with positive count.
+func (r *Relation) Len() int {
+	n := 0
+	for _, rw := range r.counts {
+		if rw.count > 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// Count returns the multiplicity of a tuple.
+func (r *Relation) Count(t Tuple) int {
+	if rw, ok := r.counts[t.Key(allCols(len(t)))]; ok {
+		return rw.count
+	}
+	return 0
+}
+
+// Update enqueues a replacement (delete old, insert new).
+func (e *Engine) Update(r *Relation, old, new Tuple) {
+	e.Delete(r, old)
+	e.Insert(r, new)
+}
+
 // TestCountedSemantics verifies the counted-multiset behaviour of §4:
 // deletions processed out of order with their insertions leave temporarily
 // negative counts that converge to non-negative values.

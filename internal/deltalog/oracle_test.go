@@ -11,7 +11,7 @@ import (
 	"repro/internal/testkit"
 )
 
-// This file is the differential-testing oracle promised in DESIGN.md: the
+// This file is the differential-testing oracle of the package doc: the
 // paper's cost-estimation and plan-selection rules R6–R10 are expressed as
 // deltalog rules over the exported SearchSpace, LocalCost updates flow
 // through as deltas, and the maintained BestCost view must agree with the

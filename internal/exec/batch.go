@@ -333,17 +333,6 @@ func leafOfCols(cols [][]int64, n int, filter ScanFilter) scanLeaf {
 	return scanLeaf{data: colData{cols: cols, n: n}, filter: filter, pred: cols}
 }
 
-// NewVecScanRows is NewVecScan over row-major input, transposed once at
-// construction — the test-convenience path.
-func NewVecScanRows(rows [][]int64, filter ScanFilter) VecIterator {
-	var arity int
-	if len(rows) > 0 {
-		arity = len(rows[0])
-	}
-	d := transposeRows(rows, arity)
-	return NewVecScan(d.cols, d.n, filter)
-}
-
 func (s *vecScanOp) Open() error {
 	s.leaf.bind()
 	s.pos = 0

@@ -261,6 +261,9 @@ func (s *spillPartitioner) finish(tr *MemTracker) ([]*spillRun, error) {
 }
 
 // abort closes every partition writer without producing runs.
+//
+// Reached by: a spill write, read or repartition that fails — an injected
+// fault path (a full or unwritable spill directory) no workload produces.
 func (s *spillPartitioner) abort() {
 	for _, w := range s.parts {
 		if w != nil {

@@ -18,6 +18,17 @@ import (
 	"repro/internal/volcano"
 )
 
+// NewVecScanRows is NewVecScan over row-major input, transposed once at
+// construction — the test-convenience path.
+func NewVecScanRows(rows [][]int64, filter ScanFilter) VecIterator {
+	var arity int
+	if len(rows) > 0 {
+		arity = len(rows[0])
+	}
+	d := transposeRows(rows, arity)
+	return NewVecScan(d.cols, d.n, filter)
+}
+
 // ---- vectorized operator unit tests ----
 
 func TestVecScanBatchesAndSelection(t *testing.T) {

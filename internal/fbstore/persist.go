@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"time"
 )
 
 // This file is the snapshot codec: the statistics plane serialized as one
@@ -35,14 +34,13 @@ type snapshotDoc struct {
 
 // statEntry is one fingerprint's serialized state.
 type statEntry struct {
-	Key      string  `json:"key"`
-	ObsSum   float64 `json:"obs_sum"`
-	ObsN     float64 `json:"obs_n"`
-	LastObs  float64 `json:"last_obs"`
-	LastSeen int64   `json:"last_seen_unix_nano"`
-	Tick     uint64  `json:"tick"`
-	Factor   float64 `json:"factor"`
-	Applied  bool    `json:"applied"`
+	Key     string  `json:"key"`
+	ObsSum  float64 `json:"obs_sum"`
+	ObsN    float64 `json:"obs_n"`
+	LastObs float64 `json:"last_obs"`
+	Tick    uint64  `json:"tick"`
+	Factor  float64 `json:"factor"`
+	Applied bool    `json:"applied"`
 }
 
 // Save writes a versioned snapshot of the whole store. The output is
@@ -67,14 +65,13 @@ func (s *StatsStore) Save(w io.Writer) error {
 	for i, e := range stats {
 		e.mu.Lock()
 		doc.Stats = append(doc.Stats, statEntry{
-			Key:      keys[i],
-			ObsSum:   e.obsSum,
-			ObsN:     e.obsN,
-			LastObs:  e.lastObs,
-			LastSeen: e.lastSeen.UnixNano(),
-			Tick:     e.tick,
-			Factor:   e.factor,
-			Applied:  e.hasFac,
+			Key:     keys[i],
+			ObsSum:  e.obsSum,
+			ObsN:    e.obsN,
+			LastObs: e.lastObs,
+			Tick:    e.tick,
+			Factor:  e.factor,
+			Applied: e.hasFac,
 		})
 		e.mu.Unlock()
 	}
@@ -128,13 +125,12 @@ func (s *StatsStore) Load(r io.Reader) error {
 			tick = doc.Clock
 		}
 		m[se.Key] = &stat{
-			obsSum:   se.ObsSum,
-			obsN:     se.ObsN,
-			lastObs:  se.LastObs,
-			lastSeen: time.Unix(0, se.LastSeen),
-			tick:     tick,
-			factor:   se.Factor,
-			hasFac:   se.Applied,
+			obsSum:  se.ObsSum,
+			obsN:    se.ObsN,
+			lastObs: se.LastObs,
+			tick:    tick,
+			factor:  se.Factor,
+			hasFac:  se.Applied,
 		}
 	}
 	s.mu.Lock()

@@ -2,6 +2,7 @@ package fbstore
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -50,6 +51,46 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		if fb, ob := dst.Factor("join:a*b"); fa != fb || oa != ob {
 			t.Fatalf("post-load factor diverged: src %v,%v dst %v,%v", fa, oa, fb, ob)
 		}
+	}
+}
+
+// TestLoadsSnapshotWithLastSeen: a version-1 snapshot written before entries
+// stopped recording the wall-clock time of their last observation (it carries
+// last_seen_unix_nano) still loads, and every value it holds survives
+// bit-identically: saving the loaded store reproduces the fixture minus that
+// field.
+func TestLoadsSnapshotWithLastSeen(t *testing.T) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "snapshot_v1.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New()
+	if err := s.Load(bytes.NewReader(fixture)); err != nil {
+		t.Fatal(err)
+	}
+	var saved bytes.Buffer
+	if err := s.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	decode := func(b []byte) map[string]any {
+		dec := json.NewDecoder(bytes.NewReader(b))
+		dec.UseNumber() // compare numbers as the text the encoder wrote
+		var doc map[string]any
+		if err := dec.Decode(&doc); err != nil {
+			t.Fatal(err)
+		}
+		return doc
+	}
+	want := decode(fixture)
+	stats := want["stats"].([]any)
+	for _, e := range stats {
+		delete(e.(map[string]any), "last_seen_unix_nano")
+	}
+	if len(stats) == 0 {
+		t.Fatal("fixture holds no entries")
+	}
+	if got := decode(saved.Bytes()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reloaded snapshot differs from the fixture:\ngot  %v\nwant %v", got, want)
 	}
 }
 

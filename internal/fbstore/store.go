@@ -49,7 +49,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Options configures observation ageing. The zero value disables it: the
@@ -70,14 +69,13 @@ func (o Options) reclaimAfter() uint64 { return 2 * o.StaleAfter }
 
 // Stat is one fingerprint's calibration state.
 type stat struct {
-	mu       sync.Mutex
-	obsSum   float64 // sum of observations (decayed when ageing is on)
-	obsN     float64 // number of observations (decayed alongside obsSum)
-	lastObs  float64 // most recent raw observation
-	lastSeen time.Time
-	tick     uint64  // logical clock at the last fold / factor application
-	factor   float64 // last factor a calibrator applied beyond threshold
-	hasFac   bool
+	mu      sync.Mutex
+	obsSum  float64 // sum of observations (decayed when ageing is on)
+	obsN    float64 // number of observations (decayed alongside obsSum)
+	lastObs float64 // most recent raw observation
+	tick    uint64  // logical clock at the last fold / factor application
+	factor  float64 // last factor a calibrator applied beyond threshold
+	hasFac  bool
 	// dead marks an entry the sweep has unlinked from the map, set under
 	// mu in the same critical section as the delete. A writer that fetched
 	// the pointer before the sweep must not land its update in the orphan
@@ -175,7 +173,6 @@ func (s *StatsStore) Fold(key string, obs float64, cumulative bool) float64 {
 	e.obsSum += obs
 	e.obsN++
 	e.lastObs = obs
-	e.lastSeen = time.Now()
 	e.tick = now
 	if cumulative {
 		return e.obsSum / e.obsN
@@ -234,21 +231,6 @@ func (s *StatsStore) Factor(key string) (float64, bool) {
 // with e.mu held.
 func (s *StatsStore) stale(e *stat, now uint64) bool {
 	return s.opts.StaleAfter > 0 && s.age(e, now) > s.opts.StaleAfter
-}
-
-// LastObs returns the most recent raw observation for key (0 when never
-// observed).
-func (s *StatsStore) LastObs(key string) float64 {
-	e := s.get(key, false)
-	if e == nil {
-		return 0
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.dead {
-		return 0
-	}
-	return e.lastObs
 }
 
 // Len reports the number of fingerprints with recorded state.
@@ -326,15 +308,14 @@ func (s *StatsStore) Sweep() int {
 
 // StatSnapshot is one fingerprint's exported state.
 type StatSnapshot struct {
-	Key      string
-	ObsN     float64 // observation count (decayed weight when ageing is on)
-	ObsAvg   float64 // cumulative (exponentially weighted) average observation
-	LastObs  float64
-	LastSeen time.Time
-	Tick     uint64  // logical clock at the last observation
-	Stale    bool    // beyond the staleness horizon (never warm-starts)
-	Factor   float64 // last applied factor (1 when none applied yet)
-	Applied  bool    // whether any factor has been applied
+	Key     string
+	ObsN    float64 // observation count (decayed weight when ageing is on)
+	ObsAvg  float64 // cumulative (exponentially weighted) average observation
+	LastObs float64
+	Tick    uint64  // logical clock at the last observation
+	Stale   bool    // beyond the staleness horizon (never warm-starts)
+	Factor  float64 // last applied factor (1 when none applied yet)
+	Applied bool    // whether any factor has been applied
 }
 
 // Snapshot exports the store for metrics, sorted by key. Each entry is
@@ -356,7 +337,7 @@ func (s *StatsStore) Snapshot() []StatSnapshot {
 		e.mu.Lock()
 		out[i] = StatSnapshot{
 			Key: keys[i], ObsN: e.obsN, LastObs: e.lastObs,
-			LastSeen: e.lastSeen, Tick: e.tick, Stale: s.stale(e, now),
+			Tick: e.tick, Stale: s.stale(e, now),
 			Factor: 1, Applied: e.hasFac,
 		}
 		if e.obsN > 0 {

@@ -7,6 +7,21 @@ import (
 	"testing"
 )
 
+// LastObs returns the most recent raw observation for key (0 when never
+// observed).
+func (s *StatsStore) LastObs(key string) float64 {
+	e := s.get(key, false)
+	if e == nil {
+		return 0
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.dead {
+		return 0
+	}
+	return e.lastObs
+}
+
 func TestFoldCumulativeAverage(t *testing.T) {
 	s := New()
 	if est := s.Fold("k", 10, true); est != 10 {

@@ -92,9 +92,9 @@ func SegTollS() *relalg.Query {
 // two time-sliding windows (300 s and 30 s) and three partitioned last-N
 // windows. Ingest applies a batch of reports; Materialize publishes current
 // window contents as the catalog tables' snapshots and re-dates their
-// statistics — the state-migration substitute described in DESIGN.md
-// (window state is the shared state carried across plan switches, as in
-// CAPS).
+// statistics — the state-migration substitute described in internal/aqp's
+// package doc (window state is the shared state carried across plan
+// switches, as in CAPS).
 type Windows struct {
 	cat *catalog.Catalog
 
@@ -108,7 +108,7 @@ type Windows struct {
 // NewWindows creates empty windows and their backing catalog with the
 // scaled default spans (60 s / 30 s). The paper's Table 2 declares a 300 s
 // window for r1; at our report rates and with full per-slice re-execution
-// (see DESIGN.md's state-migration substitution) that span makes every
+// (internal/aqp's state-migration substitute) that span makes every
 // slice join hundreds of thousands of rows, so the evaluation scales it to
 // 60 s — the adaptivity behaviour (drifting selectivities between slices)
 // is unchanged. Use NewWindowsSpans(300, 30) for the literal benchmark
@@ -167,6 +167,8 @@ func (w *Windows) Materialize() {
 // benchmarks/stream.go passes it to aqp.Controller.RunSlice and that module
 // is frozen for every PR but a benchmark one; the follow-up benchmark PR
 // that stops passing it deletes this method and RunSlice's parameter.
+//
+// Reached by: benchmarks/stream.go, which passes it to RunSlice uncalled.
 func (w *Windows) Data(rel int) [][]int64 { return nil }
 
 // timeWindow keeps rows whose timestamp is within span of the newest, as

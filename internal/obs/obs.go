@@ -97,7 +97,8 @@ const (
 	// Dur is the execution time, Note names the threshold. The full dump
 	// is kept separately (the server's slow-trace ring).
 	KindSlowQuery
-	// KindPhase is a workload phase marker (the drift harness): Note is
+	// KindPhase is a workload phase marker (internal/server's drift
+	// scenario test): Note is
 	// the phase name, A is 1 at phase start and 2 at phase end, and V
 	// carries the statistics plane's end-of-phase estimation error.
 	KindPhase

@@ -36,26 +36,6 @@ func (p *Plan) Clone() *Plan {
 	return &cp
 }
 
-// Leaves appends the scan relations of the tree in left-to-right order.
-func (p *Plan) Leaves(out []int) []int {
-	if p == nil {
-		return out
-	}
-	if p.Log == LogScan {
-		return append(out, p.Rel)
-	}
-	out = p.Left.Leaves(out)
-	return p.Right.Leaves(out)
-}
-
-// Nodes counts the operators in the tree.
-func (p *Plan) Nodes() int {
-	if p == nil {
-		return 0
-	}
-	return 1 + p.Left.Nodes() + p.Right.Nodes()
-}
-
 // Signature returns a compact canonical string identifying the plan's
 // structure (operators, join order, access paths) without cost annotations.
 // Two plans with equal signatures are the same physical plan; the AQP layer

@@ -36,9 +36,6 @@ func (s RelSet) Add(i int) RelSet { return s | Single(i) }
 // Union returns the set union of s and t.
 func (s RelSet) Union(t RelSet) RelSet { return s | t }
 
-// Intersect returns the set intersection of s and t.
-func (s RelSet) Intersect(t RelSet) RelSet { return s & t }
-
 // Without returns s with every member of t removed.
 func (s RelSet) Without(t RelSet) RelSet { return s &^ t }
 

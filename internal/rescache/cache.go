@@ -79,9 +79,6 @@ type Entry struct {
 	fp    string
 }
 
-// Bytes returns the entry's accounted size.
-func (e *Entry) Bytes() int64 { return e.bytes }
-
 // size computes the accounted byte cost: the payload of the held columns,
 // the canonical-width header array (one slice header per column, held or
 // not — for a small sparse entry this outweighs the payload), and a fixed

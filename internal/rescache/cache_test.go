@@ -40,8 +40,8 @@ func TestStoreProbeRoundTrip(t *testing.T) {
 	if m.Hits != 1 || m.Misses != 1 || m.Stores != 1 || m.Entries != 1 {
 		t.Fatalf("metrics %+v, want 1 hit / 1 miss / 1 store / 1 entry", m)
 	}
-	if m.Bytes != e.Bytes() || e.Bytes() <= int64(100*2*8) {
-		t.Fatalf("accounted %d bytes, entry %d (payload floor %d)", m.Bytes, e.Bytes(), 100*2*8)
+	if m.Bytes != e.bytes || e.bytes <= int64(100*2*8) {
+		t.Fatalf("accounted %d bytes, entry %d (payload floor %d)", m.Bytes, e.bytes, 100*2*8)
 	}
 }
 
@@ -157,7 +157,7 @@ func TestStoreReplacesSameFingerprint(t *testing.T) {
 	if !ok || got != e2 {
 		t.Fatal("replacement store did not win")
 	}
-	if m := c.Metrics(); m.Entries != 1 || m.Bytes != e2.Bytes() {
+	if m := c.Metrics(); m.Entries != 1 || m.Bytes != e2.bytes {
 		t.Fatalf("metrics %+v, want exactly the replacement accounted", m)
 	}
 }

@@ -138,7 +138,7 @@ func TestMemCeilingGate(t *testing.T) {
 		t.Fatalf("MemWaits=%d, want 1", m.MemWaits)
 	}
 	memReasons := 0
-	for _, ev := range srv.Tracer().Events() {
+	for _, ev := range srv.trace.Events() {
 		if ev.Kind == obs.KindQueueWait && ev.Note == "mem" {
 			memReasons++
 			if !strings.Contains(ev.String(), "reason=mem") {

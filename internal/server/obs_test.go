@@ -160,7 +160,7 @@ func TestLifecycleEventsAndSlowDumps(t *testing.T) {
 	}
 
 	kinds := map[obs.Kind]int{}
-	for _, ev := range srv.Tracer().Events() {
+	for _, ev := range srv.trace.Events() {
 		kinds[ev.Kind]++
 	}
 	for _, want := range []obs.Kind{obs.KindPrepare, obs.KindQueueWait, obs.KindExec, obs.KindSlowQuery} {

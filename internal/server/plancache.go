@@ -216,7 +216,7 @@ func (e *planEntry) ensureInit(s *Server) error {
 		return err
 	}
 	fp := relalg.NewFingerprinter(e.q)
-	cal := aqp.NewSharedCalibrator(s.stats, fp.Fingerprint, true, s.opts.FeedbackThreshold)
+	cal := aqp.NewSharedCalibrator(s.stats, fp.Fingerprint, true, 0)
 	e.warmSeeds = cal.WarmStart(m, warmSets(e.q))
 	s.warmSeeds.Add(int64(e.warmSeeds))
 	opt, err := core.New(m, relalg.DefaultSpace(), core.PruneAll)

@@ -70,7 +70,9 @@ import (
 // execution, admission sized to the machine, unbounded plan cache, private
 // statistics store. Every entry optimizes over the full plan space with
 // default cost parameters and all pruning strategies, and calibrates from
-// cumulatively averaged observations (the paper's AQP-Cumulative).
+// cumulatively averaged observations (the paper's AQP-Cumulative) with the
+// calibrator's default feedback threshold, which is what drives repairs to
+// zero once an entry's statistics converge.
 type Options struct {
 	// Parallelism caps the workers of the one parallel shape the executor
 	// has, per query: an aggregating query over a hash-join probe spine,
@@ -105,12 +107,6 @@ type Options struct {
 	// Eviction discards only the plan and its live optimizer — the learned
 	// statistics survive in the shared store and warm-start re-admission.
 	MaxEntries int
-
-	// FeedbackThreshold suppresses feedback factors within this relative
-	// distance of the previously applied one (0: the default 0.2). It is
-	// what drives repairs to zero once a cached entry's statistics
-	// converge.
-	FeedbackThreshold float64
 
 	// Stats supplies the server-wide statistics plane; nil creates a
 	// private one that keeps its full history. Sharing one store between
@@ -158,8 +154,8 @@ type Options struct {
 	// last N structured events (prepare hit/miss with warm-seed counts,
 	// admission-queue waits, executions, incremental repairs with
 	// touched-entry counts and plan-version bumps, result-cache activity),
-	// readable via Tracer(), the wire protocol's "trace" command and the
-	// debug handler's /traces endpoint. 0 disables tracing entirely — the
+	// readable via the wire protocol's "trace" command and the debug
+	// handler's /traces endpoint. 0 disables tracing entirely — the
 	// executor and feedback paths then carry no event instrumentation.
 	// The latency/repair/queue-wait histograms in Metrics are independent
 	// of this switch and always on (they cost one atomic add per
@@ -252,9 +248,6 @@ func New(cat *catalog.Catalog, opts Options) (*Server, error) {
 			opts.MaxConcurrent = 1
 		}
 	}
-	if opts.FeedbackThreshold == 0 {
-		opts.FeedbackThreshold = 0.2
-	}
 	if opts.MaxEntries < 0 {
 		return nil, fmt.Errorf("server: negative MaxEntries %d", opts.MaxEntries)
 	}
@@ -323,11 +316,6 @@ func (s *Server) Stats() *fbstore.StatsStore { return s.stats }
 // ResultCache returns the server-wide semantic result cache, or nil when
 // result caching is disabled.
 func (s *Server) ResultCache() *rescache.Cache { return s.resCache }
-
-// Tracer returns the lifecycle event ring, or nil when Options.TraceEvents
-// is 0. The returned tracer is safe for concurrent reads (Events, Since)
-// alongside serving.
-func (s *Server) Tracer() *obs.Tracer { return s.trace }
 
 // SlowTraces returns the retained slow-query dumps, oldest first (empty
 // unless Options.TraceSlowQuery is set and a query has tripped it).
@@ -536,9 +524,6 @@ func (st *Stmt) CacheKey() string { return st.entry.key }
 // Plan returns a snapshot of the current cached plan. The tree is immutable;
 // later repairs swap in fresh trees without touching it.
 func (st *Stmt) Plan() *relalg.Plan { return st.entry.cur.Load().plan }
-
-// PlanVersion returns the current plan generation (1 = the initial plan).
-func (st *Stmt) PlanVersion() uint64 { return st.entry.cur.Load().version }
 
 // Query returns the canonical query the statement is bound to.
 func (st *Stmt) Query() *relalg.Query { return st.entry.q }

@@ -137,7 +137,7 @@ func TestPreparedAcrossSessionsSharesOptimizer(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	v1 := st1.PlanVersion()
+	v1 := st1.entry.cur.Load().version
 
 	// Session 2 binds the same structure: it must get the repaired plan
 	// without paying any optimization.
@@ -231,7 +231,7 @@ func TestServeConcurrentStress(t *testing.T) {
 		if !st.Hit {
 			t.Fatalf("%s missed the cache after the stress run", name)
 		}
-		v0 := st.PlanVersion()
+		v0 := st.entry.cur.Load().version
 		for i := 0; i < 2; i++ {
 			res, err := st.Exec()
 			if err != nil {
@@ -244,7 +244,7 @@ func TestServeConcurrentStress(t *testing.T) {
 				t.Errorf("%s post-warmup result diverged", name)
 			}
 		}
-		if v := st.PlanVersion(); v != v0 {
+		if v := st.entry.cur.Load().version; v != v0 {
 			t.Errorf("%s plan did not converge: version moved %d -> %d", name, v0, v)
 		}
 	}

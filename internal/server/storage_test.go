@@ -202,7 +202,7 @@ func TestOpenHoldsOneCopy(t *testing.T) {
 			want[name] = append(want[name], col[:n])
 		}
 		cells, rows = cells+n*len(cols), rows+n
-		if err := tb.Store().Close(); err != nil {
+		if err := tb.Store().(*storage.DiskStore).Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -387,9 +387,9 @@ func TestSegScanZonePruningDifferential(t *testing.T) {
 	}
 	li.Analyze(0)
 
-	st := li.Store()
-	if st.Kind() != "disk" {
-		t.Fatalf("lineitem store kind = %q, want disk", st.Kind())
+	st, ok := li.Store().(*storage.DiskStore)
+	if !ok {
+		t.Fatalf("lineitem store is a %T, want a disk store", li.Store())
 	}
 	if zc := li.ZoneCols(); len(zc) != 1 || zc[0] != okey {
 		t.Fatalf("lineitem zone cols = %v, want [%d]", zc, okey)

@@ -66,6 +66,10 @@ type colRef struct {
 func (p *parser) cur() token  { return p.toks[p.pos] }
 func (p *parser) next() token { t := p.toks[p.pos]; p.pos++; return t }
 
+// errf reports a parse error at token t.
+//
+// Reached by: every statement the parser rejects — the error path of
+// reproserve's prepare and run commands and of optcli -sql.
 func (p *parser) errf(t token, format string, args ...any) error {
 	return fmt.Errorf("sqlmini: offset %d: %s", t.pos, fmt.Sprintf(format, args...))
 }
@@ -370,6 +374,11 @@ func (p *parser) parseConjunct() error {
 	return p.errf(t, "expected literal or column, found %q", t.text)
 }
 
+// defaultFilterSel is the selectivity a column-vs-column filter starts with,
+// before feedback corrects it.
+//
+// Reached by: SQL that compares two columns of one relation (the parser's
+// column-vs-column filter), which no workload statement does.
 func defaultFilterSel(op relalg.CmpOp) float64 {
 	if op == relalg.CmpEQ || op == relalg.CmpNE {
 		return 0.1

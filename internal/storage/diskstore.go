@@ -217,8 +217,6 @@ func (s *DiskStore) openWAL(good int64) (*os.File, error) {
 	return f, nil
 }
 
-func (s *DiskStore) Kind() string { return "disk" }
-
 func (s *DiskStore) Snapshot() *Snapshot { return s.mem.Snapshot() }
 
 func (s *DiskStore) Append(rows [][]int64) error {
@@ -313,6 +311,8 @@ func (s *DiskStore) ZoneCols() []int {
 	return []int{s.sortedBy}
 }
 
+// LoadedVersion reports the data version persisted at the last Flush (0 for
+// a fresh directory).
 func (s *DiskStore) LoadedVersion() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -478,6 +478,7 @@ func syncDir(dir string) error {
 	return nil
 }
 
+// Close releases the store's log file without flushing.
 func (s *DiskStore) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

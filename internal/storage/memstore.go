@@ -28,8 +28,6 @@ func NewMemStore(width int) *MemStore {
 	return s
 }
 
-func (s *MemStore) Kind() string { return "mem" }
-
 func (s *MemStore) Snapshot() *Snapshot { return s.snap.Load() }
 
 func (s *MemStore) Append(rows [][]int64) error {
@@ -92,6 +90,11 @@ func (s *MemStore) ResetSnapshot(snap *Snapshot) {
 	s.snap.Store(&Snapshot{Cols: cols, N: snap.N})
 }
 
+// Scan yields the whole snapshot: a volatile table has no zone maps to prune
+// by.
+//
+// Reached by: the Backend interface alone. The segment-pruned scan and
+// benchmarks/servehot.go call Scan only on disk tables.
 func (s *MemStore) Scan(preds []Pred, batch int) *SegIter {
 	snap := s.snap.Load()
 	return newSegIter(snap, []span{{0, snap.N}}, 0, batch)
@@ -99,8 +102,8 @@ func (s *MemStore) Scan(preds []Pred, batch int) *SegIter {
 
 func (s *MemStore) ZoneCols() []int { return nil }
 
-func (s *MemStore) LoadedVersion() uint64 { return 0 }
-
+// Flush is a no-op: a volatile table has nothing to persist.
+//
+// Reached by: the Backend interface alone. benchmarks/servehot.go flushes
+// disk tables through Table.Store(), so Backend keeps Flush.
 func (s *MemStore) Flush(version uint64) error { return nil }
-
-func (s *MemStore) Close() error { return nil }

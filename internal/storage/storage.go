@@ -1,6 +1,6 @@
 // Package storage is the pluggable table storage layer beneath the catalog:
-// a narrow Backend interface — columnar snapshots, batched append, segment
-// scans with predicate pushdown, and data-version reporting — with two
+// a narrow Backend interface — columnar snapshots, batched append, wholesale
+// reset, segment scans with predicate pushdown, and flush — with two
 // implementations.
 //
 // A store's column snapshot is the table: the one in-memory copy of its
@@ -27,10 +27,7 @@
 // whole segments that a pushed-down predicate proves empty.
 package storage
 
-import (
-	"fmt"
-	"sync"
-)
+import "sync"
 
 // CmpOp is a pushed-down comparison operator. The constants deliberately
 // mirror relalg.CmpOp but are redeclared here so the storage layer depends
@@ -45,24 +42,6 @@ const (
 	CmpGT
 	CmpGE
 )
-
-func (o CmpOp) String() string {
-	switch o {
-	case CmpEQ:
-		return "="
-	case CmpNE:
-		return "<>"
-	case CmpLT:
-		return "<"
-	case CmpLE:
-		return "<="
-	case CmpGT:
-		return ">"
-	case CmpGE:
-		return ">="
-	}
-	return fmt.Sprintf("CmpOp(%d)", uint8(o))
-}
 
 // Pred is one pushed-down scan predicate: column Col compared to the
 // constant Val. Backends use predicates only to PRUNE (skip row ranges that
@@ -84,10 +63,10 @@ type Snapshot struct {
 	N    int
 }
 
-// Backend is the storage interface a catalog table binds to.
+// Backend is the storage interface a catalog table binds to. What only a
+// persistent table does — report the version it loaded, close its files —
+// lives on *DiskStore, which the catalog holds as such.
 type Backend interface {
-	// Kind names the implementation ("mem", "disk") for logs and tests.
-	Kind() string
 	// Snapshot returns the current immutable column-major view.
 	Snapshot() *Snapshot
 	// Append adds rows (batched; each row len must equal the store width),
@@ -110,14 +89,9 @@ type Backend interface {
 	// predicate pruning effective (the clustered column for a DiskStore),
 	// or nil. The optimizer uses this to enumerate segment-pruned scans.
 	ZoneCols() []int
-	// LoadedVersion reports the data version persisted at the last
-	// Flush (0 for volatile backends or a fresh directory).
-	LoadedVersion() uint64
 	// Flush persists everything appended so far together with the given
 	// data version. A no-op for volatile backends.
 	Flush(version uint64) error
-	// Close releases file handles without flushing.
-	Close() error
 }
 
 // DefaultBatchRows is the window size Scan uses when the caller passes

@@ -37,7 +37,7 @@ const (
 // region names (r_name), market segments (c_mktsegment) and return flags
 // (l_returnflag) mapped to their integer codes. It is what lets ad-hoc SQL
 // like "WHERE r.r_name = 'ASIA'" resolve against the integer-encoded data —
-// pass it (with Date) to sqlmini / repro.ParseSQL / the server options.
+// pass it (with Date) to sqlmini.Parse or the server options.
 func Dict() map[string]int64 {
 	return map[string]int64{
 		// region codes follow TPC-H alphabetical order

@@ -105,8 +105,8 @@
 // live optimizer worth keeping and leaves only to make room. Eviction
 // discards only the plan and its live optimizer, never the statistics, so
 // re-admission starts near-converged. ServerOptions.Stats optionally shares
-// one NewStatsStore between servers. Server.Shutdown drains in-flight
-// executions for a graceful stop.
+// one NewStatsStoreWith store between servers. Server.Shutdown drains
+// in-flight executions for a graceful stop.
 //
 // # Statistics persistence and ageing
 //
@@ -124,9 +124,9 @@
 // clock, so post-drift feedback overturns a confidently-wrong factor in
 // O(half-life) observations instead of O(history), and StaleAfter is the
 // horizon beyond which an unobserved fingerprint stops warm-starting and is
-// eventually reclaimed. The
-// internal/driftkit harness replays phase-shifted workloads against a live
-// Server to assert exactly that repair-then-reconverge trajectory.
+// eventually reclaimed. internal/server's drift test replays a phase-shifted
+// stream against a live Server to assert exactly that repair-then-reconverge
+// trajectory.
 //
 // # Cross-query result reuse
 //
@@ -164,10 +164,11 @@
 //   - Lifecycle tracing. ServerOptions.TraceEvents keeps the last N
 //     structured events (prepare hit/miss, admission queue wait, exec,
 //     incremental repair, result-cache probe/spool/invalidate) in a
-//     bounded ring readable via Server.Tracer. ServerOptions.TraceSlowQuery
-//     profiles every execution and, when one exceeds the threshold, dumps
-//     its event trail plus the full EXPLAIN ANALYZE tree to
-//     Server.SlowTraces and the optional TraceOnSlow callback.
+//     bounded ring, read by the protocol's "trace" command and the debug
+//     handler's /traces. ServerOptions.TraceSlowQuery profiles every
+//     execution and, when one exceeds the threshold, dumps its event trail
+//     plus the full EXPLAIN ANALYZE tree to Server.SlowTraces and the
+//     optional TraceOnSlow callback.
 //   - A scrapeable metrics plane. Execution latency, admission queue wait
 //     and repair latency feed wait-free histograms that are always on;
 //     ServerMetrics carries their count/mean/p50/p95/p99 summaries (and is
@@ -200,8 +201,7 @@
 // budget or not — as a histogram in ServerMetrics and on /metrics
 // (repro_peak_memory_bytes), alongside spill counters (partitions, bytes,
 // recursions). cmd/reproserve wires the bounds to -mem-budget-mb and
-// -mem-ceiling-mb; reprobench -fig memory measures unbounded vs budgeted
-// execution side by side.
+// -mem-ceiling-mb.
 //
 // # Storage
 //
@@ -249,7 +249,6 @@ import (
 	"repro/internal/fbstore"
 	"repro/internal/relalg"
 	"repro/internal/server"
-	"repro/internal/sqlmini"
 )
 
 // Optimizer is the user-facing handle on the incremental declarative
@@ -313,11 +312,6 @@ func (o *Optimizer) UpdateCardFactor(s relalg.RelSet, factor float64) {
 	o.inner.UpdateCardFactor(s, factor)
 }
 
-// UpdateScanCostFactor stages a scan-cost update for one query relation.
-func (o *Optimizer) UpdateScanCostFactor(rel int, factor float64) {
-	o.inner.UpdateScanCostFactor(rel, factor)
-}
-
 // Reoptimize incrementally repairs the optimizer state under the staged
 // updates and returns the (possibly new) best plan.
 func (o *Optimizer) Reoptimize() (*relalg.Plan, error) { return o.inner.Reoptimize() }
@@ -331,24 +325,6 @@ func (o *Optimizer) SearchSpace() string { return o.inner.FormatSearchSpace() }
 
 // AndOrGraph renders the annotated and-or-graph (the paper's Figure 2).
 func (o *Optimizer) AndOrGraph() string { return o.inner.AndOrGraph() }
-
-// Core exposes the underlying optimizer for advanced use (invariant checks,
-// pruning-mode experiments, state export).
-func (o *Optimizer) Core() *core.Optimizer { return o.inner }
-
-// ParseSQL compiles a single-block SELECT statement against the catalog
-// into the query model accepted by NewOptimizer. opts.Dict resolves string
-// literals to dictionary codes and opts.Date encodes date literals; see
-// internal/sqlmini for the grammar.
-func ParseSQL(sql string, cat *catalog.Catalog, opts SQLOptions) (*relalg.Query, error) {
-	return sqlmini.Parse(sql, cat, sqlmini.Options{Dict: opts.Dict, Date: opts.Date})
-}
-
-// SQLOptions configures ParseSQL literal resolution.
-type SQLOptions struct {
-	Dict map[string]int64
-	Date func(y, m, d int) int64
-}
 
 // ---- serving layer (internal/server) ----
 
@@ -387,9 +363,6 @@ type StatsStore = fbstore.StatsStore
 // keeps the full history forever.
 type StatsStoreOptions = fbstore.Options
 
-// NewStatsStore builds an empty statistics plane with ageing disabled.
-func NewStatsStore() *StatsStore { return fbstore.New() }
-
 // NewStatsStoreWith builds an empty statistics plane with the given ageing
 // configuration.
 func NewStatsStoreWith(o StatsStoreOptions) *StatsStore { return fbstore.NewWithOptions(o) }
@@ -399,7 +372,3 @@ func NewStatsStoreWith(o StatsStoreOptions) *StatsStore { return fbstore.NewWith
 func NewServer(cat *catalog.Catalog, o ServerOptions) (*Server, error) {
 	return server.New(cat, o)
 }
-
-// CanonicalQueryKey exposes the plan-cache key derivation: two queries with
-// equal keys share a cache entry (one live optimizer, one feedback history).
-func CanonicalQueryKey(q *relalg.Query) string { return server.CanonicalKey(q) }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/relalg"
+	"repro/internal/sqlmini"
 	"repro/internal/tpch"
 )
 
@@ -47,7 +48,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if plan.Cost != baseline {
 		t.Fatalf("revert did not restore optimum: %v != %v", plan.Cost, baseline)
 	}
-	if err := opt.Core().CheckInvariants(); err != nil {
+	if err := opt.inner.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(opt.SearchSpace(), "*Expr") {
@@ -70,8 +71,17 @@ func TestFacadeOptions(t *testing.T) {
 	if _, err := opt.Optimize(); err != nil {
 		t.Fatal(err)
 	}
-	if opt.Core().Mode() != core.PruneEvita {
-		t.Fatal("pruning option ignored")
+	// Evita never releases a plan-table entry; the default, all of the
+	// paper's pruning, does.
+	full, err := NewOptimizerOptions(tpch.Q3S(), cat, Options{Space: &space})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := full.Optimize(); err != nil {
+		t.Fatal(err)
+	}
+	if e, f := opt.Metrics().GroupKills, full.Metrics().GroupKills; e != 0 || f == 0 {
+		t.Fatalf("pruning option ignored: evita released %d groups, the default %d", e, f)
 	}
 	bad := core.Pruning{Suppress: true}
 	if _, err := NewOptimizerOptions(tpch.Q3S(), cat, Options{Pruning: &bad}); err == nil {
@@ -81,10 +91,10 @@ func TestFacadeOptions(t *testing.T) {
 
 func TestFacadeParseSQL(t *testing.T) {
 	cat := tpch.Generate(tpch.Config{ScaleFactor: 0.001, Seed: 42})
-	q, err := ParseSQL(
+	q, err := sqlmini.Parse(
 		`SELECT SUM(l.l_extendedprice) FROM orders o, lineitem l
 		 WHERE o.o_orderkey = l.l_orderkey AND o.o_orderdate < '1995-03-15'`,
-		cat, SQLOptions{Date: tpch.Date})
+		cat, sqlmini.Options{Date: tpch.Date})
 	if err != nil {
 		t.Fatal(err)
 	}
