@@ -38,16 +38,13 @@
 // The final metrics flush includes the stats-plane ageing counters (clock,
 // decays, stale, reclaimed), so drift behavior is observable in production.
 //
-// Memory bounds:
-//
-//   - -mem-budget-mb N bounds each query's tracked execution memory to
-//     N MiB: hash joins and aggregations beyond the budget spill to disk
-//     under grace hashing (results and cardinality feedback are identical
-//     either way). 0 executes unbounded; peak memory is tracked regardless
-//     and digested in /metrics as repro_peak_memory_bytes p50/p95/p99.
-//   - -mem-ceiling-mb N admission-gates executions so the sum of admitted
-//     queries' budgets never exceeds N MiB; waits surface in the queue-wait
-//     histogram and trace as reason=mem. Requires -mem-budget-mb.
+// Memory bound: -mem-budget-mb N bounds each query's tracked execution
+// memory to N MiB: hash joins and aggregations beyond the budget spill to
+// disk under grace hashing (results and cardinality feedback are identical
+// either way). At most -max-concurrent queries execute at once, so the
+// budgets in flight total at most max-concurrent × N MiB. 0 executes
+// unbounded; peak memory is tracked regardless and digested in /metrics as
+// repro_peak_memory_bytes p50/p95/p99.
 //
 // Persistent storage:
 //
@@ -101,7 +98,7 @@
 //	explain q5           show the current cached plan
 //	analyze q5           execute with per-operator profiling (EXPLAIN ANALYZE)
 //	metrics              cache hit/miss, repair vs full-opt, stats plane
-//	trace                dump the lifecycle event ring (needs -trace-events)
+//	trace                dump what /traces shows (needs -trace-events or -slow-query)
 //	quit
 package main
 
@@ -128,12 +125,11 @@ func main() {
 	sf := flag.Float64("sf", 0.005, "TPC-H scale factor")
 	skew := flag.Float64("skew", 0, "TPC-H Zipf skew on foreign keys")
 	parallelism := flag.Int("parallelism", 1, "workers that run copies of the probe spine of an aggregating query without a memory budget; other queries, and any at <= 1, execute serially")
-	maxConcurrent := flag.Int("max-concurrent", 0, "admission bound on concurrently executing queries; 0 sizes it against parallelism")
+	maxConcurrent := flag.Int("max-concurrent", 0, "admission bound on concurrently executing queries, so in-flight execution memory stays within max-concurrent × mem-budget-mb; 0 sizes it against parallelism")
 	maxEntries := flag.Int("max-entries", 0, "plan cache entry bound (LRU eviction); 0 is unbounded")
 	statsFile := flag.String("stats-file", "", "statistics-plane snapshot path: loaded on boot when present, saved (atomic rotation) on graceful shutdown")
 	snapshotInterval := flag.Duration("stats-snapshot-interval", 0, "additionally save the statistics snapshot every interval while serving (e.g. 5m); 0 saves only at shutdown; requires -stats-file")
 	memBudgetMB := flag.Int64("mem-budget-mb", 0, "per-query execution memory budget in MiB (hash joins/aggregations spill to disk beyond it); 0 is unbounded")
-	memCeilingMB := flag.Int64("mem-ceiling-mb", 0, "admission ceiling on the sum of concurrently executing queries' memory budgets, in MiB; requires -mem-budget-mb; 0 disables")
 	halfLife := flag.Float64("stats-half-life", 0, "observation-decay half-life of the statistics plane, in logical observations; 0 keeps full history")
 	staleAfter := flag.Uint64("stats-stale-after", 0, "observations after which an unseen fingerprint stops warm-starting (reclaimed at twice this age); 0 keeps everything")
 	resultCacheMB := flag.Int64("result-cache-mb", 0, "semantic result cache byte budget in MiB, shared by all sessions (LRU eviction, data-version invalidation); 0 disables result caching")
@@ -180,15 +176,14 @@ func main() {
 
 	cat := tpch.Generate(tpch.Config{ScaleFactor: *sf, Seed: 42, Skew: *skew})
 	srv, err := repro.NewServer(cat, repro.ServerOptions{
-		Parallelism:     *parallelism,
-		MaxConcurrent:   *maxConcurrent,
-		MemBudgetBytes:  *memBudgetMB << 20,
-		MemCeilingBytes: *memCeilingMB << 20,
-		MaxEntries:      *maxEntries,
-		Stats:           stats,
-		Dict:            tpch.Dict(),
-		Date:            tpch.Date,
-		Named:           tpch.Queries(),
+		Parallelism:    *parallelism,
+		MaxConcurrent:  *maxConcurrent,
+		MemBudgetBytes: *memBudgetMB << 20,
+		MaxEntries:     *maxEntries,
+		Stats:          stats,
+		Dict:           tpch.Dict(),
+		Date:           tpch.Date,
+		Named:          tpch.Queries(),
 
 		ResultCacheBytes: *resultCacheMB << 20,
 

@@ -92,8 +92,9 @@ type Compiler struct {
 	// spill counters describe the latest one.
 	Mem *MemTracker
 	// decisions maps plan nodes to their resolved cache decision for the
-	// current CompileVec call.
-	decisions map[*relalg.Plan]*cacheDecision
+	// current CompileVec call; probeHits and spools count what it decided.
+	decisions         map[*relalg.Plan]*cacheDecision
+	probeHits, spools int
 }
 
 // CompileVec builds the vectorized (batch-at-a-time) operator tree for

@@ -221,7 +221,7 @@ func (c *Compiler) tableVersion(table string) (uint64, bool) {
 // never compiled), and at most one spool is placed along any root-to-leaf
 // path (a nested spool would tee rows the outer spool already pays for).
 func (c *Compiler) resolveCache() {
-	c.decisions = nil
+	c.decisions, c.probeHits, c.spools = nil, 0, 0
 	if !c.Cache.Enabled() || len(c.CacheCands) == 0 {
 		return
 	}
@@ -249,6 +249,7 @@ func (c *Compiler) resolveCache() {
 			}
 			c.decisions[cand.Node] = d
 			hitRoots = append(hitRoots, cand.Expr)
+			c.probeHits++
 			continue
 		}
 		if under(cand.Expr, spoolRoots) {
@@ -274,8 +275,13 @@ func (c *Compiler) resolveCache() {
 		d.versions = versions
 		c.decisions[cand.Node] = d
 		spoolRoots = append(spoolRoots, cand.Expr)
+		c.spools++
 	}
 }
+
+// CacheDecisions reports the result-cache probe hits and spools the latest
+// CompileVec decided: this compilation's own, whatever its neighbours do.
+func (c *Compiler) CacheDecisions() (probeHits, spools int) { return c.probeHits, c.spools }
 
 // takeDecision pops the decision attached to a plan node, if any. Popping
 // (rather than reading) lets applyCacheDecision recurse into compileVec on

@@ -79,8 +79,7 @@ const (
 	// number of warm-started factors (miss only).
 	KindPrepare Kind = 1 + iota
 	// KindQueueWait is the admission wait before an execution: Dur is the
-	// wait, Note is "mem" when the execution waited on the memory-ceiling
-	// gate (empty for a plain semaphore wait).
+	// wait.
 	KindQueueWait
 	// KindExec is one finished execution: A is the result row count, B the
 	// plan version that ran, Dur the execution wall time, and Note
@@ -91,7 +90,7 @@ const (
 	// bump), Dur the repair time.
 	KindRepair
 	// KindResultCache is semantic result cache activity during one
-	// execution: Note is "probe-hit", "spool" or "invalidate", A the count.
+	// execution: Note is "probe-hit" or "spool", A the count.
 	KindResultCache
 	// KindSlowQuery marks an execution beyond the slow-query threshold:
 	// Dur is the execution time, Note names the threshold. The full dump
@@ -158,9 +157,6 @@ func (e Event) String() string {
 		fmt.Fprintf(&b, " %s warm=%d", e.Note, e.A)
 	case KindQueueWait:
 		fmt.Fprintf(&b, " wait=%v", e.Dur)
-		if e.Note != "" {
-			fmt.Fprintf(&b, " reason=%s", e.Note)
-		}
 	case KindExec:
 		fmt.Fprintf(&b, " rows=%d v=%d dur=%v", e.A, e.B, e.Dur)
 		if e.Note != "" {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -35,16 +36,12 @@ func (s *Server) DebugHandler() http.Handler {
 	})
 	mux.HandleFunc("/traces", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		evs := s.trace.Events()
-		if len(evs) == 0 {
-			fmt.Fprintln(w, "no lifecycle events (enable with TraceEvents / reproserve -trace-events)")
+		events, slow, err := s.traces(func(l string) { fmt.Fprintln(w, l) })
+		if err != nil {
+			fmt.Fprintln(w, err)
+			return
 		}
-		for _, ev := range evs {
-			fmt.Fprintln(w, ev.String())
-		}
-		for i, dump := range s.SlowTraces() {
-			fmt.Fprintf(w, "\n--- slow trace %d ---\n%s", i+1, dump)
-		}
+		fmt.Fprintf(w, "events=%d slow=%d\n", events, slow)
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -52,6 +49,29 @@ func (s *Server) DebugHandler() http.Handler {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
+}
+
+// traces renders the lifecycle event ring, then each retained slow-query
+// dump under a "--- slow trace N ---" header, one line per call of line —
+// the content of both /traces and the protocol's "trace" command. It
+// returns how many events and dumps it rendered, and an error when neither
+// the event ring nor slow-query dumps are enabled.
+func (s *Server) traces(line func(string)) (events, slow int, err error) {
+	if !s.trace.Enabled() && s.slow == nil {
+		return 0, 0, errors.New("tracing disabled (set Options.TraceEvents or TraceSlowQuery / reproserve -trace-events or -slow-query)")
+	}
+	evs := s.trace.Events()
+	for _, ev := range evs {
+		line(ev.String())
+	}
+	dumps := s.SlowTraces()
+	for i, dump := range dumps {
+		line(fmt.Sprintf("--- slow trace %d ---", i+1))
+		for _, l := range strings.Split(strings.TrimRight(dump, "\n"), "\n") {
+			line(l)
+		}
+	}
+	return len(evs), len(dumps), nil
 }
 
 // WriteProm writes the server's metrics to w in Prometheus text exposition
@@ -74,8 +94,7 @@ func (s *Server) WriteProm(w io.Writer) {
 	obs.WritePromCounter(w, "repro_warm_seeds_total", "Factors warm-started from the statistics plane.", m.WarmSeeds)
 	obs.WritePromCounter(w, "repro_stats_decays_total", "Statistics folds that decayed stored history.", m.StatsDecays)
 	obs.WritePromGauge(w, "repro_stats_stale_keys", "Fingerprints beyond the staleness horizon.", float64(m.StatsStale))
-	obs.WritePromCounter(w, "repro_queue_waited_total", "Executions that measurably waited on admission.", m.QueueWaits)
-	obs.WritePromCounter(w, "repro_mem_waited_total", "Executions that waited on the memory-ceiling gate.", m.MemWaits)
+	obs.WritePromCounter(w, "repro_queue_waited_total", "Executions that found every admission slot taken.", m.QueueWaits)
 	obs.WritePromCounter(w, "repro_spilled_queries_total", "Executions that spilled to disk under the memory budget.", m.SpilledQueries)
 	obs.WritePromCounter(w, "repro_spill_partitions_total", "Grace-hash spill partition files written.", m.SpillPartitions)
 	obs.WritePromCounter(w, "repro_spill_bytes_total", "Bytes spilled to disk.", m.SpillBytes)

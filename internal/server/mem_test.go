@@ -79,75 +79,76 @@ func TestMemBudgetDifferential(t *testing.T) {
 	}
 }
 
-// TestMemCeilingGate fills the memory ceiling from the test (same package,
-// so the gate state is reachable), proves an execution blocks on the gate,
-// then drains the ceiling and asserts the waiter completes and is counted
-// and traced with the "mem" queue-wait reason. Pre-filling makes the
-// contention deterministic on any GOMAXPROCS.
-func TestMemCeilingGate(t *testing.T) {
-	const budget = 64 << 10
-	srv := testServer(t, Options{
-		MaxConcurrent:   8, // slots are plentiful; memory is the bottleneck
-		MemBudgetBytes:  budget,
-		MemCeilingBytes: budget, // one admitted query's budget fills it
-		TraceEvents:     256,
-	})
-	sess := srv.Session()
-	st, err := sess.PrepareNamed("Q3S")
+// TestAdmissionGate fills the one admission semaphore from the test (same
+// package, so the slots are reachable), proves an execution blocks on it and
+// is counted as a queue wait, then frees a slot and asserts the waiter
+// completes. Filling the slots makes the contention deterministic on any
+// GOMAXPROCS. Serial executions afterwards always find a free slot, so they
+// add no queue wait, though the wait histogram observes each of them.
+func TestAdmissionGate(t *testing.T) {
+	const slots = 2
+	srv := testServer(t, Options{MaxConcurrent: slots, MemBudgetBytes: 64 << 10, TraceEvents: 256})
+	st, err := srv.Session().PrepareNamed("Q3S")
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Occupy the whole ceiling, as an admitted query would.
-	srv.memMu.Lock()
-	srv.memInUse = budget
-	srv.memMu.Unlock()
-
+	// Occupy every slot, as admitted queries would.
+	for i := 0; i < slots; i++ {
+		srv.sem <- struct{}{}
+	}
 	done := make(chan error, 1)
 	go func() {
 		_, execErr := st.Exec()
 		done <- execErr
 	}()
 
-	// The waiter registers in MemWaits as its wait begins; once it has,
-	// it is provably parked inside the gate.
+	// The waiter counts its queue wait just before it blocks; once it has,
+	// it is provably parked on the semaphore.
 	deadline := time.Now().Add(10 * time.Second)
-	for srv.memWaits.Load() == 0 {
+	for srv.queueWaits.Load() == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("execution never reached the memory gate")
+			t.Fatal("execution never reached the admission gate")
 		}
 		time.Sleep(time.Millisecond)
 	}
 	select {
 	case err := <-done:
-		t.Fatalf("execution completed past a full ceiling: %v", err)
+		t.Fatalf("execution completed with every admission slot taken: %v", err)
 	default:
 	}
+	if m := srv.Metrics(); m.QueueWaits != 1 || m.Execs != 0 {
+		t.Fatalf("QueueWaits=%d Execs=%d while blocked, want 1 and 0", m.QueueWaits, m.Execs)
+	}
 
-	// Release the ceiling; the waiter must now be admitted and finish.
-	srv.memMu.Lock()
-	srv.memInUse = 0
-	srv.memMu.Unlock()
-	srv.memCond.Broadcast()
+	// Free one slot; the waiter must now be admitted and finish.
+	<-srv.sem
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
+	<-srv.sem
 
-	m := srv.Metrics()
-	if m.MemWaits != 1 {
-		t.Fatalf("MemWaits=%d, want 1", m.MemWaits)
-	}
-	memReasons := 0
-	for _, ev := range srv.trace.Events() {
-		if ev.Kind == obs.KindQueueWait && ev.Note == "mem" {
-			memReasons++
-			if !strings.Contains(ev.String(), "reason=mem") {
-				t.Fatalf("queue-wait event does not render its reason: %s", ev.String())
-			}
+	const serial = 10
+	for i := 0; i < serial; i++ {
+		if _, err := st.Exec(); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if memReasons != 1 {
-		t.Fatalf("traced %d mem-tagged queue waits, want 1", memReasons)
+	m := srv.Metrics()
+	if m.QueueWaits != 1 {
+		t.Fatalf("QueueWaits=%d after %d serial executions with free slots, want 1", m.QueueWaits, serial)
+	}
+	if m.Execs != serial+1 || m.QueueWait.Count != serial+1 {
+		t.Fatalf("Execs=%d, queue-wait histogram count=%d, want %d each", m.Execs, m.QueueWait.Count, serial+1)
+	}
+	waits := 0
+	for _, ev := range srv.trace.Events() {
+		if ev.Kind == obs.KindQueueWait {
+			waits++
+		}
+	}
+	if waits != serial+1 {
+		t.Fatalf("traced %d queue-wait events, want one per execution (%d)", waits, serial+1)
 	}
 }
 
@@ -157,9 +158,6 @@ func TestMemOptionValidation(t *testing.T) {
 		opts Options
 	}{
 		{"negative budget", Options{MemBudgetBytes: -1}},
-		{"negative ceiling", Options{MemCeilingBytes: -1}},
-		{"ceiling without budget", Options{MemCeilingBytes: 1 << 20}},
-		{"budget exceeds ceiling", Options{MemBudgetBytes: 2 << 20, MemCeilingBytes: 1 << 20}},
 	} {
 		if _, err := New(testCatalog(), tc.opts); err == nil {
 			t.Errorf("%s: New accepted %+v", tc.name, tc.opts)

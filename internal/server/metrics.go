@@ -84,14 +84,11 @@ type Metrics struct {
 	ResultCacheEnabled bool
 	ResultCache        rescache.Metrics
 
-	// QueueWaits counts executions that measurably waited on the admission
-	// semaphore; QueueWait, ExecLatency and RepairLatency digest the
-	// always-on latency histograms (admission wait and execution wall time
-	// per execution, repair wall time per incremental repair). MemWaits
-	// counts executions that waited on the memory-ceiling gate
-	// specifically (a subset of QueueWaits).
+	// QueueWaits counts executions that found every admission slot taken
+	// and waited for one; QueueWait, ExecLatency and RepairLatency digest
+	// the always-on latency histograms (admission wait and execution wall
+	// time per execution, repair wall time per incremental repair).
 	QueueWaits    int64
-	MemWaits      int64
 	QueueWait     obs.HistSummary
 	ExecLatency   obs.HistSummary
 	RepairLatency obs.HistSummary
@@ -136,7 +133,6 @@ func (s *Server) Metrics() Metrics {
 		ResultCache:        s.resCache.Metrics(),
 
 		QueueWaits:    s.queueWaits.Load(),
-		MemWaits:      s.memWaits.Load(),
 		QueueWait:     s.queueH.Summary(),
 		ExecLatency:   s.latencyH.Summary(),
 		RepairLatency: s.repairH.Summary(),
@@ -187,7 +183,7 @@ func (m Metrics) String() string {
 		m.FullOpts, m.FullOptTime.Round(time.Microsecond),
 		m.Repairs, m.RepairTime.Round(time.Microsecond), m.Converged)
 	fmt.Fprintf(&b, "latency: %s\n", m.ExecLatency)
-	fmt.Fprintf(&b, "queue-wait: waited=%d mem-waited=%d %s\n", m.QueueWaits, m.MemWaits, m.QueueWait)
+	fmt.Fprintf(&b, "queue-wait: waited=%d %s\n", m.QueueWaits, m.QueueWait)
 	fmt.Fprintf(&b, "memory: peak-bytes %s\n", m.PeakMem)
 	if m.SpilledQueries > 0 {
 		fmt.Fprintf(&b, "spill: queries=%d partitions=%d bytes=%d recursions=%d\n",

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -154,7 +155,7 @@ func TestLifecycleEventsAndSlowDumps(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Session-local re-prepare still traces a hit.
+	// A re-prepare served by the text index still traces a hit.
 	if _, err := sess.PrepareNamed("Q3S"); err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +198,8 @@ func TestQueueWaitMeasured(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Saturate the single admission slot so someone demonstrably queues.
+	// Hold the single admission slot so every execution demonstrably queues.
+	srv.sem <- struct{}{}
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
@@ -208,13 +210,19 @@ func TestQueueWaitMeasured(t *testing.T) {
 			}
 		}()
 	}
+	for deadline := time.Now().Add(10 * time.Second); srv.queueWaits.Load() < 4; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of 4 executions reached the admission gate", srv.queueWaits.Load())
+		}
+	}
+	<-srv.sem
 	wg.Wait()
 	m := srv.Metrics()
-	if m.QueueWait.Count != 4 {
-		t.Fatalf("queue-wait histogram saw %d executions, want 4", m.QueueWait.Count)
+	if m.QueueWait.Count != 4 || m.QueueWait.P50 <= 0 {
+		t.Fatalf("queue-wait histogram: count=%d p50=%v, want 4 measured waits", m.QueueWait.Count, m.QueueWait.P50)
 	}
-	if m.QueueWaits == 0 {
-		t.Fatal("no execution recorded a measurable admission wait")
+	if m.QueueWaits != 4 {
+		t.Fatalf("QueueWaits=%d, want 4: each execution waited once", m.QueueWaits)
 	}
 	if m.ExecLatency.Count != 4 || m.ExecLatency.P50 <= 0 {
 		t.Fatalf("latency histogram: count=%d p50=%v", m.ExecLatency.Count, m.ExecLatency.P50)
@@ -318,7 +326,7 @@ func TestDebugHandlerScrape(t *testing.T) {
 	}
 
 	traces := get("/traces")
-	if !strings.Contains(traces, "exec") || !strings.Contains(traces, "prepare") {
+	if !strings.Contains(traces, "exec") || !strings.Contains(traces, "prepare") || !strings.Contains(traces, "\nevents=") {
 		t.Fatalf("/traces missing lifecycle events:\n%s", traces)
 	}
 
@@ -351,6 +359,24 @@ func TestProtoAnalyzeAndTrace(t *testing.T) {
 	} {
 		if !strings.Contains(got, want) {
 			t.Fatalf("protocol transcript missing %q:\n%s", want, got)
+		}
+	}
+	// The reply counts exactly the events it printed.
+	printed := strings.Count(got, "\n| #")
+	if want := fmt.Sprintf("ok events=%d slow=0", printed); !strings.Contains(got, want) {
+		t.Fatalf("trace printed %d events but its reply is not %q:\n%s", printed, want, got)
+	}
+
+	// Slow-query dumps alone are enough to trace: the command shows them,
+	// as /traces does.
+	slowOnly := testServer(t, Options{TraceSlowQuery: time.Nanosecond})
+	out.Reset()
+	if err := slowOnly.ServeConn(&rwPair{r: strings.NewReader("query q3 Q3S\nexec q3\ntrace\nquit\n"), w: &out}); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"| --- slow trace 1 ---", "| slow query [", "| EXPLAIN ANALYZE", "ok events=0 slow=1"} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("slow-only trace transcript missing %q:\n%s", want, out.String())
 		}
 	}
 

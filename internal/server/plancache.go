@@ -18,19 +18,29 @@ import (
 
 // planCache is the shared plan cache: planEntry by CanonicalKey, bounded by
 // entry count with exact least-recently-used eviction, and the only code
-// that reads or writes an entry's recency stamp and liveness flag. Eviction
-// touches neither the victim's mutex nor its plan (see the package comment
-// for what an evicted entry still does).
+// that reads or writes an entry's recency stamp. Eviction touches neither
+// the victim's mutex nor its plan (see the package comment for what an
+// evicted entry still does).
+//
+// The cache also indexes statement texts ("sql:" + SQL or "name:" + a
+// registered name) to the entry they were bound to, so a re-prepared text
+// skips the parse. A text is indexed only while its entry is cached: an
+// entry lists its texts, and eviction deletes them with it.
 type planCache struct {
 	max int // entry bound (Options.MaxEntries); 0 is unbounded
 
 	mu      sync.RWMutex
 	entries map[string]*planEntry
-	seq     uint64 // creation stamp of the newest entry
+	texts   map[string]*planEntry // statement text -> a cached entry
+	seq     uint64                // creation stamp of the newest entry
 
 	hits      atomic.Int64 // prepares that found a live entry
 	misses    atomic.Int64 // prepares that created one
 	evictions atomic.Int64 // entries dropped by the bound
+}
+
+func newPlanCache(max int) *planCache {
+	return &planCache{max: max, entries: map[string]*planEntry{}, texts: map[string]*planEntry{}}
 }
 
 // resolve returns the cached entry for q's canonical structure, creating it
@@ -60,17 +70,50 @@ func (c *planCache) resolve(q *relalg.Query) (e *planEntry, hit bool) {
 		c.mu.Unlock()
 	}
 	if hit {
-		e.lastUsed.Store(now)
-		c.hits.Add(1)
-		e.hits.Add(1)
+		c.hit(e, now)
 	} else {
 		c.misses.Add(1)
 	}
 	return e, hit
 }
 
-// evictLocked drops least-recently-used entries until one more fits the
-// bound. O(entries) per victim, fine at the cache sizes a bound implies.
+// hit counts a prepare served by the cached entry e and stamps its use.
+func (c *planCache) hit(e *planEntry, now int64) {
+	e.lastUsed.Store(now)
+	c.hits.Add(1)
+	e.hits.Add(1)
+}
+
+// lookup returns the cached entry the statement text was bound to, counted
+// as a hit, or nil when the text is not indexed.
+func (c *planCache) lookup(text string) *planEntry {
+	c.mu.RLock()
+	e := c.texts[text]
+	c.mu.RUnlock()
+	if e != nil {
+		c.hit(e, time.Now().UnixNano())
+	}
+	return e
+}
+
+// index records that the statement text binds to e, unless the text is
+// empty or indexed already, or e has been evicted since it was resolved.
+func (c *planCache) index(text string, e *planEntry) {
+	if text == "" {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.entries[e.key] != e || c.texts[text] != nil {
+		return
+	}
+	c.texts[text] = e
+	e.texts = append(e.texts, text)
+}
+
+// evictLocked drops least-recently-used entries, and the statement texts
+// indexed to them, until one more fits the bound. O(entries) per victim,
+// fine at the cache sizes a bound implies.
 func (c *planCache) evictLocked() {
 	for c.max > 0 && len(c.entries) >= c.max {
 		var lru *planEntry
@@ -80,22 +123,12 @@ func (c *planCache) evictLocked() {
 				lru, lruAt = e, at
 			}
 		}
-		lru.dropped.Store(true)
 		delete(c.entries, lru.key)
+		for _, text := range lru.texts {
+			delete(c.texts, text)
+		}
 		c.evictions.Add(1)
 	}
-}
-
-// reuse is a prepare served from a handle the caller already holds: a hit,
-// lock-free, if e is still cached; false sends the caller to resolve.
-func (c *planCache) reuse(e *planEntry) bool {
-	if !e.live() {
-		return false
-	}
-	e.touch()
-	c.hits.Add(1)
-	e.hits.Add(1)
-	return true
 }
 
 // list returns the cached entries in creation order.
@@ -134,7 +167,7 @@ type planEntry struct {
 	hits     atomic.Int64
 	execs    atomic.Int64
 	lastUsed atomic.Int64 // unix nanos of the last prepare/exec (LRU order)
-	dropped  atomic.Bool  // set on eviction; handles re-resolve
+	texts    []string     // statement texts indexed to it; under planCache.mu
 
 	mu      sync.Mutex // guards everything below
 	model   *cost.Model
@@ -151,9 +184,6 @@ type planEntry struct {
 	touched     int64 // cumulative optimizer entries touched by repairs
 	warmSeeds   int   // factors seeded from the shared store at init
 }
-
-// live reports whether e is still cached. Lock-free.
-func (e *planEntry) live() bool { return !e.dropped.Load() }
 
 // touch stamps e as just used, so the LRU bound evicts it last.
 func (e *planEntry) touch() { e.lastUsed.Store(time.Now().UnixNano()) }

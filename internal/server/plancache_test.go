@@ -17,7 +17,7 @@ import (
 // evictLocked does under the write lock, and fails on any entry without a
 // stamp.
 func TestNewEntryIsStampedBeforeItIsVisible(t *testing.T) {
-	c := &planCache{max: 4, entries: map[string]*planEntry{}}
+	c := newPlanCache(4)
 	var next atomic.Int64
 	var misses sync.WaitGroup
 	for g := 0; g < 4; g++ {

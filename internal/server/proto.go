@@ -29,8 +29,9 @@ import (
 //	                          EXPLAIN ANALYZE tree, then the row count
 //	names                     list the registered named queries
 //	metrics                   print the server metrics report
-//	trace                     print the lifecycle event ring (needs
-//	                          Options.TraceEvents > 0) and slow-query dumps
+//	trace                     print the lifecycle event ring and slow-query
+//	                          dumps (needs Options.TraceEvents or
+//	                          TraceSlowQuery), as /traces does
 //	quit                      close the session
 type protoSession struct {
 	sess  *Session
@@ -107,28 +108,18 @@ func (ps *protoSession) handle(s *Server, line string) bool {
 		ps.reply("ok bye")
 		return false
 
-	case "prepare":
-		name, sql, ok := strings.Cut(rest, " ")
-		if !ok || strings.TrimSpace(sql) == "" {
-			ps.reply("err usage: prepare <stmt> <sql>")
+	case "prepare", "query":
+		name, text, ok := strings.Cut(rest, " ")
+		text = strings.TrimSpace(text)
+		if !ok || text == "" {
+			ps.reply("err usage: prepare <stmt> <sql> | query <stmt> <named-query>")
 			return true
 		}
-		st, err := ps.sess.Prepare(strings.TrimSpace(sql))
-		if err != nil {
-			ps.reply("err %v", err)
-			return true
+		prepare := ps.sess.Prepare
+		if strings.EqualFold(verb, "query") {
+			prepare = ps.sess.PrepareNamed
 		}
-		ps.stmts[name] = st
-		ps.reply("ok prepared %s cache=%s key=%s", name, hitMiss(st.Hit), keyHash(st.CacheKey()))
-
-	case "query":
-		name, qname, ok := strings.Cut(rest, " ")
-		qname = strings.TrimSpace(qname)
-		if !ok || qname == "" {
-			ps.reply("err usage: query <stmt> <named-query>")
-			return true
-		}
-		st, err := ps.sess.PrepareNamed(qname)
+		st, err := prepare(text)
 		if err != nil {
 			ps.reply("err %v", err)
 			return true
@@ -198,20 +189,12 @@ func (ps *protoSession) handle(s *Server, line string) bool {
 			len(res.Rows), res.PlanVersion, res.Repaired, res.Elapsed.Round(time.Microsecond))
 
 	case "trace":
-		if !s.trace.Enabled() {
-			ps.reply("err tracing disabled (set Options.TraceEvents / reproserve -trace-events)")
+		events, slow, err := s.traces(func(l string) { ps.line("| %s", l) })
+		if err != nil {
+			ps.reply("err %v", err)
 			return true
 		}
-		for _, ev := range s.trace.Events() {
-			ps.line("| %s", ev.String())
-		}
-		dumps := s.SlowTraces()
-		for _, dump := range dumps {
-			for _, l := range strings.Split(strings.TrimRight(dump, "\n"), "\n") {
-				ps.line("| %s", l)
-			}
-		}
-		ps.reply("ok events=%d slow=%d", len(s.trace.Events()), len(dumps))
+		ps.reply("ok events=%d slow=%d", events, slow)
 
 	case "names":
 		names := make([]string, 0, len(s.opts.Named))

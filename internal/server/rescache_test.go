@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/sqlmini"
 	"repro/internal/testkit"
 )
@@ -195,10 +196,41 @@ func TestResultCacheFeedbackUnaffected(t *testing.T) {
 	}
 }
 
-// TestSessionStmtCacheResolvesLocally: a re-prepared statement resolves
-// through the session-local handle cache to the same shared entry, and a
-// different session still shares the entry through the server cache.
-func TestSessionStmtCacheResolvesLocally(t *testing.T) {
+// TestResultCacheEventsAreTheRunsOwn: an execution's result-cache trace
+// events report the probe hits and spools its own compile decided, so over
+// serial executions they add up to the cache's counters.
+func TestResultCacheEventsAreTheRunsOwn(t *testing.T) {
+	srv := testServer(t, Options{ResultCacheBytes: 32 << 20, TraceEvents: 256})
+	st := parseSQL(t, srv, sharedSubexprSQL[0])
+	for i := 0; i < 3; i++ {
+		if _, err := st.Exec(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var hits, spools int64
+	for _, ev := range srv.trace.Events() {
+		if ev.Kind == obs.KindResultCache {
+			switch ev.Note {
+			case "probe-hit":
+				hits += ev.A
+			case "spool":
+				spools += ev.A
+			default:
+				t.Fatalf("unexpected result-cache event %s", ev)
+			}
+		}
+	}
+	rc := srv.ResultCache().Metrics()
+	if hits == 0 || spools == 0 || hits != rc.Hits || spools != rc.Stores {
+		t.Fatalf("traced %d probe hits and %d spools, the cache counted %d hits and %d stores",
+			hits, spools, rc.Hits, rc.Stores)
+	}
+}
+
+// TestTextIndexResolvesWithoutParse: a re-prepared statement text resolves
+// through the plan cache's text index to the same shared entry, from any
+// session, and a registered name is indexed the same way.
+func TestTextIndexResolvesWithoutParse(t *testing.T) {
 	srv := testServer(t, Options{})
 	sess := srv.Session()
 	a, err := sess.Prepare(sharedSubexprSQL[1])
@@ -208,12 +240,15 @@ func TestSessionStmtCacheResolvesLocally(t *testing.T) {
 	if a.Hit {
 		t.Fatal("first prepare reported a hit")
 	}
+	if srv.plans.texts["sql:"+sharedSubexprSQL[1]] != a.entry {
+		t.Fatal("the prepared text is not indexed to its entry")
+	}
 	b, err := sess.Prepare(sharedSubexprSQL[1])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !b.Hit || b.entry != a.entry {
-		t.Fatal("session re-prepare did not resolve to the shared entry")
+		t.Fatal("re-prepare did not resolve to the shared entry")
 	}
 	n1, err := srv.Session().Prepare(sharedSubexprSQL[1])
 	if err != nil {
@@ -222,7 +257,6 @@ func TestSessionStmtCacheResolvesLocally(t *testing.T) {
 	if !n1.Hit || n1.entry != a.entry {
 		t.Fatal("fresh session did not share the entry")
 	}
-	// Named statements cache per session too.
 	s2 := srv.Session()
 	q1, err := s2.PrepareNamed("Q1")
 	if err != nil {
@@ -232,23 +266,22 @@ func TestSessionStmtCacheResolvesLocally(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !q1b.Hit || q1b.entry != q1.entry {
-		t.Fatal("named re-prepare did not resolve session-locally")
+	if !q1b.Hit || q1b.entry != q1.entry || srv.plans.texts["name:Q1"] != q1.entry {
+		t.Fatal("named re-prepare did not resolve through the text index")
 	}
 	m := srv.Metrics()
 	if m.Hits != 3 {
-		t.Fatalf("hits=%d, want 3 (two session-local, one shared)", m.Hits)
+		t.Fatalf("hits=%d, want 3 (the three re-prepares)", m.Hits)
 	}
 }
 
-// TestSessionStmtCacheBounded: the session-local handle map must not defeat
-// MaxEntries. A handle keeps its plan entry — and that entry's live
-// optimizer — reachable, so an ad-hoc session that never repeats a statement
-// would otherwise pin every entry the server ever evicted. After preparing
-// 4×MaxEntries distinct statements the session holds at most 2×MaxEntries
-// handles, and an evicted statement re-prepares as a miss with its one
-// from-scratch optimization, exactly as without a handle cache.
-func TestSessionStmtCacheBounded(t *testing.T) {
+// TestTextIndexFollowsEviction: the text index holds exactly the texts of
+// cached entries. A text indexed to an evicted entry would keep that entry —
+// and its live optimizer — reachable, and re-prepare it as a hit past
+// MaxEntries. After 4×MaxEntries distinct prepares the index holds exactly
+// the live entries' texts, and the oldest statement re-prepares as a miss
+// with its one from-scratch optimization.
+func TestTextIndexFollowsEviction(t *testing.T) {
 	const maxEntries = 8
 	srv := testServer(t, Options{MaxEntries: maxEntries})
 	sess := srv.Session()
@@ -265,13 +298,25 @@ func TestSessionStmtCacheBounded(t *testing.T) {
 			t.Fatalf("statement %d: first prepare reported a hit", i)
 		}
 	}
-	sess.stmtMu.Lock()
-	held := len(sess.stmts)
-	sess.stmtMu.Unlock()
-	if held > 2*maxEntries {
-		t.Fatalf("session holds %d handles after %d distinct prepares, want <= %d", held, 4*maxEntries, 2*maxEntries)
+	c := srv.plans
+	c.mu.RLock()
+	want := map[string]*planEntry{}
+	for _, e := range c.entries {
+		for _, text := range e.texts {
+			want[text] = e
+		}
 	}
-	// The newest statement is still served session-locally ...
+	if len(c.texts) != len(want) || len(want) != maxEntries {
+		t.Errorf("the index holds %d texts, the %d live entries list %d, want %d",
+			len(c.texts), len(c.entries), len(want), maxEntries)
+	}
+	for text, e := range c.texts {
+		if want[text] != e {
+			t.Errorf("indexed text %q is not listed by a live entry", text)
+		}
+	}
+	c.mu.RUnlock()
+	// The newest statement is still served from the index ...
 	if st, err := sess.Prepare(sql(4*maxEntries - 1)); err != nil || !st.Hit {
 		t.Fatalf("newest statement: hit=%v err=%v", st != nil && st.Hit, err)
 	}

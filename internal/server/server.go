@@ -37,16 +37,18 @@
 //   - the fbstore.StatsStore is concurrency-safe on its own (short per-key
 //     critical sections; folds are commutative), so entries never serialize
 //     against each other on the shared statistics plane;
-//   - the cache map itself is under the plan cache's RWMutex, held only for
-//     lookup/insert/evict (never during optimization or execution); an
-//     evicted entry keeps serving statements that already hold it — it
-//     merely becomes invisible to new prepares, and its feedback still
-//     lands in the shared store;
+//   - the cache map and its statement-text index (the one statement cache:
+//     a re-prepared text resolves without a parse) are under the plan
+//     cache's RWMutex, held only for lookup/insert/evict (never during
+//     optimization or execution); an evicted entry keeps serving statements
+//     that already hold it — it merely becomes invisible to new prepares,
+//     and its feedback still lands in the shared store;
 //   - server-wide totals are atomics bumped at the event, so they cover
 //     every execution whether or not its entry is still cached;
-//   - admission control bounds concurrent executions with a semaphore sized
-//     against the executor's Parallelism, so concurrent queries don't
-//     oversubscribe the morsel workers.
+//   - admission control is one semaphore of MaxConcurrent slots, sized by
+//     default against the executor's Parallelism so concurrent queries
+//     don't oversubscribe the morsel workers; it also bounds in-flight
+//     execution memory to MaxConcurrent × MemBudgetBytes.
 package server
 
 import (
@@ -89,18 +91,11 @@ type Options struct {
 	// MemBudgetBytes bounds each query's tracked execution memory: the
 	// spill-capable operators (hash join build, hash aggregation) go out
 	// of core under grace hashing instead of exceeding it, the rest charge
-	// through and record overage. 0 executes unbounded — memory is still
-	// tracked, so the peak-memory metrics stay live either way.
+	// through and record overage. At most MaxConcurrent queries execute at
+	// once, so the budgets in flight total at most MaxConcurrent ×
+	// MemBudgetBytes. 0 executes unbounded — memory is still tracked, so
+	// the peak-memory metrics stay live either way.
 	MemBudgetBytes int64
-	// MemCeilingBytes bounds the sum of concurrently admitted queries'
-	// memory budgets — the second admission gate, under the MaxConcurrent
-	// semaphore: an execution whose budget would push the in-flight total
-	// past the ceiling waits until running queries release theirs (the
-	// wait lands in the queue-wait histogram and traces with reason
-	// "mem"). Requires MemBudgetBytes, which must not exceed the ceiling —
-	// a single query that could never be admitted is rejected at New.
-	// 0 disables the ceiling.
-	MemCeilingBytes int64
 
 	// MaxEntries bounds the plan cache: inserting a cache miss beyond the
 	// bound evicts the least-recently-used entry first. 0 is unbounded.
@@ -189,13 +184,6 @@ type Server struct {
 	drainMu sync.Mutex    // serializes Shutdown drains
 	flushed bool          // under drainMu: storage flush ran (first Shutdown)
 
-	// The memory admission gate (MemCeilingBytes): memInUse is the sum of
-	// admitted queries' budgets, waiters block on memCond until a release
-	// makes room. Guarded by memMu; nil memCond means no ceiling.
-	memMu    sync.Mutex
-	memCond  *sync.Cond
-	memInUse int64
-
 	plans *planCache
 
 	sessions  atomic.Int64
@@ -220,8 +208,7 @@ type Server struct {
 	latencyH   *obs.Histogram // execution wall time
 	repairH    *obs.Histogram // incremental repair time
 	queueH     *obs.Histogram // admission-queue wait
-	queueWaits atomic.Int64   // executions that waited > 0 on admission
-	memWaits   atomic.Int64   // executions that waited on the memory gate
+	queueWaits atomic.Int64   // executions that found no free admission slot
 
 	// The memory plane: per-query peak tracked bytes, and the spill
 	// counters accumulated across executions.
@@ -251,17 +238,8 @@ func New(cat *catalog.Catalog, opts Options) (*Server, error) {
 	if opts.MaxEntries < 0 {
 		return nil, fmt.Errorf("server: negative MaxEntries %d", opts.MaxEntries)
 	}
-	if opts.MemBudgetBytes < 0 || opts.MemCeilingBytes < 0 {
-		return nil, fmt.Errorf("server: negative memory bound")
-	}
-	if opts.MemCeilingBytes > 0 {
-		if opts.MemBudgetBytes == 0 {
-			return nil, fmt.Errorf("server: MemCeilingBytes requires MemBudgetBytes")
-		}
-		if opts.MemBudgetBytes > opts.MemCeilingBytes {
-			return nil, fmt.Errorf("server: per-query budget %d exceeds memory ceiling %d — no query could ever be admitted",
-				opts.MemBudgetBytes, opts.MemCeilingBytes)
-		}
+	if opts.MemBudgetBytes < 0 {
+		return nil, fmt.Errorf("server: negative memory budget %d", opts.MemBudgetBytes)
 	}
 	var bind catalog.BindSummary
 	if opts.DataDir != "" {
@@ -289,14 +267,11 @@ func New(cat *catalog.Catalog, opts Options) (*Server, error) {
 		resCache: rc,
 		bind:     bind,
 		sem:      make(chan struct{}, opts.MaxConcurrent),
-		plans:    &planCache{max: opts.MaxEntries, entries: map[string]*planEntry{}},
+		plans:    newPlanCache(opts.MaxEntries),
 		latencyH: obs.NewHistogram(),
 		repairH:  obs.NewHistogram(),
 		queueH:   obs.NewHistogram(),
 		peakMemH: obs.NewHistogram(),
-	}
-	if opts.MemCeilingBytes > 0 {
-		srv.memCond = sync.NewCond(&srv.memMu)
 	}
 	if opts.TraceEvents > 0 {
 		srv.trace = obs.NewTracer(opts.TraceEvents)
@@ -366,111 +341,30 @@ func (s *Server) Shutdown() error {
 type Session struct {
 	srv *Server
 	ID  int64
-
-	// stmts is the session-local statement handle cache: statement text
-	// (or workload name) resolved straight to the shared cache entry, so a
-	// re-prepare of a statement this session has already bound skips the
-	// parse and the shared-cache lock entirely. Entries are handles, not
-	// copies — the plan, optimizer and statistics stay shared — and a
-	// handle outliving a server-side eviction keeps serving exactly like
-	// any other statement held across an eviction. A handle keeps its entry —
-	// and that entry's live optimizer — reachable, so storeStmt sweeps
-	// evicted handles out whenever the map has doubled since the last sweep
-	// (sweepAt): the session holds at most twice the handles the server's
-	// own MaxEntries bound keeps alive, at amortized O(1) per store.
-	stmtMu  sync.Mutex
-	stmts   map[string]*planEntry
-	sweepAt int
-}
-
-// cachedStmt resolves a session-local statement key, counting a prepare hit.
-// An entry the server has since evicted falls back to the shared-cache path
-// so eviction semantics stay exactly those of an uncached prepare; the check
-// takes no server lock.
-func (sess *Session) cachedStmt(key string) (*Stmt, bool) {
-	sess.stmtMu.Lock()
-	e := sess.stmts[key]
-	sess.stmtMu.Unlock()
-	if e == nil {
-		return nil, false
-	}
-	if !sess.srv.plans.reuse(e) {
-		sess.stmtMu.Lock()
-		if sess.stmts[key] == e {
-			delete(sess.stmts, key)
-		}
-		sess.stmtMu.Unlock()
-		return nil, false
-	}
-	sess.srv.trace.Emit(obs.Event{Kind: obs.KindPrepare, Query: e.hash, Note: "hit"})
-	return &Stmt{sess: sess, entry: e, Hit: true}, true
-}
-
-// minStmtSweep is the smallest handle-map size worth sweeping.
-const minStmtSweep = 8
-
-// storeStmt remembers a resolved statement handle under the session-local
-// key, first sweeping out handles whose entry the server has evicted if the
-// map has doubled since the last sweep. A swept statement's next prepare
-// takes the shared-cache path, exactly as cachedStmt's own check would have
-// sent it.
-func (sess *Session) storeStmt(key string, st *Stmt) {
-	sess.stmtMu.Lock()
-	defer sess.stmtMu.Unlock()
-	if sess.stmts == nil {
-		sess.stmts = map[string]*planEntry{}
-	}
-	if len(sess.stmts) >= max(sess.sweepAt, minStmtSweep) {
-		for k, e := range sess.stmts {
-			if !e.live() {
-				delete(sess.stmts, k)
-			}
-		}
-		sess.sweepAt = 2 * len(sess.stmts)
-	}
-	sess.stmts[key] = st.entry
 }
 
 // Prepare parses a SQL statement and binds it to the shared plan cache,
 // optimizing it from scratch only if no structurally equal statement is
-// cached yet. Statements this session has prepared before resolve through
-// the session-local handle cache — no parse, no shared-cache lock.
+// cached yet. A statement text the cache has bound before resolves through
+// the cache's text index, without a parse.
 func (sess *Session) Prepare(sql string) (*Stmt, error) {
-	key := "sql:" + sql
-	if st, ok := sess.cachedStmt(key); ok {
-		return st, nil
-	}
-	q, err := sqlmini.Parse(sql, sess.srv.cat, sqlmini.Options{
-		Dict: sess.srv.opts.Dict, Date: sess.srv.opts.Date,
+	return sess.prepare("sql:"+sql, func() (*relalg.Query, error) {
+		return sqlmini.Parse(sql, sess.srv.cat, sqlmini.Options{
+			Dict: sess.srv.opts.Dict, Date: sess.srv.opts.Date,
+		})
 	})
-	if err != nil {
-		return nil, err
-	}
-	st, err := sess.PrepareQuery(q)
-	if err != nil {
-		return nil, err
-	}
-	sess.storeStmt(key, st)
-	return st, nil
 }
 
 // PrepareNamed binds a statement from the Options.Named registry, resolving
-// repeats through the session-local handle cache like Prepare.
+// repeats through the cache's text index like Prepare.
 func (sess *Session) PrepareNamed(name string) (*Stmt, error) {
-	key := "name:" + name
-	if st, ok := sess.cachedStmt(key); ok {
-		return st, nil
-	}
-	q, ok := sess.srv.opts.Named[name]
-	if !ok {
-		return nil, fmt.Errorf("server: unknown named query %q", name)
-	}
-	st, err := sess.PrepareQuery(q)
-	if err != nil {
-		return nil, err
-	}
-	sess.storeStmt(key, st)
-	return st, nil
+	return sess.prepare("name:"+name, func() (*relalg.Query, error) {
+		q, ok := sess.srv.opts.Named[name]
+		if !ok {
+			return nil, fmt.Errorf("server: unknown named query %q", name)
+		}
+		return q, nil
+	})
 }
 
 // PrepareQuery binds an already-built query to the shared plan cache. The
@@ -478,23 +372,31 @@ func (sess *Session) PrepareNamed(name string) (*Stmt, error) {
 // it publishes) is safe even when the same instance is first prepared from
 // several goroutines at once.
 func (sess *Session) PrepareQuery(q *relalg.Query) (*Stmt, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	e, hit, err := sess.srv.entry(q)
-	if err != nil {
-		return nil, err
-	}
-	return &Stmt{sess: sess, entry: e, Hit: hit}, nil
+	return sess.prepare("", func() (*relalg.Query, error) { return q, nil })
 }
 
-// entry resolves (or creates) the cache entry for q and ensures it is
-// initialized — the only point where a from-scratch optimization ever
-// happens.
-func (s *Server) entry(q *relalg.Query) (*planEntry, bool, error) {
-	e, hit := s.plans.resolve(q)
-	if err := e.ensureInit(s); err != nil {
-		return nil, hit, err
+// prepare is the one bind path. A statement text (empty for a query built
+// by the caller) the plan cache's text index holds resolves to its entry.
+// Otherwise build's query is validated and resolved to its cache entry,
+// which is initialized — the only point where a from-scratch optimization
+// ever happens — and the index remembers the text for it.
+func (sess *Session) prepare(text string, build func() (*relalg.Query, error)) (*Stmt, error) {
+	s := sess.srv
+	e := s.plans.lookup(text)
+	hit := e != nil
+	if !hit {
+		q, err := build()
+		if err == nil {
+			err = q.Validate()
+		}
+		if err != nil {
+			return nil, err
+		}
+		e, hit = s.plans.resolve(q)
+		if err := e.ensureInit(s); err != nil {
+			return nil, err
+		}
+		s.plans.index(text, e)
 	}
 	if s.trace.Enabled() {
 		ev := obs.Event{Kind: obs.KindPrepare, Query: e.hash, Note: "hit"}
@@ -506,7 +408,7 @@ func (s *Server) entry(q *relalg.Query) (*planEntry, bool, error) {
 		}
 		s.trace.Emit(ev)
 	}
-	return e, hit, nil
+	return &Stmt{sess: sess, entry: e, Hit: hit}, nil
 }
 
 // Stmt is a prepared statement: a session's handle on a shared cache entry.
@@ -549,7 +451,7 @@ type Result struct {
 // statement are safe and run in parallel up to the admission bound; the
 // repair they trigger is serialized per entry.
 func (st *Stmt) Exec() (*Result, error) {
-	res, _, err := st.exec(nil)
+	res, _, err := st.exec(false)
 	return res, err
 }
 
@@ -559,153 +461,134 @@ func (st *Stmt) Exec() (*Result, error) {
 // q-error per node. The profiled execution is a real one — its rows are
 // returned and its feedback lands like any other execution's.
 func (st *Stmt) ExplainAnalyze() (*Result, string, error) {
-	return st.exec(exec.NewPlanProfile())
+	return st.exec(true)
 }
 
-// exec is the shared execution path. A non-nil prof collects the
-// per-operator profile and the annotated tree is returned as analyzed; a
-// nonzero slow-query threshold profiles every execution so the dump is
-// complete when the threshold trips.
-func (st *Stmt) exec(prof *exec.PlanProfile) (res *Result, analyzed string, err error) {
-	srv := st.sess.srv
-	enqueued := time.Now()
-	srv.sem <- struct{}{}
-	defer func() { <-srv.sem }()
-	// Second admission gate: hold the execution until its memory budget
-	// fits under the server-wide ceiling. The wait folds into the same
-	// queue-wait accounting as the semaphore, tagged with its reason.
-	memWaited := false
-	if budget := srv.opts.MemBudgetBytes; srv.memCond != nil {
-		srv.memMu.Lock()
-		for srv.memInUse+budget > srv.opts.MemCeilingBytes {
-			if !memWaited {
-				memWaited = true
-				srv.memWaits.Add(1) // counted as the wait begins
-			}
-			srv.memCond.Wait()
-		}
-		srv.memInUse += budget
-		srv.memMu.Unlock()
-		defer func() {
-			srv.memMu.Lock()
-			srv.memInUse -= budget
-			srv.memMu.Unlock()
-			srv.memCond.Broadcast()
-		}()
+// exec is the shared execution path: admit → run → feed back. With analyze
+// set it returns the run's annotated plan tree; a slow-query threshold has
+// every run profiled, so the dump of one that trips it is complete.
+func (st *Stmt) exec(analyze bool) (*Result, string, error) {
+	srv, e := st.sess.srv, st.entry
+	traceFrom, err := srv.admit(e)
+	if err != nil {
+		return nil, "", err
 	}
-	wait := time.Since(enqueued)
-	srv.queueH.Observe(wait)
-	if wait > 0 {
-		srv.queueWaits.Add(1)
-	}
-	if srv.closed.Load() {
-		return nil, "", fmt.Errorf("server: shutting down")
-	}
-
-	e := st.entry
+	defer srv.release()
 	e.touch()
 	snap := e.cur.Load()
-
-	analyze := prof != nil
-	if prof == nil && srv.opts.TraceSlowQuery > 0 {
-		prof = exec.NewPlanProfile()
-	}
-	traceFrom := srv.trace.Seq()
-	queueNote := ""
-	if memWaited {
-		queueNote = "mem"
-	}
-	srv.trace.Emit(obs.Event{Kind: obs.KindQueueWait, Query: e.hash, Dur: wait, Note: queueNote})
-	var rc0 rescache.Metrics
-	if srv.trace.Enabled() && srv.resCache.Enabled() {
-		rc0 = srv.resCache.Metrics()
-	}
-
-	start := time.Now()
-	// The tracker is created even without a budget so per-query peak
-	// memory stays observable on unbounded servers.
-	mem := exec.NewMemTracker(srv.opts.MemBudgetBytes)
-	mem.SetSpillDir(srv.opts.SpillDir)
-	comp := &exec.Compiler{
-		Q: e.q, Cat: srv.cat, Parallelism: srv.opts.Parallelism,
-		Cache: srv.resCache, CacheCands: snap.cands, Prof: prof, Mem: mem,
-	}
-	v, stats, err := comp.CompileVec(snap.plan)
+	res, stats, prof, err := srv.run(e, snap, analyze)
 	if err != nil {
 		return nil, "", err
 	}
-	rows, err := exec.DrainVec(v)
-	if err != nil {
-		return nil, "", err
-	}
-	elapsed := time.Since(start)
-	srv.latencyH.Observe(elapsed)
-	e.execs.Add(1)
-	srv.execs.Add(1)
-
-	peak := mem.Peak()
-	srv.peakMemH.ObserveInt64(peak)
-	if parts, bytes, recs := mem.SpillStats(); parts > 0 {
-		srv.spilledQueries.Add(1)
-		srv.spillPartitions.Add(parts)
-		srv.spillBytes.Add(bytes)
-		srv.spillRecursions.Add(recs)
-		srv.trace.Emit(obs.Event{Kind: obs.KindSpill, Query: e.hash,
-			A: parts, B: bytes, V: float64(peak)})
-	}
-
-	if srv.trace.Enabled() && srv.resCache.Enabled() {
-		// Result-cache activity is server-wide, so under concurrency the
-		// delta may fold in a neighbor's probes — good enough for a trace.
-		rc1 := srv.resCache.Metrics()
-		for _, d := range []struct {
-			note string
-			n    int64
-		}{
-			{"probe-hit", rc1.Hits - rc0.Hits},
-			{"spool", rc1.Stores - rc0.Stores},
-			{"invalidate", rc1.Invalidations - rc0.Invalidations},
-		} {
-			if d.n > 0 {
-				srv.trace.Emit(obs.Event{Kind: obs.KindResultCache, Query: e.hash, Note: d.note, A: d.n})
-			}
-		}
-	}
-
-	repaired, err := e.feedback(srv, snap, stats.Snapshot())
-	if err != nil {
+	if res.Repaired, err = e.feedback(srv, snap, stats.Snapshot()); err != nil {
 		return nil, "", err
 	}
 	note := ""
-	if repaired {
+	if res.Repaired {
 		note = "repaired"
 	}
 	srv.trace.Emit(obs.Event{Kind: obs.KindExec, Query: e.hash,
-		A: int64(len(rows)), B: int64(snap.version), Dur: elapsed, Note: note})
+		A: int64(len(res.Rows)), B: int64(snap.version), Dur: res.Elapsed, Note: note})
 
-	slow := srv.opts.TraceSlowQuery > 0 && elapsed >= srv.opts.TraceSlowQuery
-	if analyze || slow {
-		analyzed = prof.Format(e.q, snap.plan, stats)
+	slow := srv.opts.TraceSlowQuery > 0 && res.Elapsed >= srv.opts.TraceSlowQuery
+	if !analyze && !slow {
+		return res, "", nil
 	}
+	analyzed := prof.Format(e.q, snap.plan, stats)
 	if slow {
-		srv.trace.Emit(obs.Event{Kind: obs.KindSlowQuery, Query: e.hash,
-			Dur: elapsed, Note: srv.opts.TraceSlowQuery.String()})
-		dump := srv.slowDump(e, snap, elapsed, analyzed, traceFrom)
-		srv.slow.Add(dump)
-		if srv.opts.TraceOnSlow != nil {
-			srv.opts.TraceOnSlow(dump)
-		}
+		srv.slowQuery(e, snap, res.Elapsed, analyzed, traceFrom)
 	}
 	if !analyze {
 		analyzed = ""
 	}
-	res = &Result{Rows: rows, PlanVersion: snap.version, Repaired: repaired, Elapsed: elapsed}
 	return res, analyzed, nil
 }
 
-// slowDump renders one slow execution: a header, the query's lifecycle
-// events since it entered admission, and the per-operator profile.
-func (s *Server) slowDump(e *planEntry, snap *planVersion, elapsed time.Duration, analyzed string, fromSeq uint64) string {
+// admit takes one of the MaxConcurrent admission slots for an execution of
+// e, blocking while none is free; the caller gives it back with release. A
+// queue wait is counted only when no slot was free, while the wait
+// histogram observes every admission. It returns the trace sequence the
+// execution's own events start after, and refuses once Shutdown has begun.
+func (s *Server) admit(e *planEntry) (traceFrom uint64, err error) {
+	enqueued := time.Now()
+	select {
+	case s.sem <- struct{}{}:
+	default:
+		s.queueWaits.Add(1)
+		s.sem <- struct{}{}
+	}
+	wait := time.Since(enqueued)
+	s.queueH.Observe(wait)
+	if s.closed.Load() {
+		s.release()
+		return 0, fmt.Errorf("server: shutting down")
+	}
+	traceFrom = s.trace.Seq()
+	s.trace.Emit(obs.Event{Kind: obs.KindQueueWait, Query: e.hash, Dur: wait})
+	return traceFrom, nil
+}
+
+// release gives back the admission slot admit took.
+func (s *Server) release() { <-s.sem }
+
+// run executes snap's plan for e once and owns everything the execution
+// holds: its memory tracker (created even without a budget, so per-query
+// peak memory stays observable on unbounded servers), its profile (when
+// analyze asks for one or a slow-query threshold may need one), the
+// compiled tree and its drain. It records the execution's latency, peak
+// memory and spill, and traces the result-cache probe hits and spools its
+// own compile decided. The returned Result lacks only Repaired.
+func (s *Server) run(e *planEntry, snap *planVersion, analyze bool) (*Result, *exec.RunStats, *exec.PlanProfile, error) {
+	var prof *exec.PlanProfile
+	if analyze || s.opts.TraceSlowQuery > 0 {
+		prof = exec.NewPlanProfile()
+	}
+	start := time.Now()
+	mem := exec.NewMemTracker(s.opts.MemBudgetBytes)
+	mem.SetSpillDir(s.opts.SpillDir)
+	comp := &exec.Compiler{
+		Q: e.q, Cat: s.cat, Parallelism: s.opts.Parallelism,
+		Cache: s.resCache, CacheCands: snap.cands, Prof: prof, Mem: mem,
+	}
+	v, stats, err := comp.CompileVec(snap.plan)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	rows, err := exec.DrainVec(v)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	elapsed := time.Since(start)
+	s.latencyH.Observe(elapsed)
+	e.execs.Add(1)
+	s.execs.Add(1)
+
+	peak := mem.Peak()
+	s.peakMemH.ObserveInt64(peak)
+	if parts, bytes, recs := mem.SpillStats(); parts > 0 {
+		s.spilledQueries.Add(1)
+		s.spillPartitions.Add(parts)
+		s.spillBytes.Add(bytes)
+		s.spillRecursions.Add(recs)
+		s.trace.Emit(obs.Event{Kind: obs.KindSpill, Query: e.hash,
+			A: parts, B: bytes, V: float64(peak)})
+	}
+	hits, spools := comp.CacheDecisions()
+	if hits > 0 {
+		s.trace.Emit(obs.Event{Kind: obs.KindResultCache, Query: e.hash, Note: "probe-hit", A: int64(hits)})
+	}
+	if spools > 0 {
+		s.trace.Emit(obs.Event{Kind: obs.KindResultCache, Query: e.hash, Note: "spool", A: int64(spools)})
+	}
+	return &Result{Rows: rows, PlanVersion: snap.version, Elapsed: elapsed}, stats, prof, nil
+}
+
+// slowQuery traces one slow execution and keeps its dump: a header, the
+// query's lifecycle events since its admission, and the per-operator
+// profile.
+func (s *Server) slowQuery(e *planEntry, snap *planVersion, elapsed time.Duration, analyzed string, fromSeq uint64) {
+	s.trace.Emit(obs.Event{Kind: obs.KindSlowQuery, Query: e.hash,
+		Dur: elapsed, Note: s.opts.TraceSlowQuery.String()})
 	var b strings.Builder
 	fmt.Fprintf(&b, "slow query [%s] %s: %v over threshold %v, plan v%d\n",
 		e.hash, e.name, elapsed.Round(time.Microsecond), s.opts.TraceSlowQuery, snap.version)
@@ -720,10 +603,12 @@ func (s *Server) slowDump(e *planEntry, snap *planVersion, elapsed time.Duration
 		events++
 		fmt.Fprintf(&b, "  %s\n", ev.String())
 	}
-	if analyzed != "" {
-		b.WriteString(analyzed)
+	b.WriteString(analyzed)
+	dump := b.String()
+	s.slow.Add(dump)
+	if s.opts.TraceOnSlow != nil {
+		s.opts.TraceOnSlow(dump)
 	}
-	return b.String()
 }
 
 // Query is the one-shot convenience: Prepare + Exec.

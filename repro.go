@@ -163,12 +163,13 @@
 //     "analyze" command expose the same tree.
 //   - Lifecycle tracing. ServerOptions.TraceEvents keeps the last N
 //     structured events (prepare hit/miss, admission queue wait, exec,
-//     incremental repair, result-cache probe/spool/invalidate) in a
-//     bounded ring, read by the protocol's "trace" command and the debug
-//     handler's /traces. ServerOptions.TraceSlowQuery profiles every
-//     execution and, when one exceeds the threshold, dumps its event trail
-//     plus the full EXPLAIN ANALYZE tree to Server.SlowTraces and the
-//     optional TraceOnSlow callback.
+//     incremental repair, the result-cache probe hits and spools each
+//     execution's compile decided) in a bounded ring.
+//     ServerOptions.TraceSlowQuery profiles every execution and, when one
+//     exceeds the threshold, dumps its event trail plus the full EXPLAIN
+//     ANALYZE tree to Server.SlowTraces and the optional TraceOnSlow
+//     callback. The protocol's "trace" command and the debug handler's
+//     /traces render the same account: the ring, then the slow dumps.
 //   - A scrapeable metrics plane. Execution latency, admission queue wait
 //     and repair latency feed wait-free histograms that are always on;
 //     ServerMetrics carries their count/mean/p50/p95/p99 summaries (and is
@@ -193,15 +194,13 @@
 // execution is exactly transparent: result multisets and the per-operator
 // cardinality feedback that repairs cached plans are byte-identical with
 // spilling on or off, at any Parallelism (differential-tested), so
-// bounding memory never perturbs the paper's adaptive loop.
-// ServerOptions.MemCeilingBytes layers admission control on top: an
-// execution is held until the sum of admitted per-query budgets fits
-// under the server-wide ceiling, and the wait is traced as a queue-wait
-// with reason "mem". Per-query peak tracked memory is always observable —
-// budget or not — as a histogram in ServerMetrics and on /metrics
-// (repro_peak_memory_bytes), alongside spill counters (partitions, bytes,
-// recursions). cmd/reproserve wires the bounds to -mem-budget-mb and
-// -mem-ceiling-mb.
+// bounding memory never perturbs the paper's adaptive loop. Admission is
+// one semaphore of ServerOptions.MaxConcurrent slots, so the budgets in
+// flight total at most MaxConcurrent × MemBudgetBytes. Per-query peak
+// tracked memory is always observable — budget or not — as a histogram in
+// ServerMetrics and on /metrics (repro_peak_memory_bytes), alongside spill
+// counters (partitions, bytes, recursions). cmd/reproserve wires the bounds
+// to -mem-budget-mb and -max-concurrent.
 //
 // # Storage
 //

@@ -86,7 +86,7 @@ for boot in 1 2; do
 	{ printf '%s\n' "$session"; sleep 0.3; printf 'quit\n'; } |
 		serve -stats-file "$work/stats.json" -stats-half-life 50 -stats-stale-after 20 \
 			-stats-snapshot-interval 100ms -slow-query 1ns -trace-events 256 \
-			-mem-budget-mb 1 -mem-ceiling-mb 2 -spill-dir "$work/spill" \
+			-mem-budget-mb 1 -max-concurrent 2 -spill-dir "$work/spill" \
 			-result-cache-mb 4 -metrics-json >/dev/null 2>"$work/err"
 done
 grep -q 'loaded [1-9][0-9]* statistics fingerprints' "$work/err" || { say "the statistics snapshot did not reload"; exit 1; }
