@@ -19,7 +19,7 @@
 //     the recursive PlanCost = LocalCost + Σ children BestCost (rules
 //     R6–R8), and on each child edge the ParentBound value it contributes
 //     to that child's MaxBound aggregate (rules r1–r3). A group's entries
-//     are one slab.
+//     are one exactly sized slab; an entry's position is its Index.
 //   - deltas (cost insertions, deletions, updates; bound updates; reference
 //     count changes) flow through a worklist until fixpoint, mimicking the
 //     pipelined push-based execution of the ASPEN engine. Expansion tasks
@@ -168,12 +168,12 @@ type Optimizer struct {
 	space relalg.SpaceOptions
 	mode  Pruning
 
-	groups map[groupKey]*group
-	order  []*group // creation order, for deterministic iteration
+	groups map[relalg.RelSet]*group // by expression; group.sameExpr chains its properties
+	order  []*group                 // creation order, for deterministic iteration
 	root   *group
 
-	hot  worklist // cost/bound/refcount deltas (FIFO)
-	cold worklist // expansion tasks (LIFO: depth-first)
+	hot  worklist[task]   // cost/bound/refcount deltas (FIFO)
+	cold worklist[*entry] // entries to expand (LIFO: depth-first)
 
 	// stepLimit bounds one drain; err latches a drain that reached it.
 	stepLimit int
@@ -188,7 +188,6 @@ type Optimizer struct {
 	met       Metrics
 	epoch     uint64 // bumped per Optimize/Reoptimize for touch tracking
 	optimized bool
-	nextID    int
 
 	pending []pendingUpdate // staged cost-parameter updates
 
@@ -217,9 +216,9 @@ func New(m *cost.Model, space relalg.SpaceOptions, mode Pruning) (*Optimizer, er
 		model:  m,
 		space:  space,
 		mode:   mode,
-		groups: map[groupKey]*group{},
+		groups: map[relalg.RelSet]*group{},
 
-		hot:       worklist{fifo: true},
+		hot:       worklist[task]{fifo: true},
 		stepLimit: defaultStepLimit,
 	}, nil
 }
@@ -293,11 +292,20 @@ func (o *Optimizer) BestCost() (float64, bool) {
 // Reached by: the deltalog oracle (TestOracleMatchesCore in
 // internal/deltalog), which compares every group's BestCost with it.
 func (o *Optimizer) GroupBestCost(s relalg.RelSet, p relalg.Prop) (float64, bool) {
-	g := o.groups[groupKey{s, p}]
+	g := o.lookup(groupKey{s, p})
 	if g == nil || !g.hasBest {
 		return 0, false
 	}
 	return g.bestCost, true
+}
+
+// lookup returns the materialized group for key, or nil.
+func (o *Optimizer) lookup(key groupKey) *group {
+	g := o.groups[key.expr]
+	for g != nil && g.key.prop != key.prop {
+		g = g.sameExpr
+	}
+	return g
 }
 
 func (o *Optimizer) threshold(g *group) float64 {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/relalg"
 )
@@ -33,7 +34,8 @@ func (o *Optimizer) drain() error {
 	for steps := 0; ; steps++ {
 		t, ok := o.hot.pop()
 		if !ok {
-			if t, ok = o.cold.pop(); !ok {
+			// An expansion is the zero task with its entry set.
+			if t.e, ok = o.cold.pop(); !ok {
 				return nil
 			}
 		}
@@ -58,32 +60,34 @@ func (o *Optimizer) drain() error {
 	}
 }
 
+// altBufs holds demandGroup's enumeration buffers, so that no optimizer
+// regrows one and a cached optimizer holds none.
+var altBufs = sync.Pool{New: func() any { return new([]relalg.Alt) }}
+
 // demandGroup materializes the group for key if needed, enumerating its
 // SearchSpace alternatives (rules R1–R5 via the shared Fn_split) and
 // scheduling their expansion.
 func (o *Optimizer) demandGroup(key groupKey) *group {
-	if g := o.groups[key]; g != nil {
+	if g := o.lookup(key); g != nil {
 		return g
 	}
-	g := &group{key: key, alive: true, bound: infinity, floor: infinity}
-	o.groups[key] = g
+	g := &group{key: key, sameExpr: o.groups[key.expr], alive: true, bound: infinity, floor: infinity}
+	o.groups[key.expr] = g
 	o.order = append(o.order, g)
 	o.met.GroupsEnumerated++
 	o.touchGroup(g)
 
-	alts := relalg.Split(o.model.Q, o.model, o.space, key.expr, key.prop)
+	buf := altBufs.Get().(*[]relalg.Alt)
+	alts := relalg.Split(o.model.Q, o.model, o.space, key.expr, key.prop, (*buf)[:0])
 	o.met.AltsEnumerated += len(alts)
-	g.entries = make([]entry, len(alts)) // one slab per group, not one object per alternative
-	for i, alt := range alts {
-		g.entries[i] = entry{
-			id:        o.nextID,
-			g:         g,
-			index:     i,
-			alt:       alt,
-			localCost: o.model.LocalCost(alt, key.expr, key.prop),
-		}
-		o.nextID++
+	g.entries = make([]entry, len(alts)) // one exactly sized slab per group
+	for i := range g.entries {
+		e := &g.entries[i]
+		e.g, e.alt = g, alts[i]
+		e.localCost = o.model.LocalCost(e.alt, key.expr, key.prop)
 	}
+	*buf = alts
+	altBufs.Put(buf)
 	g.floor = computeFloor(g)
 	// LIFO stack: push in reverse so alternative 0 expands first.
 	for i := len(g.entries) - 1; i >= 0; i-- {
@@ -103,7 +107,7 @@ func computeFloor(g *group) float64 {
 	return f
 }
 
-func (o *Optimizer) queueExpand(e *entry) { o.cold.push(task{kind: taskExpand, e: e}) }
+func (o *Optimizer) queueExpand(e *entry) { o.cold.push(e) }
 
 // expandEntry performs the SearchSpace tuple's recursive step: demand the
 // child groups (which enumerates them if new). Before doing so it applies

@@ -24,19 +24,8 @@ type SearchSpaceRow struct {
 // formatted like the paper's Table 1.
 func (o *Optimizer) SearchSpaceTable() []SearchSpaceRow {
 	q := o.model.Q
-	groups := append([]*group(nil), o.order...)
-	sort.Slice(groups, func(i, j int) bool {
-		a, b := groups[i].key, groups[j].key
-		if a.expr.Count() != b.expr.Count() {
-			return a.expr.Count() > b.expr.Count()
-		}
-		if a.expr != b.expr {
-			return a.expr < b.expr
-		}
-		return a.prop.String() < b.prop.String()
-	})
 	var rows []SearchSpaceRow
-	for _, g := range groups {
+	for _, g := range o.sortedGroups() {
 		if !g.alive {
 			continue
 		}
@@ -49,7 +38,7 @@ func (o *Optimizer) SearchSpaceTable() []SearchSpaceRow {
 			row := SearchSpaceRow{
 				Expr:  q.SetString(g.key.expr),
 				Prop:  g.key.prop.String(),
-				Index: fmt.Sprintf("%d", e.index+1),
+				Index: fmt.Sprintf("%d", i+1),
 				LogOp: e.alt.Log.String(),
 				PhyOp: e.alt.Phy.String(),
 				Best:  e == best,
@@ -77,6 +66,23 @@ func (o *Optimizer) SearchSpaceTable() []SearchSpaceRow {
 	return rows
 }
 
+// sortedGroups returns the groups in display order: expression size
+// (largest first), then bitmap, then property.
+func (o *Optimizer) sortedGroups() []*group {
+	groups := append([]*group(nil), o.order...)
+	sort.Slice(groups, func(i, j int) bool {
+		a, b := groups[i].key, groups[j].key
+		if a.expr.Count() != b.expr.Count() {
+			return a.expr.Count() > b.expr.Count()
+		}
+		if a.expr != b.expr {
+			return a.expr < b.expr
+		}
+		return a.prop.String() < b.prop.String()
+	})
+	return groups
+}
+
 // FormatSearchSpace renders SearchSpaceTable as an aligned text table.
 func (o *Optimizer) FormatSearchSpace() string {
 	rows := o.SearchSpaceTable()
@@ -97,19 +103,8 @@ func (o *Optimizer) FormatSearchSpace() string {
 // LocalCost / PlanCost on AND nodes, in the spirit of the paper's Figure 2.
 func (o *Optimizer) AndOrGraph() string {
 	q := o.model.Q
-	groups := append([]*group(nil), o.order...)
-	sort.Slice(groups, func(i, j int) bool {
-		a, b := groups[i].key, groups[j].key
-		if a.expr.Count() != b.expr.Count() {
-			return a.expr.Count() > b.expr.Count()
-		}
-		if a.expr != b.expr {
-			return a.expr < b.expr
-		}
-		return a.prop.String() < b.prop.String()
-	})
 	var b strings.Builder
-	for _, g := range groups {
+	for _, g := range o.sortedGroups() {
 		if !g.alive {
 			continue
 		}
@@ -145,7 +140,7 @@ func (o *Optimizer) AndOrGraph() string {
 				cost = fmt.Sprintf("%.3f", e.cost)
 			}
 			fmt.Fprintf(&b, "  AND #%d %-40s Local=%.3f Plan=%s%s\n",
-				e.index+1, desc, e.localCost, cost, status)
+				i+1, desc, e.localCost, cost, status)
 		}
 	}
 	return b.String()
@@ -197,7 +192,7 @@ func (o *Optimizer) ExportSpace() []SpaceEntry {
 		for i := range g.entries {
 			e := &g.entries[i]
 			out = append(out, SpaceEntry{
-				Expr: g.key.expr, Prop: g.key.prop, Index: e.index, Alt: e.alt,
+				Expr: g.key.expr, Prop: g.key.prop, Index: i, Alt: e.alt,
 			})
 		}
 	}

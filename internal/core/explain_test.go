@@ -199,7 +199,7 @@ func TestPruningModeValidation(t *testing.T) {
 // floors, pruning flags, parent edges with their bound contributions) for
 // debugging.
 func (o *Optimizer) DumpGroup(s relalg.RelSet, p relalg.Prop) string {
-	g := o.groups[groupKey{s, p}]
+	g := o.lookup(groupKey{s, p})
 	if g == nil {
 		return "group not materialized"
 	}
@@ -209,7 +209,7 @@ func (o *Optimizer) DumpGroup(s relalg.RelSet, p relalg.Prop) string {
 	for i := range g.entries {
 		e := &g.entries[i]
 		fmt.Fprintf(&b, "  #%d %v %s lexpr=%s rexpr=%s local=%g costKnown=%v cost=%g floor=%g pruned=%v expanded=%v refHeld=%v\n",
-			e.index, e.alt.Log, e.alt.Phy, o.model.Q.SetString(e.alt.LExpr), o.model.Q.SetString(e.alt.RExpr),
+			i, e.alt.Log, e.alt.Phy, o.model.Q.SetString(e.alt.LExpr), o.model.Q.SetString(e.alt.RExpr),
 			e.localCost, e.costKnown, e.cost, e.floor(), e.pruned, e.expanded, e.refHeld)
 	}
 	for _, pr := range g.parents {
@@ -218,7 +218,17 @@ func (o *Optimizer) DumpGroup(s relalg.RelSet, p relalg.Prop) string {
 			contrib = fmt.Sprintf("%g", pr.e.contrib[pr.s])
 		}
 		fmt.Fprintf(&b, "  parent %s %s #%d side%d pruned=%v cost=%g bound=%g contrib=%s\n",
-			o.model.Q.SetString(pr.e.g.key.expr), pr.e.g.key.prop, pr.e.index, pr.s, pr.e.pruned, pr.e.cost, pr.e.g.bound, contrib)
+			o.model.Q.SetString(pr.e.g.key.expr), pr.e.g.key.prop, slabIndex(pr.e), pr.s, pr.e.pruned, pr.e.cost, pr.e.g.bound, contrib)
 	}
 	return b.String()
+}
+
+// slabIndex is e's position in its group's slab: its Index attribute.
+func slabIndex(e *entry) int {
+	for i := range e.g.entries {
+		if &e.g.entries[i] == e {
+			return i
+		}
+	}
+	return -1
 }

@@ -12,7 +12,7 @@ import (
 //
 //  1. Aggregate consistency: BestCost equals the minimum over the group's
 //     costed entries, re-derived here; PlanCost equals LocalCost + Σ
-//     children BestCost; entry ids ascend within a group (the tiebreak).
+//     children BestCost.
 //  2. Pruning soundness: a live (unpruned) costed entry never exceeds the
 //     group's bound; the designated best entry is live in any group that
 //     is alive and reachable; pruned costed entries are ≥ the best.
@@ -46,9 +46,6 @@ func (o *Optimizer) CheckInvariants() error {
 		min, costed := infinity, false
 		for i := range g.entries {
 			e := &g.entries[i]
-			if i > 0 && e.id <= g.entries[i-1].id {
-				return fmt.Errorf("group %v entry %d: ids do not ascend", g.key, e.index)
-			}
 			if !e.costKnown {
 				continue
 			}
@@ -69,7 +66,7 @@ func (o *Optimizer) CheckInvariants() error {
 				want += ch.bestCost
 			}
 			if !incomplete && math.Abs(want-e.cost) > eps*math.Max(1, math.Abs(want)) {
-				return fmt.Errorf("group %v entry %d: PlanCost %v != LocalCost+children %v", g.key, e.index, e.cost, want)
+				return fmt.Errorf("group %v entry %d: PlanCost %v != LocalCost+children %v", g.key, i, e.cost, want)
 			}
 		}
 		if g.hasBest != costed || (costed && g.bestCost != min) {
@@ -85,7 +82,7 @@ func (o *Optimizer) CheckInvariants() error {
 					v = e.floor()
 				}
 				if e.costKnown && !e.pruned && v > g.bound+eps*mathMax1(g.bound) {
-					return fmt.Errorf("group %v entry %d: live value %v exceeds bound %v", g.key, e.index, v, g.bound)
+					return fmt.Errorf("group %v entry %d: live value %v exceeds bound %v", g.key, i, v, g.bound)
 				}
 			}
 		}
@@ -93,7 +90,7 @@ func (o *Optimizer) CheckInvariants() error {
 			for i := range g.entries {
 				e := &g.entries[i]
 				if e.costKnown && e.pruned && e.cost < g.bestCost-eps {
-					return fmt.Errorf("group %v entry %d: pruned cost %v below best %v", g.key, e.index, e.cost, g.bestCost)
+					return fmt.Errorf("group %v entry %d: pruned cost %v below best %v", g.key, i, e.cost, g.bestCost)
 				}
 			}
 		}
@@ -105,7 +102,7 @@ func (o *Optimizer) CheckInvariants() error {
 		for i := range g.entries {
 			e := &g.entries[i]
 			if e.costKnown && e.floor() > e.cost+eps*mathMax1(e.cost) {
-				return fmt.Errorf("group %v entry %d: floor %v exceeds exact cost %v", g.key, e.index, e.floor(), e.cost)
+				return fmt.Errorf("group %v entry %d: floor %v exceeds exact cost %v", g.key, i, e.floor(), e.cost)
 			}
 		}
 
@@ -123,7 +120,7 @@ func (o *Optimizer) CheckInvariants() error {
 			for sd, c := range e.children {
 				if c == nil {
 					if e.hasContrib[sd] {
-						return fmt.Errorf("group %v entry %d: contribution on an absent child edge", g.key, e.index)
+						return fmt.Errorf("group %v entry %d: contribution on an absent child edge", g.key, i)
 					}
 					continue
 				}
@@ -134,7 +131,7 @@ func (o *Optimizer) CheckInvariants() error {
 					}
 				}
 				if n != 1 {
-					return fmt.Errorf("group %v entry %d: child edge %d recorded %d times on the child", g.key, e.index, sd, n)
+					return fmt.Errorf("group %v entry %d: child edge %d recorded %d times on the child", g.key, i, sd, n)
 				}
 			}
 		}

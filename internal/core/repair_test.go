@@ -166,6 +166,43 @@ func TestReoptimizeSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// optimizeAllocCeiling bounds one from-scratch optimization of Q5 under
+// PruneAll — model, optimizer and Optimize, as
+// BenchmarkFig4InitialOptimization runs it. Before the enumerator worked on
+// masks and wrote each group's entries in place, this took 2 550
+// allocations.
+const optimizeAllocCeiling = 613
+
+// TestOptimizeAllocCeiling holds the plan-cache miss path's optimizer work
+// to a committed allocation ceiling: enumeration allocates nothing per
+// split and its buffer is pooled, so what remains is one object and one
+// exactly sized entry slab per group, parent edges, worklists, the model's
+// memo and the plan.
+func TestOptimizeAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the enumeration buffers' sync.Pool drops buffers under -race")
+	}
+	q := tpch.Q5()
+	cat := tpch.Generate(tpch.Config{ScaleFactor: 0.002, Seed: 42})
+	allocs := testing.AllocsPerRun(5, func() {
+		m, err := cost.NewModel(q, cat, cost.DefaultParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		o, err := New(m, relalg.DefaultSpace(), PruneAll)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := o.Optimize(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > optimizeAllocCeiling {
+		t.Errorf("Optimize of Q5 under PruneAll: %v allocations, ceiling %d", allocs, optimizeAllocCeiling)
+	}
+	t.Logf("Optimize of Q5 under PruneAll: %v allocations", allocs)
+}
+
 // TestDrainStepLimit forces the worklist's step limit: the failure must
 // surface as an error from Optimize and Reoptimize (the server repairs under
 // a per-entry mutex, where a panic would wedge the entry), and stay latched,

@@ -19,31 +19,33 @@ const (
 
 // entry is an "AND node": one SearchSpace tuple plus its PlanCost state and
 // the ParentBound facts it derives for its children. Entries live by value
-// in their group's slab and never move, so *entry is stable.
+// in their group's slab at their Index (the BestCost tiebreak) and never
+// move, so *entry is stable.
 type entry struct {
-	id    int // creation ordinal; ascending within a group, the cost tiebreak
-	g     *group
-	index int // the paper's Index attribute within the group
-	alt   relalg.Alt
+	g   *group
+	alt relalg.Alt
 
 	localCost float64
 
 	// children: resolved child groups once the entry has been expanded.
-	expanded bool
 	children [2]*group // [sideLeft, sideRight]; nil where absent
 
-	// cost is the entry's input to its group's BestCost aggregate. It is
-	// kept for pruned entries too (§4.1: "the aggregate operator preserves
-	// all the computed, even pruned, PlanCost tuples ... so it can find the
-	// next best value"), which is what makes the aggregate a plain minimum
-	// over the group's entries.
-	costKnown bool
-	cost      float64 // LocalCost + Σ children bestCost
+	// cost is the entry's input to its group's BestCost aggregate, once
+	// costKnown. It is kept for pruned entries too (§4.1: "the aggregate
+	// operator preserves all the computed, even pruned, PlanCost tuples ...
+	// so it can find the next best value"), which is what makes the
+	// aggregate a plain minimum over the group's entries.
+	cost float64 // LocalCost + Σ children bestCost
 
 	// contrib[s] is the ParentBound value (rules r1–r2) this entry passes
 	// down its child edge s, an input to children[s]'s MaxBound aggregate
 	// while hasContrib[s] is set.
 	contrib    [2]float64
+	touchEpoch uint64
+
+	// The flags sit together so that they pack into one word per entry.
+	expanded   bool
+	costKnown  bool
 	hasContrib [2]bool
 
 	// pruned marks the PlanCost tuple as removed by aggregate selection
@@ -57,8 +59,6 @@ type entry struct {
 	// worklist dedup flags
 	recostQueued  bool
 	contribQueued bool
-
-	touchEpoch uint64
 }
 
 // floor is a certified lower bound on the entry's eventual (true) plan
@@ -92,17 +92,16 @@ type parentRef struct {
 // contributions on the parents edges, both recomputed by a scan when an
 // input moves (group fan-in is tens of alternatives).
 type group struct {
-	key     groupKey
-	entries []entry // the group's slab, in id order
+	key      groupKey
+	sameExpr *group  // the next group of key.expr in Optimizer.groups' chain
+	entries  []entry // the group's slab, in enumeration order
 
-	// hasBest/bestCost is the BestCost value last emitted downstream.
-	hasBest  bool
+	// bestCost is the BestCost value last emitted downstream, if hasBest.
 	bestCost float64
 
 	// refCount counts live parent references (plus one pin for the
 	// root). alive == refCount > 0 when RefCount mode is active.
 	refCount int
-	alive    bool
 
 	parents []parentRef
 
@@ -116,11 +115,14 @@ type group struct {
 	// inflated BestCost values; see engine.go.
 	floor float64
 
+	touchEpoch uint64
+
+	// The flags sit together so that they pack into one word per group.
+	hasBest         bool
+	alive           bool
 	reconcileQueued bool
 	boundQueued     bool
 	onPath          bool // plan extraction's cycle guard
-
-	touchEpoch uint64
 }
 
 // minEntry returns the BestCost aggregate's minimum: the cheapest costed
@@ -181,23 +183,25 @@ type task struct {
 	g    *group
 }
 
-// worklist is a task queue. Cost/bound/reference deltas run FIFO; expansion
-// tasks run LIFO by default — depth-first exploration completes one full
-// plan quickly, seeding the pruning thresholds — and FIFO for the
+// worklist is a queue of pending work: tasks on the hot list, the entries
+// to expand on the cold one. Cost/bound/reference deltas run FIFO;
+// expansions run LIFO by default — depth-first exploration completes one
+// full plan quickly, seeding the pruning thresholds — and FIFO for the
 // breadth-first search-order ablation.
-type worklist struct {
-	items []task
+type worklist[T any] struct {
+	items []T
 	head  int
 	fifo  bool
 }
 
-func (w *worklist) push(t task) { w.items = append(w.items, t) }
+func (w *worklist[T]) push(t T) { w.items = append(w.items, t) }
 
-func (w *worklist) pop() (task, bool) {
+func (w *worklist[T]) pop() (T, bool) {
 	n := len(w.items)
 	if w.head >= n {
+		var none T
 		w.items, w.head = w.items[:0], 0
-		return task{}, false
+		return none, false
 	}
 	if w.fifo {
 		w.head++

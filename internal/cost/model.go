@@ -261,11 +261,15 @@ func (m *Model) memo(s relalg.RelSet) cardMemo {
 	}
 	base := 1.0
 	s.EachMember(func(i int) { base *= m.baseCard[i] })
-	for _, pi := range m.Q.InternalPreds(s) {
-		base *= m.joinSel[pi]
+	for pi, jp := range m.Q.Joins {
+		if s.Has(jp.L.Rel) && s.Has(jp.R.Rel) {
+			base *= m.joinSel[pi]
+		}
 	}
-	for _, fi := range m.Q.InternalFilters(s) {
-		base *= m.filterSel[fi]
+	for fi, f := range m.Q.Filters {
+		if s.Has(f.L.Rel) && s.Has(f.R.Rel) {
+			base *= m.filterSel[fi]
+		}
 	}
 	c := cardMemo{base: base, card: m.applyOverrides(s, base)}
 	m.cards[s] = c

@@ -196,7 +196,7 @@ func TestLocalCostsPositive(t *testing.T) {
 				return true
 			}
 			seen[key] = true
-			for _, alt := range relalg.Split(q, m, relalg.DefaultSpace(), s, p) {
+			for _, alt := range relalg.Split(q, m, relalg.DefaultSpace(), s, p, nil) {
 				c := m.LocalCost(alt, s, p)
 				if !(c > 0) || math.IsInf(c, 0) || math.IsNaN(c) {
 					return false

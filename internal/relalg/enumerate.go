@@ -1,5 +1,7 @@
 package relalg
 
+import "slices"
+
 // This file implements the shared plan-space enumerator: the paper's
 // Fn_split built-in (plus Fn_isleaf, which is RelSet.IsSingle). Given an
 // (expression, property) pair it produces the full list of alternative
@@ -71,30 +73,39 @@ func (a Alt) Unary() bool { return a.Log == LogEnforce }
 // Leaf reports whether the alternative has no child groups.
 func (a Alt) Leaf() bool { return a.Log == LogScan }
 
-// Split enumerates the alternatives for the group (s, p). The result order
-// is deterministic: partitions ascend by left-bitmap value, operators in a
-// fixed order, so every optimizer assigns identical Index values and metrics
-// are comparable across architectures.
-func Split(q *Query, schema SchemaInfo, opts SpaceOptions, s RelSet, p Prop) []Alt {
+// Split appends the alternatives for the group (s, p) to alts and returns
+// the extended slice, so a caller that reuses alts enumerates without
+// allocating. The order is deterministic: partitions by descending left
+// bitmap, operators in a fixed order, so every optimizer assigns identical
+// Index values and metrics are comparable across architectures.
+func Split(q *Query, schema SchemaInfo, opts SpaceOptions, s RelSet, p Prop, alts []Alt) []Alt {
 	if s.IsSingle() {
-		return splitLeaf(q, schema, opts, s.SingleMember(), p)
+		return splitLeaf(q, schema, opts, s.SingleMember(), p, alts)
 	}
-	var alts []Alt
-	// Enumerate ordered connected partitions (L, R). Submask enumeration
-	// yields each unordered partition twice (once per orientation), which
-	// is what we want: hash join is asymmetric (build left / probe right)
-	// and index NL requires the inner on the left (paper Table 1).
-	s.ProperSubsets(func(l RelSet) {
+	// Visit the ordered partitions (L, R) whose halves are both connected,
+	// each unordered one twice (once per orientation), which is what we
+	// want: hash join is asymmetric (build left / probe right) and index NL
+	// requires the inner on the left (paper Table 1). Walking the sorted
+	// halves backwards gives the descending left order.
+	var stack [64]RelSet
+	low := s & -s
+	lefts := connectedHalves(q, q.neighbours(), s, low, low, stack[:0])
+	slices.Sort(lefts)
+	var buf [8]int // the join predicates crossing one partition
+	for k := len(lefts) - 1; k >= 0; k-- {
+		l := lefts[k]
 		r := s.Without(l)
 		if opts.LeftDeepOnly && !r.IsSingle() {
-			return
+			continue
 		}
-		if !q.Connected(l) || !q.Connected(r) {
-			return
+		cross := buf[:0]
+		for pi, jp := range q.Joins {
+			if jp.Crosses(l, r) {
+				cross = append(cross, pi)
+			}
 		}
-		cross := q.CrossPreds(l, r)
 		if len(cross) == 0 {
-			return // no Cartesian products
+			continue // no Cartesian products
 		}
 		primary := cross[0]
 		if opts.HashJoin && p.Kind == PropAny {
@@ -139,7 +150,7 @@ func Split(q *Query, schema SchemaInfo, opts SpaceOptions, s RelSet, p Prop) []A
 				})
 			}
 		}
-	})
+	}
 	if opts.SortEnforcer && p.Kind == PropSorted {
 		alts = append(alts, Alt{
 			Log: LogEnforce, Phy: PhySort,
@@ -149,38 +160,46 @@ func Split(q *Query, schema SchemaInfo, opts SpaceOptions, s RelSet, p Prop) []A
 	return alts
 }
 
-func splitLeaf(q *Query, schema SchemaInfo, opts SpaceOptions, rel int, p Prop) []Alt {
+// connectedHalves appends l and s \ l when the latter is connected, then
+// grows l, a connected set holding s's lowest relation, by every non-empty
+// subset of its neighbours in s outside the excluded set x ⊇ l: the
+// connected-subgraph enumeration of DPccp (Moerkotte & Neumann, VLDB 2006),
+// which reaches each connected superset once and no disconnected one.
+func connectedHalves(q *Query, nbr []RelSet, s, l, x RelSet, out []RelSet) []RelSet {
+	if r := s &^ l; r != 0 && q.Connected(r) {
+		out = append(out, l, r)
+	}
+	var n RelSet
+	l.EachMember(func(i int) { n |= nbr[i] })
+	n &= s &^ x
+	for sub := n; sub != 0; sub = (sub - 1) & n {
+		out = connectedHalves(q, nbr, s, l|sub, x|n, out)
+	}
+	return out
+}
+
+func splitLeaf(q *Query, schema SchemaInfo, opts SpaceOptions, rel int, p Prop, alts []Alt) []Alt {
 	idxCols := schema.IndexCols(rel)
 	switch p.Kind {
 	case PropAny:
-		alts := []Alt{{Log: LogScan, Phy: PhyTableScan, Rel: rel}}
+		alts = append(alts, Alt{Log: LogScan, Phy: PhyTableScan, Rel: rel})
 		// Access-path selection: an index scan competes under Any when
 		// a local predicate on the key column can restrict it.
-		for _, pr := range q.ScanPredsOf(rel) {
-			if hasInt(idxCols, pr.Col.Off) {
-				alts = append(alts, Alt{Log: LogScan, Phy: PhyIndexScan, Rel: rel, IdxCol: pr.Col})
-				break
-			}
+		if col, ok := scanPredOn(q, rel, idxCols); ok {
+			alts = append(alts, Alt{Log: LogScan, Phy: PhyIndexScan, Rel: rel, IdxCol: col})
 		}
 		// A segment-pruned scan competes when the backend keeps zone maps
 		// and a local predicate lands on a zone column (IdxCol doubles as
 		// the zone column, exactly as it names the key for index scans).
 		if zi, ok := schema.(ZoneInfo); ok {
-			if zoneCols := zi.ZoneCols(rel); len(zoneCols) > 0 {
-				for _, pr := range q.ScanPredsOf(rel) {
-					if hasInt(zoneCols, pr.Col.Off) {
-						alts = append(alts, Alt{Log: LogScan, Phy: PhySegScan, Rel: rel, IdxCol: pr.Col})
-						break
-					}
-				}
+			if col, ok := scanPredOn(q, rel, zi.ZoneCols(rel)); ok {
+				alts = append(alts, Alt{Log: LogScan, Phy: PhySegScan, Rel: rel, IdxCol: col})
 			}
 		}
-		return alts
 	case PropSorted:
 		if p.Col.Rel != rel {
-			return nil
+			break
 		}
-		var alts []Alt
 		if schema.SortedCol(rel) == p.Col.Off {
 			alts = append(alts, Alt{Log: LogScan, Phy: PhyTableScan, Rel: rel})
 		}
@@ -191,14 +210,23 @@ func splitLeaf(q *Query, schema SchemaInfo, opts SpaceOptions, rel int, p Prop) 
 			alts = append(alts, Alt{Log: LogEnforce, Phy: PhySort,
 				LExpr: Single(rel), LProp: AnyProp})
 		}
-		return alts
 	case PropIndexed:
-		if p.Col.Rel != rel || !hasInt(idxCols, p.Col.Off) {
-			return nil
+		if p.Col.Rel == rel && hasInt(idxCols, p.Col.Off) {
+			alts = append(alts, Alt{Log: LogScan, Phy: PhyIndexScan, Rel: rel, IdxCol: p.Col})
 		}
-		return []Alt{{Log: LogScan, Phy: PhyIndexScan, Rel: rel, IdxCol: p.Col}}
 	}
-	return nil
+	return alts
+}
+
+// scanPredOn returns the column of relation rel's first local predicate
+// that lands on one of cols.
+func scanPredOn(q *Query, rel int, cols []int) (ColID, bool) {
+	for _, pr := range q.Scans {
+		if pr.Col.Rel == rel && hasInt(cols, pr.Col.Off) {
+			return pr.Col, true
+		}
+	}
+	return ColID{}, false
 }
 
 func hasInt(xs []int, v int) bool {

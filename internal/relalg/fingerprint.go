@@ -103,8 +103,10 @@ func (f *Fingerprinter) Fingerprint(s RelSet) string {
 	}
 
 	joins := make([]string, 0, 2)
-	for _, pi := range f.q.InternalPreds(s) {
-		p := f.q.Joins[pi]
+	for _, p := range f.q.Joins {
+		if !s.Has(p.L.Rel) || !s.Has(p.R.Rel) {
+			continue
+		}
 		l := fmt.Sprintf("%d.%d", pos[p.L.Rel], p.L.Off)
 		r := fmt.Sprintf("%d.%d", pos[p.R.Rel], p.R.Off)
 		if r < l { // equi-joins are symmetric: normalize direction
@@ -117,8 +119,10 @@ func (f *Fingerprinter) Fingerprint(s RelSet) string {
 	b.WriteString(strings.Join(joins, ","))
 
 	filters := make([]string, 0, 1)
-	for _, fi := range f.q.InternalFilters(s) {
-		fp := f.q.Filters[fi]
+	for _, fp := range f.q.Filters {
+		if !s.Has(fp.L.Rel) || !s.Has(fp.R.Rel) {
+			continue
+		}
 		filters = append(filters, fmt.Sprintf("%d.%d%s%d.%d+%d@%g",
 			pos[fp.L.Rel], fp.L.Off, fp.Op, pos[fp.R.Rel], fp.R.Off, fp.Off, fp.Sel))
 	}

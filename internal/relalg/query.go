@@ -2,6 +2,7 @@ package relalg
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 	"sync/atomic"
 )
@@ -124,16 +125,17 @@ type Query struct {
 	Filters []FilterPred
 	Agg     *AggSpec
 
-	// adj is the join-graph adjacency (relation -> join pred indices),
-	// built on first use and published atomically: concurrent first calls
-	// may build it redundantly (the result is deterministic) but never
-	// race. Validate prewarms it so validated queries do no lazy work.
-	adj atomic.Pointer[[][]int]
+	// nbr is the join graph as masks: nbr[i] holds every relation some
+	// join predicate connects to relation i. It is built on first use and
+	// published atomically: concurrent first calls may build it
+	// redundantly (the result is deterministic) but never race. Validate
+	// prewarms it so validated queries do no lazy work.
+	nbr atomic.Pointer[[]RelSet]
 }
 
 // Validate checks structural sanity: relation ordinals in range, aliases
 // unique, predicates well-formed. Optimizers call it once up front. It also
-// precomputes the join-graph adjacency so that a validated Query is
+// precomputes each relation's neighbour mask so that a validated Query is
 // immutable and safe for concurrent read-only use — the serving layer
 // shares one Query instance between the cached optimizer and every
 // concurrently executing session.
@@ -189,7 +191,7 @@ func (q *Query) Validate() error {
 			return fmt.Errorf("query %s: filter selectivity %v out of (0,1]", q.Name, p.Sel)
 		}
 	}
-	q.adjacency()
+	q.neighbours()
 	return nil
 }
 
@@ -209,82 +211,34 @@ func (q *Query) ScanPredsOf(i int) []ScanPred {
 	return out
 }
 
-func (q *Query) adjacency() [][]int {
-	if p := q.adj.Load(); p != nil {
+func (q *Query) neighbours() []RelSet {
+	if p := q.nbr.Load(); p != nil {
 		return *p
 	}
-	adj := make([][]int, len(q.Rels))
-	for pi, p := range q.Joins {
-		adj[p.L.Rel] = append(adj[p.L.Rel], pi)
-		adj[p.R.Rel] = append(adj[p.R.Rel], pi)
+	nbr := make([]RelSet, len(q.Rels))
+	for _, p := range q.Joins {
+		nbr[p.L.Rel] = nbr[p.L.Rel].Add(p.R.Rel)
+		nbr[p.R.Rel] = nbr[p.R.Rel].Add(p.L.Rel)
 	}
-	q.adj.Store(&adj)
-	return adj
+	q.nbr.Store(&nbr)
+	return nbr
 }
 
 // Connected reports whether the relations of s form a connected subgraph of
-// the join graph. Singleton sets are connected. The shared enumerator only
+// the join graph: a flood from s's lowest member over the neighbour masks
+// reaches all of s. Singleton sets are connected. The shared enumerator only
 // generates connected subexpressions (no Cartesian products), as System R
 // does.
 func (q *Query) Connected(s RelSet) bool {
-	if s.Empty() {
-		return false
+	nbr := q.neighbours()
+	reached := s & -s
+	for todo := reached; todo != 0; {
+		i := bits.TrailingZeros64(uint64(todo))
+		next := nbr[i] & s &^ reached
+		reached |= next
+		todo = todo&(todo-1) | next
 	}
-	if s.IsSingle() {
-		return true
-	}
-	adj := q.adjacency()
-	start := s.Members()[0]
-	visited := Single(start)
-	frontier := []int{start}
-	for len(frontier) > 0 {
-		r := frontier[len(frontier)-1]
-		frontier = frontier[:len(frontier)-1]
-		for _, pi := range adj[r] {
-			p := q.Joins[pi]
-			for _, other := range [2]int{p.L.Rel, p.R.Rel} {
-				if s.Has(other) && !visited.Has(other) {
-					visited = visited.Add(other)
-					frontier = append(frontier, other)
-				}
-			}
-		}
-	}
-	return visited == s
-}
-
-// CrossPreds returns the indices into q.Joins of every equi-join predicate
-// connecting the two disjoint sets.
-func (q *Query) CrossPreds(l, r RelSet) []int {
-	var out []int
-	for pi, p := range q.Joins {
-		if p.Crosses(l, r) {
-			out = append(out, pi)
-		}
-	}
-	return out
-}
-
-// InternalPreds returns the indices of join predicates entirely inside s.
-func (q *Query) InternalPreds(s RelSet) []int {
-	var out []int
-	for pi, p := range q.Joins {
-		if s.Has(p.L.Rel) && s.Has(p.R.Rel) {
-			out = append(out, pi)
-		}
-	}
-	return out
-}
-
-// InternalFilters returns the indices of residual filters entirely inside s.
-func (q *Query) InternalFilters(s RelSet) []int {
-	var out []int
-	for fi, f := range q.Filters {
-		if s.Has(f.L.Rel) && s.Has(f.R.Rel) {
-			out = append(out, fi)
-		}
-	}
-	return out
+	return reached == s && !s.Empty()
 }
 
 // SetString renders a relation set with aliases, e.g. "(C,O,L)", matching

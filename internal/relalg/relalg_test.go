@@ -1,6 +1,7 @@
 package relalg
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -114,15 +115,28 @@ func TestConnected(t *testing.T) {
 }
 
 func TestCrossAndInternalPreds(t *testing.T) {
-	q := chainQuery(3)
-	if got := q.CrossPreds(Single(0), Single(1).Add(2)); len(got) != 1 || got[0] != 0 {
-		t.Fatalf("CrossPreds = %v", got)
+	q := chainQuery(3) // A-B-C
+	if nbr := q.neighbours(); len(nbr) != 3 || nbr[0] != Single(1) || nbr[1] != Single(0).Add(2) || nbr[2] != Single(1) {
+		t.Fatalf("neighbour masks = %v", nbr)
 	}
-	if got := q.InternalPreds(Single(1).Add(2)); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("InternalPreds = %v", got)
+	a, bc := Single(0), Single(1).Add(2)
+	if !q.Joins[0].Crosses(a, bc) || !q.Joins[0].Crosses(bc, a) || q.Joins[1].Crosses(a, bc) {
+		t.Fatal("Crosses(A, BC) must hold for A-B only, in either orientation")
 	}
-	if got := q.CrossPreds(Single(0), Single(2)); len(got) != 0 {
-		t.Fatalf("CrossPreds non-adjacent = %v", got)
+	if q.Joins[0].Crosses(a, Single(2)) || q.Joins[1].Crosses(a, Single(2)) {
+		t.Fatal("Crosses holds between non-adjacent A and C")
+	}
+	if alts := Split(q, fakeSchema{}, DefaultSpace(), a.Add(2), AnyProp, nil); len(alts) != 0 {
+		t.Fatalf("Split of non-adjacent A, C = %+v, want no Cartesian product", alts)
+	}
+	// A set's internal predicates are those with both relations in it: the
+	// fingerprint of BC renders the B-C join, that of AC none.
+	f := NewFingerprinter(q)
+	if fp := f.Fingerprint(bc); !strings.Contains(fp, "|J:0.0=1.0|") {
+		t.Fatalf("Fingerprint(BC) = %q, want the B-C join", fp)
+	}
+	if fp := f.Fingerprint(a.Add(2)); !strings.Contains(fp, "|J:|") {
+		t.Fatalf("Fingerprint(AC) = %q, want no join", fp)
 	}
 }
 
@@ -185,7 +199,7 @@ func TestSplitWellFormed(t *testing.T) {
 	schema := fakeSchema{idx: map[int][]int{0: {0}, 2: {0}}}
 	opts := DefaultSpace()
 	all := q.AllRels()
-	alts := Split(q, schema, opts, all, AnyProp)
+	alts := Split(q, schema, opts, all, AnyProp, nil)
 	if len(alts) == 0 {
 		t.Fatal("no alternatives for the root")
 	}
@@ -216,7 +230,7 @@ func TestSplitWellFormed(t *testing.T) {
 			}
 		}
 	}
-	again := Split(q, schema, opts, all, AnyProp)
+	again := Split(q, schema, opts, all, AnyProp, nil)
 	if len(again) != len(alts) {
 		t.Fatal("Split not deterministic")
 	}
@@ -233,14 +247,14 @@ func TestSplitProps(t *testing.T) {
 	opts := DefaultSpace()
 
 	// Indexed group satisfiable only with an index.
-	if alts := Split(q, schema, opts, Single(0), Indexed(ColID{Rel: 0, Off: 0})); len(alts) != 1 || alts[0].Phy != PhyIndexScan {
+	if alts := Split(q, schema, opts, Single(0), Indexed(ColID{Rel: 0, Off: 0}), nil); len(alts) != 1 || alts[0].Phy != PhyIndexScan {
 		t.Fatalf("indexed leaf alts = %+v", alts)
 	}
-	if alts := Split(q, schema, opts, Single(1), Indexed(ColID{Rel: 1, Off: 0})); len(alts) != 0 {
+	if alts := Split(q, schema, opts, Single(1), Indexed(ColID{Rel: 1, Off: 0}), nil); len(alts) != 0 {
 		t.Fatalf("unsatisfiable indexed group got %+v", alts)
 	}
 	// Sorted group always has the enforcer; index scan if available.
-	alts := Split(q, schema, opts, Single(0), Sorted(ColID{Rel: 0, Off: 0}))
+	alts := Split(q, schema, opts, Single(0), Sorted(ColID{Rel: 0, Off: 0}), nil)
 	var haveSort, haveIx bool
 	for _, a := range alts {
 		if a.Phy == PhySort {
@@ -257,7 +271,7 @@ func TestSplitProps(t *testing.T) {
 	ld := opts
 	ld.LeftDeepOnly = true
 	q4 := chainQuery(4)
-	for _, a := range Split(q4, schema, ld, q4.AllRels(), AnyProp) {
+	for _, a := range Split(q4, schema, ld, q4.AllRels(), AnyProp, nil) {
 		if !a.RExpr.IsSingle() {
 			t.Fatalf("left-deep violation: right = %v", a.RExpr)
 		}

@@ -81,8 +81,8 @@ func (s RelSet) EachMember(fn func(i int)) {
 }
 
 // ProperSubsets calls fn for every non-empty proper subset of s, in
-// ascending numeric order of the subset bitmap. It is used by the bottom-up
-// (System-R style) enumerator.
+// descending numeric order of the subset bitmap. server.warmSets walks it
+// for the subexpressions to warm-start; Split visits connected halves only.
 func (s RelSet) ProperSubsets(fn func(sub RelSet)) {
 	u := uint64(s)
 	// Standard sub-mask enumeration: iterates all non-zero submasks.

@@ -433,7 +433,7 @@ func TestSegScanZonePruningDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	segAlts := 0
-	for _, a := range relalg.Split(q0.Query(), m0, relalg.DefaultSpace(), relalg.Single(0), relalg.AnyProp) {
+	for _, a := range relalg.Split(q0.Query(), m0, relalg.DefaultSpace(), relalg.Single(0), relalg.AnyProp, nil) {
 		if a.Phy == relalg.PhySegScan {
 			segAlts++
 		}
@@ -452,7 +452,7 @@ func TestSegScanZonePruningDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, a := range relalg.Split(qm.Query(), mm, relalg.DefaultSpace(), relalg.Single(0), relalg.AnyProp) {
+	for _, a := range relalg.Split(qm.Query(), mm, relalg.DefaultSpace(), relalg.Single(0), relalg.AnyProp, nil) {
 		if a.Phy == relalg.PhySegScan {
 			t.Fatal("enumerator offered a segment scan for an in-memory table")
 		}

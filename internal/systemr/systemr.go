@@ -82,8 +82,9 @@ func Optimize(m *cost.Model, opts relalg.SpaceOptions) (*Result, error) {
 		return dedupProps(props)
 	}
 
+	var alts []relalg.Alt // Split's buffer, reused by every group
 	solve := func(s relalg.RelSet, p relalg.Prop) {
-		alts := relalg.Split(q, m, opts, s, p)
+		alts = relalg.Split(q, m, opts, s, p, alts[:0])
 		met.Alts += len(alts)
 		var best *relalg.Plan
 		for _, alt := range alts {

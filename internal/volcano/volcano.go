@@ -9,6 +9,7 @@ package volcano
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/cost"
@@ -51,6 +52,7 @@ type optimizer struct {
 	opts relalg.SpaceOptions
 	memo map[groupKey]*memoEntry
 	met  Metrics
+	alts []relalg.Alt // Split's buffer; each memo entry keeps an exact copy
 }
 
 // Optimize finds the minimum-cost physical plan for the model's query.
@@ -76,7 +78,8 @@ func (o *optimizer) group(s relalg.RelSet, p relalg.Prop, bound float64) (*relal
 	e := o.memo[key]
 	if e == nil {
 		e = &memoEntry{failBound: math.Inf(-1)}
-		e.alts = relalg.Split(o.m.Q, o.m, o.opts, s, p)
+		o.alts = relalg.Split(o.m.Q, o.m, o.opts, s, p, o.alts[:0])
+		e.alts = slices.Clone(o.alts)
 		o.met.Alts += len(e.alts)
 		o.memo[key] = e
 	}

@@ -45,23 +45,23 @@ var packageCeilings = map[string]shape{
 	"internal/aqp":         {0, 0, 0, 0, 33, 411},
 	"internal/bench":       {0, 0, 0, 33, 28, 820},
 	"internal/catalog":     {0, 0, 0, 5, 41, 425},
-	"internal/core":        {0, 0, 0, 2, 64, 1727},
-	"internal/cost":        {0, 0, 0, 3, 30, 386},
+	"internal/core":        {0, 0, 0, 2, 64, 1735},
+	"internal/cost":        {0, 0, 0, 3, 30, 390},
 	"internal/deltalog":    {0, 0, 0, 5, 24, 411},
 	"internal/exec":        {1, 0, 0, 0, 120, 5036},
 	"internal/fbstore":     {0, 0, 0, 0, 39, 537},
 	"internal/linearroad":  {0, 0, 0, 1, 21, 322},
 	"internal/obs":         {0, 0, 0, 0, 70, 576},
-	"internal/relalg":      {0, 0, 0, 1, 137, 1005},
+	"internal/relalg":      {0, 0, 0, 1, 134, 991},
 	"internal/rescache":    {0, 0, 0, 0, 23, 228},
 	"internal/server":      {1, 2, 1, 0, 96, 1668},
 	"internal/sqlmini":     {0, 0, 0, 0, 4, 598},
 	"internal/stats":       {0, 0, 0, 2, 21, 257},
 	"internal/storage":     {0, 0, 0, 0, 57, 1039},
-	"internal/systemr":     {0, 0, 0, 0, 10, 163},
+	"internal/systemr":     {0, 0, 0, 0, 10, 164},
 	"internal/testkit":     {0, 0, 0, 2, 10, 349},
 	"internal/tpch":        {0, 0, 0, 2, 36, 491},
-	"internal/volcano":     {0, 0, 0, 0, 11, 151},
+	"internal/volcano":     {0, 0, 0, 0, 11, 154},
 }
 
 // shapeCeilings pins two interfaces the system map names.

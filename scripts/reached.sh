@@ -132,6 +132,7 @@ differential ./internal/exec/ '^(TestTPCHReferenceDifferential|TestPlansAgreeWit
 differential ./internal/server/ '^(TestStorageRestartDifferential|TestSegScanZonePruningDifferential|TestDriftReconvergence)$'
 differential ./internal/linearroad/ '^TestWindowsMatchRowOracle$'
 differential ./internal/core/ '^TestIncrementalEqualsScratch$'
+differential ./internal/relalg/ '^TestSplitMatchesReference$'
 
 go tool covdata merge -i="$work/cov/run,$work/cov/test" -o "$work/cov/all"
 go tool covdata textfmt -i="$work/cov/all" -o "$work/cov.txt"
