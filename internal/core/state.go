@@ -126,8 +126,8 @@ type group struct {
 }
 
 // minEntry returns the BestCost aggregate's minimum: the cheapest costed
-// entry, pruned ones included, ties going to the lowest id. With liveOnly it
-// skips pruned entries, which yields the BestPlan tuple instead.
+// entry, pruned ones included, ties going to the lowest slab index. With
+// liveOnly it skips pruned entries, which yields the BestPlan tuple instead.
 func (g *group) minEntry(liveOnly bool) *entry {
 	var min *entry
 	for i := range g.entries {

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"cmp"
 	"errors"
 	"math"
 	"slices"
@@ -16,17 +17,19 @@ type AggSpecExec struct {
 
 // aggTable is the grouping core shared by the serial and parallel hash
 // aggregation operators: an open-addressing table of 1-based group ids
-// hashed directly on the int64 group-key columns, with all group state
-// (keys, sums, counts) in flat arrays. Adding a row allocates nothing
-// beyond amortized slice growth — no per-row key string, no per-group
-// state struct — which is what keeps the aggregation hot path off the
-// allocator at any parallelism.
+// hashed directly on the int64 group-key columns, with all group state in
+// columns indexed by group id — key columns, SUMs, COUNT(*) — the format a
+// partial has when tables merge (mergePartials). Adding a row allocates
+// nothing beyond amortized slice growth — no per-row key string, no
+// per-group state struct — which is what keeps the aggregation hot path off
+// the allocator at any parallelism.
 //
 // In front of the slots sits a direct map: while the live keys of an
 // execution fit a box of at most directSlots cells, a row's group is one load
 // at its key's packed offset — no hash, probe or key compare. A box that would
 // pass directSlots makes the table wide: it hashes until reset. Groups are
-// created through the slots either way, so those always hold every group.
+// created through the one probe, group, either way, so the slots always hold
+// every group.
 type aggTable struct {
 	spec AggSpecExec
 	gw   int // group-key width
@@ -36,10 +39,10 @@ type aggTable struct {
 	mask   uint64
 	slots  []int32 // open addressing: 0 = empty, else 1-based group id
 	hashes []uint64
-	keys   []int64 // group g's key columns at [g*gw, (g+1)*gw)
-	sums   []int64 // group g's sums at [g*sw, (g+1)*sw)
+	keys   [][]int64 // keys[c][g]: group g's key column c
+	sums   [][]int64 // sums[s][g]: group g's SUM s
 	counts []int64
-	idCols []int // 0..gw-1, for inserting already-extracted flat keys
+	view   [][]int64 // keys, sums, counts: the partials
 	n      int
 	perm   []int32 // sorted's group permutation
 
@@ -65,6 +68,10 @@ type aggTable struct {
 
 const aggInitSlots = 256 // power of two
 
+// aggInitGroups is the groups a new table holds before its columns grow: the
+// handful a TPC-H aggregation makes.
+const aggInitGroups = 16
+
 // directSlots bounds the direct map at 16 KiB. Every narrow group key of the
 // TPC-H and Linear Road queries fits; Q10's c_custkey × n_name does not.
 const directSlots = 4096
@@ -78,10 +85,13 @@ func newAggTable(spec AggSpecExec) *aggTable {
 		mask:  aggInitSlots - 1,
 		slots: make([]int32, aggInitSlots),
 	}
-	t.idCols = make([]int, t.gw)
-	for i := range t.idCols {
-		t.idCols[i] = i
+	// The partial columns are one list, keys and sums views into it; one
+	// block holds every column's first aggInitGroups groups.
+	t.view = flatCols(t.gw+t.sw+1, aggInitGroups)
+	for c := range t.view {
+		t.view[c] = t.view[c][:0]
 	}
+	t.keys, t.sums, t.counts = t.view[:t.gw:t.gw], t.view[t.gw:t.gw+t.sw:t.gw+t.sw], t.view[t.gw+t.sw]
 	if t.dw > 0 {
 		t.dmask, t.dids, t.dvals = aggInitSlots-1, make([]int32, aggInitSlots), make([]int64, aggInitSlots)
 	}
@@ -94,22 +104,12 @@ func newAggTable(spec AggSpecExec) *aggTable {
 func (t *aggTable) reset() {
 	clear(t.slots)
 	clear(t.dids)
-	t.hashes, t.keys, t.sums, t.counts, t.dcounts = t.hashes[:0], t.keys[:0], t.sums[:0], t.counts[:0], t.dcounts[:0]
+	for c, col := range t.view {
+		t.view[c] = col[:0]
+	}
+	t.hashes, t.counts, t.dcounts = t.hashes[:0], t.counts[:0], t.dcounts[:0]
 	t.n, t.dn = 0, 0
 	t.direct, t.mapped, t.wide = t.direct[:0], 0, false
-}
-
-// add folds one row into the table — the scalar reference the addBatch
-// tests compare against; operators call addBatch.
-func (t *aggTable) add(r Row) {
-	g := t.findOrCreate(hashCols(r, t.spec.GroupBy), r)
-	for i, c := range t.spec.Sums {
-		t.sums[g*t.sw+i] += r[c]
-	}
-	t.counts[g]++
-	for i, c := range t.spec.CountDistinct {
-		t.addDistinct(g*t.dw+i, r[c])
-	}
 }
 
 // addDistinct stores v in distinct set d, counting it when it is new.
@@ -161,10 +161,10 @@ type aggScratch struct {
 // rows given by sel) into the table: group ids are resolved once per row —
 // through the direct map, and for a wide table through the slots — and each
 // accumulator column is then updated in its own tight loop over the chunk —
-// column locality on both the input and the flat sums array. mult, when
-// non-nil, is the chunk's multiplicity vector (Batch.Mult): row i stands for
-// mult[i] copies, so it adds mult[i] to COUNT(*) and mult[i]·v to a SUM; a
-// COUNT(DISTINCT) set is the same however often a value arrives.
+// column locality on both the input and the sums. mult, when non-nil, is the
+// chunk's multiplicity vector (Batch.Mult): row i stands for mult[i] copies,
+// so it adds mult[i] to COUNT(*) and mult[i]·v to a SUM; a COUNT(DISTINCT)
+// set is the same however often a value arrives.
 func (t *aggTable) addBatch(cols [][]int64, n int, sel []int, mult []int64, s *aggScratch) {
 	live := sel
 	if live == nil {
@@ -175,14 +175,14 @@ func (t *aggTable) addBatch(cols [][]int64, n int, sel []int, mult []int64, s *a
 		t.resolveGids(cols, n, live, s, k)
 	}
 	for si, c := range t.spec.Sums {
-		col, sums, sw := cols[c], t.sums, t.sw
+		col, sums := cols[c], t.sums[si]
 		if sel == nil {
 			for i := 0; i < n; i++ {
-				sums[int(s.gids[i])*sw+si] += col[i]
+				sums[s.gids[i]] += col[i]
 			}
 		} else {
 			for k, i := range sel {
-				sums[int(s.gids[k])*sw+si] += col[i]
+				sums[s.gids[k]] += col[i]
 			}
 		}
 	}
@@ -215,13 +215,14 @@ func (t *aggTable) addExtraCopies(cols [][]int64, sel []int, mult []int64, gids 
 		extra := mult[i] - 1
 		t.counts[g] += extra
 		for si, c := range t.spec.Sums {
-			t.sums[int(g)*t.sw+si] += extra * cols[c][i]
+			t.sums[si][g] += extra * cols[c][i]
 		}
 	}
 }
 
 // allRows selects every row of a full batch, for the gid loops, which read
-// live rows through a selection either way.
+// live rows through a selection either way; its prefix of length gw is the
+// identity offsets of a partial's key columns.
 var allRows = func() (rows [BatchSize]int) {
 	for i := range rows {
 		rows[i] = i
@@ -243,7 +244,7 @@ func (t *aggTable) resolveDirect(cols [][]int64, sel []int, gids []int32) int {
 			}
 			i := sel[k]
 			if _, in := t.cellAt(cols, i); in {
-				g := t.findOrCreateCols(hashColsAt(cols, t.spec.GroupBy, i), cols, i)
+				g := t.group(hashColsAt(cols, t.spec.GroupBy, i), cols, t.spec.GroupBy, i)
 				gids[k] = int32(g)
 				t.counts[g]++
 				k++
@@ -320,7 +321,7 @@ func (t *aggTable) mapGroups() {
 	for ; t.mapped < t.n; t.mapped++ {
 		x, in := uint64(0), true
 		for c, s := range t.span {
-			d := uint64(t.keys[t.mapped*t.gw+c] - t.lo[c])
+			d := uint64(t.keys[c][t.mapped] - t.lo[c])
 			in = in && d < s
 			x = x*s + d
 		}
@@ -388,15 +389,17 @@ func liveRange(col []int64, sel []int) (lo, hi int64) {
 func (t *aggTable) resolveGids(cols [][]int64, n int, sel []int, s *aggScratch, from int) {
 	s.hashes = hashLive(s.hashes, cols, t.spec.GroupBy, n, sel)
 	for k := from; k < len(sel); k++ {
-		g := t.findOrCreateCols(s.hashes[k], cols, sel[k])
+		g := t.group(s.hashes[k], cols, t.spec.GroupBy, sel[k])
 		s.gids[k] = int32(g)
 		t.counts[g]++
 	}
 }
 
-// findOrCreateCols is findOrCreate with the probe row read out of a
-// column-major chunk. h must be the hash of row i's group-key columns.
-func (t *aggTable) findOrCreateCols(h uint64, cols [][]int64, i int) int {
+// group is the one probe: it returns the id of the group whose key is row i
+// of the columns offs of cols, creating the group if it is new. h must be
+// that key's hash. The hash path passes an input chunk at spec.GroupBy, a
+// merge a partial's key columns at identity offsets.
+func (t *aggTable) group(h uint64, cols [][]int64, offs []int, i int) int {
 	for s := h & t.mask; ; s = (s + 1) & t.mask {
 		gi := t.slots[s]
 		if gi == 0 {
@@ -404,12 +407,16 @@ func (t *aggTable) findOrCreateCols(h uint64, cols [][]int64, i int) int {
 			t.n++
 			t.slots[s] = int32(g + 1)
 			t.hashes = append(t.hashes, h)
-			for _, c := range t.spec.GroupBy {
-				t.keys = append(t.keys, cols[c][i])
+			for k, c := range offs {
+				t.keys[k] = append(t.keys[k], cols[c][i])
 			}
-			t.sums = append(t.sums, make([]int64, t.sw)...)
+			for k := range t.sums {
+				t.sums[k] = append(t.sums[k], 0)
+			}
 			t.counts = append(t.counts, 0)
 			t.dcounts = append(t.dcounts, make([]int64, t.dw)...)
+			// Grow at 3/4 load; rehashing only touches the slot array
+			// (hashes are stored per group).
 			if uint64(t.n)*4 > (t.mask+1)*3 {
 				t.grow()
 			}
@@ -419,86 +426,14 @@ func (t *aggTable) findOrCreateCols(h uint64, cols [][]int64, i int) int {
 		if t.hashes[g] != h {
 			continue
 		}
-		eq := true
-		for k, c := range t.spec.GroupBy {
-			if t.keys[g*t.gw+k] != cols[c][i] {
-				eq = false
-				break
-			}
+		k := 0
+		for k < len(offs) && t.keys[k][g] == cols[offs[k]][i] {
+			k++
 		}
-		if eq {
+		if k == len(offs) {
 			return g
 		}
 	}
-}
-
-// findOrCreate returns the group id of r's key columns, creating the group
-// if absent. h must be hashCols(r, spec.GroupBy).
-func (t *aggTable) findOrCreate(h uint64, r Row) int {
-	for s := h & t.mask; ; s = (s + 1) & t.mask {
-		gi := t.slots[s]
-		if gi == 0 {
-			return t.newGroup(s, h, r, t.spec.GroupBy)
-		}
-		g := int(gi - 1)
-		if t.hashes[g] != h {
-			continue
-		}
-		eq := true
-		for i, c := range t.spec.GroupBy {
-			if t.keys[g*t.gw+i] != r[c] {
-				eq = false
-				break
-			}
-		}
-		if eq {
-			return g
-		}
-	}
-}
-
-// findOrCreateKey is findOrCreate over an already-extracted flat key (the
-// merge path, where the source group's hash is reused verbatim).
-func (t *aggTable) findOrCreateKey(h uint64, key []int64) int {
-	for s := h & t.mask; ; s = (s + 1) & t.mask {
-		gi := t.slots[s]
-		if gi == 0 {
-			return t.newGroup(s, h, Row(key), t.idCols)
-		}
-		g := int(gi - 1)
-		if t.hashes[g] != h {
-			continue
-		}
-		eq := true
-		for i := 0; i < t.gw; i++ {
-			if t.keys[g*t.gw+i] != key[i] {
-				eq = false
-				break
-			}
-		}
-		if eq {
-			return g
-		}
-	}
-}
-
-func (t *aggTable) newGroup(slot uint64, h uint64, r Row, cols []int) int {
-	g := t.n
-	t.n++
-	t.slots[slot] = int32(g + 1)
-	t.hashes = append(t.hashes, h)
-	for _, c := range cols {
-		t.keys = append(t.keys, r[c])
-	}
-	t.sums = append(t.sums, make([]int64, t.sw)...)
-	t.counts = append(t.counts, 0)
-	t.dcounts = append(t.dcounts, make([]int64, t.dw)...)
-	// Grow at 3/4 load; rehashing only touches the slot array (hashes are
-	// stored per group).
-	if uint64(t.n)*4 > (t.mask+1)*3 {
-		t.grow()
-	}
-	return g
 }
 
 // approxBytes estimates the table's tracked footprint: the slot array, the
@@ -524,26 +459,53 @@ func (t *aggTable) grow() {
 	}
 }
 
-// mergeFrom folds another table's partial aggregates into t — the final
-// merge of worker-local aggregation state in the parallel pipeline. Both
-// tables must share the same spec. o's distinct values are re-inserted under
-// the merged groups' set ids.
-func (t *aggTable) mergeFrom(o *aggTable) {
-	merged := make([]int, o.n) // o's group id -> t's
-	for g := 0; g < o.n; g++ {
-		tg := t.findOrCreateKey(o.hashes[g], o.keys[g*o.gw:(g+1)*o.gw])
-		for i := 0; i < t.sw; i++ {
-			t.sums[tg*t.sw+i] += o.sums[g*o.sw+i]
+// partials returns the groups as partials — key columns, SUMs, then COUNT(*),
+// one column each, indexed by group id — the table's own state, valid until
+// its next group.
+func (t *aggTable) partials() [][]int64 {
+	t.view[t.gw+t.sw] = t.counts
+	return t.view
+}
+
+// mergePartials folds n partials, columns p as partials renders them, into
+// t: partial i, whose key hashes to hs[i], merges into group gids[i].
+func (t *aggTable) mergePartials(p [][]int64, hs []uint64, n int, gids []int32) {
+	sums, counts := p[t.gw:t.gw+t.sw], p[t.gw+t.sw]
+	for i := range n {
+		g := t.group(hs[i], p, allRows[:t.gw], i)
+		for s, col := range sums {
+			t.sums[s][g] += col[i]
 		}
-		t.counts[tg] += o.counts[g]
-		merged[g] = tg
+		t.counts[g] += counts[i]
+		gids[i] = int32(g)
 	}
+}
+
+// mergeFrom folds another table's groups into t as partials — the final
+// merge of worker-local aggregation state in the parallel pipeline — and
+// re-inserts o's distinct values under the merged groups' set ids. Both
+// tables must share the same spec.
+func (t *aggTable) mergeFrom(o *aggTable) {
+	merged := make([]int32, o.n) // o's group id -> t's
+	t.mergePartials(o.partials(), o.hashes, o.n, merged)
 	for s, id := range o.dids {
 		if id != 0 {
 			d := int(id - 1)
-			t.addDistinct(merged[d/t.dw]*t.dw+d%t.dw, o.dvals[s])
+			t.addDistinct(int(merged[d/t.dw])*t.dw+d%t.dw, o.dvals[s])
 		}
 	}
+}
+
+// cmpKeys orders rows a and b of the key columns keys by their keys, column
+// by column — the output order, which both the table and the spill merge
+// sort by.
+func cmpKeys(keys [][]int64, a, b int32) int {
+	for _, col := range keys {
+		if c := cmp.Compare(col[a], col[b]); c != 0 {
+			return c
+		}
+	}
+	return 0
 }
 
 // sorted returns the group ids in ascending group-key order — the
@@ -553,48 +515,30 @@ func (t *aggTable) sorted() []int32 {
 	for g := 0; g < t.n; g++ {
 		t.perm = append(t.perm, int32(g))
 	}
-	gw := t.gw
-	slices.SortFunc(t.perm, func(a, b int32) int {
-		return slices.Compare(t.keys[int(a)*gw:int(a+1)*gw], t.keys[int(b)*gw:int(b+1)*gw])
-	})
+	slices.SortFunc(t.perm, func(a, b int32) int { return cmpKeys(t.keys, a, b) })
 	return t.perm
 }
 
-// cols renders the groups column-major in sorted group-key order, straight
-// from the flat group arrays into out's columns (reused when large enough):
-// group-by columns, SUMs, COUNT(*) if requested, then COUNT(DISTINCT) values.
+// cols renders the groups column-major in sorted group-key order into out's
+// columns, after its first out.n rows (none after Close): group-by columns,
+// SUMs, COUNT(*) if requested, then COUNT(DISTINCT) values.
 func (t *aggTable) cols(out colData) colData {
-	cw := 0
-	if t.spec.CountAll {
-		cw = 1
+	perm, n, src := t.sorted(), out.n, t.partials()
+	if !t.spec.CountAll {
+		src = src[:t.gw+t.sw]
 	}
-	out.cols, out.n = sized(out.cols, t.gw+t.sw+cw+t.dw), t.n
-	perm, c := t.sorted(), 0
-	for _, src := range []struct {
-		vals []int64
-		w    int
-	}{{t.keys, t.gw}, {t.sums, t.sw}, {t.counts, cw}, {t.dcounts, t.dw}} {
-		for k := 0; k < src.w; k++ {
-			col := sized(out.cols[c], t.n)
-			for r, g := range perm {
-				col[r] = src.vals[int(g)*src.w+k]
-			}
-			out.cols[c] = col
-			c++
+	out.cols, out.n = sized(out.cols, len(src)+t.dw), n+t.n
+	for c := range out.cols {
+		// A distinct count is every dw-th value of dcounts.
+		vals, stride, off := t.dcounts, t.dw, c-len(src)
+		if c < len(src) {
+			vals, stride, off = src[c], 1, 0
 		}
-	}
-	return out
-}
-
-// rows is cols row-major, for the spill merge and the tests.
-func (t *aggTable) rows() []Row {
-	d := t.cols(colData{})
-	out := make([]Row, d.n)
-	for r := range out {
-		out[r] = make(Row, d.width())
-		for c, col := range d.cols {
-			out[r][c] = col[r]
+		col := slices.Grow(out.cols[c][:n], t.n)[:out.n]
+		for r, g := range perm {
+			col[n+r] = vals[int(g)*stride+off]
 		}
+		out.cols[c] = col
 	}
 	return out
 }
@@ -619,7 +563,8 @@ type vecHashAggOp struct {
 // keys fit a small box, by hashing beyond it; per-column accumulator loops)
 // and emits the groups as dense column windows in deterministic (sorted group
 // key) order — the group-by columns followed by SUM values, COUNT(*) if
-// requested, then COUNT(DISTINCT) values.
+// requested, then COUNT(DISTINCT) values. Under a memory budget it spills
+// (spillagg.go).
 func NewVecHashAgg(in VecIterator, spec AggSpecExec) VecIterator {
 	return &vecHashAggOp{in: in, spec: spec}
 }
@@ -628,92 +573,24 @@ func (a *vecHashAggOp) Open() error {
 	if a.t == nil {
 		a.t = newAggTable(a.spec)
 	}
-	t := a.t
-	t.reset()
+	a.t.reset()
 	if err := a.in.Open(); err != nil {
 		return err
 	}
-	var (
-		sp      *aggSpill
-		part    *spillPartitioner
-		charged int64
-	)
-	// COUNT(DISTINCT) state cannot round-trip through scalar partials, so
-	// such plans stay in memory (Force-charged; see spillagg.go).
-	spillable := a.mem.Bounded() && len(a.spec.CountDistinct) == 0
-	fail := func(err error) error {
+	t, charged, part, err := a.fold(a.t, 0, a.in.Next)
+	if err = errors.Join(err, a.in.Close()); err != nil {
 		if part != nil {
 			part.abort()
 		}
 		a.mem.Release(charged)
 		return err
 	}
-	for {
-		b, err := a.in.Next()
-		if err != nil {
-			return fail(errors.Join(err, a.in.Close()))
-		}
-		if b == nil {
-			break
-		}
-		t.addBatch(b.Cols, b.N, b.Sel, b.Mult, &a.scratch)
-		if a.mem == nil {
-			continue
-		}
-		delta := t.approxBytes() - charged
-		if delta <= 0 {
-			continue
-		}
-		if !spillable {
-			a.mem.Force(delta)
-			charged += delta
-			continue
-		}
-		if a.mem.Reserve(delta) {
-			charged += delta
-			continue
-		}
-		// The table outgrew its reservation: dump partials to disk and
-		// restart in-memory pre-aggregation on the remaining input.
-		if sp == nil {
-			sp = newAggSpill(a.spec, a.mem)
-			if part, err = newSpillPartitioner(a.mem, sp.pw, sp.keyOffs, 0); err != nil {
-				part = nil
-				return fail(errors.Join(err, a.in.Close()))
-			}
-		}
-		if err := sp.dump(t, part); err != nil {
-			return fail(errors.Join(err, a.in.Close()))
-		}
-		a.mem.Release(charged)
-		charged = 0
-		t = newAggTable(a.spec) // restart small, not at the size that overflowed
-		a.t = t
+	a.t = t // after a spill, the small table folding restarted in
+	if err := a.merge(t, charged, part, 0); err != nil {
+		return err
 	}
-	if err := a.in.Close(); err != nil {
-		return fail(err)
-	}
-	if part == nil {
-		a.out = t.cols(a.out)
-		a.mem.Release(charged)
-	} else {
-		if err := sp.dump(t, part); err != nil {
-			return fail(err)
-		}
-		a.mem.Release(charged)
-		runs, err := part.finish(a.mem)
-		if err != nil {
-			return err
-		}
-		rows, err := sp.mergeAll(runs)
-		if err != nil {
-			return err
-		}
-		var arity int
-		if len(rows) > 0 {
-			arity = len(rows[0])
-		}
-		a.out = transposeRows(rows, arity)
+	if part != nil {
+		a.out = order(a.out, t.gw)
 	}
 	// The final output must materialize for the consumer regardless of
 	// budget; Force records any overage.

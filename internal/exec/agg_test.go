@@ -8,6 +8,37 @@ import (
 	"testing"
 )
 
+// add folds one row into the table through the one probe — the
+// row-at-a-time reference the addBatch tests compare against; operators call
+// addBatch.
+func (t *aggTable) add(r Row) {
+	cols := make([][]int64, len(r)) // r as a one-row chunk
+	for c := range r {
+		cols[c] = r[c : c+1]
+	}
+	g := t.group(hashColsAt(cols, t.spec.GroupBy, 0), cols, t.spec.GroupBy, 0)
+	for i, c := range t.spec.Sums {
+		t.sums[i][g] += r[c]
+	}
+	t.counts[g]++
+	for i, c := range t.spec.CountDistinct {
+		t.addDistinct(g*t.dw+i, r[c])
+	}
+}
+
+// rows is cols row-major.
+func (t *aggTable) rows() []Row {
+	d := t.cols(colData{})
+	out := make([]Row, d.n)
+	for r := range out {
+		out[r] = make(Row, d.width())
+		for c, col := range d.cols {
+			out[r][c] = col[r]
+		}
+	}
+	return out
+}
+
 // aggInput is one chunk for addBatch: columns, rows, selection and
 // multiplicities as a Batch carries them.
 type aggInput struct {
@@ -57,17 +88,23 @@ func firstDiff[T comparable](a, b []T) int {
 // counts.
 func sameGroups(t *testing.T, label string, got, want *aggTable) {
 	t.Helper()
-	for _, d := range []struct {
+	type diff struct {
 		name string
 		at   int
-	}{
-		{"keys", firstDiff(got.keys, want.keys)},
+	}
+	diffs := []diff{
 		{"hashes", firstDiff(got.hashes, want.hashes)},
 		{"slots", firstDiff(got.slots, want.slots)},
-		{"sums", firstDiff(got.sums, want.sums)},
 		{"counts", firstDiff(got.counts, want.counts)},
 		{"distinct counts", firstDiff(got.dcounts, want.dcounts)},
-	} {
+	}
+	for c := range got.keys {
+		diffs = append(diffs, diff{fmt.Sprintf("key column %d", c), firstDiff(got.keys[c], want.keys[c])})
+	}
+	for s := range got.sums {
+		diffs = append(diffs, diff{fmt.Sprintf("SUM %d", s), firstDiff(got.sums[s], want.sums[s])})
+	}
+	for _, d := range diffs {
 		if d.at >= 0 {
 			t.Fatalf("%s: addBatch's %s differ from add's at %d (%d groups, add made %d)", label, d.name, d.at, got.n, want.n)
 		}

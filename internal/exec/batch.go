@@ -249,19 +249,6 @@ func (d *colData) appendBatch(b *Batch) {
 	d.n += b.Len()
 }
 
-// transposeRows converts arity-wide row-major data into columnar form
-// (operator outputs rendered as rows, and test helpers). The columns share
-// one exact-size backing array.
-func transposeRows[R ~[]int64](rows []R, arity int) colData {
-	d := colData{cols: flatCols(arity, len(rows)), n: len(rows)}
-	for r, row := range rows {
-		for c := range d.cols {
-			d.cols[c][r] = row[c]
-		}
-	}
-	return d
-}
-
 // colDrainer is implemented by operators that can materialize their entire
 // output as colData without going through the batch stream. drainVecCols
 // uses it as a fast path, so blocking consumers (hash-join build, merge

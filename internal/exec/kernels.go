@@ -151,20 +151,10 @@ const (
 	hashMul  = uint64(0xBF58476D1CE4E5B9)
 )
 
-// hashCols mixes the compound key columns of r with a multiplicative hash —
-// cheap, and strong enough for bucket selection since every chain hit is
-// verified by hash and key equality.
+// hashColsAt mixes the compound key columns keys of row i of a column-major
+// chunk with a multiplicative hash — cheap, and strong enough for bucket
+// selection since every chain hit is verified by hash and key equality.
 // hashLive and hashDense compute bit-identical values column-wise.
-func hashCols(r []int64, cols []int) uint64 {
-	h := hashSeed
-	for _, c := range cols {
-		h = (h ^ uint64(r[c])) * hashMul
-	}
-	h ^= h >> 32
-	return h
-}
-
-// hashColsAt is hashCols of row i of a column-major chunk.
 func hashColsAt(cols [][]int64, keys []int, i int) uint64 {
 	h := hashSeed
 	for _, c := range keys {
@@ -175,7 +165,7 @@ func hashColsAt(cols [][]int64, keys []int, i int) uint64 {
 
 // hashLive computes the hash of every live row of a column-major chunk into
 // dst (reused across batches), one column pass per key: dst[k] is the hash
-// of the k-th live row. The per-element recurrence is exactly hashCols'.
+// of the k-th live row. The per-element recurrence is exactly hashColsAt's.
 // One- and two-column keys (nearly every join and group-by in the workload)
 // get fused single-pass loops; wider keys fall back to a pass per column.
 func hashLive(dst []uint64, cols [][]int64, keys []int, n int, sel []int) []uint64 {

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/cost"
@@ -176,52 +177,130 @@ func TestSpillJoinSkewChunkFallback(t *testing.T) {
 	}
 }
 
-// TestSpillAggMatchesUnbounded pre-aggregates a high-cardinality group set
-// under a budget small enough to force several partial dumps and verifies
-// the ordered output — not just the multiset — is byte-identical to the
-// unbounded operator: spilled aggregation merges partials per partition and
-// restores the deterministic global order with one final sort.
-func TestSpillAggMatchesUnbounded(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	input := make([][]int64, 60000)
-	for i := range input {
-		input[i] = []int64{int64(rng.Intn(8000)), int64(rng.Intn(4)), rng.Int63n(100)}
-	}
-	spec := AggSpecExec{GroupBy: []int{0, 1}, Sums: []int{2}, CountAll: true}
+// multIter hands on its input's batches weighted by one of their columns: row
+// i stands for Cols[col][i] copies, as a counting hash join's output does.
+type multIter struct {
+	VecIterator
+	col int
+}
 
-	run := func(budget int64) ([]Row, *MemTracker) {
-		a := NewVecHashAgg(NewVecScanRows(input, ScanFilter{}), spec)
-		tr := NewMemTracker(budget)
-		a.(*vecHashAggOp).mem = tr.Child("agg")
-		out, err := DrainVec(a)
-		if err != nil {
-			t.Fatalf("budget=%d: %v", budget, err)
-		}
-		return out, tr
+func (m *multIter) Next() (*Batch, error) {
+	b, err := m.VecIterator.Next()
+	if b != nil {
+		b.Mult = b.Cols[m.col]
 	}
+	return b, err
+}
 
-	want, _ := run(0)
-	const budget = 128 << 10
-	got, tr := run(budget)
-	if len(got) != len(want) {
-		t.Fatalf("spilled agg emitted %d groups, want %d", len(got), len(want))
-	}
-	for i := range want {
-		for c := range want[i] {
-			if got[i][c] != want[i][c] {
-				t.Fatalf("row %d differs: %v vs unbounded %v", i, got[i], want[i])
+// spillAggCase is one aggregation TestSpillAggMatchesUnbounded runs unbounded
+// and under a budget. spills: the budget makes it write partitions; forced: a
+// merge recurses to maxSpillLevel and is Force-charged there. A case that
+// does neither is Force-charged in memory (COUNT(DISTINCT)).
+type spillAggCase struct {
+	name           string
+	input          [][]int64
+	spec           AggSpecExec
+	weighted       bool // column 3 holds each row's multiplicity
+	budget         int64
+	spills, forced bool
+}
+
+// spillAggCases builds the cases from fixed seeds.
+func spillAggCases() []spillAggCase {
+	// rows returns n rows whose column c is uniform in [0, domains[c]).
+	rows := func(seed int64, n int, domains ...int64) [][]int64 {
+		rng := rand.New(rand.NewSource(seed))
+		input := make([][]int64, n)
+		for i := range input {
+			input[i] = make([]int64, len(domains))
+			for c, d := range domains {
+				input[i][c] = rng.Int63n(d)
 			}
 		}
+		return input
 	}
-	parts, _, _ := tr.SpillStats()
-	if parts == 0 {
-		t.Fatalf("aggregation never spilled under %d-byte budget", budget)
+	weighted := rows(9, 60000, 8000, 4, 100, 3)
+	for _, r := range weighted {
+		r[3]++
 	}
-	// The final output columns are Force-charged (the consumer needs them
-	// materialized), so only the pre-output phase is asserted via overage
-	// accounting: overage must equal zero unless the output itself overflowed.
-	if out := colBytes(4, len(want)); tr.Overage() > out {
-		t.Fatalf("overage %d exceeds the final output size %d", tr.Overage(), out)
+	return []spillAggCase{
+		{name: "two-column key", input: rows(9, 60000, 8000, 4, 100),
+			spec:   AggSpecExec{GroupBy: []int{0, 1}, Sums: []int{2}, CountAll: true},
+			budget: 128 << 10, spills: true},
+		{name: "key neither a prefix nor in order", input: rows(10, 60000, 100, 100, 300, 1000),
+			spec:   AggSpecExec{GroupBy: []int{2, 0}, Sums: []int{1, 3}, CountAll: true},
+			budget: 128 << 10, spills: true},
+		{name: "weighted input", input: weighted, weighted: true,
+			spec:   AggSpecExec{GroupBy: []int{0, 1}, Sums: []int{2}, CountAll: true},
+			budget: 128 << 10, spills: true},
+		{name: "recursing to maxSpillLevel", input: rows(11, 5000, 64, 100),
+			spec:   AggSpecExec{GroupBy: []int{0}, Sums: []int{1}, CountAll: true},
+			budget: 1 << 10, spills: true, forced: true},
+		{name: "one group, one hash, to maxSpillLevel", input: rows(12, 5000, 100),
+			spec:   AggSpecExec{Sums: []int{0}, CountAll: true},
+			budget: 1 << 10, spills: true, forced: true},
+		{name: "COUNT(DISTINCT) never spills", input: rows(13, 20000, 500, 50),
+			spec:   AggSpecExec{GroupBy: []int{0}, CountAll: true, CountDistinct: []int{1}},
+			budget: 16 << 10},
+	}
+}
+
+// run drains the case's aggregation under budget (0 = unbounded).
+func (c spillAggCase) run(budget int64) ([]Row, *MemTracker, error) {
+	in := NewVecScanRows(c.input, ScanFilter{})
+	if c.weighted {
+		in = &multIter{in, 3}
+	}
+	a := NewVecHashAgg(in, c.spec)
+	tr := NewMemTracker(budget)
+	a.(*vecHashAggOp).mem = tr.Child("agg")
+	out, err := DrainVec(a)
+	return out, tr, err
+}
+
+// TestSpillAggMatchesUnbounded aggregates each case under a budget small
+// enough to dump partials several times — for the forced cases, to recurse
+// down to maxSpillLevel — and requires the ordered output, not just the
+// multiset, to equal the unbounded operator's: spilled aggregation merges
+// partials per partition and restores the deterministic global order with
+// one final sort.
+func TestSpillAggMatchesUnbounded(t *testing.T) {
+	for _, c := range spillAggCases() {
+		want, _, err := c.run(0)
+		if err != nil {
+			t.Fatalf("%s, unbounded: %v", c.name, err)
+		}
+		got, tr, err := c.run(c.budget)
+		if err != nil {
+			t.Fatalf("%s, budget %d: %v", c.name, c.budget, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: spilled agg emitted %d groups, want %d", c.name, len(got), len(want))
+		}
+		for i := range want {
+			if !slices.Equal(got[i], want[i]) {
+				t.Fatalf("%s: row %d differs: %v vs unbounded %v", c.name, i, got[i], want[i])
+			}
+		}
+		parts, bytes, recs := tr.SpillStats()
+		if spilled := parts > 0 && bytes > 0; spilled != c.spills {
+			t.Fatalf("%s: %d partitions (%d bytes) spilled under a %d-byte budget, want spilling %v",
+				c.name, parts, bytes, c.budget, c.spills)
+		}
+		// The final output columns are Force-charged alone (the consumer needs
+		// them materialized); overage past theirs is a table that could not
+		// spill.
+		outOver := max(0, colBytes(len(want[0]), len(want))-c.budget)
+		switch over := tr.Overage(); {
+		case c.forced && (recs < maxSpillLevel || over <= outOver):
+			t.Fatalf("%s: %d recursions, overage %d (the output's %d): no merge reached maxSpillLevel's Force",
+				c.name, recs, over, outOver)
+		case !c.forced && c.spills && over > outOver:
+			t.Fatalf("%s: overage %d exceeds the final output's %d", c.name, over, outOver)
+		case !c.spills && (recs > 0 || over <= outOver):
+			t.Fatalf("%s: %d recursions, overage %d (the output's %d): the table was not Force-charged in memory",
+				c.name, recs, over, outOver)
+		}
 	}
 }
 

@@ -180,18 +180,10 @@ func (s *spillJoin) advance(j *vecHashJoinOp) (bool, error) {
 		s.cur = it
 		s.chunkMode = true
 		s.buildRd = rd
-		ok, err := s.loadChunk(j)
-		if err != nil {
+		// The run has rows and writeChunk frames no empty chunk, so the first
+		// chunk is never empty.
+		if _, err := s.loadChunk(j); err != nil {
 			return false, err
-		}
-		if !ok {
-			// Empty build run (cannot happen past the rows check, but keep
-			// the state machine honest).
-			s.chunkMode = false
-			s.buildRd = nil
-			it.build.close()
-			it.probe.close()
-			continue
 		}
 		return true, nil
 	}

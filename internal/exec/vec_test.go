@@ -18,6 +18,18 @@ import (
 	"repro/internal/volcano"
 )
 
+// transposeRows converts arity-wide row-major data into columnar form. The
+// columns share one exact-size backing array.
+func transposeRows[R ~[]int64](rows []R, arity int) colData {
+	d := colData{cols: flatCols(arity, len(rows)), n: len(rows)}
+	for r, row := range rows {
+		for c := range d.cols {
+			d.cols[c][r] = row[c]
+		}
+	}
+	return d
+}
+
 // NewVecScanRows is NewVecScan over row-major input, transposed once at
 // construction — the test-convenience path.
 func NewVecScanRows(rows [][]int64, filter ScanFilter) VecIterator {

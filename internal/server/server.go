@@ -27,7 +27,7 @@
 // packages):
 //
 //   - catalog.Catalog, relalg.Query and relalg.Plan are immutable after
-//     construction (Query.Validate precomputes its lazy adjacency), so
+//     construction (Query.Validate precomputes its neighbour masks), so
 //     executions read them lock-free and in parallel;
 //   - each cache entry's mutable trio — cost.Model, core.Optimizer,
 //     aqp.Calibrator — is guarded by the entry mutex; the current
