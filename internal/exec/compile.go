@@ -88,8 +88,8 @@ type Compiler struct {
 	// cannot (sorts, merge joins) charge through and record overage. A bounded
 	// query always runs on the serial, spillable operators. Nil keeps the
 	// unbounded execution paths exactly. The tracker belongs to the compiled
-	// tree: nothing is charged between its executions, and peak, overage and
-	// spill counters describe the latest one.
+	// tree and is held with it: nothing is charged between its executions,
+	// and peak, overage and spill counters describe the latest one.
 	Mem *MemTracker
 	// decisions maps plan nodes to their resolved cache decision for the
 	// current CompileVec call; probeHits and spools count what it decided.

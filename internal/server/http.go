@@ -86,6 +86,7 @@ func (s *Server) WriteProm(w io.Writer) {
 	obs.WritePromCounter(w, "repro_prepare_misses_total", "Prepares that optimized from scratch.", m.Misses)
 	obs.WritePromCounter(w, "repro_plan_cache_evictions_total", "Plan cache entries evicted by the LRU bound.", m.Evictions)
 	obs.WritePromCounter(w, "repro_execs_total", "Statement executions.", m.Execs)
+	obs.WritePromCounter(w, "repro_compiles_total", "Operator trees compiled; the other executions reused a held one.", m.Compiles)
 	obs.WritePromCounter(w, "repro_full_opts_total", "From-scratch optimizations.", m.FullOpts)
 	obs.WritePromCounter(w, "repro_repairs_total", "Incremental plan repairs triggered by feedback.", m.Repairs)
 	obs.WritePromCounter(w, "repro_converged_execs_total", "Executions whose feedback stayed sub-threshold.", m.Converged)

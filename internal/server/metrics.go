@@ -52,6 +52,7 @@ type Metrics struct {
 	Misses    int64 // prepares that created (and optimized) an entry
 	Evictions int64 // entries evicted by the LRU bound
 	Execs     int64
+	Compiles  int64 // operator trees compiled; Execs - Compiles reused a held one
 
 	FullOpts    int64
 	FullOptTime time.Duration
@@ -117,6 +118,7 @@ func (s *Server) Metrics() Metrics {
 		Misses:         s.plans.misses.Load(),
 		Evictions:      s.plans.evictions.Load(),
 		Execs:          s.execs.Load(),
+		Compiles:       s.compiles.Load(),
 		FullOpts:       s.fullOpts.Load(),
 		FullOptTime:    time.Duration(s.fullOptNanos.Load()),
 		Repairs:        s.repairs.Load(),

@@ -248,7 +248,7 @@ func TestMetricsReportAndJSON(t *testing.T) {
 	if err := json.Unmarshal(blob, &decoded); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"Execs", "ExecLatency", "QueueWait", "PerEntry", "FullOptTimeString"} {
+	for _, key := range []string{"Execs", "Compiles", "ExecLatency", "QueueWait", "PerEntry", "FullOptTimeString"} {
 		if _, ok := decoded[key]; !ok {
 			t.Fatalf("metrics JSON missing %q:\n%s", key, blob)
 		}
@@ -303,6 +303,7 @@ func TestDebugHandlerScrape(t *testing.T) {
 		"# TYPE repro_queue_wait_seconds histogram",
 		"# TYPE repro_repair_seconds histogram",
 		"repro_execs_total",
+		"repro_compiles_total ",
 		"repro_result_cache_evictions_total ",
 		"repro_entry_est_error{entry=",
 	} {

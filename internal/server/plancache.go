@@ -198,6 +198,20 @@ type planVersion struct {
 	// identity, so they are only valid against exactly this tree). Nil when
 	// result caching is disabled.
 	cands []exec.CacheCandidate
+	// runs holds this generation's idle compiled trees (*heldRun), borrowed
+	// by Server.run and handed back by Stmt.exec. A sync.Pool keeps the
+	// trees, their build tables and batch scratch while the server is busy
+	// and lets the GC take them once it idles.
+	runs sync.Pool
+}
+
+// heldRun is one compiled execution of a plan version: the re-openable
+// tree, the RunStats it counts into, and the memory tracker it charges.
+// One execution at a time holds it.
+type heldRun struct {
+	root  exec.VecIterator
+	stats *exec.RunStats
+	mem   *exec.MemTracker
 }
 
 // warmStartBound caps the subexpression enumeration at warm start: beyond

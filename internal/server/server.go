@@ -43,6 +43,13 @@
 //     optimization or execution); an evicted entry keeps serving statements
 //     that already hold it — it merely becomes invisible to new prepares,
 //     and its feedback still lands in the shared store;
+//   - each published plan version keeps its idle compiled trees in a
+//     sync.Pool: an execution borrows one (compiling only when none is
+//     idle), drains it, reads its RunStats and hands it back, so one
+//     execution at a time holds a tree and a converged statement reopens
+//     its trees instead of rebuilding them (see Server.run). A repair
+//     publishes a new version and an eviction drops the entry, so the
+//     trees of a stale plan are never run again;
 //   - server-wide totals are atomics bumped at the event, so they cover
 //     every execution whether or not its entry is still cached;
 //   - admission control is one semaphore of MaxConcurrent slots, sized by
@@ -189,10 +196,12 @@ type Server struct {
 	sessions  atomic.Int64
 	warmSeeds atomic.Int64 // factors seeded from the store across all inits
 
-	// Totals, bumped once at the event (Stmt.exec, ensureInit, feedback)
-	// rather than summed over entries, so eviction never loses history.
-	// At quiescence execs == converged + repairs.
+	// Totals, bumped once at the event (run, ensureInit, feedback) rather
+	// than summed over entries, so eviction never loses history. At
+	// quiescence execs == converged + repairs; execs - compiles executions
+	// reused a held run.
 	execs        atomic.Int64
+	compiles     atomic.Int64
 	fullOpts     atomic.Int64
 	fullOptNanos atomic.Int64
 	repairs      atomic.Int64
@@ -443,6 +452,8 @@ type Result struct {
 	Repaired bool
 	// Elapsed is the execution (not optimization) wall time.
 	Elapsed time.Duration
+	// cards are the observed cardinalities the execution fed back.
+	cards map[relalg.RelSet]int64
 }
 
 // Exec executes the prepared statement: admission, snapshot the cached plan,
@@ -464,9 +475,10 @@ func (st *Stmt) ExplainAnalyze() (*Result, string, error) {
 	return st.exec(true)
 }
 
-// exec is the shared execution path: admit → run → feed back. With analyze
-// set it returns the run's annotated plan tree; a slow-query threshold has
-// every run profiled, so the dump of one that trips it is complete.
+// exec is the shared execution path: admit → run → hand the run back → feed
+// back. With analyze set it returns the run's annotated plan tree; a
+// slow-query threshold has every run profiled, so the dump of one that trips
+// it is complete.
 func (st *Stmt) exec(analyze bool) (*Result, string, error) {
 	srv, e := st.sess.srv, st.entry
 	traceFrom, err := srv.admit(e)
@@ -476,11 +488,19 @@ func (st *Stmt) exec(analyze bool) (*Result, string, error) {
 	defer srv.release()
 	e.touch()
 	snap := e.cur.Load()
-	res, stats, prof, err := srv.run(e, snap, analyze)
+	res, run, prof, err := srv.run(e, snap, analyze)
 	if err != nil {
 		return nil, "", err
 	}
-	if res.Repaired, err = e.feedback(srv, snap, stats.Snapshot()); err != nil {
+	res.cards = run.stats.Snapshot()
+	// The run goes back only now: the next borrower's Open zeroes the
+	// counters the snapshot reads. A failed run never gets here, a profile
+	// belongs to one execution, and a tree compiled against the result cache
+	// refuses to reopen.
+	if prof == nil && srv.resCache == nil {
+		snap.runs.Put(run)
+	}
+	if res.Repaired, err = e.feedback(srv, snap, res.cards); err != nil {
 		return nil, "", err
 	}
 	note := ""
@@ -494,7 +514,7 @@ func (st *Stmt) exec(analyze bool) (*Result, string, error) {
 	if !analyze && !slow {
 		return res, "", nil
 	}
-	analyzed := prof.Format(e.q, snap.plan, stats)
+	analyzed := prof.Format(e.q, snap.plan, run.stats)
 	if slow {
 		srv.slowQuery(e, snap, res.Elapsed, analyzed, traceFrom)
 	}
@@ -531,30 +551,41 @@ func (s *Server) admit(e *planEntry) (traceFrom uint64, err error) {
 // release gives back the admission slot admit took.
 func (s *Server) release() { <-s.sem }
 
-// run executes snap's plan for e once and owns everything the execution
-// holds: its memory tracker (created even without a budget, so per-query
-// peak memory stays observable on unbounded servers), its profile (when
-// analyze asks for one or a slow-query threshold may need one), the
-// compiled tree and its drain. It records the execution's latency, peak
-// memory and spill, and traces the result-cache probe hits and spools its
-// own compile decided. The returned Result lacks only Repaired.
-func (s *Server) run(e *planEntry, snap *planVersion, analyze bool) (*Result, *exec.RunStats, *exec.PlanProfile, error) {
+// run executes snap's plan for e once. It borrows one of snap's idle held
+// runs, and compiles one — tree, RunStats and a memory tracker created even
+// without a budget, so per-query peak memory stays observable on unbounded
+// servers — only when none is idle or the execution wants a profile (analyze
+// asks for one, or a slow-query threshold may need one). It drains the tree,
+// records the execution's latency, peak memory and spill, and traces the
+// result-cache probe hits and spools its own compile decided. The caller
+// hands the run back once it has read the RunStats. The returned Result
+// lacks only Repaired and the cards.
+func (s *Server) run(e *planEntry, snap *planVersion, analyze bool) (*Result, *heldRun, *exec.PlanProfile, error) {
 	var prof *exec.PlanProfile
+	var run *heldRun
 	if analyze || s.opts.TraceSlowQuery > 0 {
 		prof = exec.NewPlanProfile()
+	} else {
+		run, _ = snap.runs.Get().(*heldRun)
 	}
 	start := time.Now()
-	mem := exec.NewMemTracker(s.opts.MemBudgetBytes)
-	mem.SetSpillDir(s.opts.SpillDir)
-	comp := &exec.Compiler{
-		Q: e.q, Cat: s.cat, Parallelism: s.opts.Parallelism,
-		Cache: s.resCache, CacheCands: snap.cands, Prof: prof, Mem: mem,
+	var hits, spools int
+	if run == nil {
+		mem := exec.NewMemTracker(s.opts.MemBudgetBytes)
+		mem.SetSpillDir(s.opts.SpillDir)
+		comp := &exec.Compiler{
+			Q: e.q, Cat: s.cat, Parallelism: s.opts.Parallelism,
+			Cache: s.resCache, CacheCands: snap.cands, Prof: prof, Mem: mem,
+		}
+		root, stats, err := comp.CompileVec(snap.plan)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		s.compiles.Add(1)
+		run = &heldRun{root: root, stats: stats, mem: mem}
+		hits, spools = comp.CacheDecisions()
 	}
-	v, stats, err := comp.CompileVec(snap.plan)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	rows, err := exec.DrainVec(v)
+	rows, err := exec.DrainVec(run.root)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -563,9 +594,9 @@ func (s *Server) run(e *planEntry, snap *planVersion, analyze bool) (*Result, *e
 	e.execs.Add(1)
 	s.execs.Add(1)
 
-	peak := mem.Peak()
+	peak := run.mem.Peak()
 	s.peakMemH.ObserveInt64(peak)
-	if parts, bytes, recs := mem.SpillStats(); parts > 0 {
+	if parts, bytes, recs := run.mem.SpillStats(); parts > 0 {
 		s.spilledQueries.Add(1)
 		s.spillPartitions.Add(parts)
 		s.spillBytes.Add(bytes)
@@ -573,14 +604,13 @@ func (s *Server) run(e *planEntry, snap *planVersion, analyze bool) (*Result, *e
 		s.trace.Emit(obs.Event{Kind: obs.KindSpill, Query: e.hash,
 			A: parts, B: bytes, V: float64(peak)})
 	}
-	hits, spools := comp.CacheDecisions()
 	if hits > 0 {
 		s.trace.Emit(obs.Event{Kind: obs.KindResultCache, Query: e.hash, Note: "probe-hit", A: int64(hits)})
 	}
 	if spools > 0 {
 		s.trace.Emit(obs.Event{Kind: obs.KindResultCache, Query: e.hash, Note: "spool", A: int64(spools)})
 	}
-	return &Result{Rows: rows, PlanVersion: snap.version, Elapsed: elapsed}, stats, prof, nil
+	return &Result{Rows: rows, PlanVersion: snap.version, Elapsed: elapsed}, run, prof, nil
 }
 
 // slowQuery traces one slow execution and keeps its dump: a header, the

@@ -42,8 +42,8 @@
 //   - internal/aqp — the adaptive query processing loop. The controller
 //     owns the standing query's execution: it compiles a plan once and
 //     re-opens that tree at every split point until the re-optimizer
-//     returns a plan with another signature (the serving layer, whose
-//     statements have no single owner yet, still compiles per request);
+//     returns a plan with another signature (the serving layer keeps idle
+//     trees per plan version, and each execution borrows one);
 //   - internal/fbstore — the server-wide statistics plane: calibrated
 //     cardinality observations keyed by canonical subexpression
 //     fingerprint, shared by every plan-cache entry and surviving their
