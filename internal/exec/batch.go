@@ -174,14 +174,6 @@ type colData struct {
 	n    int
 }
 
-func newColData(width, capHint int) colData {
-	cols := make([][]int64, width)
-	for c := range cols {
-		cols[c] = make([]int64, 0, capHint)
-	}
-	return colData{cols: cols}
-}
-
 func (d *colData) width() int { return len(d.cols) }
 
 // reset empties d; its columns keep their capacity.

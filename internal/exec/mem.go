@@ -187,14 +187,6 @@ func (t *MemTracker) Limit() int64 {
 	return t.root.limit
 }
 
-// rootUsed returns the query-wide bytes currently charged.
-func (t *MemTracker) rootUsed() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.root.used.Load()
-}
-
 // Overage returns the total bytes Force-charged past the budget. Zero means
 // the budget genuinely bounded tracked memory: Peak() <= Limit().
 func (t *MemTracker) Overage() int64 {
@@ -235,16 +227,16 @@ func (t *MemTracker) SpillStats() (partitions, bytes, recursions int64) {
 // colBytes is the tracked size of an n-row, width-column materialization.
 func colBytes(width, n int) int64 { return int64(width) * int64(n) * 8 }
 
-// joinTableBytes is the tracked size of the chained hash table built over n
-// rows (head array at the next power of two >= 2n, next links, full hashes,
-// and per-row multiplicities when the table counts); the row data itself is
-// charged separately as colBytes.
-func joinTableBytes(n int, counting bool) int64 {
+// buildBytes is the tracked size of a hash join's n build rows of width
+// columns and the chained table over them: the columns, the head array at the
+// next power of two >= 2n, next links, full hashes, and per-row
+// multiplicities when the table counts.
+func buildBytes(width, n int, counting bool) int64 {
 	size := 16
 	for size < 2*n {
 		size <<= 1
 	}
-	per := int64(4 + 8)
+	per := int64(width*8 + 4 + 8)
 	if counting {
 		per += 4
 	}

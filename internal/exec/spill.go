@@ -26,8 +26,10 @@ import (
 // Equal keys have equal hashes, so matching join rows and mergeable
 // aggregation partials land in the same partition at every level. A
 // partition that still exceeds its reservation at maxSpillLevel stops
-// recursing (the skewed-key end state: few distinct hash values left) and
-// is handled by the operators' block-chunked fallbacks.
+// recursing (the skewed-key end state: few distinct hash values left): the
+// hash join loads its build run chunk by chunk, re-reading the probe run per
+// chunk, and the aggregation's merge is Force-charged. The join chunks a run
+// whose rows all share one hash (spillRun.single) at once, at any level.
 
 const (
 	spillBits     = 3
@@ -111,12 +113,13 @@ func (w *spillWriter) run() (*spillRun, error) {
 }
 
 // spillRun is a finished partition run file; it can be read back any number
-// of times (the chunk-fallback re-reads the probe run per build chunk).
+// of times (the join re-reads a probe run per build chunk).
 type spillRun struct {
-	f     *os.File
-	width int
-	rows  int
-	bytes int64
+	f      *os.File
+	width  int
+	rows   int
+	bytes  int64
+	single bool // every row has the same key hash, which no bit window splits
 }
 
 func (r *spillRun) close() {
@@ -183,13 +186,16 @@ func (r *spillRunReader) next() (*Batch, error) {
 }
 
 // spillPartitioner fans incoming batches out to spillFanout partition runs
-// by the level's hash-bit window over the key columns.
+// by the level's hash-bit window over the key columns. It notes per run
+// whether any row's hash differs from the run's first.
 type spillPartitioner struct {
 	level int
 	keys  []int
 	parts [spillFanout]*spillWriter
 	sels  [spillFanout][]int
 	hs    []uint64
+	first [spillFanout]uint64
+	mixed [spillFanout]bool
 }
 
 // newSpillPartitioner creates the fanout writers in the tracker's spill
@@ -214,16 +220,17 @@ func (s *spillPartitioner) add(cols [][]int64, n int, sel []int) error {
 	for p := range s.sels {
 		s.sels[p] = s.sels[p][:0]
 	}
-	if sel == nil {
-		for i := 0; i < n; i++ {
-			p := spillPart(s.hs[i], s.level)
-			s.sels[p] = append(s.sels[p], i)
+	for k, h := range s.hs {
+		i := k
+		if sel != nil {
+			i = sel[k]
 		}
-	} else {
-		for k, i := range sel {
-			p := spillPart(s.hs[k], s.level)
-			s.sels[p] = append(s.sels[p], i)
+		p := spillPart(h, s.level)
+		if s.parts[p].rows+len(s.sels[p]) == 0 {
+			s.first[p] = h
 		}
+		s.mixed[p] = s.mixed[p] || h != s.first[p]
+		s.sels[p] = append(s.sels[p], i)
 	}
 	for p, w := range s.parts {
 		if len(s.sels[p]) == 0 {
@@ -252,7 +259,7 @@ func (s *spillPartitioner) finish(tr *MemTracker) ([]*spillRun, error) {
 			}
 			return nil, err
 		}
-		runs[p] = r
+		runs[p], r.single = r, !s.mixed[p]
 		if r.rows > 0 {
 			tr.noteSpillPartition(r.bytes)
 		}
@@ -260,63 +267,19 @@ func (s *spillPartitioner) finish(tr *MemTracker) ([]*spillRun, error) {
 	return runs, nil
 }
 
-// abort closes every partition writer without producing runs.
+// abort closes every partition writer without producing runs. A nil
+// partitioner has none.
 //
-// Reached by: a spill write, read or repartition that fails — an injected
-// fault path (a full or unwritable spill directory) no workload produces.
+// Reached by: a spill write or read, or an input being routed, that fails —
+// an injected fault path (a full or unwritable spill directory) no workload
+// produces.
 func (s *spillPartitioner) abort() {
+	if s == nil {
+		return
+	}
 	for _, w := range s.parts {
 		if w != nil {
 			w.f.Close()
 		}
-	}
-}
-
-// repartitionRun re-reads a run and splits it one level deeper — the
-// recursive repartitioning step for skewed partitions.
-func repartitionRun(r *spillRun, keys []int, level int, tr *MemTracker) ([]*spillRun, error) {
-	part, err := newSpillPartitioner(tr, r.width, keys, level)
-	if err != nil {
-		return nil, err
-	}
-	rd, err := r.reader()
-	if err != nil {
-		part.abort()
-		return nil, err
-	}
-	for {
-		b, err := rd.next()
-		if err != nil {
-			part.abort()
-			return nil, err
-		}
-		if b == nil {
-			break
-		}
-		if err := part.add(b.Cols, b.N, b.Sel); err != nil {
-			part.abort()
-			return nil, err
-		}
-	}
-	return part.finish(tr)
-}
-
-// readRunAll materializes a whole run column-major — the per-partition build
-// load, charged by the caller before calling.
-func readRunAll(r *spillRun) (colData, error) {
-	rd, err := r.reader()
-	if err != nil {
-		return colData{}, err
-	}
-	out := newColData(r.width, r.rows)
-	for {
-		b, err := rd.next()
-		if err != nil {
-			return out, err
-		}
-		if b == nil {
-			return out, nil
-		}
-		out.appendBatch(b)
 	}
 }

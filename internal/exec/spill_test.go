@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -115,66 +117,177 @@ func runTrackedJoin(t *testing.T, build, probe [][]int64, budget int64) ([]Row, 
 	return out, tr
 }
 
-// TestSpillJoinForcedRecursion drives a uniform-key join through recursive
-// repartitioning: the build side exceeds the budget even after the level-0
-// split, so every partition recurses one level before fitting. Results must
-// match the unbounded join, the recursion must be recorded, and — since
-// every reservation on this path can be honored — tracked peak memory must
-// stay under the budget with zero overage.
-func TestSpillJoinForcedRecursion(t *testing.T) {
-	build, probe := spillJoinInputs(65536, 512, 1000)
-	want, _ := runTrackedJoin(t, build, probe, 0)
+// spillJoinCase is one join TestSpillJoinMatchesUnbounded runs unbounded and
+// under a budget. Rows are row-major; the first keys columns are the key on
+// both sides. spills: the budget makes the join write partitions; recurses:
+// a partition is split again one level deeper.
+type spillJoinCase struct {
+	name             string
+	build, probe     [][]int64
+	keys             int
+	residual         []ColPred
+	counting         bool // the join counts, over a probe weighted by its column 2 (multIter)
+	budget           int64
+	spills, recurses bool
+}
 
-	const budget = 32 << 10
-	got, tr := runTrackedJoin(t, build, probe, budget)
-	if rowMultiset(got) != rowMultiset(want) {
-		t.Fatalf("spilled join multiset differs: %d rows vs %d unbounded", len(got), len(want))
+// spillJoinCases builds the cases TestSpillJoinMatchesUnbounded runs from
+// fixed seeds; the recursing and the skewed joins have tests of their own.
+func spillJoinCases() []spillJoinCase {
+	uniBuild, uniProbe := spillJoinInputs(65536, 512, 1000)
+	rng := rand.New(rand.NewSource(4))
+	wide := func(n int) [][]int64 {
+		rows := make([][]int64, n)
+		for i := range rows {
+			rows[i] = []int64{rng.Int63n(40), rng.Int63n(25), rng.Int63n(1000)}
+		}
+		return rows
 	}
-	parts, bytes, recs := tr.SpillStats()
-	if parts == 0 || bytes == 0 {
-		t.Fatalf("join never spilled under %d-byte budget", budget)
+	weighted := make([][]int64, len(uniProbe))
+	for i, r := range uniProbe {
+		weighted[i] = []int64{r[0], r[1], 1 + int64(i%3)}
 	}
-	if recs == 0 {
-		t.Fatalf("expected recursive repartitioning (%d partitions, %d bytes, 0 recursions)", parts, bytes)
-	}
-	if over := tr.Overage(); over != 0 {
-		t.Fatalf("unexpected overage %d on a fully spillable join", over)
-	}
-	if tr.Peak() > budget {
-		t.Fatalf("tracked peak %d exceeds budget %d", tr.Peak(), budget)
+	small, _ := spillJoinInputs(2048, 0, 1000)
+	mid, midProbe := spillJoinInputs(3000, 600, 1000)
+	return []spillJoinCase{
+		{name: "two-column key and a residual", build: wide(30000), probe: wide(3000), keys: 2,
+			residual: []ColPred{{L: 2, R: 5, Op: relalg.CmpLT, Off: 500}},
+			budget:   48 << 10, spills: true, recurses: true},
+		{name: "counting over a weighted probe", build: uniBuild, probe: weighted, keys: 1, counting: true,
+			budget: 32 << 10, spills: true, recurses: true},
+		{name: "empty build side", probe: uniProbe, keys: 1, budget: 32 << 10},
+		{name: "empty probe side", build: uniBuild, keys: 1, budget: 32 << 10, spills: true},
+		// Its first batch's columns and table (16 + 12 bytes a row, 8 KiB of
+		// heads) already overflow; each level-0 partition fits.
+		{name: "first build batch overflows", build: small, probe: uniProbe, keys: 1,
+			budget: 16 << 10, spills: true},
+		// 48 000 bytes of columns fit, the table over them does not.
+		{name: "columns fit, table does not", build: mid, probe: midProbe, keys: 1,
+			budget: 64 << 10, spills: true},
 	}
 }
 
+// run drains the case's join under budget (0 = unbounded) into a multiset:
+// each output row and its weight, the batch's multiplicity or 1.
+func (c spillJoinCase) run(t *testing.T, budget int64) (map[string]int64, *MemTracker) {
+	t.Helper()
+	var probe VecIterator = NewVecScanRows(c.probe, ScanFilter{})
+	lOut, rOut := seq(2), seq(2)
+	if c.keys == 2 {
+		lOut, rOut = seq(3), seq(3)
+	}
+	if c.counting {
+		probe, lOut, rOut = &multIter{probe, 2}, nil, seq(3)
+	}
+	j := NewVecHashJoin(NewVecScanRows(c.build, ScanFilter{}), probe, seq(c.keys), seq(c.keys), c.residual,
+		lOut, rOut).(*vecHashJoinOp)
+	j.counting = c.counting
+	tr := NewMemTracker(budget)
+	j.mem = tr.Child("hashjoin")
+	if err := j.Open(); err != nil {
+		t.Fatalf("%s, budget %d: %v", c.name, budget, err)
+	}
+	got := map[string]int64{}
+	for {
+		b, err := j.Next()
+		if err != nil {
+			t.Fatalf("%s, budget %d: %v", c.name, budget, err)
+		}
+		if b == nil {
+			break
+		}
+		live := b.Sel
+		if live == nil {
+			live = seq(b.N)
+		}
+		for _, i := range live {
+			row := make([]int64, len(b.Cols))
+			for c, col := range b.Cols {
+				row[c] = col[i]
+			}
+			w := int64(1)
+			if b.Mult != nil {
+				w = b.Mult[i]
+			}
+			got[fmt.Sprint(row)] += w
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if tr.Used() != 0 {
+		t.Fatalf("%s, budget %d: %d bytes still charged after Close", c.name, budget, tr.Used())
+	}
+	return got, tr
+}
+
+// check joins the case unbounded and under its budget and requires the
+// output multiset, weighted by Batch.Mult for a counting join, to equal the
+// unbounded join's, the spill to have the case's shape, and the tracked peak
+// to stay within the budget with nothing Force-charged. It returns the
+// unbounded join's multiset.
+func (c spillJoinCase) check(t *testing.T) map[string]int64 {
+	t.Helper()
+	want, _ := c.run(t, 0)
+	got, tr := c.run(t, c.budget)
+	if !maps.Equal(got, want) {
+		t.Fatalf("%s: spilled join emits %d distinct rows, the unbounded join %d, and they differ",
+			c.name, len(got), len(want))
+	}
+	if len(want) == 0 && c.build != nil && c.probe != nil {
+		t.Fatalf("%s: no output: the case tests nothing", c.name)
+	}
+	parts, bytes, recs := tr.SpillStats()
+	if spilled := parts > 0 && bytes > 0; spilled != c.spills || (recs > 0) != c.recurses {
+		t.Fatalf("%s: %d partitions, %d bytes, %d recursions under a %d-byte budget; want spilling %v, recursing %v",
+			c.name, parts, bytes, recs, c.budget, c.spills, c.recurses)
+	}
+	if over := tr.Overage(); over != 0 || tr.Peak() > c.budget {
+		t.Fatalf("%s: tracked peak %d, overage %d under a %d-byte budget", c.name, tr.Peak(), over, c.budget)
+	}
+	t.Logf("%s: %d partitions, %d bytes spilled, %d recursions, peak %d", c.name, parts, bytes, recs, tr.Peak())
+	return want
+}
+
+// TestSpillJoinMatchesUnbounded joins each case under a budget small enough
+// to spill it — recursively, or from its first build batch — and checks it
+// against the unbounded join; run also requires the tracker to be back at 0
+// bytes after Close.
+func TestSpillJoinMatchesUnbounded(t *testing.T) {
+	for _, c := range spillJoinCases() {
+		c.check(t)
+	}
+}
+
+// TestSpillJoinForcedRecursion drives a uniform-key join through recursive
+// repartitioning: the build side exceeds the budget even after the level-0
+// split, so every partition recurses one level before fitting. Every
+// reservation on this path can be honored, so the tracked peak stays under
+// the budget with zero overage.
+func TestSpillJoinForcedRecursion(t *testing.T) {
+	build, probe := spillJoinInputs(65536, 512, 1000)
+	spillJoinCase{name: "uniform key, recursing", build: build, probe: probe, keys: 1,
+		budget: 32 << 10, spills: true, recurses: true}.check(t)
+}
+
 // TestSpillJoinSkewChunkFallback joins a build side where every row carries
-// the same key: the single partition survives every recursion level, so the
-// driver must fall back to block-chunked processing (build chunks × probe
-// re-reads) and still emit each matching pair exactly once within budget.
+// the same key. Its 4096 rows are one run of one hash at level 0, and their
+// columns alone fill the budget: no level would split them, so the join goes
+// straight to build chunks × probe re-reads without recursing, and still
+// emits each matching pair exactly once within budget.
 func TestSpillJoinSkewChunkFallback(t *testing.T) {
 	build := make([][]int64, 4096)
 	for i := range build {
 		build[i] = []int64{42, int64(i)}
 	}
-	probe := [][]int64{{42, 1}, {42, 2}, {7, 3}}
-	want, _ := runTrackedJoin(t, build, probe, 0)
+	probe := [][]int64{{42, 1, 3}, {42, 2, 1}, {7, 3, 2}}
+	want := spillJoinCase{name: "one skewed key, in chunks", build: build, probe: probe, keys: 1,
+		budget: 64 << 10, spills: true}.check(t)
 	if len(want) != 2*len(build) {
 		t.Fatalf("unbounded skew join produced %d rows, want %d", len(want), 2*len(build))
 	}
-
-	const budget = 64 << 10
-	got, tr := runTrackedJoin(t, build, probe, budget)
-	if rowMultiset(got) != rowMultiset(want) {
-		t.Fatalf("chunked skew join multiset differs: %d rows vs %d unbounded", len(got), len(want))
-	}
-	_, _, recs := tr.SpillStats()
-	if recs < maxSpillLevel {
-		t.Fatalf("skewed key recursed only %d times, want %d before the chunk fallback", recs, maxSpillLevel)
-	}
-	if over := tr.Overage(); over != 0 {
-		t.Fatalf("unexpected overage %d in chunk fallback", over)
-	}
-	if tr.Peak() > budget {
-		t.Fatalf("tracked peak %d exceeds budget %d", tr.Peak(), budget)
-	}
+	spillJoinCase{name: "one skewed key, counting in chunks", build: build, probe: probe, keys: 1, counting: true,
+		budget: 48 << 10, spills: true}.check(t)
 }
 
 // multIter hands on its input's batches weighted by one of their columns: row

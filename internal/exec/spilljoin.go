@@ -1,387 +1,293 @@
 package exec
 
-// Grace-hash spill for the vectorized hash join. When the build-side drain
-// exceeds its memory reservation, both inputs are partitioned to disk by the
-// high bits of the join-key hash and the partitions are processed one at a
-// time: each partition's build rows are loaded and hashed with the exact
-// same joinTable + probe kernels as the in-memory path, and its probe run is
-// streamed through the same head pass and chain walk in vecHashJoinOp.Next.
-// Matching rows share a key, hence a hash, hence a partition at every level,
-// so every matching pair is emitted exactly once and the join's output
-// multiset and cardinality counters are identical to the unbounded run.
+import "errors"
+
+// Grace-hash spill for the vectorized hash join. Under a budget, one loop,
+// load, drains a build input into the operator's build columns — the build
+// child at level 0, a partition's build run below it — reserving each batch's
+// growth of the columns and their table (buildBytes). It ends one of three
+// ways:
+//
+//   - Everything fits: the table is built and the probe input streams
+//     through it — the probe child at level 0, the partition's probe run
+//     below it.
+//   - A reservation fails at a level up to maxSpillLevel: the rows drained so
+//     far, the batch that did not fit and the rest of the build input are
+//     routed into partition runs by the level's window of high hash bits, then
+//     the probe input is routed the same way. The pairs of runs are joined one
+//     at a time, recursive sub-partitions first, each build run loaded one
+//     level deeper.
+//   - A reservation fails past maxSpillLevel, or in a run whose rows all share
+//     one hash, which no deeper bit window splits: the rows drained so far
+//     become a table — a chunk — the whole probe run streams through it, and
+//     loading resumes at the batch that did not fit.
+//
+// One loop, partition, routes both inputs at every level. Every table is
+// built and probed by the same joinTable and probe kernels as the in-memory
+// path. Matching rows share a key, hence a hash, hence a partition at every
+// level, and each build row is in exactly one chunk, so every matching pair
+// is emitted exactly once and the join's output multiset and cardinality
+// counters are identical to the unbounded run's.
 //
 // A counting join (vecHashJoinOp.counting) spills the same way, with the
 // probe rows' multiplicities as one more column of the probe runs — after the
 // live columns, so key offsets stand — peeled back off into Batch.Mult as a
-// run is read. Each loaded partition or chunk is a counting table over its
-// own build rows; a key split across chunks yields one weighted row per
-// chunk, and the multiplicities still sum to the match count.
-//
-// A partition whose build side still exceeds the reservation is recursively
-// repartitioned one hash-bit window deeper; at maxSpillLevel (few distinct
-// hash bits left — the skewed-key end state) the driver falls back to
-// block-chunked processing: the build run is consumed in reservation-sized
-// chunks and the probe run is re-read once per chunk. Each build row lives
-// in exactly one chunk, so pairs are still emitted exactly once.
+// run is read. Each table counts its own build rows; a key split across
+// chunks yields one weighted row per chunk, and the multiplicities still sum
+// to the match count.
 
-// spillPair is one pending (build, probe) partition at a recursion level.
+// spillPair is one pending (build, probe) pair of partition runs and the level
+// they were written at.
 type spillPair struct {
 	build, probe *spillRun
 	level        int
 }
 
-// spillJoin drives partition-at-a-time probing for a spilled vecHashJoinOp.
+// spillJoin is the state of a hash join whose build side overflowed its
+// reservation.
 type spillJoin struct {
-	mem      *MemTracker
-	lKeys    []int
-	rKeys    []int
-	counting bool
-	shell    Batch   // counting: a probe-run batch with its last column as Mult
-	ones     []int64 // counting: the multiplicities of an unweighted probe batch
-
-	work []spillPair // LIFO: recursive sub-partitions are processed first
-
-	cur     spillPair // partition currently being probed
+	work    []spillPair // LIFO: recursive sub-partitions are joined first
+	cur     spillPair   // the pair whose build rows are in the table
 	probeRd *spillRunReader
-	charged int64 // bytes reserved for the loaded build table
-
-	// chunk fallback state (cur.level == maxSpillLevel and still too big)
-	chunkMode bool
-	buildRd   *spillRunReader // sequential chunk source over cur.build
+	more    func() error // when the table is a chunk of cur's build run: loads the next
+	shell   Batch        // counting: a probe batch and its multiplicities as one
+	ones    []int64      // counting: the multiplicities of an unweighted probe batch
 }
 
-// buildBytes is the reservation needed to load and hash n build rows.
-func (s *spillJoin) buildBytes(width, n int) int64 {
-	return colBytes(width, n) + joinTableBytes(n, s.counting)
+// load drains the build input next returns, starting with pending when it is
+// not nil, into j.build and reserves each batch's growth of buildBytes. It
+// ends one of the three ways the file comment lists: the table over the whole
+// input, the inputs routed into partitions at level, or a chunk's table.
+func (j *vecHashJoinOp) load(level int, next func() (*Batch, error), pending *Batch) error {
+	j.build.reset()
+	for b := pending; ; b = nil {
+		var err error
+		if b == nil {
+			b, err = next()
+		}
+		if err == nil && b != nil {
+			err = unweighted(b, "a hash-join build side")
+		}
+		if err != nil {
+			return j.closeBuild(level, err)
+		}
+		if b == nil {
+			break
+		}
+		grow := buildBytes(b.Width(), j.build.n+b.Len(), j.counting) - j.charged
+		switch {
+		case j.mem.Reserve(grow):
+		case level <= maxSpillLevel:
+			return j.spillAt(level, next, b)
+		case j.build.n == 0:
+			j.mem.Force(grow) // one batch alone overflows: the bound gives way
+		default:
+			j.spill.more = func() error { return j.load(level, next, b) }
+			return j.install(level)
+		}
+		j.charged += grow
+		j.build.appendBatch(b)
+	}
+	if err := j.closeBuild(level, nil); err != nil {
+		return err
+	}
+	return j.install(level)
 }
 
-// releaseTable drops the charge of the partition table being left behind.
-func (s *spillJoin) releaseTable() {
-	s.mem.Release(s.charged)
-	s.charged = 0
+// closeBuild ends load's read of the build child at level 0, joining its
+// Close error to err; a run is closed with its pair.
+func (j *vecHashJoinOp) closeBuild(level int, err error) error {
+	if level == 0 {
+		err = errors.Join(err, j.left.Close())
+	}
+	return err
 }
 
-// nextBatch returns the next probe batch for the current partition table,
-// transparently advancing across partitions, recursive repartitions and
-// build chunks. It installs the partition's table into j.table before
-// returning batches; nil means the spilled join is fully drained.
+// install builds the table over j.build and, below level 0, rewinds the
+// current pair's probe run to stream through it.
+func (j *vecHashJoinOp) install(level int) error {
+	j.table = buildJoinTable(j.table, j.build, j.lKeys, j.counting)
+	if level == 0 {
+		return nil
+	}
+	var err error
+	j.spill.probeRd, err = j.spill.cur.probe.reader()
+	return err
+}
+
+// release returns the charge of the loaded build rows and their table.
+func (j *vecHashJoinOp) release() {
+	j.mem.Release(j.charged)
+	j.charged = 0
+}
+
+// spillAt routes the build input — the rows drained so far, then b, which did
+// not fit, then the rest of next — and then the probe input into partitions
+// at level, and queues the pairs with rows on both sides. The drained rows'
+// charge is returned before the rest of the build input is read.
+func (j *vecHashJoinOp) spillAt(level int, next func() (*Batch, error), b *Batch) error {
+	var (
+		w   Batch
+		pos int
+	)
+	bruns, err := j.partition(func() (*Batch, error) {
+		if d := j.build.emit(&w, &pos); d != nil {
+			return d, nil
+		}
+		j.release()
+		if d := b; d != nil {
+			b = nil
+			return d, nil
+		}
+		return next()
+	}, j.lKeys, level)
+	if err = j.closeBuild(level, err); err != nil {
+		closeRuns(bruns)
+		return err
+	}
+	probe := j.right.Next
+	if level == 0 {
+		j.spill = &spillJoin{}
+		if j.counting {
+			probe = j.weighed
+		}
+	} else {
+		j.mem.noteSpillRecursion()
+		rd, err := j.spill.cur.probe.reader()
+		if err != nil {
+			closeRuns(bruns)
+			return err
+		}
+		probe = rd.next
+	}
+	pruns, err := j.partition(probe, j.rKeys, level)
+	if err != nil || pruns == nil { // no probe rows: the join is empty
+		closeRuns(bruns)
+		return err
+	}
+	for p, r := range bruns {
+		if r.rows > 0 && pruns[p].rows > 0 {
+			j.spill.work = append(j.spill.work, spillPair{build: r, probe: pruns[p], level: level})
+			continue
+		}
+		r.close()
+		pruns[p].close()
+	}
+	return nil
+}
+
+// partition routes every batch next returns into spillFanout runs by the key
+// hash's bit window at level: the spilled join's one routing loop, for both
+// inputs at every level. It returns no runs when next returns no batch.
+func (j *vecHashJoinOp) partition(next func() (*Batch, error), keys []int, level int) ([]*spillRun, error) {
+	var part *spillPartitioner
+	for {
+		b, err := next()
+		if b == nil && err == nil {
+			break
+		}
+		if err == nil {
+			err = unweighted(b, "a spilling hash join")
+		}
+		if err == nil && part == nil {
+			part, err = newSpillPartitioner(j.mem, b.Width(), keys, level)
+		}
+		if err == nil {
+			err = part.add(b.Cols, b.N, b.Sel)
+		}
+		if err != nil {
+			part.abort()
+			return nil, err
+		}
+	}
+	if part == nil {
+		return nil, nil
+	}
+	return part.finish(j.mem)
+}
+
+// weighed is a counting join's probe child as its level-0 partition reads it:
+// each batch with its multiplicities appended as the last column.
+func (j *vecHashJoinOp) weighed() (*Batch, error) {
+	b, err := j.right.Next()
+	if b == nil || err != nil {
+		return nil, err
+	}
+	s, m := j.spill, b.Mult
+	if m == nil {
+		for len(s.ones) < b.N {
+			s.ones = append(s.ones, 1)
+		}
+		m = s.ones[:b.N]
+	}
+	s.shell = Batch{Cols: append(b.Cols[:len(b.Cols):len(b.Cols)], m), N: b.N, Sel: b.Sel}
+	return &s.shell, nil
+}
+
+// spillNextBatch returns the next probe batch of a spilled join, with the
+// table it probes installed in j.table. When the current probe run ends it
+// loads the next chunk of the build run or the next pair's build run; nil
+// means every pair is joined.
 func (j *vecHashJoinOp) spillNextBatch() (*Batch, error) {
 	s := j.spill
 	for {
 		if s.probeRd != nil {
 			b, err := s.probeRd.next()
-			if err != nil {
-				return nil, err
+			if b != nil && j.counting {
+				w := b.Width() - 1
+				s.shell = Batch{Cols: b.Cols[:w], N: b.N, Mult: b.Cols[w]}
+				b = &s.shell
 			}
-			if b != nil {
-				if s.counting {
-					w := b.Width() - 1
-					s.shell = Batch{Cols: b.Cols[:w], N: b.N, Mult: b.Cols[w]}
-					b = &s.shell
-				}
-				return b, nil
+			if b != nil || err != nil {
+				return b, err
 			}
-			// Probe run exhausted for the current table.
 			s.probeRd = nil
-			if s.chunkMode {
-				ok, err := s.loadChunk(j)
-				if err != nil {
+			j.release()
+			if more := s.more; more != nil {
+				s.more = nil
+				if err := more(); err != nil {
 					return nil, err
 				}
-				if ok {
-					continue
-				}
-				// Build run exhausted: partition done.
-				s.chunkMode = false
-				s.buildRd = nil
-			} else {
-				s.releaseTable()
+				continue
 			}
-			j.table = nil
-			s.cur.build.close()
-			s.cur.probe.close()
 		}
-		ok, err := s.advance(j)
+		s.cur.build.close()
+		s.cur.probe.close()
+		if len(s.work) == 0 {
+			return nil, nil
+		}
+		s.cur = s.work[len(s.work)-1]
+		s.work = s.work[:len(s.work)-1]
+		rd, err := s.cur.build.reader()
 		if err != nil {
 			return nil, err
 		}
-		if !ok {
-			return nil, nil
+		level := s.cur.level + 1
+		if s.cur.build.single {
+			level = maxSpillLevel + 1 // no deeper bit window splits one hash
+		}
+		if err := j.load(level, rd.next, nil); err != nil {
+			return nil, err
 		}
 	}
 }
 
-// advance pops work until a partition's table is installed (possibly after
-// recursive repartitioning or entering chunk mode); false means no work
-// remains.
-func (s *spillJoin) advance(j *vecHashJoinOp) (bool, error) {
-	for len(s.work) > 0 {
-		it := s.work[len(s.work)-1]
-		s.work = s.work[:len(s.work)-1]
-		if it.build.rows == 0 || it.probe.rows == 0 {
-			it.build.close()
-			it.probe.close()
-			continue
-		}
-		need := s.buildBytes(it.build.width, it.build.rows)
-		if s.mem.Reserve(need) {
-			data, err := readRunAll(it.build)
-			if err != nil {
-				s.mem.Release(need)
-				it.build.close()
-				it.probe.close()
-				return false, err
-			}
-			j.table = buildJoinTable(nil, data, s.lKeys, s.counting)
-			s.charged = need
-			rd, err := it.probe.reader()
-			if err != nil {
-				s.releaseTable()
-				j.table = nil
-				it.build.close()
-				it.probe.close()
-				return false, err
-			}
-			s.cur, s.probeRd = it, rd
-			return true, nil
-		}
-		if it.level < maxSpillLevel {
-			// Recursive repartition: split both runs one bit window deeper.
-			s.mem.noteSpillRecursion()
-			bsub, err := repartitionRun(it.build, s.lKeys, it.level+1, s.mem)
-			if err == nil {
-				var psub []*spillRun
-				psub, err = repartitionRun(it.probe, s.rKeys, it.level+1, s.mem)
-				if err != nil {
-					for _, r := range bsub {
-						r.close()
-					}
-				} else {
-					for p := range bsub {
-						s.work = append(s.work, spillPair{build: bsub[p], probe: psub[p], level: it.level + 1})
-					}
-				}
-			}
-			it.build.close()
-			it.probe.close()
-			if err != nil {
-				return false, err
-			}
-			continue
-		}
-		// Chunk fallback: consume the build run in reservation-sized chunks,
-		// re-reading the probe run once per chunk.
-		rd, err := it.build.reader()
-		if err != nil {
-			it.build.close()
-			it.probe.close()
-			return false, err
-		}
-		s.cur = it
-		s.chunkMode = true
-		s.buildRd = rd
-		// The run has rows and writeChunk frames no empty chunk, so the first
-		// chunk is never empty.
-		if _, err := s.loadChunk(j); err != nil {
-			return false, err
-		}
-		return true, nil
-	}
-	return false, nil
-}
-
-// loadChunk reads the next build chunk off s.buildRd, builds its table and
-// rewinds the probe run; false means the build run is exhausted. The chunk
-// is sized to the remaining budget (at least one batch — Force-charged if
-// even that does not fit, recording overage rather than deadlocking).
-func (s *spillJoin) loadChunk(j *vecHashJoinOp) (bool, error) {
-	s.releaseTable()
-	width := s.cur.build.width
-	// Per-row cost upper bound: 8 bytes per column plus at most 32 bytes of
-	// join-table overhead (head slots round up to 4n ints worst case, next
-	// links, hashes and multiplicities are 16). One reader-batch of slack is
-	// left below the budget because chunk accumulation only checks the target
-	// between batches.
-	rowCost := int64(width*8) + 32
-	target := BatchSize
-	if lim := s.mem.Limit(); lim > 0 {
-		if fit := (lim-s.mem.rootUsed())/rowCost - BatchSize; fit > int64(target) {
-			target = int(fit)
-		}
-	}
-	data := newColData(width, 0)
-	for data.n < target {
-		b, err := s.buildRd.next()
-		if err != nil {
-			return false, err
-		}
-		if b == nil {
-			break
-		}
-		data.appendBatch(b)
-	}
-	if data.n == 0 {
-		return false, nil
-	}
-	need := s.buildBytes(width, data.n)
-	if !s.mem.Reserve(need) {
-		s.mem.Force(need)
-	}
-	s.charged = need
-	j.table = buildJoinTable(nil, data, s.lKeys, s.counting)
-	rd, err := s.cur.probe.reader()
-	if err != nil {
-		return false, err
-	}
-	s.probeRd = rd
-	return true, nil
-}
-
-// multOf returns the multiplicity column of a probe batch: its own, or ones.
-func (s *spillJoin) multOf(b *Batch) []int64 {
-	if b.Mult != nil {
-		return b.Mult
-	}
-	for len(s.ones) < b.N {
-		s.ones = append(s.ones, 1)
-	}
-	return s.ones[:b.N]
-}
-
-// closeAll releases whatever the spilled join still holds.
-func (s *spillJoin) closeAll() {
+// close closes every run the spilled join still holds.
+func (s *spillJoin) close() {
 	if s == nil {
 		return
 	}
-	s.releaseTable()
-	if s.probeRd != nil || s.chunkMode {
-		s.cur.build.close()
-		s.cur.probe.close()
-		s.probeRd = nil
-		s.chunkMode = false
-		s.buildRd = nil
-	}
+	s.cur.build.close()
+	s.cur.probe.close()
 	for _, it := range s.work {
 		it.build.close()
 		it.probe.close()
 	}
-	s.work = nil
 }
 
-// openSpill finishes a budget-overflowing build: the rows drained so far
-// plus the rest of the build input are partitioned to disk, then the entire
-// probe input is partitioned by the same hash windows. Called from
-// vecHashJoinOp.Open with the build input already open.
-func (j *vecHashJoinOp) openSpill(sofar colData, pending *Batch, charged int64) error {
-	s := &spillJoin{mem: j.mem, lKeys: j.lKeys, rKeys: j.rKeys, counting: j.counting}
-	// The very first batch can already overflow a tiny budget, leaving the
-	// drained prefix empty; the build width then comes from the batch.
-	bWidth := sofar.width()
-	if bWidth == 0 && pending != nil {
-		bWidth = pending.Width()
+// closeRuns closes runs, which may be nil.
+func closeRuns(runs []*spillRun) {
+	for _, r := range runs {
+		r.close()
 	}
-	bp, err := newSpillPartitioner(j.mem, bWidth, j.lKeys, 0)
-	if err != nil {
-		return err
-	}
-	// Route the already-drained prefix chunk-wise, then release its memory.
-	for lo := 0; lo < sofar.n; lo += BatchSize {
-		hi := lo + BatchSize
-		if hi > sofar.n {
-			hi = sofar.n
-		}
-		var w [][]int64
-		w = sofar.window(w, lo, hi)
-		if err := bp.add(w, hi-lo, nil); err != nil {
-			bp.abort()
-			return err
-		}
-	}
-	j.mem.Release(charged)
-	j.build = colData{}
-	if pending != nil {
-		if err := bp.add(pending.Cols, pending.N, pending.Sel); err != nil {
-			bp.abort()
-			return err
-		}
-	}
-	for {
-		b, err := j.left.Next()
-		if err != nil {
-			bp.abort()
-			return err
-		}
-		if b == nil {
-			break
-		}
-		if err := unweighted(b, "a hash-join build side"); err != nil {
-			bp.abort()
-			return err
-		}
-		if err := bp.add(b.Cols, b.N, b.Sel); err != nil {
-			bp.abort()
-			return err
-		}
-	}
-	if err := j.left.Close(); err != nil {
-		bp.abort()
-		return err
-	}
-	bruns, err := bp.finish(j.mem)
-	if err != nil {
-		return err
-	}
-	closeRuns := func(runs []*spillRun) {
-		for _, r := range runs {
-			r.close()
-		}
-	}
-	// Partition the probe side by the same level-0 hash windows.
-	var pp *spillPartitioner
-	fail := func(err error) error {
-		if pp != nil {
-			pp.abort()
-		}
-		closeRuns(bruns)
-		return err
-	}
-	for {
-		b, err := j.right.Next()
-		if err != nil {
-			return fail(err)
-		}
-		if b == nil {
-			break
-		}
-		cols := b.Cols
-		if j.counting {
-			cols = append(cols[:len(cols):len(cols)], s.multOf(b))
-		} else if err := unweighted(b, "an enumerating hash join"); err != nil {
-			return fail(err)
-		}
-		if pp == nil {
-			if pp, err = newSpillPartitioner(j.mem, len(cols), j.rKeys, 0); err != nil {
-				return fail(err)
-			}
-		}
-		if err := pp.add(cols, b.N, b.Sel); err != nil {
-			return fail(err)
-		}
-	}
-	if pp == nil {
-		// Empty probe input: no partitions, the join is empty.
-		closeRuns(bruns)
-		j.spill = s
-		return nil
-	}
-	pruns, err := pp.finish(j.mem)
-	if err != nil {
-		closeRuns(bruns)
-		return err
-	}
-	for p := range bruns {
-		s.work = append(s.work, spillPair{build: bruns[p], probe: pruns[p], level: 0})
-	}
-	j.spill = s
-	return nil
 }

@@ -118,9 +118,10 @@ type vecHashJoinOp struct {
 
 	// table and build are kept across executions: an Open rebuilds them in
 	// the arrays they have.
-	table *joinTable
-	build colData    // the drained build side, unless its source lent columns
-	spill *spillJoin // non-nil once the build overflowed its reservation
+	table   *joinTable
+	build   colData    // the drained build side, unless its source lent columns
+	charged int64      // under a budget: what the loaded build rows and table reserve
+	spill   *spillJoin // non-nil once the build overflowed its reservation
 	// src, on a pipeline worker's copy (pipeline.go), is the join whose table
 	// the copy probes: src builds it, the copies only read it.
 	src *vecHashJoinOp
@@ -156,12 +157,20 @@ type vecHashJoinOp struct {
 // columns of the build input, then the rOut columns of the probe input — so
 // rows come out in that order: probe row, then chain position (the reverse of
 // build order). The walk stops when BatchSize pairs are pending and resumes
-// mid-chain on the next call.
+// mid-chain on the next call. Under a memory budget the build side that does
+// not fit is joined partition by partition from disk, and a partition that
+// cannot be split is joined chunk by chunk (spilljoin.go); the output
+// multiset is the same.
 func NewVecHashJoin(left, right VecIterator, lKeys, rKeys []int, residual []ColPred, lOut, rOut []int) VecIterator {
 	return &vecHashJoinOp{left: left, right: right, lKeys: lKeys, rKeys: rKeys,
 		residual: residual, emit: colEmitter{buildOut: lOut, probeOut: rOut}}
 }
 
+// Open opens the probe side and builds the table. A pipeline worker's copy
+// takes src's table; an unbounded join drains the build side whole, borrowing
+// a plain scan's columns, and Force-charges it; under a budget load drains it
+// batch at a time — the price of a hard bound is the lent columns — and, if
+// it overflows, routes both inputs into partitions before the first Next.
 func (j *vecHashJoinOp) Open() error {
 	j.pb, j.resume, j.drained = nil, 0, false
 	j.cands = j.cands[:0]
@@ -178,61 +187,22 @@ func (j *vecHashJoinOp) Open() error {
 	case j.src != nil:
 		j.table = j.src.table
 	case j.mem.Bounded():
-		err = j.openBounded()
+		if err = j.left.Open(); err == nil {
+			err = j.load(0, j.left.Next, nil)
+		} else {
+			err = errors.Join(err, j.left.Close())
+		}
 	default:
 		var build colData
 		if build, err = drainVecCols(j.left, &j.build); err == nil {
-			j.mem.Force(colBytes(build.width(), build.n) + joinTableBytes(build.n, j.counting))
+			j.mem.Force(buildBytes(build.width(), build.n, j.counting))
 			j.table = buildJoinTable(j.table, build, j.lKeys, j.counting)
 		}
 	}
 	if err != nil {
-		// Release the already-opened probe side.
-		return errors.Join(err, j.right.Close())
+		// Release the already-opened probe side and whatever the build holds.
+		return errors.Join(err, j.Close())
 	}
-	return nil
-}
-
-// openBounded drains the build side batch-at-a-time under the memory
-// reservation (forgoing the drainCols fast path — the price of a hard
-// bound), switching to grace-hash spilling the moment a reservation
-// fails. On the spill path openSpill takes over the open build input.
-func (j *vecHashJoinOp) openBounded() error {
-	if err := j.left.Open(); err != nil {
-		return errors.Join(err, j.left.Close())
-	}
-	j.build.reset()
-	var charged int64
-	for {
-		b, err := j.left.Next()
-		if err != nil {
-			j.mem.Release(charged)
-			return errors.Join(err, j.left.Close())
-		}
-		if b == nil {
-			break
-		}
-		if err := unweighted(b, "a hash-join build side"); err != nil {
-			j.mem.Release(charged)
-			return errors.Join(err, j.left.Close())
-		}
-		need := colBytes(b.Width(), b.Len())
-		if !j.mem.Reserve(need) {
-			return j.openSpill(j.build, b, charged)
-		}
-		charged += need
-		j.build.appendBatch(b)
-	}
-	// Reserve the hash table before closing the build input: if even the
-	// table does not fit, openSpill re-drains the (exhausted) input.
-	if !j.mem.Reserve(joinTableBytes(j.build.n, j.counting)) {
-		return j.openSpill(j.build, nil, charged)
-	}
-	if err := j.left.Close(); err != nil {
-		j.mem.ReleaseAll()
-		return err
-	}
-	j.table = buildJoinTable(j.table, j.build, j.lKeys, j.counting)
 	return nil
 }
 
@@ -314,9 +284,9 @@ func (j *vecHashJoinOp) Next() (*Batch, error) {
 				return nil, err
 			}
 		}
-		// The spilled path installs a fresh table per partition before it
-		// returns the partition's first probe batch, so the heads are read
-		// from the table this batch probes.
+		// The spilled path installs each partition's or chunk's table before
+		// it returns its first probe batch, so the heads are read from the
+		// table this batch probes.
 		j.pb, j.resume = b, 0
 		j.hs = hashLive(j.hs, b.Cols, j.rKeys, b.N, b.Sel)
 		j.hs, j.cands = j.table.heads(j.hs, b.Sel, j.cands)
@@ -324,8 +294,8 @@ func (j *vecHashJoinOp) Next() (*Batch, error) {
 }
 
 func (j *vecHashJoinOp) Close() error {
-	j.spill.closeAll()
-	j.spill = nil
+	j.spill.close()
+	j.spill, j.charged = nil, 0
 	j.mem.ReleaseAll()
 	return j.right.Close()
 }

@@ -48,7 +48,7 @@ var packageCeilings = map[string]shape{
 	"internal/core":        {0, 0, 0, 2, 64, 1735},
 	"internal/cost":        {0, 0, 0, 3, 30, 390},
 	"internal/deltalog":    {0, 0, 0, 5, 24, 411},
-	"internal/exec":        {1, 0, 0, 0, 120, 4833},
+	"internal/exec":        {1, 0, 0, 0, 120, 4656},
 	"internal/fbstore":     {0, 0, 0, 0, 39, 537},
 	"internal/linearroad":  {0, 0, 0, 1, 21, 322},
 	"internal/obs":         {0, 0, 0, 0, 70, 576},

@@ -128,7 +128,7 @@ differential() {
 	go test "${cover[@]}" -count=1 -run "$2" "$1" -args -test.gocoverdir="$work/cov/test" >"$work/out" ||
 		{ cat "$work/out" >&2; exit 1; }
 }
-differential ./internal/exec/ '^(TestTPCHReferenceDifferential|TestPlansAgreeWithReference|TestLivenessEdgeCases|TestReopenedExecutionMatchesFresh|TestNoGoroutineOutlivesOpen|TestParallelWorkersRunTheSerialOperators|TestTPCHSpillDifferential|TestSelectionKernelsMatchScalar|TestHashJoinProbeMatchesChainWalk|TestDirectGroupIdsMatchHashPath)$'
+differential ./internal/exec/ '^(TestTPCHReferenceDifferential|TestPlansAgreeWithReference|TestLivenessEdgeCases|TestReopenedExecutionMatchesFresh|TestNoGoroutineOutlivesOpen|TestParallelWorkersRunTheSerialOperators|TestTPCHSpillDifferential|TestSpillJoinMatchesUnbounded|TestSpillJoinForcedRecursion|TestSpillJoinSkewChunkFallback|TestSelectionKernelsMatchScalar|TestHashJoinProbeMatchesChainWalk|TestDirectGroupIdsMatchHashPath)$'
 differential ./internal/server/ '^(TestStorageRestartDifferential|TestSegScanZonePruningDifferential|TestDriftReconvergence|TestHeldRunMatchesFresh)$'
 differential ./internal/linearroad/ '^TestWindowsMatchRowOracle$'
 differential ./internal/core/ '^TestIncrementalEqualsScratch$'
