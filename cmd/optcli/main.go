@@ -9,7 +9,7 @@
 //	optcli -query q3s -table            # paper Table 1
 //	optcli -query q5 -reopt "D=8"       # apply a Figure 5 style update
 //	optcli -query q5 -exec -parallelism 4  # execute the plan with 4 pipeline workers
-//	optcli -query q5 -analyze              # execute with per-operator profiling
+//	optcli -query q5 -analyze              # execute with every operator timed
 //	                                       # (EXPLAIN ANALYZE: time/batches/rows,
 //	                                       # est-vs-act cardinality per node)
 //	optcli -sql "SELECT c.c_custkey FROM customer c, orders o \
@@ -45,7 +45,7 @@ func main() {
 	table := flag.Bool("table", false, "print the SearchSpace table (declarative only)")
 	reopt := flag.String("reopt", "", "comma list of updates, e.g. \"A=0.5,E=8\" (Q5 expressions) or \"scan:orders=4\"")
 	doExec := flag.Bool("exec", false, "execute the chosen plan and print row count and timing")
-	analyze := flag.Bool("analyze", false, "execute with per-operator profiling and print the EXPLAIN ANALYZE tree (implies -exec)")
+	analyze := flag.Bool("analyze", false, "execute with every operator timed and print the EXPLAIN ANALYZE tree (implies -exec)")
 	parallelism := flag.Int("parallelism", 1, "workers that run copies of an aggregating query's probe spine under -exec; a query without an aggregation, and any at <= 1, is serial")
 	flag.Parse()
 
@@ -193,17 +193,16 @@ func main() {
 
 // execute runs the chosen plan through the vectorized executor — an
 // aggregating query over a probe spine on parallelism workers when
-// parallelism > 1 — and prints the result cardinality and execution time. With analyze it profiles every operator
-// and prints the annotated EXPLAIN ANALYZE tree.
+// parallelism > 1 — and prints the result cardinality and execution time.
+// With analyze it times every operator and prints the annotated EXPLAIN
+// ANALYZE tree.
 func execute(q *relalg.Query, cat *catalog.Catalog, plan *relalg.Plan, parallelism int, analyze bool) {
 	comp := &exec.Compiler{Q: q, Cat: cat, Parallelism: parallelism}
-	if analyze {
-		comp.Prof = exec.NewPlanProfile()
-	}
 	v, stats, err := comp.CompileVec(plan)
 	if err != nil {
 		log.Fatal(err)
 	}
+	stats.SetTiming(analyze)
 	start := time.Now()
 	n, err := exec.CountVec(v)
 	if err != nil {
@@ -212,6 +211,6 @@ func execute(q *relalg.Query, cat *catalog.Catalog, plan *relalg.Plan, paralleli
 	fmt.Printf("executed: %d result rows in %v (parallelism %d)\n",
 		n, time.Since(start), parallelism)
 	if analyze {
-		fmt.Print(comp.Prof.Format(q, plan, stats))
+		fmt.Print(stats.Format())
 	}
 }

@@ -28,9 +28,9 @@ const BatchSize = 1024
 //
 // Mult, when non-nil, is a multiplicity vector indexed like a column: live
 // row i stands for Mult[i] identical rows. Only a hash join in counting mode
-// produces one (Compiler.counted), and only its four consumers read it — the
-// cardinality counter, the aggregation, the probe side of another counting
-// join and the profiling shim. Everything else requires nil (unweighted).
+// produces one (Compiler.counted), and only its three consumers read it — the
+// span shim, the aggregation and the probe side of another counting join.
+// Everything else requires nil (unweighted).
 type Batch struct {
 	Cols [][]int64
 	N    int
@@ -415,37 +415,4 @@ func (s *vecSortOp) Close() error {
 	s.data = colData{}
 	s.mem.ReleaseAll()
 	return nil
-}
-
-// ---- vectorized cardinality counter ----
-
-type vecCounterOp struct {
-	in VecIterator
-	n  *int64
-}
-
-// NewVecCounter wraps a vectorized iterator and accumulates its output
-// cardinality into n — the rows its batches stand for, so a counting join
-// reports exactly what the enumerating join would.
-func NewVecCounter(in VecIterator, n *int64) VecIterator { return &vecCounterOp{in: in, n: n} }
-
-func (c *vecCounterOp) Open() error { return c.in.Open() }
-
-func (c *vecCounterOp) Next() (*Batch, error) {
-	b, err := c.in.Next()
-	if b != nil {
-		*c.n += b.Rows()
-	}
-	return b, err
-}
-
-func (c *vecCounterOp) Close() error { return c.in.Close() }
-
-// drainCols forwards the materializing fast path through the counter,
-// keeping the counted cardinality exact: the materialized row count is by
-// definition the operator's output cardinality.
-func (c *vecCounterOp) drainCols(buf *colData) (colData, error) {
-	d, err := drainVecCols(c.in, buf)
-	*c.n += int64(d.n)
-	return d, err
 }

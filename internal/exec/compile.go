@@ -5,15 +5,26 @@ import (
 	"fmt"
 
 	"repro/internal/catalog"
+	"repro/internal/obs"
 	"repro/internal/relalg"
 	"repro/internal/rescache"
 )
 
-// RunStats accumulates actual output cardinalities per subexpression during
-// execution. The adaptive layer compares them with the optimizer's
-// estimates and feeds the ratios back as cardinality updates.
+// RunStats is the record of one execution of a compiled tree: the span of
+// every shimmed node (profile.go) and, in Cards, the actual output
+// cardinality per subexpression — the Rows of the scan and join spans, or a
+// result-cache entry's replayed count. The adaptive layer compares the
+// cardinalities with the optimizer's estimates and feeds the ratios back as
+// cardinality updates; Format renders the whole record as EXPLAIN ANALYZE.
 type RunStats struct {
 	Cards map[relalg.RelSet]*int64
+
+	q       *relalg.Query
+	plan    *relalg.Plan
+	ops     []*spanOp // every shim of the tree
+	agg     *spanOp   // the aggregation's, nil without one
+	timed   bool      // SetTiming
+	workers int       // of the latest execution's parallel aggregation
 }
 
 // Card returns the observed cardinality of a subexpression.
@@ -35,10 +46,10 @@ func (s *RunStats) counter(set relalg.RelSet) *int64 {
 	return n
 }
 
-// Reset zeroes every counter; a re-opened tree starts its execution with it.
+// Reset zeroes every span; a re-opened tree starts its execution with it.
 func (s *RunStats) Reset() {
-	for _, n := range s.Cards {
-		*n = 0
+	for _, op := range s.ops {
+		op.sp = obs.Span{}
 	}
 }
 
@@ -56,6 +67,10 @@ func (s *RunStats) Snapshot() map[relalg.RelSet]int64 {
 }
 
 // Compiler turns a physical plan into an operator tree over concrete data.
+// What a compile decides is fixed in the tree; what differs per execution —
+// the tables' snapshots, the spans and cardinalities in RunStats, whether
+// operators are timed (RunStats.SetTiming) — is set when an execution opens
+// it, so one tree serves every execution, profiled or not.
 type Compiler struct {
 	Q   *relalg.Query
 	Cat *catalog.Catalog
@@ -65,8 +80,8 @@ type Compiler struct {
 	// right spine of hash joins over a plain scan, the aggregation runs that
 	// many copies of the spine's operators, each into a partial aggregate,
 	// whose workers start and finish inside Open (pipeline.go). The copies'
-	// cardinality counters sum into the tree's, so RunStats feedback into the
-	// adaptive layer is unaffected.
+	// spans merge into the tree's, so RunStats feedback into the adaptive
+	// layer is unaffected.
 	Parallelism int
 	// Cache, when enabled, is the server-wide semantic result cache, and
 	// CacheCands the plan's cacheable subtrees (BuildCacheCandidates on
@@ -75,11 +90,6 @@ type Compiler struct {
 	// spools (subtree teed into the cache); see rescache.go.
 	Cache      *rescache.Cache
 	CacheCands []CacheCandidate
-	// Prof, when non-nil, collects a per-operator execution profile for
-	// EXPLAIN ANALYZE: every compiled operator is wrapped in a timing shim
-	// recording batches/rows/wall time per plan node (see profile.go). Nil —
-	// the default — compiles exactly the unprofiled operator tree.
-	Prof *PlanProfile
 	// Mem is the query's memory tracker, and the one way to bound its
 	// memory: under NewMemTracker(limit) with limit > 0, operators that can
 	// go out of core (hash-join builds — an index-NL join's among them — and
@@ -98,11 +108,13 @@ type Compiler struct {
 }
 
 // CompileVec builds the vectorized (batch-at-a-time) operator tree for
-// plan, wiring a cardinality counter onto every scan and join operator and
-// applying the query's aggregation (if any) on top. It returns the root
-// operator and the stats collector.
+// plan, wrapping every plan node's operator and the query's aggregation (if
+// any) on top in its span shim (profile.go). It returns the root operator and
+// the record every execution of it fills: cardinalities for feedback, spans
+// for EXPLAIN ANALYZE.
 func (c *Compiler) CompileVec(plan *relalg.Plan) (VecIterator, *RunStats, error) {
-	stats := &RunStats{Cards: map[relalg.RelSet]*int64{}}
+	stats := &RunStats{Cards: map[relalg.RelSet]*int64{}, q: c.Q, plan: plan,
+		ops: make([]*spanOp, 0, planNodes(plan)+1)}
 	c.resolveCache()
 	// The aggregation reads Batch.Mult; a root without one is drained as rows.
 	v, schema, err := c.compileVec(plan, stats, c.Q.Agg != nil)
@@ -114,12 +126,18 @@ func (c *Compiler) CompileVec(plan *relalg.Plan) (VecIterator, *RunStats, error)
 		if err != nil {
 			return nil, nil, err
 		}
-		v = c.aggregate(v, spec)
-		if c.Prof != nil {
-			v = &profVec{in: v, sp: c.Prof.Agg}
-		}
+		stats.agg = c.span(c.aggregate(v, spec, stats), nil, nil, stats)
+		v = stats.agg
 	}
 	return c.root(v, stats), stats, nil
+}
+
+// planNodes counts the nodes of a plan tree.
+func planNodes(p *relalg.Plan) int {
+	if p == nil {
+		return 0
+	}
+	return 1 + planNodes(p.Left) + planNodes(p.Right)
 }
 
 // aggregate puts the query's aggregation over its compiled input. The one
@@ -127,13 +145,11 @@ func (c *Compiler) CompileVec(plan *relalg.Plan) (VecIterator, *RunStats, error)
 // a probe spine runs as P copies of that spine, each into its own partial
 // aggregate (pipeline.go). Under a memory budget the aggregation and the
 // builds must stay spillable, so a bounded query is a serial one.
-func (c *Compiler) aggregate(in VecIterator, spec AggSpecExec) VecIterator {
+func (c *Compiler) aggregate(in VecIterator, spec AggSpecExec, stats *RunStats) VecIterator {
 	if c.Parallelism > 1 && !c.Mem.Bounded() {
 		if p := newParallelPipeline(in, spec, c.Parallelism); p != nil {
 			p.mem = c.Mem.Child("pipeline")
-			if c.Prof != nil {
-				c.Prof.workers = c.Parallelism
-			}
+			p.stats = stats
 			return p
 		}
 	}
@@ -281,21 +297,10 @@ func (c *Compiler) resolveScan(rel int, schema []relalg.ColID) (scanLeaf, error)
 	return leaf, nil
 }
 
-// compileVec compiles one plan node via compileVecNode and — when
-// profiling — wraps the result in the timing shim for that node. weighted says
+// compileVec returns the operator for one plan node, in its shim, and its
+// output schema (the ColID of every output column, in order). weighted says
 // whether the node's consumer reads Batch.Mult (see Compiler.counted).
 func (c *Compiler) compileVec(p *relalg.Plan, stats *RunStats, weighted bool) (VecIterator, []relalg.ColID, error) {
-	v, schema, err := c.compileVecNode(p, stats, weighted)
-	if err != nil || c.Prof == nil {
-		return v, schema, err
-	}
-	c.Prof.cols[p] = len(schema)
-	return &profVec{in: v, sp: c.Prof.span(p)}, schema, nil
-}
-
-// compileVecNode returns the operator for one plan node and its output
-// schema (the ColID of every output column, in order).
-func (c *Compiler) compileVecNode(p *relalg.Plan, stats *RunStats, weighted bool) (VecIterator, []relalg.ColID, error) {
 	if d := c.takeDecision(p); d != nil {
 		return c.applyCacheDecision(d, p, stats)
 	}
@@ -329,7 +334,7 @@ func (c *Compiler) compileVecNode(p *relalg.Plan, stats *RunStats, weighted bool
 			}
 			v = c.trackedSort(v, off)
 		}
-		return c.countedVec(v, p.Expr, stats), schema, nil
+		return c.span(v, p, schema, stats), schema, nil
 
 	case relalg.LogEnforce:
 		child, schema, err := c.compileVec(p.Left, stats, false)
@@ -340,7 +345,7 @@ func (c *Compiler) compileVecNode(p *relalg.Plan, stats *RunStats, weighted bool
 		if err != nil {
 			return nil, nil, err
 		}
-		return c.trackedSort(child, off), schema, nil
+		return c.span(c.trackedSort(child, off), p, schema, stats), schema, nil
 
 	case relalg.LogJoin:
 		if p.Phy == relalg.PhyIndexNLJoin {
@@ -362,9 +367,6 @@ func (c *Compiler) compileVecNode(p *relalg.Plan, stats *RunStats, weighted bool
 			if v, err = c.hashJoin(p, left, right, ls, rs, lOut, rOut, counted); err != nil {
 				return nil, nil, err
 			}
-			if c.Prof != nil {
-				c.Prof.counted[p] = counted
-			}
 		case relalg.PhyMergeJoin:
 			lk, rk, err := c.joinOffsets(p, c.Q.Joins[p.Pred], ls, rs)
 			if err != nil {
@@ -381,7 +383,9 @@ func (c *Compiler) compileVecNode(p *relalg.Plan, stats *RunStats, weighted bool
 		default:
 			return nil, nil, fmt.Errorf("exec: unexpected join operator %v", p.Phy)
 		}
-		return c.countedVec(v, p.Expr, stats), schema, nil
+		op := c.span(v, p, schema, stats)
+		op.counting = counted
+		return op, schema, nil
 	}
 	return nil, nil, fmt.Errorf("exec: unknown logical operator %v", p.Log)
 }
@@ -405,9 +409,9 @@ func (c *Compiler) hashJoin(p *relalg.Plan, left, right VecIterator, ls, rs []re
 // build side is the indexed inner relation (the plan's left child): the hash
 // table is the index, built over the inner's filtered leaf. The leaf is
 // compiled here as a bare serial scan, not through compileVec — it is part of
-// the join, so it has no counter and no profile span of its own, and an index
-// scan's order is of no use to a hash table — and, unfiltered, it lends the
-// table's columns to the build instead of copying them (vecScanOp.drainCols).
+// the join, so it has no span of its own, and an index scan's order is of no
+// use to a hash table — and, unfiltered, it lends the table's columns to the
+// build instead of copying them (vecScanOp.drainCols).
 // Plan space and cost model keep index-NL as the paper's Table 1 has it.
 func (c *Compiler) compileVecIndexNL(p *relalg.Plan, stats *RunStats) (VecIterator, []relalg.ColID, error) {
 	if p.Left.Log != relalg.LogScan {
@@ -430,11 +434,20 @@ func (c *Compiler) compileVecIndexNL(p *relalg.Plan, stats *RunStats) (VecIterat
 	if err != nil {
 		return nil, nil, err
 	}
-	return c.countedVec(v, p.Expr, stats), schema, nil
+	return c.span(v, p, schema, stats), schema, nil
 }
 
-func (c *Compiler) countedVec(v VecIterator, set relalg.RelSet, stats *RunStats) VecIterator {
-	return NewVecCounter(v, stats.counter(set))
+// span wraps node p's operator (p nil: the aggregation's) in its shim and
+// registers it with the execution's record. A scan's or a join's span counts
+// its output cardinality into RunStats; an Enforce sort's carries its child's
+// rows and is not counted again.
+func (c *Compiler) span(v VecIterator, p *relalg.Plan, schema []relalg.ColID, stats *RunStats) *spanOp {
+	op := &spanOp{in: v, st: stats, node: p, cols: len(schema)}
+	stats.ops = append(stats.ops, op)
+	if p != nil && p.Log != relalg.LogEnforce {
+		stats.Cards[p.Expr] = &op.sp.Rows
+	}
+	return op
 }
 
 // trackedSort builds a sort operator with its memory child tracker attached.

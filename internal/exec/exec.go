@@ -1,10 +1,11 @@
 // Package exec is a vectorized, columnar query executor. It executes the
 // physical plans produced by the optimizers — table/index/segment scans with
 // pushed-down selections, hash join, sort-merge join, index nested-loops
-// join, sort, and hash aggregation — and collects per-operator actual output
-// cardinalities (RunStats), which the adaptive layer feeds back into
+// join, sort, and hash aggregation — and records one span per operator
+// (RunStats): batches, rows and, in a timed execution, wall time. The rows
+// are the actual output cardinalities the adaptive layer feeds back into
 // incremental re-optimization (the paper's §5.2.2 "changes based on real
-// execution" and §5.4 loop).
+// execution" and §5.4 loop), and the same record renders EXPLAIN ANALYZE.
 //
 // There is one engine and one way in: Compiler.CompileVec turns a plan into
 // a tree of VecIterator operators, and DrainVec/CountVec run it. Operators
@@ -36,11 +37,10 @@
 // aggregating query's compiled input is a right spine of hash joins over a
 // counted plain scan, a parallelPipelineOp takes the aggregation's place and
 // runs P copies of that spine — scans claiming morsels off one cursor, joins
-// probing tables the serial spine built once, counters and profiling shims of
-// their own — each into a worker-local aggTable (agg.go, flat open
-// addressing, no per-row key allocation). Partial aggregates, counters and
-// spans merge once at the end, so RunStats feedback is byte-identical at any
-// parallelism. The workers start and finish inside that operator's Open: the
+// probing tables the serial spine built once, span shims of their own — each
+// into a worker-local aggTable (agg.go, flat open addressing, no per-row key
+// allocation). Partial aggregates and spans merge once at the end, so
+// RunStats feedback is byte-identical at any parallelism. The workers start and finish inside that operator's Open: the
 // package has no channel, and no goroutine outlives an Open. Every other
 // query — no aggregation, a memory budget, another plan shape — runs the
 // serial aggregation over the same tree and returns the same rows in the same

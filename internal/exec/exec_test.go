@@ -98,12 +98,12 @@ func TestHashAgg(t *testing.T) {
 }
 
 func TestCounter(t *testing.T) {
-	var n int64
-	if _, err := CountVec(NewVecCounter(scanOf([]int64{1}, []int64{2}), &n)); err != nil {
+	op := &spanOp{in: scanOf([]int64{1}, []int64{2}), st: &RunStats{}}
+	if _, err := CountVec(op); err != nil {
 		t.Fatal(err)
 	}
-	if n != 2 {
-		t.Fatalf("counter = %d", n)
+	if op.sp.Rows != 2 || op.sp.Batches != 1 || op.sp.Nanos != 0 {
+		t.Fatalf("untimed span = %+v, want 2 rows in 1 batch and no time", op.sp)
 	}
 }
 
@@ -243,13 +243,10 @@ func TestPlansAgreeWithReference(t *testing.T) {
 			want := testkit.Canonical(ref.Rows(), nil)
 			for pi, plan := range append(plans, spine) {
 				comp := &Compiler{Q: q, Cat: cat}
-				if q == oneCol {
-					comp.Prof = NewPlanProfile()
-				}
-				checkAgainstReference(t, fmt.Sprintf("seed %d plan %d agg=%+v", seed, pi, q.Agg), comp, ref, want, plan)
+				st := checkAgainstReference(t, fmt.Sprintf("seed %d plan %d agg=%+v", seed, pi, q.Agg), comp, ref, want, plan)
 				eachPlanNode(plan, func(p *relalg.Plan) {
 					seen[p.Phy] = true
-					if comp.Prof != nil && comp.Prof.counted[p] {
+					if op := st.node(p); q == oneCol && op != nil && op.counting {
 						if p == plan {
 							countedRoots++
 						} else {

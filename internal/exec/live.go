@@ -109,7 +109,7 @@ func (c *Compiler) joinSchema(p *relalg.Plan, ls, rs []relalg.ColID) (schema []r
 //     merge or index nested-loops join, a result-cache spool, the root of a
 //     query without aggregation — needs the rows and p enumerates.
 //
-// Counting changes no cardinality: the counters sum Mult, so RunStats and
+// Counting changes no cardinality: the span shims sum Mult, so RunStats and
 // all feedback derived from it are those of the enumerating join.
 func (c *Compiler) counted(p *relalg.Plan, ls []relalg.ColID, weighted bool) bool {
 	if !weighted || p.Phy != relalg.PhyHashJoin {

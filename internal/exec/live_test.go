@@ -46,12 +46,12 @@ func liveJoinOn(phy relalg.PhyOp, pred int, l, r *relalg.Plan) *relalg.Plan {
 	return p
 }
 
-// checkCounted holds a profiled execution to the joins expected to count:
-// exactly the hash joins over the subexpressions in counts ran in counting
-// mode, EXPLAIN ANALYZE marks those and no other, and every counted join
-// still reports the reference cardinality as its rows while emitting fewer
-// batches than that many rows would fill.
-func checkCounted(t *testing.T, label string, prof *PlanProfile, q *relalg.Query, plan *relalg.Plan,
+// checkCounted holds an execution to the joins expected to count: exactly
+// the hash joins over the subexpressions in counts ran in counting mode,
+// EXPLAIN ANALYZE marks those and no other, and every counted join still
+// reports the reference cardinality as its rows while emitting fewer batches
+// than that many rows would fill.
+func checkCounted(t *testing.T, label string, q *relalg.Query, plan *relalg.Plan,
 	st *RunStats, counts []relalg.RelSet, ref *testkit.Reference) {
 	t.Helper()
 	want := map[relalg.RelSet]bool{}
@@ -62,21 +62,21 @@ func checkCounted(t *testing.T, label string, prof *PlanProfile, q *relalg.Query
 		if p.Log != relalg.LogJoin {
 			return
 		}
-		if prof.counted[p] != want[p.Expr] {
-			t.Fatalf("%s: join %v counted=%v, want %v\n%s", label, p.Expr, prof.counted[p], want[p.Expr], plan.Explain(q))
+		op := st.node(p)
+		if counting := op != nil && op.counting; counting != want[p.Expr] {
+			t.Fatalf("%s: join %v counted=%v, want %v\n%s", label, p.Expr, counting, want[p.Expr], plan.Explain(q))
 		}
-		sp := prof.SpanOf(p)
-		if !want[p.Expr] || sp == nil {
+		if !want[p.Expr] || op == nil {
 			return
 		}
-		if card := ref.Card(p.Expr); sp.Rows != card || sp.Batches > card {
+		if card := ref.Card(p.Expr); op.sp.Rows != card || op.sp.Batches > card {
 			t.Fatalf("%s: counted join %v recorded rows=%d batches=%d, reference cardinality %d",
-				label, p.Expr, sp.Rows, sp.Batches, card)
+				label, p.Expr, op.sp.Rows, op.sp.Batches, card)
 		}
 	})
-	if text := prof.Format(q, plan, st); strings.Count(text, " counted ") != len(counts) {
+	if text := st.Format(); strings.Count(text, " counted") != len(counts) {
 		t.Fatalf("%s: EXPLAIN ANALYZE marks %d joins counted, want %d:\n%s",
-			label, strings.Count(text, " counted "), len(counts), text)
+			label, strings.Count(text, " counted"), len(counts), text)
 	}
 }
 
@@ -250,16 +250,16 @@ func TestLivenessEdgeCases(t *testing.T) {
 		const tight, roomy = 24 << 10, 8 << 20
 		for _, budget := range []int64{0, tight, roomy} {
 			for _, par := range []int{1, 2, 4} {
-				for _, profiled := range []bool{false, true} {
-					label := fmt.Sprintf("%s (par=%d budget=%d profiled=%v)", tc.name, par, budget, profiled)
+				for _, timed := range []bool{false, true} {
+					label := fmt.Sprintf("%s (par=%d budget=%d timed=%v)", tc.name, par, budget, timed)
 					comp := &Compiler{Q: tc.q, Cat: cat, Parallelism: par, Mem: budgetTracker(budget)}
-					if profiled {
-						comp.Prof = NewPlanProfile()
+					v, st, err := comp.CompileVec(tc.plan)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
 					}
-					st := checkAgainstReference(t, label, comp, ref, want, tc.plan)
-					if profiled {
-						checkCounted(t, label, comp.Prof, tc.q, tc.plan, st, tc.counts, ref)
-					}
+					st.SetTiming(timed)
+					checkExecution(t, label, comp, v, st, ref.Card, want, tc.plan)
+					checkCounted(t, label, tc.q, tc.plan, st, tc.counts, ref)
 					if parts, _, _ := comp.Mem.SpillStats(); budget == tight && tc.plan.Phy == relalg.PhyHashJoin &&
 						!tc.noSpill && parts == 0 {
 						t.Fatalf("%s: hash join never spilled", label)
@@ -340,11 +340,10 @@ func TestCountedJoinIsNeverSpooled(t *testing.T) {
 			cache := rescache.New(64 << 20)
 			for run, label := range []string{"spool", "probe"} {
 				label = fmt.Sprintf("%s, %s run (par=%d)", tc.name, label, par)
-				comp := &Compiler{Q: q, Cat: cat, Parallelism: par, Cache: cache, CacheCands: tc.cands,
-					Prof: NewPlanProfile()}
+				comp := &Compiler{Q: q, Cat: cat, Parallelism: par, Cache: cache, CacheCands: tc.cands}
 				st := checkAgainstReference(t, label, comp, ref, want, plan)
 				if run == 0 {
-					checkCounted(t, label, comp.Prof, q, plan, st, tc.counts, ref)
+					checkCounted(t, label, q, plan, st, tc.counts, ref)
 				}
 				if m := cache.Metrics(); m.Stores != 1 || m.Hits != int64(run) {
 					t.Fatalf("%s: %d stores %d hits, want one entry stored and served once", label, m.Stores, m.Hits)

@@ -10,17 +10,17 @@ import (
 
 // This file is the executor's whole parallel plane: P copies of the serial
 // probe spine under an aggregation. When the compiled input of a query's
-// aggregation is a right spine of hash joins over a counted plain scan, with
-// only counters and profiling shims between them, a parallelPipelineOp takes
-// the aggregation's place. Its Open opens the serial spine once — the scan
-// binds its leaf, every join builds its table and charges it — and then runs
-// workers, each on its own copy of the same operators: a vecScanOp claiming
-// morsels off one shared cursor, vecHashJoinOps probing the shared read-only
-// tables, and counters and profiling shims of its own, drained into a
-// worker-local aggTable. After the one join point the counters sum into
-// RunStats, the spans merge into the profile and the tables merge once.
-// Nothing crosses between workers on the per-row path, the workers start and
-// finish inside Open, and Next only hands out the merged groups.
+// aggregation is a right spine of hash joins over a plain scan, each in its
+// span shim, a parallelPipelineOp takes the aggregation's place. Its Open
+// opens the serial spine once — the scan binds its leaf, every join builds
+// its table and charges it — and then runs workers, each on its own copy of
+// the same operators: a vecScanOp claiming morsels off one shared cursor,
+// vecHashJoinOps probing the shared read-only tables, and shims with spans of
+// their own, drained into a worker-local aggTable. After the one join point
+// the spans merge into the tree's — their rows are RunStats' cardinalities —
+// and the tables merge once. Nothing crosses between workers on the per-row
+// path, the workers start and finish inside Open, and Next only hands out the
+// merged groups.
 
 // minParallelRows is the smallest probe table worth more than one worker:
 // below this, worker startup dominates the scan itself.
@@ -39,8 +39,8 @@ func scanWorkers(par, n int) int {
 type parallelPipelineOp struct {
 	spine VecIterator // the serial aggregation input; opened once per execution
 	scan  *vecScanOp  // its leaf scan
-	cards []*int64    // its counters, top down
-	spans []*obs.Span // its profiling spans, top down
+	spans []*obs.Span // its shims' spans, top down
+	stats *RunStats   // records each execution's workers
 
 	spec    AggSpecExec
 	par     int // the compiler's Parallelism
@@ -56,22 +56,18 @@ type parallelPipelineOp struct {
 
 // newParallelPipeline returns the aggregation spec over spine run by up to par
 // workers, or nil when spine is not a probe spine: a right spine of hash joins
-// over a counted vecScanOp, with nothing but counters and profiling shims
-// between them.
+// over a vecScanOp, each directly in its shim.
 func newParallelPipeline(spine VecIterator, spec AggSpecExec, par int) *parallelPipelineOp {
 	p := &parallelPipelineOp{spine: spine, spec: spec, par: par}
-	for v, counted := spine, false; ; {
+	for v, shimmed := spine, false; ; {
 		switch o := v.(type) {
-		case *profVec:
-			p.spans = append(p.spans, o.sp)
-			v, counted = o.in, false
-		case *vecCounterOp:
-			p.cards = append(p.cards, o.n)
-			v, counted = o.in, true
+		case *spanOp:
+			p.spans = append(p.spans, &o.sp)
+			v, shimmed = o.in, true
 		case *vecHashJoinOp:
-			v, counted = o.right, false
+			v, shimmed = o.right, false
 		case *vecScanOp:
-			if !counted {
+			if !shimmed {
 				return nil
 			}
 			p.scan = o
@@ -83,11 +79,10 @@ func newParallelPipeline(spine VecIterator, spec AggSpecExec, par int) *parallel
 }
 
 // pipeWorker is one worker's copy of the spine and what the copy fills: its
-// counters and spans, in the order of the op's, and its partial aggregate.
+// spans, in the order of the op's, and its partial aggregate.
 type pipeWorker struct {
 	spine  VecIterator
 	scan   *vecScanOp
-	cards  []*int64
 	spans  []*obs.Span
 	agg    *aggTable
 	aggScr aggScratch
@@ -105,14 +100,11 @@ func (p *parallelPipelineOp) newWorker() *pipeWorker {
 // below it on the spine.
 func (w *pipeWorker) copyOf(v VecIterator, cursor *atomic.Int64) VecIterator {
 	switch o := v.(type) {
-	case *profVec:
-		sp := new(obs.Span)
-		w.spans = append(w.spans, sp)
-		return &profVec{in: w.copyOf(o.in, cursor), sp: sp}
-	case *vecCounterOp:
-		n := new(int64)
-		w.cards = append(w.cards, n)
-		return &vecCounterOp{in: w.copyOf(o.in, cursor), n: n}
+	case *spanOp:
+		c := &spanOp{st: o.st}
+		w.spans = append(w.spans, &c.sp)
+		c.in = w.copyOf(o.in, cursor)
+		return c
 	case *vecHashJoinOp:
 		return &vecHashJoinOp{right: w.copyOf(o.right, cursor), src: o, lKeys: o.lKeys, rKeys: o.rKeys,
 			residual: o.residual, counting: o.counting, emit: colEmitter{buildOut: o.emit.buildOut, probeOut: o.emit.probeOut}}
@@ -146,15 +138,13 @@ func (p *parallelPipelineOp) Open() error {
 	leaf := p.scan.leaf
 	leaf.tab = nil // bound: the copies read it as it is
 	p.workers = scanWorkers(p.par, leaf.data.n)
+	p.stats.workers = p.workers
 	for len(p.ws) < p.workers {
 		p.ws = append(p.ws, p.newWorker())
 	}
 	workers := p.ws[:p.workers]
 	for _, w := range workers {
 		w.scan.leaf = leaf
-		for _, n := range w.cards {
-			*n = 0
-		}
 		for _, sp := range w.spans {
 			*sp = obs.Span{}
 		}
@@ -186,13 +176,10 @@ func (p *parallelPipelineOp) Open() error {
 		held += w.agg.approxBytes()
 	}
 	p.mem.Force(held)
-	// The workers' counters sum to exactly the counts the serial tree's would
+	// The workers' spans sum to exactly the counts the serial tree's would
 	// hold, so RunStats feedback is byte-identical at any parallelism.
 	err := p.spine.Close()
 	for _, w := range workers {
-		for i, n := range w.cards {
-			*p.cards[i] += *n
-		}
 		for i, sp := range w.spans {
 			p.spans[i].Merge(sp)
 		}

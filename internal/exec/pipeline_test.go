@@ -43,8 +43,8 @@ func compileFor(t *testing.T, q *relalg.Query, par int) (VecIterator, *RunStats)
 // has none.
 func parallelOf(v VecIterator) *parallelPipelineOp {
 	in := v.(*execRoot).in
-	if pv, ok := in.(*profVec); ok {
-		in = pv.in
+	if op, ok := in.(*spanOp); ok {
+		in = op.in
 	}
 	p, _ := in.(*parallelPipelineOp)
 	return p
@@ -324,8 +324,8 @@ func TestParallelWorkersRunTheSerialOperators(t *testing.T) {
 		work = append(work, workload{q, tp})
 	}
 	times := regexp.MustCompile(` time=[^\]]*`)
-	analyze := func(prof *PlanProfile, q *relalg.Query, plan *relalg.Plan, st *RunStats) string {
-		_, body, _ := strings.Cut(prof.Format(q, plan, st), "\n") // the header names the parallelism
+	analyze := func(st *RunStats) string {
+		_, body, _ := strings.Cut(st.Format(), "\n") // the header names the parallelism
 		return times.ReplaceAllString(body, "")
 	}
 	for _, w := range work {
@@ -342,17 +342,17 @@ func TestParallelWorkersRunTheSerialOperators(t *testing.T) {
 		}
 		plan := vr.Plan
 		growProbe(t, w.q, w.cat, plan)
-		serialProf := NewPlanProfile()
-		sv, sst, err := (&Compiler{Q: w.q, Cat: w.cat, Parallelism: 1, Prof: serialProf}).CompileVec(plan)
+		sv, sst, err := (&Compiler{Q: w.q, Cat: w.cat, Parallelism: 1}).CompileVec(plan)
 		if err != nil {
 			t.Fatalf("%s: %v", w.q.Name, err)
 		}
-		serialSpine := spineShape(reflect.ValueOf(sv.(*execRoot).in.(*profVec).in.(*vecHashAggOp).in))
+		sst.SetTiming(true)
+		serialSpine := spineShape(reflect.ValueOf(sv.(*execRoot).in.(*spanOp).in.(*vecHashAggOp).in))
 		serialRows, err := DrainVec(sv)
 		if err != nil {
 			t.Fatalf("%s: %v", w.q.Name, err)
 		}
-		serialText := analyze(serialProf, w.q, plan, sst)
+		serialText := analyze(sst)
 		// The serial execution against the reference; the parallel ones
 		// against the serial one.
 		ref := testkit.NewReference(w.q, w.cat)
@@ -366,12 +366,12 @@ func TestParallelWorkersRunTheSerialOperators(t *testing.T) {
 		}
 		for _, par := range []int{2, 4} {
 			label := fmt.Sprintf("%s (par=%d)", w.q.Name, par)
-			prof := NewPlanProfile()
-			comp := &Compiler{Q: w.q, Cat: w.cat, Parallelism: par, Prof: prof}
+			comp := &Compiler{Q: w.q, Cat: w.cat, Parallelism: par}
 			v, st, err := comp.CompileVec(plan)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
+			st.SetTiming(true)
 			pipe := parallelOf(v)
 			if pipe == nil {
 				t.Fatalf("%s: compiled root is %T, want a parallel aggregation", label, v.(*execRoot).in)
@@ -392,7 +392,7 @@ func TestParallelWorkersRunTheSerialOperators(t *testing.T) {
 				t.Fatalf("%s: %d rows, %d serially, or other ones", label, len(rows), len(serialRows))
 			}
 			statsEqual(t, label, st.Snapshot(), sst.Snapshot())
-			if got := analyze(prof, w.q, plan, st); got != serialText {
+			if got := analyze(st); got != serialText {
 				t.Fatalf("%s: EXPLAIN ANALYZE differs from the serial rendering:\n%s\nserial:\n%s", label, got, serialText)
 			}
 		}

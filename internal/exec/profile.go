@@ -9,113 +9,162 @@ import (
 	"repro/internal/relalg"
 )
 
-// Per-operator execution profiling (EXPLAIN ANALYZE). Setting Compiler.Prof
-// to a fresh PlanProfile makes CompileVec wrap every compiled operator in a
-// timing shim (profVec) that records batches, live rows and cumulative wall
-// time at batch granularity into a per-plan-node obs.Span; a parallel
-// aggregation's workers run copies of the same shims into spans of their own,
-// merged into the node's exactly once (pipeline.go). With Prof nil —
-// the default — no shim is inserted anywhere and the operator tree is
-// byte-for-byte the one an unprofiled compile produces, so profiling is
-// provably free when off (TestScanAggSteadyStateAllocs and the RunStats
-// differentials run both ways).
+// Per-operator execution profiles (EXPLAIN ANALYZE). The counter is the
+// span: CompileVec wraps every compiled plan node — scans, joins, Enforce
+// sorts — and the aggregation above them in one shim (spanOp) that adds the
+// batches it passes and the rows they stand for into the node's obs.Span,
+// and RunStats.Cards points at the Rows of the scan and join spans. Feedback,
+// the result-cache spool and EXPLAIN ANALYZE therefore read one count. A
+// parallel aggregation's workers run copies of the spine's shims into spans
+// of their own, merged into the node's exactly once (pipeline.go).
 //
-// Profiling never changes results or feedback: the shim sits OUTSIDE the
-// cardinality counter of its node, so the rows a span records are exactly
-// the rows RunStats counts (asserted at P ∈ {1,2,4} by
-// TestExplainAnalyzeMatchesRunStats).
+// Timing is a property of an execution, not of a compile: the run's owner
+// calls RunStats.SetTiming before Open, and only a timed execution reads the
+// clock, twice per batch and node. A held tree is therefore profiled like any
+// other execution of it, and profiling never changes results or feedback.
+// Two kinds of node have no shim: those inside a result-cache probe hit
+// (never compiled; their counts are replayed into RunStats), and the inner
+// leaf of an index nested-loops join, folded into its join.
 
-// PlanProfile collects the execution profile of one compiled plan: one span
-// per plan node plus one for the terminal aggregation. Build it with
-// NewPlanProfile, hand it to Compiler.Prof, execute, then render with
-// Format. A profile belongs to a single execution; do not reuse across
-// compiles.
-type PlanProfile struct {
-	spans map[*relalg.Plan]*obs.Span
-	// cols is each compiled node's output width: the columns still read at
-	// or above it (live.go), recorded at compile time.
-	cols map[*relalg.Plan]int
-	// counted marks the hash joins compiled in counting mode (live.go),
-	// recorded at compile time: their rows are the multiplicities summed,
-	// their batches what was emitted.
-	counted map[*relalg.Plan]bool
-	// Agg profiles the aggregation above the plan root, serial or parallel.
-	Agg *obs.Span
-	// workers is the Parallelism of a parallel aggregation, zero when the tree
-	// has none, recorded for rendering: its spine's span times are summed
-	// across workers.
-	workers int
+// spanOp is the one shim of a compiled plan node.
+type spanOp struct {
+	in VecIterator
+	sp obs.Span
+	st *RunStats // the execution's timing switch
+	// node is the plan node (nil for the aggregation), cols its output
+	// width — the columns still read at or above it (live.go) — and counting
+	// marks a hash join compiled in counting mode (live.go): its rows are the
+	// multiplicities summed, its batches what was emitted.
+	node     *relalg.Plan
+	cols     int
+	counting bool
 }
 
-// NewPlanProfile returns an empty profile ready for Compiler.Prof.
-func NewPlanProfile() *PlanProfile {
-	return &PlanProfile{spans: map[*relalg.Plan]*obs.Span{}, cols: map[*relalg.Plan]int{},
-		counted: map[*relalg.Plan]bool{}, Agg: &obs.Span{}}
-}
-
-// span returns the (inclusive-time) span of a plan node, registering it on
-// first use.
-func (pp *PlanProfile) span(p *relalg.Plan) *obs.Span {
-	sp, ok := pp.spans[p]
-	if !ok {
-		sp = &obs.Span{}
-		pp.spans[p] = sp
+// start reads the clock when the execution is timed.
+func (s *spanOp) start() (t0 time.Time) {
+	if s.st.timed {
+		t0 = time.Now()
 	}
-	return sp
+	return t0
 }
 
-// SpanOf returns the recorded span of a plan node (nil when the node was
-// never executed, e.g. a subtree served from the result cache).
-func (pp *PlanProfile) SpanOf(p *relalg.Plan) *obs.Span { return pp.spans[p] }
+// stop adds the time since start to a timed execution's span.
+func (s *spanOp) stop(t0 time.Time) {
+	if s.st.timed {
+		s.sp.Nanos += int64(time.Since(t0))
+	}
+}
 
-// displayNanos returns the inclusive wall time to display for a node: its
-// span as recorded, or for an unexecuted node its children's time (zero when
-// the whole subtree was skipped).
-func (pp *PlanProfile) displayNanos(p *relalg.Plan) int64 {
+func (s *spanOp) Open() error {
+	t0 := s.start()
+	err := s.in.Open()
+	s.stop(t0)
+	return err
+}
+
+func (s *spanOp) Next() (*Batch, error) {
+	t0 := s.start()
+	b, err := s.in.Next()
+	if b != nil {
+		s.sp.Batches++
+		s.sp.Rows += b.Rows()
+	}
+	s.stop(t0)
+	return b, err
+}
+
+func (s *spanOp) Close() error {
+	t0 := s.start()
+	err := s.in.Close()
+	s.stop(t0)
+	return err
+}
+
+// drainCols forwards the materializing fast path through the shim — wrapping
+// must not make a build side copy columns its scan would lend. The drain is
+// one logical batch carrying every live row: by definition the node's output
+// cardinality.
+func (s *spanOp) drainCols(buf *colData) (colData, error) {
+	t0 := s.start()
+	d, err := drainVecCols(s.in, buf)
+	s.sp.Batches++
+	s.sp.Rows += int64(d.n)
+	s.stop(t0)
+	return d, err
+}
+
+// SetTiming switches per-operator wall time on or off for the tree's next
+// executions. Call it before Open; an untimed execution reads no clock.
+func (s *RunStats) SetTiming(on bool) { s.timed = on }
+
+// node returns the shim of plan node p, nil when p has none.
+func (s *RunStats) node(p *relalg.Plan) *spanOp {
+	for _, op := range s.ops {
+		if op.node == p {
+			return op
+		}
+	}
+	return nil
+}
+
+// displayTime returns the inclusive wall time to display for a node: its
+// span's, or for a node without a shim its children's (zero when the whole
+// subtree was skipped).
+func (s *RunStats) displayTime(p *relalg.Plan) time.Duration {
 	if p == nil {
 		return 0
 	}
-	if sp := pp.spans[p]; sp != nil {
-		return sp.Nanos
+	if op := s.node(p); op != nil {
+		return op.sp.Time()
 	}
-	return pp.displayNanos(p.Left) + pp.displayNanos(p.Right)
+	return s.displayTime(p.Left) + s.displayTime(p.Right)
 }
 
-// Format renders the EXPLAIN ANALYZE tree: the physical plan annotated per
-// node with the optimizer's estimated cardinality against the actual row
-// count (and their q-error — the paper's estimation error, made visible per
-// query), plus the operator's output width (cols: what it carries upward),
-// batches and cumulative wall time from the execution profile. A hash join
-// that ran in counting mode is marked "counted": its rows are the
-// multiplicities summed — equal to act, as for every operator — while its
-// batches are what it actually emitted.
-// stats is the RunStats of the same execution. Span times on a parallel
-// aggregation's probe spine are summed across workers (CPU time, not wall
-// time); the header notes the parallelism.
-func (pp *PlanProfile) Format(q *relalg.Query, plan *relalg.Plan, stats *RunStats) string {
+// Format renders the latest execution as an EXPLAIN ANALYZE tree: the
+// physical plan annotated per node with the optimizer's estimated cardinality
+// against the actual row count (and their q-error — the paper's estimation
+// error, made visible per query), plus the operator's output width (cols:
+// what it carries upward), batches and, when the execution was timed,
+// cumulative wall time. A hash join that ran in counting mode is marked
+// "counted": its rows are the multiplicities summed — equal to act, as for
+// every operator — while its batches are what it actually emitted. Span
+// times on a parallel aggregation's probe spine are summed across workers
+// (CPU time, not wall time); the header names the workers that ran. Call it
+// after the tree is drained and before it is opened again.
+func (s *RunStats) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "EXPLAIN ANALYZE")
-	if pp.workers > 1 {
-		fmt.Fprintf(&b, " (parallelism=%d, operator times are summed across workers)", pp.workers)
+	if s.workers > 1 {
+		fmt.Fprintf(&b, " (parallelism=%d, operator times are summed across workers)", s.workers)
 	}
 	b.WriteByte('\n')
-	if pp.Agg != nil && (pp.Agg.Batches > 0 || pp.Agg.Nanos > 0) {
-		fmt.Fprintf(&b, "HashAggregate  [rows=%d batches=%d time=%v]\n",
-			pp.Agg.Rows, pp.Agg.Batches, pp.Agg.Time().Round(time.Microsecond))
+	if s.agg != nil {
+		fmt.Fprintf(&b, "HashAggregate  [rows=%d batches=%d%s]\n", s.agg.sp.Rows, s.agg.sp.Batches, s.timeOf(s.agg.sp.Time()))
 	}
-	pp.format(q, plan, stats, &b, 0)
+	s.format(s.plan, &b, 0, false)
 	return b.String()
 }
 
-func (pp *PlanProfile) format(q *relalg.Query, p *relalg.Plan, stats *RunStats, b *strings.Builder, depth int) {
+// timeOf renders a time annotation, empty when the execution was not timed.
+func (s *RunStats) timeOf(d time.Duration) string {
+	if !s.timed {
+		return ""
+	}
+	return fmt.Sprintf(" time=%v", d.Round(time.Microsecond))
+}
+
+// format renders p and its subtree; folded says p is the inner leaf of an
+// executed index nested-loops join, which ran as part of it.
+func (s *RunStats) format(p *relalg.Plan, b *strings.Builder, depth int, folded bool) {
 	if p == nil {
 		return
 	}
+	q := s.q
 	b.WriteString(strings.Repeat("  ", depth))
 	switch p.Log {
 	case relalg.LogScan:
 		name := "?"
-		if q != nil && p.Rel < len(q.Rels) {
+		if p.Rel < len(q.Rels) {
 			name = q.Rels[p.Rel].Alias
 		}
 		if p.Phy == relalg.PhyIndexScan {
@@ -134,7 +183,7 @@ func (pp *PlanProfile) format(q *relalg.Query, p *relalg.Plan, stats *RunStats, 
 			relalg.PhyIndexNLJoin: "IndexNLJoin",
 		}[p.Phy]
 		pred := ""
-		if q != nil && p.Pred < len(q.Joins) {
+		if p.Pred < len(q.Joins) {
 			jp := q.Joins[p.Pred]
 			pred = fmt.Sprintf(" on %s=%s", q.ColString(jp.L), q.ColString(jp.R))
 		}
@@ -142,23 +191,28 @@ func (pp *PlanProfile) format(q *relalg.Query, p *relalg.Plan, stats *RunStats, 
 	}
 
 	fmt.Fprintf(b, "  [est=%.1f", p.Card)
-	if act, ok := stats.Card(p.Expr); ok && p.Log != relalg.LogEnforce {
+	if act, ok := s.Card(p.Expr); ok && p.Log != relalg.LogEnforce {
 		fmt.Fprintf(b, " act=%d qerr=%.2f", act, qError(p.Card, act))
 	} else {
 		fmt.Fprintf(b, " act=-")
 	}
-	if sp := pp.spans[p]; sp != nil {
-		fmt.Fprintf(b, " | rows=%d cols=%d batches=%d", sp.Rows, pp.cols[p], sp.Batches)
-		if pp.counted[p] {
+	op := s.node(p)
+	switch {
+	case op != nil:
+		fmt.Fprintf(b, " | rows=%d cols=%d batches=%d", op.sp.Rows, op.cols, op.sp.Batches)
+		if op.counting {
 			b.WriteString(" counted")
 		}
-		fmt.Fprintf(b, " time=%v]", time.Duration(pp.displayNanos(p)).Round(time.Microsecond))
-	} else {
-		fmt.Fprintf(b, " | not executed (cached)]")
+		fmt.Fprintf(b, "%s]", s.timeOf(s.displayTime(p)))
+	case folded:
+		b.WriteString(" | index of parent join]")
+	default:
+		b.WriteString(" | not executed (cached)]")
 	}
 	b.WriteByte('\n')
-	pp.format(q, p.Left, stats, b, depth+1)
-	pp.format(q, p.Right, stats, b, depth+1)
+	inner := op != nil && p.Phy == relalg.PhyIndexNLJoin
+	s.format(p.Left, b, depth+1, inner)
+	s.format(p.Right, b, depth+1, false)
 }
 
 // qError is the symmetric cardinality estimation error max(act/est,
@@ -176,47 +230,4 @@ func qError(est float64, act int64) float64 {
 		return a / est
 	}
 	return est / a
-}
-
-// profVec is the serial profiling shim: it times Open/Next/Close around its
-// input (inclusive time — the clock runs across the child's work) and
-// counts emitted batches and the rows they stand for.
-type profVec struct {
-	in VecIterator
-	sp *obs.Span
-}
-
-func (p *profVec) Open() error {
-	t0 := time.Now()
-	err := p.in.Open()
-	p.sp.Record(0, 0, time.Since(t0))
-	return err
-}
-
-func (p *profVec) Next() (*Batch, error) {
-	t0 := time.Now()
-	b, err := p.in.Next()
-	if b != nil {
-		p.sp.Record(1, b.Rows(), time.Since(t0))
-	} else {
-		p.sp.Record(0, 0, time.Since(t0))
-	}
-	return b, err
-}
-
-func (p *profVec) Close() error {
-	t0 := time.Now()
-	err := p.in.Close()
-	p.sp.Record(0, 0, time.Since(t0))
-	return err
-}
-
-// drainCols forwards the materializing fast path through the shim — wrapping
-// must not make a build side copy columns its scan would lend. The whole drain
-// is one timed observation: one logical batch carrying every live row.
-func (p *profVec) drainCols(buf *colData) (colData, error) {
-	t0 := time.Now()
-	d, err := drainVecCols(p.in, buf)
-	p.sp.Record(1, int64(d.n), time.Since(t0))
-	return d, err
 }

@@ -65,8 +65,8 @@ type CacheCandidate struct {
 	// CanonOrder lists Expr's member relations in canonical fingerprint
 	// order: the column order of the materialized entry.
 	CanonOrder []int
-	// Counts lists every node of the subtree that the compiler wires a
-	// cardinality counter onto (the root first), with its fingerprint.
+	// Counts lists every node of the subtree whose span the compiler counts
+	// into RunStats (the root first), with its fingerprint.
 	Counts []CachePoint
 }
 
@@ -311,11 +311,11 @@ func (c *Compiler) applyCacheDecision(d *cacheDecision, p *relalg.Plan, stats *R
 		return NewVecScan(cols, d.entry.N, ScanFilter{}), d.schema, nil
 	}
 
-	// Compile the missed subtree via compileVecNode: the profiling shim for
-	// p (if any) is added by the compileVec wrapper around THIS call, so
-	// going through compileVec here would double-register p's span. An entry
-	// holds rows, so a spooled join enumerates whatever consumes it.
-	in, schema, err := c.compileVecNode(p, stats, false)
+	// Compile the missed subtree (the decision is popped, so this compiles
+	// p itself, shim included, inside the spool: the spool reads p's count
+	// at end of stream). An entry holds rows, so a spooled join enumerates
+	// whatever consumes it.
+	in, schema, err := c.compileVec(p, stats, false)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -185,11 +185,11 @@ func TestWeightedBatchEscapes(t *testing.T) {
 			t.Errorf("%s: CountVec error = %v, want the weighted-batch error", name, err)
 		}
 	}
-	// The counter and the aggregation do read it.
-	var n int64
-	agg := NewVecHashAgg(NewVecCounter(&weightedIter{n: 4}, &n), AggSpecExec{CountAll: true, Sums: []int{0}})
-	if out, err := DrainVec(agg); err != nil || n != 12 || len(out) != 1 || out[0][0] != 3*(0+1+2+3) || out[0][1] != 12 {
-		t.Fatalf("counter saw %d rows, aggregate %v (err %v); want 12 rows, SUM 18, COUNT 12", n, out, err)
+	// The span shim and the aggregation do read it.
+	op := &spanOp{in: &weightedIter{n: 4}, st: &RunStats{}}
+	agg := NewVecHashAgg(op, AggSpecExec{CountAll: true, Sums: []int{0}})
+	if out, err := DrainVec(agg); err != nil || op.sp.Rows != 12 || len(out) != 1 || out[0][0] != 3*(0+1+2+3) || out[0][1] != 12 {
+		t.Fatalf("shim saw %d rows, aggregate %v (err %v); want 12 rows, SUM 18, COUNT 12", op.sp.Rows, out, err)
 	}
 }
 

@@ -26,9 +26,8 @@ import (
 
 // Span accumulates one operator's execution profile at batch granularity:
 // how many batches it emitted, how many live rows they carried, and the
-// cumulative wall time spent producing them. Methods are nil-receiver
-// no-ops so operators record unconditionally through a possibly-nil
-// pointer.
+// cumulative wall time spent producing them. The executor's span shim
+// writes the fields; Merge and Time are nil-receiver no-ops.
 //
 // Time is inclusive: the recording operator wraps its input, so its clock
 // runs across the input's work too. A Span is written by one goroutine at a
@@ -39,16 +38,6 @@ type Span struct {
 	Batches int64
 	Rows    int64
 	Nanos   int64 // cumulative wall time, nanoseconds
-}
-
-// Record folds one observation into the span.
-func (s *Span) Record(batches, rows int64, d time.Duration) {
-	if s == nil {
-		return
-	}
-	s.Batches += batches
-	s.Rows += rows
-	s.Nanos += int64(d)
 }
 
 // Merge folds another span's counters in (the per-worker merge).

@@ -5,10 +5,13 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/exec"
@@ -65,7 +68,8 @@ func converge(t *testing.T, label string, st *Stmt) *Result {
 // equal those of a tree compiled freshly for the plan version it ran, whose
 // rows and counts must in turn equal testkit.Reference over the tables as
 // they are now; and the server must have compiled fewer trees than it
-// executed.
+// executed. One session's first execution of each round is an ExplainAnalyze:
+// the analyze arm, a timed execution on a held tree among untimed ones.
 //
 // Handing a run back before its RunStats are read lets a concurrent borrower
 // reset them under the reader: under -race that is reported as a race, and
@@ -112,7 +116,16 @@ func TestHeldRunMatchesFresh(t *testing.T) {
 								return
 							}
 							for i := 0; i < execs; i++ {
-								res, err := st.Exec()
+								var res *Result
+								if s == 0 && i == 0 {
+									var analyzed string
+									res, analyzed, err = st.ExplainAnalyze()
+									if err == nil && !strings.Contains(analyzed, "time=") {
+										t.Errorf("%s: EXPLAIN ANALYZE without times:\n%s", at, analyzed)
+									}
+								} else {
+									res, err = st.Exec()
+								}
 								if err != nil {
 									t.Errorf("%s: %v", at, err)
 									return
@@ -206,6 +219,103 @@ func checkFresh(t *testing.T, at string, srv *Server, q *relalg.Query, plan *rel
 		}
 	}
 	return &freshResult{rows: multiset(rows), cards: cards}
+}
+
+// TestHeldRunProfiles: EXPLAIN ANALYZE and slow-query tracing run on held
+// trees. On a converged statement of a serial server, two ExplainAnalyze
+// calls compile nothing, and both render the same rows and batches per node
+// as a freshly compiled tree: a held tree's spans start every execution at
+// zero. The untimed execution that follows leaves its tree untimed. A server
+// that traces every execution as slow compiles fewer trees than it executes,
+// and every dump carries a time on every executed node.
+func TestHeldRunProfiles(t *testing.T) {
+	times := regexp.MustCompile(` time=[^\]]*`)
+	names := []string{"Q3S", "Q5", "Q10"}
+	srv := testServer(t, Options{})
+	for _, name := range names {
+		st, err := srv.Session().PrepareNamed(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		converge(t, name, st)
+		snap := st.entry.cur.Load()
+		comp := &exec.Compiler{Q: st.Query(), Cat: srv.cat, Mem: exec.NewMemTracker(0)}
+		root, stats, err := comp.CompileVec(snap.plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats.SetTiming(true)
+		if _, err := exec.DrainVec(root); err != nil {
+			t.Fatal(err)
+		}
+		fresh := times.ReplaceAllString(stats.Format(), "")
+		before := srv.Metrics().Compiles
+		for i := 1; i <= 2; i++ {
+			_, analyzed, err := st.ExplainAnalyze()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(analyzed, "time=") {
+				t.Fatalf("%s: analyze %d renders no times:\n%s", name, i, analyzed)
+			}
+			if got := times.ReplaceAllString(analyzed, ""); got != fresh {
+				t.Fatalf("%s: analyze %d on a held tree renders\n%s\na fresh tree\n%s", name, i, got, fresh)
+			}
+		}
+		if n := srv.Metrics().Compiles - before; n != 0 && !raceEnabled {
+			t.Fatalf("%s: two ExplainAnalyze calls on a converged statement compiled %d trees", name, n)
+		}
+		if _, err := st.Exec(); err != nil {
+			t.Fatal(err)
+		}
+		// The tree the untimed execution handed back.
+		run, _ := snap.runs.Get().(*heldRun)
+		if run == nil {
+			if raceEnabled {
+				continue // sync.Pool drops held runs at random under -race
+			}
+			t.Fatalf("%s: no idle run after an execution", name)
+		}
+		if text := run.stats.Format(); strings.Contains(text, "time=") {
+			t.Fatalf("%s: an untimed execution after EXPLAIN ANALYZE renders times:\n%s", name, text)
+		}
+		snap.runs.Put(run)
+	}
+
+	slow := testServer(t, Options{Parallelism: 2, TraceSlowQuery: time.Nanosecond})
+	for _, name := range names {
+		st, err := slow.Session().PrepareNamed(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 6; i++ {
+			if _, err := st.Exec(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if m := slow.Metrics(); m.Compiles >= m.Execs {
+		t.Fatalf("every execution traced as slow: %d trees compiled for %d executions", m.Compiles, m.Execs)
+	}
+	dumps := slow.SlowTraces()
+	if len(dumps) == 0 {
+		t.Fatal("no slow-query dump")
+	}
+	for _, dump := range dumps {
+		nodes := 0
+		for _, line := range strings.Split(dump, "\n") {
+			if !strings.Contains(line, "| rows=") {
+				continue
+			}
+			nodes++
+			if !strings.Contains(line, "time=") {
+				t.Fatalf("a slow-query dump's executed node has no time: %q in\n%s", line, dump)
+			}
+		}
+		if nodes == 0 {
+			t.Fatalf("a slow-query dump without an executed node:\n%s", dump)
+		}
+	}
 }
 
 // TestFailedRunIsNotReused: an execution that fails at spill time, because

@@ -44,10 +44,12 @@
 //     that already hold it — it merely becomes invisible to new prepares,
 //     and its feedback still lands in the shared store;
 //   - each published plan version keeps its idle compiled trees in a
-//     sync.Pool: an execution borrows one (compiling only when none is
-//     idle), drains it, reads its RunStats and hands it back, so one
-//     execution at a time holds a tree and a converged statement reopens
-//     its trees instead of rebuilding them (see Server.run). A repair
+//     sync.Pool: every execution, profiled or not, borrows one (compiling
+//     only when none is idle), drains it, reads its RunStats — the
+//     cardinalities and, for EXPLAIN ANALYZE or a slow-query dump, the
+//     per-operator spans — and hands it back, so one execution at a time
+//     holds a tree and a converged statement reopens its trees instead of
+//     rebuilding them (see Server.run). A repair
 //     publishes a new version and an eviction drops the entry, so the
 //     trees of a stale plan are never run again;
 //   - server-wide totals are atomics bumped at the event, so they cover
@@ -166,9 +168,9 @@ type Options struct {
 	// TraceSlowQuery dumps any execution slower than this threshold: the
 	// query's lifecycle events plus its full per-operator EXPLAIN ANALYZE
 	// profile, retained in a ring readable via SlowTraces() and /traces.
-	// A nonzero threshold makes every execution collect a per-operator
-	// profile (two clock reads per operator batch) so the dump is complete
-	// when the threshold trips. 0 disables.
+	// A nonzero threshold profiles every execution on its held tree (two
+	// clock reads per operator batch) so the dump is complete when the
+	// threshold trips. 0 disables.
 	TraceSlowQuery time.Duration
 	// TraceOnSlow, when set, additionally receives each slow-query dump as
 	// it is produced (e.g. to log it). Called synchronously on the
@@ -466,19 +468,20 @@ func (st *Stmt) Exec() (*Result, error) {
 	return res, err
 }
 
-// ExplainAnalyze executes the statement once with per-operator profiling on
-// and returns the annotated plan tree alongside the result: every operator's
+// ExplainAnalyze executes the statement once with every operator timed and
+// returns the annotated plan tree alongside the result: every operator's
 // batch/row counts and wall time, with estimated-vs-actual cardinality and
-// q-error per node. The profiled execution is a real one — its rows are
-// returned and its feedback lands like any other execution's.
+// q-error per node. The profiled execution is a real one on a held tree like
+// any other — its rows are returned and its feedback lands like any other
+// execution's.
 func (st *Stmt) ExplainAnalyze() (*Result, string, error) {
 	return st.exec(true)
 }
 
 // exec is the shared execution path: admit → run → hand the run back → feed
 // back. With analyze set it returns the run's annotated plan tree; a
-// slow-query threshold has every run profiled, so the dump of one that trips
-// it is complete.
+// slow-query threshold has every run timed, so the dump of one that trips it
+// is complete.
 func (st *Stmt) exec(analyze bool) (*Result, string, error) {
 	srv, e := st.sess.srv, st.entry
 	traceFrom, err := srv.admit(e)
@@ -488,16 +491,20 @@ func (st *Stmt) exec(analyze bool) (*Result, string, error) {
 	defer srv.release()
 	e.touch()
 	snap := e.cur.Load()
-	res, run, prof, err := srv.run(e, snap, analyze)
+	res, run, err := srv.run(e, snap, analyze || srv.opts.TraceSlowQuery > 0)
 	if err != nil {
 		return nil, "", err
 	}
 	res.cards = run.stats.Snapshot()
-	// The run goes back only now: the next borrower's Open zeroes the
-	// counters the snapshot reads. A failed run never gets here, a profile
-	// belongs to one execution, and a tree compiled against the result cache
-	// refuses to reopen.
-	if prof == nil && srv.resCache == nil {
+	slow := srv.opts.TraceSlowQuery > 0 && res.Elapsed >= srv.opts.TraceSlowQuery
+	analyzed := ""
+	if analyze || slow {
+		analyzed = run.stats.Format()
+	}
+	// The run goes back only now: the next borrower's Open zeroes the spans
+	// the snapshot and the rendering read. A failed run never gets here, and
+	// a tree compiled against the result cache refuses to reopen.
+	if srv.resCache == nil {
 		snap.runs.Put(run)
 	}
 	if res.Repaired, err = e.feedback(srv, snap, res.cards); err != nil {
@@ -510,11 +517,6 @@ func (st *Stmt) exec(analyze bool) (*Result, string, error) {
 	srv.trace.Emit(obs.Event{Kind: obs.KindExec, Query: e.hash,
 		A: int64(len(res.Rows)), B: int64(snap.version), Dur: res.Elapsed, Note: note})
 
-	slow := srv.opts.TraceSlowQuery > 0 && res.Elapsed >= srv.opts.TraceSlowQuery
-	if !analyze && !slow {
-		return res, "", nil
-	}
-	analyzed := prof.Format(e.q, snap.plan, run.stats)
 	if slow {
 		srv.slowQuery(e, snap, res.Elapsed, analyzed, traceFrom)
 	}
@@ -551,23 +553,16 @@ func (s *Server) admit(e *planEntry) (traceFrom uint64, err error) {
 // release gives back the admission slot admit took.
 func (s *Server) release() { <-s.sem }
 
-// run executes snap's plan for e once. It borrows one of snap's idle held
-// runs, and compiles one — tree, RunStats and a memory tracker created even
-// without a budget, so per-query peak memory stays observable on unbounded
-// servers — only when none is idle or the execution wants a profile (analyze
-// asks for one, or a slow-query threshold may need one). It drains the tree,
-// records the execution's latency, peak memory and spill, and traces the
-// result-cache probe hits and spools its own compile decided. The caller
-// hands the run back once it has read the RunStats. The returned Result
-// lacks only Repaired and the cards.
-func (s *Server) run(e *planEntry, snap *planVersion, analyze bool) (*Result, *heldRun, *exec.PlanProfile, error) {
-	var prof *exec.PlanProfile
-	var run *heldRun
-	if analyze || s.opts.TraceSlowQuery > 0 {
-		prof = exec.NewPlanProfile()
-	} else {
-		run, _ = snap.runs.Get().(*heldRun)
-	}
+// run executes snap's plan for e once, timing every operator when timed is
+// set. It borrows one of snap's idle held runs, and compiles one — tree,
+// RunStats and a memory tracker created even without a budget, so per-query
+// peak memory stays observable on unbounded servers — only when none is idle.
+// It drains the tree, records the execution's latency, peak memory and spill,
+// and traces the result-cache probe hits and spools its own compile decided.
+// The caller hands the run back once it has read the RunStats. The returned
+// Result lacks only Repaired and the cards.
+func (s *Server) run(e *planEntry, snap *planVersion, timed bool) (*Result, *heldRun, error) {
+	run, _ := snap.runs.Get().(*heldRun)
 	start := time.Now()
 	var hits, spools int
 	if run == nil {
@@ -575,19 +570,20 @@ func (s *Server) run(e *planEntry, snap *planVersion, analyze bool) (*Result, *h
 		mem.SetSpillDir(s.opts.SpillDir)
 		comp := &exec.Compiler{
 			Q: e.q, Cat: s.cat, Parallelism: s.opts.Parallelism,
-			Cache: s.resCache, CacheCands: snap.cands, Prof: prof, Mem: mem,
+			Cache: s.resCache, CacheCands: snap.cands, Mem: mem,
 		}
 		root, stats, err := comp.CompileVec(snap.plan)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		s.compiles.Add(1)
 		run = &heldRun{root: root, stats: stats, mem: mem}
 		hits, spools = comp.CacheDecisions()
 	}
+	run.stats.SetTiming(timed)
 	rows, err := exec.DrainVec(run.root)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	elapsed := time.Since(start)
 	s.latencyH.Observe(elapsed)
@@ -610,7 +606,7 @@ func (s *Server) run(e *planEntry, snap *planVersion, analyze bool) (*Result, *h
 	if spools > 0 {
 		s.trace.Emit(obs.Event{Kind: obs.KindResultCache, Query: e.hash, Note: "spool", A: int64(spools)})
 	}
-	return &Result{Rows: rows, PlanVersion: snap.version, Elapsed: elapsed}, run, prof, nil
+	return &Result{Rows: rows, PlanVersion: snap.version, Elapsed: elapsed}, run, nil
 }
 
 // slowQuery traces one slow execution and keeps its dump: a header, the

@@ -150,14 +150,14 @@
 // # Observability
 //
 // The serving layer is observable at three depths, all built on
-// internal/obs and all provably free when off (instrumentation hangs off
-// nil-able handles the executor never touches when disabled):
+// internal/obs:
 //
-//   - Per-operator profiles. Stmt.ExplainAnalyze runs a real execution —
-//     its feedback repairs the cached plan like any other — while
-//     attributing time, batch and row counts to every plan operator, and
-//     renders the plan annotated with estimated-vs-actual cardinality and
-//     q-error per node. A hash join that counted instead of enumerating is
+//   - Per-operator profiles. Every execution records batches and rows per
+//     plan operator in the spans its cardinality feedback is read from; a
+//     timed one adds wall time. Stmt.ExplainAnalyze runs a real, timed
+//     execution on a held tree — its feedback repairs the cached plan like
+//     any other — and renders the plan annotated with estimated-vs-actual
+//     cardinality and q-error per node. A hash join that counted instead of enumerating is
 //     marked "counted": its rows= is still its cardinality, its batches=
 //     what it actually emitted. cmd/optcli -analyze and the protocol's
 //     "analyze" command expose the same tree.
@@ -165,7 +165,7 @@
 //     structured events (prepare hit/miss, admission queue wait, exec,
 //     incremental repair, the result-cache probe hits and spools each
 //     execution's compile decided) in a bounded ring.
-//     ServerOptions.TraceSlowQuery profiles every execution and, when one
+//     ServerOptions.TraceSlowQuery times every execution and, when one
 //     exceeds the threshold, dumps its event trail plus the full EXPLAIN
 //     ANALYZE tree to Server.SlowTraces and the optional TraceOnSlow
 //     callback. The protocol's "trace" command and the debug handler's

@@ -1,0 +1,107 @@
+#!/usr/bin/env bash
+# One change's point on the benchmark trajectory: BENCH_<n>.json at the
+# repository root.
+#
+# It copies the parent revision out with `git archive` into a temporary
+# directory (nothing is registered in .git) and runs benchmarks/run.sh there
+# and in this checkout in alternating parent/change pairs, on every workload
+# BENCHMARK.json names; pair i runs seed i on both sides. It writes one JSON
+# object:
+#
+#   env        nproc, GOMAXPROCS, Go version, both revisions, seconds per run,
+#              pairs and the seeds;
+#   workloads  per workload and side: the median of every end-to-end metric,
+#              each run's correct flag and failed-op count, and each run's
+#              metrics;
+#   code       code.<pkg>.<column> for both sides: the ratchet's per-package
+#              counts (packageCeilings in ratchet_test.go, which
+#              TestCodeShapeRatchet holds equal to the tree's; the root
+#              package is "root"). Columns: go, chan, select, panic,
+#              exported, lines.
+#
+# TestBenchRecordNamesEveryMetric checks that the newest BENCH_*.json names
+# every end-to-end metric of every workload.
+#
+# Usage: bash scripts/bench.sh <parent-rev> <n> [pairs=3] [seconds=16]
+# Needs git, go and jq. Besides BENCH_<n>.json it writes only .bench_build/
+# (run.sh's) and a mktemp -d directory it removes.
+set -euo pipefail
+
+if [ $# -lt 2 ]; then
+	echo "usage: bash scripts/bench.sh <parent-rev> <n> [pairs] [seconds]" >&2
+	exit 2
+fi
+parent_rev="$1" n="$2" pairs="${3:-3}" seconds="${4:-16}"
+root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
+cd "$root"
+work="$(mktemp -d "${TMPDIR:-/tmp}/bench.XXXXXX")"
+trap 'rm -rf "$work"' EXIT
+
+mkdir -p "$work/parent"
+git archive "$parent_rev" | tar -x -C "$work/parent"
+parent_sha="$(git rev-parse --short "$parent_rev")"
+change_sha="$(git rev-parse --short HEAD)"
+if [ -n "$(git status --porcelain --untracked-files=no)" ]; then
+	change_sha="$change_sha+dirty"
+fi
+
+# run <dir> <workload> <seed> <out>: run.sh's stdout, whose last line is the
+# result object and whose first is the environment block.
+run() {
+	(cd "$1" && bash benchmarks/run.sh --workload "$2" --seed "$3" --seconds "$seconds" --trace 0) >"$4"
+}
+
+# code <ratchet_test.go>: its packageCeilings rows as {"code.<pkg>.<col>": n}.
+code() {
+	sed -n 's/^\t"\([^"]*\)": *{\([0-9, ]*\)},$/\1 \2/p' "$1" | tr -d , |
+		jq -R -s '[split("\n")[] | select(length > 0) | split(" ") | select(length == 7) as $f
+			| ["go", "chan", "select", "panic", "exported", "lines"] | to_entries[]
+			| {key: "code.\(if $f[0] == "." then "root" else $f[0] end).\(.value)",
+			   value: ($f[.key + 1] | tonumber)}] | from_entries'
+}
+
+workloads="$(jq -r '.workloads[].name' BENCHMARK.json)"
+for w in $workloads; do
+	for i in $(seq 1 "$pairs"); do
+		echo "bench: $w pair $i/$pairs" >&2
+		run "$work/parent" "$w" "$i" "$work/$w.parent.$i.out"
+		run "$root" "$w" "$i" "$work/$w.change.$i.out"
+	done
+done
+
+code "$work/parent/ratchet_test.go" >"$work/code.parent.json"
+code ratchet_test.go >"$work/code.change.json"
+
+# One side of one workload (its runs' output files): medians, correctness and
+# the runs' metrics.
+side() {
+	for f in "$@"; do tail -n 1 "$f"; done |
+		jq -s --argjson names "$(jq '[.end_to_end[].name]' BENCHMARK.json)" '
+		def median: sort | if length % 2 == 1 then .[length / 2 | floor]
+			else (.[length / 2 - 1] + .[length / 2]) / 2 end;
+		{median: ([$names[] as $m | {($m): ([.[].metrics[$m].value] | median)}] | add),
+		 correct: [.[].correct], failed: [.[].failed],
+		 runs: [.[] | .metrics | map_values(.value)]}'
+}
+for w in $workloads; do
+	jq -n --argjson p "$(side "$work/$w".parent.*.out)" --argjson c "$(side "$work/$w".change.*.out)" \
+		--arg w "$w" '{($w): {parent: $p, change: $c}}'
+done | jq -s 'add' >"$work/workloads.json"
+
+# The host as the benchmark itself reports it.
+env_block="$(grep -h '^{"env"' "$work"/*.change.1.out | head -n 1)"
+jq -n \
+	--argjson nproc "$(jq '.env.nproc' <<<"$env_block")" \
+	--argjson gomaxprocs "$(jq '.env.gomaxprocs' <<<"$env_block")" \
+	--arg go "$(jq -r '.env.go' <<<"$env_block")" \
+	--arg parent "$parent_sha" --arg change "$change_sha" \
+	--argjson seconds "$seconds" --argjson pairs "$pairs" \
+	--argjson n "$n" \
+	--slurpfile workloads "$work/workloads.json" \
+	--slurpfile cp "$work/code.parent.json" --slurpfile cc "$work/code.change.json" '
+	{change: $n,
+	 env: {nproc: $nproc, gomaxprocs: $gomaxprocs, go: $go, parent: $parent, change: $change,
+	       seconds: $seconds, pairs: $pairs, seeds: [range(1; $pairs + 1)]},
+	 workloads: $workloads[0],
+	 code: ($cc[0] | with_entries(.value = {parent: $cp[0][.key], change: .value}))}' >"BENCH_$n.json"
+echo "bench: wrote BENCH_$n.json" >&2

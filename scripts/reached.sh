@@ -129,7 +129,7 @@ differential() {
 		{ cat "$work/out" >&2; exit 1; }
 }
 differential ./internal/exec/ '^(TestTPCHReferenceDifferential|TestPlansAgreeWithReference|TestLivenessEdgeCases|TestReopenedExecutionMatchesFresh|TestNoGoroutineOutlivesOpen|TestParallelWorkersRunTheSerialOperators|TestTPCHSpillDifferential|TestSpillJoinMatchesUnbounded|TestSpillJoinForcedRecursion|TestSpillJoinSkewChunkFallback|TestSelectionKernelsMatchScalar|TestHashJoinProbeMatchesChainWalk|TestDirectGroupIdsMatchHashPath)$'
-differential ./internal/server/ '^(TestStorageRestartDifferential|TestSegScanZonePruningDifferential|TestDriftReconvergence|TestHeldRunMatchesFresh)$'
+differential ./internal/server/ '^(TestStorageRestartDifferential|TestSegScanZonePruningDifferential|TestDriftReconvergence|TestHeldRunMatchesFresh|TestHeldRunProfiles)$'
 differential ./internal/linearroad/ '^TestWindowsMatchRowOracle$'
 differential ./internal/core/ '^TestIncrementalEqualsScratch$'
 differential ./internal/relalg/ '^TestSplitMatchesReference$'

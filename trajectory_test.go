@@ -1,0 +1,94 @@
+package repro
+
+import (
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// TestBenchRecordNamesEveryMetric parses the newest BENCH_<n>.json at the
+// repository root (scripts/bench.sh writes one per change) and checks that it
+// is complete: the host and the seeds it ran on, for every workload of
+// BENCHMARK.json the parent's and the change's median of every end-to-end
+// metric and one correctness flag per run, and the ratchet's code.* counts of
+// both sides. It sets no thresholds: the host drifts, and the record is what
+// a change's numbers are compared with.
+func TestBenchRecordNamesEveryMetric(t *testing.T) {
+	paths, err := filepath.Glob("BENCH_*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	newest, last := "", -1
+	for _, p := range paths {
+		n, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(p, "BENCH_"), ".json"))
+		if err == nil && n > last {
+			newest, last = p, n
+		}
+	}
+	if newest == "" {
+		t.Fatal("no BENCH_<n>.json at the repository root: run scripts/bench.sh")
+	}
+	var spec struct {
+		Workloads []struct{ Name string }
+		EndToEnd  []struct{ Name string } `json:"end_to_end"`
+	}
+	readJSON(t, "BENCHMARK.json", &spec)
+	type side struct {
+		Median  map[string]*float64
+		Correct []bool
+		Failed  []int64
+	}
+	var rec struct {
+		Env struct {
+			NProc, GOMAXPROCS int
+			Seeds             []int
+		}
+		Workloads map[string]map[string]*side
+		Code      map[string]struct{ Parent, Change *int }
+	}
+	readJSON(t, newest, &rec)
+
+	if rec.Env.NProc < 1 || rec.Env.GOMAXPROCS < 1 || len(rec.Env.Seeds) == 0 {
+		t.Errorf("%s: env names nproc %d, GOMAXPROCS %d and seeds %v", newest, rec.Env.NProc, rec.Env.GOMAXPROCS, rec.Env.Seeds)
+	}
+	for _, w := range spec.Workloads {
+		for _, name := range []string{"parent", "change"} {
+			s := rec.Workloads[w.Name][name]
+			if s == nil {
+				t.Errorf("%s: no %s runs of %s", newest, name, w.Name)
+				continue
+			}
+			for _, m := range spec.EndToEnd {
+				if s.Median[m.Name] == nil {
+					t.Errorf("%s: %s %s has no median %s", newest, w.Name, name, m.Name)
+				}
+			}
+			if len(s.Correct) != len(rec.Env.Seeds) || len(s.Failed) != len(rec.Env.Seeds) {
+				t.Errorf("%s: %s %s records %d correct flags and %d failure counts for %d seeds",
+					newest, w.Name, name, len(s.Correct), len(s.Failed), len(rec.Env.Seeds))
+			}
+		}
+	}
+	if len(rec.Code) == 0 {
+		t.Errorf("%s: no code.* counts", newest)
+	}
+	for key, c := range rec.Code {
+		if !strings.HasPrefix(key, "code.") || c.Change == nil {
+			t.Errorf("%s: code count %q has no change side", newest, key)
+		}
+	}
+}
+
+func readJSON(t *testing.T, path string, v any) {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(b, v); err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+}
