@@ -172,8 +172,8 @@ type Optimizer struct {
 	order  []*group                 // creation order, for deterministic iteration
 	root   *group
 
-	hot  worklist[task]   // cost/bound/refcount deltas (FIFO)
-	cold worklist[*entry] // entries to expand (LIFO: depth-first)
+	hot  rankQueue  // cost/bound/refcount deltas, in rank order
+	cold expansions // entries to expand (LIFO: depth-first)
 
 	// stepLimit bounds one drain; err latches a drain that reached it.
 	stepLimit int
@@ -218,7 +218,7 @@ func New(m *cost.Model, space relalg.SpaceOptions, mode Pruning) (*Optimizer, er
 		mode:   mode,
 		groups: map[relalg.RelSet]*group{},
 
-		hot:       worklist[task]{fifo: true},
+		hot:       newRankQueue(len(m.Q.Rels)),
 		stepLimit: defaultStepLimit,
 	}, nil
 }

@@ -72,6 +72,10 @@ func (o *Optimizer) demandGroup(key groupKey) *group {
 		return g
 	}
 	g := &group{key: key, sameExpr: o.groups[key.expr], alive: true, bound: infinity, floor: infinity}
+	g.rank = uint8(2 * key.expr.Count())
+	if key.prop != relalg.AnyProp {
+		g.rank++
+	}
 	o.groups[key.expr] = g
 	o.order = append(o.order, g)
 	o.met.GroupsEnumerated++
@@ -348,7 +352,7 @@ func (o *Optimizer) queueRecost(e *entry) {
 		return
 	}
 	e.recostQueued = true
-	o.hot.push(task{kind: taskRecost, e: e})
+	o.hot.push(task{kind: taskRecost, e: e, g: e.g})
 }
 
 // ---- reference counting (§3.2 / §4.2) ----
@@ -475,7 +479,7 @@ func (o *Optimizer) queueContrib(e *entry) {
 		return
 	}
 	e.contribQueued = true
-	o.hot.push(task{kind: taskContrib, e: e})
+	o.hot.push(task{kind: taskContrib, e: e, g: e.g})
 }
 
 // refreshContribs evaluates rules r1–r2 for one LocalCost tuple: the bound

@@ -117,6 +117,12 @@ type group struct {
 
 	touchEpoch uint64
 
+	// rank orders the group's tasks in rankQueue: 2·|expr|, plus one
+	// under a required property. It exceeds every child group's rank:
+	// join inputs are proper subsets, and an enforcer's input is the same
+	// expression under no property.
+	rank uint8
+
 	// The flags sit together so that they pack into one word per group.
 	hasBest         bool
 	alive           bool
@@ -164,50 +170,113 @@ func (g *group) maxContrib() float64 {
 // ---- worklists ----
 
 // taskKind names the delta evaluation a task performs; drain dispatches on
-// it.
+// it. Recost and reconcile carry cost deltas up the DAG, contrib and bound
+// carry bound deltas down it.
 type taskKind uint8
 
 const (
 	taskExpand    taskKind = iota // expandEntry(e)
 	taskRecost                    // tryCost(e)
-	taskContrib                   // refreshContribs(e)
 	taskReconcile                 // reconcileGroup(g)
+	taskContrib                   // refreshContribs(e)
 	taskBound                     // recomputeBound(g)
 )
 
-// task is one pending delta evaluation: a plain value, so queueing a delta
-// allocates nothing once the worklist has grown to its working size.
+// task is one pending delta evaluation in group g (e's, for an entry task):
+// a plain value, so queueing a delta allocates nothing once the queue has
+// grown to its working size. next chains its cell in rankQueue.
 type task struct {
-	kind taskKind
 	e    *entry
 	g    *group
+	next int32
+	kind taskKind
 }
 
-// worklist is a queue of pending work: tasks on the hot list, the entries
-// to expand on the cold one. Cost/bound/reference deltas run FIFO;
-// expansions run LIFO by default — depth-first exploration completes one
-// full plan quickly, seeding the pruning thresholds — and FIFO for the
-// breadth-first search-order ablation.
-type worklist[T any] struct {
-	items []T
+// rankQueue holds the hot tasks — cost, bound and reference deltas — in the
+// height order of self-adjusting computation's change propagation (Acar et
+// al., PLDI 2006): upward tasks pop lowest group rank first, and downward
+// tasks highest rank first once no upward task is pending. A group's rank
+// exceeds its children's, so each affected group runs once after its inputs
+// settle, not once per input that moved. Within a rank a group's recosts
+// precede its reconcile and its bound precedes its contributions; one key's
+// tasks pop LIFO. Each key is a chain through one slab whose vacated cells
+// are reused, so the queue allocates only while the slab grows.
+type rankQueue struct {
+	cells  []task
+	heads  []int32 // per key, its chain's top cell + 1 (0: empty); upward keys, then downward
+	free   int32   // the vacated cells' chain, as heads
+	lo, hi int     // no upward task below key lo, no downward task above key hi
+}
+
+// newRankQueue sizes the keys for at most n relations: two per rank and
+// direction.
+func newRankQueue(n int) rankQueue {
+	k := 2 * (2*n + 2)
+	return rankQueue{heads: make([]int32, 2*k), lo: k, hi: k - 1}
+}
+
+func (q *rankQueue) push(t task) {
+	k := 2 * int(t.g.rank)
+	if t.kind == taskReconcile || t.kind == taskBound {
+		k++
+	}
+	if t.kind < taskContrib {
+		q.lo = min(q.lo, k)
+	} else {
+		k += len(q.heads) / 2
+		q.hi = max(q.hi, k)
+	}
+	t.next = q.heads[k]
+	if i := q.free; i != 0 {
+		q.free, q.cells[i-1], q.heads[k] = q.cells[i-1].next, t, i
+		return
+	}
+	q.cells = append(q.cells, t)
+	q.heads[k] = int32(len(q.cells))
+}
+
+func (q *rankQueue) pop() (task, bool) {
+	n := len(q.heads) / 2
+	for q.lo < n && q.heads[q.lo] == 0 {
+		q.lo++
+	}
+	k := q.lo
+	if k == n {
+		for q.hi >= n && q.heads[q.hi] == 0 {
+			q.hi--
+		}
+		if k = q.hi; k < n {
+			return task{}, false
+		}
+	}
+	i := q.heads[k]
+	t := q.cells[i-1]
+	q.heads[k], q.cells[i-1].next, q.free = t.next, q.free, i
+	return t, true
+}
+
+// expansions is the cold worklist of entries to expand: LIFO by default —
+// depth-first exploration completes one full plan quickly, seeding the
+// pruning thresholds — and FIFO for the breadth-first search-order ablation.
+type expansions struct {
+	items []*entry
 	head  int
 	fifo  bool
 }
 
-func (w *worklist[T]) push(t T) { w.items = append(w.items, t) }
+func (w *expansions) push(e *entry) { w.items = append(w.items, e) }
 
-func (w *worklist[T]) pop() (T, bool) {
+func (w *expansions) pop() (*entry, bool) {
 	n := len(w.items)
 	if w.head >= n {
-		var none T
 		w.items, w.head = w.items[:0], 0
-		return none, false
+		return nil, false
 	}
 	if w.fifo {
 		w.head++
 		return w.items[w.head-1], true
 	}
-	t := w.items[n-1]
+	e := w.items[n-1]
 	w.items = w.items[:n-1]
-	return t, true
+	return e, true
 }
