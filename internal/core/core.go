@@ -22,14 +22,15 @@
 //     are one exactly sized slab; an entry's position is its Index.
 //   - deltas (cost insertions, deletions, updates; bound updates; reference
 //     count changes) flow through a worklist until fixpoint, mimicking the
-//     pipelined push-based execution of the ASPEN engine. Expansion tasks
-//     are processed depth-first and cost deltas first, so cost information
-//     can outrun enumeration — which is what lets aggregate selection
-//     cancel the expansion of provably useless subtrees, the paper's
-//     "opportunistic" pruning. A queued delta is a {kind, entry, group}
-//     value, and all aggregate state lives in the entries and edges above,
-//     so a repair in steady state allocates nothing but the plan it
-//     returns.
+//     pipelined push-based execution of the ASPEN engine. Deltas run before
+//     expansions, which go depth-first, so cost information can outrun
+//     enumeration — which is what lets aggregate selection cancel the
+//     expansion of provably useless subtrees, the paper's "opportunistic"
+//     pruning. Cost deltas run bottom-up and bound deltas top-down in group
+//     rank order, so a repair settles each affected group about once. A
+//     queued delta is a plain value and all aggregate state lives in the
+//     entries and edges above, so a repair in steady state allocates
+//     nothing but the plan it returns.
 //
 // The three pruning strategies of §3 are independently switchable (Pruning),
 // enabling the paper's Figure 7/8 breakdowns and the Evita-Raced
@@ -218,7 +219,8 @@ func New(m *cost.Model, space relalg.SpaceOptions, mode Pruning) (*Optimizer, er
 		mode:   mode,
 		groups: map[relalg.RelSet]*group{},
 
-		hot:       newRankQueue(len(m.Q.Rels)),
+		// Two keys per group rank (up to 2n+1) and direction.
+		hot:       rankQueue{heads: make([]int32, 4*(2*len(m.Q.Rels)+2)), cells: make([]task, 0, 64)},
 		stepLimit: defaultStepLimit,
 	}, nil
 }

@@ -80,8 +80,12 @@ func TestAgreesWithBaselines(t *testing.T) {
 // equals a from-scratch optimization under the same cost parameters, and
 // that all internal invariants hold. Two seeds run 200 steps instead of 8:
 // overrides pile up and get revoked, groups die and revive repeatedly, which
-// short streams never reach (the repository benchmark replays 4 000).
+// short streams never reach (the repository benchmark replays 4 000). The
+// wide arm runs storm-mix deltas on 10 and 12 relations under PruneAll,
+// group ranks past those of the 8-relation TPC-H queries, against a fresh
+// core optimization.
 func TestIncrementalEqualsScratch(t *testing.T) {
+	t.Run("wide", testIncrementalEqualsScratchWide)
 	space := relalg.DefaultSpace()
 	factors := []float64{0.125, 0.25, 0.5, 2, 4, 8}
 	for seed := uint64(1); seed <= 25; seed++ {
@@ -139,6 +143,45 @@ func TestIncrementalEqualsScratch(t *testing.T) {
 				if err := o.CheckInvariants(); err != nil {
 					t.Fatalf("seed %d mode %v step %d: invariants: %v", seed, mode, step, err)
 				}
+			}
+		}
+	}
+}
+
+func testIncrementalEqualsScratchWide(t *testing.T) {
+	space := relalg.DefaultSpace()
+	for _, nRels := range []int{10, 12} {
+		r := stats.NewRand(uint64(nRels) * 7919)
+		cat := testkit.SyntheticCatalog(r, 4)
+		q := testkit.RandomQuery(r, cat, nRels)
+		m, err := cost.NewModel(q, cat, cost.DefaultParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle, _ := cost.NewModel(q, cat, cost.DefaultParams())
+		o, err := New(m, space, PruneAll)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := o.Optimize(); err != nil {
+			t.Fatal(err)
+		}
+		for step := 0; step < 30; step++ {
+			stormDelta(o, oracle, r, q, step)
+			plan, err := o.Reoptimize()
+			if err != nil {
+				t.Fatalf("%d relations step %d: Reoptimize: %v", nRels, step, err)
+			}
+			fresh, _ := New(oracle, space, PruneAll)
+			want, err := fresh.Optimize()
+			if err != nil {
+				t.Fatalf("%d relations step %d: fresh Optimize: %v", nRels, step, err)
+			}
+			if !approxEqual(plan.Cost, want.Cost) {
+				t.Fatalf("%d relations step %d: incremental %v != scratch %v", nRels, step, plan.Cost, want.Cost)
+			}
+			if err := o.CheckInvariants(); err != nil {
+				t.Fatalf("%d relations step %d: invariants: %v", nRels, step, err)
 			}
 		}
 	}

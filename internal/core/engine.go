@@ -12,14 +12,16 @@ import (
 // pipelined executor running the paper's rules. Every state transition is a
 // small task value on one of two worklists; drain dispatches them to fixpoint.
 //
-// Scheduling policy: cost/bound/reference deltas (the "hot" FIFO queue) are
-// always processed before expansion tasks (the "cold" LIFO stack). Hot-first
-// lets cost information race ahead of enumeration — the paper's decoupling
-// of cost estimation from plan enumeration — and LIFO expansion yields a
-// depth-first descent that completes one full plan quickly, seeding the
-// aggregate-selection and bounding thresholds that later expansions are
-// tested against. Correctness is order-independent (the tests shuffle
-// policies); only the amount of pruning varies, as §3.1 observes.
+// Scheduling policy: cost/bound/reference deltas (the hot rankQueue) always
+// run before expansions (the cold LIFO stack). Hot-first lets cost
+// information race ahead of enumeration — the paper's decoupling of cost
+// estimation from plan enumeration — and LIFO expansion is a depth-first
+// descent that completes one full plan quickly, seeding the thresholds later
+// expansions are tested against. The hot queue runs cost deltas bottom-up
+// and bound deltas top-down in group rank order, so a repair reconciles an
+// affected group about once per wave. Correctness is order-independent (only
+// the cold order is switchable: SetBreadthFirst, TestBreadthFirstAgrees);
+// only the amount of work and pruning varies, as §3.1 observes.
 
 // defaultStepLimit bounds one drain. A correct engine converges orders of
 // magnitude earlier; reaching the limit means a delta cycle, which is a bug
@@ -89,26 +91,16 @@ func (o *Optimizer) demandGroup(key groupKey) *group {
 		e := &g.entries[i]
 		e.g, e.alt = g, alts[i]
 		e.localCost = o.model.LocalCost(e.alt, key.expr, key.prop)
+		e.floor = e.localCost
+		g.floor = min(g.floor, e.floor)
 	}
 	*buf = alts
 	altBufs.Put(buf)
-	g.floor = computeFloor(g)
 	// LIFO stack: push in reverse so alternative 0 expands first.
 	for i := len(g.entries) - 1; i >= 0; i-- {
 		o.queueExpand(&g.entries[i])
 	}
 	return g
-}
-
-// computeFloor evaluates the group floor from current entry floors.
-func computeFloor(g *group) float64 {
-	f := infinity
-	for i := range g.entries {
-		if v := g.entries[i].floor(); v < f {
-			f = v
-		}
-	}
-	return f
 }
 
 func (o *Optimizer) queueExpand(e *entry) { o.cold.push(e) }
@@ -127,7 +119,7 @@ func (o *Optimizer) expandEntry(e *entry) {
 	if o.mode.RefCount && !g.alive {
 		return // dormant; reviveGroup re-schedules expansion
 	}
-	if o.mode.Suppress && e.floor() > slack(o.threshold(g)) {
+	if o.mode.Suppress && e.floor > slack(o.threshold(g)) {
 		o.suppressEntry(e)
 		return
 	}
@@ -138,12 +130,13 @@ func (o *Optimizer) expandEntry(e *entry) {
 		if !alt.Unary() {
 			e.children[sideRight] = o.demandChild(e, sideRight, groupKey{alt.RExpr, alt.RProp})
 		}
+		e.floor = e.deriveFloor()
 	}
 	o.acquireRefs(e)
 	o.tryCost(e)
 	o.queueContrib(e)
-	// Expansion can move the group floor (children bests now feed the
-	// entry's lower bound) even when no cost is computed yet.
+	// Expansion can move the group floor (children floors now feed the
+	// entry's) even when no cost is computed yet.
 	o.queueReconcile(g)
 }
 
@@ -228,31 +221,30 @@ func (o *Optimizer) reconcileGroup(g *group) {
 		}
 	}
 	// One walk aligns each entry's pruned state with the thresholds and
-	// folds the group floor, evaluating every entry floor once. Nothing a
-	// suppression or revival does synchronously moves a floor.
+	// folds the group floor. Nothing a suppression or revival does
+	// synchronously moves a floor.
 	thr := o.threshold(g)
 	floor := infinity
 	for i := range g.entries {
 		e := &g.entries[i]
-		f := e.floor()
-		if f < floor {
-			floor = f
-		}
+		floor = min(floor, e.floor)
 		if !o.mode.AggSel {
 			continue
 		}
-		if desired := o.shouldBePruned(e, f, thr, best); desired && !e.pruned {
+		if desired := o.shouldBePruned(e, thr, best); desired && !e.pruned {
 			o.suppressEntry(e)
 		} else if !desired && e.pruned {
 			o.reviveEntry(e)
 		}
 	}
-	// Floor maintenance: a moved floor re-triggers the parents that read
-	// it — their bound contributions (rules r1–r2) and their own pruning
-	// decisions, which are floor-gated under suppression.
+	// Floor maintenance: a moved floor moves the parent entries' floors
+	// and re-triggers what reads them — their bound contributions (rules
+	// r1–r2) and their groups' pruning decisions, which are floor-gated
+	// under suppression.
 	if floor != g.floor {
 		g.floor = floor
 		for _, pr := range g.parents {
+			pr.e.floor = pr.e.deriveFloor()
 			o.queueReconcile(pr.e.g)
 			if o.mode.Bound {
 				o.queueContrib(pr.e)
@@ -266,9 +258,9 @@ func (o *Optimizer) reconcileGroup(g *group) {
 // (rules r1–r2) while plan costs are derived by addition chains (R6–R8),
 // so the two sides of the comparison can disagree by a few ulps even when
 // they are mathematically equal — without slack the bound would prune the
-// very best plan it was derived from. floor is e.floor(), thr the group's
-// threshold and best its cheapest costed entry.
-func (o *Optimizer) shouldBePruned(e *entry, floor, thr float64, best *entry) bool {
+// very best plan it was derived from. thr is the group's threshold and best
+// its cheapest costed entry.
+func (o *Optimizer) shouldBePruned(e *entry, thr float64, best *entry) bool {
 	g := e.g
 	if e.costKnown {
 		// Under tuple source suppression, pruning has side effects
@@ -282,7 +274,7 @@ func (o *Optimizer) shouldBePruned(e *entry, floor, thr float64, best *entry) bo
 		// selection (Proposition 5).
 		v := e.cost
 		if o.mode.Suppress {
-			v = floor
+			v = e.floor
 		}
 		if o.mode.Bound && v > slack(g.bound) {
 			// Proposition 7: exceeds the recursive bound.
@@ -292,7 +284,7 @@ func (o *Optimizer) shouldBePruned(e *entry, floor, thr float64, best *entry) bo
 	}
 	// Not yet costed: pre-expansion suppression is only meaningful with
 	// tuple source suppression enabled.
-	return o.mode.Suppress && floor > slack(thr)
+	return o.mode.Suppress && e.floor > slack(thr)
 }
 
 // slack widens a pruning threshold by a relative epsilon (see

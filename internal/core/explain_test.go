@@ -210,7 +210,7 @@ func (o *Optimizer) DumpGroup(s relalg.RelSet, p relalg.Prop) string {
 		e := &g.entries[i]
 		fmt.Fprintf(&b, "  #%d %v %s lexpr=%s rexpr=%s local=%g costKnown=%v cost=%g floor=%g pruned=%v expanded=%v refHeld=%v\n",
 			i, e.alt.Log, e.alt.Phy, o.model.Q.SetString(e.alt.LExpr), o.model.Q.SetString(e.alt.RExpr),
-			e.localCost, e.costKnown, e.cost, e.floor(), e.pruned, e.expanded, e.refHeld)
+			e.localCost, e.costKnown, e.cost, e.floor, e.pruned, e.expanded, e.refHeld)
 	}
 	for _, pr := range g.parents {
 		contrib := "-"

@@ -82,6 +82,7 @@ func (o *Optimizer) Reoptimize() (*relalg.Plan, error) {
 				continue
 			}
 			e.localCost = nl
+			e.floor = e.deriveFloor()
 			o.touchEntry(e)
 			if e.expanded {
 				o.queueRecost(e)

@@ -79,7 +79,7 @@ func (o *Optimizer) CheckInvariants() error {
 				e := &g.entries[i]
 				v := e.cost
 				if o.mode.Suppress {
-					v = e.floor()
+					v = e.floor
 				}
 				if e.costKnown && !e.pruned && v > g.bound+eps*mathMax1(g.bound) {
 					return fmt.Errorf("group %v entry %d: live value %v exceeds bound %v", g.key, i, v, g.bound)
@@ -94,16 +94,21 @@ func (o *Optimizer) CheckInvariants() error {
 				}
 			}
 		}
-		// floor validity: the cached floor matches its definition and
+		// floor validity: every cached floor matches its definition and
 		// never exceeds any exact plan cost.
-		if g.floor != computeFloor(g) {
-			return fmt.Errorf("group %v: cached floor %v != computed %v", g.key, g.floor, computeFloor(g))
-		}
+		floor := infinity
 		for i := range g.entries {
 			e := &g.entries[i]
-			if e.costKnown && e.floor() > e.cost+eps*mathMax1(e.cost) {
-				return fmt.Errorf("group %v entry %d: floor %v exceeds exact cost %v", g.key, i, e.floor(), e.cost)
+			floor = math.Min(floor, e.floor)
+			if f := e.deriveFloor(); e.floor != f {
+				return fmt.Errorf("group %v entry %d: cached floor %v != local cost plus child floors %v", g.key, i, e.floor, f)
 			}
+			if e.costKnown && e.floor > e.cost+eps*mathMax1(e.cost) {
+				return fmt.Errorf("group %v entry %d: floor %v exceeds exact cost %v", g.key, i, e.floor, e.cost)
+			}
+		}
+		if g.floor != floor {
+			return fmt.Errorf("group %v: cached floor %v != minimum over entries %v", g.key, g.floor, floor)
 		}
 
 		// 3. reference counting
@@ -123,6 +128,9 @@ func (o *Optimizer) CheckInvariants() error {
 						return fmt.Errorf("group %v entry %d: contribution on an absent child edge", g.key, i)
 					}
 					continue
+				}
+				if c.rank >= g.rank {
+					return fmt.Errorf("group %v entry %d: child %v's rank %d is not below %d", g.key, i, c.key, c.rank, g.rank)
 				}
 				n := 0
 				for _, pr := range c.parents {

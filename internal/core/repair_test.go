@@ -15,15 +15,23 @@ import (
 // reopt-storm workload draws them.
 var stormFactors = []float64{0.125, 0.25, 0.5, 1, 2, 4, 8}
 
-// stormDelta stages one seeded cost delta on o: three cardinality
-// re-estimates of a random connected sub-expression for every scan-cost
-// change, the reopt-storm mix.
-func stormDelta(o *Optimizer, r *stats.Rand, q *relalg.Query, i int) {
+// stormDelta stages one seeded cost delta on o, and sets it on oracle unless
+// that is nil: three cardinality re-estimates of a random connected
+// sub-expression for every scan-cost change, the reopt-storm mix.
+func stormDelta(o *Optimizer, oracle *cost.Model, r *stats.Rand, q *relalg.Query, i int) {
 	f := stormFactors[r.Intn(len(stormFactors))]
 	if i%4 == 3 {
-		o.UpdateScanCostFactor(r.Intn(len(q.Rels)), f)
+		rel := r.Intn(len(q.Rels))
+		o.UpdateScanCostFactor(rel, f)
+		if oracle != nil {
+			oracle.SetScanCostFactor(rel, f)
+		}
 	} else {
-		o.UpdateCardFactor(testkit.RandomConnectedSubset(r, q, 2), f)
+		s := testkit.RandomConnectedSubset(r, q, 2)
+		o.UpdateCardFactor(s, f)
+		if oracle != nil {
+			oracle.SetCardFactor(s, f)
+		}
 	}
 }
 
@@ -53,10 +61,10 @@ type trajectory struct {
 // wantTrajectory holds the counters of a 500-delta sequence (seed 7) per
 // query and pruning preset. They pin the propagation itself: a faster engine
 // must evaluate the same deltas in the same order, never different ones.
-// They were last re-captured when the hot worklist moved from FIFO to rank
-// order, the one change to the order so far: a group now runs once after
-// its inputs settle instead of once per input that moved, so every count
-// fell and the touched region stayed within 1 %.
+// They were re-captured once, when the hot worklist moved from one FIFO to
+// rank order: a group now runs once after its inputs settle instead of once
+// per input that moved, so every count fell and the touched region moved by
+// under 1 %.
 var wantTrajectory = map[string]trajectory{
 	"Q5/none":                {109505, 12536, 0, 0, 0, 0, 109505},
 	"Q5/evita":               {109505, 12536, 0, 787, 787, 0, 109505},
@@ -87,7 +95,7 @@ func TestRepairCounterTrajectory(t *testing.T) {
 			m0 := o.Metrics()
 			touched := 0
 			for i := 0; i < 500; i++ {
-				stormDelta(o, r, q, i)
+				stormDelta(o, nil, r, q, i)
 				if _, err := o.Reoptimize(); err != nil {
 					t.Fatalf("%s delta %d: %v", name, i, err)
 				}

@@ -37,6 +37,14 @@ type entry struct {
 	// aggregate a plain minimum over the group's entries.
 	cost float64 // LocalCost + Σ children bestCost
 
+	// floor is a certified lower bound on the entry's eventual (true) plan
+	// cost, kept equal to deriveFloor(). Crucially it never reads a child's
+	// BestCost, which can be transiently inflated during pipelined execution
+	// (the child's cheap plans not yet costed): an inflated value inside a
+	// lower bound would make pruning unsound. Floors are monotone up the
+	// DAG and reach the exact plan cost once the subtree is fully costed.
+	floor float64
+
 	// contrib[s] is the ParentBound value (rules r1–r2) this entry passes
 	// down its child edge s, an input to children[s]'s MaxBound aggregate
 	// while hasContrib[s] is set.
@@ -61,14 +69,9 @@ type entry struct {
 	contribQueued bool
 }
 
-// floor is a certified lower bound on the entry's eventual (true) plan
-// cost: its local cost plus the floors of its children. Crucially it never
-// reads a child's BestCost — during pipelined execution a BestCost can be
-// transiently inflated (the child's cheap plans not yet costed), and an
-// inflated value inside a lower bound would make pruning unsound. Floors
-// are monotone up the expression DAG and converge to the exact plan cost
-// once the subtree is fully expanded and costed.
-func (e *entry) floor() float64 {
+// deriveFloor evaluates the entry's floor from its local cost and its
+// children's group floors.
+func (e *entry) deriveFloor() float64 {
 	f := e.localCost
 	for _, c := range e.children {
 		if c != nil {
@@ -109,7 +112,7 @@ type group struct {
 	bound float64
 
 	// floor is a certified lower bound on the cost of any plan this group
-	// can ever produce: min over entries of entry.floor(). It gates every
+	// can ever produce: min over entries of entry.floor. It gates every
 	// suppression side effect (reference release, expansion
 	// cancellation), which keeps pruning sound against transiently
 	// inflated BestCost values; see engine.go.
@@ -118,9 +121,7 @@ type group struct {
 	touchEpoch uint64
 
 	// rank orders the group's tasks in rankQueue: 2·|expr|, plus one
-	// under a required property. It exceeds every child group's rank:
-	// join inputs are proper subsets, and an enforcer's input is the same
-	// expression under no property.
+	// under a required property, so it exceeds every child group's rank.
 	rank uint8
 
 	// The flags sit together so that they pack into one word per group.
@@ -170,8 +171,7 @@ func (g *group) maxContrib() float64 {
 // ---- worklists ----
 
 // taskKind names the delta evaluation a task performs; drain dispatches on
-// it. Recost and reconcile carry cost deltas up the DAG, contrib and bound
-// carry bound deltas down it.
+// it.
 type taskKind uint8
 
 const (
@@ -184,7 +184,7 @@ const (
 
 // task is one pending delta evaluation in group g (e's, for an entry task):
 // a plain value, so queueing a delta allocates nothing once the queue has
-// grown to its working size. next chains its cell in rankQueue.
+// grown to its working size. next chains it in rankQueue.
 type task struct {
 	e    *entry
 	g    *group
@@ -192,66 +192,49 @@ type task struct {
 	kind taskKind
 }
 
-// rankQueue holds the hot tasks — cost, bound and reference deltas — in the
-// height order of self-adjusting computation's change propagation (Acar et
-// al., PLDI 2006): upward tasks pop lowest group rank first, and downward
-// tasks highest rank first once no upward task is pending. A group's rank
-// exceeds its children's, so each affected group runs once after its inputs
-// settle, not once per input that moved. Within a rank a group's recosts
-// precede its reconcile and its bound precedes its contributions; one key's
-// tasks pop LIFO. Each key is a chain through one slab whose vacated cells
-// are reused, so the queue allocates only while the slab grows.
+// rankQueue holds the hot tasks in the height order of self-adjusting
+// computation's change propagation (Acar et al., PLDI 2006). It pops the
+// lowest key first: cost deltas (recost, reconcile) by ascending group rank,
+// then bound deltas (bound, contrib) by descending rank. A group's rank
+// exceeds its children's, so each affected group runs once its inputs have
+// settled, not once per input that moved. One key's tasks pop LIFO, chained
+// through one slab that is emptied whenever the queue is.
 type rankQueue struct {
-	cells  []task
-	heads  []int32 // per key, its chain's top cell + 1 (0: empty); upward keys, then downward
-	free   int32   // the vacated cells' chain, as heads
-	lo, hi int     // no upward task below key lo, no downward task above key hi
-}
-
-// newRankQueue sizes the keys for at most n relations: two per rank and
-// direction.
-func newRankQueue(n int) rankQueue {
-	k := 2 * (2*n + 2)
-	return rankQueue{heads: make([]int32, 2*k), lo: k, hi: k - 1}
+	cells []task
+	heads []int32 // per key, its chain's top cell + 1 (0: empty)
+	n, lo int     // tasks queued; none has a key below lo
 }
 
 func (q *rankQueue) push(t task) {
-	k := 2 * int(t.g.rank)
-	if t.kind == taskReconcile || t.kind == taskBound {
+	k := 2 * int(t.g.rank) // a group's recosts before its reconcile
+	switch t.kind {
+	case taskReconcile:
 		k++
+	case taskBound: // a group's bound before its contributions
+		k = len(q.heads) - 2 - k
+	case taskContrib:
+		k = len(q.heads) - 1 - k
 	}
-	if t.kind < taskContrib {
-		q.lo = min(q.lo, k)
-	} else {
-		k += len(q.heads) / 2
-		q.hi = max(q.hi, k)
+	if q.n == 0 || k < q.lo {
+		q.lo = k
 	}
+	q.n++
 	t.next = q.heads[k]
-	if i := q.free; i != 0 {
-		q.free, q.cells[i-1], q.heads[k] = q.cells[i-1].next, t, i
-		return
-	}
 	q.cells = append(q.cells, t)
 	q.heads[k] = int32(len(q.cells))
 }
 
 func (q *rankQueue) pop() (task, bool) {
-	n := len(q.heads) / 2
-	for q.lo < n && q.heads[q.lo] == 0 {
+	if q.n == 0 {
+		q.cells = q.cells[:0]
+		return task{}, false
+	}
+	q.n--
+	for q.heads[q.lo] == 0 {
 		q.lo++
 	}
-	k := q.lo
-	if k == n {
-		for q.hi >= n && q.heads[q.hi] == 0 {
-			q.hi--
-		}
-		if k = q.hi; k < n {
-			return task{}, false
-		}
-	}
-	i := q.heads[k]
-	t := q.cells[i-1]
-	q.heads[k], q.cells[i-1].next, q.free = t.next, q.free, i
+	t := q.cells[q.heads[q.lo]-1]
+	q.heads[q.lo] = t.next
 	return t, true
 }
 

@@ -15,7 +15,8 @@
 #     /metrics, /metrics.json and /traces;
 #   - reprobench's paper figures: -fig 4..10, small, ablation and -table 3;
 #   - optcli under each -arch, and once with -graph -table -reopt -analyze;
-#   - CI's must-run differentials and TestIncrementalEqualsScratch.
+#   - CI's must-run differentials, among them the optimizer contract
+#     (TestIncrementalEqualsScratch and its neighbours, TestOracleMatchesCore).
 #
 # An unreached function may stay only if its doc comment has a line
 # "// Reached by: ..." naming who needs it: a paper figure, an oracle, an
@@ -131,7 +132,8 @@ differential() {
 differential ./internal/exec/ '^(TestTPCHReferenceDifferential|TestPlansAgreeWithReference|TestLivenessEdgeCases|TestReopenedExecutionMatchesFresh|TestNoGoroutineOutlivesOpen|TestParallelWorkersRunTheSerialOperators|TestTPCHSpillDifferential|TestSpillJoinMatchesUnbounded|TestSpillJoinForcedRecursion|TestSpillJoinSkewChunkFallback|TestSelectionKernelsMatchScalar|TestHashJoinProbeMatchesChainWalk|TestDirectGroupIdsMatchHashPath)$'
 differential ./internal/server/ '^(TestStorageRestartDifferential|TestSegScanZonePruningDifferential|TestDriftReconvergence|TestHeldRunMatchesFresh|TestHeldRunProfiles)$'
 differential ./internal/linearroad/ '^TestWindowsMatchRowOracle$'
-differential ./internal/core/ '^TestIncrementalEqualsScratch$'
+differential ./internal/core/ '^(TestIncrementalEqualsScratch|TestRepairCounterTrajectory|TestReoptimizeSteadyStateAllocs|TestBreadthFirstAgrees)$'
+differential ./internal/deltalog/ '^TestOracleMatchesCore$'
 differential ./internal/relalg/ '^TestSplitMatchesReference$'
 
 go tool covdata merge -i="$work/cov/run,$work/cov/test" -o "$work/cov/all"
