@@ -7,7 +7,6 @@ package repro
 //	go test -bench=. -benchmem .
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"repro/internal/aqp"
@@ -284,10 +283,9 @@ func BenchmarkAblationPlanSpace(b *testing.B) {
 }
 
 // benchExecQuery executes one TPC-H query under its Volcano plan at the scale
-// every test and benchmark workload uses (SF 0.005) and ten times that, at
-// Parallelism 1 (serial), 2 and all cores. Only a query that ends in an
-// aggregation gets pipeline workers; at any other shape the three must read
-// the same, since they compile to the same serial operator tree.
+// every test and benchmark workload uses (SF 0.005) and ten times that. The
+// executor is serial; the sub-benchmark keeps the name vec-p1 so its numbers
+// compare with those recorded when a parallel setting existed.
 func benchExecQuery(b *testing.B, q *relalg.Query) {
 	for _, sf := range []float64{0.005, 0.05} {
 		b.Run(fmt.Sprintf("sf%g", sf), func(b *testing.B) {
@@ -300,29 +298,24 @@ func benchExecQuery(b *testing.B, q *relalg.Query) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			for _, par := range []struct {
-				name string
-				p    int
-			}{{"vec-p1", 1}, {"vec-p2", 2}, {"vec-pmax", runtime.GOMAXPROCS(0)}} {
-				b.Run(par.name, func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						comp := &exec.Compiler{Q: q, Cat: cat, Parallelism: par.p}
-						v, _, err := comp.CompileVec(vr.Plan)
-						if err != nil {
-							b.Fatal(err)
-						}
-						if _, err := exec.CountVec(v); err != nil {
-							b.Fatal(err)
-						}
+			b.Run("vec-p1", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					comp := &exec.Compiler{Q: q, Cat: cat}
+					v, _, err := comp.CompileVec(vr.Plan)
+					if err != nil {
+						b.Fatal(err)
 					}
-				})
-			}
+					if _, err := exec.CountVec(v); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		})
 	}
 }
 
-// BenchmarkExecQ3S compares serial vs pipeline-parallel execution of the
-// paper's driving example (simplified TPC-H Q3).
+// BenchmarkExecQ3S executes the paper's driving example (simplified TPC-H
+// Q3).
 func BenchmarkExecQ3S(b *testing.B) { benchExecQuery(b, tpch.Q3S()) }
 
 // BenchmarkExecQ5 is the same sweep on TPC-H Q5 (six-way join with

@@ -8,10 +8,10 @@
 //	optcli -query q8join -arch volcano
 //	optcli -query q3s -table            # paper Table 1
 //	optcli -query q5 -reopt "D=8"       # apply a Figure 5 style update
-//	optcli -query q5 -exec -parallelism 4  # execute the plan with 4 pipeline workers
-//	optcli -query q5 -analyze              # execute with every operator timed
-//	                                       # (EXPLAIN ANALYZE: time/batches/rows,
-//	                                       # est-vs-act cardinality per node)
+//	optcli -query q5 -exec              # execute the plan
+//	optcli -query q5 -analyze           # execute with every operator timed
+//	                                    # (EXPLAIN ANALYZE: time/batches/rows,
+//	                                    # est-vs-act cardinality per node)
 //	optcli -sql "SELECT c.c_custkey FROM customer c, orders o \
 //	  WHERE c.c_custkey = o.o_custkey AND c.c_mktsegment = 'MACHINERY'" -exec
 package main
@@ -46,7 +46,6 @@ func main() {
 	reopt := flag.String("reopt", "", "comma list of updates, e.g. \"A=0.5,E=8\" (Q5 expressions) or \"scan:orders=4\"")
 	doExec := flag.Bool("exec", false, "execute the chosen plan and print row count and timing")
 	analyze := flag.Bool("analyze", false, "execute with every operator timed and print the EXPLAIN ANALYZE tree (implies -exec)")
-	parallelism := flag.Int("parallelism", 1, "workers that run copies of an aggregating query's probe spine under -exec; a query without an aggregation, and any at <= 1, is serial")
 	flag.Parse()
 
 	cat := tpch.Generate(tpch.Config{ScaleFactor: *sf, Seed: 42})
@@ -90,7 +89,7 @@ func main() {
 			res.Metrics.Alts, res.Metrics.CostedAlts, res.Metrics.PrunedAlts)
 		fmt.Print(res.Plan.Explain(q))
 		if *doExec || *analyze {
-			execute(q, cat, res.Plan, *parallelism, *analyze)
+			execute(q, cat, res.Plan, *analyze)
 		}
 		return
 	case "systemr":
@@ -102,7 +101,7 @@ func main() {
 			res.Cost, res.Metrics.Elapsed, res.Metrics.Groups, res.Metrics.CostedAlts)
 		fmt.Print(res.Plan.Explain(q))
 		if *doExec || *analyze {
-			execute(q, cat, res.Plan, *parallelism, *analyze)
+			execute(q, cat, res.Plan, *analyze)
 		}
 		return
 	}
@@ -179,7 +178,7 @@ func main() {
 		}
 	}
 	if *doExec || *analyze {
-		execute(q, cat, plan, *parallelism, *analyze)
+		execute(q, cat, plan, *analyze)
 	}
 	if *table {
 		fmt.Println("\n== SearchSpace (cf. Table 1) ==")
@@ -191,13 +190,11 @@ func main() {
 	}
 }
 
-// execute runs the chosen plan through the vectorized executor — an
-// aggregating query over a probe spine on parallelism workers when
-// parallelism > 1 — and prints the result cardinality and execution time.
-// With analyze it times every operator and prints the annotated EXPLAIN
-// ANALYZE tree.
-func execute(q *relalg.Query, cat *catalog.Catalog, plan *relalg.Plan, parallelism int, analyze bool) {
-	comp := &exec.Compiler{Q: q, Cat: cat, Parallelism: parallelism}
+// execute runs the chosen plan through the vectorized executor and prints the
+// result cardinality and execution time. With analyze it times every operator
+// and prints the annotated EXPLAIN ANALYZE tree.
+func execute(q *relalg.Query, cat *catalog.Catalog, plan *relalg.Plan, analyze bool) {
+	comp := &exec.Compiler{Q: q, Cat: cat}
 	v, stats, err := comp.CompileVec(plan)
 	if err != nil {
 		log.Fatal(err)
@@ -208,8 +205,7 @@ func execute(q *relalg.Query, cat *catalog.Catalog, plan *relalg.Plan, paralleli
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("executed: %d result rows in %v (parallelism %d)\n",
-		n, time.Since(start), parallelism)
+	fmt.Printf("executed: %d result rows in %v\n", n, time.Since(start))
 	if analyze {
 		fmt.Print(stats.Format())
 	}

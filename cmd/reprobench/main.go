@@ -8,7 +8,6 @@
 //	reprobench -table 3         # Table 3
 //	reprobench -sf 0.01         # TPC-H scale factor
 //	reprobench -slices 60       # stream length for Figures 9/10
-//	reprobench -parallelism 4   # parallel pipeline workers during execution
 //
 // An unknown -fig or -table exits 2 before any data is generated.
 package main
@@ -92,8 +91,6 @@ func main() {
 	seed := flag.Uint64("seed", 42, "generator seed")
 	slices := flag.Int("slices", 120, "stream slices for Figures 9/10")
 	repeats := flag.Int("repeats", 5, "timing repetitions (minimum is reported)")
-	parallelism := flag.Int("parallelism", 1,
-		"workers that run copies of an aggregating query's probe spine, wherever plans execute; other queries, and any at <= 1, execute serially (the paper's setting)")
 	flag.Parse()
 
 	selected, err := selectJobs(*fig, *table)
@@ -104,7 +101,6 @@ func main() {
 
 	env := bench.NewEnv(tpch.Config{ScaleFactor: *sf, Seed: *seed})
 	env.Repeats = *repeats
-	env.Parallelism = *parallelism
 	for _, j := range selected {
 		for _, t := range j.run(env, *slices) {
 			fmt.Println(t.String())

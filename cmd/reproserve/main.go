@@ -124,8 +124,7 @@ func main() {
 	listen := flag.String("listen", "", "TCP listen address (e.g. :7878); empty serves stdin/stdout")
 	sf := flag.Float64("sf", 0.005, "TPC-H scale factor")
 	skew := flag.Float64("skew", 0, "TPC-H Zipf skew on foreign keys")
-	parallelism := flag.Int("parallelism", 1, "workers that run copies of the probe spine of an aggregating query without a memory budget; other queries, and any at <= 1, execute serially")
-	maxConcurrent := flag.Int("max-concurrent", 0, "admission bound on concurrently executing queries, so in-flight execution memory stays within max-concurrent × mem-budget-mb; 0 sizes it against parallelism")
+	maxConcurrent := flag.Int("max-concurrent", 0, "admission bound on concurrently executing queries, so in-flight execution memory stays within max-concurrent × mem-budget-mb; 0 sizes it to GOMAXPROCS, one serial execution per core")
 	maxEntries := flag.Int("max-entries", 0, "plan cache entry bound (LRU eviction); 0 is unbounded")
 	statsFile := flag.String("stats-file", "", "statistics-plane snapshot path: loaded on boot when present, saved (atomic rotation) on graceful shutdown")
 	snapshotInterval := flag.Duration("stats-snapshot-interval", 0, "additionally save the statistics snapshot every interval while serving (e.g. 5m); 0 saves only at shutdown; requires -stats-file")
@@ -176,7 +175,6 @@ func main() {
 
 	cat := tpch.Generate(tpch.Config{ScaleFactor: *sf, Seed: 42, Skew: *skew})
 	srv, err := repro.NewServer(cat, repro.ServerOptions{
-		Parallelism:    *parallelism,
 		MaxConcurrent:  *maxConcurrent,
 		MemBudgetBytes: *memBudgetMB << 20,
 		MaxEntries:     *maxEntries,
@@ -239,8 +237,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "reproserve: listening on %s (sf=%g, parallelism=%d, max-entries=%d)\n",
-		l.Addr(), *sf, *parallelism, *maxEntries)
+	fmt.Fprintf(os.Stderr, "reproserve: listening on %s (sf=%g, max-entries=%d)\n",
+		l.Addr(), *sf, *maxEntries)
 	go func() {
 		s := <-sig
 		fmt.Fprintf(os.Stderr, "reproserve: %v, stop accepting, draining in-flight executions\n", s)

@@ -15,7 +15,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"runtime"
 	"time"
 
 	"repro"
@@ -29,7 +28,7 @@ func main() {
 	cat := tpch.Generate(tpch.Config{ScaleFactor: 0.005, Seed: 42, Skew: 0.5})
 	q := tpch.Q10()
 
-	srv, err := repro.NewServer(cat, repro.ServerOptions{Parallelism: runtime.GOMAXPROCS(0)})
+	srv, err := repro.NewServer(cat, repro.ServerOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -30,7 +30,6 @@ func main() {
 
 	cat := tpch.Generate(tpch.Config{ScaleFactor: 0.005, Seed: 42, Skew: 0.5})
 	srv, err := repro.NewServer(cat, repro.ServerOptions{
-		Parallelism:   2,
 		MaxConcurrent: sessions,
 		MaxEntries:    8, // bounded: eviction discards plans, never statistics
 		Dict:          tpch.Dict(),

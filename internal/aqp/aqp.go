@@ -51,13 +51,10 @@ type Config struct {
 	Cumulative bool
 	// StaticPlan is required for Strategy == Static.
 	StaticPlan *relalg.Plan
-	// Parallelism caps the workers of the vectorized executor's one
-	// parallel shape during slice execution: an aggregating query over a
-	// hash-join probe spine runs as that many copies of the spine's serial
-	// operators, each into its own partial aggregate, finished inside Open;
-	// anything else, and everything at <= 1, runs on one serial tree.
-	// Feedback cardinalities are exact at any setting, so the adaptive loop
-	// is unaffected by the parallelism choice.
+	// Parallelism is vestigial and never consulted: slices execute
+	// serially. It stays only because the benchmark module (benchmarks/)
+	// sets it to 1, and that module changes only together with the
+	// benchmark; the next such change deletes the field with its setting.
 	Parallelism int
 }
 
@@ -186,7 +183,7 @@ func (c *Controller) RunSlice(_ func(rel int) [][]int64) (SliceResult, error) {
 	// be re-opened and is dropped.
 	start = time.Now()
 	if c.root == nil || changed {
-		comp := &exec.Compiler{Q: c.cfg.Query, Cat: c.cfg.Cat, Parallelism: c.cfg.Parallelism}
+		comp := &exec.Compiler{Q: c.cfg.Query, Cat: c.cfg.Cat}
 		if c.root, c.stats, err = comp.CompileVec(plan); err != nil {
 			return res, err // no tree is held: the next slice compiles again
 		}

@@ -26,13 +26,6 @@ type Env struct {
 	// suppress scheduler noise.
 	Repeats int
 
-	// Parallelism is forwarded to the vectorized executor wherever a
-	// runner executes plans, running aggregating queries on that many copies
-	// of their probe spine; <= 1 keeps execution serial (the default, so
-	// figure timings stay comparable to the paper's single-threaded
-	// setting). Exposed on the reprobench CLI as -parallelism.
-	Parallelism int
-
 	census map[string]census
 }
 

@@ -180,7 +180,7 @@ func (e *Env) Figure6(partitions int, skew float64) []*Table {
 			Seed:             uint64(1000 + round),
 			HistogramBuckets: 16,
 		})
-		comp := &exec.Compiler{Q: q, Cat: pcat, Parallelism: e.Parallelism}
+		comp := &exec.Compiler{Q: q, Cat: pcat}
 		v, stats, err := comp.CompileVec(plan)
 		if err != nil {
 			panic(err)

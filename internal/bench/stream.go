@@ -20,7 +20,6 @@ func (e *Env) streamRun(cfg aqp.Config, seed uint64, cars int, slices int, slice
 	cfg.Cat = win.Catalog()
 	cfg.Params = e.Params
 	cfg.Space = e.Space
-	cfg.Parallelism = e.Parallelism
 	if cfg.Pruning == (core.Pruning{}) {
 		cfg.Pruning = core.PruneAll
 	}

@@ -15,14 +15,14 @@ type AggSpecExec struct {
 	CountDistinct []int
 }
 
-// aggTable is the grouping core shared by the serial and parallel hash
-// aggregation operators: an open-addressing table of 1-based group ids
-// hashed directly on the int64 group-key columns, with all group state in
-// columns indexed by group id — key columns, SUMs, COUNT(*) — the format a
-// partial has when tables merge (mergePartials). Adding a row allocates
+// aggTable is the grouping core of the hash aggregation operator: an
+// open-addressing table of 1-based group ids hashed directly on the int64
+// group-key columns, with all group state in columns indexed by group id —
+// key columns, SUMs, COUNT(*) — the format a spilled partial has when it
+// merges back (mergePartials). Adding a row allocates
 // nothing beyond amortized slice growth — no per-row key string, no
 // per-group state struct — which is what keeps the aggregation hot path off
-// the allocator at any parallelism.
+// the allocator.
 //
 // In front of the slots sits a direct map: while the live keys of an
 // execution fit a box of at most directSlots cells, a row's group is one load
@@ -151,7 +151,7 @@ func (t *aggTable) growDistinct() {
 
 // aggScratch is the reusable per-consumer scratch of the columnar
 // aggregation path: the hash path's batch hash vector and the resolved group
-// id per live row. One instance per serial consumer or pipeline worker.
+// id per live row. One instance per consumer.
 type aggScratch struct {
 	hashes []uint64
 	gids   []int32
@@ -481,21 +481,6 @@ func (t *aggTable) mergePartials(p [][]int64, hs []uint64, n int, gids []int32) 
 	}
 }
 
-// mergeFrom folds another table's groups into t as partials — the final
-// merge of worker-local aggregation state in the parallel pipeline — and
-// re-inserts o's distinct values under the merged groups' set ids. Both
-// tables must share the same spec.
-func (t *aggTable) mergeFrom(o *aggTable) {
-	merged := make([]int32, o.n) // o's group id -> t's
-	t.mergePartials(o.partials(), o.hashes, o.n, merged)
-	for s, id := range o.dids {
-		if id != 0 {
-			d := int(id - 1)
-			t.addDistinct(int(merged[d/t.dw])*t.dw+d%t.dw, o.dvals[s])
-		}
-	}
-}
-
 // cmpKeys orders rows a and b of the key columns keys by their keys, column
 // by column — the output order, which both the table and the spill merge
 // sort by.
@@ -577,7 +562,7 @@ func (a *vecHashAggOp) Open() error {
 	if err := a.in.Open(); err != nil {
 		return err
 	}
-	t, charged, part, err := a.fold(a.t, 0, a.in.Next)
+	t, charged, part, err := a.fold(a.t, 0, false, a.in.Next)
 	if err = errors.Join(err, a.in.Close()); err != nil {
 		if part != nil {
 			part.abort()

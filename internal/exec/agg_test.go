@@ -294,3 +294,76 @@ func TestDirectGroupIdsMatchHashPath(t *testing.T) {
 		}
 	}
 }
+
+// TestDistinctSetMatchesMapOracle drives aggTable's flat COUNT(DISTINCT) set —
+// one open-addressing set of (set id, value) pairs for every group and column
+// — against a Go map of the same pairs: values that are their own edge cases
+// (0, -1, the extreme int64s) stored under many set ids, growth across several
+// doublings, and reset and refill in the kept arrays.
+func TestDistinctSetMatchesMapOracle(t *testing.T) {
+	spec := AggSpecExec{GroupBy: []int{0}, CountDistinct: []int{1, 2}}
+	rng := rand.New(rand.NewSource(31))
+	value := func() int64 {
+		if edge := []int64{0, -1, math.MinInt64, math.MaxInt64}; rng.Intn(8) == 0 {
+			return edge[rng.Intn(len(edge))]
+		}
+		return int64(rng.Intn(3000))
+	}
+	type pair = [2]int64 // (group key · 2 + column, value)
+	fill := func(tab *aggTable, oracle map[pair]struct{}, n int) {
+		for i := 0; i < n; i++ {
+			r := Row{int64(rng.Intn(40)), value(), value()}
+			tab.add(r)
+			oracle[pair{r[0] * 2, r[1]}], oracle[pair{r[0]*2 + 1, r[2]}] = struct{}{}, struct{}{}
+		}
+	}
+	check := func(label string, tab *aggTable, oracle map[pair]struct{}) {
+		t.Helper()
+		want := map[pair]int64{} // (group key, column) -> distinct values
+		for p := range oracle {
+			want[pair{p[0] / 2, p[0] % 2}]++
+		}
+		if tab.dn != len(oracle) {
+			t.Fatalf("%s: the set holds %d values, the oracle %d", label, tab.dn, len(oracle))
+		}
+		for _, r := range tab.rows() {
+			if r[1] != want[pair{r[0], 0}] || r[2] != want[pair{r[0], 1}] {
+				t.Fatalf("%s: group %d counts %d and %d distinct values, the oracle %d and %d",
+					label, r[0], r[1], r[2], want[pair{r[0], 0}], want[pair{r[0], 1}])
+			}
+		}
+	}
+
+	tab, oracle := newAggTable(spec), map[pair]struct{}{}
+	fill(tab, oracle, 200000)
+	check("filled", tab, oracle)
+	grown := len(tab.dids)
+	if grown < 8*aggInitSlots {
+		t.Fatalf("the set grew to %d slots only: the fill no longer crosses several doublings", grown)
+	}
+	tab.reset()
+	oracle = map[pair]struct{}{}
+	check("reset", tab, oracle)
+	fill(tab, oracle, 5000)
+	check("refilled", tab, oracle)
+	if len(tab.dids) != grown {
+		t.Fatalf("reset kept %d of the set's %d slots", len(tab.dids), grown)
+	}
+}
+
+// TestAggTableGlobalGroup covers the zero-width group key (no GROUP BY).
+func TestAggTableGlobalGroup(t *testing.T) {
+	spec := AggSpecExec{Sums: []int{0}, CountAll: true}
+	a := newAggTable(spec)
+	for i := int64(0); i < 1000; i++ {
+		a.add(Row{i})
+		a.add(Row{i * 2})
+	}
+	out := a.rows()
+	if len(out) != 1 {
+		t.Fatalf("global aggregate produced %d rows, want 1", len(out))
+	}
+	if out[0][0] != 999*1000/2*3 || out[0][1] != 2000 {
+		t.Fatalf("global aggregate = %v", out[0])
+	}
+}

@@ -3,7 +3,6 @@ package exec
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 )
 
 // BatchSize is the fixed batch capacity of the vectorized executor. Batches
@@ -84,9 +83,9 @@ func unweighted(b *Batch, consumer string) error {
 // re-openable: after Close, Open starts a new execution over what the tables
 // hold then (execRoot states the contract and its two refusals).
 type VecIterator interface {
-	// Open prepares the operator (builds hash tables, sorts inputs, runs a
-	// parallel aggregation's workers to completion), emptying and reusing whatever
-	// buffers a previous execution left it. No goroutine outlives it.
+	// Open prepares the operator (builds hash tables, sorts inputs, folds an
+	// aggregation's input), emptying and reusing whatever buffers a previous
+	// execution left it.
 	Open() error
 	// Next returns the next batch, or nil at end of stream.
 	Next() (*Batch, error)
@@ -167,7 +166,7 @@ func CountVec(v VecIterator) (int64, error) {
 
 // colData is a materialized column-major row set: cols[c][i] is column c of
 // row i, 0 <= i < n. It is the unit of blocking materialization (join build
-// sides, sort runs, pipeline outputs) and of base-table storage handed out
+// sides, sort runs, aggregation outputs) and of base-table storage handed out
 // by the catalog.
 type colData struct {
 	cols [][]int64
@@ -250,10 +249,10 @@ type colDrainer interface {
 }
 
 // drainVecCols opens in, materializes every live row column-wise and closes
-// it — the materializing primitive shared by sort, merge join, hash join
-// builds and the pipeline's build sides. What is copied goes into buf — the
-// consumer's materialization of its previous execution, or nil — so a re-opened
-// consumer allocates only what outgrew it. The result is buf's content or
+// it — the materializing primitive shared by sort, merge join and hash join
+// builds. What is copied goes into buf — the consumer's materialization of its
+// previous execution, or nil — so a re-opened consumer allocates only what
+// outgrew it. The result is buf's content or
 // columns the source lends: read-only, and valid until the next drain.
 func drainVecCols(in VecIterator, buf *colData) (colData, error) {
 	if buf == nil {
@@ -293,9 +292,6 @@ type vecScanOp struct {
 	sel   []int
 	ids   []int32   // drainCols' surviving row ids
 	lent  [][]int64 // drainCols' headers over an unfiltered table's columns
-	// cursor, on a pipeline worker's copy (pipeline.go), is the leaf position
-	// all copies share: each batch claims the next BatchSize rows off it.
-	cursor *atomic.Int64
 }
 
 // NewVecScan returns a vectorized filtering scan over column-major
@@ -321,9 +317,6 @@ func (s *vecScanOp) Open() error {
 func (s *vecScanOp) Next() (*Batch, error) {
 	for {
 		lo := s.pos
-		if s.cursor != nil {
-			lo = int(s.cursor.Add(1)-1) * BatchSize
-		}
 		if lo >= s.leaf.data.n {
 			return nil, nil
 		}

@@ -19,12 +19,11 @@ import (
 type RunStats struct {
 	Cards map[relalg.RelSet]*int64
 
-	q       *relalg.Query
-	plan    *relalg.Plan
-	ops     []*spanOp // every shim of the tree
-	agg     *spanOp   // the aggregation's, nil without one
-	timed   bool      // SetTiming
-	workers int       // of the latest execution's parallel aggregation
+	q     *relalg.Query
+	plan  *relalg.Plan
+	ops   []*spanOp // every shim of the tree
+	agg   *spanOp   // the aggregation's, nil without one
+	timed bool      // SetTiming
 }
 
 // Card returns the observed cardinality of a subexpression.
@@ -74,14 +73,10 @@ func (s *RunStats) Snapshot() map[relalg.RelSet]int64 {
 type Compiler struct {
 	Q   *relalg.Query
 	Cat *catalog.Catalog
-	// Parallelism caps the number of workers of morsel-driven parallel
-	// execution; values <= 1 execute serially. The tree is the same at any
-	// value; above 1, when an unbounded aggregating query's input is a
-	// right spine of hash joins over a plain scan, the aggregation runs that
-	// many copies of the spine's operators, each into a partial aggregate,
-	// whose workers start and finish inside Open (pipeline.go). The copies'
-	// spans merge into the tree's, so RunStats feedback into the adaptive
-	// layer is unaffected.
+	// Parallelism is vestigial and never consulted: the executor is serial.
+	// It stays only because the benchmark module (benchmarks/) sets it to 1,
+	// and that module changes only together with the benchmark; the next
+	// such change deletes the field with its setting.
 	Parallelism int
 	// Cache, when enabled, is the server-wide semantic result cache, and
 	// CacheCands the plan's cacheable subtrees (BuildCacheCandidates on
@@ -95,11 +90,11 @@ type Compiler struct {
 	// go out of core (hash-join builds — an index-NL join's among them — and
 	// hash aggregation) spill under grace hashing instead of exceeding the
 	// budget, into the tracker's SetSpillDir directory; operators that
-	// cannot (sorts, merge joins) charge through and record overage. A bounded
-	// query always runs on the serial, spillable operators. Nil keeps the
-	// unbounded execution paths exactly. The tracker belongs to the compiled
-	// tree and is held with it: nothing is charged between its executions,
-	// and peak, overage and spill counters describe the latest one.
+	// cannot (sorts, merge joins) charge through and record overage. Nil
+	// keeps the unbounded execution paths exactly. The tracker belongs to the
+	// compiled tree and is held with it: nothing is charged between its
+	// executions, and peak, overage and spill counters describe the latest
+	// one.
 	Mem *MemTracker
 	// decisions maps plan nodes to their resolved cache decision for the
 	// current CompileVec call; probeHits and spools count what it decided.
@@ -126,7 +121,11 @@ func (c *Compiler) CompileVec(plan *relalg.Plan) (VecIterator, *RunStats, error)
 		if err != nil {
 			return nil, nil, err
 		}
-		stats.agg = c.span(c.aggregate(v, spec, stats), nil, nil, stats)
+		agg := NewVecHashAgg(v, spec)
+		if ha, ok := agg.(*vecHashAggOp); ok {
+			ha.mem = c.Mem.Child("agg")
+		}
+		stats.agg = c.span(agg, nil, nil, stats)
 		v = stats.agg
 	}
 	return c.root(v, stats), stats, nil
@@ -138,26 +137,6 @@ func planNodes(p *relalg.Plan) int {
 		return 0
 	}
 	return 1 + planNodes(p.Left) + planNodes(p.Right)
-}
-
-// aggregate puts the query's aggregation over its compiled input. The one
-// parallel shape is here: above one worker, an unbounded query whose input is
-// a probe spine runs as P copies of that spine, each into its own partial
-// aggregate (pipeline.go). Under a memory budget the aggregation and the
-// builds must stay spillable, so a bounded query is a serial one.
-func (c *Compiler) aggregate(in VecIterator, spec AggSpecExec, stats *RunStats) VecIterator {
-	if c.Parallelism > 1 && !c.Mem.Bounded() {
-		if p := newParallelPipeline(in, spec, c.Parallelism); p != nil {
-			p.mem = c.Mem.Child("pipeline")
-			p.stats = stats
-			return p
-		}
-	}
-	v := NewVecHashAgg(in, spec)
-	if ha, ok := v.(*vecHashAggOp); ok {
-		ha.mem = c.Mem.Child("agg")
-	}
-	return v
 }
 
 // execRoot sits on top of every compiled tree and holds the reopen contract:
@@ -408,7 +387,7 @@ func (c *Compiler) hashJoin(p *relalg.Plan, left, right VecIterator, ls, rs []re
 // compileVecIndexNL realises an index nested-loops join as a hash join whose
 // build side is the indexed inner relation (the plan's left child): the hash
 // table is the index, built over the inner's filtered leaf. The leaf is
-// compiled here as a bare serial scan, not through compileVec — it is part of
+// compiled here as a bare scan, not through compileVec — it is part of
 // the join, so it has no span of its own, and an index scan's order is of no
 // use to a hash table — and, unfiltered, it lends the table's columns to the
 // build instead of copying them (vecScanOp.drainCols).

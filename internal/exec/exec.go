@@ -30,27 +30,18 @@
 // multiplicative hashing, join result stitching via Gather, flat-table
 // aggregation — are tight loops over contiguous slices dispatched once per
 // batch (kernels.go, exprkernels.go, vecjoin.go, agg.go). Batch column slices
-// are recycled, so consumers copy values out before the producer's next call; DrainVec and
-// the operator-internal materializing drains do exactly one such copy per
-// row. Under the compiler's Parallelism option there is one parallel shape
-// (pipeline.go), and it is made of the serial operators: when an unbounded
-// aggregating query's compiled input is a right spine of hash joins over a
-// counted plain scan, a parallelPipelineOp takes the aggregation's place and
-// runs P copies of that spine — scans claiming morsels off one cursor, joins
-// probing tables the serial spine built once, span shims of their own — each
-// into a worker-local aggTable (agg.go, flat open addressing, no per-row key
-// allocation). Partial aggregates and spans merge once at the end, so
-// RunStats feedback is byte-identical at any parallelism. The workers start and finish inside that operator's Open: the
-// package has no channel, and no goroutine outlives an Open. Every other
-// query — no aggregation, a memory budget, another plan shape — runs the
-// serial aggregation over the same tree and returns the same rows in the same
-// order.
+// are recycled, so consumers copy values out before the producer's next call;
+// DrainVec and the operator-internal materializing drains do exactly one such
+// copy per row.
+//
+// The executor is serial: one execution runs on its caller's goroutine, and
+// the package starts none and has no channel. Concurrency is the serving
+// layer's — concurrent queries, each on its own tree.
 //
 // Correctness is checked against testkit.Reference, a naive evaluator of the
 // logical query that shares no code with this package: result multisets and
-// RunStats cardinalities must match it for every TPC-H query at every
-// parallelism and for random plans of every optimizer (vec_test.go,
-// exec_test.go).
+// RunStats cardinalities must match it for every TPC-H query and for random
+// plans of every optimizer (vec_test.go, exec_test.go).
 package exec
 
 // Row is one tuple. Strings and decimals are dictionary/fixed-point encoded

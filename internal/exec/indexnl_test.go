@@ -63,19 +63,17 @@ func TestIndexNLPlansAgreeWithReference(t *testing.T) {
 		ref := testkit.NewReference(q, cat)
 		want := testkit.Canonical(ref.Rows(), nil)
 		for _, budget := range []int64{0, tightBudget} {
-			for _, par := range []int{1, 4} {
-				label := fmt.Sprintf("%s (par=%d budget=%d)", q.Name, par, budget)
-				comp := &Compiler{Q: q, Cat: cat, Parallelism: par, Mem: budgetTracker(budget)}
-				checkAgainstReference(t, label, comp, ref, want, plan)
-				if budget == 0 {
-					continue
-				}
-				if parts, _, _ := comp.Mem.SpillStats(); parts == 0 {
-					t.Errorf("%s: no partition spilled", label)
-				}
-				if over := comp.Mem.Overage(); over != 0 || comp.Mem.Peak() > budget {
-					t.Errorf("%s: peak %d with %d bytes forced past the budget", label, comp.Mem.Peak(), over)
-				}
+			label := fmt.Sprintf("%s (budget=%d)", q.Name, budget)
+			comp := &Compiler{Q: q, Cat: cat, Mem: budgetTracker(budget)}
+			checkAgainstReference(t, label, comp, ref, want, plan)
+			if budget == 0 {
+				continue
+			}
+			if parts, _, _ := comp.Mem.SpillStats(); parts == 0 {
+				t.Errorf("%s: no partition spilled", label)
+			}
+			if over := comp.Mem.Overage(); over != 0 || comp.Mem.Peak() > budget {
+				t.Errorf("%s: peak %d with %d bytes forced past the budget", label, comp.Mem.Peak(), over)
 			}
 		}
 	}

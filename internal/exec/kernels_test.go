@@ -526,3 +526,33 @@ func BenchmarkGather(b *testing.B) {
 		Gather(dst, src, idx)
 	}
 }
+
+// TestBuildJoinTableLinksAndCounts checks the join-table build: every row
+// linked once — or, for a counting table, one linked row per distinct key
+// carrying the number of rows that share it.
+func TestBuildJoinTableLinksAndCounts(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	rows := make([][]int64, 12*BatchSize+777)
+	distinct := map[[2]int64]int32{}
+	for i := range rows {
+		rows[i] = []int64{int64(rng.Intn(5000)), int64(rng.Intn(64)), int64(i)}
+		distinct[[2]int64{rows[i][0], rows[i][1]}]++
+	}
+	data := transposeRows(rows, 3)
+	for _, counting := range []bool{false, true} {
+		table := buildJoinTable(nil, data, []int{0, 1}, counting)
+		linked := 0
+		for b := range table.head {
+			for ci := table.head[b]; ci != 0; ci = table.next[ci-1] {
+				linked++
+				if r := rows[ci-1]; counting && table.mult[ci-1] != distinct[[2]int64{r[0], r[1]}] {
+					t.Fatalf("row %d linked with multiplicity %d, its key occurs %d times",
+						ci-1, table.mult[ci-1], distinct[[2]int64{r[0], r[1]}])
+				}
+			}
+		}
+		if want := map[bool]int{false: len(rows), true: len(distinct)}[counting]; linked != want {
+			t.Fatalf("counting=%v: %d rows linked, want %d", counting, linked, want)
+		}
+	}
+}

@@ -12,15 +12,15 @@ import (
 	"repro/internal/testkit"
 )
 
-// liveCatalog holds three tables R, S and T of (a, b, c, d), each large enough
-// for more than one parallel worker: a is a join key with a few
-// matches per value, b a low-cardinality selection / grouping column.
+// liveCatalog holds three tables R, S and T of (a, b, c, d), each several
+// batches long: a is a join key with a few matches per value, b a
+// low-cardinality selection / grouping column.
 func liveCatalog() *catalog.Catalog {
 	r := stats.NewRand(23)
 	cat := catalog.New()
 	for _, name := range []string{"R", "S", "T"} {
 		tb := catalog.NewTable(name, "a", "b", "c", "d")
-		for i := 0; i < minParallelRows+900; i++ {
+		for i := 0; i < 4*BatchSize+900; i++ {
 			tb.Append([]int64{r.Int64n(2000), r.Int64n(8), r.Int64n(50), int64(i)})
 		}
 		cat.Add(tb)
@@ -31,12 +31,12 @@ func liveCatalog() *catalog.Catalog {
 
 func liveScan(rel int) *relalg.Plan {
 	return &relalg.Plan{Expr: relalg.Single(rel), Log: relalg.LogScan, Phy: relalg.PhyTableScan,
-		Rel: rel, Card: minParallelRows}
+		Rel: rel, Card: 4 * BatchSize}
 }
 
 func liveJoin(phy relalg.PhyOp, l, r *relalg.Plan) *relalg.Plan {
 	return &relalg.Plan{Expr: l.Expr.Union(r.Expr), Log: relalg.LogJoin, Phy: phy,
-		Left: l, Right: r, Card: 4 * minParallelRows}
+		Left: l, Right: r, Card: 16 * BatchSize}
 }
 
 // liveJoinOn is liveJoin on the query's join predicate pred.
@@ -85,13 +85,11 @@ func checkCounted(t *testing.T, label string, q *relalg.Query, plan *relalg.Plan
 // above reads, a selection on a column the scan does not emit below a join
 // with a cross-relation filter — and every way a hash join's build side can
 // be dead (Compiler.counted: the join hands its consumer a multiplicity
-// instead of copies, or must not) against the reference evaluator at every
-// parallelism, with and without a spill budget, profiled and not, and pins
-// the widths the compiler plans, the widths blocking consumers materialize
-// and which joins count. Unbounded above one worker, every aggregating case
-// whose probe spine ends in a plain scan runs in parallel — the index-NL ones
-// too, a hash join since PR 22 — and so does every hash-join case with a
-// result-cache spool or probe inside its build side, run last.
+// instead of copies, or must not) against the reference evaluator, with and
+// without a spill budget, profiled and not, and pins the widths the compiler
+// plans, the widths blocking consumers materialize and which joins count.
+// Every hash-join case with a result-cache spool or probe inside its build
+// side runs that way last.
 func TestLivenessEdgeCases(t *testing.T) {
 	cat := liveCatalog()
 	col := func(rel, off int) relalg.ColID { return relalg.ColID{Rel: rel, Off: off} }
@@ -112,7 +110,7 @@ func TestLivenessEdgeCases(t *testing.T) {
 	sortedR := liveScan(0)
 	sortedR.Prop = relalg.Sorted(col(0, 0))
 	sortedS := &relalg.Plan{Expr: relalg.Single(1), Prop: relalg.Sorted(col(1, 0)),
-		Log: relalg.LogEnforce, Phy: relalg.PhySort, Left: liveScan(1), Card: minParallelRows}
+		Log: relalg.LogEnforce, Phy: relalg.PhySort, Left: liveScan(1), Card: 4 * BatchSize}
 	indexR := liveScan(0)
 	indexR.Phy, indexR.IdxCol = relalg.PhyIndexScan, col(0, 1)
 	sortedScanS := liveScan(1)
@@ -121,7 +119,7 @@ func TestLivenessEdgeCases(t *testing.T) {
 	sortedT.Prop = relalg.Sorted(col(2, 0))
 	hashRS := func() *relalg.Plan { return liveJoin(relalg.PhyHashJoin, liveScan(0), liveScan(1)) }
 	sortedRS := &relalg.Plan{Expr: rs, Prop: relalg.Sorted(col(1, 0)),
-		Log: relalg.LogEnforce, Phy: relalg.PhySort, Left: hashRS(), Card: 4 * minParallelRows}
+		Log: relalg.LogEnforce, Phy: relalg.PhySort, Left: hashRS(), Card: 16 * BatchSize}
 
 	cases := []struct {
 		name  string
@@ -245,30 +243,26 @@ func TestLivenessEdgeCases(t *testing.T) {
 					tc.name, in.Expr, data.width(), data.n, len(schema), ref.Card(in.Expr))
 			}
 		}
-		// The small budget spills every hash join; the roomy one spills nothing
-		// and, being a budget, still keeps the tree serial at any Parallelism.
+		// The small budget spills every hash join; the roomy one spills nothing.
 		const tight, roomy = 24 << 10, 8 << 20
 		for _, budget := range []int64{0, tight, roomy} {
-			for _, par := range []int{1, 2, 4} {
-				for _, timed := range []bool{false, true} {
-					label := fmt.Sprintf("%s (par=%d budget=%d timed=%v)", tc.name, par, budget, timed)
-					comp := &Compiler{Q: tc.q, Cat: cat, Parallelism: par, Mem: budgetTracker(budget)}
-					v, st, err := comp.CompileVec(tc.plan)
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					st.SetTiming(timed)
-					checkExecution(t, label, comp, v, st, ref.Card, want, tc.plan)
-					checkCounted(t, label, tc.q, tc.plan, st, tc.counts, ref)
-					if parts, _, _ := comp.Mem.SpillStats(); budget == tight && tc.plan.Phy == relalg.PhyHashJoin &&
-						!tc.noSpill && parts == 0 {
-						t.Fatalf("%s: hash join never spilled", label)
-					}
+			for _, timed := range []bool{false, true} {
+				label := fmt.Sprintf("%s (budget=%d timed=%v)", tc.name, budget, timed)
+				comp := &Compiler{Q: tc.q, Cat: cat, Mem: budgetTracker(budget)}
+				v, st, err := comp.CompileVec(tc.plan)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				st.SetTiming(timed)
+				checkExecution(t, label, comp, v, st, ref.Card, want, tc.plan)
+				checkCounted(t, label, tc.q, tc.plan, st, tc.counts, ref)
+				if parts, _, _ := comp.Mem.SpillStats(); budget == tight && tc.plan.Phy == relalg.PhyHashJoin &&
+					!tc.noSpill && parts == 0 {
+					t.Fatalf("%s: hash join never spilled", label)
 				}
 			}
 		}
-		// A result-cache spool, then probe, inside a hash join's build side
-		// leaves the probe spine parallel.
+		// A result-cache spool, then probe, inside a hash join's build side.
 		var cands []CacheCandidate
 		if tc.plan.Phy == relalg.PhyHashJoin {
 			for _, cand := range BuildCacheCandidates(tc.q, tc.plan, relalg.NewFingerprinter(tc.q)) {
@@ -280,25 +274,22 @@ func TestLivenessEdgeCases(t *testing.T) {
 		if len(cands) == 0 {
 			continue
 		}
-		for _, par := range []int{2, 4} {
-			cache := rescache.New(64 << 20)
-			for run, label := range []string{"spool", "probe"} {
-				label = fmt.Sprintf("%s, build side cached, %s run (par=%d)", tc.name, label, par)
-				comp := &Compiler{Q: tc.q, Cat: cat, Parallelism: par, Cache: cache, CacheCands: cands}
-				v, st, err := comp.CompileVec(tc.plan)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				checkExecution(t, label, comp, v, st, ref.Card, want, tc.plan)
-				if m := cache.Metrics(); parallelOf(v) == nil || m.Stores != 1 || m.Hits != int64(run) {
-					t.Fatalf("%s: root %T, %d stores %d hits; want a parallel aggregation beside one stored entry served once",
-						label, v.(*execRoot).in, m.Stores, m.Hits)
-				}
-				cachedBuilds++
+		cache := rescache.New(64 << 20)
+		for run, label := range []string{"spool", "probe"} {
+			label = fmt.Sprintf("%s, build side cached, %s run", tc.name, label)
+			comp := &Compiler{Q: tc.q, Cat: cat, Cache: cache, CacheCands: cands}
+			v, st, err := comp.CompileVec(tc.plan)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
 			}
+			checkExecution(t, label, comp, v, st, ref.Card, want, tc.plan)
+			if m := cache.Metrics(); m.Stores != 1 || m.Hits != int64(run) {
+				t.Fatalf("%s: %d stores %d hits; want one stored entry served once", label, m.Stores, m.Hits)
+			}
+			cachedBuilds++
 		}
 	}
-	t.Logf("%d parallel executions beside a cached build side", cachedBuilds)
+	t.Logf("%d executions beside a cached build side", cachedBuilds)
 	if cachedBuilds == 0 {
 		t.Fatal("no case put a result-cache decision inside a build side")
 	}
@@ -336,18 +327,16 @@ func TestCountedJoinIsNeverSpooled(t *testing.T) {
 		{"root spooled", all, nil},
 		{"inner join spooled", all[1:], []relalg.RelSet{plan.Expr}},
 	} {
-		for _, par := range []int{1, 2, 4} {
-			cache := rescache.New(64 << 20)
-			for run, label := range []string{"spool", "probe"} {
-				label = fmt.Sprintf("%s, %s run (par=%d)", tc.name, label, par)
-				comp := &Compiler{Q: q, Cat: cat, Parallelism: par, Cache: cache, CacheCands: tc.cands}
-				st := checkAgainstReference(t, label, comp, ref, want, plan)
-				if run == 0 {
-					checkCounted(t, label, q, plan, st, tc.counts, ref)
-				}
-				if m := cache.Metrics(); m.Stores != 1 || m.Hits != int64(run) {
-					t.Fatalf("%s: %d stores %d hits, want one entry stored and served once", label, m.Stores, m.Hits)
-				}
+		cache := rescache.New(64 << 20)
+		for run, label := range []string{"spool", "probe"} {
+			label = fmt.Sprintf("%s, %s run", tc.name, label)
+			comp := &Compiler{Q: q, Cat: cat, Cache: cache, CacheCands: tc.cands}
+			st := checkAgainstReference(t, label, comp, ref, want, plan)
+			if run == 0 {
+				checkCounted(t, label, q, plan, st, tc.counts, ref)
+			}
+			if m := cache.Metrics(); m.Stores != 1 || m.Hits != int64(run) {
+				t.Fatalf("%s: %d stores %d hits, want one entry stored and served once", label, m.Stores, m.Hits)
 			}
 		}
 	}

@@ -14,9 +14,7 @@ import (
 // sorts — and the aggregation above them in one shim (spanOp) that adds the
 // batches it passes and the rows they stand for into the node's obs.Span,
 // and RunStats.Cards points at the Rows of the scan and join spans. Feedback,
-// the result-cache spool and EXPLAIN ANALYZE therefore read one count. A
-// parallel aggregation's workers run copies of the spine's shims into spans
-// of their own, merged into the node's exactly once (pipeline.go).
+// the result-cache spool and EXPLAIN ANALYZE therefore read one count.
 //
 // Timing is a property of an execution, not of a compile: the run's owner
 // calls RunStats.SetTiming before Open, and only a timed execution reads the
@@ -127,17 +125,11 @@ func (s *RunStats) displayTime(p *relalg.Plan) time.Duration {
 // what it carries upward), batches and, when the execution was timed,
 // cumulative wall time. A hash join that ran in counting mode is marked
 // "counted": its rows are the multiplicities summed — equal to act, as for
-// every operator — while its batches are what it actually emitted. Span
-// times on a parallel aggregation's probe spine are summed across workers
-// (CPU time, not wall time); the header names the workers that ran. Call it
-// after the tree is drained and before it is opened again.
+// every operator — while its batches are what it actually emitted. Call
+// it after the tree is drained and before it is opened again.
 func (s *RunStats) Format() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "EXPLAIN ANALYZE")
-	if s.workers > 1 {
-		fmt.Fprintf(&b, " (parallelism=%d, operator times are summed across workers)", s.workers)
-	}
-	b.WriteByte('\n')
+	b.WriteString("EXPLAIN ANALYZE\n")
 	if s.agg != nil {
 		fmt.Fprintf(&b, "HashAggregate  [rows=%d batches=%d%s]\n", s.agg.sp.Rows, s.agg.sp.Batches, s.timeOf(s.agg.sp.Time()))
 	}

@@ -69,8 +69,8 @@ func reopenPlans(t *testing.T, q *relalg.Query, cat *catalog.Catalog) map[string
 // testkit.Reference over the tables as they are now, agree with a tree
 // compiled freshly at that moment, and leave nothing charged to its tracker;
 // some tree under the budget must really spill in every one. Last, a tree
-// compiled at Parallelism 4 over the tables emptied runs before and after
-// AppendRows has put their rows back.
+// compiled over the tables emptied runs before and after AppendRows has put
+// their rows back.
 func TestReopenedExecutionMatchesFresh(t *testing.T) {
 	win := linearroad.NewWindows()
 	win.Ingest(linearroad.NewGen(2, 60).Slice(0, 40))
@@ -125,9 +125,9 @@ func TestReopenedExecutionMatchesFresh(t *testing.T) {
 			root  VecIterator
 			stats *RunStats
 		}
-		compile := func(label string, plan *relalg.Plan, par int, budget int64) tree {
+		compile := func(label string, plan *relalg.Plan, budget int64) tree {
 			// NewMemTracker(0) bounds nothing and still counts what is charged.
-			comp := &Compiler{Q: q, Cat: cat, Parallelism: par, Mem: NewMemTracker(budget)}
+			comp := &Compiler{Q: q, Cat: cat, Mem: NewMemTracker(budget)}
 			root, stats, err := comp.CompileVec(plan)
 			if err != nil {
 				t.Fatalf("%s: compile: %v\n%s", label, err, plan.Explain(q))
@@ -137,10 +137,8 @@ func TestReopenedExecutionMatchesFresh(t *testing.T) {
 		var held []tree
 		plans := reopenPlans(t, q, cat)
 		for name, plan := range plans {
-			for _, par := range []int{1, 4} {
-				for _, budget := range []int64{0, tightBudget} {
-					held = append(held, compile(fmt.Sprintf("%s %s plan (par=%d budget=%d)", q.Name, name, par, budget), plan, par, budget))
-				}
+			for _, budget := range []int64{0, tightBudget} {
+				held = append(held, compile(fmt.Sprintf("%s %s plan (budget=%d)", q.Name, name, budget), plan, budget))
 			}
 		}
 
@@ -165,7 +163,7 @@ func TestReopenedExecutionMatchesFresh(t *testing.T) {
 				parts, _, _ := tr.comp.Mem.SpillStats()
 				spilled += parts
 
-				fresh := compile(label+", fresh tree", tr.plan, tr.comp.Parallelism, tr.comp.Mem.Limit())
+				fresh := compile(label+", fresh tree", tr.plan, tr.comp.Mem.Limit())
 				checkExecution(t, fresh.label, fresh.comp, fresh.root, fresh.stats, card, want, fresh.plan)
 				if got, want := tr.stats.Snapshot(), fresh.stats.Snapshot(); !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s: RunStats %v, a freshly compiled tree reports %v", label, got, want)
@@ -176,25 +174,16 @@ func TestReopenedExecutionMatchesFresh(t *testing.T) {
 			}
 		}
 
-		// A held tree sizes its parallel aggregation when it opens, not when it
-		// is compiled: compiled over empty tables it runs one worker inline, and
-		// more than one once AppendRows has grown its probe table past
-		// minParallelRows — which a window of this stream reaches only when it
-		// is put back several times.
+		// A held tree reads the tables as an execution finds them, not as
+		// they were when it was compiled: compiled over empty tables, it
+		// returns every row once AppendRows has put them back.
 		for tab, snap := range first {
 			tab.ResetSnapshot(&storage.Snapshot{Cols: make([][]int64, len(snap.Cols))})
 		}
-		tr := compile(q.Name+" compiled over empty tables (par=4)", plans["volcano"], 4, 0)
-		pipe := parallelOf(tr.root)
-		fused := pipe != nil
+		tr := compile(q.Name+" compiled over empty tables", plans["volcano"], 0)
 		refill := func() {
 			for tab, snap := range first {
 				appendFirst(tab, snap.N)
-			}
-			if fused {
-				for probe, n := pipe.scan.leaf.tab, first[pipe.scan.leaf.tab].N; n < minParallelRows; n += first[probe].N {
-					appendFirst(probe, first[probe].N)
-				}
 			}
 		}
 		for step, change := range []func(){func() {}, refill} {
@@ -203,13 +192,10 @@ func TestReopenedExecutionMatchesFresh(t *testing.T) {
 			want := testkit.Canonical(ref.Rows(), nil)
 			label := fmt.Sprintf("%s, execution %d", tr.label, step+1)
 			checkExecution(t, label, tr.comp, tr.root, tr.stats, ref.Card, want, tr.plan)
-			fresh := compile(label+", fresh tree", tr.plan, 4, 0)
+			fresh := compile(label+", fresh tree", tr.plan, 0)
 			checkExecution(t, fresh.label, fresh.comp, fresh.root, fresh.stats, ref.Card, want, fresh.plan)
 			if got, want := tr.stats.Snapshot(), fresh.stats.Snapshot(); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: RunStats %v, a freshly compiled tree reports %v", label, got, want)
-			}
-			if fused && (step == 1) != (pipe.workers > 1) {
-				t.Fatalf("%s: %d workers over a probe table of %d rows", label, pipe.workers, pipe.scan.leaf.data.n)
 			}
 		}
 		for tab, snap := range first {

@@ -30,8 +30,7 @@ func statsEqual(t *testing.T, name string, got, want map[relalg.RelSet]int64) {
 // TestResultCacheSpoolProbeDifferential is the core spool/probe soundness
 // gate, run over every workload query: a first cache-enabled execution
 // (spooling) and a second (probing) must both reproduce the uncached result
-// multiset AND the uncached RunStats byte for byte, at serial and parallel
-// compilation. The probe run must actually hit — a silently cold cache would
+// multiset AND the uncached RunStats byte for byte. The probe run must actually hit — a silently cold cache would
 // pass the differential while testing nothing. Entries are column-sparse, so
 // the same bar is then held across two fingerprint-equal consumers that read
 // different columns of the shared subtrees (sparseCacheDifferential).
@@ -63,32 +62,29 @@ func TestResultCacheSpoolProbeDifferential(t *testing.T) {
 		want := rowMultiset(baseRows)
 		wantStats := baseStats.Snapshot()
 
-		for _, par := range []int{1, 2} {
-			cache := rescache.New(64 << 20)
-			for run, label := range []string{"spool", "probe"} {
-				comp := &Compiler{Q: q, Cat: cat, Parallelism: par,
-					Cache: cache, CacheCands: cands}
-				v, stats, err := comp.CompileVec(vr.Plan)
-				if err != nil {
-					t.Fatalf("%s/%s par=%d: %v", name, label, par, err)
-				}
-				rows, err := DrainVec(v)
-				if err != nil {
-					t.Fatalf("%s/%s par=%d: %v", name, label, par, err)
-				}
-				if got := rowMultiset(rows); got != want {
-					t.Fatalf("%s/%s par=%d: result multiset differs from uncached (%d vs %d rows)",
-						name, label, par, len(rows), len(baseRows))
-				}
-				statsEqual(t, name+"/"+label, stats.Snapshot(), wantStats)
-				met := cache.Metrics()
-				if run == 0 && len(cands) > 0 && met.Stores == 0 {
-					t.Fatalf("%s: spool run stored nothing despite %d candidates", name, len(cands))
-				}
-				if run == 1 && met.Stores > 0 && met.Hits == 0 {
-					t.Fatalf("%s par=%d: probe run hit nothing despite %d stored entries",
-						name, par, met.Entries)
-				}
+		cache := rescache.New(64 << 20)
+		for run, label := range []string{"spool", "probe"} {
+			comp := &Compiler{Q: q, Cat: cat, Cache: cache, CacheCands: cands}
+			v, stats, err := comp.CompileVec(vr.Plan)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, label, err)
+			}
+			rows, err := DrainVec(v)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, label, err)
+			}
+			if got := rowMultiset(rows); got != want {
+				t.Fatalf("%s/%s: result multiset differs from uncached (%d vs %d rows)",
+					name, label, len(rows), len(baseRows))
+			}
+			statsEqual(t, name+"/"+label, stats.Snapshot(), wantStats)
+			met := cache.Metrics()
+			if run == 0 && len(cands) > 0 && met.Stores == 0 {
+				t.Fatalf("%s: spool run stored nothing despite %d candidates", name, len(cands))
+			}
+			if run == 1 && met.Stores > 0 && met.Hits == 0 {
+				t.Fatalf("%s: probe run hit nothing despite %d stored entries",
+					name, met.Entries)
 			}
 		}
 	}

@@ -28,8 +28,8 @@ import (
 // partition that still exceeds its reservation at maxSpillLevel stops
 // recursing (the skewed-key end state: few distinct hash values left): the
 // hash join loads its build run chunk by chunk, re-reading the probe run per
-// chunk, and the aggregation's merge is Force-charged. The join chunks a run
-// whose rows all share one hash (spillRun.single) at once, at any level.
+// chunk, and the aggregation's merge is Force-charged. Both do so at once, at
+// any level, for a run whose rows all share one hash (spillRun.single).
 
 const (
 	spillBits     = 3

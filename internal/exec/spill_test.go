@@ -20,10 +20,10 @@ import (
 const tightBudget = 96 << 10
 
 // TestTPCHSpillDifferential executes every TPC-H workload query with an
-// unbounded baseline and then under a tight memory budget at every
-// parallelism level, asserting identical result multisets and identical
-// RunStats feedback cardinalities — the spill-mode extension of
-// TestTPCHReferenceDifferential's parallelism sweep. It additionally asserts
+// unbounded baseline and then under a tight memory budget, asserting
+// identical result multisets and identical RunStats feedback cardinalities —
+// the spill-mode extension of TestTPCHReferenceDifferential. It additionally
+// asserts
 // that the sweep really spilled (the differential is meaningless otherwise;
 // CI greps for its run) and that, whenever no operator was forced past the
 // budget, tracked peak memory stayed under it.
@@ -51,37 +51,35 @@ func TestTPCHSpillDifferential(t *testing.T) {
 		}
 		want := rowMultiset(baseRows)
 
-		for _, par := range []int{1, 2, 4} {
-			comp := &Compiler{Q: q, Cat: cat, Parallelism: par, Mem: NewMemTracker(tightBudget)}
-			v, stats, err := comp.CompileVec(vr.Plan)
-			if err != nil {
-				t.Fatalf("%s: compile budgeted (par=%d): %v", name, par, err)
+		comp := &Compiler{Q: q, Cat: cat, Mem: NewMemTracker(tightBudget)}
+		v, stats, err := comp.CompileVec(vr.Plan)
+		if err != nil {
+			t.Fatalf("%s: compile budgeted: %v", name, err)
+		}
+		gotRows, err := DrainVec(v)
+		if err != nil {
+			t.Fatalf("%s: budgeted path: %v", name, err)
+		}
+		if got := rowMultiset(gotRows); got != want {
+			t.Fatalf("%s (budget=%d): result multiset differs: %d budgeted rows vs %d unbounded",
+				name, tightBudget, len(gotRows), len(baseRows))
+		}
+		if len(stats.Cards) != len(baseStats.Cards) {
+			t.Fatalf("%s: stats cover %d exprs, unbounded %d",
+				name, len(stats.Cards), len(baseStats.Cards))
+		}
+		for set, n := range baseStats.Cards {
+			got, ok := stats.Card(set)
+			if !ok || got != *n {
+				t.Fatalf("%s: cardinality of %v = %d, unbounded %d",
+					name, set, got, *n)
 			}
-			gotRows, err := DrainVec(v)
-			if err != nil {
-				t.Fatalf("%s: budgeted path (par=%d): %v", name, par, err)
-			}
-			if got := rowMultiset(gotRows); got != want {
-				t.Fatalf("%s (par=%d, budget=%d): result multiset differs: %d budgeted rows vs %d unbounded",
-					name, par, tightBudget, len(gotRows), len(baseRows))
-			}
-			if len(stats.Cards) != len(baseStats.Cards) {
-				t.Fatalf("%s (par=%d): stats cover %d exprs, unbounded %d",
-					name, par, len(stats.Cards), len(baseStats.Cards))
-			}
-			for set, n := range baseStats.Cards {
-				got, ok := stats.Card(set)
-				if !ok || got != *n {
-					t.Fatalf("%s (par=%d): cardinality of %v = %d, unbounded %d",
-						name, par, set, got, *n)
-				}
-			}
-			parts, bytes, _ := comp.Mem.SpillStats()
-			totalSpilled += parts
-			if comp.Mem.Overage() == 0 && comp.Mem.Peak() > tightBudget {
-				t.Fatalf("%s (par=%d): peak %d exceeds budget %d with zero overage (%d partitions, %d bytes spilled)",
-					name, par, comp.Mem.Peak(), tightBudget, parts, bytes)
-			}
+		}
+		parts, bytes, _ := comp.Mem.SpillStats()
+		totalSpilled += parts
+		if comp.Mem.Overage() == 0 && comp.Mem.Peak() > tightBudget {
+			t.Fatalf("%s: peak %d exceeds budget %d with zero overage (%d partitions, %d bytes spilled)",
+				name, comp.Mem.Peak(), tightBudget, parts, bytes)
 		}
 	}
 	if totalSpilled == 0 {
@@ -307,15 +305,16 @@ func (m *multIter) Next() (*Batch, error) {
 
 // spillAggCase is one aggregation TestSpillAggMatchesUnbounded runs unbounded
 // and under a budget. spills: the budget makes it write partitions; forced: a
-// merge recurses to maxSpillLevel and is Force-charged there. A case that
-// does neither is Force-charged in memory (COUNT(DISTINCT)).
+// merge recurses to maxSpillLevel and is Force-charged there; single: every
+// run holds one hash, so its merge is Force-charged without recursing. A
+// case that does none of these is Force-charged in memory (COUNT(DISTINCT)).
 type spillAggCase struct {
-	name           string
-	input          [][]int64
-	spec           AggSpecExec
-	weighted       bool // column 3 holds each row's multiplicity
-	budget         int64
-	spills, forced bool
+	name                   string
+	input                  [][]int64
+	spec                   AggSpecExec
+	weighted               bool // column 3 holds each row's multiplicity
+	budget                 int64
+	spills, forced, single bool
 }
 
 // spillAggCases builds the cases from fixed seeds.
@@ -349,9 +348,9 @@ func spillAggCases() []spillAggCase {
 		{name: "recursing to maxSpillLevel", input: rows(11, 5000, 64, 100),
 			spec:   AggSpecExec{GroupBy: []int{0}, Sums: []int{1}, CountAll: true},
 			budget: 1 << 10, spills: true, forced: true},
-		{name: "one group, one hash, to maxSpillLevel", input: rows(12, 5000, 100),
+		{name: "one group, one hash, folded in memory", input: rows(12, 5000, 100),
 			spec:   AggSpecExec{Sums: []int{0}, CountAll: true},
-			budget: 1 << 10, spills: true, forced: true},
+			budget: 1 << 10, spills: true, single: true},
 		{name: "COUNT(DISTINCT) never spills", input: rows(13, 20000, 500, 50),
 			spec:   AggSpecExec{GroupBy: []int{0}, CountAll: true, CountDistinct: []int{1}},
 			budget: 16 << 10},
@@ -405,10 +404,13 @@ func TestSpillAggMatchesUnbounded(t *testing.T) {
 		// spill.
 		outOver := max(0, colBytes(len(want[0]), len(want))-c.budget)
 		switch over := tr.Overage(); {
+		case c.single && (recs > 0 || over <= outOver):
+			t.Fatalf("%s: %d recursions, overage %d (the output's %d): the one-hash run was not folded Force-charged",
+				c.name, recs, over, outOver)
 		case c.forced && (recs < maxSpillLevel || over <= outOver):
 			t.Fatalf("%s: %d recursions, overage %d (the output's %d): no merge reached maxSpillLevel's Force",
 				c.name, recs, over, outOver)
-		case !c.forced && c.spills && over > outOver:
+		case !c.forced && !c.single && c.spills && over > outOver:
 			t.Fatalf("%s: overage %d exceeds the final output's %d", c.name, over, outOver)
 		case !c.spills && (recs > 0 || over <= outOver):
 			t.Fatalf("%s: %d recursions, overage %d (the output's %d): the table was not Force-charged in memory",

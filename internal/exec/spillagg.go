@@ -8,7 +8,7 @@ import "slices"
 // partitions on disk, and folding restarts in a fresh table. A partial is a
 // group's key columns, SUMs and COUNT(*), one column each: the table's own
 // state (aggTable.partials), written as it is and read back as batches that
-// aggTable.mergePartials folds — the merge the pipeline's workers use too.
+// aggTable.mergePartials folds.
 //
 // One loop, fold, does the folding at every level: the raw input at level 0,
 // and at level L+1 each partition run written at level L, where a table that
@@ -20,18 +20,22 @@ import "slices"
 // sorted once by the same key comparator (cmpKeys), which makes the output
 // byte-identical to the unbounded ordering.
 //
-// Two tables do not spill but are Force-charged (overage records that the
+// Three tables do not spill but are Force-charged (overage records that the
 // bound gave way): one with COUNT(DISTINCT) sets, which a partial cannot
-// carry, and the merge of a run written at maxSpillLevel, whose skewed keys
-// have exhausted the hash windows. The TPC-H workload has no COUNT(DISTINCT).
+// carry; the merge of a run written at maxSpillLevel, whose skewed keys have
+// exhausted the hash windows; and the merge of a run whose partials all share
+// one hash (spillRun.single), which no deeper window splits — one group,
+// folded at the level below the one that wrote it. The TPC-H workload has no
+// COUNT(DISTINCT).
 
 // fold folds every batch next returns into t — raw input rows at level 0, a
 // spilled run's partials below it — and charges the table's growth. A table
 // that outgrows its reservation is dumped into partition runs at level and
-// folding restarts in a fresh table. fold returns the last table, what it is
-// charged and the partitioner, nil if nothing was dumped; on an error it has
-// aborted the one and released the other.
-func (a *vecHashAggOp) fold(t *aggTable, level int, next func() (*Batch, error)) (*aggTable, int64, *spillPartitioner, error) {
+// folding restarts in a fresh table — unless single says next is a run no
+// window splits, which folds in memory. fold returns the last table, what it
+// is charged and the partitioner, nil if nothing was dumped; on an error it
+// has aborted the one and released the other.
+func (a *vecHashAggOp) fold(t *aggTable, level int, single bool, next func() (*Batch, error)) (*aggTable, int64, *spillPartitioner, error) {
 	var (
 		part    *spillPartitioner
 		charged int64
@@ -43,7 +47,7 @@ func (a *vecHashAggOp) fold(t *aggTable, level int, next func() (*Batch, error))
 		a.mem.Release(charged)
 		return nil, 0, nil, err
 	}
-	spillable := a.mem.Bounded() && t.dw == 0 && level <= maxSpillLevel
+	spillable := a.mem.Bounded() && t.dw == 0 && level <= maxSpillLevel && !single
 	s := &a.scratch
 	for {
 		b, err := next()
@@ -121,7 +125,7 @@ func (a *vecHashAggOp) mergeRun(r *spillRun, level int) error {
 	if err != nil {
 		return err
 	}
-	t, charged, part, err := a.fold(newAggTable(a.spec), level, rd.next)
+	t, charged, part, err := a.fold(newAggTable(a.spec), level, r.single, rd.next)
 	if err != nil {
 		return err
 	}

@@ -3,15 +3,13 @@ package exec
 import (
 	"errors"
 	"fmt"
-	"reflect"
-	"runtime"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/cost"
-	"repro/internal/linearroad"
 	"repro/internal/relalg"
 	"repro/internal/testkit"
 	"repro/internal/tpch"
@@ -221,151 +219,16 @@ func TestVecHashJoinOpenErrorReleasesProbe(t *testing.T) {
 	}
 }
 
-// settled reports whether the goroutine count is back at base. A worker that
-// has released its WaitGroup is still counted until it has finished exiting, so
-// a count above base gets a moment to fall; one that stays there is a leak.
-func settled(base int) bool {
-	for i := 0; i < 200 && runtime.NumGoroutine() > base; i++ {
-		time.Sleep(time.Millisecond)
-	}
-	return runtime.NumGoroutine() <= base
-}
-
-// opShape renders an operator tree as its operator types, children in field
-// order.
-func opShape(v reflect.Value) string {
-	for v.Kind() == reflect.Interface || v.Kind() == reflect.Pointer {
-		v = v.Elem()
-	}
-	s := v.Type().Name()
-	for i := 0; i < v.NumField(); i++ {
-		if f := v.Field(i); f.Type() == reflect.TypeFor[VecIterator]() && !f.IsNil() {
-			s += "(" + opShape(f) + ")"
-		}
-	}
-	return s
-}
-
-// TestNoGoroutineOutlivesOpen pins where the executor is concurrent: inside
-// Open and nowhere else. For every workload query at Parallelism 2 and 4 the
-// goroutine count is back at its baseline when Open returns and after a Close
-// with nothing consumed, and an Open that fails in a build side leaves none
-// behind either. A query without an aggregation has no parallel form at all:
-// at Parallelism 1 and 4 it compiles to the same operators and returns the
-// same rows in the same order, with the same RunStats.
-func TestNoGoroutineOutlivesOpen(t *testing.T) {
-	win := linearroad.NewWindows()
-	win.Ingest(linearroad.NewGen(2, 60).Slice(0, 40))
-	win.Materialize()
-	tp := tpch.Generate(tpch.Config{ScaleFactor: 0.005, Seed: 7})
-	type workload struct {
-		q   *relalg.Query
-		cat *catalog.Catalog
-	}
-	work := []workload{{linearroad.SegTollS(), win.Catalog()}}
-	for _, q := range tpch.Queries() {
-		work = append(work, workload{q, tp})
-	}
-	for _, w := range work {
-		m, err := cost.NewModel(w.q, w.cat, cost.DefaultParams())
-		if err != nil {
-			t.Fatalf("%s: %v", w.q.Name, err)
-		}
-		vr, err := volcano.Optimize(m, relalg.DefaultSpace())
-		if err != nil {
-			t.Fatalf("%s: %v", w.q.Name, err)
-		}
-		for _, par := range []int{2, 4} {
-			base := runtime.NumGoroutine()
-			v, _, err := (&Compiler{Q: w.q, Cat: w.cat, Parallelism: par}).CompileVec(vr.Plan)
-			if err != nil {
-				t.Fatalf("%s: %v", w.q.Name, err)
-			}
-			if err := v.Open(); err != nil {
-				t.Fatalf("%s (par=%d): %v", w.q.Name, par, err)
-			}
-			if !settled(base) {
-				t.Fatalf("%s (par=%d): %d goroutines after Open returned, %d before it", w.q.Name, par, runtime.NumGoroutine(), base)
-			}
-			if err := v.Close(); err != nil {
-				t.Fatalf("%s (par=%d): %v", w.q.Name, par, err)
-			}
-			if !settled(base) {
-				t.Fatalf("%s (par=%d): %d goroutines after Close, %d before Open", w.q.Name, par, runtime.NumGoroutine(), base)
-			}
-		}
-		if w.q.Agg != nil {
-			continue
-		}
-		serial := &Compiler{Q: w.q, Cat: w.cat, Parallelism: 1}
-		v1, st1, err := serial.CompileVec(vr.Plan)
-		if err != nil {
-			t.Fatalf("%s: %v", w.q.Name, err)
-		}
-		v4, st4, err := (&Compiler{Q: w.q, Cat: w.cat, Parallelism: 4}).CompileVec(vr.Plan)
-		if err != nil {
-			t.Fatalf("%s: %v", w.q.Name, err)
-		}
-		if s1, s4 := opShape(reflect.ValueOf(v1)), opShape(reflect.ValueOf(v4)); s1 != s4 {
-			t.Fatalf("%s compiles to different operators:\npar=1 %s\npar=4 %s", w.q.Name, s1, s4)
-		}
-		rows1, err := DrainVec(v1)
-		if err != nil {
-			t.Fatalf("%s: %v", w.q.Name, err)
-		}
-		rows4, err := DrainVec(v4)
-		if err != nil {
-			t.Fatalf("%s: %v", w.q.Name, err)
-		}
-		if len(rows1) == 0 || !reflect.DeepEqual(rows1, rows4) {
-			t.Fatalf("%s: %d rows at par=1, %d at par=4, or in another order", w.q.Name, len(rows1), len(rows4))
-		}
-		statsEqual(t, w.q.Name, st4.Snapshot(), st1.Snapshot())
-	}
-
-	// A parallel aggregation whose build side fails never starts a worker: the
-	// build side of t's join is a merge join of r and s without the sorts it
-	// needs.
-	col := func(rel, off int) relalg.ColID { return relalg.ColID{Rel: rel, Off: off} }
-	q := &relalg.Query{
-		Rels:  []relalg.RelRef{{Alias: "r", Table: "R"}, {Alias: "s", Table: "S"}, {Alias: "t", Table: "T"}},
-		Joins: []relalg.JoinPred{{L: col(0, 0), R: col(1, 0)}, {L: col(2, 0), R: col(1, 0)}},
-		Agg:   &relalg.AggSpec{CountAll: true},
-	}
-	if err := q.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	plan := liveJoinOn(relalg.PhyHashJoin, 1, liveJoin(relalg.PhyMergeJoin, liveScan(0), liveScan(1)), liveScan(2))
-	v, _, err := (&Compiler{Q: q, Cat: liveCatalog(), Parallelism: 4}).CompileVec(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parallelOf(v) == nil {
-		t.Fatalf("compiled root is %T, want a parallel aggregation", v.(*execRoot).in)
-	}
-	base := runtime.NumGoroutine()
-	if err := v.Open(); err == nil || !strings.Contains(err.Error(), "not sorted") {
-		t.Fatalf("unsorted build input: Open returned %v", err)
-	}
-	if !settled(base) {
-		t.Fatalf("%d goroutines after a failed Open, %d before it", runtime.NumGoroutine(), base)
-	}
-}
-
-// ---- differential test: executor vs reference evaluator, TPC-H workload ----
-
 func rowMultiset(rows []Row) string { return testkit.Canonical(rows, nil) }
 
-// TestTPCHReferenceDifferential executes every TPC-H workload query at every
-// parallelism level (serial, and with the parallel aggregation at 2 and 4
-// workers) and asserts that the result
-// multiset and the RunStats feedback cardinality of every scan and join
-// operator equal what testkit.Reference computes from the logical query
-// alone — the proof that the §5.4 adaptive loop sees correct, byte-identical
-// feedback at any parallelism. The reference shares no code with the
-// compiler, so a wrong key set or a dropped residual fails here instead of
-// agreeing with itself. Run under -race (the CI race shard) this also
-// exercises the parallel workers for data races.
+// TestTPCHReferenceDifferential executes every TPC-H workload query and
+// asserts that the result multiset and the RunStats feedback cardinality of
+// every scan and join operator equal what testkit.Reference computes from the
+// logical query alone — the proof that the §5.4 adaptive loop sees correct
+// feedback. The reference shares no code with the compiler, so a wrong key
+// set or a dropped residual fails here instead of agreeing with itself. The
+// tree is then re-opened and counted through CountVec — the aqp.RunSlice
+// path — which must count the reference's rows.
 func TestTPCHReferenceDifferential(t *testing.T) {
 	cat := tpch.Generate(tpch.Config{ScaleFactor: 0.002, Seed: 7})
 	for name, q := range tpch.Queries() {
@@ -379,34 +242,180 @@ func TestTPCHReferenceDifferential(t *testing.T) {
 		}
 		ref := testkit.NewReference(q, cat)
 		want := testkit.Canonical(ref.Rows(), nil)
-		for _, par := range []int{1, 2, 4} {
-			checkAgainstReference(t, fmt.Sprintf("%s (par=%d)", name, par),
-				&Compiler{Q: q, Cat: cat, Parallelism: par}, ref, want, vr.Plan)
+		comp := &Compiler{Q: q, Cat: cat}
+		v, st, err := comp.CompileVec(vr.Plan)
+		if err != nil {
+			t.Fatalf("%s: compile: %v", name, err)
+		}
+		checkExecution(t, name, comp, v, st, ref.Card, want, vr.Plan)
+		if n, err := CountVec(v); err != nil || n != int64(len(ref.Rows())) {
+			t.Fatalf("%s: CountVec = %d (err %v), reference count %d", name, n, err, len(ref.Rows()))
 		}
 	}
 }
 
-// TestCompileParallelCountMatches runs a query end to end via CountVec at
-// Parallelism 4 — the aqp.RunSlice code path.
-func TestCompileParallelCountMatches(t *testing.T) {
-	cat := tpch.Generate(tpch.Config{ScaleFactor: 0.002, Seed: 11})
-	q := tpch.Q3S()
-	m, _ := cost.NewModel(q, cat, cost.DefaultParams())
-	vr, err := volcano.Optimize(m, relalg.DefaultSpace())
+// rowsCatalog holds one table per entry of tabs, columns named c0, c1, ….
+func rowsCatalog(tabs map[string][][]int64) *catalog.Catalog {
+	cat := catalog.New()
+	for name, rows := range tabs {
+		cols := make([]string, len(rows[0]))
+		for i := range cols {
+			cols[i] = fmt.Sprintf("c%d", i)
+		}
+		tb := catalog.NewTable(name, cols...)
+		for _, r := range rows {
+			tb.Append(r)
+		}
+		cat.Add(tb)
+	}
+	return cat
+}
+
+// drainCompiled compiles plan of q over cat and drains it.
+func drainCompiled(t *testing.T, q *relalg.Query, cat *catalog.Catalog, plan *relalg.Plan) ([]Row, *RunStats) {
+	t.Helper()
+	if err := q.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	v, st, err := (&Compiler{Q: q, Cat: cat}).CompileVec(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := int64(len(testkit.NewReference(q, cat).Rows()))
-	comp := &Compiler{Q: q, Cat: cat, Parallelism: 4}
-	v, _, err := comp.CompileVec(vr.Plan)
+	rows, err := DrainVec(v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := CountVec(v)
+	return rows, st
+}
+
+// TestPipelineCascadeMatchesSerial compiles a two-join probe pipeline and
+// checks it against the nested hash joins built by hand,
+// including a residual filter and the exact cardinality of every spine
+// operator. The aggregation groups by every column and counts, so the groups
+// are the joined rows' multiset.
+func TestPipelineCascadeMatchesSerial(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	probe := make([][]int64, 6*BatchSize)
+	for i := range probe {
+		probe[i] = []int64{int64(rng.Intn(200)), int64(rng.Intn(100)), int64(i)}
+	}
+	buildA := make([][]int64, 150)
+	for i := range buildA {
+		buildA[i] = []int64{int64(rng.Intn(200)), int64(100 + i)}
+	}
+	buildB := make([][]int64, 80)
+	for i := range buildB {
+		buildB[i] = []int64{int64(rng.Intn(100)), int64(1000 + i)}
+	}
+	filter := ScanFilter{Conds: []ScanCond{{Off: 1, Op: relalg.CmpLT, Val: 90}}}
+	// Structured residual over the final joined row
+	// [b0, b1, a0, a1, p0, p1, p2]: b1 < p2, true for some pairs only.
+	residual := []ColPred{{L: 1, R: 6, Op: relalg.CmpLT}}
+
+	// Serial reference: joinB(joinA(filtered probe)). Stage A joins
+	// buildA on probe col 0, stage B joins buildB on probe col 1 (offset
+	// shifts by len(buildA row) = 2 after stage A).
+	serial := NewVecHashJoin(
+		NewVecScanRows(buildB, ScanFilter{}),
+		NewVecHashJoin(
+			NewVecScanRows(buildA, ScanFilter{}),
+			NewVecScanRows(probe, filter),
+			[]int{0}, []int{0}, nil, seq(2), seq(3)),
+		[]int{0}, []int{3}, residual, seq(2), seq(5))
+	joined, err := CountVec(serial)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != want || want == 0 {
-		t.Fatalf("parallel count = %d, reference count = %d", got, want)
+	want, err := DrainVec(NewVecHashAgg(serial, AggSpecExec{GroupBy: seq(7), CountAll: true}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantScan, err := CountVec(NewVecScanRows(probe, filter))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantA, err := CountVec(NewVecHashJoin(NewVecScanRows(buildA, ScanFilter{}),
+		NewVecScanRows(probe, filter), []int{0}, []int{0}, nil, seq(2), seq(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The same joins as a query over p, a and b, grouped by every column of
+	// the joined row in the hand-built order.
+	col := func(rel, off int) relalg.ColID { return relalg.ColID{Rel: rel, Off: off} }
+	q := &relalg.Query{
+		Rels:    []relalg.RelRef{{Alias: "p", Table: "P"}, {Alias: "a", Table: "A"}, {Alias: "b", Table: "B"}},
+		Scans:   []relalg.ScanPred{{Col: col(0, 1), Op: relalg.CmpLT, Val: 90}},
+		Joins:   []relalg.JoinPred{{L: col(1, 0), R: col(0, 0)}, {L: col(2, 0), R: col(0, 1)}},
+		Filters: []relalg.FilterPred{{L: col(2, 1), R: col(0, 2), Op: relalg.CmpLT, Sel: 0.5}},
+		Agg: &relalg.AggSpec{CountAll: true, GroupBy: []relalg.ColID{
+			col(2, 0), col(2, 1), col(1, 0), col(1, 1), col(0, 0), col(0, 1), col(0, 2)}},
+	}
+	scanP := liveScan(0)
+	joinA := liveJoinOn(relalg.PhyHashJoin, 0, liveScan(1), scanP)
+	joinB := liveJoinOn(relalg.PhyHashJoin, 1, liveScan(2), joinA)
+	got, st := drainCompiled(t, q, rowsCatalog(map[string][][]int64{"P": probe, "A": buildA, "B": buildB}), joinB)
+	if g, w := rowMultiset(got), rowMultiset(want); g != w {
+		t.Fatalf("compiled multiset differs from the hand-built joins': %d groups vs %d", len(got), len(want))
+	}
+	card := func(p *relalg.Plan) int64 { n, _ := st.Card(p.Expr); return n }
+	if card(joinB) != joined || joined == 0 {
+		t.Errorf("join B counter = %d, want %d", card(joinB), joined)
+	}
+	if card(scanP) != wantScan {
+		t.Errorf("scan counter = %d, want %d", card(scanP), wantScan)
+	}
+	if card(joinA) != wantA {
+		t.Errorf("join A counter = %d, want %d", card(joinA), wantA)
+	}
+}
+
+// TestPipelineAggMatchesSerial compiles a one-join probe pipeline under SUM,
+// COUNT(*) and COUNT(DISTINCT) and checks it against the hash-agg-over-join
+// reference built by hand.
+func TestPipelineAggMatchesSerial(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	probe := make([][]int64, 5*BatchSize)
+	for i := range probe {
+		probe[i] = []int64{int64(rng.Intn(50)), int64(rng.Intn(1000))}
+	}
+	build := make([][]int64, 300)
+	for i := range build {
+		build[i] = []int64{int64(rng.Intn(50)), int64(i % 7)}
+	}
+	spec := AggSpecExec{GroupBy: []int{1}, Sums: []int{3}, CountAll: true,
+		CountDistinct: []int{0}}
+
+	serial := NewVecHashJoin(NewVecScanRows(build, ScanFilter{}),
+		NewVecScanRows(probe, ScanFilter{}), []int{0}, []int{0}, nil, seq(2), seq(2))
+	joined, err := CountVec(serial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := DrainVec(NewVecHashAgg(serial, spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	col := func(rel, off int) relalg.ColID { return relalg.ColID{Rel: rel, Off: off} }
+	q := &relalg.Query{
+		Rels:  []relalg.RelRef{{Alias: "p", Table: "P"}, {Alias: "d", Table: "D"}},
+		Joins: []relalg.JoinPred{{L: col(1, 0), R: col(0, 0)}},
+		Agg: &relalg.AggSpec{GroupBy: []relalg.ColID{col(1, 1)}, Sums: []relalg.ColID{col(0, 1)},
+			CountAll: true, CountDistinct: []relalg.ColID{col(1, 0)}},
+	}
+	join := liveJoinOn(relalg.PhyHashJoin, 0, liveScan(1), liveScan(0))
+	got, st := drainCompiled(t, q, rowsCatalog(map[string][][]int64{"P": probe, "D": build}), join)
+	// Aggregated output is deterministically ordered, so compare exactly.
+	if g, w := rowMultiset(got), rowMultiset(want); g != w {
+		t.Fatalf("compiled agg differs from the hand-built one: %d groups vs %d", len(got), len(want))
+	}
+	for i := range got {
+		if !slices.Equal(got[i], want[i]) {
+			t.Fatalf("compiled agg order differs at group %d: %v vs %v", i, got[i], want[i])
+		}
+	}
+	if n, _ := st.Card(join.Expr); n != joined {
+		t.Errorf("join counter = %d, want %d", n, joined)
 	}
 }

@@ -122,9 +122,6 @@ type vecHashJoinOp struct {
 	build   colData    // the drained build side, unless its source lent columns
 	charged int64      // under a budget: what the loaded build rows and table reserve
 	spill   *spillJoin // non-nil once the build overflowed its reservation
-	// src, on a pipeline worker's copy (pipeline.go), is the join whose table
-	// the copy probes: src builds it, the copies only read it.
-	src *vecHashJoinOp
 
 	// probe state, carried across Next calls: the probe batch, the hashes,
 	// indexes and chain cursors of its rows with a non-empty bucket
@@ -166,11 +163,11 @@ func NewVecHashJoin(left, right VecIterator, lKeys, rKeys []int, residual []ColP
 		residual: residual, emit: colEmitter{buildOut: lOut, probeOut: rOut}}
 }
 
-// Open opens the probe side and builds the table. A pipeline worker's copy
-// takes src's table; an unbounded join drains the build side whole, borrowing
-// a plain scan's columns, and Force-charges it; under a budget load drains it
-// batch at a time — the price of a hard bound is the lent columns — and, if
-// it overflows, routes both inputs into partitions before the first Next.
+// Open opens the probe side and builds the table. An unbounded join drains
+// the build side whole, borrowing a plain scan's columns, and Force-charges
+// it; under a budget load drains it batch at a time — the price of a hard
+// bound is the lent columns — and, if it overflows, routes both inputs into
+// partitions before the first Next.
 func (j *vecHashJoinOp) Open() error {
 	j.pb, j.resume, j.drained = nil, 0, false
 	j.cands = j.cands[:0]
@@ -183,16 +180,13 @@ func (j *vecHashJoinOp) Open() error {
 		return err
 	}
 	var err error
-	switch {
-	case j.src != nil:
-		j.table = j.src.table
-	case j.mem.Bounded():
+	if j.mem.Bounded() {
 		if err = j.left.Open(); err == nil {
 			err = j.load(0, j.left.Next, nil)
 		} else {
 			err = errors.Join(err, j.left.Close())
 		}
-	default:
+	} else {
 		var build colData
 		if build, err = drainVecCols(j.left, &j.build); err == nil {
 			j.mem.Force(buildBytes(build.width(), build.n, j.counting))

@@ -160,9 +160,8 @@ func TestSegTollSMatchesReference(t *testing.T) {
 	}
 	want := testkit.Canonical(wantRows, nil)
 	for _, p := range []*relalg.Plan{best, worst} {
-		// Execute over the published windows with parallel window scans
-		// enabled, the way aqp.RunSlice does.
-		comp := &exec.Compiler{Q: q, Cat: win.Catalog(), Parallelism: 4}
+		// Execute over the published windows, the way aqp.RunSlice does.
+		comp := &exec.Compiler{Q: q, Cat: win.Catalog()}
 		// The root join carries what the aggregation reads (three r2 group
 		// columns and r5's position), not the 40 columns of five windows.
 		if schema, err := comp.PlanSchema(p); err != nil || len(schema) > 5 {

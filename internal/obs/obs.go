@@ -27,27 +27,15 @@ import (
 // Span accumulates one operator's execution profile at batch granularity:
 // how many batches it emitted, how many live rows they carried, and the
 // cumulative wall time spent producing them. The executor's span shim
-// writes the fields; Merge and Time are nil-receiver no-ops.
+// writes the fields; Time is a nil-receiver no-op.
 //
 // Time is inclusive: the recording operator wraps its input, so its clock
-// runs across the input's work too. A Span is written by one goroutine at a
-// time (parallel workers record into spans of their own, merged
-// single-threaded after the workers join); it is not itself
-// concurrency-safe.
+// runs across the input's work too. A Span is written by the one goroutine
+// that runs its execution; it is not itself concurrency-safe.
 type Span struct {
 	Batches int64
 	Rows    int64
 	Nanos   int64 // cumulative wall time, nanoseconds
-}
-
-// Merge folds another span's counters in (the per-worker merge).
-func (s *Span) Merge(o *Span) {
-	if s == nil || o == nil {
-		return
-	}
-	s.Batches += o.Batches
-	s.Rows += o.Rows
-	s.Nanos += o.Nanos
 }
 
 // Time returns the recorded wall time.

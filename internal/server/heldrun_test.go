@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"regexp"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"strings"
 	"sync"
@@ -61,8 +62,8 @@ func converge(t *testing.T, label string, st *Stmt) *Result {
 
 // TestHeldRunMatchesFresh is the serving half of the reopen differential.
 // Q1, Q3S, Q5 and Q10 are served from a DataDir-bound catalog (so trees with
-// segment-pruned scans are reopened too) at Parallelism 1 and 2, unbounded
-// and under a budget that spills. After the entries converge, each round
+// segment-pruned scans are reopened too), unbounded and under a budget that
+// spills. After the entries converge, each round
 // appends orders and lineitems and then has several sessions execute every
 // statement at once. Every execution's rows and fed-back cardinalities must
 // equal those of a tree compiled freshly for the plan version it ran, whose
@@ -82,100 +83,98 @@ func TestHeldRunMatchesFresh(t *testing.T) {
 		budget   = 2 << 10
 	)
 	names := []string{"Q1", "Q3S", "Q5", "Q10"}
-	for _, par := range []int{1, 2} {
-		for _, mem := range []int64{0, budget} {
-			label := fmt.Sprintf("par=%d budget=%d", par, mem)
-			srv := testServer(t, Options{DataDir: t.TempDir(), Parallelism: par,
-				MaxConcurrent: sessions, MemBudgetBytes: mem})
-			t.Cleanup(func() { srv.Shutdown() })
-			stmts := map[string]*Stmt{}
-			for _, name := range names {
-				st, err := srv.Session().PrepareNamed(name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				converge(t, label+" "+name, st)
-				stmts[name] = st
+	for _, mem := range []int64{0, budget} {
+		label := fmt.Sprintf("budget=%d", mem)
+		srv := testServer(t, Options{DataDir: t.TempDir(),
+			MaxConcurrent: sessions, MemBudgetBytes: mem})
+		t.Cleanup(func() { srv.Shutdown() })
+		stmts := map[string]*Stmt{}
+		for _, name := range names {
+			st, err := srv.Session().PrepareNamed(name)
+			if err != nil {
+				t.Fatal(err)
 			}
+			converge(t, label+" "+name, st)
+			stmts[name] = st
+		}
 
-			for round := 1; round <= rounds; round++ {
-				appendOrders(t, srv.cat, 40)
-				for _, name := range names {
-					at := fmt.Sprintf("%s %s round %d", label, name, round)
-					first := stmts[name].entry.cur.Load()
-					var mu sync.Mutex
-					var got []*Result
-					var wg sync.WaitGroup
-					for s := 0; s < sessions; s++ {
-						wg.Add(1)
-						go func() {
-							defer wg.Done()
-							st, err := srv.Session().PrepareNamed(name)
+		for round := 1; round <= rounds; round++ {
+			appendOrders(t, srv.cat, 40)
+			for _, name := range names {
+				at := fmt.Sprintf("%s %s round %d", label, name, round)
+				first := stmts[name].entry.cur.Load()
+				var mu sync.Mutex
+				var got []*Result
+				var wg sync.WaitGroup
+				for s := 0; s < sessions; s++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						st, err := srv.Session().PrepareNamed(name)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						for i := 0; i < execs; i++ {
+							var res *Result
+							if s == 0 && i == 0 {
+								var analyzed string
+								res, analyzed, err = st.ExplainAnalyze()
+								if err == nil && !strings.Contains(analyzed, "time=") {
+									t.Errorf("%s: EXPLAIN ANALYZE without times:\n%s", at, analyzed)
+								}
+							} else {
+								res, err = st.Exec()
+							}
 							if err != nil {
-								t.Error(err)
+								t.Errorf("%s: %v", at, err)
 								return
 							}
-							for i := 0; i < execs; i++ {
-								var res *Result
-								if s == 0 && i == 0 {
-									var analyzed string
-									res, analyzed, err = st.ExplainAnalyze()
-									if err == nil && !strings.Contains(analyzed, "time=") {
-										t.Errorf("%s: EXPLAIN ANALYZE without times:\n%s", at, analyzed)
-									}
-								} else {
-									res, err = st.Exec()
-								}
-								if err != nil {
-									t.Errorf("%s: %v", at, err)
-									return
-								}
-								mu.Lock()
-								got = append(got, res)
-								mu.Unlock()
-							}
-						}()
+							mu.Lock()
+							got = append(got, res)
+							mu.Unlock()
+						}
+					}()
+				}
+				wg.Wait()
+				if t.Failed() {
+					t.FailNow()
+				}
+				// Feedback may repair the plan mid-round; the data does not
+				// change within one, so a tree compiled now for either
+				// version sees what the executions saw.
+				last := stmts[name].entry.cur.Load()
+				fresh := map[uint64]*freshResult{}
+				for _, res := range got {
+					f := fresh[res.PlanVersion]
+					if f == nil {
+						switch res.PlanVersion {
+						case first.version:
+							f = checkFresh(t, at, srv, stmts[name].Query(), first.plan)
+						case last.version:
+							f = checkFresh(t, at, srv, stmts[name].Query(), last.plan)
+						default:
+							t.Fatalf("%s: plan v%d ran, neither the round's first v%d nor its last v%d",
+								at, res.PlanVersion, first.version, last.version)
+						}
+						fresh[res.PlanVersion] = f
 					}
-					wg.Wait()
-					if t.Failed() {
-						t.FailNow()
+					if !sameMultiset(multiset(res.Rows), f.rows) {
+						t.Fatalf("%s (plan v%d): %d rows differ from a fresh tree's", at, res.PlanVersion, len(res.Rows))
 					}
-					// Feedback may repair the plan mid-round; the data does not
-					// change within one, so a tree compiled now for either
-					// version sees what the executions saw.
-					last := stmts[name].entry.cur.Load()
-					fresh := map[uint64]*freshResult{}
-					for _, res := range got {
-						f := fresh[res.PlanVersion]
-						if f == nil {
-							switch res.PlanVersion {
-							case first.version:
-								f = checkFresh(t, at, srv, stmts[name].Query(), first.plan)
-							case last.version:
-								f = checkFresh(t, at, srv, stmts[name].Query(), last.plan)
-							default:
-								t.Fatalf("%s: plan v%d ran, neither the round's first v%d nor its last v%d",
-									at, res.PlanVersion, first.version, last.version)
-							}
-							fresh[res.PlanVersion] = f
-						}
-						if !sameMultiset(multiset(res.Rows), f.rows) {
-							t.Fatalf("%s (plan v%d): %d rows differ from a fresh tree's", at, res.PlanVersion, len(res.Rows))
-						}
-						if !reflect.DeepEqual(res.cards, f.cards) {
-							t.Fatalf("%s (plan v%d): fed back %v, a fresh tree counts %v", at, res.PlanVersion, res.cards, f.cards)
-						}
+					if !reflect.DeepEqual(res.cards, f.cards) {
+						t.Fatalf("%s (plan v%d): fed back %v, a fresh tree counts %v", at, res.PlanVersion, res.cards, f.cards)
 					}
 				}
 			}
-			m := srv.Metrics()
-			t.Logf("%s: %d executions, %d trees compiled, %d spilled", label, m.Execs, m.Compiles, m.SpilledQueries)
-			if m.Compiles >= m.Execs {
-				t.Fatalf("%s: %d trees compiled for %d executions: no held run was reused", label, m.Compiles, m.Execs)
-			}
-			if (mem > 0) != (m.SpilledQueries > 0) {
-				t.Fatalf("%s: %d executions spilled", label, m.SpilledQueries)
-			}
+		}
+		m := srv.Metrics()
+		t.Logf("%s: %d executions, %d trees compiled, %d spilled", label, m.Execs, m.Compiles, m.SpilledQueries)
+		if m.Compiles >= m.Execs {
+			t.Fatalf("%s: %d trees compiled for %d executions: no held run was reused", label, m.Compiles, m.Execs)
+		}
+		if (mem > 0) != (m.SpilledQueries > 0) {
+			t.Fatalf("%s: %d executions spilled", label, m.SpilledQueries)
 		}
 	}
 }
@@ -192,8 +191,7 @@ type freshResult struct {
 // drains it, and checks its rows and counts against testkit.Reference.
 func checkFresh(t *testing.T, at string, srv *Server, q *relalg.Query, plan *relalg.Plan) *freshResult {
 	t.Helper()
-	comp := &exec.Compiler{Q: q, Cat: srv.cat, Parallelism: srv.opts.Parallelism,
-		Mem: exec.NewMemTracker(srv.opts.MemBudgetBytes)}
+	comp := &exec.Compiler{Q: q, Cat: srv.cat, Mem: exec.NewMemTracker(srv.opts.MemBudgetBytes)}
 	root, stats, err := comp.CompileVec(plan)
 	if err != nil {
 		t.Fatal(err)
@@ -228,7 +226,14 @@ func checkFresh(t *testing.T, at string, srv *Server, q *relalg.Query, plan *rel
 // zero. The untimed execution that follows leaves its tree untimed. A server
 // that traces every execution as slow compiles fewer trees than it executes,
 // and every dump carries a time on every executed node.
+//
+// A garbage collection empties a sync.Pool's idle runs, and a run handed back
+// on one P is not found by a borrower on another, so the test runs with the
+// collector off on one P: the counts it asserts are the held runs', not the
+// runtime's.
 func TestHeldRunProfiles(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	times := regexp.MustCompile(` time=[^\]]*`)
 	names := []string{"Q3S", "Q5", "Q10"}
 	srv := testServer(t, Options{})
@@ -282,7 +287,7 @@ func TestHeldRunProfiles(t *testing.T) {
 		snap.runs.Put(run)
 	}
 
-	slow := testServer(t, Options{Parallelism: 2, TraceSlowQuery: time.Nanosecond})
+	slow := testServer(t, Options{TraceSlowQuery: time.Nanosecond})
 	for _, name := range names {
 		st, err := slow.Session().PrepareNamed(name)
 		if err != nil {

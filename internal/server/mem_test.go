@@ -14,8 +14,8 @@ import (
 // one, while its metrics record the spill activity and a bounded peak.
 func TestMemBudgetDifferential(t *testing.T) {
 	const budget = 96 << 10
-	free := testServer(t, Options{Parallelism: 2})
-	tight := testServer(t, Options{Parallelism: 2, MemBudgetBytes: budget})
+	free := testServer(t, Options{})
+	tight := testServer(t, Options{MemBudgetBytes: budget})
 
 	for name := range free.opts.Named {
 		st0, err := free.Session().PrepareNamed(name)

@@ -35,7 +35,7 @@ func drive(t *testing.T, srv *Server, n int) {
 }
 
 func TestExplainAnalyzeThroughServer(t *testing.T) {
-	srv := testServer(t, Options{Parallelism: 2})
+	srv := testServer(t, Options{})
 	sess := srv.Session()
 	st, err := sess.PrepareNamed("Q5")
 	if err != nil {
@@ -88,8 +88,8 @@ func TestTracingDifferential(t *testing.T) {
 	counted.Agg = &relalg.AggSpec{CountAll: true,
 		Sums: []relalg.ColID{{Rel: 2, Off: 5}}, CountDistinct: []relalg.ColID{{Rel: 2, Off: 1}}}
 	named[counted.Name] = counted
-	quiet := testServer(t, Options{Parallelism: 2, Named: named})
-	traced := testServer(t, Options{Parallelism: 2, Named: named,
+	quiet := testServer(t, Options{Named: named})
+	traced := testServer(t, Options{Named: named,
 		TraceEvents: 256, TraceSlowQuery: time.Nanosecond})
 
 	for name := range quiet.opts.Named {

@@ -41,7 +41,7 @@ func parseSQL(t *testing.T, srv *Server, sql string) *Stmt {
 // (stores and cross-statement hits both nonzero).
 func TestServeConcurrentStressResultCache(t *testing.T) {
 	srv := testServer(t, Options{
-		MaxConcurrent: 4, Parallelism: 2,
+		MaxConcurrent:    4,
 		ResultCacheBytes: 32 << 20,
 	})
 	baselines := make([]map[string]int, len(sharedSubexprSQL))

@@ -54,10 +54,10 @@
 //     trees of a stale plan are never run again;
 //   - server-wide totals are atomics bumped at the event, so they cover
 //     every execution whether or not its entry is still cached;
-//   - admission control is one semaphore of MaxConcurrent slots, sized by
-//     default against the executor's Parallelism so concurrent queries
-//     don't oversubscribe the morsel workers; it also bounds in-flight
-//     execution memory to MaxConcurrent × MemBudgetBytes.
+//   - the executor is serial, so each execution occupies one goroutine and
+//     concurrency is across queries; admission control is one semaphore of
+//     MaxConcurrent slots, one per core by default, and it also bounds
+//     in-flight execution memory to MaxConcurrent × MemBudgetBytes.
 package server
 
 import (
@@ -77,24 +77,21 @@ import (
 	"repro/internal/sqlmini"
 )
 
-// Options configures a Server. The zero value is serviceable: serial
-// execution, admission sized to the machine, unbounded plan cache, private
+// Options configures a Server. The zero value is serviceable: admission
+// sized to the machine, unbounded plan cache, private
 // statistics store. Every entry optimizes over the full plan space with
 // default cost parameters and all pruning strategies, and calibrates from
 // cumulatively averaged observations (the paper's AQP-Cumulative) with the
 // calibrator's default feedback threshold, which is what drives repairs to
 // zero once an entry's statistics converge.
 type Options struct {
-	// Parallelism caps the workers of the one parallel shape the executor
-	// has, per query: an aggregating query over a hash-join probe spine,
-	// executed without a memory budget, runs that many morsel-driven copies
-	// of the spine's serial operators. Every other query, and every query at
-	// <= 1, executes serially.
+	// Parallelism is vestigial and never consulted: every query executes
+	// serially. It stays only because the benchmark module (benchmarks/)
+	// sets it to 1, and that module changes only together with the
+	// benchmark; the next such change deletes the field with its setting.
 	Parallelism int
 	// MaxConcurrent bounds concurrently executing queries (admission
-	// control). 0 derives it from GOMAXPROCS / Parallelism so the worker
-	// pool is sized against the executor and concurrent queries don't
-	// oversubscribe it.
+	// control). 0 sizes it to GOMAXPROCS: one serial execution per core.
 	MaxConcurrent int
 
 	// MemBudgetBytes bounds each query's tracked execution memory: the
@@ -237,14 +234,8 @@ func New(cat *catalog.Catalog, opts Options) (*Server, error) {
 	if cat == nil {
 		return nil, fmt.Errorf("server: nil catalog")
 	}
-	if opts.Parallelism < 1 {
-		opts.Parallelism = 1
-	}
 	if opts.MaxConcurrent < 1 {
-		opts.MaxConcurrent = runtime.GOMAXPROCS(0) / opts.Parallelism
-		if opts.MaxConcurrent < 1 {
-			opts.MaxConcurrent = 1
-		}
+		opts.MaxConcurrent = runtime.GOMAXPROCS(0)
 	}
 	if opts.MaxEntries < 0 {
 		return nil, fmt.Errorf("server: negative MaxEntries %d", opts.MaxEntries)
@@ -569,7 +560,7 @@ func (s *Server) run(e *planEntry, snap *planVersion, timed bool) (*Result, *hel
 		mem := exec.NewMemTracker(s.opts.MemBudgetBytes)
 		mem.SetSpillDir(s.opts.SpillDir)
 		comp := &exec.Compiler{
-			Q: e.q, Cat: s.cat, Parallelism: s.opts.Parallelism,
+			Q: e.q, Cat: s.cat,
 			Cache: s.resCache, CacheCands: snap.cands, Mem: mem,
 		}
 		root, stats, err := comp.CompileVec(snap.plan)

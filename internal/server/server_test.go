@@ -177,7 +177,7 @@ func TestServeConcurrentStress(t *testing.T) {
 	hot := []string{"Q3S", "Q5", "Q10"}
 	cold := []string{"Q1", "Q6", "Q5S"}
 
-	srv := testServer(t, Options{MaxConcurrent: 4, Parallelism: 2})
+	srv := testServer(t, Options{MaxConcurrent: 4})
 	baselines := map[string]map[string]int{}
 	for _, name := range append(append([]string{}, hot...), cold...) {
 		baselines[name] = serialBaseline(t, srv.Catalog(), srv.opts.Named[name])

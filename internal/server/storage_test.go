@@ -261,7 +261,7 @@ func TestOpenHoldsOneCopy(t *testing.T) {
 // Afterwards a quiesced execution must match a fresh serial baseline over the
 // final data.
 func TestStorageConcurrentAppendExec(t *testing.T) {
-	srv := testServer(t, Options{MaxConcurrent: 4, Parallelism: 2, ResultCacheBytes: 8 << 20})
+	srv := testServer(t, Options{MaxConcurrent: 4, ResultCacheBytes: 8 << 20})
 	cust := srv.Catalog().MustTable("customer")
 	tmpl := testkit.Row(cust, 0)
 	ckey := cust.MustCol("c_custkey")
@@ -343,9 +343,9 @@ func forceAccessPath(p *relalg.Plan, rel int, phy relalg.PhyOp, idx relalg.ColID
 
 // TestSegScanZonePruningDifferential builds a disk-backed lineitem with two
 // zone-disjoint segments plus an unflushed tail, proves the store actually
-// prunes, and then — for selective and non-selective zone predicates, at
-// parallelism 1, 2, and 4 — asserts the segment-pruned access path returns
-// exactly the table-scan multiset over the same plan.
+// prunes, and then — for selective and non-selective zone predicates —
+// asserts the segment-pruned access path returns exactly the table-scan
+// multiset over the same plan.
 func TestSegScanZonePruningDifferential(t *testing.T) {
 	dir := t.TempDir()
 
@@ -491,22 +491,20 @@ func TestSegScanZonePruningDifferential(t *testing.T) {
 		}
 		full := plan.Clone()
 		forceAccessPath(full, liRel, relalg.PhyTableScan, relalg.ColID{})
-		for _, p := range []int{1, 2, 4} {
-			run := func(pl *relalg.Plan) map[string]int {
-				comp := &exec.Compiler{Q: q, Cat: cat, Parallelism: p}
-				v, _, err := comp.CompileVec(pl)
-				if err != nil {
-					t.Fatalf("compile (P=%d): %v", p, err)
-				}
-				rows, err := exec.DrainVec(v)
-				if err != nil {
-					t.Fatalf("drain (P=%d): %v", p, err)
-				}
-				return multiset(rows)
+		run := func(pl *relalg.Plan) map[string]int {
+			comp := &exec.Compiler{Q: q, Cat: cat}
+			v, _, err := comp.CompileVec(pl)
+			if err != nil {
+				t.Fatalf("compile: %v", err)
 			}
-			if !sameMultiset(run(seg), run(full)) {
-				t.Fatalf("segment-pruned scan diverged from table scan (P=%d) for %q", p, sql)
+			rows, err := exec.DrainVec(v)
+			if err != nil {
+				t.Fatalf("drain: %v", err)
 			}
+			return multiset(rows)
+		}
+		if !sameMultiset(run(seg), run(full)) {
+			t.Fatalf("segment-pruned scan diverged from table scan for %q", sql)
 		}
 	}
 }

@@ -13,11 +13,8 @@
 //   - internal/volcano, internal/systemr — the procedural baselines;
 //   - internal/relalg, internal/catalog, internal/stats, internal/cost —
 //     the shared query model, physical design, statistics and cost model;
-//   - internal/exec — the executor, one vectorized columnar engine
+//   - internal/exec — the executor, one serial vectorized columnar engine
 //     (Compiler.CompileVec → DrainVec/CountVec): selection vectors,
-//     one morsel-driven parallel shape behind a Parallelism option — an
-//     aggregation over P copies of its input's serial probe spine, finished
-//     inside Open —
 //     per-query memory accounting with grace-hash spilling under a budget,
 //     and exact per-operator cardinality feedback. Invariant: an operator's
 //     schema is the set of columns read at or above it (aggregation inputs,
@@ -183,17 +180,15 @@
 // Execution is memory-bounded on request. ServerOptions.MemBudgetBytes
 // bounds each query's tracked execution memory: the executor charges its
 // materializing state (hash-join build sides — an index nested-loops join's
-// hash index is one — and aggregation tables, a parallel aggregation's partial
-// ones among them) to a per-query
-// memory tracker (exec.Compiler.Mem, the one way to bound an execution), and
-// a hash join or aggregation
-// whose build input would exceed the budget switches to grace-hash
+// hash index is one — and aggregation tables) to a per-query memory tracker
+// (exec.Compiler.Mem, the one way to bound an execution), and a hash join or
+// aggregation whose build input would exceed the budget switches to grace-hash
 // execution — the input is partitioned to disk by the same hash the
 // in-memory path uses, partitions are processed one at a time, and a
 // partition that still doesn't fit is recursively repartitioned. Spilled
 // execution is exactly transparent: result multisets and the per-operator
 // cardinality feedback that repairs cached plans are byte-identical with
-// spilling on or off, at any Parallelism (differential-tested), so
+// spilling on or off (differential-tested), so
 // bounding memory never perturbs the paper's adaptive loop. Admission is
 // one semaphore of ServerOptions.MaxConcurrent slots, so the budgets in
 // flight total at most MaxConcurrent × MemBudgetBytes. Per-query peak
