@@ -78,12 +78,12 @@ import (
 )
 
 // Options configures a Server. The zero value is serviceable: admission
-// sized to the machine, unbounded plan cache, private
-// statistics store. Every entry optimizes over the full plan space with
-// default cost parameters and all pruning strategies, and calibrates from
-// cumulatively averaged observations (the paper's AQP-Cumulative) with the
-// calibrator's default feedback threshold, which is what drives repairs to
-// zero once an entry's statistics converge.
+// sized to the machine, unbounded plan cache, private statistics store.
+// Every entry optimizes over the full plan space with default cost
+// parameters and all pruning strategies, and calibrates from cumulatively
+// averaged observations (the paper's AQP-Cumulative) with the calibrator's
+// default feedback threshold, which is what drives repairs to zero once an
+// entry's statistics converge.
 type Options struct {
 	// Parallelism is vestigial and never consulted: every query executes
 	// serially. It stays only because the benchmark module (benchmarks/)
@@ -559,10 +559,7 @@ func (s *Server) run(e *planEntry, snap *planVersion, timed bool) (*Result, *hel
 	if run == nil {
 		mem := exec.NewMemTracker(s.opts.MemBudgetBytes)
 		mem.SetSpillDir(s.opts.SpillDir)
-		comp := &exec.Compiler{
-			Q: e.q, Cat: s.cat,
-			Cache: s.resCache, CacheCands: snap.cands, Mem: mem,
-		}
+		comp := &exec.Compiler{Q: e.q, Cat: s.cat, Cache: s.resCache, CacheCands: snap.cands, Mem: mem}
 		root, stats, err := comp.CompileVec(snap.plan)
 		if err != nil {
 			return nil, nil, err
