@@ -254,6 +254,32 @@ func TestTPCHReferenceDifferential(t *testing.T) {
 	}
 }
 
+// TestCompileParallelCountMatches runs a query end to end via CountVec on a
+// freshly compiled tree — the aqp.RunSlice code path. The executor is serial;
+// the name predates that and is kept so earlier runs compare.
+func TestCompileParallelCountMatches(t *testing.T) {
+	cat := tpch.Generate(tpch.Config{ScaleFactor: 0.002, Seed: 11})
+	q := tpch.Q3S()
+	m, _ := cost.NewModel(q, cat, cost.DefaultParams())
+	vr, err := volcano.Optimize(m, relalg.DefaultSpace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := int64(len(testkit.NewReference(q, cat).Rows()))
+	comp := &Compiler{Q: q, Cat: cat}
+	v, _, err := comp.CompileVec(vr.Plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := CountVec(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want || want == 0 {
+		t.Fatalf("count = %d, reference count = %d", got, want)
+	}
+}
+
 // rowsCatalog holds one table per entry of tabs, columns named c0, c1, ….
 func rowsCatalog(tabs map[string][][]int64) *catalog.Catalog {
 	cat := catalog.New()
