@@ -19,7 +19,9 @@
 //     the recursive PlanCost = LocalCost + Σ children BestCost (rules
 //     R6–R8), and on each child edge the ParentBound value it contributes
 //     to that child's MaxBound aggregate (rules r1–r3). A group's entries
-//     are one exactly sized slab; an entry's position is its Index.
+//     are one exactly sized slab; an entry's position is its Index. Groups
+//     live in one slab and name each other by index; parent edges chain
+//     through one edge slab; both are trimmed to length on return.
 //   - deltas (cost insertions, deletions, updates; bound updates; reference
 //     count changes) flow through a worklist until fixpoint, mimicking the
 //     pipelined push-based execution of the ASPEN engine. Deltas run before
@@ -27,10 +29,11 @@
 //     enumeration — which is what lets aggregate selection cancel the
 //     expansion of provably useless subtrees, the paper's "opportunistic"
 //     pruning. Cost deltas run bottom-up and bound deltas top-down in group
-//     rank order, so a repair settles each affected group about once. A
-//     queued delta is a plain value and all aggregate state lives in the
-//     entries and edges above, so a repair in steady state allocates
-//     nothing but the plan it returns.
+//     rank order, so a repair settles each affected group about once; a
+//     bitmap of non-empty ranks finds the next, and a contribution refresh
+//     of an unexpanded, pruned or released entry is never queued. A queued
+//     delta is a plain value and all aggregate state lives in the slabs
+//     above, so a repair in steady state allocates nothing but its plan.
 //
 // The three pruning strategies of §3 are independently switchable (Pruning),
 // enabling the paper's Figure 7/8 breakdowns and the Evita-Raced
@@ -40,6 +43,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -169,9 +173,9 @@ type Optimizer struct {
 	space relalg.SpaceOptions
 	mode  Pruning
 
-	groups map[relalg.RelSet]*group // by expression; group.sameExpr chains its properties
-	order  []*group                 // creation order, for deterministic iteration
-	root   *group
+	groups []group                   // the group slab, in creation order; groups[0] is the root
+	byExpr map[relalg.RelSet]groupID // by expression: its newest group's id + 1; group.sameExpr chains the rest
+	edges  []parentEdge              // the parent-edge slab; group.parents chains a group's edges
 
 	hot  rankQueue  // cost/bound/refcount deltas, in rank order
 	cold expansions // entries to expand (LIFO: depth-first)
@@ -217,10 +221,10 @@ func New(m *cost.Model, space relalg.SpaceOptions, mode Pruning) (*Optimizer, er
 		model:  m,
 		space:  space,
 		mode:   mode,
-		groups: map[relalg.RelSet]*group{},
+		byExpr: map[relalg.RelSet]groupID{},
 
 		// Two keys per group rank (up to 2n+1) and direction.
-		hot:       rankQueue{heads: make([]int32, 4*(2*len(m.Q.Rels)+2)), cells: make([]task, 0, 64)},
+		hot:       newRankQueue(4 * (2*len(m.Q.Rels) + 2)),
 		stepLimit: defaultStepLimit,
 	}, nil
 }
@@ -234,7 +238,8 @@ func (o *Optimizer) Metrics() Metrics { return o.met }
 // numerators of the paper's pruning ratios; the denominators are the census
 // sizes of a pruning-free run.
 func (o *Optimizer) LiveState() (groups, alts int) {
-	for _, g := range o.order {
+	for gi := range o.groups {
+		g := &o.groups[gi]
 		if !g.alive {
 			continue
 		}
@@ -269,11 +274,17 @@ func (o *Optimizer) Optimize() (*relalg.Plan, error) {
 	start := time.Now()
 	o.cold.fifo = o.breadthFirst
 	o.epoch++
-	o.root = o.demandGroup(groupKey{o.model.Q.AllRels(), relalg.AnyProp})
-	o.root.refCount++ // pinned: the root is always demanded
+	room := slabRoom.Get().(*slabs)
+	o.groups, o.edges = room.groups[:0], room.edges[:0]
+	o.demandGroup(groupKey{o.model.Q.AllRels(), relalg.AnyProp}).refCount++ // the root, pinned: always demanded
 	if err := o.drain(); err != nil {
 		return nil, err
 	}
+	room.groups, room.edges = o.groups, o.edges
+	o.groups, o.edges = exact(room.groups), exact(room.edges)
+	clear(room.groups) // lend the room again without the references
+	clear(room.edges)
+	slabRoom.Put(room)
 	o.optimized = true
 	o.met.Elapsed = time.Since(start)
 	return o.extract()
@@ -282,10 +293,10 @@ func (o *Optimizer) Optimize() (*relalg.Plan, error) {
 // BestCost returns the current best cost of the root group. It is only
 // meaningful after Optimize.
 func (o *Optimizer) BestCost() (float64, bool) {
-	if o.root == nil || !o.root.hasBest {
+	if len(o.groups) == 0 || !o.groups[0].hasBest {
 		return 0, false
 	}
-	return o.root.bestCost, true
+	return o.groups[0].bestCost, true
 }
 
 // GroupBestCost exposes the BestCost view for any (expression, property)
@@ -303,12 +314,32 @@ func (o *Optimizer) GroupBestCost(s relalg.RelSet, p relalg.Prop) (float64, bool
 
 // lookup returns the materialized group for key, or nil.
 func (o *Optimizer) lookup(key groupKey) *group {
-	g := o.groups[key.expr]
-	for g != nil && g.key.prop != key.prop {
-		g = g.sameExpr
+	for id := o.byExpr[key.expr] - 1; id != noGroup; id = o.groups[id].sameExpr {
+		if g := &o.groups[id]; g.key.prop == key.prop {
+			return g
+		}
 	}
-	return g
+	return nil
 }
+
+// slabRoom lends Optimize the room its group and edge slabs grow in, so an
+// optimization allocates each slab once, at its exact length, at the end.
+var slabRoom = sync.Pool{New: func() any { return new(slabs) }}
+
+type slabs struct {
+	groups []group
+	edges  []parentEdge
+}
+
+// trim reallocates the group and edge slabs to their exact lengths if a
+// repair grew them, so an optimizer the plan cache keeps holds no slack.
+func (o *Optimizer) trim() {
+	if cap(o.groups) > len(o.groups) || cap(o.edges) > len(o.edges) {
+		o.groups, o.edges = exact(o.groups), exact(o.edges)
+	}
+}
+
+func exact[T any](s []T) []T { return append(make([]T, 0, len(s)), s...) }
 
 func (o *Optimizer) threshold(g *group) float64 {
 	t := math.Inf(1)

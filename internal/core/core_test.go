@@ -216,7 +216,7 @@ func TestExtractedPlanCostConsistent(t *testing.T) {
 			if p.Right != nil {
 				alt.RExpr, alt.RProp = p.Right.Expr, p.Right.Prop
 			}
-			return m.LocalCost(alt, p.Expr, p.Prop) + recompute(p.Left) + recompute(p.Right)
+			return m.LocalCost(&alt, p.Expr, p.Prop) + recompute(p.Left) + recompute(p.Right)
 		}
 		got := recompute(plan)
 		if !approxEqual(got, plan.Cost) {

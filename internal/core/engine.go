@@ -55,9 +55,9 @@ func (o *Optimizer) drain() error {
 			t.e.contribQueued = false
 			o.refreshContribs(t.e)
 		case taskReconcile:
-			o.reconcileGroup(t.g)
+			o.reconcileGroup(&o.groups[t.g])
 		case taskBound:
-			o.recomputeBound(t.g)
+			o.recomputeBound(&o.groups[t.g])
 		}
 	}
 }
@@ -68,18 +68,21 @@ var altBufs = sync.Pool{New: func() any { return new([]relalg.Alt) }}
 
 // demandGroup materializes the group for key if needed, enumerating its
 // SearchSpace alternatives (rules R1–R5 via the shared Fn_split) and
-// scheduling their expansion.
+// scheduling their expansion. Only it appends to the group slab, so a *group
+// held across it may be stale: expandEntry re-reads its group afterwards.
 func (o *Optimizer) demandGroup(key groupKey) *group {
 	if g := o.lookup(key); g != nil {
 		return g
 	}
-	g := &group{key: key, sameExpr: o.groups[key.expr], alive: true, bound: infinity, floor: infinity}
+	id := groupID(len(o.groups))
+	o.groups = append(o.groups, group{key: key, id: id, sameExpr: o.byExpr[key.expr] - 1, parents: noEdge, lastParent: noEdge,
+		alive: true, bound: infinity, floor: infinity})
+	o.byExpr[key.expr] = id + 1
+	g := &o.groups[id]
 	g.rank = uint8(2 * key.expr.Count())
 	if key.prop != relalg.AnyProp {
 		g.rank++
 	}
-	o.groups[key.expr] = g
-	o.order = append(o.order, g)
 	o.met.GroupsEnumerated++
 	o.touchGroup(g)
 
@@ -89,8 +92,8 @@ func (o *Optimizer) demandGroup(key groupKey) *group {
 	g.entries = make([]entry, len(alts)) // one exactly sized slab per group
 	for i := range g.entries {
 		e := &g.entries[i]
-		e.g, e.alt = g, alts[i]
-		e.localCost = o.model.LocalCost(e.alt, key.expr, key.prop)
+		e.g, e.alt, e.children = id, alts[i], [2]groupID{noGroup, noGroup}
+		e.localCost = o.model.LocalCost(&e.alt, key.expr, key.prop)
 		e.floor = e.localCost
 		g.floor = min(g.floor, e.floor)
 	}
@@ -115,35 +118,41 @@ func (o *Optimizer) expandEntry(e *entry) {
 	if e.expanded || e.pruned {
 		return
 	}
-	g := e.g
-	if o.mode.RefCount && !g.alive {
+	if g := &o.groups[e.g]; o.mode.RefCount && !g.alive {
 		return // dormant; reviveGroup re-schedules expansion
-	}
-	if o.mode.Suppress && e.floor > slack(o.threshold(g)) {
+	} else if o.mode.Suppress && e.floor > slack(o.threshold(g)) {
 		o.suppressEntry(e)
 		return
 	}
 	e.expanded = true
-	alt := e.alt
-	if !alt.Leaf() {
+	if alt := &e.alt; !alt.Leaf() {
 		e.children[sideLeft] = o.demandChild(e, sideLeft, groupKey{alt.LExpr, alt.LProp})
 		if !alt.Unary() {
 			e.children[sideRight] = o.demandChild(e, sideRight, groupKey{alt.RExpr, alt.RProp})
 		}
-		e.floor = e.deriveFloor()
+		e.floor = o.deriveFloor(e)
 	}
 	o.acquireRefs(e)
 	o.tryCost(e)
 	o.queueContrib(e)
 	// Expansion can move the group floor (children floors now feed the
 	// entry's) even when no cost is computed yet.
-	o.queueReconcile(g)
+	o.queueReconcile(&o.groups[e.g])
 }
 
-func (o *Optimizer) demandChild(e *entry, s side, key groupKey) *group {
+// demandChild demands the group for key and appends e's edge s to the tail of
+// its parent chain.
+func (o *Optimizer) demandChild(e *entry, s side, key groupKey) groupID {
 	g := o.demandGroup(key)
-	g.parents = append(g.parents, parentRef{e, s})
-	return g
+	id := int32(len(o.edges))
+	o.edges = append(o.edges, parentEdge{e: e, next: noEdge, s: s})
+	if g.lastParent == noEdge {
+		g.parents = id
+	} else {
+		o.edges[g.lastParent].next = id
+	}
+	g.lastParent = id
+	return g.id
 }
 
 // tryCost evaluates rules R6–R8 for one entry: PlanCost = LocalCost + the
@@ -155,10 +164,11 @@ func (o *Optimizer) tryCost(e *entry) {
 		return
 	}
 	c := e.localCost
-	for _, ch := range e.children {
-		if ch == nil {
+	for _, id := range e.children {
+		if id == noGroup {
 			continue
 		}
+		ch := &o.groups[id]
 		if !ch.hasBest {
 			return // re-triggered when the child's BestCost first appears
 		}
@@ -180,7 +190,7 @@ func (o *Optimizer) setCost(e *entry, c float64) {
 	}
 	e.cost = c
 	e.costKnown = true
-	o.queueReconcile(e.g)
+	o.queueReconcile(&o.groups[e.g])
 }
 
 // ---- group reconciliation: BestCost maintenance + pruning alignment ----
@@ -190,7 +200,7 @@ func (o *Optimizer) queueReconcile(g *group) {
 		return
 	}
 	g.reconcileQueued = true
-	o.hot.push(task{kind: taskReconcile, g: g})
+	o.hot.push(task{kind: taskReconcile, g: g.id}, g.rank)
 }
 
 // reconcileGroup recomputes the group's BestCost from the aggregate state
@@ -201,40 +211,43 @@ func (o *Optimizer) queueReconcile(g *group) {
 // case analysis (prune on lowered bounds, revive on raised ones).
 func (o *Optimizer) reconcileGroup(g *group) {
 	g.reconcileQueued = false
-	best := g.minEntry(false)
+	// One walk finds the BestCost aggregate's minimum (pruned entries
+	// included, ties to the lowest index) and the group floor, which no
+	// suppression or revival below moves synchronously.
+	var best *entry
+	floor := infinity
+	for i := range g.entries {
+		e := &g.entries[i]
+		floor = min(floor, e.floor)
+		if e.costKnown && (best == nil || e.cost < best.cost) {
+			best = e
+		}
+	}
 	if best != nil && (!g.hasBest || g.bestCost != best.cost) {
 		g.hasBest = true
 		g.bestCost = best.cost
 		o.met.BestUpdates++
 		o.touchGroup(g)
-		for _, pr := range g.parents {
-			o.queueRecost(pr.e)
+		for i := g.parents; i != noEdge; i = o.edges[i].next {
+			pe := o.edges[i].e
+			o.queueRecost(pe)
 			// The parent entry's lower bound moved with this
 			// BestCost, so the parent group's floor may move.
-			o.queueReconcile(pr.e.g)
+			o.queueReconcile(&o.groups[pe.g])
+			o.queueContrib(pe) // sibling contributions shift
 		}
-		if o.mode.Bound {
-			o.queueBound(g)
-			for _, pr := range g.parents {
-				o.queueContrib(pr.e) // sibling contributions shift
-			}
-		}
+		o.queueBound(g)
 	}
-	// One walk aligns each entry's pruned state with the thresholds and
-	// folds the group floor. Nothing a suppression or revival does
-	// synchronously moves a floor.
-	thr := o.threshold(g)
-	floor := infinity
-	for i := range g.entries {
-		e := &g.entries[i]
-		floor = min(floor, e.floor)
-		if !o.mode.AggSel {
-			continue
-		}
-		if desired := o.shouldBePruned(e, thr, best); desired && !e.pruned {
-			o.suppressEntry(e)
-		} else if !desired && e.pruned {
-			o.reviveEntry(e)
+	// Align each entry's pruned state with the thresholds.
+	if o.mode.AggSel {
+		thr := o.threshold(g)
+		for i := range g.entries {
+			e := &g.entries[i]
+			if desired := o.shouldBePruned(e, thr, best); desired && !e.pruned {
+				o.suppressEntry(e)
+			} else if !desired && e.pruned {
+				o.reviveEntry(e)
+			}
 		}
 	}
 	// Floor maintenance: a moved floor moves the parent entries' floors
@@ -243,11 +256,12 @@ func (o *Optimizer) reconcileGroup(g *group) {
 	// under suppression.
 	if floor != g.floor {
 		g.floor = floor
-		for _, pr := range g.parents {
-			pr.e.floor = pr.e.deriveFloor()
-			o.queueReconcile(pr.e.g)
+		for i := g.parents; i != noEdge; i = o.edges[i].next {
+			pe := o.edges[i].e
+			pe.floor = o.deriveFloor(pe)
+			o.queueReconcile(&o.groups[pe.g])
 			if o.mode.Bound {
-				o.queueContrib(pr.e)
+				o.queueContrib(pe)
 			}
 		}
 	}
@@ -261,7 +275,7 @@ func (o *Optimizer) reconcileGroup(g *group) {
 // very best plan it was derived from. thr is the group's threshold and best
 // its cheapest costed entry.
 func (o *Optimizer) shouldBePruned(e *entry, thr float64, best *entry) bool {
-	g := e.g
+	g := &o.groups[e.g]
 	if e.costKnown {
 		// Under tuple source suppression, pruning has side effects
 		// (reference release, expansion cancellation) that can sever
@@ -344,7 +358,7 @@ func (o *Optimizer) queueRecost(e *entry) {
 		return
 	}
 	e.recostQueued = true
-	o.hot.push(task{kind: taskRecost, e: e, g: e.g})
+	o.hot.push(task{kind: taskRecost, e: e, g: e.g}, o.groups[e.g].rank)
 }
 
 // ---- reference counting (§3.2 / §4.2) ----
@@ -356,8 +370,8 @@ func (o *Optimizer) acquireRefs(e *entry) {
 	}
 	e.refHeld = true
 	for _, c := range e.children {
-		if c != nil {
-			o.retainGroup(c)
+		if c != noGroup {
+			o.retainGroup(&o.groups[c])
 		}
 	}
 }
@@ -369,8 +383,8 @@ func (o *Optimizer) releaseRefs(e *entry) {
 	}
 	e.refHeld = false
 	for _, c := range e.children {
-		if c != nil {
-			o.releaseGroup(c)
+		if c != noGroup {
+			o.releaseGroup(&o.groups[c])
 		}
 	}
 }
@@ -439,7 +453,7 @@ func (o *Optimizer) queueBound(g *group) {
 		return
 	}
 	g.boundQueued = true
-	o.hot.push(task{kind: taskBound, g: g})
+	o.hot.push(task{kind: taskBound, g: g.id}, g.rank)
 }
 
 // recomputeBound evaluates rule r4: Bound = min(BestCost, MaxBound). A
@@ -451,7 +465,7 @@ func (o *Optimizer) recomputeBound(g *group) {
 	if g.hasBest && g.bestCost < nb {
 		nb = g.bestCost
 	}
-	if mx := g.maxContrib(); mx < nb {
+	if mx := o.maxContrib(g); mx < nb {
 		nb = mx
 	}
 	if nb == g.bound {
@@ -466,12 +480,19 @@ func (o *Optimizer) recomputeBound(g *group) {
 	}
 }
 
+// queueContrib schedules refreshContribs(e) unless it would be a no-op: e
+// unexpanded, pruned or in a released group. Every way out of those states
+// queues e again; refreshContribs re-checks a state that changes meanwhile.
 func (o *Optimizer) queueContrib(e *entry) {
-	if !o.mode.Bound || e.contribQueued {
+	if !o.mode.Bound || e.contribQueued || !e.expanded || e.pruned {
+		return
+	}
+	g := &o.groups[e.g]
+	if o.mode.RefCount && !g.alive {
 		return
 	}
 	e.contribQueued = true
-	o.hot.push(task{kind: taskContrib, e: e, g: e.g})
+	o.hot.push(task{kind: taskContrib, e: e, g: e.g}, g.rank)
 }
 
 // refreshContribs evaluates rules r1–r2 for one LocalCost tuple: the bound
@@ -493,7 +514,8 @@ func (o *Optimizer) refreshContribs(e *entry) {
 	if !e.expanded || e.pruned {
 		return
 	}
-	if o.mode.RefCount && !e.g.alive {
+	g := &o.groups[e.g]
+	if o.mode.RefCount && !g.alive {
 		return // a released group's plans derive no ParentBound facts
 	}
 	// The contribution derives from the parent bound WITH its pruning
@@ -501,23 +523,23 @@ func (o *Optimizer) refreshContribs(e *entry) {
 	// cheapest plans stay under their bounds" must compose through the
 	// subtraction chain, and slack is relative to the parent's (possibly
 	// much larger) magnitude.
-	gb := slack(e.g.bound)
+	gb := slack(g.bound)
 	l := e.children[sideLeft]
 	r := e.children[sideRight]
-	if l != nil {
+	if l != noGroup {
 		v := infinity
 		if gb < infinity {
 			v = gb - e.localCost
-			if r != nil {
-				v -= r.floor
+			if r != noGroup {
+				v -= o.groups[r].floor
 			}
 		}
 		o.setContrib(e, sideLeft, v)
 	}
-	if r != nil {
+	if r != noGroup {
 		v := infinity
-		if gb < infinity && l != nil {
-			v = gb - e.localCost - l.floor
+		if gb < infinity && l != noGroup {
+			v = gb - e.localCost - o.groups[l].floor
 		}
 		o.setContrib(e, sideRight, v)
 	}
@@ -529,7 +551,7 @@ func (o *Optimizer) setContrib(e *entry, s side, v float64) {
 		return
 	}
 	e.contrib[s], e.hasContrib[s] = v, true
-	o.queueBound(e.children[s])
+	o.queueBound(&o.groups[e.children[s]])
 }
 
 // removeContribs retracts the ParentBound values e gives its children.
@@ -537,7 +559,7 @@ func (o *Optimizer) removeContribs(e *entry) {
 	for s, c := range e.children {
 		if e.hasContrib[s] {
 			e.hasContrib[s] = false
-			o.queueBound(c)
+			o.queueBound(&o.groups[c])
 		}
 	}
 }

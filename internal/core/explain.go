@@ -69,7 +69,10 @@ func (o *Optimizer) SearchSpaceTable() []SearchSpaceRow {
 // sortedGroups returns the groups in display order: expression size
 // (largest first), then bitmap, then property.
 func (o *Optimizer) sortedGroups() []*group {
-	groups := append([]*group(nil), o.order...)
+	groups := make([]*group, len(o.groups))
+	for i := range o.groups {
+		groups[i] = &o.groups[i]
+	}
 	sort.Slice(groups, func(i, j int) bool {
 		a, b := groups[i].key, groups[j].key
 		if a.expr.Count() != b.expr.Count() {
@@ -188,7 +191,8 @@ type SpaceEntry struct {
 // internal/deltalog), which re-derives BestCost from this space.
 func (o *Optimizer) ExportSpace() []SpaceEntry {
 	var out []SpaceEntry
-	for _, g := range o.order {
+	for gi := range o.groups {
+		g := &o.groups[gi]
 		for i := range g.entries {
 			e := &g.entries[i]
 			out = append(out, SpaceEntry{

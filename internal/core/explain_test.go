@@ -212,21 +212,23 @@ func (o *Optimizer) DumpGroup(s relalg.RelSet, p relalg.Prop) string {
 			i, e.alt.Log, e.alt.Phy, o.model.Q.SetString(e.alt.LExpr), o.model.Q.SetString(e.alt.RExpr),
 			e.localCost, e.costKnown, e.cost, e.floor, e.pruned, e.expanded, e.refHeld)
 	}
-	for _, pr := range g.parents {
+	for i := g.parents; i != noEdge; i = o.edges[i].next {
+		pr := o.edges[i]
+		pg := &o.groups[pr.e.g]
 		contrib := "-"
 		if pr.e.hasContrib[pr.s] {
 			contrib = fmt.Sprintf("%g", pr.e.contrib[pr.s])
 		}
 		fmt.Fprintf(&b, "  parent %s %s #%d side%d pruned=%v cost=%g bound=%g contrib=%s\n",
-			o.model.Q.SetString(pr.e.g.key.expr), pr.e.g.key.prop, slabIndex(pr.e), pr.s, pr.e.pruned, pr.e.cost, pr.e.g.bound, contrib)
+			o.model.Q.SetString(pg.key.expr), pg.key.prop, slabIndex(pg, pr.e), pr.s, pr.e.pruned, pr.e.cost, pg.bound, contrib)
 	}
 	return b.String()
 }
 
-// slabIndex is e's position in its group's slab: its Index attribute.
-func slabIndex(e *entry) int {
-	for i := range e.g.entries {
-		if &e.g.entries[i] == e {
+// slabIndex is e's position in its group g's slab: its Index attribute.
+func slabIndex(g *group, e *entry) int {
+	for i := range g.entries {
+		if &g.entries[i] == e {
 			return i
 		}
 	}

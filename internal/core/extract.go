@@ -14,10 +14,10 @@ func (o *Optimizer) extract() (*relalg.Plan, error) { return o.extractBy((*Optim
 type pickEntry func(*Optimizer, *group) (*entry, error)
 
 func (o *Optimizer) extractBy(pick pickEntry) (*relalg.Plan, error) {
-	if o.root == nil || !o.root.hasBest {
+	if len(o.groups) == 0 || !o.groups[0].hasBest {
 		return nil, fmt.Errorf("core: no plan found for query %s", o.model.Q.Name)
 	}
-	return o.buildPlan(o.root, pick)
+	return o.buildPlan(&o.groups[0], pick)
 }
 
 // buildPlan builds the plan tree that follows pick's alternative at every
@@ -42,10 +42,10 @@ func (o *Optimizer) buildPlan(g *group, pick pickEntry) (*relalg.Plan, error) {
 	}
 	total := chosen.localCost
 	for _, c := range chosen.children {
-		if c == nil {
+		if c == noGroup {
 			continue
 		}
-		child, err := o.buildPlan(c, pick)
+		child, err := o.buildPlan(&o.groups[c], pick)
 		if err != nil {
 			return nil, err
 		}
@@ -60,13 +60,19 @@ func (o *Optimizer) buildPlan(g *group, pick pickEntry) (*relalg.Plan, error) {
 	return node, nil
 }
 
-// bestEntry returns the cheapest unpruned alternative of a group: the
-// BestPlan tuple (rule R10 joins BestCost with PlanCost; pruned PlanCost
-// tuples were deleted from the view, so they are skipped here even though
-// their values remain inputs of the aggregate).
+// bestEntry returns the cheapest unpruned alternative of a group, ties going
+// to the lowest slab index: the BestPlan tuple (rule R10 joins BestCost with
+// PlanCost; pruned PlanCost tuples were deleted from the view, so they are
+// skipped here even though their values remain inputs of the aggregate).
 func (o *Optimizer) bestEntry(g *group) (*entry, error) {
-	if e := g.minEntry(true); e != nil {
-		return e, nil
+	var best *entry
+	for i := range g.entries {
+		if e := &g.entries[i]; e.costKnown && !e.pruned && (best == nil || e.cost < best.cost) {
+			best = e
+		}
+	}
+	if best != nil {
+		return best, nil
 	}
 	return nil, fmt.Errorf("core: group %s %s has no live plan",
 		o.model.Q.SetString(g.key.expr), g.key.prop)

@@ -68,21 +68,22 @@ func (o *Optimizer) Reoptimize() (*relalg.Plan, error) {
 	// retained aggregate state must stay exact so revival decisions are
 	// sound (§4.1/§4.2); they are part of the affected region either
 	// way. Never-enumerated groups cost nothing — they do not exist.
-	for _, g := range o.order {
+	for gi := range o.groups {
+		g := &o.groups[gi]
 		if !o.groupAffected(g) {
 			continue
 		}
 		for i := range g.entries {
 			e := &g.entries[i]
-			if !o.entryAffected(e) {
+			if !o.entryAffected(e, g.key.expr) {
 				continue
 			}
-			nl := o.model.LocalCost(e.alt, g.key.expr, g.key.prop)
+			nl := o.model.LocalCost(&e.alt, g.key.expr, g.key.prop)
 			if nl == e.localCost {
 				continue
 			}
 			e.localCost = nl
-			e.floor = e.deriveFloor()
+			e.floor = o.deriveFloor(e)
 			o.touchEntry(e)
 			if e.expanded {
 				o.queueRecost(e)
@@ -97,6 +98,7 @@ func (o *Optimizer) Reoptimize() (*relalg.Plan, error) {
 	if err := o.drain(); err != nil {
 		return nil, err
 	}
+	o.trim()
 	o.met.Elapsed = time.Since(start)
 	return o.extract()
 }
@@ -121,12 +123,13 @@ func (o *Optimizer) groupAffected(g *group) bool {
 	return false
 }
 
-// entryAffected narrows the sweep within an affected group to entries whose
-// local cost formula actually reads a changed parameter.
-func (o *Optimizer) entryAffected(e *entry) bool {
+// entryAffected narrows the sweep within an affected group, of expression
+// expr, to entries whose local cost formula actually reads a changed
+// parameter.
+func (o *Optimizer) entryAffected(e *entry, expr relalg.RelSet) bool {
 	for _, u := range o.pending {
 		if u.isScan {
-			if cost.ScanAffects(e.alt, u.rel) {
+			if cost.ScanAffects(&e.alt, u.rel) {
 				return true
 			}
 			continue
@@ -139,7 +142,7 @@ func (o *Optimizer) entryAffected(e *entry) bool {
 		if e.alt.Log == relalg.LogScan {
 			continue
 		}
-		if u.set.IsSubset(e.g.key.expr) {
+		if u.set.IsSubset(expr) {
 			return true
 		}
 	}

@@ -25,23 +25,25 @@ import (
 //     expanded parent and matches its defining expression.
 func (o *Optimizer) CheckInvariants() error {
 	const eps = 1e-6
-	refs := map[*group]int{}
-	if o.root != nil {
-		refs[o.root]++
+	refs := make([]int, len(o.groups))
+	if len(refs) > 0 {
+		refs[0]++ // the root's pin
 	}
-	for _, g := range o.order {
+	for gi := range o.groups {
+		g := &o.groups[gi]
 		for i := range g.entries {
 			e := &g.entries[i]
 			if e.refHeld {
 				for _, c := range e.children {
-					if c != nil {
+					if c != noGroup {
 						refs[c]++
 					}
 				}
 			}
 		}
 	}
-	for _, g := range o.order {
+	for gi := range o.groups {
+		g := &o.groups[gi]
 		// 1. aggregate consistency
 		min, costed := infinity, false
 		for i := range g.entries {
@@ -55,10 +57,11 @@ func (o *Optimizer) CheckInvariants() error {
 			}
 			want := e.localCost
 			incomplete := false
-			for _, ch := range e.children {
-				if ch == nil {
+			for _, c := range e.children {
+				if c == noGroup {
 					continue
 				}
+				ch := &o.groups[c]
 				if !ch.hasBest {
 					incomplete = true
 					break
@@ -100,7 +103,7 @@ func (o *Optimizer) CheckInvariants() error {
 		for i := range g.entries {
 			e := &g.entries[i]
 			floor = math.Min(floor, e.floor)
-			if f := e.deriveFloor(); e.floor != f {
+			if f := o.deriveFloor(e); e.floor != f {
 				return fmt.Errorf("group %v entry %d: cached floor %v != local cost plus child floors %v", g.key, i, e.floor, f)
 			}
 			if e.costKnown && e.floor > e.cost+eps*mathMax1(e.cost) {
@@ -112,8 +115,8 @@ func (o *Optimizer) CheckInvariants() error {
 		}
 
 		// 3. reference counting
-		if g.refCount != refs[g] {
-			return fmt.Errorf("group %v: refCount %d != live references %d", g.key, g.refCount, refs[g])
+		if g.refCount != refs[gi] {
+			return fmt.Errorf("group %v: refCount %d != live references %d", g.key, g.refCount, refs[gi])
 		}
 		if o.mode.RefCount && g.alive != (g.refCount > 0) {
 			return fmt.Errorf("group %v: alive=%v with refCount=%d", g.key, g.alive, g.refCount)
@@ -122,19 +125,20 @@ func (o *Optimizer) CheckInvariants() error {
 		// 4. bounds fixpoint
 		for i := range g.entries {
 			e := &g.entries[i]
-			for sd, c := range e.children {
-				if c == nil {
+			for sd, id := range e.children {
+				if id == noGroup {
 					if e.hasContrib[sd] {
 						return fmt.Errorf("group %v entry %d: contribution on an absent child edge", g.key, i)
 					}
 					continue
 				}
+				c := &o.groups[id]
 				if c.rank >= g.rank {
 					return fmt.Errorf("group %v entry %d: child %v's rank %d is not below %d", g.key, i, c.key, c.rank, g.rank)
 				}
 				n := 0
-				for _, pr := range c.parents {
-					if pr.e == e && pr.s == side(sd) {
+				for j := c.parents; j != noEdge; j = o.edges[j].next {
+					if pr := o.edges[j]; pr.e == e && pr.s == side(sd) {
 						n++
 					}
 				}
@@ -149,9 +153,10 @@ func (o *Optimizer) CheckInvariants() error {
 				want = g.bestCost
 			}
 			max, any := -infinity, false
-			for _, pr := range g.parents {
+			for j := g.parents; j != noEdge; j = o.edges[j].next {
+				pr := o.edges[j]
 				pe := pr.e
-				if pe.children[pr.s] != g {
+				if pe.children[pr.s] != g.id {
 					return fmt.Errorf("group %v: parent edge does not lead back here", g.key)
 				}
 				if !pe.hasContrib[pr.s] {
@@ -167,10 +172,10 @@ func (o *Optimizer) CheckInvariants() error {
 				}
 				wantV := infinity
 				sib := pe.children[1-pr.s]
-				if pe.g.bound < infinity {
-					wantV = slack(pe.g.bound) - pe.localCost
-					if sib != nil {
-						wantV -= sib.floor
+				if pg := &o.groups[pe.g]; pg.bound < infinity {
+					wantV = slack(pg.bound) - pe.localCost
+					if sib != noGroup {
+						wantV -= o.groups[sib].floor
 					}
 				}
 				if !eqOrBothInf(wantV, v, eps) {

@@ -1,6 +1,10 @@
 package core
 
-import "repro/internal/relalg"
+import (
+	"math/bits"
+
+	"repro/internal/relalg"
+)
 
 // groupKey identifies an "OR node": the (Expr, Prop) key shared by the
 // paper's SearchSpace, BestCost and Bound relations.
@@ -17,18 +21,25 @@ const (
 	sideRight
 )
 
+// groupID names a group by its index in Optimizer.groups; noGroup marks an
+// absent child. Ids, not pointers, because that slab grows by append and is
+// copied out at its exact length when Optimize returns (later, by trim).
+type groupID int32
+
+const noGroup groupID = -1
+
 // entry is an "AND node": one SearchSpace tuple plus its PlanCost state and
 // the ParentBound facts it derives for its children. Entries live by value
-// in their group's slab at their Index (the BestCost tiebreak) and never
-// move, so *entry is stable.
+// in their group's slab at their Index (the BestCost tiebreak); a group's
+// slab is exactly sized at enumeration and never moves, so *entry is stable.
 type entry struct {
-	g   *group
 	alt relalg.Alt
-
-	localCost float64
+	g   groupID
 
 	// children: resolved child groups once the entry has been expanded.
-	children [2]*group // [sideLeft, sideRight]; nil where absent
+	children [2]groupID // [sideLeft, sideRight]; noGroup where absent
+
+	localCost float64
 
 	// cost is the entry's input to its group's BestCost aggregate, once
 	// costKnown. It is kept for pruned entries too (§4.1: "the aggregate
@@ -38,7 +49,7 @@ type entry struct {
 	cost float64 // LocalCost + Σ children bestCost
 
 	// floor is a certified lower bound on the entry's eventual (true) plan
-	// cost, kept equal to deriveFloor(). Crucially it never reads a child's
+	// cost, kept equal to deriveFloor. Crucially it never reads a child's
 	// BestCost, which can be transiently inflated during pipelined execution
 	// (the child's cheap plans not yet costed): an inflated value inside a
 	// lower bound would make pruning unsound. Floors are monotone up the
@@ -69,34 +80,40 @@ type entry struct {
 	contribQueued bool
 }
 
-// deriveFloor evaluates the entry's floor from its local cost and its
-// children's group floors.
-func (e *entry) deriveFloor() float64 {
+// deriveFloor evaluates e's floor from its local cost and its children's
+// group floors.
+func (o *Optimizer) deriveFloor(e *entry) float64 {
 	f := e.localCost
 	for _, c := range e.children {
-		if c != nil {
-			f += c.floor
+		if c != noGroup {
+			f += o.groups[c].floor
 		}
 	}
 	return f
 }
 
-// parentRef records that a parent entry demanded this group as one of its
+// parentEdge records that a parent entry demanded a group as one of its
 // children — the reverse edges along which BestCost deltas propagate
-// upward and bound contributions propagate downward.
-type parentRef struct {
-	e *entry
-	s side
+// upward and bound contributions propagate downward. All edges live in one
+// slab, Optimizer.edges; a group's chain runs from group.parents along next,
+// in insertion order, to noEdge.
+type parentEdge struct {
+	e    *entry
+	next int32
+	s    side
 }
+
+const noEdge = -1
 
 // group is an "OR node" with the aggregate state of rules R9–R10 (BestCost)
 // and r1–r4 (Bound). Neither aggregate has a structure of its own: BestCost
 // is the minimum over entries[i].cost and MaxBound the maximum over the
-// contributions on the parents edges, both recomputed by a scan when an
+// contributions on the parent edges, both recomputed by a scan when an
 // input moves (group fan-in is tens of alternatives).
 type group struct {
 	key      groupKey
-	sameExpr *group  // the next group of key.expr in Optimizer.groups' chain
+	id       groupID // the group's position in Optimizer.groups
+	sameExpr groupID // the next group of key.expr in Optimizer.byExpr's chain
 	entries  []entry // the group's slab, in enumeration order
 
 	// bestCost is the BestCost value last emitted downstream, if hasBest.
@@ -106,7 +123,7 @@ type group struct {
 	// root). alive == refCount > 0 when RefCount mode is active.
 	refCount int
 
-	parents []parentRef
+	parents, lastParent int32 // the ends of its edge chain (noEdge: no parent)
 
 	// bound is the recursive Bound relation value (+inf when inactive).
 	bound float64
@@ -132,29 +149,16 @@ type group struct {
 	onPath          bool // plan extraction's cycle guard
 }
 
-// minEntry returns the BestCost aggregate's minimum: the cheapest costed
-// entry, pruned ones included, ties going to the lowest slab index. With
-// liveOnly it skips pruned entries, which yields the BestPlan tuple instead.
-func (g *group) minEntry(liveOnly bool) *entry {
-	var min *entry
-	for i := range g.entries {
-		e := &g.entries[i]
-		if e.costKnown && !(liveOnly && e.pruned) && (min == nil || e.cost < min.cost) {
-			min = e
-		}
-	}
-	return min
-}
-
-// maxContrib returns the MaxBound aggregate (rule r3). A group with no
+// maxContrib returns g's MaxBound aggregate (rule r3). A group with no
 // contributing parent edge (the root, or a group all of whose parents are
 // suppressed) is unconstrained from above: +inf. Likewise any single +inf
 // contribution (a parent whose own bound is not yet finite) makes the
 // maximum +inf — a plan is viable if it is viable for ANY parent, so one
 // unconstrained parent means no constraint at all.
-func (g *group) maxContrib() float64 {
+func (o *Optimizer) maxContrib(g *group) float64 {
 	max, any := -infinity, false
-	for _, pr := range g.parents {
+	for i := g.parents; i != noEdge; i = o.edges[i].next {
+		pr := &o.edges[i]
 		if pr.e.hasContrib[pr.s] {
 			any = true
 			if v := pr.e.contrib[pr.s]; v > max {
@@ -187,7 +191,7 @@ const (
 // grown to its working size. next chains it in rankQueue.
 type task struct {
 	e    *entry
-	g    *group
+	g    groupID
 	next int32
 	kind taskKind
 }
@@ -198,15 +202,21 @@ type task struct {
 // then bound deltas (bound, contrib) by descending rank. A group's rank
 // exceeds its children's, so each affected group runs once its inputs have
 // settled, not once per input that moved. One key's tasks pop LIFO, chained
-// through one slab that is emptied whenever the queue is.
+// through one slab that is emptied whenever the queue is. A bitmap of the
+// non-empty keys finds the lowest with a trailing-zero count per 64 keys.
 type rankQueue struct {
 	cells []task
-	heads []int32 // per key, its chain's top cell + 1 (0: empty)
-	n, lo int     // tasks queued; none has a key below lo
+	heads []int32  // per key, its chain's top cell + 1 (0: empty)
+	full  []uint64 // bit k%64 of word k/64 is set iff heads[k] != 0
 }
 
-func (q *rankQueue) push(t task) {
-	k := 2 * int(t.g.rank) // a group's recosts before its reconcile
+func newRankQueue(keys int) rankQueue {
+	return rankQueue{heads: make([]int32, keys), full: make([]uint64, (keys+63)/64), cells: make([]task, 0, 64)}
+}
+
+// push queues t for a group of the given rank.
+func (q *rankQueue) push(t task, rank uint8) {
+	k := 2 * int(rank) // a group's recosts before its reconcile
 	switch t.kind {
 	case taskReconcile:
 		k++
@@ -215,27 +225,27 @@ func (q *rankQueue) push(t task) {
 	case taskContrib:
 		k = len(q.heads) - 1 - k
 	}
-	if q.n == 0 || k < q.lo {
-		q.lo = k
-	}
-	q.n++
 	t.next = q.heads[k]
 	q.cells = append(q.cells, t)
 	q.heads[k] = int32(len(q.cells))
+	q.full[k>>6] |= 1 << (k & 63)
 }
 
 func (q *rankQueue) pop() (task, bool) {
-	if q.n == 0 {
-		q.cells = q.cells[:0]
-		return task{}, false
+	for w, bits64 := range q.full {
+		if bits64 == 0 {
+			continue
+		}
+		k := w<<6 | bits.TrailingZeros64(bits64)
+		t := q.cells[q.heads[k]-1]
+		q.heads[k] = t.next
+		if t.next == 0 {
+			q.full[w] &^= 1 << (k & 63)
+		}
+		return t, true
 	}
-	q.n--
-	for q.heads[q.lo] == 0 {
-		q.lo++
-	}
-	t := q.cells[q.heads[q.lo]-1]
-	q.heads[q.lo] = t.next
-	return t, true
+	q.cells = q.cells[:0]
+	return task{}, false
 }
 
 // expansions is the cold worklist of entries to expand: LIFO by default —

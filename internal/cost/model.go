@@ -14,6 +14,7 @@ package cost
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/catalog"
 	"repro/internal/relalg"
@@ -55,9 +56,12 @@ type cardOverride struct {
 	Factor float64
 }
 
-// cardMemo is one memoized cardinality: the unclamped override-free product
-// and the estimate with the current overrides applied.
-type cardMemo struct{ base, card float64 }
+// cardSlot is one slot of the cardinality memo: an expression (empty in a
+// free slot), its unclamped override-free product and its current estimate.
+type cardSlot struct {
+	set        relalg.RelSet
+	base, card float64
+}
 
 // Model binds a query to a catalog and parameter set and answers every
 // cost-model question the optimizers ask. It is not safe for concurrent
@@ -77,10 +81,13 @@ type Model struct {
 	overrides  []cardOverride // sorted by Over for determinism
 	scanFactor []float64      // per query relation, default 1
 
-	// cards memoizes Card per expression for the model's lifetime. The
-	// override-free product never changes; SetCardFactor re-applies the
-	// overrides to exactly the cached supersets of the set it changed.
-	cards map[relalg.RelSet]cardMemo
+	// cards memoizes Card per expression for the model's lifetime in an
+	// open-addressed table: 2^k slots (four per relation to start),
+	// probed linearly from a multiplicative hash, at most 3/4 full. The
+	// override-free product never changes; SetCardFactor walks the slots
+	// and re-applies the overrides to the supersets of the set it changed.
+	cards  []cardSlot
+	nCards int
 
 	// Epoch increments on every override mutation; incremental optimizers
 	// use it to detect staleness of cached costs.
@@ -93,7 +100,7 @@ func NewModel(q *relalg.Query, cat *catalog.Catalog, p Params) (*Model, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	m := &Model{Q: q, Cat: cat, P: p, cards: map[relalg.RelSet]cardMemo{}}
+	m := &Model{Q: q, Cat: cat, P: p, cards: make([]cardSlot, max(8, 1<<bits.Len(uint(4*len(q.Rels)-1))))}
 	m.tables = make([]*catalog.Table, len(q.Rels))
 	m.baseRows = make([]float64, len(q.Rels))
 	m.baseCard = make([]float64, len(q.Rels))
@@ -207,10 +214,9 @@ func (m *Model) SetCardFactor(s relalg.RelSet, factor float64) {
 		copy(m.overrides[i+1:], m.overrides[i:])
 		m.overrides[i] = cardOverride{Over: s, Factor: factor}
 	}
-	for k, c := range m.cards {
-		if s.IsSubset(k) {
-			c.card = m.applyOverrides(k, c.base)
-			m.cards[k] = c
+	for i := range m.cards {
+		if c := &m.cards[i]; s.IsSubset(c.set) { // never a free slot: s is not empty
+			c.card = m.applyOverrides(c.set, c.base)
 		}
 	}
 }
@@ -255,8 +261,10 @@ func (m *Model) Card(s relalg.RelSet) float64 { return m.memo(s).card }
 // derive feedback factors.
 func (m *Model) CardBase(s relalg.RelSet) float64 { return math.Max(m.memo(s).base, 1e-6) }
 
-func (m *Model) memo(s relalg.RelSet) cardMemo {
-	if c, ok := m.cards[s]; ok {
+// memo returns s's slot in the cardinality memo, filling it on first use. s
+// must not be empty: every expression has a member.
+func (m *Model) memo(s relalg.RelSet) *cardSlot {
+	if c := m.probe(s); c.set == s {
 		return c
 	}
 	base := 1.0
@@ -271,9 +279,31 @@ func (m *Model) memo(s relalg.RelSet) cardMemo {
 			base *= m.filterSel[fi]
 		}
 	}
-	c := cardMemo{base: base, card: m.applyOverrides(s, base)}
-	m.cards[s] = c
+	if 4*(m.nCards+1) > 3*len(m.cards) {
+		old := m.cards
+		m.cards = make([]cardSlot, 2*len(old))
+		for i := range old {
+			if old[i].set != 0 {
+				*m.probe(old[i].set) = old[i]
+			}
+		}
+	}
+	m.nCards++
+	c := m.probe(s)
+	*c = cardSlot{set: s, base: base, card: m.applyOverrides(s, base)}
 	return c
+}
+
+// probe returns the slot that holds s, or the free slot where s belongs.
+func (m *Model) probe(s relalg.RelSet) *cardSlot {
+	mask := uint64(len(m.cards) - 1)
+	i := uint64(s) * 0x9e3779b97f4a7c15 >> bits.LeadingZeros64(mask)
+	for {
+		if c := &m.cards[i]; c.set == s || c.set == 0 {
+			return c
+		}
+		i = (i + 1) & mask
+	}
 }
 
 // applyOverrides multiplies the override-free product of s by every matching
@@ -293,7 +323,7 @@ func (m *Model) applyOverrides(s relalg.RelSet, base float64) float64 {
 // LocalCost computes the cost of the operator described by alt, rooted at
 // expression s demanded with property prop, excluding children. It is the
 // single cost function shared by all optimizers.
-func (m *Model) LocalCost(alt relalg.Alt, s relalg.RelSet, prop relalg.Prop) float64 {
+func (m *Model) LocalCost(alt *relalg.Alt, s relalg.RelSet, prop relalg.Prop) float64 {
 	p := m.P
 	switch alt.Phy {
 	case relalg.PhyTableScan:
@@ -379,7 +409,7 @@ func (m *Model) colSel(rel int, col relalg.ColID) float64 {
 // ScanAffects reports whether a scan-cost factor change on rel affects the
 // local cost of alt: true for scans of rel and for index-NL joins whose
 // inner is rel.
-func ScanAffects(alt relalg.Alt, rel int) bool {
+func ScanAffects(alt *relalg.Alt, rel int) bool {
 	switch alt.Phy {
 	case relalg.PhyTableScan, relalg.PhyIndexScan, relalg.PhySegScan:
 		return alt.Rel == rel

@@ -2,6 +2,7 @@ package cost
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -144,9 +145,9 @@ func TestEpochBumpsOnOverrides(t *testing.T) {
 func TestScanCostFactorScalesScans(t *testing.T) {
 	m := testModel(t, 4, 3)
 	alt := relalg.Alt{Log: relalg.LogScan, Phy: relalg.PhyTableScan, Rel: 0}
-	before := m.LocalCost(alt, relalg.Single(0), relalg.AnyProp)
+	before := m.LocalCost(&alt, relalg.Single(0), relalg.AnyProp)
 	m.SetScanCostFactor(0, 8)
-	after := m.LocalCost(alt, relalg.Single(0), relalg.AnyProp)
+	after := m.LocalCost(&alt, relalg.Single(0), relalg.AnyProp)
 	if math.Abs(after-8*before) > 1e-6*before {
 		t.Fatalf("scan factor: %v -> %v, want x8", before, after)
 	}
@@ -154,17 +155,17 @@ func TestScanCostFactorScalesScans(t *testing.T) {
 
 func TestScanAffects(t *testing.T) {
 	scan := relalg.Alt{Log: relalg.LogScan, Phy: relalg.PhyTableScan, Rel: 2}
-	if !ScanAffects(scan, 2) || ScanAffects(scan, 1) {
+	if !ScanAffects(&scan, 2) || ScanAffects(&scan, 1) {
 		t.Fatal("ScanAffects scan wrong")
 	}
 	inl := relalg.Alt{Log: relalg.LogJoin, Phy: relalg.PhyIndexNLJoin,
 		LExpr: relalg.Single(1), RExpr: relalg.Single(0).Add(2)}
-	if !ScanAffects(inl, 1) || ScanAffects(inl, 0) {
+	if !ScanAffects(&inl, 1) || ScanAffects(&inl, 0) {
 		t.Fatal("ScanAffects index-NL wrong")
 	}
 	hash := relalg.Alt{Log: relalg.LogJoin, Phy: relalg.PhyHashJoin,
 		LExpr: relalg.Single(1), RExpr: relalg.Single(0)}
-	if ScanAffects(hash, 1) {
+	if ScanAffects(&hash, 1) {
 		t.Fatal("hash join must not depend on scan factors")
 	}
 }
@@ -197,7 +198,7 @@ func TestLocalCostsPositive(t *testing.T) {
 			}
 			seen[key] = true
 			for _, alt := range relalg.Split(q, m, relalg.DefaultSpace(), s, p, nil) {
-				c := m.LocalCost(alt, s, p)
+				c := m.LocalCost(&alt, s, p)
 				if !(c > 0) || math.IsInf(c, 0) || math.IsNaN(c) {
 					return false
 				}
@@ -226,4 +227,105 @@ func TestModelRejectsUnknownTable(t *testing.T) {
 	if _, err := NewModel(q, cat, DefaultParams()); err == nil {
 		t.Fatal("unknown table accepted")
 	}
+}
+
+// productCard is Card and CardBase computed from scratch: the product over
+// s's members, joins and filters, times every override in over whose set s
+// contains, applied in ascending set order as the model applies them.
+func productCard(m *Model, over map[relalg.RelSet]float64, s relalg.RelSet) (card, base float64) {
+	base = 1.0
+	s.EachMember(func(i int) { base *= m.baseCard[i] })
+	for pi, jp := range m.Q.Joins {
+		if s.Has(jp.L.Rel) && s.Has(jp.R.Rel) {
+			base *= m.joinSel[pi]
+		}
+	}
+	for fi, f := range m.Q.Filters {
+		if s.Has(f.L.Rel) && s.Has(f.R.Rel) {
+			base *= m.filterSel[fi]
+		}
+	}
+	sets := make([]relalg.RelSet, 0, len(over))
+	for o := range over {
+		sets = append(sets, o)
+	}
+	slices.Sort(sets)
+	card = base
+	for _, o := range sets {
+		if o.IsSubset(s) {
+			card *= over[o]
+		}
+	}
+	return math.Max(card, 1e-6), math.Max(base, 1e-6)
+}
+
+// TestCardMemoMatchesProduct runs random SetCardFactor sequences — factor 1
+// (removal), repeated sets and factors — on a 12-relation query with
+// residual filters, asking Card and CardBase of ever more sets between steps
+// so that the memo rehashes several times with overrides installed, and
+// requires every answer to equal the from-scratch product.
+func TestCardMemoMatchesProduct(t *testing.T) {
+	r := stats.NewRand(39)
+	cat := testkit.SyntheticCatalog(r, 4)
+	q := testkit.RandomQuery(r, cat, 12)
+	q.Filters = []relalg.FilterPred{
+		{L: relalg.ColID{Rel: 0, Off: 1}, R: relalg.ColID{Rel: 5, Off: 2}, Op: relalg.CmpLT, Sel: 0.3},
+		{L: relalg.ColID{Rel: 7, Off: 0}, R: relalg.ColID{Rel: 11, Off: 3}, Op: relalg.CmpGE, Sel: 0.05},
+	}
+	m, err := NewModel(q, cat, DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	slots := len(m.cards)
+	all := q.AllRels()
+	randomSet := func() relalg.RelSet { return relalg.RelSet(1 + r.Int64n(int64(all))) }
+	over := map[relalg.RelSet]float64{}
+	var asked, targets []relalg.RelSet
+	factors := []float64{0.125, 0.5, 1, 1, 3, 8}
+	check := func(step int, sets []relalg.RelSet) {
+		for _, s := range sets {
+			card, base := productCard(m, over, s)
+			if got := m.Card(s); got != card {
+				t.Fatalf("step %d: Card(%v) = %v, the product is %v", step, s, got, card)
+			}
+			if got := m.CardBase(s); got != base {
+				t.Fatalf("step %d: CardBase(%v) = %v, the product is %v", step, s, got, base)
+			}
+		}
+	}
+	for step := 0; step < 400; step++ {
+		for i := 0; i < 6; i++ {
+			asked = append(asked, randomSet())
+		}
+		var s relalg.RelSet
+		if len(targets) > 0 && r.Intn(3) == 0 {
+			s = targets[r.Intn(len(targets))] // a repeat: update or remove
+		} else {
+			s = randomSet()
+			targets = append(targets, s)
+		}
+		f := factors[r.Intn(len(factors))]
+		m.SetCardFactor(s, f)
+		delete(over, s)
+		if f != 1 {
+			over[s] = f
+		}
+		if got := m.CardFactor(s); got != f {
+			t.Fatalf("step %d: CardFactor(%v) = %v after setting %v", step, s, got, f)
+		}
+		// Every set asked so far now and then, else the newest and a
+		// sample of the older ones.
+		if step%50 == 49 {
+			check(step, asked)
+		} else {
+			check(step, asked[len(asked)-6:])
+			for i := 0; i < 20; i++ {
+				check(step, asked[r.Intn(len(asked)):][:1])
+			}
+		}
+	}
+	if len(m.cards) < 8*slots {
+		t.Fatalf("the memo grew from %d to %d slots: fewer than three rehashes", slots, len(m.cards))
+	}
+	t.Logf("%d overrides live, %d sets asked, memo %d -> %d slots (%d used)", len(over), len(asked), slots, len(m.cards), m.nCards)
 }

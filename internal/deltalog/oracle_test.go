@@ -111,7 +111,7 @@ func buildOracle(space []core.SpaceEntry, m *cost.Model) *oracle {
 
 	for i, se := range space {
 		g := gid(se.Expr, se.Prop)
-		t := Tuple{g, int64(i), kindLeaf, 0, 0, micro(m.LocalCost(se.Alt, se.Expr, se.Prop))}
+		t := Tuple{g, int64(i), kindLeaf, 0, 0, micro(m.LocalCost(&se.Alt, se.Expr, se.Prop))}
 		switch {
 		case se.Alt.Unary():
 			t[2] = kindUnary
@@ -134,7 +134,7 @@ func (o *oracle) refresh(m *cost.Model) int {
 	changed := 0
 	for i := range o.entries {
 		e := &o.entries[i]
-		nc := micro(m.LocalCost(e.alt, e.expr, e.prop))
+		nc := micro(m.LocalCost(&e.alt, e.expr, e.prop))
 		if nc == e.tuple[5] {
 			continue
 		}

@@ -1,8 +1,9 @@
 package relalg
 
 import (
-	"fmt"
-	"sort"
+	"bytes"
+	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -35,18 +36,53 @@ type Fingerprinter struct {
 	q     *Query
 	desc  []string // canonical per-relation descriptor
 	cache map[RelSet]string
+
+	// Rendering buffers, reused by every call: the output, and the terms
+	// of a sorted list, each term's [start, end) in spans.
+	out, terms []byte
+	spans      [][2]int
 }
 
-// NewFingerprinter builds the per-relation descriptors for q.
+// endTerm closes the term appended to f.terms since the previous one.
+func (f *Fingerprinter) endTerm() {
+	start := 0
+	if n := len(f.spans); n > 0 {
+		start = f.spans[n-1][1]
+	}
+	f.spans = append(f.spans, [2]int{start, len(f.terms)})
+}
+
+// appendTerms appends the closed terms to out in byte order — the order
+// sort.Strings gives the same strings — separated by commas, and clears them.
+func (f *Fingerprinter) appendTerms(out []byte) []byte {
+	slices.SortFunc(f.spans, func(a, b [2]int) int { return bytes.Compare(f.terms[a[0]:a[1]], f.terms[b[0]:b[1]]) })
+	for i, sp := range f.spans {
+		if i > 0 {
+			out = append(out, ',')
+		}
+		out = append(out, f.terms[sp[0]:sp[1]]...)
+	}
+	f.terms, f.spans = f.terms[:0], f.spans[:0]
+	return out
+}
+
+// appendCol appends a column reference "pos.off".
+func appendCol(b []byte, pos, off int) []byte {
+	return strconv.AppendInt(append(strconv.AppendInt(b, int64(pos), 10), '.'), int64(off), 10)
+}
+
+// NewFingerprinter builds the per-relation descriptors for q: the table
+// name and the sorted local predicates, "table{c<off><op><val>,...}".
 func NewFingerprinter(q *Query) *Fingerprinter {
 	f := &Fingerprinter{q: q, desc: make([]string, len(q.Rels)), cache: map[RelSet]string{}}
 	for i, r := range q.Rels {
-		preds := make([]string, 0, 2)
 		for _, p := range q.ScanPredsOf(i) {
-			preds = append(preds, fmt.Sprintf("c%d%s%d", p.Col.Off, p.Op, p.Val))
+			f.terms = append(strconv.AppendInt(append(f.terms, 'c'), int64(p.Col.Off), 10), p.Op.String()...)
+			f.terms = strconv.AppendInt(f.terms, p.Val, 10)
+			f.endTerm()
 		}
-		sort.Strings(preds)
-		f.desc[i] = r.Table + "{" + strings.Join(preds, ",") + "}"
+		f.out = append(f.appendTerms(append(append(f.out[:0], r.Table...), '{')), '}')
+		f.desc[i] = string(f.out)
 	}
 	return f
 }
@@ -59,9 +95,7 @@ func NewFingerprinter(q *Query) *Fingerprinter {
 // order is not ambiguous (see AmbiguousOrder).
 func (f *Fingerprinter) CanonicalMembers(s RelSet) []int {
 	members := s.Members()
-	sort.SliceStable(members, func(i, j int) bool {
-		return f.desc[members[i]] < f.desc[members[j]]
-	})
+	slices.SortStableFunc(members, func(a, b int) int { return strings.Compare(f.desc[a], f.desc[b]) })
 	return members
 }
 
@@ -82,55 +116,55 @@ func (f *Fingerprinter) AmbiguousOrder(s RelSet) bool {
 	return false
 }
 
-// Fingerprint renders the canonical fingerprint of subexpression s.
+// Fingerprint renders the canonical fingerprint of subexpression s:
+// "T:" and the members' descriptors in canonical order, separated by ';';
+// "|J:" and the sorted join terms "p.off=p.off" over canonical positions,
+// each written with its lesser side first; "|F:" and the sorted residual
+// filter terms "p.off<op>p.off+<off>@<sel>".
 func (f *Fingerprinter) Fingerprint(s RelSet) string {
 	if fp, ok := f.cache[s]; ok {
 		return fp
 	}
+	var pos [64]int // canonical position by relation
 	members := f.CanonicalMembers(s)
-	pos := map[int]int{}
+	b := append(f.out[:0], "T:"...)
 	for p, rel := range members {
 		pos[rel] = p
-	}
-
-	var b strings.Builder
-	b.WriteString("T:")
-	for p, rel := range members {
 		if p > 0 {
-			b.WriteByte(';')
+			b = append(b, ';')
 		}
-		b.WriteString(f.desc[rel])
+		b = append(b, f.desc[rel]...)
 	}
 
-	joins := make([]string, 0, 2)
 	for _, p := range f.q.Joins {
 		if !s.Has(p.L.Rel) || !s.Has(p.R.Rel) {
 			continue
 		}
-		l := fmt.Sprintf("%d.%d", pos[p.L.Rel], p.L.Off)
-		r := fmt.Sprintf("%d.%d", pos[p.R.Rel], p.R.Off)
-		if r < l { // equi-joins are symmetric: normalize direction
+		var lb, rb [40]byte
+		l := appendCol(lb[:0], pos[p.L.Rel], p.L.Off)
+		r := appendCol(rb[:0], pos[p.R.Rel], p.R.Off)
+		if string(r) < string(l) { // equi-joins are symmetric: normalize direction
 			l, r = r, l
 		}
-		joins = append(joins, l+"="+r)
+		f.terms = append(append(append(f.terms, l...), '='), r...)
+		f.endTerm()
 	}
-	sort.Strings(joins)
-	b.WriteString("|J:")
-	b.WriteString(strings.Join(joins, ","))
+	b = f.appendTerms(append(b, "|J:"...))
 
-	filters := make([]string, 0, 1)
 	for _, fp := range f.q.Filters {
 		if !s.Has(fp.L.Rel) || !s.Has(fp.R.Rel) {
 			continue
 		}
-		filters = append(filters, fmt.Sprintf("%d.%d%s%d.%d+%d@%g",
-			pos[fp.L.Rel], fp.L.Off, fp.Op, pos[fp.R.Rel], fp.R.Off, fp.Off, fp.Sel))
+		f.terms = append(appendCol(f.terms, pos[fp.L.Rel], fp.L.Off), fp.Op.String()...)
+		f.terms = append(appendCol(f.terms, pos[fp.R.Rel], fp.R.Off), '+')
+		f.terms = append(strconv.AppendInt(f.terms, fp.Off, 10), '@')
+		f.terms = strconv.AppendFloat(f.terms, fp.Sel, 'g', -1, 64)
+		f.endTerm()
 	}
-	sort.Strings(filters)
-	b.WriteString("|F:")
-	b.WriteString(strings.Join(filters, ","))
+	b = f.appendTerms(append(b, "|F:"...))
 
-	fp := b.String()
+	f.out = b
+	fp := string(b)
 	f.cache[s] = fp
 	return fp
 }

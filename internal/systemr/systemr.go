@@ -88,7 +88,7 @@ func Optimize(m *cost.Model, opts relalg.SpaceOptions) (*Result, error) {
 		met.Alts += len(alts)
 		var best *relalg.Plan
 		for _, alt := range alts {
-			local := m.LocalCost(alt, s, p)
+			local := m.LocalCost(&alt, s, p)
 			node := &relalg.Plan{
 				Expr: s, Prop: p, Log: alt.Log, Phy: alt.Phy,
 				Rel: alt.Rel, Pred: alt.Pred, IdxCol: alt.IdxCol,

@@ -97,7 +97,7 @@ func (o *optimizer) group(s relalg.RelSet, p relalg.Prop, bound float64) (*relal
 	var bestPlan *relalg.Plan
 	for _, alt := range e.alts {
 		limit := math.Min(bound, best)
-		local := o.m.LocalCost(alt, s, p)
+		local := o.m.LocalCost(&alt, s, p)
 		if local > limit {
 			o.met.PrunedAlts++
 			continue

@@ -132,8 +132,9 @@ differential() {
 differential ./internal/exec/ '^(TestTPCHReferenceDifferential|TestPlansAgreeWithReference|TestLivenessEdgeCases|TestReopenedExecutionMatchesFresh|TestTPCHSpillDifferential|TestSpillJoinMatchesUnbounded|TestSpillJoinForcedRecursion|TestSpillJoinSkewChunkFallback|TestSelectionKernelsMatchScalar|TestHashJoinProbeMatchesChainWalk|TestDirectGroupIdsMatchHashPath)$'
 differential ./internal/server/ '^(TestStorageRestartDifferential|TestSegScanZonePruningDifferential|TestDriftReconvergence|TestHeldRunMatchesFresh|TestHeldRunProfiles)$'
 differential ./internal/linearroad/ '^TestWindowsMatchRowOracle$'
-differential ./internal/core/ '^(TestIncrementalEqualsScratch|TestRepairCounterTrajectory|TestReoptimizeSteadyStateAllocs|TestBreadthFirstAgrees)$'
+differential ./internal/core/ '^(TestIncrementalEqualsScratch|TestRepairCounterTrajectory|TestReoptimizeSteadyStateAllocs|TestBreadthFirstAgrees|TestRankQueueMatchesReference)$'
 differential ./internal/deltalog/ '^TestOracleMatchesCore$'
+differential ./internal/cost/ '^TestCardMemoMatchesProduct$'
 differential ./internal/relalg/ '^TestSplitMatchesReference$'
 
 go tool covdata merge -i="$work/cov/run,$work/cov/test" -o "$work/cov/all"
