@@ -204,6 +204,8 @@ type task struct {
 // settled, not once per input that moved. One key's tasks pop LIFO, chained
 // through one slab that is emptied whenever the queue is. A bitmap of the
 // non-empty keys finds the lowest with a trailing-zero count per 64 keys.
+// A contribution refresh that could change nothing is never pushed (see
+// queueContrib), which keeps most of a repair's bound wave out of it.
 type rankQueue struct {
 	cells []task
 	heads []int32  // per key, its chain's top cell + 1 (0: empty)
