@@ -69,8 +69,7 @@ func (b *Batch) Rows() int64 {
 
 // unweighted is the guard of every consumer that does not read Mult: handed a
 // weighted batch it would silently return a short result, so a counting join
-// compiled under it — a compiler bug, like an unsorted merge-join input —
-// surfaces as the query's error instead.
+// compiled under it — a compiler bug — surfaces as the query's error instead.
 func unweighted(b *Batch, consumer string) error {
 	if b.Mult != nil {
 		return fmt.Errorf("exec: %s does not read multiplicities but its input is a counting join", consumer)
@@ -83,8 +82,8 @@ func unweighted(b *Batch, consumer string) error {
 // re-openable: after Close, Open starts a new execution over what the tables
 // hold then (execRoot states the contract and its two refusals).
 type VecIterator interface {
-	// Open prepares the operator (builds hash tables, sorts inputs, folds an
-	// aggregation's input), emptying and reusing whatever buffers a previous
+	// Open prepares the operator (builds a hash table, folds an aggregation's
+	// input), emptying and reusing whatever buffers a previous
 	// execution left it.
 	Open() error
 	// Next returns the next batch, or nil at end of stream.
@@ -166,8 +165,8 @@ func CountVec(v VecIterator) (int64, error) {
 
 // colData is a materialized column-major row set: cols[c][i] is column c of
 // row i, 0 <= i < n. It is the unit of blocking materialization (join build
-// sides, sort runs, aggregation outputs) and of base-table storage handed out
-// by the catalog.
+// sides, aggregation outputs) and of base-table storage handed out by the
+// catalog.
 type colData struct {
 	cols [][]int64
 	n    int
@@ -242,18 +241,18 @@ func (d *colData) appendBatch(b *Batch) {
 
 // colDrainer is implemented by operators that can materialize their entire
 // output as colData without going through the batch stream. drainVecCols
-// uses it as a fast path, so blocking consumers (hash-join build, merge
-// join, sort) take a base scan without copying what it does not filter.
+// uses it as a fast path, so a hash-join build takes a base scan without
+// copying what it does not filter.
 type colDrainer interface {
 	drainCols(buf *colData) (colData, error)
 }
 
 // drainVecCols opens in, materializes every live row column-wise and closes
-// it — the materializing primitive shared by sort, merge join and hash join
-// builds. What is copied goes into buf — the consumer's materialization of its
-// previous execution, or nil — so a re-opened consumer allocates only what
-// outgrew it. The result is buf's content or
-// columns the source lends: read-only, and valid until the next drain.
+// it — the unbounded hash-join build's materializing primitive. What is
+// copied goes into buf — the consumer's materialization of its previous
+// execution, or nil — so a re-opened consumer allocates only what outgrew it.
+// The result is buf's content or columns the source lends: read-only, and
+// valid until the next drain.
 func drainVecCols(in VecIterator, buf *colData) (colData, error) {
 	if buf == nil {
 		buf = new(colData)
@@ -339,7 +338,7 @@ func (s *vecScanOp) Next() (*Batch, error) {
 
 func (s *vecScanOp) Close() error { return nil }
 
-// drainCols hands a blocking consumer (a join build, a sort) the scan's rows
+// drainCols hands a blocking consumer (a join build) the scan's rows
 // without the batch stream. An unfiltered scan lends the snapshot's columns
 // as they are: they are immutable, consumers only read a materialization, and
 // the clipped capacity makes a stray append copy rather than write into the
@@ -369,43 +368,4 @@ func (s *vecScanOp) drainCols(buf *colData) (colData, error) {
 		Gather(buf.cols[c], col, s.ids)
 	}
 	return *buf, nil
-}
-
-// ---- vectorized sort ----
-
-type vecSortOp struct {
-	in    VecIterator
-	col   int
-	mem   *MemTracker // child tracker; Force-only (no external sort)
-	data  colData
-	pos   int
-	batch Batch
-}
-
-// NewVecSort materializes and sorts its input by the given column, emitting
-// dense zero-copy column windows of the sorted run. Sorting permutes a row
-// index vector, then gathers each column once.
-func NewVecSort(in VecIterator, col int) VecIterator { return &vecSortOp{in: in, col: col} }
-
-func (s *vecSortOp) Open() error {
-	data, err := drainVecCols(s.in, nil)
-	if err != nil {
-		return err
-	}
-	// sortColsStable gathers into a second allocation; both copies are live
-	// during the sort, then the input is dropped.
-	in := colBytes(data.width(), data.n)
-	s.mem.Force(2 * in)
-	s.data = sortColsStable(data, s.col)
-	s.mem.Release(in)
-	s.pos = 0
-	return nil
-}
-
-func (s *vecSortOp) Next() (*Batch, error) { return s.data.emit(&s.batch, &s.pos), nil }
-
-func (s *vecSortOp) Close() error {
-	s.data = colData{}
-	s.mem.ReleaseAll()
-	return nil
 }

@@ -87,14 +87,14 @@ type Compiler struct {
 	CacheCands []CacheCandidate
 	// Mem is the query's memory tracker, and the one way to bound its
 	// memory: under NewMemTracker(limit) with limit > 0, operators that can
-	// go out of core (hash-join builds — an index-NL join's among them — and
-	// hash aggregation) spill under grace hashing instead of exceeding the
-	// budget, into the tracker's SetSpillDir directory; operators that
-	// cannot (sorts, merge joins) charge through and record overage. Nil
-	// keeps the unbounded execution paths exactly. The tracker belongs to the
-	// compiled tree and is held with it: nothing is charged between its
-	// executions, and peak, overage and spill counters describe the latest
-	// one.
+	// go out of core (every join's build side — a merge or index-NL join's
+	// among them, each running on the hash join — and hash aggregation)
+	// spill under grace hashing instead of exceeding the budget, into the
+	// tracker's SetSpillDir directory; what cannot (mem.go lists it) charges
+	// through and records overage. Nil keeps the unbounded execution paths
+	// exactly. The tracker belongs to the compiled tree and is held with it:
+	// nothing is charged between its executions, and peak, overage and spill
+	// counters describe the latest one.
 	Mem *MemTracker
 	// decisions maps plan nodes to their resolved cache decision for the
 	// current CompileVec call; probeHits and spools count what it decided.
@@ -306,25 +306,11 @@ func (c *Compiler) compileVec(p *relalg.Plan, stats *RunStats, weighted bool) (V
 		} else {
 			v = &vecScanOp{leaf: leaf}
 		}
-		if sortCol, sorts := scanSortCol(p); sorts {
-			off, err := colOffset(schema, sortCol)
-			if err != nil {
-				return nil, nil, err
-			}
-			v = c.trackedSort(v, off)
-		}
 		return c.span(v, p, schema, stats), schema, nil
 
 	case relalg.LogEnforce:
-		child, schema, err := c.compileVec(p.Left, stats, false)
-		if err != nil {
-			return nil, nil, err
-		}
-		off, err := colOffset(schema, p.Prop.Col)
-		if err != nil {
-			return nil, nil, err
-		}
-		return c.span(c.trackedSort(child, off), p, schema, stats), schema, nil
+		// Nothing the executor runs reads an order: an enforcer is its child.
+		return c.compileVec(p.Left, stats, weighted)
 
 	case relalg.LogJoin:
 		if p.Phy == relalg.PhyIndexNLJoin {
@@ -340,27 +326,10 @@ func (c *Compiler) compileVec(p *relalg.Plan, stats *RunStats, weighted bool) (V
 			return nil, nil, err
 		}
 		schema, lOut, rOut := c.joinSchema(p, ls, rs)
-		var v VecIterator
-		switch p.Phy {
-		case relalg.PhyHashJoin:
-			if v, err = c.hashJoin(p, left, right, ls, rs, lOut, rOut, counted); err != nil {
-				return nil, nil, err
-			}
-		case relalg.PhyMergeJoin:
-			lk, rk, err := c.joinOffsets(p, c.Q.Joins[p.Pred], ls, rs)
-			if err != nil {
-				return nil, nil, err
-			}
-			residual, err := c.colResidualPreds(p, joinInput(ls, rs))
-			if err != nil {
-				return nil, nil, err
-			}
-			v = NewVecMergeJoin(left, right, lk, rk, residual, lOut, rOut)
-			if mj, ok := v.(*vecMergeJoinOp); ok {
-				mj.mem = c.Mem.Child("mergejoin")
-			}
-		default:
-			return nil, nil, fmt.Errorf("exec: unexpected join operator %v", p.Phy)
+		// A merge join runs as a hash join built on its left input.
+		v, err := c.hashJoin(p, left, right, ls, rs, lOut, rOut, counted)
+		if err != nil {
+			return nil, nil, err
 		}
 		op := c.span(v, p, schema, stats)
 		op.counting = counted
@@ -388,9 +357,8 @@ func (c *Compiler) hashJoin(p *relalg.Plan, left, right VecIterator, ls, rs []re
 // build side is the indexed inner relation (the plan's left child): the hash
 // table is the index, built over the inner's filtered leaf. The leaf is
 // compiled here as a bare scan, not through compileVec — it is part of
-// the join, so it has no span of its own, and an index scan's order is of no
-// use to a hash table — and, unfiltered, it lends the table's columns to the
-// build instead of copying them (vecScanOp.drainCols).
+// the join, so it has no span of its own — and, unfiltered, it lends the
+// table's columns to the build instead of copying them (vecScanOp.drainCols).
 // Plan space and cost model keep index-NL as the paper's Table 1 has it.
 func (c *Compiler) compileVecIndexNL(p *relalg.Plan, stats *RunStats) (VecIterator, []relalg.ColID, error) {
 	if p.Left.Log != relalg.LogScan {
@@ -417,25 +385,15 @@ func (c *Compiler) compileVecIndexNL(p *relalg.Plan, stats *RunStats) (VecIterat
 }
 
 // span wraps node p's operator (p nil: the aggregation's) in its shim and
-// registers it with the execution's record. A scan's or a join's span counts
-// its output cardinality into RunStats; an Enforce sort's carries its child's
-// rows and is not counted again.
+// registers it with the execution's record; a scan's or a join's span counts
+// its output cardinality into RunStats.
 func (c *Compiler) span(v VecIterator, p *relalg.Plan, schema []relalg.ColID, stats *RunStats) *spanOp {
 	op := &spanOp{in: v, st: stats, node: p, cols: len(schema)}
 	stats.ops = append(stats.ops, op)
-	if p != nil && p.Log != relalg.LogEnforce {
+	if p != nil {
 		stats.Cards[p.Expr] = &op.sp.Rows
 	}
 	return op
-}
-
-// trackedSort builds a sort operator with its memory child tracker attached.
-func (c *Compiler) trackedSort(in VecIterator, col int) VecIterator {
-	v := NewVecSort(in, col)
-	if s, ok := v.(*vecSortOp); ok {
-		s.mem = c.Mem.Child("sort")
-	}
-	return v
 }
 
 // joinInput is the row a join's residual predicates are resolved against:
@@ -512,28 +470,6 @@ func (c *Compiler) colFilterPredsOnly(p *relalg.Plan, schema []relalg.ColID) ([]
 		preds = append(preds, ColPred{L: lo, R: ro, Op: f.Op, Off: f.Off})
 	}
 	return preds, nil
-}
-
-// colResidualPreds compiles the join predicates and residual filters that
-// first become checkable at this join (both sides present, not the primary
-// equi-key) to structured ColPreds: the secondary equi-join predicates
-// become {CmpEQ, 0} entries, then colFilterPredsOnly's cross-relation filters
-// with their operator and constant offset.
-func (c *Compiler) colResidualPreds(p *relalg.Plan, schema []relalg.ColID) ([]ColPred, error) {
-	var preds []ColPred
-	for _, jp := range c.secondaryEqui(p) {
-		lo, err := colOffset(schema, jp.L)
-		if err != nil {
-			return nil, err
-		}
-		ro, err := colOffset(schema, jp.R)
-		if err != nil {
-			return nil, err
-		}
-		preds = append(preds, ColPred{L: lo, R: ro, Op: relalg.CmpEQ})
-	}
-	filters, err := c.colFilterPredsOnly(p, schema)
-	return append(preds, filters...), err
 }
 
 func colOffset(schema []relalg.ColID, c relalg.ColID) (int, error) {

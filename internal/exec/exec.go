@@ -1,8 +1,10 @@
 // Package exec is a vectorized, columnar query executor. It executes the
-// physical plans produced by the optimizers — table/index/segment scans with
-// pushed-down selections, hash join, sort-merge join, index nested-loops
-// join, sort, and hash aggregation — and records one span per operator
-// (RunStats): batches, rows and, in a timed execution, wall time. The rows
+// physical plans produced by the optimizers with one scan, one join and one
+// aggregation: table, index and segment scans filter with pushed-down
+// selections, every join — hash, sort-merge or index nested-loops — runs on
+// the hash join, hash aggregation sits on top, and a sort enforcer compiles
+// to its child, since nothing the executor runs reads an order. It records
+// one span per operator (RunStats): batches, rows and, in a timed execution, wall time. The rows
 // are the actual output cardinalities the adaptive layer feeds back into
 // incremental re-optimization (the paper's §5.2.2 "changes based on real
 // execution" and §5.4 loop), and the same record renders EXPLAIN ANALYZE.
@@ -17,9 +19,8 @@
 //
 // Column liveness (live.go) decides what an operator carries: its schema is
 // exactly the columns read at or above it — the aggregation's inputs, the
-// columns of join and filter predicates not yet applied, a node's own sort
-// key — so a column dies after its last reader instead of riding to the
-// root. Scans window only their live columns (selection predicates read the
+// columns of join and filter predicates not yet applied — so a column dies
+// after its last reader instead of riding to the root. Scans window only their live columns (selection predicates read the
 // others in place), joins gather only the live columns of each side (a key
 // nothing above reads is never copied), and build sides, spill partitions,
 // memory charges and result-cache entries follow the same widths. A query

@@ -41,46 +41,6 @@ func TestHashJoinCompoundKeys(t *testing.T) {
 	}
 }
 
-func TestMergeJoinRequiresSortedInputs(t *testing.T) {
-	for _, in := range [][2]VecIterator{
-		{scanOf([]int64{2}, []int64{1}), scanOf([]int64{1})},
-		{scanOf([]int64{1}), scanOf([]int64{2}, []int64{1})},
-	} {
-		it := NewVecMergeJoin(in[0], in[1], 0, 0, nil, seq(1), seq(1))
-		if err := it.Open(); err == nil {
-			t.Fatal("unsorted merge input accepted")
-		}
-	}
-}
-
-func TestMergeJoinDuplicateGroups(t *testing.T) {
-	l := scanOf([]int64{1, 1}, []int64{1, 2}, []int64{3, 3})
-	r := scanOf([]int64{1, 10}, []int64{1, 20}, []int64{2, 30})
-	out, err := DrainVec(NewVecMergeJoin(l, r, 0, 0, nil, seq(2), seq(2)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 4 { // 2x2 cross within key group 1
-		t.Fatalf("merge join output = %v", out)
-	}
-}
-
-func TestSortStable(t *testing.T) {
-	out, err := DrainVec(NewVecSort(scanOf([]int64{3, 0}, []int64{1, 1}, []int64{3, 2}, []int64{2, 3}), 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int64{1, 2, 3, 3}
-	for i, r := range out {
-		if r[0] != want[i] {
-			t.Fatalf("sort output = %v", out)
-		}
-	}
-	if out[2][1] != 0 || out[3][1] != 2 {
-		t.Fatal("sort not stable")
-	}
-}
-
 func TestHashAgg(t *testing.T) {
 	in := scanOf([]int64{1, 10, 5}, []int64{1, 20, 5}, []int64{2, 30, 7}, []int64{1, 5, 6})
 	out, err := DrainVec(NewVecHashAgg(in, AggSpecExec{
@@ -194,13 +154,14 @@ func randomExecQuery(r *stats.Rand, cat *catalog.Catalog, nRels int, agg bool) *
 // reference evaluator, once under a narrow aggregation (columns die below
 // the root on every seed), once without one (every column is live) and once
 // under COUNT(*) and COUNT(DISTINCT) of a single column, which leaves every
-// other relation dead so that hash joins count instead of enumerating
-// (Compiler.counted) at the root and below it. This exercises hash, merge and
-// index-NL joins, sort enforcers, secondary equi-keys, residual filters and
-// aggregation across arbitrary plan shapes.
+// other relation dead so that joins — merge joins among them — count instead
+// of enumerating (Compiler.counted) at the root and below it. This exercises
+// plans of hash, merge and index-NL joins and sort enforcers — all run on the
+// hash join — secondary equi-keys, residual filters and aggregation across
+// arbitrary plan shapes.
 func TestPlansAgreeWithReference(t *testing.T) {
 	seen := map[relalg.PhyOp]bool{}
-	var countedRoots, countedBelow int
+	var countedRoots, countedBelow, countedMerges int
 	for seed := uint64(1); seed <= 40; seed++ {
 		cat := tinyCatalog(seed, 3, 30)
 		nRels := 2 + int(seed%3)
@@ -247,6 +208,9 @@ func TestPlansAgreeWithReference(t *testing.T) {
 				eachPlanNode(plan, func(p *relalg.Plan) {
 					seen[p.Phy] = true
 					if op := st.node(p); q == oneCol && op != nil && op.counting {
+						if p.Phy == relalg.PhyMergeJoin {
+							countedMerges++
+						}
 						if p == plan {
 							countedRoots++
 						} else {
@@ -257,9 +221,9 @@ func TestPlansAgreeWithReference(t *testing.T) {
 			}
 		}
 	}
-	if countedRoots == 0 || countedBelow == 0 {
-		t.Errorf("%d root joins and %d joins below the root ran in counting mode; the seeds no longer cover both",
-			countedRoots, countedBelow)
+	if countedRoots == 0 || countedBelow == 0 || countedMerges == 0 {
+		t.Errorf("%d root joins and %d joins below the root ran in counting mode, %d of them merge joins; the seeds no longer cover all three",
+			countedRoots, countedBelow, countedMerges)
 	}
 	for _, phy := range []relalg.PhyOp{relalg.PhyHashJoin, relalg.PhyMergeJoin,
 		relalg.PhyIndexNLJoin, relalg.PhySort, relalg.PhyIndexScan} {

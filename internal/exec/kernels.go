@@ -400,28 +400,3 @@ func (t *joinTable) walk(cols [][]int64, pKeys []int, hs []uint64, cands []probe
 	}
 	return x, pb, pp
 }
-
-// ---- sort kernel ----
-
-// sortColsStable stable-sorts a column-major row set by one column: it
-// sorts a row-index permutation, then gathers every column once through it.
-func sortColsStable(data colData, col int) colData {
-	if data.n == 0 {
-		return data
-	}
-	n := data.n
-	perm := make([]int32, n)
-	for i := range perm {
-		perm[i] = int32(i)
-	}
-	key := data.cols[col]
-	stableSortPerm(perm, key)
-	out := colData{cols: make([][]int64, data.width()), n: n}
-	flat := make([]int64, data.width()*n)
-	for c, src := range data.cols {
-		dst := flat[c*n : (c+1)*n : (c+1)*n]
-		Gather(dst, src, perm)
-		out.cols[c] = dst
-	}
-	return out
-}

@@ -40,32 +40,17 @@ func (c *Compiler) live(col relalg.ColID, s relalg.RelSet) bool {
 	return false
 }
 
-// scanSortCol returns the column a scan node orders its own output by: the
-// promised sort column, or the key of an index scan.
-func scanSortCol(p *relalg.Plan) (relalg.ColID, bool) {
-	switch {
-	case p.Prop.Kind == relalg.PropSorted:
-		return p.Prop.Col, true
-	case p.Phy == relalg.PhyIndexScan:
-		return p.IdxCol, true
-	}
-	return relalg.ColID{}, false
-}
-
 // scanSchema is the output schema of scan node p, in table order: the
-// relation's live columns plus, when the node sorts, the sort column (the
-// node reads it itself; it dies at the parent unless something above reads it
-// too).
+// relation's live columns. A sorted or index scan carries no more — nothing
+// the executor runs reads an order.
 func (c *Compiler) scanSchema(p *relalg.Plan) ([]relalg.ColID, error) {
 	t, err := c.Cat.Table(c.Q.Rels[p.Rel].Table)
 	if err != nil {
 		return nil, err
 	}
-	sortCol, sorts := scanSortCol(p)
 	var schema []relalg.ColID
 	for off := range t.ColNames {
-		col := relalg.ColID{Rel: p.Rel, Off: off}
-		if c.live(col, p.Expr) || (sorts && col == sortCol) {
+		if col := (relalg.ColID{Rel: p.Rel, Off: off}); c.live(col, p.Expr) {
 			schema = append(schema, col)
 		}
 	}
@@ -99,20 +84,21 @@ func (c *Compiler) joinSchema(p *relalg.Plan, ls, rs []relalg.ColID) (schema []r
 // exactly when the copies would be identical and their consumer takes a count
 // in their place:
 //
-//   - p is a hash join whose build side is dead — no column of ls, its
-//     build-side schema, is live above p — and no residual filter of p reads
-//     one (a filter crossing p compares a build column with a probe column
-//     per pair, so the matches of one probe row are no longer alike);
+//   - p's build side is dead — no column of ls, its build-side schema, is
+//     live above p — and no residual filter of p reads one (a filter crossing
+//     p compares a build column with a probe column per pair, so the matches
+//     of one probe row are no longer alike);
 //   - weighted: p's consumer reads Mult. The aggregation on top of the root
 //     does, and so does the probe side of a counting join, so a spine of dead
-//     build sides composes. Everything else — a build-side drain, a sort, a
-//     merge or index nested-loops join, a result-cache spool, the root of a
-//     query without aggregation — needs the rows and p enumerates.
+//     build sides composes; an enforcer passes its consumer's need through.
+//     Everything else — a build-side drain, the outer side of an index
+//     nested-loops join, a result-cache spool, the root of a query without
+//     aggregation — needs the rows and p enumerates.
 //
 // Counting changes no cardinality: the span shims sum Mult, so RunStats and
 // all feedback derived from it are those of the enumerating join.
 func (c *Compiler) counted(p *relalg.Plan, ls []relalg.ColID, weighted bool) bool {
-	if !weighted || p.Phy != relalg.PhyHashJoin {
+	if !weighted {
 		return false
 	}
 	for _, col := range ls {

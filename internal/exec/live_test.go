@@ -81,8 +81,8 @@ func checkCounted(t *testing.T, label string, q *relalg.Query, plan *relalg.Plan
 }
 
 // TestLivenessEdgeCases runs the schemas column liveness makes unusual — no
-// column at all, a relation reduced to its join key, a sort column nothing
-// above reads, a selection on a column the scan does not emit below a join
+// column at all, a relation reduced to its join key, an index or sort column
+// nothing above reads, a selection on a column the scan does not emit below a join
 // with a cross-relation filter — and every way a hash join's build side can
 // be dead (Compiler.counted: the join hands its consumer a multiplicity
 // instead of copies, or must not) against the reference evaluator, with and
@@ -135,15 +135,15 @@ func TestLivenessEdgeCases(t *testing.T) {
 		{"count over a filtered scan carries no column",
 			&relalg.Query{Rels: rels[:1], Scans: sel, Agg: &relalg.AggSpec{CountAll: true}},
 			liveScan(0), 0, 0, nil, false},
-		{"index scan keeps its key for itself",
+		{"an index scan carries only live columns",
 			&relalg.Query{Rels: rels[:1], Scans: sel, Agg: &relalg.AggSpec{CountAll: true}},
-			indexR, 1, 0, nil, false},
+			indexR, 0, 0, nil, false},
 		{"hash join build side is its key alone",
 			&relalg.Query{Rels: rels, Joins: onA, Agg: sBySum},
 			hashRS(), 2, 1, []relalg.RelSet{rs}, false},
 		{"index key is a selection column read by nothing else",
 			&relalg.Query{Rels: rels, Scans: sel, Joins: onA, Agg: sBySum},
-			liveJoin(relalg.PhyHashJoin, indexR, liveScan(1)), 2, 2, []relalg.RelSet{rs}, false},
+			liveJoin(relalg.PhyHashJoin, indexR, liveScan(1)), 2, 1, []relalg.RelSet{rs}, false},
 		{"index nested loops over a key-only inner",
 			&relalg.Query{Rels: rels, Scans: sel, Joins: onA, Agg: sBySum},
 			liveJoin(relalg.PhyIndexNLJoin, liveScan(0), liveScan(1)), 2, 1, nil, false},
@@ -217,7 +217,7 @@ func TestLivenessEdgeCases(t *testing.T) {
 		}
 		ref := testkit.NewReference(tc.q, cat)
 		want := testkit.Canonical(ref.Rows(), nil)
-		// What a blocking consumer (join build, sort) drains from an input
+		// What a blocking consumer (a join build) drains from an input
 		// is exactly the input's schema: the joins split residual operand
 		// offsets at the materialized build width.
 		for _, in := range []*relalg.Plan{tc.plan.Left, tc.plan.Right} {
@@ -243,7 +243,7 @@ func TestLivenessEdgeCases(t *testing.T) {
 					tc.name, in.Expr, data.width(), data.n, len(schema), ref.Card(in.Expr))
 			}
 		}
-		// The small budget spills every hash join; the roomy one spills nothing.
+		// The small budget spills every join; the roomy one spills nothing.
 		const tight, roomy = 24 << 10, 8 << 20
 		for _, budget := range []int64{0, tight, roomy} {
 			for _, timed := range []bool{false, true} {
@@ -256,9 +256,9 @@ func TestLivenessEdgeCases(t *testing.T) {
 				st.SetTiming(timed)
 				checkExecution(t, label, comp, v, st, ref.Card, want, tc.plan)
 				checkCounted(t, label, tc.q, tc.plan, st, tc.counts, ref)
-				if parts, _, _ := comp.Mem.SpillStats(); budget == tight && tc.plan.Phy == relalg.PhyHashJoin &&
+				if parts, _, _ := comp.Mem.SpillStats(); budget == tight && tc.plan.Log == relalg.LogJoin &&
 					!tc.noSpill && parts == 0 {
-					t.Fatalf("%s: hash join never spilled", label)
+					t.Fatalf("%s: join never spilled", label)
 				}
 			}
 		}

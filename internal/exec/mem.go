@@ -13,10 +13,13 @@ import "sync/atomic"
 //     switch to grace-hash spilling on failure, so on the spill-capable
 //     path tracked memory never exceeds the budget.
 //   - Force charges unconditionally and records the bytes past the budget
-//     as overage. Operators with no out-of-core fallback (sorts, merge-join
-//     materializations, the client-facing result set) use
-//     Force; the recorded overage makes "the bound held" checkable — tests
-//     assert peak <= budget exactly when Overage() == 0.
+//     as overage. What has no out-of-core fallback uses Force: COUNT(DISTINCT)
+//     sets, the aggregation merge of a run whose partials share one hash or
+//     that reached maxSpillLevel, a join build chunk that alone overflows
+//     past maxSpillLevel, and the aggregation's output — the result set the
+//     client reads.
+//     The recorded overage makes "the bound held" checkable — tests assert
+//     peak <= budget exactly when Overage() == 0.
 //
 // What is tracked is memory that scales with data volume: materialized
 // column sets, join tables, aggregation state, spill partition loads, and

@@ -10,8 +10,8 @@ import (
 )
 
 // Per-operator execution profiles (EXPLAIN ANALYZE). The counter is the
-// span: CompileVec wraps every compiled plan node — scans, joins, Enforce
-// sorts — and the aggregation above them in one shim (spanOp) that adds the
+// span: CompileVec wraps every compiled plan node — scans and joins — and
+// the aggregation above them in one shim (spanOp) that adds the
 // batches it passes and the rows they stand for into the node's obs.Span,
 // and RunStats.Cards points at the Rows of the scan and join spans. Feedback,
 // the result-cache spool and EXPLAIN ANALYZE therefore read one count.
@@ -20,9 +20,10 @@ import (
 // calls RunStats.SetTiming before Open, and only a timed execution reads the
 // clock, twice per batch and node. A held tree is therefore profiled like any
 // other execution of it, and profiling never changes results or feedback.
-// Two kinds of node have no shim: those inside a result-cache probe hit
-// (never compiled; their counts are replayed into RunStats), and the inner
-// leaf of an index nested-loops join, folded into its join.
+// Three kinds of node have no shim: those inside a result-cache probe hit
+// (never compiled; their counts are replayed into RunStats), the inner leaf
+// of an index nested-loops join, folded into its join, and an Enforce node,
+// compiled to its child because nothing the executor runs reads an order.
 
 // spanOp is the one shim of a compiled plan node.
 type spanOp struct {
@@ -105,28 +106,17 @@ func (s *RunStats) node(p *relalg.Plan) *spanOp {
 	return nil
 }
 
-// displayTime returns the inclusive wall time to display for a node: its
-// span's, or for a node without a shim its children's (zero when the whole
-// subtree was skipped).
-func (s *RunStats) displayTime(p *relalg.Plan) time.Duration {
-	if p == nil {
-		return 0
-	}
-	if op := s.node(p); op != nil {
-		return op.sp.Time()
-	}
-	return s.displayTime(p.Left) + s.displayTime(p.Right)
-}
-
 // Format renders the latest execution as an EXPLAIN ANALYZE tree: the
 // physical plan annotated per node with the optimizer's estimated cardinality
 // against the actual row count (and their q-error — the paper's estimation
 // error, made visible per query), plus the operator's output width (cols:
 // what it carries upward), batches and, when the execution was timed,
-// cumulative wall time. A hash join that ran in counting mode is marked
+// cumulative wall time. A join that ran in counting mode is marked
 // "counted": its rows are the multiplicities summed — equal to act, as for
-// every operator — while its batches are what it actually emitted. Call
-// it after the tree is drained and before it is opened again.
+// every operator — while its batches are what it actually emitted. A merge or
+// index nested-loops join that ran is marked "via hash": the executor runs
+// every join on the hash join. An Enforce node renders as elided. Call it
+// after the tree is drained and before it is opened again.
 func (s *RunStats) Format() string {
 	var b strings.Builder
 	b.WriteString("EXPLAIN ANALYZE\n")
@@ -152,6 +142,7 @@ func (s *RunStats) format(p *relalg.Plan, b *strings.Builder, depth int, folded 
 		return
 	}
 	q := s.q
+	op := s.node(p)
 	b.WriteString(strings.Repeat("  ", depth))
 	switch p.Log {
 	case relalg.LogScan:
@@ -169,7 +160,7 @@ func (s *RunStats) format(p *relalg.Plan, b *strings.Builder, depth int, folded 
 	case relalg.LogEnforce:
 		fmt.Fprintf(b, "Sort %s", p.Prop)
 	default:
-		op := map[relalg.PhyOp]string{
+		name := map[relalg.PhyOp]string{
 			relalg.PhyHashJoin:    "HashJoin",
 			relalg.PhyMergeJoin:   "MergeJoin",
 			relalg.PhyIndexNLJoin: "IndexNLJoin",
@@ -179,7 +170,11 @@ func (s *RunStats) format(p *relalg.Plan, b *strings.Builder, depth int, folded 
 			jp := q.Joins[p.Pred]
 			pred = fmt.Sprintf(" on %s=%s", q.ColString(jp.L), q.ColString(jp.R))
 		}
-		fmt.Fprintf(b, "%s%s", op, pred)
+		via := ""
+		if op != nil && p.Phy != relalg.PhyHashJoin {
+			via = " via hash"
+		}
+		fmt.Fprintf(b, "%s%s%s", name, pred, via)
 	}
 
 	fmt.Fprintf(b, "  [est=%.1f", p.Card)
@@ -188,14 +183,15 @@ func (s *RunStats) format(p *relalg.Plan, b *strings.Builder, depth int, folded 
 	} else {
 		fmt.Fprintf(b, " act=-")
 	}
-	op := s.node(p)
 	switch {
+	case p.Log == relalg.LogEnforce:
+		b.WriteString(" | elided]")
 	case op != nil:
 		fmt.Fprintf(b, " | rows=%d cols=%d batches=%d", op.sp.Rows, op.cols, op.sp.Batches)
 		if op.counting {
 			b.WriteString(" counted")
 		}
-		fmt.Fprintf(b, "%s]", s.timeOf(s.displayTime(p)))
+		fmt.Fprintf(b, "%s]", s.timeOf(op.sp.Time()))
 	case folded:
 		b.WriteString(" | index of parent join]")
 	default:

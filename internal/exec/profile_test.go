@@ -136,11 +136,12 @@ func TestProfilingDifferential(t *testing.T) {
 	}
 }
 
-// TestFormatAnalyzeRendering renders Q5 timed and then reopened
-// untimed, and the index-NL plans of Q3S, Q5 and Q10: an untimed execution
-// shows the same rows and batches without time=, and without a result cache
-// no node reads "not executed" — an index-NL join's inner leaf is part of
-// its join.
+// TestFormatAnalyzeRendering renders Q5 timed and then reopened untimed, the
+// index-NL plans of Q3S, Q5 and Q10, and the merge-only plan of Q5: an
+// untimed execution shows the same rows and batches without time=, and
+// without a result cache no node reads "not executed" — an index-NL join's
+// inner leaf is part of its join, a merge or index-NL join is marked "via
+// hash", and a sort enforcer is elided.
 func TestFormatAnalyzeRendering(t *testing.T) {
 	cat := tpch.Generate(tpch.Config{ScaleFactor: 0.002, Seed: 7})
 	q := tpch.Q5()
@@ -193,6 +194,41 @@ func TestFormatAnalyzeRendering(t *testing.T) {
 			strings.Count(text, "| index of parent join]") != strings.Count(text, "IndexNLJoin") {
 			t.Fatalf("%s: every index-NL inner leaf must render as part of its join:\n%s", q.Name, text)
 		}
+		if strings.Count(text, " via hash ") != strings.Count(text, "IndexNLJoin") {
+			t.Fatalf("%s: every index-NL join must render as run on the hash join:\n%s", q.Name, text)
+		}
+	}
+
+	// The merge-only Q5 plan: every merge join ran on the hash join, and
+	// every sort enforcer was compiled to its child.
+	mr, err := volcano.Optimize(m, relalg.SpaceOptions{MergeJoin: true, SortEnforcer: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var merges, sorts int
+	eachPlanNode(mr.Plan, func(p *relalg.Plan) {
+		switch {
+		case p.Phy == relalg.PhyMergeJoin:
+			merges++
+		case p.Log == relalg.LogEnforce:
+			sorts++
+		}
+	})
+	if merges == 0 || sorts == 0 {
+		t.Fatalf("the merge-only Q5 plan holds %d merge joins and %d sorts; it no longer covers both:\n%s",
+			merges, sorts, mr.Plan.Explain(q))
+	}
+	v, stats, err = (&Compiler{Q: q, Cat: cat}).CompileVec(mr.Plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DrainVec(v); err != nil {
+		t.Fatal(err)
+	}
+	text = stats.Format()
+	if strings.Contains(text, "not executed") || strings.Count(text, "MergeJoin") != merges ||
+		strings.Count(text, " via hash  [") != merges || strings.Count(text, "| elided]") != sorts {
+		t.Fatalf("merge-only Q5: want %d merge joins marked via hash and %d sorts elided:\n%s", merges, sorts, text)
 	}
 }
 

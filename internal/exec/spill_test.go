@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/cost"
 	"repro/internal/relalg"
 	"repro/internal/tpch"
@@ -22,11 +23,13 @@ const tightBudget = 96 << 10
 // TestTPCHSpillDifferential executes every TPC-H workload query with an
 // unbounded baseline and then under a tight memory budget, asserting
 // identical result multisets and identical RunStats feedback cardinalities —
-// the spill-mode extension of TestTPCHReferenceDifferential. It additionally
-// asserts
-// that the sweep really spilled (the differential is meaningless otherwise;
-// CI greps for its run) and that, whenever no operator was forced past the
-// budget, tracked peak memory stayed under it.
+// the spill-mode extension of TestTPCHReferenceDifferential. It does so for
+// the default space's plan and for the merge-only plan (Volcano over merge
+// joins and sort enforcers), whose joins run on the hash join and spill like
+// any other: its overage must equal the default plan's. It additionally
+// asserts that the sweep really spilled (the differential is meaningless
+// otherwise; CI greps for its run) and that, whenever no operator was forced
+// past the budget, tracked peak memory stayed under it.
 func TestTPCHSpillDifferential(t *testing.T) {
 	cat := tpch.Generate(tpch.Config{ScaleFactor: 0.002, Seed: 7})
 	var totalSpilled int64
@@ -35,56 +38,70 @@ func TestTPCHSpillDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		vr, err := volcano.Optimize(m, relalg.DefaultSpace())
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-
-		base := &Compiler{Q: q, Cat: cat}
-		v, baseStats, err := base.CompileVec(vr.Plan)
-		if err != nil {
-			t.Fatalf("%s: compile unbounded: %v", name, err)
-		}
-		baseRows, err := DrainVec(v)
-		if err != nil {
-			t.Fatalf("%s: unbounded path: %v", name, err)
-		}
-		want := rowMultiset(baseRows)
-
-		comp := &Compiler{Q: q, Cat: cat, Mem: NewMemTracker(tightBudget)}
-		v, stats, err := comp.CompileVec(vr.Plan)
-		if err != nil {
-			t.Fatalf("%s: compile budgeted: %v", name, err)
-		}
-		gotRows, err := DrainVec(v)
-		if err != nil {
-			t.Fatalf("%s: budgeted path: %v", name, err)
-		}
-		if got := rowMultiset(gotRows); got != want {
-			t.Fatalf("%s (budget=%d): result multiset differs: %d budgeted rows vs %d unbounded",
-				name, tightBudget, len(gotRows), len(baseRows))
-		}
-		if len(stats.Cards) != len(baseStats.Cards) {
-			t.Fatalf("%s: stats cover %d exprs, unbounded %d",
-				name, len(stats.Cards), len(baseStats.Cards))
-		}
-		for set, n := range baseStats.Cards {
-			got, ok := stats.Card(set)
-			if !ok || got != *n {
-				t.Fatalf("%s: cardinality of %v = %d, unbounded %d",
-					name, set, got, *n)
+		var overage [2]int64
+		for i, space := range []relalg.SpaceOptions{relalg.DefaultSpace(), {MergeJoin: true, SortEnforcer: true}} {
+			label := name + [2]string{" (default space)", " (merge only)"}[i]
+			vr, err := volcano.Optimize(m, space)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
 			}
+			mem := spillDifferential(t, label, q, cat, vr.Plan)
+			parts, _, _ := mem.SpillStats()
+			totalSpilled += parts
+			overage[i] = mem.Overage()
 		}
-		parts, bytes, _ := comp.Mem.SpillStats()
-		totalSpilled += parts
-		if comp.Mem.Overage() == 0 && comp.Mem.Peak() > tightBudget {
-			t.Fatalf("%s: peak %d exceeds budget %d with zero overage (%d partitions, %d bytes spilled)",
-				name, comp.Mem.Peak(), tightBudget, parts, bytes)
+		if overage[0] != overage[1] {
+			t.Fatalf("%s: the merge-only plan records overage %d, the default plan %d", name, overage[1], overage[0])
 		}
 	}
 	if totalSpilled == 0 {
 		t.Fatal("budget sweep never spilled: the differential exercised nothing")
 	}
+}
+
+// spillDifferential runs plan unbounded and under tightBudget, holds the two
+// to one result multiset and one set of RunStats cardinalities, and returns
+// the budgeted run's tracker.
+func spillDifferential(t *testing.T, label string, q *relalg.Query, cat *catalog.Catalog, plan *relalg.Plan) *MemTracker {
+	t.Helper()
+	base := &Compiler{Q: q, Cat: cat}
+	v, baseStats, err := base.CompileVec(plan)
+	if err != nil {
+		t.Fatalf("%s: compile unbounded: %v", label, err)
+	}
+	baseRows, err := DrainVec(v)
+	if err != nil {
+		t.Fatalf("%s: unbounded path: %v", label, err)
+	}
+	want := rowMultiset(baseRows)
+
+	comp := &Compiler{Q: q, Cat: cat, Mem: NewMemTracker(tightBudget)}
+	v, stats, err := comp.CompileVec(plan)
+	if err != nil {
+		t.Fatalf("%s: compile budgeted: %v", label, err)
+	}
+	gotRows, err := DrainVec(v)
+	if err != nil {
+		t.Fatalf("%s: budgeted path: %v", label, err)
+	}
+	if got := rowMultiset(gotRows); got != want {
+		t.Fatalf("%s (budget=%d): result multiset differs: %d budgeted rows vs %d unbounded",
+			label, tightBudget, len(gotRows), len(baseRows))
+	}
+	if len(stats.Cards) != len(baseStats.Cards) {
+		t.Fatalf("%s: stats cover %d exprs, unbounded %d", label, len(stats.Cards), len(baseStats.Cards))
+	}
+	for set, n := range baseStats.Cards {
+		got, ok := stats.Card(set)
+		if !ok || got != *n {
+			t.Fatalf("%s: cardinality of %v = %d, unbounded %d", label, set, got, *n)
+		}
+	}
+	if parts, bytes, _ := comp.Mem.SpillStats(); comp.Mem.Overage() == 0 && comp.Mem.Peak() > tightBudget {
+		t.Fatalf("%s: peak %d exceeds budget %d with zero overage (%d partitions, %d bytes spilled)",
+			label, comp.Mem.Peak(), tightBudget, parts, bytes)
+	}
+	return comp.Mem
 }
 
 // ---- deterministic synthetic spill tests ----

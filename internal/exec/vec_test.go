@@ -166,9 +166,6 @@ func TestWeightedBatchEscapes(t *testing.T) {
 	spilledProbe.mem = NewMemTracker(8).Child("hashjoin")
 	for name, v := range map[string]VecIterator{
 		"result":                      &weightedIter{n: 4},
-		"sort":                        NewVecSort(&weightedIter{n: 4}, 0),
-		"merge join, left":            NewVecMergeJoin(&weightedIter{n: 4}, scan(), 0, 0, nil, seq(1), seq(1)),
-		"merge join, right":           NewVecMergeJoin(scan(), &weightedIter{n: 4}, 0, 0, nil, seq(1), seq(1)),
 		"hash join build":             NewVecHashJoin(&weightedIter{n: 4}, scan(), []int{0}, []int{0}, nil, nil, seq(1)),
 		"hash join build, bounded":    bounded,
 		"hash join build, spilling":   spilled,
@@ -191,11 +188,10 @@ func TestWeightedBatchEscapes(t *testing.T) {
 	}
 }
 
-// unsortedMergeJoin is a build side whose Open fails: a merge join over an
-// unsorted input.
-func unsortedMergeJoin() VecIterator {
-	return NewVecMergeJoin(scanOf([]int64{2}, []int64{1}), scanOf([]int64{1}), 0, 0, nil, seq(1), seq(1))
-}
+// failingOpen is a build side whose Open fails.
+type failingOpen struct{ VecIterator }
+
+func (failingOpen) Open() error { return errors.New("open failed") }
 
 // closeRecorder is a probe side that records whether it was closed.
 type closeRecorder struct {
@@ -206,13 +202,13 @@ type closeRecorder struct {
 func (c *closeRecorder) Close() error { c.closed = true; return c.VecIterator.Close() }
 
 // TestVecHashJoinOpenErrorReleasesProbe: when draining the build side fails
-// (unsorted merge join below), the already-opened probe side must be closed
+// (its Open errors), the already-opened probe side must be closed
 // rather than leaked.
 func TestVecHashJoinOpenErrorReleasesProbe(t *testing.T) {
 	probe := &closeRecorder{VecIterator: scanOf([]int64{1})}
-	j := NewVecHashJoin(unsortedMergeJoin(), probe, []int{0}, []int{0}, nil, seq(2), seq(1))
+	j := NewVecHashJoin(failingOpen{scanOf([]int64{1})}, probe, []int{0}, []int{0}, nil, seq(2), seq(1))
 	if err := j.Open(); err == nil {
-		t.Fatal("unsorted build input accepted")
+		t.Fatal("a failing build side opened")
 	}
 	if !probe.closed {
 		t.Fatal("the probe side was opened and never closed")

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"errors"
-	"fmt"
 
 	"repro/internal/relalg"
 )
@@ -292,124 +291,4 @@ func (j *vecHashJoinOp) Close() error {
 	j.spill, j.charged = nil, 0
 	j.mem.ReleaseAll()
 	return j.right.Close()
-}
-
-// ---- vectorized merge join ----
-
-type vecMergeJoinOp struct {
-	left, right VecIterator
-	lKey, rKey  int
-	residual    []ColPred
-	mem         *MemTracker // child tracker; Force-only (no spill fallback)
-
-	lData, rData colData
-	li, ri       int
-	gls, gle     int // current left key group [gls, gle)
-	grs, gre     int
-	gi, gj       int
-
-	pairsB, pairsP []int32
-	emit           colEmitter
-}
-
-// NewVecMergeJoin joins two inputs already sorted on their key columns,
-// batch-at-a-time over column-major materializations, emitting the lOut
-// columns of the left input, then the rOut columns of the right.
-func NewVecMergeJoin(left, right VecIterator, lKey, rKey int, residual []ColPred, lOut, rOut []int) VecIterator {
-	return &vecMergeJoinOp{left: left, right: right, lKey: lKey, rKey: rKey, residual: residual,
-		emit: colEmitter{buildOut: lOut, probeOut: rOut}}
-}
-
-func (m *vecMergeJoinOp) Open() error {
-	m.li, m.ri, m.gls, m.gle, m.grs, m.gre, m.gi, m.gj = 0, 0, 0, 0, 0, 0, 0, 0
-	var err error
-	if m.lData, err = drainVecCols(m.left, nil); err != nil {
-		return err
-	}
-	if m.rData, err = drainVecCols(m.right, nil); err != nil {
-		return err
-	}
-	m.mem.Force(colBytes(m.lData.width(), m.lData.n) + colBytes(m.rData.width(), m.rData.n))
-	// Defensive check: inputs must be sorted (the optimizer guarantees it
-	// via properties; a violation is a planning bug worth surfacing). One
-	// pass over one contiguous key column per side.
-	if m.lData.n > 0 {
-		key := m.lData.cols[m.lKey]
-		for i := 1; i < len(key); i++ {
-			if key[i-1] > key[i] {
-				return fmt.Errorf("exec: merge join left input not sorted on col %d", m.lKey)
-			}
-		}
-	}
-	if m.rData.n > 0 {
-		key := m.rData.cols[m.rKey]
-		for i := 1; i < len(key); i++ {
-			if key[i-1] > key[i] {
-				return fmt.Errorf("exec: merge join right input not sorted on col %d", m.rKey)
-			}
-		}
-	}
-	m.pairsB, m.pairsP = sized(m.pairsB, BatchSize)[:0], sized(m.pairsP, BatchSize)[:0]
-	return nil
-}
-
-func (m *vecMergeJoinOp) flushPairs() *Batch {
-	pb, pp := filterPairs(m.residual, &m.lData, m.rData.cols, m.pairsB, m.pairsP)
-	m.pairsB, m.pairsP = m.pairsB[:0], m.pairsP[:0]
-	if len(pb) == 0 {
-		return nil
-	}
-	return m.emit.emit(&m.lData, m.rData.cols, pb, pp)
-}
-
-func (m *vecMergeJoinOp) Next() (*Batch, error) {
-	for {
-		for m.gi < m.gle-m.gls {
-			for m.gj < m.gre-m.grs {
-				m.pairsB = append(m.pairsB, int32(m.gls+m.gi))
-				m.pairsP = append(m.pairsP, int32(m.grs+m.gj))
-				m.gj++
-				if len(m.pairsB) == BatchSize {
-					if out := m.flushPairs(); out != nil {
-						return out, nil
-					}
-				}
-			}
-			m.gj = 0
-			m.gi++
-		}
-		// advance to the next matching key group
-		if m.li >= m.lData.n || m.ri >= m.rData.n {
-			if len(m.pairsB) > 0 {
-				if out := m.flushPairs(); out != nil {
-					return out, nil
-				}
-			}
-			return nil, nil
-		}
-		lCol, rCol := m.lData.cols[m.lKey], m.rData.cols[m.rKey]
-		lk, rk := lCol[m.li], rCol[m.ri]
-		switch {
-		case lk < rk:
-			m.li++
-		case lk > rk:
-			m.ri++
-		default:
-			ls, rs := m.li, m.ri
-			for m.li < m.lData.n && lCol[m.li] == lk {
-				m.li++
-			}
-			for m.ri < m.rData.n && rCol[m.ri] == rk {
-				m.ri++
-			}
-			m.gls, m.gle, m.grs, m.gre = ls, m.li, rs, m.ri
-			m.gi, m.gj = 0, 0
-		}
-	}
-}
-
-func (m *vecMergeJoinOp) Close() error {
-	m.lData, m.rData = colData{}, colData{}
-	m.mem.ReleaseAll()
-	return nil
 }

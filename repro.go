@@ -14,28 +14,28 @@
 //   - internal/relalg, internal/catalog, internal/stats, internal/cost —
 //     the shared query model, physical design, statistics and cost model;
 //   - internal/exec — the executor, one serial vectorized columnar engine
-//     (Compiler.CompileVec → DrainVec/CountVec): selection vectors,
-//     per-query memory accounting with grace-hash spilling under a budget,
-//     and exact per-operator cardinality feedback. Invariant: an operator's
-//     schema is the set of columns read at or above it (aggregation inputs,
-//     predicates not yet applied, its own sort key), so a column dies after
-//     its last reader; a query without an aggregation returns every column
-//     and is all-live. Where that leaves a hash join's build side dead — no
-//     build column read above it, no residual on one — and the join feeds
-//     the aggregation (directly, or through more such joins on its probe
-//     side), the join counts instead of enumerating: each matching probe
-//     row is passed on once with its match count beside it (Batch.Mult),
-//     which COUNT(*) and SUM scale by and COUNT(DISTINCT) ignores; the
-//     cardinality counters sum the multiplicities, so feedback is that of
-//     the enumerating join. A compiled tree is re-openable: after Close,
-//     Open starts a new execution — scans rebind to their tables' current
-//     column snapshots, RunStats counters are zeroed (RunStats.Reset), and
-//     every operator empties the buffers it owns (build sides, join tables,
-//     the aggregation's group arrays and its one flat COUNT(DISTINCT) set,
-//     output columns, batch scratch) and keeps their capacity, for exactly
-//     as long as the operator itself lives; nothing is charged to the
-//     tracker between executions. A tree compiled against a result cache,
-//     or one whose last execution failed, refuses a second Open;
+//     (Compiler.CompileVec → DrainVec/CountVec) with one join, the hash join
+//     (merge and index-NL joins run on it; sorts compile to nothing),
+//     grace-hash spilling under a per-query budget, and exact per-operator
+//     cardinality feedback. Invariant: an operator's schema is the set of
+//     columns read at or above it (aggregation inputs, predicates not yet
+//     applied), so a column dies after its last reader; a query without an
+//     aggregation returns every column and is all-live. Where that leaves a
+//     join's build side dead — no build column read above it, no residual on
+//     one — and the join feeds the aggregation (directly, or through more
+//     such joins on its probe side), the join counts instead of enumerating:
+//     each matching probe row is passed on once with its match count beside
+//     it (Batch.Mult), which COUNT(*) and SUM scale by and COUNT(DISTINCT)
+//     ignores; the cardinality counters sum the multiplicities, so feedback
+//     is that of the enumerating join. A compiled tree is re-openable: after
+//     Close, Open starts a new execution — scans rebind to their tables'
+//     current column snapshots, RunStats counters are zeroed, and every
+//     operator empties the buffers it owns (build sides, join tables, the
+//     aggregation's group arrays and its one flat COUNT(DISTINCT) set, output
+//     columns, batch scratch) and keeps their capacity, for exactly as long
+//     as the operator itself lives; nothing is charged to the tracker between
+//     executions. A tree compiled against a result cache, or one whose last
+//     execution failed, refuses a second Open;
 //   - internal/aqp — the adaptive query processing loop. The controller
 //     owns the standing query's execution: it compiles a plan once and
 //     re-opens that tree at every split point until the re-optimizer
