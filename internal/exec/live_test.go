@@ -82,8 +82,8 @@ func checkCounted(t *testing.T, label string, q *relalg.Query, plan *relalg.Plan
 
 // TestLivenessEdgeCases runs the schemas column liveness makes unusual — no
 // column at all, a relation reduced to its join key, an index or sort column
-// nothing above reads, a selection on a column the scan does not emit below a join
-// with a cross-relation filter — and every way a hash join's build side can
+// nothing above reads, a selection on a column the scan does not emit below a
+// join with a cross-relation filter — and every way a join's build side can
 // be dead (Compiler.counted: the join hands its consumer a multiplicity
 // instead of copies, or must not) against the reference evaluator, with and
 // without a spill budget, profiled and not, and pins the widths the compiler
