@@ -31,22 +31,38 @@ type ZoneInfo interface {
 }
 
 // SpaceOptions selects which physical alternatives the enumerator generates.
-// The defaults enable the full space used in the paper's evaluation
-// (pipelined hash join, sort-merge join, index nested-loops join, sort
-// enforcers, bushy trees). LeftDeepOnly restricts to left-linear expressions,
-// the System-R variant the paper mentions in footnote 1; it is exercised by
-// the ablation benchmarks.
+// DefaultSpace is the full space of the paper's evaluation (pipelined hash
+// join, sort-merge join, index nested-loops join, sort enforcers, bushy
+// trees): the figures, the baselines and the oracle optimize in it.
+// ServedSpace is what internal/exec runs as priced, the space the server's
+// plan cache optimizes in. LeftDeepOnly restricts to left-linear
+// expressions, the System-R variant the paper mentions in footnote 1; it is
+// exercised by the ablation benchmarks. NoIndexScan drops the index scan
+// that competes with the table scan as an access path under Any; index
+// scans that deliver a required order or an index-NL inner are untouched
+// (only MergeJoin and IndexNL demand them), and the zero value keeps it.
 type SpaceOptions struct {
 	HashJoin     bool
 	MergeJoin    bool
 	IndexNL      bool
 	SortEnforcer bool
 	LeftDeepOnly bool
+	NoIndexScan  bool
 }
 
-// DefaultSpace returns the full plan space configuration.
+// DefaultSpace returns the full plan space configuration (the paper's
+// Table 1).
 func DefaultSpace() SpaceOptions {
 	return SpaceOptions{HashJoin: true, MergeJoin: true, IndexNL: true, SortEnforcer: true}
+}
+
+// ServedSpace returns the space internal/exec runs as priced: hash joins
+// over table and segment scans. The executor runs merge and index-NL joins
+// on the hash join, compiles sort enforcers to their child and reads an
+// index scan as a plain scan, so in the full space those alternatives
+// differ from the ones kept here only in a price the executor does not pay.
+func ServedSpace() SpaceOptions {
+	return SpaceOptions{HashJoin: true, NoIndexScan: true}
 }
 
 // Alt is one alternative plan for a group: a SearchSpace tuple minus the
@@ -185,7 +201,7 @@ func splitLeaf(q *Query, schema SchemaInfo, opts SpaceOptions, rel int, p Prop, 
 		alts = append(alts, Alt{Log: LogScan, Phy: PhyTableScan, Rel: rel})
 		// Access-path selection: an index scan competes under Any when
 		// a local predicate on the key column can restrict it.
-		if col, ok := scanPredOn(q, rel, idxCols); ok {
+		if col, ok := scanPredOn(q, rel, idxCols); ok && !opts.NoIndexScan {
 			alts = append(alts, Alt{Log: LogScan, Phy: PhyIndexScan, Rel: rel, IdxCol: col})
 		}
 		// A segment-pruned scan competes when the backend keeps zone maps
