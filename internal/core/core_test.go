@@ -83,10 +83,22 @@ func TestAgreesWithBaselines(t *testing.T) {
 // short streams never reach (the repository benchmark replays 4 000). The
 // wide arm runs storm-mix deltas on 10 and 12 relations under PruneAll,
 // group ranks past those of the 8-relation TPC-H queries, against a fresh
-// core optimization.
+// core optimization. Every arm runs in both contractSpaces.
 func TestIncrementalEqualsScratch(t *testing.T) {
 	t.Run("wide", testIncrementalEqualsScratchWide)
-	space := relalg.DefaultSpace()
+	for _, sp := range contractSpaces {
+		testIncrementalEqualsScratchSeeds(t, sp.name, sp.space)
+	}
+}
+
+// contractSpaces are the spaces the paper's contract is checked in: the
+// full Table 1 space the figures use and the one the server optimizes in.
+var contractSpaces = []struct {
+	name  string
+	space relalg.SpaceOptions
+}{{"full", relalg.DefaultSpace()}, {"served", relalg.ServedSpace()}}
+
+func testIncrementalEqualsScratchSeeds(t *testing.T, spaceName string, space relalg.SpaceOptions) {
 	factors := []float64{0.125, 0.25, 0.5, 2, 4, 8}
 	for seed := uint64(1); seed <= 25; seed++ {
 		nRels := 3 + int(seed%4)
@@ -130,18 +142,18 @@ func TestIncrementalEqualsScratch(t *testing.T) {
 				}
 				plan, err := o.Reoptimize()
 				if err != nil {
-					t.Fatalf("seed %d mode %v step %d: Reoptimize: %v", seed, mode, step, err)
+					t.Fatalf("%s space seed %d mode %v step %d: Reoptimize: %v", spaceName, seed, mode, step, err)
 				}
 				want, err := volcano.Optimize(oracle, space)
 				if err != nil {
 					t.Fatalf("oracle: %v", err)
 				}
 				if !approxEqual(plan.Cost, want.Cost) {
-					t.Fatalf("seed %d mode %v step %d: incremental %v != scratch %v\nplan:\n%s",
-						seed, mode, step, plan.Cost, want.Cost, plan.Explain(q))
+					t.Fatalf("%s space seed %d mode %v step %d: incremental %v != scratch %v\nplan:\n%s",
+						spaceName, seed, mode, step, plan.Cost, want.Cost, plan.Explain(q))
 				}
 				if err := o.CheckInvariants(); err != nil {
-					t.Fatalf("seed %d mode %v step %d: invariants: %v", seed, mode, step, err)
+					t.Fatalf("%s space seed %d mode %v step %d: invariants: %v", spaceName, seed, mode, step, err)
 				}
 			}
 		}
@@ -149,39 +161,40 @@ func TestIncrementalEqualsScratch(t *testing.T) {
 }
 
 func testIncrementalEqualsScratchWide(t *testing.T) {
-	space := relalg.DefaultSpace()
-	for _, nRels := range []int{10, 12} {
-		r := stats.NewRand(uint64(nRels) * 7919)
-		cat := testkit.SyntheticCatalog(r, 4)
-		q := testkit.RandomQuery(r, cat, nRels)
-		m, err := cost.NewModel(q, cat, cost.DefaultParams())
-		if err != nil {
-			t.Fatal(err)
-		}
-		oracle, _ := cost.NewModel(q, cat, cost.DefaultParams())
-		o, err := New(m, space, PruneAll)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := o.Optimize(); err != nil {
-			t.Fatal(err)
-		}
-		for step := 0; step < 30; step++ {
-			stormDelta(o, oracle, r, q, step)
-			plan, err := o.Reoptimize()
+	for _, sp := range contractSpaces {
+		for _, nRels := range []int{10, 12} {
+			r := stats.NewRand(uint64(nRels) * 7919)
+			cat := testkit.SyntheticCatalog(r, 4)
+			q := testkit.RandomQuery(r, cat, nRels)
+			m, err := cost.NewModel(q, cat, cost.DefaultParams())
 			if err != nil {
-				t.Fatalf("%d relations step %d: Reoptimize: %v", nRels, step, err)
+				t.Fatal(err)
 			}
-			fresh, _ := New(oracle, space, PruneAll)
-			want, err := fresh.Optimize()
+			oracle, _ := cost.NewModel(q, cat, cost.DefaultParams())
+			o, err := New(m, sp.space, PruneAll)
 			if err != nil {
-				t.Fatalf("%d relations step %d: fresh Optimize: %v", nRels, step, err)
+				t.Fatal(err)
 			}
-			if !approxEqual(plan.Cost, want.Cost) {
-				t.Fatalf("%d relations step %d: incremental %v != scratch %v", nRels, step, plan.Cost, want.Cost)
+			if _, err := o.Optimize(); err != nil {
+				t.Fatal(err)
 			}
-			if err := o.CheckInvariants(); err != nil {
-				t.Fatalf("%d relations step %d: invariants: %v", nRels, step, err)
+			for step := 0; step < 30; step++ {
+				stormDelta(o, oracle, r, q, step)
+				plan, err := o.Reoptimize()
+				if err != nil {
+					t.Fatalf("%s space %d relations step %d: Reoptimize: %v", sp.name, nRels, step, err)
+				}
+				fresh, _ := New(oracle, sp.space, PruneAll)
+				want, err := fresh.Optimize()
+				if err != nil {
+					t.Fatalf("%s space %d relations step %d: fresh Optimize: %v", sp.name, nRels, step, err)
+				}
+				if !approxEqual(plan.Cost, want.Cost) {
+					t.Fatalf("%s space %d relations step %d: incremental %v != scratch %v", sp.name, nRels, step, plan.Cost, want.Cost)
+				}
+				if err := o.CheckInvariants(); err != nil {
+					t.Fatalf("%s space %d relations step %d: invariants: %v", sp.name, nRels, step, err)
+				}
 			}
 		}
 	}

@@ -176,42 +176,51 @@ func TestReoptimizeSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// optimizeAllocCeiling bounds one from-scratch optimization of Q5 under
+// optimizeAllocCeilings bound one from-scratch optimization of Q5 under
 // PruneAll — model, optimizer and Optimize, as
-// BenchmarkFig4InitialOptimization runs it: 146 allocations and 1 % margin.
-// Before the enumerator worked on masks and wrote each group's entries in
-// place, this took 2 550 allocations; before groups and parent edges moved
-// into slabs and the cardinality memo out of a Go map, 608.
-const optimizeAllocCeiling = 147
+// BenchmarkFig4InitialOptimization runs it — in the full Table 1 space (146
+// allocations and 1 % margin) and in the space the server optimizes in
+// (77, ceiling 78). Before the enumerator worked on masks and wrote each
+// group's entries in place, the full space took 2 550 allocations; before
+// groups and parent edges moved into slabs and the cardinality memo out of a
+// Go map, 608.
+var optimizeAllocCeilings = []struct {
+	name    string
+	space   relalg.SpaceOptions
+	ceiling float64
+}{{"full", relalg.DefaultSpace(), 147}, {"served", relalg.ServedSpace(), 78}}
 
 // TestOptimizeAllocCeiling holds the plan-cache miss path's optimizer work
-// to a committed allocation ceiling: enumeration allocates nothing per
-// split and its buffer is pooled, and so is the room the group and edge
-// slabs grow in, so what remains is one exactly sized entry slab per group,
-// the two exactly sized slabs, the worklists, the model's memo and the plan.
+// to a committed allocation ceiling in each space: enumeration allocates
+// nothing per split and its buffer is pooled, and so is the room the group
+// and edge slabs grow in, so what remains is one exactly sized entry slab
+// per group, the two exactly sized slabs, the worklists, the model's memo
+// and the plan.
 func TestOptimizeAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the enumeration buffers' sync.Pool drops buffers under -race")
 	}
 	q := tpch.Q5()
 	cat := tpch.Generate(tpch.Config{ScaleFactor: 0.002, Seed: 42})
-	allocs := testing.AllocsPerRun(5, func() {
-		m, err := cost.NewModel(q, cat, cost.DefaultParams())
-		if err != nil {
-			t.Fatal(err)
+	for _, arm := range optimizeAllocCeilings {
+		allocs := testing.AllocsPerRun(5, func() {
+			m, err := cost.NewModel(q, cat, cost.DefaultParams())
+			if err != nil {
+				t.Fatal(err)
+			}
+			o, err := New(m, arm.space, PruneAll)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := o.Optimize(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > arm.ceiling {
+			t.Errorf("Optimize of Q5 under PruneAll in the %s space: %v allocations, ceiling %v", arm.name, allocs, arm.ceiling)
 		}
-		o, err := New(m, relalg.DefaultSpace(), PruneAll)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := o.Optimize(); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > optimizeAllocCeiling {
-		t.Errorf("Optimize of Q5 under PruneAll: %v allocations, ceiling %d", allocs, optimizeAllocCeiling)
+		t.Logf("Optimize of Q5 under PruneAll in the %s space: %v allocations", arm.name, allocs)
 	}
-	t.Logf("Optimize of Q5 under PruneAll: %v allocations", allocs)
 }
 
 // TestDrainStepLimit forces the worklist's step limit: the failure must

@@ -166,19 +166,32 @@ func micro(c float64) int64 { return int64(math.Round(c * microScale)) }
 
 // TestOracleMatchesCore compares the deltalog-maintained BestCost view with
 // the specialized incremental optimizer across random queries and random
-// cost-update streams.
+// cost-update streams, in the full Table 1 space on up to 5 relations and in
+// the space the server optimizes in on up to 4.
 func TestOracleMatchesCore(t *testing.T) {
-	space := relalg.DefaultSpace()
+	for _, arm := range []struct {
+		name    string
+		space   relalg.SpaceOptions
+		maxRels int
+	}{{"full", relalg.DefaultSpace(), 5}, {"served", relalg.ServedSpace(), 4}} {
+		testOracleMatchesCore(t, arm.name, arm.space, arm.maxRels)
+	}
+}
+
+func testOracleMatchesCore(t *testing.T, spaceName string, space relalg.SpaceOptions, maxRels int) {
 	factors := []float64{0.125, 0.5, 2, 8}
 	for seed := uint64(1); seed <= 12; seed++ {
 		rnd := stats.NewRand(seed * 7717)
 		cat := testkit.SyntheticCatalog(rnd, 3)
 		q := testkit.RandomQuery(rnd, cat, 2+int(seed%4))
+		if len(q.Rels) > maxRels {
+			continue
+		}
 		m, err := cost.NewModel(q, cat, cost.DefaultParams())
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The census optimizer maintains the full space with no pruning;
+		// The census optimizer maintains the space with no pruning;
 		// the oracle re-executes R6-R10 over the same space.
 		opt, err := core.New(m, space, core.PruneNone)
 		if err != nil {
@@ -194,15 +207,15 @@ func TestOracleMatchesCore(t *testing.T) {
 				want, wok := opt.GroupBestCost(gk.expr, gk.prop)
 				got, gok := orc.best(gk.expr, gk.prop)
 				if wok != gok {
-					t.Fatalf("seed %d step %d group %v %v: presence mismatch core=%v oracle=%v",
-						seed, step, gk.expr, gk.prop, wok, gok)
+					t.Fatalf("%s space seed %d step %d group %v %v: presence mismatch core=%v oracle=%v",
+						spaceName, seed, step, gk.expr, gk.prop, wok, gok)
 				}
 				if !wok {
 					continue
 				}
 				if math.Abs(want-got) > 1e-3*math.Max(1, want) {
-					t.Fatalf("seed %d step %d group %v %v: core best %v != oracle best %v",
-						seed, step, gk.expr, gk.prop, want, got)
+					t.Fatalf("%s space seed %d step %d group %v %v: core best %v != oracle best %v",
+						spaceName, seed, step, gk.expr, gk.prop, want, got)
 				}
 			}
 		}
@@ -219,7 +232,7 @@ func TestOracleMatchesCore(t *testing.T) {
 				opt.UpdateCardFactor(s, f)
 			}
 			if _, err := opt.Reoptimize(); err != nil {
-				t.Fatalf("seed %d step %d: %v", seed, step, err)
+				t.Fatalf("%s space seed %d step %d: %v", spaceName, seed, step, err)
 			}
 			orc.refresh(m) // same model: sees the same parameter changes
 			compare(step)

@@ -310,6 +310,9 @@ func (c *Compiler) compileVec(p *relalg.Plan, stats *RunStats, weighted bool) (V
 
 	case relalg.LogEnforce:
 		// Nothing the executor runs reads an order: an enforcer is its child.
+		// Reached by: sort-enforced plans of the full space's tests
+		// (TestTPCHSpillDifferential's merge-only plans, the reopen
+		// differential); no workload, figure or served plan carries one.
 		return c.compileVec(p.Left, stats, weighted)
 
 	case relalg.LogJoin:
@@ -360,6 +363,9 @@ func (c *Compiler) hashJoin(p *relalg.Plan, left, right VecIterator, ls, rs []re
 // the join, so it has no span of its own — and, unfiltered, it lends the
 // table's columns to the build instead of copying them (vecScanOp.drainCols).
 // Plan space and cost model keep index-NL as the paper's Table 1 has it.
+// Reached by: plans from relalg.DefaultSpace() only — the paper figures and
+// the benchmark verifiers' reference plans — since the server's plan cache
+// optimizes in relalg.ServedSpace(), which has no index-NL join.
 func (c *Compiler) compileVecIndexNL(p *relalg.Plan, stats *RunStats) (VecIterator, []relalg.ColID, error) {
 	if p.Left.Log != relalg.LogScan {
 		return nil, nil, fmt.Errorf("exec: index nested-loops inner %v is not a scan", p.Left.Expr)

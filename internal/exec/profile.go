@@ -171,6 +171,9 @@ func (s *RunStats) format(p *relalg.Plan, b *strings.Builder, depth int, folded 
 			pred = fmt.Sprintf(" on %s=%s", q.ColString(jp.L), q.ColString(jp.R))
 		}
 		via := ""
+		// Reached by: EXPLAIN ANALYZE of a full-space merge or index-NL
+		// plan (TestFormatAnalyzeRendering's merge-only Q5); served plans
+		// join by hash only.
 		if op != nil && p.Phy != relalg.PhyHashJoin {
 			via = " via hash"
 		}

@@ -53,7 +53,10 @@
 //   - internal/server — the concurrent query service: sessions over a
 //     shared plan cache whose entries each hold a live incremental
 //     optimizer, so every execution's feedback incrementally repairs the
-//     cached plan for all sessions (surfaced here as NewServer /
+//     cached plan for all sessions. Entries optimize in
+//     relalg.ServedSpace(), the hash joins and scans the executor runs as
+//     priced, not the paper's full Table 1 space that NewOptimizer, the
+//     figures and the baselines use (surfaced here as NewServer /
 //     Session / Prepare / Exec, and as a wire protocol by cmd/reproserve);
 //   - internal/obs — the observability primitives: nil-safe per-operator
 //     execution spans, the query-lifecycle event ring, and wait-free

@@ -13,6 +13,12 @@
 #   workloads  per workload and side: the median of every end-to-end metric,
 #              each run's correct flag and failed-op count, and each run's
 #              metrics;
+#   layers     per workload, one traced run per side (--trace 1, seed 3, after
+#              the pairs): layers.<workload>.<side>.<metric> holds every
+#              per-layer metric BENCHMARK.json lists except the counts of
+#              work marked `=` (exactCounts in benchmarks/layers.go, which
+#              repeat exactly at a fixed seed); those sit apart, side by
+#              side, as layers.<workload>.exact.<metric>.{parent,change};
 #   code       code.<pkg>.<column> for both sides: the ratchet's per-package
 #              counts (packageCeilings in ratchet_test.go, which
 #              TestCodeShapeRatchet holds equal to the tree's; the root
@@ -20,7 +26,7 @@
 #              exported, lines.
 #
 # TestBenchRecordNamesEveryMetric checks that the newest BENCH_*.json names
-# every end-to-end metric of every workload.
+# every end-to-end metric of every workload and carries both sides' layers.
 #
 # Usage: bash scripts/bench.sh <parent-rev> <n> [pairs=3] [seconds=16]
 # Needs git, go and jq. Besides BENCH_<n>.json it writes only .bench_build/
@@ -51,6 +57,11 @@ run() {
 	(cd "$1" && bash benchmarks/run.sh --workload "$2" --seed "$3" --seconds "$seconds" --trace 0) >"$4"
 }
 
+# traced <dir> <workload> <out>: the same, traced, at seed 3.
+traced() {
+	(cd "$1" && bash benchmarks/run.sh --workload "$2" --seed 3 --seconds "$seconds" --trace 1) >"$3"
+}
+
 # code <ratchet_test.go>: its packageCeilings rows as {"code.<pkg>.<col>": n}.
 code() {
 	sed -n 's/^\t"\([^"]*\)": *{\([0-9, ]*\)},$/\1 \2/p' "$1" | tr -d , |
@@ -67,6 +78,12 @@ for w in $workloads; do
 		run "$work/parent" "$w" "$i" "$work/$w.parent.$i.out"
 		run "$root" "$w" "$i" "$work/$w.change.$i.out"
 	done
+done
+
+for w in $workloads; do
+	echo "bench: $w traced" >&2
+	traced "$work/parent" "$w" "$work/$w.traced.parent.out"
+	traced "$root" "$w" "$work/$w.traced.change.out"
 done
 
 code "$work/parent/ratchet_test.go" >"$work/code.parent.json"
@@ -88,6 +105,21 @@ for w in $workloads; do
 		--arg w "$w" '{($w): {parent: $p, change: $c}}'
 done | jq -s 'add' >"$work/workloads.json"
 
+# Each workload's traced runs: the per-layer metrics of each side, with the
+# exact counts taken out and set side by side.
+exact="$(sed -n '/^var exactCounts/,/^}/s/^\t"\([^"]*\)",$/\1/p' benchmarks/layers.go | jq -R -s 'split("\n") | map(select(length > 0))')"
+per_layer="$(jq '[.per_layer[].name]' BENCHMARK.json)"
+layer() {
+	tail -n 1 "$1" | jq --argjson names "$per_layer" '.metrics | with_entries(select(.key as $k | $names | index($k))) | map_values(.value)'
+}
+for w in $workloads; do
+	jq -n --argjson p "$(layer "$work/$w.traced.parent.out")" --argjson c "$(layer "$work/$w.traced.change.out")" \
+		--argjson exact "$exact" --arg w "$w" '
+		def timed: with_entries(select(.key as $k | $exact | index($k) | not));
+		{($w): {parent: ($p | timed), change: ($c | timed),
+		        exact: ([$exact[] | {key: ., value: {parent: $p[.], change: $c[.]}}] | from_entries)}}'
+done | jq -s 'add' >"$work/layers.json"
+
 # The host as the benchmark itself reports it.
 env_block="$(grep -h '^{"env"' "$work"/*.change.1.out | head -n 1)"
 jq -n \
@@ -97,11 +129,12 @@ jq -n \
 	--arg parent "$parent_sha" --arg change "$change_sha" \
 	--argjson seconds "$seconds" --argjson pairs "$pairs" \
 	--argjson n "$n" \
-	--slurpfile workloads "$work/workloads.json" \
+	--slurpfile workloads "$work/workloads.json" --slurpfile layers "$work/layers.json" \
 	--slurpfile cp "$work/code.parent.json" --slurpfile cc "$work/code.change.json" '
 	{change: $n,
 	 env: {nproc: $nproc, gomaxprocs: $gomaxprocs, go: $go, parent: $parent, change: $change,
 	       seconds: $seconds, pairs: $pairs, seeds: [range(1; $pairs + 1)]},
 	 workloads: $workloads[0],
+	 layers: $layers[0],
 	 code: ($cc[0] | with_entries(.value = {parent: $cp[0][.key], change: .value}))}' >"BENCH_$n.json"
 echo "bench: wrote BENCH_$n.json" >&2

@@ -16,7 +16,8 @@
 #   - reprobench's paper figures: -fig 4..10, small, ablation and -table 3;
 #   - optcli under each -arch, and once with -graph -table -reopt -analyze;
 #   - CI's must-run differentials, among them the optimizer contract
-#     (TestIncrementalEqualsScratch and its neighbours, TestOracleMatchesCore).
+#     (TestIncrementalEqualsScratch and its neighbours, TestOracleMatchesCore)
+#     and the served-space check (TestServedSpaceMatchesFullOnNamedQueries).
 #
 # An unreached function may stay only if its doc comment has a line
 # "// Reached by: ..." naming who needs it: a paper figure, an oracle, an
@@ -132,7 +133,7 @@ differential() {
 differential ./internal/exec/ '^(TestTPCHReferenceDifferential|TestPlansAgreeWithReference|TestLivenessEdgeCases|TestReopenedExecutionMatchesFresh|TestTPCHSpillDifferential|TestSpillJoinMatchesUnbounded|TestSpillJoinForcedRecursion|TestSpillJoinSkewChunkFallback|TestSelectionKernelsMatchScalar|TestHashJoinProbeMatchesChainWalk|TestDirectGroupIdsMatchHashPath)$'
 differential ./internal/server/ '^(TestStorageRestartDifferential|TestSegScanZonePruningDifferential|TestDriftReconvergence|TestHeldRunMatchesFresh|TestHeldRunProfiles)$'
 differential ./internal/linearroad/ '^TestWindowsMatchRowOracle$'
-differential ./internal/core/ '^(TestIncrementalEqualsScratch|TestRepairCounterTrajectory|TestReoptimizeSteadyStateAllocs|TestBreadthFirstAgrees|TestRankQueueMatchesReference)$'
+differential ./internal/core/ '^(TestIncrementalEqualsScratch|TestRepairCounterTrajectory|TestReoptimizeSteadyStateAllocs|TestBreadthFirstAgrees|TestRankQueueMatchesReference|TestServedSpaceMatchesFullOnNamedQueries)$'
 differential ./internal/deltalog/ '^TestOracleMatchesCore$'
 differential ./internal/cost/ '^TestCardMemoMatchesProduct$'
 differential ./internal/relalg/ '^TestSplitMatchesReference$'

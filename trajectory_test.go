@@ -13,8 +13,10 @@ import (
 // repository root (scripts/bench.sh writes one per change) and checks that it
 // is complete: the host and the seeds it ran on, for every workload of
 // BENCHMARK.json the parent's and the change's median of every end-to-end
-// metric and one correctness flag per run, and the ratchet's code.* counts of
-// both sides. It sets no thresholds: the host drifts, and the record is what
+// metric and one correctness flag per run, the per-layer metrics of each
+// side's traced run — every name BENCHMARK.json lists, the exact counts kept
+// apart with both sides' values — and the ratchet's code.* counts of both
+// sides. It sets no thresholds: the host drifts, and the record is what
 // a change's numbers are compared with.
 func TestBenchRecordNamesEveryMetric(t *testing.T) {
 	paths, err := filepath.Glob("BENCH_*.json")
@@ -34,6 +36,7 @@ func TestBenchRecordNamesEveryMetric(t *testing.T) {
 	var spec struct {
 		Workloads []struct{ Name string }
 		EndToEnd  []struct{ Name string } `json:"end_to_end"`
+		PerLayer  []struct{ Name string } `json:"per_layer"`
 	}
 	readJSON(t, "BENCHMARK.json", &spec)
 	type side struct {
@@ -47,7 +50,11 @@ func TestBenchRecordNamesEveryMetric(t *testing.T) {
 			Seeds             []int
 		}
 		Workloads map[string]map[string]*side
-		Code      map[string]struct{ Parent, Change *int }
+		Layers    map[string]struct {
+			Parent, Change map[string]*float64
+			Exact          map[string]struct{ Parent, Change *float64 }
+		}
+		Code map[string]struct{ Parent, Change *int }
 	}
 	readJSON(t, newest, &rec)
 
@@ -69,6 +76,42 @@ func TestBenchRecordNamesEveryMetric(t *testing.T) {
 			if len(s.Correct) != len(rec.Env.Seeds) || len(s.Failed) != len(rec.Env.Seeds) {
 				t.Errorf("%s: %s %s records %d correct flags and %d failure counts for %d seeds",
 					newest, w.Name, name, len(s.Correct), len(s.Failed), len(rec.Env.Seeds))
+			}
+		}
+	}
+	perLayer := map[string]bool{}
+	for _, m := range spec.PerLayer {
+		perLayer[m.Name] = true
+	}
+	for _, w := range spec.Workloads {
+		l, ok := rec.Layers[w.Name]
+		if !ok {
+			t.Errorf("%s: no layers of %s", newest, w.Name)
+			continue
+		}
+		for name := range l.Exact {
+			if !perLayer[name] {
+				t.Errorf("%s: %s exact count %q is not a per-layer metric of BENCHMARK.json", newest, w.Name, name)
+			}
+			if e := l.Exact[name]; e.Parent == nil || e.Change == nil {
+				t.Errorf("%s: %s exact count %s lacks a side", newest, w.Name, name)
+			}
+		}
+		for sideName, metrics := range map[string]map[string]*float64{"parent": l.Parent, "change": l.Change} {
+			if len(metrics) == 0 {
+				t.Errorf("%s: %s %s has no layers", newest, w.Name, sideName)
+				continue
+			}
+			for name, v := range metrics {
+				_, exact := l.Exact[name]
+				if !perLayer[name] || exact || v == nil {
+					t.Errorf("%s: %s %s layer %q is not a timed per-layer metric of BENCHMARK.json with a value", newest, w.Name, sideName, name)
+				}
+			}
+			for name := range perLayer {
+				if _, exact := l.Exact[name]; metrics[name] == nil && !exact {
+					t.Errorf("%s: %s %s layers lack %s", newest, w.Name, sideName, name)
+				}
 			}
 		}
 	}
