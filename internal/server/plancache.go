@@ -241,16 +241,15 @@ func warmSets(q *relalg.Query) []relalg.RelSet {
 
 // ensureInit builds the entry's model and optimizer and runs the single
 // from-scratch optimization, exactly once. The optimizer searches
-// relalg.ServedSpace(), hash joins over table and segment scans: the space
-// the executor runs as priced. The paper's full Table 1 space would add
-// alternatives that run on the same hash join at a price it does not pay.
-// Before that optimization the model is warm-started: every connected
-// subexpression whose fingerprint the shared store already knows gets its
-// learned factor seeded, so a structurally new query over hot tables
-// optimizes against the workload's converged statistics from the very first
-// plan — and an entry re-admitted after eviction picks up exactly where its
-// evicted predecessor left off. Errors are sticky: a query whose model
-// cannot be built fails the same way on every prepare.
+// relalg.ServedSpace(), the space the executor runs as priced, not the
+// paper's full Table 1 space. Before that optimization the model is
+// warm-started: every connected subexpression whose fingerprint the shared
+// store already knows gets its learned factor seeded, so a structurally new
+// query over hot tables optimizes against the workload's converged
+// statistics from the very first plan — and an entry re-admitted after
+// eviction picks up exactly where its evicted predecessor left off. Errors
+// are sticky: a query whose model cannot be built fails the same way on
+// every prepare.
 func (e *planEntry) ensureInit(s *Server) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
