@@ -18,10 +18,15 @@
 //   - an entry ("AND node") per SearchSpace alternative carries LocalCost,
 //     the recursive PlanCost = LocalCost + Σ children BestCost (rules
 //     R6–R8), and on each child edge the ParentBound value it contributes
-//     to that child's MaxBound aggregate (rules r1–r3). A group's entries
-//     are one exactly sized slab; an entry's position is its Index. Groups
-//     live in one slab and name each other by index; parent edges chain
-//     through one edge slab; both are trimmed to length on return.
+//     to that child's MaxBound aggregate (rules r1–r3).
+//   - the state is three slabs — groups, entries, parent edges — and a map
+//     from an expression to its groups. Every reference between them is an
+//     index, so the slabs hold no pointer. A group's entries are one
+//     contiguous range of the entry slab, and an entry's offset in that
+//     range is its Index. One rule keeps pointers into the slabs sound:
+//     only demandGroup appends a group or an entry, so a *group or *entry
+//     held across it may be stale. The slabs are trimmed to length on
+//     return.
 //   - deltas (cost insertions, deletions, updates; bound updates; reference
 //     count changes) flow through a worklist until fixpoint, mimicking the
 //     pipelined push-based execution of the ASPEN engine. Deltas run before
@@ -43,7 +48,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -173,9 +177,8 @@ type Optimizer struct {
 	space relalg.SpaceOptions
 	mode  Pruning
 
-	groups []group                   // the group slab, in creation order; groups[0] is the root
+	slabs                            // the state: groups, entries and parent edges
 	byExpr map[relalg.RelSet]groupID // by expression: its newest group's id + 1; group.sameExpr chains the rest
-	edges  []parentEdge              // the parent-edge slab; group.parents chains a group's edges
 
 	hot  rankQueue  // cost/bound/refcount deltas, in rank order
 	cold expansions // entries to expand (LIFO: depth-first)
@@ -238,17 +241,14 @@ func (o *Optimizer) Metrics() Metrics { return o.met }
 // numerators of the paper's pruning ratios; the denominators are the census
 // sizes of a pruning-free run.
 func (o *Optimizer) LiveState() (groups, alts int) {
-	for gi := range o.groups {
-		g := &o.groups[gi]
-		if !g.alive {
-			continue
+	for i := range o.groups {
+		if o.groups[i].alive {
+			groups++
 		}
-		groups++
-		for i := range g.entries {
-			e := &g.entries[i]
-			if e.costKnown && !e.pruned {
-				alts++
-			}
+	}
+	for i := range o.entries {
+		if e := &o.entries[i]; e.costKnown && !e.pruned && o.groups[e.g].alive {
+			alts++
 		}
 	}
 	return groups, alts
@@ -274,17 +274,18 @@ func (o *Optimizer) Optimize() (*relalg.Plan, error) {
 	start := time.Now()
 	o.cold.fifo = o.breadthFirst
 	o.epoch++
-	room := slabRoom.Get().(*slabs)
-	o.groups, o.edges = room.groups[:0], room.edges[:0]
+	room := slabRoom.Swap(nil)
+	if room == nil {
+		room = new(slabs)
+	}
+	o.slabs = slabs{room.groups[:0], room.entries[:0], room.edges[:0]}
 	o.demandGroup(groupKey{o.model.Q.AllRels(), relalg.AnyProp}).refCount++ // the root, pinned: always demanded
 	if err := o.drain(); err != nil {
 		return nil, err
 	}
-	room.groups, room.edges = o.groups, o.edges
-	o.groups, o.edges = exact(room.groups), exact(room.edges)
-	clear(room.groups) // lend the room again without the references
-	clear(room.edges)
-	slabRoom.Put(room)
+	*room = o.slabs
+	o.slabs = room.exact()
+	slabRoom.Store(room)
 	o.optimized = true
 	o.met.Elapsed = time.Since(start)
 	return o.extract()
@@ -322,20 +323,26 @@ func (o *Optimizer) lookup(key groupKey) *group {
 	return nil
 }
 
-// slabRoom lends Optimize the room its group and edge slabs grow in, so an
-// optimization allocates each slab once, at its exact length, at the end.
-var slabRoom = sync.Pool{New: func() any { return new(slabs) }}
+// slabRoom lends Optimize the room its slabs grow in, so an optimization
+// allocates each slab once, at its exact length, at the end. One slot, not a
+// sync.Pool, whose room stays on the P that put it back, out of reach of a
+// caller on another P; an optimization that overlaps another grows its own
+// room. The slabs hold no pointer, so the room keeps nothing else alive.
+var slabRoom atomic.Pointer[slabs]
 
 type slabs struct {
-	groups []group
-	edges  []parentEdge
+	groups  []group      // in creation order; groups[0] is the root
+	entries []entry      // a group's entries are entries[lo:hi]
+	edges   []parentEdge // group.parents chains a group's edges
 }
 
-// trim reallocates the group and edge slabs to their exact lengths if a
-// repair grew them, so an optimizer the plan cache keeps holds no slack.
+func (s *slabs) exact() slabs { return slabs{exact(s.groups), exact(s.entries), exact(s.edges)} }
+
+// trim reallocates the slabs to their exact lengths if a repair grew them,
+// so an optimizer the plan cache keeps holds no slack.
 func (o *Optimizer) trim() {
-	if cap(o.groups) > len(o.groups) || cap(o.edges) > len(o.edges) {
-		o.groups, o.edges = exact(o.groups), exact(o.edges)
+	if cap(o.groups) > len(o.groups) || cap(o.entries) > len(o.entries) || cap(o.edges) > len(o.edges) {
+		o.slabs = o.exact()
 	}
 }
 

@@ -49,11 +49,11 @@ func (o *Optimizer) drain() error {
 		case taskExpand:
 			o.expandEntry(t.e)
 		case taskRecost:
-			t.e.recostQueued = false
-			o.tryCost(t.e)
+			o.entries[t.e].recostQueued = false
+			o.tryCost(&o.entries[t.e])
 		case taskContrib:
-			t.e.contribQueued = false
-			o.refreshContribs(t.e)
+			o.entries[t.e].contribQueued = false
+			o.refreshContribs(&o.entries[t.e])
 		case taskReconcile:
 			o.reconcileGroup(&o.groups[t.g])
 		case taskBound:
@@ -67,9 +67,10 @@ func (o *Optimizer) drain() error {
 var altBufs = sync.Pool{New: func() any { return new([]relalg.Alt) }}
 
 // demandGroup materializes the group for key if needed, enumerating its
-// SearchSpace alternatives (rules R1–R5 via the shared Fn_split) and
-// scheduling their expansion. Only it appends to the group slab, so a *group
-// held across it may be stale: expandEntry re-reads its group afterwards.
+// SearchSpace alternatives (rules R1–R5 via the shared Fn_split) into the
+// entry slab and scheduling their expansion. It is the only code that
+// appends to the group and entry slabs, so a *group or *entry held across it
+// may be stale: expandEntry re-reads its entry and group afterwards.
 func (o *Optimizer) demandGroup(key groupKey) *group {
 	if g := o.lookup(key); g != nil {
 		return g
@@ -89,24 +90,22 @@ func (o *Optimizer) demandGroup(key groupKey) *group {
 	buf := altBufs.Get().(*[]relalg.Alt)
 	alts := relalg.Split(o.model.Q, o.model, o.space, key.expr, key.prop, (*buf)[:0])
 	o.met.AltsEnumerated += len(alts)
-	g.entries = make([]entry, len(alts)) // one exactly sized slab per group
-	for i := range g.entries {
-		e := &g.entries[i]
-		e.g, e.alt, e.children = id, alts[i], [2]groupID{noGroup, noGroup}
-		e.localCost = o.model.LocalCost(&e.alt, key.expr, key.prop)
-		e.floor = e.localCost
-		g.floor = min(g.floor, e.floor)
+	g.lo = entryID(len(o.entries))
+	for i := range alts {
+		lc := o.model.LocalCost(&alts[i], key.expr, key.prop)
+		o.entries = append(o.entries, entry{alt: alts[i], g: id, id: entryID(len(o.entries)),
+			children: [2]groupID{noGroup, noGroup}, localCost: lc, floor: lc})
+		g.floor = min(g.floor, lc)
 	}
+	g.hi = entryID(len(o.entries))
 	*buf = alts
 	altBufs.Put(buf)
 	// LIFO stack: push in reverse so alternative 0 expands first.
-	for i := len(g.entries) - 1; i >= 0; i-- {
-		o.queueExpand(&g.entries[i])
+	for i := g.hi - 1; i >= g.lo; i-- {
+		o.cold.push(i)
 	}
 	return g
 }
-
-func (o *Optimizer) queueExpand(e *entry) { o.cold.push(e) }
 
 // expandEntry performs the SearchSpace tuple's recursive step: demand the
 // child groups (which enumerates them if new). Before doing so it applies
@@ -114,7 +113,8 @@ func (o *Optimizer) queueExpand(e *entry) { o.cold.push(e) }
 // already exceeds the group's threshold, the SearchSpace tuple is
 // suppressed without ever exploring its children. This is where tuple
 // source suppression converts pruned costs into avoided enumeration.
-func (o *Optimizer) expandEntry(e *entry) {
+func (o *Optimizer) expandEntry(id entryID) {
+	e := &o.entries[id]
 	if e.expanded || e.pruned {
 		return
 	}
@@ -125,11 +125,13 @@ func (o *Optimizer) expandEntry(e *entry) {
 		return
 	}
 	e.expanded = true
-	if alt := &e.alt; !alt.Leaf() {
-		e.children[sideLeft] = o.demandChild(e, sideLeft, groupKey{alt.LExpr, alt.LProp})
+	if alt := e.alt; !alt.Leaf() {
+		l, r := o.demandChild(id, sideLeft, groupKey{alt.LExpr, alt.LProp}), noGroup
 		if !alt.Unary() {
-			e.children[sideRight] = o.demandChild(e, sideRight, groupKey{alt.RExpr, alt.RProp})
+			r = o.demandChild(id, sideRight, groupKey{alt.RExpr, alt.RProp})
 		}
+		e = &o.entries[id] // demandChild may have moved the entry slab
+		e.children = [2]groupID{l, r}
 		e.floor = o.deriveFloor(e)
 	}
 	o.acquireRefs(e)
@@ -140,9 +142,9 @@ func (o *Optimizer) expandEntry(e *entry) {
 	o.queueReconcile(&o.groups[e.g])
 }
 
-// demandChild demands the group for key and appends e's edge s to the tail of
-// its parent chain.
-func (o *Optimizer) demandChild(e *entry, s side, key groupKey) groupID {
+// demandChild demands the group for key and appends entry e's edge s to the
+// tail of its parent chain.
+func (o *Optimizer) demandChild(e entryID, s side, key groupKey) groupID {
 	g := o.demandGroup(key)
 	id := int32(len(o.edges))
 	o.edges = append(o.edges, parentEdge{e: e, next: noEdge, s: s})
@@ -216,8 +218,8 @@ func (o *Optimizer) reconcileGroup(g *group) {
 	// suppression or revival below moves synchronously.
 	var best *entry
 	floor := infinity
-	for i := range g.entries {
-		e := &g.entries[i]
+	for i := g.lo; i < g.hi; i++ {
+		e := &o.entries[i]
 		floor = min(floor, e.floor)
 		if e.costKnown && (best == nil || e.cost < best.cost) {
 			best = e
@@ -229,7 +231,7 @@ func (o *Optimizer) reconcileGroup(g *group) {
 		o.met.BestUpdates++
 		o.touchGroup(g)
 		for i := g.parents; i != noEdge; i = o.edges[i].next {
-			pe := o.edges[i].e
+			pe := &o.entries[o.edges[i].e]
 			o.queueRecost(pe)
 			// The parent entry's lower bound moved with this
 			// BestCost, so the parent group's floor may move.
@@ -241,8 +243,8 @@ func (o *Optimizer) reconcileGroup(g *group) {
 	// Align each entry's pruned state with the thresholds.
 	if o.mode.AggSel {
 		thr := o.threshold(g)
-		for i := range g.entries {
-			e := &g.entries[i]
+		for i := g.lo; i < g.hi; i++ {
+			e := &o.entries[i]
 			if desired := o.shouldBePruned(e, thr, best); desired && !e.pruned {
 				o.suppressEntry(e)
 			} else if !desired && e.pruned {
@@ -257,7 +259,7 @@ func (o *Optimizer) reconcileGroup(g *group) {
 	if floor != g.floor {
 		g.floor = floor
 		for i := g.parents; i != noEdge; i = o.edges[i].next {
-			pe := o.edges[i].e
+			pe := &o.entries[o.edges[i].e]
 			pe.floor = o.deriveFloor(pe)
 			o.queueReconcile(&o.groups[pe.g])
 			if o.mode.Bound {
@@ -344,7 +346,7 @@ func (o *Optimizer) reviveEntry(e *entry) {
 	o.touchEntry(e)
 	if o.mode.Suppress {
 		if !e.expanded {
-			o.queueExpand(e)
+			o.cold.push(e.id)
 		} else {
 			o.acquireRefs(e)
 			o.queueRecost(e)
@@ -358,7 +360,7 @@ func (o *Optimizer) queueRecost(e *entry) {
 		return
 	}
 	e.recostQueued = true
-	o.hot.push(task{kind: taskRecost, e: e, g: e.g}, o.groups[e.g].rank)
+	o.hot.push(task{kind: taskRecost, e: e.id, g: e.g}, o.groups[e.g].rank)
 }
 
 // ---- reference counting (§3.2 / §4.2) ----
@@ -415,8 +417,8 @@ func (o *Optimizer) killGroup(g *group) {
 	o.met.GroupsReleased++
 	o.met.GroupKills++
 	o.touchGroup(g)
-	for i := range g.entries {
-		e := &g.entries[i]
+	for i := g.lo; i < g.hi; i++ {
+		e := &o.entries[i]
 		o.releaseRefs(e)
 		if o.mode.Bound {
 			o.removeContribs(e)
@@ -431,8 +433,8 @@ func (o *Optimizer) reviveGroup(g *group) {
 	o.met.GroupsReleased--
 	o.met.GroupRevives++
 	o.touchGroup(g)
-	for i := range g.entries {
-		e := &g.entries[i]
+	for i := g.lo; i < g.hi; i++ {
+		e := &o.entries[i]
 		if e.pruned {
 			continue
 		}
@@ -441,7 +443,7 @@ func (o *Optimizer) reviveGroup(g *group) {
 			o.queueRecost(e)
 			o.queueContrib(e)
 		} else {
-			o.queueExpand(e)
+			o.cold.push(e.id)
 		}
 	}
 }
@@ -475,8 +477,8 @@ func (o *Optimizer) recomputeBound(g *group) {
 	o.met.BoundUpdates++
 	o.touchGroup(g)
 	o.queueReconcile(g)
-	for i := range g.entries {
-		o.queueContrib(&g.entries[i])
+	for i := g.lo; i < g.hi; i++ {
+		o.queueContrib(&o.entries[i])
 	}
 }
 
@@ -492,7 +494,7 @@ func (o *Optimizer) queueContrib(e *entry) {
 		return
 	}
 	e.contribQueued = true
-	o.hot.push(task{kind: taskContrib, e: e, g: e.g}, g.rank)
+	o.hot.push(task{kind: taskContrib, e: e.id, g: e.g}, g.rank)
 }
 
 // refreshContribs evaluates rules r1–r2 for one LocalCost tuple: the bound

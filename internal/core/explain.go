@@ -30,15 +30,15 @@ func (o *Optimizer) SearchSpaceTable() []SearchSpaceRow {
 			continue
 		}
 		best, _ := o.bestEntry(g)
-		for i := range g.entries {
-			e := &g.entries[i]
+		for i := g.lo; i < g.hi; i++ {
+			e := &o.entries[i]
 			if e.pruned {
 				continue
 			}
 			row := SearchSpaceRow{
 				Expr:  q.SetString(g.key.expr),
 				Prop:  g.key.prop.String(),
-				Index: fmt.Sprintf("%d", i+1),
+				Index: fmt.Sprintf("%d", i-g.lo+1),
 				LogOp: e.alt.Log.String(),
 				PhyOp: e.alt.Phy.String(),
 				Best:  e == best,
@@ -123,8 +123,8 @@ func (o *Optimizer) AndOrGraph() string {
 		}
 		b.WriteByte('\n')
 		best, _ := o.bestEntry(g)
-		for i := range g.entries {
-			e := &g.entries[i]
+		for i := g.lo; i < g.hi; i++ {
+			e := &o.entries[i]
 			status := ""
 			if e.pruned {
 				status = "  [pruned]"
@@ -143,7 +143,7 @@ func (o *Optimizer) AndOrGraph() string {
 				cost = fmt.Sprintf("%.3f", e.cost)
 			}
 			fmt.Fprintf(&b, "  AND #%d %-40s Local=%.3f Plan=%s%s\n",
-				i+1, desc, e.localCost, cost, status)
+				i-g.lo+1, desc, e.localCost, cost, status)
 		}
 	}
 	return b.String()
@@ -190,15 +190,10 @@ type SpaceEntry struct {
 // Reached by: the deltalog oracle (TestOracleMatchesCore in
 // internal/deltalog), which re-derives BestCost from this space.
 func (o *Optimizer) ExportSpace() []SpaceEntry {
-	var out []SpaceEntry
-	for gi := range o.groups {
-		g := &o.groups[gi]
-		for i := range g.entries {
-			e := &g.entries[i]
-			out = append(out, SpaceEntry{
-				Expr: g.key.expr, Prop: g.key.prop, Index: i, Alt: e.alt,
-			})
-		}
+	out := make([]SpaceEntry, len(o.entries))
+	for i, e := range o.entries {
+		g := &o.groups[e.g]
+		out[i] = SpaceEntry{Expr: g.key.expr, Prop: g.key.prop, Index: int(e.id - g.lo), Alt: e.alt}
 	}
 	return out
 }

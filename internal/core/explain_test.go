@@ -206,31 +206,22 @@ func (o *Optimizer) DumpGroup(s relalg.RelSet, p relalg.Prop) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "group %s %s alive=%v refs=%d hasBest=%v best=%g bound=%g floor=%g\n",
 		o.model.Q.SetString(s), p, g.alive, g.refCount, g.hasBest, g.bestCost, g.bound, g.floor)
-	for i := range g.entries {
-		e := &g.entries[i]
+	for i := g.lo; i < g.hi; i++ {
+		e := &o.entries[i]
 		fmt.Fprintf(&b, "  #%d %v %s lexpr=%s rexpr=%s local=%g costKnown=%v cost=%g floor=%g pruned=%v expanded=%v refHeld=%v\n",
-			i, e.alt.Log, e.alt.Phy, o.model.Q.SetString(e.alt.LExpr), o.model.Q.SetString(e.alt.RExpr),
+			i-g.lo, e.alt.Log, e.alt.Phy, o.model.Q.SetString(e.alt.LExpr), o.model.Q.SetString(e.alt.RExpr),
 			e.localCost, e.costKnown, e.cost, e.floor, e.pruned, e.expanded, e.refHeld)
 	}
 	for i := g.parents; i != noEdge; i = o.edges[i].next {
 		pr := o.edges[i]
-		pg := &o.groups[pr.e.g]
+		pe := &o.entries[pr.e]
+		pg := &o.groups[pe.g]
 		contrib := "-"
-		if pr.e.hasContrib[pr.s] {
-			contrib = fmt.Sprintf("%g", pr.e.contrib[pr.s])
+		if pe.hasContrib[pr.s] {
+			contrib = fmt.Sprintf("%g", pe.contrib[pr.s])
 		}
 		fmt.Fprintf(&b, "  parent %s %s #%d side%d pruned=%v cost=%g bound=%g contrib=%s\n",
-			o.model.Q.SetString(pg.key.expr), pg.key.prop, slabIndex(pg, pr.e), pr.s, pr.e.pruned, pr.e.cost, pg.bound, contrib)
+			o.model.Q.SetString(pg.key.expr), pg.key.prop, pe.id-pg.lo, pr.s, pe.pruned, pe.cost, pg.bound, contrib)
 	}
 	return b.String()
-}
-
-// slabIndex is e's position in its group g's slab: its Index attribute.
-func slabIndex(g *group, e *entry) int {
-	for i := range g.entries {
-		if &g.entries[i] == e {
-			return i
-		}
-	}
-	return -1
 }

@@ -66,8 +66,8 @@ func (o *Optimizer) buildPlan(g *group, pick pickEntry) (*relalg.Plan, error) {
 // skipped here even though their values remain inputs of the aggregate).
 func (o *Optimizer) bestEntry(g *group) (*entry, error) {
 	var best *entry
-	for i := range g.entries {
-		if e := &g.entries[i]; e.costKnown && !e.pruned && (best == nil || e.cost < best.cost) {
+	for i := g.lo; i < g.hi; i++ {
+		if e := &o.entries[i]; e.costKnown && !e.pruned && (best == nil || e.cost < best.cost) {
 			best = e
 		}
 	}
@@ -90,8 +90,8 @@ func (o *Optimizer) WorstPlan() (*relalg.Plan, error) { return o.extractBy((*Opt
 // guard stops a true cycle.
 func (o *Optimizer) worstEntry(g *group) (*entry, error) {
 	var worst *entry
-	for i := range g.entries {
-		if e := &g.entries[i]; e.costKnown && (worst == nil || e.cost >= worst.cost) {
+	for i := g.lo; i < g.hi; i++ {
+		if e := &o.entries[i]; e.costKnown && (worst == nil || e.cost >= worst.cost) {
 			worst = e
 		}
 	}

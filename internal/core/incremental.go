@@ -73,8 +73,8 @@ func (o *Optimizer) Reoptimize() (*relalg.Plan, error) {
 		if !o.groupAffected(g) {
 			continue
 		}
-		for i := range g.entries {
-			e := &g.entries[i]
+		for i := g.lo; i < g.hi; i++ {
+			e := &o.entries[i]
 			if !o.entryAffected(e, g.key.expr) {
 				continue
 			}

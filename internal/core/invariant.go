@@ -29,25 +29,22 @@ func (o *Optimizer) CheckInvariants() error {
 	if len(refs) > 0 {
 		refs[0]++ // the root's pin
 	}
-	for gi := range o.groups {
-		g := &o.groups[gi]
-		for i := range g.entries {
-			e := &g.entries[i]
-			if e.refHeld {
-				for _, c := range e.children {
-					if c != noGroup {
-						refs[c]++
-					}
+	for i := range o.entries {
+		if e := &o.entries[i]; e.refHeld {
+			for _, c := range e.children {
+				if c != noGroup {
+					refs[c]++
 				}
 			}
 		}
 	}
 	for gi := range o.groups {
 		g := &o.groups[gi]
+		es := o.entries[g.lo:g.hi] // the group's entries, at their Index
 		// 1. aggregate consistency
 		min, costed := infinity, false
-		for i := range g.entries {
-			e := &g.entries[i]
+		for i := range es {
+			e := &es[i]
 			if !e.costKnown {
 				continue
 			}
@@ -78,8 +75,8 @@ func (o *Optimizer) CheckInvariants() error {
 
 		// 2. pruning soundness (floor-gated under suppression)
 		if o.mode.Bound {
-			for i := range g.entries {
-				e := &g.entries[i]
+			for i := range es {
+				e := &es[i]
 				v := e.cost
 				if o.mode.Suppress {
 					v = e.floor
@@ -90,8 +87,8 @@ func (o *Optimizer) CheckInvariants() error {
 			}
 		}
 		if o.mode.AggSel && g.hasBest {
-			for i := range g.entries {
-				e := &g.entries[i]
+			for i := range es {
+				e := &es[i]
 				if e.costKnown && e.pruned && e.cost < g.bestCost-eps {
 					return fmt.Errorf("group %v entry %d: pruned cost %v below best %v", g.key, i, e.cost, g.bestCost)
 				}
@@ -100,8 +97,11 @@ func (o *Optimizer) CheckInvariants() error {
 		// floor validity: every cached floor matches its definition and
 		// never exceeds any exact plan cost.
 		floor := infinity
-		for i := range g.entries {
-			e := &g.entries[i]
+		for i := range es {
+			e := &es[i]
+			if e.g != g.id || e.id != g.lo+entryID(i) {
+				return fmt.Errorf("group %v entry %d: slab id %d names group %d", g.key, i, e.id, e.g)
+			}
 			floor = math.Min(floor, e.floor)
 			if f := o.deriveFloor(e); e.floor != f {
 				return fmt.Errorf("group %v entry %d: cached floor %v != local cost plus child floors %v", g.key, i, e.floor, f)
@@ -123,8 +123,8 @@ func (o *Optimizer) CheckInvariants() error {
 		}
 
 		// 4. bounds fixpoint
-		for i := range g.entries {
-			e := &g.entries[i]
+		for i := range es {
+			e := &es[i]
 			for sd, id := range e.children {
 				if id == noGroup {
 					if e.hasContrib[sd] {
@@ -138,7 +138,7 @@ func (o *Optimizer) CheckInvariants() error {
 				}
 				n := 0
 				for j := c.parents; j != noEdge; j = o.edges[j].next {
-					if pr := o.edges[j]; pr.e == e && pr.s == side(sd) {
+					if pr := o.edges[j]; pr.e == e.id && pr.s == side(sd) {
 						n++
 					}
 				}
@@ -155,7 +155,7 @@ func (o *Optimizer) CheckInvariants() error {
 			max, any := -infinity, false
 			for j := g.parents; j != noEdge; j = o.edges[j].next {
 				pr := o.edges[j]
-				pe := pr.e
+				pe := &o.entries[pr.e]
 				if pe.children[pr.s] != g.id {
 					return fmt.Errorf("group %v: parent edge does not lead back here", g.key)
 				}

@@ -178,24 +178,23 @@ func TestReoptimizeSteadyStateAllocs(t *testing.T) {
 
 // optimizeAllocCeilings bound one from-scratch optimization of Q5 under
 // PruneAll — model, optimizer and Optimize, as
-// BenchmarkFig4InitialOptimization runs it — in the full Table 1 space (146
+// BenchmarkFig4InitialOptimization runs it — in the full Table 1 space (47
 // allocations and 1 % margin) and in the space the server optimizes in
-// (77, ceiling 78). Before the enumerator worked on masks and wrote each
+// (45, ceiling 46). Before the enumerator worked on masks and wrote each
 // group's entries in place, the full space took 2 550 allocations; before
 // groups and parent edges moved into slabs and the cardinality memo out of a
-// Go map, 608.
+// Go map, 608; 146 and 77 before entries shared one slab.
 var optimizeAllocCeilings = []struct {
 	name    string
 	space   relalg.SpaceOptions
 	ceiling float64
-}{{"full", relalg.DefaultSpace(), 147}, {"served", relalg.ServedSpace(), 78}}
+}{{"full", relalg.DefaultSpace(), 48}, {"served", relalg.ServedSpace(), 46}}
 
 // TestOptimizeAllocCeiling holds the plan-cache miss path's optimizer work
 // to a committed allocation ceiling in each space: enumeration allocates
-// nothing per split and its buffer is pooled, and so is the room the group
-// and edge slabs grow in, so what remains is one exactly sized entry slab
-// per group, the two exactly sized slabs, the worklists, the model's memo
-// and the plan.
+// nothing per split and its buffer is pooled, and so is the room the group,
+// entry and edge slabs grow in, so what remains is the three exactly sized
+// slabs, the worklists, the model's memo and the plan.
 func TestOptimizeAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the enumeration buffers' sync.Pool drops buffers under -race")

@@ -21,20 +21,24 @@ const (
 	sideRight
 )
 
-// groupID names a group by its index in Optimizer.groups; noGroup marks an
-// absent child. Ids, not pointers, because that slab grows by append and is
-// copied out at its exact length when Optimize returns (later, by trim).
+// groupID names a group by its index in Optimizer.groups, and entryID an
+// entry by its index in Optimizer.entries; noGroup marks an absent child.
+// Ids, not pointers, because both slabs grow by append and are copied out at
+// their exact length when Optimize returns (later, by trim).
 type groupID int32
+type entryID int32
 
 const noGroup groupID = -1
 
 // entry is an "AND node": one SearchSpace tuple plus its PlanCost state and
 // the ParentBound facts it derives for its children. Entries live by value
-// in their group's slab at their Index (the BestCost tiebreak); a group's
-// slab is exactly sized at enumeration and never moves, so *entry is stable.
+// in one slab; a group's entries are contiguous there, in enumeration order,
+// so an entry's Index (the BestCost tiebreak) is id minus its group's lo.
+// Like a *group, a *entry held across demandGroup may be stale.
 type entry struct {
 	alt relalg.Alt
 	g   groupID
+	id  entryID // the entry's position in Optimizer.entries
 
 	// children: resolved child groups once the entry has been expanded.
 	children [2]groupID // [sideLeft, sideRight]; noGroup where absent
@@ -98,7 +102,7 @@ func (o *Optimizer) deriveFloor(e *entry) float64 {
 // slab, Optimizer.edges; a group's chain runs from group.parents along next,
 // in insertion order, to noEdge.
 type parentEdge struct {
-	e    *entry
+	e    entryID
 	next int32
 	s    side
 }
@@ -107,14 +111,14 @@ const noEdge = -1
 
 // group is an "OR node" with the aggregate state of rules R9–R10 (BestCost)
 // and r1–r4 (Bound). Neither aggregate has a structure of its own: BestCost
-// is the minimum over entries[i].cost and MaxBound the maximum over the
+// is the minimum over its entries' costs and MaxBound the maximum over the
 // contributions on the parent edges, both recomputed by a scan when an
 // input moves (group fan-in is tens of alternatives).
 type group struct {
 	key      groupKey
 	id       groupID // the group's position in Optimizer.groups
 	sameExpr groupID // the next group of key.expr in Optimizer.byExpr's chain
-	entries  []entry // the group's slab, in enumeration order
+	lo, hi   entryID // its entries are Optimizer.entries[lo:hi]
 
 	// bestCost is the BestCost value last emitted downstream, if hasBest.
 	bestCost float64
@@ -159,9 +163,9 @@ func (o *Optimizer) maxContrib(g *group) float64 {
 	max, any := -infinity, false
 	for i := g.parents; i != noEdge; i = o.edges[i].next {
 		pr := &o.edges[i]
-		if pr.e.hasContrib[pr.s] {
+		if e := &o.entries[pr.e]; e.hasContrib[pr.s] {
 			any = true
-			if v := pr.e.contrib[pr.s]; v > max {
+			if v := e.contrib[pr.s]; v > max {
 				max = v
 			}
 		}
@@ -190,7 +194,7 @@ const (
 // a plain value, so queueing a delta allocates nothing once the queue has
 // grown to its working size. next chains it in rankQueue.
 type task struct {
-	e    *entry
+	e    entryID
 	g    groupID
 	next int32
 	kind taskKind
@@ -250,22 +254,23 @@ func (q *rankQueue) pop() (task, bool) {
 	return task{}, false
 }
 
-// expansions is the cold worklist of entries to expand: LIFO by default —
+// expansions is the cold worklist of entries to expand, by id, which an
+// expansion that grows the entry slab leaves valid: LIFO by default —
 // depth-first exploration completes one full plan quickly, seeding the
 // pruning thresholds — and FIFO for the breadth-first search-order ablation.
 type expansions struct {
-	items []*entry
+	items []entryID
 	head  int
 	fifo  bool
 }
 
-func (w *expansions) push(e *entry) { w.items = append(w.items, e) }
+func (w *expansions) push(e entryID) { w.items = append(w.items, e) }
 
-func (w *expansions) pop() (*entry, bool) {
+func (w *expansions) pop() (entryID, bool) {
 	n := len(w.items)
 	if w.head >= n {
 		w.items, w.head = w.items[:0], 0
-		return nil, false
+		return 0, false
 	}
 	if w.fifo {
 		w.head++

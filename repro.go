@@ -7,9 +7,10 @@
 // This root package is the public facade over the implementation packages:
 //
 //   - internal/core — the incremental declarative optimizer (the paper's
-//     contribution): SearchSpace/PlanCost/BestCost/Bound state, aggregate
-//     selection with tuple source suppression, reference counting, and
-//     recursive bounding, all maintained under cost deltas;
+//     contribution): SearchSpace/PlanCost/BestCost/Bound state in three
+//     pointer-free slabs (groups, entries, parent edges) named by index,
+//     aggregate selection with tuple source suppression, reference
+//     counting and recursive bounding, all maintained under cost deltas;
 //   - internal/volcano, internal/systemr — the procedural baselines;
 //   - internal/relalg, internal/catalog, internal/stats, internal/cost —
 //     the shared query model, physical design, statistics and cost model;

@@ -23,10 +23,17 @@
 #              counts (packageCeilings in ratchet_test.go, which
 #              TestCodeShapeRatchet holds equal to the tree's; the root
 #              package is "root"). Columns: go, chan, select, panic,
-#              exported, lines.
+#              exported, lines;
+#   paper      paper.<table>.<row>.<column>.{parent,change}: every cell of
+#              the paper's deterministic tables as each side's
+#              cmd/reprobench prints them (-fig 4 and -fig 5, -repeats 1):
+#              Figure 4(b) and 4(c), the pruning ratios, and 5(b) and 5(c),
+#              the update ratios, e.g. paper.fig4b.Q5.declarative. The timed
+#              tables 4(a) and 5(a) are left out.
 #
 # TestBenchRecordNamesEveryMetric checks that the newest BENCH_*.json names
-# every end-to-end metric of every workload and carries both sides' layers.
+# every end-to-end metric of every workload and carries both sides' layers
+# and paper cells.
 #
 # Usage: bash scripts/bench.sh <parent-rev> <n> [pairs=3] [seconds=16]
 # Needs git, go and jq. Besides BENCH_<n>.json it writes only .bench_build/
@@ -89,6 +96,25 @@ done
 code "$work/parent/ratchet_test.go" >"$work/code.parent.json"
 code ratchet_test.go >"$work/code.change.json"
 
+# paper <dir> <side>: the cells of Figures 4(b), 4(c), 5(b) and 5(c) as
+# {"fig4b": {"Q5": {"declarative": 0.9, ...}, ...}, ...}. A table runs from
+# its "== Figure" title over a header and a rule to a blank or note line.
+paper() {
+	(cd "$1" && go build -o "$work/reprobench.$2" ./cmd/reprobench)
+	for f in 4 5; do "$work/reprobench.$2" -fig "$f" -repeats 1; done | awk '
+		/^== Figure [45]\([bc]\)/ { t = "fig" substr($3, 1, 1) substr($3, 3, 1); hdr = 2; next }
+		/^== / || NF == 0 || $1 == "note:" { t = ""; next }
+		t == "" { next }
+		hdr == 2 { split($0, cols); hdr = 1; next }
+		hdr == 1 { hdr = 0; next }
+		{ for (i = 2; i <= NF; i++) print t, $1, cols[i], $i }' |
+		jq -R -s 'split("\n") | map(select(length > 0) | split(" "))
+			| reduce .[] as $f ({}; setpath($f[0:3]; $f[3] | tonumber))'
+}
+echo "bench: paper tables" >&2
+paper "$work/parent" parent >"$work/paper.parent.json"
+paper "$root" change >"$work/paper.change.json"
+
 # One side of one workload (its runs' output files): medians, correctness and
 # the runs' metrics.
 side() {
@@ -130,11 +156,14 @@ jq -n \
 	--argjson seconds "$seconds" --argjson pairs "$pairs" \
 	--argjson n "$n" \
 	--slurpfile workloads "$work/workloads.json" --slurpfile layers "$work/layers.json" \
-	--slurpfile cp "$work/code.parent.json" --slurpfile cc "$work/code.change.json" '
+	--slurpfile cp "$work/code.parent.json" --slurpfile cc "$work/code.change.json" \
+	--slurpfile pp "$work/paper.parent.json" --slurpfile pc "$work/paper.change.json" '
 	{change: $n,
 	 env: {nproc: $nproc, gomaxprocs: $gomaxprocs, go: $go, parent: $parent, change: $change,
 	       seconds: $seconds, pairs: $pairs, seeds: [range(1; $pairs + 1)]},
 	 workloads: $workloads[0],
 	 layers: $layers[0],
-	 code: ($cc[0] | with_entries(.value = {parent: $cp[0][.key], change: .value}))}' >"BENCH_$n.json"
+	 code: ($cc[0] | with_entries(.value = {parent: $cp[0][.key], change: .value})),
+	 paper: ([$pp[0], $pc[0] | paths(numbers)] | unique
+	         | reduce .[] as $k ({}; setpath($k; {parent: ($pp[0] | getpath($k)), change: ($pc[0] | getpath($k))})))}' >"BENCH_$n.json"
 echo "bench: wrote BENCH_$n.json" >&2

@@ -15,8 +15,9 @@ import (
 // BENCHMARK.json the parent's and the change's median of every end-to-end
 // metric and one correctness flag per run, the per-layer metrics of each
 // side's traced run — every name BENCHMARK.json lists, the exact counts kept
-// apart with both sides' values — and the ratchet's code.* counts of both
-// sides. It sets no thresholds: the host drifts, and the record is what
+// apart with both sides' values — the ratchet's code.* counts of both
+// sides, and the paper's deterministic table cells (paper.<table>.<row>.
+// <column>) of both sides. It sets no thresholds: the host drifts, and the record is what
 // a change's numbers are compared with.
 func TestBenchRecordNamesEveryMetric(t *testing.T) {
 	paths, err := filepath.Glob("BENCH_*.json")
@@ -54,7 +55,8 @@ func TestBenchRecordNamesEveryMetric(t *testing.T) {
 			Parent, Change map[string]*float64
 			Exact          map[string]struct{ Parent, Change *float64 }
 		}
-		Code map[string]struct{ Parent, Change *int }
+		Code  map[string]struct{ Parent, Change *int }
+		Paper map[string]map[string]map[string]struct{ Parent, Change *float64 }
 	}
 	readJSON(t, newest, &rec)
 
@@ -121,6 +123,18 @@ func TestBenchRecordNamesEveryMetric(t *testing.T) {
 	for key, c := range rec.Code {
 		if !strings.HasPrefix(key, "code.") || c.Change == nil {
 			t.Errorf("%s: code count %q has no change side", newest, key)
+		}
+	}
+	if len(rec.Paper) == 0 {
+		t.Errorf("%s: no paper.* table cells", newest)
+	}
+	for table, rows := range rec.Paper {
+		for row, cols := range rows {
+			for col, c := range cols {
+				if c.Parent == nil || c.Change == nil {
+					t.Errorf("%s: paper.%s.%s.%s lacks a side", newest, table, row, col)
+				}
+			}
 		}
 	}
 }
