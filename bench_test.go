@@ -64,6 +64,44 @@ func BenchmarkFig4InitialOptimization(b *testing.B) {
 	}
 }
 
+// BenchmarkCloneQ5 measures what a plan-cache miss pays when it finds a
+// template for its join graph: Q5's optimized PruneAll state copied into a
+// new model (clone), and that copy re-priced and repaired to the new
+// model's optimum (clone+reoptimize), in the full and the served space.
+// Compare declarative-all of BenchmarkFig4InitialOptimization, the
+// from-scratch optimization it replaces.
+func BenchmarkCloneQ5(b *testing.B) {
+	e := benchEnv()
+	q := tpch.Q5()
+	ids := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
+	rel, pred := ids[:len(q.Rels)], ids[:len(q.Joins)]
+	for _, sp := range []struct {
+		name  string
+		space relalg.SpaceOptions
+	}{{"full", e.Space}, {"served", relalg.ServedSpace()}} {
+		tmpl, err := core.New(e.Model(q), sp.space, core.PruneAll)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := tmpl.Optimize(); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(sp.name+"/clone", func(b *testing.B) {
+			m := e.Model(q)
+			for i := 0; i < b.N; i++ {
+				tmpl.Clone(m, rel, pred)
+			}
+		})
+		b.Run(sp.name+"/clone+reoptimize", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := tmpl.Clone(e.Model(q), rel, pred).Reoptimize(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkFig5IncrementalReopt measures one incremental re-optimization of
 // Q5 after a join-selectivity change, per changed expression (Figure 5).
 func BenchmarkFig5IncrementalReopt(b *testing.B) {

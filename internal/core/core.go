@@ -40,6 +40,15 @@
 //     delta is a plain value and all aggregate state lives in the slabs
 //     above, so a repair in steady state allocates nothing but its plan.
 //
+// Because the state holds no pointer, copying the slabs copies the
+// optimizer. Clone does so into the cost model of another statement over
+// the same join graph (the plan cache's miss path): it rewrites every
+// relation ordinal and join-predicate index through the caller's maps and
+// stages a cardinality and a scan-cost update on every relation, so the next
+// Reoptimize re-prices every entry from the new model and repairs the copy
+// to its optimum — the paper's incremental re-optimization across queries
+// instead of across time.
+//
 // The three pruning strategies of §3 are independently switchable (Pruning),
 // enabling the paper's Figure 7/8 breakdowns and the Evita-Raced
 // compatibility mode used as a baseline in Figure 4.
@@ -160,7 +169,8 @@ type Metrics struct {
 func (m Metrics) AliveGroups() int { return m.GroupsEnumerated - m.GroupsReleased }
 
 // Optimizer is the incremental declarative optimizer. Create one per query
-// with New, call Optimize once, then interleave cost updates
+// with New and call Optimize once, or Clone an optimized one of the same
+// join graph and call Reoptimize; then interleave cost updates
 // (Model.SetCardFactor / Model.SetScanCostFactor via UpdateCardFactor /
 // UpdateScanCostFactor) with Reoptimize calls.
 //

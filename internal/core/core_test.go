@@ -83,12 +83,20 @@ func TestAgreesWithBaselines(t *testing.T) {
 // short streams never reach (the repository benchmark replays 4 000). The
 // wide arm runs storm-mix deltas on 10 and 12 relations under PruneAll,
 // group ranks past those of the 8-relation TPC-H queries, against a fresh
-// core optimization. Every arm runs in both contractSpaces.
+// core optimization. The clone arms run the same streams on a Clone of the
+// optimized state into the query with its relations and join predicates
+// permuted (cloneArm). Every arm runs in both contractSpaces.
 func TestIncrementalEqualsScratch(t *testing.T) {
-	t.Run("wide", testIncrementalEqualsScratchWide)
+	t.Run("wide", func(t *testing.T) { testIncrementalEqualsScratchWide(t, false) })
 	for _, sp := range contractSpaces {
-		testIncrementalEqualsScratchSeeds(t, sp.name, sp.space)
+		testIncrementalEqualsScratchSeeds(t, sp.name, sp.space, false)
 	}
+	t.Run("clone", func(t *testing.T) {
+		for _, sp := range contractSpaces {
+			testIncrementalEqualsScratchSeeds(t, sp.name, sp.space, true)
+		}
+	})
+	t.Run("clone-wide", func(t *testing.T) { testIncrementalEqualsScratchWide(t, true) })
 }
 
 // contractSpaces are the spaces the paper's contract is checked in: the
@@ -98,7 +106,7 @@ var contractSpaces = []struct {
 	space relalg.SpaceOptions
 }{{"full", relalg.DefaultSpace()}, {"served", relalg.ServedSpace()}}
 
-func testIncrementalEqualsScratchSeeds(t *testing.T, spaceName string, space relalg.SpaceOptions) {
+func testIncrementalEqualsScratchSeeds(t *testing.T, spaceName string, space relalg.SpaceOptions, clone bool) {
 	factors := []float64{0.125, 0.25, 0.5, 2, 4, 8}
 	for seed := uint64(1); seed <= 25; seed++ {
 		nRels := 3 + int(seed%4)
@@ -108,25 +116,29 @@ func testIncrementalEqualsScratchSeeds(t *testing.T, spaceName string, space rel
 		}
 		r := stats.NewRand(seed * 1337)
 		cat := testkit.SyntheticCatalog(r, 4)
-		q := testkit.RandomQuery(r, cat, nRels)
-		// A parallel model receives the same updates and is optimized
-		// from scratch as the oracle.
-		oracle, err := cost.NewModel(q, cat, cost.DefaultParams())
-		if err != nil {
-			t.Fatalf("NewModel(oracle): %v", err)
-		}
+		q0 := testkit.RandomQuery(r, cat, nRels)
 
 		for _, mode := range allModes {
-			m2, _ := cost.NewModel(q, cat, cost.DefaultParams())
-			o, err := New(m2, space, mode)
+			q := q0
+			var o *Optimizer
+			if clone {
+				o, q = cloneArm(t, stats.NewRand(seed), cat, q0, space, mode)
+			} else {
+				m2, _ := cost.NewModel(q, cat, cost.DefaultParams())
+				var err error
+				if o, err = New(m2, space, mode); err != nil {
+					t.Fatalf("New: %v", err)
+				}
+				if _, err := o.Optimize(); err != nil {
+					t.Fatalf("Optimize: %v", err)
+				}
+			}
+			// A parallel model receives the same updates and is
+			// optimized from scratch as the oracle.
+			oracle, err := cost.NewModel(q, cat, cost.DefaultParams())
 			if err != nil {
-				t.Fatalf("New: %v", err)
+				t.Fatalf("NewModel(oracle): %v", err)
 			}
-			if _, err := o.Optimize(); err != nil {
-				t.Fatalf("Optimize: %v", err)
-			}
-			// Reset oracle overrides.
-			oracle, _ = cost.NewModel(q, cat, cost.DefaultParams())
 
 			for step := 0; step < steps; step++ {
 				if r.Intn(3) == 0 {
@@ -160,24 +172,28 @@ func testIncrementalEqualsScratchSeeds(t *testing.T, spaceName string, space rel
 	}
 }
 
-func testIncrementalEqualsScratchWide(t *testing.T) {
+func testIncrementalEqualsScratchWide(t *testing.T, clone bool) {
 	for _, sp := range contractSpaces {
 		for _, nRels := range []int{10, 12} {
 			r := stats.NewRand(uint64(nRels) * 7919)
 			cat := testkit.SyntheticCatalog(r, 4)
 			q := testkit.RandomQuery(r, cat, nRels)
-			m, err := cost.NewModel(q, cat, cost.DefaultParams())
-			if err != nil {
-				t.Fatal(err)
+			var o *Optimizer
+			if clone {
+				o, q = cloneArm(t, stats.NewRand(uint64(nRels)), cat, q, sp.space, PruneAll)
+			} else {
+				m, err := cost.NewModel(q, cat, cost.DefaultParams())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if o, err = New(m, sp.space, PruneAll); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := o.Optimize(); err != nil {
+					t.Fatal(err)
+				}
 			}
 			oracle, _ := cost.NewModel(q, cat, cost.DefaultParams())
-			o, err := New(m, sp.space, PruneAll)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := o.Optimize(); err != nil {
-				t.Fatal(err)
-			}
 			for step := 0; step < 30; step++ {
 				stormDelta(o, oracle, r, q, step)
 				plan, err := o.Reoptimize()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 
 	"repro/internal/cost"
@@ -147,4 +148,63 @@ func (o *Optimizer) entryAffected(e *entry, expr relalg.RelSet) bool {
 		}
 	}
 	return false
+}
+
+// Clone copies o's state into an optimizer for m's query: a statement over
+// the same join graph whose cost parameters may all differ. Relation i of
+// o's query is relation rel[i] of m's, and o's join predicate j is m's
+// pred[j]; every relation ordinal and predicate index in the state is
+// rewritten through the two maps. Clone then stages a cardinality update on
+// every relation and a scan-cost update on every relation, so the next
+// Reoptimize re-prices every entry from m and repairs the copy to m's
+// optimum instead of enumerating the space from scratch. The copy shares
+// nothing with o. Clone only reads o, which must not be mutated meanwhile,
+// and returns nil when o holds no optimized state (Optimize was never
+// called, or a drain failed).
+func (o *Optimizer) Clone(m *cost.Model, rel, pred []int) *Optimizer {
+	if !o.optimized || o.err != nil {
+		return nil
+	}
+	set := func(s relalg.RelSet) (t relalg.RelSet) {
+		for ; s != 0; s &= s - 1 {
+			t |= relalg.Single(rel[bits.TrailingZeros64(uint64(s))])
+		}
+		return t
+	}
+	col := func(c relalg.ColID) relalg.ColID { return relalg.ColID{Rel: rel[c.Rel], Off: c.Off} }
+	prop := func(p relalg.Prop) relalg.Prop {
+		if p.Kind != relalg.PropAny {
+			p.Col = col(p.Col)
+		}
+		return p
+	}
+	c, _ := New(m, o.space, o.mode) // o's mode passed Validate
+	c.slabs = o.exact()
+	c.byExpr = make(map[relalg.RelSet]groupID, len(o.byExpr))
+	c.stepLimit, c.breadthFirst = o.stepLimit, o.breadthFirst
+	c.met, c.epoch, c.optimized = o.met, o.epoch, true
+	for i := range c.groups {
+		g := &c.groups[i]
+		g.key = groupKey{set(g.key.expr), prop(g.key.prop)}
+		c.byExpr[g.key.expr] = g.id + 1 // ascending ids leave each expression's newest
+	}
+	for i := range c.entries {
+		a := &c.entries[i].alt
+		switch {
+		case a.Log == relalg.LogJoin:
+			a.Pred = pred[a.Pred]
+		case a.Leaf():
+			if a.Phy != relalg.PhyTableScan {
+				a.IdxCol = col(a.IdxCol)
+			}
+			a.Rel = rel[a.Rel]
+		}
+		a.LExpr, a.LProp = set(a.LExpr), prop(a.LProp)
+		a.RExpr, a.RProp = set(a.RExpr), prop(a.RProp)
+	}
+	c.pending = make([]pendingUpdate, 0, 2*len(rel))
+	for i := range rel {
+		c.pending = append(c.pending, pendingUpdate{set: relalg.Single(i)}, pendingUpdate{isScan: true, rel: i})
+	}
+	return c
 }

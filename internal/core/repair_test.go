@@ -220,7 +220,40 @@ func TestOptimizeAllocCeiling(t *testing.T) {
 		}
 		t.Logf("Optimize of Q5 under PruneAll in the %s space: %v allocations", arm.name, allocs)
 	}
+
+	// The miss that finds a template: model, Clone of the served-space
+	// state and the Reoptimize that re-prices it.
+	m, err := cost.NewModel(q, cat, cost.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmpl, err := New(m, relalg.ServedSpace(), PruneAll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tmpl.Optimize(); err != nil {
+		t.Fatal(err)
+	}
+	ids := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	allocs := testing.AllocsPerRun(5, func() {
+		m, err := cost.NewModel(q, cat, cost.DefaultParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tmpl.Clone(m, ids[:len(q.Rels)], ids[:len(q.Joins)]).Reoptimize(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > cloneAllocCeiling {
+		t.Errorf("Clone and Reoptimize of Q5 under PruneAll in the served space: %v allocations, ceiling %v", allocs, cloneAllocCeiling)
+	}
+	t.Logf("Clone and Reoptimize of Q5 under PruneAll in the served space: %v allocations", allocs)
 }
+
+// cloneAllocCeiling bounds a plan-cache miss that clones a template of Q5
+// in the served space: model, Clone and Reoptimize. 36 allocations (a from
+// scratch Optimize takes 45), ceiling 37.
+const cloneAllocCeiling = 37
 
 // TestDrainStepLimit forces the worklist's step limit: the failure must
 // surface as an error from Optimize and Reoptimize (the server repairs under

@@ -83,14 +83,15 @@ func (s *Server) WriteProm(w io.Writer) {
 	obs.WritePromGauge(w, "repro_sessions", "Sessions opened.", float64(m.Sessions))
 	obs.WritePromGauge(w, "repro_plan_cache_entries", "Live plan cache entries.", float64(m.Entries))
 	obs.WritePromCounter(w, "repro_prepare_hits_total", "Prepares served from the plan cache.", m.Hits)
-	obs.WritePromCounter(w, "repro_prepare_misses_total", "Prepares that optimized from scratch.", m.Misses)
+	obs.WritePromCounter(w, "repro_prepare_misses_total", "Prepares that created a plan-cache entry.", m.Misses)
 	obs.WritePromCounter(w, "repro_plan_cache_evictions_total", "Plan cache entries evicted by the LRU bound.", m.Evictions)
 	obs.WritePromCounter(w, "repro_execs_total", "Statement executions.", m.Execs)
 	obs.WritePromCounter(w, "repro_compiles_total", "Operator trees compiled; the other executions reused a held one.", m.Compiles)
-	obs.WritePromCounter(w, "repro_full_opts_total", "From-scratch optimizations.", m.FullOpts)
+	obs.WritePromCounter(w, "repro_full_opts_total", "Initial optimizations, from scratch or by clone.", m.FullOpts)
+	obs.WritePromCounter(w, "repro_clones_total", "Initial optimizations that cloned and repaired a template of the same join graph.", m.Clones)
 	obs.WritePromCounter(w, "repro_repairs_total", "Incremental plan repairs triggered by feedback.", m.Repairs)
 	obs.WritePromCounter(w, "repro_converged_execs_total", "Executions whose feedback stayed sub-threshold.", m.Converged)
-	obs.WritePromCounter(w, "repro_full_opt_seconds_total", "Cumulative from-scratch optimization time.", m.FullOptTime.Seconds())
+	obs.WritePromCounter(w, "repro_full_opt_seconds_total", "Cumulative initial optimization time.", m.FullOptTime.Seconds())
 	obs.WritePromGauge(w, "repro_stats_keys", "Fingerprints the shared statistics plane has learned.", float64(m.StatsKeys))
 	obs.WritePromCounter(w, "repro_warm_seeds_total", "Factors warm-started from the statistics plane.", m.WarmSeeds)
 	obs.WritePromCounter(w, "repro_stats_decays_total", "Statistics folds that decayed stored history.", m.StatsDecays)

@@ -3,9 +3,12 @@ package server
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
+	"repro/internal/cost"
 	"repro/internal/relalg"
 )
 
@@ -20,7 +23,9 @@ import (
 // (relalg.ColID.Rel indexes Query.Rels), so "FROM a, b" and "FROM b, a"
 // denote different coordinate systems and get distinct entries. That is a
 // deliberate conservatism — merging them would require remapping every
-// ColID — and costs only a second warm-up for the reordered spelling.
+// ColID in every plan — and costs only a second entry, whose initial
+// optimization clones the first's optimizer through such a remapping
+// (shapeKey, shapeMaps).
 func CanonicalKey(q *relalg.Query) string {
 	var b strings.Builder
 	b.WriteString("T:")
@@ -86,4 +91,87 @@ func keyHash(key string) string {
 	h := fnv.New64a()
 	h.Write([]byte(key))
 	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// shapeKey names the join graph a plan-cache miss may clone a template of:
+// the statement's distinct tables, its join edges and filters written over
+// table names instead of relation ordinals, and each relation's leaf
+// alternatives as relalg.ServedSpace enumerates them under the model. The
+// leaf alternatives are part of it because a scan predicate on a zone
+// column adds a segment scan on the disk store. Two statements with one
+// shape differ, to the optimizer, only in cost parameters and coordinates,
+// which core.Optimizer.Clone rewrites (shapeMaps). A statement that repeats
+// a table has no shape (""): its relations have no names to map by.
+func shapeKey(q *relalg.Query, m *cost.Model) string {
+	rels := make([]int, len(q.Rels))
+	for i := range rels {
+		rels[i] = i
+	}
+	slices.SortFunc(rels, func(a, b int) int { return strings.Compare(q.Rels[a].Table, q.Rels[b].Table) })
+	var b strings.Builder
+	var alts []relalg.Alt
+	for k, i := range rels {
+		if k > 0 && q.Rels[rels[k-1]].Table == q.Rels[i].Table {
+			return ""
+		}
+		b.WriteString(q.Rels[i].Table)
+		alts = relalg.Split(q, m, relalg.ServedSpace(), relalg.Single(i), relalg.AnyProp, alts[:0])
+		for _, a := range alts {
+			fmt.Fprintf(&b, ":%d.%d", a.Phy, a.IdxCol.Off)
+		}
+		b.WriteByte(',')
+	}
+	edges := make([]string, len(q.Joins))
+	for j, jp := range q.Joins {
+		edges[j] = edgeKey(q, jp)
+	}
+	slices.Sort(edges)
+	b.WriteString("|J:")
+	b.WriteString(strings.Join(edges, ","))
+	filters := make([]string, len(q.Filters))
+	for i, f := range q.Filters {
+		filters[i] = fmt.Sprintf("%s%s%s%+d", colName(q, f.L), f.Op, colName(q, f.R), f.Off)
+	}
+	slices.Sort(filters)
+	b.WriteString("|F:")
+	b.WriteString(strings.Join(filters, ","))
+	return b.String()
+}
+
+// edgeKey renders a join predicate over table names, its sides in order.
+func edgeKey(q *relalg.Query, jp relalg.JoinPred) string {
+	l, r := colName(q, jp.L), colName(q, jp.R)
+	if r < l {
+		l, r = r, l
+	}
+	return l + "=" + r
+}
+
+func colName(q *relalg.Query, c relalg.ColID) string {
+	return q.Rels[c.Rel].Table + "." + strconv.Itoa(c.Off)
+}
+
+// shapeMaps maps the coordinates of from onto those of to, two statements
+// with one shapeKey, as core.Optimizer.Clone takes them: relation i of from
+// is relation rel[i] of to, and from's join predicate j is to's pred[j].
+func shapeMaps(from, to *relalg.Query) (rel, pred []int) {
+	ord := make(map[string]int, len(to.Rels))
+	for i, r := range to.Rels {
+		ord[r.Table] = i
+	}
+	rel = make([]int, len(from.Rels))
+	for i, r := range from.Rels {
+		rel[i] = ord[r.Table]
+	}
+	at := make(map[string][]int, len(to.Joins)) // an edge's predicates in to, taken in order
+	for j, jp := range to.Joins {
+		k := edgeKey(to, jp)
+		at[k] = append(at[k], j)
+	}
+	pred = make([]int, len(from.Joins))
+	for j, jp := range from.Joins {
+		k := edgeKey(from, jp)
+		pred[j], at[k] = at[k][0], at[k][1:]
+	}
+	return rel, pred
 }

@@ -22,8 +22,9 @@ type EntryMetrics struct {
 	Hits  int64 // prepares that found the entry live
 	Execs int64 // executions
 
-	FullOpts    int64         // from-scratch optimizations (1: init only)
+	FullOpts    int64         // initial optimizations, from scratch or by clone (1)
 	FullOptTime time.Duration // time spent in them
+	Clones      int64         // initial optimizations by clone of a template (0 or 1)
 	Repairs     int64         // incremental repairs triggered by feedback
 	RepairTime  time.Duration // time spent repairing
 	Converged   int64         // executions whose feedback was sub-threshold
@@ -54,8 +55,12 @@ type Metrics struct {
 	Execs     int64
 	Compiles  int64 // operator trees compiled; Execs - Compiles reused a held one
 
+	// FullOpts counts initial optimizations, from scratch or by clone;
+	// Clones counts those that cloned a cached template of the same join
+	// graph and repaired it instead of enumerating from scratch.
 	FullOpts    int64
 	FullOptTime time.Duration
+	Clones      int64
 	Repairs     int64
 	RepairTime  time.Duration
 	Converged   int64
@@ -121,6 +126,7 @@ func (s *Server) Metrics() Metrics {
 		Compiles:       s.compiles.Load(),
 		FullOpts:       s.fullOpts.Load(),
 		FullOptTime:    time.Duration(s.fullOptNanos.Load()),
+		Clones:         s.clones.Load(),
 		Repairs:        s.repairs.Load(),
 		RepairTime:     time.Duration(s.repairNanos.Load()),
 		Converged:      s.converged.Load(),
@@ -167,6 +173,7 @@ func (e *planEntry) snapshot() EntryMetrics {
 	e.mu.Lock()
 	em.FullOpts = e.fullOpts
 	em.FullOptTime = e.fullOptTime
+	em.Clones = e.clones
 	em.Repairs = e.repairs
 	em.RepairTime = e.repairTime
 	em.Converged = e.converged
@@ -181,8 +188,8 @@ func (m Metrics) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "sessions=%d entries=%d hits=%d misses=%d evictions=%d execs=%d\n",
 		m.Sessions, m.Entries, m.Hits, m.Misses, m.Evictions, m.Execs)
-	fmt.Fprintf(&b, "full-opts=%d (%v) repairs=%d (%v) converged-execs=%d\n",
-		m.FullOpts, m.FullOptTime.Round(time.Microsecond),
+	fmt.Fprintf(&b, "full-opts=%d (%v) clones=%d repairs=%d (%v) converged-execs=%d\n",
+		m.FullOpts, m.FullOptTime.Round(time.Microsecond), m.Clones,
 		m.Repairs, m.RepairTime.Round(time.Microsecond), m.Converged)
 	fmt.Fprintf(&b, "latency: %s\n", m.ExecLatency)
 	fmt.Fprintf(&b, "queue-wait: waited=%d %s\n", m.QueueWaits, m.QueueWait)

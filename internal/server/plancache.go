@@ -26,12 +26,24 @@ import (
 // registered name) to the entry they were bound to, so a re-prepared text
 // skips the parse. A text is indexed only while its entry is cached: an
 // entry lists its texts, and eviction deletes them with it.
+//
+// And it indexes join-graph shapes (shapeKey) to the newest initialized
+// entry of each, the template a miss of that shape clones instead of
+// optimizing from scratch (planEntry.ensureInit). An entry is registered at
+// the end of its initialization, only if that succeeded and the entry is
+// still cached, and eviction deletes it, so an uninitialized, failed or
+// evicted entry is never a template. Lock order: a miss holds its own
+// entry's mu, then takes the template's to clone it; the holder of a
+// template's mu never takes another entry's (the template is initialized,
+// and feedback and metrics lock only their own entry). The cache's mu is
+// never held while an entry's mu is taken.
 type planCache struct {
 	max int // entry bound (Options.MaxEntries); 0 is unbounded
 
 	mu      sync.RWMutex
 	entries map[string]*planEntry
 	texts   map[string]*planEntry // statement text -> a cached entry
+	shapes  map[string]*planEntry // join-graph shape -> its newest initialized entry
 	seq     uint64                // creation stamp of the newest entry
 
 	hits      atomic.Int64 // prepares that found a live entry
@@ -40,7 +52,8 @@ type planCache struct {
 }
 
 func newPlanCache(max int) *planCache {
-	return &planCache{max: max, entries: map[string]*planEntry{}, texts: map[string]*planEntry{}}
+	return &planCache{max: max, entries: map[string]*planEntry{}, texts: map[string]*planEntry{},
+		shapes: map[string]*planEntry{}}
 }
 
 // resolve returns the cached entry for q's canonical structure, creating it
@@ -127,7 +140,31 @@ func (c *planCache) evictLocked() {
 		for _, text := range lru.texts {
 			delete(c.texts, text)
 		}
+		if c.shapes[lru.shape] == lru {
+			delete(c.shapes, lru.shape)
+		}
 		c.evictions.Add(1)
+	}
+}
+
+// template returns the newest initialized entry of the shape, or nil.
+func (c *planCache) template(shape string) *planEntry {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.shapes[shape]
+}
+
+// register makes the initialized entry e its shape's template, unless e has
+// no shape or has been evicted since it was resolved.
+func (c *planCache) register(shape string, e *planEntry) {
+	if shape == "" {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.entries[e.key] == e {
+		e.shape = shape
+		c.shapes[shape] = e
 	}
 }
 
@@ -168,6 +205,7 @@ type planEntry struct {
 	execs    atomic.Int64
 	lastUsed atomic.Int64 // unix nanos of the last prepare/exec (LRU order)
 	texts    []string     // statement texts indexed to it; under planCache.mu
+	shape    string       // its shapeKey once registered; under planCache.mu
 
 	mu      sync.Mutex // guards everything below
 	model   *cost.Model
@@ -176,8 +214,9 @@ type planEntry struct {
 	fper    *relalg.Fingerprinter // memoized; not concurrency-safe, use under mu
 	initErr error
 
-	fullOpts    int64 // from-scratch optimizations (1, at initialization)
+	fullOpts    int64 // initial optimizations, from scratch or by clone (1)
 	fullOptTime time.Duration
+	clones      int64 // initial optimizations by clone (0 or 1)
 	repairs     int64 // incremental Reoptimize calls
 	repairTime  time.Duration
 	converged   int64 // executions whose feedback was within threshold
@@ -239,17 +278,19 @@ func warmSets(q *relalg.Query) []relalg.RelSet {
 	return sets
 }
 
-// ensureInit builds the entry's model and optimizer and runs the single
-// from-scratch optimization, exactly once. The optimizer searches
-// relalg.ServedSpace(), the space the executor runs as priced, not the
-// paper's full Table 1 space. Before that optimization the model is
-// warm-started: every connected subexpression whose fingerprint the shared
-// store already knows gets its learned factor seeded, so a structurally new
-// query over hot tables optimizes against the workload's converged
-// statistics from the very first plan — and an entry re-admitted after
-// eviction picks up exactly where its evicted predecessor left off. Errors
-// are sticky: a query whose model cannot be built fails the same way on
-// every prepare.
+// ensureInit builds the entry's model and optimizer and runs its initial
+// optimization, exactly once. The optimizer searches relalg.ServedSpace(),
+// the space the executor runs as priced, not the paper's full Table 1 space.
+// Before that optimization the model is warm-started: every connected
+// subexpression whose fingerprint the shared store already knows gets its
+// learned factor seeded, so a structurally new query over hot tables
+// optimizes against the workload's converged statistics from the very first
+// plan — and an entry re-admitted after eviction picks up exactly where its
+// evicted predecessor left off. When the cache holds a template of the
+// statement's join graph the optimization is a clone of its state repaired
+// under the new model (fromTemplate); only a never-seen shape, or a
+// statement without one, enumerates from scratch. Errors are sticky: a
+// query whose model cannot be built fails the same way on every prepare.
 func (e *planEntry) ensureInit(s *Server) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -265,27 +306,56 @@ func (e *planEntry) ensureInit(s *Server) error {
 	cal := aqp.NewSharedCalibrator(s.stats, fp.Fingerprint, true, 0)
 	e.warmSeeds = cal.WarmStart(m, warmSets(e.q))
 	s.warmSeeds.Add(int64(e.warmSeeds))
-	opt, err := core.New(m, relalg.ServedSpace(), core.PruneAll)
-	if err != nil {
-		e.initErr = err
-		return err
-	}
-	plan, err := opt.Optimize()
-	if err != nil {
-		e.initErr = err
-		return err
+	start := time.Now()
+	shape := shapeKey(e.q, m)
+	opt, plan := e.fromTemplate(s, shape, m)
+	if opt != nil {
+		e.clones++
+		s.clones.Add(1)
+	} else {
+		if opt, err = core.New(m, relalg.ServedSpace(), core.PruneAll); err == nil {
+			plan, err = opt.Optimize()
+		}
+		if err != nil {
+			e.initErr = err
+			return err
+		}
 	}
 	e.model = m
 	e.opt = opt
 	e.cal = cal
 	e.fper = fp
-	elapsed := opt.Metrics().Elapsed
+	elapsed := time.Since(start)
 	e.fullOpts++
 	e.fullOptTime += elapsed
 	s.fullOpts.Add(1)
 	s.fullOptNanos.Add(int64(elapsed))
 	e.cur.Store(&planVersion{plan: plan, version: 1, cands: e.cacheCands(s, plan)})
+	s.plans.register(shape, e)
 	return nil
+}
+
+// fromTemplate clones the optimizer of shape's template into m, holding the
+// template's mu for the copy only, and repairs the clone, whose every entry
+// Clone stages for re-pricing, to m's optimum. It returns nil when there is
+// no template or the repair fails; the caller then optimizes from scratch.
+func (e *planEntry) fromTemplate(s *Server, shape string, m *cost.Model) (*core.Optimizer, *relalg.Plan) {
+	t := s.plans.template(shape)
+	if t == nil {
+		return nil, nil
+	}
+	rel, pred := shapeMaps(t.q, e.q)
+	t.mu.Lock()
+	opt := t.opt.Clone(m, rel, pred)
+	t.mu.Unlock()
+	if opt == nil {
+		return nil, nil
+	}
+	plan, err := opt.Reoptimize()
+	if err != nil {
+		return nil, nil
+	}
+	return opt, plan
 }
 
 // cacheCands derives the result-cache candidates for a freshly published

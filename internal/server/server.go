@@ -203,6 +203,7 @@ type Server struct {
 	compiles     atomic.Int64
 	fullOpts     atomic.Int64
 	fullOptNanos atomic.Int64
+	clones       atomic.Int64
 	repairs      atomic.Int64
 	repairNanos  atomic.Int64
 	converged    atomic.Int64
@@ -380,8 +381,9 @@ func (sess *Session) PrepareQuery(q *relalg.Query) (*Stmt, error) {
 // prepare is the one bind path. A statement text (empty for a query built
 // by the caller) the plan cache's text index holds resolves to its entry.
 // Otherwise build's query is validated and resolved to its cache entry,
-// which is initialized — the only point where a from-scratch optimization
-// ever happens — and the index remembers the text for it.
+// which is initialized — the only point where an initial optimization, from
+// scratch or by clone, ever happens — and the index remembers the text for
+// it.
 func (sess *Session) prepare(text string, build func() (*relalg.Query, error)) (*Stmt, error) {
 	s := sess.srv
 	e := s.plans.lookup(text)
@@ -418,7 +420,7 @@ type Stmt struct {
 	sess  *Session
 	entry *planEntry
 	// Hit reports whether Prepare found a live cache entry (true) or paid
-	// the one-time from-scratch optimization (false).
+	// the one-time initial optimization (false).
 	Hit bool
 }
 

@@ -32,7 +32,7 @@ type shape struct {
 // of the change that moved it. Columns: go statements, chan types, select
 // statements, panic calls, exported names, lines.
 var packageCeilings = map[string]shape{
-	".":                    {0, 0, 0, 0, 24, 372},
+	".":                    {0, 0, 0, 0, 24, 378},
 	"cmd/optcli":           {0, 0, 0, 0, 0, 212},
 	"cmd/reprobench":       {0, 0, 0, 0, 0, 109},
 	"cmd/reproserve":       {4, 2, 1, 0, 2, 293},
@@ -45,7 +45,7 @@ var packageCeilings = map[string]shape{
 	"internal/aqp":         {0, 0, 0, 0, 33, 408},
 	"internal/bench":       {0, 0, 0, 33, 27, 812},
 	"internal/catalog":     {0, 0, 0, 5, 41, 425},
-	"internal/core":        {0, 0, 0, 2, 64, 1886},
+	"internal/core":        {0, 0, 0, 2, 65, 1956},
 	"internal/cost":        {0, 0, 0, 3, 30, 420},
 	"internal/deltalog":    {0, 0, 0, 5, 24, 411},
 	"internal/exec":        {0, 0, 0, 0, 101, 4099},
@@ -54,7 +54,7 @@ var packageCeilings = map[string]shape{
 	"internal/obs":         {0, 0, 0, 0, 68, 553},
 	"internal/relalg":      {0, 0, 0, 1, 136, 1041},
 	"internal/rescache":    {0, 0, 0, 0, 23, 228},
-	"internal/server":      {1, 2, 1, 0, 97, 1701},
+	"internal/server":      {1, 2, 1, 0, 99, 1869},
 	"internal/sqlmini":     {0, 0, 0, 0, 4, 598},
 	"internal/stats":       {0, 0, 0, 2, 21, 257},
 	"internal/storage":     {0, 0, 0, 0, 57, 1039},

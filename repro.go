@@ -10,7 +10,11 @@
 //     contribution): SearchSpace/PlanCost/BestCost/Bound state in three
 //     pointer-free slabs (groups, entries, parent edges) named by index,
 //     aggregate selection with tuple source suppression, reference
-//     counting and recursive bounding, all maintained under cost deltas;
+//     counting and recursive bounding, all maintained under cost deltas.
+//     Optimizer.Clone copies that state into the model of another statement
+//     over the same join graph, rewriting relation ordinals and predicate
+//     indexes, and stages every entry for re-pricing, so the next
+//     Reoptimize repairs the copy to the new statement's optimum;
 //   - internal/volcano, internal/systemr — the procedural baselines;
 //   - internal/relalg, internal/catalog, internal/stats, internal/cost —
 //     the shared query model, physical design, statistics and cost model;
@@ -58,7 +62,9 @@
 //     relalg.ServedSpace(), the hash joins and scans the executor runs as
 //     priced, not the paper's full Table 1 space that NewOptimizer, the
 //     figures and the baselines use (surfaced here as NewServer /
-//     Session / Prepare / Exec, and as a wire protocol by cmd/reproserve);
+//     Session / Prepare / Exec, and as a wire protocol by cmd/reproserve).
+//     A miss whose join graph the cache already holds clones that entry's
+//     optimizer and repairs it instead of enumerating from scratch;
 //   - internal/obs — the observability primitives: nil-safe per-operator
 //     execution spans, the query-lifecycle event ring, and wait-free
 //     latency histograms with Prometheus text exposition;

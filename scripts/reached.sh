@@ -131,9 +131,9 @@ differential() {
 		{ cat "$work/out" >&2; exit 1; }
 }
 differential ./internal/exec/ '^(TestTPCHReferenceDifferential|TestPlansAgreeWithReference|TestLivenessEdgeCases|TestReopenedExecutionMatchesFresh|TestTPCHSpillDifferential|TestSpillJoinMatchesUnbounded|TestSpillJoinForcedRecursion|TestSpillJoinSkewChunkFallback|TestSelectionKernelsMatchScalar|TestHashJoinProbeMatchesChainWalk|TestDirectGroupIdsMatchHashPath)$'
-differential ./internal/server/ '^(TestStorageRestartDifferential|TestSegScanZonePruningDifferential|TestDriftReconvergence|TestHeldRunMatchesFresh|TestHeldRunProfiles)$'
+differential ./internal/server/ '^(TestCloneLeafGuardOnDiskStore|TestStorageRestartDifferential|TestSegScanZonePruningDifferential|TestDriftReconvergence|TestHeldRunMatchesFresh|TestHeldRunProfiles)$'
 differential ./internal/linearroad/ '^TestWindowsMatchRowOracle$'
-differential ./internal/core/ '^(TestIncrementalEqualsScratch|TestRepairCounterTrajectory|TestReoptimizeSteadyStateAllocs|TestBreadthFirstAgrees|TestRankQueueMatchesReference|TestServedSpaceMatchesFullOnNamedQueries)$'
+differential ./internal/core/ '^(TestIncrementalEqualsScratch|TestCloneEqualsOriginal|TestRepairCounterTrajectory|TestReoptimizeSteadyStateAllocs|TestBreadthFirstAgrees|TestRankQueueMatchesReference|TestServedSpaceMatchesFullOnNamedQueries)$'
 differential ./internal/deltalog/ '^TestOracleMatchesCore$'
 differential ./internal/cost/ '^TestCardMemoMatchesProduct$'
 differential ./internal/relalg/ '^TestSplitMatchesReference$'
