@@ -53,9 +53,9 @@
 //     seeded into it and flushed as immutable sorted column segments on
 //     graceful shutdown; later boots load the segments and replay the
 //     append log instead of regenerating, so a restart serves identical
-//     data. Per-segment zone maps add the segment-pruned scan access path
-//     to the optimizer's plan space. Pairs naturally with -stats-file:
-//     data and learned statistics then both survive restarts.
+//     data. Per-segment zone maps let every scan skip the segments a
+//     predicate excludes. Pairs naturally with -stats-file: data and
+//     learned statistics then both survive restarts.
 //   - -spill-dir DIR places the (immediately unlinked) spill partition
 //     files of out-of-core hash joins and aggregations under DIR instead
 //     of the system temp directory; write failures there surface as query
@@ -136,7 +136,7 @@ func main() {
 	traceEvents := flag.Int("trace-events", 0, "query-lifecycle event ring size (prepare/queue/exec/repair/result-cache events); 0 disables tracing")
 	slowQuery := flag.Duration("slow-query", 0, "slow-query threshold (e.g. 50ms): slower executions dump lifecycle trace + EXPLAIN ANALYZE to stderr and /traces; 0 disables")
 	metricsJSON := flag.Bool("metrics-json", false, "render the final shutdown metrics flush as JSON instead of the text report")
-	dataDir := flag.String("data-dir", "", "persistent storage root (one subdirectory per table): tables load from it on boot instead of regenerating, appends flush to immutable column segments on graceful shutdown, and zone maps add the segment-pruned scan access path; empty keeps the catalog purely in memory")
+	dataDir := flag.String("data-dir", "", "persistent storage root (one subdirectory per table): tables load from it on boot instead of regenerating, appends flush to immutable column segments on graceful shutdown, and zone maps let table scans skip segments; empty keeps the catalog purely in memory")
 	spillDir := flag.String("spill-dir", "", "directory for out-of-core spill partition files (unlinked at creation); empty uses the system temp directory")
 	flag.Parse()
 

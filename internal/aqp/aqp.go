@@ -91,7 +91,7 @@ type Controller struct {
 // information" when the window tables are still empty); later knowledge
 // arrives through feedback factors — and, for the two things the model reads
 // live (an inner column's distinct count when an index-NL join is costed, a
-// zone column's selectivity for a segment-pruned scan), through
+// key column's selectivity when an index scan is), through
 // catalog.Table.Stats, which builds that column on first read.
 func NewController(cfg Config) (*Controller, error) {
 	m, err := cost.NewModel(cfg.Query, cfg.Cat, cfg.Params)

@@ -250,7 +250,7 @@ func (t *Table) Stats(off int) ColStats {
 
 // ZoneCols returns the column offsets whose segment zone maps make
 // predicate pruning effective on the bound backend (none for the in-memory
-// store). The optimizer enumerates segment-pruned scans over these.
+// store). The cost model prices a table scan by the rows pruning leaves.
 func (t *Table) ZoneCols() []int { return t.Store().ZoneCols() }
 
 // SetSyntheticStats configures statistics without row data, for

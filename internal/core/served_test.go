@@ -73,7 +73,7 @@ func TestServedSpaceMatchesFullOnNamedQueries(t *testing.T) {
 		}
 	}
 
-	runsAsPriced := []relalg.PhyOp{relalg.PhyHashJoin, relalg.PhyTableScan, relalg.PhySegScan}
+	runsAsPriced := []relalg.PhyOp{relalg.PhyHashJoin, relalg.PhyTableScan}
 	withIndexScan := relalg.ServedSpace()
 	withIndexScan.NoIndexScan = false
 	r := stats.NewRand(7)

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"repro/internal/catalog"
 	"repro/internal/relalg"
@@ -80,6 +81,10 @@ type Model struct {
 
 	overrides  []cardOverride // sorted by Over for determinism
 	scanFactor []float64      // per query relation, default 1
+	// scanFrac is, per query relation, the fraction of its rows a table
+	// scan reads once segment zone maps prune it (1 without a predicate on
+	// a zone column).
+	scanFrac []float64
 
 	// cards memoizes Card per expression for the model's lifetime in an
 	// open-addressed table: 2^k slots (four per relation to start),
@@ -106,6 +111,7 @@ func NewModel(q *relalg.Query, cat *catalog.Catalog, p Params) (*Model, error) {
 	m.baseCard = make([]float64, len(q.Rels))
 	m.scanSel = make([]float64, len(q.Rels))
 	m.scanFactor = make([]float64, len(q.Rels))
+	m.scanFrac = make([]float64, len(q.Rels))
 	for i, r := range q.Rels {
 		t, err := cat.Table(r.Table)
 		if err != nil {
@@ -124,6 +130,7 @@ func NewModel(q *relalg.Query, cat *catalog.Catalog, p Params) (*Model, error) {
 		}
 		m.scanSel[i] = sel
 		m.baseCard[i] = math.Max(m.baseRows[i]*sel, 1e-6)
+		m.scanFrac[i] = m.prunedFrac(i)
 	}
 	m.joinSel = make([]float64, len(q.Joins))
 	for pi, jp := range q.Joins {
@@ -172,17 +179,26 @@ func (m *Model) IndexCols(rel int) []int { return m.tables[rel].Indexes }
 // SortedCol implements relalg.SchemaInfo.
 func (m *Model) SortedCol(rel int) int { return m.tables[rel].SortedBy }
 
-// ZoneCols implements relalg.ZoneInfo: the columns whose segment zone maps
-// make predicate pruning effective on rel's storage backend. Tables on the
-// default in-memory backend report none, so the plan space is unchanged
-// unless a persistent backend is bound.
-func (m *Model) ZoneCols(rel int) []int { return m.tables[rel].ZoneCols() }
-
 // segScanSlack is the read fraction added to the zone-column selectivity
-// when costing a segment-pruned scan: segments whose key range straddles a
-// predicate boundary must still be read whole, so pruning rarely achieves
-// the predicate's exact selectivity.
+// of a pruned table scan: segments whose key range straddles a predicate
+// boundary must still be read whole, so pruning rarely achieves the
+// predicate's exact selectivity.
 const segScanSlack = 0.10
+
+// prunedFrac is the fraction of relation rel's rows a table scan reads after
+// zone-map pruning: the selectivity of the local predicates on the first
+// zone column one lands on, plus slack, at most 1. It reads the table's zone
+// columns, which takes the table's lock, so NewModel calls it once per
+// relation.
+func (m *Model) prunedFrac(rel int) float64 {
+	zone := m.tables[rel].ZoneCols()
+	for _, pr := range m.Q.Scans {
+		if pr.Col.Rel == rel && slices.Contains(zone, pr.Col.Off) {
+			return math.Min(1, m.colSel(rel, pr.Col)+segScanSlack)
+		}
+	}
+	return 1
+}
 
 // ---- overrides (the incremental re-optimization inputs) ----
 
@@ -327,10 +343,12 @@ func (m *Model) LocalCost(alt *relalg.Alt, s relalg.RelSet, prop relalg.Prop) fl
 	p := m.P
 	switch alt.Phy {
 	case relalg.PhyTableScan:
+		// A sequential scan that reads only the fraction of rows zone
+		// maps cannot prune (all of them on an in-memory table).
 		rel := alt.Rel
 		rows := m.baseRows[rel]
 		pages := rows * m.tables[rel].Width / p.PageSize
-		return m.scanFactor[rel] * (p.SeqPage*pages + p.CPUTuple*rows)
+		return m.scanFactor[rel] * m.scanFrac[rel] * (p.SeqPage*pages + p.CPUTuple*rows)
 
 	case relalg.PhyIndexScan:
 		rel := alt.Rel
@@ -343,19 +361,6 @@ func (m *Model) LocalCost(alt *relalg.Alt, s relalg.RelSet, prop relalg.Prop) fl
 		// the key column; residual predicates filter after the fetch.
 		fetched := math.Max(m.baseRows[rel]*m.colSel(rel, alt.IdxCol), 1)
 		return m.scanFactor[rel] * (p.IndexLookup + fetched*(p.RandPage+p.CPUTuple))
-
-	case relalg.PhySegScan:
-		// A sequential scan that reads only the fraction of segments the
-		// zone maps on alt.IdxCol cannot prune. The read fraction is
-		// approximated by the selectivity of the local predicates on the
-		// zone column plus slack for partially overlapping segments; it
-		// never exceeds a full table scan, and at moderate selectivity it
-		// undercuts an index scan's random fetches.
-		rel := alt.Rel
-		frac := math.Min(1, m.colSel(rel, alt.IdxCol)+segScanSlack)
-		rows := m.baseRows[rel]
-		pages := rows * m.tables[rel].Width / p.PageSize
-		return m.scanFactor[rel] * frac * (p.SeqPage*pages + p.CPUTuple*rows)
 
 	case relalg.PhyHashJoin:
 		lc := m.Card(alt.LExpr)
@@ -411,7 +416,7 @@ func (m *Model) colSel(rel int, col relalg.ColID) float64 {
 // inner is rel.
 func ScanAffects(alt *relalg.Alt, rel int) bool {
 	switch alt.Phy {
-	case relalg.PhyTableScan, relalg.PhyIndexScan, relalg.PhySegScan:
+	case relalg.PhyTableScan, relalg.PhyIndexScan:
 		return alt.Rel == rel
 	case relalg.PhyIndexNLJoin:
 		return alt.LExpr == relalg.Single(rel)

@@ -283,10 +283,12 @@ func drainVecCols(in VecIterator, buf *colData) (colData, error) {
 // ---- vectorized scan ----
 
 // vecScanOp is the scan of one leaf: it emits zero-copy windows of the
-// leaf's data columns, selected by the leaf's filter.
+// leaf's data columns over the leaf's row ranges, selected by the leaf's
+// filter.
 type vecScanOp struct {
 	leaf  scanLeaf
-	pos   int
+	r     int // the range being read
+	pos   int // the next row to read
 	batch Batch
 	sel   []int
 	ids   []int32   // drainCols' surviving row ids
@@ -309,17 +311,19 @@ func leafOfCols(cols [][]int64, n int, filter ScanFilter) scanLeaf {
 
 func (s *vecScanOp) Open() error {
 	s.leaf.bind()
-	s.pos = 0
+	s.r, s.pos = 0, 0
 	return nil
 }
 
 func (s *vecScanOp) Next() (*Batch, error) {
-	for {
-		lo := s.pos
-		if lo >= s.leaf.data.n {
-			return nil, nil
+	for s.r < len(s.leaf.ranges) {
+		rg := s.leaf.ranges[s.r]
+		lo := max(s.pos, rg.Lo)
+		if lo >= rg.Hi {
+			s.r++
+			continue
 		}
-		end := min(lo+BatchSize, s.leaf.data.n)
+		end := min(lo+BatchSize, rg.Hi)
 		s.pos = end
 		s.batch.Cols = s.leaf.data.window(s.batch.Cols, lo, end)
 		s.batch.N = end - lo
@@ -334,6 +338,7 @@ func (s *vecScanOp) Next() (*Batch, error) {
 		s.batch.Sel = s.sel
 		return &s.batch, nil
 	}
+	return nil, nil
 }
 
 func (s *vecScanOp) Close() error { return nil }
@@ -342,8 +347,9 @@ func (s *vecScanOp) Close() error { return nil }
 // without the batch stream. An unfiltered scan lends the snapshot's columns
 // as they are: they are immutable, consumers only read a materialization, and
 // the clipped capacity makes a stray append copy rather than write into the
-// table. A filtered scan collects its survivors' row ids window by window,
-// then copies each column once into buf, at exact size when buf's is too small.
+// table (with no conditions, nothing is pruned). A filtered scan collects
+// its survivors' row ids window by window over its ranges, then copies each
+// column once into buf, at exact size when buf's is too small.
 func (s *vecScanOp) drainCols(buf *colData) (colData, error) {
 	s.leaf.bind()
 	d := s.leaf.data
@@ -356,10 +362,12 @@ func (s *vecScanOp) drainCols(buf *colData) (colData, error) {
 	}
 	buf.cols = sized(buf.cols, d.width())
 	s.ids = s.ids[:0]
-	for lo := 0; lo < d.n; lo += BatchSize {
-		s.sel = s.leaf.sel(lo, min(lo+BatchSize, d.n), s.sel)
-		for _, i := range s.sel {
-			s.ids = append(s.ids, int32(lo+i))
+	for _, rg := range s.leaf.ranges {
+		for lo := rg.Lo; lo < rg.Hi; lo += BatchSize {
+			s.sel = s.leaf.sel(lo, min(lo+BatchSize, rg.Hi), s.sel)
+			for _, i := range s.sel {
+				s.ids = append(s.ids, int32(lo+i))
+			}
 		}
 	}
 	buf.n = len(s.ids)

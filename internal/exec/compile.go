@@ -8,6 +8,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/relalg"
 	"repro/internal/rescache"
+	"repro/internal/storage"
 )
 
 // RunStats is the record of one execution of a compiled tree: the span of
@@ -228,24 +229,40 @@ type scanLeaf struct {
 	// tab is the table data and pred are cut from; nil for a scan over fixed
 	// columns (a cached result, a test's).
 	tab *catalog.Table
+	// zone is the filter pushed down to the storage layer, over table
+	// offsets: on a disk table the zone maps prune by it.
+	zone []storage.Pred
+	// ranges are the ascending row ranges of data the execution reads: the
+	// ones the zone maps cannot exclude, else the whole of data.
+	ranges []storage.Range
 }
 
-// bind points the leaf at its table's current column snapshot. Scans call it
-// when an execution opens them, so a re-opened tree reads what the table holds
-// now. ColumnSnapshot returns a consistent (columns, row count) pair from the
-// backend's atomically published snapshot, so binding concurrently with
-// appends can never pair fresh columns with a stale count (or vice versa).
+// bind points the leaf at its table's current column snapshot and the row
+// ranges of it the scan reads. Scans call it when an execution opens them,
+// so a re-opened tree reads what the table holds now. The snapshot is an
+// atomically published (columns, row count) pair, so binding concurrently
+// with appends can never pair fresh columns with a stale count (or vice
+// versa); a disk table hands it out together with the ranges its zone maps
+// keep, both read under the store's lock.
 func (l *scanLeaf) bind() {
 	if l.tab == nil {
+		l.ranges = append(l.ranges[:0], storage.Range{Hi: l.data.n})
 		return
 	}
-	cols, n := l.tab.ColumnSnapshot() // indexed by table offset
-	l.data.n = n
+	store := l.tab.Store()
+	var snap *storage.Snapshot
+	if ds, ok := store.(*storage.DiskStore); ok {
+		snap, l.ranges, _ = ds.Ranges(l.zone, l.ranges)
+	} else {
+		snap = store.Snapshot()
+		l.ranges = append(l.ranges[:0], storage.Range{Hi: snap.N})
+	}
+	l.data.n = snap.N
 	for i, col := range l.schema {
-		l.data.cols[i] = cols[col.Off]
+		l.data.cols[i] = snap.Cols[col.Off] // indexed by table offset
 	}
 	for i, off := range l.predSrc {
-		l.pred[i] = cols[off]
+		l.pred[i] = snap.Cols[off]
 	}
 }
 
@@ -271,9 +288,42 @@ func (c *Compiler) resolveScan(rel int, schema []relalg.ColID) (scanLeaf, error)
 		leaf.filter.Conds = append(leaf.filter.Conds, ScanCond{Off: len(leaf.predSrc), Op: pr.Op, Val: pr.Val})
 		leaf.predSrc = append(leaf.predSrc, pr.Col.Off)
 	}
+	leaf.zone = storagePreds(leaf.filter.Conds, leaf.predSrc)
 	leaf.data.cols = make([][]int64, len(schema))
 	leaf.pred = make([][]int64, len(leaf.predSrc))
 	return leaf, nil
+}
+
+// storagePreds translates the compiled scan conditions (over positions in
+// predSrc) into storage-layer pushdown predicates over table columns. The
+// operator mapping is explicit so a reordering of either enum cannot
+// silently flip comparison semantics.
+func storagePreds(conds []ScanCond, predSrc []int) []storage.Pred {
+	if len(conds) == 0 {
+		return nil
+	}
+	out := make([]storage.Pred, 0, len(conds))
+	for _, cn := range conds {
+		var op storage.CmpOp
+		switch cn.Op {
+		case relalg.CmpEQ:
+			op = storage.CmpEQ
+		case relalg.CmpNE:
+			op = storage.CmpNE
+		case relalg.CmpLT:
+			op = storage.CmpLT
+		case relalg.CmpLE:
+			op = storage.CmpLE
+		case relalg.CmpGT:
+			op = storage.CmpGT
+		case relalg.CmpGE:
+			op = storage.CmpGE
+		default:
+			continue // unknown operator: not pushed, still filtered
+		}
+		out = append(out, storage.Pred{Col: predSrc[cn.Off], Op: op, Val: cn.Val})
+	}
+	return out
 }
 
 // compileVec returns the operator for one plan node, in its shim, and its
@@ -293,20 +343,7 @@ func (c *Compiler) compileVec(p *relalg.Plan, stats *RunStats, weighted bool) (V
 		if err != nil {
 			return nil, nil, err
 		}
-		var v VecIterator
-		if p.Phy == relalg.PhySegScan {
-			// Segment-pruned access path: scan through the storage
-			// backend, which skips segments whose zone maps exclude the
-			// pushed-down conditions.
-			t, err := c.Cat.Table(c.Q.Rels[p.Rel].Table)
-			if err != nil {
-				return nil, nil, err
-			}
-			v = newStorageScan(t.Store(), leaf)
-		} else {
-			v = &vecScanOp{leaf: leaf}
-		}
-		return c.span(v, p, schema, stats), schema, nil
+		return c.span(&vecScanOp{leaf: leaf}, p, schema, stats), schema, nil
 
 	case relalg.LogEnforce:
 		// Nothing the executor runs reads an order: an enforcer is its child.

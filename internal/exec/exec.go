@@ -1,9 +1,10 @@
 // Package exec is a vectorized, columnar query executor. It executes the
 // physical plans produced by the optimizers with one scan, one join and one
-// aggregation: table, index and segment scans filter with pushed-down
-// selections, every join — hash, sort-merge or index nested-loops — runs on
-// the hash join, hash aggregation sits on top, and a sort enforcer compiles
-// to its child, since nothing the executor runs reads an order. It records
+// aggregation: table and index scans filter with pushed-down selections
+// (and, on a disk table, skip the segments their zone maps exclude), every
+// join — hash, sort-merge or index nested-loops — runs on the hash join,
+// hash aggregation sits on top, and a sort enforcer compiles to its child,
+// since nothing the executor runs reads an order. It records
 // one span per operator (RunStats): batches, rows and, in a timed execution, wall time. The rows
 // are the actual output cardinalities the adaptive layer feeds back into
 // incremental re-optimization (the paper's §5.2.2 "changes based on real

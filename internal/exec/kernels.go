@@ -27,18 +27,12 @@ type ScanFilter struct {
 // Empty reports whether the filter passes every row.
 func (f ScanFilter) Empty() bool { return len(f.Conds) == 0 }
 
-// SelCols computes the selection vector of a column-major chunk (cols[c]
-// holding rows 0..n-1) into buf, which is reused across batches by the
-// caller. The first condition scans its column densely; each further
-// condition compacts the selection in place, touching only its own column.
-// The dense kernel writes a slot for every row, so buf grows once, to n.
-func (f ScanFilter) SelCols(cols [][]int64, n int, buf []int) []int {
-	return f.selRange(cols, 0, n, buf)
-}
-
-// selRange is SelCols over rows [lo, hi) of full-length columns; the
-// selection indexes are relative to lo, matching column windows cut at the
-// same bounds.
+// selRange computes the selection vector of rows [lo, hi) of full-length
+// columns into buf, which the caller reuses across batches; the indexes are
+// relative to lo, matching column windows cut at the same bounds. The first
+// condition scans its column densely; each further condition compacts the
+// selection in place, touching only its own column. The dense kernel writes
+// a slot for every row, so buf grows once, to hi-lo.
 func (f ScanFilter) selRange(cols [][]int64, lo, hi int, buf []int) []int {
 	n := hi - lo
 	if f.Empty() {

@@ -41,10 +41,11 @@ func TestGather(t *testing.T) {
 
 // ---- property test: columnar selection vs row-at-a-time evaluation ----
 
-// TestSelColsMatchesRowClosures drives ScanFilter.SelCols over random
-// column-major chunks with random condition sets and checks the selected
-// row set against evaluating every condition with CmpOp.Eval one row at a
-// time. Also pins the empty-selection and full-batch edges.
+// TestSelColsMatchesRowClosures drives ScanFilter.selRange over random
+// row ranges of random column-major chunks with random condition sets and
+// checks the selected row set against evaluating every condition with
+// CmpOp.Eval one row at a time. Also pins the empty-selection and
+// full-batch edges.
 func TestSelColsMatchesRowClosures(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	// Values in [0, 20) and the extremes, so comparisons meet both ends of
@@ -73,9 +74,10 @@ func TestSelColsMatchesRowClosures(t *testing.T) {
 		}
 		filter := ScanFilter{Conds: conds}
 
-		got := filter.SelCols(cols, n, nil)
+		lo := rng.Intn(n + 1)
+		got := filter.selRange(cols, lo, n, nil)
 		want := make([]int, 0, n)
-		for i := 0; i < n; i++ {
+		for i := lo; i < n; i++ {
 			keep := true
 			for _, c := range conds {
 				if !c.Op.Eval(cols[c.Off][i], c.Val) {
@@ -84,7 +86,7 @@ func TestSelColsMatchesRowClosures(t *testing.T) {
 				}
 			}
 			if keep {
-				want = append(want, i)
+				want = append(want, i-lo)
 			}
 		}
 		if len(got) != len(want) {
@@ -106,12 +108,12 @@ func TestSelColsMatchesRowClosures(t *testing.T) {
 	empty := ScanFilter{Conds: []ScanCond{
 		{Off: 0, Op: relalg.CmpLT, Val: 2},
 		{Off: 0, Op: relalg.CmpGT, Val: 2},
-	}}.SelCols(cols, len(col), nil)
+	}}.selRange(cols, 0, len(col), nil)
 	if len(empty) != 0 {
 		t.Fatalf("contradictory filter selected %v", empty)
 	}
 	full := ScanFilter{Conds: []ScanCond{{Off: 0, Op: relalg.CmpGE, Val: 0}}}.
-		SelCols(cols, len(col), nil)
+		selRange(cols, 0, len(col), nil)
 	if len(full) != len(col) {
 		t.Fatalf("tautological filter selected %d of %d rows", len(full), len(col))
 	}
@@ -120,7 +122,7 @@ func TestSelColsMatchesRowClosures(t *testing.T) {
 			t.Fatalf("tautological selection out of order: %v", full)
 		}
 	}
-	dense := ScanFilter{}.SelCols(cols, len(col), nil)
+	dense := ScanFilter{}.selRange(cols, 0, len(col), nil)
 	if len(dense) != len(col) {
 		t.Fatalf("empty filter selected %d rows", len(dense))
 	}
@@ -464,7 +466,7 @@ func BenchmarkSelColsDense(b *testing.B) {
 			b.SetBytes(int64(n * 8))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				buf = filter.SelCols(cols, n, buf)
+				buf = filter.selRange(cols, 0, n, buf)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
 		})

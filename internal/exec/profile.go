@@ -152,8 +152,6 @@ func (s *RunStats) format(p *relalg.Plan, b *strings.Builder, depth int, folded 
 		}
 		if p.Phy == relalg.PhyIndexScan {
 			fmt.Fprintf(b, "IndexScan %s key=%s", name, q.ColString(p.IdxCol))
-		} else if p.Phy == relalg.PhySegScan {
-			fmt.Fprintf(b, "SegScan %s zone=%s", name, q.ColString(p.IdxCol))
 		} else {
 			fmt.Fprintf(b, "TableScan %s", name)
 		}

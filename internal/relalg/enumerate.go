@@ -19,17 +19,6 @@ type SchemaInfo interface {
 	SortedCol(rel int) int
 }
 
-// ZoneInfo extends SchemaInfo for storage backends that keep per-segment
-// zone maps (min/max summaries). A schema that also implements ZoneInfo
-// lets the enumerator offer PhySegScan — a sequential scan that skips
-// segments a local predicate provably excludes — as a third access path
-// alongside table and index scans.
-type ZoneInfo interface {
-	// ZoneCols returns the column offsets of relation rel whose segment
-	// zone maps make predicate pruning effective, or nil.
-	ZoneCols(rel int) []int
-}
-
 // SpaceOptions selects which physical alternatives the enumerator generates.
 // DefaultSpace is the full space of the paper's evaluation (pipelined hash
 // join, sort-merge join, index nested-loops join, sort enforcers, bushy
@@ -57,10 +46,10 @@ func DefaultSpace() SpaceOptions {
 }
 
 // ServedSpace returns the space internal/exec runs as priced: hash joins
-// over table and segment scans. The executor runs merge and index-NL joins
-// on the hash join, compiles sort enforcers to their child and reads an
-// index scan as a plain scan, so in the full space those alternatives
-// differ from the ones kept here only in a price the executor does not pay.
+// over table scans. The executor runs merge and index-NL joins on the hash
+// join, compiles sort enforcers to their child and reads an index scan as a
+// plain scan, so in the full space those alternatives differ from the ones
+// kept here only in a price the executor does not pay.
 func ServedSpace() SpaceOptions {
 	return SpaceOptions{HashJoin: true, NoIndexScan: true}
 }
@@ -203,14 +192,6 @@ func splitLeaf(q *Query, schema SchemaInfo, opts SpaceOptions, rel int, p Prop, 
 		// a local predicate on the key column can restrict it.
 		if col, ok := scanPredOn(q, rel, idxCols); ok && !opts.NoIndexScan {
 			alts = append(alts, Alt{Log: LogScan, Phy: PhyIndexScan, Rel: rel, IdxCol: col})
-		}
-		// A segment-pruned scan competes when the backend keeps zone maps
-		// and a local predicate lands on a zone column (IdxCol doubles as
-		// the zone column, exactly as it names the key for index scans).
-		if zi, ok := schema.(ZoneInfo); ok {
-			if col, ok := scanPredOn(q, rel, zi.ZoneCols(rel)); ok {
-				alts = append(alts, Alt{Log: LogScan, Phy: PhySegScan, Rel: rel, IdxCol: col})
-			}
 		}
 	case PropSorted:
 		if p.Col.Rel != rel {

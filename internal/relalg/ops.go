@@ -52,12 +52,6 @@ const (
 	// PhySort is the sort enforcer that turns an Any-property plan into a
 	// Sorted-property plan for the same expression.
 	PhySort
-	// PhySegScan is a segment-pruned sequential scan: the storage backend
-	// skips immutable column segments whose zone maps (per-segment min/max
-	// on the zone column, held in IdxCol) prove that no row can satisfy a
-	// pushed-down predicate. Output order and properties match
-	// PhyTableScan; only the I/O fraction differs.
-	PhySegScan
 )
 
 func (o PhyOp) String() string {
@@ -74,8 +68,6 @@ func (o PhyOp) String() string {
 		return "indexnljoin"
 	case PhySort:
 		return "sort"
-	case PhySegScan:
-		return "segscan"
 	}
 	return fmt.Sprintf("PhyOp(%d)", uint8(o))
 }

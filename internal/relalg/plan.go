@@ -25,17 +25,6 @@ type Plan struct {
 	Cost      float64 // cumulative: LocalCost + children costs
 }
 
-// Clone deep-copies the plan tree.
-func (p *Plan) Clone() *Plan {
-	if p == nil {
-		return nil
-	}
-	cp := *p
-	cp.Left = p.Left.Clone()
-	cp.Right = p.Right.Clone()
-	return &cp
-}
-
 // Signature returns a compact canonical string identifying the plan's
 // structure (operators, join order, access paths) without cost annotations.
 // Two plans with equal signatures are the same physical plan; the AQP layer
@@ -48,9 +37,6 @@ func (p *Plan) Signature() string {
 	case LogScan:
 		if p.Phy == PhyIndexScan {
 			return fmt.Sprintf("ix%d.%d", p.Rel, p.IdxCol.Off)
-		}
-		if p.Phy == PhySegScan {
-			return fmt.Sprintf("ss%d.%d", p.Rel, p.IdxCol.Off)
 		}
 		return fmt.Sprintf("ts%d", p.Rel)
 	case LogEnforce:
@@ -81,8 +67,6 @@ func (p *Plan) explain(q *Query, b *strings.Builder, depth int) {
 		}
 		if p.Phy == PhyIndexScan {
 			fmt.Fprintf(b, "IndexScan %s key=%s", name, q.ColString(p.IdxCol))
-		} else if p.Phy == PhySegScan {
-			fmt.Fprintf(b, "SegScan %s zone=%s", name, q.ColString(p.IdxCol))
 		} else {
 			fmt.Fprintf(b, "TableScan %s", name)
 		}

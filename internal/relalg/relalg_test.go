@@ -289,9 +289,4 @@ func TestPlanHelpers(t *testing.T) {
 	if join.Signature() != "hashjoin(ts0,ts1)" {
 		t.Fatalf("Signature = %q", join.Signature())
 	}
-	cp := join.Clone()
-	cp.Left.Rel = 9
-	if join.Left.Rel == 9 {
-		t.Fatal("Clone is shallow")
-	}
 }

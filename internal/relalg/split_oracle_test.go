@@ -146,16 +146,6 @@ func refSplitLeaf(q *relalg.Query, schema relalg.SchemaInfo, opts relalg.SpaceOp
 				break
 			}
 		}
-		if zi, ok := schema.(relalg.ZoneInfo); ok {
-			if zoneCols := zi.ZoneCols(rel); len(zoneCols) > 0 {
-				for _, pr := range q.ScanPredsOf(rel) {
-					if refHasInt(zoneCols, pr.Col.Off) {
-						alts = append(alts, relalg.Alt{Log: relalg.LogScan, Phy: relalg.PhySegScan, Rel: rel, IdxCol: pr.Col})
-						break
-					}
-				}
-			}
-		}
 		return alts
 	case relalg.PropSorted:
 		if p.Col.Rel != rel {
@@ -191,28 +181,24 @@ func refHasInt(xs []int, v int) bool {
 	return false
 }
 
-// zoneSchema is a seeded physical design: per relation a set of indexed
-// columns, a clustering column and a set of zone-mapped columns, so the
-// oracle sees index scans, sorted table scans and segment scans.
-type zoneSchema struct {
-	idx, zone [][]int
-	sorted    []int
+// seededSchema is a seeded physical design: per relation a set of indexed
+// columns and a clustering column, so the oracle sees index scans and
+// sorted table scans.
+type seededSchema struct {
+	idx    [][]int
+	sorted []int
 }
 
-func (z *zoneSchema) IndexCols(rel int) []int { return z.idx[rel] }
-func (z *zoneSchema) SortedCol(rel int) int   { return z.sorted[rel] }
-func (z *zoneSchema) ZoneCols(rel int) []int  { return z.zone[rel] }
+func (z *seededSchema) IndexCols(rel int) []int { return z.idx[rel] }
+func (z *seededSchema) SortedCol(rel int) int   { return z.sorted[rel] }
 
-func randomSchema(r *stats.Rand, n int) *zoneSchema {
-	z := &zoneSchema{idx: make([][]int, n), zone: make([][]int, n), sorted: make([]int, n)}
+func randomSchema(r *stats.Rand, n int) *seededSchema {
+	z := &seededSchema{idx: make([][]int, n), sorted: make([]int, n)}
 	for rel := 0; rel < n; rel++ {
 		z.sorted[rel] = r.Intn(testkit.ColsPerTable+1) - 1
 		for c := 0; c < testkit.ColsPerTable; c++ {
 			if r.Intn(2) == 0 {
 				z.idx[rel] = append(z.idx[rel], c)
-			}
-			if r.Intn(3) == 0 {
-				z.zone[rel] = append(z.zone[rel], c)
 			}
 		}
 	}

@@ -35,14 +35,13 @@ func sameCost(a, b float64) bool {
 }
 
 // TestCloneLeafGuardOnDiskStore: on the disk store a scan predicate on a
-// table's zone column adds a segment scan to the relation's leaf
-// alternatives, so two statements over one join graph can differ in their
-// search space, not only in their cost parameters. The statement whose
-// lineitem predicate misses the zone column must not be the template of the
-// one whose predicate hits it: a clone would lack the segment scan and stop
-// at the table scan's cost. The shape key carries the leaf alternatives;
-// keyed on tables and edges only, the second statement fails here. The third
-// statement shares the second's shape and clones it.
+// table's zone column makes its table scan cheaper (zone pruning reads only
+// part of the rows), so two statements over one join graph can price one
+// leaf differently. The statement whose lineitem predicate hits the zone
+// column clones the one whose predicate misses it, and the third clones the
+// second: each must reach a fresh optimization's cost, which holds only
+// while Clone's staged scan updates re-price every leaf from the new
+// statement's model.
 func TestCloneLeafGuardOnDiskStore(t *testing.T) {
 	srv := testServer(t, Options{DataDir: t.TempDir()})
 	defer srv.Shutdown()
@@ -56,7 +55,7 @@ func TestCloneLeafGuardOnDiskStore(t *testing.T) {
 		clone bool
 	}{
 		{`SELECT COUNT(*) FROM lineitem l, orders o WHERE l.l_orderkey = o.o_orderkey AND l.l_quantity < 10`, false},
-		{`SELECT COUNT(*) FROM orders o, lineitem l WHERE o.o_orderkey = l.l_orderkey AND l.l_orderkey < 400`, false},
+		{`SELECT COUNT(*) FROM orders o, lineitem l WHERE o.o_orderkey = l.l_orderkey AND l.l_orderkey < 400`, true},
 		{`SELECT COUNT(*) FROM lineitem l, orders o WHERE l.l_orderkey = o.o_orderkey AND l.l_orderkey < 900`, true},
 	} {
 		st, err := sess.Prepare(c.sql)

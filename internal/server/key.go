@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/cost"
 	"repro/internal/relalg"
 )
 
@@ -95,30 +94,22 @@ func keyHash(key string) string {
 
 // shapeKey names the join graph a plan-cache miss may clone a template of:
 // the statement's distinct tables, its join edges and filters written over
-// table names instead of relation ordinals, and each relation's leaf
-// alternatives as relalg.ServedSpace enumerates them under the model. The
-// leaf alternatives are part of it because a scan predicate on a zone
-// column adds a segment scan on the disk store. Two statements with one
-// shape differ, to the optimizer, only in cost parameters and coordinates,
-// which core.Optimizer.Clone rewrites (shapeMaps). A statement that repeats
-// a table has no shape (""): its relations have no names to map by.
-func shapeKey(q *relalg.Query, m *cost.Model) string {
+// table names instead of relation ordinals. Two statements with one shape
+// differ, to the optimizer, only in cost parameters and coordinates, which
+// core.Optimizer.Clone rewrites (shapeMaps). A statement that repeats a
+// table has no shape (""): its relations have no names to map by.
+func shapeKey(q *relalg.Query) string {
 	rels := make([]int, len(q.Rels))
 	for i := range rels {
 		rels[i] = i
 	}
 	slices.SortFunc(rels, func(a, b int) int { return strings.Compare(q.Rels[a].Table, q.Rels[b].Table) })
 	var b strings.Builder
-	var alts []relalg.Alt
 	for k, i := range rels {
 		if k > 0 && q.Rels[rels[k-1]].Table == q.Rels[i].Table {
 			return ""
 		}
 		b.WriteString(q.Rels[i].Table)
-		alts = relalg.Split(q, m, relalg.ServedSpace(), relalg.Single(i), relalg.AnyProp, alts[:0])
-		for _, a := range alts {
-			fmt.Fprintf(&b, ":%d.%d", a.Phy, a.IdxCol.Off)
-		}
 		b.WriteByte(',')
 	}
 	edges := make([]string, len(q.Joins))

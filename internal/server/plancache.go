@@ -307,7 +307,7 @@ func (e *planEntry) ensureInit(s *Server) error {
 	e.warmSeeds = cal.WarmStart(m, warmSets(e.q))
 	s.warmSeeds.Add(int64(e.warmSeeds))
 	start := time.Now()
-	shape := shapeKey(e.q, m)
+	shape := shapeKey(e.q)
 	opt, plan := e.fromTemplate(s, shape, m)
 	if opt != nil {
 		e.clones++

@@ -131,8 +131,8 @@ type Options struct {
 	// whatever the process generated, and tables with empty directories
 	// are seeded from their in-memory rows. Shutdown flushes unflushed
 	// appends as immutable column segments, so a restart serves the same
-	// data without regeneration. The bound backends also publish zone maps
-	// that add the segment-pruned scan access path to the plan space.
+	// data without regeneration. The bound backends also publish zone maps,
+	// by which every table scan skips the segments a predicate excludes.
 	// Empty keeps today's purely in-memory catalog.
 	DataDir string
 	// SpillDir is the directory out-of-core operators create their

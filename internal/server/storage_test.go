@@ -10,10 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/catalog"
-	"repro/internal/core"
-	"repro/internal/cost"
-	"repro/internal/exec"
-	"repro/internal/relalg"
 	"repro/internal/storage"
 	"repro/internal/testkit"
 	"repro/internal/tpch"
@@ -325,27 +321,24 @@ func TestStorageConcurrentAppendExec(t *testing.T) {
 	}
 }
 
-// forceAccessPath rewrites every non-index scan leaf of relation rel to the
-// given access path (PhySegScan with idx as the zone column, or PhyTableScan).
-// It returns how many leaves it rewrote.
-func forceAccessPath(p *relalg.Plan, rel int, phy relalg.PhyOp, idx relalg.ColID) int {
-	if p == nil {
-		return 0
+// zoneStatements are the statements TestSegScanZonePruningDifferential
+// checks on the disk store: each has a predicate on lineitem's clustered
+// column, l_orderkey, selective (< 400, in the first segment), beyond every
+// seeded key (> maxKey) and under a join.
+func zoneStatements(maxKey int64) []string {
+	return []string{
+		`SELECT l.l_orderkey, l.l_quantity, l.l_extendedprice FROM lineitem l WHERE l.l_orderkey < 400`,
+		`SELECT l.l_orderkey, l.l_extendedprice FROM lineitem l WHERE l.l_orderkey > ` + itoa(maxKey),
+		`SELECT o.o_orderkey, l.l_quantity FROM orders o, lineitem l
+		   WHERE o.o_orderkey = l.l_orderkey AND l.l_orderkey < 400`,
 	}
-	n := forceAccessPath(p.Left, rel, phy, idx) + forceAccessPath(p.Right, rel, phy, idx)
-	if p.Log == relalg.LogScan && p.Rel == rel && p.Prop.Kind != relalg.PropIndexed {
-		p.Phy = phy
-		p.IdxCol = idx
-		n++
-	}
-	return n
 }
 
 // TestSegScanZonePruningDifferential builds a disk-backed lineitem with two
 // zone-disjoint segments plus an unflushed tail, proves the store actually
-// prunes, and then — for selective and non-selective zone predicates —
-// asserts the segment-pruned access path returns exactly the table-scan
-// multiset over the same plan.
+// prunes, and then checks that statements with selective and non-selective
+// zone predicates, whose lineitem scans read only the ranges the zone maps
+// keep, return what testkit.Reference computes, served and freshly compiled.
 func TestSegScanZonePruningDifferential(t *testing.T) {
 	dir := t.TempDir()
 
@@ -415,96 +408,59 @@ func TestSegScanZonePruningDifferential(t *testing.T) {
 		t.Fatalf("scanned %d + pruned %d != %d rows", scanned, pruned, total)
 	}
 
-	// The enumerator must offer the segment-pruned scan for a zone-column
-	// predicate on the disk-backed table...
-	queries := []string{
-		`SELECT l.l_orderkey, l.l_quantity, l.l_extendedprice FROM lineitem l WHERE l.l_orderkey < 400`,
-		`SELECT l.l_orderkey, l.l_extendedprice FROM lineitem l WHERE l.l_orderkey > ` + itoa(maxKey),
-		`SELECT o.o_orderkey, l.l_quantity FROM orders o, lineitem l
-		   WHERE o.o_orderkey = l.l_orderkey AND l.l_orderkey < 400`,
-	}
-	cat := srv.Catalog()
-	q0, err := srv.Session().Prepare(queries[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	m0, err := cost.NewModel(q0.Query(), cat, cost.DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	segAlts := 0
-	for _, a := range relalg.Split(q0.Query(), m0, relalg.DefaultSpace(), relalg.Single(0), relalg.AnyProp, nil) {
-		if a.Phy == relalg.PhySegScan {
-			segAlts++
-		}
-	}
-	if segAlts != 1 {
-		t.Fatalf("enumerator offered %d segment scans for a zone predicate, want 1", segAlts)
-	}
-	// ...and must NOT offer it for the same query over a memstore catalog:
-	// the plan space of in-memory tables is unchanged.
-	memSrv := testServer(t, Options{})
-	qm, err := memSrv.Session().Prepare(queries[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	mm, err := cost.NewModel(qm.Query(), memSrv.Catalog(), cost.DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, a := range relalg.Split(qm.Query(), mm, relalg.DefaultSpace(), relalg.Single(0), relalg.AnyProp, nil) {
-		if a.Phy == relalg.PhySegScan {
-			t.Fatal("enumerator offered a segment scan for an in-memory table")
-		}
-	}
-
-	// Pruned-vs-unpruned differential: same optimized plan, lineitem leaf
-	// forced to SegScan vs TableScan, compiled at P ∈ {1, 2, 4}.
-	for _, sql := range queries {
-		stq, err := srv.Session().Prepare(sql)
+	// Every statement's served rows and a fresh tree's rows and counts must
+	// equal the reference's over the same tables.
+	for _, sql := range zoneStatements(maxKey) {
+		stmt, err := srv.Session().Prepare(sql)
 		if err != nil {
 			t.Fatalf("prepare %q: %v", sql, err)
 		}
-		q := stq.Query()
-		model, err := cost.NewModel(q, cat, cost.DefaultParams())
+		fresh := checkFresh(t, sql, srv, stmt.Query(), stmt.Plan())
+		res, err := stmt.Exec()
+		if err != nil {
+			t.Fatalf("exec %q: %v", sql, err)
+		}
+		if !sameMultiset(multiset(res.Rows), fresh.rows) {
+			t.Fatalf("%q: served rows differ from the reference's", sql)
+		}
+	}
+}
+
+// TestZonePredicateCostsPinned: on the seeded disk store a table scan is
+// priced by the fraction of rows zone pruning leaves, so every zone-predicate
+// statement of TestSegScanZonePruningDifferential and
+// TestCloneLeafGuardOnDiskStore costs what its plan cost when a segment scan
+// competed with the table scan as an access path (the pinned values), and
+// less than on the in-memory store, where nothing is pruned.
+func TestZonePredicateCostsPinned(t *testing.T) {
+	disk := testServer(t, Options{DataDir: t.TempDir()})
+	defer disk.Shutdown()
+	mem := testServer(t, Options{})
+	li := disk.Catalog().MustTable("lineitem")
+	cols, n := li.ColumnSnapshot()
+	maxKey := slices.Max(cols[li.MustCol("l_orderkey")][:n])
+	sqls := append(zoneStatements(maxKey),
+		`SELECT COUNT(*) FROM orders o, lineitem l WHERE o.o_orderkey = l.l_orderkey AND l.l_orderkey < 400`,
+		`SELECT COUNT(*) FROM lineitem l, orders o WHERE l.l_orderkey = o.o_orderkey AND l.l_orderkey < 900`)
+	pinned := []float64{52.78675491181931, 23.025996093750003, 202.86312867419554, 202.86312867419554, 313.14130859374995}
+	for i, sql := range sqls {
+		ds, err := disk.Session().Prepare(sql)
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt, err := core.New(model, relalg.DefaultSpace(), core.PruneAll)
+		ms, err := mem.Session().Prepare(sql)
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan, err := opt.Optimize()
-		if err != nil {
-			t.Fatal(err)
+		got := ds.Plan().Cost
+		if !sameCost(got, pinned[i]) {
+			t.Fatalf("statement %d costs %v on the disk store, pinned %v\n%s", i, got, pinned[i], ds.Plan().Explain(ds.Query()))
 		}
-		liRel := -1
-		for i, r := range q.Rels {
-			if r.Table == "lineitem" {
-				liRel = i
-			}
+		if want := freshCost(t, disk, ds); !sameCost(got, want) {
+			t.Fatalf("statement %d: prepared plan costs %v, a fresh optimization %v", i, got, want)
 		}
-		zoneCol := relalg.ColID{Rel: liRel, Off: okey}
-		seg := plan.Clone()
-		if n := forceAccessPath(seg, liRel, relalg.PhySegScan, zoneCol); n == 0 {
-			t.Fatalf("no forcible lineitem leaf in plan:\n%s", plan.Explain(q))
-		}
-		full := plan.Clone()
-		forceAccessPath(full, liRel, relalg.PhyTableScan, relalg.ColID{})
-		run := func(pl *relalg.Plan) map[string]int {
-			comp := &exec.Compiler{Q: q, Cat: cat}
-			v, _, err := comp.CompileVec(pl)
-			if err != nil {
-				t.Fatalf("compile: %v", err)
-			}
-			rows, err := exec.DrainVec(v)
-			if err != nil {
-				t.Fatalf("drain: %v", err)
-			}
-			return multiset(rows)
-		}
-		if !sameMultiset(run(seg), run(full)) {
-			t.Fatalf("segment-pruned scan diverged from table scan for %q", sql)
+		if m := ms.Plan().Cost; got >= m {
+			t.Fatalf("statement %d costs %v on the disk store, not below the in-memory %v", i, got, m)
 		}
 	}
 }

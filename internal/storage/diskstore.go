@@ -258,50 +258,56 @@ func (s *DiskStore) ResetSnapshot(snap *Snapshot) {
 }
 
 func (s *DiskStore) Scan(preds []Pred, batch int) *SegIter {
-	// Snapshot and segment metadata must be read atomically together: a
-	// concurrent ResetSnapshot/Flush swaps both under mu, and applying one
+	it := segIterPool.Get().(*SegIter)
+	snap, spans, pruned := s.Ranges(preds, it.spans)
+	return it.reset(snap, spans, pruned, batch)
+}
+
+// Ranges returns the current snapshot and, in buf's array, the ascending
+// row ranges of it that the segment zone maps cannot exclude under preds,
+// with the number of rows they exclude. The unflushed tail has no zone maps
+// and is always kept; without predicates the range is the whole snapshot.
+func (s *DiskStore) Ranges(preds []Pred, buf []Range) (snap *Snapshot, ranges []Range, pruned int) {
+	ranges = buf[:0]
+	if len(preds) == 0 {
+		snap = s.mem.Snapshot()
+		return snap, append(ranges, Range{Hi: snap.N}), 0
+	}
+	// Snapshot and segment metadata are read together under mu: a
+	// concurrent ResetSnapshot/Flush swaps both, and applying one
 	// generation's zone maps to the other's data could prune live rows.
 	s.mu.Lock()
-	snap := s.mem.Snapshot()
-	segs := s.segs
-	segRows := s.segRows
-	dirtyAll := s.dirtyAll
-	s.mu.Unlock()
-	if dirtyAll || len(preds) == 0 || len(segs) == 0 {
-		return newSegIter(snap, []span{{0, snap.N}}, 0, batch)
+	defer s.mu.Unlock()
+	snap = s.mem.Snapshot()
+	if s.dirtyAll {
+		return snap, append(ranges, Range{Hi: snap.N}), 0
 	}
-	spans := make([]span, 0, len(segs)+1)
-	pruned := 0
 	lo := 0
-	for i := range segs {
-		hi := lo + segs[i].Rows
-		if hi > snap.N {
-			hi = snap.N
-		}
+	for i := range s.segs {
+		hi := min(lo+s.segs[i].Rows, snap.N)
 		if lo >= hi {
 			break
 		}
-		if prunes(segs[i].zones, preds) {
+		if prunes(s.segs[i].zones, preds) {
 			pruned += hi - lo
 		} else {
-			spans = appendSpan(spans, span{lo, hi})
+			ranges = appendRange(ranges, Range{lo, hi})
 		}
 		lo = hi
 	}
-	if segRows < snap.N {
-		// The unflushed tail has no zone maps; always scan it.
-		spans = appendSpan(spans, span{segRows, snap.N})
+	if s.segRows < snap.N {
+		ranges = appendRange(ranges, Range{s.segRows, snap.N})
 	}
-	return newSegIter(snap, spans, pruned, batch)
+	return snap, ranges, pruned
 }
 
-// appendSpan coalesces adjacent spans so the iterator windows stay large.
-func appendSpan(spans []span, sp span) []span {
-	if n := len(spans); n > 0 && spans[n-1].hi == sp.lo {
-		spans[n-1].hi = sp.hi
-		return spans
+// appendRange coalesces adjacent ranges so the scan windows stay large.
+func appendRange(ranges []Range, r Range) []Range {
+	if n := len(ranges); n > 0 && ranges[n-1].Hi == r.Lo {
+		ranges[n-1].Hi = r.Hi
+		return ranges
 	}
-	return append(spans, sp)
+	return append(ranges, r)
 }
 
 func (s *DiskStore) ZoneCols() []int {

@@ -93,11 +93,12 @@ func (s *MemStore) ResetSnapshot(snap *Snapshot) {
 // Scan yields the whole snapshot: a volatile table has no zone maps to prune
 // by.
 //
-// Reached by: the Backend interface alone. The segment-pruned scan and
-// benchmarks/servehot.go call Scan only on disk tables.
+// Reached by: the Backend interface alone. benchmarks/servehot.go calls
+// Scan only on disk tables, and executor scans bind DiskStore.Ranges.
 func (s *MemStore) Scan(preds []Pred, batch int) *SegIter {
+	it := segIterPool.Get().(*SegIter)
 	snap := s.snap.Load()
-	return newSegIter(snap, []span{{0, snap.N}}, 0, batch)
+	return it.reset(snap, append(it.spans[:0], Range{Hi: snap.N}), 0, batch)
 }
 
 func (s *MemStore) ZoneCols() []int { return nil }

@@ -1,6 +1,6 @@
 // Package storage is the pluggable table storage layer beneath the catalog:
 // a narrow Backend interface — columnar snapshots, batched append, wholesale
-// reset, segment scans with predicate pushdown, and flush — with two
+// reset, scans with predicate pushdown, and flush — with two
 // implementations.
 //
 // A store's column snapshot is the table: the one in-memory copy of its
@@ -23,8 +23,10 @@
 // the row ids a persisted index would need do not survive an append). On
 // open, segments are decoded column by column into a snapshot sized from the
 // manifest (the log's rows after them), so serving reads are as fast as the
-// pure in-memory store; the segment zone maps additionally let scans skip
-// whole segments that a pushed-down predicate proves empty.
+// pure in-memory store; the segment zone maps additionally let every scan
+// skip whole segments that a pushed-down predicate proves empty: an executor
+// scan of a disk table reads only the row ranges DiskStore.Ranges keeps, the
+// ranges Scan's iterator walks too.
 package storage
 
 import "sync"
@@ -87,7 +89,8 @@ type Backend interface {
 	Scan(preds []Pred, batch int) *SegIter
 	// ZoneCols returns the column offsets whose segment zone maps make
 	// predicate pruning effective (the clustered column for a DiskStore),
-	// or nil. The optimizer uses this to enumerate segment-pruned scans.
+	// or nil. The cost model prices a table scan by the fraction of rows
+	// pruning on these leaves it.
 	ZoneCols() []int
 	// Flush persists everything appended so far together with the given
 	// data version. A no-op for volatile backends.
@@ -98,15 +101,15 @@ type Backend interface {
 // batch <= 0. It matches the executor's batch size.
 const DefaultBatchRows = 1024
 
-// span is a half-open row range [lo, hi) of a snapshot retained by a scan.
-type span struct{ lo, hi int }
+// Range is a half-open row range [Lo, Hi) of a snapshot.
+type Range struct{ Lo, Hi int }
 
 // SegIter iterates a store's rows as zero-copy column windows of at most
 // batchRows rows each, skipping segments the zone maps prune. Iterators are
 // pooled; Release returns one for reuse.
 type SegIter struct {
 	snap      *Snapshot
-	spans     []span
+	spans     []Range
 	i         int
 	batchRows int
 	win       [][]int64
@@ -115,14 +118,14 @@ type SegIter struct {
 
 var segIterPool = sync.Pool{New: func() any { return &SegIter{} }}
 
-// newSegIter assembles a pooled iterator over the retained spans.
-func newSegIter(snap *Snapshot, spans []span, prunedRows, batch int) *SegIter {
+// reset points a pooled iterator (segIterPool.Get) at the retained spans of
+// snap, which the caller filled into the iterator's own spans buffer.
+func (it *SegIter) reset(snap *Snapshot, spans []Range, prunedRows, batch int) *SegIter {
 	if batch <= 0 {
 		batch = DefaultBatchRows
 	}
-	it := segIterPool.Get().(*SegIter)
 	it.snap = snap
-	it.spans = append(it.spans[:0], spans...)
+	it.spans = spans
 	it.i = 0
 	it.batchRows = batch
 	it.pruned = prunedRows
@@ -140,19 +143,16 @@ func newSegIter(snap *Snapshot, spans []span, prunedRows, batch int) *SegIter {
 func (it *SegIter) Next() (cols [][]int64, n int, ok bool) {
 	for it.i < len(it.spans) {
 		sp := &it.spans[it.i]
-		if sp.lo >= sp.hi {
+		if sp.Lo >= sp.Hi {
 			it.i++
 			continue
 		}
-		hi := sp.lo + it.batchRows
-		if hi > sp.hi {
-			hi = sp.hi
-		}
+		hi := min(sp.Lo+it.batchRows, sp.Hi)
 		for c := range it.win {
-			it.win[c] = it.snap.Cols[c][sp.lo:hi:hi]
+			it.win[c] = it.snap.Cols[c][sp.Lo:hi:hi]
 		}
-		n = hi - sp.lo
-		sp.lo = hi
+		n = hi - sp.Lo
+		sp.Lo = hi
 		return it.win, n, true
 	}
 	return nil, 0, false

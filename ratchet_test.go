@@ -46,18 +46,18 @@ var packageCeilings = map[string]shape{
 	"internal/bench":       {0, 0, 0, 33, 27, 812},
 	"internal/catalog":     {0, 0, 0, 5, 41, 425},
 	"internal/core":        {0, 0, 0, 2, 65, 1956},
-	"internal/cost":        {0, 0, 0, 3, 30, 420},
+	"internal/cost":        {0, 0, 0, 3, 29, 425},
 	"internal/deltalog":    {0, 0, 0, 5, 24, 411},
-	"internal/exec":        {0, 0, 0, 0, 101, 4099},
+	"internal/exec":        {0, 0, 0, 0, 97, 4025},
 	"internal/fbstore":     {0, 0, 0, 0, 39, 537},
 	"internal/linearroad":  {0, 0, 0, 1, 21, 322},
 	"internal/obs":         {0, 0, 0, 0, 68, 553},
-	"internal/relalg":      {0, 0, 0, 1, 136, 1041},
+	"internal/relalg":      {0, 0, 0, 1, 132, 998},
 	"internal/rescache":    {0, 0, 0, 0, 23, 228},
-	"internal/server":      {1, 2, 1, 0, 99, 1869},
+	"internal/server":      {1, 2, 1, 0, 99, 1860},
 	"internal/sqlmini":     {0, 0, 0, 0, 4, 598},
 	"internal/stats":       {0, 0, 0, 2, 21, 257},
-	"internal/storage":     {0, 0, 0, 0, 57, 1039},
+	"internal/storage":     {0, 0, 0, 0, 61, 1046},
 	"internal/systemr":     {0, 0, 0, 0, 10, 164},
 	"internal/testkit":     {0, 0, 0, 2, 10, 349},
 	"internal/tpch":        {0, 0, 0, 2, 36, 491},

@@ -235,11 +235,11 @@
 // column by column into one snapshot sized from the manifest, the log's
 // rows after them, data versions carry over (so result-cache
 // invalidation state survives), and the server serves byte-identical
-// results with zero regeneration. Segment zone maps also give the
-// optimizer a genuinely distinct access path — a segment-pruned scan that
-// skips whole segments a pushed-down predicate provably excludes — costed
-// and enumerated alongside table and index scans for persistent tables
-// only. ServerOptions.SpillDir independently places the (immediately
+// results with zero regeneration. Segment zone maps also prune every scan
+// of a persistent table: it skips whole segments a pushed-down predicate
+// provably excludes, and the cost model prices its table scan by the
+// fraction of rows left, so there is no separate access path to choose.
+// ServerOptions.SpillDir independently places the (immediately
 // unlinked) spill partition files of memory-bounded execution; a write
 // failure there surfaces as a query error. cmd/reproserve wires these to
 // -data-dir and -spill-dir; -data-dir pairs naturally with -stats-file so

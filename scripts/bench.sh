@@ -26,10 +26,13 @@
 #              exported, lines;
 #   paper      paper.<table>.<row>.<column>.{parent,change}: every cell of
 #              the paper's deterministic tables as each side's
-#              cmd/reprobench prints them (-fig 4 and -fig 5, -repeats 1):
-#              Figure 4(b) and 4(c), the pruning ratios, and 5(b) and 5(c),
-#              the update ratios, e.g. paper.fig4b.Q5.declarative. The timed
-#              tables 4(a) and 5(a) are left out.
+#              cmd/reprobench prints them (-fig 4, 5, 7 and 8, -repeats 1):
+#              Figure 4(b) and 4(c), the pruning ratios, 5(b) and 5(c), the
+#              update ratios, 7(b) and 7(c), the pruning ratios per pruning
+#              config, and 8(b) and 8(c), the pruning during re-optimization
+#              over the Orders scan-cost sweep, e.g.
+#              paper.fig4b.Q5.declarative or paper.fig8b.2.all. The timed
+#              tables 4(a), 5(a), 7(a) and 8(a) are left out.
 #
 # TestBenchRecordNamesEveryMetric checks that the newest BENCH_*.json names
 # every end-to-end metric of every workload and carries both sides' layers
@@ -96,13 +99,14 @@ done
 code "$work/parent/ratchet_test.go" >"$work/code.parent.json"
 code ratchet_test.go >"$work/code.change.json"
 
-# paper <dir> <side>: the cells of Figures 4(b), 4(c), 5(b) and 5(c) as
+# paper <dir> <side>: the cells of Figures 4(b), 4(c), 5(b), 5(c), 7(b),
+# 7(c), 8(b) and 8(c) as
 # {"fig4b": {"Q5": {"declarative": 0.9, ...}, ...}, ...}. A table runs from
 # its "== Figure" title over a header and a rule to a blank or note line.
 paper() {
 	(cd "$1" && go build -o "$work/reprobench.$2" ./cmd/reprobench)
-	for f in 4 5; do "$work/reprobench.$2" -fig "$f" -repeats 1; done | awk '
-		/^== Figure [45]\([bc]\)/ { t = "fig" substr($3, 1, 1) substr($3, 3, 1); hdr = 2; next }
+	for f in 4 5 7 8; do "$work/reprobench.$2" -fig "$f" -repeats 1; done | awk '
+		/^== Figure [4578]\([bc]\)/ { t = "fig" substr($3, 1, 1) substr($3, 3, 1); hdr = 2; next }
 		/^== / || NF == 0 || $1 == "note:" { t = ""; next }
 		t == "" { next }
 		hdr == 2 { split($0, cols); hdr = 1; next }

@@ -17,7 +17,8 @@ import (
 // side's traced run — every name BENCHMARK.json lists, the exact counts kept
 // apart with both sides' values — the ratchet's code.* counts of both
 // sides, and the paper's deterministic table cells (paper.<table>.<row>.
-// <column>) of both sides. It sets no thresholds: the host drifts, and the record is what
+// <column>) of both sides, for every table bench.sh records: Figures 4(b),
+// 4(c), 5(b), 5(c), 7(b), 7(c), 8(b) and 8(c). It sets no thresholds: the host drifts, and the record is what
 // a change's numbers are compared with.
 func TestBenchRecordNamesEveryMetric(t *testing.T) {
 	paths, err := filepath.Glob("BENCH_*.json")
@@ -125,8 +126,10 @@ func TestBenchRecordNamesEveryMetric(t *testing.T) {
 			t.Errorf("%s: code count %q has no change side", newest, key)
 		}
 	}
-	if len(rec.Paper) == 0 {
-		t.Errorf("%s: no paper.* table cells", newest)
+	for _, table := range []string{"fig4b", "fig4c", "fig5b", "fig5c", "fig7b", "fig7c", "fig8b", "fig8c"} {
+		if len(rec.Paper[table]) == 0 {
+			t.Errorf("%s: no paper.%s cells", newest, table)
+		}
 	}
 	for table, rows := range rec.Paper {
 		for row, cols := range rows {
