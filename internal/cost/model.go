@@ -179,11 +179,11 @@ func (m *Model) IndexCols(rel int) []int { return m.tables[rel].Indexes }
 // SortedCol implements relalg.SchemaInfo.
 func (m *Model) SortedCol(rel int) int { return m.tables[rel].SortedBy }
 
-// segScanSlack is the read fraction added to the zone-column selectivity
+// pruneSlack is the read fraction added to the zone-column selectivity
 // of a pruned table scan: segments whose key range straddles a predicate
 // boundary must still be read whole, so pruning rarely achieves the
 // predicate's exact selectivity.
-const segScanSlack = 0.10
+const pruneSlack = 0.10
 
 // prunedFrac is the fraction of relation rel's rows a table scan reads after
 // zone-map pruning: the selectivity of the local predicates on the first
@@ -194,7 +194,7 @@ func (m *Model) prunedFrac(rel int) float64 {
 	zone := m.tables[rel].ZoneCols()
 	for _, pr := range m.Q.Scans {
 		if pr.Col.Rel == rel && slices.Contains(zone, pr.Col.Off) {
-			return math.Min(1, m.colSel(rel, pr.Col)+segScanSlack)
+			return math.Min(1, m.colSel(rel, pr.Col)+pruneSlack)
 		}
 	}
 	return 1

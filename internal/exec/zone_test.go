@@ -54,9 +54,10 @@ func zoneTable(t *testing.T, dir string) *catalog.Catalog {
 // TestScanBindsZonePrunedRanges: a compiled scan of a disk table binds, at
 // Open, the row ranges its zone maps cannot exclude, so a predicate on the
 // clustered column skips the segment it excludes, whether the scan streams
-// batches or a join build drains it. The unflushed tail is always read, a
-// predicate the zones do not separate prunes nothing, and every execution
-// returns what testkit.Reference computes.
+// batches or a join build drains it; no window it streams holds a key of
+// that segment. The unflushed tail is always read, a predicate the zones do
+// not separate prunes nothing, and every execution returns what
+// testkit.Reference computes.
 func TestScanBindsZonePrunedRanges(t *testing.T) {
 	cat := zoneTable(t, t.TempDir())
 	col := func(rel, off int) relalg.ColID { return relalg.ColID{Rel: rel, Off: off} }
@@ -71,19 +72,20 @@ func TestScanBindsZonePrunedRanges(t *testing.T) {
 		q     *relalg.Query
 		plan  *relalg.Plan
 		wants [][]storage.Range // per scan, in compile order
+		skip  [2]int64          // keys [lo, hi) of the segment a lone scan skips
 	}{
 		{"k<500", &relalg.Query{Rels: one, Scans: []relalg.ScanPred{{Col: col(0, 0), Op: relalg.CmpLT, Val: 500}}},
-			leaf(0), [][]storage.Range{{{Lo: 0, Hi: 1000}, {Lo: 2000, Hi: 2001}}}},
+			leaf(0), [][]storage.Range{{{Lo: 0, Hi: 1000}, {Lo: 2000, Hi: 2001}}}, [2]int64{1000, 2000}},
 		{"k>=1500", &relalg.Query{Rels: one, Scans: []relalg.ScanPred{{Col: col(0, 0), Op: relalg.CmpGE, Val: 1500}}},
-			leaf(0), [][]storage.Range{{{Lo: 1000, Hi: 2001}}}},
+			leaf(0), [][]storage.Range{{{Lo: 1000, Hi: 2001}}}, [2]int64{0, 1000}},
 		{"v<3", &relalg.Query{Rels: one, Scans: []relalg.ScanPred{{Col: col(0, 1), Op: relalg.CmpLT, Val: 3}}},
-			leaf(0), [][]storage.Range{all}},
-		{"unfiltered", &relalg.Query{Rels: one}, leaf(0), [][]storage.Range{all}},
+			leaf(0), [][]storage.Range{all}, [2]int64{}},
+		{"unfiltered", &relalg.Query{Rels: one}, leaf(0), [][]storage.Range{all}, [2]int64{}},
 		{"join build", &relalg.Query{Rels: two,
 			Joins: []relalg.JoinPred{{L: col(0, 0), R: col(1, 0)}},
 			Scans: []relalg.ScanPred{{Col: col(0, 0), Op: relalg.CmpGE, Val: 1500}, {Col: col(1, 1), Op: relalg.CmpEQ, Val: 2}}},
 			&relalg.Plan{Expr: relalg.Single(0).Add(1), Log: relalg.LogJoin, Phy: relalg.PhyHashJoin, Left: leaf(0), Right: leaf(1)},
-			[][]storage.Range{{{Lo: 1000, Hi: 2001}}, all}},
+			[][]storage.Range{{{Lo: 1000, Hi: 2001}}, all}, [2]int64{}},
 	} {
 		c.q.Name = c.name
 		if err := c.q.Validate(); err != nil {
@@ -111,6 +113,36 @@ func TestScanBindsZonePrunedRanges(t *testing.T) {
 					t.Fatalf("%s run %d: scan %d read ranges %v, want %v", c.name, run, i, s.leaf.ranges, c.wants[i])
 				}
 			}
+		}
+		if c.skip[0] == c.skip[1] {
+			continue
+		}
+		// Every row of every window streamed, selected or not, lies outside
+		// the skipped segment.
+		schema, err := comp.PlanSchema(c.plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := slices.Index(schema, col(0, 0))
+		if err := v.Open(); err != nil {
+			t.Fatal(err)
+		}
+		for {
+			b, err := v.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b == nil {
+				break
+			}
+			for _, key := range b.Cols[k][:b.N] {
+				if key >= c.skip[0] && key < c.skip[1] {
+					t.Fatalf("%s: a window holds key %d of the skipped segment", c.name, key)
+				}
+			}
+		}
+		if err := v.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
