@@ -124,7 +124,7 @@ func (c *Compiler) CompileVec(plan *relalg.Plan) (VecIterator, *RunStats, error)
 		}
 		agg := NewVecHashAgg(v, spec)
 		if ha, ok := agg.(*vecHashAggOp); ok {
-			ha.mem = c.Mem.Child("agg")
+			ha.mem = c.Mem.Child()
 		}
 		stats.agg = c.span(agg, nil, nil, stats)
 		v = stats.agg
@@ -353,9 +353,8 @@ func (c *Compiler) compileVec(p *relalg.Plan, stats *RunStats, weighted bool) (V
 		return c.compileVec(p.Left, stats, weighted)
 
 	case relalg.LogJoin:
-		if p.Phy == relalg.PhyIndexNLJoin {
-			return c.compileVecIndexNL(p, stats)
-		}
+		// Every join runs on the hash join, through one path: the build side
+		// is the left child (an index-NL join's inner relation: its index).
 		left, ls, err := c.compileVec(p.Left, stats, false)
 		if err != nil {
 			return nil, nil, err
@@ -366,7 +365,6 @@ func (c *Compiler) compileVec(p *relalg.Plan, stats *RunStats, weighted bool) (V
 			return nil, nil, err
 		}
 		schema, lOut, rOut := c.joinSchema(p, ls, rs)
-		// A merge join runs as a hash join built on its left input.
 		v, err := c.hashJoin(p, left, right, ls, rs, lOut, rOut, counted)
 		if err != nil {
 			return nil, nil, err
@@ -387,44 +385,10 @@ func (c *Compiler) hashJoin(p *relalg.Plan, left, right VecIterator, ls, rs []re
 	}
 	v := NewVecHashJoin(left, right, lKeys, rKeys, residual, lOut, rOut)
 	if hj, ok := v.(*vecHashJoinOp); ok {
-		hj.mem = c.Mem.Child("hashjoin")
+		hj.mem = c.Mem.Child()
 		hj.counting = counted
 	}
 	return v, nil
-}
-
-// compileVecIndexNL realises an index nested-loops join as a hash join whose
-// build side is the indexed inner relation (the plan's left child): the hash
-// table is the index, built over the inner's filtered leaf. The leaf is
-// compiled here as a bare scan, not through compileVec — it is part of
-// the join, so it has no span of its own — and, unfiltered, it lends the
-// table's columns to the build instead of copying them (vecScanOp.drainCols).
-// Plan space and cost model keep index-NL as the paper's Table 1 has it.
-// Reached by: plans from relalg.DefaultSpace() only — the paper figures and
-// the benchmark verifiers' reference plans — since the server's plan cache
-// optimizes in relalg.ServedSpace(), which has no index-NL join.
-func (c *Compiler) compileVecIndexNL(p *relalg.Plan, stats *RunStats) (VecIterator, []relalg.ColID, error) {
-	if p.Left.Log != relalg.LogScan {
-		return nil, nil, fmt.Errorf("exec: index nested-loops inner %v is not a scan", p.Left.Expr)
-	}
-	ls, err := c.scanSchema(p.Left)
-	if err != nil {
-		return nil, nil, err
-	}
-	leaf, err := c.resolveScan(p.Left.Rel, ls)
-	if err != nil {
-		return nil, nil, err
-	}
-	outer, rs, err := c.compileVec(p.Right, stats, false)
-	if err != nil {
-		return nil, nil, err
-	}
-	schema, lOut, rOut := c.joinSchema(p, ls, rs)
-	v, err := c.hashJoin(p, &vecScanOp{leaf: leaf}, outer, ls, rs, lOut, rOut, false)
-	if err != nil {
-		return nil, nil, err
-	}
-	return c.span(v, p, schema, stats), schema, nil
 }
 
 // span wraps node p's operator (p nil: the aggregation's) in its shim and

@@ -3,9 +3,11 @@
 // aggregation: table and index scans filter with pushed-down selections
 // (and, on a disk table, skip the segments their zone maps exclude), every
 // join — hash, sort-merge or index nested-loops — runs on the hash join,
-// hash aggregation sits on top, and a sort enforcer compiles to its child,
-// since nothing the executor runs reads an order. It records
-// one span per operator (RunStats): batches, rows and, in a timed execution, wall time. The rows
+// through one compile path that builds on the left child (an index-NL join's
+// inner relation is an ordinary scan below it), hash aggregation sits on
+// top, and a sort enforcer compiles to its child, since nothing the executor
+// runs reads an order. It records one span per scan, join and aggregation
+// (RunStats): batches, rows and, in a timed execution, wall time. The rows
 // are the actual output cardinalities the adaptive layer feeds back into
 // incremental re-optimization (the paper's §5.2.2 "changes based on real
 // execution" and §5.4 loop), and the same record renders EXPLAIN ANALYZE.

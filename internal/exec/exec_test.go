@@ -273,8 +273,8 @@ func eachPlanNode(p *relalg.Plan, fn func(*relalg.Plan)) {
 
 // checkAgainstReference compiles and runs plan and asserts that its result
 // multiset equals want (the canonical rendering of ref.Rows()) and that the
-// feedback probes are exact: every scan and join node compiled as its own
-// operator reports the reference cardinality of its subexpression, and
+// feedback probes are exact: every scan and join node reports the reference
+// cardinality of its subexpression, and
 // nothing else is reported. It returns the execution's RunStats.
 func checkAgainstReference(t *testing.T, label string, comp *Compiler, ref *testkit.Reference, want string, plan *relalg.Plan) *RunStats {
 	t.Helper()
@@ -306,7 +306,7 @@ func checkExecution(t *testing.T, label string, comp *Compiler, v VecIterator, s
 	}
 	counted := map[relalg.RelSet]bool{}
 	eachPlanNode(plan, func(p *relalg.Plan) {
-		if p.Log == relalg.LogEnforce || !hasOwnCounter(plan, p) {
+		if p.Log == relalg.LogEnforce {
 			return
 		}
 		counted[p.Expr] = true

@@ -353,7 +353,7 @@ func TestScanAggSteadyStateAllocs(t *testing.T) {
 	// Memory accounting rides the same loop: per-batch tracker traffic on
 	// both the nil (untracked) and the unbounded-root fast paths must stay
 	// allocation-free too.
-	tracked := NewMemTracker(0).Child("agg")
+	tracked := NewMemTracker(0).Child()
 	var untracked *MemTracker
 	pass := func() {
 		if err := scan.Open(); err != nil {

@@ -91,9 +91,8 @@ func (c *Compiler) joinSchema(p *relalg.Plan, ls, rs []relalg.ColID) (schema []r
 //   - weighted: p's consumer reads Mult. The aggregation on top of the root
 //     does, and so does the probe side of a counting join, so a spine of dead
 //     build sides composes; an enforcer passes its consumer's need through.
-//     Everything else — a build-side drain, the outer side of an index
-//     nested-loops join, a result-cache spool, the root of a query without
-//     aggregation — needs the rows and p enumerates.
+//     Everything else — a build-side drain, a result-cache spool, the root
+//     of a query without aggregation — needs the rows and p enumerates.
 //
 // Counting changes no cardinality: the span shims sum Mult, so RunStats and
 // all feedback derived from it are those of the enumerating join.
@@ -123,8 +122,6 @@ func (c *Compiler) PlanSchema(p *relalg.Plan) ([]relalg.ColID, error) {
 	case relalg.LogEnforce:
 		return c.PlanSchema(p.Left)
 	case relalg.LogJoin:
-		// The indexed inner leaf of an index nested-loops join is folded
-		// into the join operator, but its schema is that of its scan node.
 		ls, err := c.PlanSchema(p.Left)
 		if err != nil {
 			return nil, err

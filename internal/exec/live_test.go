@@ -146,7 +146,7 @@ func TestLivenessEdgeCases(t *testing.T) {
 			liveJoin(relalg.PhyHashJoin, indexR, liveScan(1)), 2, 1, []relalg.RelSet{rs}, false},
 		{"index nested loops over a key-only inner",
 			&relalg.Query{Rels: rels, Scans: sel, Joins: onA, Agg: sBySum},
-			liveJoin(relalg.PhyIndexNLJoin, liveScan(0), liveScan(1)), 2, 1, nil, false},
+			liveJoin(relalg.PhyIndexNLJoin, liveScan(0), liveScan(1)), 2, 1, []relalg.RelSet{rs}, false},
 		{"merge join sort column dies at the join",
 			&relalg.Query{Rels: rels, Joins: onA, Agg: &relalg.AggSpec{
 				GroupBy: []relalg.ColID{col(0, 1)}, Sums: []relalg.ColID{col(1, 2)}, CountAll: true}},
@@ -210,7 +210,7 @@ func TestLivenessEdgeCases(t *testing.T) {
 		if schema, err := widths.PlanSchema(tc.plan); err != nil || len(schema) != tc.width {
 			t.Fatalf("%s: root schema %v (err %v), want %d columns", tc.name, schema, err, tc.width)
 		}
-		if tc.plan.Log == relalg.LogJoin && tc.plan.Phy != relalg.PhyIndexNLJoin {
+		if tc.plan.Log == relalg.LogJoin {
 			if schema, err := widths.PlanSchema(tc.plan.Left); err != nil || len(schema) != tc.left {
 				t.Fatalf("%s: left schema %v (err %v), want %d columns", tc.name, schema, err, tc.left)
 			}

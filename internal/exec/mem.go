@@ -32,8 +32,7 @@ import "sync/atomic"
 // path stays free of accounting overhead beyond a nil check.
 type MemTracker struct {
 	root  *MemTracker // self for the root tracker
-	name  string
-	limit int64 // root only; 0 = unbounded
+	limit int64       // root only; 0 = unbounded
 
 	used    atomic.Int64 // bytes charged to this tracker (subtree-inclusive at the root)
 	peak    atomic.Int64
@@ -77,11 +76,11 @@ func (t *MemTracker) SpillDir() string {
 // Child returns a tracker whose charges also count against t's root budget.
 // Operator-local usage stays readable per child while the root sees the
 // query-wide total.
-func (t *MemTracker) Child(name string) *MemTracker {
+func (t *MemTracker) Child() *MemTracker {
 	if t == nil {
 		return nil
 	}
-	return &MemTracker{root: t.root, name: name}
+	return &MemTracker{root: t.root}
 }
 
 // Reserve charges n bytes, failing (with nothing charged) if that would

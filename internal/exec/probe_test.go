@@ -245,7 +245,7 @@ func (c probeCase) join(t *testing.T) *vecHashJoinOp {
 	if c.budget > 0 {
 		tr := NewMemTracker(c.budget)
 		tr.SetSpillDir(t.TempDir())
-		j.mem = tr.Child("hashjoin")
+		j.mem = tr.Child()
 	}
 	return j
 }

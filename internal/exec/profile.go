@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -20,10 +21,10 @@ import (
 // calls RunStats.SetTiming before Open, and only a timed execution reads the
 // clock, twice per batch and node. A held tree is therefore profiled like any
 // other execution of it, and profiling never changes results or feedback.
-// Three kinds of node have no shim: those inside a result-cache probe hit
-// (never compiled; their counts are replayed into RunStats), the inner leaf
-// of an index nested-loops join, folded into its join, and an Enforce node,
-// compiled to its child because nothing the executor runs reads an order.
+// Two kinds of node have no shim: those inside a result-cache probe hit
+// (never compiled; their counts are replayed into RunStats) and an Enforce
+// node, compiled to its child because nothing the executor runs reads an
+// order.
 
 // spanOp is the one shim of a compiled plan node.
 type spanOp struct {
@@ -123,7 +124,7 @@ func (s *RunStats) Format() string {
 	if s.agg != nil {
 		fmt.Fprintf(&b, "HashAggregate  [rows=%d batches=%d%s]\n", s.agg.sp.Rows, s.agg.sp.Batches, s.timeOf(s.agg.sp.Time()))
 	}
-	s.format(s.plan, &b, 0, false)
+	s.format(s.plan, &b, 0)
 	return b.String()
 }
 
@@ -135,9 +136,8 @@ func (s *RunStats) timeOf(d time.Duration) string {
 	return fmt.Sprintf(" time=%v", d.Round(time.Microsecond))
 }
 
-// format renders p and its subtree; folded says p is the inner leaf of an
-// executed index nested-loops join, which ran as part of it.
-func (s *RunStats) format(p *relalg.Plan, b *strings.Builder, depth int, folded bool) {
+// format renders p and its subtree.
+func (s *RunStats) format(p *relalg.Plan, b *strings.Builder, depth int) {
 	if p == nil {
 		return
 	}
@@ -193,15 +193,39 @@ func (s *RunStats) format(p *relalg.Plan, b *strings.Builder, depth int, folded 
 			b.WriteString(" counted")
 		}
 		fmt.Fprintf(b, "%s]", s.timeOf(op.sp.Time()))
-	case folded:
-		b.WriteString(" | index of parent join]")
 	default:
 		b.WriteString(" | not executed (cached)]")
 	}
 	b.WriteByte('\n')
-	inner := op != nil && p.Phy == relalg.PhyIndexNLJoin
-	s.format(p.Left, b, depth+1, inner)
-	s.format(p.Right, b, depth+1, false)
+	s.format(p.Left, b, depth+1)
+	s.format(p.Right, b, depth+1)
+}
+
+// EstErr is the latest execution's cardinality estimation error: the mean ln
+// q-error over the plan's counted nodes. 0 is a perfect plan; ln 2 ≈ 0.69
+// means estimates are off by 2x on average. It walks the plan as Format does,
+// so the counts a result-cache probe hit replays count like executed ones.
+// Call it after the tree is drained and before it is opened again.
+func (s *RunStats) EstErr() float64 {
+	var sum float64
+	var n int
+	var walk func(p *relalg.Plan)
+	walk = func(p *relalg.Plan) {
+		if p == nil {
+			return
+		}
+		if act, ok := s.Card(p.Expr); ok && p.Log != relalg.LogEnforce {
+			sum += math.Log(qError(p.Card, act))
+			n++
+		}
+		walk(p.Left)
+		walk(p.Right)
+	}
+	walk(s.plan)
+	if n == 0 {
+		return 0
+	}
+	return sum / float64(n)
 }
 
 // qError is the symmetric cardinality estimation error max(act/est,

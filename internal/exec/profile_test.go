@@ -1,12 +1,14 @@
 package exec
 
 import (
+	"math"
 	"regexp"
 	"strings"
 	"testing"
 
 	"repro/internal/cost"
 	"repro/internal/relalg"
+	"repro/internal/rescache"
 	"repro/internal/tpch"
 	"repro/internal/volcano"
 )
@@ -44,12 +46,7 @@ func TestExplainAnalyzeMatchesRunStats(t *testing.T) {
 			}
 			op := stats.node(p)
 			if op == nil {
-				// The index-NL inner leaf is folded into the join
-				// operator and never compiled as its own node.
-				if !(p.Log == relalg.LogScan && p.Expr.IsSingle() && !hasOwnCounter(vr.Plan, p)) {
-					t.Fatalf("%s: counted node %v has no span", name, p.Expr)
-				}
-				return
+				t.Fatalf("%s: counted node %v has no span", name, p.Expr)
 			}
 			if op.sp.Rows != act {
 				t.Fatalf("%s: span of %v recorded %d rows, RunStats %d", name, p.Expr, op.sp.Rows, act)
@@ -75,23 +72,6 @@ func TestExplainAnalyzeMatchesRunStats(t *testing.T) {
 			t.Fatalf("%s: header %q, want %q", name, header, "EXPLAIN ANALYZE")
 		}
 	}
-}
-
-// hasOwnCounter reports whether node p is compiled as its own operator —
-// false only for the inner (indexed) leaf of an index-NL join, which the
-// join operator absorbs.
-func hasOwnCounter(root, p *relalg.Plan) bool {
-	var parent func(n *relalg.Plan) bool
-	parent = func(n *relalg.Plan) bool {
-		if n == nil {
-			return false
-		}
-		if n.Phy == relalg.PhyIndexNLJoin && n.Left == p {
-			return true
-		}
-		return parent(n.Left) || parent(n.Right)
-	}
-	return !parent(root)
 }
 
 // TestProfilingDifferential asserts timing observes without participating: a
@@ -140,8 +120,8 @@ func TestProfilingDifferential(t *testing.T) {
 // index-NL plans of Q3S, Q5 and Q10, and the merge-only plan of Q5: an
 // untimed execution shows the same rows and batches without time=, and
 // without a result cache no node reads "not executed" — an index-NL join's
-// inner leaf is part of its join, a merge or index-NL join is marked "via
-// hash", and a sort enforcer is elided.
+// inner leaf is a scan with its own counts, a merge or index-NL join is
+// marked "via hash", and a sort enforcer is elided.
 func TestFormatAnalyzeRendering(t *testing.T) {
 	cat := tpch.Generate(tpch.Config{ScaleFactor: 0.002, Seed: 7})
 	q := tpch.Q5()
@@ -190,12 +170,29 @@ func TestFormatAnalyzeRendering(t *testing.T) {
 			t.Fatal(err)
 		}
 		text := stats.Format()
-		if strings.Contains(text, "not executed") || !strings.Contains(text, "IndexNLJoin") ||
-			strings.Count(text, "| index of parent join]") != strings.Count(text, "IndexNLJoin") {
-			t.Fatalf("%s: every index-NL inner leaf must render as part of its join:\n%s", q.Name, text)
+		if strings.Contains(text, "not executed") || strings.Contains(text, "index of parent join") ||
+			!strings.Contains(text, "IndexNLJoin") {
+			t.Fatalf("%s: every node must render as executed on its own:\n%s", q.Name, text)
 		}
 		if strings.Count(text, " via hash ") != strings.Count(text, "IndexNLJoin") {
 			t.Fatalf("%s: every index-NL join must render as run on the hash join:\n%s", q.Name, text)
+		}
+		// The node lines follow the plan in pre-order, below the header
+		// and the aggregation: a join's inner leaf is the line after it.
+		var nodes []*relalg.Plan
+		eachPlanNode(plan, func(p *relalg.Plan) { nodes = append(nodes, p) })
+		lines := strings.Split(strings.TrimSuffix(text, "\n"), "\n")
+		lines = lines[len(lines)-len(nodes):]
+		for i, p := range nodes {
+			if p.Phy != relalg.PhyIndexNLJoin {
+				continue
+			}
+			leaf := strings.TrimSpace(lines[i+1])
+			m := rowsAct.FindStringSubmatch(leaf)
+			if !strings.HasPrefix(leaf, "IndexScan ") || m == nil || m[1] != m[2] {
+				t.Fatalf("%s: the inner leaf of %v must render as an IndexScan with rows= equal to act=, not %q:\n%s",
+					q.Name, p.Expr, leaf, text)
+			}
 		}
 	}
 
@@ -231,6 +228,107 @@ func TestFormatAnalyzeRendering(t *testing.T) {
 		t.Fatalf("merge-only Q5: want %d merge joins marked via hash and %d sorts elided:\n%s", merges, sorts, text)
 	}
 }
+
+// refEstErr is the estimation error as the serving layer computed it from a
+// cardinality snapshot before RunStats.EstErr: the mean |ln(actual/estimated)|
+// over the plan's non-enforcer nodes with an observed cardinality, both sides
+// floored at one row.
+func refEstErr(plan *relalg.Plan, cards map[relalg.RelSet]int64) float64 {
+	var sum float64
+	var n int
+	var walk func(p *relalg.Plan)
+	walk = func(p *relalg.Plan) {
+		if p == nil {
+			return
+		}
+		if p.Log != relalg.LogEnforce {
+			if act, ok := cards[p.Expr]; ok {
+				a, est := float64(act), p.Card
+				if a < 1 {
+					a = 1
+				}
+				if est < 1 {
+					est = 1
+				}
+				sum += math.Abs(math.Log(a / est))
+				n++
+			}
+		}
+		walk(p.Left)
+		walk(p.Right)
+	}
+	walk(plan)
+	if n == 0 {
+		return 0
+	}
+	return sum / float64(n)
+}
+
+// TestEstErrMatchesReference holds RunStats.EstErr, the mean ln q-error, to
+// refEstErr over the execution's cardinality snapshot: for every named TPC-H
+// query in the served and the full plan space and in the space of index-NL
+// joins alone, and for a run whose counts a result-cache probe hit replays.
+func TestEstErrMatchesReference(t *testing.T) {
+	cat := tpch.Generate(tpch.Config{ScaleFactor: 0.002, Seed: 7})
+	check := func(label string, plan *relalg.Plan, stats *RunStats) {
+		t.Helper()
+		got, want := stats.EstErr(), refEstErr(plan, stats.Snapshot())
+		if math.Abs(got-want) > 1e-12 {
+			t.Fatalf("%s: EstErr %v, reference %v", label, got, want)
+		}
+		t.Logf("%s: %.4f", label, got)
+	}
+	for name, q := range tpch.Queries() {
+		m, err := cost.NewModel(q, cat, cost.DefaultParams())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for space, opts := range map[string]relalg.SpaceOptions{"served": relalg.ServedSpace(), "full": relalg.DefaultSpace(),
+			"index-NL only": {IndexNL: true, SortEnforcer: true}} {
+			vr, err := volcano.Optimize(m, opts)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, space, err)
+			}
+			v, stats, err := (&Compiler{Q: q, Cat: cat}).CompileVec(vr.Plan)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, space, err)
+			}
+			if _, err := DrainVec(v); err != nil {
+				t.Fatalf("%s/%s: %v", name, space, err)
+			}
+			check(name+"/"+space, vr.Plan, stats)
+		}
+	}
+
+	q := tpch.Q3S()
+	m, err := cost.NewModel(q, cat, cost.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	vr, err := volcano.Optimize(m, relalg.DefaultSpace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cands := BuildCacheCandidates(q, vr.Plan, relalg.NewFingerprinter(q))
+	cache := rescache.New(64 << 20)
+	for _, label := range []string{"spool", "probe"} {
+		comp := &Compiler{Q: q, Cat: cat, Cache: cache, CacheCands: cands}
+		v, stats, err := comp.CompileVec(vr.Plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DrainVec(v); err != nil {
+			t.Fatal(err)
+		}
+		if hits, _ := comp.CacheDecisions(); label == "probe" && hits == 0 {
+			t.Fatal("the probe run hit nothing")
+		}
+		check("Q3S/"+label, vr.Plan, stats)
+	}
+}
+
+// rowsAct captures a rendered node's act= and rows= counts.
+var rowsAct = regexp.MustCompile(` act=(\d+) .*\| rows=(\d+) `)
 
 func TestQError(t *testing.T) {
 	for _, c := range []struct {

@@ -25,17 +25,17 @@ package exec
 // when the entry holds every column of the consumer's schema; a narrower
 // entry is a plain miss and the consumer's spool replaces it.
 //
-// Soundness leans on three invariants. First, equal fingerprints imply
+// Soundness leans on two invariants. First, equal fingerprints imply
 // isomorphic subexpressions (relalg.Fingerprinter), and candidates refuse
 // sets whose canonical member order is ambiguous (self-joins), so the
-// canonical column order is well-defined across queries. Second, only
-// subtrees promising no physical property (Prop == Any) are candidates: a
-// cached result is a multiset, and every order-sensitive consumer (merge
-// join, sorted output) sits behind an explicit Prop or Enforce the
-// candidate walk refuses. Third, a probe only hits when the entry records a
-// cardinality for every counted node of THIS plan's subtree shape; a
-// fingerprint-equal entry produced by a differently-shaped plan bypasses to
-// a miss and is overwritten by the new spool.
+// canonical column order is well-defined across queries. Second, a probe
+// only hits when the entry records a cardinality for every counted node of
+// THIS plan's subtree shape; a fingerprint-equal entry produced by a
+// differently-shaped plan bypasses to a miss and is overwritten by the new
+// spool. A cached result is a multiset, which is all any consumer needs:
+// nothing the executor runs reads an order, so a subtree that promises one
+// (a sorted or index scan, a join under a sort enforcer) is cached like any
+// other.
 
 import (
 	"fmt"
@@ -72,10 +72,8 @@ type CacheCandidate struct {
 
 // BuildCacheCandidates walks plan and returns its cacheable subtrees in
 // pre-order (parents before children). A node qualifies when it is a
-// filtered table scan or a join, promises no physical property, and its
-// member order is unambiguous (no self-join tie-break). The walk mirrors
-// the compiler's counting structure: the folded inner leaf of an index
-// nested-loops join is neither counted nor offered. The Fingerprinter must be the minting query's; the caller
+// filtered scan or a join and its member order is unambiguous (no self-join
+// tie-break). The Fingerprinter must be the minting query's; the caller
 // serializes access to it (it memoizes internally).
 func BuildCacheCandidates(q *relalg.Query, plan *relalg.Plan, fper *relalg.Fingerprinter) []CacheCandidate {
 	var out []CacheCandidate
@@ -93,31 +91,20 @@ func BuildCacheCandidates(q *relalg.Query, plan *relalg.Plan, fper *relalg.Finge
 				Counts:     collectCachePoints(nil, p, fper),
 			})
 		}
-		switch p.Log {
-		case relalg.LogScan:
-		case relalg.LogEnforce:
-			walk(p.Left)
-		case relalg.LogJoin:
-			if p.Phy != relalg.PhyIndexNLJoin {
-				walk(p.Left)
-			}
-			walk(p.Right)
-		}
+		walk(p.Left)
+		walk(p.Right)
 	}
 	walk(plan)
 	return out
 }
 
-// cacheEligible applies the per-node candidacy rules.
+// cacheEligible applies the per-node candidacy rules: every join qualifies,
+// and a scan only when it filters — an unfiltered one would cache a copy of
+// the base table.
 func cacheEligible(q *relalg.Query, p *relalg.Plan) bool {
-	if p.Prop.Kind != relalg.PropAny {
-		return false
-	}
 	switch p.Log {
 	case relalg.LogScan:
-		// Unfiltered scans would cache a copy of the base table; index
-		// scans promise an order even when Prop does not demand one.
-		return p.Phy != relalg.PhyIndexScan && len(q.ScanPredsOf(p.Rel)) > 0
+		return len(q.ScanPredsOf(p.Rel)) > 0
 	case relalg.LogJoin:
 		return true
 	}
@@ -125,26 +112,17 @@ func cacheEligible(q *relalg.Query, p *relalg.Plan) bool {
 }
 
 // collectCachePoints appends the (set, fingerprint) of every node the
-// compiler counts within the subtree, mirroring compileVec: scans and joins
-// are counted, enforcers are not, and the inner leaf of an index
-// nested-loops join is folded into the join operator uncounted.
+// compiler counts within the subtree, mirroring compileVec: every scan and
+// join is counted, an enforcer is not.
 func collectCachePoints(out []CachePoint, p *relalg.Plan, fper *relalg.Fingerprinter) []CachePoint {
 	if p == nil {
 		return out
 	}
-	switch p.Log {
-	case relalg.LogScan:
+	if p.Log != relalg.LogEnforce {
 		out = append(out, CachePoint{Set: p.Expr, FP: fper.Fingerprint(p.Expr)})
-	case relalg.LogEnforce:
-		out = collectCachePoints(out, p.Left, fper)
-	case relalg.LogJoin:
-		out = append(out, CachePoint{Set: p.Expr, FP: fper.Fingerprint(p.Expr)})
-		if p.Phy != relalg.PhyIndexNLJoin {
-			out = collectCachePoints(out, p.Left, fper)
-		}
-		out = collectCachePoints(out, p.Right, fper)
 	}
-	return out
+	out = collectCachePoints(out, p.Left, fper)
+	return collectCachePoints(out, p.Right, fper)
 }
 
 // cacheDecision is one resolved candidate: serve (entry != nil) or spool.

@@ -8,6 +8,7 @@ import (
 	"repro/internal/relalg"
 	"repro/internal/rescache"
 	"repro/internal/storage"
+	"repro/internal/testkit"
 	"repro/internal/tpch"
 	"repro/internal/volcano"
 )
@@ -33,11 +34,28 @@ func statsEqual(t *testing.T, name string, got, want map[relalg.RelSet]int64) {
 // multiset AND the uncached RunStats byte for byte. The probe run must actually hit — a silently cold cache would
 // pass the differential while testing nothing. Entries are column-sparse, so
 // the same bar is then held across two fingerprint-equal consumers that read
-// different columns of the shared subtrees (sparseCacheDifferential).
+// different columns of the shared subtrees (sparseCacheDifferential), and
+// over subtrees that promise an order (orderedCacheDifferential).
 func TestResultCacheSpoolProbeDifferential(t *testing.T) {
 	cat := tpch.Generate(tpch.Config{ScaleFactor: 0.002, Seed: 7})
 	t.Run("sparse", func(t *testing.T) { sparseCacheDifferential(t, cat, tpch.SegMachinery) })
 	t.Run("sparse, empty result", func(t *testing.T) { sparseCacheDifferential(t, cat, -1) })
+	t.Run("ordered: index-NL inner leaves", func(t *testing.T) {
+		q := tpch.Q3S()
+		orderedCacheDifferential(t, q, cat, indexNLPlan(t, q, cat))
+	})
+	t.Run("ordered: merge join inputs", func(t *testing.T) {
+		q := tpch.Q5()
+		m, err := cost.NewModel(q, cat, cost.DefaultParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		mr, err := volcano.Optimize(m, relalg.SpaceOptions{MergeJoin: true, SortEnforcer: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		orderedCacheDifferential(t, q, cat, mr.Plan)
+	})
 	for name, q := range tpch.Queries() {
 		m, err := cost.NewModel(q, cat, cost.DefaultParams())
 		if err != nil {
@@ -86,6 +104,46 @@ func TestResultCacheSpoolProbeDifferential(t *testing.T) {
 				t.Fatalf("%s: probe run hit nothing despite %d stored entries",
 					name, met.Entries)
 			}
+		}
+	}
+}
+
+// orderedCacheDifferential spools and then serves, alone, the outermost
+// subtrees of plan that promise an order: an index-NL join's inner leaf
+// (PropIndexed), a merge join's sorted input. Cut to those candidates, the
+// cache decides nothing above them, so the serving run probe-hits every one
+// of them in place. Both runs must return the reference's rows and report
+// its count at every node.
+func orderedCacheDifferential(t *testing.T, q *relalg.Query, cat *catalog.Catalog, plan *relalg.Plan) {
+	var cands []CacheCandidate
+	for _, cand := range BuildCacheCandidates(q, plan, relalg.NewFingerprinter(q)) {
+		inside := false
+		for _, kept := range cands {
+			inside = inside || cand.Expr.IsSubset(kept.Expr)
+		}
+		if cand.Node.Prop.Kind != relalg.PropAny && !inside {
+			cands = append(cands, cand)
+		}
+	}
+	if len(cands) == 0 {
+		t.Fatalf("%s: no candidate promises an order\n%s", q.Name, plan.Explain(q))
+	}
+	for _, cand := range cands {
+		t.Logf("%s: caching %v (%v, promises %v)", q.Name, cand.Expr, cand.Node.Phy, cand.Node.Prop)
+	}
+	ref := testkit.NewReference(q, cat)
+	want := testkit.Canonical(ref.Rows(), nil)
+	cache := rescache.New(64 << 20)
+	for _, label := range []string{"spool", "probe"} {
+		comp := &Compiler{Q: q, Cat: cat, Cache: cache, CacheCands: cands}
+		v, st, err := comp.CompileVec(plan)
+		if err != nil {
+			t.Fatalf("%s/%s: %v", q.Name, label, err)
+		}
+		checkExecution(t, q.Name+"/"+label, comp, v, st, ref.Card, want, plan)
+		hits, spools := comp.CacheDecisions()
+		if (label == "spool" && spools != len(cands)) || (label == "probe" && hits != len(cands)) {
+			t.Fatalf("%s/%s: %d probe hits and %d spools over %d candidates", q.Name, label, hits, spools, len(cands))
 		}
 	}
 }
@@ -184,7 +242,7 @@ func sparseCacheDifferential(t *testing.T, cat *catalog.Catalog, segment int64) 
 }
 
 // TestResultCacheCandidateShape pins the candidacy rules on a concrete
-// plan: candidates come out in pre-order, refuse order-promising nodes, and
+// plan: candidates come out in pre-order, refuse unfiltered scans, and
 // record a count point for every counted node of their subtree.
 func TestResultCacheCandidateShape(t *testing.T) {
 	cat := tpch.Generate(tpch.Config{ScaleFactor: 0.002, Seed: 7})
@@ -204,8 +262,8 @@ func TestResultCacheCandidateShape(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for _, cand := range cands {
-		if cand.Node.Prop.Kind != relalg.PropAny {
-			t.Fatalf("candidate %v promises a physical property", cand.Expr)
+		if cand.Node.Log == relalg.LogScan && len(q.ScanPredsOf(cand.Node.Rel)) == 0 {
+			t.Fatalf("candidate %v is an unfiltered scan", cand.Expr)
 		}
 		if fper.AmbiguousOrder(cand.Expr) {
 			t.Fatalf("candidate %v has ambiguous canonical order", cand.Expr)

@@ -124,7 +124,7 @@ func runTrackedJoin(t *testing.T, build, probe [][]int64, budget int64) ([]Row, 
 	j := NewVecHashJoin(NewVecScanRows(build, ScanFilter{}), NewVecScanRows(probe, ScanFilter{}),
 		[]int{0}, []int{0}, nil, seq(2), seq(2))
 	tr := NewMemTracker(budget)
-	j.(*vecHashJoinOp).mem = tr.Child("hashjoin")
+	j.(*vecHashJoinOp).mem = tr.Child()
 	out, err := DrainVec(j)
 	if err != nil {
 		t.Fatalf("budget=%d: %v", budget, err)
@@ -198,7 +198,7 @@ func (c spillJoinCase) run(t *testing.T, budget int64) (map[string]int64, *MemTr
 		lOut, rOut).(*vecHashJoinOp)
 	j.counting = c.counting
 	tr := NewMemTracker(budget)
-	j.mem = tr.Child("hashjoin")
+	j.mem = tr.Child()
 	if err := j.Open(); err != nil {
 		t.Fatalf("%s, budget %d: %v", c.name, budget, err)
 	}
@@ -382,7 +382,7 @@ func (c spillAggCase) run(budget int64) ([]Row, *MemTracker, error) {
 	}
 	a := NewVecHashAgg(in, c.spec)
 	tr := NewMemTracker(budget)
-	a.(*vecHashAggOp).mem = tr.Child("agg")
+	a.(*vecHashAggOp).mem = tr.Child()
 	out, err := DrainVec(a)
 	return out, tr, err
 }
@@ -450,7 +450,7 @@ func TestCountDistinctChargesItsValues(t *testing.T) {
 		agg := NewVecHashAgg(NewVecScanRows(rows, ScanFilter{}),
 			AggSpecExec{GroupBy: []int{0}, CountDistinct: []int{1}}).(*vecHashAggOp)
 		root := NewMemTracker(0)
-		agg.mem = root.Child("agg")
+		agg.mem = root.Child()
 		out, err := DrainVec(agg)
 		if err != nil {
 			t.Fatal(err)
@@ -478,7 +478,7 @@ func TestCountDistinctChargesItsValues(t *testing.T) {
 // operators rely on.
 func TestMemTrackerBasics(t *testing.T) {
 	root := NewMemTracker(100)
-	a, b := root.Child("a"), root.Child("b")
+	a, b := root.Child(), root.Child()
 	if !a.Reserve(60) || !b.Reserve(40) {
 		t.Fatal("reservations within the budget must succeed")
 	}
@@ -519,7 +519,7 @@ func benchSpillJoin(b *testing.B, budget int64) {
 		j := NewVecHashJoin(NewVecScanRows(build, ScanFilter{}), NewVecScanRows(probe, ScanFilter{}),
 			[]int{0}, []int{0}, nil, seq(2), seq(2))
 		tr := NewMemTracker(budget)
-		j.(*vecHashJoinOp).mem = tr.Child("hashjoin")
+		j.(*vecHashJoinOp).mem = tr.Child()
 		n, err := CountVec(j)
 		if err != nil {
 			b.Fatal(err)
@@ -547,7 +547,7 @@ func benchSpillAgg(b *testing.B, budget int64) {
 	for i := 0; i < b.N; i++ {
 		a := NewVecHashAgg(NewVecScanRows(input, ScanFilter{}), spec)
 		tr := NewMemTracker(budget)
-		a.(*vecHashAggOp).mem = tr.Child("agg")
+		a.(*vecHashAggOp).mem = tr.Child()
 		if _, err := CountVec(a); err != nil {
 			b.Fatal(err)
 		}

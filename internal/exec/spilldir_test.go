@@ -21,7 +21,7 @@ func TestSpillDirRedirectsPartitionFiles(t *testing.T) {
 		[]int{0}, []int{0}, nil, seq(2), seq(2))
 	tr := NewMemTracker(32 << 10)
 	tr.SetSpillDir(dir)
-	j.(*vecHashJoinOp).mem = tr.Child("hashjoin")
+	j.(*vecHashJoinOp).mem = tr.Child()
 	got, err := DrainVec(j)
 	if err != nil {
 		t.Fatalf("join with redirected spill dir: %v", err)
@@ -69,7 +69,7 @@ func TestSpillDirErrorSurfacesAsQueryError(t *testing.T) {
 		t.Helper()
 		tr := NewMemTracker(32 << 10)
 		tr.SetSpillDir(dir)
-		*mem = tr.Child(name)
+		*mem = tr.Child()
 		_, err := DrainVec(v)
 		if err == nil {
 			t.Fatalf("%s: the failing spill did not surface as a query error", name)
@@ -105,7 +105,7 @@ func TestCompilerSpillDirPropagates(t *testing.T) {
 	dir := t.TempDir()
 	c := &Compiler{Mem: NewMemTracker(1 << 20)}
 	c.Mem.SetSpillDir(dir)
-	if got := c.Mem.Child("x").SpillDir(); got != dir {
+	if got := c.Mem.Child().SpillDir(); got != dir {
 		t.Fatalf("child tracker spill dir = %q, want %q", got, dir)
 	}
 }

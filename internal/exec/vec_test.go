@@ -159,11 +159,11 @@ func (w *weightedIter) Close() error { return nil }
 func TestWeightedBatchEscapes(t *testing.T) {
 	scan := func() VecIterator { return scanOf([]int64{1}, []int64{2}) }
 	bounded := NewVecHashJoin(&weightedIter{n: 4}, scan(), []int{0}, []int{0}, nil, nil, seq(1)).(*vecHashJoinOp)
-	bounded.mem = NewMemTracker(1 << 20).Child("hashjoin")
+	bounded.mem = NewMemTracker(1 << 20).Child()
 	spilled := NewVecHashJoin(&weightedIter{n: 4}, scan(), []int{0}, []int{0}, nil, nil, seq(1)).(*vecHashJoinOp)
-	spilled.mem = NewMemTracker(8).Child("hashjoin")
+	spilled.mem = NewMemTracker(8).Child()
 	spilledProbe := NewVecHashJoin(scan(), &weightedIter{n: 4}, []int{0}, []int{0}, nil, seq(1), seq(1)).(*vecHashJoinOp)
-	spilledProbe.mem = NewMemTracker(8).Child("hashjoin")
+	spilledProbe.mem = NewMemTracker(8).Child()
 	for name, v := range map[string]VecIterator{
 		"result":                      &weightedIter{n: 4},
 		"hash join build":             NewVecHashJoin(&weightedIter{n: 4}, scan(), []int{0}, []int{0}, nil, nil, seq(1)),

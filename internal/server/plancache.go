@@ -2,7 +2,6 @@ package server
 
 import (
 	"cmp"
-	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -190,9 +189,8 @@ type planEntry struct {
 	name string
 	seq  uint64 // creation stamp, for stable metrics listings
 
-	// estErr is the entry's latest cardinality estimation error — the mean
-	// |ln(actual/estimated)| over the executed plan's counted nodes,
-	// recomputed from every execution's feedback — stored as Float64bits so
+	// estErr is the entry's latest cardinality estimation error — the
+	// RunStats.EstErr of its latest execution — stored as Float64bits so
 	// metrics scrapes read it lock-free. It trends to zero as the entry's
 	// statistics converge and spikes when the data drifts.
 	estErr atomic.Uint64
@@ -368,51 +366,14 @@ func (e *planEntry) cacheCands(s *Server, plan *relalg.Plan) []exec.CacheCandida
 	return exec.BuildCacheCandidates(e.q, plan, e.fper)
 }
 
-// planEstErr measures how far the executed plan's cardinality estimates
-// were from the observed truth: the mean |ln(actual/estimated)| over the
-// plan's counted nodes (both sides floored at one row). 0 is a perfect
-// plan; ln 2 ≈ 0.69 means estimates are off by 2x on average.
-func planEstErr(plan *relalg.Plan, cards map[relalg.RelSet]int64) float64 {
-	var sum float64
-	var n int
-	var walk func(p *relalg.Plan)
-	walk = func(p *relalg.Plan) {
-		if p == nil {
-			return
-		}
-		if p.Log != relalg.LogEnforce {
-			if act, ok := cards[p.Expr]; ok {
-				a, est := float64(act), p.Card
-				if a < 1 {
-					a = 1
-				}
-				if est < 1 {
-					est = 1
-				}
-				sum += math.Abs(math.Log(a / est))
-				n++
-			}
-		}
-		walk(p.Left)
-		walk(p.Right)
-	}
-	walk(plan)
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
 // feedback folds one execution's observed cardinalities into the shared
 // stats store and incrementally repairs the cached plan when any factor
 // moved beyond the feedback threshold. This is the §4 view-maintenance loop
 // running as a service: UpdateCardFactor stages the deltas, Reoptimize
 // repairs only the affected region, and the repaired plan is published
-// atomically for every session. snap is the plan generation that executed —
-// its estimates, against cards, yield the entry's estimation-error gauge.
-// A repair is counted, timed and traced here; repaired reports it.
-func (e *planEntry) feedback(s *Server, snap *planVersion, cards map[relalg.RelSet]int64) (repaired bool, err error) {
-	e.estErr.Store(math.Float64bits(planEstErr(snap.plan, cards)))
+// atomically for every session. A repair is counted, timed and traced here;
+// repaired reports it.
+func (e *planEntry) feedback(s *Server, cards map[relalg.RelSet]int64) (repaired bool, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	changed := e.cal.Observe(cards, e.model)

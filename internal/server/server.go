@@ -62,6 +62,7 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -489,18 +490,20 @@ func (st *Stmt) exec(analyze bool) (*Result, string, error) {
 		return nil, "", err
 	}
 	res.cards = run.stats.Snapshot()
+	e.estErr.Store(math.Float64bits(run.stats.EstErr()))
 	slow := srv.opts.TraceSlowQuery > 0 && res.Elapsed >= srv.opts.TraceSlowQuery
 	analyzed := ""
 	if analyze || slow {
 		analyzed = run.stats.Format()
 	}
 	// The run goes back only now: the next borrower's Open zeroes the spans
-	// the snapshot and the rendering read. A failed run never gets here, and
-	// a tree compiled against the result cache refuses to reopen.
+	// the snapshot, the estimation error and the rendering read. A failed
+	// run never gets here, and a tree compiled against the result cache
+	// refuses to reopen.
 	if srv.resCache == nil {
 		snap.runs.Put(run)
 	}
-	if res.Repaired, err = e.feedback(srv, snap, res.cards); err != nil {
+	if res.Repaired, err = e.feedback(srv, res.cards); err != nil {
 		return nil, "", err
 	}
 	note := ""

@@ -48,13 +48,13 @@ var packageCeilings = map[string]shape{
 	"internal/core":        {0, 0, 0, 2, 65, 1956},
 	"internal/cost":        {0, 0, 0, 3, 29, 425},
 	"internal/deltalog":    {0, 0, 0, 5, 24, 411},
-	"internal/exec":        {0, 0, 0, 0, 97, 4025},
+	"internal/exec":        {0, 0, 0, 0, 98, 3989},
 	"internal/fbstore":     {0, 0, 0, 0, 39, 537},
 	"internal/linearroad":  {0, 0, 0, 1, 21, 322},
 	"internal/obs":         {0, 0, 0, 0, 68, 553},
 	"internal/relalg":      {0, 0, 0, 1, 132, 998},
 	"internal/rescache":    {0, 0, 0, 0, 23, 228},
-	"internal/server":      {1, 2, 1, 0, 99, 1860},
+	"internal/server":      {1, 2, 1, 0, 99, 1824},
 	"internal/sqlmini":     {0, 0, 0, 0, 4, 598},
 	"internal/stats":       {0, 0, 0, 2, 21, 257},
 	"internal/storage":     {0, 0, 0, 0, 61, 1046},

@@ -20,12 +20,12 @@
 //     the shared query model, physical design, statistics and cost model;
 //   - internal/exec — the executor, one serial vectorized columnar engine
 //     (Compiler.CompileVec → DrainVec/CountVec) with one join, the hash join
-//     (merge and index-NL joins run on it; sorts compile to nothing),
-//     grace-hash spilling under a per-query budget, and exact per-operator
-//     cardinality feedback. Invariant: an operator's schema is the set of
-//     columns read at or above it (aggregation inputs, predicates not yet
-//     applied), so a column dies after its last reader; a query without an
-//     aggregation returns every column and is all-live. Where that leaves a
+//     (every join compiles through its one path; sorts compile to nothing),
+//     grace-hash spilling under a per-query budget, and exact cardinality
+//     feedback from every scan and join. Invariant: an operator's schema is
+//     the set of columns read at or above it (aggregation inputs, predicates
+//     not yet applied), so a column dies after its last reader; a query without
+//     an aggregation returns every column and is all-live. Where that leaves a
 //     join's build side dead — no build column read above it, no residual on
 //     one — and the join feeds the aggregation (directly, or through more
 //     such joins on its probe side), the join counts instead of enumerating:
