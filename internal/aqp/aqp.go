@@ -82,8 +82,7 @@ type Controller struct {
 	root  exec.VecIterator
 	stats *exec.RunStats
 
-	cal     *Calibrator               // observation → factor calibration
-	pending map[relalg.RelSet]float64 // staged factors for the next reopt
+	cal *Calibrator // observation → factor calibration
 }
 
 // NewController builds the controller. The cost model snapshots the
@@ -100,8 +99,7 @@ func NewController(cfg Config) (*Controller, error) {
 	}
 	c := &Controller{
 		cfg: cfg, model: m, first: true,
-		cal:     NewCalibrator(cfg.Cumulative, 0),
-		pending: map[relalg.RelSet]float64{},
+		cal: NewCalibrator(cfg.Cumulative, 0),
 	}
 	if cfg.Strategy == Incremental {
 		opt, err := core.New(m, cfg.Space, cfg.Pruning)
@@ -139,9 +137,6 @@ func (c *Controller) RunSlice(_ func(rel int) [][]int64) (SliceResult, error) {
 	case Static:
 		plan = c.cfg.StaticPlan
 	case Incremental:
-		for s, f := range c.pending {
-			c.opt.UpdateCardFactor(s, f)
-		}
 		if c.first {
 			plan, err = c.opt.Optimize()
 		} else {
@@ -151,9 +146,6 @@ func (c *Controller) RunSlice(_ func(rel int) [][]int64) (SliceResult, error) {
 			res.Touched = c.opt.Metrics().TouchedEntries
 		}
 	case FullReopt:
-		for s, f := range c.pending {
-			c.model.SetCardFactor(s, f)
-		}
 		// A complete fresh optimization over the same model: all
 		// state rebuilt from scratch, as a non-incremental
 		// re-optimizer must.
@@ -167,7 +159,6 @@ func (c *Controller) RunSlice(_ func(rel int) [][]int64) (SliceResult, error) {
 	if err != nil {
 		return res, err
 	}
-	clearMap(c.pending)
 	res.Reopt = time.Since(start)
 	res.Plan = plan
 	res.BestCost = plan.Cost
@@ -200,23 +191,19 @@ func (c *Controller) RunSlice(_ func(rel int) [][]int64) (SliceResult, error) {
 	return res, nil
 }
 
-// observe converts the executed plan's actual cardinalities into staged
-// feedback factors for the next split point, delegating the calibration
-// math to the shared Calibrator (see calibrate.go). The pending map
-// re-submits each changed factor at the next RunSlice, which stages the
-// delta with the incremental optimizer (the model mutation itself is
-// idempotent).
+// observe is the adaptive loop's feedback half, the same as the server's
+// planEntry.feedback: the shared Calibrator (see calibrate.go) turns the
+// executed plan's actual cardinalities into factors and installs them in the
+// model, and the incremental strategy stages each one with its optimizer at
+// once, for the next RunSlice's Reoptimize to repair. FullReopt needs nothing
+// more: its next optimization starts from the model.
 func (c *Controller) observe(stats *exec.RunStats) {
 	if c.cfg.Strategy == Static {
 		return
 	}
 	for set, f := range c.cal.Observe(stats.Snapshot(), c.model) {
-		c.pending[set] = f
-	}
-}
-
-func clearMap(m map[relalg.RelSet]float64) {
-	for k := range m {
-		delete(m, k)
+		if c.opt != nil {
+			c.opt.UpdateCardFactor(set, f)
+		}
 	}
 }

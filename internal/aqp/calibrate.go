@@ -11,11 +11,12 @@ import (
 
 // Calibrator converts observed per-expression cardinalities into calibrated
 // cost-model feedback factors (§5.2.2: "re-optimized given the cumulatively
-// observed statistics"). It is the feedback half of the adaptive loop,
-// factored out so that the split-point Controller and the serving layer's
-// shared plan cache (internal/server) derive factors identically: the server
-// is the same loop, driven by prepared-statement executions instead of
-// stream slices.
+// observed statistics"). It is the feedback half of the adaptive loop and
+// its one implementation, with three users that derive factors identically
+// and stage exactly the factors Observe returns: the split-point Controller,
+// the serving layer's shared plan cache (internal/server, the same loop
+// driven by prepared-statement executions instead of stream slices), and
+// Figure 6 of internal/bench (Q5 re-optimized from executed partitions).
 //
 // Observation state lives in an fbstore.StatsStore rather than in the
 // calibrator itself, keyed by a canonical subexpression fingerprint so the

@@ -52,14 +52,7 @@ func (e *Env) AblationPlanSpace() *Table {
 		{"hash-only", relalg.SpaceOptions{HashJoin: true, SortEnforcer: true}},
 	}
 	for _, v := range variants {
-		o, err := core.New(e.Model(q), v.space, core.PruneNone)
-		if err != nil {
-			panic(err)
-		}
-		plan, err := o.Optimize()
-		if err != nil {
-			panic(err)
-		}
+		o, plan := e.optimize(e.Model(q), v.space, core.PruneNone)
 		m := o.Metrics()
 		t.Rows = append(t.Rows, []string{v.name, f3(plan.Cost),
 			itoa(m.GroupsEnumerated), itoa(m.AltsEnumerated)})

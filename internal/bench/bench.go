@@ -1,7 +1,8 @@
 // Package bench is the experiment harness: one runner per table and figure
 // of the paper's evaluation (§5), each emitting the same rows/series the
-// paper reports, as plain text tables. cmd/reprobench drives it and
-// bench_test.go wraps each runner in a testing.B benchmark.
+// paper reports, as plain text tables. cmd/reprobench drives it. Of the
+// root package's testing.B benchmarks (bench_test.go) only Figure 6's wraps
+// its runner; the others re-implement their figure's measured kernel.
 package bench
 
 import (

@@ -78,10 +78,32 @@ func TestFigure5Shape(t *testing.T) {
 	}
 }
 
-func TestFigure6Runs(t *testing.T) {
-	tables := smokeEnv().Figure6(4, 0.5)
-	if len(tables) != 3 || len(tables[0].Rows) != 3 {
-		t.Fatalf("Figure6 shape wrong: %d tables", len(tables))
+// TestFigure6Converges holds Figure 6 to its claim: feedback from executed
+// partitions re-optimizes Q5 and then converges. In both update-ratio tables
+// round 1 updates something, no later round updates more than round 1, and
+// rounds 5-7 update nothing.
+func TestFigure6Converges(t *testing.T) {
+	tables := smokeEnv().Figure6(8, 0.5)
+	if len(tables) != 3 {
+		t.Fatalf("Figure6 returned %d tables", len(tables))
+	}
+	for _, tb := range tables[1:] {
+		if len(tb.Rows) != 7 {
+			t.Fatalf("%s: %d rounds, want 7", tb.Title, len(tb.Rows))
+		}
+		first := parseRatio(t, tb.Rows[0][1])
+		if first == 0 {
+			t.Errorf("%s: round 1 updated nothing", tb.Title)
+		}
+		for i, row := range tb.Rows[1:] {
+			v := parseRatio(t, row[1])
+			if v > first {
+				t.Errorf("%s: round %s updated %v, more than round 1's %v", tb.Title, row[0], v, first)
+			}
+			if round := i + 2; round >= 5 && v != 0 {
+				t.Errorf("%s: round %s updated %v after convergence", tb.Title, row[0], v)
+			}
+		}
 	}
 }
 

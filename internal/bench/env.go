@@ -59,16 +59,24 @@ func (e *Env) Census(q *relalg.Query) (groups, alts int) {
 	if c, ok := e.census[q.Name]; ok {
 		return c.groups, c.alts
 	}
-	o, err := core.New(e.Model(q), e.Space, core.PruneNone)
-	if err != nil {
-		panic(err)
-	}
-	if _, err := o.Optimize(); err != nil {
-		panic(fmt.Sprintf("bench: census of %s: %v", q.Name, err))
-	}
+	o, _ := e.optimize(e.Model(q), e.Space, core.PruneNone)
 	m := o.Metrics()
 	e.census[q.Name] = census{m.GroupsEnumerated, m.AltsEnumerated}
 	return m.GroupsEnumerated, m.AltsEnumerated
+}
+
+// optimize builds the declarative optimizer over m in space under the
+// pruning mode and runs its initial optimization.
+func (e *Env) optimize(m *cost.Model, space relalg.SpaceOptions, mode core.Pruning) (*core.Optimizer, *relalg.Plan) {
+	o, err := core.New(m, space, mode)
+	if err != nil {
+		panic(fmt.Sprintf("bench: %v", err))
+	}
+	plan, err := o.Optimize()
+	if err != nil {
+		panic(fmt.Sprintf("bench: optimize: %v", err))
+	}
+	return o, plan
 }
 
 // timeOnce measures a single, non-repeatable operation.

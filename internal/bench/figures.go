@@ -2,7 +2,9 @@ package bench
 
 import (
 	"fmt"
+	"time"
 
+	"repro/internal/aqp"
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/relalg"
@@ -36,13 +38,7 @@ func (e *Env) Figure4() []*Table {
 
 		run := func(mode core.Pruning) (liveG, liveA int, norm float64) {
 			d := e.timeIt(func() {
-				o, err := core.New(e.Model(q), e.Space, mode)
-				if err != nil {
-					panic(err)
-				}
-				if _, err := o.Optimize(); err != nil {
-					panic(err)
-				}
+				o, _ := e.optimize(e.Model(q), e.Space, mode)
 				liveG, liveA = o.LiveState()
 			})
 			return liveG, liveA, float64(d) / float64(volT)
@@ -90,14 +86,7 @@ func (e *Env) Figure5() []*Table {
 	tb := &Table{Title: "Figure 5(b): update ratio, plan table entries", Header: header}
 	tc := &Table{Title: "Figure 5(c): update ratio, plan alternatives", Header: header}
 
-	m := e.Model(q)
-	o, err := core.New(m, e.Space, core.PruneAll)
-	if err != nil {
-		panic(err)
-	}
-	if _, err := o.Optimize(); err != nil {
-		panic(err)
-	}
+	o, _ := e.optimize(e.Model(q), e.Space, core.PruneAll)
 	volT := e.volcanoTime(e.Model(q))
 
 	for _, r := range Figure5Ratios {
@@ -105,7 +94,7 @@ func (e *Env) Figure5() []*Table {
 		rowB := []string{fmt.Sprintf("%g", r)}
 		rowC := []string{fmt.Sprintf("%g", r)}
 		for _, ex := range exprs {
-			var reoptT float64
+			var reoptT time.Duration
 			var met core.Metrics
 			// Alternate the factor with its reset so every timed
 			// Reoptimize call propagates a real delta; keep the
@@ -113,7 +102,7 @@ func (e *Env) Figure5() []*Table {
 			// across runs.
 			for rep := 0; rep < e.Repeats; rep++ {
 				o.UpdateCardFactor(ex.Set, r)
-				d := e.once(func() {
+				d := e.timeOnce(func() {
 					if _, err := o.Reoptimize(); err != nil {
 						panic(err)
 					}
@@ -127,7 +116,7 @@ func (e *Env) Figure5() []*Table {
 					reoptT = d
 				}
 			}
-			rowA = append(rowA, fmt.Sprintf("%.4f", reoptT/float64(volT)))
+			rowA = append(rowA, fmt.Sprintf("%.4f", float64(reoptT)/float64(volT)))
 			rowB = append(rowB, f3(ratio(met.TouchedGroups, cg)))
 			rowC = append(rowC, f3(ratio(met.TouchedEntries, ca)))
 		}
@@ -142,20 +131,18 @@ func (e *Env) Figure5() []*Table {
 
 // Figure6 reproduces Figure 6: re-optimization of Q5 driven by ACTUAL
 // execution feedback over partitions of skewed data — per-round re-opt time
-// (normalized to Volcano) and update ratios.
+// (normalized to Volcano) and update ratios. Each round feeds back the way
+// the server and the stream controller do: aqp.Calibrator.Observe folds the
+// executed plan's cardinalities into cumulative averages per observed set,
+// calibrates each factor against the corrections its subsets already carry,
+// and returns only the factors that left a 2x band around the one applied
+// (threshold 1 in ratio space); each is staged with UpdateCardFactor.
 func (e *Env) Figure6(partitions int, skew float64) []*Table {
 	q := tpch.Q5()
 	cg, ca := e.Census(q)
 
 	m := e.Model(q) // uniform statistics, as the paper optimizes partition 0
-	o, err := core.New(m, e.Space, core.PruneAll)
-	if err != nil {
-		panic(err)
-	}
-	plan, err := o.Optimize()
-	if err != nil {
-		panic(err)
-	}
+	o, plan := e.optimize(m, e.Space, core.PruneAll)
 	volT := e.volcanoTime(e.Model(q))
 
 	ta := &Table{Title: "Figure 6(a): Q5 re-optimization time from real execution feedback (normalized to Volcano)",
@@ -165,10 +152,7 @@ func (e *Env) Figure6(partitions int, skew float64) []*Table {
 	tc := &Table{Title: "Figure 6(c): update ratio, plan alternatives",
 		Header: []string{"round", "ratio"}}
 
-	// Cumulative observed cardinalities across partitions.
-	cum := map[relalg.RelSet]float64{}
-	applied := map[relalg.RelSet]float64{}
-	n := 0.0
+	cal := aqp.NewCalibrator(true, 1)
 	lastSig := plan.Signature()
 	for round := 1; round < partitions; round++ {
 		// Each partition is an independently generated skewed catalog
@@ -188,28 +172,10 @@ func (e *Env) Figure6(partitions int, skew float64) []*Table {
 		if _, err := exec.CountVec(v); err != nil {
 			panic(err)
 		}
-		n++
-		for set, c := range stats.Cards {
-			cum[set] += float64(*c)
+		for set, f := range cal.Observe(stats.Snapshot(), m) {
+			o.UpdateCardFactor(set, f)
 		}
-		for set, sum := range cum {
-			obs := sum / n
-			if obs < 0.5 {
-				obs = 0.5
-			}
-			factor := obs / m.CardBase(set)
-			// Quantized feedback: skip statistically unchanged
-			// factors (within 2x of what the optimizer already
-			// believes — the cost model's decisions are stable
-			// well beyond that band), as the AQP layer does.
-			prev := applied[set]
-			if prev != 0 && factor > 0.5*prev && factor < 2*prev {
-				continue
-			}
-			applied[set] = factor
-			o.UpdateCardFactor(set, factor)
-		}
-		d := e.once(func() {
+		d := e.timeOnce(func() {
 			plan, err = o.Reoptimize()
 			if err != nil {
 				panic(err)
@@ -219,8 +185,8 @@ func (e *Env) Figure6(partitions int, skew float64) []*Table {
 		changed := plan.Signature() != lastSig
 		lastSig = plan.Signature()
 		ta.Rows = append(ta.Rows, []string{fmt.Sprint(round),
-			fmt.Sprintf("%.4f", d/float64(volT)),
-			fmt.Sprintf("%.3fms", d/1e6),
+			fmt.Sprintf("%.4f", float64(d)/float64(volT)),
+			ms(d),
 			fmt.Sprint(changed)})
 		tb.Rows = append(tb.Rows, []string{fmt.Sprint(round), f3(ratio(met.TouchedGroups, cg))})
 		tc.Rows = append(tc.Rows, []string{fmt.Sprint(round), f3(ratio(met.TouchedEntries, ca))})
@@ -261,13 +227,7 @@ func (e *Env) Figure7() []*Table {
 		for _, cfg := range configs {
 			var liveG, liveA int
 			d := e.timeIt(func() {
-				o, err := core.New(e.Model(q), e.Space, cfg)
-				if err != nil {
-					panic(err)
-				}
-				if _, err := o.Optimize(); err != nil {
-					panic(err)
-				}
+				o, _ := e.optimize(e.Model(q), e.Space, cfg)
 				liveG, liveA = o.LiveState()
 			})
 			rowA = append(rowA, f2(float64(d)/float64(volT)))
@@ -304,23 +264,16 @@ func (e *Env) Figure8() []*Table {
 		rowB := []string{fmt.Sprintf("%g", r)}
 		rowC := []string{fmt.Sprintf("%g", r)}
 		for _, cfg := range configs {
-			m := e.Model(q)
-			o, err := core.New(m, e.Space, cfg)
-			if err != nil {
-				panic(err)
-			}
-			if _, err := o.Optimize(); err != nil {
-				panic(err)
-			}
+			o, _ := e.optimize(e.Model(q), e.Space, cfg)
 			before := o.Metrics()
 			o.UpdateScanCostFactor(tpch.Q5Orders, r)
-			d := e.once(func() {
+			d := e.timeOnce(func() {
 				if _, err := o.Reoptimize(); err != nil {
 					panic(err)
 				}
 			})
 			after := o.Metrics()
-			rowA = append(rowA, fmt.Sprintf("%.4f", d/float64(volT)))
+			rowA = append(rowA, fmt.Sprintf("%.4f", float64(d)/float64(volT)))
 			flippedGroups := int(after.GroupKills - before.GroupKills + after.GroupRevives - before.GroupRevives)
 			flippedAlts := int(after.Suppressions - before.Suppressions + after.Revivals - before.Revivals)
 			rowB = append(rowB, f3(ratio(flippedGroups, cg)))
@@ -344,19 +297,8 @@ func (e *Env) SmallQueries() *Table {
 		m := e.Model(q)
 		volT := e.volcanoTime(m)
 		sysT := e.timeIt(func() { systemr.Optimize(m, e.Space) })
-		declT := e.timeIt(func() {
-			o, _ := core.New(e.Model(q), e.Space, core.PruneAll)
-			if _, err := o.Optimize(); err != nil {
-				panic(err)
-			}
-		})
+		declT := e.timeIt(func() { e.optimize(e.Model(q), e.Space, core.PruneAll) })
 		t.Rows = append(t.Rows, []string{q.Name, ms(volT), ms(sysT), ms(declT)})
 	}
 	return t
-}
-
-// once measures a single non-repeatable operation in nanoseconds.
-func (e *Env) once(fn func()) float64 {
-	d := e.timeOnce(fn)
-	return float64(d)
 }

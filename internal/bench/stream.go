@@ -12,8 +12,8 @@ import (
 
 // streamRun drives one AQP controller over its own deterministic copy of
 // the Linear Road stream (the generator is seeded, so every controller sees
-// the identical stream), returning the per-slice results.
-func (e *Env) streamRun(cfg aqp.Config, seed uint64, cars int, slices int, sliceSeconds int64) []aqp.SliceResult {
+// the identical stream), returning the per-slice results and the controller.
+func (e *Env) streamRun(cfg aqp.Config, seed uint64, cars int, slices int, sliceSeconds int64) ([]aqp.SliceResult, *aqp.Controller) {
 	gen := linearroad.NewGen(seed, cars)
 	win := linearroad.NewWindows()
 	cfg.Query = linearroad.SegTollS()
@@ -38,7 +38,7 @@ func (e *Env) streamRun(cfg aqp.Config, seed uint64, cars int, slices int, slice
 		}
 		out = append(out, res)
 	}
-	return out
+	return out, ctl
 }
 
 // goodAndBadPlans derives the Figure 10 static baselines: the "good single
@@ -46,38 +46,13 @@ func (e *Env) streamRun(cfg aqp.Config, seed uint64, cars int, slices int, slice
 // whole stream (complete information), and the "bad plan" follows the most
 // expensive alternative at every group under the same converged knowledge.
 func (e *Env) goodAndBadPlans(seed uint64, cars int, slices int, sliceSeconds int64) (good, bad *relalg.Plan) {
-	gen := linearroad.NewGen(seed, cars)
-	win := linearroad.NewWindows()
-	q := linearroad.SegTollS()
-	ctl, err := aqp.NewController(aqp.Config{
-		Query: q, Cat: win.Catalog(), Params: e.Params, Space: e.Space,
-		Pruning: core.PruneAll, Strategy: aqp.Incremental, Cumulative: true,
-	})
-	if err != nil {
-		panic(err)
-	}
-	var last aqp.SliceResult
-	for s := 0; s < slices; s++ {
-		from := int64(s) * sliceSeconds
-		win.Ingest(gen.Slice(from, from+sliceSeconds))
-		win.Materialize()
-		last, err = ctl.RunSlice(nil)
-		if err != nil {
-			panic(err)
-		}
-	}
-	good = last.Plan
+	res, ctl := e.streamRun(aqp.Config{Strategy: aqp.Incremental, Cumulative: true}, seed, cars, slices, sliceSeconds)
+	good = res[len(res)-1].Plan
 
 	// Census over the converged model yields every alternative costed;
 	// WorstPlan descends the most expensive ones.
-	census, err := core.New(ctl.Model(), e.Space, core.PruneNone)
-	if err != nil {
-		panic(err)
-	}
-	if _, err := census.Optimize(); err != nil {
-		panic(err)
-	}
-	bad, err = census.WorstPlan()
+	census, _ := e.optimize(ctl.Model(), e.Space, core.PruneNone)
+	bad, err := census.WorstPlan()
 	if err != nil {
 		panic(err)
 	}
@@ -94,8 +69,8 @@ func (e *Env) Figure9(slices int) *Table {
 		secs  = 1
 		every = 10 // print every k-th slice to keep the table readable
 	)
-	inc := e.streamRun(aqp.Config{Strategy: aqp.Incremental, Cumulative: true}, seed, cars, slices, secs)
-	full := e.streamRun(aqp.Config{Strategy: aqp.FullReopt, Cumulative: true}, seed, cars, slices, secs)
+	inc, _ := e.streamRun(aqp.Config{Strategy: aqp.Incremental, Cumulative: true}, seed, cars, slices, secs)
+	full, _ := e.streamRun(aqp.Config{Strategy: aqp.FullReopt, Cumulative: true}, seed, cars, slices, secs)
 
 	t := &Table{Title: "Figure 9: AQP re-optimization time per slice (SegTollS, Linear Road)",
 		Header: []string{"slice", "non-incremental", "incremental", "inc-touched-entries"}}
@@ -139,7 +114,7 @@ func (e *Env) Figure10(slices int) *Table {
 	}
 	series := make([][]aqp.SliceResult, len(runs))
 	for i, r := range runs {
-		series[i] = e.streamRun(r.cfg, seed, cars, slices, secs)
+		series[i], _ = e.streamRun(r.cfg, seed, cars, slices, secs)
 	}
 
 	t := &Table{Title: "Figure 10: AQP cumulative execution time (ms, log-scale in the paper)",
@@ -173,7 +148,7 @@ func (e *Env) Table3() *Table {
 		Header: []string{"per-slice", "re-opt time", "exec time", "total"}}
 	for _, secs := range []int64{1, 5, 10} {
 		slices := int(total / secs)
-		res := e.streamRun(aqp.Config{Strategy: aqp.Incremental, Cumulative: false}, seed, cars, slices, secs)
+		res, _ := e.streamRun(aqp.Config{Strategy: aqp.Incremental, Cumulative: false}, seed, cars, slices, secs)
 		var reopt, execT time.Duration
 		for _, r := range res {
 			reopt += r.Reopt

@@ -272,11 +272,6 @@ func CardDependsOn(e, s relalg.RelSet) bool { return s.IsSubset(e) }
 // all plans of one group agree on it — the paper's memoized summary.
 func (m *Model) Card(s relalg.RelSet) float64 { return m.memo(s).card }
 
-// CardBase estimates the output cardinality of s ignoring every override —
-// the denominator the adaptive layer divides observed cardinalities by to
-// derive feedback factors.
-func (m *Model) CardBase(s relalg.RelSet) float64 { return math.Max(m.memo(s).base, 1e-6) }
-
 // memo returns s's slot in the cardinality memo, filling it on first use. s
 // must not be empty: every expression has a member.
 func (m *Model) memo(s relalg.RelSet) *cardSlot {

@@ -64,7 +64,7 @@ func TestCardFactorOverrides(t *testing.T) {
 		}
 	}
 	if !other.Empty() {
-		before := m.CardBase(other)
+		before := cardBase(m, other)
 		if got := m.Card(other); math.Abs(got-before) > 1e-9*before {
 			t.Fatalf("unrelated expression affected: %v vs %v", got, before)
 		}
@@ -84,7 +84,7 @@ func TestCardFactorOverrides(t *testing.T) {
 // TestCardMemoTracksOverrides checks the lifetime memo against the
 // definition: after any sequence of installs, updates and removals, a warm
 // model answers every expression bit-identically to a fresh model that was
-// handed the surviving overrides in another order, and CardBase never moves.
+// handed the surviving overrides in another order, and cardBase never moves.
 func TestCardMemoTracksOverrides(t *testing.T) {
 	m := testModel(t, 5, 5)
 	r := stats.NewRand(99)
@@ -96,7 +96,7 @@ func TestCardMemoTracksOverrides(t *testing.T) {
 	base := map[relalg.RelSet]float64{}
 	for _, s := range sets {
 		m.Card(s) // warm the memo before any override exists
-		base[s] = m.CardBase(s)
+		base[s] = cardBase(m, s)
 	}
 	live := map[relalg.RelSet]float64{}
 	factors := []float64{0.125, 0.5, 1, 3, 8}
@@ -121,8 +121,8 @@ func TestCardMemoTracksOverrides(t *testing.T) {
 			if got, want := m.Card(q), fresh.Card(q); got != want {
 				t.Fatalf("step %d: Card(%v) = %v on the warm model, %v on a fresh one", step, q, got, want)
 			}
-			if got := m.CardBase(q); got != base[q] {
-				t.Fatalf("step %d: CardBase(%v) moved: %v, was %v", step, q, got, base[q])
+			if got := cardBase(m, q); got != base[q] {
+				t.Fatalf("step %d: cardBase(%v) moved: %v, was %v", step, q, got, base[q])
 			}
 		}
 	}
@@ -229,7 +229,10 @@ func TestModelRejectsUnknownTable(t *testing.T) {
 	}
 }
 
-// productCard is Card and CardBase computed from scratch: the product over
+// cardBase is s's estimate ignoring every override, as the memo holds it.
+func cardBase(m *Model, s relalg.RelSet) float64 { return math.Max(m.memo(s).base, 1e-6) }
+
+// productCard is Card and cardBase computed from scratch: the product over
 // s's members, joins and filters, times every override in over whose set s
 // contains, applied in ascending set order as the model applies them.
 func productCard(m *Model, over map[relalg.RelSet]float64, s relalg.RelSet) (card, base float64) {
@@ -261,7 +264,7 @@ func productCard(m *Model, over map[relalg.RelSet]float64, s relalg.RelSet) (car
 
 // TestCardMemoMatchesProduct runs random SetCardFactor sequences — factor 1
 // (removal), repeated sets and factors — on a 12-relation query with
-// residual filters, asking Card and CardBase of ever more sets between steps
+// residual filters, asking Card and cardBase of ever more sets between steps
 // so that the memo rehashes several times with overrides installed, and
 // requires every answer to equal the from-scratch product.
 func TestCardMemoMatchesProduct(t *testing.T) {
@@ -288,8 +291,8 @@ func TestCardMemoMatchesProduct(t *testing.T) {
 			if got := m.Card(s); got != card {
 				t.Fatalf("step %d: Card(%v) = %v, the product is %v", step, s, got, card)
 			}
-			if got := m.CardBase(s); got != base {
-				t.Fatalf("step %d: CardBase(%v) = %v, the product is %v", step, s, got, base)
+			if got := cardBase(m, s); got != base {
+				t.Fatalf("step %d: cardBase(%v) = %v, the product is %v", step, s, got, base)
 			}
 		}
 	}

@@ -26,15 +26,22 @@
 #              exported, lines;
 #   paper      paper.<table>.<row>.<column>.{parent,change}: every cell of
 #              the paper's deterministic tables as each side's
-#              cmd/reprobench prints them (-fig 4, 5, 6, 7 and 8, -repeats
-#              1): Figure 4(b) and 4(c), the pruning ratios, 5(b) and 5(c),
-#              the update ratios, 6(b) and 6(c), the update ratios of Q5
-#              re-optimized from its executed plans' real cardinalities,
-#              7(b) and 7(c), the pruning ratios per pruning config, and 8(b)
-#              and 8(c), the pruning during re-optimization over the Orders
-#              scan-cost sweep, e.g. paper.fig4b.Q5.declarative,
-#              paper.fig6b.3.ratio or paper.fig8b.2.all. The timed tables
-#              4(a), 5(a), 6(a), 7(a) and 8(a) are left out.
+#              cmd/reprobench prints them (-fig 4, 5, 6, 7, 8, 9 and
+#              ablation, -repeats 1): Figure 4(b) and 4(c), the pruning
+#              ratios, 5(b) and 5(c), the update ratios, 6(b) and 6(c), the
+#              update ratios of Q5 re-optimized from its executed plans' real
+#              cardinalities through aqp.Calibrator, 7(b) and 7(c), the
+#              pruning ratios per pruning config, 8(b) and 8(c), the pruning
+#              during re-optimization over the Orders scan-cost sweep,
+#              Figure 9's entries the incremental stream controller touches
+#              per printed slice (fig9.<slice>.inc-touched-entries), and the
+#              two ablations' counts (ablation_order.<query>.{census-alts,
+#              depth-first,breadth-first} and ablation_space.<space>.
+#              {best-cost,census-groups,census-alts}), e.g.
+#              paper.fig4b.Q5.declarative, paper.fig6b.3.ratio or
+#              paper.fig9.10.inc-touched-entries. The timed tables 4(a),
+#              5(a), 6(a), 7(a) and 8(a) and Figure 9's two timed columns are
+#              left out.
 #
 # TestBenchRecordNamesEveryMetric checks that the newest BENCH_*.json names
 # every end-to-end metric of every workload and carries both sides' layers
@@ -101,19 +108,27 @@ done
 code "$work/parent/ratchet_test.go" >"$work/code.parent.json"
 code ratchet_test.go >"$work/code.change.json"
 
-# paper <dir> <side>: the cells of Figures 4(b), 4(c), 5(b), 5(c), 6(b),
-# 6(c), 7(b), 7(c), 8(b) and 8(c) as
+# paper <dir> <side>: the deterministic cells of Figures 4(b), 4(c), 5(b),
+# 5(c), 6(b), 6(c), 7(b), 7(c), 8(b), 8(c) and 9 and of the two ablations as
 # {"fig4b": {"Q5": {"declarative": 0.9, ...}, ...}, ...}. A table runs from
-# its "== Figure" title over a header and a rule to a blank or note line.
+# its "== " title over a header and a rule to a blank or note line; of
+# Figure 9 only the inc-touched-entries column is kept.
 paper() {
 	(cd "$1" && go build -o "$work/reprobench.$2" ./cmd/reprobench)
-	for f in 4 5 6 7 8; do "$work/reprobench.$2" -fig "$f" -repeats 1; done | awk '
-		/^== Figure [45678]\([bc]\)/ { t = "fig" substr($3, 1, 1) substr($3, 3, 1); hdr = 2; next }
-		/^== / || NF == 0 || $1 == "note:" { t = ""; next }
+	for f in 4 5 6 7 8 9 ablation; do "$work/reprobench.$2" -fig "$f" -repeats 1; done | awk '
+		/^== / {
+			t = ""; keep = ""; hdr = 2
+			if ($0 ~ /^== Figure [45678]\([bc]\)/) t = "fig" substr($3, 1, 1) substr($3, 3, 1)
+			else if ($0 ~ /^== Figure 9:/) { t = "fig9"; keep = "inc-touched-entries" }
+			else if ($0 ~ /^== Ablation: expansion order/) t = "ablation_order"
+			else if ($0 ~ /^== Ablation: plan-space/) t = "ablation_space"
+			next
+		}
+		NF == 0 || $1 == "note:" { t = ""; next }
 		t == "" { next }
 		hdr == 2 { split($0, cols); hdr = 1; next }
 		hdr == 1 { hdr = 0; next }
-		{ for (i = 2; i <= NF; i++) print t, $1, cols[i], $i }' |
+		{ for (i = 2; i <= NF; i++) if (keep == "" || cols[i] == keep) print t, $1, cols[i], $i }' |
 		jq -R -s 'split("\n") | map(select(length > 0) | split(" "))
 			| reduce .[] as $f ({}; setpath($f[0:3]; $f[3] | tonumber))'
 }

@@ -17,7 +17,9 @@
 #   - optcli under each -arch, and once with -graph -table -reopt -analyze;
 #   - CI's must-run differentials, among them the optimizer contract
 #     (TestIncrementalEqualsScratch and its neighbours, TestOracleMatchesCore)
-#     and the served-space check (TestServedSpaceMatchesFullOnNamedQueries).
+#     and the served-space check (TestServedSpaceMatchesFullOnNamedQueries)
+#     and the one feedback loop (TestIncrementalMatchesFullReopt and its
+#     neighbours, TestFigure6Converges).
 #
 # An unreached function may stay only if its doc comment has a line
 # "// Reached by: ..." naming who needs it: a paper figure, an oracle, an
@@ -135,6 +137,8 @@ differential ./internal/server/ '^(TestCloneLeafGuardOnDiskStore|TestStorageRest
 differential ./internal/linearroad/ '^TestWindowsMatchRowOracle$'
 differential ./internal/core/ '^(TestIncrementalEqualsScratch|TestCloneEqualsOriginal|TestRepairCounterTrajectory|TestReoptimizeSteadyStateAllocs|TestBreadthFirstAgrees|TestRankQueueMatchesReference|TestServedSpaceMatchesFullOnNamedQueries)$'
 differential ./internal/deltalog/ '^TestOracleMatchesCore$'
+differential ./internal/aqp/ '^(TestIncrementalMatchesFullReopt|TestFeedbackConvergesToZeroTouched|TestFeedbackCalibration)$'
+differential ./internal/bench/ '^TestFigure6Converges$'
 differential ./internal/cost/ '^TestCardMemoMatchesProduct$'
 differential ./internal/relalg/ '^TestSplitMatchesReference$'
 

@@ -18,7 +18,8 @@ import (
 // apart with both sides' values — the ratchet's code.* counts of both
 // sides, and the paper's deterministic table cells (paper.<table>.<row>.
 // <column>) of both sides, for every table bench.sh records: Figures 4(b),
-// 4(c), 5(b), 5(c), 6(b), 6(c), 7(b), 7(c), 8(b) and 8(c). It sets no
+// 4(c), 5(b), 5(c), 6(b), 6(c), 7(b), 7(c), 8(b), 8(c) and 9 and the two
+// ablations (ablation_order, ablation_space). It sets no
 // thresholds: the host drifts, and the record is what a change's numbers are
 // compared with.
 func TestBenchRecordNamesEveryMetric(t *testing.T) {
@@ -127,7 +128,7 @@ func TestBenchRecordNamesEveryMetric(t *testing.T) {
 			t.Errorf("%s: code count %q has no change side", newest, key)
 		}
 	}
-	for _, table := range []string{"fig4b", "fig4c", "fig5b", "fig5c", "fig6b", "fig6c", "fig7b", "fig7c", "fig8b", "fig8c"} {
+	for _, table := range []string{"fig4b", "fig4c", "fig5b", "fig5c", "fig6b", "fig6c", "fig7b", "fig7c", "fig8b", "fig8c", "fig9", "ablation_order", "ablation_space"} {
 		if len(rec.Paper[table]) == 0 {
 			t.Errorf("%s: no paper.%s cells", newest, table)
 		}
