@@ -201,22 +201,22 @@ func BenchmarkFig8ScanCostReopt(b *testing.B) {
 	}
 }
 
-// streamBench drives an AQP controller over the Linear Road stream — the
-// kernel of Figures 9/10 and Table 3.
-func streamBench(b *testing.B, strategy aqp.Strategy, cumulative bool, slices int) {
+// streamBench drives an AQP controller configured by cfg over the first
+// 20 s of the Linear Road stream in slices of secs seconds — the kernel of
+// Figures 9/10 and Table 3. It sets cfg's query, catalog, cost parameters,
+// space and pruning; the parameters once, outside the timed loop.
+func streamBench(b *testing.B, cfg aqp.Config, secs int64) {
+	cfg.Query, cfg.Params, cfg.Space, cfg.Pruning = linearroad.SegTollS(), cost.DefaultParams(), relalg.DefaultSpace(), core.PruneAll
 	for i := 0; i < b.N; i++ {
 		gen := linearroad.NewGen(7, 100)
 		win := linearroad.NewWindows()
-		ctl, err := aqp.NewController(aqp.Config{
-			Query: linearroad.SegTollS(), Cat: win.Catalog(),
-			Params: benchEnv().Params, Space: relalg.DefaultSpace(),
-			Pruning: core.PruneAll, Strategy: strategy, Cumulative: cumulative,
-		})
+		cfg.Cat = win.Catalog()
+		ctl, err := aqp.NewController(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		for s := 0; s < slices; s++ {
-			win.Ingest(gen.Slice(int64(s), int64(s+1)))
+		for from := int64(0); from < 20; from += secs {
+			win.Ingest(gen.Slice(from, from+secs))
 			win.Materialize()
 			if _, err := ctl.RunSlice(nil); err != nil {
 				b.Fatal(err)
@@ -228,44 +228,23 @@ func streamBench(b *testing.B, strategy aqp.Strategy, cumulative bool, slices in
 // BenchmarkFig9AQPReopt compares incremental and from-scratch
 // re-optimization inside the adaptive loop (Figure 9).
 func BenchmarkFig9AQPReopt(b *testing.B) {
-	b.Run("incremental", func(b *testing.B) { streamBench(b, aqp.Incremental, true, 20) })
-	b.Run("non-incremental", func(b *testing.B) { streamBench(b, aqp.FullReopt, true, 20) })
+	b.Run("incremental", func(b *testing.B) { streamBench(b, aqp.Config{Strategy: aqp.Incremental, Cumulative: true}, 1) })
+	b.Run("non-incremental", func(b *testing.B) { streamBench(b, aqp.Config{Strategy: aqp.FullReopt, Cumulative: true}, 1) })
 }
 
 // BenchmarkFig10AQPExecution measures the adaptive execution loop with
 // cumulative vs non-cumulative statistics (Figure 10).
 func BenchmarkFig10AQPExecution(b *testing.B) {
-	b.Run("cumulative", func(b *testing.B) { streamBench(b, aqp.Incremental, true, 20) })
-	b.Run("non-cumulative", func(b *testing.B) { streamBench(b, aqp.Incremental, false, 20) })
+	b.Run("cumulative", func(b *testing.B) { streamBench(b, aqp.Config{Strategy: aqp.Incremental, Cumulative: true}, 1) })
+	b.Run("non-cumulative", func(b *testing.B) { streamBench(b, aqp.Config{Strategy: aqp.Incremental}, 1) })
 }
 
 // BenchmarkTable3SliceSizes measures the adaptation-frequency trade-off
-// (Table 3) at 1 s and 5 s slices over a fixed-length stream.
+// (Table 3) at 1 s, 5 s and 10 s slices over a fixed-length stream.
 func BenchmarkTable3SliceSizes(b *testing.B) {
-	run := func(b *testing.B, secs int64) {
-		for i := 0; i < b.N; i++ {
-			gen := linearroad.NewGen(7, 100)
-			win := linearroad.NewWindows()
-			ctl, err := aqp.NewController(aqp.Config{
-				Query: linearroad.SegTollS(), Cat: win.Catalog(),
-				Params: benchEnv().Params, Space: relalg.DefaultSpace(),
-				Pruning: core.PruneAll, Strategy: aqp.Incremental,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			for from := int64(0); from < 20; from += secs {
-				win.Ingest(gen.Slice(from, from+secs))
-				win.Materialize()
-				if _, err := ctl.RunSlice(nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
+	for _, secs := range []int64{1, 5, 10} {
+		b.Run(fmt.Sprintf("slice-%ds", secs), func(b *testing.B) { streamBench(b, aqp.Config{Strategy: aqp.Incremental}, secs) })
 	}
-	b.Run("slice-1s", func(b *testing.B) { run(b, 1) })
-	b.Run("slice-5s", func(b *testing.B) { run(b, 5) })
-	b.Run("slice-10s", func(b *testing.B) { run(b, 10) })
 }
 
 // BenchmarkAblationSearchOrder compares depth-first vs breadth-first

@@ -25,11 +25,20 @@ func parseRatio(t *testing.T, s string) float64 {
 
 // TestFigure4Shape validates the qualitative claims of Figure 4 on a small
 // environment: Evita never prunes plan-table entries, the declarative
-// configuration prunes both axes, and all ratios are proper fractions.
+// configuration prunes both axes, and all ratios are proper fractions; the
+// census table's counts give the declarative ratios.
 func TestFigure4Shape(t *testing.T) {
 	tables := smokeEnv().Figure4()
-	if len(tables) != 3 {
+	if len(tables) != 4 {
 		t.Fatalf("Figure4 returned %d tables", len(tables))
+	}
+	for i, row := range tables[3].Rows {
+		for k, ratios := range tables[1:3] { // groups, then alternatives
+			census, live := parseRatio(t, row[1+k]), parseRatio(t, row[3+k])
+			if want := f2(1 - live/census); ratios.Rows[i][1] != want {
+				t.Fatalf("%s: census %v and live %v give %s, %q reads %s", row[0], census, live, want, ratios.Title, ratios.Rows[i][1])
+			}
+		}
 	}
 	groups := tables[1]
 	alts := tables[2]

@@ -26,12 +26,18 @@ import (
 // query's relation order, so a reordered self-join spelling may fingerprint
 // differently and merely forgo sharing. That conservatism costs a warm-up,
 // never a wrong estimate.
+//
+// The statement-level forms the serving layer finds its state by are
+// renderings of the same fingerprint, so one rule decides when two
+// statements are the same: Key, the plan-cache key, adds the relation
+// ordinals and the aggregation; Shape, the join graph a cache miss clones a
+// template of, renders over table names alone.
 
 // Fingerprinter derives canonical fingerprints for the subexpressions of one
-// query. It precomputes per-relation descriptors once and memoizes per-set
-// results, since the serving layer fingerprints the same few sets on every
-// execution. Not safe for concurrent use; callers serialize it with the
-// calibration state it feeds.
+// query, and its statement-level Key and Shape. It precomputes per-relation
+// descriptors once and memoizes per-set results, since the serving layer
+// fingerprints the same few sets on every execution. Not safe for concurrent
+// use; callers serialize it with the calibration state it feeds.
 type Fingerprinter struct {
 	q     *Query
 	desc  []string // canonical per-relation descriptor
@@ -87,6 +93,18 @@ func NewFingerprinter(q *Query) *Fingerprinter {
 	return f
 }
 
+// order returns the members of s sorted by their descriptors in desc, ties
+// by the minting query's relation order, and each member's position in that
+// order.
+func order(desc []string, s RelSet) (members []int, pos [64]int) {
+	members = s.Members()
+	slices.SortStableFunc(members, func(a, b int) int { return strings.Compare(desc[a], desc[b]) })
+	for p, rel := range members {
+		pos[rel] = p
+	}
+	return members, pos
+}
+
 // CanonicalMembers returns the member relations of s in the canonical order
 // Fingerprint renders them: by per-relation descriptor, ties by the minting
 // query's relation order. Because two fingerprint-equal subexpressions agree
@@ -94,8 +112,7 @@ func NewFingerprinter(q *Query) *Fingerprinter {
 // materialized result of s can be shared in across queries — provided the
 // order is not ambiguous (see AmbiguousOrder).
 func (f *Fingerprinter) CanonicalMembers(s RelSet) []int {
-	members := s.Members()
-	slices.SortStableFunc(members, func(a, b int) int { return strings.Compare(f.desc[a], f.desc[b]) })
+	members, _ := order(f.desc, s)
 	return members
 }
 
@@ -125,29 +142,29 @@ func (f *Fingerprinter) Fingerprint(s RelSet) string {
 	if fp, ok := f.cache[s]; ok {
 		return fp
 	}
-	var pos [64]int // canonical position by relation
-	members := f.CanonicalMembers(s)
+	fp := string(f.render(f.desc, s, true))
+	f.cache[s] = fp
+	return fp
+}
+
+// render renders s as Fingerprint describes over the per-relation
+// descriptors desc, each filter term with its "@<sel>" only when sel is set.
+// The result aliases f.out.
+func (f *Fingerprinter) render(desc []string, s RelSet, sel bool) []byte {
+	members, pos := order(desc, s)
 	b := append(f.out[:0], "T:"...)
 	for p, rel := range members {
-		pos[rel] = p
 		if p > 0 {
 			b = append(b, ';')
 		}
-		b = append(b, f.desc[rel]...)
+		b = append(b, desc[rel]...)
 	}
 
 	for _, p := range f.q.Joins {
-		if !s.Has(p.L.Rel) || !s.Has(p.R.Rel) {
-			continue
+		if s.Has(p.L.Rel) && s.Has(p.R.Rel) {
+			f.terms = appendJoin(f.terms, &pos, p)
+			f.endTerm()
 		}
-		var lb, rb [40]byte
-		l := appendCol(lb[:0], pos[p.L.Rel], p.L.Off)
-		r := appendCol(rb[:0], pos[p.R.Rel], p.R.Off)
-		if string(r) < string(l) { // equi-joins are symmetric: normalize direction
-			l, r = r, l
-		}
-		f.terms = append(append(append(f.terms, l...), '='), r...)
-		f.endTerm()
 	}
 	b = f.appendTerms(append(b, "|J:"...))
 
@@ -157,14 +174,110 @@ func (f *Fingerprinter) Fingerprint(s RelSet) string {
 		}
 		f.terms = append(appendCol(f.terms, pos[fp.L.Rel], fp.L.Off), fp.Op.String()...)
 		f.terms = append(appendCol(f.terms, pos[fp.R.Rel], fp.R.Off), '+')
-		f.terms = append(strconv.AppendInt(f.terms, fp.Off, 10), '@')
-		f.terms = strconv.AppendFloat(f.terms, fp.Sel, 'g', -1, 64)
+		f.terms = strconv.AppendInt(f.terms, fp.Off, 10)
+		if sel {
+			f.terms = strconv.AppendFloat(append(f.terms, '@'), fp.Sel, 'g', -1, 64)
+		}
 		f.endTerm()
 	}
-	b = f.appendTerms(append(b, "|F:"...))
+	f.out = f.appendTerms(append(b, "|F:"...))
+	return f.out
+}
 
+// appendJoin appends the join term "p.off=p.off" over the canonical
+// positions pos, its lesser side first: equi-joins are symmetric.
+func appendJoin(b []byte, pos *[64]int, p JoinPred) []byte {
+	var lb, rb [40]byte
+	l := appendCol(lb[:0], pos[p.L.Rel], p.L.Off)
+	r := appendCol(rb[:0], pos[p.R.Rel], p.R.Off)
+	if string(r) < string(l) {
+		l, r = r, l
+	}
+	return append(append(append(b, l...), '='), r...)
+}
+
+// Key renders the statement's plan-cache key: the fingerprint of all its
+// relations, "|R:" and the relation ordinal at each canonical position, and
+// "|A:" and the aggregation over ordinals ("g", "s" or "d" before each
+// group-by, summed or distinct-counted column, "c*" for COUNT(*)). The
+// ordinals keep FROM order a coordinate system, as column references are
+// positional: "FROM a, b" and "FROM b, a" share only a Shape. Two statements
+// share a key exactly when they differ in spelling alone: aliases,
+// predicate order, join direction.
+func (f *Fingerprinter) Key() string {
+	all := f.q.AllRels()
+	fp := f.Fingerprint(all)
+	b := append(append(f.out[:0], fp...), "|R:"...)
+	for p, rel := range f.CanonicalMembers(all) {
+		if p > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(rel), 10)
+	}
+	b = append(b, "|A:"...)
+	if a := f.q.Agg; a != nil {
+		b = appendCols(appendCols(appendCols(b, 'g', a.GroupBy), 's', a.Sums), 'd', a.CountDistinct)
+		if a.CountAll {
+			b = append(b, "c*"...)
+		}
+	}
 	f.out = b
-	fp := string(b)
-	f.cache[s] = fp
-	return fp
+	return string(b)
+}
+
+// appendCols appends "<tag>rel.off," for each column.
+func appendCols(b []byte, tag byte, cols []ColID) []byte {
+	for _, c := range cols {
+		b = append(appendCol(append(b, tag), c.Rel, c.Off), ',')
+	}
+	return b
+}
+
+// Shape renders the join graph a plan-cache miss may clone a template of:
+// the fingerprint of all relations over descriptors cut to table names, with
+// no scan predicates and no filter selectivities. Statements of one shape
+// differ, to the optimizer, only in cost parameters and coordinates, which
+// core.Optimizer.Clone rewrites (ShapeMaps). A statement that repeats a
+// table has no shape (""): its relations have no names to map by.
+func (f *Fingerprinter) Shape() string {
+	tables := f.tables()
+	if distinct := slices.Compact(slices.Sorted(slices.Values(tables))); len(distinct) < len(tables) {
+		return ""
+	}
+	return string(f.render(tables, f.q.AllRels(), false))
+}
+
+// tables returns each relation's table name, the descriptors of a Shape.
+func (f *Fingerprinter) tables() []string {
+	t := make([]string, len(f.q.Rels))
+	for i, r := range f.q.Rels {
+		t[i] = r.Table
+	}
+	return t
+}
+
+// ShapeMaps maps the coordinates of from onto those of to, two statements
+// of one Shape, as core.Optimizer.Clone takes them: relation i of from is
+// relation rel[i] of to, the one at the same canonical position, and from's
+// join predicate j is to's pred[j], equal edge terms paired in order of
+// appearance. It reads only the two queries, so unlike the renderers it is
+// safe to call concurrently.
+func ShapeMaps(from, to *Fingerprinter) (rel, pred []int) {
+	fromAt, fromPos := order(from.tables(), from.q.AllRels())
+	toAt, toPos := order(to.tables(), to.q.AllRels())
+	rel = make([]int, len(fromAt))
+	for p, i := range fromAt {
+		rel[i] = toAt[p]
+	}
+	at := make(map[string][]int, len(to.q.Joins)) // an edge's predicates in to, taken in order
+	for j, jp := range to.q.Joins {
+		k := string(appendJoin(nil, &toPos, jp))
+		at[k] = append(at[k], j)
+	}
+	pred = make([]int, len(from.q.Joins))
+	for j, jp := range from.q.Joins {
+		k := string(appendJoin(nil, &fromPos, jp))
+		pred[j], at[k] = at[k][0], at[k][1:]
+	}
+	return rel, pred
 }

@@ -2,15 +2,17 @@ package server
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/relalg"
 	"repro/internal/stats"
 )
 
-// This fuzz target guards the two canonicalization layers the serving stack
-// leans on: CanonicalKey (plan-cache identity) and relalg.Fingerprinter
-// (statistics-plane identity). The soundness contract is directional —
+// This fuzz target guards the canonical forms the serving stack finds its
+// state by, all renderings of relalg.Fingerprinter: the plan-cache key, the
+// subexpression fingerprints of the statistics plane, and the clone shape
+// with its maps. The soundness contract is directional —
 // mutations that preserve query structure (alias renames, predicate
 // reordering, join-direction flips) must preserve both the cache key and
 // every connected subexpression's fingerprint, while mutations that change
@@ -18,7 +20,9 @@ import (
 // selectivities) must change the cache key and the full expression's
 // fingerprint. A violation of the first half splits one statement's learned
 // history across entries; a violation of the second half pools statistics
-// about different quantities — a silently wrong optimizer either way.
+// about different quantities — a silently wrong optimizer either way. A
+// FROM permutation changes the key but not the shape, and the clone maps
+// between the two spellings are the permutation itself.
 
 // fuzzTables is the pool of distinct table names; relations draw distinct
 // tables so canonical member ordering never hits the self-join tie-break
@@ -74,7 +78,53 @@ func copyQuery(q *relalg.Query) *relalg.Query {
 		Scans:   append([]relalg.ScanPred(nil), q.Scans...),
 		Joins:   append([]relalg.JoinPred(nil), q.Joins...),
 		Filters: append([]relalg.FilterPred(nil), q.Filters...),
+		Agg:     q.Agg,
 	}
+}
+
+// permuteFrom returns q with its FROM list permuted: relation i of q is
+// relation perm[i] of the copy, and every column reference follows it.
+// Predicates keep their order.
+func permuteFrom(q *relalg.Query, perm []int) *relalg.Query {
+	c := copyQuery(q)
+	col := func(id relalg.ColID) relalg.ColID { return relalg.ColID{Rel: perm[id.Rel], Off: id.Off} }
+	cols := func(ids []relalg.ColID) []relalg.ColID {
+		out := make([]relalg.ColID, len(ids))
+		for i, id := range ids {
+			out[i] = col(id)
+		}
+		return out
+	}
+	for i, r := range q.Rels {
+		c.Rels[perm[i]] = r
+	}
+	for i := range c.Scans {
+		c.Scans[i].Col = col(c.Scans[i].Col)
+	}
+	for i := range c.Joins {
+		c.Joins[i].L, c.Joins[i].R = col(c.Joins[i].L), col(c.Joins[i].R)
+	}
+	for i := range c.Filters {
+		c.Filters[i].L, c.Filters[i].R = col(c.Filters[i].L), col(c.Filters[i].R)
+	}
+	if a := q.Agg; a != nil {
+		c.Agg = &relalg.AggSpec{GroupBy: cols(a.GroupBy), Sums: cols(a.Sums),
+			CountDistinct: cols(a.CountDistinct), CountAll: a.CountAll}
+	}
+	return c
+}
+
+// randPerm draws a permutation of n elements.
+func randPerm(r *stats.Rand, n int) []int {
+	perm := make([]int, n)
+	for i := range perm {
+		perm[i] = i
+	}
+	for i := n - 1; i > 0; i-- {
+		j := int(r.Int64n(int64(i + 1)))
+		perm[i], perm[j] = perm[j], perm[i]
+	}
+	return perm
 }
 
 // preserveMutate applies only structure-preserving spelling changes:
@@ -137,18 +187,6 @@ func structMutate(q *relalg.Query, r *stats.Rand, sel byte) (*relalg.Query, stri
 	return q, "scan predicate added"
 }
 
-// connectedSets enumerates every connected subexpression — the sets the
-// serving layer fingerprints for warm starts and feedback.
-func connectedSets(q *relalg.Query) []relalg.RelSet {
-	var sets []relalg.RelSet
-	q.AllRels().ProperSubsets(func(sub relalg.RelSet) {
-		if q.Connected(sub) {
-			sets = append(sets, sub)
-		}
-	})
-	return append(sets, q.AllRels())
-}
-
 func FuzzFingerprintStability(f *testing.F) {
 	for s := uint64(1); s <= 12; s++ {
 		f.Add(s, byte(s))
@@ -158,7 +196,7 @@ func FuzzFingerprintStability(f *testing.F) {
 		q := randQuery(r)
 		key := CanonicalKey(q)
 		fp := relalg.NewFingerprinter(q)
-		sets := connectedSets(q)
+		sets := warmSets(q)
 		fps := make(map[relalg.RelSet]string, len(sets))
 		for _, set := range sets {
 			fps[set] = fp.Fingerprint(set)
@@ -208,6 +246,30 @@ func FuzzFingerprintStability(f *testing.F) {
 		all := q.AllRels()
 		if got := relalg.NewFingerprinter(changed).Fingerprint(all); got == fps[all] {
 			t.Fatalf("%s but the full-expression fingerprint is unchanged:\n%s", what, got)
+		}
+
+		// A FROM permutation keeps the join graph in new coordinates:
+		// another key, the same shape, and clone maps that are exactly the
+		// permutation (permuteFrom keeps the predicates in order).
+		perm := randPerm(r, len(q.Rels))
+		if slices.IsSorted(perm) {
+			perm[0], perm[1] = perm[1], perm[0]
+		}
+		fpPerm := relalg.NewFingerprinter(permuteFrom(q, perm))
+		if got := fpPerm.Key(); got == key {
+			t.Fatalf("FROM permutation %v kept the cache key:\n%s", perm, key)
+		}
+		if got, want := fpPerm.Shape(), fp.Shape(); got != want || got == "" {
+			t.Fatalf("FROM permutation %v changed the shape:\n%s\n%s", perm, want, got)
+		}
+		rel, pred := relalg.ShapeMaps(fp, fpPerm)
+		for j := range pred {
+			if pred[j] != j {
+				t.Fatalf("FROM permutation %v: predicate map %v, want the identity", perm, pred)
+			}
+		}
+		if !slices.Equal(rel, perm) {
+			t.Fatalf("FROM permutation %v: relation map %v", perm, rel)
 		}
 	})
 }

@@ -229,6 +229,57 @@ func TestQueueWaitMeasured(t *testing.T) {
 	}
 }
 
+// TestRefusedExecIsNotQueued: an execution Shutdown refuses — one parked at
+// the admission gate when Shutdown began, and one arriving after it — is
+// neither counted as a queue wait nor observed in the wait histogram.
+func TestRefusedExecIsNotQueued(t *testing.T) {
+	srv := testServer(t, Options{MaxConcurrent: 1})
+	st, err := srv.Session().PrepareNamed("Q3S")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Exec(); err != nil {
+		t.Fatal(err)
+	}
+	before := srv.Metrics()
+
+	// Park one execution behind a held slot, then begin Shutdown, which
+	// drains by taking every slot and so waits for the held one too.
+	srv.sem <- struct{}{}
+	done := make(chan error, 1)
+	go func() {
+		_, execErr := st.Exec()
+		done <- execErr
+	}()
+	for deadline := time.Now().Add(10 * time.Second); srv.queueWaits.Load() == before.QueueWaits; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("execution never reached the admission gate")
+		}
+	}
+	shut := make(chan error, 1)
+	go func() { shut <- srv.Shutdown() }()
+	for deadline := time.Now().Add(10 * time.Second); !srv.closed.Load(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("Shutdown never began")
+		}
+	}
+	<-srv.sem
+	if err := <-done; err == nil {
+		t.Fatal("an execution parked when Shutdown began ran")
+	}
+	if err := <-shut; err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Exec(); err == nil {
+		t.Fatal("Exec succeeded after Shutdown")
+	}
+	m := srv.Metrics()
+	if m.QueueWaits != before.QueueWaits || m.QueueWait.Count != before.QueueWait.Count || m.Execs != before.Execs {
+		t.Fatalf("after two refused executions: QueueWaits %d, QueueWait.Count %d, Execs %d; before them %d, %d, %d",
+			m.QueueWaits, m.QueueWait.Count, m.Execs, before.QueueWaits, before.QueueWait.Count, before.Execs)
+	}
+}
+
 func TestMetricsReportAndJSON(t *testing.T) {
 	srv := testServer(t, Options{})
 	drive(t, srv, 2)

@@ -26,12 +26,12 @@ import (
 // skips the parse. A text is indexed only while its entry is cached: an
 // entry lists its texts, and eviction deletes them with it.
 //
-// And it indexes join-graph shapes (shapeKey) to the newest initialized
-// entry of each, the template a miss of that shape clones instead of
-// optimizing from scratch (planEntry.ensureInit). An entry is registered at
-// the end of its initialization, only if that succeeded and the entry is
-// still cached, and eviction deletes it, so an uninitialized, failed or
-// evicted entry is never a template. Lock order: a miss holds its own
+// And it indexes join-graph shapes (relalg.Fingerprinter.Shape) to the
+// newest initialized entry of each, the template a miss of that shape clones
+// instead of optimizing from scratch (planEntry.ensureInit). An entry is
+// registered at the end of its initialization, only if that succeeded and
+// the entry is still cached, and eviction deletes it, so an uninitialized,
+// failed or evicted entry is never a template. Lock order: a miss holds its own
 // entry's mu, then takes the template's to clone it; the holder of a
 // template's mu never takes another entry's (the template is initialized,
 // and feedback and metrics lock only their own entry). The cache's mu is
@@ -57,9 +57,11 @@ func newPlanCache(max int) *planCache {
 
 // resolve returns the cached entry for q's canonical structure, creating it
 // (uninitialized: see planEntry.ensureInit) when there is none; hit reports
-// which.
+// which. It builds q's one Fingerprinter, renders the key with it and hands
+// it to a new entry.
 func (c *planCache) resolve(q *relalg.Query) (e *planEntry, hit bool) {
-	key := CanonicalKey(q)
+	fp := relalg.NewFingerprinter(q)
+	key := fp.Key()
 	now := time.Now().UnixNano()
 
 	c.mu.RLock()
@@ -73,7 +75,7 @@ func (c *planCache) resolve(q *relalg.Query) (e *planEntry, hit bool) {
 		} else {
 			c.evictLocked()
 			c.seq++
-			e = &planEntry{key: key, hash: keyHash(key), q: q, name: q.Name, seq: c.seq}
+			e = &planEntry{key: key, hash: keyHash(key), q: q, fper: fp, name: q.Name, seq: c.seq}
 			// Stamped before it is visible: unstamped, a concurrent miss's
 			// eviction would take it for the least recently used entry.
 			e.lastUsed.Store(now)
@@ -203,13 +205,13 @@ type planEntry struct {
 	execs    atomic.Int64
 	lastUsed atomic.Int64 // unix nanos of the last prepare/exec (LRU order)
 	texts    []string     // statement texts indexed to it; under planCache.mu
-	shape    string       // its shapeKey once registered; under planCache.mu
+	shape    string       // its Shape once registered; under planCache.mu
 
 	mu      sync.Mutex // guards everything below
 	model   *cost.Model
 	opt     *core.Optimizer
 	cal     *aqp.Calibrator
-	fper    *relalg.Fingerprinter // memoized; not concurrency-safe, use under mu
+	fper    *relalg.Fingerprinter // q's, from resolve; memoized, not concurrency-safe: use under mu
 	initErr error
 
 	fullOpts    int64 // initial optimizations, from scratch or by clone (1)
@@ -279,6 +281,8 @@ func warmSets(q *relalg.Query) []relalg.RelSet {
 // ensureInit builds the entry's model and optimizer and runs its initial
 // optimization, exactly once. The optimizer searches relalg.ServedSpace(),
 // the space the executor runs as priced, not the paper's full Table 1 space.
+// The Fingerprinter resolve built for the key also names the statement's
+// shape, keys its calibrator and derives its result-cache candidates.
 // Before that optimization the model is warm-started: every connected
 // subexpression whose fingerprint the shared store already knows gets its
 // learned factor seeded, so a structurally new query over hot tables
@@ -300,12 +304,11 @@ func (e *planEntry) ensureInit(s *Server) error {
 		e.initErr = err
 		return err
 	}
-	fp := relalg.NewFingerprinter(e.q)
-	cal := aqp.NewSharedCalibrator(s.stats, fp.Fingerprint, true, 0)
+	cal := aqp.NewSharedCalibrator(s.stats, e.fper.Fingerprint, true, 0)
 	e.warmSeeds = cal.WarmStart(m, warmSets(e.q))
 	s.warmSeeds.Add(int64(e.warmSeeds))
 	start := time.Now()
-	shape := shapeKey(e.q)
+	shape := e.fper.Shape()
 	opt, plan := e.fromTemplate(s, shape, m)
 	if opt != nil {
 		e.clones++
@@ -322,7 +325,6 @@ func (e *planEntry) ensureInit(s *Server) error {
 	e.model = m
 	e.opt = opt
 	e.cal = cal
-	e.fper = fp
 	elapsed := time.Since(start)
 	e.fullOpts++
 	e.fullOptTime += elapsed
@@ -342,7 +344,7 @@ func (e *planEntry) fromTemplate(s *Server, shape string, m *cost.Model) (*core.
 	if t == nil {
 		return nil, nil
 	}
-	rel, pred := shapeMaps(t.q, e.q)
+	rel, pred := relalg.ShapeMaps(t.fper, e.fper)
 	t.mu.Lock()
 	opt := t.opt.Clone(m, rel, pred)
 	t.mu.Unlock()

@@ -199,7 +199,7 @@ func TestFingerprintEqualImpliesResultEqual(t *testing.T) {
 			t.Fatal(err)
 		}
 		fper := relalg.NewFingerprinter(q)
-		sets := connectedSets(q)
+		sets := warmSets(q)
 		for _, set := range sets {
 			if fper.AmbiguousOrder(set) {
 				continue // result sharing refuses these; nothing to prove

@@ -23,6 +23,12 @@
 // near-converged instead of repeating the workload's whole learning curve.
 // Forgetting under data drift is the store's job alone (fbstore.Options).
 //
+// A statement's plan-cache key, the join-graph shape a miss clones a cached
+// template of, and the subexpression fingerprints of the statistics plane
+// and the result cache are all renderings of its one relalg.Fingerprinter,
+// built when the statement is resolved and kept by its entry, so one rule
+// decides when two statements, or two subexpressions, are the same.
+//
 // Concurrency model (audited against the contracts of the underlying
 // packages):
 //
@@ -523,28 +529,42 @@ func (st *Stmt) exec(analyze bool) (*Result, string, error) {
 }
 
 // admit takes one of the MaxConcurrent admission slots for an execution of
-// e, blocking while none is free; the caller gives it back with release. A
-// queue wait is counted only when no slot was free, while the wait
-// histogram observes every admission. It returns the trace sequence the
-// execution's own events start after, and refuses once Shutdown has begun.
+// e, blocking while none is free; the caller gives it back with release. It
+// refuses once Shutdown has begun: at once when it began before the call,
+// else after the wait. A queue wait is counted as the execution parks, only
+// when no slot was free, so metrics show the executions still waiting; a
+// refused execution takes its count back, and the wait histogram observes
+// only admitted ones. It returns the trace sequence the execution's own
+// events start after.
 func (s *Server) admit(e *planEntry) (traceFrom uint64, err error) {
+	if s.closed.Load() {
+		return 0, errShutdown
+	}
 	enqueued := time.Now()
+	waited := false
 	select {
 	case s.sem <- struct{}{}:
 	default:
+		waited = true
 		s.queueWaits.Add(1)
 		s.sem <- struct{}{}
 	}
+	if s.closed.Load() {
+		if waited {
+			s.queueWaits.Add(-1)
+		}
+		s.release()
+		return 0, errShutdown
+	}
 	wait := time.Since(enqueued)
 	s.queueH.Observe(wait)
-	if s.closed.Load() {
-		s.release()
-		return 0, fmt.Errorf("server: shutting down")
-	}
 	traceFrom = s.trace.Seq()
 	s.trace.Emit(obs.Event{Kind: obs.KindQueueWait, Query: e.hash, Dur: wait})
 	return traceFrom, nil
 }
+
+// errShutdown is admit's refusal once Shutdown has begun.
+var errShutdown = fmt.Errorf("server: shutting down")
 
 // release gives back the admission slot admit took.
 func (s *Server) release() { <-s.sem }

@@ -64,7 +64,9 @@
 //     figures and the baselines use (surfaced here as NewServer /
 //     Session / Prepare / Exec, and as a wire protocol by cmd/reproserve).
 //     A miss whose join graph the cache already holds clones that entry's
-//     optimizer and repairs it instead of enumerating from scratch;
+//     optimizer and repairs it instead of enumerating from scratch. The
+//     cache key, that join-graph shape and the statistics fingerprints are
+//     renderings of one relalg.Fingerprinter per statement;
 //   - internal/obs — the observability primitives: nil-safe per-operator
 //     execution spans, the query-lifecycle event ring, and wait-free
 //     latency histograms with Prometheus text exposition;

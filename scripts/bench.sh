@@ -28,8 +28,11 @@
 #              the paper's deterministic tables as each side's
 #              cmd/reprobench prints them (-fig 4, 5, 6, 7, 8, 9 and
 #              ablation, -repeats 1): Figure 4(b) and 4(c), the pruning
-#              ratios, 5(b) and 5(c), the update ratios, 6(b) and 6(c), the
-#              update ratios of Q5 re-optimized from its executed plans' real
+#              ratios, the Figure 4 census (fig4census.<query>.{census-groups,
+#              census-alts,live-groups,live-alts}: the unpruned search space,
+#              the ratios' denominator, and PruneAll's live state), 5(b) and
+#              5(c), the update ratios, 6(b) and 6(c), the update ratios
+#              of Q5 re-optimized from its executed plans' real
 #              cardinalities through aqp.Calibrator, 7(b) and 7(c), the
 #              pruning ratios per pruning config, 8(b) and 8(c), the pruning
 #              during re-optimization over the Orders scan-cost sweep,
@@ -45,7 +48,8 @@
 #
 # TestBenchRecordNamesEveryMetric checks that the newest BENCH_*.json names
 # every end-to-end metric of every workload and carries both sides' layers
-# and paper cells.
+# and paper cells (a table the previous record lacks may lack the parent's
+# side: the parent's cmd/reprobench did not print it yet).
 #
 # Usage: bash scripts/bench.sh <parent-rev> <n> [pairs=3] [seconds=16]
 # Needs git, go and jq. Besides BENCH_<n>.json it writes only .bench_build/
@@ -108,8 +112,9 @@ done
 code "$work/parent/ratchet_test.go" >"$work/code.parent.json"
 code ratchet_test.go >"$work/code.change.json"
 
-# paper <dir> <side>: the deterministic cells of Figures 4(b), 4(c), 5(b),
-# 5(c), 6(b), 6(c), 7(b), 7(c), 8(b), 8(c) and 9 and of the two ablations as
+# paper <dir> <side>: the deterministic cells of Figures 4(b), 4(c), the
+# Figure 4 census, 5(b), 5(c), 6(b), 6(c), 7(b), 7(c), 8(b), 8(c) and 9 and
+# of the two ablations as
 # {"fig4b": {"Q5": {"declarative": 0.9, ...}, ...}, ...}. A table runs from
 # its "== " title over a header and a rule to a blank or note line; of
 # Figure 9 only the inc-touched-entries column is kept.
@@ -119,6 +124,7 @@ paper() {
 		/^== / {
 			t = ""; keep = ""; hdr = 2
 			if ($0 ~ /^== Figure [45678]\([bc]\)/) t = "fig" substr($3, 1, 1) substr($3, 3, 1)
+			else if ($0 ~ /^== Figure 4 census/) t = "fig4census"
 			else if ($0 ~ /^== Figure 9:/) { t = "fig9"; keep = "inc-touched-entries" }
 			else if ($0 ~ /^== Ablation: expansion order/) t = "ablation_order"
 			else if ($0 ~ /^== Ablation: plan-space/) t = "ablation_space"
