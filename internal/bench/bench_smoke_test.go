@@ -62,9 +62,25 @@ func TestFigure4Shape(t *testing.T) {
 }
 
 // TestFigure5Shape: larger changed expressions touch no more state than
-// smaller ones (the paper's monotonicity), and a no-op ratio touches none.
+// smaller ones (the paper's monotonicity), a no-op ratio touches none, and
+// the counts table over Q5's census gives the update ratios.
 func TestFigure5Shape(t *testing.T) {
-	tables := smokeEnv().Figure5()
+	e := smokeEnv()
+	tables := e.Figure5()
+	if len(tables) != 4 {
+		t.Fatalf("Figure5 returned %d tables", len(tables))
+	}
+	cg, ca := e.Census(tpch.Q5())
+	for i, row := range tables[3].Rows {
+		for k, census := range []int{cg, ca} { // groups, then entries
+			for x := 1; x < len(tables[1].Header); x++ {
+				touched := parseRatio(t, row[2*x-1+k])
+				if want, got := f3(touched/float64(census)), tables[1+k].Rows[i][x]; got != want {
+					t.Fatalf("ratio %s, %s: %v of %d gives %s, %q reads %s", row[0], tables[1].Header[x], touched, census, want, tables[1+k].Title, got)
+				}
+			}
+		}
+	}
 	altRatios := tables[2]
 	for _, row := range altRatios.Rows {
 		if row[0] == "1" {

@@ -285,12 +285,17 @@ func colKeysEqual(bCols [][]int64, bKeys []int, bi int, pCols [][]int64, pKeys [
 // distinct key and counts the rest onto it: mult[i] is the number of build
 // rows sharing linked row i's key. A chain then holds at most one match per
 // probe row.
+// Beside the chains, bits is an exact bitmap of the first key column (bit v-lo
+// is set iff a build row's first key is v) whenever its range holds more than
+// 2 and at most 64 values per build row (8 B a row, in buildBytes), else empty.
 type joinTable struct {
 	mask   uint64
 	head   []int32 // bucket -> 1-based index of the chain head row
 	next   []int32 // row -> 1-based index of the next row in its chain
 	hashes []uint64
 	mult   []int32
+	bits   []uint64
+	lo     int64
 	keys   []int
 	data   colData
 }
@@ -338,7 +343,43 @@ func buildJoinTable(t *joinTable, data colData, keys []int, counting bool) *join
 		t.next[i] = t.head[b]
 		t.head[b] = int32(i + 1)
 	}
+	if t.bits = t.bits[:0]; n == 0 {
+		return t // heads drops every probe row without a bitmap
+	}
+	col := data.cols[keys[0]][:n]
+	lo, hi := col[0], col[0]
+	for _, v := range col {
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	span := uint64(hi) - uint64(lo) // exact, even across the int64 range
+	if span/64 >= uint64(n) || span/2 < uint64(n) {
+		return t // too sparse for a word per row, or too dense to drop many probe rows
+	}
+	t.lo, t.bits = lo, sized(t.bits, int(span/64+1))
+	clear(t.bits)
+	for _, v := range col {
+		d := uint64(v) - uint64(lo)
+		t.bits[d>>6] |= 1 << (d & 63)
+	}
 	return t
+}
+
+// admit compacts into dst, branch-free, the m > 0 live rows of a probe chunk
+// (under sel) whose first key col[i] a build row has, given a bitmap. v-lo mod
+// 2^64 is a bijection of v, so no key outside the span wraps into it.
+func (t *joinTable) admit(col []int64, m int, sel, dst []int) []int {
+	dst = sized(dst, m)
+	last, k := uint64(len(t.bits)-1), 0
+	for x := range dst {
+		i := x
+		if sel != nil {
+			i = sel[x]
+		}
+		d := uint64(col[i]) - uint64(t.lo)
+		dst[k] = i
+		k += b2i(d>>6 <= last) & int(t.bits[min(d>>6, last)]>>(d&63))
+	}
+	return dst[:k]
 }
 
 // probeRow is a probe row whose bucket is not empty: its index in the probe

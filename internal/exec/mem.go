@@ -231,14 +231,14 @@ func colBytes(width, n int) int64 { return int64(width) * int64(n) * 8 }
 
 // buildBytes is the tracked size of a hash join's n build rows of width
 // columns and the chained table over them: the columns, the head array at the
-// next power of two >= 2n, next links, full hashes, and per-row
-// multiplicities when the table counts.
+// next power of two >= 2n, next links, full hashes, the key bitmap at its
+// largest (a word per row), and per-row multiplicities when the table counts.
 func buildBytes(width, n int, counting bool) int64 {
 	size := 16
 	for size < 2*n {
 		size <<= 1
 	}
-	per := int64(width*8 + 4 + 8)
+	per := int64(width*8 + 4 + 8 + 8)
 	if counting {
 		per += 4
 	}

@@ -277,13 +277,72 @@ func probeTestCols(rng *rand.Rand, keys, n, hotEvery int, withFlag bool) [][]int
 	return cols
 }
 
+// bitmapTestCols returns a build side of n rows and a probe side of
+// 3·BatchSize-70 rows (with a flag column) for the key bitmap's regimes.
+// First build keys are sampled from [lo, lo+span) — with min and max int64
+// among them when extremes is set — and later key columns from {0, 1}. Of the probe rows a
+// fifth copy a build row's first key, with a later column that matches half
+// the time, and the rest are drawn from [lo-span/8, lo+span+span/8): most
+// miss inside the range, some fall below and above it, and near the ends of
+// int64 those wrap.
+func bitmapTestCols(rng *rand.Rand, keys, n int, lo, span int64, extremes bool) (build, probe [][]int64) {
+	build = probeTestCols(rng, keys, n, 0, false)
+	probe = probeTestCols(rng, keys, 3*BatchSize-70, 0, true)
+	for i := range build[0] {
+		build[0][i] = lo + rng.Int63n(span)
+		for c := 1; c < keys; c++ {
+			build[c][i] = int64(rng.Intn(2))
+		}
+	}
+	if extremes {
+		build[0][2], build[0][3] = math.MinInt64, math.MaxInt64
+	}
+	for i := range probe[0] {
+		if rng.Intn(5) == 0 {
+			r := rng.Intn(n)
+			for c := 0; c < keys; c++ {
+				probe[c][i] = build[c][r]
+			}
+			if keys > 1 && rng.Intn(2) == 0 {
+				probe[keys-1][i] = 2 // the first column matches, a later one does not
+			}
+			continue
+		}
+		probe[0][i] = lo - span/8 + rng.Int63n(span+span/4) // wraps near the ends of int64
+		for c := 1; c < keys; c++ {
+			probe[c][i] = int64(rng.Intn(2))
+		}
+	}
+	return build, probe
+}
+
+// wantBitmap reports whether a join table over build should carry a key
+// bitmap: a non-empty build side whose first key column spans more than 2 and
+// at most 64 values per row.
+func wantBitmap(build [][]int64) bool {
+	if len(build) == 0 || len(build[0]) == 0 {
+		return false
+	}
+	n := uint64(len(build[0]))
+	values := uint64(slices.Max(build[0])) - uint64(slices.Min(build[0])) + 1
+	return values > 2*n && values <= 64*n
+}
+
 // TestHashJoinProbeMatchesChainWalk runs the hash join's batch walk and the
 // row-at-a-time chain walk over the same opened operators and requires the
 // same batches, row for row and in order: a hot key whose chain spans more
 // than two pair buffers (resumes mid-chain), probe batches with and without a
 // selection, one- to three-column keys, a residual that drops every pair of a
 // flush, the spilled path under a tight tracker, and an empty build side with
-// no columns, enumerating and counting.
+// no columns, enumerating and counting. The chain walk never reads the key
+// bitmap, so the bitmap's regimes are cases too: sparse build keys (a bitmap
+// whose range most probes miss inside and some fall outside), build keys at
+// the ends of int64 (probe keys whose distance to the bitmap's low end wraps),
+// a range of exactly 64 values per build row and one a word wider, a range
+// too wide for a bitmap, ranges of 2 values per build row (too dense for one)
+// and one more, and an empty build side. Each unspilled
+// table is checked to carry a bitmap exactly when its range allows one, and
+// the bitmap to admit exactly the probe keys some build row has.
 func TestHashJoinProbeMatchesChainWalk(t *testing.T) {
 	const hot = 2*BatchSize + 600
 	var cases []probeCase
@@ -314,6 +373,42 @@ func TestHashJoinProbeMatchesChainWalk(t *testing.T) {
 		cases = append(cases, probeCase{name: "residual-drops-a-flush-spilled", keys: keys, build: build,
 			probe: probe, residual: drop, budget: 24 << 10})
 	}
+	for keys := 1; keys <= 3; keys++ {
+		rng := rand.New(rand.NewSource(int64(71 + keys)))
+		const n = 2000 // spills under the tight tracker
+		for _, regime := range []struct {
+			name     string
+			lo, span int64
+			extremes bool
+		}{
+			{"bitmap-sparse", 1000, 32 * n, false},
+			{"bitmap-at-the-limit", 1000, 64 * n, false},        // n words
+			{"bitmap-one-word-too-wide", 1000, 64*n + 1, false}, // n+1 words
+			{"bitmap-one-value-past-dense", 1000, 2*n + 1, false},
+			{"bitmap-dense", 1000, 2 * n, false},
+			{"bitmap-at-min-int64", math.MinInt64, 32 * n, false},
+			{"bitmap-at-max-int64", math.MaxInt64 - 32*n + 1, 32 * n, false},
+			{"bitmap-too-wide", 1000, 32 * n, true},
+		} {
+			build, probe := bitmapTestCols(rng, keys, n, regime.lo, regime.span, regime.extremes)
+			build[0][0], build[0][1] = regime.lo, regime.lo+regime.span-1 // the range's ends
+			for _, filtered := range []bool{false, true} {
+				for _, budget := range []int64{0, 24 << 10} {
+					for _, counting := range []bool{false, true} {
+						name := regime.name
+						if budget > 0 {
+							name += "-spilled"
+						}
+						if counting {
+							name += "-counting"
+						}
+						cases = append(cases, probeCase{name: name, keys: keys, build: build, probe: probe,
+							filtered: filtered, budget: budget, counting: counting})
+					}
+				}
+			}
+		}
+	}
 	rng := rand.New(rand.NewSource(5))
 	for _, counting := range []bool{false, true} {
 		var residual []ColPred
@@ -331,6 +426,9 @@ func TestHashJoinProbeMatchesChainWalk(t *testing.T) {
 		got, want := c.join(t), c.join(t)
 		if err := got.Open(); err != nil {
 			t.Fatalf("%s: %v", name, err)
+		}
+		if c.budget == 0 {
+			checkBitmap(t, name, got.table, c.build, c.probe)
 		}
 		gotRows := batchRows(t, got.Next)
 		if err := got.Close(); err != nil {
@@ -373,6 +471,45 @@ func TestHashJoinProbeMatchesChainWalk(t *testing.T) {
 	}
 }
 
+// checkBitmap requires tbl, built over build, to carry a key bitmap exactly
+// when wantBitmap says so, and admit to keep a live probe row, with and
+// without a selection, exactly when some build row's first key equals the
+// row's: no false drop and no false keep.
+func checkBitmap(t *testing.T, name string, tbl *joinTable, build, probe [][]int64) {
+	t.Helper()
+	if got, want := len(tbl.bits) > 0, wantBitmap(build); got != want {
+		t.Fatalf("%s: key bitmap built = %v, want %v", name, got, want)
+	}
+	if len(tbl.bits) == 0 {
+		return
+	}
+	has := map[int64]bool{}
+	for _, v := range build[0] {
+		has[v] = true
+	}
+	n := len(probe[0])
+	var odd []int
+	for i := 1; i < n; i += 2 {
+		odd = append(odd, i)
+	}
+	for _, sel := range [][]int{nil, odd} {
+		live := sel
+		if sel == nil {
+			live = seq(n)
+		}
+		var want []int
+		for _, i := range live {
+			if has[probe[0][i]] {
+				want = append(want, i)
+			}
+		}
+		if got := tbl.admit(probe[0], len(live), sel, nil); !slices.Equal(got, want) {
+			t.Fatalf("%s: the bitmap admits %d of %d live probe rows, %d have a build row's first key",
+				name, len(got), len(live), len(want))
+		}
+	}
+}
+
 // TestOneColumnKeyHashIsABijection pins what lets joinTable.walk skip the key
 // compare for one-column keys: the hash of one column inverts to its value.
 func TestOneColumnKeyHashIsABijection(t *testing.T) {
@@ -397,59 +534,84 @@ func TestOneColumnKeyHashIsABijection(t *testing.T) {
 // BenchmarkHashJoinProbe runs a whole join over a 1024-row build side and a
 // 64-batch probe side whose keys hit the build side at the given rate, in
 // random order; ns/row is per probe row and includes the build, which is
-// 1/64 of the rows.
+// 1/64 of the rows. The dense regimes' build keys are 0..1023 and their misses
+// fall far above them; the sparse regime's build keys are a sample of a
+// domain 32 times wider and its misses fall inside that domain, within the
+// range of the table's key bitmap.
 func BenchmarkHashJoinProbe(b *testing.B) {
 	const buildN, probeN = BatchSize, 64 * BatchSize
-	for _, keys := range []int{1, 2} {
-		for _, hit := range []int{10, 90} {
-			b.Run(fmt.Sprintf("keys=%d/hit=%d", keys, hit), func(b *testing.B) {
-				rng := rand.New(rand.NewSource(11))
-				build, probe := make([][]int64, keys+1), make([][]int64, keys+1)
-				for c := range build {
-					build[c], probe[c] = make([]int64, buildN), make([]int64, probeN)
-				}
-				for i := 0; i < buildN; i++ {
-					for c := 0; c < keys; c++ {
-						build[c][i] = int64(i)
-					}
-					build[keys][i] = int64(i)
-				}
-				for i := 0; i < probeN; i++ {
-					v := int64(buildN + rng.Intn(1<<30))
-					if rng.Intn(100) < hit {
-						v = int64(rng.Intn(buildN))
-					}
-					for c := 0; c < keys; c++ {
-						probe[c][i] = v
-					}
-					probe[keys][i] = int64(i)
-				}
-				j := NewVecHashJoin(NewVecScan(build, buildN, ScanFilter{}), NewVecScan(probe, probeN, ScanFilter{}),
-					seq(keys), seq(keys), nil, []int{keys}, []int{keys})
-				run := func() {
-					if err := j.Open(); err != nil {
-						b.Fatal(err)
-					}
-					for {
-						out, err := j.Next()
-						if err != nil {
-							b.Fatal(err)
-						}
-						if out == nil {
-							break
-						}
-					}
-					if err := j.Close(); err != nil {
-						b.Fatal(err)
-					}
-				}
-				run() // sizes the table, the pair buffers and the emitter
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					run()
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*probeN), "ns/row")
-			})
+	regimes := []struct {
+		keys, hit int
+		sparse    bool
+	}{{1, 10, false}, {1, 90, false}, {2, 10, false}, {2, 90, false}, {1, 3, true}}
+	for _, r := range regimes {
+		keys, hit := r.keys, r.hit
+		name := fmt.Sprintf("keys=%d/hit=%d", keys, hit)
+		if r.sparse {
+			name += "/sparse"
 		}
+		b.Run(name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(11))
+			build, probe := make([][]int64, keys+1), make([][]int64, keys+1)
+			for c := range build {
+				build[c], probe[c] = make([]int64, buildN), make([]int64, probeN)
+			}
+			domain := buildN
+			if r.sparse {
+				domain *= 32
+			}
+			inBuild := make(map[int64]bool, buildN)
+			for i := 0; i < buildN; i++ {
+				v := int64(i)
+				if r.sparse {
+					for v = int64(rng.Intn(domain)); inBuild[v]; v = int64(rng.Intn(domain)) {
+					}
+				}
+				inBuild[v] = true
+				for c := 0; c < keys; c++ {
+					build[c][i] = v
+				}
+				build[keys][i] = int64(i)
+			}
+			for i := 0; i < probeN; i++ {
+				v := int64(buildN + rng.Intn(1<<30))
+				switch {
+				case rng.Intn(100) < hit:
+					v = build[0][rng.Intn(buildN)]
+				case r.sparse:
+					for v = int64(rng.Intn(domain)); inBuild[v]; v = int64(rng.Intn(domain)) {
+					}
+				}
+				for c := 0; c < keys; c++ {
+					probe[c][i] = v
+				}
+				probe[keys][i] = int64(i)
+			}
+			j := NewVecHashJoin(NewVecScan(build, buildN, ScanFilter{}), NewVecScan(probe, probeN, ScanFilter{}),
+				seq(keys), seq(keys), nil, []int{keys}, []int{keys})
+			run := func() {
+				if err := j.Open(); err != nil {
+					b.Fatal(err)
+				}
+				for {
+					out, err := j.Next()
+					if err != nil {
+						b.Fatal(err)
+					}
+					if out == nil {
+						break
+					}
+				}
+				if err := j.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			run() // sizes the table, the pair buffers and the emitter
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*probeN), "ns/row")
+		})
 	}
 }

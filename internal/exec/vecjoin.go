@@ -134,8 +134,9 @@ type vecHashJoinOp struct {
 	pairsB, pairsP []int32
 	emit           colEmitter
 
-	// counting-mode output: the probe batch's columns re-headed, the matched
-	// rows' selection and their multiplicities.
+	// sel holds the probe batch's rows the table's bitmap admits (Next), and
+	// then, in counting mode, the selection of its matched rows; mult holds
+	// those rows' multiplicities.
 	sel  []int
 	mult []int64
 }
@@ -144,11 +145,13 @@ type vecHashJoinOp struct {
 // build side (left) is drained column-major into a flat bucket-chained hash
 // table at Open, keyed on the compound key of lKeys (every available equi-join
 // column, which keeps match sets minimal); the probe side (right) streams
-// through batch-at-a-time, keyed on rKeys. A probe batch is probed in two
-// phases: one pass loads every live row's bucket head, so the independent
-// cache misses overlap, and keeps the rows whose bucket is not empty; then one
-// walk visits their chains in probe-row order, then chain order, prefiltering
-// on the full hash before the key check. Matches are collected as index pairs,
+// through batch-at-a-time, keyed on rKeys. A probe batch is probed in three
+// phases: if the table has a key bitmap, one pass keeps the live rows whose
+// first key a build row has, so a miss costs a load and a shift; one pass
+// hashes the rows and loads their bucket heads, so the independent cache
+// misses overlap, and keeps the rows whose bucket is not empty; then one walk
+// visits their chains in probe-row order, then chain order, prefiltering on
+// the full hash before the key check. Matches are collected as index pairs,
 // residual-filtered, and gathered column-wise into the output — the lOut
 // columns of the build input, then the rOut columns of the probe input — so
 // rows come out in that order: probe row, then chain position (the reverse of
@@ -281,8 +284,14 @@ func (j *vecHashJoinOp) Next() (*Batch, error) {
 		// it returns its first probe batch, so the heads are read from the
 		// table this batch probes.
 		j.pb, j.resume = b, 0
-		j.hs = hashLive(j.hs, b.Cols, j.rKeys, b.N, b.Sel)
-		j.hs, j.cands = j.table.heads(j.hs, b.Sel, j.cands)
+		live := b.Sel
+		if m := b.Len(); m > 0 && len(j.table.bits) > 0 {
+			j.hs, j.cands = sized(j.hs, m), sized(j.cands, m) // grown by live rows, not admitted ones
+			j.sel = j.table.admit(b.Cols[j.rKeys[0]], m, b.Sel, j.sel)
+			live = j.sel
+		}
+		j.hs = hashLive(j.hs, b.Cols, j.rKeys, b.N, live)
+		j.hs, j.cands = j.table.heads(j.hs, live, j.cands)
 	}
 }
 

@@ -20,8 +20,11 @@
 //     the shared query model, physical design, statistics and cost model;
 //   - internal/exec — the executor, one serial vectorized columnar engine
 //     (Compiler.CompileVec → DrainVec/CountVec) with one join, the hash join
-//     (every join compiles through its one path; sorts compile to nothing),
-//     grace-hash spilling under a per-query budget, and exact cardinality
+//     (every join compiles through its one path; sorts compile to nothing;
+//     its table carries an exact bitmap of the first build-key column when
+//     the column's range allows one, so a probe row no build row can match
+//     is dropped before it is hashed), grace-hash spilling under a per-query
+//     budget, and exact cardinality
 //     feedback from every scan and join. Invariant: an operator's schema is
 //     the set of columns read at or above it (aggregation inputs, predicates
 //     not yet applied), so a column dies after its last reader; a query without
@@ -35,7 +38,8 @@
 //     is that of the enumerating join. A compiled tree is re-openable: after
 //     Close, Open starts a new execution — scans rebind to their tables'
 //     current column snapshots, RunStats counters are zeroed, and every
-//     operator empties the buffers it owns (build sides, join tables, the
+//     operator empties the buffers it owns (build sides, join tables and
+//     their key bitmaps, the
 //     aggregation's group arrays and its one flat COUNT(DISTINCT) set, output
 //     columns, batch scratch) and keeps their capacity, for exactly as long
 //     as the operator itself lives; nothing is charged to the tracker between

@@ -13,12 +13,16 @@
 #   workloads  per workload and side: the median of every end-to-end metric,
 #              each run's correct flag and failed-op count, and each run's
 #              metrics;
-#   layers     per workload, one traced run per side (--trace 1, seed 3, after
-#              the pairs): layers.<workload>.<side>.<metric> holds every
-#              per-layer metric BENCHMARK.json lists except the counts of
-#              work marked `=` (exactCounts in benchmarks/layers.go, which
-#              repeat exactly at a fixed seed); those sit apart, side by
-#              side, as layers.<workload>.exact.<metric>.{parent,change};
+#   layers     per workload, three traced runs per side (--trace 1, seed 3,
+#              after the pairs, alternating parent and change):
+#              layers.<workload>.<side>.<metric> holds the median over the
+#              three runs of every per-layer metric BENCHMARK.json lists
+#              except the counts of work marked `=` (exactCounts in
+#              benchmarks/layers.go, which repeat exactly at a fixed seed),
+#              and layers.<workload>.runs.<side>.<metric> its three values;
+#              the counts sit apart, side by side, as
+#              layers.<workload>.exact.<metric>.{parent,change}, and the
+#              script fails if one side's three runs disagree on any;
 #   code       code.<pkg>.<column> for both sides: the ratchet's per-package
 #              counts (packageCeilings in ratchet_test.go, which
 #              TestCodeShapeRatchet holds equal to the tree's; the root
@@ -31,7 +35,9 @@
 #              ratios, the Figure 4 census (fig4census.<query>.{census-groups,
 #              census-alts,live-groups,live-alts}: the unpruned search space,
 #              the ratios' denominator, and PruneAll's live state), 5(b) and
-#              5(c), the update ratios, 6(b) and 6(c), the update ratios
+#              5(c), the update ratios, and their numerators, the repair's
+#              touched groups and entries per expression (fig5counts.<ratio>.
+#              {A-groups,A-entries,...,E-entries}), 6(b) and 6(c), the update ratios
 #              of Q5 re-optimized from its executed plans' real
 #              cardinalities through aqp.Calibrator, 7(b) and 7(c), the
 #              pruning ratios per pruning config, 8(b) and 8(c), the pruning
@@ -47,9 +53,10 @@
 #              left out.
 #
 # TestBenchRecordNamesEveryMetric checks that the newest BENCH_*.json names
-# every end-to-end metric of every workload and carries both sides' layers
-# and paper cells (a table the previous record lacks may lack the parent's
-# side: the parent's cmd/reprobench did not print it yet).
+# every end-to-end metric of every workload and carries both sides' layers,
+# with three runs per timed metric, and paper cells (a table the previous
+# record lacks may lack the parent's side: the parent's cmd/reprobench did
+# not print it yet).
 #
 # Usage: bash scripts/bench.sh <parent-rev> <n> [pairs=3] [seconds=16]
 # Needs git, go and jq. Besides BENCH_<n>.json it writes only .bench_build/
@@ -104,17 +111,19 @@ for w in $workloads; do
 done
 
 for w in $workloads; do
-	echo "bench: $w traced" >&2
-	traced "$work/parent" "$w" "$work/$w.traced.parent.out"
-	traced "$root" "$w" "$work/$w.traced.change.out"
+	for i in 1 2 3; do
+		echo "bench: $w traced $i/3" >&2
+		traced "$work/parent" "$w" "$work/$w.traced.parent.$i.out"
+		traced "$root" "$w" "$work/$w.traced.change.$i.out"
+	done
 done
 
 code "$work/parent/ratchet_test.go" >"$work/code.parent.json"
 code ratchet_test.go >"$work/code.change.json"
 
 # paper <dir> <side>: the deterministic cells of Figures 4(b), 4(c), the
-# Figure 4 census, 5(b), 5(c), 6(b), 6(c), 7(b), 7(c), 8(b), 8(c) and 9 and
-# of the two ablations as
+# Figure 4 census, 5(b), 5(c), the Figure 5 counts, 6(b), 6(c), 7(b), 7(c),
+# 8(b), 8(c) and 9 and of the two ablations as
 # {"fig4b": {"Q5": {"declarative": 0.9, ...}, ...}, ...}. A table runs from
 # its "== " title over a header and a rule to a blank or note line; of
 # Figure 9 only the inc-touched-entries column is kept.
@@ -125,6 +134,7 @@ paper() {
 			t = ""; keep = ""; hdr = 2
 			if ($0 ~ /^== Figure [45678]\([bc]\)/) t = "fig" substr($3, 1, 1) substr($3, 3, 1)
 			else if ($0 ~ /^== Figure 4 census/) t = "fig4census"
+			else if ($0 ~ /^== Figure 5 counts/) t = "fig5counts"
 			else if ($0 ~ /^== Figure 9:/) { t = "fig9"; keep = "inc-touched-entries" }
 			else if ($0 ~ /^== Ablation: expansion order/) t = "ablation_order"
 			else if ($0 ~ /^== Ablation: plan-space/) t = "ablation_space"
@@ -158,19 +168,33 @@ for w in $workloads; do
 		--arg w "$w" '{($w): {parent: $p, change: $c}}'
 done | jq -s 'add' >"$work/workloads.json"
 
-# Each workload's traced runs: the per-layer metrics of each side, with the
-# exact counts taken out and set side by side.
+# Each workload's traced runs: per side, the median and the three values of
+# every timed per-layer metric, with the exact counts taken out and set side
+# by side. One side's runs must agree on every exact count.
 exact="$(sed -n '/^var exactCounts/,/^}/s/^\t"\([^"]*\)",$/\1/p' benchmarks/layers.go | jq -R -s 'split("\n") | map(select(length > 0))')"
 per_layer="$(jq '[.per_layer[].name]' BENCHMARK.json)"
-layer() {
-	tail -n 1 "$1" | jq --argjson names "$per_layer" '.metrics | with_entries(select(.key as $k | $names | index($k))) | map_values(.value)'
+# layers <out>...: the runs' per-layer metrics as {<metric>: [<value>, ...]}.
+layers() {
+	for f in "$@"; do tail -n 1 "$f"; done |
+		jq -s --argjson names "$per_layer" '[.[].metrics | with_entries(select(.key as $k | $names | index($k)))
+			| map_values(.value)] as $runs | $runs[0] | with_entries(.value = [$runs[][.key]])'
 }
 for w in $workloads; do
-	jq -n --argjson p "$(layer "$work/$w.traced.parent.out")" --argjson c "$(layer "$work/$w.traced.change.out")" \
-		--argjson exact "$exact" --arg w "$w" '
+	p="$(layers "$work/$w".traced.parent.*.out)" c="$(layers "$work/$w".traced.change.*.out)"
+	for side in "$p" "$c"; do
+		if ! jq -e --argjson exact "$exact" 'all(to_entries[] | select(.key as $k | $exact | index($k));
+			.value | unique | length == 1)' <<<"$side" >/dev/null; then
+			echo "bench: $w: one side's traced runs disagree on an exact count" >&2
+			exit 1
+		fi
+	done
+	jq -n --argjson p "$p" --argjson c "$c" --argjson exact "$exact" --arg w "$w" '
+		def median: sort | if length % 2 == 1 then .[length / 2 | floor]
+			else (.[length / 2 - 1] + .[length / 2]) / 2 end;
 		def timed: with_entries(select(.key as $k | $exact | index($k) | not));
-		{($w): {parent: ($p | timed), change: ($c | timed),
-		        exact: ([$exact[] | {key: ., value: {parent: $p[.], change: $c[.]}}] | from_entries)}}'
+		{($w): {parent: ($p | timed | map_values(median)), change: ($c | timed | map_values(median)),
+		        runs: {parent: ($p | timed), change: ($c | timed)},
+		        exact: ([$exact[] | {key: ., value: {parent: $p[.][0], change: $c[.][0]}}] | from_entries)}}'
 done | jq -s 'add' >"$work/layers.json"
 
 # The host as the benchmark itself reports it.

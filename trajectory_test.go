@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -14,12 +15,13 @@ import (
 // is complete: the host and the seeds it ran on, for every workload of
 // BENCHMARK.json the parent's and the change's median of every end-to-end
 // metric and one correctness flag per run, the per-layer metrics of each
-// side's traced run — every name BENCHMARK.json lists, the exact counts kept
-// apart with both sides' values — the ratchet's code.* counts of both
-// sides, and the paper's deterministic table cells (paper.<table>.<row>.
-// <column>) of both sides, for every table bench.sh records: Figures 4(b),
-// 4(c), 5(b), 5(c), 6(b), 6(c), 7(b), 7(c), 8(b), 8(c) and 9 and the two
-// ablations (ablation_order, ablation_space). It sets no
+// side's traced runs — every name BENCHMARK.json lists, the exact counts kept
+// apart with both sides' values, and each timed metric's median with its
+// three runs' values — the ratchet's code.* counts of both sides, and the
+// paper's deterministic table cells (paper.<table>.<row>.<column>) of both
+// sides, for every table bench.sh records: Figures 4(b), 4(c), the Figure 4
+// census, 5(b), 5(c), the Figure 5 counts, 6(b), 6(c), 7(b), 7(c), 8(b), 8(c)
+// and 9 and the two ablations (ablation_order, ablation_space). It sets no
 // thresholds: the host drifts, and the record is what a change's numbers are
 // compared with.
 func TestBenchRecordNamesEveryMetric(t *testing.T) {
@@ -62,6 +64,7 @@ func TestBenchRecordNamesEveryMetric(t *testing.T) {
 		Workloads map[string]map[string]*side
 		Layers    map[string]struct {
 			Parent, Change map[string]*float64
+			Runs           struct{ Parent, Change map[string][]*float64 }
 			Exact          map[string]struct{ Parent, Change *float64 }
 		}
 		Code  map[string]struct{ Parent, Change *int }
@@ -113,10 +116,17 @@ func TestBenchRecordNamesEveryMetric(t *testing.T) {
 				t.Errorf("%s: %s %s has no layers", newest, w.Name, sideName)
 				continue
 			}
+			runs := l.Runs.Parent
+			if sideName == "change" {
+				runs = l.Runs.Change
+			}
 			for name, v := range metrics {
 				_, exact := l.Exact[name]
 				if !perLayer[name] || exact || v == nil {
 					t.Errorf("%s: %s %s layer %q is not a timed per-layer metric of BENCHMARK.json with a value", newest, w.Name, sideName, name)
+				}
+				if len(runs[name]) != 3 || slices.Contains(runs[name], nil) {
+					t.Errorf("%s: %s %s layer %s has %d traced runs' values, not 3", newest, w.Name, sideName, name, len(runs[name]))
 				}
 			}
 			for name := range perLayer {
@@ -141,7 +151,7 @@ func TestBenchRecordNamesEveryMetric(t *testing.T) {
 	if previous != "" {
 		readJSON(t, previous, &prev)
 	}
-	for _, table := range []string{"fig4b", "fig4c", "fig4census", "fig5b", "fig5c", "fig6b", "fig6c", "fig7b", "fig7c", "fig8b", "fig8c", "fig9", "ablation_order", "ablation_space"} {
+	for _, table := range []string{"fig4b", "fig4c", "fig4census", "fig5b", "fig5c", "fig5counts", "fig6b", "fig6c", "fig7b", "fig7c", "fig8b", "fig8c", "fig9", "ablation_order", "ablation_space"} {
 		if len(rec.Paper[table]) == 0 {
 			t.Errorf("%s: no paper.%s cells", newest, table)
 		}
