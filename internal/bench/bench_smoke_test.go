@@ -145,9 +145,23 @@ func TestFigure7Shape(t *testing.T) {
 }
 
 func TestFigure8Runs(t *testing.T) {
-	tables := smokeEnv().Figure8()
-	if len(tables) != 3 || len(tables[0].Rows) != len(Figure5Ratios) {
+	e := smokeEnv()
+	tables := e.Figure8()
+	if len(tables) != 4 || len(tables[0].Rows) != len(Figure5Ratios) {
 		t.Fatal("Figure8 shape wrong")
+	}
+	// The counts table holds (b)'s and (c)'s numerators: flipped groups and
+	// flipped alternatives, three columns a config with touched entries.
+	cg, ca := e.Census(tpch.Q5())
+	for i, row := range tables[3].Rows {
+		for x := 1; x < len(tables[1].Header); x++ {
+			for k, census := range []int{cg, ca} {
+				flipped := parseRatio(t, row[3*x-2+k])
+				if want, got := f3(flipped/float64(census)), tables[1+k].Rows[i][x]; got != want {
+					t.Fatalf("scan ratio %s, %s: %v of %d gives %s, %q reads %s", row[0], tables[1].Header[x], flipped, census, want, tables[1+k].Title, got)
+				}
+			}
+		}
 	}
 }
 

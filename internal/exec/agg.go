@@ -29,7 +29,7 @@ type AggSpecExec struct {
 // at its key's packed offset — no hash, probe or key compare. A box that would
 // pass directSlots makes the table wide: it hashes until reset. Groups are
 // created through the one probe, group, either way, so the slots always hold
-// every group.
+// every group; over a few groups the sums add up beside the lookup (foldDirect).
 type aggTable struct {
 	spec AggSpecExec
 	gw   int // group-key width
@@ -158,10 +158,10 @@ type aggScratch struct {
 }
 
 // addBatch folds a column-major chunk (cols[c] holding rows 0..n-1, live
-// rows given by sel) into the table: group ids are resolved once per row —
-// through the direct map, and for a wide table through the slots — and each
-// accumulator column is then updated in its own tight loop over the chunk —
-// column locality on both the input and the sums. mult, when non-nil, is the
+// rows given by sel) into the table. foldDirect takes what rows it can in one
+// pass; for the rest group ids are resolved once per row — through the direct
+// map, and for a wide table through the slots — and each accumulator column
+// is then updated in its own loop over them. mult, when non-nil, is the
 // chunk's multiplicity vector (Batch.Mult): row i stands for mult[i] copies,
 // so it adds mult[i] to COUNT(*) and mult[i]·v to a SUM; a COUNT(DISTINCT)
 // set is the same however often a value arrives.
@@ -171,34 +171,24 @@ func (t *aggTable) addBatch(cols [][]int64, n int, sel []int, mult []int64, s *a
 		live = allRows[:n]
 	}
 	s.gids = sized(s.gids, len(live))
+	if k := t.foldDirect(cols, live, mult, s.gids); k > 0 {
+		live, s.gids = live[k:], s.gids[:len(live)-k]
+	}
 	if k := t.resolveDirect(cols, live, s.gids); k < len(live) {
 		t.resolveGids(cols, n, live, s, k)
 	}
 	for si, c := range t.spec.Sums {
 		col, sums := cols[c], t.sums[si]
-		if sel == nil {
-			for i := 0; i < n; i++ {
-				sums[s.gids[i]] += col[i]
-			}
-		} else {
-			for k, i := range sel {
-				sums[s.gids[k]] += col[i]
-			}
+		for k, i := range live {
+			sums[s.gids[k]] += col[i]
 		}
 	}
 	if mult != nil {
-		t.addExtraCopies(cols, sel, mult, s.gids)
+		t.addExtraCopies(cols, live, mult, s.gids)
 	}
 	for di, c := range t.spec.CountDistinct {
-		col := cols[c]
-		if sel == nil {
-			for i := 0; i < n; i++ {
-				t.addDistinct(int(s.gids[i])*t.dw+di, col[i])
-			}
-		} else {
-			for k, i := range sel {
-				t.addDistinct(int(s.gids[k])*t.dw+di, col[i])
-			}
+		for k, i := range live {
+			t.addDistinct(int(s.gids[k])*t.dw+di, cols[c][i])
 		}
 	}
 }
@@ -206,12 +196,9 @@ func (t *aggTable) addBatch(cols [][]int64, n int, sel []int, mult []int64, s *a
 // addExtraCopies finishes addBatch over a weighted chunk: COUNT(*) and every
 // SUM hold each live row once by now, and row i stands for mult[i] copies, so
 // the other mult[i]-1 are added here.
-func (t *aggTable) addExtraCopies(cols [][]int64, sel []int, mult []int64, gids []int32) {
+func (t *aggTable) addExtraCopies(cols [][]int64, live []int, mult []int64, gids []int32) {
 	for k, g := range gids {
-		i := k
-		if sel != nil {
-			i = sel[k]
-		}
+		i := live[k]
 		extra := mult[i] - 1
 		t.counts[g] += extra
 		for si, c := range t.spec.Sums {
@@ -229,6 +216,95 @@ var allRows = func() (rows [BatchSize]int) {
 	}
 	return rows
 }()
+
+// fuseGroups bounds the groups of a table foldDirect adds chunks into; zeros
+// stands in for a SUM column the table does not have.
+const fuseGroups = 16
+
+var zeros [BatchSize]int64
+
+// foldDirect is addBatch's one pass over an unweighted chunk into a direct
+// table of 1 to fuseGroups groups and no COUNT(DISTINCT): it resolves live
+// rows as lookupDirect does, up to the first outside the box or without a
+// group, and in the same loop adds COUNT(*) and the first two SUMs into stack
+// accumulators, added into counts and sums once; later SUMs add up over gids.
+// It returns the rows it took, 0 for any other table or chunk. Without a group
+// key COUNT(*) is the row count and a SUM a plain reduction.
+func (t *aggTable) foldDirect(cols [][]int64, sel []int, mult []int64, gids []int32) int {
+	if len(t.direct) == 0 || t.wide || t.n == 0 || t.n > fuseGroups || t.dw > 0 || mult != nil {
+		return 0
+	}
+	t.mapGroups()
+	keys, direct, sums := t.spec.GroupBy, t.direct, t.spec.Sums
+	if len(keys) == 0 {
+		t.counts[0] += int64(len(sel))
+		for si, c := range sums {
+			col, sum := cols[c], int64(0)
+			for _, i := range sel {
+				sum += col[i]
+			}
+			t.sums[si][0] += sum
+		}
+		return len(sel)
+	}
+	v := [2][]int64{zeros[:], zeros[:]}
+	for si, c := range sums[:min(t.sw, 2)] {
+		v[si] = cols[c]
+	}
+	// Group ids are below t.n ≤ fuseGroups: the mask only drops bounds checks.
+	var acc [3][fuseGroups]int64 // COUNT(*), SUM 0, SUM 1
+	k, sel, v0, v1, two := 0, sel[:len(gids)], v[0], v[1], t.sw > 1
+	add := func(k int, g int32, i int) {
+		gids[k], g = g, g&(fuseGroups-1)
+		acc[0][g], acc[1][g] = acc[0][g]+1, acc[1][g]+v0[i]
+		if two {
+			acc[2][g] += v1[i]
+		}
+	}
+	switch len(keys) {
+	case 1:
+		c0, lo0, s0 := cols[keys[0]], t.lo[0], t.span[0]
+		for ; k < len(gids); k++ {
+			x := uint64(c0[sel[k]] - lo0)
+			if x >= s0 || direct[x] == 0 {
+				break
+			}
+			add(k, direct[x]-1, sel[k])
+		}
+	case 2:
+		c0, c1 := cols[keys[0]], cols[keys[1]]
+		lo0, lo1, s0, s1 := t.lo[0], t.lo[1], t.span[0], t.span[1]
+		for ; k < len(gids); k++ {
+			i := sel[k]
+			d0, d1 := uint64(c0[i]-lo0), uint64(c1[i]-lo1)
+			if d0 >= s0 || d1 >= s1 || direct[d0*s1+d1] == 0 {
+				break
+			}
+			add(k, direct[d0*s1+d1]-1, i)
+		}
+	default:
+		for ; k < len(gids); k++ {
+			x, in := t.cellAt(cols, sel[k])
+			if !in || direct[x] == 0 {
+				break
+			}
+			add(k, direct[x]-1, sel[k])
+		}
+	}
+	for g := range t.n {
+		t.counts[g] += acc[0][g]
+		for si := range min(t.sw, 2) {
+			t.sums[si][g] += acc[1+si][g]
+		}
+	}
+	for si := 2; si < t.sw; si++ {
+		col, acc := cols[sums[si]], t.sums[si]
+		for x, i := range sel[:k] {
+			acc[gids[x]] += col[i]
+		}
+	}
+	return k
+}
 
 // resolveDirect resolves the live rows sel through the direct map, bumping
 // COUNT(*), and returns how many it resolved: all, or those before the table
@@ -545,11 +621,11 @@ type vecHashAggOp struct {
 
 // NewVecHashAgg returns a blocking hash aggregation: it consumes its input
 // batch-at-a-time through aggTable.addBatch (group ids by direct map while the
-// keys fit a small box, by hashing beyond it; per-column accumulator loops)
-// and emits the groups as dense column windows in deterministic (sorted group
-// key) order — the group-by columns followed by SUM values, COUNT(*) if
-// requested, then COUNT(DISTINCT) values. Under a memory budget it spills
-// (spillagg.go).
+// keys fit a small box, by hashing beyond it; sums beside the lookup over a
+// few groups, else per-column loops) and emits the groups as dense column
+// windows in deterministic (sorted group key) order — the group-by columns,
+// SUM values, COUNT(*) if requested, then COUNT(DISTINCT) values. Under a
+// memory budget it spills (spillagg.go).
 func NewVecHashAgg(in VecIterator, spec AggSpecExec) VecIterator {
 	return &vecHashAggOp{in: in, spec: spec}
 }

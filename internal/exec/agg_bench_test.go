@@ -89,11 +89,15 @@ func TestAggTableMatchesKeyStringBaseline(t *testing.T) {
 }
 
 // BenchmarkAggAddBatch times addBatch, the aggregation's only entry from an
-// operator, on 1024-row chunks in four shapes: Q1 (two narrow keys, two SUMs,
-// COUNT(*), 98 % selected), one group (Q6: one SUM over a selection),
-// SegTollS (three narrow keys and a COUNT(DISTINCT)), and two keys whose box
-// passes directSlots, so the table is wide and hashes. An op is one execution
-// of 16 chunks into a reset table; ns/row is per aggregated (live) row.
+// operator, on 1024-row chunks in six shapes: Q1 (two narrow keys, two SUMs,
+// COUNT(*), 98 % selected), one group (Q6: one SUM over a selection), one key
+// over 5 groups and one SUM (Q5 and the ad-hoc serving statements), SegTollS
+// (three narrow keys and a COUNT(DISTINCT)), two keys whose box passes
+// directSlots, so the table is wide and hashes, and Q1's shape over 17 groups,
+// one past fuseGroups, so it resolves and sums in separate passes. The first
+// three take foldDirect's one pass after the first chunk. An op is one
+// execution of 16 chunks into a reset table; ns/row is per aggregated (live)
+// row.
 func BenchmarkAggAddBatch(b *testing.B) {
 	for _, tc := range []struct {
 		name     string
@@ -103,8 +107,10 @@ func BenchmarkAggAddBatch(b *testing.B) {
 	}{
 		{"q1", AggSpecExec{GroupBy: []int{0, 1}, Sums: []int{2, 3}, CountAll: true}, []int64{3, 2, 50, 1e6}, 98},
 		{"one-group", AggSpecExec{Sums: []int{0}}, []int64{1e6}, 14},
+		{"one-key", AggSpecExec{GroupBy: []int{0}, Sums: []int{1}, CountAll: true}, []int64{5, 1e6}, 100},
 		{"segtolls", AggSpecExec{GroupBy: []int{0, 1, 2}, CountDistinct: []int{3}}, []int64{3, 2, 100, 5000}, 100},
 		{"wide", AggSpecExec{GroupBy: []int{0, 1}, Sums: []int{2}, CountAll: true}, []int64{1 << 20, 4, 1e6}, 100},
+		{"seventeen-groups", AggSpecExec{GroupBy: []int{0, 1}, Sums: []int{2, 3}, CountAll: true}, []int64{17, 1, 50, 1e6}, 98},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(52))
@@ -139,6 +145,9 @@ func BenchmarkAggAddBatch(b *testing.B) {
 			run() // sizes the table and the scratch
 			if t.wide != (tc.name == "wide") {
 				b.Fatalf("%s: wide %v", tc.name, t.wide)
+			}
+			if tc.name == "seventeen-groups" && t.n != 17 {
+				b.Fatalf("%s: %d groups", tc.name, t.n)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -52,6 +52,11 @@ type aggInput struct {
 // row and one copy at a time.
 func feed(direct, scalar *aggTable, in aggInput, s *aggScratch) {
 	direct.addBatch(in.cols, in.n, in.sel, in.mult, s)
+	addRows(scalar, in)
+}
+
+// addRows folds in into scalar through add, one row and one copy at a time.
+func addRows(scalar *aggTable, in aggInput) {
 	live := in.sel
 	if live == nil {
 		live = seq(in.n)
@@ -131,14 +136,32 @@ func keyInput(rng *rand.Rand, gw, n int, key func(c, i int) int64) aggInput {
 	return in
 }
 
-// TestDirectGroupIdsMatchHashPath drives addBatch — the direct map, widening,
-// and the hash path of a wide table — and the scalar add with the same rows,
-// and requires the same groups under the same ids after every chunk.
+// foldFeed is feed with foldDirect called first, as addBatch calls it: the
+// rows it takes are added, addBatch adds the rest, and it returns how many it
+// took.
+func foldFeed(direct, scalar *aggTable, in aggInput, s *aggScratch) int {
+	live := in.sel
+	if live == nil {
+		live = seq(in.n)
+	}
+	k := direct.foldDirect(in.cols, live, in.mult, make([]int32, len(live)))
+	direct.addBatch(in.cols, in.n, live[k:], in.mult, s)
+	addRows(scalar, in)
+	return k
+}
+
+// TestDirectGroupIdsMatchHashPath drives addBatch — the one pass over a few
+// groups, the direct map, widening, and the hash path of a wide table — and
+// the scalar add with the same rows, and requires the same groups under the
+// same ids after every chunk.
 func TestDirectGroupIdsMatchHashPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	specOf := func(gw int) AggSpecExec {
 		return AggSpecExec{GroupBy: seq(gw), Sums: []int{gw, gw + 1}, CountAll: true, CountDistinct: []int{gw + 1}}
 	}
+
+	var s aggScratch
+	testFoldDirect(t, rng, &s)
 
 	// Random chunks: 0–3 key columns, with and without Sel and Mult, keys in a
 	// window that drifts (widening mid-chunk) and, from chunk 9 on, jumps far
@@ -148,7 +171,6 @@ func TestDirectGroupIdsMatchHashPath(t *testing.T) {
 			for _, weighted := range []bool{false, true} {
 				label := fmt.Sprintf("%d key columns, selection %v, weighted %v", gw, selected, weighted)
 				direct, scalar := newAggTable(specOf(gw)), newAggTable(specOf(gw))
-				var s aggScratch
 				for b := 0; b < 12; b++ {
 					base, w := int64(-20+3*b), int64(1+rng.Intn(8))
 					far := b >= 9 && rng.Intn(2) == 0
@@ -186,7 +208,6 @@ func TestDirectGroupIdsMatchHashPath(t *testing.T) {
 	// whose unchecked cell would be another group's: rows before it are
 	// counted once, the rest through the wider box.
 	direct, scalar := newAggTable(specOf(2)), newAggTable(specOf(2))
-	var s aggScratch
 	small := func(c, i int) int64 { return int64(i >> (2 * c) % 4) } // a 4×4 grid
 	feed(direct, scalar, keyInput(rng, 2, 64, small), &s)
 	if direct.wide || len(direct.direct) != 16 {
@@ -292,6 +313,111 @@ func TestDirectGroupIdsMatchHashPath(t *testing.T) {
 		if direct.wide != tc.wide {
 			t.Fatalf("%s: wide %v, want %v (lo %v span %v)", tc.name, direct.wide, tc.wide, direct.lo, direct.span)
 		}
+	}
+}
+
+// TestDirectGroupIdsMatchHashPath's tables without COUNT(DISTINCT), which
+// foldDirect takes while they are direct and hold 1 to fuseGroups groups.
+func testFoldDirect(t *testing.T, rng *rand.Rand, s *aggScratch) {
+	// Every shape: 0–3 key columns over a 3×2×2 grid (at most 12 groups),
+	// 0–3 SUMs, COUNT(*) on and off, selection nil and non-nil. SUM values
+	// include the int64 extremes: their sums wrap, exactly in any order.
+	for gw := 0; gw <= 3; gw++ {
+		for sw := 0; sw <= 3; sw++ {
+			for _, countAll := range []bool{false, true} {
+				for _, selected := range []bool{false, true} {
+					label := fmt.Sprintf("fold: %d key columns, %d SUMs, COUNT(*) %v, selection %v", gw, sw, countAll, selected)
+					spec := AggSpecExec{GroupBy: seq(gw), CountAll: countAll}
+					for c := range sw {
+						spec.Sums = append(spec.Sums, gw+c)
+					}
+					direct, scalar := newAggTable(spec), newAggTable(spec)
+					folded := 0
+					for b := 0; b < 6; b++ {
+						in := aggInput{cols: make([][]int64, gw+sw), n: 1 + rng.Intn(BatchSize)}
+						for c := range in.cols {
+							in.cols[c] = make([]int64, in.n)
+							for i := range in.cols[c] {
+								switch {
+								case c < gw:
+									in.cols[c][i] = int64(rng.Intn(3 - min(c, 1)))
+								case rng.Intn(4) == 0:
+									in.cols[c][i] = extremes[rng.Intn(len(extremes))]
+								default:
+									in.cols[c][i] = rng.Int63n(1000) - 500
+								}
+							}
+						}
+						if selected {
+							in.sel = []int{}
+							for i := range in.n {
+								if rng.Intn(8) > 0 {
+									in.sel = append(in.sel, i)
+								}
+							}
+						}
+						folded += foldFeed(direct, scalar, in, s)
+						sameGroups(t, fmt.Sprintf("%s, chunk %d", label, b), direct, scalar)
+					}
+					if folded == 0 {
+						t.Fatalf("%s: foldDirect took no row", label)
+					}
+				}
+			}
+		}
+	}
+
+	spec := AggSpecExec{GroupBy: []int{0}, Sums: []int{1, 2}, CountAll: true}
+	chunk := func(key func(i int) int64) aggInput {
+		return keyInput(rng, 1, BatchSize, func(_, i int) int64 { return key(i) })
+	}
+	sixteen := func(i int) int64 { return int64(i%16) + int64(i%16/15) } // 0–14 and 16: a box of 17 cells
+	for _, tc := range []struct {
+		name   string
+		key    int64 // the second chunk's key at row 300
+		groups int   // after the second chunk
+		wide   bool
+	}{
+		{"17th group at row 300", 15, 17, false},
+		{"key outside the box at row 300", 20, 17, false},
+		{"wide at row 300", 1 << 40, 17, true},
+	} {
+		direct, scalar := newAggTable(spec), newAggTable(spec)
+		if k := foldFeed(direct, scalar, chunk(sixteen), s); k != 0 || direct.n != 16 || len(direct.direct) != 17 {
+			t.Fatalf("%s: first chunk folded %d rows into %d groups, box of %d cells", tc.name, k, direct.n, len(direct.direct))
+		}
+		second := chunk(func(i int) int64 {
+			if i == 300 {
+				return tc.key
+			}
+			return sixteen(i)
+		})
+		if k := foldFeed(direct, scalar, second, s); k != 300 {
+			t.Fatalf("%s: foldDirect took %d rows, want 300", tc.name, k)
+		}
+		sameGroups(t, tc.name, direct, scalar)
+		if direct.n != tc.groups || direct.wide != tc.wide {
+			t.Fatalf("%s: %d groups, wide %v; want %d, %v", tc.name, direct.n, direct.wide, tc.groups, tc.wide)
+		}
+		// 17 groups or a wide table: the next chunk takes today's loops.
+		if k := foldFeed(direct, scalar, chunk(sixteen), s); k != 0 {
+			t.Fatalf("%s: foldDirect took %d rows of a table of %d groups (wide %v)", tc.name, k, direct.n, direct.wide)
+		}
+		sameGroups(t, tc.name+", next chunk", direct, scalar)
+	}
+
+	// Weighted chunks stay on today's loops.
+	direct, scalar := newAggTable(spec), newAggTable(spec)
+	for b := range 3 {
+		in := chunk(func(i int) int64 { return int64(i % 5) })
+		in.mult = make([]int64, in.n)
+		for i := range in.mult {
+			in.mult[i] = 1 + rng.Int63n(3)
+		}
+		if k := foldFeed(direct, scalar, in, s); k != 0 {
+			t.Fatalf("weighted chunk %d: foldDirect took %d rows", b, k)
+		}
+		sameGroups(t, fmt.Sprintf("weighted chunk %d", b), direct, scalar)
 	}
 }
 

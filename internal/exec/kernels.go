@@ -369,15 +369,19 @@ func buildJoinTable(t *joinTable, data colData, keys []int, counting bool) *join
 // 2^64 is a bijection of v, so no key outside the span wraps into it.
 func (t *joinTable) admit(col []int64, m int, sel, dst []int) []int {
 	dst = sized(dst, m)
-	last, k := uint64(len(t.bits)-1), 0
-	for x := range dst {
-		i := x
-		if sel != nil {
-			i = sel[x]
+	lo, bits, last, k := uint64(t.lo), t.bits, uint64(len(t.bits)-1), 0
+	if sel == nil {
+		for i, v := range col[:m] {
+			d := uint64(v) - lo
+			dst[k] = i
+			k += b2i(d>>6 <= last) & int(bits[min(d>>6, last)]>>(d&63))
 		}
-		d := uint64(col[i]) - uint64(t.lo)
-		dst[k] = i
-		k += b2i(d>>6 <= last) & int(t.bits[min(d>>6, last)]>>(d&63))
+	} else {
+		for _, i := range sel[:m] {
+			d := uint64(col[i]) - lo
+			dst[k] = i
+			k += b2i(d>>6 <= last) & int(bits[min(d>>6, last)]>>(d&63))
+		}
 	}
 	return dst[:k]
 }
