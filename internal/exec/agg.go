@@ -171,9 +171,8 @@ func (t *aggTable) addBatch(cols [][]int64, n int, sel []int, mult []int64, s *a
 		live = allRows[:n]
 	}
 	s.gids = sized(s.gids, len(live))
-	if k := t.foldDirect(cols, live, mult, s.gids); k > 0 {
-		live, s.gids = live[k:], s.gids[:len(live)-k]
-	}
+	folded := t.foldDirect(cols, live, mult, s.gids)
+	live, s.gids = live[folded:], s.gids[:len(live)-folded]
 	if k := t.resolveDirect(cols, live, s.gids); k < len(live) {
 		t.resolveGids(cols, n, live, s, k)
 	}
@@ -187,8 +186,9 @@ func (t *aggTable) addBatch(cols [][]int64, n int, sel []int, mult []int64, s *a
 		t.addExtraCopies(cols, live, mult, s.gids)
 	}
 	for di, c := range t.spec.CountDistinct {
+		col := cols[c]
 		for k, i := range live {
-			t.addDistinct(int(s.gids[k])*t.dw+di, cols[c][i])
+			t.addDistinct(int(s.gids[k])*t.dw+di, col[i])
 		}
 	}
 }

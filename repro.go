@@ -20,31 +20,31 @@
 //     the shared query model, physical design, statistics and cost model;
 //   - internal/exec — the executor, one serial vectorized columnar engine
 //     (Compiler.CompileVec → DrainVec/CountVec) with one join, the hash join
-//     (every join compiles through its one path; sorts compile to nothing;
-//     its table carries an exact bitmap of the first build-key column when
-//     the column's range allows one, so a probe row no build row can match
-//     is dropped before it is hashed), grace-hash spilling under a per-query
-//     budget, and exact cardinality
-//     feedback from every scan and join. Invariant: an operator's schema is
-//     the set of columns read at or above it (aggregation inputs, predicates
-//     not yet applied), so a column dies after its last reader; a query without
-//     an aggregation returns every column and is all-live. Where that leaves a
-//     join's build side dead — no build column read above it, no residual on
-//     one — and the join feeds the aggregation (directly, or through more
-//     such joins on its probe side), the join counts instead of enumerating:
-//     each matching probe row is passed on once with its match count beside
-//     it (Batch.Mult), which COUNT(*) and SUM scale by and COUNT(DISTINCT)
-//     ignores; the cardinality counters sum the multiplicities, so feedback
-//     is that of the enumerating join. A compiled tree is re-openable: after
-//     Close, Open starts a new execution — scans rebind to their tables'
-//     current column snapshots, RunStats counters are zeroed, and every
-//     operator empties the buffers it owns (build sides, join tables and
-//     their key bitmaps, the
-//     aggregation's group arrays and its one flat COUNT(DISTINCT) set, output
-//     columns, batch scratch) and keeps their capacity, for exactly as long
-//     as the operator itself lives; nothing is charged to the tracker between
-//     executions. A tree compiled against a result cache, or one whose last
-//     execution failed, refuses a second Open;
+//     (every join compiles through its one path; sorts compile to nothing; its
+//     table carries an exact bitmap of the first build-key column when the
+//     column's range allows one, so a probe row no build row can match is
+//     dropped before it is hashed), an aggregation that over a few groups adds
+//     COUNT(*) and its SUMs beside the group lookup, grace-hash spilling under
+//     a per-query budget, and exact cardinality feedback from every scan and
+//     join. Invariant: an operator's schema is the set of columns read at or
+//     above it (aggregation inputs, predicates not yet applied), so a column
+//     dies after its last reader; a query without an aggregation returns every
+//     column and is all-live. Where that leaves a join's build side dead — no
+//     build column read above it, no residual on one — and the join feeds the
+//     aggregation (directly, or through more such joins on its probe side),
+//     the join counts instead of enumerating: each matching probe row is
+//     passed on once with its match count beside it (Batch.Mult), which
+//     COUNT(*) and SUM scale by and COUNT(DISTINCT) ignores; the cardinality
+//     counters sum the multiplicities, so feedback is that of the enumerating
+//     join. A compiled tree is re-openable: after Close, Open starts a new
+//     execution — scans rebind to their tables' current column snapshots,
+//     RunStats counters are zeroed, and every operator empties the buffers it
+//     owns (build sides, join tables and their key bitmaps, the aggregation's
+//     group arrays and its one flat COUNT(DISTINCT) set, output columns, batch
+//     scratch) and keeps their capacity, for exactly as long as the operator
+//     itself lives; nothing is charged to the tracker between executions. A
+//     tree compiled against a result cache, or one whose last execution
+//     failed, refuses a second Open;
 //   - internal/aqp — the adaptive query processing loop. The controller
 //     owns the standing query's execution: it compiles a plan once and
 //     re-opens that tree at every split point until the re-optimizer
