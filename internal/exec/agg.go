@@ -251,9 +251,9 @@ func (t *aggTable) foldDirect(cols [][]int64, sel []int, mult []int64, gids []in
 	for si, c := range sums[:min(t.sw, 2)] {
 		v[si] = cols[c]
 	}
-	// Group ids are below t.n ≤ fuseGroups: the mask only drops bounds checks.
 	var acc [3][fuseGroups]int64 // COUNT(*), SUM 0, SUM 1
 	k, sel, v0, v1, two := 0, sel[:len(gids)], v[0], v[1], t.sw > 1
+	// Group ids are below t.n ≤ fuseGroups: the mask only drops bounds checks.
 	add := func(k int, g int32, i int) {
 		gids[k], g = g, g&(fuseGroups-1)
 		acc[0][g], acc[1][g] = acc[0][g]+1, acc[1][g]+v0[i]
@@ -298,9 +298,9 @@ func (t *aggTable) foldDirect(cols [][]int64, sel []int, mult []int64, gids []in
 		}
 	}
 	for si := 2; si < t.sw; si++ {
-		col, acc := cols[sums[si]], t.sums[si]
+		col, out := cols[sums[si]], t.sums[si]
 		for x, i := range sel[:k] {
-			acc[gids[x]] += col[i]
+			out[gids[x]] += col[i]
 		}
 	}
 	return k
