@@ -65,7 +65,7 @@ func main() {
 		full := time.Since(t0)
 
 		fmt.Printf("round %d: %5d rows on plan v%d; repaired=%-5t (cumulative repair time %10v, touched %4d entries) vs full optimization %10v\n",
-			round, len(res.Rows), res.PlanVersion, res.Repaired,
+			round, res.Rows, res.PlanVersion, res.Repaired,
 			entry.RepairTime, entry.Touched, full)
 	}
 

@@ -106,13 +106,23 @@ func TestFigure5Shape(t *testing.T) {
 // TestFigure6Converges holds Figure 6 to its claim: feedback from executed
 // partitions re-optimizes Q5 and then converges. In both update-ratio tables
 // round 1 updates something, no later round updates more than round 1, and
-// rounds 5-7 update nothing.
+// rounds 5-7 update nothing; the counts table over Q5's census gives both.
 func TestFigure6Converges(t *testing.T) {
-	tables := smokeEnv().Figure6(8, 0.5)
-	if len(tables) != 3 {
+	e := smokeEnv()
+	tables := e.Figure6(8, 0.5)
+	if len(tables) != 4 {
 		t.Fatalf("Figure6 returned %d tables", len(tables))
 	}
-	for _, tb := range tables[1:] {
+	cg, ca := e.Census(tpch.Q5())
+	for i, row := range tables[3].Rows {
+		for k, census := range []int{cg, ca} { // groups, then entries
+			touched := parseRatio(t, row[1+k])
+			if want, got := f3(touched/float64(census)), tables[1+k].Rows[i][1]; got != want {
+				t.Fatalf("round %s: %v of %d gives %s, %q reads %s", row[0], touched, census, want, tables[1+k].Title, got)
+			}
+		}
+	}
+	for _, tb := range tables[1:3] {
 		if len(tb.Rows) != 7 {
 			t.Fatalf("%s: %d rounds, want 7", tb.Title, len(tb.Rows))
 		}
@@ -132,8 +142,30 @@ func TestFigure6Converges(t *testing.T) {
 	}
 }
 
+// TestFigure7Shape: reference counting never reduces group pruning, and the
+// counts table gives (b) and (c) over each query's census, which its live and
+// pruned counts add up to under every config.
 func TestFigure7Shape(t *testing.T) {
-	tables := smokeEnv().Figure7()
+	e := smokeEnv()
+	tables := e.Figure7()
+	if len(tables) != 4 {
+		t.Fatalf("Figure7 returned %d tables", len(tables))
+	}
+	for i, q := range tpch.JoinWorkload() {
+		row := tables[3].Rows[i]
+		cg, ca := e.Census(q)
+		for x := 1; x < len(tables[1].Header); x++ {
+			for k, census := range []int{cg, ca} { // groups, then alternatives
+				live, pruned := parseRatio(t, row[4*x-3+k]), parseRatio(t, row[4*x-1+k])
+				if live+pruned != float64(census) {
+					t.Fatalf("%s, %s: %v live and %v pruned of %d", q.Name, tables[1].Header[x], live, pruned, census)
+				}
+				if want, got := f2(pruned/float64(census)), tables[1+k].Rows[i][x]; got != want {
+					t.Fatalf("%s, %s: %v pruned of %d gives %s, %q reads %s", q.Name, tables[1].Header[x], pruned, census, want, tables[1+k].Title, got)
+				}
+			}
+		}
+	}
 	prune := tables[1]
 	for _, row := range prune.Rows {
 		aggsel := parseRatio(t, row[1])

@@ -152,7 +152,9 @@ func (e *Env) Figure5() []*Table {
 // executed plan's cardinalities into cumulative averages per observed set,
 // calibrates each factor against the corrections its subsets already carry,
 // and returns only the factors that left a 2x band around the one applied
-// (threshold 1 in ratio space); each is staged with UpdateCardFactor.
+// (threshold 1 in ratio space); each is staged with UpdateCardFactor. The
+// counts behind (b) and (c) are each round's touched groups and entries,
+// whose denominators are Q5's Figure 4 census.
 func (e *Env) Figure6(partitions int, skew float64) []*Table {
 	q := tpch.Q5()
 	cg, ca := e.Census(q)
@@ -167,6 +169,8 @@ func (e *Env) Figure6(partitions int, skew float64) []*Table {
 		Header: []string{"round", "ratio"}}
 	tc := &Table{Title: "Figure 6(c): update ratio, plan alternatives",
 		Header: []string{"round", "ratio"}}
+	td := &Table{Title: "Figure 6 counts: touched groups and entries per round",
+		Header: []string{"round", "touched-groups", "touched-entries"}}
 
 	cal := aqp.NewCalibrator(true, 1)
 	lastSig := plan.Signature()
@@ -206,9 +210,10 @@ func (e *Env) Figure6(partitions int, skew float64) []*Table {
 			fmt.Sprint(changed)})
 		tb.Rows = append(tb.Rows, []string{fmt.Sprint(round), f3(ratio(met.TouchedGroups, cg))})
 		tc.Rows = append(tc.Rows, []string{fmt.Sprint(round), f3(ratio(met.TouchedEntries, ca))})
+		td.Rows = append(td.Rows, []string{fmt.Sprint(round), fmt.Sprint(met.TouchedGroups), fmt.Sprint(met.TouchedEntries)})
 	}
 	ta.Notes = append(ta.Notes, "paper: speedups of 10x or greater; 20-60 re-optimizations/second vs Volcano's 2")
-	return []*Table{ta, tb, tc}
+	return []*Table{ta, tb, tc, td}
 }
 
 // Figure7Configs are the pruning-strategy combinations of Figures 7 and 8.
@@ -222,17 +227,23 @@ func Figure7Configs() []core.Pruning {
 }
 
 // Figure7 reproduces Figure 7: the contribution of each pruning strategy to
-// initial optimization across the workload.
+// initial optimization across the workload, and the counts behind (b) and
+// (c): per pruning config, the live groups and alternatives and the pruned
+// ones, (b)'s and (c)'s numerators, which together make the query's census.
 func (e *Env) Figure7() []*Table {
 	queries := tpch.JoinWorkload()
 	configs := Figure7Configs()
-	header := []string{"query"}
+	header, countHeader := []string{"query"}, []string{"query"}
 	for _, c := range configs {
 		header = append(header, c.String())
+		for _, col := range []string{"-live-groups", "-live-alts", "-pruned-groups", "-pruned-alts"} {
+			countHeader = append(countHeader, c.String()+col)
+		}
 	}
 	ta := &Table{Title: "Figure 7(a): initial optimization time by pruning config (normalized to Volcano)", Header: header}
 	tb := &Table{Title: "Figure 7(b): pruning ratio, plan table entries", Header: header}
 	tc := &Table{Title: "Figure 7(c): pruning ratio, plan alternatives", Header: header}
+	td := &Table{Title: "Figure 7 counts: live and pruned groups and alternatives", Header: countHeader}
 
 	for _, q := range queries {
 		cg, ca := e.Census(q)
@@ -240,6 +251,7 @@ func (e *Env) Figure7() []*Table {
 		rowA := []string{q.Name}
 		rowB := []string{q.Name}
 		rowC := []string{q.Name}
+		rowD := []string{q.Name}
 		for _, cfg := range configs {
 			var liveG, liveA int
 			d := e.timeIt(func() {
@@ -249,14 +261,16 @@ func (e *Env) Figure7() []*Table {
 			rowA = append(rowA, f2(float64(d)/float64(volT)))
 			rowB = append(rowB, f2(1-ratio(liveG, cg)))
 			rowC = append(rowC, f2(1-ratio(liveA, ca)))
+			rowD = append(rowD, fmt.Sprint(liveG), fmt.Sprint(liveA), fmt.Sprint(cg-liveG), fmt.Sprint(ca-liveA))
 		}
 		ta.Rows = append(ta.Rows, rowA)
 		tb.Rows = append(tb.Rows, rowB)
 		tc.Rows = append(tc.Rows, rowC)
+		td.Rows = append(td.Rows, rowD)
 	}
 	ta.Notes = append(ta.Notes, "paper: each technique adds at most ~10% runtime overhead at initial optimization")
 	tb.Notes = append(tb.Notes, "paper: each technique adds pruning capability")
-	return []*Table{ta, tb, tc}
+	return []*Table{ta, tb, tc, td}
 }
 
 // Figure8 reproduces Figure 8: the pruning strategies during INCREMENTAL

@@ -93,73 +93,73 @@ type VecIterator interface {
 	Close() error
 }
 
-// DrainVec runs a vectorized iterator to completion and returns all rows.
-// Each batch's live rows are copied out of the (recycled) columnar batch
-// exactly once, into one backing allocation per batch; the returned rows
-// are never reused and may be retained indefinitely.
-func DrainVec(v VecIterator) ([]Row, error) {
-	if err := v.Open(); err != nil {
-		return nil, errors.Join(err, v.Close())
-	}
-	var out []Row
-	for {
-		b, err := v.Next()
-		if err != nil {
-			return nil, errors.Join(err, v.Close())
-		}
-		if b == nil {
-			break
-		}
-		if err := unweighted(b, "DrainVec"); err != nil {
-			return nil, errors.Join(err, v.Close())
-		}
-		n, w := b.Len(), b.Width()
-		if n == 0 {
-			continue
-		}
-		buf := make([]int64, n*w)
-		if b.Sel == nil {
-			for c, col := range b.Cols {
-				for i := 0; i < n; i++ {
-					buf[i*w+c] = col[i]
-				}
-			}
-		} else {
-			for c, col := range b.Cols {
-				for k, i := range b.Sel {
-					buf[k*w+c] = col[i]
-				}
-			}
-		}
-		for i := 0; i < n; i++ {
-			out = append(out, Row(buf[i*w:(i+1)*w:(i+1)*w]))
-		}
-	}
-	return out, v.Close()
-}
-
-// CountVec runs a vectorized iterator to completion and returns the row
-// count without retaining rows.
-func CountVec(v VecIterator) (int64, error) {
+// Drain runs a vectorized iterator to completion and returns its live-row
+// count. each, when non-nil, is the sink: it is handed every batch as it is
+// produced and must copy out what it keeps before returning (the batch is
+// recycled); an error it returns ends the execution. A nil each only counts.
+// Drain rejects weighted batches and closes the tree on every path, joining
+// Close's error to the one that ended the execution.
+func Drain(v VecIterator, each func(*Batch) error) (int64, error) {
 	if err := v.Open(); err != nil {
 		return 0, errors.Join(err, v.Close())
 	}
 	var n int64
 	for {
 		b, err := v.Next()
+		if err == nil && b == nil {
+			return n, v.Close()
+		}
+		if err == nil {
+			err = unweighted(b, "a drain")
+		}
+		if err == nil && each != nil {
+			err = each(b)
+		}
 		if err != nil {
-			return n, errors.Join(err, v.Close())
-		}
-		if b == nil {
-			break
-		}
-		if err := unweighted(b, "CountVec"); err != nil {
 			return n, errors.Join(err, v.Close())
 		}
 		n += int64(b.Len())
 	}
-	return n, v.Close()
 }
+
+// DrainVec runs a vectorized iterator to completion and returns all rows.
+// Each batch's live rows are copied out of the (recycled) columnar batch
+// exactly once, into one backing allocation per batch; the returned rows
+// are never reused and may be retained indefinitely.
+func DrainVec(v VecIterator) ([]Row, error) {
+	var out []Row
+	if _, err := Drain(v, func(b *Batch) error { out = AppendRows(out, b); return nil }); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// AppendRows copies b's live rows onto out, in one backing allocation.
+func AppendRows(out []Row, b *Batch) []Row {
+	n, w := b.Len(), b.Width()
+	buf := make([]int64, n*w)
+	if b.Sel == nil {
+		for c, col := range b.Cols {
+			for i := 0; i < n; i++ {
+				buf[i*w+c] = col[i]
+			}
+		}
+	} else {
+		for c, col := range b.Cols {
+			for k, i := range b.Sel {
+				buf[k*w+c] = col[i]
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		out = append(out, Row(buf[i*w:(i+1)*w:(i+1)*w]))
+	}
+	return out
+}
+
+// CountVec runs a vectorized iterator to completion and returns the row
+// count without retaining rows.
+func CountVec(v VecIterator) (int64, error) { return Drain(v, nil) }
 
 // ---- materialized columnar data ----
 
@@ -261,23 +261,8 @@ func drainVecCols(in VecIterator, buf *colData) (colData, error) {
 		return d.drainCols(buf)
 	}
 	buf.reset()
-	if err := in.Open(); err != nil {
-		return *buf, errors.Join(err, in.Close())
-	}
-	for {
-		b, err := in.Next()
-		if err != nil {
-			return *buf, errors.Join(err, in.Close())
-		}
-		if b == nil {
-			break
-		}
-		if err := unweighted(b, "a materializing drain"); err != nil {
-			return *buf, errors.Join(err, in.Close())
-		}
-		buf.appendBatch(b)
-	}
-	return *buf, in.Close()
+	_, err := Drain(in, func(b *Batch) error { buf.appendBatch(b); return nil })
+	return *buf, err
 }
 
 // ---- vectorized scan ----

@@ -13,7 +13,7 @@
 // execution" and §5.4 loop), and the same record renders EXPLAIN ANALYZE.
 //
 // There is one engine and one way in: Compiler.CompileVec turns a plan into
-// a tree of VecIterator operators, and DrainVec/CountVec run it. Operators
+// a tree of VecIterator operators, and Drain runs it into a sink. Operators
 // exchange column-major batches — up to BatchSize rows held as one
 // contiguous []int64 per column, with a selection vector for pushed-down
 // predicates (batch.go). Leaf scans hand out zero-copy column windows over

@@ -130,7 +130,29 @@ func TestDrainJoinsCloseError(t *testing.T) {
 	if _, err := CountVec(&failingIter{closeErr: closeErr}); !errors.Is(err, closeErr) {
 		t.Fatalf("CountVec error %v does not join the Close error", err)
 	}
+	// A sink's error ends the drain the same way: after the first batch, the
+	// tree closed and its Close error joined, the rows before it counted.
+	sinkErr := errors.New("sink failed")
+	scan := &closeErrIter{NewVecScan([][]int64{make([]int64, 3*BatchSize)}, 3*BatchSize, ScanFilter{}), closeErr}
+	batches := 0
+	n, err := Drain(scan, func(*Batch) error {
+		if batches++; batches == 2 {
+			return sinkErr
+		}
+		return nil
+	})
+	if !errors.Is(err, sinkErr) || !errors.Is(err, closeErr) || n != BatchSize || batches != 2 {
+		t.Fatalf("Drain into a sink failing on batch 2: %d rows, %d batches, error %v", n, batches, err)
+	}
 }
+
+// closeErrIter is its iterator with a Close that fails.
+type closeErrIter struct {
+	VecIterator
+	closeErr error
+}
+
+func (c *closeErrIter) Close() error { return errors.Join(c.VecIterator.Close(), c.closeErr) }
 
 // weightedIter emits one batch of n single-column rows, each standing for
 // three: what a counting hash join hands its consumer.

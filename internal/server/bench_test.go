@@ -1,7 +1,12 @@
 package server
 
 import (
+	"bufio"
+	"bytes"
 	"fmt"
+	"io"
+	"net"
+	"strings"
 	"sync"
 	"testing"
 
@@ -79,6 +84,60 @@ func BenchmarkServeThroughput(b *testing.B) {
 				}(s)
 			}
 			wg.Wait()
+		})
+	}
+}
+
+// BenchmarkServeRowsVerb is a Go benchmark of the wire's rows verb: per op,
+// one converged execution streamed over net.Pipe to a client goroutine that
+// reads every line, for Q3S (19 rows at SF 0.002) and an unfiltered scan of
+// two lineitem columns (every row). It reports ns/op and B/op of the round
+// trip, server and client together; the row lines are written as the
+// executor produces them, so B/op does not grow with the result.
+func BenchmarkServeRowsVerb(b *testing.B) {
+	cat := tpch.Generate(tpch.Config{ScaleFactor: 0.002, Seed: 42, Skew: 0.5})
+	for _, c := range []struct{ name, prepare string }{
+		{"q3s", "query s Q3S"},
+		{"scan", "prepare s SELECT l.l_orderkey, l.l_partkey FROM lineitem l"},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			srv := benchServer(b, cat, 1)
+			server, client := net.Pipe()
+			defer client.Close()
+			go func() {
+				_ = srv.ServeConn(server)
+				server.Close()
+			}()
+			replies := make(chan string)
+			go func() {
+				sc := bufio.NewScanner(client)
+				for sc.Scan() {
+					if l := sc.Bytes(); !bytes.HasPrefix(l, []byte("row ")) && !bytes.HasPrefix(l, []byte("| ")) {
+						replies <- string(l)
+					}
+				}
+				close(replies)
+			}()
+			send := func(cmd string) {
+				if _, err := io.WriteString(client, cmd+"\n"); err != nil {
+					b.Fatal(err)
+				}
+				if r := <-replies; !strings.HasPrefix(r, "ok") {
+					b.Fatalf("%s: %s", cmd, r)
+				}
+			}
+			<-replies // the greeting
+			send(c.prepare)
+			for i := 0; i < 3; i++ {
+				send("exec s")
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				send("rows s")
+			}
+			b.StopTimer()
+			send("quit")
 		})
 	}
 }

@@ -192,12 +192,12 @@ func TestConcurrentSameShapeMisses(t *testing.T) {
 		if st == nil {
 			return nil
 		}
-		res, err := st.Exec()
+		_, rows, err := execRows(st)
 		if err != nil {
 			t.Error(err)
 			return nil
 		}
-		return multiset(res.Rows)
+		return multiset(rows)
 	}
 
 	serial := testServer(t, Options{})

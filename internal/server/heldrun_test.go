@@ -1,7 +1,9 @@
 package server
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -104,7 +106,7 @@ func TestHeldRunMatchesFresh(t *testing.T) {
 				at := fmt.Sprintf("%s %s round %d", label, name, round)
 				first := stmts[name].entry.cur.Load()
 				var mu sync.Mutex
-				var got []*Result
+				var got []heldExec
 				var wg sync.WaitGroup
 				for s := 0; s < sessions; s++ {
 					wg.Add(1)
@@ -116,22 +118,22 @@ func TestHeldRunMatchesFresh(t *testing.T) {
 							return
 						}
 						for i := 0; i < execs; i++ {
-							var res *Result
+							var x heldExec
 							if s == 0 && i == 0 {
 								var analyzed string
-								res, analyzed, err = st.ExplainAnalyze()
+								x.res, analyzed, err = st.ExplainAnalyze()
 								if err == nil && !strings.Contains(analyzed, "time=") {
 									t.Errorf("%s: EXPLAIN ANALYZE without times:\n%s", at, analyzed)
 								}
 							} else {
-								res, err = st.Exec()
+								x.res, x.rows, err = execRows(st)
 							}
 							if err != nil {
 								t.Errorf("%s: %v", at, err)
 								return
 							}
 							mu.Lock()
-							got = append(got, res)
+							got = append(got, x)
 							mu.Unlock()
 						}
 					}()
@@ -145,7 +147,8 @@ func TestHeldRunMatchesFresh(t *testing.T) {
 				// version sees what the executions saw.
 				last := stmts[name].entry.cur.Load()
 				fresh := map[uint64]*freshResult{}
-				for _, res := range got {
+				for _, x := range got {
+					res := x.res
 					f := fresh[res.PlanVersion]
 					if f == nil {
 						switch res.PlanVersion {
@@ -159,8 +162,8 @@ func TestHeldRunMatchesFresh(t *testing.T) {
 						}
 						fresh[res.PlanVersion] = f
 					}
-					if !sameMultiset(multiset(res.Rows), f.rows) {
-						t.Fatalf("%s (plan v%d): %d rows differ from a fresh tree's", at, res.PlanVersion, len(res.Rows))
+					if res.Rows != f.n || x.rows != nil && !sameMultiset(multiset(x.rows), f.rows) {
+						t.Fatalf("%s (plan v%d): %d rows differ from a fresh tree's %d", at, res.PlanVersion, res.Rows, f.n)
 					}
 					if !reflect.DeepEqual(res.cards, f.cards) {
 						t.Fatalf("%s (plan v%d): fed back %v, a fresh tree counts %v", at, res.PlanVersion, res.cards, f.cards)
@@ -179,10 +182,18 @@ func TestHeldRunMatchesFresh(t *testing.T) {
 	}
 }
 
+// heldExec is one execution of TestHeldRunMatchesFresh: its result, and its
+// rows unless it was the analyze arm, which counts.
+type heldExec struct {
+	res  *Result
+	rows []exec.Row
+}
+
 // freshResult is what a freshly compiled tree returned: its rows as a
-// multiset and its RunStats.
+// multiset, their count and its RunStats.
 type freshResult struct {
 	rows  map[string]int
+	n     int64
 	cards map[relalg.RelSet]int64
 }
 
@@ -216,7 +227,7 @@ func checkFresh(t *testing.T, at string, srv *Server, q *relalg.Query, plan *rel
 			t.Fatalf("%s: a fresh tree counts %d rows for %v, the reference %d", at, n, set, want)
 		}
 	}
-	return &freshResult{rows: multiset(rows), cards: cards}
+	return &freshResult{rows: multiset(rows), n: int64(len(rows)), cards: cards}
 }
 
 // TestHeldRunProfiles: EXPLAIN ANALYZE and slow-query tracing run on held
@@ -323,23 +334,51 @@ func TestHeldRunProfiles(t *testing.T) {
 	}
 }
 
-// TestFailedRunIsNotReused: an execution that fails at spill time, because
-// its spill directory was removed, leaves its tree in no defined state, so
-// the run is dropped rather than handed back. Once the directory is back,
-// the next execution of the statement compiles a tree and succeeds.
+// TestFailedRunIsNotReused: an execution that fails leaves its tree in no
+// defined state, so the run is dropped rather than handed back, and nothing it
+// counted is fed back. A converged Q5 that spills under the budget fails
+// twice: at spill time, because its spill directory was removed, and in its
+// sink, which errors on the first batch it is handed, as the rows verb's does
+// when its client has gone. After each failure the next execution compiles a
+// tree and returns the converged rows. The sink's failure leaves the spill
+// directory empty and moves no execution counter and no plan version. Over
+// the wire, on one admission slot, a client gone mid-rows ends ServeConn
+// with the write error, and the slot is free for the next execution. The
+// collector is off and the test on one P, so an idle run is always found.
 func TestFailedRunIsNotReused(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	spill := filepath.Join(t.TempDir(), "spill")
 	if err := os.Mkdir(spill, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	srv := testServer(t, Options{MemBudgetBytes: 2 << 10, SpillDir: spill})
+	srv := testServer(t, Options{MaxConcurrent: 1, MemBudgetBytes: 2 << 10, SpillDir: spill})
 	st, err := srv.Session().PrepareNamed("Q5")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := multiset(converge(t, "Q5", st).Rows)
+	converge(t, "Q5", st)
+	_, rows, err := execRows(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := multiset(rows)
 	if srv.Metrics().SpilledQueries == 0 {
-		t.Fatal("Q5 never spilled under the budget: the failure below would not happen")
+		t.Fatal("Q5 never spilled under the budget: the failures below would not happen")
+	}
+	recovers := func(arm string) {
+		t.Helper()
+		before := srv.Metrics().Compiles
+		_, rows, err := execRows(st)
+		if err != nil {
+			t.Fatalf("the execution after the %s failure: %v", arm, err)
+		}
+		if !sameMultiset(multiset(rows), want) {
+			t.Fatalf("the execution after the %s failure returned different rows", arm)
+		}
+		if after := srv.Metrics().Compiles; after != before+1 {
+			t.Fatalf("the execution after the %s failure compiled %d trees, want 1", arm, after-before)
+		}
 	}
 
 	if err := os.RemoveAll(spill); err != nil {
@@ -351,33 +390,84 @@ func TestFailedRunIsNotReused(t *testing.T) {
 	if err := os.Mkdir(spill, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	before := srv.Metrics().Compiles
-	res, err := st.Exec()
-	if err != nil {
-		t.Fatalf("the execution after the failed one: %v", err)
+	recovers("spill")
+
+	m0, v0 := srv.Metrics(), st.entry.cur.Load().version
+	gone := errors.New("client gone")
+	batches := 0
+	if _, err := st.ExecInto(func(*exec.Batch) error { batches++; return gone }); !errors.Is(err, gone) || batches != 1 {
+		t.Fatalf("a sink failing on its first batch: error %v after %d batches", err, batches)
 	}
-	if !sameMultiset(multiset(res.Rows), want) {
-		t.Fatal("the execution after the failed one returned different rows")
+	if left, err := os.ReadDir(spill); err != nil || len(left) != 0 {
+		t.Fatalf("the failed execution left %d spill files (%v)", len(left), err)
 	}
-	if after := srv.Metrics().Compiles; after != before+1 {
-		t.Fatalf("the execution after the failed one compiled %d trees, want 1", after-before)
+	m1, v1 := srv.Metrics(), st.entry.cur.Load().version
+	if m1.Execs != m0.Execs || m1.Converged != m0.Converged || m1.Repairs != m0.Repairs || v1 != v0 {
+		t.Fatalf("the failed execution moved execs %d→%d, converged %d→%d, repairs %d→%d or plan v%d→v%d",
+			m0.Execs, m1.Execs, m0.Converged, m1.Converged, m0.Repairs, m1.Repairs, v0, v1)
 	}
+	recovers("sink")
+
+	reset := errors.New("connection reset")
+	conn := struct {
+		io.Reader
+		io.Writer
+	}{strings.NewReader("prepare all SELECT l.l_orderkey, l.l_partkey FROM lineitem l\nrows all\nquit\n"),
+		&failingWriter{left: 8 << 10, err: reset}}
+	m0 = srv.Metrics()
+	if err := srv.ServeConn(conn); !errors.Is(err, reset) {
+		t.Fatalf("ServeConn over a client gone mid-rows returned %v, want the write error", err)
+	}
+	admitted := make(chan error, 1)
+	go func() { _, err := st.Exec(); admitted <- err }()
+	select {
+	case err := <-admitted:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the gone client's execution still holds the admission slot")
+	}
+	if m1 := srv.Metrics(); m1.Execs != m0.Execs+1 || m1.QueueWaits != m0.QueueWaits {
+		t.Fatalf("the gone client's execution counted: execs %d→%d, queue waits %d→%d",
+			m0.Execs, m1.Execs, m0.QueueWaits, m1.QueueWaits)
+	}
+}
+
+// failingWriter takes left bytes, then fails every write with err.
+type failingWriter struct {
+	left int
+	err  error
+}
+
+func (w *failingWriter) Write(b []byte) (int, error) {
+	if len(b) > w.left {
+		w.left = 0
+		return 0, w.err
+	}
+	w.left -= len(b)
+	return len(b), nil
 }
 
 // TestServeHitSteadyStateAllocs pins what a converged plan-cache hit costs
 // once its plan version holds an idle run: Q3S at SF 0.002, executed
 // serially through one prepared statement. Compiling per request allocated
-// ≈ 349 kB in 169 allocations an execution; a held run ≈ 4.6 kB in 19. The
-// ceilings leave room for an occasional tree compiled after the GC has taken
-// the idle one, or after the goroutine moved to another P.
+// ≈ 349 kB in 169 allocations an execution; a held run drained into rows
+// ≈ 4.8 kB in 19; a held run that counts 344 B in 6. The ceilings keep the
+// headroom the 4.8 kB run had (about 5× the bytes, 2.5× the allocations). A
+// tree compiled after the GC took the idle one, or after the goroutine moved
+// to another P, costs more than that room over 200 executions, so the test
+// runs with the collector off on one P.
 func TestServeHitSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops held runs at random under -race")
 	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const (
 		n             = 200
-		ceilingBytes  = 24 << 10
-		ceilingAllocs = 48
+		ceilingBytes  = 1792
+		ceilingAllocs = 15
 	)
 	srv := testServer(t, Options{})
 	st, err := srv.Session().PrepareNamed("Q3S")

@@ -27,15 +27,15 @@ func TestMemBudgetDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 3; i++ {
-			r0, err := st0.Exec()
+			r0, rows0, err := execRows(st0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			r1, err := st1.Exec()
+			r1, rows1, err := execRows(st1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !sameMultiset(multiset(r0.Rows), multiset(r1.Rows)) {
+			if !sameMultiset(multiset(rows0), multiset(rows1)) {
 				t.Fatalf("%s: the memory budget changed the result multiset", name)
 			}
 			if r0.PlanVersion != r1.PlanVersion || r0.Repaired != r1.Repaired {

@@ -5,10 +5,13 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
-	"sync"
 	"time"
+
+	"repro/internal/exec"
 )
 
 // This file implements the server's front door: a line-oriented text
@@ -22,7 +25,8 @@ import (
 //	prepare <stmt> <sql...>   parse SQL, bind to the shared plan cache
 //	query   <stmt> <name>     bind a registered named query (Options.Named)
 //	exec    <stmt>            execute; reply with the row count
-//	rows    <stmt>            execute; stream result rows, then the count
+//	rows    <stmt>            execute; stream the result rows as they are
+//	                          produced, then the count
 //	run     <sql...>          one-shot prepare (anonymous) + exec
 //	explain <stmt>            print the current cached plan
 //	analyze <stmt>            execute with per-operator profiling; print the
@@ -33,19 +37,24 @@ import (
 //	                          dumps (needs Options.TraceEvents or
 //	                          TraceSlowQuery), as /traces does
 //	quit                      close the session
+//
+// Only rows sends a result set; exec, run and analyze count it. A rows
+// execution holds its admission slot while the client reads, and a write
+// that fails because the client has gone ends the execution as a failed one.
+// A client that stalls without going away holds the slot until it reads. An
+// execution that fails after its first rows replies err after them.
 type protoSession struct {
 	sess  *Session
 	stmts map[string]*Stmt
 	w     *bufio.Writer
-	wmu   sync.Mutex // guards w: concurrent handlers are not used today,
-	// but the protocol layer must not interleave lines if they ever are
+	row   []byte // writeRows' line buffer
 }
 
 // ServeConn runs the line protocol over one connection (a TCP conn, a
 // pipe, or stdin/stdout glued together). It opens one Session and blocks
-// until EOF, "quit", or a transport error. Protocol-level errors (bad
-// command, failed parse) are reported to the client and do not terminate
-// the connection.
+// until EOF, "quit", or a transport error, which it returns; a failed write
+// is one. Protocol-level errors (bad command, failed parse) are reported to
+// the client and do not terminate the connection.
 func (s *Server) ServeConn(rw io.ReadWriter) error {
 	ps := &protoSession{
 		sess:  s.Session(),
@@ -62,6 +71,9 @@ func (s *Server) ServeConn(rw io.ReadWriter) error {
 		}
 		if !ps.handle(s, line) {
 			return nil
+		}
+		if err := ps.w.Flush(); err != nil {
+			return err
 		}
 	}
 	return sc.Err()
@@ -82,28 +94,65 @@ func (s *Server) ServeListener(l net.Listener) error {
 	}
 }
 
-// line buffers one continuation line without flushing — used for row
-// streams and multi-line reports, which are always terminated by a reply.
-func (ps *protoSession) line(format string, args ...any) {
-	ps.wmu.Lock()
-	fmt.Fprintf(ps.w, format+"\n", args...)
-	ps.wmu.Unlock()
+// report buffers text as "| " continuation lines, which a reply terminates.
+func (ps *protoSession) report(text string) {
+	for _, l := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
+		fmt.Fprintf(ps.w, "| %s\n", l)
+	}
 }
 
-// reply terminates a response and flushes everything buffered so far.
+// reply terminates a response and flushes everything buffered so far. A
+// failed write sticks to the writer, and ServeConn returns it.
 func (ps *protoSession) reply(format string, args ...any) {
-	ps.wmu.Lock()
 	fmt.Fprintf(ps.w, format+"\n", args...)
 	ps.w.Flush()
-	ps.wmu.Unlock()
+}
+
+// done replies to an execution: its error, or its count.
+func (ps *protoSession) done(res *Result, err error) {
+	if err != nil {
+		ps.reply("err %v", err)
+		return
+	}
+	ps.reply("ok rows=%d version=%d repaired=%t elapsed=%v",
+		res.Rows, res.PlanVersion, res.Repaired, res.Elapsed.Round(time.Microsecond))
+}
+
+// writeRows is the rows verb's sink: it buffers one "row" line per live row
+// of b, in the writer that flushes to the client as it fills, and returns
+// the write error that ends the execution when the client has gone.
+func (ps *protoSession) writeRows(b *exec.Batch) error {
+	for k := range b.Len() {
+		i := k
+		if b.Sel != nil {
+			i = b.Sel[k]
+		}
+		ps.row = append(ps.row[:0], "row "...)
+		for c, col := range b.Cols {
+			if c > 0 {
+				ps.row = append(ps.row, ' ')
+			}
+			ps.row = strconv.AppendInt(ps.row, col[i], 10)
+		}
+		ps.row = append(ps.row, '\n')
+		if _, err := ps.w.Write(ps.row); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // handle executes one command line; it returns false when the session
 // should close.
 func (ps *protoSession) handle(s *Server, line string) bool {
 	verb, rest, _ := strings.Cut(line, " ")
-	rest = strings.TrimSpace(rest)
-	switch strings.ToLower(verb) {
+	verb, rest = strings.ToLower(verb), strings.TrimSpace(rest)
+	st, known := ps.stmts[rest]
+	if !known && slices.Contains([]string{"exec", "rows", "explain", "analyze"}, verb) {
+		ps.reply("err unknown statement %q (prepare it first)", rest)
+		return true
+	}
+	switch verb {
 	case "quit", "exit":
 		ps.reply("ok bye")
 		return false
@@ -116,7 +165,7 @@ func (ps *protoSession) handle(s *Server, line string) bool {
 			return true
 		}
 		prepare := ps.sess.Prepare
-		if strings.EqualFold(verb, "query") {
+		if verb == "query" {
 			prepare = ps.sess.PrepareNamed
 		}
 		st, err := prepare(text)
@@ -128,68 +177,33 @@ func (ps *protoSession) handle(s *Server, line string) bool {
 		ps.reply("ok prepared %s cache=%s key=%s", name, hitMiss(st.Hit), keyHash(st.CacheKey()))
 
 	case "exec", "rows":
-		st, ok := ps.stmts[rest]
-		if !ok {
-			ps.reply("err unknown statement %q (prepare it first)", rest)
-			return true
+		var each func(*exec.Batch) error
+		if verb == "rows" {
+			each = ps.writeRows
 		}
-		res, err := st.Exec()
-		if err != nil {
-			ps.reply("err %v", err)
-			return true
-		}
-		if strings.EqualFold(verb, "rows") {
-			for _, r := range res.Rows {
-				ps.line("row %s", rowString(r))
-			}
-		}
-		ps.reply("ok rows=%d version=%d repaired=%t elapsed=%v",
-			len(res.Rows), res.PlanVersion, res.Repaired, res.Elapsed.Round(time.Microsecond))
+		ps.done(st.ExecInto(each))
 
 	case "run":
 		if rest == "" {
 			ps.reply("err usage: run <sql>")
 			return true
 		}
-		res, err := ps.sess.Query(rest)
-		if err != nil {
-			ps.reply("err %v", err)
-			return true
-		}
-		ps.reply("ok rows=%d version=%d repaired=%t elapsed=%v",
-			len(res.Rows), res.PlanVersion, res.Repaired, res.Elapsed.Round(time.Microsecond))
+		ps.done(ps.sess.Query(rest))
 
 	case "explain":
-		st, ok := ps.stmts[rest]
-		if !ok {
-			ps.reply("err unknown statement %q (prepare it first)", rest)
-			return true
-		}
 		snap := st.entry.cur.Load()
-		for _, l := range strings.Split(strings.TrimRight(snap.plan.Explain(st.Query()), "\n"), "\n") {
-			ps.line("| %s", l)
-		}
+		ps.report(snap.plan.Explain(st.Query()))
 		ps.reply("ok cost=%.3f version=%d", snap.plan.Cost, snap.version)
 
 	case "analyze":
-		st, ok := ps.stmts[rest]
-		if !ok {
-			ps.reply("err unknown statement %q (prepare it first)", rest)
-			return true
-		}
 		res, analyzed, err := st.ExplainAnalyze()
-		if err != nil {
-			ps.reply("err %v", err)
-			return true
+		if err == nil {
+			ps.report(analyzed)
 		}
-		for _, l := range strings.Split(strings.TrimRight(analyzed, "\n"), "\n") {
-			ps.line("| %s", l)
-		}
-		ps.reply("ok rows=%d version=%d repaired=%t elapsed=%v",
-			len(res.Rows), res.PlanVersion, res.Repaired, res.Elapsed.Round(time.Microsecond))
+		ps.done(res, err)
 
 	case "trace":
-		events, slow, err := s.traces(func(l string) { ps.line("| %s", l) })
+		events, slow, err := s.traces(ps.report)
 		if err != nil {
 			ps.reply("err %v", err)
 			return true
@@ -205,9 +219,7 @@ func (ps *protoSession) handle(s *Server, line string) bool {
 		ps.reply("ok named=%s", strings.Join(names, ","))
 
 	case "metrics":
-		for _, l := range strings.Split(strings.TrimRight(s.Metrics().String(), "\n"), "\n") {
-			ps.line("| %s", l)
-		}
+		ps.report(s.Metrics().String())
 		ps.reply("ok")
 
 	default:
@@ -221,15 +233,4 @@ func hitMiss(hit bool) string {
 		return "hit"
 	}
 	return "miss"
-}
-
-func rowString(r []int64) string {
-	var b strings.Builder
-	for i, v := range r {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		fmt.Fprintf(&b, "%d", v)
-	}
-	return b.String()
 }

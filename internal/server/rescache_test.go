@@ -70,14 +70,14 @@ func TestServeConcurrentStressResultCache(t *testing.T) {
 					t.Errorf("g%d r%d prepare: %v", g, r, err)
 					return
 				}
-				res, err := st.Exec()
+				_, rows, err := execRows(st)
 				if err != nil {
 					t.Errorf("g%d r%d exec: %v", g, r, err)
 					return
 				}
-				if !sameMultiset(multiset(res.Rows), baselines[i]) {
+				if !sameMultiset(multiset(rows), baselines[i]) {
 					t.Errorf("g%d r%d: statement %d diverged from the uncached serial baseline (%d rows)",
-						g, r, i, len(res.Rows))
+						g, r, i, len(rows))
 					return
 				}
 			}
@@ -124,7 +124,7 @@ func TestResultCacheInvalidationDifferential(t *testing.T) {
 	if _, err := st.Exec(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := st.Exec()
+	_, rows, err := execRows(st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestResultCacheInvalidationDifferential(t *testing.T) {
 	if warm.Stores == 0 || warm.Hits == 0 {
 		t.Fatalf("cache not serving before the mutation: %+v", warm)
 	}
-	if !sameMultiset(multiset(res.Rows), serialBaseline(t, srv.Catalog(), st.Query())) {
+	if !sameMultiset(multiset(rows), serialBaseline(t, srv.Catalog(), st.Query())) {
 		t.Fatal("warm result diverged before the mutation")
 	}
 
@@ -144,7 +144,7 @@ func TestResultCacheInvalidationDifferential(t *testing.T) {
 	cust.Append(row)
 	cust.Analyze(0)
 
-	res, err = st.Exec()
+	_, rows, err = execRows(st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,18 +153,18 @@ func TestResultCacheInvalidationDifferential(t *testing.T) {
 		t.Fatal("no cache invalidations after Append bumped the data version")
 	}
 	want := serialBaseline(t, srv.Catalog(), st.Query())
-	if !sameMultiset(multiset(res.Rows), want) {
+	if !sameMultiset(multiset(rows), want) {
 		t.Fatal("post-mutation result diverged from the uncached baseline over mutated data")
 	}
 	// The re-spooled entries serve the NEW data.
-	res, err = st.Exec()
+	_, rows, err = execRows(st)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if srv.ResultCache().Metrics().Hits == after.Hits {
 		t.Fatal("cache never re-served after re-spooling the mutated table")
 	}
-	if !sameMultiset(multiset(res.Rows), want) {
+	if !sameMultiset(multiset(rows), want) {
 		t.Fatal("re-warmed result diverged from the uncached baseline")
 	}
 }

@@ -51,7 +51,8 @@
 //     and its feedback still lands in the shared store;
 //   - each published plan version keeps its idle compiled trees in a
 //     sync.Pool: every execution, profiled or not, borrows one (compiling
-//     only when none is idle), drains it, reads its RunStats — the
+//     only when none is idle), drains it into its caller's sink (or only
+//     counts), reads its RunStats — the
 //     cardinalities and, for EXPLAIN ANALYZE or a slow-query dump, the
 //     per-operator spans — and hands it back, so one execution at a time
 //     holds a tree and a converged statement reopens its trees instead of
@@ -441,48 +442,57 @@ func (st *Stmt) Plan() *relalg.Plan { return st.entry.cur.Load().plan }
 // Query returns the canonical query the statement is bound to.
 func (st *Stmt) Query() *relalg.Query { return st.entry.q }
 
-// Result is one execution's outcome.
+// Result is one execution's outcome. The result set itself goes only to
+// the sink of ExecInto, batch by batch, as it is produced.
 type Result struct {
-	// Rows is the full result set (aggregated rows when the query
-	// aggregates). Row slices are immutable and safe to retain.
-	Rows []exec.Row
+	// Rows is the number of result rows (aggregated rows when the query
+	// aggregates).
+	Rows int64
 	// PlanVersion identifies the cached plan generation that executed;
 	// it converges once feedback stabilizes.
 	PlanVersion uint64
 	// Repaired reports whether this execution's feedback triggered an
 	// incremental repair of the cached plan.
 	Repaired bool
-	// Elapsed is the execution (not optimization) wall time.
+	// Elapsed is the execution (not optimization) wall time, including the
+	// time ExecInto's sink spent on the batches.
 	Elapsed time.Duration
 	// cards are the observed cardinalities the execution fed back.
 	cards map[relalg.RelSet]int64
 }
 
-// Exec executes the prepared statement: admission, snapshot the cached plan,
-// run it on the vectorized executor, then feed the observed cardinalities
-// back through the entry's live optimizer. Concurrent Execs of the same
-// statement are safe and run in parallel up to the admission bound; the
-// repair they trigger is serialized per entry.
-func (st *Stmt) Exec() (*Result, error) {
-	res, _, err := st.exec(false)
+// Exec executes the prepared statement and counts its rows: admission,
+// snapshot the cached plan, run it on the vectorized executor, then feed the
+// observed cardinalities back through the entry's live optimizer. Concurrent
+// Execs of the same statement are safe and run in parallel up to the
+// admission bound; the repair they trigger is serialized per entry.
+func (st *Stmt) Exec() (*Result, error) { return st.ExecInto(nil) }
+
+// ExecInto is Exec with the result set handed to each, one batch of live
+// rows at a time on the executing goroutine; the batch is recycled once each
+// returns, so each copies out what it keeps. An error from each ends the
+// execution as a failed one: the error is returned, its tree is closed and
+// dropped, and nothing is fed back. A nil each only counts, as Exec does.
+func (st *Stmt) ExecInto(each func(*exec.Batch) error) (*Result, error) {
+	res, _, err := st.exec(false, each)
 	return res, err
 }
 
-// ExplainAnalyze executes the statement once with every operator timed and
-// returns the annotated plan tree alongside the result: every operator's
-// batch/row counts and wall time, with estimated-vs-actual cardinality and
-// q-error per node. The profiled execution is a real one on a held tree like
-// any other — its rows are returned and its feedback lands like any other
-// execution's.
+// ExplainAnalyze executes the statement once with every operator timed,
+// counting its rows, and returns the annotated plan tree alongside the
+// result: every operator's batch/row counts and wall time, with
+// estimated-vs-actual cardinality and q-error per node. The profiled
+// execution is a real one on a held tree like any other, and its feedback
+// lands like any other execution's.
 func (st *Stmt) ExplainAnalyze() (*Result, string, error) {
-	return st.exec(true)
+	return st.exec(true, nil)
 }
 
-// exec is the shared execution path: admit → run → hand the run back → feed
-// back. With analyze set it returns the run's annotated plan tree; a
-// slow-query threshold has every run timed, so the dump of one that trips it
-// is complete.
-func (st *Stmt) exec(analyze bool) (*Result, string, error) {
+// exec is the shared execution path: admit → run into each → hand the run
+// back → feed back. With analyze set it returns the run's annotated plan
+// tree; a slow-query threshold has every run timed, so the dump of one that
+// trips it is complete.
+func (st *Stmt) exec(analyze bool, each func(*exec.Batch) error) (*Result, string, error) {
 	srv, e := st.sess.srv, st.entry
 	traceFrom, err := srv.admit(e)
 	if err != nil {
@@ -491,7 +501,7 @@ func (st *Stmt) exec(analyze bool) (*Result, string, error) {
 	defer srv.release()
 	e.touch()
 	snap := e.cur.Load()
-	res, run, err := srv.run(e, snap, analyze || srv.opts.TraceSlowQuery > 0)
+	res, run, err := srv.run(e, snap, analyze || srv.opts.TraceSlowQuery > 0, each)
 	if err != nil {
 		return nil, "", err
 	}
@@ -517,7 +527,7 @@ func (st *Stmt) exec(analyze bool) (*Result, string, error) {
 		note = "repaired"
 	}
 	srv.trace.Emit(obs.Event{Kind: obs.KindExec, Query: e.hash,
-		A: int64(len(res.Rows)), B: int64(snap.version), Dur: res.Elapsed, Note: note})
+		A: res.Rows, B: int64(snap.version), Dur: res.Elapsed, Note: note})
 
 	if slow {
 		srv.slowQuery(e, snap, res.Elapsed, analyzed, traceFrom)
@@ -573,11 +583,12 @@ func (s *Server) release() { <-s.sem }
 // set. It borrows one of snap's idle held runs, and compiles one — tree,
 // RunStats and a memory tracker created even without a budget, so per-query
 // peak memory stays observable on unbounded servers — only when none is idle.
-// It drains the tree, records the execution's latency, peak memory and spill,
+// It drains the tree into each (nil counts), records the execution's latency
+// (the sink's time included), peak memory and spill,
 // and traces the result-cache probe hits and spools its own compile decided.
 // The caller hands the run back once it has read the RunStats. The returned
 // Result lacks only Repaired and the cards.
-func (s *Server) run(e *planEntry, snap *planVersion, timed bool) (*Result, *heldRun, error) {
+func (s *Server) run(e *planEntry, snap *planVersion, timed bool, each func(*exec.Batch) error) (*Result, *heldRun, error) {
 	run, _ := snap.runs.Get().(*heldRun)
 	start := time.Now()
 	var hits, spools int
@@ -594,7 +605,7 @@ func (s *Server) run(e *planEntry, snap *planVersion, timed bool) (*Result, *hel
 		hits, spools = comp.CacheDecisions()
 	}
 	run.stats.SetTiming(timed)
-	rows, err := exec.DrainVec(run.root)
+	rows, err := exec.Drain(run.root, each)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -650,7 +661,7 @@ func (s *Server) slowQuery(e *planEntry, snap *planVersion, elapsed time.Duratio
 	}
 }
 
-// Query is the one-shot convenience: Prepare + Exec.
+// Query is the one-shot convenience: Prepare + Exec, which counts.
 func (sess *Session) Query(sql string) (*Result, error) {
 	st, err := sess.Prepare(sql)
 	if err != nil {

@@ -2,6 +2,9 @@ package server
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -46,6 +49,20 @@ func multiset(rows []exec.Row) map[string]int {
 // serialBaseline executes q once through a fresh optimizer and a serial
 // executor — the single-session reference every concurrent result must
 // match (any correct plan produces the same multiset).
+// execRows executes st through ExecInto with a sink that collects its rows,
+// and holds the count the execution reports to what the sink saw.
+func execRows(st *Stmt) (*Result, []exec.Row, error) {
+	var rows []exec.Row
+	res, err := st.ExecInto(func(b *exec.Batch) error {
+		rows = exec.AppendRows(rows, b)
+		return nil
+	})
+	if err == nil && res.Rows != int64(len(rows)) {
+		err = fmt.Errorf("the execution reports %d rows, its sink saw %d", res.Rows, len(rows))
+	}
+	return res, rows, err
+}
+
 func serialBaseline(t *testing.T, cat *catalog.Catalog, q *relalg.Query) map[string]int {
 	t.Helper()
 	m, err := cost.NewModel(q, cat, cost.DefaultParams())
@@ -201,14 +218,14 @@ func TestServeConcurrentStress(t *testing.T) {
 					t.Errorf("g%d r%d prepare %s: %v", g, r, name, err)
 					return
 				}
-				res, err := st.Exec()
+				_, rows, err := execRows(st)
 				if err != nil {
 					t.Errorf("g%d r%d exec %s: %v", g, r, name, err)
 					return
 				}
-				if !sameMultiset(multiset(res.Rows), baselines[name]) {
+				if !sameMultiset(multiset(rows), baselines[name]) {
 					t.Errorf("g%d r%d: %s result diverged from serial baseline (%d rows)",
-						g, r, name, len(res.Rows))
+						g, r, name, len(rows))
 					return
 				}
 			}
@@ -233,14 +250,14 @@ func TestServeConcurrentStress(t *testing.T) {
 		}
 		v0 := st.entry.cur.Load().version
 		for i := 0; i < 2; i++ {
-			res, err := st.Exec()
+			res, rows, err := execRows(st)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if res.Repaired {
 				t.Errorf("%s still repairing after warmup (exec %d)", name, i)
 			}
-			if !sameMultiset(multiset(res.Rows), baselines[name]) {
+			if !sameMultiset(multiset(rows), baselines[name]) {
 				t.Errorf("%s post-warmup result diverged", name)
 			}
 		}
@@ -281,15 +298,24 @@ func TestServeConcurrentStress(t *testing.T) {
 	}
 }
 
+// TestProtoSessionRoundTrip drives one wire session through every verb that
+// executes: rows before and after the repair its first execution feeds back,
+// exec, analyze and run. Every reply but the reports ("| " lines), with
+// elapsed= masked, must equal the golden transcript, which the executor's
+// drain recorded before rows streamed from a sink; each rows reply's row
+// lines must be the serial baseline's multiset, as many as its ok rows=.
 func TestProtoSessionRoundTrip(t *testing.T) {
 	srv := testServer(t, Options{})
 
 	var out strings.Builder
 	script := strings.Join([]string{
 		"query q3 Q3S",
+		"rows q3",
 		"exec q3",
-		"exec q3",
+		"analyze q3",
 		"explain q3",
+		"rows q3",
+		"rows nope",
 		"run SELECT c.c_custkey FROM customer c WHERE c.c_mktsegment = 'MACHINERY'",
 		"names",
 		"metrics",
@@ -301,18 +327,50 @@ func TestProtoSessionRoundTrip(t *testing.T) {
 	}
 	got := out.String()
 	for _, want := range []string{
-		"ok prepared q3 cache=miss",
 		"repaired=true",
-		"repaired=false",
 		"| HashJoin", // explain renders an operator tree
-		"ok named=",
+		"| EXPLAIN ANALYZE",
 		"misses=2", // Q3S + the ad-hoc run
-		`err unknown command "bogus"`,
-		"ok bye",
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("protocol transcript missing %q:\n%s", want, got)
 		}
+	}
+
+	elapsed := regexp.MustCompile(`elapsed=\S+`)
+	var masked strings.Builder
+	base := serialBaseline(t, srv.Catalog(), tpch.Q3S())
+	var rows []string
+	streams := 0
+	for _, l := range strings.SplitAfter(got, "\n") {
+		if l == "" || strings.HasPrefix(l, "| ") {
+			continue
+		}
+		masked.WriteString(elapsed.ReplaceAllString(l, "elapsed=*"))
+		if r, ok := strings.CutPrefix(l, "row "); ok {
+			rows = append(rows, "["+strings.TrimSuffix(r, "\n")+"]")
+			continue
+		}
+		if len(rows) > 0 {
+			m := map[string]int{}
+			for _, r := range rows {
+				m[r]++
+			}
+			if want := fmt.Sprintf("ok rows=%d ", len(rows)); !strings.HasPrefix(l, want) || !sameMultiset(m, base) {
+				t.Errorf("%d row lines, then %q: not the serial baseline's rows, or not %q", len(rows), l, want)
+			}
+			rows, streams = nil, streams+1
+		}
+	}
+	if streams != 2 {
+		t.Errorf("%d rows replies streamed rows, want 2", streams)
+	}
+	golden, err := os.ReadFile(filepath.Join("testdata", "proto_transcript.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if masked.String() != string(golden) {
+		t.Errorf("the transcript differs from testdata/proto_transcript.golden:\n%s", masked.String())
 	}
 }
 

@@ -35,21 +35,21 @@ func execWorkload(t *testing.T, srv *Server) map[string]map[string]int {
 		if err != nil {
 			t.Fatalf("prepare %s: %v", name, err)
 		}
-		res, err := st.Exec()
+		_, rows, err := execRows(st)
 		if err != nil {
 			t.Fatalf("exec %s: %v", name, err)
 		}
-		out[name] = multiset(res.Rows)
+		out[name] = multiset(rows)
 	}
 	st, err := sess.Prepare(restartAdhoc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := st.Exec()
+	_, rows, err := execRows(st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out["adhoc"] = multiset(res.Rows)
+	out["adhoc"] = multiset(rows)
 	return out
 }
 
@@ -312,11 +312,11 @@ func TestStorageConcurrentAppendExec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := st.Exec()
+	_, rows, err := execRows(st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameMultiset(multiset(res.Rows), serialBaseline(t, srv.Catalog(), srv.opts.Named["Q10"])) {
+	if !sameMultiset(multiset(rows), serialBaseline(t, srv.Catalog(), srv.opts.Named["Q10"])) {
 		t.Fatal("post-quiesce result diverged from the serial baseline over mutated data")
 	}
 }
@@ -416,11 +416,11 @@ func TestSegScanZonePruningDifferential(t *testing.T) {
 			t.Fatalf("prepare %q: %v", sql, err)
 		}
 		fresh := checkFresh(t, sql, srv, stmt.Query(), stmt.Plan())
-		res, err := stmt.Exec()
+		_, rows, err := execRows(stmt)
 		if err != nil {
 			t.Fatalf("exec %q: %v", sql, err)
 		}
-		if !sameMultiset(multiset(res.Rows), fresh.rows) {
+		if !sameMultiset(multiset(rows), fresh.rows) {
 			t.Fatalf("%q: served rows differ from the reference's", sql)
 		}
 	}

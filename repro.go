@@ -19,7 +19,7 @@
 //   - internal/relalg, internal/catalog, internal/stats, internal/cost —
 //     the shared query model, physical design, statistics and cost model;
 //   - internal/exec — the executor, one serial vectorized columnar engine
-//     (Compiler.CompileVec → DrainVec/CountVec) with one join, the hash join
+//     (Compiler.CompileVec → Drain into a sink) with one join, the hash join
 //     (every join compiles through its one path; sorts compile to nothing; its
 //     table carries an exact bitmap of the first build-key column when the
 //     column's range allows one, so a probe row no build row can match is

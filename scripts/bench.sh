@@ -39,8 +39,12 @@
 #              touched groups and entries per expression (fig5counts.<ratio>.
 #              {A-groups,A-entries,...,E-entries}), 6(b) and 6(c), the update ratios
 #              of Q5 re-optimized from its executed plans' real
-#              cardinalities through aqp.Calibrator, 7(b) and 7(c), the
-#              pruning ratios per pruning config, 8(b) and 8(c), the pruning
+#              cardinalities through aqp.Calibrator, and their numerators,
+#              each round's touched groups and entries (fig6counts.<round>.
+#              {touched-groups,touched-entries}), 7(b) and 7(c), the
+#              pruning ratios per pruning config, and their counts per query
+#              and config (fig7counts.<query>.<config>-{live-groups,live-alts,
+#              pruned-groups,pruned-alts}), 8(b) and 8(c), the pruning
 #              during re-optimization over the Orders scan-cost sweep, and
 #              their numerators with the repair's touched entries per scan
 #              ratio and pruning config (fig8counts.<ratio>.<config>-
@@ -125,8 +129,8 @@ code "$work/parent/ratchet_test.go" >"$work/code.parent.json"
 code ratchet_test.go >"$work/code.change.json"
 
 # paper <dir> <side>: the deterministic cells of Figures 4(b), 4(c), the
-# Figure 4 census, 5(b), 5(c), the Figure 5 counts, 6(b), 6(c), 7(b), 7(c),
-# 8(b), 8(c), the Figure 8 counts and 9 and of the two ablations as
+# Figure 4 census, 5(b), 5(c), 6(b), 6(c), 7(b), 7(c), 8(b), 8(c), the
+# counts of Figures 5-8, and of 9 and the two ablations as
 # {"fig4b": {"Q5": {"declarative": 0.9, ...}, ...}, ...}. A table runs from
 # its "== " title over a header and a rule to a blank or note line; of
 # Figure 9 only the inc-touched-entries column is kept.
@@ -137,8 +141,7 @@ paper() {
 			t = ""; keep = ""; hdr = 2
 			if ($0 ~ /^== Figure [45678]\([bc]\)/) t = "fig" substr($3, 1, 1) substr($3, 3, 1)
 			else if ($0 ~ /^== Figure 4 census/) t = "fig4census"
-			else if ($0 ~ /^== Figure 5 counts/) t = "fig5counts"
-			else if ($0 ~ /^== Figure 8 counts/) t = "fig8counts"
+			else if ($0 ~ /^== Figure [5-8] counts/) t = "fig" $3 "counts"
 			else if ($0 ~ /^== Figure 9:/) { t = "fig9"; keep = "inc-touched-entries" }
 			else if ($0 ~ /^== Ablation: expansion order/) t = "ablation_order"
 			else if ($0 ~ /^== Ablation: plan-space/) t = "ablation_space"

@@ -151,7 +151,7 @@ func TestBenchRecordNamesEveryMetric(t *testing.T) {
 	if previous != "" {
 		readJSON(t, previous, &prev)
 	}
-	for _, table := range []string{"fig4b", "fig4c", "fig4census", "fig5b", "fig5c", "fig5counts", "fig6b", "fig6c", "fig7b", "fig7c", "fig8b", "fig8c", "fig8counts", "fig9", "ablation_order", "ablation_space"} {
+	for _, table := range []string{"fig4b", "fig4c", "fig4census", "fig5b", "fig5c", "fig5counts", "fig6b", "fig6c", "fig6counts", "fig7b", "fig7c", "fig7counts", "fig8b", "fig8c", "fig8counts", "fig9", "ablation_order", "ablation_space"} {
 		if len(rec.Paper[table]) == 0 {
 			t.Errorf("%s: no paper.%s cells", newest, table)
 		}
