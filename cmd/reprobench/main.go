@@ -39,8 +39,8 @@ var jobs = []job{
 	{"fig", "7", func(e *bench.Env, _ int) []*bench.Table { return e.Figure7() }},
 	{"fig", "8", func(e *bench.Env, _ int) []*bench.Table { return e.Figure8() }},
 	{"fig", "9", func(e *bench.Env, n int) []*bench.Table { return one(e.Figure9(n)) }},
-	{"fig", "10", func(e *bench.Env, n int) []*bench.Table { return one(e.Figure10(n)) }},
-	{"table", "3", func(e *bench.Env, _ int) []*bench.Table { return one(e.Table3()) }},
+	{"fig", "10", func(e *bench.Env, n int) []*bench.Table { return e.Figure10(n) }},
+	{"table", "3", func(e *bench.Env, _ int) []*bench.Table { return e.Table3() }},
 	{"fig", "small", func(e *bench.Env, _ int) []*bench.Table { return one(e.SmallQueries()) }},
 	{"fig", "ablation", func(e *bench.Env, _ int) []*bench.Table {
 		return []*bench.Table{e.AblationSearchOrder(), e.AblationPlanSpace()}

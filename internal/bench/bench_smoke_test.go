@@ -203,9 +203,20 @@ func TestStreamFiguresRun(t *testing.T) {
 	if len(f9.Rows) == 0 {
 		t.Fatal("Figure9 empty")
 	}
-	f10 := e.Figure10(9)
+	tables := e.Figure10(9)
+	f10, counts := tables[0], tables[1]
 	if len(f10.Rows) == 0 {
 		t.Fatal("Figure10 empty")
+	}
+	// Every scheme runs the same query over the same windows: whatever its
+	// plans, it returns the same rows.
+	if len(counts.Rows) != 4 {
+		t.Fatalf("Figure 10 counts: %d schemes, want 4", len(counts.Rows))
+	}
+	for _, row := range counts.Rows {
+		if row[3] != counts.Rows[0][3] {
+			t.Fatalf("Figure 10 counts: %s returns %s rows, %s %s", row[0], row[3], counts.Rows[0][0], counts.Rows[0][3])
+		}
 	}
 	// Cumulative execution time columns must be non-decreasing.
 	var last [4]float64
@@ -221,9 +232,9 @@ func TestStreamFiguresRun(t *testing.T) {
 }
 
 func TestTable3Runs(t *testing.T) {
-	tb := smokeEnv().Table3()
-	if len(tb.Rows) != 3 {
-		t.Fatalf("Table3 rows = %d", len(tb.Rows))
+	tables := smokeEnv().Table3()
+	if len(tables[0].Rows) != 3 || len(tables[1].Rows) != 3 {
+		t.Fatalf("Table3 rows = %d, counts rows = %d", len(tables[0].Rows), len(tables[1].Rows))
 	}
 }
 

@@ -20,11 +20,12 @@ import (
 type RunStats struct {
 	Cards map[relalg.RelSet]*int64
 
-	q     *relalg.Query
-	plan  *relalg.Plan
-	ops   []*spanOp // every shim of the tree
-	agg   *spanOp   // the aggregation's, nil without one
-	timed bool      // SetTiming
+	q      *relalg.Query
+	plan   *relalg.Plan
+	ops    []*spanOp // every shim of the tree
+	agg    *spanOp   // the aggregation's, nil without one
+	timed  bool      // SetTiming
+	reused int       // hash joins that kept their table this execution
 }
 
 // Card returns the observed cardinality of a subexpression.
@@ -46,12 +47,16 @@ func (s *RunStats) counter(set relalg.RelSet) *int64 {
 	return n
 }
 
-// Reset zeroes every span; a re-opened tree starts its execution with it.
+// Reset zeroes every span and the reuse count for a re-opened tree's run.
 func (s *RunStats) Reset() {
 	for _, op := range s.ops {
-		op.sp = obs.Span{}
+		op.sp, op.reused = obs.Span{}, false
 	}
+	s.reused = 0
 }
+
+// BuildsReused counts the latest execution's joins that kept their table.
+func (s *RunStats) BuildsReused() int { return s.reused }
 
 // Snapshot copies the observed cardinalities into a plain map — the handoff
 // from one finished execution to the feedback consumer (the adaptive loop or
@@ -143,11 +148,12 @@ func planNodes(p *relalg.Plan) int {
 // execRoot sits on top of every compiled tree and holds the reopen contract:
 // after Close, Open starts a new execution of the same operators — scan leaves
 // rebind to their tables' current snapshots, RunStats and the tracker's
-// per-execution figures start over, and every operator empties the buffers it
-// owns and keeps their capacity. Two kinds of tree refuse instead of returning
-// stale rows: one compiled against a result cache (its probe hits and spools
-// were decided against the cache's content at compile time) and one whose last
-// execution failed (its operators are in no defined state).
+// per-execution figures start over, operators empty the buffers they own and
+// keep their capacity, and an unbounded hash join whose build side's tables
+// are at the versions its last build read keeps its table (vecHashJoinOp.reuse).
+// Two kinds of tree refuse instead of returning stale rows: one compiled
+// against a result cache (its probe hits and spools were decided against the
+// cache's content at compile time) and one whose last execution failed.
 type execRoot struct {
 	in          VecIterator
 	stats       *RunStats
@@ -355,10 +361,12 @@ func (c *Compiler) compileVec(p *relalg.Plan, stats *RunStats, weighted bool) (V
 	case relalg.LogJoin:
 		// Every join runs on the hash join, through one path: the build side
 		// is the left child (an index-NL join's inner relation: its index).
+		lo := len(stats.ops)
 		left, ls, err := c.compileVec(p.Left, stats, false)
 		if err != nil {
 			return nil, nil, err
 		}
+		buildOps := stats.ops[lo:len(stats.ops):len(stats.ops)]
 		counted := c.counted(p, ls, weighted)
 		right, rs, err := c.compileVec(p.Right, stats, counted)
 		if err != nil {
@@ -368,6 +376,14 @@ func (c *Compiler) compileVec(p *relalg.Plan, stats *RunStats, weighted bool) (V
 		v, err := c.hashJoin(p, left, right, ls, rs, lOut, rOut, counted)
 		if err != nil {
 			return nil, nil, err
+		}
+		// Tables are kept (vecHashJoinOp.reuse) unless the tree runs once.
+		if hj, ok := v.(*vecHashJoinOp); ok && c.Cache == nil {
+			n := p.Left.Expr.Count()
+			hj.st, hj.buildOps, hj.deps, hj.vers = stats, buildOps, make([]*catalog.Table, 0, n), make([]uint64, n)
+			p.Left.Expr.EachMember(func(rel int) { // the build side's scans resolved them
+				hj.deps = append(hj.deps, c.Cat.MustTable(c.Q.Rels[rel].Table))
+			})
 		}
 		op := c.span(v, p, schema, stats)
 		op.counting = counted

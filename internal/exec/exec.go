@@ -13,12 +13,13 @@
 // execution" and §5.4 loop), and the same record renders EXPLAIN ANALYZE.
 //
 // There is one engine and one way in: Compiler.CompileVec turns a plan into
-// a tree of VecIterator operators, and Drain runs it into a sink. Operators
-// exchange column-major batches — up to BatchSize rows held as one
-// contiguous []int64 per column, with a selection vector for pushed-down
-// predicates (batch.go). Leaf scans hand out zero-copy column windows over
-// column-major base-table storage (catalog.Table.ColumnSnapshot), so a
-// filtering scan reads only the columns its conditions touch.
+// a tree of VecIterator operators, and Drain runs it into a sink, as often as
+// its holder likes (execRoot: a held tree rereads the tables, and keeps a hash
+// join's table while the tables under its build side are unchanged).
+// Operators exchange column-major batches — up to BatchSize rows held as one
+// contiguous []int64 per column, with a selection vector (batch.go). Leaf
+// scans hand out zero-copy windows over column-major base-table storage
+// (catalog.Table.ColumnSnapshot): a filter reads only the columns it touches.
 //
 // Column liveness (live.go) decides what an operator carries: its schema is
 // exactly the columns read at or above it — the aggregation's inputs, the

@@ -38,6 +38,8 @@ type spanOp struct {
 	node     *relalg.Plan
 	cols     int
 	counting bool
+	reused   bool     // under a join that kept its table: sp is kept, replayed
+	kept     obs.Span // what the kept table's build counted
 }
 
 // start reads the clock when the execution is timed.
@@ -114,7 +116,9 @@ func (s *RunStats) node(p *relalg.Plan) *spanOp {
 // what it carries upward), batches and, when the execution was timed,
 // cumulative wall time. A join that ran in counting mode is marked
 // "counted": its rows are the multiplicities summed — equal to act, as for
-// every operator — while its batches are what it actually emitted. A merge or
+// every operator — while its batches are what it actually emitted. A node
+// under a join that kept its table renders the rows and batches of the build
+// the table came from, marked "reused" in place of a time. A merge or
 // index nested-loops join that ran is marked "via hash": the executor runs
 // every join on the hash join. An Enforce node renders as elided. Call it
 // after the tree is drained and before it is opened again.
@@ -122,18 +126,21 @@ func (s *RunStats) Format() string {
 	var b strings.Builder
 	b.WriteString("EXPLAIN ANALYZE\n")
 	if s.agg != nil {
-		fmt.Fprintf(&b, "HashAggregate  [rows=%d batches=%d%s]\n", s.agg.sp.Rows, s.agg.sp.Batches, s.timeOf(s.agg.sp.Time()))
+		fmt.Fprintf(&b, "HashAggregate  [rows=%d batches=%d%s]\n", s.agg.sp.Rows, s.agg.sp.Batches, s.timeOf(s.agg))
 	}
 	s.format(s.plan, &b, 0)
 	return b.String()
 }
 
-// timeOf renders a time annotation, empty when the execution was not timed.
-func (s *RunStats) timeOf(d time.Duration) string {
-	if !s.timed {
+// timeOf renders op's time annotation: "reused" if replayed, none untimed.
+func (s *RunStats) timeOf(op *spanOp) string {
+	switch {
+	case op.reused:
+		return " reused"
+	case !s.timed:
 		return ""
 	}
-	return fmt.Sprintf(" time=%v", d.Round(time.Microsecond))
+	return fmt.Sprintf(" time=%v", op.sp.Time().Round(time.Microsecond))
 }
 
 // format renders p and its subtree.
@@ -192,7 +199,7 @@ func (s *RunStats) format(p *relalg.Plan, b *strings.Builder, depth int) {
 		if op.counting {
 			b.WriteString(" counted")
 		}
-		fmt.Fprintf(b, "%s]", s.timeOf(op.sp.Time()))
+		fmt.Fprintf(b, "%s]", s.timeOf(op))
 	default:
 		b.WriteString(" | not executed (cached)]")
 	}

@@ -118,7 +118,8 @@ func TestProfilingDifferential(t *testing.T) {
 
 // TestFormatAnalyzeRendering renders Q5 timed and then reopened untimed, the
 // index-NL plans of Q3S, Q5 and Q10, and the merge-only plan of Q5: an
-// untimed execution shows the same rows and batches without time=, and
+// untimed execution shows the same rows and batches without time=, the
+// reopen's kept build subtrees marked reused, and
 // without a result cache no node reads "not executed" — an index-NL join's
 // inner leaf is a scan with its own counts, a merge or index-NL join is
 // marked "via hash", and a sort enforcer is elided.
@@ -156,8 +157,15 @@ func TestFormatAnalyzeRendering(t *testing.T) {
 	if strings.Contains(untimed, "time=") {
 		t.Fatalf("an untimed execution renders times:\n%s", untimed)
 	}
-	if times := regexp.MustCompile(` time=[^\]]*`); times.ReplaceAllString(text, "") != untimed {
+	// No table changed, so every join outside a kept build side kept its
+	// table: the nodes under it replay the timed execution's rows and
+	// batches, marked reused.
+	if times := regexp.MustCompile(` time=[^\]]*`); times.ReplaceAllString(text, "") != strings.ReplaceAll(untimed, " reused]", "]") {
 		t.Fatalf("the untimed reopen differs from the timed execution:\n%s\ntimed:\n%s", untimed, text)
+	}
+	if joins, nodes := keptBuilds(vr.Plan, 0); stats.BuildsReused() != joins || strings.Count(untimed, " reused]") != nodes || joins == 0 {
+		t.Fatalf("the unchanged reopen kept %d join tables, want %d, and renders %d nodes reused, want %d:\n%s",
+			stats.BuildsReused(), joins, strings.Count(untimed, " reused]"), nodes, untimed)
 	}
 
 	for _, q := range []*relalg.Query{tpch.Q3S(), tpch.Q5(), tpch.Q10()} {

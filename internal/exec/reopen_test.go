@@ -61,16 +61,19 @@ func reopenPlans(t *testing.T, q *relalg.Query, cat *catalog.Catalog) map[string
 }
 
 // TestReopenedExecutionMatchesFresh is the reopen contract's differential:
-// every tree is compiled once and executed three times, the tables changing
+// every tree is compiled once and executed four times, the tables changing
 // under it in between — the first relation's cut to two thirds by
 // ResetSnapshot, then every one grown past its first size by AppendRows, so
-// every build side outgrows the buffers its operator kept. Each execution of
-// the held tree must return the multiset and report the cardinalities of
-// testkit.Reference over the tables as they are now, agree with a tree
-// compiled freshly at that moment, and leave nothing charged to its tracker;
-// some tree under the budget must really spill in every one. Last, a tree
-// compiled over the tables emptied runs before and after AppendRows has put
-// their rows back.
+// every build side outgrows the buffers its operator kept, then the last
+// relation alone grown by AppendRows. Each execution of the held tree must
+// return the multiset and report the cardinalities of testkit.Reference over
+// the tables as they are now, agree with a tree compiled freshly at that
+// moment, and leave nothing charged to its tracker; some tree under the
+// budget must really spill in every one. An unbounded held tree must keep
+// exactly the join tables whose build side reads no changed table
+// (keptBuilds) and render their build subtrees "reused"; a tree under the
+// budget keeps none. Last, a tree compiled over the tables emptied runs
+// before and after AppendRows has put their rows back.
 func TestReopenedExecutionMatchesFresh(t *testing.T) {
 	win := linearroad.NewWindows()
 	win.Ingest(linearroad.NewGen(2, 60).Slice(0, 40))
@@ -117,6 +120,17 @@ func TestReopenedExecutionMatchesFresh(t *testing.T) {
 				appendFirst(tab, snap.N/2)
 			}
 		}
+		last := cat.MustTable(q.Rels[len(q.Rels)-1].Table)
+		growLast := func() { appendFirst(last, first[last].N/2) }
+		relsOf := func(tab *catalog.Table) (set relalg.RelSet) { // the relations reading tab
+			for i, rel := range q.Rels {
+				if cat.MustTable(rel.Table) == tab {
+					set = set.Add(i)
+				}
+			}
+			return set
+		}
+		all := relalg.RelSet(1)<<len(q.Rels) - 1
 
 		type tree struct {
 			label string
@@ -142,8 +156,11 @@ func TestReopenedExecutionMatchesFresh(t *testing.T) {
 			}
 		}
 
-		for step, change := range []func(){func() {}, shrink, grow} {
-			change()
+		for step, change := range []struct {
+			apply   func()
+			changed relalg.RelSet // the relations whose tables it changes; all before a first execution
+		}{{func() {}, all}, {shrink, relsOf(cat.MustTable(q.Rels[0].Table))}, {grow, all}, {growLast, relsOf(last)}} {
+			change.apply()
 			ref := testkit.NewReference(q, cat)
 			want := testkit.Canonical(ref.Rows(), nil)
 			cards := map[relalg.RelSet]int64{}
@@ -159,6 +176,14 @@ func TestReopenedExecutionMatchesFresh(t *testing.T) {
 				checkExecution(t, label, tr.comp, tr.root, tr.stats, card, want, tr.plan)
 				if used := tr.comp.Mem.Used(); used != 0 {
 					t.Fatalf("%s: %d bytes still charged after Close", label, used)
+				}
+				joins, nodes := keptBuilds(tr.plan, change.changed)
+				if tr.comp.Mem.Bounded() {
+					joins, nodes = 0, 0
+				}
+				if got, marked := tr.stats.BuildsReused(), strings.Count(tr.stats.Format(), " reused]"); got != joins || marked != nodes {
+					t.Fatalf("%s: %d join tables kept and %d nodes rendered reused, want %d and %d\n%s",
+						label, got, marked, joins, nodes, tr.stats.Format())
 				}
 				parts, _, _ := tr.comp.Mem.SpillStats()
 				spilled += parts
@@ -202,6 +227,30 @@ func TestReopenedExecutionMatchesFresh(t *testing.T) {
 			tab.ResetSnapshot(snap)
 		}
 	}
+}
+
+// keptBuilds returns how many joins of plan keep their table when the tables
+// of the relations in changed have moved since its last execution, and how
+// many plan nodes that leaves unexecuted: a join whose build side reads none
+// of them keeps its table, and nothing under its build side runs.
+func keptBuilds(p *relalg.Plan, changed relalg.RelSet) (joins, nodes int) {
+	switch p.Log {
+	case relalg.LogScan:
+		return 0, 0
+	case relalg.LogEnforce:
+		return keptBuilds(p.Left, changed)
+	}
+	joins, nodes = keptBuilds(p.Right, changed)
+	if p.Left.Expr&changed != 0 {
+		lj, ln := keptBuilds(p.Left, changed)
+		return joins + lj, nodes + ln
+	}
+	eachPlanNode(p.Left, func(n *relalg.Plan) {
+		if n.Log != relalg.LogEnforce {
+			nodes++
+		}
+	})
+	return joins + 1, nodes
 }
 
 // TestCachedTreeRefusesReopen: a tree compiled against a result cache made its

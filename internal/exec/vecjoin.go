@@ -3,6 +3,7 @@ package exec
 import (
 	"errors"
 
+	"repro/internal/catalog"
 	"repro/internal/relalg"
 )
 
@@ -116,11 +117,19 @@ type vecHashJoinOp struct {
 	counting bool
 
 	// table and build are kept across executions: an Open rebuilds them in
-	// the arrays they have.
+	// the arrays they have, or keeps the table whole (Open).
 	table   *joinTable
 	build   colData    // the drained build side, unless its source lent columns
 	charged int64      // under a budget: what the loaded build rows and table reserve
 	spill   *spillJoin // non-nil once the build overflowed its reservation
+
+	// Keeping the table (reuse): deps are the build side's base tables (nil:
+	// never kept), vers their versions as read, buildOps its shims.
+	deps     []*catalog.Table
+	vers     []uint64
+	kept     bool // the last build finished whole in memory
+	buildOps []*spanOp
+	st       *RunStats // counts a reuse
 
 	// probe state, carried across Next calls: the probe batch, the hashes,
 	// indexes and chain cursors of its rows with a non-empty bucket
@@ -141,25 +150,25 @@ type vecHashJoinOp struct {
 	mult []int64
 }
 
-// NewVecHashJoin is the pipelined hash join of the paper's Table 1: the
-// build side (left) is drained column-major into a flat bucket-chained hash
-// table at Open, keyed on the compound key of lKeys (every available equi-join
-// column, which keeps match sets minimal); the probe side (right) streams
-// through batch-at-a-time, keyed on rKeys. A probe batch is probed in three
-// phases: if the table has a key bitmap, one pass keeps the live rows whose
-// first key a build row has, so a miss costs a load and a shift; one pass
-// hashes the rows and loads their bucket heads, so the independent cache
-// misses overlap, and keeps the rows whose bucket is not empty; then one walk
-// visits their chains in probe-row order, then chain order, prefiltering on
-// the full hash before the key check. Matches are collected as index pairs,
-// residual-filtered, and gathered column-wise into the output — the lOut
-// columns of the build input, then the rOut columns of the probe input — so
-// rows come out in that order: probe row, then chain position (the reverse of
-// build order). The walk stops when BatchSize pairs are pending and resumes
-// mid-chain on the next call. Under a memory budget the build side that does
-// not fit is joined partition by partition from disk, and a partition that
-// cannot be split is joined chunk by chunk (spilljoin.go); the output
-// multiset is the same.
+// NewVecHashJoin is the pipelined hash join of the paper's Table 1: the build
+// side (left) is drained column-major into a flat bucket-chained hash table at
+// Open (or kept from the last one: reuse), keyed on the compound key of lKeys
+// (every equi-join column, which keeps match sets minimal); the probe side
+// (right) streams through batch-at-a-time, keyed on rKeys. A probe batch is
+// probed in three phases: if the table has a key bitmap, one pass keeps the
+// live rows whose first key a build row has, so a miss costs a load and a
+// shift; one pass hashes the rows and loads their bucket heads, so the
+// independent cache misses overlap, and keeps the rows whose bucket is not
+// empty; then one walk visits their chains in probe-row order, then chain
+// order, prefiltering on the full hash before the key check. Matches are
+// collected as index pairs, residual-filtered, and gathered column-wise into
+// the output — the lOut columns of the build input, then the rOut columns of
+// the probe input — so rows come out in that order: probe row, then chain
+// position (the reverse of build order). The walk stops when BatchSize pairs
+// are pending and resumes mid-chain on the next call. Under a memory budget the
+// build side that does not fit is joined partition by partition from disk, and
+// a partition that cannot be split is joined chunk by chunk (spilljoin.go); the
+// output multiset is the same.
 func NewVecHashJoin(left, right VecIterator, lKeys, rKeys []int, residual []ColPred, lOut, rOut []int) VecIterator {
 	return &vecHashJoinOp{left: left, right: right, lKeys: lKeys, rKeys: rKeys,
 		residual: residual, emit: colEmitter{buildOut: lOut, probeOut: rOut}}
@@ -169,7 +178,7 @@ func NewVecHashJoin(left, right VecIterator, lKeys, rKeys []int, residual []ColP
 // the build side whole, borrowing a plain scan's columns, and Force-charges
 // it; under a budget load drains it batch at a time — the price of a hard
 // bound is the lent columns — and, if it overflows, routes both inputs into
-// partitions before the first Next.
+// partitions before the first Next. It may keep its previous table (reuse).
 func (j *vecHashJoinOp) Open() error {
 	j.pb, j.resume, j.drained = nil, 0, false
 	j.cands = j.cands[:0]
@@ -181,6 +190,10 @@ func (j *vecHashJoinOp) Open() error {
 	if err := j.right.Open(); err != nil {
 		return err
 	}
+	if j.reuse() {
+		return nil
+	}
+	j.kept = false
 	var err error
 	if j.mem.Bounded() {
 		if err = j.left.Open(); err == nil {
@@ -189,10 +202,20 @@ func (j *vecHashJoinOp) Open() error {
 			err = errors.Join(err, j.left.Close())
 		}
 	} else {
+		// Versions are read before the build binds its snapshots: AppendRows
+		// publishes a snapshot, then bumps the version, so one read first is
+		// never newer than the rows (read after, it could be: stale rows kept).
+		for i, t := range j.deps {
+			j.vers[i] = t.DataVersion()
+		}
 		var build colData
 		if build, err = drainVecCols(j.left, &j.build); err == nil {
 			j.mem.Force(buildBytes(build.width(), build.n, j.counting))
 			j.table = buildJoinTable(j.table, build, j.lKeys, j.counting)
+			for _, op := range j.buildOps {
+				op.kept = op.sp
+			}
+			j.kept = j.deps != nil
 		}
 	}
 	if err != nil {
@@ -200,6 +223,29 @@ func (j *vecHashJoinOp) Open() error {
 		return errors.Join(err, j.Close())
 	}
 	return nil
+}
+
+// reuse keeps the previous table if it was kept and every base table under
+// the build side is at the version its build read: the build child is not
+// opened, the table is charged again and the build subtree's rows and batches
+// replayed into RunStats, so results, feedback and spans are a fresh build's.
+// Only a finished unbounded build is kept: under a budget, whether the build
+// fits depends on what its subtree holds while it loads.
+func (j *vecHashJoinOp) reuse() bool {
+	ok := j.kept
+	for i, t := range j.deps {
+		ok = ok && t.DataVersion() == j.vers[i]
+	}
+	if !ok {
+		return false
+	}
+	d := &j.table.data
+	j.mem.Force(buildBytes(d.width(), d.n, j.counting))
+	for _, op := range j.buildOps {
+		op.sp, op.reused = op.kept, true
+	}
+	j.st.reused++
+	return true
 }
 
 // nextProbeBatch is the probe source indirection: the in-memory path streams

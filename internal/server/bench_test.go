@@ -29,6 +29,51 @@ func benchServer(b *testing.B, cat *catalog.Catalog, maxConcurrent int) *Server 
 	return srv
 }
 
+// BenchmarkHeldJoinReopen is a Go benchmark of the executor under the
+// serving layer, not the repository benchmark of BENCHMARK.json: a converged
+// statement's held run executed serially at SF 0.02, for Q3S, Q5 and Q10,
+// with no table changing between executions ("steady": no build side runs
+// again) and with one order and its two lines appended before each
+// ("append", the append untimed: a join whose build side reads orders or
+// lineitem builds again). kept/op is the hash-join tables an execution kept;
+// a join under a kept build side does not run, so it keeps none.
+func BenchmarkHeldJoinReopen(b *testing.B) {
+	cat := tpch.Generate(tpch.Config{ScaleFactor: 0.02, Seed: 42, Skew: 0.5})
+	for _, name := range []string{"Q3S", "Q5", "Q10"} {
+		for _, regime := range []string{"steady", "append"} {
+			b.Run(name+"/"+regime, func(b *testing.B) {
+				srv := benchServer(b, cat, 1)
+				st, err := srv.Session().PrepareNamed(name)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for i := 0; i < 10; i++ { // past the repair phase
+					res, err := st.Exec()
+					if err != nil {
+						b.Fatal(err)
+					}
+					if !res.Repaired {
+						break
+					}
+				}
+				m0 := srv.Metrics()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if regime == "append" {
+						b.StopTimer()
+						appendOrders(b, cat, 1)
+						b.StartTimer()
+					}
+					if _, err := st.Exec(); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(srv.Metrics().BuildsReused-m0.BuildsReused)/float64(b.N), "kept/op")
+			})
+		}
+	}
+}
+
 // BenchmarkServeThroughput measures end-to-end statement service time
 // through the session layer: "cold" pays the one-time from-scratch
 // optimization of a cache miss plus one execution; "cached" measures the

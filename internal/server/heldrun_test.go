@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -13,6 +14,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -25,7 +27,7 @@ import (
 // appendOrders appends n orders, two lines each, under fresh keys above the
 // table's largest: copies of existing rows, so they pass and fail the
 // workload's filters like the rows they copy.
-func appendOrders(t *testing.T, cat *catalog.Catalog, n int) {
+func appendOrders(t testing.TB, cat *catalog.Catalog, n int) {
 	t.Helper()
 	orders, li := cat.MustTable("orders"), cat.MustTable("lineitem")
 	okey, lkey := orders.MustCol("o_orderkey"), li.MustCol("l_orderkey")
@@ -41,6 +43,28 @@ func appendOrders(t *testing.T, cat *catalog.Catalog, n int) {
 		t.Fatal(err)
 	}
 	if err := li.AppendRows(newLines); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// appendCopies appends copies of n of tab's rows, the column named key, if
+// any, set to fresh values above the table's largest. A copied line keeps its
+// order, so the joins over lineitem count it.
+func appendCopies(t *testing.T, tab *catalog.Table, key string, n int) {
+	t.Helper()
+	cols, rows := tab.ColumnSnapshot()
+	var next int64
+	if key != "" {
+		next = slices.Max(cols[tab.MustCol(key)][:rows]) + 1
+	}
+	copies := make([][]int64, n)
+	for i := range copies {
+		copies[i] = testkit.Row(tab, (i*7)%rows)
+		if key != "" {
+			copies[i][tab.MustCol(key)] = next + int64(i)
+		}
+	}
+	if err := tab.AppendRows(copies); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -65,14 +89,17 @@ func converge(t *testing.T, label string, st *Stmt) *Result {
 // TestHeldRunMatchesFresh is the serving half of the reopen differential.
 // Q1, Q3S, Q5 and Q10 are served from a DataDir-bound catalog (so trees with
 // segment-pruned scans are reopened too), unbounded and under a budget that
-// spills. After the entries converge, each round
-// appends orders and lineitems and then has several sessions execute every
-// statement at once. Every execution's rows and fed-back cardinalities must
-// equal those of a tree compiled freshly for the plan version it ran, whose
-// rows and counts must in turn equal testkit.Reference over the tables as
-// they are now; and the server must have compiled fewer trees than it
-// executed. One session's first execution of each round is an ExplainAnalyze:
-// the analyze arm, a timed execution on a held tree among untimed ones.
+// spills. After the entries converge, each round appends — orders and
+// lineitems in the first three, customers only in the fourth, lineitems only
+// in the fifth — and then has several sessions execute every statement at
+// once. Every execution's rows and fed-back cardinalities must equal those of
+// a tree compiled freshly for the plan version it ran, whose rows and counts
+// must in turn equal testkit.Reference over the tables as they are now; and
+// the server must have compiled fewer trees than it executed. Unbounded, held
+// runs must keep hash-join tables in every round (a build over an appended
+// table that was kept would feed back the old count); under the budget none.
+// One session's first execution of each round is an ExplainAnalyze: the
+// analyze arm, a timed execution on a held tree among untimed ones.
 //
 // Handing a run back before its RunStats are read lets a concurrent borrower
 // reset them under the reader: under -race that is reported as a race, and
@@ -81,7 +108,6 @@ func TestHeldRunMatchesFresh(t *testing.T) {
 	const (
 		sessions = 3
 		execs    = 2 // per session and statement in a round
-		rounds   = 3
 		budget   = 2 << 10
 	)
 	names := []string{"Q1", "Q3S", "Q5", "Q10"}
@@ -100,8 +126,16 @@ func TestHeldRunMatchesFresh(t *testing.T) {
 			stmts[name] = st
 		}
 
-		for round := 1; round <= rounds; round++ {
-			appendOrders(t, srv.cat, 40)
+		appends := []func(){
+			func() { appendOrders(t, srv.cat, 40) },
+			func() { appendOrders(t, srv.cat, 40) },
+			func() { appendOrders(t, srv.cat, 40) },
+			func() { appendCopies(t, srv.cat.MustTable("customer"), "c_custkey", 20) },
+			func() { appendCopies(t, srv.cat.MustTable("lineitem"), "", 40) },
+		}
+		for round := 1; round <= len(appends); round++ {
+			appends[round-1]()
+			reused := srv.Metrics().BuildsReused
 			for _, name := range names {
 				at := fmt.Sprintf("%s %s round %d", label, name, round)
 				first := stmts[name].entry.cur.Load()
@@ -170,15 +204,98 @@ func TestHeldRunMatchesFresh(t *testing.T) {
 					}
 				}
 			}
+			if n := srv.Metrics().BuildsReused - reused; (mem == 0) != (n > 0) {
+				t.Fatalf("%s round %d: held runs kept %d hash-join tables", label, round, n)
+			}
 		}
 		m := srv.Metrics()
-		t.Logf("%s: %d executions, %d trees compiled, %d spilled", label, m.Execs, m.Compiles, m.SpilledQueries)
+		t.Logf("%s: %d executions, %d trees compiled, %d join tables kept, %d spilled",
+			label, m.Execs, m.Compiles, m.BuildsReused, m.SpilledQueries)
 		if m.Compiles >= m.Execs {
 			t.Fatalf("%s: %d trees compiled for %d executions: no held run was reused", label, m.Compiles, m.Execs)
 		}
 		if (mem > 0) != (m.SpilledQueries > 0) {
 			t.Fatalf("%s: %d executions spilled", label, m.SpilledQueries)
 		}
+	}
+}
+
+// TestKeptBuildSeesEveryAppend: a held run keeps a hash-join table only
+// while the tables under its build side are at the data versions the build
+// read, and the build reads them before it binds its snapshots. One session
+// executes Q3S in a loop while the test appends orders and lineitems, and
+// then executes Q3S from a second session. Every execution that starts after
+// an append has returned and ends before the next one begins — the second
+// session's, and the loop's between appends — must feed back what
+// testkit.Reference counts over the tables as that append left them. Were
+// the versions read after the build bound its snapshots, a loop execution
+// whose build bound the old orders could record the new version, and the
+// loop's later executions keep its stale table. CI runs it under -race
+// -count=10.
+func TestKeptBuildSeesEveryAppend(t *testing.T) {
+	const rounds = 40
+	srv := testServer(t, Options{MaxConcurrent: 2})
+	prepare := func() *Stmt {
+		st, err := srv.Session().PrepareNamed("Q3S")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	st := prepare()
+	converge(t, "Q3S", st)
+	loop := prepare()
+	check := func(who string, res *Result, ref *testkit.Reference) {
+		for set, n := range res.cards {
+			if want := ref.Card(set); n != want {
+				t.Errorf("%s: an execution started after the append counts %d rows for %v, the reference %d", who, n, set, want)
+			}
+		}
+	}
+	// quiet is the reference over the tables as the last append left them,
+	// nil while an append is in flight; checked counts the loop's checks.
+	var quiet atomic.Pointer[testkit.Reference]
+	var checked atomic.Int64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			ref := quiet.Load()
+			res, err := loop.Exec()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if ref != nil && quiet.Load() == ref { // no append began during the execution
+				check("the looping session", res, ref)
+				checked.Add(1)
+			}
+		}
+	}()
+	defer func() { close(stop); wg.Wait() }()
+	for round := 1; round <= rounds && !t.Failed(); round++ {
+		quiet.Store(nil)
+		appendOrders(t, srv.cat, 5)
+		ref := testkit.NewReference(st.Query(), srv.cat)
+		quiet.Store(ref)
+		res, err := st.Exec()
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("round %d, the appending session", round), res, ref)
+		for n := checked.Load(); checked.Load() < n+2 && !t.Failed(); {
+			runtime.Gosched() // the loop's next two executions start after the append
+		}
+	}
+	if m := srv.Metrics(); m.BuildsReused == 0 {
+		t.Fatalf("%d executions kept no hash-join table", m.Execs)
 	}
 }
 
@@ -234,9 +351,12 @@ func checkFresh(t *testing.T, at string, srv *Server, q *relalg.Query, plan *rel
 // trees. On a converged statement of a serial server, two ExplainAnalyze
 // calls compile nothing, and both render the same rows and batches per node
 // as a freshly compiled tree: a held tree's spans start every execution at
-// zero. The untimed execution that follows leaves its tree untimed. A server
-// that traces every execution as slow compiles fewer trees than it executes,
-// and every dump carries a time on every executed node.
+// zero, except under a hash join that kept its table (no table changes
+// here), whose build subtree replays the rows and batches of the build the
+// table came from and is marked reused in place of a time. The untimed
+// execution that follows leaves its tree untimed. A server that traces every
+// execution as slow compiles fewer trees than it executes, and every dump
+// carries a time on every node that ran.
 //
 // A garbage collection empties a sync.Pool's idle runs, and a run handed back
 // on one P is not found by a borrower on another, so the test runs with the
@@ -271,10 +391,11 @@ func TestHeldRunProfiles(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !strings.Contains(analyzed, "time=") {
-				t.Fatalf("%s: analyze %d renders no times:\n%s", name, i, analyzed)
+			// Under -race the pool may have dropped the held run.
+			if !strings.Contains(analyzed, "time=") || !strings.Contains(analyzed, " reused]") && !raceEnabled {
+				t.Fatalf("%s: analyze %d renders no times or no kept build:\n%s", name, i, analyzed)
 			}
-			if got := times.ReplaceAllString(analyzed, ""); got != fresh {
+			if got := times.ReplaceAllString(analyzed, ""); strings.ReplaceAll(got, " reused]", "]") != fresh {
 				t.Fatalf("%s: analyze %d on a held tree renders\n%s\na fresh tree\n%s", name, i, got, fresh)
 			}
 		}
@@ -324,7 +445,7 @@ func TestHeldRunProfiles(t *testing.T) {
 				continue
 			}
 			nodes++
-			if !strings.Contains(line, "time=") {
+			if !strings.Contains(line, "time=") && !strings.HasSuffix(line, " reused]") {
 				t.Fatalf("a slow-query dump's executed node has no time: %q in\n%s", line, dump)
 			}
 		}
@@ -339,12 +460,19 @@ func TestHeldRunProfiles(t *testing.T) {
 // counted is fed back. A converged Q5 that spills under the budget fails
 // twice: at spill time, because its spill directory was removed, and in its
 // sink, which errors on the first batch it is handed, as the rows verb's does
-// when its client has gone. After each failure the next execution compiles a
-// tree and returns the converged rows. The sink's failure leaves the spill
-// directory empty and moves no execution counter and no plan version. Over
-// the wire, on one admission slot, a client gone mid-rows ends ServeConn
-// with the write error, and the slot is free for the next execution. The
-// collector is off and the test on one P, so an idle run is always found.
+// when its client has gone. Each failure counts one failed execution, and the
+// failed run's tracker holds nothing afterwards: Drain closed its tree. After
+// each failure the next execution compiles a tree and returns the converged
+// rows. The sink's failure leaves the spill directory empty and moves no
+// execution counter and no plan version. The sink arm runs again on an
+// unbounded server, whose held runs keep their join tables: the execution
+// after the failure keeps none, since there is no held tree to keep them in,
+// and the one after it does. Over the wire, on one admission slot, a client
+// gone mid-rows ends ServeConn with the write error, counts a failed
+// execution, and the slot is free for the next execution; through
+// ServeListener, a client that resets its connection counts a connection
+// error. The collector is off and the test on one P, so an idle run is always
+// found.
 func TestFailedRunIsNotReused(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -353,22 +481,52 @@ func TestFailedRunIsNotReused(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := testServer(t, Options{MaxConcurrent: 1, MemBudgetBytes: 2 << 10, SpillDir: spill})
-	st, err := srv.Session().PrepareNamed("Q5")
-	if err != nil {
-		t.Fatal(err)
+	plain := testServer(t, Options{MaxConcurrent: 1})
+	prepare := func(srv *Server) (*Stmt, map[string]int) {
+		t.Helper()
+		st, err := srv.Session().PrepareNamed("Q5")
+		if err != nil {
+			t.Fatal(err)
+		}
+		converge(t, "Q5", st)
+		_, rows, err := execRows(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st, multiset(rows)
 	}
-	converge(t, "Q5", st)
-	_, rows, err := execRows(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := multiset(rows)
+	st, want := prepare(srv)
 	if srv.Metrics().SpilledQueries == 0 {
 		t.Fatal("Q5 never spilled under the budget: the failures below would not happen")
 	}
-	recovers := func(arm string) {
+	// idle returns the run st's next execution borrows, nil under -race,
+	// whose sync.Pool drops held runs at random.
+	idle := func(st *Stmt) *heldRun {
 		t.Helper()
-		before := srv.Metrics().Compiles
+		if raceEnabled {
+			return nil
+		}
+		snap := st.entry.cur.Load()
+		run, _ := snap.runs.Get().(*heldRun)
+		if run == nil {
+			t.Fatal("no idle run after a successful execution")
+		}
+		snap.runs.Put(run)
+		return run
+	}
+	// failed checks what the failure of st's execution on run left.
+	failed := func(arm string, st *Stmt, run *heldRun, m0 Metrics) {
+		t.Helper()
+		if run != nil && run.mem.Used() != 0 {
+			t.Fatalf("the failed %s execution's tracker still holds %d bytes: its tree was not closed", arm, run.mem.Used())
+		}
+		if m1 := st.sess.srv.Metrics(); m1.FailedExecs != m0.FailedExecs+1 {
+			t.Fatalf("the %s failure moved the failed executions %d→%d", arm, m0.FailedExecs, m1.FailedExecs)
+		}
+	}
+	recovers := func(arm string, st *Stmt, want map[string]int) {
+		t.Helper()
+		m0 := st.sess.srv.Metrics()
 		_, rows, err := execRows(st)
 		if err != nil {
 			t.Fatalf("the execution after the %s failure: %v", arm, err)
@@ -376,37 +534,59 @@ func TestFailedRunIsNotReused(t *testing.T) {
 		if !sameMultiset(multiset(rows), want) {
 			t.Fatalf("the execution after the %s failure returned different rows", arm)
 		}
-		if after := srv.Metrics().Compiles; after != before+1 {
-			t.Fatalf("the execution after the %s failure compiled %d trees, want 1", arm, after-before)
+		if m1 := st.sess.srv.Metrics(); m1.Compiles != m0.Compiles+1 || m1.BuildsReused != m0.BuildsReused {
+			t.Fatalf("the execution after the %s failure compiled %d trees, want 1, and kept %d join tables, want 0",
+				arm, m1.Compiles-m0.Compiles, m1.BuildsReused-m0.BuildsReused)
 		}
 	}
 
 	if err := os.RemoveAll(spill); err != nil {
 		t.Fatal(err)
 	}
+	m0, run := srv.Metrics(), idle(st)
 	if _, err := st.Exec(); err == nil {
 		t.Fatal("an execution that must spill succeeded without its spill directory")
 	}
+	failed("spill", st, run, m0)
 	if err := os.Mkdir(spill, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	recovers("spill")
+	recovers("spill", st, want)
 
-	m0, v0 := srv.Metrics(), st.entry.cur.Load().version
 	gone := errors.New("client gone")
-	batches := 0
-	if _, err := st.ExecInto(func(*exec.Batch) error { batches++; return gone }); !errors.Is(err, gone) || batches != 1 {
-		t.Fatalf("a sink failing on its first batch: error %v after %d batches", err, batches)
+	sinkFails := func(st *Stmt) {
+		t.Helper()
+		m0, v0, run := st.sess.srv.Metrics(), st.entry.cur.Load().version, idle(st)
+		batches := 0
+		if _, err := st.ExecInto(func(*exec.Batch) error { batches++; return gone }); !errors.Is(err, gone) || batches != 1 {
+			t.Fatalf("a sink failing on its first batch: error %v after %d batches", err, batches)
+		}
+		failed("sink", st, run, m0)
+		m1, v1 := st.sess.srv.Metrics(), st.entry.cur.Load().version
+		if m1.Execs != m0.Execs || m1.Converged != m0.Converged || m1.Repairs != m0.Repairs || v1 != v0 {
+			t.Fatalf("the failed execution moved execs %d→%d, converged %d→%d, repairs %d→%d or plan v%d→v%d",
+				m0.Execs, m1.Execs, m0.Converged, m1.Converged, m0.Repairs, m1.Repairs, v0, v1)
+		}
 	}
+	sinkFails(st)
 	if left, err := os.ReadDir(spill); err != nil || len(left) != 0 {
 		t.Fatalf("the failed execution left %d spill files (%v)", len(left), err)
 	}
-	m1, v1 := srv.Metrics(), st.entry.cur.Load().version
-	if m1.Execs != m0.Execs || m1.Converged != m0.Converged || m1.Repairs != m0.Repairs || v1 != v0 {
-		t.Fatalf("the failed execution moved execs %d→%d, converged %d→%d, repairs %d→%d or plan v%d→v%d",
-			m0.Execs, m1.Execs, m0.Converged, m1.Converged, m0.Repairs, m1.Repairs, v0, v1)
+	recovers("sink", st, want)
+
+	pst, pwant := prepare(plain)
+	if plain.Metrics().BuildsReused == 0 && !raceEnabled {
+		t.Fatal("the unbounded server's held runs kept no join table: the check below would be empty")
 	}
-	recovers("sink")
+	sinkFails(pst)
+	recovers("unbounded sink", pst, pwant)
+	m0 = plain.Metrics()
+	if _, err := pst.Exec(); err != nil {
+		t.Fatal(err)
+	}
+	if plain.Metrics().BuildsReused == m0.BuildsReused && !raceEnabled {
+		t.Fatal("the execution after the recovery kept no join table")
+	}
 
 	reset := errors.New("connection reset")
 	conn := struct {
@@ -428,9 +608,31 @@ func TestFailedRunIsNotReused(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("the gone client's execution still holds the admission slot")
 	}
-	if m1 := srv.Metrics(); m1.Execs != m0.Execs+1 || m1.QueueWaits != m0.QueueWaits {
-		t.Fatalf("the gone client's execution counted: execs %d→%d, queue waits %d→%d",
-			m0.Execs, m1.Execs, m0.QueueWaits, m1.QueueWaits)
+	if m1 := srv.Metrics(); m1.Execs != m0.Execs+1 || m1.QueueWaits != m0.QueueWaits || m1.FailedExecs != m0.FailedExecs+1 {
+		t.Fatalf("the gone client's execution counted: execs %d→%d, queue waits %d→%d, failed executions %d→%d",
+			m0.Execs, m1.Execs, m0.QueueWaits, m1.QueueWaits, m0.FailedExecs, m1.FailedExecs)
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.ServeListener(ln) }()
+	defer func() { ln.Close(); <-served }()
+	c, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.WriteString(c, "prepare all SELECT l.l_orderkey, l.l_partkey FROM lineitem l\nrows all\n"); err != nil {
+		t.Fatal(err)
+	}
+	c.(*net.TCPConn).SetLinger(0) // Close resets the connection
+	c.Close()
+	for deadline := time.Now().Add(10 * time.Second); srv.Metrics().ConnErrors == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("a reset connection counted no connection error")
+		}
 	}
 }
 

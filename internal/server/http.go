@@ -87,6 +87,9 @@ func (s *Server) WriteProm(w io.Writer) {
 	obs.WritePromCounter(w, "repro_plan_cache_evictions_total", "Plan cache entries evicted by the LRU bound.", m.Evictions)
 	obs.WritePromCounter(w, "repro_execs_total", "Statement executions.", m.Execs)
 	obs.WritePromCounter(w, "repro_compiles_total", "Operator trees compiled; the other executions reused a held one.", m.Compiles)
+	obs.WritePromCounter(w, "repro_failed_execs_total", "Executions that ended in an error.", m.FailedExecs)
+	obs.WritePromCounter(w, "repro_builds_reused_total", "Hash-join tables a held run kept because their build side's tables were unchanged.", m.BuildsReused)
+	obs.WritePromCounter(w, "repro_conn_errors_total", "Protocol connections that ended in an error.", m.ConnErrors)
 	obs.WritePromCounter(w, "repro_full_opts_total", "Initial optimizations, from scratch or by clone.", m.FullOpts)
 	obs.WritePromCounter(w, "repro_clones_total", "Initial optimizations that cloned and repaired a template of the same join graph.", m.Clones)
 	obs.WritePromCounter(w, "repro_repairs_total", "Incremental plan repairs triggered by feedback.", m.Repairs)

@@ -55,6 +55,16 @@ type Metrics struct {
 	Execs     int64
 	Compiles  int64 // operator trees compiled; Execs - Compiles reused a held one
 
+	// FailedExecs counts executions that ended in an error — a compile,
+	// spill, executor or sink error (a gone client's failed write); Execs
+	// counts only the others. BuildsReused counts hash-join tables a held
+	// run kept from its previous execution because no table under their
+	// build side had changed (exec.RunStats.BuildsReused). ConnErrors
+	// counts ServeListener connections that ended in an error.
+	FailedExecs  int64
+	BuildsReused int64
+	ConnErrors   int64
+
 	// FullOpts counts initial optimizations, from scratch or by clone;
 	// Clones counts those that cloned a cached template of the same join
 	// graph and repaired it instead of enumerating from scratch.
@@ -124,6 +134,9 @@ func (s *Server) Metrics() Metrics {
 		Evictions:      s.plans.evictions.Load(),
 		Execs:          s.execs.Load(),
 		Compiles:       s.compiles.Load(),
+		FailedExecs:    s.failedExecs.Load(),
+		BuildsReused:   s.buildsReused.Load(),
+		ConnErrors:     s.connErrors.Load(),
 		FullOpts:       s.fullOpts.Load(),
 		FullOptTime:    time.Duration(s.fullOptNanos.Load()),
 		Clones:         s.clones.Load(),
@@ -191,6 +204,8 @@ func (m Metrics) String() string {
 	fmt.Fprintf(&b, "full-opts=%d (%v) clones=%d repairs=%d (%v) converged-execs=%d\n",
 		m.FullOpts, m.FullOptTime.Round(time.Microsecond), m.Clones,
 		m.Repairs, m.RepairTime.Round(time.Microsecond), m.Converged)
+	fmt.Fprintf(&b, "runs: compiles=%d builds-reused=%d failed-execs=%d conn-errors=%d\n",
+		m.Compiles, m.BuildsReused, m.FailedExecs, m.ConnErrors)
 	fmt.Fprintf(&b, "latency: %s\n", m.ExecLatency)
 	fmt.Fprintf(&b, "queue-wait: waited=%d %s\n", m.QueueWaits, m.QueueWait)
 	fmt.Fprintf(&b, "memory: peak-bytes %s\n", m.PeakMem)

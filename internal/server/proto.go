@@ -80,7 +80,8 @@ func (s *Server) ServeConn(rw io.ReadWriter) error {
 }
 
 // ServeListener accepts connections and serves each in its own goroutine
-// until the listener is closed.
+// until the listener is closed. A connection that ends in an error (a client
+// gone mid-reply) is counted in Metrics.ConnErrors.
 func (s *Server) ServeListener(l net.Listener) error {
 	for {
 		conn, err := l.Accept()
@@ -89,7 +90,9 @@ func (s *Server) ServeListener(l net.Listener) error {
 		}
 		go func() {
 			defer conn.Close()
-			_ = s.ServeConn(conn)
+			if s.ServeConn(conn) != nil {
+				s.connErrors.Add(1)
+			}
 		}()
 	}
 }

@@ -209,6 +209,9 @@ type Server struct {
 	// reused a held run.
 	execs        atomic.Int64
 	compiles     atomic.Int64
+	failedExecs  atomic.Int64 // executions run ended in an error, not in execs
+	buildsReused atomic.Int64 // hash-join tables a held run kept (exec.RunStats.BuildsReused)
+	connErrors   atomic.Int64 // ServeListener connections that ended in an error
 	fullOpts     atomic.Int64
 	fullOptNanos atomic.Int64
 	clones       atomic.Int64
@@ -598,6 +601,7 @@ func (s *Server) run(e *planEntry, snap *planVersion, timed bool, each func(*exe
 		comp := &exec.Compiler{Q: e.q, Cat: s.cat, Cache: s.resCache, CacheCands: snap.cands, Mem: mem}
 		root, stats, err := comp.CompileVec(snap.plan)
 		if err != nil {
+			s.failedExecs.Add(1)
 			return nil, nil, err
 		}
 		s.compiles.Add(1)
@@ -607,12 +611,14 @@ func (s *Server) run(e *planEntry, snap *planVersion, timed bool, each func(*exe
 	run.stats.SetTiming(timed)
 	rows, err := exec.Drain(run.root, each)
 	if err != nil {
+		s.failedExecs.Add(1)
 		return nil, nil, err
 	}
 	elapsed := time.Since(start)
 	s.latencyH.Observe(elapsed)
 	e.execs.Add(1)
 	s.execs.Add(1)
+	s.buildsReused.Add(int64(run.stats.BuildsReused()))
 
 	peak := run.mem.Peak()
 	s.peakMemH.ObserveInt64(peak)

@@ -32,7 +32,7 @@ type shape struct {
 // of the change that moved it. Columns: go statements, chan types, select
 // statements, panic calls, exported names, lines.
 var packageCeilings = map[string]shape{
-	".":                    {0, 0, 0, 0, 24, 384},
+	".":                    {0, 0, 0, 0, 24, 390},
 	"cmd/optcli":           {0, 0, 0, 0, 0, 212},
 	"cmd/reprobench":       {0, 0, 0, 0, 0, 109},
 	"cmd/reproserve":       {4, 2, 1, 0, 2, 293},
@@ -43,18 +43,18 @@ var packageCeilings = map[string]shape{
 	"examples/streamadapt": {0, 0, 0, 0, 0, 49},
 	"examples/viewmaint":   {0, 0, 0, 0, 0, 55},
 	"internal/aqp":         {0, 0, 0, 0, 33, 396},
-	"internal/bench":       {0, 0, 0, 16, 27, 769},
+	"internal/bench":       {0, 0, 0, 16, 27, 801},
 	"internal/catalog":     {0, 0, 0, 5, 41, 425},
 	"internal/core":        {0, 0, 0, 2, 65, 1956},
 	"internal/cost":        {0, 0, 0, 3, 28, 420},
 	"internal/deltalog":    {0, 0, 0, 5, 24, 411},
-	"internal/exec":        {0, 0, 0, 0, 100, 4104},
+	"internal/exec":        {0, 0, 0, 0, 101, 4174},
 	"internal/fbstore":     {0, 0, 0, 0, 39, 537},
 	"internal/linearroad":  {0, 0, 0, 1, 21, 322},
 	"internal/obs":         {0, 0, 0, 0, 68, 553},
 	"internal/relalg":      {0, 0, 0, 1, 135, 1111},
 	"internal/rescache":    {0, 0, 0, 0, 23, 228},
-	"internal/server":      {1, 2, 1, 0, 100, 1719},
+	"internal/server":      {1, 2, 1, 0, 103, 1746},
 	"internal/sqlmini":     {0, 0, 0, 0, 4, 598},
 	"internal/stats":       {0, 0, 0, 2, 21, 257},
 	"internal/storage":     {0, 0, 0, 0, 61, 1046},

@@ -42,9 +42,14 @@
 //     owns (build sides, join tables and their key bitmaps, the aggregation's
 //     group arrays and its one flat COUNT(DISTINCT) set, output columns, batch
 //     scratch) and keeps their capacity, for exactly as long as the operator
-//     itself lives; nothing is charged to the tracker between executions. A
-//     tree compiled against a result cache, or one whose last execution
-//     failed, refuses a second Open;
+//     itself lives; nothing is charged to the tracker between executions. An
+//     unbounded hash join whose build side's base tables are still at the
+//     data versions its last build read keeps that table instead: it neither
+//     opens nor drains its build side, charges the table again and replays
+//     the build subtree's rows and batches, which EXPLAIN ANALYZE marks
+//     "reused" (ServerMetrics.BuildsReused counts them). A tree compiled
+//     against a result cache, or one whose last execution failed, refuses a
+//     second Open;
 //   - internal/aqp — the adaptive query processing loop. The controller
 //     owns the standing query's execution: it compiles a plan once and
 //     re-opens that tree at every split point until the re-optimizer
@@ -172,7 +177,8 @@
 //     any other — and renders the plan annotated with estimated-vs-actual
 //     cardinality and q-error per node. A hash join that counted instead of enumerating is
 //     marked "counted": its rows= is still its cardinality, its batches=
-//     what it actually emitted. cmd/optcli -analyze and the protocol's
+//     what it actually emitted; a node under a join that kept its table is
+//     marked "reused" in place of a time. cmd/optcli -analyze and the protocol's
 //     "analyze" command expose the same tree.
 //   - Lifecycle tracing. ServerOptions.TraceEvents keeps the last N
 //     structured events (prepare hit/miss, admission queue wait, exec,

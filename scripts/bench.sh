@@ -50,14 +50,17 @@
 #              ratio and pruning config (fig8counts.<ratio>.<config>-
 #              {flipped-groups,flipped-alts,touched-entries}),
 #              Figure 9's entries the incremental stream controller touches
-#              per printed slice (fig9.<slice>.inc-touched-entries), and the
+#              per printed slice (fig9.<slice>.inc-touched-entries), the
+#              counts of Figure 10 per scheme and of Table 3 per slice length
+#              (fig10counts.<scheme>.{plan-switches,touched-entries,
+#              result-rows}, table3counts.<1s|5s|10s>.<the same>), and the
 #              two ablations' counts (ablation_order.<query>.{census-alts,
 #              depth-first,breadth-first} and ablation_space.<space>.
 #              {best-cost,census-groups,census-alts}), e.g.
 #              paper.fig4b.Q5.declarative, paper.fig6b.3.ratio or
 #              paper.fig9.10.inc-touched-entries. The timed tables 4(a),
-#              5(a), 6(a), 7(a) and 8(a) and Figure 9's two timed columns are
-#              left out.
+#              5(a), 6(a), 7(a) and 8(a), Figure 9's two timed columns and
+#              the timings of Figure 10 and Table 3 are left out.
 #
 # TestBenchRecordNamesEveryMetric checks that the newest BENCH_*.json names
 # every end-to-end metric of every workload and carries both sides' layers,
@@ -130,18 +133,23 @@ code ratchet_test.go >"$work/code.change.json"
 
 # paper <dir> <side>: the deterministic cells of Figures 4(b), 4(c), the
 # Figure 4 census, 5(b), 5(c), 6(b), 6(c), 7(b), 7(c), 8(b), 8(c), the
-# counts of Figures 5-8, and of 9 and the two ablations as
+# counts of Figures 5-8 and 10 and of Table 3, and of 9 and the two
+# ablations as
 # {"fig4b": {"Q5": {"declarative": 0.9, ...}, ...}, ...}. A table runs from
 # its "== " title over a header and a rule to a blank or note line; of
 # Figure 9 only the inc-touched-entries column is kept.
 paper() {
 	(cd "$1" && go build -o "$work/reprobench.$2" ./cmd/reprobench)
-	for f in 4 5 6 7 8 9 ablation; do "$work/reprobench.$2" -fig "$f" -repeats 1; done | awk '
+	{
+		for f in 4 5 6 7 8 9 10 ablation; do "$work/reprobench.$2" -fig "$f" -repeats 1; done
+		"$work/reprobench.$2" -table 3 -repeats 1
+	} | awk '
 		/^== / {
 			t = ""; keep = ""; hdr = 2
 			if ($0 ~ /^== Figure [45678]\([bc]\)/) t = "fig" substr($3, 1, 1) substr($3, 3, 1)
 			else if ($0 ~ /^== Figure 4 census/) t = "fig4census"
-			else if ($0 ~ /^== Figure [5-8] counts/) t = "fig" $3 "counts"
+			else if ($0 ~ /^== Figure ([5-8]|10) counts/) t = "fig" $3 "counts"
+			else if ($0 ~ /^== Table 3 counts/) t = "table3counts"
 			else if ($0 ~ /^== Figure 9:/) { t = "fig9"; keep = "inc-touched-entries" }
 			else if ($0 ~ /^== Ablation: expansion order/) t = "ablation_order"
 			else if ($0 ~ /^== Ablation: plan-space/) t = "ablation_space"

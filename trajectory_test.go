@@ -21,8 +21,9 @@ import (
 // paper's deterministic table cells (paper.<table>.<row>.<column>) of both
 // sides, for every table bench.sh records: Figures 4(b), 4(c), the Figure 4
 // census, 5(b), 5(c), the Figure 5 counts, 6(b), 6(c), 7(b), 7(c), 8(b), 8(c),
-// the Figure 8 counts and 9 and the two ablations (ablation_order,
-// ablation_space). It sets no thresholds: the host drifts, and the record is
+// the Figure 8 counts, 9, the Figure 10 and Table 3 counts (fig10counts,
+// table3counts) and the two ablations (ablation_order, ablation_space). It
+// sets no thresholds: the host drifts, and the record is
 // what a change's numbers are compared with.
 func TestBenchRecordNamesEveryMetric(t *testing.T) {
 	paths, err := filepath.Glob("BENCH_*.json")
@@ -151,7 +152,7 @@ func TestBenchRecordNamesEveryMetric(t *testing.T) {
 	if previous != "" {
 		readJSON(t, previous, &prev)
 	}
-	for _, table := range []string{"fig4b", "fig4c", "fig4census", "fig5b", "fig5c", "fig5counts", "fig6b", "fig6c", "fig6counts", "fig7b", "fig7c", "fig7counts", "fig8b", "fig8c", "fig8counts", "fig9", "ablation_order", "ablation_space"} {
+	for _, table := range []string{"fig4b", "fig4c", "fig4census", "fig5b", "fig5c", "fig5counts", "fig6b", "fig6c", "fig6counts", "fig7b", "fig7c", "fig7counts", "fig8b", "fig8c", "fig8counts", "fig9", "fig10counts", "table3counts", "ablation_order", "ablation_space"} {
 		if len(rec.Paper[table]) == 0 {
 			t.Errorf("%s: no paper.%s cells", newest, table)
 		}
