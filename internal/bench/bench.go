@@ -7,8 +7,11 @@ package bench
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
+
+	"repro/internal/relalg"
 )
 
 // Table is a rendered experiment result.
@@ -56,6 +59,10 @@ func (t *Table) String() string {
 func f3(v float64) string { return fmt.Sprintf("%.3f", v) }
 
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
+
+// planCost renders a plan's cost exactly: the shortest decimal that parses
+// back to the same float64.
+func planCost(p *relalg.Plan) string { return strconv.FormatFloat(p.Cost, 'g', -1, 64) }
 
 func ms(d time.Duration) string { return fmt.Sprintf("%.3fms", float64(d.Nanoseconds())/1e6) }
 

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/tpch"
 )
 
@@ -67,8 +68,18 @@ func TestFigure4Shape(t *testing.T) {
 func TestFigure5Shape(t *testing.T) {
 	e := smokeEnv()
 	tables := e.Figure5()
-	if len(tables) != 4 {
+	if len(tables) != 5 {
 		t.Fatalf("Figure5 returned %d tables", len(tables))
+	}
+	// A ratio-1 update changes nothing: every repaired plan costs what the
+	// initial plan does.
+	_, initial := e.optimize(e.Model(tpch.Q5()), e.Space, core.PruneAll)
+	for _, row := range tables[4].Rows {
+		for x := 1; row[0] == "1" && x < len(row); x++ {
+			if row[x] != planCost(initial) {
+				t.Fatalf("ratio 1, %s: the repaired plan costs %s, the initial plan %s", tables[4].Header[x], row[x], planCost(initial))
+			}
+		}
 	}
 	cg, ca := e.Census(tpch.Q5())
 	for i, row := range tables[3].Rows {
@@ -179,8 +190,17 @@ func TestFigure7Shape(t *testing.T) {
 func TestFigure8Runs(t *testing.T) {
 	e := smokeEnv()
 	tables := e.Figure8()
-	if len(tables) != 4 || len(tables[0].Rows) != len(Figure5Ratios) {
+	if len(tables) != 5 || len(tables[0].Rows) != len(Figure5Ratios) {
 		t.Fatal("Figure8 shape wrong")
+	}
+	// Pruning never changes the optimum: at a scan ratio every config's
+	// repaired plan costs the same.
+	for _, row := range tables[4].Rows {
+		for x := 2; x < len(row); x++ {
+			if row[x] != row[1] {
+				t.Fatalf("scan ratio %s: %s's repaired plan costs %s, %s's %s", row[0], tables[4].Header[x], row[x], tables[4].Header[1], row[1])
+			}
+		}
 	}
 	// The counts table holds (b)'s and (c)'s numerators: flipped groups and
 	// flipped alternatives, three columns a config with touched entries.

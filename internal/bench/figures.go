@@ -79,10 +79,11 @@ var Figure5Ratios = []float64{0.125, 0.25, 0.5, 1, 2, 4, 8}
 // Figure5 reproduces Figure 5: incremental re-optimization of Q5 after a
 // synthetic change to one join expression's selectivity — (a) re-opt time
 // normalized to a full Volcano optimization, (b) fraction of plan-table
-// entries updated, (c) fraction of plan alternatives updated — and the counts
+// entries updated, (c) fraction of plan alternatives updated — the counts
 // behind (b) and (c): the repair's touched groups and touched entries per
 // expression (A-groups, A-entries, ...), whose denominators are Q5's Figure 4
-// census.
+// census — and the repaired plan's cost per expression. At ratio 1 nothing
+// changes, so that cost is the initial plan's.
 func (e *Env) Figure5() []*Table {
 	q := tpch.Q5()
 	cg, ca := e.Census(q)
@@ -98,6 +99,7 @@ func (e *Env) Figure5() []*Table {
 	tb := &Table{Title: "Figure 5(b): update ratio, plan table entries", Header: header}
 	tc := &Table{Title: "Figure 5(c): update ratio, plan alternatives", Header: header}
 	td := &Table{Title: "Figure 5 counts: touched groups and entries per repair", Header: countHeader}
+	te := &Table{Title: "Figure 5 costs: the repaired plan's cost", Header: header}
 
 	o, _ := e.optimize(e.Model(q), e.Space, core.PruneAll)
 	volT := e.volcanoTime(e.Model(q))
@@ -107,9 +109,11 @@ func (e *Env) Figure5() []*Table {
 		rowB := []string{fmt.Sprintf("%g", r)}
 		rowC := []string{fmt.Sprintf("%g", r)}
 		rowD := []string{fmt.Sprintf("%g", r)}
+		rowE := []string{fmt.Sprintf("%g", r)}
 		for _, ex := range exprs {
 			var reoptT time.Duration
 			var met core.Metrics
+			var repaired *relalg.Plan
 			// Alternate the factor with its reset so every timed
 			// Reoptimize call propagates a real delta; keep the
 			// minimum across repeats, like the paper's averaging
@@ -117,7 +121,8 @@ func (e *Env) Figure5() []*Table {
 			for rep := 0; rep < e.Repeats; rep++ {
 				o.UpdateCardFactor(ex.Set, r)
 				d := e.timeOnce(func() {
-					if _, err := o.Reoptimize(); err != nil {
+					var err error
+					if repaired, err = o.Reoptimize(); err != nil {
 						panic(err)
 					}
 				})
@@ -134,15 +139,17 @@ func (e *Env) Figure5() []*Table {
 			rowB = append(rowB, f3(ratio(met.TouchedGroups, cg)))
 			rowC = append(rowC, f3(ratio(met.TouchedEntries, ca)))
 			rowD = append(rowD, fmt.Sprint(met.TouchedGroups), fmt.Sprint(met.TouchedEntries))
+			rowE = append(rowE, planCost(repaired))
 		}
 		ta.Rows = append(ta.Rows, rowA)
 		tb.Rows = append(tb.Rows, rowB)
 		tc.Rows = append(tc.Rows, rowC)
 		td.Rows = append(td.Rows, rowD)
+		te.Rows = append(te.Rows, rowE)
 	}
 	ta.Notes = append(ta.Notes,
 		"paper: speedups of 12x (lowest join) to 300x (topmost join); larger expressions are cheaper to update")
-	return []*Table{ta, tb, tc, td}
+	return []*Table{ta, tb, tc, td, te}
 }
 
 // Figure6 reproduces Figure 6: re-optimization of Q5 driven by ACTUAL
@@ -278,7 +285,8 @@ func (e *Env) Figure7() []*Table {
 // normalized to Volcano, plus the amount of (re)pruning performed — and the
 // counts behind (b) and (c): per pruning config, the repair's flipped groups
 // and flipped alternatives (the numerators, over Q5's Figure 4 census) and
-// its touched entries.
+// its touched entries — and the repaired plan's cost, which pruning never
+// changes: every config's is the same at a scan ratio.
 func (e *Env) Figure8() []*Table {
 	q := tpch.Q5()
 	cg, ca := e.Census(q)
@@ -292,6 +300,7 @@ func (e *Env) Figure8() []*Table {
 	tb := &Table{Title: "Figure 8(b): pruning performed during re-opt, plan table entries", Header: header}
 	tc := &Table{Title: "Figure 8(c): pruning performed during re-opt, plan alternatives", Header: header}
 	td := &Table{Title: "Figure 8 counts: flipped groups, flipped alternatives and touched entries per repair", Header: countHeader}
+	te := &Table{Title: "Figure 8 costs: the repaired plan's cost", Header: header}
 
 	volT := e.volcanoTime(e.Model(q))
 	for _, r := range Figure5Ratios {
@@ -299,12 +308,15 @@ func (e *Env) Figure8() []*Table {
 		rowB := []string{fmt.Sprintf("%g", r)}
 		rowC := []string{fmt.Sprintf("%g", r)}
 		rowD := []string{fmt.Sprintf("%g", r)}
+		rowE := []string{fmt.Sprintf("%g", r)}
 		for _, cfg := range configs {
 			o, _ := e.optimize(e.Model(q), e.Space, cfg)
 			before := o.Metrics()
 			o.UpdateScanCostFactor(tpch.Q5Orders, r)
+			var repaired *relalg.Plan
 			d := e.timeOnce(func() {
-				if _, err := o.Reoptimize(); err != nil {
+				var err error
+				if repaired, err = o.Reoptimize(); err != nil {
 					panic(err)
 				}
 			})
@@ -315,14 +327,16 @@ func (e *Env) Figure8() []*Table {
 			rowB = append(rowB, f3(ratio(flippedGroups, cg)))
 			rowC = append(rowC, f3(ratio(flippedAlts, ca)))
 			rowD = append(rowD, fmt.Sprint(flippedGroups), fmt.Sprint(flippedAlts), fmt.Sprint(after.TouchedEntries))
+			rowE = append(rowE, planCost(repaired))
 		}
 		ta.Rows = append(ta.Rows, rowA)
 		tb.Rows = append(tb.Rows, rowB)
 		tc.Rows = append(tc.Rows, rowC)
 		td.Rows = append(td.Rows, rowD)
+		te.Rows = append(te.Rows, rowE)
 	}
 	ta.Notes = append(ta.Notes, "paper: techniques work best in combination; significant running-time benefits in the incremental setting")
-	return []*Table{ta, tb, tc, td}
+	return []*Table{ta, tb, tc, td, te}
 }
 
 // SmallQueries reproduces the §5.1 remark: Q1, Q3S and Q6 are simple enough

@@ -167,6 +167,40 @@ func (t *Table) ResetSnapshot(snap *storage.Snapshot) {
 // materialization time against the current one to detect staleness.
 func (t *Table) DataVersion() uint64 { return t.dataVersion.Load() }
 
+// Pin is the data versions of a set of tables as read when state derived
+// from their rows — a built hash-join table, a cached query result — began
+// to be built; the state is current while Holds. The zero Pin pins no
+// table and always holds.
+//
+// Record the versions BEFORE the snapshots the state is built from are
+// bound: AppendRows publishes a snapshot and then bumps the version, so a
+// version read first is never newer than the rows bound after it. Read
+// after, it could be, and the state would be kept over rows it never saw.
+type Pin struct {
+	tabs []*Table
+	vers []uint64
+}
+
+// NewPin pins tabs; their versions are read by Record.
+func NewPin(tabs []*Table) Pin { return Pin{tabs: tabs, vers: make([]uint64, len(tabs))} }
+
+// Record reads every pinned table's current version.
+func (p *Pin) Record() {
+	for i, t := range p.tabs {
+		p.vers[i] = t.DataVersion()
+	}
+}
+
+// Holds reports whether every pinned table is still at its recorded version.
+func (p *Pin) Holds() bool {
+	for i, t := range p.tabs {
+		if t.DataVersion() != p.vers[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // Store returns the storage backend, creating the default in-memory one on
 // first use.
 func (t *Table) Store() storage.Backend {

@@ -12,45 +12,38 @@ import (
 )
 
 // RunStats is the record of one execution of a compiled tree: the span of
-// every shimmed node (profile.go) and, in Cards, the actual output
-// cardinality per subexpression — the Rows of the scan and join spans, or a
-// result-cache entry's replayed count. The adaptive layer compares the
-// cardinalities with the optimizer's estimates and feeds the ratios back as
-// cardinality updates; Format renders the whole record as EXPLAIN ANALYZE.
+// every shimmed node (profile.go), whose rows are the node's actual output
+// cardinality — counted as it ran, or replayed from a kept hash-join table's
+// build or a result-cache entry — and what the execution reused. The
+// adaptive layer compares the cardinalities with the optimizer's estimates
+// and feeds the ratios back as cardinality updates; Format renders the whole
+// record as EXPLAIN ANALYZE.
 type RunStats struct {
-	Cards map[relalg.RelSet]*int64
-
 	q      *relalg.Query
 	plan   *relalg.Plan
 	ops    []*spanOp // every shim of the tree
 	agg    *spanOp   // the aggregation's, nil without one
 	timed  bool      // SetTiming
 	reused int       // hash joins that kept their table this execution
+	// hits and spools are the result-cache probe hits and spools, decided
+	// when the tree compiled: such a tree runs once (execRoot).
+	hits, spools int
 }
 
 // Card returns the observed cardinality of a subexpression.
 func (s *RunStats) Card(set relalg.RelSet) (int64, bool) {
-	if p, ok := s.Cards[set]; ok {
-		return *p, true
+	for _, op := range s.ops {
+		if op.node != nil && op.node.Expr == set {
+			return op.sp.Rows, true
+		}
 	}
 	return 0, false
-}
-
-// counter returns the accumulator for a subexpression, creating it when
-// first requested.
-func (s *RunStats) counter(set relalg.RelSet) *int64 {
-	n, ok := s.Cards[set]
-	if !ok {
-		n = new(int64)
-		s.Cards[set] = n
-	}
-	return n
 }
 
 // Reset zeroes every span and the reuse count for a re-opened tree's run.
 func (s *RunStats) Reset() {
 	for _, op := range s.ops {
-		op.sp, op.reused = obs.Span{}, false
+		op.sp, op.replayed = obs.Span{}, false
 	}
 	s.reused = 0
 }
@@ -58,15 +51,20 @@ func (s *RunStats) Reset() {
 // BuildsReused counts the latest execution's joins that kept their table.
 func (s *RunStats) BuildsReused() int { return s.reused }
 
+// CacheDecisions counts the execution's result-cache probe hits and spools.
+func (s *RunStats) CacheDecisions() (probeHits, spools int) { return s.hits, s.spools }
+
 // Snapshot copies the observed cardinalities into a plain map — the handoff
 // from one finished execution to the feedback consumer (the adaptive loop or
 // the serving layer's shared stats store). It must only be called after the
 // operator tree has been drained and closed: until then its operators are
 // still counting.
 func (s *RunStats) Snapshot() map[relalg.RelSet]int64 {
-	out := make(map[relalg.RelSet]int64, len(s.Cards))
-	for set, n := range s.Cards {
-		out[set] = *n
+	out := make(map[relalg.RelSet]int64, len(s.ops))
+	for _, op := range s.ops {
+		if op.node != nil {
+			out[op.node.Expr] = op.sp.Rows
+		}
 	}
 	return out
 }
@@ -87,8 +85,8 @@ type Compiler struct {
 	// Cache, when enabled, is the server-wide semantic result cache, and
 	// CacheCands the plan's cacheable subtrees (BuildCacheCandidates on
 	// THIS plan tree — candidates match by node identity). CompileVec
-	// resolves them into probe hits (subtree replaced by a cached scan) or
-	// spools (subtree teed into the cache); see rescache.go.
+	// decides each into a probe hit (subtree replaced by a cached scan) or
+	// a spool (subtree teed into the cache); see rescache.go.
 	Cache      *rescache.Cache
 	CacheCands []CacheCandidate
 	// Mem is the query's memory tracker, and the one way to bound its
@@ -102,10 +100,6 @@ type Compiler struct {
 	// nothing is charged between its executions, and peak, overage and spill
 	// counters describe the latest one.
 	Mem *MemTracker
-	// decisions maps plan nodes to their resolved cache decision for the
-	// current CompileVec call; probeHits and spools count what it decided.
-	decisions         map[*relalg.Plan]*cacheDecision
-	probeHits, spools int
 }
 
 // CompileVec builds the vectorized (batch-at-a-time) operator tree for
@@ -114,11 +108,9 @@ type Compiler struct {
 // the record every execution of it fills: cardinalities for feedback, spans
 // for EXPLAIN ANALYZE.
 func (c *Compiler) CompileVec(plan *relalg.Plan) (VecIterator, *RunStats, error) {
-	stats := &RunStats{Cards: map[relalg.RelSet]*int64{}, q: c.Q, plan: plan,
-		ops: make([]*spanOp, 0, planNodes(plan)+1)}
-	c.resolveCache()
+	stats := &RunStats{q: c.Q, plan: plan, ops: make([]*spanOp, 0, planNodes(plan)+1)}
 	// The aggregation reads Batch.Mult; a root without one is drained as rows.
-	v, schema, err := c.compileVec(plan, stats, c.Q.Agg != nil)
+	v, schema, err := c.compileVec(plan, stats, c.Q.Agg != nil, false)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -149,11 +141,12 @@ func planNodes(p *relalg.Plan) int {
 // after Close, Open starts a new execution of the same operators — scan leaves
 // rebind to their tables' current snapshots, RunStats and the tracker's
 // per-execution figures start over, operators empty the buffers they own and
-// keep their capacity, and an unbounded hash join whose build side's tables
-// are at the versions its last build read keeps its table (vecHashJoinOp.reuse).
-// Two kinds of tree refuse instead of returning stale rows: one compiled
-// against a result cache (its probe hits and spools were decided against the
-// cache's content at compile time) and one whose last execution failed.
+// keep their capacity, and an unbounded hash join whose build side's pin
+// holds keeps its table (vecHashJoinOp.reuse). Two kinds of tree refuse
+// instead of returning stale rows: one compiled against a result cache (its
+// probe hits and spools, and the counts its hits replay, were decided
+// against the cache's content at compile time) and one whose last execution
+// failed.
 type execRoot struct {
 	in          VecIterator
 	stats       *RunStats
@@ -334,11 +327,18 @@ func storagePreds(conds []ScanCond, predSrc []int) []storage.Pred {
 
 // compileVec returns the operator for one plan node, in its shim, and its
 // output schema (the ColID of every output column, in order). weighted says
-// whether the node's consumer reads Batch.Mult (see Compiler.counted).
-func (c *Compiler) compileVec(p *relalg.Plan, stats *RunStats, weighted bool) (VecIterator, []relalg.ColID, error) {
-	if d := c.takeDecision(p); d != nil {
-		return c.applyCacheDecision(d, p, stats)
+// whether the node's consumer reads Batch.Mult (see Compiler.counted), and
+// spooled whether a result-cache spool is above it. A cache candidate is
+// decided here (compileCandidate), any other node compiled by compileNode.
+func (c *Compiler) compileVec(p *relalg.Plan, stats *RunStats, weighted, spooled bool) (VecIterator, []relalg.ColID, error) {
+	if cand := c.candidate(p); cand != nil {
+		return c.compileCandidate(cand, stats, weighted, spooled)
 	}
+	return c.compileNode(p, stats, weighted, spooled)
+}
+
+// compileNode compiles p by its operator, its children through compileVec.
+func (c *Compiler) compileNode(p *relalg.Plan, stats *RunStats, weighted, spooled bool) (VecIterator, []relalg.ColID, error) {
 	switch p.Log {
 	case relalg.LogScan:
 		schema, err := c.scanSchema(p)
@@ -356,19 +356,19 @@ func (c *Compiler) compileVec(p *relalg.Plan, stats *RunStats, weighted bool) (V
 		// Reached by: sort-enforced plans of the full space's tests
 		// (TestTPCHSpillDifferential's merge-only plans, the reopen
 		// differential); no workload, figure or served plan carries one.
-		return c.compileVec(p.Left, stats, weighted)
+		return c.compileVec(p.Left, stats, weighted, spooled)
 
 	case relalg.LogJoin:
 		// Every join runs on the hash join, through one path: the build side
 		// is the left child (an index-NL join's inner relation: its index).
 		lo := len(stats.ops)
-		left, ls, err := c.compileVec(p.Left, stats, false)
+		left, ls, err := c.compileVec(p.Left, stats, false, spooled)
 		if err != nil {
 			return nil, nil, err
 		}
 		buildOps := stats.ops[lo:len(stats.ops):len(stats.ops)]
 		counted := c.counted(p, ls, weighted)
-		right, rs, err := c.compileVec(p.Right, stats, counted)
+		right, rs, err := c.compileVec(p.Right, stats, counted, spooled)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -379,11 +379,11 @@ func (c *Compiler) compileVec(p *relalg.Plan, stats *RunStats, weighted bool) (V
 		}
 		// Tables are kept (vecHashJoinOp.reuse) unless the tree runs once.
 		if hj, ok := v.(*vecHashJoinOp); ok && c.Cache == nil {
-			n := p.Left.Expr.Count()
-			hj.st, hj.buildOps, hj.deps, hj.vers = stats, buildOps, make([]*catalog.Table, 0, n), make([]uint64, n)
+			tabs := make([]*catalog.Table, 0, p.Left.Expr.Count())
 			p.Left.Expr.EachMember(func(rel int) { // the build side's scans resolved them
-				hj.deps = append(hj.deps, c.Cat.MustTable(c.Q.Rels[rel].Table))
+				tabs = append(tabs, c.Cat.MustTable(c.Q.Rels[rel].Table))
 			})
+			hj.st, hj.buildOps, hj.pin = stats, buildOps, catalog.NewPin(tabs)
 		}
 		op := c.span(v, p, schema, stats)
 		op.counting = counted
@@ -407,15 +407,11 @@ func (c *Compiler) hashJoin(p *relalg.Plan, left, right VecIterator, ls, rs []re
 	return v, nil
 }
 
-// span wraps node p's operator (p nil: the aggregation's) in its shim and
-// registers it with the execution's record; a scan's or a join's span counts
-// its output cardinality into RunStats.
+// span wraps node p's operator v (p nil: the aggregation's; v nil: a
+// record-only shim) in its shim and registers it with the execution's record.
 func (c *Compiler) span(v VecIterator, p *relalg.Plan, schema []relalg.ColID, stats *RunStats) *spanOp {
 	op := &spanOp{in: v, st: stats, node: p, cols: len(schema)}
 	stats.ops = append(stats.ops, op)
-	if p != nil {
-		stats.Cards[p.Expr] = &op.sp.Rows
-	}
 	return op
 }
 

@@ -14,8 +14,12 @@
 //
 // There is one engine and one way in: Compiler.CompileVec turns a plan into
 // a tree of VecIterator operators, and Drain runs it into a sink, as often as
-// its holder likes (execRoot: a held tree rereads the tables, and keeps a hash
-// join's table while the tables under its build side are unchanged).
+// its holder likes (execRoot: a held tree rereads the tables).
+//
+// Reuse has one shape: state built from base tables — a hash join's table
+// (vecjoin.go), a result-cache entry (rescache.go) — is kept while its
+// catalog.Pin holds, and the subtree it stands for is skipped, its spans
+// replayed from what was kept (profile.go).
 // Operators exchange column-major batches — up to BatchSize rows held as one
 // contiguous []int64 per column, with a selection vector (batch.go). Leaf
 // scans hand out zero-copy windows over column-major base-table storage

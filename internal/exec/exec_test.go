@@ -315,7 +315,7 @@ func checkExecution(t *testing.T, label string, comp *Compiler, v VecIterator, s
 			t.Fatalf("%s: cardinality of %v = %d (reported %v), reference %d", label, p.Expr, got, ok, want)
 		}
 	})
-	if len(st.Cards) != len(counted) {
-		t.Fatalf("%s: RunStats covers %d subexpressions, plan has %d counted nodes", label, len(st.Cards), len(counted))
+	if n := len(st.Snapshot()); n != len(counted) {
+		t.Fatalf("%s: RunStats covers %d subexpressions, plan has %d counted nodes", label, n, len(counted))
 	}
 }

@@ -229,7 +229,7 @@ func TestLivenessEdgeCases(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
-			v, _, err := comp.compileVec(in, &RunStats{Cards: map[relalg.RelSet]*int64{}}, false)
+			v, _, err := comp.compileVec(in, &RunStats{}, false, false)
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}

@@ -11,20 +11,27 @@ import (
 )
 
 // Per-operator execution profiles (EXPLAIN ANALYZE). The counter is the
-// span: CompileVec wraps every compiled plan node — scans and joins — and
-// the aggregation above them in one shim (spanOp) that adds the
-// batches it passes and the rows they stand for into the node's obs.Span,
-// and RunStats.Cards points at the Rows of the scan and join spans. Feedback,
-// the result-cache spool and EXPLAIN ANALYZE therefore read one count.
+// span: CompileVec gives every counted plan node — scans and joins — and
+// the aggregation above them exactly one shim (spanOp) that adds the batches
+// it passes and the rows they stand for into the node's obs.Span, and the
+// Rows of the scan and join spans are the cardinalities RunStats reports.
+// Feedback, EstErr, the result-cache spool and EXPLAIN ANALYZE therefore
+// read one count.
+//
+// Reuse is replay: where an execution skips a subtree because the base
+// tables under it are at the versions its state was built from (a
+// catalog.Pin), the subtree's shims replay what was kept — a kept hash-join
+// table's build (vecHashJoinOp.reuse) or a result-cache entry's counts, whose
+// record-only shims wrap no operator (compileCandidate) — and are marked
+// replayed: EXPLAIN ANALYZE renders the first "reused" and the second "not
+// executed (cached)".
 //
 // Timing is a property of an execution, not of a compile: the run's owner
 // calls RunStats.SetTiming before Open, and only a timed execution reads the
 // clock, twice per batch and node. A held tree is therefore profiled like any
 // other execution of it, and profiling never changes results or feedback.
-// Two kinds of node have no shim: those inside a result-cache probe hit
-// (never compiled; their counts are replayed into RunStats) and an Enforce
-// node, compiled to its child because nothing the executor runs reads an
-// order.
+// An Enforce node has no shim: it compiles to its child, because nothing the
+// executor runs reads an order.
 
 // spanOp is the one shim of a compiled plan node.
 type spanOp struct {
@@ -34,13 +41,17 @@ type spanOp struct {
 	// node is the plan node (nil for the aggregation), cols its output
 	// width — the columns still read at or above it (live.go) — and counting
 	// marks a hash join compiled in counting mode (live.go): its rows are the
-	// multiplicities summed, its batches what was emitted.
+	// multiplicities summed, its batches what was emitted. in is nil for a
+	// record-only shim (a result-cache hit's node).
 	node     *relalg.Plan
 	cols     int
 	counting bool
-	reused   bool     // under a join that kept its table: sp is kept, replayed
-	kept     obs.Span // what the kept table's build counted
+	replayed bool     // sp is kept, replayed
+	kept     obs.Span // what the kept state counted when it was built
 }
+
+// replay sets the span to the kept one, marked replayed.
+func (s *spanOp) replay() { s.sp, s.replayed = s.kept, true }
 
 // start reads the clock when the execution is timed.
 func (s *spanOp) start() (t0 time.Time) {
@@ -116,12 +127,14 @@ func (s *RunStats) node(p *relalg.Plan) *spanOp {
 // what it carries upward), batches and, when the execution was timed,
 // cumulative wall time. A join that ran in counting mode is marked
 // "counted": its rows are the multiplicities summed — equal to act, as for
-// every operator — while its batches are what it actually emitted. A node
-// under a join that kept its table renders the rows and batches of the build
-// the table came from, marked "reused" in place of a time. A merge or
-// index nested-loops join that ran is marked "via hash": the executor runs
-// every join on the hash join. An Enforce node renders as elided. Call it
-// after the tree is drained and before it is opened again.
+// every operator — while its batches are what it actually emitted. A
+// replayed node renders what was kept: under a join that kept its table, the
+// rows and batches of the build the table came from, marked "reused" in
+// place of a time; under a result-cache hit, its act, marked "not executed
+// (cached)". A merge or index nested-loops join that ran is marked "via
+// hash": the executor runs every join on the hash join. An Enforce node
+// renders as elided. Call it after the tree is drained and before it is
+// opened again.
 func (s *RunStats) Format() string {
 	var b strings.Builder
 	b.WriteString("EXPLAIN ANALYZE\n")
@@ -135,7 +148,7 @@ func (s *RunStats) Format() string {
 // timeOf renders op's time annotation: "reused" if replayed, none untimed.
 func (s *RunStats) timeOf(op *spanOp) string {
 	switch {
-	case op.reused:
+	case op.replayed:
 		return " reused"
 	case !s.timed:
 		return ""
@@ -148,71 +161,37 @@ func (s *RunStats) format(p *relalg.Plan, b *strings.Builder, depth int) {
 	if p == nil {
 		return
 	}
-	q := s.q
 	op := s.node(p)
 	b.WriteString(strings.Repeat("  ", depth))
-	switch p.Log {
-	case relalg.LogScan:
-		name := "?"
-		if p.Rel < len(q.Rels) {
-			name = q.Rels[p.Rel].Alias
-		}
-		if p.Phy == relalg.PhyIndexScan {
-			fmt.Fprintf(b, "IndexScan %s key=%s", name, q.ColString(p.IdxCol))
-		} else {
-			fmt.Fprintf(b, "TableScan %s", name)
-		}
-	case relalg.LogEnforce:
-		fmt.Fprintf(b, "Sort %s", p.Prop)
-	default:
-		name := map[relalg.PhyOp]string{
-			relalg.PhyHashJoin:    "HashJoin",
-			relalg.PhyMergeJoin:   "MergeJoin",
-			relalg.PhyIndexNLJoin: "IndexNLJoin",
-		}[p.Phy]
-		pred := ""
-		if p.Pred < len(q.Joins) {
-			jp := q.Joins[p.Pred]
-			pred = fmt.Sprintf(" on %s=%s", q.ColString(jp.L), q.ColString(jp.R))
-		}
-		via := ""
-		// Reached by: EXPLAIN ANALYZE of a full-space merge or index-NL
-		// plan (TestFormatAnalyzeRendering's merge-only Q5); served plans
-		// join by hash only.
-		if op != nil && p.Phy != relalg.PhyHashJoin {
-			via = " via hash"
-		}
-		fmt.Fprintf(b, "%s%s%s", name, pred, via)
+	p.WriteLabel(s.q, b)
+	// Reached by: EXPLAIN ANALYZE of a full-space merge or index-NL plan
+	// (TestFormatAnalyzeRendering's merge-only Q5); served plans join by
+	// hash only.
+	if p.Log == relalg.LogJoin && p.Phy != relalg.PhyHashJoin && op != nil && op.in != nil {
+		b.WriteString(" via hash")
 	}
-
 	fmt.Fprintf(b, "  [est=%.1f", p.Card)
-	if act, ok := s.Card(p.Expr); ok && p.Log != relalg.LogEnforce {
-		fmt.Fprintf(b, " act=%d qerr=%.2f", act, qError(p.Card, act))
-	} else {
-		fmt.Fprintf(b, " act=-")
-	}
 	switch {
-	case p.Log == relalg.LogEnforce:
-		b.WriteString(" | elided]")
-	case op != nil:
-		fmt.Fprintf(b, " | rows=%d cols=%d batches=%d", op.sp.Rows, op.cols, op.sp.Batches)
+	case op == nil:
+		b.WriteString(" act=- | elided]\n")
+	case op.replayed && op.in == nil:
+		fmt.Fprintf(b, " act=%d qerr=%.2f | not executed (cached)]\n", op.sp.Rows, qError(p.Card, op.sp.Rows))
+	default:
+		fmt.Fprintf(b, " act=%d qerr=%.2f | rows=%d cols=%d batches=%d", op.sp.Rows, qError(p.Card, op.sp.Rows), op.sp.Rows, op.cols, op.sp.Batches)
 		if op.counting {
 			b.WriteString(" counted")
 		}
-		fmt.Fprintf(b, "%s]", s.timeOf(op))
-	default:
-		b.WriteString(" | not executed (cached)]")
+		fmt.Fprintf(b, "%s]\n", s.timeOf(op))
 	}
-	b.WriteByte('\n')
 	s.format(p.Left, b, depth+1)
 	s.format(p.Right, b, depth+1)
 }
 
 // EstErr is the latest execution's cardinality estimation error: the mean ln
 // q-error over the plan's counted nodes. 0 is a perfect plan; ln 2 ≈ 0.69
-// means estimates are off by 2x on average. It walks the plan as Format does,
-// so the counts a result-cache probe hit replays count like executed ones.
-// Call it after the tree is drained and before it is opened again.
+// means estimates are off by 2x on average. It walks the plan's shims as
+// Format does, so replayed counts count like executed ones. Call it after
+// the tree is drained and before it is opened again.
 func (s *RunStats) EstErr() float64 {
 	var sum float64
 	var n int
@@ -221,8 +200,8 @@ func (s *RunStats) EstErr() float64 {
 		if p == nil {
 			return
 		}
-		if act, ok := s.Card(p.Expr); ok && p.Log != relalg.LogEnforce {
-			sum += math.Log(qError(p.Card, act))
+		if op := s.node(p); op != nil {
+			sum += math.Log(qError(p.Card, op.sp.Rows))
 			n++
 		}
 		walk(p.Left)

@@ -328,7 +328,7 @@ func TestEstErrMatchesReference(t *testing.T) {
 		if _, err := DrainVec(v); err != nil {
 			t.Fatal(err)
 		}
-		if hits, _ := comp.CacheDecisions(); label == "probe" && hits == 0 {
+		if hits, _ := stats.CacheDecisions(); label == "probe" && hits == 0 {
 			t.Fatal("the probe run hit nothing")
 		}
 		check("Q3S/"+label, vr.Plan, stats)

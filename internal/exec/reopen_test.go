@@ -291,7 +291,7 @@ func (f *failOnceIter) Close() error { return nil }
 // operators are in no defined state, and the root refuses to open them again.
 func TestFailedTreeRefusesReopen(t *testing.T) {
 	var comp Compiler
-	stats := &RunStats{Cards: map[relalg.RelSet]*int64{}}
+	stats := &RunStats{}
 	root := comp.root(NewVecHashJoin(scanOf([]int64{1}), &failOnceIter{}, []int{0}, []int{0}, nil, seq(1), nil), stats)
 	if _, err := DrainVec(root); err == nil {
 		t.Fatal("the failing execution returned no error")

@@ -4,18 +4,20 @@ package exec
 // (internal/rescache) into the vectorized compiler as a spool/probe pair.
 // The serving layer derives cache CANDIDATES from a plan once per plan
 // version — the cacheable subtrees, each with its canonical fingerprint —
-// and hands them to the Compiler. At compile time every candidate is
-// resolved into a DECISION:
+// and hands them to the Compiler, which decides each candidate node when its
+// recursion reaches it (compileCandidate):
 //
 //   - probe hit: the whole subtree is replaced by a cached scan handing out
 //     zero-copy column windows over the materialized result, picked from the
-//     entry's canonical column order into this plan's schema order, and
-//     the entry's recorded per-node cardinalities are replayed into RunStats
-//     so the adaptive feedback loop observes byte-identical counts;
+//     entry's canonical column order into this plan's schema order; every
+//     counted node of the subtree keeps its shim, record-only, replaying the
+//     entry's recorded cardinality the way a kept hash-join table replays
+//     its build's (profile.go), so the adaptive feedback loop, EstErr and
+//     EXPLAIN ANALYZE observe byte-identical counts;
 //   - miss: the subtree compiles normally and is wrapped in a spool that
 //     tees its batches into a materialization, places it at its canonical
-//     column positions at end-of-stream and stores it, pinned to the data
-//     versions of its base tables.
+//     column positions at end-of-stream and stores it under the catalog.Pin
+//     of its base tables, recorded when the spool opens.
 //
 // Entries are column-sparse: a subtree carries only its live columns (see
 // live.go), and which those are depends on the consuming query — its
@@ -41,6 +43,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/catalog"
 	"repro/internal/relalg"
 	"repro/internal/rescache"
 )
@@ -48,14 +51,14 @@ import (
 // CachePoint pairs one counted node of a cacheable subtree with its
 // canonical fingerprint: the unit of cardinality replay.
 type CachePoint struct {
-	Set relalg.RelSet
-	FP  string
+	Node *relalg.Plan
+	FP   string
 }
 
 // CacheCandidate is one cacheable subtree of a specific plan tree.
 type CacheCandidate struct {
 	// Node is the subtree root inside the plan the candidate was built
-	// from; decisions are matched by node identity, so candidates must be
+	// from; the compiler matches it by node identity, so candidates must be
 	// rebuilt whenever the plan tree is replaced (every repair).
 	Node *relalg.Plan
 	// Expr is the subtree's relation set in the minting query.
@@ -65,8 +68,8 @@ type CacheCandidate struct {
 	// CanonOrder lists Expr's member relations in canonical fingerprint
 	// order: the column order of the materialized entry.
 	CanonOrder []int
-	// Counts lists every node of the subtree whose span the compiler counts
-	// into RunStats (the root first), with its fingerprint.
+	// Counts lists every node of the subtree the compiler shims (the root
+	// first), with its fingerprint.
 	Counts []CachePoint
 }
 
@@ -111,71 +114,72 @@ func cacheEligible(q *relalg.Query, p *relalg.Plan) bool {
 	return false
 }
 
-// collectCachePoints appends the (set, fingerprint) of every node the
-// compiler counts within the subtree, mirroring compileVec: every scan and
-// join is counted, an enforcer is not.
+// collectCachePoints appends the (node, fingerprint) of every node the
+// compiler shims within the subtree, mirroring compileVec: every scan and
+// join is shimmed, an enforcer is not.
 func collectCachePoints(out []CachePoint, p *relalg.Plan, fper *relalg.Fingerprinter) []CachePoint {
 	if p == nil {
 		return out
 	}
 	if p.Log != relalg.LogEnforce {
-		out = append(out, CachePoint{Set: p.Expr, FP: fper.Fingerprint(p.Expr)})
+		out = append(out, CachePoint{Node: p, FP: fper.Fingerprint(p.Expr)})
 	}
 	out = collectCachePoints(out, p.Left, fper)
 	return collectCachePoints(out, p.Right, fper)
 }
 
-// cacheDecision is one resolved candidate: serve (entry != nil) or spool.
-type cacheDecision struct {
-	cand *CacheCandidate
-	// schema is the subtree's output schema (PlanSchema of the candidate
-	// node), canon the canonical column position of each of its columns, and
-	// width the canonical width: every member relation's full arity.
-	schema   []relalg.ColID
-	canon    []int
-	width    int
-	entry    *rescache.Entry         // probe hit: serve these columns
-	versions []rescache.TableVersion // spool: versions pinned at decision time
+// cacheLayout is where a candidate's output columns sit in its entry: schema
+// is the subtree's output schema (PlanSchema of the candidate node), canon
+// the canonical column position of each of its columns, width the canonical
+// width — every member relation's full arity — and tabs the member
+// relations' tables, which a spool pins.
+type cacheLayout struct {
+	cand   *CacheCandidate
+	schema []relalg.ColID
+	canon  []int
+	width  int
+	tabs   []*catalog.Table
 }
 
 // cacheLayout resolves where the candidate's output columns sit in its
 // entry's canonical column order: member relations in canonical fingerprint
 // order, each contributing its full base-table arity.
-func (c *Compiler) cacheLayout(cand *CacheCandidate) (*cacheDecision, error) {
-	d := &cacheDecision{cand: cand}
+func (c *Compiler) cacheLayout(cand *CacheCandidate) (*cacheLayout, error) {
+	l := &cacheLayout{cand: cand}
 	base := make(map[int]int, len(cand.CanonOrder))
 	for _, rel := range cand.CanonOrder {
 		t, err := c.Cat.Table(c.Q.Rels[rel].Table)
 		if err != nil {
 			return nil, err
 		}
-		base[rel] = d.width
-		d.width += len(t.ColNames)
+		base[rel] = l.width
+		l.width += len(t.ColNames)
+		l.tabs = append(l.tabs, t)
 	}
 	var err error
-	if d.schema, err = c.PlanSchema(cand.Node); err != nil {
+	if l.schema, err = c.PlanSchema(cand.Node); err != nil {
 		return nil, err
 	}
-	d.canon = make([]int, len(d.schema))
-	for i, col := range d.schema {
-		d.canon[i] = base[col.Rel] + col.Off
+	l.canon = make([]int, len(l.schema))
+	for i, col := range l.schema {
+		l.canon[i] = base[col.Rel] + col.Off
 	}
-	return d, nil
+	return l, nil
 }
 
 // servedBy reports whether a stored entry can serve this plan's subtree: it
 // has the canonical width, holds every column of the subtree's schema, and
 // records a cardinality for every node this plan shape counts.
-func (d *cacheDecision) servedBy(e *rescache.Entry) bool {
-	if len(e.Cols) != d.width || int64(e.N) != e.Cards[d.cand.FP] {
+func (l *cacheLayout) servedBy(e *rescache.Entry) bool {
+	if len(e.Cols) != l.width || int64(e.N) != e.Cards[l.cand.FP] {
 		return false
 	}
-	for _, k := range d.canon {
+	for _, k := range l.canon {
 		if e.Cols[k] == nil {
 			return false
 		}
 	}
-	for _, cp := range d.cand.Counts {
+	for _, cp := range l.cand.Counts {
 		if _, ok := e.Cards[cp.FP]; !ok {
 			return false
 		}
@@ -183,162 +187,89 @@ func (d *cacheDecision) servedBy(e *rescache.Entry) bool {
 	return true
 }
 
-// tableVersion resolves a base table's current data version for probe
-// revalidation.
-func (c *Compiler) tableVersion(table string) (uint64, bool) {
-	t, err := c.Cat.Table(table)
-	if err != nil {
-		return 0, false
-	}
-	return t.DataVersion(), true
-}
-
-// resolveCache turns the candidate list into per-node decisions for this
-// compilation. Candidates arrive in pre-order, so containment is resolved
-// outermost-first: everything inside a probe hit is skipped (those nodes are
-// never compiled), and at most one spool is placed along any root-to-leaf
-// path (a nested spool would tee rows the outer spool already pays for).
-func (c *Compiler) resolveCache() {
-	c.decisions, c.probeHits, c.spools = nil, 0, 0
-	if !c.Cache.Enabled() || len(c.CacheCands) == 0 {
-		return
-	}
-	var hitRoots, spoolRoots []relalg.RelSet
-	under := func(s relalg.RelSet, roots []relalg.RelSet) bool {
-		for _, r := range roots {
-			if s.IsSubset(r) {
-				return true
-			}
-		}
-		return false
+// candidate returns the cache candidate rooted at p, nil when there is none
+// or the tree compiles without a cache.
+func (c *Compiler) candidate(p *relalg.Plan) *CacheCandidate {
+	if !c.Cache.Enabled() {
+		return nil
 	}
 	for i := range c.CacheCands {
-		cand := &c.CacheCands[i]
-		if under(cand.Expr, hitRoots) {
-			continue
+		if c.CacheCands[i].Node == p {
+			return &c.CacheCands[i]
 		}
-		d, err := c.cacheLayout(cand)
-		if err != nil {
-			continue // compiling the node reports it
-		}
-		if d.entry, _ = c.Cache.Probe(cand.FP, c.tableVersion, d.servedBy); d.entry != nil {
-			if c.decisions == nil {
-				c.decisions = map[*relalg.Plan]*cacheDecision{}
-			}
-			c.decisions[cand.Node] = d
-			hitRoots = append(hitRoots, cand.Expr)
-			c.probeHits++
-			continue
-		}
-		if under(cand.Expr, spoolRoots) {
-			continue
-		}
-		versions := make([]rescache.TableVersion, 0, len(cand.CanonOrder))
-		usable := true
-		for _, rel := range cand.CanonOrder {
-			name := c.Q.Rels[rel].Table
-			v, ok := c.tableVersion(name)
-			if !ok {
-				usable = false
-				break
-			}
-			versions = append(versions, rescache.TableVersion{Table: name, Version: v})
-		}
-		if !usable {
-			continue
-		}
-		if c.decisions == nil {
-			c.decisions = map[*relalg.Plan]*cacheDecision{}
-		}
-		d.versions = versions
-		c.decisions[cand.Node] = d
-		spoolRoots = append(spoolRoots, cand.Expr)
-		c.spools++
 	}
+	return nil
 }
 
-// CacheDecisions reports the result-cache probe hits and spools the latest
-// CompileVec decided: this compilation's own, whatever its neighbours do.
-func (c *Compiler) CacheDecisions() (probeHits, spools int) { return c.probeHits, c.spools }
-
-// takeDecision pops the decision attached to a plan node, if any. Popping
-// (rather than reading) lets applyCacheDecision recurse into compileVec on
-// the same node to build a spool's input without re-triggering itself.
-func (c *Compiler) takeDecision(p *relalg.Plan) *cacheDecision {
-	d := c.decisions[p]
-	if d != nil {
-		delete(c.decisions, p)
+// compileCandidate compiles the candidate's node, which compileVec reaches in
+// BuildCacheCandidates' pre-order, so the cache sees the same probe sequence
+// whatever the plan. A probe hit becomes a scan over the entry's columns
+// picked into this plan's schema order, and every counted node of the
+// subtree a record-only shim replaying the entry's count; nothing under it
+// is compiled. A miss with no spool above compiles the node in a spool (at
+// most one per root-to-leaf path: a nested one would tee rows the outer one
+// already pays for); a miss under one compiles the node as any other.
+func (c *Compiler) compileCandidate(cand *CacheCandidate, stats *RunStats, weighted, spooled bool) (VecIterator, []relalg.ColID, error) {
+	l, err := c.cacheLayout(cand)
+	if err != nil {
+		return c.compileNode(cand.Node, stats, weighted, spooled) // which reports it
 	}
-	return d
-}
-
-// applyCacheDecision compiles a decided node: a probe hit becomes a cached
-// scan over the entry's columns picked into this plan's schema order, with
-// the entry's cardinalities replayed into RunStats (the subtree's operators
-// never exist, so nothing double-counts); a miss compiles the subtree
-// normally and wraps it in a spool.
-func (c *Compiler) applyCacheDecision(d *cacheDecision, p *relalg.Plan, stats *RunStats) (VecIterator, []relalg.ColID, error) {
-	if d.entry != nil {
-		cols := make([][]int64, len(d.canon))
-		for i, k := range d.canon {
-			cols[i] = d.entry.Cols[k]
+	if e, _ := c.Cache.Probe(cand.FP, l.servedBy); e != nil {
+		cols := make([][]int64, len(l.canon))
+		for i, k := range l.canon {
+			cols[i] = e.Cols[k]
 		}
-		for _, cp := range d.cand.Counts {
-			*stats.counter(cp.Set) = d.entry.Cards[cp.FP]
+		for _, cp := range cand.Counts {
+			op := c.span(nil, cp.Node, nil, stats)
+			op.kept.Rows = e.Cards[cp.FP]
+			op.replay()
 		}
-		return NewVecScan(cols, d.entry.N, ScanFilter{}), d.schema, nil
+		stats.hits++
+		return NewVecScan(cols, e.N, ScanFilter{}), l.schema, nil
 	}
-
-	// Compile the missed subtree (the decision is popped, so this compiles
-	// p itself, shim included, inside the spool: the spool reads p's count
-	// at end of stream). An entry holds rows, so a spooled join enumerates
-	// whatever consumes it.
-	in, schema, err := c.compileVec(p, stats, false)
+	if spooled {
+		return c.compileNode(cand.Node, stats, weighted, true)
+	}
+	// An entry holds rows, so a spooled join enumerates whatever consumes it.
+	in, schema, err := c.compileNode(cand.Node, stats, false, true)
 	if err != nil {
 		return nil, nil, err
 	}
-	if !slices.Equal(schema, d.schema) {
+	if !slices.Equal(schema, l.schema) {
 		return nil, nil, fmt.Errorf("exec: cache candidate %v: compiled schema %v != planned schema %v",
-			d.cand.Expr, schema, d.schema)
+			cand.Expr, schema, l.schema)
 	}
-	return &spoolOp{
-		in:       in,
-		cache:    c.Cache,
-		fp:       d.cand.FP,
-		canon:    d.canon,
-		width:    d.width,
-		counts:   d.cand.Counts,
-		stats:    stats,
-		versions: d.versions,
-		maxBytes: c.Cache.MaxBytes(),
-	}, schema, nil
+	stats.spools++
+	return &spoolOp{in: in, cache: c.Cache, layout: l, stats: stats,
+		pin: catalog.NewPin(l.tabs)}, schema, nil
 }
 
 // spoolOp tees its input's batches into a materialization while streaming
 // them onward unchanged. At end of stream it places the materialized
 // columns at their canonical positions, attaches the subtree's observed
-// cardinalities (final by then — the whole subtree has drained) and the
-// pinned table versions, and stores the entry. Teeing is abandoned — the
+// cardinalities (final by then — the whole subtree has drained) and the pin
+// of its base tables, and stores the entry. Teeing is abandoned — the
 // stream continues untouched — if the materialization outgrows the cache's
 // whole byte budget, or on any error; an operator tree torn down before end
 // of stream simply never stores.
 type spoolOp struct {
-	in       VecIterator
-	cache    *rescache.Cache
-	fp       string
-	canon    []int // subtree schema position -> canonical column
-	width    int   // canonical width of the entry
-	counts   []CachePoint
-	stats    *RunStats
-	versions []rescache.TableVersion
-	maxBytes int64
+	in     VecIterator
+	cache  *rescache.Cache
+	layout *cacheLayout
+	stats  *RunStats
+	pin    catalog.Pin
 
 	data      colData
 	abandoned bool
 	done      bool
 }
 
-func (s *spoolOp) Open() error { return s.in.Open() }
+// Open pins the base tables' versions, then opens the subtree, whose scans
+// bind their snapshots.
+func (s *spoolOp) Open() error {
+	s.pin.Record()
+	return s.in.Open()
+}
 
 func (s *spoolOp) Next() (*Batch, error) {
 	b, err := s.in.Next()
@@ -358,7 +289,7 @@ func (s *spoolOp) Next() (*Batch, error) {
 	}
 	if !s.abandoned {
 		s.data.appendBatch(b)
-		if colBytes(len(s.canon), s.data.n) > s.maxBytes {
+		if colBytes(len(s.layout.canon), s.data.n) > s.cache.MaxBytes() {
 			s.abandoned = true
 			s.data = colData{}
 		}
@@ -377,21 +308,19 @@ func (s *spoolOp) finish() {
 		return
 	}
 	s.done = true
-	n := s.data.n
-	held := flatCols(len(s.canon), n)
-	cols := make([][]int64, s.width)
-	for i, k := range s.canon {
+	l, n := s.layout, s.data.n
+	held := flatCols(len(l.canon), n)
+	cols := make([][]int64, l.width)
+	for i, k := range l.canon {
 		if s.data.cols != nil {
 			copy(held[i], s.data.cols[i])
 		}
 		cols[k] = held[i]
 	}
 	s.data = colData{}
-	cards := make(map[string]int64, len(s.counts))
-	for _, cp := range s.counts {
-		cards[cp.FP] = *s.stats.counter(cp.Set)
+	cards := make(map[string]int64, len(l.cand.Counts))
+	for _, cp := range l.cand.Counts {
+		cards[cp.FP], _ = s.stats.Card(cp.Node.Expr)
 	}
-	s.cache.Store(s.fp, &rescache.Entry{
-		Cols: cols, N: n, Cards: cards, Versions: s.versions,
-	})
+	s.cache.Store(l.cand.FP, &rescache.Entry{Cols: cols, N: n, Cards: cards, Pin: s.pin})
 }

@@ -141,7 +141,7 @@ func orderedCacheDifferential(t *testing.T, q *relalg.Query, cat *catalog.Catalo
 			t.Fatalf("%s/%s: %v", q.Name, label, err)
 		}
 		checkExecution(t, q.Name+"/"+label, comp, v, st, ref.Card, want, plan)
-		hits, spools := comp.CacheDecisions()
+		hits, spools := st.CacheDecisions()
 		if (label == "spool" && spools != len(cands)) || (label == "probe" && hits != len(cands)) {
 			t.Fatalf("%s/%s: %d probe hits and %d spools over %d candidates", q.Name, label, hits, spools, len(cands))
 		}
@@ -272,7 +272,7 @@ func TestResultCacheCandidateShape(t *testing.T) {
 			t.Fatalf("candidate %v: %d canonical members, want %d",
 				cand.Expr, len(cand.CanonOrder), cand.Expr.Count())
 		}
-		if len(cand.Counts) == 0 || cand.Counts[0].Set != cand.Expr {
+		if len(cand.Counts) == 0 || cand.Counts[0].Node != cand.Node {
 			t.Fatalf("candidate %v: count points must start with the root, got %+v",
 				cand.Expr, cand.Counts)
 		}

@@ -88,13 +88,13 @@ func spillDifferential(t *testing.T, label string, q *relalg.Query, cat *catalog
 		t.Fatalf("%s (budget=%d): result multiset differs: %d budgeted rows vs %d unbounded",
 			label, tightBudget, len(gotRows), len(baseRows))
 	}
-	if len(stats.Cards) != len(baseStats.Cards) {
-		t.Fatalf("%s: stats cover %d exprs, unbounded %d", label, len(stats.Cards), len(baseStats.Cards))
+	if got, base := stats.Snapshot(), baseStats.Snapshot(); len(got) != len(base) {
+		t.Fatalf("%s: stats cover %d exprs, unbounded %d", label, len(got), len(base))
 	}
-	for set, n := range baseStats.Cards {
+	for set, n := range baseStats.Snapshot() {
 		got, ok := stats.Card(set)
-		if !ok || got != *n {
-			t.Fatalf("%s: cardinality of %v = %d, unbounded %d", label, set, got, *n)
+		if !ok || got != n {
+			t.Fatalf("%s: cardinality of %v = %d, unbounded %d", label, set, got, n)
 		}
 	}
 	if parts, bytes, _ := comp.Mem.SpillStats(); comp.Mem.Overage() == 0 && comp.Mem.Peak() > tightBudget {

@@ -193,7 +193,7 @@ func TestWeightedBatchEscapes(t *testing.T) {
 		"hash join build, spilling":   spilled,
 		"enumerating hash join probe": NewVecHashJoin(scan(), &weightedIter{n: 4}, []int{0}, []int{0}, nil, seq(1), seq(1)),
 		"enumerating probe, spilling": spilledProbe,
-		"result-cache spool":          &spoolOp{in: &weightedIter{n: 4}, maxBytes: 1 << 20},
+		"result-cache spool":          &spoolOp{in: &weightedIter{n: 4}},
 	} {
 		if _, err := DrainVec(v); err == nil || !strings.Contains(err.Error(), "multiplicities") {
 			t.Errorf("%s: DrainVec error = %v, want the weighted-batch error", name, err)

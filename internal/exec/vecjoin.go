@@ -123,13 +123,13 @@ type vecHashJoinOp struct {
 	charged int64      // under a budget: what the loaded build rows and table reserve
 	spill   *spillJoin // non-nil once the build overflowed its reservation
 
-	// Keeping the table (reuse): deps are the build side's base tables (nil:
-	// never kept), vers their versions as read, buildOps its shims.
-	deps     []*catalog.Table
-	vers     []uint64
+	// Keeping the table (reuse): pin holds the build side's base tables'
+	// versions as its last build read them, buildOps are its shims and st
+	// counts a reuse (nil: the table is never kept).
+	pin      catalog.Pin
 	kept     bool // the last build finished whole in memory
 	buildOps []*spanOp
-	st       *RunStats // counts a reuse
+	st       *RunStats
 
 	// probe state, carried across Next calls: the probe batch, the hashes,
 	// indexes and chain cursors of its rows with a non-empty bucket
@@ -202,12 +202,7 @@ func (j *vecHashJoinOp) Open() error {
 			err = errors.Join(err, j.left.Close())
 		}
 	} else {
-		// Versions are read before the build binds its snapshots: AppendRows
-		// publishes a snapshot, then bumps the version, so one read first is
-		// never newer than the rows (read after, it could be: stale rows kept).
-		for i, t := range j.deps {
-			j.vers[i] = t.DataVersion()
-		}
+		j.pin.Record() // before the build binds its snapshots
 		var build colData
 		if build, err = drainVecCols(j.left, &j.build); err == nil {
 			j.mem.Force(buildBytes(build.width(), build.n, j.counting))
@@ -215,7 +210,7 @@ func (j *vecHashJoinOp) Open() error {
 			for _, op := range j.buildOps {
 				op.kept = op.sp
 			}
-			j.kept = j.deps != nil
+			j.kept = j.st != nil
 		}
 	}
 	if err != nil {
@@ -225,24 +220,19 @@ func (j *vecHashJoinOp) Open() error {
 	return nil
 }
 
-// reuse keeps the previous table if it was kept and every base table under
-// the build side is at the version its build read: the build child is not
-// opened, the table is charged again and the build subtree's rows and batches
-// replayed into RunStats, so results, feedback and spans are a fresh build's.
-// Only a finished unbounded build is kept: under a budget, whether the build
-// fits depends on what its subtree holds while it loads.
+// reuse keeps the previous table if it was kept and its pin holds: the
+// build child is not opened, the table is charged again and the build
+// subtree's shims replayed, so results, feedback and spans are a fresh
+// build's. Only a finished unbounded build is kept: under a budget, whether
+// the build fits depends on what its subtree holds while it loads.
 func (j *vecHashJoinOp) reuse() bool {
-	ok := j.kept
-	for i, t := range j.deps {
-		ok = ok && t.DataVersion() == j.vers[i]
-	}
-	if !ok {
+	if !j.kept || !j.pin.Holds() {
 		return false
 	}
 	d := &j.table.data
 	j.mem.Force(buildBytes(d.width(), d.n, j.counting))
 	for _, op := range j.buildOps {
-		op.sp, op.reused = op.kept, true
+		op.replay()
 	}
 	j.st.reused++
 	return true

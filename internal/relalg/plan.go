@@ -46,19 +46,10 @@ func (p *Plan) Signature() string {
 	}
 }
 
-// Explain renders the plan as an indented operator tree with cost and
-// cardinality estimates, resolving names through the query.
-func (p *Plan) Explain(q *Query) string {
-	var b strings.Builder
-	p.explain(q, &b, 0)
-	return b.String()
-}
-
-func (p *Plan) explain(q *Query, b *strings.Builder, depth int) {
-	if p == nil {
-		return
-	}
-	b.WriteString(strings.Repeat("  ", depth))
+// WriteLabel writes the node's line label, resolving names through the
+// query: its operator, relation and key or join predicate. Explain and
+// EXPLAIN ANALYZE (exec.RunStats.Format) both start a node's line with it.
+func (p *Plan) WriteLabel(q *Query, b *strings.Builder) {
 	switch p.Log {
 	case LogScan:
 		name := "?"
@@ -85,6 +76,22 @@ func (p *Plan) explain(q *Query, b *strings.Builder, depth int) {
 		}
 		fmt.Fprintf(b, "%s%s", op, pred)
 	}
+}
+
+// Explain renders the plan as an indented operator tree with cost and
+// cardinality estimates, resolving names through the query.
+func (p *Plan) Explain(q *Query) string {
+	var b strings.Builder
+	p.explain(q, &b, 0)
+	return b.String()
+}
+
+func (p *Plan) explain(q *Query, b *strings.Builder, depth int) {
+	if p == nil {
+		return
+	}
+	b.WriteString(strings.Repeat("  ", depth))
+	p.WriteLabel(q, b)
 	fmt.Fprintf(b, "  [card=%.1f local=%.3f cost=%.3f]\n", p.Card, p.LocalCost, p.Cost)
 	p.Left.explain(q, b, depth+1)
 	p.Right.explain(q, b, depth+1)

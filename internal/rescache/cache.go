@@ -19,11 +19,11 @@
 // own materialization — last writer wins. Two mechanisms keep a stored
 // result trustworthy and the store bounded:
 //
-//   - Invalidation: every entry pins the data version (catalog.Table's
-//     mutation counter) of each base table it was materialized from. A
-//     probe revalidates the pinned versions against the live catalog; any
-//     mismatch deletes the entry and reports a miss — appended rows can
-//     never be served stale.
+//   - Invalidation: every entry carries the catalog.Pin of the base tables
+//     it was materialized from (their data versions, read before its scans
+//     bound their snapshots). A probe whose entry's pin no longer holds
+//     deletes the entry and reports a miss — appended rows can never be
+//     served stale.
 //   - Byte budget: entries are sized in bytes and admitted against the
 //     budget given to New with least-recently-probed eviction; an entry
 //     larger than the whole budget is rejected outright. The budget is the
@@ -41,13 +41,9 @@ package rescache
 import (
 	"container/list"
 	"sync"
-)
 
-// TableVersion pins one base table's data version at materialization time.
-type TableVersion struct {
-	Table   string
-	Version uint64
-}
+	"repro/internal/catalog"
+)
 
 // Entry is one materialized subexpression result. All fields are set by the
 // producer before Store and immutable afterwards.
@@ -70,9 +66,9 @@ type Entry struct {
 	// shape needs a fingerprint the entry lacks must treat the probe as a
 	// miss.
 	Cards map[string]int64
-	// Versions pins the data version of every base table the result was
-	// materialized from; probes revalidate them against the live catalog.
-	Versions []TableVersion
+	// Pin holds the data versions of the base tables the result was
+	// materialized from; a probe serves the entry only while it holds.
+	Pin catalog.Pin
 
 	bytes int64
 	elem  *list.Element // position in the cache's LRU list
@@ -118,15 +114,13 @@ func New(maxBytes int64) *Cache {
 // Enabled reports whether the cache can hold anything at all.
 func (c *Cache) Enabled() bool { return c != nil && c.maxBytes > 0 }
 
-// Probe looks the fingerprint up and revalidates the entry's pinned table
-// versions through cur (current data version by table name; ok=false means
-// the table is gone). It returns the entry only when every version matches
-// and accept (if non-nil) approves it; a version mismatch deletes the entry
-// (counted as an invalidation), while an accept rejection counts a plain
-// miss and leaves the entry in place — the rejecting caller's plan shape is
-// incompatible, but other consumers' may not be, and a follow-up Store
-// simply replaces it.
-func (c *Cache) Probe(fp string, cur func(table string) (uint64, bool), accept func(*Entry) bool) (*Entry, bool) {
+// Probe looks the fingerprint up and returns the entry only when its pin
+// holds and accept (if non-nil) approves it; a pin that no longer holds
+// deletes the entry (counted as an invalidation), while an accept rejection
+// counts a plain miss and leaves the entry in place — the rejecting caller's
+// plan shape is incompatible, but other consumers' may not be, and a
+// follow-up Store simply replaces it.
+func (c *Cache) Probe(fp string, accept func(*Entry) bool) (*Entry, bool) {
 	if !c.Enabled() {
 		return nil, false
 	}
@@ -137,14 +131,11 @@ func (c *Cache) Probe(fp string, cur func(table string) (uint64, bool), accept f
 		c.misses++
 		return nil, false
 	}
-	for _, v := range e.Versions {
-		now, ok := cur(v.Table)
-		if !ok || now != v.Version {
-			c.unlinkLocked(e)
-			c.invalidations++
-			c.misses++
-			return nil, false
-		}
+	if !e.Pin.Holds() {
+		c.unlinkLocked(e)
+		c.invalidations++
+		c.misses++
+		return nil, false
 	}
 	if accept != nil && !accept(e) {
 		c.misses++

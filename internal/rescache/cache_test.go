@@ -1,17 +1,17 @@
 package rescache
 
-import "testing"
+import (
+	"testing"
 
-// fixedVersions builds a cur func over a static table→version map.
-func fixedVersions(m map[string]uint64) func(string) (uint64, bool) {
-	return func(table string) (uint64, bool) {
-		v, ok := m[table]
-		return v, ok
-	}
-}
+	"repro/internal/catalog"
+)
 
-func entry(n int, cols int, tables ...TableVersion) *Entry {
-	e := &Entry{N: n, Cards: map[string]int64{"root": int64(n)}, Versions: tables}
+// entry builds an n-row entry of cols columns pinned to tables' current
+// versions.
+func entry(n int, cols int, tables ...*catalog.Table) *Entry {
+	pin := catalog.NewPin(tables)
+	pin.Record()
+	e := &Entry{N: n, Cards: map[string]int64{"root": int64(n)}, Pin: pin}
 	for i := 0; i < cols; i++ {
 		col := make([]int64, n)
 		for j := range col {
@@ -24,15 +24,14 @@ func entry(n int, cols int, tables ...TableVersion) *Entry {
 
 func TestStoreProbeRoundTrip(t *testing.T) {
 	c := New(1 << 20)
-	live := fixedVersions(map[string]uint64{"a": 1})
-	if _, ok := c.Probe("fp", live, nil); ok {
+	if _, ok := c.Probe("fp", nil); ok {
 		t.Fatal("probe hit on an empty cache")
 	}
-	e := entry(100, 2, TableVersion{Table: "a", Version: 1})
+	e := entry(100, 2, catalog.NewTable("a", "x"))
 	if !c.Store("fp", e) {
 		t.Fatal("store rejected a fitting entry")
 	}
-	got, ok := c.Probe("fp", live, nil)
+	got, ok := c.Probe("fp", nil)
 	if !ok || got != e {
 		t.Fatal("probe did not return the stored entry")
 	}
@@ -53,7 +52,7 @@ func TestDisabledCache(t *testing.T) {
 		if c.Store("fp", entry(1, 1)) {
 			t.Fatal("disabled cache admitted an entry")
 		}
-		if _, ok := c.Probe("fp", fixedVersions(nil), nil); ok {
+		if _, ok := c.Probe("fp", nil); ok {
 			t.Fatal("disabled cache served an entry")
 		}
 		if c.MaxBytes() != 0 {
@@ -65,36 +64,37 @@ func TestDisabledCache(t *testing.T) {
 
 func TestVersionMismatchInvalidates(t *testing.T) {
 	c := New(1 << 20)
-	c.Store("fp", entry(10, 1, TableVersion{Table: "a", Version: 1}))
-	if _, ok := c.Probe("fp", fixedVersions(map[string]uint64{"a": 2}), nil); ok {
+	a, b := catalog.NewTable("a", "x"), catalog.NewTable("b", "x")
+	c.Store("fp", entry(10, 1, a, b))
+	b.Append([]int64{1})
+	if _, ok := c.Probe("fp", nil); ok {
 		t.Fatal("probe served a stale data version")
 	}
 	m := c.Metrics()
 	if m.Invalidations != 1 || m.Entries != 0 || m.Bytes != 0 {
 		t.Fatalf("metrics %+v, want the entry invalidated and unaccounted", m)
 	}
-	// A vanished table invalidates too.
-	c.Store("fp", entry(10, 1, TableVersion{Table: "gone", Version: 1}))
-	if _, ok := c.Probe("fp", fixedVersions(nil), nil); ok {
-		t.Fatal("probe served an entry over a dropped table")
+	// Stored again at the new versions, the entry serves.
+	c.Store("fp", entry(10, 1, a, b))
+	if _, ok := c.Probe("fp", nil); !ok {
+		t.Fatal("probe missed an entry at its tables' versions")
 	}
-	if m := c.Metrics(); m.Invalidations != 2 {
-		t.Fatalf("invalidations=%d, want 2", m.Invalidations)
+	if m := c.Metrics(); m.Invalidations != 1 {
+		t.Fatalf("invalidations=%d, want 1", m.Invalidations)
 	}
 }
 
 func TestAcceptRejectionKeepsEntry(t *testing.T) {
 	c := New(1 << 20)
-	live := fixedVersions(map[string]uint64{"a": 1})
-	c.Store("fp", entry(10, 1, TableVersion{Table: "a", Version: 1}))
-	if _, ok := c.Probe("fp", live, func(*Entry) bool { return false }); ok {
+	c.Store("fp", entry(10, 1, catalog.NewTable("a", "x")))
+	if _, ok := c.Probe("fp", func(*Entry) bool { return false }); ok {
 		t.Fatal("probe served a rejected entry")
 	}
 	m := c.Metrics()
 	if m.Misses != 1 || m.Entries != 1 {
 		t.Fatalf("metrics %+v: rejection must miss but keep the entry", m)
 	}
-	if _, ok := c.Probe("fp", live, func(*Entry) bool { return true }); !ok {
+	if _, ok := c.Probe("fp", func(*Entry) bool { return true }); !ok {
 		t.Fatal("entry gone after an accept rejection")
 	}
 }
@@ -121,18 +121,18 @@ func TestBudgetEvictsLRU(t *testing.T) {
 	c.Store("b", entry(100, 1))
 	c.Store("c", entry(100, 1))
 	// Probe "a" so "b" is the least recently used.
-	if _, ok := c.Probe("a", fixedVersions(nil), nil); !ok {
+	if _, ok := c.Probe("a", nil); !ok {
 		t.Fatal("warm entry a missed")
 	}
 	c.Store("d", entry(100, 1))
 	if m := c.Metrics(); m.Evictions != 1 || m.Entries != 3 || m.Bytes != 3*per {
 		t.Fatalf("metrics %+v, want one eviction at 3 entries / %d bytes", m, 3*per)
 	}
-	if _, ok := c.Probe("b", fixedVersions(nil), nil); ok {
+	if _, ok := c.Probe("b", nil); ok {
 		t.Fatal("LRU entry b survived the budget")
 	}
 	for _, fp := range []string{"a", "c", "d"} {
-		if _, ok := c.Probe(fp, fixedVersions(nil), nil); !ok {
+		if _, ok := c.Probe(fp, nil); !ok {
 			t.Fatalf("recently used entry %s was evicted", fp)
 		}
 	}
@@ -153,7 +153,7 @@ func TestStoreReplacesSameFingerprint(t *testing.T) {
 	c.Store("fp", entry(10, 1))
 	e2 := entry(20, 1)
 	c.Store("fp", e2)
-	got, ok := c.Probe("fp", fixedVersions(nil), nil)
+	got, ok := c.Probe("fp", nil)
 	if !ok || got != e2 {
 		t.Fatal("replacement store did not win")
 	}

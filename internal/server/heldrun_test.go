@@ -220,21 +220,44 @@ func TestHeldRunMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestKeptBuildSeesEveryAppend: a held run keeps a hash-join table only
-// while the tables under its build side are at the data versions the build
-// read, and the build reads them before it binds its snapshots. One session
-// executes Q3S in a loop while the test appends orders and lineitems, and
-// then executes Q3S from a second session. Every execution that starts after
-// an append has returned and ends before the next one begins — the second
-// session's, and the loop's between appends — must feed back what
-// testkit.Reference counts over the tables as that append left them. Were
-// the versions read after the build bound its snapshots, a loop execution
-// whose build bound the old orders could record the new version, and the
-// loop's later executions keep its stale table. CI runs it under -race
-// -count=10.
+// TestKeptBuildSeesEveryAppend: state a run reuses — a held run's kept
+// hash-join table, a result-cache entry — is used only while the tables
+// under it are at the data versions its catalog.Pin recorded, and the pin
+// records them before the state's scans bind their snapshots. One session
+// executes Q3S in a loop while the test appends orders, and then executes
+// Q3S from a second session (in the result-cache arm twice: the first
+// execution has a second append land while it streams, so a spool that
+// pinned its tables late would store a stale entry). Every execution that
+// starts after an append has returned and ends before the next one begins —
+// the second session's, and the loop's between appends — must feed back
+// what testkit.Reference counts over the tables as that append left them.
+// Were the versions read after the build (or the spool's subtree) bound its
+// snapshots, an execution that bound the old orders could record the new
+// version, and later executions would keep its stale table or serve its
+// stale entry. The arms: held runs keeping join tables, and a result cache
+// probed, spooled into and invalidated. CI runs it under -race -count=10.
 func TestKeptBuildSeesEveryAppend(t *testing.T) {
+	t.Run("kept-tables", func(t *testing.T) {
+		m := keptStateSeesEveryAppend(t, Options{MaxConcurrent: 2}, false)
+		if m.BuildsReused == 0 {
+			t.Fatalf("%d executions kept no hash-join table", m.Execs)
+		}
+	})
+	t.Run("result-cache", func(t *testing.T) {
+		m := keptStateSeesEveryAppend(t, Options{MaxConcurrent: 2, ResultCacheBytes: 64 << 20}, true)
+		if rc := m.ResultCache; rc.Hits == 0 || rc.Stores == 0 || rc.Invalidations == 0 {
+			t.Fatalf("%d executions: result cache %+v, want hits, stores and invalidations", m.Execs, rc)
+		}
+	})
+}
+
+// keptStateSeesEveryAppend runs TestKeptBuildSeesEveryAppend's rounds on a
+// server with opts and returns its metrics. With straddle, the appending
+// session's first execution of a round has a second append land while it
+// streams.
+func keptStateSeesEveryAppend(t *testing.T, opts Options, straddle bool) Metrics {
 	const rounds = 40
-	srv := testServer(t, Options{MaxConcurrent: 2})
+	srv := testServer(t, opts)
 	prepare := func() *Stmt {
 		st, err := srv.Session().PrepareNamed("Q3S")
 		if err != nil {
@@ -283,6 +306,18 @@ func TestKeptBuildSeesEveryAppend(t *testing.T) {
 	for round := 1; round <= rounds && !t.Failed(); round++ {
 		quiet.Store(nil)
 		appendOrders(t, srv.cat, 5)
+		if straddle {
+			// The append left no entry over orders, so this execution
+			// spools afresh; a second append lands while it streams its
+			// rows, after its scans bound their snapshots, so the entry it
+			// stores is stale.
+			var once sync.Once
+			appendAgain := func() { once.Do(func() { appendOrders(t, srv.cat, 5) }) }
+			if _, err := st.ExecInto(func(*exec.Batch) error { appendAgain(); return nil }); err != nil {
+				t.Fatal(err)
+			}
+			appendAgain()
+		}
 		ref := testkit.NewReference(st.Query(), srv.cat)
 		quiet.Store(ref)
 		res, err := st.Exec()
@@ -294,9 +329,7 @@ func TestKeptBuildSeesEveryAppend(t *testing.T) {
 			runtime.Gosched() // the loop's next two executions start after the append
 		}
 	}
-	if m := srv.Metrics(); m.BuildsReused == 0 {
-		t.Fatalf("%d executions kept no hash-join table", m.Execs)
-	}
+	return srv.Metrics()
 }
 
 // heldExec is one execution of TestHeldRunMatchesFresh: its result, and its

@@ -132,7 +132,7 @@ func (s *Server) Metrics() Metrics {
 		Hits:           s.plans.hits.Load(),
 		Misses:         s.plans.misses.Load(),
 		Evictions:      s.plans.evictions.Load(),
-		Execs:          s.execs.Load(),
+		Execs:          int64(s.latencyH.Count()),
 		Compiles:       s.compiles.Load(),
 		FailedExecs:    s.failedExecs.Load(),
 		BuildsReused:   s.buildsReused.Load(),
@@ -140,8 +140,8 @@ func (s *Server) Metrics() Metrics {
 		FullOpts:       s.fullOpts.Load(),
 		FullOptTime:    time.Duration(s.fullOptNanos.Load()),
 		Clones:         s.clones.Load(),
-		Repairs:        s.repairs.Load(),
-		RepairTime:     time.Duration(s.repairNanos.Load()),
+		Repairs:        int64(s.repairH.Count()),
+		RepairTime:     s.repairH.Sum(),
 		Converged:      s.converged.Load(),
 		StatsKeys:      s.stats.Len(),
 		WarmSeeds:      s.warmSeeds.Load(),

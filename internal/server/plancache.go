@@ -395,8 +395,6 @@ func (e *planEntry) feedback(s *Server, cards map[relalg.RelSet]int64) (repaired
 	e.repairs++
 	e.repairTime += met.Elapsed
 	e.touched += int64(met.TouchedEntries)
-	s.repairs.Add(1)
-	s.repairNanos.Add(int64(met.Elapsed))
 	s.repairH.Observe(met.Elapsed)
 	next := &planVersion{plan: plan, version: e.cur.Load().version + 1,
 		cands: e.cacheCands(s, plan)}

@@ -204,10 +204,10 @@ type Server struct {
 	warmSeeds atomic.Int64 // factors seeded from the store across all inits
 
 	// Totals, bumped once at the event (run, ensureInit, feedback) rather
-	// than summed over entries, so eviction never loses history. At
-	// quiescence execs == converged + repairs; execs - compiles executions
-	// reused a held run.
-	execs        atomic.Int64
+	// than summed over entries, so eviction never loses history. Executions
+	// and repairs are counted by latencyH and repairH. At quiescence
+	// executions == converged + repairs; executions - compiles reused a held
+	// run.
 	compiles     atomic.Int64
 	failedExecs  atomic.Int64 // executions run ended in an error, not in execs
 	buildsReused atomic.Int64 // hash-join tables a held run kept (exec.RunStats.BuildsReused)
@@ -215,8 +215,6 @@ type Server struct {
 	fullOpts     atomic.Int64
 	fullOptNanos atomic.Int64
 	clones       atomic.Int64
-	repairs      atomic.Int64
-	repairNanos  atomic.Int64
 	converged    atomic.Int64
 
 	// The observability plane. The three histograms are always on (one
@@ -587,14 +585,13 @@ func (s *Server) release() { <-s.sem }
 // RunStats and a memory tracker created even without a budget, so per-query
 // peak memory stays observable on unbounded servers — only when none is idle.
 // It drains the tree into each (nil counts), records the execution's latency
-// (the sink's time included), peak memory and spill,
-// and traces the result-cache probe hits and spools its own compile decided.
+// (the sink's time included), peak memory and spill, and from its RunStats
+// the hash-join tables it kept and the result-cache probe hits and spools.
 // The caller hands the run back once it has read the RunStats. The returned
 // Result lacks only Repaired and the cards.
 func (s *Server) run(e *planEntry, snap *planVersion, timed bool, each func(*exec.Batch) error) (*Result, *heldRun, error) {
 	run, _ := snap.runs.Get().(*heldRun)
 	start := time.Now()
-	var hits, spools int
 	if run == nil {
 		mem := exec.NewMemTracker(s.opts.MemBudgetBytes)
 		mem.SetSpillDir(s.opts.SpillDir)
@@ -606,7 +603,6 @@ func (s *Server) run(e *planEntry, snap *planVersion, timed bool, each func(*exe
 		}
 		s.compiles.Add(1)
 		run = &heldRun{root: root, stats: stats, mem: mem}
-		hits, spools = comp.CacheDecisions()
 	}
 	run.stats.SetTiming(timed)
 	rows, err := exec.Drain(run.root, each)
@@ -617,7 +613,6 @@ func (s *Server) run(e *planEntry, snap *planVersion, timed bool, each func(*exe
 	elapsed := time.Since(start)
 	s.latencyH.Observe(elapsed)
 	e.execs.Add(1)
-	s.execs.Add(1)
 	s.buildsReused.Add(int64(run.stats.BuildsReused()))
 
 	peak := run.mem.Peak()
@@ -630,6 +625,7 @@ func (s *Server) run(e *planEntry, snap *planVersion, timed bool, each func(*exe
 		s.trace.Emit(obs.Event{Kind: obs.KindSpill, Query: e.hash,
 			A: parts, B: bytes, V: float64(peak)})
 	}
+	hits, spools := run.stats.CacheDecisions()
 	if hits > 0 {
 		s.trace.Emit(obs.Event{Kind: obs.KindResultCache, Query: e.hash, Note: "probe-hit", A: int64(hits)})
 	}

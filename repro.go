@@ -42,14 +42,17 @@
 //     owns (build sides, join tables and their key bitmaps, the aggregation's
 //     group arrays and its one flat COUNT(DISTINCT) set, output columns, batch
 //     scratch) and keeps their capacity, for exactly as long as the operator
-//     itself lives; nothing is charged to the tracker between executions. An
-//     unbounded hash join whose build side's base tables are still at the
-//     data versions its last build read keeps that table instead: it neither
-//     opens nor drains its build side, charges the table again and replays
-//     the build subtree's rows and batches, which EXPLAIN ANALYZE marks
-//     "reused" (ServerMetrics.BuildsReused counts them). A tree compiled
-//     against a result cache, or one whose last execution failed, refuses a
-//     second Open;
+//     itself lives; nothing is charged to the tracker between executions.
+//     Reuse has one shape: state built from base tables is kept while the
+//     tables are at the data versions it pinned (catalog.Pin, read before
+//     its scans bound their snapshots), and the shims of the subtree it
+//     stands for replay what was kept. An unbounded hash join whose pin
+//     holds keeps its table: it neither opens nor drains its build side,
+//     charges the table again and replays the build subtree's rows and
+//     batches, which EXPLAIN ANALYZE marks "reused"
+//     (ServerMetrics.BuildsReused counts them); a result-cache hit is the
+//     other kind. A tree compiled against a result cache, or one whose last
+//     execution failed, refuses a second Open;
 //   - internal/aqp — the adaptive query processing loop. The controller
 //     owns the standing query's execution: it compiles a plan once and
 //     re-opens that tree at every split point until the re-optimizer
@@ -157,11 +160,13 @@
 // columns — shared across statements and sessions that never saw each other
 // — while a miss tees the subtree's output into the cache as a side effect
 // of normal execution. Entries pin the data versions of their base tables
-// (bumped by catalog AppendRows/ResetSnapshot), so a mutation silently
-// invalidates every dependent result, and the byte budget — the cache's one
-// bound — evicts least-recently-probed entries. Cached serving is exactly transparent: results and the
-// per-operator cardinality feedback driving plan repair are byte-identical
-// with the cache on or off. Hit/miss/store/eviction/invalidation counters
+// (bumped by catalog AppendRows/ResetSnapshot) as a kept hash-join table
+// does, so a mutation silently invalidates every dependent result, and the
+// byte budget — the cache's one bound — evicts least-recently-probed
+// entries. Cached serving is exactly transparent: a hit's plan nodes replay
+// the entry's counts through their shims, so results and the per-operator
+// cardinality feedback driving plan repair are byte-identical with the
+// cache on or off. Hit/miss/store/eviction/invalidation counters
 // surface in ServerMetrics; cmd/reproserve wires the budget to
 // -result-cache-mb.
 //
@@ -178,12 +183,13 @@
 //     cardinality and q-error per node. A hash join that counted instead of enumerating is
 //     marked "counted": its rows= is still its cardinality, its batches=
 //     what it actually emitted; a node under a join that kept its table is
-//     marked "reused" in place of a time. cmd/optcli -analyze and the protocol's
+//     marked "reused" in place of a time, and one under a result-cache hit
+//     "not executed (cached)". cmd/optcli -analyze and the protocol's
 //     "analyze" command expose the same tree.
 //   - Lifecycle tracing. ServerOptions.TraceEvents keeps the last N
 //     structured events (prepare hit/miss, admission queue wait, exec,
-//     incremental repair, the result-cache probe hits and spools each
-//     execution's compile decided) in a bounded ring.
+//     incremental repair, each execution's result-cache probe hits and
+//     spools, read from its RunStats) in a bounded ring.
 //     ServerOptions.TraceSlowQuery times every execution and, when one
 //     exceeds the threshold, dumps its event trail plus the full EXPLAIN
 //     ANALYZE tree to Server.SlowTraces and the optional TraceOnSlow
