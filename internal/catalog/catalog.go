@@ -172,10 +172,12 @@ func (t *Table) DataVersion() uint64 { return t.dataVersion.Load() }
 // to be built; the state is current while Holds. The zero Pin pins no
 // table and always holds.
 //
-// Record the versions BEFORE the snapshots the state is built from are
-// bound: AppendRows publishes a snapshot and then bumps the version, so a
-// version read first is never newer than the rows bound after it. Read
-// after, it could be, and the state would be kept over rows it never saw.
+// Record the versions BEFORE anything the state is built from is read: the
+// snapshots its scans bind, and any kept state it is built on (a cached
+// result served inside it). AppendRows publishes a snapshot and then bumps
+// the version, so a version read first is never newer than the rows read
+// after it. Read after, it could be, and the state would be kept over rows
+// it never saw.
 type Pin struct {
 	tabs []*Table
 	vers []uint64

@@ -379,11 +379,7 @@ func (c *Compiler) compileNode(p *relalg.Plan, stats *RunStats, weighted, spoole
 		}
 		// Tables are kept (vecHashJoinOp.reuse) unless the tree runs once.
 		if hj, ok := v.(*vecHashJoinOp); ok && c.Cache == nil {
-			tabs := make([]*catalog.Table, 0, p.Left.Expr.Count())
-			p.Left.Expr.EachMember(func(rel int) { // the build side's scans resolved them
-				tabs = append(tabs, c.Cat.MustTable(c.Q.Rels[rel].Table))
-			})
-			hj.st, hj.buildOps, hj.pin = stats, buildOps, catalog.NewPin(tabs)
+			hj.st, hj.buildOps, hj.pin = stats, buildOps, c.pin(p.Left.Expr)
 		}
 		op := c.span(v, p, schema, stats)
 		op.counting = counted
@@ -405,6 +401,14 @@ func (c *Compiler) hashJoin(p *relalg.Plan, left, right VecIterator, ls, rs []re
 		hj.counting = counted
 	}
 	return v, nil
+}
+
+// pin pins the base tables of set's relations, which the caller has
+// resolved: what a kept join table or a spooled result was derived from.
+func (c *Compiler) pin(set relalg.RelSet) catalog.Pin {
+	tabs := make([]*catalog.Table, 0, set.Count())
+	set.EachMember(func(rel int) { tabs = append(tabs, c.Cat.MustTable(c.Q.Rels[rel].Table)) })
+	return catalog.NewPin(tabs)
 }
 
 // span wraps node p's operator v (p nil: the aggregation's; v nil: a

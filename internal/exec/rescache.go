@@ -17,7 +17,7 @@ package exec
 //   - miss: the subtree compiles normally and is wrapped in a spool that
 //     tees its batches into a materialization, places it at its canonical
 //     column positions at end-of-stream and stores it under the catalog.Pin
-//     of its base tables, recorded when the spool opens.
+//     of its base tables, recorded before the subtree compiles.
 //
 // Entries are column-sparse: a subtree carries only its live columns (see
 // live.go), and which those are depends on the consuming query — its
@@ -130,15 +130,13 @@ func collectCachePoints(out []CachePoint, p *relalg.Plan, fper *relalg.Fingerpri
 
 // cacheLayout is where a candidate's output columns sit in its entry: schema
 // is the subtree's output schema (PlanSchema of the candidate node), canon
-// the canonical column position of each of its columns, width the canonical
-// width — every member relation's full arity — and tabs the member
-// relations' tables, which a spool pins.
+// the canonical column position of each of its columns, and width the
+// canonical width — every member relation's full arity.
 type cacheLayout struct {
 	cand   *CacheCandidate
 	schema []relalg.ColID
 	canon  []int
 	width  int
-	tabs   []*catalog.Table
 }
 
 // cacheLayout resolves where the candidate's output columns sit in its
@@ -154,7 +152,6 @@ func (c *Compiler) cacheLayout(cand *CacheCandidate) (*cacheLayout, error) {
 		}
 		base[rel] = l.width
 		l.width += len(t.ColNames)
-		l.tabs = append(l.tabs, t)
 	}
 	var err error
 	if l.schema, err = c.PlanSchema(cand.Node); err != nil {
@@ -230,6 +227,11 @@ func (c *Compiler) compileCandidate(cand *CacheCandidate, stats *RunStats, weigh
 	if spooled {
 		return c.compileNode(cand.Node, stats, weighted, true)
 	}
+	// The pin is recorded before the subtree compiles: a candidate nested in
+	// it may hit, and its entry's rows are then the versions current at its
+	// probe, never older than these.
+	pin := c.pin(cand.Expr)
+	pin.Record()
 	// An entry holds rows, so a spooled join enumerates whatever consumes it.
 	in, schema, err := c.compileNode(cand.Node, stats, false, true)
 	if err != nil {
@@ -240,8 +242,7 @@ func (c *Compiler) compileCandidate(cand *CacheCandidate, stats *RunStats, weigh
 			cand.Expr, schema, l.schema)
 	}
 	stats.spools++
-	return &spoolOp{in: in, cache: c.Cache, layout: l, stats: stats,
-		pin: catalog.NewPin(l.tabs)}, schema, nil
+	return &spoolOp{in: in, cache: c.Cache, layout: l, stats: stats, pin: pin}, schema, nil
 }
 
 // spoolOp tees its input's batches into a materialization while streaming
@@ -264,12 +265,7 @@ type spoolOp struct {
 	done      bool
 }
 
-// Open pins the base tables' versions, then opens the subtree, whose scans
-// bind their snapshots.
-func (s *spoolOp) Open() error {
-	s.pin.Record()
-	return s.in.Open()
-}
+func (s *spoolOp) Open() error { return s.in.Open() }
 
 func (s *spoolOp) Next() (*Batch, error) {
 	b, err := s.in.Next()

@@ -361,3 +361,62 @@ func TestResultCacheVersionPinning(t *testing.T) {
 		t.Fatal("re-spooled entries never served")
 	}
 }
+
+// TestSpoolPinPrecedesNestedHit: a spool whose subtree holds a probe hit
+// builds its entry from the hit's rows, which were read at compile time. An
+// append landing between compile and drain must leave the spool's entry
+// pinned to the versions before it, so the next probe invalidates the entry
+// instead of serving rows that miss the append.
+func TestSpoolPinPrecedesNestedHit(t *testing.T) {
+	cat := tpch.Generate(tpch.Config{ScaleFactor: 0.002, Seed: 7})
+	q := tpch.Q3S()
+	m, err := cost.NewModel(q, cat, cost.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	vr, err := volcano.Optimize(m, relalg.DefaultSpace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first two candidates in pre-order: an outer one and one inside it.
+	cands := BuildCacheCandidates(q, vr.Plan, relalg.NewFingerprinter(q))
+	if len(cands) < 2 {
+		t.Fatalf("%d candidates, want an outer and an inner one", len(cands))
+	}
+	outer, inner := cands[0], cands[1]
+	if inner.Expr == outer.Expr || !inner.Expr.IsSubset(outer.Expr) {
+		t.Fatalf("candidate %v is not inside %v", inner.Expr, outer.Expr)
+	}
+	cache := rescache.New(64 << 20)
+	run := func(cands ...CacheCandidate) (VecIterator, *RunStats) {
+		comp := &Compiler{Q: q, Cat: cat, Cache: cache, CacheCands: cands}
+		v, st, err := comp.CompileVec(vr.Plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v, st
+	}
+	v, _ := run(inner)
+	if _, err := DrainVec(v); err != nil {
+		t.Fatal(err)
+	}
+	v, st := run(outer, inner)
+	if hits, spools := st.CacheDecisions(); hits != 1 || spools != 1 {
+		t.Fatalf("%d hits and %d spools, want the inner candidate hit and the outer spooled", hits, spools)
+	}
+	var tab *catalog.Table
+	inner.Expr.EachMember(func(rel int) { tab = cat.MustTable(q.Rels[rel].Table) })
+	if err := tab.AppendRows([][]int64{testkit.Row(tab, 0)}); err != nil {
+		t.Fatal(err)
+	}
+	stores := cache.Metrics().Stores
+	if _, err := DrainVec(v); err != nil {
+		t.Fatal(err)
+	}
+	if cache.Metrics().Stores != stores+1 {
+		t.Fatal("the outer spool stored nothing")
+	}
+	if e, _ := cache.Probe(outer.FP, nil); e != nil {
+		t.Fatalf("the entry of %v, built from rows before the append to %s, is served after it", outer.Expr, tab.Name)
+	}
+}

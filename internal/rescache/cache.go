@@ -20,8 +20,8 @@
 // result trustworthy and the store bounded:
 //
 //   - Invalidation: every entry carries the catalog.Pin of the base tables
-//     it was materialized from (their data versions, read before its scans
-//     bound their snapshots). A probe whose entry's pin no longer holds
+//     it was materialized from (their data versions, read before anything
+//     it was built from: its scans' snapshots, a cached result inside it). A probe whose entry's pin no longer holds
 //     deletes the entry and reports a miss — appended rows can never be
 //     served stale.
 //   - Byte budget: entries are sized in bytes and admitted against the

@@ -33,7 +33,6 @@ type shape struct {
 // statements, panic calls, exported names, lines.
 var packageCeilings = map[string]shape{
 	".":                    {0, 0, 0, 0, 24, 396},
-	"cmd/hostprobe":        {0, 0, 0, 0, 6, 175},
 	"cmd/optcli":           {0, 0, 0, 0, 0, 212},
 	"cmd/reprobench":       {0, 0, 0, 0, 0, 109},
 	"cmd/reproserve":       {4, 2, 1, 0, 2, 293},
@@ -45,7 +44,7 @@ var packageCeilings = map[string]shape{
 	"examples/viewmaint":   {0, 0, 0, 0, 0, 55},
 	"internal/aqp":         {0, 0, 0, 0, 33, 396},
 	"internal/bench":       {0, 0, 0, 16, 27, 822},
-	"internal/catalog":     {0, 0, 0, 5, 45, 459},
+	"internal/catalog":     {0, 0, 0, 5, 45, 461},
 	"internal/core":        {0, 0, 0, 2, 65, 1956},
 	"internal/cost":        {0, 0, 0, 3, 28, 420},
 	"internal/deltalog":    {0, 0, 0, 5, 24, 411},

@@ -45,7 +45,7 @@
 //     itself lives; nothing is charged to the tracker between executions.
 //     Reuse has one shape: state built from base tables is kept while the
 //     tables are at the data versions it pinned (catalog.Pin, read before
-//     its scans bound their snapshots), and the shims of the subtree it
+//     anything it is built from), and the shims of the subtree it
 //     stands for replay what was kept. An unbounded hash join whose pin
 //     holds keeps its table: it neither opens nor drains its build side,
 //     charges the table again and replays the build subtree's rows and

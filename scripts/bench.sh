@@ -9,12 +9,7 @@
 # object:
 #
 #   env        nproc, GOMAXPROCS, Go version, both revisions, seconds per run,
-#              pairs and the seeds, and env.host.<workload>.<side>.<timed|
-#              traced>.<reading>: cmd/hostprobe's readings around each run,
-#              in run order — its memory-bound probe just before the run
-#              (chase_ns and stream_gbps over a buffer of buf_mb), the
-#              host's CPU steal during it (steal_pct) and the run's cpu_s
-#              and wall_s;
+#              pairs and the seeds;
 #   workloads  per workload and side: the median of every end-to-end metric,
 #              each run's correct flag and failed-op count, and each run's
 #              metrics;
@@ -53,10 +48,7 @@
 #              during re-optimization over the Orders scan-cost sweep, and
 #              their numerators with the repair's touched entries per scan
 #              ratio and pruning config (fig8counts.<ratio>.<config>-
-#              {flipped-groups,flipped-alts,touched-entries}), the repaired
-#              plans' costs of Figure 5 per ratio and expression
-#              (fig5costs.<ratio>.<expression>) and of Figure 8 per scan ratio
-#              and pruning config (fig8costs.<ratio>.<config>),
+#              {flipped-groups,flipped-alts,touched-entries}),
 #              Figure 9's entries the incremental stream controller touches
 #              per printed slice (fig9.<slice>.inc-touched-entries), the
 #              counts of Figure 10 per scheme and of Table 3 per slice length
@@ -78,9 +70,7 @@
 #
 # Usage: bash scripts/bench.sh <parent-rev> <n> [pairs=3] [seconds=16]
 # Needs git, go and jq. Besides BENCH_<n>.json it writes only .bench_build/
-# (run.sh's) and a mktemp -d directory it removes. Every run is wrapped in
-# cmd/hostprobe, built once from this checkout, so both sides are probed
-# alike.
+# (run.sh's) and a mktemp -d directory it removes.
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
@@ -101,20 +91,15 @@ if [ -n "$(git status --porcelain --untracked-files=no)" ]; then
 	change_sha="$change_sha+dirty"
 fi
 
-go build -o "$work/hostprobe" ./cmd/hostprobe
-
 # run <dir> <workload> <seed> <out>: run.sh's stdout, whose last line is the
-# result object and whose first is the environment block; <out>.host holds
-# the host readings around it.
+# result object and whose first is the environment block.
 run() {
-	(cd "$1" && "$work/hostprobe" -out "$4.host" -- \
-		bash benchmarks/run.sh --workload "$2" --seed "$3" --seconds "$seconds" --trace 0) >"$4"
+	(cd "$1" && bash benchmarks/run.sh --workload "$2" --seed "$3" --seconds "$seconds" --trace 0) >"$4"
 }
 
 # traced <dir> <workload> <out>: the same, traced, at seed 3.
 traced() {
-	(cd "$1" && "$work/hostprobe" -out "$3.host" -- \
-		bash benchmarks/run.sh --workload "$2" --seed 3 --seconds "$seconds" --trace 1) >"$3"
+	(cd "$1" && bash benchmarks/run.sh --workload "$2" --seed 3 --seconds "$seconds" --trace 1) >"$3"
 }
 
 # code <ratchet_test.go>: its packageCeilings rows as {"code.<pkg>.<col>": n}.
@@ -148,8 +133,8 @@ code ratchet_test.go >"$work/code.change.json"
 
 # paper <dir> <side>: the deterministic cells of Figures 4(b), 4(c), the
 # Figure 4 census, 5(b), 5(c), 6(b), 6(c), 7(b), 7(c), 8(b), 8(c), the
-# counts of Figures 5-8 and 10 and of Table 3, the costs of Figures 5 and 8,
-# and of 9 and the two ablations as
+# counts of Figures 5-8 and 10 and of Table 3, and of 9 and the two
+# ablations as
 # {"fig4b": {"Q5": {"declarative": 0.9, ...}, ...}, ...}. A table runs from
 # its "== " title over a header and a rule to a blank or note line; of
 # Figure 9 only the inc-touched-entries column is kept.
@@ -164,7 +149,6 @@ paper() {
 			if ($0 ~ /^== Figure [45678]\([bc]\)/) t = "fig" substr($3, 1, 1) substr($3, 3, 1)
 			else if ($0 ~ /^== Figure 4 census/) t = "fig4census"
 			else if ($0 ~ /^== Figure ([5-8]|10) counts/) t = "fig" $3 "counts"
-			else if ($0 ~ /^== Figure [58] costs/) t = "fig" $3 "costs"
 			else if ($0 ~ /^== Table 3 counts/) t = "table3counts"
 			else if ($0 ~ /^== Figure 9:/) { t = "fig9"; keep = "inc-touched-entries" }
 			else if ($0 ~ /^== Ablation: expansion order/) t = "ablation_order"
@@ -228,21 +212,6 @@ for w in $workloads; do
 		        exact: ([$exact[] | {key: ., value: {parent: $p[.][0], change: $c[.][0]}}] | from_entries)}}'
 done | jq -s 'add' >"$work/layers.json"
 
-# hostreadings <file>...: the host readings as {<reading>: [<value>, ...]},
-# in the files' order.
-hostreadings() {
-	jq -s '[.[] | to_entries[]] | group_by(.key) | map({key: .[0].key, value: map(.value)}) | from_entries' "$@"
-}
-for w in $workloads; do
-	for s in parent change; do
-		timed_files=() traced_files=()
-		for i in $(seq 1 "$pairs"); do timed_files+=("$work/$w.$s.$i.out.host"); done
-		for i in 1 2 3; do traced_files+=("$work/$w.traced.$s.$i.out.host"); done
-		jq -n --argjson t "$(hostreadings "${timed_files[@]}")" --argjson r "$(hostreadings "${traced_files[@]}")" \
-			--arg w "$w" --arg s "$s" '{($w): {($s): {timed: $t, traced: $r}}}'
-	done
-done | jq -s 'reduce .[] as $x ({}; . * $x)' >"$work/host.json"
-
 # The host as the benchmark itself reports it.
 env_block="$(grep -h '^{"env"' "$work"/*.change.1.out | head -n 1)"
 jq -n \
@@ -254,11 +223,10 @@ jq -n \
 	--argjson n "$n" \
 	--slurpfile workloads "$work/workloads.json" --slurpfile layers "$work/layers.json" \
 	--slurpfile cp "$work/code.parent.json" --slurpfile cc "$work/code.change.json" \
-	--slurpfile pp "$work/paper.parent.json" --slurpfile pc "$work/paper.change.json" \
-	--slurpfile host "$work/host.json" '
+	--slurpfile pp "$work/paper.parent.json" --slurpfile pc "$work/paper.change.json" '
 	{change: $n,
 	 env: {nproc: $nproc, gomaxprocs: $gomaxprocs, go: $go, parent: $parent, change: $change,
-	       seconds: $seconds, pairs: $pairs, seeds: [range(1; $pairs + 1)], host: $host[0]},
+	       seconds: $seconds, pairs: $pairs, seeds: [range(1; $pairs + 1)]},
 	 workloads: $workloads[0],
 	 layers: $layers[0],
 	 code: ($cc[0] | with_entries(.value = {parent: $cp[0][.key], change: .value})),

@@ -15,7 +15,6 @@
 #     /metrics, /metrics.json and /traces;
 #   - reprobench's paper figures: -fig 4..10, small, ablation and -table 3;
 #   - optcli under each -arch, and once with -graph -table -reopt -analyze;
-#   - hostprobe around one command, as scripts/bench.sh runs it;
 #   - CI's must-run differentials, among them the optimizer contract
 #     (TestIncrementalEqualsScratch and its neighbours, TestOracleMatchesCore)
 #     and the served-space check (TestServedSpaceMatchesFullOnNamedQueries)
@@ -127,9 +126,6 @@ for arch in declarative volcano systemr; do
 	"$bin/optcli" -arch "$arch" -sf 0.002 >/dev/null
 done
 "$bin/optcli" -sf 0.002 -graph -table -reopt A=0.5,scan:orders=4 -analyze >/dev/null
-
-say "hostprobe"
-"$bin/hostprobe" -out "$work/host.json" -- true
 
 say "must-run differentials"
 differential() {

@@ -12,8 +12,7 @@ import (
 
 // TestBenchRecordNamesEveryMetric parses the newest BENCH_<n>.json at the
 // repository root (scripts/bench.sh writes one per change) and checks that it
-// is complete: the host and the seeds it ran on, cmd/hostprobe's readings
-// (env.host) around every timed and traced run of both sides, for every workload of
+// is complete: the host and the seeds it ran on, for every workload of
 // BENCHMARK.json the parent's and the change's median of every end-to-end
 // metric and one correctness flag per run, the per-layer metrics of each
 // side's traced runs — every name BENCHMARK.json lists, the exact counts kept
@@ -21,8 +20,8 @@ import (
 // three runs' values — the ratchet's code.* counts of both sides, and the
 // paper's deterministic table cells (paper.<table>.<row>.<column>) of both
 // sides, for every table bench.sh records: Figures 4(b), 4(c), the Figure 4
-// census, 5(b), 5(c), the Figure 5 counts and costs, 6(b), 6(c), 7(b), 7(c),
-// 8(b), 8(c), the Figure 8 counts and costs, 9, the Figure 10 and Table 3 counts (fig10counts,
+// census, 5(b), 5(c), the Figure 5 counts, 6(b), 6(c), 7(b), 7(c), 8(b), 8(c),
+// the Figure 8 counts, 9, the Figure 10 and Table 3 counts (fig10counts,
 // table3counts) and the two ablations (ablation_order, ablation_space). It
 // sets no thresholds: the host drifts, and the record is
 // what a change's numbers are compared with.
@@ -62,7 +61,6 @@ func TestBenchRecordNamesEveryMetric(t *testing.T) {
 		Env struct {
 			NProc, GOMAXPROCS int
 			Seeds             []int
-			Host              map[string]map[string]map[string]map[string][]*float64
 		}
 		Workloads map[string]map[string]*side
 		Layers    map[string]struct {
@@ -80,14 +78,6 @@ func TestBenchRecordNamesEveryMetric(t *testing.T) {
 	}
 	for _, w := range spec.Workloads {
 		for _, name := range []string{"parent", "change"} {
-			for kind, n := range map[string]int{"timed": len(rec.Env.Seeds), "traced": 3} {
-				readings := rec.Env.Host[w.Name][name][kind]
-				for _, r := range []string{"buf_mb", "chase_ns", "stream_gbps", "steal_pct", "cpu_s", "wall_s"} {
-					if v := readings[r]; len(v) != n || slices.Contains(v, nil) {
-						t.Errorf("%s: env.host.%s.%s.%s.%s has %d readings, not %d", newest, w.Name, name, kind, r, len(v), n)
-					}
-				}
-			}
 			s := rec.Workloads[w.Name][name]
 			if s == nil {
 				t.Errorf("%s: no %s runs of %s", newest, name, w.Name)
@@ -162,7 +152,7 @@ func TestBenchRecordNamesEveryMetric(t *testing.T) {
 	if previous != "" {
 		readJSON(t, previous, &prev)
 	}
-	for _, table := range []string{"fig4b", "fig4c", "fig4census", "fig5b", "fig5c", "fig5counts", "fig5costs", "fig6b", "fig6c", "fig6counts", "fig7b", "fig7c", "fig7counts", "fig8b", "fig8c", "fig8counts", "fig8costs", "fig9", "fig10counts", "table3counts", "ablation_order", "ablation_space"} {
+	for _, table := range []string{"fig4b", "fig4c", "fig4census", "fig5b", "fig5c", "fig5counts", "fig6b", "fig6c", "fig6counts", "fig7b", "fig7c", "fig7counts", "fig8b", "fig8c", "fig8counts", "fig9", "fig10counts", "table3counts", "ablation_order", "ablation_space"} {
 		if len(rec.Paper[table]) == 0 {
 			t.Errorf("%s: no paper.%s cells", newest, table)
 		}
