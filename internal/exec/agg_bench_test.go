@@ -89,15 +89,17 @@ func TestAggTableMatchesKeyStringBaseline(t *testing.T) {
 }
 
 // BenchmarkAggAddBatch times addBatch, the aggregation's only entry from an
-// operator, on 1024-row chunks in six shapes: Q1 (two narrow keys, two SUMs,
-// COUNT(*), 98 % selected), one group (Q6: one SUM over a selection), one key
-// over 5 groups and one SUM (Q5 and the ad-hoc serving statements), SegTollS
-// (three narrow keys and a COUNT(DISTINCT)), two keys whose box passes
-// directSlots, so the table is wide and hashes, and Q1's shape over 17 groups,
-// one past fuseGroups, so it resolves and sums in separate passes. The first
-// three take foldDirect's one pass after the first chunk. An op is one
-// execution of 16 chunks into a reset table; ns/row is per aggregated (live)
-// row.
+// operator, on 1024-row chunks in eight shapes: Q1 (two narrow keys, two SUMs,
+// COUNT(*), 98 % selected), Q1's shape with a third SUM (the fold stores
+// group ids for it), three narrow keys over a 3×2×2 box of 12 groups (the
+// fold's row-at-a-time loop), one group (Q6: one SUM over a selection), one
+// key over 5 groups and one SUM (Q5 and the ad-hoc serving statements),
+// SegTollS (three narrow keys and a COUNT(DISTINCT)), two keys whose box
+// passes directSlots, so the table is wide and hashes, and Q1's shape over 17
+// groups, one past fuseGroups, so it resolves and sums in separate passes.
+// The first five take foldDirect's one pass after the first chunk. An op is
+// one execution of 16 chunks into a reset table; ns/row is per aggregated
+// (live) row.
 func BenchmarkAggAddBatch(b *testing.B) {
 	for _, tc := range []struct {
 		name     string
@@ -106,6 +108,8 @@ func BenchmarkAggAddBatch(b *testing.B) {
 		selected int     // percent of rows live; 100 is dense
 	}{
 		{"q1", AggSpecExec{GroupBy: []int{0, 1}, Sums: []int{2, 3}, CountAll: true}, []int64{3, 2, 50, 1e6}, 98},
+		{"three-sums", AggSpecExec{GroupBy: []int{0, 1}, Sums: []int{2, 3, 4}, CountAll: true}, []int64{3, 2, 50, 1e6, 1e6}, 98},
+		{"three-keys", AggSpecExec{GroupBy: []int{0, 1, 2}, Sums: []int{3, 4}, CountAll: true}, []int64{3, 2, 2, 50, 1e6}, 98},
 		{"one-group", AggSpecExec{Sums: []int{0}}, []int64{1e6}, 14},
 		{"one-key", AggSpecExec{GroupBy: []int{0}, Sums: []int{1}, CountAll: true}, []int64{5, 1e6}, 100},
 		{"segtolls", AggSpecExec{GroupBy: []int{0, 1, 2}, CountDistinct: []int{3}}, []int64{3, 2, 100, 5000}, 100},
@@ -146,7 +150,7 @@ func BenchmarkAggAddBatch(b *testing.B) {
 			if t.wide != (tc.name == "wide") {
 				b.Fatalf("%s: wide %v", tc.name, t.wide)
 			}
-			if tc.name == "seventeen-groups" && t.n != 17 {
+			if want := map[string]int{"seventeen-groups": 17, "three-keys": 12}[tc.name]; want > 0 && t.n != want {
 				b.Fatalf("%s: %d groups", tc.name, t.n)
 			}
 			b.ReportAllocs()

@@ -367,49 +367,83 @@ func testFoldDirect(t *testing.T, rng *rand.Rand, s *aggScratch) {
 		}
 	}
 
-	spec := AggSpecExec{GroupBy: []int{0}, Sums: []int{1, 2}, CountAll: true}
-	chunk := func(key func(i int) int64) aggInput {
-		return keyInput(rng, 1, BatchSize, func(_, i int) int64 { return key(i) })
-	}
-	sixteen := func(i int) int64 { return int64(i%16) + int64(i%16/15) } // 0–14 and 16: a box of 17 cells
-	for _, tc := range []struct {
-		name   string
-		key    int64 // the second chunk's key at row 300
-		groups int   // after the second chunk
-		wide   bool
-	}{
-		{"17th group at row 300", 15, 17, false},
-		{"key outside the box at row 300", 20, 17, false},
-		{"wide at row 300", 1 << 40, 17, true},
-	} {
-		direct, scalar := newAggTable(spec), newAggTable(spec)
-		if k := foldFeed(direct, scalar, chunk(sixteen), s); k != 0 || direct.n != 16 || len(direct.direct) != 17 {
-			t.Fatalf("%s: first chunk folded %d rows into %d groups, box of %d cells", tc.name, k, direct.n, len(direct.direct))
-		}
-		second := chunk(func(i int) int64 {
-			if i == 300 {
-				return tc.key
+	// 1-, 2- and 3-column keys with three SUMs, so the group ids foldDirect
+	// stores feed the third SUM's loop. Key column 0 takes 0–14 and 16, the
+	// others its low bit: 16 groups in a box of 17 × 2 × 2 cells.
+	sixteen := func(i int) int64 { return int64(i%16) + int64(i%16/15) }
+	for gw := 1; gw <= 3; gw++ {
+		spec := AggSpecExec{GroupBy: seq(gw), Sums: []int{gw, gw + 1, gw + 2}, CountAll: true}
+		chunk := func(n int, key func(i int) int64) aggInput {
+			in := keyInput(rng, gw, n, func(c, i int) int64 {
+				if c > 0 {
+					return key(i) & 1
+				}
+				return key(i)
+			})
+			third := make([]int64, n)
+			for i := range third {
+				third[i] = rng.Int63n(1000) - 500
 			}
-			return sixteen(i)
-		})
-		if k := foldFeed(direct, scalar, second, s); k != 300 {
-			t.Fatalf("%s: foldDirect took %d rows, want 300", tc.name, k)
+			in.cols = append(in.cols, third)
+			return in
 		}
-		sameGroups(t, tc.name, direct, scalar)
-		if direct.n != tc.groups || direct.wide != tc.wide {
-			t.Fatalf("%s: %d groups, wide %v; want %d, %v", tc.name, direct.n, direct.wide, tc.groups, tc.wide)
+		first := func(label string) (*aggTable, *aggTable) {
+			direct, scalar := newAggTable(spec), newAggTable(spec)
+			if k := foldFeed(direct, scalar, chunk(BatchSize, sixteen), s); k != 0 || direct.n != 16 || len(direct.direct) != 17<<(gw-1) {
+				t.Fatalf("%s: first chunk folded %d rows into %d groups, box of %d cells", label, k, direct.n, len(direct.direct))
+			}
+			return direct, scalar
 		}
-		// 17 groups or a wide table: the next chunk takes today's loops.
-		if k := foldFeed(direct, scalar, chunk(sixteen), s); k != 0 {
-			t.Fatalf("%s: foldDirect took %d rows of a table of %d groups (wide %v)", tc.name, k, direct.n, direct.wide)
+		// Live lengths around a step of four, all in the box: every row folds.
+		for _, n := range []int{1, 2, 3, 5, BatchSize - 1} {
+			label := fmt.Sprintf("%d key columns, %d live rows", gw, n)
+			direct, scalar := first(label)
+			if k := foldFeed(direct, scalar, chunk(n, sixteen), s); k != n {
+				t.Fatalf("%s: foldDirect took %d rows", label, k)
+			}
+			sameGroups(t, label, direct, scalar)
 		}
-		sameGroups(t, tc.name+", next chunk", direct, scalar)
+		// The row that stops the fold at each offset of a step.
+		for _, tc := range []struct {
+			name   string
+			key    int64 // key column 0 of the second chunk's stopping row
+			groups int   // after the second chunk
+			wide   bool
+		}{
+			{"17th group", 15, 17, false},
+			{"key outside the box", 20, 17, false},
+			{"wide", 1 << 40, 17, true},
+		} {
+			for stop := 300; stop < 304; stop++ {
+				label := fmt.Sprintf("%d key columns, %s at row %d", gw, tc.name, stop)
+				direct, scalar := first(label)
+				second := chunk(BatchSize, func(i int) int64 {
+					if i == stop {
+						return tc.key
+					}
+					return sixteen(i)
+				})
+				if k := foldFeed(direct, scalar, second, s); k != stop {
+					t.Fatalf("%s: foldDirect took %d rows", label, k)
+				}
+				sameGroups(t, label, direct, scalar)
+				if direct.n != tc.groups || direct.wide != tc.wide {
+					t.Fatalf("%s: %d groups, wide %v; want %d, %v", label, direct.n, direct.wide, tc.groups, tc.wide)
+				}
+				// 17 groups or a wide table: the next chunk takes today's loops.
+				if k := foldFeed(direct, scalar, chunk(BatchSize, sixteen), s); k != 0 {
+					t.Fatalf("%s: foldDirect took %d rows of a table of %d groups (wide %v)", label, k, direct.n, direct.wide)
+				}
+				sameGroups(t, label+", next chunk", direct, scalar)
+			}
+		}
 	}
 
 	// Weighted chunks stay on today's loops.
+	spec := AggSpecExec{GroupBy: []int{0}, Sums: []int{1, 2}, CountAll: true}
 	direct, scalar := newAggTable(spec), newAggTable(spec)
 	for b := range 3 {
-		in := chunk(func(i int) int64 { return int64(i % 5) })
+		in := keyInput(rng, 1, BatchSize, func(_, i int) int64 { return int64(i % 5) })
 		in.mult = make([]int64, in.n)
 		for i := range in.mult {
 			in.mult[i] = 1 + rng.Int63n(3)

@@ -229,6 +229,104 @@ func TestReopenedExecutionMatchesFresh(t *testing.T) {
 	}
 }
 
+// appendingBuild is a join's build child that appends a row to tab from
+// inside the build's drain, after the child has bound its snapshots: the
+// append lands while the build runs, as a concurrent one may. opens counts
+// the child's Opens, one per build.
+type appendingBuild struct {
+	VecIterator
+	tab     *catalog.Table
+	opens   int
+	pending bool // the append is still to come
+	t       *testing.T
+}
+
+func (a *appendingBuild) Open() error {
+	a.opens++
+	return a.VecIterator.Open()
+}
+
+func (a *appendingBuild) Next() (*Batch, error) {
+	if a.pending {
+		a.pending = false
+		snap := a.tab.Store().Snapshot()
+		row := make([]int64, len(snap.Cols))
+		for c, col := range snap.Cols {
+			row[c] = col[0]
+		}
+		if err := a.tab.AppendRows([][]int64{row}); err != nil {
+			a.t.Fatal(err)
+		}
+	}
+	return a.VecIterator.Next()
+}
+
+// TestKeptBuildSeesAppendDuringBuild appends to a table under a join's build
+// side while the build drains it, for every join of Q3S and Q5: the next
+// Open of that join must rebuild, since its pin recorded the table's
+// version before the build bound the snapshot the append left behind, while
+// every join whose build side reads another table keeps its own. Both
+// executions return the reference's multiset over the tables as they began.
+func TestKeptBuildSeesAppendDuringBuild(t *testing.T) {
+	for _, q := range []*relalg.Query{tpch.Q3S(), tpch.Q5()} {
+		cat := tpch.Generate(tpch.Config{ScaleFactor: 0.002, Seed: 7})
+		plan := reopenPlans(t, q, cat)["volcano"]
+		comp := &Compiler{Q: q, Cat: cat, Mem: NewMemTracker(0)}
+		_, stats, err := comp.CompileVec(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		joins := 0
+		for _, op := range stats.ops {
+			if _, ok := op.in.(*vecHashJoinOp); ok {
+				joins++
+			}
+		}
+		if joins < 2 {
+			t.Fatalf("%s: %d joins", q.Name, joins)
+		}
+		for j := range joins {
+			comp := &Compiler{Q: q, Cat: cat, Mem: NewMemTracker(0)}
+			root, stats, err := comp.CompileVec(plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var hj *vecHashJoinOp
+			var build *relalg.Plan
+			for _, op := range stats.ops {
+				if h, ok := op.in.(*vecHashJoinOp); ok {
+					if j--; j < 0 {
+						hj, build = h, op.node.Left
+						break
+					}
+				}
+			}
+			var rels relalg.RelSet
+			tab := cat.MustTable(q.Rels[build.Expr.Members()[0]].Table)
+			for i, rel := range q.Rels {
+				if cat.MustTable(rel.Table) == tab {
+					rels = rels.Add(i)
+				}
+			}
+			child := &appendingBuild{VecIterator: hj.left, tab: tab, pending: true, t: t}
+			hj.left = child
+			for exec := 1; exec <= 2; exec++ {
+				label := fmt.Sprintf("%s, build side %v appended to while it drains, execution %d", q.Name, build.Expr, exec)
+				ref := testkit.NewReference(q, cat)
+				checkExecution(t, label, comp, root, stats, ref.Card, testkit.Canonical(ref.Rows(), nil), plan)
+				kept, _ := keptBuilds(plan, rels)
+				if exec == 1 {
+					kept = 0
+				}
+				if child.opens != exec || stats.BuildsReused() != kept {
+					t.Fatalf("%s: the build child opened %d times, %d join tables kept; want %d and %d",
+						label, child.opens, stats.BuildsReused(), exec, kept)
+				}
+			}
+		}
+	}
+}
+
 // keptBuilds returns how many joins of plan keep their table when the tables
 // of the relations in changed have moved since its last execution, and how
 // many plan nodes that leaves unexecuted: a join whose build side reads none

@@ -48,7 +48,7 @@ var packageCeilings = map[string]shape{
 	"internal/core":        {0, 0, 0, 2, 65, 1956},
 	"internal/cost":        {0, 0, 0, 3, 28, 420},
 	"internal/deltalog":    {0, 0, 0, 5, 24, 411},
-	"internal/exec":        {0, 0, 0, 0, 100, 4072},
+	"internal/exec":        {0, 0, 0, 0, 100, 4119},
 	"internal/fbstore":     {0, 0, 0, 0, 39, 537},
 	"internal/linearroad":  {0, 0, 0, 1, 21, 322},
 	"internal/obs":         {0, 0, 0, 0, 68, 553},
