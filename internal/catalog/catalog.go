@@ -76,9 +76,10 @@ type Table struct {
 	store storage.Backend
 
 	// dataVersion counts data mutations: every AppendRows and ResetSnapshot
-	// bumps it. Derived state materialized from the table's rows — cached
-	// query results above all — pins the version it read and treats any
-	// later value as an invalidation signal.
+	// bumps it, and BindDir sets it to a loaded directory's. Derived state
+	// materialized from the table's rows — cached query results above all —
+	// pins the version it read, with the snapshot's epoch (Pin), and treats
+	// any later value as an invalidation signal.
 	dataVersion atomic.Uint64
 }
 
@@ -167,36 +168,46 @@ func (t *Table) ResetSnapshot(snap *storage.Snapshot) {
 // materialization time against the current one to detect staleness.
 func (t *Table) DataVersion() uint64 { return t.dataVersion.Load() }
 
-// Pin is the data versions of a set of tables as read when state derived
-// from their rows — a built hash-join table, a cached query result — began
-// to be built; the state is current while Holds. The zero Pin pins no
-// table and always holds.
+// Pin is the data versions and snapshot epochs (storage.Snapshot.Epoch) of
+// a set of tables as read when state derived from their rows — a built
+// hash-join table, a cached query result — began to be built; the state is
+// current while Holds. The epoch is what a wholesale swap of the content
+// moves even when the version does not: BindDir adopts the version a
+// directory was flushed at, which another catalog's content may have had
+// too. The zero Pin pins no table and always holds.
 //
-// Record the versions BEFORE anything the state is built from is read: the
-// snapshots its scans bind, and any kept state it is built on (a cached
-// result served inside it). AppendRows publishes a snapshot and then bumps
-// the version, so a version read first is never newer than the rows read
-// after it. Read after, it could be, and the state would be kept over rows
-// it never saw.
+// Record BEFORE anything the state is built from is read: the snapshots its
+// scans bind, and any kept state it is built on (a cached result served
+// inside it). AppendRows publishes a snapshot and then bumps the version,
+// and a swap publishes its store before it sets the version, so what is
+// read first is never newer than the rows read after it. Read after, it
+// could be, and the state would be kept over rows it never saw.
 type Pin struct {
 	tabs []*Table
-	vers []uint64
+	at   []pinned
 }
 
-// NewPin pins tabs; their versions are read by Record.
-func NewPin(tabs []*Table) Pin { return Pin{tabs: tabs, vers: make([]uint64, len(tabs))} }
+// pinned is one table's state as a Pin recorded it.
+type pinned struct{ version, epoch uint64 }
 
-// Record reads every pinned table's current version.
+// NewPin pins tabs; their versions and epochs are read by Record.
+func NewPin(tabs []*Table) Pin { return Pin{tabs: tabs, at: make([]pinned, len(tabs))} }
+
+// stateOf reads t's version, then its snapshot's epoch.
+func stateOf(t *Table) pinned { return pinned{t.DataVersion(), t.Store().Snapshot().Epoch} }
+
+// Record reads every pinned table's current version and epoch.
 func (p *Pin) Record() {
 	for i, t := range p.tabs {
-		p.vers[i] = t.DataVersion()
+		p.at[i] = stateOf(t)
 	}
 }
 
-// Holds reports whether every pinned table is still at its recorded version.
+// Holds reports whether every pinned table is still at its recorded version
+// and epoch.
 func (p *Pin) Holds() bool {
 	for i, t := range p.tabs {
-		if t.DataVersion() != p.vers[i] {
+		if stateOf(t) != p.at[i] {
 			return false
 		}
 	}

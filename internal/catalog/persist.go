@@ -18,7 +18,10 @@ type BindSummary struct {
 // dir (one subdirectory per table). Tables with data on disk are served
 // from it — the loaded snapshot REPLACES whatever the process generated, and
 // the persisted data version carries over, so a restart serves the same
-// data without regeneration. Tables with an empty directory hand the
+// data without regeneration. The version may equal one the replaced content
+// had; the swap still moves the table's snapshot epoch (every store's
+// content starts a new one), which is what a Pin, and a kept aggregation's
+// watermark, check besides it. Tables with an empty directory hand the
 // snapshot they already hold to the store; the first Flush persists it.
 // Statistics are refreshed for loaded tables. Every store is opened before any
 // table is touched: when one fails to open, the ones already opened are closed

@@ -664,6 +664,17 @@ type vecHashAggOp struct {
 	// kept across executions: the group table and the batch scratch
 	t       *aggTable
 	scratch aggScratch
+
+	// Maintaining the table (maintain): scan is the shim of the one table
+	// scan src the aggregation reads, set by the compiler (nil: the table is
+	// emptied every execution), and st the record its marks go to. Unless
+	// epoch is 0, the table holds exactly rows [0, n) of that snapshot
+	// epoch, and scan.kept what the scan counted over them.
+	scan  *spanOp
+	src   *vecScanOp
+	st    *RunStats
+	epoch uint64
+	n     int
 }
 
 // NewVecHashAgg returns a blocking hash aggregation: it consumes its input
@@ -672,7 +683,8 @@ type vecHashAggOp struct {
 // few groups, else per-column loops) and emits the groups as dense column
 // windows in deterministic (sorted group key) order — the group-by columns,
 // SUM values, COUNT(*) if requested, then COUNT(DISTINCT) values. Under a
-// memory budget it spills (spillagg.go).
+// memory budget it spills (spillagg.go). Over one table scan in a held tree
+// it keeps its table and folds only the rows appended since (maintain).
 func NewVecHashAgg(in VecIterator, spec AggSpecExec) VecIterator {
 	return &vecHashAggOp{in: in, spec: spec}
 }
@@ -681,11 +693,10 @@ func (a *vecHashAggOp) Open() error {
 	if a.t == nil {
 		a.t = newAggTable(a.spec)
 	}
-	a.t.reset()
 	if err := a.in.Open(); err != nil {
 		return err
 	}
-	t, charged, part, err := a.fold(a.t, 0, false, a.in.Next)
+	t, charged, part, err := a.fold(a.t, a.maintain(), 0, false, a.in.Next)
 	if err = errors.Join(err, a.in.Close()); err != nil {
 		if part != nil {
 			part.abort()
@@ -700,11 +711,49 @@ func (a *vecHashAggOp) Open() error {
 	if part != nil {
 		a.out = order(a.out, t.gw)
 	}
+	a.keep()
 	// The final output must materialize for the consumer regardless of
 	// budget; Force records any overage.
 	a.mem.Force(colBytes(a.out.width(), a.out.n))
 	a.pos = 0
 	return nil
+}
+
+// maintain readies the table for the execution's fold, after the scan has
+// bound its snapshot, and returns what the table is charged. SUM, COUNT(*)
+// and COUNT(DISTINCT) all absorb inserts, so when the table holds rows
+// [0, n) of the epoch the scan just bound, and the snapshot has N ≥ n rows,
+// the fold is the rows [n, N) alone: the scan starts at the watermark n,
+// within its zone-pruned ranges; its shim starts from what it counted over
+// the kept rows, so its rows are a fresh run's; the table is charged as it
+// stands; and both shims are marked maintained. Every other execution —
+// the first, one after a reset, after a failed or spilled one, any under a
+// budget — is the same fold from watermark 0 into the emptied table. The
+// epoch and N are the bound snapshot's own: a version read before the bind
+// could pair a reset landing in between with the old table.
+func (a *vecHashAggOp) maintain() int64 {
+	kept := a.epoch != 0 && a.src.leaf.epoch == a.epoch && a.src.leaf.data.n >= a.n
+	a.epoch = 0 // until this execution's fold has finished
+	if !kept {
+		a.t.reset()
+		return 0
+	}
+	a.src.pos = a.n
+	a.scan.sp.Rows, a.scan.sp.Batches = a.scan.kept.Rows, a.scan.kept.Batches
+	a.scan.maintained, a.st.agg.maintained = true, true
+	charged := a.t.approxBytes()
+	a.mem.Force(charged)
+	return charged
+}
+
+// keep records, after a fold that finished in memory without a budget, what
+// the table now holds: every row of the snapshot the scan bound.
+func (a *vecHashAggOp) keep() {
+	if a.scan == nil || a.mem.Bounded() {
+		return
+	}
+	a.epoch, a.n = a.src.leaf.epoch, a.src.leaf.data.n
+	a.scan.kept = a.scan.sp
 }
 
 func (a *vecHashAggOp) Next() (*Batch, error) { return a.out.emit(&a.batch, &a.pos), nil }

@@ -13,11 +13,12 @@ import (
 
 // RunStats is the record of one execution of a compiled tree: the span of
 // every shimmed node (profile.go), whose rows are the node's actual output
-// cardinality — counted as it ran, or replayed from a kept hash-join table's
-// build or a result-cache entry — and what the execution reused. The
-// adaptive layer compares the cardinalities with the optimizer's estimates
-// and feeds the ratios back as cardinality updates; Format renders the whole
-// record as EXPLAIN ANALYZE.
+// cardinality — counted as it ran, replayed from a kept hash-join table's
+// build or a result-cache entry, or, under a maintained aggregation, counted
+// over the kept rows plus the appended ones — and what the execution reused.
+// The adaptive layer compares the cardinalities with the optimizer's
+// estimates and feeds the ratios back as cardinality updates; Format renders
+// the whole record as EXPLAIN ANALYZE.
 type RunStats struct {
 	q      *relalg.Query
 	plan   *relalg.Plan
@@ -40,16 +41,27 @@ func (s *RunStats) Card(set relalg.RelSet) (int64, bool) {
 	return 0, false
 }
 
-// Reset zeroes every span and the reuse count for a re-opened tree's run.
+// Reset zeroes every span, mark and the reuse count for a re-opened tree's
+// run.
 func (s *RunStats) Reset() {
 	for _, op := range s.ops {
-		op.sp, op.replayed = obs.Span{}, false
+		op.sp, op.replayed, op.maintained = obs.Span{}, false, false
 	}
 	s.reused = 0
 }
 
 // BuildsReused counts the latest execution's joins that kept their table.
 func (s *RunStats) BuildsReused() int { return s.reused }
+
+// AggsMaintained counts the latest execution's aggregations that kept their
+// table and folded only the rows appended since (vecHashAggOp.maintain): 0
+// or 1, a tree having at most one.
+func (s *RunStats) AggsMaintained() int {
+	if s.agg != nil && s.agg.maintained {
+		return 1
+	}
+	return 0
+}
 
 // CacheDecisions counts the execution's result-cache probe hits and spools.
 func (s *RunStats) CacheDecisions() (probeHits, spools int) { return s.hits, s.spools }
@@ -122,6 +134,12 @@ func (c *Compiler) CompileVec(plan *relalg.Plan) (VecIterator, *RunStats, error)
 		agg := NewVecHashAgg(v, spec)
 		if ha, ok := agg.(*vecHashAggOp); ok {
 			ha.mem = c.Mem.Child()
+			// Over one table's scan the table absorbs appends (maintain).
+			if sh, ok := v.(*spanOp); ok {
+				if src, ok := sh.in.(*vecScanOp); ok && src.leaf.tab != nil {
+					ha.scan, ha.src, ha.st = sh, src, stats
+				}
+			}
 		}
 		stats.agg = c.span(agg, nil, nil, stats)
 		v = stats.agg
@@ -141,9 +159,12 @@ func planNodes(p *relalg.Plan) int {
 // after Close, Open starts a new execution of the same operators — scan leaves
 // rebind to their tables' current snapshots, RunStats and the tracker's
 // per-execution figures start over, operators empty the buffers they own and
-// keep their capacity, and an unbounded hash join whose build side's pin
-// holds keeps its table (vecHashJoinOp.reuse). Two kinds of tree refuse
-// instead of returning stale rows: one compiled against a result cache (its
+// keep their capacity — and an unbounded run keeps three things: a hash
+// join whose build side's pin holds keeps its table (vecHashJoinOp.reuse),
+// a result-cache hit its entry's counts, and an aggregation over one table
+// scan its table, folding only the rows appended to the snapshot its scan
+// bound (vecHashAggOp.maintain). Two kinds of tree refuse instead of
+// returning stale rows: one compiled against a result cache (its
 // probe hits and spools, and the counts its hits replay, were decided
 // against the cache's content at compile time) and one whose last execution
 // failed.
@@ -234,6 +255,8 @@ type scanLeaf struct {
 	// ranges are the ascending row ranges of data the execution reads: the
 	// ones the zone maps cannot exclude, else the whole of data.
 	ranges []storage.Range
+	// epoch is the bound snapshot's (storage.Snapshot.Epoch), 0 unbound.
+	epoch uint64
 }
 
 // bind points the leaf at its table's current column snapshot and the row
@@ -256,7 +279,7 @@ func (l *scanLeaf) bind() {
 		snap = store.Snapshot()
 		l.ranges = append(l.ranges[:0], storage.Range{Hi: snap.N})
 	}
-	l.data.n = snap.N
+	l.data.n, l.epoch = snap.N, snap.Epoch
 	for i, col := range l.schema {
 		l.data.cols[i] = snap.Cols[col.Off] // indexed by table offset
 	}

@@ -19,7 +19,10 @@
 // Reuse has one shape: state built from base tables — a hash join's table
 // (vecjoin.go), a result-cache entry (rescache.go) — is kept while its
 // catalog.Pin holds, and the subtree it stands for is skipped, its spans
-// replayed from what was kept (profile.go).
+// replayed from what was kept (profile.go). An aggregation over one table's
+// scan keeps its table while the table only grows, and folds only the rows
+// appended since (agg.go, vecHashAggOp.maintain): what was kept plus the
+// delta.
 // Operators exchange column-major batches — up to BatchSize rows held as one
 // contiguous []int64 per column, with a selection vector (batch.go). Leaf
 // scans hand out zero-copy windows over column-major base-table storage

@@ -24,7 +24,13 @@ import (
 // table's build (vecHashJoinOp.reuse) or a result-cache entry's counts, whose
 // record-only shims wrap no operator (compileCandidate) — and are marked
 // replayed: EXPLAIN ANALYZE renders the first "reused" and the second "not
-// executed (cached)".
+// executed (cached)". Maintenance is replay plus the delta: an aggregation
+// that kept its table over rows [0, n) of a snapshot epoch reads only the
+// rows appended since (vecHashAggOp.maintain), and its scan's shim starts
+// from what it counted over the kept rows and adds the new ones, so its rows
+// are a fresh run's; EXPLAIN ANALYZE marks the scan and the aggregation
+// "maintained". Its batches are those of the executions that read the rows,
+// which may split them where a fresh run's windows would not.
 //
 // Timing is a property of an execution, not of a compile: the run's owner
 // calls RunStats.SetTiming before Open, and only a timed execution reads the
@@ -43,11 +49,12 @@ type spanOp struct {
 	// marks a hash join compiled in counting mode (live.go): its rows are the
 	// multiplicities summed, its batches what was emitted. in is nil for a
 	// record-only shim (a result-cache hit's node).
-	node     *relalg.Plan
-	cols     int
-	counting bool
-	replayed bool     // sp is kept, replayed
-	kept     obs.Span // what the kept state counted when it was built
+	node       *relalg.Plan
+	cols       int
+	counting   bool
+	replayed   bool     // sp is kept, replayed
+	maintained bool     // sp is kept plus the execution's delta
+	kept       obs.Span // what the kept state counted when it was built
 }
 
 // replay sets the span to the kept one, marked replayed.
@@ -131,10 +138,12 @@ func (s *RunStats) node(p *relalg.Plan) *spanOp {
 // replayed node renders what was kept: under a join that kept its table, the
 // rows and batches of the build the table came from, marked "reused" in
 // place of a time; under a result-cache hit, its act, marked "not executed
-// (cached)". A merge or index nested-loops join that ran is marked "via
-// hash": the executor runs every join on the hash join. An Enforce node
-// renders as elided. Call it after the tree is drained and before it is
-// opened again.
+// (cached)". An aggregation that kept its table and folded only appended
+// rows is marked "maintained", and so is its scan, whose rows and batches
+// count the kept rows with the new. A merge or index nested-loops join that
+// ran is marked "via hash": the executor runs every join on the hash join.
+// An Enforce node renders as elided. Call it after the tree is drained and
+// before it is opened again.
 func (s *RunStats) Format() string {
 	var b strings.Builder
 	b.WriteString("EXPLAIN ANALYZE\n")
@@ -145,15 +154,20 @@ func (s *RunStats) Format() string {
 	return b.String()
 }
 
-// timeOf renders op's time annotation: "reused" if replayed, none untimed.
+// timeOf renders op's time annotation: "reused" if replayed, else
+// "maintained" if so, then the time if the execution was timed.
 func (s *RunStats) timeOf(op *spanOp) string {
+	mark := ""
 	switch {
 	case op.replayed:
 		return " reused"
-	case !s.timed:
-		return ""
+	case op.maintained:
+		mark = " maintained"
 	}
-	return fmt.Sprintf(" time=%v", op.sp.Time().Round(time.Microsecond))
+	if !s.timed {
+		return mark
+	}
+	return fmt.Sprintf("%s time=%v", mark, op.sp.Time().Round(time.Microsecond))
 }
 
 // format renders p and its subtree.

@@ -117,12 +117,14 @@ func TestProfilingDifferential(t *testing.T) {
 }
 
 // TestFormatAnalyzeRendering renders Q5 timed and then reopened untimed, the
-// index-NL plans of Q3S, Q5 and Q10, and the merge-only plan of Q5: an
-// untimed execution shows the same rows and batches without time=, the
-// reopen's kept build subtrees marked reused, and
+// index-NL plans of Q3S, Q5 and Q10, the merge-only plan of Q5, and Q1
+// reopened: an untimed execution shows the same rows and batches without
+// time=, the reopen's kept build subtrees marked reused, and
 // without a result cache no node reads "not executed" — an index-NL join's
 // inner leaf is a scan with its own counts, a merge or index-NL join is
-// marked "via hash", and a sort enforcer is elided.
+// marked "via hash", and a sort enforcer is elided. Q1's reopen marks its
+// aggregation and its scan maintained, and renders, without the marks, the
+// rows of a fresh tree: unchanged, its batches too; after an append, timed.
 func TestFormatAnalyzeRendering(t *testing.T) {
 	cat := tpch.Generate(tpch.Config{ScaleFactor: 0.002, Seed: 7})
 	q := tpch.Q5()
@@ -234,6 +236,67 @@ func TestFormatAnalyzeRendering(t *testing.T) {
 	if strings.Contains(text, "not executed") || strings.Count(text, "MergeJoin") != merges ||
 		strings.Count(text, " via hash  [") != merges || strings.Count(text, "| elided]") != sorts {
 		t.Fatalf("merge-only Q5: want %d merge joins marked via hash and %d sorts elided:\n%s", merges, sorts, text)
+	}
+
+	// Q1 over one scan: the reopen maintains the aggregation.
+	q = tpch.Q1()
+	m, _ = cost.NewModel(q, cat, cost.DefaultParams())
+	if vr, err = volcano.Optimize(m, relalg.DefaultSpace()); err != nil {
+		t.Fatal(err)
+	}
+	render := func(timed bool) string {
+		t.Helper()
+		v, stats, err := (&Compiler{Q: q, Cat: cat}).CompileVec(vr.Plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats.SetTiming(timed)
+		if _, err := DrainVec(v); err != nil {
+			t.Fatal(err)
+		}
+		return stats.Format()
+	}
+	v, stats, err = (&Compiler{Q: q, Cat: cat}).CompileVec(vr.Plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	times, batches := regexp.MustCompile(` time=[^\]]*`), regexp.MustCompile(` batches=\d+`)
+	for _, step := range []string{"unchanged", "appended to"} {
+		if step == "appended to" {
+			li := cat.MustTable("lineitem")
+			cols, n := li.ColumnSnapshot()
+			rows := make([][]int64, 3000)
+			for i := range rows {
+				for _, col := range cols {
+					rows[i] = append(rows[i], col[i%n])
+				}
+			}
+			if err := li.AppendRows(rows); err != nil {
+				t.Fatal(err)
+			}
+			stats.SetTiming(true)
+		} else if _, err := DrainVec(v); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DrainVec(v); err != nil {
+			t.Fatal(err)
+		}
+		text, fresh := stats.Format(), render(false)
+		if stats.AggsMaintained() != 1 || strings.Count(text, " maintained") != 2 ||
+			!strings.Contains(text, "HashAggregate  [") || !regexp.MustCompile(`(?m)^HashAggregate .* maintained( time=.*)?\]$`).MatchString(text) ||
+			!regexp.MustCompile(`(?m)^TableScan .* maintained( time=.*)?\]$`).MatchString(text) {
+			t.Fatalf("Q1 reopened over a table %s: want the aggregation and its scan marked maintained:\n%s", step, text)
+		}
+		got := times.ReplaceAllString(strings.ReplaceAll(text, " maintained", ""), "")
+		if step == "appended to" {
+			got, fresh = batches.ReplaceAllString(got, ""), batches.ReplaceAllString(fresh, "")
+			if !strings.Contains(text, "time=") {
+				t.Fatalf("Q1 reopened timed renders no time:\n%s", text)
+			}
+		}
+		if got != fresh {
+			t.Fatalf("Q1 reopened over a table %s renders\n%s\na fresh tree\n%s", step, text, fresh)
+		}
 	}
 }
 

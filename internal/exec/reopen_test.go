@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -72,8 +73,13 @@ func reopenPlans(t *testing.T, q *relalg.Query, cat *catalog.Catalog) map[string
 // budget must really spill in every one. An unbounded held tree must keep
 // exactly the join tables whose build side reads no changed table
 // (keptBuilds) and render their build subtrees "reused"; a tree under the
-// budget keeps none. Last, a tree compiled over the tables emptied runs
-// before and after AppendRows has put their rows back.
+// budget keeps none. An unbounded held tree whose aggregation reads one
+// table's scan (Q1, Q6) must maintain it — keep its table and fold only the
+// appended rows, the aggregation and the scan rendered "maintained" —
+// exactly in the executions after an append, and rebuild after the reset.
+// Last, a tree compiled over the tables emptied runs before and after
+// AppendRows has put their rows back, which a maintained aggregation folds
+// as appended rows.
 func TestReopenedExecutionMatchesFresh(t *testing.T) {
 	win := linearroad.NewWindows()
 	win.Ingest(linearroad.NewGen(2, 60).Slice(0, 40))
@@ -185,6 +191,8 @@ func TestReopenedExecutionMatchesFresh(t *testing.T) {
 					t.Fatalf("%s: %d join tables kept and %d nodes rendered reused, want %d and %d\n%s",
 						label, got, marked, joins, nodes, tr.stats.Format())
 				}
+				// Executions 3 and 4 follow appends only.
+				checkMaintained(t, label, tr.comp, tr.plan, tr.stats, step >= 2)
 				parts, _, _ := tr.comp.Mem.SpillStats()
 				spilled += parts
 
@@ -217,6 +225,7 @@ func TestReopenedExecutionMatchesFresh(t *testing.T) {
 			want := testkit.Canonical(ref.Rows(), nil)
 			label := fmt.Sprintf("%s, execution %d", tr.label, step+1)
 			checkExecution(t, label, tr.comp, tr.root, tr.stats, ref.Card, want, tr.plan)
+			checkMaintained(t, label, tr.comp, tr.plan, tr.stats, step == 1)
 			fresh := compile(label+", fresh tree", tr.plan, 0)
 			checkExecution(t, fresh.label, fresh.comp, fresh.root, fresh.stats, ref.Card, want, fresh.plan)
 			if got, want := tr.stats.Snapshot(), fresh.stats.Snapshot(); !reflect.DeepEqual(got, want) {
@@ -229,15 +238,43 @@ func TestReopenedExecutionMatchesFresh(t *testing.T) {
 	}
 }
 
-// appendingBuild is a join's build child that appends a row to tab from
-// inside the build's drain, after the child has bound its snapshots: the
-// append lands while the build runs, as a concurrent one may. opens counts
-// the child's Opens, one per build.
+// scanRoot reports whether plan's root is a scan, through enforcers.
+func scanRoot(plan *relalg.Plan) bool {
+	for plan.Log == relalg.LogEnforce {
+		plan = plan.Left
+	}
+	return plan.Log == relalg.LogScan
+}
+
+// checkMaintained checks the latest execution of a held tree compiled by
+// comp for plan: an unbounded tree whose aggregation reads one scan
+// maintains it exactly when appended says only appends happened since its
+// last execution, and then renders the aggregation and the scan, and
+// nothing else, "maintained"; every other tree maintains nothing.
+func checkMaintained(t *testing.T, label string, comp *Compiler, plan *relalg.Plan, stats *RunStats, appended bool) {
+	t.Helper()
+	want := 0
+	if appended && comp.Q.Agg != nil && scanRoot(plan) && !comp.Mem.Bounded() {
+		want = 1
+	}
+	text := stats.Format()
+	if got, marked := stats.AggsMaintained(), strings.Count(text, " maintained"); got != want || marked != 2*want {
+		t.Fatalf("%s: %d aggregations maintained and %d nodes rendered maintained, want %d and %d\n%s",
+			label, got, marked, want, 2*want, text)
+	}
+}
+
+// appendingBuild is a join's build child, or an aggregation's scan, that
+// appends copies of tab's first rows — one, or copies of them — from inside
+// the drain, after the child has bound its snapshots: the append lands while
+// the build or the fold runs, as a concurrent one may. opens counts the
+// child's Opens, one per execution that drains it.
 type appendingBuild struct {
 	VecIterator
 	tab     *catalog.Table
 	opens   int
 	pending bool // the append is still to come
+	copies  int
 	t       *testing.T
 }
 
@@ -250,24 +287,37 @@ func (a *appendingBuild) Next() (*Batch, error) {
 	if a.pending {
 		a.pending = false
 		snap := a.tab.Store().Snapshot()
-		row := make([]int64, len(snap.Cols))
-		for c, col := range snap.Cols {
-			row[c] = col[0]
+		rows := make([][]int64, max(a.copies, 1))
+		for i := range rows {
+			rows[i] = make([]int64, len(snap.Cols))
+			for c, col := range snap.Cols {
+				rows[i][c] = col[i]
+			}
 		}
-		if err := a.tab.AppendRows([][]int64{row}); err != nil {
+		if err := a.tab.AppendRows(rows); err != nil {
 			a.t.Fatal(err)
 		}
 	}
 	return a.VecIterator.Next()
 }
 
-// TestKeptBuildSeesAppendDuringBuild appends to a table under a join's build
-// side while the build drains it, for every join of Q3S and Q5: the next
-// Open of that join must rebuild, since its pin recorded the table's
-// version before the build bound the snapshot the append left behind, while
-// every join whose build side reads another table keeps its own. Each
+// TestKeptBuildSeesAppendDuringBuild appends to a base table from inside a
+// drain that has bound its snapshot, in two arms. kept-tables: a table under
+// a join's build side while the build drains it, for every join of Q3S and
+// Q5. The next Open of that join must rebuild, since its pin recorded the
+// table's version before the build bound the snapshot the append left
+// behind, while every join whose build side reads another table keeps its
+// own. maintained-aggregates: lineitem, from inside Q1's and Q6's scan
+// while the fold drains it (maintainedAggsSeeAppendDuringFold). Each
 // execution returns the reference's multiset over the tables as it began.
 func TestKeptBuildSeesAppendDuringBuild(t *testing.T) {
+	t.Run("kept-tables", keptTablesSeeAppendDuringBuild)
+	t.Run("maintained-aggregates", maintainedAggsSeeAppendDuringFold)
+}
+
+// keptTablesSeeAppendDuringBuild is TestKeptBuildSeesAppendDuringBuild's
+// join arm.
+func keptTablesSeeAppendDuringBuild(t *testing.T) {
 	for _, q := range []*relalg.Query{tpch.Q3S(), tpch.Q5()} {
 		cat := tpch.Generate(tpch.Config{ScaleFactor: 0.002, Seed: 7})
 		plan := reopenPlans(t, q, cat)["volcano"]
@@ -317,6 +367,39 @@ func TestKeptBuildSeesAppendDuringBuild(t *testing.T) {
 					t.Fatalf("%s: the build child opened %d times, %d join tables kept; want %d and %d",
 						label, child.opens, stats.BuildsReused(), exec, kept)
 				}
+			}
+		}
+	}
+}
+
+// maintainedAggsSeeAppendDuringFold is TestKeptBuildSeesAppendDuringBuild's
+// aggregation arm: Q1's and Q6's scan appends copies of 512 lineitem rows
+// from inside the fold's drain, after it bound its snapshot. The next
+// execution maintains the table and folds exactly the rows the drain did
+// not see: it starts at the row count the first bound, and returns the
+// reference's multiset over the table grown.
+func maintainedAggsSeeAppendDuringFold(t *testing.T) {
+	const copies = 512
+	for _, q := range []*relalg.Query{tpch.Q1(), tpch.Q6()} {
+		cat := tpch.Generate(tpch.Config{ScaleFactor: 0.002, Seed: 7})
+		plan := reopenPlans(t, q, cat)["volcano"]
+		comp := &Compiler{Q: q, Cat: cat, Mem: NewMemTracker(0)}
+		root, stats, err := comp.CompileVec(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		agg := stats.agg.in.(*vecHashAggOp)
+		tab := cat.MustTable("lineitem")
+		_, n := tab.ColumnSnapshot()
+		child := &appendingBuild{VecIterator: agg.in, tab: tab, pending: true, copies: copies, t: t}
+		agg.in = child
+		for exec, want := range []struct{ n, maintained int }{{n, 0}, {n + copies, 1}} {
+			label := fmt.Sprintf("%s, scan appended to while it drains, execution %d", q.Name, exec+1)
+			ref := testkit.NewReference(q, cat)
+			checkExecution(t, label, comp, root, stats, ref.Card, testkit.Canonical(ref.Rows(), nil), plan)
+			if child.opens != exec+1 || agg.n != want.n || stats.AggsMaintained() != want.maintained {
+				t.Fatalf("%s: the scan opened %d times, the table holds %d rows, %d aggregations maintained; want %d, %d and %d",
+					label, child.opens, agg.n, stats.AggsMaintained(), exec+1, want.n, want.maintained)
 			}
 		}
 	}
@@ -391,5 +474,205 @@ func TestFailedTreeRefusesReopen(t *testing.T) {
 	}
 	if err := root.Open(); err == nil || !strings.Contains(err.Error(), "failed") {
 		t.Fatalf("Open after a failed execution: %v, want a refusal", err)
+	}
+}
+
+// window returns rows [lo, hi) of snap as a snapshot sharing its columns.
+func window(snap *storage.Snapshot, lo, hi int) *storage.Snapshot {
+	w := &storage.Snapshot{Cols: make([][]int64, len(snap.Cols)), N: hi - lo}
+	for c, col := range snap.Cols {
+		w.Cols[c] = col[lo:hi:hi]
+	}
+	return w
+}
+
+// resettingScan is an aggregation's scan that calls reset from its Open,
+// before the scan binds its snapshot, once.
+type resettingScan struct {
+	VecIterator
+	reset func()
+}
+
+func (r *resettingScan) Open() error {
+	if r.reset != nil {
+		r.reset()
+		r.reset = nil
+	}
+	return r.VecIterator.Open()
+}
+
+// TestMaintainedAggRebuildsAfterReset: ResetSnapshot starts a new epoch, so
+// a held aggregation over the reset table rebuilds from row 0 and folds
+// nothing onto what it kept, even when the new content is longer than its
+// watermark. lineitem is first the window of its last two thirds, over
+// which Q1 and Q6 execute twice (the second maintains the table); then it
+// is the whole table, published by ResetSnapshot, whose first rows are not
+// the window's. Folding the whole table's rows past the window's length
+// onto the window's sums would return neither reference. Three arms: the
+// reset before Open; the reset inside Open, after anything an aggregation
+// could read before its scan binds; and, for the race detector, a goroutine
+// switching between the two contents while executions run, each of which
+// must return one of the two references' multisets.
+func TestMaintainedAggRebuildsAfterReset(t *testing.T) {
+	cfg := tpch.Config{ScaleFactor: 0.002, Seed: 7}
+	orig := tpch.Generate(cfg) // lineitem whole, for the references
+	for _, arm := range []string{"before-open", "before-bind", "racing"} {
+		for _, q := range []*relalg.Query{tpch.Q1(), tpch.Q6()} {
+			label := fmt.Sprintf("%s %s", arm, q.Name)
+			cat := tpch.Generate(cfg)
+			tab := cat.MustTable("lineitem")
+			whole := tab.Store().Snapshot()
+			part := window(whole, whole.N/3, whole.N)
+			tab.ResetSnapshot(part)
+			plan := reopenPlans(t, q, cat)["volcano"]
+			comp := &Compiler{Q: q, Cat: cat, Mem: NewMemTracker(0)}
+			root, stats, err := comp.CompileVec(plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for exec := 1; exec <= 2; exec++ {
+				ref := testkit.NewReference(q, cat)
+				checkExecution(t, label, comp, root, stats, ref.Card, testkit.Canonical(ref.Rows(), nil), plan)
+			}
+			if stats.AggsMaintained() != 1 {
+				t.Fatalf("%s: the unchanged window's second execution maintained nothing", label)
+			}
+			refWhole := testkit.NewReference(q, orig)
+			wantPart, wantWhole := testkit.Canonical(testkit.NewReference(q, cat).Rows(), nil), testkit.Canonical(refWhole.Rows(), nil)
+			if wantWhole == wantPart {
+				t.Fatalf("%s: the window and the whole table agree", label)
+			}
+			reset := func() { tab.ResetSnapshot(whole) }
+			switch arm {
+			case "before-open":
+				reset()
+			case "before-bind":
+				agg := stats.agg.in.(*vecHashAggOp)
+				agg.in = &resettingScan{VecIterator: agg.in, reset: reset}
+			case "racing":
+				stop := make(chan struct{})
+				done := make(chan struct{})
+				go func() {
+					defer close(done)
+					for i := 0; ; i++ {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						if i%2 == 0 {
+							tab.ResetSnapshot(part)
+						} else {
+							tab.ResetSnapshot(whole)
+						}
+					}
+				}()
+				for exec := 0; exec < 200 && !t.Failed(); exec++ {
+					rows, err := DrainVec(root)
+					if err != nil {
+						t.Error(err)
+						break
+					}
+					if got := testkit.Canonical(rows, nil); got != wantPart && got != wantWhole {
+						t.Errorf("%s: execution %d returned neither the window's nor the whole table's rows", label, exec)
+					}
+				}
+				close(stop)
+				<-done
+				continue
+			}
+			checkExecution(t, label+", after the reset", comp, root, stats, refWhole.Card, wantWhole, plan)
+			if stats.AggsMaintained() != 0 {
+				t.Fatalf("%s: the execution after a reset to a longer content maintained the table", label)
+			}
+		}
+	}
+}
+
+// TestBindDirSwapInvalidatesKeptState: BindDir replaces a table's content
+// wholesale and adopts the data version its directory was flushed at, which
+// the content it replaces may have had too. Catalogs a and b are generated
+// alike and reset once each, a to other content (its tables' last two
+// thirds, twice over) and b to its own, so both are at the same versions;
+// a's tables are flushed to a directory. Held Q3S and Q1 trees over b
+// execute twice — the second keeps its join tables, or maintains its
+// aggregation — and then b is bound to a's directory: the next execution
+// must keep no join table, maintain nothing, and match the reference over
+// a's content.
+func TestBindDirSwapInvalidatesKeptState(t *testing.T) {
+	dir := t.TempDir()
+	reset := func(cat *catalog.Catalog, content func(*storage.Snapshot) *storage.Snapshot) {
+		for _, name := range cat.Names() {
+			tab := cat.MustTable(name)
+			tab.ResetSnapshot(content(tab.Store().Snapshot()))
+		}
+	}
+	a := tpch.Generate(tpch.Config{ScaleFactor: 0.002, Seed: 7})
+	reset(a, func(s *storage.Snapshot) *storage.Snapshot {
+		tail := window(s, s.N/3, s.N)
+		twice := &storage.Snapshot{Cols: make([][]int64, len(s.Cols)), N: 2 * tail.N}
+		for c, col := range tail.Cols {
+			twice.Cols[c] = append(slices.Clone(col), col...)
+		}
+		return twice
+	})
+	if _, err := a.BindDir(dir, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.FlushDir(); err != nil {
+		t.Fatal(err)
+	}
+	b := tpch.Generate(tpch.Config{ScaleFactor: 0.002, Seed: 7})
+	reset(b, func(s *storage.Snapshot) *storage.Snapshot { return s })
+	for _, name := range b.Names() {
+		if va, vb := a.MustTable(name).DataVersion(), b.MustTable(name).DataVersion(); va != vb {
+			t.Fatalf("%s: the flushed catalog is at version %d, the held one at %d", name, va, vb)
+		}
+	}
+	type tree struct {
+		q     *relalg.Query
+		plan  *relalg.Plan
+		comp  *Compiler
+		root  VecIterator
+		stats *RunStats
+		old   string
+	}
+	var trees []tree
+	for _, q := range []*relalg.Query{tpch.Q3S(), tpch.Q1()} {
+		plan := reopenPlans(t, q, b)["volcano"]
+		comp := &Compiler{Q: q, Cat: b, Mem: NewMemTracker(0)}
+		root, stats, err := comp.CompileVec(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := testkit.NewReference(q, b)
+		want := testkit.Canonical(ref.Rows(), nil)
+		for exec := 1; exec <= 2; exec++ {
+			checkExecution(t, q.Name, comp, root, stats, ref.Card, want, plan)
+		}
+		if stats.BuildsReused()+stats.AggsMaintained() == 0 {
+			t.Fatalf("%s: the unchanged second execution kept nothing", q.Name)
+		}
+		trees = append(trees, tree{q, plan, comp, root, stats, want})
+	}
+	sum, err := b.BindDir(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { b.FlushDir() })
+	if sum.Loaded != len(b.Names()) {
+		t.Fatalf("BindDir loaded %d of %d tables", sum.Loaded, len(b.Names()))
+	}
+	for _, tr := range trees {
+		label := tr.q.Name + " after the swap"
+		ref := testkit.NewReference(tr.q, b)
+		want := testkit.Canonical(ref.Rows(), nil)
+		if want == tr.old {
+			t.Fatalf("%s: the swapped content returns the rows it replaced", label)
+		}
+		checkExecution(t, label, tr.comp, tr.root, tr.stats, ref.Card, want, tr.plan)
+		if kept, maintained := tr.stats.BuildsReused(), tr.stats.AggsMaintained(); kept+maintained != 0 {
+			t.Fatalf("%s: %d join tables kept and %d aggregations maintained across the swap", label, kept, maintained)
+		}
 	}
 }

@@ -29,17 +29,15 @@ import "slices"
 // COUNT(DISTINCT).
 
 // fold folds every batch next returns into t — raw input rows at level 0, a
-// spilled run's partials below it — and charges the table's growth. A table
+// spilled run's partials below it — and charges the table's growth beyond
+// charged, what t is charged already. A table
 // that outgrows its reservation is dumped into partition runs at level and
 // folding restarts in a fresh table — unless single says next is a run no
 // window splits, which folds in memory. fold returns the last table, what it
 // is charged and the partitioner, nil if nothing was dumped; on an error it
 // has aborted the one and released the other.
-func (a *vecHashAggOp) fold(t *aggTable, level int, single bool, next func() (*Batch, error)) (*aggTable, int64, *spillPartitioner, error) {
-	var (
-		part    *spillPartitioner
-		charged int64
-	)
+func (a *vecHashAggOp) fold(t *aggTable, charged int64, level int, single bool, next func() (*Batch, error)) (*aggTable, int64, *spillPartitioner, error) {
+	var part *spillPartitioner
 	fail := func(err error) (*aggTable, int64, *spillPartitioner, error) {
 		if part != nil {
 			part.abort()
@@ -125,7 +123,7 @@ func (a *vecHashAggOp) mergeRun(r *spillRun, level int) error {
 	if err != nil {
 		return err
 	}
-	t, charged, part, err := a.fold(newAggTable(a.spec), level, r.single, rd.next)
+	t, charged, part, err := a.fold(newAggTable(a.spec), 0, level, r.single, rd.next)
 	if err != nil {
 		return err
 	}

@@ -87,7 +87,7 @@ func converge(t *testing.T, label string, st *Stmt) *Result {
 }
 
 // TestHeldRunMatchesFresh is the serving half of the reopen differential.
-// Q1, Q3S, Q5 and Q10 are served from a DataDir-bound catalog (so trees with
+// Q1, Q3S, Q5, Q6 and Q10 are served from a DataDir-bound catalog (so trees with
 // segment-pruned scans are reopened too), unbounded and under a budget that
 // spills. After the entries converge, each round appends — orders and
 // lineitems in the first three, customers only in the fourth, lineitems only
@@ -97,7 +97,9 @@ func converge(t *testing.T, label string, st *Stmt) *Result {
 // must in turn equal testkit.Reference over the tables as they are now; and
 // the server must have compiled fewer trees than it executed. Unbounded, held
 // runs must keep hash-join tables in every round (a build over an appended
-// table that was kept would feed back the old count); under the budget none.
+// table that was kept would feed back the old count) and maintain Q1's and
+// Q6's aggregation (Q6 has no group key), folding the appended lineitems
+// into the table they kept; under the budget none.
 // One session's first execution of each round is an ExplainAnalyze: the
 // analyze arm, a timed execution on a held tree among untimed ones.
 //
@@ -110,7 +112,7 @@ func TestHeldRunMatchesFresh(t *testing.T) {
 		execs    = 2 // per session and statement in a round
 		budget   = 2 << 10
 	)
-	names := []string{"Q1", "Q3S", "Q5", "Q10"}
+	names := []string{"Q1", "Q3S", "Q5", "Q6", "Q10"}
 	for _, mem := range []int64{0, budget} {
 		label := fmt.Sprintf("budget=%d", mem)
 		srv := testServer(t, Options{DataDir: t.TempDir(),
@@ -135,7 +137,7 @@ func TestHeldRunMatchesFresh(t *testing.T) {
 		}
 		for round := 1; round <= len(appends); round++ {
 			appends[round-1]()
-			reused := srv.Metrics().BuildsReused
+			m0 := srv.Metrics()
 			for _, name := range names {
 				at := fmt.Sprintf("%s %s round %d", label, name, round)
 				first := stmts[name].entry.cur.Load()
@@ -204,13 +206,17 @@ func TestHeldRunMatchesFresh(t *testing.T) {
 					}
 				}
 			}
-			if n := srv.Metrics().BuildsReused - reused; (mem == 0) != (n > 0) {
+			m1 := srv.Metrics()
+			if n := m1.BuildsReused - m0.BuildsReused; (mem == 0) != (n > 0) {
 				t.Fatalf("%s round %d: held runs kept %d hash-join tables", label, round, n)
+			}
+			if n := m1.AggsMaintained - m0.AggsMaintained; (mem == 0) != (n > 0) {
+				t.Fatalf("%s round %d: held runs maintained %d aggregations", label, round, n)
 			}
 		}
 		m := srv.Metrics()
-		t.Logf("%s: %d executions, %d trees compiled, %d join tables kept, %d spilled",
-			label, m.Execs, m.Compiles, m.BuildsReused, m.SpilledQueries)
+		t.Logf("%s: %d executions, %d trees compiled, %d join tables kept, %d aggregations maintained, %d spilled",
+			label, m.Execs, m.Compiles, m.BuildsReused, m.AggsMaintained, m.SpilledQueries)
 		if m.Compiles >= m.Execs {
 			t.Fatalf("%s: %d trees compiled for %d executions: no held run was reused", label, m.Compiles, m.Execs)
 		}
@@ -224,8 +230,8 @@ func TestHeldRunMatchesFresh(t *testing.T) {
 // hash-join table, a result-cache entry — is used only while the tables
 // under it are at the data versions its catalog.Pin recorded, and the pin
 // records them before the state's scans bind their snapshots. One session
-// executes Q3S in a loop while the test appends orders, and then executes
-// Q3S from a second session (in the result-cache arm twice: the first
+// executes Q3S (Q1) in a loop while the test appends orders, and then
+// executes it from a second session (in the result-cache arm twice: the first
 // execution has a second append land while it streams, so a spool that
 // pinned its tables late would store a stale entry). Every execution that
 // starts after an append has returned and ends before the next one begins —
@@ -234,50 +240,75 @@ func TestHeldRunMatchesFresh(t *testing.T) {
 // Were the versions read after the build (or the spool's subtree) bound its
 // snapshots, an execution that bound the old orders could record the new
 // version, and later executions would keep its stale table or serve its
-// stale entry. The arms: held runs keeping join tables, and a result cache
-// probed, spooled into and invalidated. CI runs it under -race -count=10.
+// stale entry. The arms: held runs keeping join tables, a result cache
+// probed, spooled into and invalidated, and held runs of Q1 maintaining its
+// aggregation, whose rows are checked as well: a fold that missed an
+// appended lineitem, or read one twice, would return other sums. CI runs it
+// under -race -count=10.
 func TestKeptBuildSeesEveryAppend(t *testing.T) {
 	t.Run("kept-tables", func(t *testing.T) {
-		m := keptStateSeesEveryAppend(t, Options{MaxConcurrent: 2}, false)
+		m := keptStateSeesEveryAppend(t, "Q3S", Options{MaxConcurrent: 2}, false)
 		if m.BuildsReused == 0 {
 			t.Fatalf("%d executions kept no hash-join table", m.Execs)
 		}
 	})
 	t.Run("result-cache", func(t *testing.T) {
-		m := keptStateSeesEveryAppend(t, Options{MaxConcurrent: 2, ResultCacheBytes: 64 << 20}, true)
+		m := keptStateSeesEveryAppend(t, "Q3S", Options{MaxConcurrent: 2, ResultCacheBytes: 64 << 20}, true)
 		if rc := m.ResultCache; rc.Hits == 0 || rc.Stores == 0 || rc.Invalidations == 0 {
 			t.Fatalf("%d executions: result cache %+v, want hits, stores and invalidations", m.Execs, rc)
 		}
 	})
+	t.Run("maintained-aggregates", func(t *testing.T) {
+		m := keptStateSeesEveryAppend(t, "Q1", Options{MaxConcurrent: 2}, false)
+		if m.AggsMaintained == 0 {
+			t.Fatalf("%d executions maintained no aggregation", m.Execs)
+		}
+	})
 }
 
-// keptStateSeesEveryAppend runs TestKeptBuildSeesEveryAppend's rounds on a
-// server with opts and returns its metrics. With straddle, the appending
-// session's first execution of a round has a second append land while it
-// streams.
-func keptStateSeesEveryAppend(t *testing.T, opts Options, straddle bool) Metrics {
+// keptStateSeesEveryAppend runs TestKeptBuildSeesEveryAppend's rounds of the
+// named statement on a server with opts and returns its metrics. With
+// straddle, the appending session's first execution of a round has a second
+// append land while it streams.
+func keptStateSeesEveryAppend(t *testing.T, name string, opts Options, straddle bool) Metrics {
 	const rounds = 40
 	srv := testServer(t, opts)
 	prepare := func() *Stmt {
-		st, err := srv.Session().PrepareNamed("Q3S")
+		st, err := srv.Session().PrepareNamed(name)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return st
 	}
 	st := prepare()
-	converge(t, "Q3S", st)
+	converge(t, name, st)
 	loop := prepare()
-	check := func(who string, res *Result, ref *testkit.Reference) {
+	// An aggregation's rows are plan-independent: they are checked too.
+	agg := st.Query().Agg != nil
+	type reference struct {
+		*testkit.Reference
+		rows string // the canonical rows of an aggregation
+	}
+	newReference := func() *reference {
+		ref := &reference{Reference: testkit.NewReference(st.Query(), srv.cat)}
+		if agg {
+			ref.rows = testkit.Canonical(ref.Rows(), nil)
+		}
+		return ref
+	}
+	check := func(who string, res *Result, rows []exec.Row, ref *reference) {
 		for set, n := range res.cards {
 			if want := ref.Card(set); n != want {
 				t.Errorf("%s: an execution started after the append counts %d rows for %v, the reference %d", who, n, set, want)
 			}
 		}
+		if agg && testkit.Canonical(rows, nil) != ref.rows {
+			t.Errorf("%s: an execution started after the append returns other rows than the reference", who)
+		}
 	}
 	// quiet is the reference over the tables as the last append left them,
 	// nil while an append is in flight; checked counts the loop's checks.
-	var quiet atomic.Pointer[testkit.Reference]
+	var quiet atomic.Pointer[reference]
 	var checked atomic.Int64
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -291,13 +322,13 @@ func keptStateSeesEveryAppend(t *testing.T, opts Options, straddle bool) Metrics
 			default:
 			}
 			ref := quiet.Load()
-			res, err := loop.Exec()
+			res, rows, err := execRows(loop)
 			if err != nil {
 				t.Error(err)
 				return
 			}
 			if ref != nil && quiet.Load() == ref { // no append began during the execution
-				check("the looping session", res, ref)
+				check("the looping session", res, rows, ref)
 				checked.Add(1)
 			}
 		}
@@ -318,13 +349,13 @@ func keptStateSeesEveryAppend(t *testing.T, opts Options, straddle bool) Metrics
 			}
 			appendAgain()
 		}
-		ref := testkit.NewReference(st.Query(), srv.cat)
+		ref := newReference()
 		quiet.Store(ref)
-		res, err := st.Exec()
+		res, rows, err := execRows(st)
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(fmt.Sprintf("round %d, the appending session", round), res, ref)
+		check(fmt.Sprintf("round %d, the appending session", round), res, rows, ref)
 		for n := checked.Load(); checked.Load() < n+2 && !t.Failed(); {
 			runtime.Gosched() // the loop's next two executions start after the append
 		}

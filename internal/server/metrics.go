@@ -59,11 +59,14 @@ type Metrics struct {
 	// spill, executor or sink error (a gone client's failed write); Execs
 	// counts only the others. BuildsReused counts hash-join tables a held
 	// run kept from its previous execution because no table under their
-	// build side had changed (exec.RunStats.BuildsReused). ConnErrors
-	// counts ServeListener connections that ended in an error.
-	FailedExecs  int64
-	BuildsReused int64
-	ConnErrors   int64
+	// build side had changed (exec.RunStats.BuildsReused). AggsMaintained
+	// counts aggregations a held run kept and folded only the rows appended
+	// since its previous execution into (exec.RunStats.AggsMaintained).
+	// ConnErrors counts ServeListener connections that ended in an error.
+	FailedExecs    int64
+	BuildsReused   int64
+	AggsMaintained int64
+	ConnErrors     int64
 
 	// FullOpts counts initial optimizations, from scratch or by clone;
 	// Clones counts those that cloned a cached template of the same join
@@ -136,6 +139,7 @@ func (s *Server) Metrics() Metrics {
 		Compiles:       s.compiles.Load(),
 		FailedExecs:    s.failedExecs.Load(),
 		BuildsReused:   s.buildsReused.Load(),
+		AggsMaintained: s.aggsMaint.Load(),
 		ConnErrors:     s.connErrors.Load(),
 		FullOpts:       s.fullOpts.Load(),
 		FullOptTime:    time.Duration(s.fullOptNanos.Load()),
@@ -204,8 +208,8 @@ func (m Metrics) String() string {
 	fmt.Fprintf(&b, "full-opts=%d (%v) clones=%d repairs=%d (%v) converged-execs=%d\n",
 		m.FullOpts, m.FullOptTime.Round(time.Microsecond), m.Clones,
 		m.Repairs, m.RepairTime.Round(time.Microsecond), m.Converged)
-	fmt.Fprintf(&b, "runs: compiles=%d builds-reused=%d failed-execs=%d conn-errors=%d\n",
-		m.Compiles, m.BuildsReused, m.FailedExecs, m.ConnErrors)
+	fmt.Fprintf(&b, "runs: compiles=%d builds-reused=%d aggs-maintained=%d failed-execs=%d conn-errors=%d\n",
+		m.Compiles, m.BuildsReused, m.AggsMaintained, m.FailedExecs, m.ConnErrors)
 	fmt.Fprintf(&b, "latency: %s\n", m.ExecLatency)
 	fmt.Fprintf(&b, "queue-wait: waited=%d %s\n", m.QueueWaits, m.QueueWait)
 	fmt.Fprintf(&b, "memory: peak-bytes %s\n", m.PeakMem)

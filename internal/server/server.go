@@ -211,6 +211,7 @@ type Server struct {
 	compiles     atomic.Int64
 	failedExecs  atomic.Int64 // executions run ended in an error, not in execs
 	buildsReused atomic.Int64 // hash-join tables a held run kept (exec.RunStats.BuildsReused)
+	aggsMaint    atomic.Int64 // aggregations a held run maintained (exec.RunStats.AggsMaintained)
 	connErrors   atomic.Int64 // ServeListener connections that ended in an error
 	fullOpts     atomic.Int64
 	fullOptNanos atomic.Int64
@@ -586,7 +587,8 @@ func (s *Server) release() { <-s.sem }
 // peak memory stays observable on unbounded servers — only when none is idle.
 // It drains the tree into each (nil counts), records the execution's latency
 // (the sink's time included), peak memory and spill, and from its RunStats
-// the hash-join tables it kept and the result-cache probe hits and spools.
+// the hash-join tables it kept, the aggregation it maintained and the
+// result-cache probe hits and spools.
 // The caller hands the run back once it has read the RunStats. The returned
 // Result lacks only Repaired and the cards.
 func (s *Server) run(e *planEntry, snap *planVersion, timed bool, each func(*exec.Batch) error) (*Result, *heldRun, error) {
@@ -614,6 +616,7 @@ func (s *Server) run(e *planEntry, snap *planVersion, timed bool, each func(*exe
 	s.latencyH.Observe(elapsed)
 	e.execs.Add(1)
 	s.buildsReused.Add(int64(run.stats.BuildsReused()))
+	s.aggsMaint.Add(int64(run.stats.AggsMaintained()))
 
 	peak := run.mem.Peak()
 	s.peakMemH.ObserveInt64(peak)

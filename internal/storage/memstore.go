@@ -24,7 +24,7 @@ type MemStore struct {
 func NewMemStore(width int) *MemStore {
 	s := &MemStore{width: width}
 	cols := make([][]int64, width)
-	s.snap.Store(&Snapshot{Cols: cols})
+	s.snap.Store(&Snapshot{Cols: cols, Epoch: newEpoch()})
 	return s
 }
 
@@ -66,7 +66,7 @@ func (s *MemStore) appendLocked(rows [][]int64) {
 		}
 		cols[c] = col
 	}
-	s.snap.Store(&Snapshot{Cols: cols, N: n})
+	s.snap.Store(&Snapshot{Cols: cols, N: n, Epoch: old.Epoch})
 }
 
 // growCap picks the capacity for growth to need: a quarter of headroom, not
@@ -79,7 +79,7 @@ func growCap(have, need int) int {
 }
 
 // ResetSnapshot publishes snap's first N rows as the store's whole content,
-// sharing the column arrays with their capacity clipped.
+// sharing the column arrays with their capacity clipped, under a new epoch.
 func (s *MemStore) ResetSnapshot(snap *Snapshot) {
 	cols := make([][]int64, s.width)
 	for c := range cols {
@@ -87,7 +87,7 @@ func (s *MemStore) ResetSnapshot(snap *Snapshot) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.snap.Store(&Snapshot{Cols: cols, N: snap.N})
+	s.snap.Store(&Snapshot{Cols: cols, N: snap.N, Epoch: newEpoch()})
 }
 
 // Scan yields the whole snapshot: a volatile table has no zone maps to prune

@@ -29,7 +29,10 @@
 // ranges Scan's iterator walks too.
 package storage
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // CmpOp is a pushed-down comparison operator. The constants deliberately
 // mirror relalg.CmpOp but are redeclared here so the storage layer depends
@@ -60,10 +63,25 @@ type Pred struct {
 // Cols[c][i] is row i's value in column c, valid for i < N. Later appends
 // publish new snapshots without disturbing existing ones, so holders may
 // keep reading (and hand out zero-copy windows) for as long as they like.
+//
+// Epoch names the content's base: every snapshot that does not extend
+// another — a new store's first, each ResetSnapshot's — takes a fresh one
+// from a process-wide counter, and an append's snapshot carries its
+// predecessor's. Two snapshots of one epoch therefore agree on the rows
+// below the smaller N: the larger is the smaller plus appended rows, which
+// is what lets state derived from the first N rows absorb only the rest.
+// ResetSnapshot ignores the Epoch of the snapshot it is handed.
 type Snapshot struct {
-	Cols [][]int64
-	N    int
+	Cols  [][]int64
+	N     int
+	Epoch uint64
 }
+
+// epochs hands out snapshot epochs; 0 is never one.
+var epochs atomic.Uint64
+
+// newEpoch returns an epoch no snapshot has had.
+func newEpoch() uint64 { return epochs.Add(1) }
 
 // Backend is the storage interface a catalog table binds to. What only a
 // persistent table does — report the version it loaded, close its files —
@@ -79,8 +97,8 @@ type Backend interface {
 	// stream window republished each slice. The columns are shared, not
 	// copied: the caller must never write to rows < snap.N of them again
 	// (their capacity is clipped, so the store's own appends copy rather
-	// than write into arrays it does not own). Persistent backends rewrite
-	// their history at the next Flush.
+	// than write into arrays it does not own). The new content starts a new
+	// epoch. Persistent backends rewrite their history at the next Flush.
 	ResetSnapshot(snap *Snapshot)
 	// Scan returns a pooled batch iterator over the rows, pruned by the
 	// predicates where zone maps allow, yielding zero-copy column windows

@@ -56,6 +56,53 @@ func sortRows(rows [][]int64) {
 	})
 }
 
+// TestSnapshotEpochs: an append's snapshot carries its predecessor's epoch;
+// a new store's first snapshot, a ResetSnapshot's — even to the same
+// columns — and a disk store's loaded one each take an epoch no snapshot
+// had, and none is 0.
+func TestSnapshotEpochs(t *testing.T) {
+	seen := map[uint64]bool{}
+	fresh := func(label string, snap *Snapshot) {
+		t.Helper()
+		if snap.Epoch == 0 || seen[snap.Epoch] {
+			t.Fatalf("%s: epoch %d is not new", label, snap.Epoch)
+		}
+		seen[snap.Epoch] = true
+	}
+	a, b := NewMemStore(1), NewMemStore(1)
+	fresh("a new store", a.Snapshot())
+	fresh("another new store", b.Snapshot())
+	first := a.Snapshot()
+	if err := a.Append([][]int64{row(1), row(2)}); err != nil {
+		t.Fatal(err)
+	}
+	if got := a.Snapshot(); got.Epoch != first.Epoch || got.N != 2 {
+		t.Fatalf("an append's snapshot: epoch %d, %d rows; want epoch %d, 2 rows", got.Epoch, got.N, first.Epoch)
+	}
+	a.ResetSnapshot(a.Snapshot())
+	fresh("a reset to the same columns", a.Snapshot())
+	dir := t.TempDir()
+	d, err := OpenDiskStore(dir, "t", 1, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh("a new disk store", d.Snapshot())
+	if err := d.Append([][]int64{row(1)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Flush(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if d, err = OpenDiskStore(dir, "t", 1, -1); err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	fresh("a reopened disk store", d.Snapshot())
+}
+
 func TestMemStoreSnapshotIsolation(t *testing.T) {
 	s := NewMemStore(2)
 	if err := s.Append([][]int64{row(1, 10), row(2, 20)}); err != nil {

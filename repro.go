@@ -44,15 +44,22 @@
 //     scratch) and keeps their capacity, for exactly as long as the operator
 //     itself lives; nothing is charged to the tracker between executions.
 //     Reuse has one shape: state built from base tables is kept while the
-//     tables are at the data versions it pinned (catalog.Pin, read before
-//     anything it is built from), and the shims of the subtree it
-//     stands for replay what was kept. An unbounded hash join whose pin
-//     holds keeps its table: it neither opens nor drains its build side,
-//     charges the table again and replays the build subtree's rows and
-//     batches, which EXPLAIN ANALYZE marks "reused"
+//     tables are at the data versions and snapshot epochs it pinned
+//     (catalog.Pin, read before anything it is built from), and the shims
+//     of the subtree it stands for replay what was kept. An unbounded hash
+//     join whose pin holds keeps its table: it neither opens nor drains its
+//     build side, charges the table again and replays the build subtree's
+//     rows and batches, which EXPLAIN ANALYZE marks "reused"
 //     (ServerMetrics.BuildsReused counts them); a result-cache hit is the
-//     other kind. A tree compiled against a result cache, or one whose last
-//     execution failed, refuses a second Open;
+//     second kind. The third is maintained: an unbounded aggregation over
+//     one table's scan (Q1, Q6) keeps its group table over rows [0, n) of
+//     a snapshot epoch (storage.Snapshot.Epoch, new at every reset, store
+//     and directory swap, carried by appends), and when the snapshot its
+//     scan binds is of that epoch it folds only rows [n, N) — SUM,
+//     COUNT(*) and COUNT(DISTINCT) absorb inserts — its scan's counts
+//     starting from the kept rows', both marked "maintained"
+//     (ServerMetrics.AggsMaintained). A tree compiled against a result
+//     cache, or one whose last execution failed, refuses a second Open;
 //   - internal/aqp — the adaptive query processing loop. The controller
 //     owns the standing query's execution: it compiles a plan once and
 //     re-opens that tree at every split point until the re-optimizer
