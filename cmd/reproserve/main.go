@@ -48,8 +48,8 @@
 //
 // Persistent storage:
 //
-//   - -data-dir DIR binds every table to a log-structured persistent
-//     backend under DIR: on first boot the generated TPC-H tables are
+//   - -data-dir DIR keeps every table in a log-structured directory
+//     under DIR: on first boot the generated TPC-H tables are
 //     seeded into it and flushed as immutable sorted column segments on
 //     graceful shutdown; later boots load the segments and replay the
 //     append log instead of regenerating, so a restart serves identical
@@ -67,7 +67,7 @@
 // a probe that matches a fingerprint-identical cached subtree serves it as
 // zero-copy column windows instead of re-executing it, and a miss spools
 // the subtree's output into the cache as a side effect of execution.
-// Entries are invalidated by base-table data versions, so mutations are
+// Entries are invalidated by base-table snapshots, so mutations are
 // never served stale; the byte budget is the cache's only bound. The
 // shutdown metrics flush reports the cache's hit/miss/store/eviction/
 // invalidation counters when enabled.

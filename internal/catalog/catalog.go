@@ -2,7 +2,7 @@
 // tables, columns, indexes, sort orders, and the per-column statistics (row
 // counts, distincts, min/max, equi-depth histograms) that the cost model
 // consumes. A table's data lives in exactly one place, the column snapshot
-// of its storage.Backend; rows are how data arrives (AppendRows), never how
+// of its storage.Store; rows are how data arrives (AppendRows), never how
 // it is held, and a stream window is republished as columns (ResetSnapshot).
 // Statistics are lazy: Analyze only records which rows they describe, and a
 // column's histogram is built the first time a planner reads it (Stats) — a
@@ -43,12 +43,12 @@ type tableStats struct {
 }
 
 // Table is a base table: schema, physical design, statistics, and the
-// storage.Backend that holds its data as one immutable, atomically
+// storage.Store that holds its data as one immutable, atomically
 // republished column snapshot (see ColumnSnapshot) — what the executor scans
 // as zero-copy column windows and what Analyze reads. Values are int64;
 // strings and decimals are dictionary/fixed-point encoded by the workload
-// generators. The default backend is a volatile MemStore, created on first
-// use; persistent deployments bind a DiskStore via Catalog.BindDir.
+// generators. NewTable gives a table a store in memory; persistent
+// deployments bind stores on directories with Catalog.BindDir.
 type Table struct {
 	Name     string
 	ColNames []string
@@ -69,29 +69,30 @@ type Table struct {
 	statsMu sync.Mutex
 	st      atomic.Pointer[tableStats]
 
-	// mu guards the store binding and orders mutations with their version
-	// bump; executions never hold it while scanning — they read an
-	// immutable storage.Snapshot instead.
+	// mu serializes the writers — AppendRows, ResetSnapshot and BindDir's
+	// swap of the store — so no write lands in a store being replaced.
+	// Readers never take it: they load store and read its published
+	// storage.Snapshot, so none waits for an append's fsync.
 	mu    sync.Mutex
-	store storage.Backend
+	store atomic.Pointer[storage.Store]
 
-	// dataVersion counts data mutations: every AppendRows and ResetSnapshot
-	// bumps it, and BindDir sets it to a loaded directory's. Derived state
-	// materialized from the table's rows — cached query results above all —
-	// pins the version it read, with the snapshot's epoch (Pin), and treats
-	// any later value as an invalidation signal.
+	// dataVersion counts AppendRows and ResetSnapshot calls, and BindDir
+	// sets it to a loaded directory's. It is persisted with every flush and
+	// decides nothing: what derived state pins is the snapshot (Pin).
 	dataVersion atomic.Uint64
 }
 
 // NewTable creates an empty table with the given schema. SortedBy defaults
 // to -1 (heap organization).
 func NewTable(name string, cols ...string) *Table {
-	return &Table{
+	t := &Table{
 		Name:     name,
 		ColNames: cols,
 		SortedBy: -1,
 		Width:    float64(8 * len(cols)),
 	}
+	t.store.Store(storage.New(len(cols)))
+	return t
 }
 
 // ColIndex returns the offset of the named column, or an error.
@@ -127,7 +128,7 @@ func (t *Table) AddIndex(col string) {
 
 // Append adds a row. The caller must Analyze afterwards to refresh stats.
 // It panics on arity mismatch or a storage failure; mutation paths that
-// must surface storage errors (persistent backends) use AppendRows, and
+// must surface storage errors (a store on a directory) use AppendRows, and
 // bulk loads batch their rows into it (every call republishes the snapshot).
 func (t *Table) Append(row []int64) {
 	if err := t.AppendRows([][]int64{row}); err != nil {
@@ -135,13 +136,13 @@ func (t *Table) Append(row []int64) {
 	}
 }
 
-// AppendRows adds a batch of rows through the storage backend and bumps the
-// data version. In-flight executions are unaffected: they keep reading the
+// AppendRows adds a batch of rows through the store and bumps the data
+// version. In-flight executions are unaffected: they keep reading the
 // storage snapshot they captured, which appends never mutate.
 func (t *Table) AppendRows(rows [][]int64) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if err := t.storeLocked().Append(rows); err != nil {
+	if err := t.Store().Append(rows); err != nil {
 		return err
 	}
 	t.dataVersion.Add(1)
@@ -158,53 +159,58 @@ func (t *Table) ResetSnapshot(snap *storage.Snapshot) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.storeLocked().ResetSnapshot(snap)
+	t.Store().ResetSnapshot(snap)
 	t.dataVersion.Add(1)
 }
 
 // DataVersion returns the table's data version: a counter bumped by every
-// mutation of the stored rows (AppendRows, ResetSnapshot). Consumers of
-// materialized derived state compare the version they captured at
-// materialization time against the current one to detect staleness.
+// AppendRows and ResetSnapshot, persisted with each flush (FlushDir) and
+// adopted from a loaded directory (BindDir). Nothing in this module decides
+// by it; kept state pins the snapshot instead (Pin).
 func (t *Table) DataVersion() uint64 { return t.dataVersion.Load() }
 
-// Pin is the data versions and snapshot epochs (storage.Snapshot.Epoch) of
-// a set of tables as read when state derived from their rows — a built
-// hash-join table, a cached query result — began to be built; the state is
-// current while Holds. The epoch is what a wholesale swap of the content
-// moves even when the version does not: BindDir adopts the version a
-// directory was flushed at, which another catalog's content may have had
-// too. The zero Pin pins no table and always holds.
+// Pin is the snapshots (storage.Snapshot's Epoch and N) of a set of tables
+// as read when state derived from their rows — a built hash-join table, a
+// cached query result — began to be built; the state is current while
+// Holds. The pair is the content: an append keeps the epoch and grows N, a
+// reset or a store swap (BindDir) takes a new epoch, a flush republishes
+// the same pair, and an empty append publishes nothing. The zero Pin pins no
+// table and always holds.
 //
 // Record BEFORE anything the state is built from is read: the snapshots its
 // scans bind, and any kept state it is built on (a cached result served
-// inside it). AppendRows publishes a snapshot and then bumps the version,
-// and a swap publishes its store before it sets the version, so what is
-// read first is never newer than the rows read after it. Read after, it
-// could be, and the state would be kept over rows it never saw.
+// inside it). What is read first is then never newer than the rows read
+// after it; read after, it could be, and the state would be kept over rows
+// it never saw.
 type Pin struct {
 	tabs []*Table
 	at   []pinned
 }
 
-// pinned is one table's state as a Pin recorded it.
-type pinned struct{ version, epoch uint64 }
+// pinned is one table's snapshot as a Pin recorded it.
+type pinned struct {
+	epoch uint64
+	n     int
+}
 
-// NewPin pins tabs; their versions and epochs are read by Record.
+// NewPin pins tabs; their snapshots are read by Record.
 func NewPin(tabs []*Table) Pin { return Pin{tabs: tabs, at: make([]pinned, len(tabs))} }
 
-// stateOf reads t's version, then its snapshot's epoch.
-func stateOf(t *Table) pinned { return pinned{t.DataVersion(), t.Store().Snapshot().Epoch} }
+// stateOf reads t's current snapshot's epoch and row count.
+func stateOf(t *Table) pinned {
+	snap := t.Store().Snapshot()
+	return pinned{snap.Epoch, snap.N}
+}
 
-// Record reads every pinned table's current version and epoch.
+// Record reads every pinned table's current snapshot.
 func (p *Pin) Record() {
 	for i, t := range p.tabs {
 		p.at[i] = stateOf(t)
 	}
 }
 
-// Holds reports whether every pinned table is still at its recorded version
-// and epoch.
+// Holds reports whether every pinned table's snapshot still has the
+// recorded epoch and row count.
 func (p *Pin) Holds() bool {
 	for i, t := range p.tabs {
 		if stateOf(t) != p.at[i] {
@@ -214,21 +220,8 @@ func (p *Pin) Holds() bool {
 	return true
 }
 
-// Store returns the storage backend, creating the default in-memory one on
-// first use.
-func (t *Table) Store() storage.Backend {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.storeLocked()
-}
-
-// storeLocked is Store for callers holding t.mu.
-func (t *Table) storeLocked() storage.Backend {
-	if t.store == nil {
-		t.store = storage.NewMemStore(len(t.ColNames))
-	}
-	return t.store
-}
+// Store returns the table's store. It takes no lock.
+func (t *Table) Store() *storage.Store { return t.store.Load() }
 
 // ColumnSnapshot returns the table's data: an immutable column-major view,
 // cols[c][i] being row i's value in column c for i < n. The pair is
@@ -296,8 +289,8 @@ func (t *Table) Stats(off int) ColStats {
 }
 
 // ZoneCols returns the column offsets whose segment zone maps make
-// predicate pruning effective on the bound backend (none for the in-memory
-// store). The cost model prices a table scan by the rows pruning leaves.
+// predicate pruning effective on the table's store (none for a store in
+// memory). The cost model prices a table scan by the rows pruning leaves.
 func (t *Table) ZoneCols() []int { return t.Store().ZoneCols() }
 
 // SetSyntheticStats configures statistics without row data, for

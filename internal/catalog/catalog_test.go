@@ -6,7 +6,9 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/storage"
 )
@@ -232,13 +234,16 @@ func TestBindDirFailureLeavesCatalogUnbound(t *testing.T) {
 	cat := build(70)
 	a := cat.MustTable("a")
 	version := a.DataVersion()
+	before := map[string]*storage.Store{}
+	for _, name := range cat.Names() {
+		before[name] = cat.MustTable(name).Store()
+	}
 	if _, err := cat.BindDir(dir, 4); err == nil {
 		t.Fatal("BindDir accepted a corrupt manifest")
 	}
 	for _, name := range cat.Names() {
-		st := cat.MustTable(name).Store()
-		if _, mem := st.(*storage.MemStore); !mem {
-			t.Errorf("table %s is bound to a %T after a failed BindDir", name, st)
+		if cat.MustTable(name).Store() != before[name] {
+			t.Errorf("table %s is bound to another store after a failed BindDir", name)
 		}
 	}
 	if cols, n := a.ColumnSnapshot(); n != 2 || cols[0][0] != 70 || a.DataVersion() != version {
@@ -254,4 +259,144 @@ func TestBindDirFailureLeavesCatalogUnbound(t *testing.T) {
 			t.Errorf("%s is still open after a failed BindDir", target)
 		}
 	}
+}
+
+// boundTable returns a catalog holding the table t(k, v), clustered on k and
+// bound to a store in dir: rows with keys [base, base+4) flushed as a
+// segment, then a fifth row in the log. Its data version is 2.
+func boundTable(t *testing.T, dir string, base int64) (*Catalog, *Table) {
+	t.Helper()
+	c := New()
+	tb := NewTable("t", "k", "v")
+	tb.SortedBy = 0
+	c.Add(tb)
+	if err := tb.AppendRows([][]int64{{base, 1}, {base + 1, 2}, {base + 2, 3}, {base + 3, 4}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.BindDir(dir, 4); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.Store().Flush(tb.DataVersion()); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.AppendRows([][]int64{{base + 4, 5}}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { tb.Store().Close() })
+	return c, tb
+}
+
+// TestPinIsTheContent: a Pin holds exactly while the table's snapshot has
+// the recorded epoch and row count — across a flush, which republishes the
+// same rows with their zone maps, across Analyze and across an empty
+// append, and not after a one-row append, a reset to as many other rows, or
+// a bind to a directory flushed at the table's own data version.
+func TestPinIsTheContent(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		change func(t *testing.T, c *Catalog, tb *Table)
+		holds  bool
+	}{
+		{"flush", func(t *testing.T, c *Catalog, tb *Table) {
+			before := tb.Store().Snapshot()
+			if err := tb.Store().Flush(tb.DataVersion()); err != nil {
+				t.Fatal(err)
+			}
+			if tb.Store().Snapshot() == before {
+				t.Fatal("the flush republished no snapshot")
+			}
+		}, true},
+		{"FlushDir", func(t *testing.T, c *Catalog, tb *Table) {
+			if err := c.FlushDir(); err != nil {
+				t.Fatal(err)
+			}
+		}, true},
+		{"Analyze", func(t *testing.T, c *Catalog, tb *Table) {
+			tb.Analyze(4)
+			tb.Stats(0)
+		}, true},
+		{"empty append", func(t *testing.T, c *Catalog, tb *Table) {
+			if err := tb.AppendRows(nil); err != nil {
+				t.Fatal(err)
+			}
+		}, true},
+		{"one-row append", func(t *testing.T, c *Catalog, tb *Table) {
+			if err := tb.AppendRows([][]int64{{99, 9}}); err != nil {
+				t.Fatal(err)
+			}
+		}, false},
+		{"reset with equal N", func(t *testing.T, c *Catalog, tb *Table) {
+			_, n := tb.ColumnSnapshot()
+			other := &storage.Snapshot{Cols: [][]int64{make([]int64, n), make([]int64, n)}, N: n}
+			tb.ResetSnapshot(other)
+		}, false},
+		{"BindDir at an equal data version", func(t *testing.T, c *Catalog, tb *Table) {
+			dir := t.TempDir()
+			other, _ := boundTable(t, dir, 100)
+			if err := other.FlushDir(); err != nil {
+				t.Fatal(err)
+			}
+			version, old := tb.DataVersion(), tb.Store()
+			if _, err := c.BindDir(dir, 4); err != nil {
+				t.Fatal(err)
+			}
+			old.Close()
+			if cols, _ := tb.ColumnSnapshot(); cols[0][0] != 100 || tb.DataVersion() != version {
+				t.Fatalf("the bind loaded key %d at data version %d; want key 100 at %d", cols[0][0], tb.DataVersion(), version)
+			}
+		}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, tb := boundTable(t, t.TempDir(), 0)
+			pin := NewPin([]*Table{tb})
+			pin.Record()
+			if !pin.Holds() {
+				t.Fatal("a pin does not hold before any change")
+			}
+			tc.change(t, c, tb)
+			if got := pin.Holds(); got != tc.holds {
+				t.Fatalf("after the change the pin holds: %v, want %v", got, tc.holds)
+			}
+		})
+	}
+}
+
+// whileLocked runs read with mu held, as AppendRows holds it across its
+// store's log write and fsync, and fails unless read returns within a
+// second.
+func whileLocked(t *testing.T, mu *sync.Mutex, what string, read func()) {
+	t.Helper()
+	mu.Lock()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		read()
+	}()
+	select {
+	case <-done:
+	case <-time.After(time.Second):
+		t.Errorf("%s waited for the writers' lock", what)
+	}
+	mu.Unlock()
+	<-done
+}
+
+// TestTableReadersNeverWait: what an execution reads of a table — its
+// store, its column snapshot, a Pin's Record and Holds — never takes the
+// lock its writers hold, so no reader waits for an append's fsync.
+func TestTableReadersNeverWait(t *testing.T) {
+	_, tb := boundTable(t, t.TempDir(), 0)
+	pin := NewPin([]*Table{tb})
+	whileLocked(t, &tb.mu, "Table.Store", func() { tb.Store() })
+	whileLocked(t, &tb.mu, "ColumnSnapshot", func() {
+		if _, n := tb.ColumnSnapshot(); n != 5 {
+			t.Errorf("ColumnSnapshot under the lock: %d rows, want 5", n)
+		}
+	})
+	whileLocked(t, &tb.mu, "Pin.Record", pin.Record)
+	whileLocked(t, &tb.mu, "Pin.Holds", func() {
+		if !pin.Holds() {
+			t.Error("a pin recorded under the lock does not hold")
+		}
+	})
 }

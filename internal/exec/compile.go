@@ -260,25 +260,19 @@ type scanLeaf struct {
 }
 
 // bind points the leaf at its table's current column snapshot and the row
-// ranges of it the scan reads. Scans call it when an execution opens them,
-// so a re-opened tree reads what the table holds now. The snapshot is an
-// atomically published (columns, row count) pair, so binding concurrently
-// with appends can never pair fresh columns with a stale count (or vice
-// versa); a disk table hands it out together with the ranges its zone maps
-// keep, both read under the store's lock.
+// ranges of it the scan reads: the ones the snapshot's zone maps keep under
+// the leaf's pushed conditions. Scans call it when an execution opens them,
+// so a re-opened tree reads what the table holds now. The snapshot is
+// atomically published with its zone maps, so binding concurrently with
+// writers never pairs columns with another generation's count or zones, and
+// never waits for them.
 func (l *scanLeaf) bind() {
 	if l.tab == nil {
 		l.ranges = append(l.ranges[:0], storage.Range{Hi: l.data.n})
 		return
 	}
-	store := l.tab.Store()
-	var snap *storage.Snapshot
-	if ds, ok := store.(*storage.DiskStore); ok {
-		snap, l.ranges, _ = ds.Ranges(l.zone, l.ranges)
-	} else {
-		snap = store.Snapshot()
-		l.ranges = append(l.ranges[:0], storage.Range{Hi: snap.N})
-	}
+	snap := l.tab.Store().Snapshot()
+	l.ranges, _ = snap.Ranges(l.zone, l.ranges)
 	l.data.n, l.epoch = snap.N, snap.Epoch
 	for i, col := range l.schema {
 		l.data.cols[i] = snap.Cols[col.Off] // indexed by table offset

@@ -19,7 +19,7 @@ import (
 // read one count.
 //
 // Reuse is replay: where an execution skips a subtree because the base
-// tables under it are at the versions its state was built from (a
+// tables under it hold the snapshots its state was built from (a
 // catalog.Pin), the subtree's shims replay what was kept — a kept hash-join
 // table's build (vecHashJoinOp.reuse) or a result-cache entry's counts, whose
 // record-only shims wrap no operator (compileCandidate) — and are marked

@@ -228,7 +228,7 @@ func (c *Compiler) compileCandidate(cand *CacheCandidate, stats *RunStats, weigh
 		return c.compileNode(cand.Node, stats, weighted, true)
 	}
 	// The pin is recorded before the subtree compiles: a candidate nested in
-	// it may hit, and its entry's rows are then the versions current at its
+	// it may hit, and its entry's rows are then the snapshots current at its
 	// probe, never older than these.
 	pin := c.pin(cand.Expr)
 	pin.Record()

@@ -124,7 +124,7 @@ type vecHashJoinOp struct {
 	spill   *spillJoin // non-nil once the build overflowed its reservation
 
 	// Keeping the table (reuse): pin holds the build side's base tables'
-	// versions as its last build read them, buildOps are its shims and st
+	// snapshots as its last build read them, buildOps are its shims and st
 	// counts a reuse (nil: the table is never kept).
 	pin      catalog.Pin
 	kept     bool // the last build finished whole in memory

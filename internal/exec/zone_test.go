@@ -33,7 +33,7 @@ func zoneTable(t *testing.T, dir string) *catalog.Catalog {
 	if _, err := cat.BindDir(dir, 0); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { tab.Store().(*storage.DiskStore).Close() })
+	t.Cleanup(func() { tab.Store().Close() })
 	flush := func() {
 		if err := tab.Store().Flush(tab.DataVersion()); err != nil {
 			t.Fatal(err)

@@ -20,10 +20,10 @@
 // result trustworthy and the store bounded:
 //
 //   - Invalidation: every entry carries the catalog.Pin of the base tables
-//     it was materialized from (their data versions, read before anything
-//     it was built from: its scans' snapshots, a cached result inside it). A probe whose entry's pin no longer holds
-//     deletes the entry and reports a miss — appended rows can never be
-//     served stale.
+//     it was materialized from (their snapshots, read before anything it
+//     was built from: its scans' snapshots, a cached result inside it). A
+//     probe whose entry's pin no longer holds deletes the entry and reports
+//     a miss — appended rows can never be served stale.
 //   - Byte budget: entries are sized in bytes and admitted against the
 //     budget given to New with least-recently-probed eviction; an entry
 //     larger than the whole budget is rejected outright. The budget is the
@@ -66,7 +66,7 @@ type Entry struct {
 	// shape needs a fingerprint the entry lacks must treat the probe as a
 	// miss.
 	Cards map[string]int64
-	// Pin holds the data versions of the base tables the result was
+	// Pin holds the snapshots of the base tables the result was
 	// materialized from; a probe serves the entry only while it holds.
 	Pin catalog.Pin
 

@@ -266,6 +266,55 @@ func TestKeptBuildSeesEveryAppend(t *testing.T) {
 	})
 }
 
+// TestEmptyAppendKeepsJoinTables: a held run keeps a join table while the
+// snapshots under its build side are the ones its pin recorded, and an empty
+// append publishes none. A converged Q3S on a serial server keeps as many
+// join tables after AppendRows(nil) on each of its tables as after no append
+// at all, without compiling, and none after a one-row append to customer,
+// which every build reads. It runs with the collector off on one P, as
+// TestHeldRunProfiles does, so the counts are the held run's.
+func TestEmptyAppendKeepsJoinTables(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under -race a sync.Pool drops held runs at random")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	srv := testServer(t, Options{})
+	st, err := srv.Session().PrepareNamed("Q3S")
+	if err != nil {
+		t.Fatal(err)
+	}
+	converge(t, "Q3S", st)
+	kept := func(after string) int64 {
+		t.Helper()
+		m0 := srv.Metrics()
+		if _, err := st.Exec(); err != nil {
+			t.Fatalf("after %s: %v", after, err)
+		}
+		m1 := srv.Metrics()
+		if m1.Compiles != m0.Compiles {
+			t.Fatalf("after %s: the execution compiled a tree", after)
+		}
+		return m1.BuildsReused - m0.BuildsReused
+	}
+	steady := kept("no append")
+	if steady == 0 {
+		t.Fatal("a converged Q3S kept no join table")
+	}
+	for _, name := range []string{"customer", "orders", "lineitem"} {
+		if err := srv.Catalog().MustTable(name).AppendRows(nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := kept("empty appends"); n != steady {
+		t.Fatalf("after empty appends Q3S kept %d join tables, %d without them", n, steady)
+	}
+	appendCopies(t, srv.Catalog().MustTable("customer"), "c_custkey", 1)
+	if n := kept("a one-row append"); n != 0 {
+		t.Fatalf("after a one-row append to customer Q3S kept %d join tables", n)
+	}
+}
+
 // keptStateSeesEveryAppend runs TestKeptBuildSeesEveryAppend's rounds of the
 // named statement on a server with opts and returns its metrics. With
 // straddle, the appending session's first execution of a round has a second

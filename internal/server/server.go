@@ -133,14 +133,14 @@ type Options struct {
 	// result caching entirely.
 	ResultCacheBytes int64
 
-	// DataDir binds every catalog table to a persistent log-structured
-	// storage backend rooted at this directory (one subdirectory per
+	// DataDir opens every catalog table's store on a persistent
+	// log-structured directory under this one (one subdirectory per
 	// table): tables with data on disk are LOADED from it, replacing
 	// whatever the process generated, and tables with empty directories
 	// are seeded from their in-memory rows. Shutdown flushes unflushed
 	// appends as immutable column segments, so a restart serves the same
-	// data without regeneration. The bound backends also publish zone maps,
-	// by which every table scan skips the segments a predicate excludes.
+	// data without regeneration. The stores also publish zone maps, by
+	// which every table scan skips the segments a predicate excludes.
 	// Empty keeps today's purely in-memory catalog.
 	DataDir string
 	// SpillDir is the directory out-of-core operators create their
@@ -325,10 +325,10 @@ func (s *Server) StorageInfo() catalog.BindSummary { return s.bind }
 // admitted (Exec returns an error), and Shutdown blocks until every
 // in-flight execution has released its admission slot, then — when
 // Options.DataDir is set — flushes every table's unflushed appends to its
-// persistent backend as immutable segments. Callers stop their listeners
+// directory as immutable segments. Callers stop their listeners
 // first, then Shutdown, then read the final Metrics. Safe to call more than
 // once; every call waits for the drain (the storage flush runs on the first
-// call only — the backends close with it).
+// call only — the stores close with it).
 func (s *Server) Shutdown() error {
 	s.closed.Store(true)
 	// Serialize drains: two callers acquiring admission slots concurrently

@@ -198,7 +198,7 @@ func TestOpenHoldsOneCopy(t *testing.T) {
 			want[name] = append(want[name], col[:n])
 		}
 		cells, rows = cells+n*len(cols), rows+n
-		if err := tb.Store().(*storage.DiskStore).Close(); err != nil {
+		if err := tb.Store().Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -251,7 +251,7 @@ func TestOpenHoldsOneCopy(t *testing.T) {
 // TestStorageConcurrentAppendExec is the mutation-safety race test: a writer
 // appends rows to a table while reader goroutines execute queries over it.
 // Under -race this catches any executor reading columns an Append reallocated
-// — the hazard the atomic snapshot swap in storage.MemStore closes. (Analyze
+// — the hazard the atomic snapshot swap in storage.Store closes. (Analyze
 // stays out of the writer loop: it reads a snapshot and is safe beside
 // appends, but it republishes statistics the planner reads unsynchronized.)
 // Afterwards a quiesced execution must match a fresh serial baseline over the
@@ -380,10 +380,7 @@ func TestSegScanZonePruningDifferential(t *testing.T) {
 	}
 	li.Analyze(0)
 
-	st, ok := li.Store().(*storage.DiskStore)
-	if !ok {
-		t.Fatalf("lineitem store is a %T, want a disk store", li.Store())
-	}
+	st := li.Store()
 	if zc := li.ZoneCols(); len(zc) != 1 || zc[0] != okey {
 		t.Fatalf("lineitem zone cols = %v, want [%d]", zc, okey)
 	}

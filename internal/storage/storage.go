@@ -1,32 +1,34 @@
-// Package storage is the pluggable table storage layer beneath the catalog:
-// a narrow Backend interface — columnar snapshots, batched append, wholesale
-// reset, scans with predicate pushdown, and flush — with two
-// implementations.
+// Package storage holds a table's rows: one Store, which publishes the
+// table's content as an immutable column Snapshot behind one atomic
+// pointer and, when opened on a directory, also keeps it on disk.
 //
-// A store's column snapshot is the table: the one in-memory copy of its
-// rows, which the executor scans as zero-copy column windows and the catalog
-// reads for statistics. Rows are only how data arrives — Append batches and
-// log records — and every backend turns them into columns once; a producer
-// that already holds columns (a stream window, a catalog seeding a fresh
-// directory) publishes them as they are with ResetSnapshot.
+// A snapshot is the table: the one in-memory copy of its rows, which the
+// executor scans as zero-copy column windows and the catalog reads for
+// statistics. Rows are only how data arrives — Append batches and log
+// records — and the store turns them into columns once; a producer that
+// already holds columns (a stream window, a catalog seeding a fresh
+// directory) publishes them as they are with ResetSnapshot. A snapshot's
+// (Epoch, N) names its content exactly, so state derived from a table pins
+// that pair.
 //
-// MemStore publishes the snapshot behind one atomic pointer, so an Append
-// never invalidates the columns an in-flight execution is reading (the old
-// snapshot stays intact for its holders; see Snapshot).
+// Writers (Append, ResetSnapshot, Flush, Close) serialize on the store's
+// lock; readers never take it. Everything a reader needs — columns, row
+// count, epoch and the zone maps of the segments under the rows — is in
+// the snapshot it loads, so an append's fsync or a flush's segment writes
+// never hold up a scan, and a snapshot's zone maps always describe its own
+// rows.
 //
-// DiskStore is a log-structured persistent backend layered over a MemStore:
-// every append is framed into a write-ahead log, and Flush compacts the
-// unflushed tail into an immutable column-segment file — rows sorted by the
-// table's clustered column, per-column zone maps (min/max) in the header.
-// A table directory is a manifest, one log and segments; the store keeps no
-// index (an index-NL join hashes the inner relation like any build side, and
-// the row ids a persisted index would need do not survive an append). On
-// open, segments are decoded column by column into a snapshot sized from the
-// manifest (the log's rows after them), so serving reads are as fast as the
-// pure in-memory store; the segment zone maps additionally let every scan
-// skip whole segments that a pushed-down predicate proves empty: an executor
-// scan of a disk table reads only the row ranges DiskStore.Ranges keeps, the
-// ranges Scan's iterator walks too.
+// On disk a store is log-structured: every append is framed into a
+// write-ahead log before it is published, and Flush compacts the unflushed
+// tail into an immutable column segment — rows sorted by the table's
+// clustered column, per-column zone maps (min/max) in the header. A table
+// directory is a manifest, one log and segments; the store keeps no index
+// (an index-NL join hashes the inner relation like any build side, and the
+// row ids a persisted index would need do not survive an append). On open,
+// segments are decoded column by column into a snapshot sized from the
+// manifest (the log's rows after them), so serving reads are in-memory
+// reads; the zone maps let every scan skip whole segments that a pushed-down
+// predicate proves empty (Snapshot.Ranges).
 package storage
 
 import (
@@ -49,10 +51,10 @@ const (
 )
 
 // Pred is one pushed-down scan predicate: column Col compared to the
-// constant Val. Backends use predicates only to PRUNE (skip row ranges that
-// provably contain no matching row); the caller still filters the returned
-// batches, so a backend that ignores predicates is merely slower, never
-// wrong.
+// constant Val. The store uses predicates only to PRUNE (skip row ranges
+// that provably contain no matching row); the caller still filters the
+// returned rows, so a range kept for want of a zone map costs time, never
+// rows.
 type Pred struct {
 	Col int
 	Op  CmpOp
@@ -66,15 +68,21 @@ type Pred struct {
 //
 // Epoch names the content's base: every snapshot that does not extend
 // another — a new store's first, each ResetSnapshot's — takes a fresh one
-// from a process-wide counter, and an append's snapshot carries its
-// predecessor's. Two snapshots of one epoch therefore agree on the rows
+// from a process-wide counter, and an append's or a flush's snapshot carries
+// its predecessor's. Two snapshots of one epoch therefore agree on the rows
 // below the smaller N: the larger is the smaller plus appended rows, which
-// is what lets state derived from the first N rows absorb only the rest.
-// ResetSnapshot ignores the Epoch of the snapshot it is handed.
+// is what lets state derived from the first N rows absorb only the rest,
+// and (Epoch, N) is the content's version. ResetSnapshot ignores the Epoch
+// of the snapshot it is handed.
 type Snapshot struct {
 	Cols  [][]int64
 	N     int
 	Epoch uint64
+
+	// segs are the segments whose rows are the snapshot's first rows, in
+	// order; the rows after them have no zone maps. Only a store opened on
+	// a directory sets them, and a reset drops them.
+	segs []segMeta
 }
 
 // epochs hands out snapshot epochs; 0 is never one.
@@ -83,36 +91,37 @@ var epochs atomic.Uint64
 // newEpoch returns an epoch no snapshot has had.
 func newEpoch() uint64 { return epochs.Add(1) }
 
-// Backend is the storage interface a catalog table binds to. What only a
-// persistent table does — report the version it loaded, close its files —
-// lives on *DiskStore, which the catalog holds as such.
-type Backend interface {
-	// Snapshot returns the current immutable column-major view.
-	Snapshot() *Snapshot
-	// Append adds rows (batched; each row len must equal the store width),
-	// durably for persistent backends. The new rows are visible in
-	// snapshots taken after Append returns.
-	Append(rows [][]int64) error
-	// ResetSnapshot replaces the store's content wholesale with snap — a
-	// stream window republished each slice. The columns are shared, not
-	// copied: the caller must never write to rows < snap.N of them again
-	// (their capacity is clipped, so the store's own appends copy rather
-	// than write into arrays it does not own). The new content starts a new
-	// epoch. Persistent backends rewrite their history at the next Flush.
-	ResetSnapshot(snap *Snapshot)
-	// Scan returns a pooled batch iterator over the rows, pruned by the
-	// predicates where zone maps allow, yielding zero-copy column windows
-	// of at most batch rows (batch <= 0 uses a default). Callers must
-	// Release the iterator when done.
-	Scan(preds []Pred, batch int) *SegIter
-	// ZoneCols returns the column offsets whose segment zone maps make
-	// predicate pruning effective (the clustered column for a DiskStore),
-	// or nil. The cost model prices a table scan by the fraction of rows
-	// pruning on these leaves it.
-	ZoneCols() []int
-	// Flush persists everything appended so far together with the given
-	// data version. A no-op for volatile backends.
-	Flush(version uint64) error
+// Ranges returns, in buf's array, the ascending row ranges of the snapshot
+// that its segments' zone maps cannot exclude under preds, with the number
+// of rows they exclude. The rows after the segments have no zone maps and
+// are always kept; without predicates the range is the whole snapshot. It
+// reads only the snapshot.
+func (s *Snapshot) Ranges(preds []Pred, buf []Range) (ranges []Range, pruned int) {
+	ranges = buf[:0]
+	lo := 0
+	if len(preds) > 0 {
+		for _, sm := range s.segs {
+			if prunes(sm.zones, preds) {
+				pruned += sm.Rows
+			} else {
+				ranges = appendRange(ranges, Range{lo, lo + sm.Rows})
+			}
+			lo += sm.Rows
+		}
+	}
+	if lo < s.N {
+		ranges = appendRange(ranges, Range{lo, s.N})
+	}
+	return ranges, pruned
+}
+
+// appendRange coalesces adjacent ranges so the scan windows stay large.
+func appendRange(ranges []Range, r Range) []Range {
+	if n := len(ranges); n > 0 && ranges[n-1].Hi == r.Lo {
+		ranges[n-1].Hi = r.Hi
+		return ranges
+	}
+	return append(ranges, r)
 }
 
 // DefaultBatchRows is the window size Scan uses when the caller passes

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"time"
 )
 
 func row(vs ...int64) []int64 { return vs }
@@ -69,7 +70,7 @@ func TestSnapshotEpochs(t *testing.T) {
 		}
 		seen[snap.Epoch] = true
 	}
-	a, b := NewMemStore(1), NewMemStore(1)
+	a, b := New(1), New(1)
 	fresh("a new store", a.Snapshot())
 	fresh("another new store", b.Snapshot())
 	first := a.Snapshot()
@@ -82,7 +83,7 @@ func TestSnapshotEpochs(t *testing.T) {
 	a.ResetSnapshot(a.Snapshot())
 	fresh("a reset to the same columns", a.Snapshot())
 	dir := t.TempDir()
-	d, err := OpenDiskStore(dir, "t", 1, -1)
+	d, err := Open(dir, "t", 1, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestSnapshotEpochs(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if d, err = OpenDiskStore(dir, "t", 1, -1); err != nil {
+	if d, err = Open(dir, "t", 1, -1); err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
@@ -104,7 +105,7 @@ func TestSnapshotEpochs(t *testing.T) {
 }
 
 func TestMemStoreSnapshotIsolation(t *testing.T) {
-	s := NewMemStore(2)
+	s := New(2)
 	if err := s.Append([][]int64{row(1, 10), row(2, 20)}); err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestMemStoreSnapshotIsolation(t *testing.T) {
 }
 
 func TestMemStoreConcurrentAppendScan(t *testing.T) {
-	s := NewMemStore(2)
+	s := New(2)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	wg.Add(1)
@@ -160,7 +161,7 @@ func TestMemStoreConcurrentAppendScan(t *testing.T) {
 
 func TestDiskStoreRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenDiskStore(dir, "t", 2, 0)
+	s, err := Open(dir, "t", 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +176,7 @@ func TestDiskStoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := OpenDiskStore(dir, "t", 2, 0)
+	s2, err := Open(dir, "t", 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +214,7 @@ func dirFiles(t *testing.T, dir string) []string {
 // file, which nothing reads, is gone afterwards.
 func TestDiskStoreOpensIndexedLayout(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenDiskStore(dir, "t", 2, 0)
+	s, err := Open(dir, "t", 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +244,7 @@ func TestDiskStoreOpensIndexedLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := OpenDiskStore(dir, "t", 2, 0)
+	s2, err := Open(dir, "t", 2, 0)
 	if err != nil {
 		t.Fatalf("open of the indexed layout: %v", err)
 	}
@@ -261,7 +262,7 @@ func TestDiskStoreOpensIndexedLayout(t *testing.T) {
 
 func TestDiskStoreWALReplayAndTornTail(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenDiskStore(dir, "t", 2, -1)
+	s, err := Open(dir, "t", 2, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +287,7 @@ func TestDiskStoreWALReplayAndTornTail(t *testing.T) {
 	}
 	f.Close()
 
-	s2, err := OpenDiskStore(dir, "t", 2, -1)
+	s2, err := Open(dir, "t", 2, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +302,7 @@ func TestDiskStoreWALReplayAndTornTail(t *testing.T) {
 	if err := s2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s3, err := OpenDiskStore(dir, "t", 2, -1)
+	s3, err := Open(dir, "t", 2, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +314,7 @@ func TestDiskStoreWALReplayAndTornTail(t *testing.T) {
 
 func TestDiskStoreZonePruningDifferential(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenDiskStore(dir, "t", 2, 0)
+	s, err := Open(dir, "t", 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +410,7 @@ func filterRows(rows [][]int64, preds []Pred) [][]int64 {
 
 func TestDiskStoreResetRows(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenDiskStore(dir, "t", 1, 0)
+	s, err := Open(dir, "t", 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +428,7 @@ func TestDiskStoreResetRows(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := OpenDiskStore(dir, "t", 1, 0)
+	s2, err := Open(dir, "t", 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,8 +437,8 @@ func TestDiskStoreResetRows(t *testing.T) {
 	if !reflect.DeepEqual(got, [][]int64{row(7), row(8)}) {
 		t.Fatalf("rows after wholesale reset = %v", got)
 	}
-	if len(s2.segs) != 1 {
-		t.Fatalf("expected 1 rewritten segment, have %d", len(s2.segs))
+	if len(s2.Snapshot().segs) != 1 {
+		t.Fatalf("expected 1 rewritten segment, have %d", len(s2.Snapshot().segs))
 	}
 }
 
@@ -447,7 +448,7 @@ func TestDiskStoreResetRows(t *testing.T) {
 // covers. Replay must not duplicate them.
 func TestDiskStoreFlushCrashWindowNoDuplication(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenDiskStore(dir, "t", 2, 0)
+	s, err := Open(dir, "t", 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,7 +471,7 @@ func TestDiskStoreFlushCrashWindowNoDuplication(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := OpenDiskStore(dir, "t", 2, 0)
+	s2, err := Open(dir, "t", 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,7 +490,7 @@ func TestDiskStoreFlushCrashWindowNoDuplication(t *testing.T) {
 	if err := s2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s3, err := OpenDiskStore(dir, "t", 2, 0)
+	s3, err := Open(dir, "t", 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,7 +505,7 @@ func TestDiskStoreFlushCrashWindowNoDuplication(t *testing.T) {
 // must be rewritten at the next flush and the old zone maps must not prune.
 func TestDiskStoreResetRowsSameCountNewContent(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenDiskStore(dir, "t", 1, 0)
+	s, err := Open(dir, "t", 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -517,7 +518,7 @@ func TestDiskStoreResetRowsSameCountNewContent(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := OpenDiskStore(dir, "t", 1, 0)
+	s2, err := Open(dir, "t", 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -534,7 +535,7 @@ func TestDiskStoreResetRowsSameCountNewContent(t *testing.T) {
 	if err := s2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s3, err := OpenDiskStore(dir, "t", 1, 0)
+	s3, err := Open(dir, "t", 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -551,7 +552,7 @@ func TestDiskStoreResetRowsSameCountNewContent(t *testing.T) {
 // it are captured atomically.
 func TestDiskStoreScanConcurrentResetRows(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenDiskStore(dir, "t", 2, 0)
+	s, err := Open(dir, "t", 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -606,4 +607,66 @@ func TestDiskStoreScanConcurrentResetRows(t *testing.T) {
 			t.Fatalf("scan lost rows of its own generation: %d of %d", len(match), n)
 		}
 	}
+}
+
+// whileLocked runs read with mu held, as an Append holds it across its log
+// write and fsync and a Flush across its segment writes, and fails unless
+// read returns within a second.
+func whileLocked(t *testing.T, mu *sync.Mutex, what string, read func()) {
+	t.Helper()
+	mu.Lock()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		read()
+	}()
+	select {
+	case <-done:
+	case <-time.After(time.Second):
+		t.Errorf("%s waited for the writer's lock", what)
+	}
+	mu.Unlock()
+	<-done
+}
+
+// TestStoreReadersNeverWait: a reader of a store — Snapshot, the
+// snapshot's Ranges, Scan — never takes the writers' lock, so an append's
+// fsync or a flush's segment writes never hold up a scan. The store is on a
+// directory with two flushed segments and an unflushed tail, and the reads
+// made under the lock must prune as they do without it.
+func TestStoreReadersNeverWait(t *testing.T) {
+	s, err := Open(t.TempDir(), "t", 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for seg := int64(0); seg < 2; seg++ {
+		if err := s.Append([][]int64{row(seg*100, 1), row(seg*100+1, 2)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Flush(uint64(seg + 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Append([][]int64{row(5, 3)}); err != nil {
+		t.Fatal(err)
+	}
+	preds := []Pred{{Col: 0, Op: CmpGE, Val: 100}}
+	want := []Range{{2, 5}}
+	var snap *Snapshot
+	whileLocked(t, &s.mu, "Snapshot", func() { snap = s.Snapshot() })
+	if snap == nil || snap.N != 5 {
+		t.Fatalf("Snapshot under the lock: %+v", snap)
+	}
+	whileLocked(t, &s.mu, "Snapshot().Ranges", func() {
+		if got, pruned := s.Snapshot().Ranges(preds, nil); !reflect.DeepEqual(got, want) || pruned != 2 {
+			t.Errorf("Ranges under the lock: %v, %d pruned; want %v, 2 pruned", got, pruned, want)
+		}
+	})
+	whileLocked(t, &s.mu, "Scan", func() {
+		it := s.Scan(preds, 0)
+		if got := collect(it, 2); len(got) != 3 {
+			t.Errorf("Scan under the lock read %d rows, want 3", len(got))
+		}
+	})
 }

@@ -7,12 +7,15 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
-// DiskStore is the log-structured persistent backend. On disk a table is a
-// directory holding:
+// Store holds one table's rows as an atomically published Snapshot. A store
+// made by New lives in memory only; one made by Open also keeps the rows in
+// a directory holding:
 //
 //   - MANIFEST.json — format version, schema shape, data version, the
 //     ordered segment list, and the NAME of the active append log; replaced
@@ -29,31 +32,42 @@ import (
 //     table's clustered column, per-column zone maps (min/max) in the
 //     header, then column-contiguous little-endian int64 data.
 //
-// All reads are served from an embedded MemStore, which holds the only
-// in-memory copy of the rows; the files exist to survive restarts. Flush
-// compacts the unflushed tail (WAL rows plus any wholesale reset) into a new
-// segment and truncates the log. Zone-map pruning stays multiset-sound even
-// though segments are sorted at flush while the in-memory snapshot keeps
-// arrival order: a segment's zone is the min/max of the SAME row multiset
-// its in-memory span holds, so a zone that excludes a predicate excludes
-// every row of the span.
-type DiskStore struct {
-	dir      string
-	name     string
+// The snapshot holds the only in-memory copy of the rows; the files exist to
+// survive restarts. Zone-map pruning stays multiset-sound even though
+// segments are sorted at flush while the snapshot keeps arrival order: a
+// segment's zone is the min/max of the SAME row multiset its span of the
+// snapshot holds, so a zone that excludes a predicate excludes every row of
+// the span.
+//
+// Appends grow the columns and publish a new snapshot; readers that loaded
+// the previous one keep a consistent view because they only ever index rows
+// < the N they loaded, and the atomic Store/Load pair orders the value
+// writes before the new length becomes visible. When a column's backing
+// array must grow, append copies it, so an old snapshot's arrays are never
+// reallocated out from under a reader.
+type Store struct {
 	width    int
-	sortedBy int
+	sortedBy int // the segments' clustered column, -1 for none
+	snap     atomic.Pointer[Snapshot]
 
-	mem *MemStore
-
-	mu        sync.Mutex
-	wal       *os.File
-	walFile   string // active log's file name, as recorded in the manifest
-	walRows   int    // rows in the log (the unflushed tail), when not dirtyAll
-	segs      []segMeta
-	segRows   int // rows covered by segments == start of the tail span
-	seq       int // next segment file number
-	dirtyAll  bool
+	// mu serializes the writers: Append, ResetSnapshot, Flush and Close.
+	// Readers never take it.
+	mu sync.Mutex
+	// The directory's state; dir is "" for a store made by New.
+	dir       string
+	name      string
+	wal       *os.File // nil once closed
+	walFile   string   // active log's file name, as recorded in the manifest
+	seq       int      // next segment or log file number
 	loadedVer uint64
+}
+
+// New returns an empty store of the given column count, held in memory
+// only.
+func New(width int) *Store {
+	s := &Store{width: width, sortedBy: -1}
+	s.snap.Store(&Snapshot{Cols: make([][]int64, width), Epoch: newEpoch()})
+	return s
 }
 
 // segMeta is one segment's manifest entry plus its loaded zone maps.
@@ -81,37 +95,29 @@ const (
 	segMagic       = "REPROSG1"
 )
 
-// OpenDiskStore opens (or initializes) the persistent store for one table
-// under dir. Existing segments are decoded into one column snapshot sized
-// from the manifest, the append log's rows after them; the store then
-// serves reads at in-memory speed. sortedBy < 0 means no clustered order.
-func OpenDiskStore(dir, name string, width, sortedBy int) (*DiskStore, error) {
+// Open opens (or initializes) the store of one table in dir. Existing
+// segments are decoded into one column snapshot sized from the manifest,
+// the append log's rows after them; the store then serves reads at
+// in-memory speed. sortedBy < 0 means no clustered order.
+func Open(dir, name string, width, sortedBy int) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: create table dir: %w", err)
 	}
-	s := &DiskStore{
-		dir:      dir,
-		name:     name,
-		width:    width,
-		sortedBy: sortedBy,
-		mem:      NewMemStore(width),
-	}
+	s := &Store{dir: dir, name: name, width: width, sortedBy: sortedBy}
 	walGood, err := s.load()
 	if err != nil {
 		return nil, err
 	}
-	wal, err := s.openWAL(walGood)
-	if err != nil {
+	if s.wal, err = s.openWAL(walGood); err != nil {
 		return nil, err
 	}
-	s.wal = wal
 	return s, nil
 }
 
 // load reads the manifest, decodes its segments and then the active log's
 // complete records into one exactly-sized column snapshot, and returns the
 // byte length of the log's good prefix.
-func (s *DiskStore) load() (walGood int64, err error) {
+func (s *Store) load() (walGood int64, err error) {
 	var m manifest
 	raw, err := os.ReadFile(filepath.Join(s.dir, manifestName))
 	switch {
@@ -155,7 +161,7 @@ func (s *DiskStore) load() (walGood int64, err error) {
 		os.Remove(p)
 	}
 	walPath := filepath.Join(s.dir, s.walFile)
-	walGood, s.walRows, err = walGoodPrefix(walPath, s.width)
+	walGood, n, err := walGoodPrefix(walPath, s.width)
 	if err != nil {
 		return 0, err
 	}
@@ -163,34 +169,32 @@ func (s *DiskStore) load() (walGood int64, err error) {
 		if sm.Rows < 0 {
 			return 0, fmt.Errorf("storage: segment %s: manifest says %d rows", sm.File, sm.Rows)
 		}
-		s.segRows += sm.Rows
+		n += sm.Rows
 	}
 	// Every row's final position is known before any is read: segments in
 	// manifest order, then the log's rows (the unflushed tail).
-	n := s.segRows + s.walRows
 	cols := make([][]int64, s.width)
 	for c := range cols {
 		cols[c] = make([]int64, n)
 	}
 	lo := 0
-	for _, sm := range m.Segments {
-		zones, err := readSegment(filepath.Join(s.dir, sm.File), cols, lo, sm.Rows)
-		if err != nil {
+	for i := range m.Segments {
+		sm := &m.Segments[i]
+		if sm.zones, err = readSegment(filepath.Join(s.dir, sm.File), cols, lo, sm.Rows); err != nil {
 			return 0, fmt.Errorf("storage: segment %s: %w", sm.File, err)
 		}
-		s.segs = append(s.segs, segMeta{File: sm.File, Rows: sm.Rows, zones: zones})
 		lo += sm.Rows
 	}
 	if err := replayWAL(walPath, walGood, cols, lo); err != nil {
 		return 0, err
 	}
-	s.mem.ResetSnapshot(&Snapshot{Cols: cols, N: n})
+	s.snap.Store(&Snapshot{Cols: cols, N: n, Epoch: newEpoch(), segs: slices.Clip(m.Segments)})
 	return walGood, nil
 }
 
 // openWAL opens the active log for appending, truncating any torn tail
 // after its good prefix first so new records never follow garbage.
-func (s *DiskStore) openWAL(good int64) (*os.File, error) {
+func (s *Store) openWAL(good int64) (*os.File, error) {
 	path := filepath.Join(s.dir, s.walFile)
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
@@ -217,9 +221,13 @@ func (s *DiskStore) openWAL(good int64) (*os.File, error) {
 	return f, nil
 }
 
-func (s *DiskStore) Snapshot() *Snapshot { return s.mem.Snapshot() }
+// Snapshot returns the current snapshot. It takes no lock.
+func (s *Store) Snapshot() *Snapshot { return s.snap.Load() }
 
-func (s *DiskStore) Append(rows [][]int64) error {
+// Append adds rows (each row's length must equal the store's width) and
+// publishes them in a new snapshot of the same epoch; a store on a
+// directory first writes them to its log and syncs it.
+func (s *Store) Append(rows [][]int64) error {
 	if len(rows) == 0 {
 		return nil
 	}
@@ -230,87 +238,81 @@ func (s *DiskStore) Append(rows [][]int64) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.wal == nil {
-		return fmt.Errorf("storage: table %s store is closed", s.name)
+	if s.dir != "" {
+		if s.wal == nil {
+			return fmt.Errorf("storage: table %s store is closed", s.name)
+		}
+		if err := writeWALRecord(s.wal, rows); err != nil {
+			return err
+		}
+		if err := s.wal.Sync(); err != nil {
+			return fmt.Errorf("storage: sync wal: %w", err)
+		}
 	}
-	if err := writeWALRecord(s.wal, rows); err != nil {
-		return err
+	old := s.snap.Load()
+	n := old.N + len(rows)
+	cols := make([][]int64, s.width)
+	for c := range cols {
+		col := old.Cols[c]
+		if cap(col) < n {
+			// Grow with headroom by copying, never by reallocating the
+			// array an older snapshot may still be reading.
+			grown := make([]int64, old.N, growCap(old.N, n))
+			copy(grown, col[:old.N])
+			col = grown
+		}
+		col = col[:old.N]
+		for _, r := range rows {
+			col = append(col, r[c])
+		}
+		cols[c] = col
 	}
-	if err := s.wal.Sync(); err != nil {
-		return fmt.Errorf("storage: sync wal: %w", err)
-	}
-	if err := s.mem.Append(rows); err != nil {
-		return err
-	}
-	s.walRows += len(rows)
+	s.snap.Store(&Snapshot{Cols: cols, N: n, Epoch: old.Epoch, segs: old.segs})
 	return nil
 }
 
-// ResetSnapshot replaces the store's content wholesale with snap — also how
-// a catalog seeds a fresh directory from the table it already holds, without
-// a detour through rows. Disk history no longer matches, even at the same
-// row count: the next Flush rewrites everything as one segment.
-func (s *DiskStore) ResetSnapshot(snap *Snapshot) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.mem.ResetSnapshot(snap)
-	s.dirtyAll = true
+// growCap picks the capacity for growth to need: a quarter of headroom, not
+// a doubling. The snapshot is the only copy of the table, so the slack a
+// growth leaves behind is resident for as long as the table is; 25 % keeps
+// appends amortized (a column is copied once per ~have/4 appended rows)
+// without holding a loaded table at twice its size after its first append.
+func growCap(have, need int) int {
+	return max(need, have+have/4, 64)
 }
 
-func (s *DiskStore) Scan(preds []Pred, batch int) *SegIter {
+// ResetSnapshot replaces the store's content wholesale with snap's first N
+// rows — a stream window republished each slice, or the table a catalog
+// seeds a fresh directory with. The columns are shared, not copied: the
+// caller must never write to rows < snap.N of them again (their capacity is
+// clipped, so the store's own appends copy rather than write into arrays it
+// does not own). The new content starts a new epoch and has no zone maps;
+// on a directory the next Flush rewrites every segment as one.
+func (s *Store) ResetSnapshot(snap *Snapshot) {
+	cols := make([][]int64, s.width)
+	for c := range cols {
+		cols[c] = snap.Cols[c][:snap.N:snap.N]
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.snap.Store(&Snapshot{Cols: cols, N: snap.N, Epoch: newEpoch()})
+}
+
+// Scan returns a pooled batch iterator over the current snapshot's rows,
+// pruned by the predicates where its zone maps allow (Snapshot.Ranges),
+// yielding zero-copy column windows of at most batch rows (batch <= 0 uses
+// a default). Callers must Release the iterator when done.
+func (s *Store) Scan(preds []Pred, batch int) *SegIter {
 	it := segIterPool.Get().(*SegIter)
-	snap, spans, pruned := s.Ranges(preds, it.spans)
+	snap := s.Snapshot()
+	spans, pruned := snap.Ranges(preds, it.spans)
 	return it.reset(snap, spans, pruned, batch)
 }
 
-// Ranges returns the current snapshot and, in buf's array, the ascending
-// row ranges of it that the segment zone maps cannot exclude under preds,
-// with the number of rows they exclude. The unflushed tail has no zone maps
-// and is always kept; without predicates the range is the whole snapshot.
-func (s *DiskStore) Ranges(preds []Pred, buf []Range) (snap *Snapshot, ranges []Range, pruned int) {
-	ranges = buf[:0]
-	if len(preds) == 0 {
-		snap = s.mem.Snapshot()
-		return snap, append(ranges, Range{Hi: snap.N}), 0
-	}
-	// Snapshot and segment metadata are read together under mu: a
-	// concurrent ResetSnapshot/Flush swaps both, and applying one
-	// generation's zone maps to the other's data could prune live rows.
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	snap = s.mem.Snapshot()
-	if s.dirtyAll {
-		return snap, append(ranges, Range{Hi: snap.N}), 0
-	}
-	lo := 0
-	for i := range s.segs {
-		hi := min(lo+s.segs[i].Rows, snap.N)
-		if lo >= hi {
-			break
-		}
-		if prunes(s.segs[i].zones, preds) {
-			pruned += hi - lo
-		} else {
-			ranges = appendRange(ranges, Range{lo, hi})
-		}
-		lo = hi
-	}
-	if s.segRows < snap.N {
-		ranges = appendRange(ranges, Range{s.segRows, snap.N})
-	}
-	return snap, ranges, pruned
-}
-
-// appendRange coalesces adjacent ranges so the scan windows stay large.
-func appendRange(ranges []Range, r Range) []Range {
-	if n := len(ranges); n > 0 && ranges[n-1].Hi == r.Lo {
-		ranges[n-1].Hi = r.Hi
-		return ranges
-	}
-	return append(ranges, r)
-}
-
-func (s *DiskStore) ZoneCols() []int {
+// ZoneCols returns the column offsets whose segment zone maps make
+// predicate pruning effective — the clustered column of a store on a
+// directory — or nil. The cost model prices a table scan by the fraction
+// of rows pruning on these leaves it.
+func (s *Store) ZoneCols() []int {
 	if s.sortedBy < 0 {
 		return nil
 	}
@@ -318,45 +320,42 @@ func (s *DiskStore) ZoneCols() []int {
 }
 
 // LoadedVersion reports the data version persisted at the last Flush (0 for
-// a fresh directory).
-func (s *DiskStore) LoadedVersion() uint64 {
+// a fresh directory or a store in memory).
+func (s *Store) LoadedVersion() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.loadedVer
 }
 
-// Flush persists the unflushed tail (or, after a wholesale reset, the full
-// content) as a new sorted segment, then rotates to a fresh append log and
-// rewrites the manifest atomically. Replay is idempotent across the flush
-// boundary because the manifest names the active log: a crash anywhere in
-// Flush recovers either the old manifest + old log (flush never happened) or
-// the new manifest + empty log (flush fully happened) — the compacted rows
-// are never replayed twice.
-func (s *DiskStore) Flush(version uint64) error {
+// Flush persists the rows no segment holds yet — the unflushed tail, or
+// after a wholesale reset the whole content — as a new sorted segment,
+// records version in the manifest, rotates to a fresh append log, and
+// republishes the same columns, N and epoch with the new segment's zone
+// maps. Replay is idempotent across the flush boundary because the manifest
+// names the active log: a crash anywhere in Flush recovers either the old
+// manifest + old log (flush never happened) or the new manifest + empty log
+// (flush fully happened) — the compacted rows are never replayed twice. A
+// no-op for a store in memory.
+func (s *Store) Flush(version uint64) error {
+	if s.dir == "" {
+		return nil
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.wal == nil {
 		return fmt.Errorf("storage: table %s store is closed", s.name)
 	}
-	snap := s.mem.Snapshot()
-	var obsolete []segMeta
-	prevSegs, prevRows := s.segs, s.segRows
-	if s.dirtyAll {
-		// Wholesale rewrite: every existing segment is replaced below. The
-		// old files are deleted only after the new manifest is published,
-		// so a failed flush leaves the previous generation intact.
-		obsolete = s.segs
-		s.segs = nil
-		s.segRows = 0
+	snap := s.snap.Load()
+	segs, lo := slices.Clip(snap.segs), 0
+	for _, sm := range segs {
+		lo += sm.Rows
 	}
-	fail := func(err error) error {
-		s.segs, s.segRows = prevSegs, prevRows
-		return err
-	}
-	if s.segRows < snap.N {
-		if err := s.writeSegmentLocked(snap, s.segRows, snap.N); err != nil {
-			return fail(err)
+	if lo < snap.N {
+		sm, err := s.compact(snap, lo, snap.N)
+		if err != nil {
+			return err
 		}
+		segs = append(segs, sm)
 	}
 	// Rotate: create the empty successor log before the manifest that names
 	// it. Until that manifest is published, replay still pairs the old
@@ -365,12 +364,12 @@ func (s *DiskStore) Flush(version uint64) error {
 	s.seq++
 	newWAL, err := os.OpenFile(filepath.Join(s.dir, newWalFile), os.O_CREATE|os.O_TRUNC|os.O_RDWR, 0o644)
 	if err != nil {
-		return fail(fmt.Errorf("storage: create wal: %w", err))
+		return fmt.Errorf("storage: create wal: %w", err)
 	}
 	abortWAL := func(err error) error {
 		newWAL.Close()
 		os.Remove(filepath.Join(s.dir, newWalFile))
-		return fail(err)
+		return err
 	}
 	if err := newWAL.Sync(); err != nil {
 		return abortWAL(fmt.Errorf("storage: sync wal: %w", err))
@@ -380,12 +379,16 @@ func (s *DiskStore) Flush(version uint64) error {
 	if err := syncDir(s.dir); err != nil {
 		return abortWAL(err)
 	}
-	if err := s.writeManifestLocked(version, newWalFile); err != nil {
+	if err := s.writeManifestLocked(version, newWalFile, segs); err != nil {
 		return abortWAL(err)
 	}
-	s.dirtyAll = false
-	for _, sm := range obsolete {
-		os.Remove(filepath.Join(s.dir, sm.File))
+	// Segments the manifest no longer names — a reset's superseded
+	// generation, a failed flush's leftover — are garbage now.
+	files, _ := filepath.Glob(filepath.Join(s.dir, "seg-*.seg"))
+	for _, p := range files {
+		if !slices.ContainsFunc(segs, func(sm segMeta) bool { return sm.File == filepath.Base(p) }) {
+			os.Remove(p)
+		}
 	}
 	// The old log's rows are now covered by segments; drop it. If the
 	// process dies before the Remove lands, open-time cleanup deletes any
@@ -394,14 +397,14 @@ func (s *DiskStore) Flush(version uint64) error {
 	os.Remove(filepath.Join(s.dir, s.walFile))
 	s.wal = newWAL
 	s.walFile = newWalFile
-	s.walRows = 0
 	s.loadedVer = version
+	s.snap.Store(&Snapshot{Cols: snap.Cols, N: snap.N, Epoch: snap.Epoch, segs: segs})
 	return nil
 }
 
-// writeSegmentLocked flushes rows [lo, hi) of the snapshot as one segment.
-// Caller holds s.mu.
-func (s *DiskStore) writeSegmentLocked(snap *Snapshot, lo, hi int) error {
+// compact writes rows [lo, hi) of the snapshot as one segment and returns
+// its manifest entry. Caller holds s.mu.
+func (s *Store) compact(snap *Snapshot, lo, hi int) (segMeta, error) {
 	n := hi - lo
 	// Materialize the segment's rows sorted by the clustered column (stable,
 	// so equal keys keep arrival order).
@@ -415,21 +418,18 @@ func (s *DiskStore) writeSegmentLocked(snap *Snapshot, lo, hi int) error {
 	}
 	base := fmt.Sprintf("seg-%06d.seg", s.seq)
 	s.seq++
-	path := filepath.Join(s.dir, base)
-	zones, err := writeSegment(path, snap, perm)
+	zones, err := writeSegment(filepath.Join(s.dir, base), snap, perm)
 	if err != nil {
-		return err
+		return segMeta{}, err
 	}
-	s.segs = append(s.segs, segMeta{File: base, Rows: n, zones: zones})
-	s.segRows = hi
-	return nil
+	return segMeta{File: base, Rows: n, zones: zones}, nil
 }
 
 // writeManifestLocked replaces the manifest atomically and durably: the
 // tmp file is fsynced before the rename and the directory after it, so the
 // publication survives power loss, not just process death. Caller holds
 // s.mu.
-func (s *DiskStore) writeManifestLocked(version uint64, walFile string) error {
+func (s *Store) writeManifestLocked(version uint64, walFile string, segs []segMeta) error {
 	m := manifest{
 		Format:      manifestFormat,
 		Name:        s.name,
@@ -438,7 +438,7 @@ func (s *DiskStore) writeManifestLocked(version uint64, walFile string) error {
 		DataVersion: version,
 		Seq:         s.seq,
 		Wal:         walFile,
-		Segments:    s.segs,
+		Segments:    segs,
 	}
 	raw, err := json.MarshalIndent(&m, "", "  ")
 	if err != nil {
@@ -484,8 +484,9 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// Close releases the store's log file without flushing.
-func (s *DiskStore) Close() error {
+// Close releases the store's log file without flushing; later appends and
+// flushes fail. A no-op for a store in memory.
+func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.wal == nil {

@@ -44,8 +44,8 @@
 //     scratch) and keeps their capacity, for exactly as long as the operator
 //     itself lives; nothing is charged to the tracker between executions.
 //     Reuse has one shape: state built from base tables is kept while the
-//     tables are at the data versions and snapshot epochs it pinned
-//     (catalog.Pin, read before anything it is built from), and the shims
+//     tables hold the snapshots it pinned — each one's epoch and row count
+//     (catalog.Pin, read before anything it is built from) — and the shims
 //     of the subtree it stands for replay what was kept. An unbounded hash
 //     join whose pin holds keeps its table: it neither opens nor drains its
 //     build side, charges the table again and replays the build subtree's
@@ -71,7 +71,7 @@
 //     eviction;
 //   - internal/rescache — the bounded server-wide semantic result cache:
 //     materialized subexpression outputs keyed by the same canonical
-//     fingerprints, invalidated by base-table data versions; entries hold
+//     fingerprints, invalidated by base-table snapshots; entries hold
 //     only the columns their producer carried and serve a consumer only
 //     when they cover every column it reads;
 //   - internal/server — the concurrent query service: sessions over a
@@ -166,9 +166,10 @@
 // a hit replaces the subtree with a zero-copy scan over the materialized
 // columns — shared across statements and sessions that never saw each other
 // — while a miss tees the subtree's output into the cache as a side effect
-// of normal execution. Entries pin the data versions of their base tables
-// (bumped by catalog AppendRows/ResetSnapshot) as a kept hash-join table
-// does, so a mutation silently invalidates every dependent result, and the
+// of normal execution. Entries pin the snapshots of their base tables (a
+// snapshot's epoch and row count, moved by every non-empty catalog
+// AppendRows and every ResetSnapshot) as a kept hash-join table does, so a
+// mutation silently invalidates every dependent result, and the
 // byte budget — the cache's one bound — evicts least-recently-probed
 // entries. Cached serving is exactly transparent: a hit's plan nodes replay
 // the entry's counts through their shims, so results and the per-operator
@@ -235,7 +236,7 @@
 // # Storage
 //
 // A table's data is held once: as the immutable column snapshot of its
-// storage backend (internal/storage). The executor scans it as zero-copy
+// store (internal/storage). The executor scans it as zero-copy
 // column windows and the statistics are built from it. Rows are an ingest
 // format only — what AppendRows takes and the write-ahead log records; a
 // stream window (internal/linearroad) holds its content as columns and
@@ -244,13 +245,12 @@
 // read: catalog.Table.Analyze is O(1) — it records which rows the statistics
 // describe — and a column's histogram is built when a planner first asks
 // for it (Table.Stats), from that prefix of the current snapshot, so a
-// column nobody plans over is never sorted. The
-// default backend is an in-memory column store whose snapshots publish
+// column nobody plans over is never sorted. A store publishes its snapshot
 // behind one atomic pointer, so appending rows never disturbs the column
 // windows an in-flight execution is scanning — mutation-safe and still
-// zero-copy.
-// Setting ServerOptions.DataDir binds every table to a log-structured
-// persistent backend under that directory instead: appends write through a
+// zero-copy — and no reader takes the lock its writers hold.
+// Setting ServerOptions.DataDir opens every table's store on a directory
+// under that one, log-structured: appends write through a
 // synced write-ahead log, and a graceful Server.Shutdown flushes the
 // unflushed tail into immutable column-segment files (rows sorted by the
 // table's clustered column, per-column min/max zone maps); a table directory
@@ -258,11 +258,11 @@
 // index nested-loops join hashes its inner relation like any join build. On
 // the next boot the directory wins over generated seed data: segments decode
 // column by column into one snapshot sized from the manifest, the log's
-// rows after them, data versions carry over (so result-cache
-// invalidation state survives), and the server serves byte-identical
-// results with zero regeneration. Segment zone maps also prune every scan
+// rows after them, data versions carry over, and the server serves
+// byte-identical results with zero regeneration. Segment zone maps also prune every scan
 // of a persistent table: it skips whole segments a pushed-down predicate
-// provably excludes, and the cost model prices its table scan by the
+// provably excludes (the zone maps travel in the snapshot, so a scan reads
+// its rows' own), and the cost model prices its table scan by the
 // fraction of rows left, so there is no separate access path to choose.
 // ServerOptions.SpillDir independently places the (immediately
 // unlinked) spill partition files of memory-bounded execution; a write
