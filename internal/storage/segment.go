@@ -9,7 +9,7 @@ import (
 	"os"
 )
 
-// File I/O for segments and the append log (the manifest is diskstore.go's).
+// File I/O for segments and the append log (the manifest is store.go's).
 // A segment is written to a temporary name and renamed into place so readers
 // never observe a partial file; the WAL is the only file appended in place,
 // and its framing lets replay stop cleanly at a torn tail.
