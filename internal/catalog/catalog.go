@@ -166,13 +166,13 @@ func (t *Table) ResetSnapshot(snap *storage.Snapshot) {
 // DataVersion returns the table's data version: a counter bumped by every
 // AppendRows and ResetSnapshot, persisted with each flush (FlushDir) and
 // adopted from a loaded directory (BindDir). Nothing in this module decides
-// by it; kept state pins the snapshot instead (Pin).
+// by it: kept state is tied to snapshots instead (Pin, and the executor's
+// scans).
 func (t *Table) DataVersion() uint64 { return t.dataVersion.Load() }
 
 // Pin is the snapshots (storage.Snapshot's Epoch and N) of a set of tables
-// as read when state derived from their rows — a built hash-join table, a
-// cached query result — began to be built; the state is current while
-// Holds. The pair is the content: an append keeps the epoch and grows N, a
+// as read when state derived from their rows — a cached query result —
+// began to be built; the state is current while Holds. The pair is the content: an append keeps the epoch and grows N, a
 // reset or a store swap (BindDir) takes a new epoch, a flush republishes
 // the same pair, and an empty append publishes nothing. The zero Pin pins no
 // table and always holds.

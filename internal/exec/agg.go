@@ -45,7 +45,8 @@ type aggTable struct {
 	counts []int64
 	view   [][]int64 // keys, sums, counts: the partials
 	n      int
-	perm   []int32 // sorted's group permutation
+	perm   []int32 // sorted's group permutation, kept until reset
+	fresh  []int32 // sorted's new groups, merged into perm
 
 	// All COUNT(DISTINCT) sets are one open-addressing set of (set id, value)
 	// pairs, set id = group·dw + column: slot s holds value dvals[s] of set
@@ -111,6 +112,7 @@ func (t *aggTable) reset() {
 	t.hashes, t.counts, t.dcounts = t.hashes[:0], t.counts[:0], t.dcounts[:0]
 	t.n, t.dn = 0, 0
 	t.direct, t.mapped, t.wide = t.direct[:0], 0, false
+	t.perm = t.perm[:0]
 }
 
 // addDistinct stores v in distinct set d, counting it when it is new.
@@ -618,12 +620,27 @@ func cmpKeys(keys [][]int64, a, b int32) int {
 
 // sorted returns the group ids in ascending group-key order — the
 // deterministic output order. Keys are unique, so they order the rows.
+// Groups are only ever added until reset, so the order of the ones sorted
+// last is kept: a table that absorbs a few groups (a maintained one) sorts
+// only those and merges them in, from the back.
 func (t *aggTable) sorted() []int32 {
-	t.perm = t.perm[:0]
-	for g := 0; g < t.n; g++ {
+	old := len(t.perm)
+	for g := old; g < t.n; g++ {
 		t.perm = append(t.perm, int32(g))
 	}
-	slices.SortFunc(t.perm, func(a, b int32) int { return cmpKeys(t.keys, a, b) })
+	byKey := func(a, b int32) int { return cmpKeys(t.keys, a, b) }
+	slices.SortFunc(t.perm[old:], byKey)
+	if old == 0 || old == t.n {
+		return t.perm
+	}
+	t.fresh = append(t.fresh[:0], t.perm[old:]...)
+	for i, j, k := old-1, len(t.fresh)-1, t.n-1; j >= 0; k-- {
+		if i >= 0 && byKey(t.perm[i], t.fresh[j]) > 0 {
+			t.perm[k], i = t.perm[i], i-1
+		} else {
+			t.perm[k], j = t.fresh[j], j-1
+		}
+	}
 	return t.perm
 }
 
@@ -665,16 +682,11 @@ type vecHashAggOp struct {
 	t       *aggTable
 	scratch aggScratch
 
-	// Maintaining the table (maintain): scan is the shim of the one table
-	// scan src the aggregation reads, set by the compiler (nil: the table is
-	// emptied every execution), and st the record its marks go to. Unless
-	// epoch is 0, the table holds exactly rows [0, n) of that snapshot
-	// epoch, and scan.kept what the scan counted over them.
-	scan  *spanOp
-	src   *vecScanOp
-	st    *RunStats
-	epoch uint64
-	n     int
+	// Maintaining the table (maintain): st is the record of a tree that
+	// runs again (nil: the table is emptied every execution), and kept
+	// says the table holds the fold of the last execution's whole input.
+	st   *RunStats
+	kept bool
 }
 
 // NewVecHashAgg returns a blocking hash aggregation: it consumes its input
@@ -683,8 +695,8 @@ type vecHashAggOp struct {
 // few groups, else per-column loops) and emits the groups as dense column
 // windows in deterministic (sorted group key) order — the group-by columns,
 // SUM values, COUNT(*) if requested, then COUNT(DISTINCT) values. Under a
-// memory budget it spills (spillagg.go). Over one table scan in a held tree
-// it keeps its table and folds only the rows appended since (maintain).
+// memory budget it spills (spillagg.go). In a held tree it keeps its table
+// and folds only the rows its input gained since (maintain).
 func NewVecHashAgg(in VecIterator, spec AggSpecExec) VecIterator {
 	return &vecHashAggOp{in: in, spec: spec}
 }
@@ -693,10 +705,13 @@ func (a *vecHashAggOp) Open() error {
 	if a.t == nil {
 		a.t = newAggTable(a.spec)
 	}
+	kept := a.kept
+	a.kept = false // until this execution's fold has finished
+	askDelta(a.in, kept)
 	if err := a.in.Open(); err != nil {
 		return err
 	}
-	t, charged, part, err := a.fold(a.t, a.maintain(), 0, false, a.in.Next)
+	t, charged, part, err := a.fold(a.t, a.maintain(kept && gotDelta(a.in)), 0, false, a.in.Next)
 	if err = errors.Join(err, a.in.Close()); err != nil {
 		if part != nil {
 			part.abort()
@@ -711,7 +726,8 @@ func (a *vecHashAggOp) Open() error {
 	if part != nil {
 		a.out = order(a.out, t.gw)
 	}
-	a.keep()
+	// Only a fold that finished in memory without a budget is kept.
+	a.kept = a.st != nil && part == nil && !a.mem.Bounded()
 	// The final output must materialize for the consumer regardless of
 	// budget; Force records any overage.
 	a.mem.Force(colBytes(a.out.width(), a.out.n))
@@ -719,41 +735,23 @@ func (a *vecHashAggOp) Open() error {
 	return nil
 }
 
-// maintain readies the table for the execution's fold, after the scan has
-// bound its snapshot, and returns what the table is charged. SUM, COUNT(*)
-// and COUNT(DISTINCT) all absorb inserts, so when the table holds rows
-// [0, n) of the epoch the scan just bound, and the snapshot has N ≥ n rows,
-// the fold is the rows [n, N) alone: the scan starts at the watermark n,
-// within its zone-pruned ranges; its shim starts from what it counted over
-// the kept rows, so its rows are a fresh run's; the table is charged as it
-// stands; and both shims are marked maintained. Every other execution —
-// the first, one after a reset, after a failed or spilled one, any under a
-// budget — is the same fold from watermark 0 into the emptied table. The
-// epoch and N are the bound snapshot's own: a version read before the bind
-// could pair a reset landing in between with the old table.
-func (a *vecHashAggOp) maintain() int64 {
-	kept := a.epoch != 0 && a.src.leaf.epoch == a.epoch && a.src.leaf.data.n >= a.n
-	a.epoch = 0 // until this execution's fold has finished
-	if !kept {
+// maintain readies the table for the execution's fold, after the input
+// has opened, and returns what the table is charged. SUM, COUNT(*) and
+// COUNT(DISTINCT) all absorb inserts, so when the table was kept and the
+// input emits only the rows it gained since (delta), the fold is those
+// rows alone: the table is charged as it stands, and the aggregation's
+// shim and the record marked maintained. Every other execution — the
+// first, one after a reset, after a failed or spilled one, any under a
+// budget — is the same fold into the emptied table.
+func (a *vecHashAggOp) maintain(delta bool) int64 {
+	if !delta {
 		a.t.reset()
 		return 0
 	}
-	a.src.pos = a.n
-	a.scan.sp.Rows, a.scan.sp.Batches = a.scan.kept.Rows, a.scan.kept.Batches
-	a.scan.maintained, a.st.agg.maintained = true, true
+	a.st.maintained, a.st.agg.maintained = true, true
 	charged := a.t.approxBytes()
 	a.mem.Force(charged)
 	return charged
-}
-
-// keep records, after a fold that finished in memory without a budget, what
-// the table now holds: every row of the snapshot the scan bound.
-func (a *vecHashAggOp) keep() {
-	if a.scan == nil || a.mem.Bounded() {
-		return
-	}
-	a.epoch, a.n = a.src.leaf.epoch, a.src.leaf.data.n
-	a.scan.kept = a.scan.sp
 }
 
 func (a *vecHashAggOp) Next() (*Batch, error) { return a.out.emit(&a.batch, &a.pos), nil }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -525,5 +526,45 @@ func TestAggTableGlobalGroup(t *testing.T) {
 	}
 	if out[0][0] != 999*1000/2*3 || out[0][1] != 2000 {
 		t.Fatalf("global aggregate = %v", out[0])
+	}
+}
+
+// TestSortedMergesNewGroups: a table that gains groups between its renders,
+// as a maintained aggregation does, sorts only the new ones and merges them
+// into the order it kept; after every chunk of rows the order must be the
+// one a full sort of every group gives, for one- and two-column keys, new
+// keys below, between and above the old ones, chunks that add no group, and
+// a reset in between.
+func TestSortedMergesNewGroups(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, keys := range []int{1, 2} {
+		spec := AggSpecExec{GroupBy: seq(keys), CountAll: true}
+		tbl, s := newAggTable(spec), &aggScratch{}
+		for round := 0; round < 3; round++ {
+			tbl.reset()
+			for chunk := 0; chunk < 12; chunk++ {
+				n := rng.Intn(40)
+				if chunk%4 == 3 {
+					n = 0
+				}
+				cols := make([][]int64, keys)
+				for c := range cols {
+					cols[c] = make([]int64, n)
+					for i := range cols[c] {
+						cols[c][i] = rng.Int63n(int64(30 + 200*chunk))
+					}
+				}
+				tbl.addBatch(cols, n, nil, nil, s)
+				got := slices.Clone(tbl.sorted())
+				want := make([]int32, tbl.n)
+				for g := range want {
+					want[g] = int32(g)
+				}
+				slices.SortFunc(want, func(a, b int32) int { return cmpKeys(tbl.keys, a, b) })
+				if !slices.Equal(got, want) {
+					t.Fatalf("%d key columns, round %d, chunk %d: order %v, a full sort %v", keys, round, chunk, got, want)
+				}
+			}
+		}
 	}
 }

@@ -3,6 +3,9 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"slices"
+
+	"repro/internal/storage"
 )
 
 // BatchSize is the fixed batch capacity of the vectorized executor. Batches
@@ -103,6 +106,11 @@ func Drain(v VecIterator, each func(*Batch) error) (int64, error) {
 	if err := v.Open(); err != nil {
 		return 0, errors.Join(err, v.Close())
 	}
+	return drainOpen(v, each)
+}
+
+// drainOpen is Drain after the Open.
+func drainOpen(v VecIterator, each func(*Batch) error) (int64, error) {
 	var n int64
 	for {
 		b, err := v.Next()
@@ -195,6 +203,10 @@ func sized[T any](s []T, n int) []T {
 	return make([]T, n, n+n/4)
 }
 
+// grown returns s at length n ≥ len(s) with its elements kept, growing its
+// array amortized: the arrays of a table that gains rows.
+func grown[T any](s []T, n int) []T { return slices.Grow(s, n-len(s))[:n] }
+
 // window returns the zero-copy column windows of rows [lo, hi) into dst
 // (reused across calls).
 func (d *colData) window(dst [][]int64, lo, hi int) [][]int64 {
@@ -244,24 +256,32 @@ func (d *colData) appendBatch(b *Batch) {
 // uses it as a fast path, so a hash-join build takes a base scan without
 // copying what it does not filter.
 type colDrainer interface {
-	drainCols(buf *colData) (colData, error)
+	drainCols(buf, dbuf *colData) (colData, error)
 }
 
 // drainVecCols opens in, materializes every live row column-wise and closes
 // it — the unbounded hash-join build's materializing primitive. What is
 // copied goes into buf — the consumer's materialization of its previous
-// execution, or nil — so a re-opened consumer allocates only what outgrew it.
-// The result is buf's content or columns the source lends: read-only, and
-// valid until the next drain.
-func drainVecCols(in VecIterator, buf *colData) (colData, error) {
+// execution, or nil — so a re-opened consumer allocates only what outgrew it;
+// when in opens to emit only its delta (deltaIter) and dbuf is not nil, it
+// goes into dbuf instead, so buf's rows outlive the drain of what was
+// appended to them. The result is buf's or dbuf's content or columns the
+// source lends: read-only, and valid until the next drain.
+func drainVecCols(in VecIterator, buf, dbuf *colData) (colData, error) {
 	if buf == nil {
 		buf = new(colData)
 	}
 	if d, ok := in.(colDrainer); ok {
-		return d.drainCols(buf)
+		return d.drainCols(buf, dbuf)
+	}
+	if err := in.Open(); err != nil {
+		return colData{}, errors.Join(err, in.Close())
+	}
+	if dbuf != nil && gotDelta(in) {
+		buf = dbuf
 	}
 	buf.reset()
-	_, err := Drain(in, func(b *Batch) error { buf.appendBatch(b); return nil })
+	_, err := drainOpen(in, func(b *Batch) error { buf.appendBatch(b); return nil })
 	return *buf, err
 }
 
@@ -278,6 +298,10 @@ type vecScanOp struct {
 	sel   []int
 	ids   []int32   // drainCols' surviving row ids
 	lent  [][]int64 // drainCols' headers over an unfiltered table's columns
+	// want asks the next Open for only the rows appended since the last
+	// execution (setDelta); delta says the open execution reads only those:
+	// rows [leaf.from, N) of its ranges.
+	want, delta bool
 }
 
 // NewVecScan returns a vectorized filtering scan over column-major
@@ -294,10 +318,39 @@ func leafOfCols(cols [][]int64, n int, filter ScanFilter) scanLeaf {
 	return scanLeaf{data: colData{cols: cols, n: n}, filter: filter, pred: cols}
 }
 
+// Open binds the leaf and, asked for its delta, starts at the watermark
+// when the snapshot it bound only grew since the last one (scanLeaf.grew).
 func (s *vecScanOp) Open() error {
 	s.leaf.bind()
 	s.r, s.pos = 0, 0
+	if s.delta = s.want && s.leaf.grew; s.delta {
+		s.pos = s.leaf.from
+	}
 	return nil
+}
+
+func (s *vecScanOp) setDelta(want bool) { s.want = want }
+func (s *vecScanOp) isDelta() bool      { return s.delta }
+
+// rewind makes the scan read, from the start, its rows below the
+// watermark that the bound snapshot's zone maps keep under its own
+// conditions and column col (of its schema) in [lo, hi]: the old rows a
+// join's appended build rows may match.
+func (s *vecScanOp) rewind(col int, lo, hi int64) {
+	l := &s.leaf
+	off := l.schema[col].Off
+	l.keyZone = append(append(l.keyZone[:0], l.zone...),
+		storage.Pred{Col: off, Op: storage.CmpGE, Val: lo}, storage.Pred{Col: off, Op: storage.CmpLE, Val: hi})
+	l.ranges, _ = l.snap.Ranges(l.keyZone, l.ranges)
+	k := 0
+	for _, rg := range l.ranges {
+		if rg.Lo < l.from {
+			l.ranges[k] = storage.Range{Lo: rg.Lo, Hi: min(rg.Hi, l.from)}
+			k++
+		}
+	}
+	l.ranges = l.ranges[:k]
+	s.r, s.pos = 0, 0
 }
 
 func (s *vecScanOp) Next() (*Batch, error) {
@@ -328,27 +381,32 @@ func (s *vecScanOp) Next() (*Batch, error) {
 
 func (s *vecScanOp) Close() error { return nil }
 
-// drainCols hands a blocking consumer (a join build) the scan's rows
-// without the batch stream. An unfiltered scan lends the snapshot's columns
-// as they are: they are immutable, consumers only read a materialization, and
-// the clipped capacity makes a stray append copy rather than write into the
+// drainCols hands a blocking consumer (a join build) the rows the scan
+// opened to read — every row, or those from its watermark — without the
+// batch stream. An unfiltered scan lends the snapshot's columns as they
+// are: they are immutable, consumers only read a materialization, and the
+// clipped capacity makes a stray append copy rather than write into the
 // table (with no conditions, nothing is pruned). A filtered scan collects
 // its survivors' row ids window by window over its ranges, then copies each
-// column once into buf, at exact size when buf's is too small.
-func (s *vecScanOp) drainCols(buf *colData) (colData, error) {
-	s.leaf.bind()
+// column once into buf (dbuf for a delta, drainVecCols), at exact size when
+// its columns are too small.
+func (s *vecScanOp) drainCols(buf, dbuf *colData) (colData, error) {
+	s.Open()
+	if s.delta && dbuf != nil {
+		buf = dbuf
+	}
 	d := s.leaf.data
 	if s.leaf.filter.Empty() {
 		s.lent = sized(s.lent, d.width())
 		for c, col := range d.cols {
-			s.lent[c] = col[:d.n:d.n]
+			s.lent[c] = col[s.pos:d.n:d.n]
 		}
-		return colData{cols: s.lent, n: d.n}, nil
+		return colData{cols: s.lent, n: d.n - s.pos}, nil
 	}
 	buf.cols = sized(buf.cols, d.width())
 	s.ids = s.ids[:0]
 	for _, rg := range s.leaf.ranges {
-		for lo := rg.Lo; lo < rg.Hi; lo += BatchSize {
+		for lo := max(rg.Lo, s.pos); lo < rg.Hi; lo += BatchSize {
 			s.sel = s.leaf.sel(lo, min(lo+BatchSize, rg.Hi), s.sel)
 			for _, i := range s.sel {
 				s.ids = append(s.ids, int32(lo+i))

@@ -13,12 +13,12 @@ import (
 
 // RunStats is the record of one execution of a compiled tree: the span of
 // every shimmed node (profile.go), whose rows are the node's actual output
-// cardinality — counted as it ran, replayed from a kept hash-join table's
-// build or a result-cache entry, or, under a maintained aggregation, counted
-// over the kept rows plus the appended ones — and what the execution reused.
-// The adaptive layer compares the cardinalities with the optimizer's
-// estimates and feeds the ratios back as cardinality updates; Format renders
-// the whole record as EXPLAIN ANALYZE.
+// cardinality — counted as it ran, replayed from a result-cache entry, or,
+// where the node emitted only what its output gained since the last
+// execution, counted over the kept rows plus the new ones — and what the
+// execution kept. The adaptive layer compares the cardinalities with the
+// optimizer's estimates and feeds the ratios back as cardinality updates;
+// Format renders the whole record as EXPLAIN ANALYZE.
 type RunStats struct {
 	q      *relalg.Query
 	plan   *relalg.Plan
@@ -26,6 +26,8 @@ type RunStats struct {
 	agg    *spanOp   // the aggregation's, nil without one
 	timed  bool      // SetTiming
 	reused int       // hash joins that kept their table this execution
+	// maintained says the root kept its result and absorbed the delta.
+	maintained bool
 	// hits and spools are the result-cache probe hits and spools, decided
 	// when the tree compiled: such a tree runs once (execRoot).
 	hits, spools int
@@ -41,26 +43,36 @@ func (s *RunStats) Card(set relalg.RelSet) (int64, bool) {
 	return 0, false
 }
 
-// Reset zeroes every span, mark and the reuse count for a re-opened tree's
-// run.
+// Reset zeroes every span, mark and count for a re-opened tree's run.
 func (s *RunStats) Reset() {
 	for _, op := range s.ops {
 		op.sp, op.replayed, op.maintained = obs.Span{}, false, false
 	}
-	s.reused = 0
+	s.reused, s.maintained = 0, false
 }
 
-// BuildsReused counts the latest execution's joins that kept their table.
+// BuildsReused counts the latest execution's joins that kept their table,
+// inserting whatever rows their build side gained.
 func (s *RunStats) BuildsReused() int { return s.reused }
 
-// AggsMaintained counts the latest execution's aggregations that kept their
-// table and folded only the rows appended since (vecHashAggOp.maintain): 0
-// or 1, a tree having at most one.
-func (s *RunStats) AggsMaintained() int {
-	if s.agg != nil && s.agg.maintained {
+// ResultsMaintained counts the latest execution's roots that kept their
+// result — an aggregation's table or the emitted rows — and absorbed only
+// what the tree's output gained since: 0 or 1.
+func (s *RunStats) ResultsMaintained() int {
+	if s.maintained {
 		return 1
 	}
 	return 0
+}
+
+// tableBytes is what the tree's kept join tables hold.
+func (s *RunStats) tableBytes() (n int64) {
+	for _, op := range s.ops {
+		if j, ok := op.in.(*vecHashJoinOp); ok && j.kept {
+			n += buildBytes(j.table.data.width(), j.table.data.n, j.counting)
+		}
+	}
+	return n
 }
 
 // CacheDecisions counts the execution's result-cache probe hits and spools.
@@ -134,17 +146,18 @@ func (c *Compiler) CompileVec(plan *relalg.Plan) (VecIterator, *RunStats, error)
 		agg := NewVecHashAgg(v, spec)
 		if ha, ok := agg.(*vecHashAggOp); ok {
 			ha.mem = c.Mem.Child()
-			// Over one table's scan the table absorbs appends (maintain).
-			if sh, ok := v.(*spanOp); ok {
-				if src, ok := sh.in.(*vecScanOp); ok && src.leaf.tab != nil {
-					ha.scan, ha.src, ha.st = sh, src, stats
-				}
+			if c.Cache == nil { // the table is kept (maintain)
+				ha.st = stats
 			}
 		}
 		stats.agg = c.span(agg, nil, nil, stats)
 		v = stats.agg
 	}
-	return c.root(v, stats), stats, nil
+	root := c.root(v, stats)
+	if c.Q.Agg == nil && c.Cache == nil && !c.Mem.Bounded() {
+		root.res = &keptRows{mem: c.Mem.Child()}
+	}
+	return root, stats, nil
 }
 
 // planNodes counts the nodes of a plan tree.
@@ -159,24 +172,43 @@ func planNodes(p *relalg.Plan) int {
 // after Close, Open starts a new execution of the same operators — scan leaves
 // rebind to their tables' current snapshots, RunStats and the tracker's
 // per-execution figures start over, operators empty the buffers they own and
-// keep their capacity — and an unbounded run keeps three things: a hash
-// join whose build side's pin holds keeps its table (vecHashJoinOp.reuse),
-// a result-cache hit its entry's counts, and an aggregation over one table
-// scan its table, folding only the rows appended to the snapshot its scan
-// bound (vecHashAggOp.maintain). Two kinds of tree refuse instead of
-// returning stale rows: one compiled against a result cache (its
-// probe hits and spools, and the counts its hits replay, were decided
-// against the cache's content at compile time) and one whose last execution
-// failed.
+// keep their capacity — and an unbounded run keeps its state and maintains
+// it: a hash join keeps its table and inserts the rows its build side gained
+// (vecHashJoinOp.held), the root keeps its result — an aggregation its table
+// (vecHashAggOp.maintain), a tree without one its rows (keptRows) — and where
+// the snapshots its scans bind only grew since the last execution's, each
+// node emits only the rows its output gained and the root absorbs them
+// (deltaIter). A result-cache hit keeps its entry's counts. Two kinds of
+// tree refuse instead of returning stale rows: one compiled against a result
+// cache (its probe hits and spools, and the counts its hits replay, were
+// decided against the cache's content at compile time) and one whose last
+// execution failed.
 type execRoot struct {
 	in          VecIterator
 	stats       *RunStats
 	mem         *MemTracker
 	cached      bool
 	ran, failed bool
+	res         *keptRows // the result a held tree without an aggregation keeps; nil: none
 }
 
-func (c *Compiler) root(v VecIterator, stats *RunStats) VecIterator {
+// keptRows is the result the root of an unbounded held tree without an
+// aggregation keeps: the rows an execution emits, while they take no more
+// bytes than the join tables the tree keeps. When the tree emits only the
+// rows its output gained since the last execution, the root replays the
+// kept rows, as a scan over fixed columns does, and then passes on and
+// keeps the new ones.
+type keptRows struct {
+	data        colData
+	kept        bool  // data is the last execution's whole result
+	keep        bool  // this execution's rows are being kept
+	limit       int64 // the bytes the tree's join tables hold
+	replay, pos int   // the kept rows the execution emits first, the next of them
+	batch       Batch
+	mem         *MemTracker
+}
+
+func (c *Compiler) root(v VecIterator, stats *RunStats) *execRoot {
 	return &execRoot{in: v, stats: stats, mem: c.Mem, cached: c.Cache != nil}
 }
 
@@ -197,15 +229,59 @@ func (r *execRoot) Open() error {
 		r.mem.restart()
 	}
 	r.ran = true
-	return r.note(r.in.Open())
+	k := r.res
+	if k == nil {
+		return r.note(r.in.Open())
+	}
+	kept := k.kept
+	k.kept = false
+	askDelta(r.in, kept)
+	if err := r.in.Open(); err != nil {
+		return r.note(err)
+	}
+	k.pos, k.replay, k.keep, k.limit = 0, 0, true, r.stats.tableBytes()
+	if kept && gotDelta(r.in) {
+		k.replay, r.stats.maintained = k.data.n, true
+		k.mem.Force(colBytes(k.data.width(), k.data.n))
+	} else {
+		k.data.reset()
+	}
+	return nil
 }
 
 func (r *execRoot) Next() (*Batch, error) {
+	k := r.res
+	if k == nil {
+		b, err := r.in.Next()
+		return b, r.note(err)
+	}
+	if k.pos < k.replay {
+		end := min(k.pos+BatchSize, k.replay)
+		k.batch.Cols, k.batch.N, k.batch.Sel = k.data.window(k.batch.Cols, k.pos, end), end-k.pos, nil
+		k.pos = end
+		return &k.batch, nil
+	}
 	b, err := r.in.Next()
+	switch {
+	case err != nil:
+		k.keep = false
+	case b == nil:
+		k.kept = k.keep
+	case !k.keep:
+	case colBytes(b.Width(), k.data.n+b.Len()) > k.limit:
+		k.keep = false
+	default:
+		k.data.appendBatch(b)
+	}
 	return b, r.note(err)
 }
 
-func (r *execRoot) Close() error { return r.note(r.in.Close()) }
+func (r *execRoot) Close() error {
+	if r.res != nil {
+		r.res.mem.ReleaseAll()
+	}
+	return r.note(r.in.Close())
+}
 
 // aggSpec resolves the query's aggregation columns against the plan root's
 // output schema.
@@ -255,8 +331,16 @@ type scanLeaf struct {
 	// ranges are the ascending row ranges of data the execution reads: the
 	// ones the zone maps cannot exclude, else the whole of data.
 	ranges []storage.Range
-	// epoch is the bound snapshot's (storage.Snapshot.Epoch), 0 unbound.
+	// snap is the bound snapshot and epoch its Epoch; nil and 0 unbound.
+	snap  *storage.Snapshot
 	epoch uint64
+	// from is the row count the previous bind read, the watermark, and grew
+	// says the snapshot bound now extends that one: the same epoch and at
+	// least from rows, so rows [0, from) are the ones the previous
+	// execution read. keyZone is rewind's buffer.
+	from    int
+	grew    bool
+	keyZone []storage.Pred
 }
 
 // bind points the leaf at its table's current column snapshot and the row
@@ -265,7 +349,8 @@ type scanLeaf struct {
 // so a re-opened tree reads what the table holds now. The snapshot is
 // atomically published with its zone maps, so binding concurrently with
 // writers never pairs columns with another generation's count or zones, and
-// never waits for them.
+// never waits for them. The watermark is the previous bind's own row count,
+// never one read before this bind.
 func (l *scanLeaf) bind() {
 	if l.tab == nil {
 		l.ranges = append(l.ranges[:0], storage.Range{Hi: l.data.n})
@@ -273,7 +358,8 @@ func (l *scanLeaf) bind() {
 	}
 	snap := l.tab.Store().Snapshot()
 	l.ranges, _ = snap.Ranges(l.zone, l.ranges)
-	l.data.n, l.epoch = snap.N, snap.Epoch
+	l.grew = l.epoch != 0 && snap.Epoch == l.epoch && snap.N >= l.data.n
+	l.from, l.data.n, l.epoch, l.snap = l.data.n, snap.N, snap.Epoch, snap
 	for i, col := range l.schema {
 		l.data.cols[i] = snap.Cols[col.Off] // indexed by table offset
 	}
@@ -378,12 +464,10 @@ func (c *Compiler) compileNode(p *relalg.Plan, stats *RunStats, weighted, spoole
 	case relalg.LogJoin:
 		// Every join runs on the hash join, through one path: the build side
 		// is the left child (an index-NL join's inner relation: its index).
-		lo := len(stats.ops)
 		left, ls, err := c.compileVec(p.Left, stats, false, spooled)
 		if err != nil {
 			return nil, nil, err
 		}
-		buildOps := stats.ops[lo:len(stats.ops):len(stats.ops)]
 		counted := c.counted(p, ls, weighted)
 		right, rs, err := c.compileVec(p.Right, stats, counted, spooled)
 		if err != nil {
@@ -394,9 +478,14 @@ func (c *Compiler) compileNode(p *relalg.Plan, stats *RunStats, weighted, spoole
 		if err != nil {
 			return nil, nil, err
 		}
-		// Tables are kept (vecHashJoinOp.reuse) unless the tree runs once.
+		// Tables are kept (vecHashJoinOp.held) unless the tree runs once.
 		if hj, ok := v.(*vecHashJoinOp); ok && c.Cache == nil {
-			hj.st, hj.buildOps, hj.pin = stats, buildOps, c.pin(p.Left.Expr)
+			hj.st = stats
+			if sh, ok := right.(*spanOp); ok {
+				if sc, ok := sh.in.(*vecScanOp); ok && sc.leaf.tab != nil {
+					hj.old = sc
+				}
+			}
 		}
 		op := c.span(v, p, schema, stats)
 		op.counting = counted
@@ -421,7 +510,7 @@ func (c *Compiler) hashJoin(p *relalg.Plan, left, right VecIterator, ls, rs []re
 }
 
 // pin pins the base tables of set's relations, which the caller has
-// resolved: what a kept join table or a spooled result was derived from.
+// resolved: what a spooled result was derived from.
 func (c *Compiler) pin(set relalg.RelSet) catalog.Pin {
 	tabs := make([]*catalog.Table, 0, set.Count())
 	set.EachMember(func(rel int) { tabs = append(tabs, c.Cat.MustTable(c.Q.Rels[rel].Table)) })

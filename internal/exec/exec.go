@@ -16,13 +16,17 @@
 // a tree of VecIterator operators, and Drain runs it into a sink, as often as
 // its holder likes (execRoot: a held tree rereads the tables).
 //
-// Reuse has one shape: state built from base tables — a hash join's table
-// (vecjoin.go), a result-cache entry (rescache.go) — is kept while its
-// catalog.Pin holds, and the subtree it stands for is skipped, its spans
-// replayed from what was kept (profile.go). An aggregation over one table's
-// scan keeps its table while the table only grows, and folds only the rows
-// appended since (agg.go, vecHashAggOp.maintain): what was kept plus the
-// delta.
+// A held tree maintains its state under appends: every unbounded hash join
+// keeps its table and the root its result — the aggregation's table
+// (agg.go), a tree without one its rows (execRoot) — and where the snapshots
+// its scans bind only grew since the last execution's (the same epoch, at
+// least the row count the scan bound then), each scan emits the rows above
+// that watermark, each join's kept table inserts what its build side
+// gained and the join emits only what its output gained (vecjoin.go), and
+// the root absorbs that: what was kept plus the delta, its spans counted
+// from what the nodes counted before (profile.go). A result-cache entry
+// (rescache.go) is kept while its catalog.Pin holds, and the subtree it
+// stands for is skipped, its spans replayed.
 // Operators exchange column-major batches — up to BatchSize rows held as one
 // contiguous []int64 per column, with a selection vector (batch.go). Leaf
 // scans hand out zero-copy windows over column-major base-table storage

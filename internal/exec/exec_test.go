@@ -295,6 +295,14 @@ func checkExecution(t *testing.T, label string, comp *Compiler, v VecIterator, s
 	if err != nil {
 		t.Fatalf("%s: %v\n%s", label, err, plan.Explain(comp.Q))
 	}
+	checkRows(t, label, comp, got, st, card, want, plan)
+}
+
+// checkRows is checkExecution's check of the rows got an execution returned.
+func checkRows(t *testing.T, label string, comp *Compiler, got []Row, st *RunStats,
+	card func(relalg.RelSet) int64, want string, plan *relalg.Plan) {
+	t.Helper()
+	var err error
 	var schema []relalg.ColID // aggregate rows are already plan-independent
 	if comp.Q.Agg == nil {
 		if schema, err = comp.PlanSchema(plan); err != nil {

@@ -286,8 +286,13 @@ func colKeysEqual(bCols [][]int64, bKeys []int, bi int, pCols [][]int64, pKeys [
 // rows sharing linked row i's key. A chain then holds at most one match per
 // probe row.
 // Beside the chains, bits is an exact bitmap of the first key column (bit v-lo
-// is set iff a build row's first key is v) whenever its range holds more than
-// 2 and at most 64 values per build row (8 B a row, in buildBytes), else empty.
+// is set iff a build row's first key is v) whenever its range [lo, hi] holds
+// more than 2 and at most 64 values per build row (8 B a row, in buildBytes),
+// else empty.
+//
+// A kept table absorbs rows appended to its build side (insert): they are
+// linked as a build that read them last would link them, so the table is the
+// one buildJoinTable makes over the rows together.
 type joinTable struct {
 	mask   uint64
 	head   []int32 // bucket -> 1-based index of the chain head row
@@ -295,9 +300,10 @@ type joinTable struct {
 	hashes []uint64
 	mult   []int32
 	bits   []uint64
-	lo     int64
+	lo, hi int64 // the first key column's range; set while data.n > 0
 	keys   []int
 	data   colData
+	win    [][]int64 // insert's window headers
 }
 
 // countDup is the counting-mode step before build row i (hashed already) is
@@ -315,6 +321,19 @@ func (t *joinTable) countDup(i int32) bool {
 	}
 	t.mult[i] = 1
 	return false
+}
+
+// link puts rows [lo, hi), hashed already, at the heads of their chains in
+// row order, so a chain runs from the last row linked to the first.
+func (t *joinTable) link(lo, hi int, counting bool) {
+	for i := lo; i < hi; i++ {
+		if counting && t.countDup(int32(i)) {
+			continue
+		}
+		b := t.hashes[i] & t.mask
+		t.next[i] = t.head[b]
+		t.head[b] = int32(i + 1)
+	}
 }
 
 // buildJoinTable builds the table over data in t — nil, or the operator's
@@ -335,31 +354,84 @@ func buildJoinTable(t *joinTable, data colData, keys []int, counting bool) *join
 		t.mult = sized(t.mult, n) // countDup starts each linked row's count
 	}
 	hashDense(t.hashes, data.cols, keys)
-	for i := 0; i < n; i++ {
-		if counting && t.countDup(int32(i)) {
-			continue
-		}
-		b := t.hashes[i] & t.mask
-		t.next[i] = t.head[b]
-		t.head[b] = int32(i + 1)
-	}
+	t.link(0, n, counting)
 	if t.bits = t.bits[:0]; n == 0 {
 		return t // heads drops every probe row without a bitmap
 	}
 	col := data.cols[keys[0]][:n]
-	lo, hi := col[0], col[0]
+	t.lo, t.hi = col[0], col[0]
+	t.setBits(col)
+	return t
+}
+
+// bitmapFits is the bitmap rule over a first key column of n rows in
+// [lo, hi]: not too sparse for a word per row, not too dense to drop many
+// probe rows.
+func bitmapFits(lo, hi int64, n int) bool {
+	span := uint64(hi) - uint64(lo) // exact, even across the int64 range
+	return span/64 < uint64(n) && span/2 >= uint64(n)
+}
+
+// setBits widens the key range to the keys of col, the first key column of
+// every row, and builds the bitmap over them when the rule says so.
+func (t *joinTable) setBits(col []int64) {
 	for _, v := range col {
+		t.lo, t.hi = min(t.lo, v), max(t.hi, v)
+	}
+	if t.bits = t.bits[:0]; !bitmapFits(t.lo, t.hi, t.data.n) {
+		return
+	}
+	t.bits = sized(t.bits, int((uint64(t.hi)-uint64(t.lo))/64+1))
+	clear(t.bits)
+	t.addBits(col)
+}
+
+// addBits sets the bits of the keys in col, which lie in the bitmap's range.
+func (t *joinTable) addBits(col []int64) {
+	for _, v := range col {
+		d := uint64(v) - uint64(t.lo)
+		t.bits[d>>6] |= 1 << (d & 63)
+	}
+}
+
+// insert makes t the table over data, whose first n0 rows are the rows t
+// holds: rows [n0, data.n) are hashed and linked after them, each counted
+// onto a linked row with its key in counting mode, and their first keys set
+// in the bitmap, which grows at its top end. A table past half load, an
+// empty one, a key below the range or a range that starts or stops fitting
+// the bitmap rule is built again over all of data instead, so the result is
+// always buildJoinTable's over data.
+func (t *joinTable) insert(data colData, n0 int, counting bool) *joinTable {
+	n := data.n
+	if n == n0 {
+		t.data = data
+		return t
+	}
+	col := data.cols[t.keys[0]][:n]
+	lo, hi := t.lo, t.hi
+	for _, v := range col[n0:] {
 		lo, hi = min(lo, v), max(hi, v)
 	}
-	span := uint64(hi) - uint64(lo) // exact, even across the int64 range
-	if span/64 >= uint64(n) || span/2 < uint64(n) {
-		return t // too sparse for a word per row, or too dense to drop many probe rows
+	if n0 == 0 || 2*n > len(t.head) || lo < t.lo || len(t.bits) == 0 && bitmapFits(lo, hi, n) {
+		return buildJoinTable(t, data, t.keys, counting)
 	}
-	t.lo, t.bits = lo, sized(t.bits, int(span/64+1))
-	clear(t.bits)
-	for _, v := range col {
-		d := uint64(v) - uint64(lo)
-		t.bits[d>>6] |= 1 << (d & 63)
+	t.data = data
+	t.next, t.hashes = grown(t.next, n), grown(t.hashes, n)
+	if counting {
+		t.mult = grown(t.mult, n)
+	}
+	t.win = data.window(t.win, n0, n)
+	hashDense(t.hashes[n0:], t.win, t.keys)
+	t.link(n0, n, counting)
+	if t.hi = hi; len(t.bits) > 0 {
+		if !bitmapFits(t.lo, t.hi, n) {
+			t.bits = t.bits[:0]
+		} else {
+			w := len(t.bits)
+			t.bits = grown(t.bits, int((uint64(t.hi)-uint64(t.lo))/64+1))
+			clear(t.bits[w:])
+			t.addBits(col[n0:])
+		}
 	}
 	return t
 }

@@ -233,7 +233,7 @@ func TestLivenessEdgeCases(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
-			data, err := drainVecCols(v, nil)
+			data, err := drainVecCols(v, nil, nil)
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}

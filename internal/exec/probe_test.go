@@ -615,3 +615,94 @@ func BenchmarkHashJoinProbe(b *testing.B) {
 		})
 	}
 }
+
+// TestJoinTableInsertMatchesBuild grows a join table chunk by chunk with
+// joinTable.insert and requires, after every chunk, the table buildJoinTable
+// makes over the same rows: the same bucket count, every bucket's chain —
+// its rows in order and, counting, their multiplicities — and the same key
+// bitmap over the same range. The key regimes cover what an insert meets:
+// keys rising past the table's top (new orders: the bitmap grows at its top
+// end), keys falling below its bottom (built again), sparse keys whose range
+// starts to fit the bitmap rule as rows arrive, keys that leave it, a small
+// domain of duplicates (counted onto their linked rows), and keys at both
+// ends of int64; each with one- and two-column keys, enumerating and
+// counting, across chunks of 1 to 915 rows that cross the half-load regrowth.
+func TestJoinTableInsertMatchesBuild(t *testing.T) {
+	const n = 2000
+	rng := rand.New(rand.NewSource(11))
+	regimes := map[string]func(i int) int64{
+		"rising":     func(i int) int64 { return 3 * int64(i) },
+		"falling":    func(i int) int64 { return 3 * int64(n-i) },
+		"sparse":     func(int) int64 { return rng.Int63n(40 * n) },
+		"duplicates": func(int) int64 { return rng.Int63n(50) },
+		"leaving": func(i int) int64 {
+			if i < n/2 {
+				return 3 * int64(i)
+			}
+			return 1e12 + int64(i)
+		},
+		"extremes": func(i int) int64 {
+			switch i {
+			case 700:
+				return math.MinInt64
+			case 701:
+				return math.MaxInt64
+			}
+			return rng.Int63n(4 * n)
+		},
+	}
+	for name, key := range regimes {
+		for _, keys := range []int{1, 2} {
+			for _, counting := range []bool{false, true} {
+				label := fmt.Sprintf("%s, %d key columns, counting %v", name, keys, counting)
+				cols := make([][]int64, keys+1)
+				for c := range cols {
+					cols[c] = make([]int64, n)
+				}
+				for i := 0; i < n; i++ {
+					cols[0][i] = key(i)
+					if keys > 1 {
+						cols[1][i] = rng.Int63n(2)
+					}
+					cols[keys][i] = int64(i)
+				}
+				var tbl *joinTable
+				n0 := 0
+				for _, chunk := range []int{1, 3, 17, 64, 300, 700, 915} {
+					rows := colData{cols: (&colData{cols: cols, n: n}).window(nil, 0, n0+chunk), n: n0 + chunk}
+					if tbl == nil {
+						tbl = buildJoinTable(nil, rows, seq(keys), counting)
+					} else {
+						tbl = tbl.insert(rows, n0, counting)
+					}
+					sameJoinTable(t, fmt.Sprintf("%s, %d rows", label, rows.n), tbl, buildJoinTable(nil, rows, seq(keys), counting), counting)
+					n0 = rows.n
+				}
+			}
+		}
+	}
+}
+
+// sameJoinTable requires got to be want: the same buckets, chains, counts
+// and key bitmap.
+func sameJoinTable(t *testing.T, label string, got, want *joinTable, counting bool) {
+	t.Helper()
+	if got.mask != want.mask || !slices.Equal(got.bits, want.bits) || len(want.bits) > 0 && got.lo != want.lo {
+		t.Fatalf("%s: %d buckets and a %d-word bitmap from %d, a build has %d, %d and %d",
+			label, got.mask+1, len(got.bits), got.lo, want.mask+1, len(want.bits), want.lo)
+	}
+	chain := func(tbl *joinTable, b int) (rows []int64) {
+		for ci := tbl.head[b]; ci != 0; ci = tbl.next[ci-1] {
+			rows = append(rows, int64(ci-1), int64(tbl.hashes[ci-1]))
+			if counting {
+				rows = append(rows, int64(tbl.mult[ci-1]))
+			}
+		}
+		return rows
+	}
+	for b := range want.head {
+		if g, w := chain(got, b), chain(want, b); !slices.Equal(g, w) {
+			t.Fatalf("%s: bucket %d chains %v, a build's %v", label, b, g, w)
+		}
+	}
+}

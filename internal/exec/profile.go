@@ -18,19 +18,20 @@ import (
 // Feedback, EstErr, the result-cache spool and EXPLAIN ANALYZE therefore
 // read one count.
 //
-// Reuse is replay: where an execution skips a subtree because the base
-// tables under it hold the snapshots its state was built from (a
-// catalog.Pin), the subtree's shims replay what was kept — a kept hash-join
-// table's build (vecHashJoinOp.reuse) or a result-cache entry's counts, whose
-// record-only shims wrap no operator (compileCandidate) — and are marked
-// replayed: EXPLAIN ANALYZE renders the first "reused" and the second "not
-// executed (cached)". Maintenance is replay plus the delta: an aggregation
-// that kept its table over rows [0, n) of a snapshot epoch reads only the
-// rows appended since (vecHashAggOp.maintain), and its scan's shim starts
-// from what it counted over the kept rows and adds the new ones, so its rows
-// are a fresh run's; EXPLAIN ANALYZE marks the scan and the aggregation
-// "maintained". Its batches are those of the executions that read the rows,
-// which may split them where a fresh run's windows would not.
+// Maintenance is the kept count plus the delta: a held tree keeps its
+// state across executions — each unbounded hash join its table, the root
+// its result (the aggregation's table, or the rows a tree without one
+// emitted) — and where the base tables under a node only grew since the
+// last execution, the node emits only the rows its output gained
+// (deltaIter). Its shim then starts from what it counted when the stream
+// last ended (kept) and adds the new rows, so its rows are a fresh run's,
+// and is marked maintained, as is a join whose kept table took new build
+// rows while it emitted its whole output. EXPLAIN ANALYZE renders the mark
+// before the time. A maintained node's batches are those of the executions
+// that read the rows, which may split them where a fresh run's windows would
+// not. Reuse is replay: a result-cache hit's subtree compiles to
+// record-only shims (compileCandidate), which wrap no operator, replay the
+// entry's counts and render "not executed (cached)".
 //
 // Timing is a property of an execution, not of a compile: the run's owner
 // calls RunStats.SetTiming before Open, and only a timed execution reads the
@@ -54,11 +55,50 @@ type spanOp struct {
 	counting   bool
 	replayed   bool     // sp is kept, replayed
 	maintained bool     // sp is kept plus the execution's delta
-	kept       obs.Span // what the kept state counted when it was built
+	kept       obs.Span // what the node counted when its stream last ended
 }
 
 // replay sets the span to the kept one, marked replayed.
 func (s *spanOp) replay() { s.sp, s.replayed = s.kept, true }
+
+// deltaIter is an operator of a held tree that can emit only the rows its
+// output gained since its last execution: asked before Open (setDelta), it
+// does so if what it and its inputs kept allows, and says after Open whether
+// it does (isDelta). Scans, hash joins and their shims are; askDelta and
+// gotDelta treat any other operator as one that always emits its whole
+// output.
+type deltaIter interface {
+	setDelta(want bool)
+	isDelta() bool
+}
+
+// askDelta asks v's next Open for its delta, or for its whole output.
+func askDelta(v VecIterator, want bool) {
+	if d, ok := v.(deltaIter); ok {
+		d.setDelta(want)
+	}
+}
+
+// gotDelta reports whether the opened v emits only its delta.
+func gotDelta(v VecIterator) bool {
+	d, ok := v.(deltaIter)
+	return ok && d.isDelta()
+}
+
+func (s *spanOp) setDelta(want bool) { askDelta(s.in, want) }
+func (s *spanOp) isDelta() bool      { return gotDelta(s.in) }
+
+// opened starts the span of an execution that emits only the node's delta
+// at what the node counted when its stream last ended, and marks it; a join
+// whose kept table took new rows is marked too.
+func (s *spanOp) opened() {
+	if gotDelta(s.in) {
+		s.sp.Rows, s.sp.Batches = s.sp.Rows+s.kept.Rows, s.sp.Batches+s.kept.Batches
+		s.maintained = true
+	} else if j, ok := s.in.(*vecHashJoinOp); ok && j.grew {
+		s.maintained = true
+	}
+}
 
 // start reads the clock when the execution is timed.
 func (s *spanOp) start() (t0 time.Time) {
@@ -78,6 +118,9 @@ func (s *spanOp) stop(t0 time.Time) {
 func (s *spanOp) Open() error {
 	t0 := s.start()
 	err := s.in.Open()
+	if err == nil {
+		s.opened()
+	}
 	s.stop(t0)
 	return err
 }
@@ -85,9 +128,12 @@ func (s *spanOp) Open() error {
 func (s *spanOp) Next() (*Batch, error) {
 	t0 := s.start()
 	b, err := s.in.Next()
-	if b != nil {
+	switch {
+	case b != nil:
 		s.sp.Batches++
 		s.sp.Rows += b.Rows()
+	case err == nil:
+		s.kept = s.sp
 	}
 	s.stop(t0)
 	return b, err
@@ -103,12 +149,19 @@ func (s *spanOp) Close() error {
 // drainCols forwards the materializing fast path through the shim — wrapping
 // must not make a build side copy columns its scan would lend. The drain is
 // one logical batch carrying every live row: by definition the node's output
-// cardinality.
-func (s *spanOp) drainCols(buf *colData) (colData, error) {
+// cardinality; one that emits only the node's delta adds it to the kept
+// count, as one more batch if it has rows.
+func (s *spanOp) drainCols(buf, dbuf *colData) (colData, error) {
 	t0 := s.start()
-	d, err := drainVecCols(s.in, buf)
-	s.sp.Batches++
-	s.sp.Rows += int64(d.n)
+	d, err := drainVecCols(s.in, buf, dbuf)
+	if err == nil {
+		s.opened()
+		if d.n > 0 || !gotDelta(s.in) {
+			s.sp.Batches++
+		}
+		s.sp.Rows += int64(d.n)
+		s.kept = s.sp
+	}
 	s.stop(t0)
 	return d, err
 }
@@ -134,13 +187,12 @@ func (s *RunStats) node(p *relalg.Plan) *spanOp {
 // what it carries upward), batches and, when the execution was timed,
 // cumulative wall time. A join that ran in counting mode is marked
 // "counted": its rows are the multiplicities summed — equal to act, as for
-// every operator — while its batches are what it actually emitted. A
-// replayed node renders what was kept: under a join that kept its table, the
-// rows and batches of the build the table came from, marked "reused" in
-// place of a time; under a result-cache hit, its act, marked "not executed
-// (cached)". An aggregation that kept its table and folded only appended
-// rows is marked "maintained", and so is its scan, whose rows and batches
-// count the kept rows with the new. A merge or index nested-loops join that
+// every operator — while its batches are what it actually emitted. A node
+// under a result-cache hit renders its replayed act, marked "not executed
+// (cached)". A node that emitted only what its output gained since the last
+// execution is marked "maintained" — its rows and batches count the kept
+// ones with the new — and so are a join whose kept table took new build
+// rows and an aggregation that kept its table. A merge or index nested-loops join that
 // ran is marked "via hash": the executor runs every join on the hash join.
 // An Enforce node renders as elided. Call it after the tree is drained and
 // before it is opened again.
@@ -154,14 +206,11 @@ func (s *RunStats) Format() string {
 	return b.String()
 }
 
-// timeOf renders op's time annotation: "reused" if replayed, else
-// "maintained" if so, then the time if the execution was timed.
+// timeOf renders op's time annotation: "maintained" if so, then the time
+// if the execution was timed.
 func (s *RunStats) timeOf(op *spanOp) string {
 	mark := ""
-	switch {
-	case op.replayed:
-		return " reused"
-	case op.maintained:
+	if op.maintained {
 		mark = " maintained"
 	}
 	if !s.timed {

@@ -119,7 +119,7 @@ func TestProfilingDifferential(t *testing.T) {
 // TestFormatAnalyzeRendering renders Q5 timed and then reopened untimed, the
 // index-NL plans of Q3S, Q5 and Q10, the merge-only plan of Q5, and Q1
 // reopened: an untimed execution shows the same rows and batches without
-// time=, the reopen's kept build subtrees marked reused, and
+// time=, every node of the unchanged reopen marked maintained, and
 // without a result cache no node reads "not executed" — an index-NL join's
 // inner leaf is a scan with its own counts, a merge or index-NL join is
 // marked "via hash", and a sort enforcer is elided. Q1's reopen marks its
@@ -159,15 +159,22 @@ func TestFormatAnalyzeRendering(t *testing.T) {
 	if strings.Contains(untimed, "time=") {
 		t.Fatalf("an untimed execution renders times:\n%s", untimed)
 	}
-	// No table changed, so every join outside a kept build side kept its
-	// table: the nodes under it replay the timed execution's rows and
-	// batches, marked reused.
-	if times := regexp.MustCompile(` time=[^\]]*`); times.ReplaceAllString(text, "") != strings.ReplaceAll(untimed, " reused]", "]") {
+	// No table changed, so every join kept its table and every node emitted
+	// its empty delta: each renders the timed execution's rows and batches,
+	// marked maintained, and so does the aggregation, which kept its table.
+	if times := regexp.MustCompile(` time=[^\]]*`); times.ReplaceAllString(text, "") != strings.ReplaceAll(untimed, " maintained]", "]") {
 		t.Fatalf("the untimed reopen differs from the timed execution:\n%s\ntimed:\n%s", untimed, text)
 	}
-	if joins, nodes := keptBuilds(vr.Plan, 0); stats.BuildsReused() != joins || strings.Count(untimed, " reused]") != nodes || joins == 0 {
-		t.Fatalf("the unchanged reopen kept %d join tables, want %d, and renders %d nodes reused, want %d:\n%s",
-			stats.BuildsReused(), joins, strings.Count(untimed, " reused]"), nodes, untimed)
+	nodes := 0
+	eachPlanNode(vr.Plan, func(p *relalg.Plan) {
+		if p.Log != relalg.LogEnforce {
+			nodes++
+		}
+	})
+	if joins := keptBuilds(vr.Plan, 0, 0); stats.BuildsReused() != joins || strings.Count(untimed, " maintained]") != nodes+1 ||
+		stats.ResultsMaintained() != 1 || joins == 0 {
+		t.Fatalf("the unchanged reopen kept %d join tables, want %d, renders %d nodes maintained, want %d, and maintained %d results:\n%s",
+			stats.BuildsReused(), joins, strings.Count(untimed, " maintained]"), nodes+1, stats.ResultsMaintained(), untimed)
 	}
 
 	for _, q := range []*relalg.Query{tpch.Q3S(), tpch.Q5(), tpch.Q10()} {
@@ -282,7 +289,7 @@ func TestFormatAnalyzeRendering(t *testing.T) {
 			t.Fatal(err)
 		}
 		text, fresh := stats.Format(), render(false)
-		if stats.AggsMaintained() != 1 || strings.Count(text, " maintained") != 2 ||
+		if stats.ResultsMaintained() != 1 || strings.Count(text, " maintained") != 2 ||
 			!strings.Contains(text, "HashAggregate  [") || !regexp.MustCompile(`(?m)^HashAggregate .* maintained( time=.*)?\]$`).MatchString(text) ||
 			!regexp.MustCompile(`(?m)^TableScan .* maintained( time=.*)?\]$`).MatchString(text) {
 			t.Fatalf("Q1 reopened over a table %s: want the aggregation and its scan marked maintained:\n%s", step, text)

@@ -11,8 +11,7 @@ package exec
 //     zero-copy column windows over the materialized result, picked from the
 //     entry's canonical column order into this plan's schema order; every
 //     counted node of the subtree keeps its shim, record-only, replaying the
-//     entry's recorded cardinality the way a kept hash-join table replays
-//     its build's (profile.go), so the adaptive feedback loop, EstErr and
+//     entry's recorded cardinality (profile.go), so the adaptive feedback loop, EstErr and
 //     EXPLAIN ANALYZE observe byte-identical counts;
 //   - miss: the subtree compiles normally and is wrapped in a spool that
 //     tees its batches into a materialization, places it at its canonical

@@ -107,6 +107,7 @@ func (j *vecHashJoinOp) closeBuild(level int, err error) error {
 // current pair's probe run to stream through it.
 func (j *vecHashJoinOp) install(level int) error {
 	j.table = buildJoinTable(j.table, j.build, j.lKeys, j.counting)
+	j.probed = j.table
 	if level == 0 {
 		return nil
 	}

@@ -3,7 +3,6 @@ package exec
 import (
 	"errors"
 
-	"repro/internal/catalog"
 	"repro/internal/relalg"
 )
 
@@ -117,20 +116,33 @@ type vecHashJoinOp struct {
 	counting bool
 
 	// table and build are kept across executions: an Open rebuilds them in
-	// the arrays they have, or keeps the table whole (Open).
+	// the arrays they have, or keeps the table and inserts the rows its
+	// build side gained (Open).
 	table   *joinTable
-	build   colData    // the drained build side, unless its source lent columns
+	build   colData    // the drained build rows, unless their source lent columns
+	rows    [][]int64  // the unbounded table's column headers
 	charged int64      // under a budget: what the loaded build rows and table reserve
 	spill   *spillJoin // non-nil once the build overflowed its reservation
 
-	// Keeping the table (reuse): pin holds the build side's base tables'
-	// snapshots as its last build read them, buildOps are its shims and st
-	// counts a reuse (nil: the table is never kept).
-	pin      catalog.Pin
-	kept     bool // the last build finished whole in memory
-	buildOps []*spanOp
-	st       *RunStats
+	// Keeping the table: st is the record of a tree that runs again, which
+	// counts a kept table (nil: the table is never kept), and kept says the
+	// table holds the build side's output of the last execution, which
+	// finished whole in memory.
+	st   *RunStats
+	kept bool
 
+	// The delta (held; a join under a budget never keeps its table): want
+	// asks the next Open for only the rows the output gained since the last
+	// execution, and delta says the open execution emits only those. grew
+	// says the kept table took rows this execution, which drain into dbuild
+	// (drainVecCols) and have their own table, dtab; once the probe's new
+	// rows are joined, rewind says the probe scan old re-reads its rows
+	// below its watermark through dtab. probed is the table the current
+	// probe batch is matched against.
+	want, delta, grew, rewind bool
+	dbuild                    colData
+	dtab, probed              *joinTable
+	old                       *vecScanOp // the probe side when it is a table's scan
 	// probe state, carried across Next calls: the probe batch, the hashes,
 	// indexes and chain cursors of its rows with a non-empty bucket
 	// (joinTable.heads, joinTable.walk), and the one to resume at.
@@ -152,7 +164,8 @@ type vecHashJoinOp struct {
 
 // NewVecHashJoin is the pipelined hash join of the paper's Table 1: the build
 // side (left) is drained column-major into a flat bucket-chained hash table at
-// Open (or kept from the last one: reuse), keyed on the compound key of lKeys
+// Open (or kept from the last one, with the rows the build side gained
+// inserted), keyed on the compound key of lKeys
 // (every equi-join column, which keeps match sets minimal); the probe side
 // (right) streams through batch-at-a-time, keyed on rKeys. A probe batch is
 // probed in three phases: if the table has a key bitmap, one pass keeps the
@@ -174,83 +187,122 @@ func NewVecHashJoin(left, right VecIterator, lKeys, rKeys []int, residual []ColP
 		residual: residual, emit: colEmitter{buildOut: lOut, probeOut: rOut}}
 }
 
-// Open opens the probe side and builds the table. An unbounded join drains
-// the build side whole, borrowing a plain scan's columns, and Force-charges
-// it; under a budget load drains it batch at a time — the price of a hard
-// bound is the lent columns — and, if it overflows, routes both inputs into
-// partitions before the first Next. It may keep its previous table (reuse).
+// Open builds the table and opens the probe side. Under a budget load
+// drains the build side batch at a time — the price of a hard bound is the
+// lent columns — and, if it overflows, routes both inputs into partitions
+// before the first Next. An unbounded join drains it whole, borrowing a plain
+// scan's columns, and Force-charges the table (held).
 func (j *vecHashJoinOp) Open() error {
-	j.pb, j.resume, j.drained = nil, 0, false
+	j.pb, j.resume, j.drained, j.rewind = nil, 0, false, false
 	j.cands = j.cands[:0]
 	if cap(j.pairsB) < BatchSize { // both pair vectors in one allocation
 		buf := make([]int32, 2*BatchSize)
 		j.pairsB, j.pairsP = buf[:0:BatchSize], buf[BatchSize:BatchSize]
 	}
 	j.pairsB, j.pairsP = j.pairsB[:0], j.pairsP[:0]
-	if err := j.right.Open(); err != nil {
-		return err
-	}
-	if j.reuse() {
-		return nil
-	}
-	j.kept = false
 	var err error
-	if j.mem.Bounded() {
-		if err = j.left.Open(); err == nil {
-			err = j.load(0, j.left.Next, nil)
-		} else {
-			err = errors.Join(err, j.left.Close())
-		}
+	if !j.mem.Bounded() {
+		err = j.held()
+	} else if err = j.right.Open(); err != nil {
+		return err
+	} else if err = j.left.Open(); err == nil {
+		err = j.load(0, j.left.Next, nil)
 	} else {
-		j.pin.Record() // before the build binds its snapshots
-		var build colData
-		if build, err = drainVecCols(j.left, &j.build); err == nil {
-			j.mem.Force(buildBytes(build.width(), build.n, j.counting))
-			j.table = buildJoinTable(j.table, build, j.lKeys, j.counting)
-			for _, op := range j.buildOps {
-				op.kept = op.sp
-			}
-			j.kept = j.st != nil
-		}
+		err = errors.Join(err, j.left.Close())
 	}
+	j.probed = j.table
 	if err != nil {
-		// Release the already-opened probe side and whatever the build holds.
+		// Release the opened probe side and whatever the build holds.
 		return errors.Join(err, j.Close())
 	}
 	return nil
 }
 
-// reuse keeps the previous table if it was kept and its pin holds: the
-// build child is not opened, the table is charged again and the build
-// subtree's shims replayed, so results, feedback and spans are a fresh
-// build's. Only a finished unbounded build is kept: under a budget, whether
-// the build fits depends on what its subtree holds while it loads.
-func (j *vecHashJoinOp) reuse() bool {
-	if !j.kept || !j.pin.Holds() {
-		return false
+// held is the unbounded Open. A kept table asks its build side for only
+// the rows it gained since the last execution, ΔB, and inserts them
+// (joinTable.insert); a build side that cannot say (its tables were reset,
+// or it is not a table scan or join) drains whole, and the table is built
+// again, as it is the first time. Asked for its own delta, a join over a
+// kept table emits ΔJ = B ⋈ ΔP ∪ ΔB ⋈ P_old, where B is the table now and
+// ΔP the probe side's delta: Next joins ΔP, then, if ΔB has rows, the
+// probe scan's rows below its watermark that ΔB's key range leaves
+// (vecScanOp.rewind) with ΔB's own table. A probe side that is not a
+// table scan has no P_old to re-read, so with ΔB not empty the join emits
+// its whole output; so does one whose probe side cannot give its delta.
+func (j *vecHashJoinOp) held() error {
+	kept := j.kept
+	j.kept, j.delta, j.grew = false, false, false
+	askDelta(j.left, kept)
+	d, err := drainVecCols(j.left, &j.build, &j.dbuild)
+	if err != nil {
+		return err
 	}
-	d := &j.table.data
-	j.mem.Force(buildBytes(d.width(), d.n, j.counting))
-	for _, op := range j.buildOps {
-		op.replay()
+	absorbed := kept && gotDelta(j.left)
+	if absorbed {
+		j.absorb(d)
+		j.st.reused++
+	} else {
+		j.rows = append(j.rows[:0], d.cols...)
+		j.table = buildJoinTable(j.table, colData{cols: j.rows, n: d.n}, j.lKeys, j.counting)
 	}
-	j.st.reused++
-	return true
+	t := &j.table.data
+	j.mem.Force(buildBytes(t.width(), t.n, j.counting))
+	j.kept, j.grew = j.st != nil, absorbed && d.n > 0
+	delta := j.want && absorbed && (d.n == 0 || j.old != nil)
+	askDelta(j.right, delta)
+	if err := j.right.Open(); err != nil {
+		return err
+	}
+	if j.delta = delta && gotDelta(j.right); j.delta && d.n > 0 {
+		j.dtab = buildJoinTable(j.dtab, d, j.lKeys, j.counting)
+		j.mem.Force(buildBytes(d.width(), d.n, j.counting))
+		j.rewind = true
+	}
+	return nil
 }
+
+// absorb appends the build side's new rows d to the table's rows and
+// inserts them. A column the table borrowed from a scan is copied on its
+// first append, past its clipped capacity; the table's column headers are
+// the join's own (rows), so no lender's are ever written.
+func (j *vecHashJoinOp) absorb(d colData) {
+	if d.n == 0 {
+		return
+	}
+	n := j.table.data.n
+	j.rows = grown(j.rows, d.width())
+	for c := range j.rows {
+		j.rows[c] = append(j.rows[c][:n], d.cols[c][:d.n]...)
+	}
+	j.table = j.table.insert(colData{cols: j.rows, n: n + d.n}, n, j.counting)
+}
+
+func (j *vecHashJoinOp) setDelta(want bool) { j.want = want }
+func (j *vecHashJoinOp) isDelta() bool      { return j.delta }
 
 // nextProbeBatch is the probe source indirection: the in-memory path streams
 // the probe input directly, the spilled path streams partition runs.
 func (j *vecHashJoinOp) nextProbeBatch() (*Batch, error) {
-	if j.spill != nil {
+	switch {
+	case j.spill != nil:
 		return j.spillNextBatch()
+	case j.dtab != nil && j.probed == j.dtab:
+		return j.old.Next()
 	}
-	return j.right.Next()
+	b, err := j.right.Next()
+	if b == nil && err == nil && j.rewind {
+		// ΔP is joined: now ΔB ⋈ P_old, the probe scan's old rows.
+		j.rewind, j.probed = false, j.dtab
+		j.old.rewind(j.rKeys[0], j.dtab.lo, j.dtab.hi)
+		return j.old.Next()
+	}
+	return b, err
 }
 
 // flushPairs residual-filters the pending pairs and stitches the survivors
 // into an output batch, or returns nil when every pair was filtered out.
 func (j *vecHashJoinOp) flushPairs() *Batch {
-	pb, pp := filterPairs(j.residual, &j.table.data, j.pb.Cols, j.pairsB, j.pairsP)
+	pb, pp := filterPairs(j.residual, &j.probed.data, j.pb.Cols, j.pairsB, j.pairsP)
 	j.pairsB, j.pairsP = j.pairsB[:0], j.pairsP[:0]
 	switch {
 	case len(pb) == 0:
@@ -258,7 +310,7 @@ func (j *vecHashJoinOp) flushPairs() *Batch {
 	case j.counting:
 		return j.emitCounted(pb, pp)
 	}
-	return j.emit.emit(&j.table.data, j.pb.Cols, pb, pp)
+	return j.emit.emit(&j.probed.data, j.pb.Cols, pb, pp)
 }
 
 // emitCounted is the counting-mode output of matched pairs, at most one per
@@ -272,7 +324,7 @@ func (j *vecHashJoinOp) emitCounted(pb, pp []int32) *Batch {
 	}
 	j.sel = sized(j.sel, len(pp))
 	for x, i := range pp {
-		m := int64(j.table.mult[pb[x]])
+		m := int64(j.probed.mult[pb[x]])
 		if b.Mult != nil {
 			m *= b.Mult[i]
 		}
@@ -292,7 +344,7 @@ func (j *vecHashJoinOp) Next() (*Batch, error) {
 		// Pairs index into the current probe batch's columns, so they are
 		// stitched out before the batch is released or replaced.
 		if j.resume < len(j.cands) {
-			j.resume, j.pairsB, j.pairsP = j.table.walk(j.pb.Cols, j.rKeys, j.hs, j.cands, j.resume, j.pairsB, j.pairsP)
+			j.resume, j.pairsB, j.pairsP = j.probed.walk(j.pb.Cols, j.rKeys, j.hs, j.cands, j.resume, j.pairsB, j.pairsP)
 			if out := j.flushPairs(); out != nil {
 				return out, nil
 			}
@@ -316,18 +368,18 @@ func (j *vecHashJoinOp) Next() (*Batch, error) {
 				return nil, err
 			}
 		}
-		// The spilled path installs each partition's or chunk's table before
-		// it returns its first probe batch, so the heads are read from the
-		// table this batch probes.
+		// The spilled path installs each partition's or chunk's table, and
+		// the rewind ΔB's, before it returns its first probe batch, so the
+		// heads are read from the table this batch probes.
 		j.pb, j.resume = b, 0
 		live := b.Sel
-		if m := b.Len(); m > 0 && len(j.table.bits) > 0 {
+		if m := b.Len(); m > 0 && len(j.probed.bits) > 0 {
 			j.hs, j.cands = sized(j.hs, m), sized(j.cands, m) // grown by live rows, not admitted ones
-			j.sel = j.table.admit(b.Cols[j.rKeys[0]], m, b.Sel, j.sel)
+			j.sel = j.probed.admit(b.Cols[j.rKeys[0]], m, b.Sel, j.sel)
 			live = j.sel
 		}
 		j.hs = hashLive(j.hs, b.Cols, j.rKeys, b.N, live)
-		j.hs, j.cands = j.table.heads(j.hs, live, j.cands)
+		j.hs, j.cands = j.probed.heads(j.hs, live, j.cands)
 	}
 }
 

@@ -27,15 +27,20 @@ import (
 // appendOrders appends n orders, two lines each, under fresh keys above the
 // table's largest: copies of existing rows, so they pass and fail the
 // workload's filters like the rows they copy.
-func appendOrders(t testing.TB, cat *catalog.Catalog, n int) {
+func appendOrders(t testing.TB, cat *catalog.Catalog, n int) { appendOrdersFrom(t, cat, n, 0) }
+
+// appendOrdersFrom is appendOrders copying the orders from the from-th on,
+// seven apart, and the lines from the from-th on.
+func appendOrdersFrom(t testing.TB, cat *catalog.Catalog, n, from int) {
 	t.Helper()
 	orders, li := cat.MustTable("orders"), cat.MustTable("lineitem")
 	okey, lkey := orders.MustCol("o_orderkey"), li.MustCol("l_orderkey")
 	cols, rows := orders.ColumnSnapshot()
+	_, lines := li.ColumnSnapshot()
 	next := slices.Max(cols[okey][:rows]) + 1
 	var newOrders, newLines [][]int64
 	for i := 0; i < n; i++ {
-		o, l := testkit.Row(orders, (i*7)%rows), testkit.Row(li, i)
+		o, l := testkit.Row(orders, ((from+i)*7)%rows), testkit.Row(li, (from+i)%lines)
 		o[okey], l[lkey] = next+int64(i), next+int64(i)
 		newOrders, newLines = append(newOrders, o), append(newLines, l, slices.Clone(l))
 	}
@@ -87,7 +92,7 @@ func converge(t *testing.T, label string, st *Stmt) *Result {
 }
 
 // TestHeldRunMatchesFresh is the serving half of the reopen differential.
-// Q1, Q3S, Q5, Q6 and Q10 are served from a DataDir-bound catalog (so trees with
+// Q1, Q3S, Q5, Q5S, Q6 and Q10 are served from a DataDir-bound catalog (so trees with
 // segment-pruned scans are reopened too), unbounded and under a budget that
 // spills. After the entries converge, each round appends — orders and
 // lineitems in the first three, customers only in the fourth, lineitems only
@@ -96,10 +101,12 @@ func converge(t *testing.T, label string, st *Stmt) *Result {
 // a tree compiled freshly for the plan version it ran, whose rows and counts
 // must in turn equal testkit.Reference over the tables as they are now; and
 // the server must have compiled fewer trees than it executed. Unbounded, held
-// runs must keep hash-join tables in every round (a build over an appended
-// table that was kept would feed back the old count) and maintain Q1's and
-// Q6's aggregation (Q6 has no group key), folding the appended lineitems
-// into the table they kept; under the budget none.
+// runs must keep hash-join tables in every round, inserting what the
+// appends added (a kept table that missed a row would feed back the old
+// count), maintain Q1's and Q6's aggregation (Q6 has no group key), folding
+// the appended lineitems into the table they kept, and maintain the join
+// statements' results, absorbing only what each join's output gained; under
+// the budget none.
 // One session's first execution of each round is an ExplainAnalyze: the
 // analyze arm, a timed execution on a held tree among untimed ones.
 //
@@ -112,7 +119,8 @@ func TestHeldRunMatchesFresh(t *testing.T) {
 		execs    = 2 // per session and statement in a round
 		budget   = 2 << 10
 	)
-	names := []string{"Q1", "Q3S", "Q5", "Q6", "Q10"}
+	names := []string{"Q1", "Q3S", "Q5", "Q5S", "Q6", "Q10"}
+	joins := map[string]bool{"Q3S": true, "Q5": true, "Q5S": true, "Q10": true}
 	for _, mem := range []int64{0, budget} {
 		label := fmt.Sprintf("budget=%d", mem)
 		srv := testServer(t, Options{DataDir: t.TempDir(),
@@ -138,8 +146,10 @@ func TestHeldRunMatchesFresh(t *testing.T) {
 		for round := 1; round <= len(appends); round++ {
 			appends[round-1]()
 			m0 := srv.Metrics()
+			var maintained [2]int64 // by the aggregations over one scan, by the join statements
 			for _, name := range names {
 				at := fmt.Sprintf("%s %s round %d", label, name, round)
+				before := srv.Metrics().ResultsMaintained
 				first := stmts[name].entry.cur.Load()
 				var mu sync.Mutex
 				var got []heldExec
@@ -205,18 +215,25 @@ func TestHeldRunMatchesFresh(t *testing.T) {
 						t.Fatalf("%s (plan v%d): fed back %v, a fresh tree counts %v", at, res.PlanVersion, res.cards, f.cards)
 					}
 				}
+				n := srv.Metrics().ResultsMaintained - before
+				if joins[name] {
+					maintained[1] += n
+				} else {
+					maintained[0] += n
+				}
 			}
 			m1 := srv.Metrics()
 			if n := m1.BuildsReused - m0.BuildsReused; (mem == 0) != (n > 0) {
 				t.Fatalf("%s round %d: held runs kept %d hash-join tables", label, round, n)
 			}
-			if n := m1.AggsMaintained - m0.AggsMaintained; (mem == 0) != (n > 0) {
-				t.Fatalf("%s round %d: held runs maintained %d aggregations", label, round, n)
+			if (mem == 0) != (maintained[0] > 0) || (mem == 0) != (maintained[1] > 0) {
+				t.Fatalf("%s round %d: held runs maintained %d aggregations over one scan and %d join results",
+					label, round, maintained[0], maintained[1])
 			}
 		}
 		m := srv.Metrics()
-		t.Logf("%s: %d executions, %d trees compiled, %d join tables kept, %d aggregations maintained, %d spilled",
-			label, m.Execs, m.Compiles, m.BuildsReused, m.AggsMaintained, m.SpilledQueries)
+		t.Logf("%s: %d executions, %d trees compiled, %d join tables kept, %d results maintained, %d spilled",
+			label, m.Execs, m.Compiles, m.BuildsReused, m.ResultsMaintained, m.SpilledQueries)
 		if m.Compiles >= m.Execs {
 			t.Fatalf("%s: %d trees compiled for %d executions: no held run was reused", label, m.Compiles, m.Execs)
 		}
@@ -226,25 +243,29 @@ func TestHeldRunMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestKeptBuildSeesEveryAppend: state a run reuses — a held run's kept
-// hash-join table, a result-cache entry — is used only while the tables
-// under it are at the data versions its catalog.Pin recorded, and the pin
-// records them before the state's scans bind their snapshots. One session
-// executes Q3S (Q1) in a loop while the test appends orders, and then
-// executes it from a second session (in the result-cache arm twice: the first
-// execution has a second append land while it streams, so a spool that
-// pinned its tables late would store a stale entry). Every execution that
-// starts after an append has returned and ends before the next one begins —
-// the second session's, and the loop's between appends — must feed back
-// what testkit.Reference counts over the tables as that append left them.
-// Were the versions read after the build (or the spool's subtree) bound its
-// snapshots, an execution that bound the old orders could record the new
-// version, and later executions would keep its stale table or serve its
-// stale entry. The arms: held runs keeping join tables, a result cache
-// probed, spooled into and invalidated, and held runs of Q1 maintaining its
-// aggregation, whose rows are checked as well: a fold that missed an
-// appended lineitem, or read one twice, would return other sums. CI runs it
-// under -race -count=10.
+// TestKeptBuildSeesEveryAppend: state a run keeps — a held run's join
+// tables and result, a result-cache entry — stands for exactly the rows its
+// scans bound. A held run's next execution absorbs the rows above the
+// watermark each scan bound, never a count read before the bind, and a
+// spool's catalog.Pin records the tables' snapshots before its subtree's
+// scans bind theirs. One session executes the statement in a loop while the
+// test appends orders, so appends land at any point of its executions,
+// inside build and probe drains among them, and then executes it from a
+// second session; with straddle (the result-cache and delta-joins arms) that
+// session's first execution of a round has a second append land while it
+// streams its rows — inside the root's probe drain for a statement without
+// an aggregation — and is not checked. Every execution that starts after an
+// append has returned and ends before the next one begins — the second
+// session's last, and the loop's between appends — must feed back what
+// testkit.Reference counts over the tables as that append left them. Were a
+// watermark or pin read after the scans bound, or a delta's start read
+// before, an execution would keep a table or result missing an appended
+// row, or count one twice. The arms: held runs keeping Q3S's join tables, a
+// result cache probed, spooled into and invalidated, held runs of Q1
+// maintaining its aggregation, whose rows are checked as well (a fold that
+// missed an appended lineitem, or read one twice, would return other sums),
+// and held runs of Q5S maintaining its joins' result. CI runs it under -race
+// -count=10.
 func TestKeptBuildSeesEveryAppend(t *testing.T) {
 	t.Run("kept-tables", func(t *testing.T) {
 		m := keptStateSeesEveryAppend(t, "Q3S", Options{MaxConcurrent: 2}, false)
@@ -260,19 +281,28 @@ func TestKeptBuildSeesEveryAppend(t *testing.T) {
 	})
 	t.Run("maintained-aggregates", func(t *testing.T) {
 		m := keptStateSeesEveryAppend(t, "Q1", Options{MaxConcurrent: 2}, false)
-		if m.AggsMaintained == 0 {
+		if m.ResultsMaintained == 0 {
 			t.Fatalf("%d executions maintained no aggregation", m.Execs)
+		}
+	})
+	t.Run("delta-joins", func(t *testing.T) {
+		m := keptStateSeesEveryAppend(t, "Q5S", Options{MaxConcurrent: 2}, true)
+		if m.ResultsMaintained == 0 {
+			t.Fatalf("%d executions maintained no join result", m.Execs)
 		}
 	})
 }
 
 // TestEmptyAppendKeepsJoinTables: a held run keeps a join table while the
-// snapshots under its build side are the ones its pin recorded, and an empty
-// append publishes none. A converged Q3S on a serial server keeps as many
-// join tables after AppendRows(nil) on each of its tables as after no append
-// at all, without compiling, and none after a one-row append to customer,
-// which every build reads. It runs with the collector off on one P, as
-// TestHeldRunProfiles does, so the counts are the held run's.
+// snapshots under its build side only grow, and an empty append publishes
+// none. A converged Q3S on a serial server keeps as many join tables after
+// AppendRows(nil) on each of its tables as after no append at all, without
+// compiling, and maintains its result both times; after a one-row append
+// to customer, which every build reads, it keeps them all too, inserting
+// the row, and maintains its result again; after customer is reset to its
+// own rows, a new snapshot epoch, it keeps none and maintains nothing. It
+// runs with the collector off on one P, as TestHeldRunProfiles does, so the
+// counts are the held run's.
 func TestEmptyAppendKeepsJoinTables(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under -race a sync.Pool drops held runs at random")
@@ -285,7 +315,7 @@ func TestEmptyAppendKeepsJoinTables(t *testing.T) {
 		t.Fatal(err)
 	}
 	converge(t, "Q3S", st)
-	kept := func(after string) int64 {
+	kept := func(after string) (tables, maintained int64) {
 		t.Helper()
 		m0 := srv.Metrics()
 		if _, err := st.Exec(); err != nil {
@@ -295,23 +325,28 @@ func TestEmptyAppendKeepsJoinTables(t *testing.T) {
 		if m1.Compiles != m0.Compiles {
 			t.Fatalf("after %s: the execution compiled a tree", after)
 		}
-		return m1.BuildsReused - m0.BuildsReused
+		return m1.BuildsReused - m0.BuildsReused, m1.ResultsMaintained - m0.ResultsMaintained
 	}
-	steady := kept("no append")
-	if steady == 0 {
-		t.Fatal("a converged Q3S kept no join table")
+	steady, m := kept("no append")
+	if steady == 0 || m != 1 {
+		t.Fatalf("a converged Q3S kept %d join tables and maintained %d results", steady, m)
 	}
 	for _, name := range []string{"customer", "orders", "lineitem"} {
 		if err := srv.Catalog().MustTable(name).AppendRows(nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if n := kept("empty appends"); n != steady {
-		t.Fatalf("after empty appends Q3S kept %d join tables, %d without them", n, steady)
+	if n, m := kept("empty appends"); n != steady || m != 1 {
+		t.Fatalf("after empty appends Q3S kept %d join tables, %d without them, and maintained %d results", n, steady, m)
 	}
 	appendCopies(t, srv.Catalog().MustTable("customer"), "c_custkey", 1)
-	if n := kept("a one-row append"); n != 0 {
-		t.Fatalf("after a one-row append to customer Q3S kept %d join tables", n)
+	if n, m := kept("a one-row append"); n != steady || m != 1 {
+		t.Fatalf("after a one-row append to customer Q3S kept %d join tables, want %d, and maintained %d results", n, steady, m)
+	}
+	customer := srv.Catalog().MustTable("customer")
+	customer.ResetSnapshot(customer.Store().Snapshot())
+	if n, m := kept("a reset"); n != 0 || m != 0 {
+		t.Fatalf("after a reset of customer Q3S kept %d join tables and maintained %d results", n, m)
 	}
 }
 
@@ -463,10 +498,9 @@ func checkFresh(t *testing.T, at string, srv *Server, q *relalg.Query, plan *rel
 // TestHeldRunProfiles: EXPLAIN ANALYZE and slow-query tracing run on held
 // trees. On a converged statement of a serial server, two ExplainAnalyze
 // calls compile nothing, and both render the same rows and batches per node
-// as a freshly compiled tree: a held tree's spans start every execution at
-// zero, except under a hash join that kept its table (no table changes
-// here), whose build subtree replays the rows and batches of the build the
-// table came from and is marked reused in place of a time. The untimed
+// as a freshly compiled tree: no table changes here, so every node of a held
+// tree emits its empty delta, starts from the rows and batches it counted
+// when its stream last ended, and is marked maintained before its time. The untimed
 // execution that follows leaves its tree untimed. A server that traces every
 // execution as slow compiles fewer trees than it executes, and every dump
 // carries a time on every node that ran.
@@ -505,10 +539,10 @@ func TestHeldRunProfiles(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Under -race the pool may have dropped the held run.
-			if !strings.Contains(analyzed, "time=") || !strings.Contains(analyzed, " reused]") && !raceEnabled {
-				t.Fatalf("%s: analyze %d renders no times or no kept build:\n%s", name, i, analyzed)
+			if !strings.Contains(analyzed, "time=") || !strings.Contains(analyzed, " maintained") && !raceEnabled {
+				t.Fatalf("%s: analyze %d renders no times or no maintained node:\n%s", name, i, analyzed)
 			}
-			if got := times.ReplaceAllString(analyzed, ""); strings.ReplaceAll(got, " reused]", "]") != fresh {
+			if got := times.ReplaceAllString(analyzed, ""); strings.ReplaceAll(got, " maintained]", "]") != fresh {
 				t.Fatalf("%s: analyze %d on a held tree renders\n%s\na fresh tree\n%s", name, i, got, fresh)
 			}
 		}
@@ -558,7 +592,7 @@ func TestHeldRunProfiles(t *testing.T) {
 				continue
 			}
 			nodes++
-			if !strings.Contains(line, "time=") && !strings.HasSuffix(line, " reused]") {
+			if !strings.Contains(line, "time=") {
 				t.Fatalf("a slow-query dump's executed node has no time: %q in\n%s", line, dump)
 			}
 		}

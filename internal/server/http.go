@@ -88,8 +88,8 @@ func (s *Server) WriteProm(w io.Writer) {
 	obs.WritePromCounter(w, "repro_execs_total", "Statement executions.", m.Execs)
 	obs.WritePromCounter(w, "repro_compiles_total", "Operator trees compiled; the other executions reused a held one.", m.Compiles)
 	obs.WritePromCounter(w, "repro_failed_execs_total", "Executions that ended in an error.", m.FailedExecs)
-	obs.WritePromCounter(w, "repro_builds_reused_total", "Hash-join tables a held run kept because their build side's tables were unchanged.", m.BuildsReused)
-	obs.WritePromCounter(w, "repro_aggs_maintained_total", "Aggregations a held run kept and folded only the rows appended since into.", m.AggsMaintained)
+	obs.WritePromCounter(w, "repro_builds_reused_total", "Hash-join tables a held run kept, inserting the rows their build side gained.", m.BuildsReused)
+	obs.WritePromCounter(w, "repro_results_maintained_total", "Executions whose held run kept its result and absorbed only what the output gained.", m.ResultsMaintained)
 	obs.WritePromCounter(w, "repro_conn_errors_total", "Protocol connections that ended in an error.", m.ConnErrors)
 	obs.WritePromCounter(w, "repro_full_opts_total", "Initial optimizations, from scratch or by clone.", m.FullOpts)
 	obs.WritePromCounter(w, "repro_clones_total", "Initial optimizations that cloned and repaired a template of the same join graph.", m.Clones)

@@ -58,15 +58,15 @@ type Metrics struct {
 	// FailedExecs counts executions that ended in an error — a compile,
 	// spill, executor or sink error (a gone client's failed write); Execs
 	// counts only the others. BuildsReused counts hash-join tables a held
-	// run kept from its previous execution because no table under their
-	// build side had changed (exec.RunStats.BuildsReused). AggsMaintained
-	// counts aggregations a held run kept and folded only the rows appended
-	// since its previous execution into (exec.RunStats.AggsMaintained).
+	// run kept from its previous execution, inserting the rows their build
+	// side gained (exec.RunStats.BuildsReused). ResultsMaintained counts
+	// executions whose held run kept its result and absorbed only what the
+	// output gained since (exec.RunStats.ResultsMaintained).
 	// ConnErrors counts ServeListener connections that ended in an error.
-	FailedExecs    int64
-	BuildsReused   int64
-	AggsMaintained int64
-	ConnErrors     int64
+	FailedExecs       int64
+	BuildsReused      int64
+	ResultsMaintained int64
+	ConnErrors        int64
 
 	// FullOpts counts initial optimizations, from scratch or by clone;
 	// Clones counts those that cloned a cached template of the same join
@@ -130,29 +130,29 @@ type Metrics struct {
 func (s *Server) Metrics() Metrics {
 	entries := s.plans.list()
 	m := Metrics{
-		Sessions:       s.sessions.Load(),
-		Entries:        len(entries),
-		Hits:           s.plans.hits.Load(),
-		Misses:         s.plans.misses.Load(),
-		Evictions:      s.plans.evictions.Load(),
-		Execs:          int64(s.latencyH.Count()),
-		Compiles:       s.compiles.Load(),
-		FailedExecs:    s.failedExecs.Load(),
-		BuildsReused:   s.buildsReused.Load(),
-		AggsMaintained: s.aggsMaint.Load(),
-		ConnErrors:     s.connErrors.Load(),
-		FullOpts:       s.fullOpts.Load(),
-		FullOptTime:    time.Duration(s.fullOptNanos.Load()),
-		Clones:         s.clones.Load(),
-		Repairs:        int64(s.repairH.Count()),
-		RepairTime:     s.repairH.Sum(),
-		Converged:      s.converged.Load(),
-		StatsKeys:      s.stats.Len(),
-		WarmSeeds:      s.warmSeeds.Load(),
-		StatsClock:     s.stats.Clock(),
-		StatsDecays:    s.stats.Decays(),
-		StatsStale:     s.stats.StaleKeys(),
-		StatsReclaimed: s.stats.Reclaimed(),
+		Sessions:          s.sessions.Load(),
+		Entries:           len(entries),
+		Hits:              s.plans.hits.Load(),
+		Misses:            s.plans.misses.Load(),
+		Evictions:         s.plans.evictions.Load(),
+		Execs:             int64(s.latencyH.Count()),
+		Compiles:          s.compiles.Load(),
+		FailedExecs:       s.failedExecs.Load(),
+		BuildsReused:      s.buildsReused.Load(),
+		ResultsMaintained: s.resultsMaint.Load(),
+		ConnErrors:        s.connErrors.Load(),
+		FullOpts:          s.fullOpts.Load(),
+		FullOptTime:       time.Duration(s.fullOptNanos.Load()),
+		Clones:            s.clones.Load(),
+		Repairs:           int64(s.repairH.Count()),
+		RepairTime:        s.repairH.Sum(),
+		Converged:         s.converged.Load(),
+		StatsKeys:         s.stats.Len(),
+		WarmSeeds:         s.warmSeeds.Load(),
+		StatsClock:        s.stats.Clock(),
+		StatsDecays:       s.stats.Decays(),
+		StatsStale:        s.stats.StaleKeys(),
+		StatsReclaimed:    s.stats.Reclaimed(),
 
 		ResultCacheEnabled: s.resCache.Enabled(),
 		ResultCache:        s.resCache.Metrics(),
@@ -208,8 +208,8 @@ func (m Metrics) String() string {
 	fmt.Fprintf(&b, "full-opts=%d (%v) clones=%d repairs=%d (%v) converged-execs=%d\n",
 		m.FullOpts, m.FullOptTime.Round(time.Microsecond), m.Clones,
 		m.Repairs, m.RepairTime.Round(time.Microsecond), m.Converged)
-	fmt.Fprintf(&b, "runs: compiles=%d builds-reused=%d aggs-maintained=%d failed-execs=%d conn-errors=%d\n",
-		m.Compiles, m.BuildsReused, m.AggsMaintained, m.FailedExecs, m.ConnErrors)
+	fmt.Fprintf(&b, "runs: compiles=%d builds-reused=%d results-maintained=%d failed-execs=%d conn-errors=%d\n",
+		m.Compiles, m.BuildsReused, m.ResultsMaintained, m.FailedExecs, m.ConnErrors)
 	fmt.Fprintf(&b, "latency: %s\n", m.ExecLatency)
 	fmt.Fprintf(&b, "queue-wait: waited=%d %s\n", m.QueueWaits, m.QueueWait)
 	fmt.Fprintf(&b, "memory: peak-bytes %s\n", m.PeakMem)

@@ -356,7 +356,7 @@ func TestDebugHandlerScrape(t *testing.T) {
 		"repro_compiles_total ",
 		"repro_failed_execs_total ",
 		"repro_builds_reused_total ",
-		"repro_aggs_maintained_total ",
+		"repro_results_maintained_total ",
 		"repro_conn_errors_total ",
 		"repro_result_cache_evictions_total ",
 		"repro_entry_est_error{entry=",

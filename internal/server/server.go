@@ -211,7 +211,7 @@ type Server struct {
 	compiles     atomic.Int64
 	failedExecs  atomic.Int64 // executions run ended in an error, not in execs
 	buildsReused atomic.Int64 // hash-join tables a held run kept (exec.RunStats.BuildsReused)
-	aggsMaint    atomic.Int64 // aggregations a held run maintained (exec.RunStats.AggsMaintained)
+	resultsMaint atomic.Int64 // results a held run maintained (exec.RunStats.ResultsMaintained)
 	connErrors   atomic.Int64 // ServeListener connections that ended in an error
 	fullOpts     atomic.Int64
 	fullOptNanos atomic.Int64
@@ -616,7 +616,7 @@ func (s *Server) run(e *planEntry, snap *planVersion, timed bool, each func(*exe
 	s.latencyH.Observe(elapsed)
 	e.execs.Add(1)
 	s.buildsReused.Add(int64(run.stats.BuildsReused()))
-	s.aggsMaint.Add(int64(run.stats.AggsMaintained()))
+	s.resultsMaint.Add(int64(run.stats.ResultsMaintained()))
 
 	peak := run.mem.Peak()
 	s.peakMemH.ObserveInt64(peak)

@@ -32,7 +32,7 @@ type shape struct {
 // of the change that moved it. Columns: go statements, chan types, select
 // statements, panic calls, exported names, lines.
 var packageCeilings = map[string]shape{
-	".":                    {0, 0, 0, 0, 24, 403},
+	".":                    {0, 0, 0, 0, 24, 400},
 	"cmd/optcli":           {0, 0, 0, 0, 0, 212},
 	"cmd/reprobench":       {0, 0, 0, 0, 0, 109},
 	"cmd/reproserve":       {4, 2, 1, 0, 2, 293},
@@ -48,7 +48,7 @@ var packageCeilings = map[string]shape{
 	"internal/core":        {0, 0, 0, 2, 65, 1956},
 	"internal/cost":        {0, 0, 0, 3, 28, 420},
 	"internal/deltalog":    {0, 0, 0, 5, 24, 411},
-	"internal/exec":        {0, 0, 0, 0, 101, 4200},
+	"internal/exec":        {0, 0, 0, 0, 101, 4522},
 	"internal/fbstore":     {0, 0, 0, 0, 39, 537},
 	"internal/linearroad":  {0, 0, 0, 1, 21, 322},
 	"internal/obs":         {0, 0, 0, 0, 68, 553},

@@ -43,22 +43,19 @@
 //     group arrays and its one flat COUNT(DISTINCT) set, output columns, batch
 //     scratch) and keeps their capacity, for exactly as long as the operator
 //     itself lives; nothing is charged to the tracker between executions.
-//     Reuse has one shape: state built from base tables is kept while the
-//     tables hold the snapshots it pinned — each one's epoch and row count
-//     (catalog.Pin, read before anything it is built from) — and the shims
-//     of the subtree it stands for replay what was kept. An unbounded hash
-//     join whose pin holds keeps its table: it neither opens nor drains its
-//     build side, charges the table again and replays the build subtree's
-//     rows and batches, which EXPLAIN ANALYZE marks "reused"
-//     (ServerMetrics.BuildsReused counts them); a result-cache hit is the
-//     second kind. The third is maintained: an unbounded aggregation over
-//     one table's scan (Q1, Q6) keeps its group table over rows [0, n) of
-//     a snapshot epoch (storage.Snapshot.Epoch, new at every reset, store
-//     and directory swap, carried by appends), and when the snapshot its
-//     scan binds is of that epoch it folds only rows [n, N) — SUM,
-//     COUNT(*) and COUNT(DISTINCT) absorb inserts — its scan's counts
-//     starting from the kept rows', both marked "maintained"
-//     (ServerMetrics.AggsMaintained). A tree compiled against a result
+//     A held tree maintains its state under appends: every unbounded hash
+//     join keeps its table, the root its result (an aggregation's table,
+//     else the emitted rows). Each scan remembers the snapshot it bound
+//     (storage.Snapshot's epoch, new at every reset, store and directory
+//     swap, carried by appends, and its N); at the same epoch it can emit
+//     only the rows above that watermark. A kept join table inserts the
+//     rows its build side gained, ΔB, the join emits ΔJ = B ⋈ ΔP ∪ ΔB ⋈
+//     P_old (re-reading the old probe rows whose zone maps hold ΔB's keys),
+//     and the root absorbs ΔJ; every node's counts start from what it
+//     counted before, so feedback and EXPLAIN ANALYZE (its "maintained"
+//     mark) read a fresh run's (ServerMetrics.BuildsReused,
+//     ResultsMaintained). A result-cache hit replays its entry's counts,
+//     kept while its catalog.Pin holds. A tree compiled against a result
 //     cache, or one whose last execution failed, refuses a second Open;
 //   - internal/aqp — the adaptive query processing loop. The controller
 //     owns the standing query's execution: it compiles a plan once and
@@ -190,9 +187,9 @@
 //     any other — and renders the plan annotated with estimated-vs-actual
 //     cardinality and q-error per node. A hash join that counted instead of enumerating is
 //     marked "counted": its rows= is still its cardinality, its batches=
-//     what it actually emitted; a node under a join that kept its table is
-//     marked "reused" in place of a time, and one under a result-cache hit
-//     "not executed (cached)". cmd/optcli -analyze and the protocol's
+//     what it actually emitted; a node that emitted only its delta is
+//     marked "maintained", and one under a result-cache hit "not
+//     executed (cached)". cmd/optcli -analyze and the protocol's
 //     "analyze" command expose the same tree.
 //   - Lifecycle tracing. ServerOptions.TraceEvents keeps the last N
 //     structured events (prepare hit/miss, admission queue wait, exec,
